@@ -610,23 +610,19 @@ class Scenario:
             self._stream_broker = StreamBroker(
                 sink=sink, max_len=self._stream_max_len)
             attach_stream(self._stream_broker, bus, runtime.nodes)
-        config_fn = None
+        config_fn = roster = None
         if self._pool_deployment is not None:
             from repro.live.pool import watcher_config_fn
             config_fn = watcher_config_fn(
                 self._dmon, self._pool_deployment.watchers)
+            # The parent slice's /proc trees must show the whole
+            # cluster, including hosts that live in worker processes.
+            roster = self._pool_deployment.all_names
         self.dprocs = deploy_dproc(
             runtime.nodes, config=self._dmon, modules=self._modules,
             bus=bus, hosts=hosts,
             module_factory=getattr(runtime, "module_factory", None),
-            config_fn=config_fn)
-        if self._pool_deployment is not None:
-            # The parent slice's /proc trees must show the whole
-            # cluster, including hosts that live in worker processes.
-            for dproc in self.dprocs.values():
-                for host in self._pool_deployment.all_names:
-                    if host not in dproc._mounted_hosts:
-                        dproc.add_cluster_node(host)
+            config_fn=config_fn, roster=roster)
         if self._want_tracing:
             from repro.tracing import TraceCollector, attach_tracer
             self.tracer = (self._tracer_arg if self._tracer_arg

@@ -35,7 +35,7 @@ from repro.dproc.params import (AboveThreshold, BelowThreshold,
                                 ChangeThreshold, MetricPolicy,
                                 RangeThreshold, ThresholdRule,
                                 parse_threshold_spec)
-from repro.dproc.procfs import ProcFS, ProcFile
+from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile
 from repro.dproc.toolkit import Dproc, deploy_dproc
 
 __all__ = [
@@ -56,6 +56,6 @@ __all__ = [
     "MetricSample", "MonitoringModule", "NetMon", "PmcMon", "ProcMon",
     "AboveThreshold", "BelowThreshold", "ChangeThreshold", "MetricPolicy",
     "RangeThreshold", "ThresholdRule", "parse_threshold_spec",
-    "ProcFS", "ProcFile",
+    "ProcFS", "ProcFile", "DirTemplate",
     "Dproc", "deploy_dproc",
 ]

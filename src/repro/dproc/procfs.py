@@ -13,56 +13,81 @@ The dproc toolkit mounts its tree here::
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from repro.errors import ProcfsError
 
-__all__ = ["ProcFS", "ProcFile"]
+__all__ = ["ProcFS", "ProcFile", "DirTemplate"]
 
-ReadFn = Callable[[], str]
-WriteFn = Callable[[str], None]
+ReadFn = Callable[..., str]
+WriteFn = Callable[..., None]
 
 
 class ProcFile:
-    """One pseudo-file: read callback plus optional write handler."""
+    """One pseudo-file: read callback plus optional write handler.
+
+    A file of a :class:`DirTemplate` gets its mount's context as
+    leading arguments; a file mounted on its own gets none.
+    """
 
     def __init__(self, read_fn: ReadFn,
                  write_fn: Optional[WriteFn] = None) -> None:
         self._read = read_fn
         self._write = write_fn
 
-    @property
-    def writable(self) -> bool:
-        return self._write is not None
+    def read(self, *context) -> str:
+        return self._read(*context)
 
-    def read(self) -> str:
-        return self._read()
-
-    def write(self, text: str) -> None:
+    def write(self, text: str, *context) -> None:
         if self._write is None:
             raise ProcfsError("file is read-only")
-        self._write(text)
+        self._write(*context, text)
 
 
 def _split(path: str) -> tuple[str, ...]:
-    parts = tuple(p for p in path.strip().split("/") if p)
+    parts = tuple(filter(None, path.strip().split("/")))
     if not parts:
         raise ProcfsError(f"bad path {path!r}")
     return parts
+
+
+class DirTemplate:
+    """A directory layout built once and mounted any number of times.
+
+    ``files`` maps relative paths to files whose callbacks take a
+    mount's context (dproc passes ``(dproc, host)``).  Checked like
+    any other set of mounts, then frozen, so every mount shares it.
+    """
+
+    def __init__(self, files: Mapping[str, ProcFile]) -> None:
+        if not files:
+            raise ProcfsError("a directory template needs a file")
+        layout = ProcFS()
+        for path, file in files.items():
+            layout.mount(path, file)
+        #: Relative key -> file.
+        self.files = MappingProxyType(layout._files)
+        #: Relative directory key (``()`` is the root) -> child names.
+        self.children = MappingProxyType(
+            {key: tuple(sorted(names))
+             for key, names in layout._children.items()})
 
 
 class ProcFS:
     """In-memory pseudo-filesystem with callback-backed files.
 
     Directory structure is tracked incrementally (per-directory child
-    refcounts), so mounting is O(path depth) rather than a scan of
-    every existing mount — the difference between seconds and minutes
-    when a thousand nodes each mount a thousand-entry /proc/cluster
-    tree.
+    refcounts), so a mount costs O(path depth) however many mounts
+    exist, and a whole template directory costs one such mount however
+    many files it shows — what keeps a thousand-entry /proc/cluster
+    tree on each of a thousand nodes affordable.
     """
 
     def __init__(self) -> None:
         self._files: dict[tuple[str, ...], ProcFile] = {}
+        #: Mount point -> (template, context of its files' callbacks).
+        self._dirs: dict[tuple[str, ...], tuple[DirTemplate, tuple]] = {}
         #: Directory key -> {child name -> number of mounts below it}.
         self._children: dict[tuple[str, ...], dict[str, int]] = {}
 
@@ -70,19 +95,28 @@ class ProcFS:
 
     def mount(self, path: str, file: ProcFile) -> None:
         """Install a file at ``path`` (intermediate dirs are implicit)."""
+        self._files[self._claim(path)] = file
+
+    def mount_dir(self, path: str, template: DirTemplate,
+                  *context) -> None:
+        """Install ``template``'s files below ``path`` as one entry;
+        their callbacks get ``context``.  The directory owns ``path``
+        like a file does: nothing else mounts at or below it."""
+        self._dirs[self._claim(path)] = (template, context)
+
+    def _claim(self, path: str) -> tuple[str, ...]:
         key = _split(path)
-        if key in self._files:
+        if key in self._files or key in self._dirs:
             raise ProcfsError(f"{path!r} already mounted")
-        # A file cannot also be a directory prefix of another file.
+        # A mount cannot also be a directory prefix of another mount.
         if key in self._children:
             raise ProcfsError(
                 f"{path!r} conflicts with existing mounts below it")
         for i in range(1, len(key)):
-            if key[:i] in self._files:
+            if key[:i] in self._files or key[:i] in self._dirs:
                 raise ProcfsError(
                     f"{path!r} conflicts with existing mount "
                     f"{'/' + '/'.join(key[:i])!r}")
-        self._files[key] = file
         for i in range(len(key)):
             parent = key[:i]
             children = self._children.get(parent)
@@ -90,10 +124,13 @@ class ProcFS:
                 children = self._children[parent] = {}
             name = key[i]
             children[name] = children.get(name, 0) + 1
+        return key
 
     def unmount(self, path: str) -> None:
+        """Remove the file or template directory mounted at ``path``."""
         key = _split(path)
-        if self._files.pop(key, None) is None:
+        if (self._files.pop(key, None) is None
+                and self._dirs.pop(key, None) is None):
             raise ProcfsError(f"{path!r} is not mounted")
         for i in range(len(key)):
             parent = key[:i]
@@ -109,38 +146,51 @@ class ProcFS:
 
     def read(self, path: str) -> str:
         """Read a file's current content."""
-        return self._lookup(path).read()
+        file, context = self._lookup(path)
+        return file.read(*context)
 
     def write(self, path: str, text: str) -> None:
         """Write ``text`` to a file (its handler interprets it)."""
-        self._lookup(path).write(text)
+        file, context = self._lookup(path)
+        file.write(text, *context)
 
     def exists(self, path: str) -> bool:
         """True for both files and (implicit) directories."""
-        key = _split(path)
-        return key in self._files or key in self._children
+        files, children, key, _ = self._resolve(_split(path))
+        return key in files or key in children
 
     def is_dir(self, path: str) -> bool:
-        key = _split(path)
-        if key in self._files:
-            return False
-        return key in self._children
+        files, children, key, _ = self._resolve(_split(path))
+        return key not in files and key in children
 
     def listdir(self, path: str) -> list[str]:
         """Names directly under a directory."""
-        key = _split(path) if path.strip("/") else ()
-        if key in self._files:
+        root = not path.strip("/")
+        files, children, key, _ = self._resolve(
+            () if root else _split(path))
+        if key in files:
             raise ProcfsError(f"{path!r} is a file, not a directory")
-        children = self._children.get(key)
-        if children is None:
-            if key:
+        names = children.get(key)
+        if names is None:
+            if not root:
                 raise ProcfsError(f"no such directory {path!r}")
             return []
-        return sorted(children)
+        return sorted(names)
 
-    def _lookup(self, path: str) -> ProcFile:
-        key = _split(path)
-        file = self._files.get(key)
+    def _resolve(self, key: tuple[str, ...]):
+        """The tables that answer for ``key``: ``(files, children,
+        key within them, callback context)`` — this filesystem's own,
+        or those of the template directory mounted at or above it."""
+        for i in range(len(key), 0, -1):
+            entry = self._dirs.get(key[:i])
+            if entry is not None:
+                template, context = entry
+                return template.files, template.children, key[i:], context
+        return self._files, self._children, key, ()
+
+    def _lookup(self, path: str) -> tuple[ProcFile, tuple]:
+        files, _, key, context = self._resolve(_split(path))
+        file = files.get(key)
         if file is None:
             raise ProcfsError(f"no such file {path!r}")
-        return file
+        return file, context

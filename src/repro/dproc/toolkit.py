@@ -19,13 +19,14 @@ Example::
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.dproc.control_api import ControlRequest
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import DMon, DMonConfig, register_default_modules
 from repro.dproc.metrics import METRIC_FILES, MetricId
-from repro.dproc.procfs import ProcFS, ProcFile
+from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile
 from repro.errors import DprocError
 from repro.kecho import KechoBus
 from repro.runtime.protocol import Bus, NodeGroup, RuntimeNode
@@ -34,6 +35,10 @@ from repro.telemetry import MONITOR_CPU_COUNTERS, render_text
 __all__ = ["Dproc", "deploy_dproc"]
 
 DEFAULT_MODULES = ("cpu", "mem", "disk", "net", "pmc")
+
+#: Accepted command lines a ``control`` file reads back, per host; a
+#: policy that rewrites ``control`` every tick drops the oldest.
+CONTROL_LOG_LINES = 256
 
 #: Builds one monitoring module for (module name, node).  Backends with
 #: their own collectors (the live backend's host modules) pass one of
@@ -57,8 +62,10 @@ class Dproc:
             for name in modules:
                 self.dmon.register_service(module_factory(name, node))
         self.procfs = ProcFS()
-        self._control_log: dict[str, list[str]] = {}
-        self._mounted_hosts: set[str] = set()
+        self._control_log: dict[str, deque[str]] = {}
+        #: Sorted /proc/cluster listing; None after a host was added.
+        #: ``deploy_dproc`` hands every instance the same tuple.
+        self._hosts: Optional[tuple[str, ...]] = ()
         self._mount_standard()
         node.attach_service("dproc", self)
 
@@ -93,46 +100,17 @@ class Dproc:
 
     def add_cluster_node(self, host: str) -> None:
         """Expose ``/proc/cluster/<host>/`` for a (possibly remote) node."""
-        if host in self._mounted_hosts:
-            raise DprocError(f"{host!r} already in /proc/cluster")
-        self._mounted_hosts.add(host)
         base = f"/proc/cluster/{host}"
-        local = host == self.node.name
-        for metric, fname in METRIC_FILES.items():
-            self.procfs.mount(
-                f"{base}/{fname}",
-                ProcFile(self._metric_reader(host, metric, local)))
-        self.procfs.mount(
-            f"{base}/control",
-            ProcFile(read_fn=lambda h=host: self._control_read(h),
-                     write_fn=lambda text, h=host:
-                     self._control_write(h, text)))
-        self.procfs.mount(
-            f"{base}/status",
-            ProcFile(read_fn=lambda h=host: self._status_read(h)))
-        # Per-process summary (the keyed stream): the local node shows
-        # what it last published, remote hosts what was last received.
-        self.procfs.mount(
-            f"{base}/proc_top",
-            ProcFile(read_fn=lambda h=host: self._proc_top_read(h)))
-        # Self-telemetry, dogfooded through /proc: dproc reporting on
-        # dproc.  The local node renders its live registry; remote
-        # hosts render whatever their SELF_MON module published.
-        self.procfs.mount(
-            f"{base}/dproc/overhead",
-            ProcFile(read_fn=lambda h=host: self._overhead_read(h)))
-        self.procfs.mount(
-            f"{base}/dproc/channels",
-            ProcFile(read_fn=lambda h=host:
-                     self._telemetry_read(h, "kecho.")))
-        self.procfs.mount(
-            f"{base}/dproc/dmon",
-            ProcFile(read_fn=lambda h=host:
-                     self._telemetry_read(h, "dmon.")))
+        if self.procfs.exists(base):
+            raise DprocError(f"{host!r} already in /proc/cluster")
+        self.procfs.mount_dir(base, HOST_DIR, self, host)
+        self._hosts = None
 
-    def hosts(self) -> list[str]:
-        """Nodes visible under /proc/cluster."""
-        return sorted(self._mounted_hosts)
+    def hosts(self) -> tuple[str, ...]:
+        """Nodes visible under /proc/cluster, sorted."""
+        if self._hosts is None:
+            self._hosts = tuple(self.procfs.listdir("/proc/cluster"))
+        return self._hosts
 
     # -- convenience accessors -----------------------------------------------------
 
@@ -171,12 +149,6 @@ class Dproc:
                     f"MemFree:  {int(mem.free_bytes / 1024)} kB\n")
 
         self.procfs.mount("/proc/meminfo", ProcFile(read_meminfo))
-
-    def _metric_reader(self, host: str, metric: MetricId, local: bool):
-        def read() -> str:
-            value = self.metric(host, metric)
-            return f"{value:.6g}\n"
-        return read
 
     def _status_read(self, host: str) -> str:
         """``/proc/cluster/<host>/status``: liveness state and data age."""
@@ -256,7 +228,7 @@ class Dproc:
 
     def _control_read(self, host: str) -> str:
         """Control files read back the accepted command log."""
-        log = self._control_log.get(host, [])
+        log = self._control_log.get(host, ())
         return "".join(f"{line}\n" for line in log)
 
     def _control_write(self, host: str, text: str) -> None:
@@ -265,8 +237,32 @@ class Dproc:
                                       target=host)
         for msg in messages:
             self.dmon.send_control(msg)
-        self._control_log.setdefault(host, []).extend(
-            line for line in text.splitlines() if line.strip())
+        log = self._control_log.get(host)
+        if log is None:
+            log = self._control_log[host] = deque(maxlen=CONTROL_LOG_LINES)
+        log.extend(line for line in text.splitlines() if line.strip())
+
+
+#: The layout of every ``/proc/cluster/<host>/``, built once; its
+#: callbacks take the ``(dproc, host)`` a directory is mounted with.
+HOST_DIR = DirTemplate({
+    **{fname: ProcFile(lambda dproc, host, metric=metric:
+                       f"{dproc.metric(host, metric):.6g}\n")
+       for metric, fname in METRIC_FILES.items()},
+    "control": ProcFile(Dproc._control_read, Dproc._control_write),
+    "status": ProcFile(Dproc._status_read),
+    # Per-process summary (the keyed stream): the local node shows
+    # what it last published, remote hosts what was last received.
+    "proc_top": ProcFile(Dproc._proc_top_read),
+    # Self-telemetry, dogfooded through /proc: dproc reporting on
+    # dproc.  The local node renders its live registry; remote
+    # hosts render whatever their SELF_MON module published.
+    "dproc/overhead": ProcFile(Dproc._overhead_read),
+    "dproc/channels": ProcFile(
+        lambda dproc, host: dproc._telemetry_read(host, "kecho.")),
+    "dproc/dmon": ProcFile(
+        lambda dproc, host: dproc._telemetry_read(host, "dmon.")),
+})
 
 
 def deploy_dproc(cluster: NodeGroup,
@@ -274,10 +270,10 @@ def deploy_dproc(cluster: NodeGroup,
                  modules: Sequence[str] = DEFAULT_MODULES,
                  bus: Optional[Bus] = None,
                  hosts: Optional[Iterable[str]] = None,
-                 start: bool = True,
                  module_factory: Optional[ModuleFactory] = None,
                  config_fn: Optional[Callable[[str],
                                               DMonConfig]] = None,
+                 roster: Optional[Iterable[str]] = None,
                  ) -> dict[str, Dproc]:
     """Deploy dproc on every node (or a subset) of a cluster.
 
@@ -288,7 +284,9 @@ def deploy_dproc(cluster: NodeGroup,
     backend's node group (which supplies its own ``bus`` and
     ``module_factory``).  ``config_fn`` overrides ``config`` per host
     (e.g. restricting which hosts subscribe to the monitoring channel
-    on large live pools).
+    on large live pools).  ``roster`` names the hosts every instance
+    shows under /proc/cluster when that is more than the hosts
+    deployed here: the other shards' or pool workers' hosts.
     """
     bus = bus if bus is not None else KechoBus()
     names = list(hosts) if hosts is not None else cluster.names
@@ -299,10 +297,12 @@ def deploy_dproc(cluster: NodeGroup,
         instances[name] = Dproc(cluster[name], bus, host_config,
                                 modules,
                                 module_factory=module_factory)
+    listing = tuple(sorted(names if roster is None else roster))
     for dproc in instances.values():
-        for name in names:
+        for name in listing:
             dproc.add_cluster_node(name)
-    if start:
-        for dproc in instances.values():
-            dproc.start()
+        # One sorted listing for all of them, not a copy each.
+        dproc._hosts = listing
+    for dproc in instances.values():
+        dproc.start()
     return instances

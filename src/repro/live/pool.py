@@ -112,17 +112,15 @@ def _worker_main(names: list[str], deployment: PoolDeployment,
 
     def deploy(rt: LiveRuntime) -> None:
         bus = rt.make_bus()
-        local = [n for n in deployment.monitored if n in set(names)]
-        dprocs = deploy_dproc(
+        mine = set(names)
+        local = [n for n in deployment.monitored if n in mine]
+        deploy_dproc(
             rt.nodes, config=deployment.dmon,
             modules=deployment.modules, bus=bus, hosts=local,
             module_factory=host_module_factory,
             config_fn=watcher_config_fn(deployment.dmon,
-                                        deployment.watchers))
-        for dproc in dprocs.values():
-            for host in deployment.all_names:
-                if host not in dproc._mounted_hosts:
-                    dproc.add_cluster_node(host)
+                                        deployment.watchers),
+            roster=deployment.all_names)
         conn.send(("ready", list(names)))
 
     runtime.setup(deploy)

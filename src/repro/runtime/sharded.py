@@ -75,14 +75,8 @@ def _build_scenario_shard(spec):
     monitored = set(d.monitored)
     local_monitored = [n for n in local if n in monitored]
     dprocs = deploy_dproc(cluster, config=d.dmon, modules=d.modules,
-                          bus=bus, hosts=local_monitored, start=False)
-    local_set = set(local_monitored)
-    for dproc in dprocs.values():
-        for host in d.monitored:
-            if host not in local_set:
-                dproc.add_cluster_node(host)
-    for dproc in dprocs.values():
-        dproc.start()
+                          bus=bus, hosts=local_monitored,
+                          roster=d.monitored)
 
     duration = spec.duration
 

@@ -2,7 +2,8 @@
 
 Builds the paper's testbed in one call: *n* nodes on a switched
 100 Mbps fabric, each with CPUs/memory/disk/NIC, deterministic per-node
-RNG streams, and full transport wiring (every stack knows every peer).
+RNG streams, and full transport wiring (every stack delivers through
+the fabric's one peer directory).
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class Cluster:
         node = Node(self.env, name, self.fabric,
                     rng=self.rng.stream(f"node:{name}"),
                     config=config, segment=segment)
-        for other in self.nodes.values():
-            other.stack.register_peer(node.stack)
-            node.stack.register_peer(other.stack)
         self.nodes[name] = node
         return node
 

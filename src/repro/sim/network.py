@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import NetworkError, RoutingError
 from repro.sim.core import Environment, SimEvent
@@ -137,6 +137,10 @@ class Fabric:
         self.switch_latency = float(switch_latency)
         self.hosts: dict[str, HostPort] = {}
         self.segments: dict[str, SharedSegment] = {}
+        #: Transport endpoint of each host: the one peer directory
+        #: every ``NetStack`` on this fabric registers in and delivers
+        #: through.
+        self.stacks: dict[str, Any] = {}
         #: Attached fault state (set by ``repro.sim.faults.FaultInjector``);
         #: ``None`` means a fault-free fabric and zero added overhead.
         self.faults = None

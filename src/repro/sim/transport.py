@@ -118,6 +118,7 @@ class NetStack:
         self.env = env
         self.host = host
         self.fabric = fabric
+        fabric.stacks[host] = self
         self.rng = rng
         # Self-telemetry (hot path: instruments bound once here).
         # Explicit None check: a registry with no instruments yet has
@@ -141,8 +142,6 @@ class NetStack:
         self.connections: list[Connection] = []
         self.bytes_in = CounterTrace(f"{host}:rx-bytes")
         self.bytes_out = CounterTrace(f"{host}:tx-bytes")
-        #: Other stacks, keyed by host name; filled in by the cluster.
-        self.peers: dict[str, "NetStack"] = {}
         #: Off-fabric route provider (a shard conduit).  When set,
         #: ``connect`` falls through to it for hosts the local fabric
         #: does not know — how cross-shard destinations stay reachable
@@ -156,9 +155,6 @@ class NetStack:
         self.drop_hook = None
 
     # -- wiring ---------------------------------------------------------------
-
-    def register_peer(self, stack: "NetStack") -> None:
-        self.peers[stack.host] = stack
 
     def bind(self, tag: str, handler: Callable[[Message], None]) -> None:
         """Register the receive handler for a message tag."""
@@ -412,7 +408,7 @@ class NetStack:
         path_lat = sum(l.latency for l in
                        self.fabric.path(msg.src, msg.dst))
         conn.rtt.record(now, 2 * path_lat + self.fabric.switch_latency)
-        peer = self.peers.get(msg.dst)
+        peer = self.fabric.stacks.get(msg.dst)
         if peer is None:
             raise TransportError(
                 f"no stack registered for host {msg.dst!r}")

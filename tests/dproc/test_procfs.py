@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import ProcFS, ProcFile
+from repro.dproc import DirTemplate, ProcFS, ProcFile
 from repro.errors import ProcfsError
 
 
@@ -99,3 +99,62 @@ class TestAccess:
     def test_listdir_missing_raises(self, fs):
         with pytest.raises(ProcfsError, match="no such directory"):
             fs.listdir("/proc/ghost")
+
+
+class TestTemplateDirectories:
+    @pytest.fixture
+    def template(self):
+        return DirTemplate({
+            "load": ProcFile(lambda owner, host: f"{owner}:{host}\n"),
+            "sub/control": ProcFile(
+                lambda owner, host: "",
+                lambda owner, host, text: owner.append((host, text))),
+        })
+
+    def test_one_template_serves_every_mount(self, template):
+        fs = ProcFS()
+        fs.mount_dir("/proc/cluster/maui", template, "a", "maui")
+        fs.mount_dir("/proc/cluster/etna", template, "b", "etna")
+        assert fs.read("/proc/cluster/maui/load") == "a:maui\n"
+        assert fs.read("/proc/cluster/etna/load") == "b:etna\n"
+        assert fs.listdir("/proc/cluster") == ["etna", "maui"]
+        assert fs.listdir("/proc/cluster/maui") == ["load", "sub"]
+        assert fs.listdir("/proc/cluster/maui/sub") == ["control"]
+        assert fs.is_dir("/proc/cluster/maui/sub")
+        assert not fs.is_dir("/proc/cluster/maui/load")
+        assert not fs.exists("/proc/cluster/maui/ghost")
+
+    def test_writes_carry_the_mount_context(self, template):
+        fs, written = ProcFS(), []
+        fs.mount_dir("/proc/cluster/maui", template, written, "maui")
+        fs.write("/proc/cluster/maui/sub/control", "period cpu 2")
+        assert written == [("maui", "period cpu 2")]
+        with pytest.raises(ProcfsError, match="read-only"):
+            fs.write("/proc/cluster/maui/load", "x")
+
+    def test_directory_owns_its_path(self, fs, template):
+        fs.mount_dir("/proc/cluster/etna", template, None, "etna")
+        with pytest.raises(ProcfsError, match="already"):
+            fs.mount_dir("/proc/cluster/etna", template, None, "etna")
+        with pytest.raises(ProcfsError, match="conflicts"):
+            fs.mount("/proc/cluster/etna/extra", ProcFile(lambda: ""))
+        with pytest.raises(ProcfsError, match="conflicts"):
+            fs.mount_dir("/proc/cluster", template, None, "x")
+        with pytest.raises(ProcfsError, match="conflicts"):
+            fs.mount_dir("/proc/loadavg/sub", template, None, "x")
+
+    def test_unmount_removes_the_whole_directory(self, template):
+        fs = ProcFS()
+        fs.mount_dir("/proc/cluster/maui", template, None, "maui")
+        with pytest.raises(ProcfsError, match="not mounted"):
+            fs.unmount("/proc/cluster/maui/load")
+        fs.unmount("/proc/cluster/maui")
+        assert not fs.exists("/proc")
+        assert fs.listdir("/") == []
+
+    def test_bad_layouts_rejected(self):
+        with pytest.raises(ProcfsError):
+            DirTemplate({})
+        with pytest.raises(ProcfsError, match="conflicts"):
+            DirTemplate({"a": ProcFile(lambda: ""),
+                         "a/b": ProcFile(lambda: "")})

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
-from repro.dproc import MetricId, deploy_dproc
+from repro.dproc import Dproc, MetricId, deploy_dproc
+from repro.dproc.toolkit import CONTROL_LOG_LINES
+from repro.kecho import KechoBus
 from repro.errors import ControlSyntaxError, DprocError, ProcfsError
 
 
@@ -44,6 +47,43 @@ class TestDeployment:
 
     def test_service_attached_to_node(self, dprocs, cluster3):
         assert cluster3["alan"].services["dproc"] is dprocs["alan"]
+
+    def test_roster_shows_hosts_deployed_elsewhere(self, cluster8):
+        dprocs = deploy_dproc(cluster8, hosts=["alan", "maui"],
+                              roster=cluster8.names)
+        assert set(dprocs) == {"alan", "maui"}
+        for dp in dprocs.values():
+            assert dp.hosts() == tuple(sorted(cluster8.names))
+            assert dp.listdir("/proc/cluster") == sorted(cluster8.names)
+            assert dp.read("/proc/cluster/hood/loadavg") == "nan\n"
+        # One listing for the deployment, not a copy per instance.
+        assert dprocs["alan"].hosts() is dprocs["maui"].hosts()
+
+    def test_hosts_follow_later_additions(self, cluster8):
+        dprocs = deploy_dproc(cluster8, hosts=["alan", "maui"])
+        dprocs["alan"].add_cluster_node("etna")
+        assert dprocs["alan"].hosts() == ("alan", "etna", "maui")
+        assert dprocs["maui"].hosts() == ("alan", "maui")
+
+
+class TestScaling:
+    def test_a_host_costs_a_table_entry_not_a_file_set(self, cluster3):
+        """Counted, not timed: a host directory is one mount of the
+        shared template — 7 blocks and under 500 bytes, where 26
+        files with a closure each were 313 blocks and 21 KB."""
+        dproc = Dproc(cluster3["alan"], KechoBus())
+        hosts = [f"node{i}" for i in range(1000)]
+        tracemalloc.start()
+        before = tracemalloc.take_snapshot()
+        for host in hosts:
+            dproc.add_cluster_node(host)
+        after = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        grown = after.compare_to(before, "filename")
+        assert sum(s.count_diff for s in grown) <= 12 * len(hosts)
+        assert sum(s.size_diff for s in grown) <= 1024 * len(hosts)
+        assert len(dproc.listdir("/proc/cluster/node999")) > 20
+        assert dproc.read("/proc/cluster/node999/loadavg") == "nan\n"
 
 
 class TestReading:
@@ -134,6 +174,18 @@ class TestControlWrites:
                              "period cpu 2")
         assert "period cpu 2" in \
             dprocs["alan"].read("/proc/cluster/maui/control")
+
+    def test_control_log_is_bounded(self, env, dprocs):
+        env.run(until=1.0)
+        extra = 10
+        for i in range(CONTROL_LOG_LINES + extra):
+            dprocs["alan"].write("/proc/cluster/maui/control",
+                                 f"period cpu {i + 1}")
+        lines = dprocs["alan"].read(
+            "/proc/cluster/maui/control").splitlines()
+        assert len(lines) == CONTROL_LOG_LINES
+        assert lines[0] == f"period cpu {extra + 1}"
+        assert lines[-1] == f"period cpu {CONTROL_LOG_LINES + extra}"
 
     def test_bad_command_rejected_locally(self, dprocs):
         with pytest.raises(ControlSyntaxError):

@@ -66,7 +66,7 @@ class TestShardedScenarioSurface:
         # Every dproc still sees the full monitored view.
         for dproc in sc.dprocs.values():
             hosts = {h for h in sc._global_names()[:4]}
-            assert hosts <= dproc._mounted_hosts
+            assert hosts <= set(dproc.hosts())
 
     def test_auto_mode_picks_inline_for_hooked_scenarios(self):
         sc = Scenario(nodes=8, seed=2).with_workers(2) \

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.api import Scenario
+from repro.errors import SimulationError, TransportError
 from repro.sim import (Environment, NodeConfig, PAPER_NODE_NAMES, RngHub,
                        build_cluster)
+from repro.sim.transport import Connection
 from repro.units import MB
 
 
@@ -27,10 +29,61 @@ class TestBuildCluster:
         with pytest.raises(SimulationError):
             cluster3["vesuvius"]
 
-    def test_all_stacks_are_peered(self, cluster3):
+    def test_all_stacks_are_peered(self, env, cluster3):
+        """Every stack resolves every host of its fabric, through the
+        fabric's one directory."""
+        stacks = cluster3.fabric.stacks
+        assert set(stacks) == set(cluster3.names)
+        heard = []
         for node in cluster3:
-            peers = set(node.stack.peers)
-            assert peers == set(cluster3.names) - {node.name}
+            assert stacks[node.name] is node.stack
+            node.stack.bind(
+                "t", lambda msg, me=node.name: heard.append((msg.src, me)))
+        pairs = [(a.name, b.name) for a in cluster3 for b in cluster3
+                 if a is not b]
+        for src, dst in pairs:
+            cluster3[src].stack.connect(dst, "t").send("x", 100)
+        env.run()
+        assert sorted(heard) == sorted(pairs)
+
+    def test_unknown_destination_raises(self, env, cluster3):
+        stack = cluster3["alan"].stack
+        with pytest.raises(TransportError, match="unknown destination"):
+            stack.connect("vesuvius", "t")
+        # A host the fabric knows but no stack serves fails on arrival.
+        cluster3.fabric.add_host("bare")
+        stack.connect("bare", "t").send("x", 100)
+        with pytest.raises(TransportError, match="no stack registered"):
+            env.run()
+
+    def test_each_shard_fabric_has_its_own_directory(self):
+        sc = Scenario(nodes=6, seed=2) \
+            .with_workers(2, mode="inline").run(1.0)
+        fabrics = {id(node.stack.fabric) for node in sc.nodes}
+        assert len(fabrics) == 2
+        for node in sc.nodes:
+            stacks = node.stack.fabric.stacks
+            assert set(stacks) == set(node.stack.fabric.hosts)
+            assert stacks[node.name] is node.stack
+            remote = [n for n in sc.nodes.names if n not in stacks]
+            assert len(remote) == 3
+            # Cross-shard hosts are the router's, not the directory's.
+            for host in remote:
+                assert node.stack.router.routes(host)
+                conn = node.stack.connect(host, "t")
+                assert not isinstance(conn, Connection)
+
+    def test_peer_entries_grow_linearly(self, env):
+        """Counted, not timed: one directory slot per node, not one
+        table of n - 1 peers on each of n stacks."""
+        cluster = build_cluster(env, nodes=1000)
+        stacks = cluster.fabric.stacks
+        assert len(stacks) == 1000
+        for node in cluster:
+            assert node.stack.fabric.stacks is stacks
+            tables = [v for v in vars(node.stack).values()
+                      if isinstance(v, dict)]
+            assert sum(len(t) for t in tables) == 0
 
     def test_custom_config_applies(self, env):
         cfg = NodeConfig(n_cpus=4, memory_bytes=MB(256))
