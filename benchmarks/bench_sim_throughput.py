@@ -37,10 +37,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.dproc import DMonConfig, MetricId
 from repro.dproc.toolkit import Dproc
 from repro.kecho import KechoBus
-from repro.sim import (Environment, PAPER_NODE_NAMES, build_cluster,
-                       partition_nodes, run_sharded)
+from repro.sim import (Environment, build_cluster, partition_nodes,
+                       run_sharded)
+from repro.sim.cluster import default_names
 from repro.sim.shard import ShardedBus, ShardRouter, ShardWorld
-from repro.telemetry import merge_overhead_summaries, overhead_summary
+from repro.telemetry import TelemetryRegistry, overhead_summary
 
 DEFAULT_SIZES = (8, 64, 256, 1000)
 DEFAULT_DURATION = 60.0
@@ -220,12 +221,6 @@ def run_once(n: int, duration: float, stream: bool = False,
     return record
 
 
-def _bench_names(n: int) -> list[str]:
-    """The default cluster naming, reproduced for the sharded path."""
-    return [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
-            else f"node{i}" for i in range(n)]
-
-
 def _build_bench_shard(spec):
     """Build one shard of the monitored cluster (runs in the worker)."""
     payload = spec.payload
@@ -252,12 +247,10 @@ def _build_bench_shard(spec):
                 dprocs[name].add_cluster_node(host)
     for dproc in dprocs.values():
         dproc.start()
-    duration = spec.duration
 
     def harvest(world):
-        return {"overhead": overhead_summary(
-            {node.name: node.telemetry for node in world.cluster},
-            sim_seconds=duration)}
+        return {"counters": {node.name: node.telemetry.counters()
+                             for node in world.cluster}}
 
     return ShardWorld(env=env, router=router, bus=bus,
                       cluster=cluster, dprocs=dprocs, harvest=harvest)
@@ -274,7 +267,7 @@ def run_sharded_once(n: int, duration: float, workers: int) -> dict:
     partition sustains once each worker has a core of its own.
     """
     profile = scale_config(n)
-    names = _bench_names(n)
+    names = default_names(n)
     watchers = tuple(names if profile.n_watchers is None
                      else names[:profile.n_watchers])
     plan = partition_nodes(names, workers)
@@ -312,9 +305,11 @@ def run_sharded_once(n: int, duration: float, workers: int) -> dict:
             "metrics": list(profile.metrics),
             "modules": list(profile.modules),
         },
-        "overhead": merge_overhead_summaries(
-            [s.extra["overhead"] for s in result.shards
-             if s.extra and "overhead" in s.extra]),
+        "overhead": overhead_summary(
+            {host: TelemetryRegistry.from_counters(host, counters)
+             for shard in result.shards
+             for host, counters in shard.extra["counters"].items()},
+            sim_seconds=duration),
     }
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.harness.experiment import ExperimentResult, SeriesResult
-from repro.sim.trace import TimeSeries
+from repro.runtime.series import TimeSeries
 
 __all__ = ["dump_result", "load_result", "result_to_json",
            "result_from_json", "series_to_csv", "series_from_csv",

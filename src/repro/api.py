@@ -35,13 +35,15 @@ raises immediately rather than silently measuring nothing.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.dproc.dmon import DMonConfig
-from repro.dproc.toolkit import DEFAULT_MODULES, Dproc, deploy_dproc
+from repro.dproc.toolkit import DEFAULT_MODULES, Dproc
 from repro.errors import ReproError
+from repro.runtime.deployment import Deployment
 from repro.runtime.protocol import NodeGroup, Runtime
 from repro.runtime.sim import SimRuntime
+from repro.sim.cluster import default_names
 
 __all__ = ["Scenario", "ScenarioError"]
 
@@ -87,37 +89,23 @@ class Scenario:
         self._workers = 1
         self._workers_mode = "auto"
         self._lookahead: Optional[float] = None
+        #: ``with_node_pool`` arguments (None = one plain process).
+        self._pool: Optional[dict] = None
         self._experiments: list = []
         self._engines: list = []
-        self._want_pool = False
-        self._pool_workers = 1
-        self._pool_watchers = None
-        self._pool_batch = None
-        self._pool_flow = None
-        self._pool_uvloop = False
-        self._pool_deployment = None
         self._cluster_hooks: list[Hook] = []
         self._setup_hooks: list[Hook] = []
-        self._fault_hooks: list[Hook] = []
-        self._want_faults = False
-        self._want_tracing = False
-        self._tracer_arg = None
-        self._tracer_kwargs: dict = {}
-        self._want_stream = False
-        self._stream_dir = None
-        self._stream_max_len: Optional[int] = None
-        self._stream_broker = None
-        self._shard_brokers: list = []
-        self._want_obs = False
-        self._obs_interval = 1.0
-        self._obs_rules = None
-        self._obs_kwargs: dict = {}
+        #: Each requested instrument's arguments; None = not requested.
+        self._fault_hooks: Optional[list[Hook]] = None
+        self._tracing: Optional[tuple] = None
+        self._stream: Optional[dict] = None
+        self._obs: Optional[dict] = None
         self._obs_scrape: Optional[tuple[str, int]] = None
-        self._obs_plane = None
-        self._obs_log = None
-        self._shard_planes: list = []
-        self._shard_obs_logs: list = []
-        self._obs_ingested = False
+        #: What the per-world instruments recorded: kind → one part
+        #: per world (``stream``, ``obs``, ``obs_log``), and the one
+        #: result each kind settles to — see :meth:`_result`.
+        self._parts: dict[str, list] = {}
+        self._settled: dict = {}
         #: The live scrape endpoint (``with_observability(scrape_port=...)``).
         self.scrape = None
         #: Populated by :meth:`build`.
@@ -157,7 +145,8 @@ class Scenario:
             raise ScenarioError(
                 "fault injection hooks the simulated transport; the "
                 "live backend fails for real")
-        self._want_faults = True
+        if self._fault_hooks is None:
+            self._fault_hooks = []
         if configure is not None:
             self._fault_hooks.append(configure)
         return self
@@ -174,9 +163,7 @@ class Scenario:
             raise ScenarioError(
                 "causal tracing instruments the simulated pipeline; "
                 "it is not available on the live backend")
-        self._want_tracing = True
-        self._tracer_arg = collector
-        self._tracer_kwargs = kwargs
+        self._tracing = (collector, kwargs)
         return self
 
     def with_stream(self, directory=None, *,
@@ -191,15 +178,14 @@ class Scenario:
         with the stream on or off.
 
         ``directory`` additionally persists every entry eagerly as
-        JSONL segments (the live backend's durable log; works on sim
-        too).  ``max_len`` bounds each channel's retained entries
-        (hard ring bound; use the :class:`repro.stream.Janitor` for
-        ack-respecting trims).
+        JSONL segments (the live backend's durable log; works on the
+        unsharded simulator too — a sharded run's per-shard logs are
+        merged in memory only).  ``max_len`` bounds each channel's
+        retained entries (hard ring bound; use the
+        :class:`repro.stream.Janitor` for ack-respecting trims).
         """
         self._check_mutable()
-        self._want_stream = True
-        self._stream_dir = directory
-        self._stream_max_len = max_len
+        self._stream = {"directory": directory, "max_len": max_len}
         return self
 
     def with_observability(self, *, sample_interval: float = 1.0,
@@ -233,12 +219,11 @@ class Scenario:
             raise ScenarioError(
                 "the scrape endpoint serves real HTTP; on the "
                 "simulator export with scenario.obs / harness obs")
-        self._want_obs = True
-        self._obs_interval = float(sample_interval)
-        self._obs_rules = tuple(rules) if rules is not None else None
-        self._obs_kwargs = {"health_every": health_every,
-                            "name_prefixes": name_prefixes,
-                            "capacity": capacity}
+        self._obs = {"sample_interval": float(sample_interval),
+                     "rules": tuple(rules) if rules is not None else None,
+                     "health_every": health_every,
+                     "name_prefixes": name_prefixes,
+                     "capacity": capacity}
         self._obs_scrape = ((scrape_host, scrape_port)
                             if scrape_port is not None else None)
         return self
@@ -324,32 +309,28 @@ class Scenario:
                 "with with_workers() instead")
         if workers < 1:
             raise ScenarioError(f"workers must be >= 1, got {workers}")
-        self._want_pool = True
-        self._pool_workers = int(workers)
-        self._pool_watchers = watchers
-        self._pool_batch = batch
-        self._pool_flow = flow
-        self._pool_uvloop = uvloop
+        self._pool = {"workers": int(workers), "watchers": watchers,
+                      "batch": batch, "flow": flow, "uvloop": uvloop}
         return self
 
     # -- build and run -----------------------------------------------------
 
     def build(self) -> "Scenario":
-        """Construct everything now (simulator backend only)."""
+        """Construct everything now (unsharded simulator only)."""
         if self._backend != "sim":
             raise ScenarioError(
-                "the live backend builds inside its event loop; "
-                "call run() directly")
+                "the live backend builds inside its event loop and "
+                "runs wall-clock in one shot; call run() directly")
         if self._workers > 1:
             raise ScenarioError(
                 "a sharded scenario builds and runs in one shot; "
                 "call run(duration) directly")
         if self.runtime is None:
-            runtime = SimRuntime(
-                nodes=self._nodes, seed=self._seed,
-                config=self._node_config, names=self._names,
-                node_configs=self._node_configs)
-            self._construct(runtime)
+            self._construct(
+                SimRuntime(nodes=self._nodes, seed=self._seed,
+                           config=self._node_config, names=self._names,
+                           node_configs=self._node_configs),
+                self._deployment())
         return self
 
     def run(self, duration: float) -> "Scenario":
@@ -366,25 +347,19 @@ class Scenario:
             return self.run_until(self.env.now + duration)
         if self.runtime is not None:
             raise ScenarioError("a live scenario runs exactly once")
-        runtime = self._make_live_runtime()
-        runtime.setup(self._construct)
+        deployment = self._deployment()
+        runtime = self._make_live_runtime(deployment)
+        runtime.setup(lambda rt: self._construct(rt, deployment))
         self._duration = duration
         runtime.run(duration)
-        if self._stream_broker is not None:
+        for broker in self._parts.get("stream", ()):
             # Flush the live JSONL segments once the loop is down.
-            self._stream_broker.close()
+            broker.close()
         return self
 
     def run_until(self, until: float) -> "Scenario":
-        """Advance the simulator to absolute time ``until`` (sim only)."""
-        if self._backend != "sim":
-            raise ScenarioError(
-                "stepped execution needs virtual time; the live "
-                "backend runs wall-clock in one shot")
-        if self._workers > 1:
-            raise ScenarioError(
-                "a sharded scenario runs in one shot; call "
-                "run(duration)")
+        """Advance the simulator to absolute time ``until`` (unsharded
+        sim only: live and sharded scenarios run in one shot)."""
         self.build()
         self.runtime.run(until)
         self._duration = until
@@ -424,17 +399,26 @@ class Scenario:
         self._check_built()
         return self.runtime.clock
 
+    @property
+    def registries(self) -> dict:
+        """Host → telemetry registry for every host of the run.
+
+        Local nodes contribute their own registry; hosts that ran in a
+        forked shard or a pool worker, the registry rebuilt from the
+        counters that worker shipped home.  Every cluster-wide report
+        (:meth:`overhead`, the live ``wire_stats()``, experiment
+        reports) is a read of this one mapping.
+        """
+        self._check_built()
+        return self.runtime.registries()
+
     def overhead(self, sim_seconds: Optional[float] = None) -> dict:
         """Cluster-wide monitoring-overhead summary for this run."""
         from repro.telemetry import overhead_summary
-        self._check_built()
-        runtime_overhead = getattr(self.runtime, "overhead", None)
-        if runtime_overhead is not None and sim_seconds is None:
-            return runtime_overhead()
-        span = sim_seconds if sim_seconds is not None else self._duration
         return overhead_summary(
-            {node.name: node.telemetry for node in self.nodes},
-            sim_seconds=span)
+            self.registries,
+            sim_seconds=sim_seconds if sim_seconds is not None
+            else self._duration)
 
     @property
     def stream(self):
@@ -444,22 +428,10 @@ class Scenario:
         per-shard brokers, re-sequenced deterministically; it is
         assembled on first access after the run completes.
         """
-        if not self._want_stream:
-            raise ScenarioError(
-                "no stream was recorded; call with_stream() before "
-                "build()/run()")
-        if self._stream_broker is not None:
-            return self._stream_broker
-        if self._shard_brokers:
-            from repro.stream import merge_brokers
-            merged = merge_brokers(self._shard_brokers)
-            if getattr(self.runtime, "result", None) is not None:
-                # The run is over: the merged view is final — cache it.
-                self._stream_broker = merged
-            return merged
-        self._check_built()
-        raise ScenarioError(
-            "stream recording runs inline; no broker exists yet")
+        from repro.stream import merge_brokers
+        self._check_wanted(self._stream, "no stream was recorded; "
+                           "call with_stream()")
+        return self._result("stream", merge_brokers)
 
     @property
     def obs(self):
@@ -468,44 +440,23 @@ class Scenario:
         On sharded runs the per-shard planes are merged into one
         global plane on first access after the run; when the scenario
         also recorded a durable stream, its entries are replayed into
-        per-channel ``stream.*`` series once, on first access.
+        per-channel ``stream.*`` series once, when the plane settles.
         """
-        if not self._want_obs:
-            raise ScenarioError(
-                "no observability plane; call with_observability() "
-                "before build()/run()")
-        plane = self._obs_plane
-        if plane is None and self._shard_planes:
-            from repro.obs import merge_planes
-            plane = merge_planes(self._shard_planes)
-            if getattr(self.runtime, "result", None) is not None:
-                # The run is over: the merged plane is final — cache it.
-                self._obs_plane = plane
-        if plane is None:
-            self._check_built()
-            raise ScenarioError(
-                "observability runs inline; no plane exists yet")
-        if self._want_stream and not self._obs_ingested \
-                and plane is self._obs_plane:
-            plane.ingest_stream(self.stream)
-            self._obs_ingested = True
-        return plane
+        from repro.obs import merge_planes
+        self._check_wanted(self._obs, "no observability plane; "
+                           "call with_observability()")
+        return self._result(
+            "obs", merge_planes,
+            settle=(lambda plane: plane.ingest_stream(self.stream))
+            if self._stream is not None else None)
 
     @property
     def obs_log(self):
         """The durable ``obs.health`` transition log (a stream broker)."""
-        if not self._want_obs:
-            raise ScenarioError(
-                "no observability plane; call with_observability() "
-                "before build()/run()")
-        if self._obs_log is not None:
-            return self._obs_log
-        if self._shard_obs_logs:
-            from repro.stream import merge_brokers
-            return merge_brokers(self._shard_obs_logs)
-        self._check_built()
-        raise ScenarioError(
-            "observability runs inline; no transition log exists yet")
+        from repro.stream import merge_brokers
+        self._check_wanted(self._obs, "no observability plane; "
+                           "call with_observability()")
+        return self._result("obs_log", merge_brokers)
 
     def experiment_reports(self, *, duration: Optional[float] = None
                            ) -> list:
@@ -518,7 +469,7 @@ class Scenario:
         self._check_built()
         from repro.experiment import build_report
         workers = (self._workers if self._backend == "sim"
-                   else self._pool_workers)
+                   else (self._pool or {}).get("workers", 1))
         return [build_report(self, engine, workers=workers,
                              duration=duration)
                 for engine in self._engines]
@@ -544,163 +495,180 @@ class Scenario:
             raise ScenarioError("scenario not built yet; call build() "
                                 "or run() first")
 
-    def _make_live_runtime(self):
-        """Build the live runtime — plain, or the parent of a pool."""
+    def _check_wanted(self, requested, message: str) -> None:
+        if requested is None:
+            raise ScenarioError(f"{message} before build()/run()")
+
+    def _result(self, kind: str, merge, settle=None):
+        """The run's one ``kind`` result out of its per-world parts.
+
+        One world's part *is* the result; k worlds' parts go through
+        the instrument's own ``merge`` — a fresh view while the run is
+        in progress, settled (``settle(result)`` applied, then cached)
+        once it has finished.
+        """
+        if kind not in self._settled:
+            self._check_built()
+            parts = self._parts.get(kind)
+            if not parts:
+                raise ScenarioError(
+                    f"nothing has recorded {kind!r} in this process yet")
+            result = parts[0] if len(parts) == 1 else merge(parts)
+            if len(parts) > 1 and self.runtime.result is None:
+                return result
+            if settle is not None:
+                settle(result)
+            self._settled[kind] = result
+        return self._settled[kind]
+
+    def _deployment(self) -> Deployment:
+        """Freeze the configuration every world of this run deploys."""
+        names = (self._names if self._names is not None
+                 else default_names(self._nodes))
+        if len(names) != self._nodes:
+            raise ScenarioError(
+                f"{len(names)} names for {self._nodes} nodes")
+        monitored = Deployment.select(names, self._monitor_hosts)
+        if monitored is not None and not set(monitored) <= set(names):
+            raise ScenarioError(
+                f"monitor_hosts names unknown hosts: "
+                f"{sorted(set(monitored) - set(names))}")
+        pool = self._pool or {}
+        return Deployment(
+            seed=self._seed, dmon=self._dmon, modules=self._modules,
+            names=tuple(names),
+            monitored=tuple(names) if monitored is None else monitored,
+            watchers=Deployment.select(names, pool.get("watchers")),
+            node_config=self._node_config,
+            node_configs=(dict(zip(names, self._node_configs))
+                          if self._node_configs is not None else None),
+            batch=pool.get("batch"), flow=pool.get("flow"),
+            use_uvloop=pool.get("uvloop", False))
+
+    def _make_live_runtime(self, deployment: Deployment):
+        """The live runtime over this process's slice of the hosts
+        (all of them unless ``with_node_pool`` forks workers)."""
         from repro.live.runtime import LiveRuntime
-        if not self._want_pool:
-            return LiveRuntime(nodes=self._nodes, seed=self._seed,
-                               names=self._names)
-        from repro.live.pool import (LivePool, PoolDeployment,
-                                     partition_hosts)
-        names = self._global_names()
-        slices = partition_hosts(names, self._pool_workers)
+        slices = deployment.host_slices(
+            (self._pool or {}).get("workers", 1))
         runtime = LiveRuntime(
             nodes=len(slices[0]), seed=self._seed, names=slices[0],
-            batch=self._pool_batch, flow=self._pool_flow,
-            use_uvloop=self._pool_uvloop)
-        monitored = self._monitor_hosts
-        if monitored is None:
-            monitored = names
-        elif isinstance(monitored, int):
-            monitored = names[:monitored]
-        watchers = self._pool_watchers
-        if isinstance(watchers, int):
-            watchers = tuple(names[:watchers])
-        elif watchers is not None:
-            watchers = tuple(watchers)
-        self._pool_deployment = PoolDeployment(
-            seed=self._seed, dmon=self._dmon, modules=self._modules,
-            all_names=tuple(names), monitored=tuple(monitored),
-            watchers=watchers, batch=self._pool_batch,
-            flow=self._pool_flow, use_uvloop=self._pool_uvloop)
+            batch=deployment.batch, flow=deployment.flow,
+            use_uvloop=deployment.use_uvloop)
         if len(slices) > 1:
-            runtime.pool = LivePool(slices[1:],
-                                    self._pool_deployment)
+            # Only a run that forks loads the fork machinery.
+            from repro.live.pool import LivePool
+            runtime.pool = LivePool(slices[1:], deployment)
         return runtime
 
-    def _resolve_hosts(self, group: NodeGroup) -> Optional[list[str]]:
-        spec = self._monitor_hosts
-        if spec is None:
-            return None
-        if isinstance(spec, int):
-            return group.names[:spec]
-        return list(spec)
+    def _construct(self, runtime: Runtime,
+                   deployment: Deployment) -> None:
+        """Wire the run on a ready runtime — the one path every
+        backend, sharded or pooled, takes.
 
-    def _construct(self, runtime: Runtime) -> None:
-        """Wire the world on a ready runtime (either backend).
-
-        Construction order is frozen — cluster hooks, dproc
-        deployment, tracer, faults, setup hooks — because on the
-        simulator it fixes the event/RNG schedule that the golden
-        pins assert.
+        Per-run instruments (tracer, faults, hooks) attach once, to
+        the runtime's global view; per-world instruments (stream tee,
+        dproc deployment, observability plane) attach to each of
+        ``runtime.worlds`` and leave one part per world in
+        ``_parts``.  Construction order is frozen — cluster hooks,
+        stream tee, dproc deployment, tracer, faults, setup hooks,
+        observability, experiments — because on the simulator it fixes
+        the event/RNG schedule that the golden pins assert.
         """
         self.runtime = runtime
+        worlds = runtime.worlds
         for fn in self._cluster_hooks:
             fn(self)
-        hosts = self._resolve_hosts(runtime.nodes)
-        bus = runtime.make_bus()
-        if self._want_stream:
-            # Attach before deployment so the very first submits (the
-            # d-mon start-up polls) are already on the record.  Purely
-            # passive: no RNG, CPU or event-schedule interaction.
-            from repro.stream import (JsonlSink, StreamBroker,
-                                      attach_stream)
-            sink = (JsonlSink(self._stream_dir)
-                    if self._stream_dir is not None else None)
-            self._stream_broker = StreamBroker(
-                sink=sink, max_len=self._stream_max_len)
-            attach_stream(self._stream_broker, bus, runtime.nodes)
-        config_fn = roster = None
-        if self._pool_deployment is not None:
-            from repro.live.pool import watcher_config_fn
-            config_fn = watcher_config_fn(
-                self._dmon, self._pool_deployment.watchers)
-            # The parent slice's /proc trees must show the whole
-            # cluster, including hosts that live in worker processes.
-            roster = self._pool_deployment.all_names
-        self.dprocs = deploy_dproc(
-            runtime.nodes, config=self._dmon, modules=self._modules,
-            bus=bus, hosts=hosts,
-            module_factory=getattr(runtime, "module_factory", None),
-            config_fn=config_fn, roster=roster)
-        if self._want_tracing:
+        dprocs: dict[str, Dproc] = {}
+        for world in worlds:
+            if self._stream is not None:
+                # Tee before deployment so the very first submits (the
+                # d-mon start-up polls) are already on the record.
+                # Purely passive: no RNG, CPU or event-schedule
+                # interaction.
+                self._parts.setdefault("stream", []).append(
+                    self._tee_stream(world, persist=len(worlds) == 1))
+            dprocs.update(deployment.deploy(world.nodes, world.bus,
+                                            runtime.module_factory))
+        self.dprocs = {name: dprocs[name] for name in deployment.monitored
+                       if name in dprocs}
+        if self._tracing is not None:
             from repro.tracing import TraceCollector, attach_tracer
-            self.tracer = (self._tracer_arg if self._tracer_arg
-                           is not None
-                           else TraceCollector(**self._tracer_kwargs))
+            collector, kwargs = self._tracing
+            self.tracer = (collector if collector is not None
+                           else TraceCollector(**kwargs))
             attach_tracer(runtime.nodes, self.tracer)
-        if self._want_faults:
-            from repro.sim.faults import FaultInjector
-            self.faults = FaultInjector(runtime.nodes)
+        if self._fault_hooks is not None:
+            self.faults = runtime.fault_injector()
             for fn in self._fault_hooks:
                 fn(self)
         for fn in self._setup_hooks:
             fn(self)
-        if self._want_obs:
-            # Last on purpose: the plane only reads, and its sampler is
-            # a pure timer process, so attaching it after the frozen
-            # order leaves the golden-pinned schedule untouched.
-            self._obs_plane, self._obs_log = self._attach_obs(
-                runtime.nodes, runtime.clock)
-            if self._backend == "live" and self._obs_scrape is not None:
+        if self._obs is not None:
+            # After the frozen order on purpose: a plane only reads,
+            # and its sampler is a pure timer process, so the
+            # golden-pinned schedule is the same with it on or off.
+            planes = [self._attach_obs(world) for world in worlds]
+            self._parts["obs"] = planes
+            self._parts["obs_log"] = [p.health_log for p in planes]
+            if self._obs_scrape is not None:
                 from repro.live.scrape import ScrapeServer
                 host, port = self._obs_scrape
-                self.scrape = ScrapeServer(runtime.nodes,
-                                           self._obs_plane,
+                self.scrape = ScrapeServer(runtime.nodes, planes[0],
                                            host=host, port=port)
                 runtime.add_server(self.scrape)
-        if self._experiments:
-            # After the frozen order for the same reason as the obs
-            # plane: engines add pure timer processes, so a scenario
-            # with no experiments keeps a bit-identical schedule.
-            for exp in self._experiments:
-                self._attach_experiment(exp, runtime.nodes,
-                                        runtime.clock)
+        for exp in self._experiments:
+            # Last for the same reason: engines add pure timer
+            # processes, so a scenario with no experiments keeps a
+            # bit-identical schedule.
+            self._attach_experiment(exp, deployment.names)
 
-    def _attach_obs(self, nodes, clock):
-        """Build a plane over ``nodes`` and start its sampler."""
+    def _tee_stream(self, world, persist: bool):
+        """Tee one world's data plane into its own broker."""
+        from repro.stream import JsonlSink, StreamBroker, attach_stream
+        directory = self._stream["directory"]
+        broker = StreamBroker(
+            sink=(JsonlSink(directory)
+                  if persist and directory is not None else None),
+            max_len=self._stream["max_len"])
+        attach_stream(broker, world.bus, world.nodes)
+        return broker
+
+    def _attach_obs(self, world):
+        """Build a plane over one world's nodes and start its sampler."""
         from repro.obs import ObservabilityPlane
         from repro.stream import StreamBroker
-        log = StreamBroker()
-        plane = ObservabilityPlane(
-            sample_interval=self._obs_interval,
-            rules=self._obs_rules, health_log=log,
-            **self._obs_kwargs)
+        nodes = world.nodes
+        plane = ObservabilityPlane(health_log=StreamBroker(),
+                                   **self._obs)
         plane.bind(node.name for node in nodes)
-        first = nodes[nodes.names[0]]
-        first.spawn(plane.sampler(nodes, clock), name="obs-sampler")
-        return plane, log
+        nodes[nodes.names[0]].spawn(plane.sampler(nodes, world.clock),
+                                    name="obs-sampler")
+        return plane
 
-    def _attach_experiment(self, exp, nodes, clock) -> None:
-        """Spawn one experiment engine on its observer node."""
+    def _attach_experiment(self, exp, names: Sequence[str]) -> None:
+        """Spawn one experiment engine on its observer node — the
+        engine lives in the observer's world and adapts hosts in other
+        worlds through the control channel."""
         from repro.experiment import ExperimentEngine
-        if not 0 <= exp.observer < len(nodes.names):
+        if not 0 <= exp.observer < len(names):
             raise ScenarioError(
                 f"experiment {exp.name!r} observer index "
                 f"{exp.observer} out of range")
-        observer = nodes.names[exp.observer]
+        observer = names[exp.observer]
         dproc = self.dprocs.get(observer)
         if dproc is None:
             raise ScenarioError(
                 f"experiment {exp.name!r} observer {observer!r} "
-                f"runs no dproc (check monitor_hosts)")
-        engine = ExperimentEngine(exp, dproc, clock)
+                f"runs no dproc in this process (check monitor_hosts; "
+                f"a node pool keeps only its first slice here)")
+        engine = ExperimentEngine(exp, dproc, dproc.node.env)
         self._engines.append(engine)
-        nodes[observer].spawn(engine.ticker(),
-                              name=f"experiment-{exp.name}")
-
-    def _global_names(self) -> list[str]:
-        if self._names is not None:
-            return list(self._names)
-        from repro.sim.cluster import PAPER_NODE_NAMES
-        return [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
-                else f"node{i}" for i in range(self._nodes)]
+        dproc.node.spawn(engine.ticker(), name=f"experiment-{exp.name}")
 
     def _run_sharded(self, duration: float) -> "Scenario":
         """One-shot sharded run (``with_workers(n > 1)``)."""
-        from repro.runtime.sharded import (ShardedFaultInjector,
-                                           ShardedRuntime,
-                                           _ShardDeployment)
+        from repro.runtime.sharded import ShardedRuntime
         from repro.sim.topology import (DEFAULT_SHARD_LOOKAHEAD,
                                         partition_nodes)
         if self.runtime is not None:
@@ -709,10 +677,10 @@ class Scenario:
             raise ScenarioError(
                 "cluster-setup hooks rewire one fabric; a sharded "
                 "run has one fabric per worker")
-        wants_inline = bool(self._setup_hooks or self._fault_hooks
-                            or self._want_faults or self._want_tracing
-                            or self._want_stream or self._want_obs
-                            or self._experiments)
+        wants_inline = bool(self._setup_hooks or self._experiments) \
+            or any(wanted is not None for wanted in (
+                self._fault_hooks, self._tracing, self._stream,
+                self._obs))
         mode = self._workers_mode
         if mode == "auto":
             mode = "inline" if wants_inline else "processes"
@@ -721,80 +689,15 @@ class Scenario:
                 "hooks, faults, tracing and streams close over parent "
                 "state that forked workers cannot share back; use "
                 "with_workers(..., mode='inline')")
-        names = self._global_names()
+        deployment = self._deployment()
         plan = partition_nodes(
-            names, self._workers,
+            deployment.names, self._workers,
             lookahead=self._lookahead if self._lookahead is not None
             else DEFAULT_SHARD_LOOKAHEAD)
-        monitored = self._monitor_hosts
-        if monitored is None:
-            monitored = names
-        elif isinstance(monitored, int):
-            monitored = names[:monitored]
-        node_configs = (dict(zip(names, self._node_configs))
-                        if self._node_configs is not None else None)
-        deployment = _ShardDeployment(
-            seed=self._seed, dmon=self._dmon, modules=self._modules,
-            names=tuple(names), monitored=tuple(monitored),
-            node_config=self._node_config,
-            node_configs=node_configs)
-        runtime = ShardedRuntime(plan=plan, deployment=deployment,
-                                 processes=(mode == "processes"))
-        self.runtime = runtime
-        self._duration = duration
-        if mode == "inline":
-            runtime.build_worlds(duration)
-            self.dprocs = runtime.dprocs
-            if self._want_stream:
-                from repro.stream import StreamBroker, attach_stream
-                for world in runtime.worlds:
-                    broker = StreamBroker(max_len=self._stream_max_len)
-                    attach_stream(broker, world.bus, world.cluster)
-                    self._shard_brokers.append(broker)
-            if self._want_tracing:
-                from repro.tracing import TraceCollector, attach_tracer
-                self.tracer = (self._tracer_arg if self._tracer_arg
-                               is not None
-                               else TraceCollector(
-                                   **self._tracer_kwargs))
-                attach_tracer(runtime.nodes, self.tracer)
-            if self._want_faults:
-                self.faults = ShardedFaultInjector(plan,
-                                                   runtime.worlds)
-                for fn in self._fault_hooks:
-                    fn(self)
-            for fn in self._setup_hooks:
-                fn(self)
-            if self._want_obs:
-                # One plane per shard world, merged on .obs access —
-                # same shape as the per-shard stream brokers.
-                for world in runtime.worlds:
-                    plane, log = self._attach_obs(world.cluster,
-                                                  world.env)
-                    self._shard_planes.append(plane)
-                    self._shard_obs_logs.append(log)
-            if self._experiments:
-                # Same placement rule as the unsharded path; the
-                # engine lives in the observer's shard and adapts
-                # remote shards through the cross-shard conduit.
-                from repro.experiment import ExperimentEngine
-                for exp in self._experiments:
-                    if not 0 <= exp.observer < len(names):
-                        raise ScenarioError(
-                            f"experiment {exp.name!r} observer index "
-                            f"{exp.observer} out of range")
-                    observer = names[exp.observer]
-                    dproc = self.dprocs.get(observer)
-                    if dproc is None:
-                        raise ScenarioError(
-                            f"experiment {exp.name!r} observer "
-                            f"{observer!r} runs no dproc")
-                    world = next(w for w in runtime.worlds
-                                 if observer in w.cluster.names)
-                    engine = ExperimentEngine(exp, dproc, world.env)
-                    self._engines.append(engine)
-                    world.cluster[observer].spawn(
-                        engine.ticker(),
-                        name=f"experiment-{exp.name}")
-        runtime.run(duration)
+        self._duration = float(duration)
+        self._construct(
+            ShardedRuntime(plan=plan, deployment=deployment,
+                           processes=(mode == "processes")),
+            deployment)
+        self.runtime.run(duration)
         return self

@@ -25,7 +25,7 @@ from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
-from repro.sim.trace import CounterTrace
+from repro.runtime.series import CounterTrace
 
 __all__ = ["CentralCollector", "CentralConfig"]
 

@@ -34,7 +34,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.core import Environment
 from repro.sim.node import Node
 from repro.sim.stores import Store
-from repro.sim.trace import CounterTrace
+from repro.runtime.series import CounterTrace
 from repro.units import mbps, msec
 
 __all__ = ["SiteSummary", "WanLink", "Site", "GridFederation"]

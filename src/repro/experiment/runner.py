@@ -63,7 +63,7 @@ class ExperimentReport:
     mean_staleness: float
     events_published: float
     records_published: float
-    #: Monitoring-channel deliveries visible in this process.
+    #: Monitoring-channel deliveries, cluster-wide.
     monitor_receives: float
     monitor_cpu_seconds: float
     cpu_fraction: float
@@ -105,8 +105,8 @@ def build_report(scenario, engine, *, workers: int = 1,
     """Assemble the report for one attached engine after a run."""
     overhead = scenario.overhead()
     receives = sum(
-        node.telemetry.value("kecho.dproc.monitor.receives")
-        for node in scenario.nodes)
+        registry.value("kecho.dproc.monitor.receives")
+        for registry in scenario.registries.values())
     exp = engine.experiment
     return ExperimentReport(
         experiment=exp.name,
@@ -197,8 +197,7 @@ def run_experiments(experiments: Sequence[Experiment], *,
                             dmon=dmon, modules=modules)
         if backend == "sim" and workers > 1:
             scenario.with_workers(workers, mode="inline")
-        if backend == "live" and (workers > 1 or batch is not None
-                                  or flow is not None):
+        if backend == "live":
             scenario.with_node_pool(workers, watchers=watchers,
                                     batch=batch, flow=flow,
                                     uvloop=uvloop)

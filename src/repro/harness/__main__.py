@@ -17,30 +17,28 @@ backend (:mod:`repro.harness.experimentcli`).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
 from repro.harness.reporting import EXPERIMENTS, run_experiment
 
+#: First argument → the module whose ``main(argv)`` takes the rest.
+SUBCOMMANDS = {
+    "trace": "repro.harness.tracecli",
+    "live": "repro.harness.livecli",
+    "stream": "repro.harness.streamcli",
+    "obs": "repro.harness.obscli",
+    "experiment": "repro.harness.experimentcli",
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        from repro.harness.tracecli import main as trace_main
-        return trace_main(argv[1:])
-    if argv and argv[0] == "live":
-        from repro.harness.livecli import main as live_main
-        return live_main(argv[1:])
-    if argv and argv[0] == "stream":
-        from repro.harness.streamcli import main as stream_main
-        return stream_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from repro.harness.obscli import main as obs_main
-        return obs_main(argv[1:])
-    if argv and argv[0] == "experiment":
-        from repro.harness.experimentcli import main as exp_main
-        return exp_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        module = importlib.import_module(SUBCOMMANDS[argv[0]])
+        return module.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the dproc paper's evaluation figures.")

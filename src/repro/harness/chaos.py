@@ -82,6 +82,9 @@ class ChaosReport:
     #: only; a :class:`repro.obs.ObservabilityPlane`).  Sampling is
     #: passive, so the trace is identical with it on or off.
     obs_plane: Optional[object] = None
+    #: The scenario that ran: post-mortem access to every node's
+    #: ``/proc`` tree and telemetry.  Not part of :attr:`trace`.
+    scenario: Optional[Scenario] = None
 
     @property
     def trace(self) -> tuple:
@@ -229,8 +232,7 @@ def chaos_recovery(nodes: Optional[int] = None,
     scenario = Scenario(nodes=n_nodes, seed=seed, dmon=config) \
         .with_faults(schedule_faults) \
         .with_setup(start_observer)
-    if workers > 1:
-        scenario.with_workers(workers, mode="inline")
+    scenario.with_workers(workers, mode="inline")
     if tracer is not None:
         scenario.with_tracing(tracer)
     if stream:
@@ -275,4 +277,5 @@ def chaos_recovery(nodes: Optional[int] = None,
         stream_broker=broker,
         reconciliation=reconciliation,
         obs_plane=scenario.obs if obs else None,
+        scenario=scenario,
     )

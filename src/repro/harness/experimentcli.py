@@ -43,13 +43,11 @@ def _run_live(nodes: int, duration: float, seed: int, poll: float,
 
     scenario = Scenario(nodes=nodes, seed=seed, backend="live",
                         dmon=DMonConfig(poll_interval=poll))
-    if batch is not None:
-        scenario.with_node_pool(1, batch=batch)
-    scenario.run(duration)
+    scenario.with_node_pool(1, batch=batch).run(duration)
     wire = scenario.runtime.wire_stats()
     receives = sum(
-        node.telemetry.value("kecho.dproc.monitor.receives")
-        for node in scenario.nodes)
+        registry.value("kecho.dproc.monitor.receives")
+        for registry in scenario.registries.values())
     return {
         "frames": wire.get("net.tx_frames", 0.0),
         "wire_frames": wire.get("net.tx_wire_frames", 0.0),

@@ -88,20 +88,18 @@ def main(argv: list[str] | None = None) -> int:
                         dmon=DMonConfig(poll_interval=args.poll))
     want_batch = (args.batch or args.batch_bytes is not None
                   or args.batch_delay is not None)
-    if (args.workers > 1 or want_batch or args.watchers is not None
-            or args.uvloop):
+    batch = None
+    if want_batch:
         from repro.live.transport import BatchConfig
-        batch = None
-        if want_batch:
-            defaults = BatchConfig()
-            batch = BatchConfig(
-                max_bytes=args.batch_bytes
-                if args.batch_bytes is not None else defaults.max_bytes,
-                max_delay=args.batch_delay
-                if args.batch_delay is not None else defaults.max_delay)
-        scenario.with_node_pool(max(1, args.workers),
-                                watchers=args.watchers, batch=batch,
-                                uvloop=args.uvloop)
+        defaults = BatchConfig()
+        batch = BatchConfig(
+            max_bytes=args.batch_bytes
+            if args.batch_bytes is not None else defaults.max_bytes,
+            max_delay=args.batch_delay
+            if args.batch_delay is not None else defaults.max_delay)
+    scenario.with_node_pool(max(1, args.workers),
+                            watchers=args.watchers, batch=batch,
+                            uvloop=args.uvloop)
     if args.scrape is not None:
         scenario.with_observability(
             sample_interval=min(1.0, args.poll),

@@ -106,15 +106,12 @@ def _run_scenario(args):
     return scenario
 
 
-def _plane_and_broker(result):
+def _plane_and_broker(result, want_stream: bool = False):
     """(plane, data-plane broker or None) from either driver result."""
     from repro.harness.chaos import ChaosReport
     if isinstance(result, ChaosReport):
         return result.obs_plane, result.stream_broker
-    broker = None
-    if result._want_stream:
-        broker = result.stream
-    return result.obs, broker
+    return result.obs, result.stream if want_stream else None
 
 
 # -- rendering ---------------------------------------------------------------
@@ -226,8 +223,7 @@ def _export(result, kind: str) -> int:
     registries = {}
     if not isinstance(result, ChaosReport):
         # A chaos report outlives its cluster; health still renders.
-        registries = {node.name: node.telemetry
-                      for node in result.nodes}
+        registries = result.registries
     print(render_openmetrics(registries, health=plane.verdict()),
           end="")
     return 0
@@ -276,7 +272,7 @@ def main(argv: Optional[list] = None) -> int:
     result = _run_scenario(args)
     if args.export is not None:
         return _export(result, args.export)
-    plane, broker = _plane_and_broker(result)
+    plane, broker = _plane_and_broker(result, not args.no_stream)
     from repro.harness.chaos import ChaosReport
     if isinstance(result, ChaosReport):
         print(f"chaos run: {result.n_nodes} nodes, seed "

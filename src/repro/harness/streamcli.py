@@ -102,8 +102,7 @@ def _acquire(args):
     from repro.api import Scenario
     scenario = Scenario(nodes=args.nodes, seed=args.seed) \
         .with_stream()
-    if args.workers > 1:
-        scenario.with_workers(args.workers, mode="inline")
+    scenario.with_workers(args.workers, mode="inline")
     scenario.run(args.duration)
     return scenario.stream, scenario, None
 

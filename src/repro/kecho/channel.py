@@ -22,7 +22,6 @@ from repro.errors import ChannelError
 from repro.kecho.event import ChannelEvent
 from repro.kecho.registry import ChannelInfo, ChannelRegistry
 from repro.runtime.protocol import Completion, RuntimeNode
-from repro.runtime.series import CounterTrace
 
 __all__ = ["KechoBus", "ChannelEndpoint", "Subscription", "SubmitReceipt"]
 
@@ -88,11 +87,6 @@ class ChannelEndpoint:
         self.closed = False
         self._tag = f"kecho:{info.name}"
         self._conns: dict[str, Any] = {}
-        # observability ---------------------------------------------------
-        self.submitted = CounterTrace(f"{node.name}:{info.name}:submits")
-        self.received = CounterTrace(f"{node.name}:{info.name}:receives")
-        self.bytes_out = CounterTrace(f"{node.name}:{info.name}:tx")
-        self.bytes_in = CounterTrace(f"{node.name}:{info.name}:rx")
         #: Cumulative receive-path kernel CPU seconds (Figure 8 metric).
         self.receive_cpu_seconds = 0.0
         # self-telemetry (bound once; no-ops when the node disables it)
@@ -182,8 +176,6 @@ class ChannelEndpoint:
             if tspan is not None:
                 event.trace = tspan.context
         self.node.charge_kernel_seconds(cpu)
-        self.submitted.add(now, 1.0)
-        self.bytes_out.add(now, size * len(targets))
         self._t_submits.inc()
         self._t_submit_seconds.inc(cpu)
         self._t_fanout.observe(len(targets))
@@ -311,8 +303,6 @@ class ChannelEndpoint:
         broker = self.bus.stream
         if broker is not None:
             broker.record_delivery(event, self.node.name)
-        self.received.add(now, 1.0)
-        self.bytes_in.add(now, event.size)
         self._t_receives.inc()
         self._t_rx_bytes.inc(event.size)
         self._t_delivery_seconds.observe(now - event.submitted_at)

@@ -27,6 +27,8 @@ from repro.live.modules import host_module_factory
 from repro.live.node import LiveNode
 from repro.live.registry import RegistryClient, RegistryServer
 from repro.live.transport import BatchConfig, FlowConfig
+from repro.sim.cluster import default_names
+from repro.telemetry import TelemetryRegistry
 
 __all__ = ["LiveRuntime", "LiveNodeGroup", "install_uvloop"]
 
@@ -66,10 +68,12 @@ class LiveNodeGroup:
         return len(self._nodes)
 
 
-def _default_names(n: int) -> list[str]:
-    from repro.sim.cluster import PAPER_NODE_NAMES
-    return [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
-            else f"node{i}" for i in range(n)]
+#: The transport counters :meth:`LiveRuntime.wire_stats` totals.
+WIRE_COUNTERS = (
+    "net.tx_frames", "net.tx_wire_frames", "net.tx_batches",
+    "net.tx_batched_frames", "net.tx_wire_bytes",
+    "net.backpressure_deferred", "net.backpressure_drops",
+    "net.backpressure_pauses", "net.backpressure_resumes")
 
 
 class LiveRuntime:
@@ -90,7 +94,7 @@ class LiveRuntime:
             raise ValueError("a live cluster needs at least one node")
         self.clock = AsyncClock()
         host_names = list(names) if names is not None \
-            else _default_names(nodes)
+            else default_names(nodes)
         if len(host_names) != nodes:
             raise ValueError("names/nodes mismatch")
         self._nodes = {
@@ -101,15 +105,14 @@ class LiveRuntime:
             if flow is not None:
                 node.stack.flow_config = flow
         self.nodes = LiveNodeGroup(self._nodes)
-        self._batch = batch
-        self._flow = flow
         self._use_uvloop = use_uvloop
         #: A :class:`repro.live.pool.LivePool` when this runtime is
         #: the parent of a multi-process node pool (set by the
         #: scenario facade before :meth:`run`).
         self.pool = None
-        self.pool_harvests: list[dict] = []
-        self._duration = 0.0
+        #: Hosts that ran in pool workers → the registry rebuilt from
+        #: the counters they shipped at teardown.
+        self._remote_registries: dict[str, TelemetryRegistry] = {}
         self._registry_addr = registry
         self._registry_server: Optional[RegistryServer] = None
         self.registry_client = RegistryClient()
@@ -120,7 +123,6 @@ class LiveRuntime:
         #: metrics scrape endpoint) started once setup completes and
         #: stopped first at teardown.  Register via :meth:`add_server`.
         self.aux_servers: list = []
-        self.finished = False
 
     # -- the Runtime protocol ----------------------------------------------
 
@@ -131,45 +133,33 @@ class LiveRuntime:
             self._bus.attach_registry(self.registry_client)
         return self._bus
 
+    bus = property(make_bus)
+
+    @property
+    def worlds(self) -> tuple:
+        """One process, one bus: the runtime is its own only world."""
+        return (self,)
+
     def run(self, until: float) -> None:
         """Bring the cluster up, run ``until`` wall seconds, tear down."""
-        self._duration = until
         if self._use_uvloop:
             install_uvloop()
         asyncio.run(self._main(until))
 
-    def overhead(self) -> dict:
-        """Cluster-wide overhead: this process merged with pool workers.
-
-        Shaped exactly like :func:`repro.telemetry.overhead_summary`
-        (worker summaries merge via
-        :func:`~repro.telemetry.merge_overhead_summaries`), so
-        ``Scenario.overhead()`` reports the whole pool.
-        """
-        from repro.telemetry import (merge_overhead_summaries,
-                                     overhead_summary)
-        span = self._duration or 1.0
-        local = overhead_summary(
-            {node.name: node.telemetry for node in self.nodes},
-            sim_seconds=span)
-        remote = [h["overhead"] for h in self.pool_harvests
-                  if h.get("overhead")]
-        if not remote:
-            return local
-        return merge_overhead_summaries([local] + remote)
+    def registries(self) -> dict[str, TelemetryRegistry]:
+        """Host → telemetry registry: this process's nodes, then
+        (once the run is over) every pool worker's hosts."""
+        local = {node.name: node.telemetry for node in self.nodes}
+        return {**local, **self._remote_registries}
 
     def wire_stats(self) -> dict:
         """Pool-wide transport counters (frames, batches, drops)."""
-        from repro.live.pool import pool_harvest
-        totals = dict(pool_harvest(self, self._duration or 1.0)["wire"])
-        for harvest in self.pool_harvests:
-            for name, value in harvest.get("wire", {}).items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
+        registries = self.registries().values()
+        return {name: sum(r.value(name) for r in registries)
+                for name in WIRE_COUNTERS}
 
     def shutdown(self) -> None:
         """Everything real is torn down inside :meth:`run`."""
-        self.finished = True
 
     # -- scenario hooks ----------------------------------------------------
 
@@ -224,7 +214,10 @@ class LiveRuntime:
             if self.pool is not None:
                 # Workers harvest at their own teardown; the registry
                 # must stay up until they are gone.
-                self.pool_harvests = await self.pool.collect()
+                harvest = await self.pool.collect()
+                self._remote_registries = {
+                    host: TelemetryRegistry.from_counters(host, counters)
+                    for host, counters in harvest.items()}
             await self._teardown()
 
     async def _teardown(self) -> None:
@@ -247,4 +240,3 @@ class LiveRuntime:
         if self._registry_server is not None:
             await self._registry_server.stop()
             self._registry_server = None
-        self.finished = True

@@ -61,7 +61,7 @@ class ObservabilityPlane:
         self.name_prefixes = (tuple(name_prefixes)
                               if name_prefixes is not None else None)
         self.engine: Optional[HealthEngine] = None
-        self._health_log = health_log
+        self.health_log = health_log
         self.samples_taken = 0
         self.last_sample_at: Optional[float] = None
         #: Host CPU-clock seconds spent inside :meth:`sample` — the
@@ -82,7 +82,7 @@ class ObservabilityPlane:
         """Create the health engine over the monitored node set."""
         self.engine = HealthEngine(self.tsdb, self.rules,
                                    nodes=sorted(node_names),
-                                   log_broker=self._health_log)
+                                   log_broker=self.health_log)
 
     def sampler(self, nodes, clock):
         """The sampling loop, as a backend-neutral process generator.

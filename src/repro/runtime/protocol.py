@@ -24,12 +24,12 @@ inheriting from them, and so do the live backend's.
 from __future__ import annotations
 
 from typing import (Any, Callable, Iterator, Optional, Protocol,
-                    runtime_checkable)
+                    Sequence, runtime_checkable)
 
 __all__ = [
     "Completion", "Timer", "Clock", "TaskHandle", "Connection",
     "Transport", "RuntimeNode", "Endpoint", "Bus", "NodeGroup",
-    "Runtime", "EventStream",
+    "World", "Runtime", "EventStream",
 ]
 
 
@@ -233,13 +233,38 @@ class NodeGroup(Protocol):
 
 
 @runtime_checkable
+class World(Protocol):
+    """One bus, the nodes wired to it and the clock they run on.
+
+    The unit a per-world instrument (stream tee, observability plane,
+    experiment engine) attaches to and a
+    :class:`~repro.runtime.deployment.Deployment` deploys into.
+    """
+
+    @property
+    def nodes(self) -> NodeGroup: ...
+
+    @property
+    def bus(self) -> Bus: ...
+
+    @property
+    def clock(self) -> Clock: ...
+
+
+@runtime_checkable
 class Runtime(Protocol):
     """One backend: a clock plus a group of nodes plus a bus factory.
 
     ``run`` advances the backend until the clock reads ``until``
     seconds (virtual for the simulator, wall for the live backend);
     ``shutdown`` releases backend resources (sockets, tasks) and is
-    idempotent.
+    idempotent.  ``worlds`` are the in-process worlds the runtime
+    drives — itself for the plain simulator and a live process, one
+    per shard for the inline sharded simulator, none when the shards
+    run in forked workers.  ``registries()`` maps every host of the
+    run to its telemetry registry: local nodes' own, and for hosts in
+    a shard or pool worker the registry rebuilt from the counters that
+    worker shipped home.
     """
 
     @property
@@ -253,7 +278,12 @@ class Runtime(Protocol):
     @property
     def nodes(self) -> NodeGroup: ...
 
+    @property
+    def worlds(self) -> Sequence[World]: ...
+
     def make_bus(self) -> Bus: ...
+
+    def registries(self) -> dict: ...
 
     def run(self, until: float) -> None: ...
 

@@ -20,48 +20,28 @@ Two modes, chosen by the Scenario's ``with_workers`` call:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import FaultInjectionError, ShardError
+from repro.runtime.deployment import Deployment
 from repro.runtime.protocol import NodeGroup
 
 __all__ = ["ShardedRuntime", "MergedNodeGroup", "ShardedFaultInjector"]
 
 
-@dataclass(frozen=True)
-class _ShardDeployment:
-    """Scenario configuration one shard needs to build its world."""
+def _build_world(plan, index: int, d: Deployment):
+    """Build one shard's world, nothing deployed on it yet.
 
-    seed: int
-    dmon: Any
-    modules: tuple
-    #: Every host, in global (pre-partition) order.
-    names: tuple
-    #: Hosts running dproc, global order (None resolved upstream).
-    monitored: tuple
-    node_config: Any
-    #: Per-host hardware overrides (name → config), or None.
-    node_configs: Optional[dict]
-
-
-def _build_scenario_shard(spec):
-    """Build one shard's world for a Scenario deployment.
-
-    Runs inside the worker (or inline); mirrors the plain
-    ``SimRuntime`` + ``deploy_dproc`` construction, restricted to the
+    Mirrors the plain ``SimRuntime`` construction, restricted to the
     shard's hosts.  Per-node RNG streams are keyed by node name, so a
     sub-cluster's nodes draw exactly the streams they would in the
     full cluster.
     """
-    from repro.dproc.toolkit import deploy_dproc
     from repro.sim.cluster import build_cluster
     from repro.sim.core import Environment
     from repro.sim.shard import ShardedBus, ShardRouter, ShardWorld
-    from repro.telemetry import overhead_summary
 
-    d: _ShardDeployment = spec.payload
-    local = list(spec.local_names)
+    local = list(plan.shards[index])
     env = Environment()
     node_configs = ([d.node_configs.get(name, d.node_config)
                      for name in local]
@@ -69,24 +49,24 @@ def _build_scenario_shard(spec):
     cluster = build_cluster(env, nodes=len(local), seed=d.seed,
                             names=local, config=d.node_config,
                             node_configs=node_configs)
-    bus = ShardedBus()
-    router = ShardRouter(env, spec.plan, spec.index)
+    router = ShardRouter(env, plan, index)
     router.attach(cluster)
-    monitored = set(d.monitored)
-    local_monitored = [n for n in local if n in monitored]
-    dprocs = deploy_dproc(cluster, config=d.dmon, modules=d.modules,
-                          bus=bus, hosts=local_monitored,
-                          roster=d.monitored)
+    return ShardWorld(env=env, router=router, bus=ShardedBus(),
+                      cluster=cluster)
 
-    duration = spec.duration
 
-    def harvest(world):
-        return {"overhead": overhead_summary(
-            {node.name: node.telemetry for node in world.cluster},
-            sim_seconds=duration)}
+def _ship_counters(world) -> dict:
+    """A worker's harvest: every local host's counter totals."""
+    return {"counters": {node.name: node.telemetry.counters()
+                         for node in world.cluster}}
 
-    return ShardWorld(env=env, router=router, bus=bus,
-                      cluster=cluster, dprocs=dprocs, harvest=harvest)
+
+def _build_deployed_world(spec):
+    """A forked worker's builder: the world, deployed, shipping home."""
+    world = _build_world(spec.plan, spec.index, spec.payload)
+    world.dprocs = spec.payload.deploy(world.cluster, world.bus)
+    world.harvest = _ship_counters
+    return world
 
 
 class MergedNodeGroup:
@@ -117,6 +97,12 @@ class MergedNodeGroup:
         return len(self._nodes)
 
 
+def _scope(src: Optional[str], dst: Optional[str]) -> str:
+    """How the fault log names the links a rule covers."""
+    return "all links" if src is None and dst is None \
+        else f"{src}->{dst}"
+
+
 class ShardedFaultInjector:
     """Fault injection spanning shard worlds (inline mode).
 
@@ -132,10 +118,9 @@ class ShardedFaultInjector:
     def __init__(self, plan, worlds) -> None:
         from repro.sim.faults import FaultPlane
         self._plan = plan
-        self._worlds = list(worlds)
-        self._envs = [w.env for w in self._worlds]
+        self._envs = [w.env for w in worlds]
         self._planes = []
-        for world in self._worlds:
+        for world in worlds:
             plane = FaultPlane()
             world.cluster.fabric.faults = plane
             self._planes.append(plane)
@@ -158,9 +143,7 @@ class ShardedFaultInjector:
                          dst: Optional[str] = None) -> None:
         for plane in self._planes:
             plane.set_loss(p, src, dst)
-        scope = "all links" if src is None and dst is None \
-            else f"{src}->{dst}"
-        self._log(f"loss {p:g} on {scope}")
+        self._log(f"loss {p:g} on {_scope(src, dst)}")
 
     def set_link_loss(self, link_name: str, p: float) -> None:
         for plane in self._planes:
@@ -176,17 +159,10 @@ class ShardedFaultInjector:
                   dst: Optional[str] = None) -> None:
         for plane in self._planes:
             plane.set_stall(seconds, src, dst)
-        scope = "all links" if src is None and dst is None \
-            else f"{src}->{dst}"
-        self._log(f"stall {seconds:g}s on {scope}")
+        self._log(f"stall {seconds:g}s on {_scope(src, dst)}")
 
     def partition(self, *groups) -> None:
-        frozen = [tuple(g) for g in groups]
-        for group in frozen:
-            for host in group:
-                if host not in self._hosts:
-                    raise FaultInjectionError(
-                        f"unknown host {host!r} in partition group")
+        frozen = self._frozen_groups(groups)
         for plane in self._planes:
             plane.set_partition(frozen)
         self._log("partition " + " | ".join(
@@ -229,8 +205,7 @@ class ShardedFaultInjector:
                       src: Optional[str] = None,
                       dst: Optional[str] = None,
                       until: Optional[float] = None) -> None:
-        scope = "all links" if src is None and dst is None \
-            else f"{src}->{dst}"
+        scope = _scope(src, dst)
         self._each_at(at, lambda plane: plane.set_loss(p, src, dst),
                       log=f"loss {p:g} on {scope}")
         if until is not None:
@@ -243,12 +218,7 @@ class ShardedFaultInjector:
 
     def schedule_partition(self, at: float, groups,
                            heal_at: Optional[float] = None) -> None:
-        frozen = [tuple(g) for g in groups]
-        for group in frozen:
-            for host in group:
-                if host not in self._hosts:
-                    raise FaultInjectionError(
-                        f"unknown host {host!r} in partition group")
+        frozen = self._frozen_groups(groups)
         self._each_at(at,
                       lambda plane: plane.set_partition(frozen),
                       log="partition " + " | ".join(
@@ -286,6 +256,15 @@ class ShardedFaultInjector:
         if host not in self._hosts:
             raise FaultInjectionError(f"unknown host {host!r}")
 
+    def _frozen_groups(self, groups) -> list[tuple]:
+        frozen = [tuple(g) for g in groups]
+        for group in frozen:
+            for host in group:
+                if host not in self._hosts:
+                    raise FaultInjectionError(
+                        f"unknown host {host!r} in partition group")
+        return frozen
+
     def _log(self, text: str) -> None:
         self.log.append((self._envs[0].now, text))
 
@@ -301,23 +280,12 @@ class ShardedFaultInjector:
         timer.add_callback(lambda _ev: action())
 
     def _each_at(self, when: float, apply, log: str) -> None:
-        """Apply a plane mutation in every shard at its local ``when``."""
-        for i, (env, plane) in enumerate(zip(self._envs,
-                                             self._planes)):
-            delay = when - env.now
-            if delay < 0:
-                raise FaultInjectionError(
-                    f"cannot schedule a fault at {when} (now is "
-                    f"{env.now})")
-            timer = env.timeout(delay)
-            if i == 0:
-                timer.add_callback(
-                    lambda _ev, p=plane: (apply(p),
-                                          self.log.append(
-                                              (self._envs[0].now,
-                                               log))))
-            else:
-                timer.add_callback(lambda _ev, p=plane: apply(p))
+        """Apply a plane mutation in every shard at its local ``when``
+        (logged once, by shard 0)."""
+        for i, plane in enumerate(self._planes):
+            self._at_in(i, when,
+                        (lambda p=plane: (apply(p), self._log(log)))
+                        if i == 0 else (lambda p=plane: apply(p)))
 
 
 class ShardedRuntime:
@@ -326,36 +294,25 @@ class ShardedRuntime:
     backend = "sim"
     module_factory = None
 
-    def __init__(self, *, plan, deployment: _ShardDeployment,
+    def __init__(self, *, plan, deployment: Deployment,
                  processes: bool = True) -> None:
         self.plan = plan
         self.deployment = deployment
         self.processes = processes
-        #: Populated by :meth:`run` (and, inline, :meth:`build_worlds`).
+        #: Populated by :meth:`run`.
         self.result = None
-        self.worlds = None
-        self._merged: Optional[MergedNodeGroup] = None
-
-    # -- inline construction ----------------------------------------------
-
-    def build_worlds(self, duration: float) -> None:
-        """Build every shard world in-process (inline mode)."""
-        from repro.sim.shard import ShardSpec
-        if self.processes:
-            raise ShardError(
-                "build_worlds is inline-only; process workers build "
-                "inside their fork")
-        self.worlds = [
-            _build_scenario_shard(ShardSpec(
-                plan=self.plan, index=i, duration=float(duration),
-                payload=self.deployment))
-            for i in range(self.plan.n_shards)]
-        self._merged = MergedNodeGroup(self.deployment.names,
-                                       self.worlds)
+        #: The in-process shard worlds, built bare — the scenario
+        #: deploys into each, like into any world; none when the
+        #: shards build (and deploy) inside forked workers.
+        self.worlds = () if processes else tuple(
+            _build_world(plan, i, deployment)
+            for i in range(plan.n_shards))
+        self._merged = None if processes else MergedNodeGroup(
+            deployment.names, self.worlds)
 
     @property
     def clock(self):
-        if self.worlds is None:
+        if not self.worlds:
             raise ShardError(
                 "process-mode sharded runtimes have no global clock")
         return self.worlds[0].env
@@ -373,22 +330,24 @@ class ShardedRuntime:
                 "workers mode 'inline' for an in-process view")
         return self._merged
 
-    @property
-    def dprocs(self) -> dict:
-        """Merged host → Dproc map (inline mode)."""
-        if self.worlds is None:
-            raise ShardError(
-                "dprocs live inside worker processes; run with "
-                "workers mode 'inline' for an in-process view")
-        merged = {}
-        for world in self.worlds:
-            merged.update(world.dprocs or {})
-        return {name: merged[name] for name in self.deployment.names
-                if name in merged}
-
     def make_bus(self):
         raise ShardError("sharded runtimes own one bus per shard; "
-                         "deployment is wired internally")
+                         "see worlds")
+
+    def fault_injector(self) -> "ShardedFaultInjector":
+        return ShardedFaultInjector(self.plan, self.worlds)
+
+    def registries(self) -> dict:
+        """Host → telemetry registry, in global host order.
+
+        Inline, the nodes' own registries; in process mode, rebuilt
+        from the counters each worker shipped with its result.
+        """
+        if self._merged is not None:
+            return {node.name: node.telemetry for node in self._merged}
+        if self.result is None:
+            raise ShardError("no sharded run has completed yet")
+        return self._shipped
 
     # -- execution ---------------------------------------------------------
 
@@ -399,20 +358,19 @@ class ShardedRuntime:
             raise ShardError("a sharded runtime runs exactly once")
         n = self.plan.n_shards
         self.result = run_sharded(
-            self.plan, duration, _build_scenario_shard,
+            self.plan, duration, _build_deployed_world,
             payloads=[self.deployment] * n,
             processes=self.processes,
-            worlds=self.worlds)
+            worlds=list(self.worlds) or None)
+        if self._merged is None:
+            from repro.telemetry import TelemetryRegistry
+            shipped = {}
+            for shard in self.result.shards:
+                shipped.update(shard.extra["counters"])
+            self._shipped = {
+                name: TelemetryRegistry.from_counters(name, shipped[name])
+                for name in self.deployment.names}
         return self.result
-
-    def overhead(self) -> dict:
-        """Cluster-wide monitoring-overhead summary (merged shards)."""
-        from repro.telemetry import merge_overhead_summaries
-        if self.result is None:
-            raise ShardError("no sharded run has completed yet")
-        return merge_overhead_summaries(
-            [s.extra["overhead"] for s in self.result.shards
-             if s.extra and "overhead" in s.extra])
 
     def shutdown(self) -> None:
         """Workers are joined by ``run``; nothing is held open."""

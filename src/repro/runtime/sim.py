@@ -56,12 +56,28 @@ class SimRuntime:
     def nodes(self) -> NodeGroup:
         return self.cluster
 
+    @property
+    def worlds(self) -> tuple:
+        """One fabric, one bus: the runtime is its own only world."""
+        return (self,)
+
     def make_bus(self) -> Bus:
         """The runtime-wide KECho bus (one per runtime; idempotent)."""
         from repro.kecho import KechoBus
         if self._bus is None:
             self._bus = KechoBus()
         return self._bus
+
+    bus = property(make_bus)
+
+    def registries(self) -> dict:
+        """Host → telemetry registry for every node of the run."""
+        return {node.name: node.telemetry for node in self.cluster}
+
+    def fault_injector(self):
+        """The injector driving this runtime's one fault plane."""
+        from repro.sim.faults import FaultInjector
+        return FaultInjector(self.cluster)
 
     def run(self, until: float) -> None:
         """Advance virtual time to ``until`` seconds."""

@@ -28,7 +28,7 @@ from repro.sim.topology import (DEFAULT_SHARD_LOOKAHEAD, GraphFabric,
                                 line_topology, partition_nodes,
                                 partition_placement, tree_topology)
 from repro.sim.transport import Connection, Message, NetStack, Protocol
-from repro.sim.trace import CounterTrace, EwmaLoad, TimeSeries, \
+from repro.runtime.series import CounterTrace, EwmaLoad, TimeSeries, \
     WindowAverage
 
 __all__ = [

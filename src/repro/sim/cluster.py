@@ -16,7 +16,8 @@ from repro.sim.network import Fabric, SharedSegment
 from repro.sim.node import Node, NodeConfig
 from repro.sim.rng import RngHub
 
-__all__ = ["Cluster", "PAPER_NODE_NAMES", "build_cluster"]
+__all__ = ["Cluster", "PAPER_NODE_NAMES", "build_cluster",
+           "default_names"]
 
 #: Host names in the style of the paper's examples (alan, maui, etna).
 PAPER_NODE_NAMES: tuple[str, ...] = (
@@ -62,6 +63,12 @@ class Cluster:
         return list(self.nodes)
 
 
+def default_names(n: int) -> list[str]:
+    """The paper's eight host names, extended with ``nodeK`` beyond."""
+    return [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
+            else f"node{i}" for i in range(n)]
+
+
 def build_cluster(env: Environment, nodes: Optional[int] = None,
                   config: NodeConfig | None = None,
                   seed: int = 0,
@@ -90,10 +97,7 @@ def build_cluster(env: Environment, nodes: Optional[int] = None,
     n_nodes = 8 if nodes is None else nodes
     if n_nodes < 1:
         raise SimulationError("a cluster needs at least one node")
-    if names is None:
-        names = [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
-                 else f"node{i}" for i in range(n_nodes)]
-    names = list(names)
+    names = default_names(n_nodes) if names is None else list(names)
     if len(names) != n_nodes:
         raise SimulationError("names/n_nodes mismatch")
     fabric = Fabric(env)

@@ -34,7 +34,7 @@ from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
-from repro.sim.trace import EwmaLoad, TimeSeries
+from repro.runtime.series import EwmaLoad, TimeSeries
 
 __all__ = ["CPU", "CpuJob"]
 

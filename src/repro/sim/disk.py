@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
 from repro.sim.stores import Resource
-from repro.sim.trace import CounterTrace
+from repro.runtime.series import CounterTrace
 from repro.units import MB, SECTOR_SIZE, msec
 
 __all__ = ["Disk"]

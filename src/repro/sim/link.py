@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.sim.core import SimEvent
-from repro.sim.trace import CounterTrace
+from repro.runtime.series import CounterTrace
 
 __all__ = ["Link", "Flow", "FlowKind", "FlowIndex", "allocate_rates",
            "allocate_rates_reference", "settle_flows",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment
-from repro.sim.trace import TimeSeries
+from repro.runtime.series import TimeSeries
 from repro.units import MB, PAGE_SIZE
 
 __all__ = ["Memory", "Allocation"]

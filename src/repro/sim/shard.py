@@ -316,7 +316,6 @@ class ShardSpec:
 
     plan: ShardPlan
     index: int
-    duration: float
     #: Caller-defined configuration for the builder (kept picklable
     #: when using the spawn start method; under fork anything goes).
     payload: Any = None
@@ -336,8 +335,12 @@ class ShardWorld:
     cluster: Any = None
     dprocs: Optional[dict] = None
     #: Optional ``harvest(world) -> dict`` collected into the shard's
-    #: result at the end of the run (telemetry summaries, reports).
+    #: result at the end of the run (telemetry counters, reports).
     harvest: Optional[Callable[["ShardWorld"], dict]] = None
+
+    # The :class:`repro.runtime.protocol.World` names for the above.
+    nodes = property(lambda self: self.cluster)
+    clock = property(lambda self: self.env)
 
 
 @dataclass
@@ -556,7 +559,7 @@ def run_sharded(plan: ShardPlan, duration: float,
     n = plan.n_shards
     if payloads is not None and len(payloads) != n:
         raise ShardError("payloads/shards length mismatch")
-    specs = [ShardSpec(plan=plan, index=i, duration=float(duration),
+    specs = [ShardSpec(plan=plan, index=i,
                        payload=payloads[i] if payloads else None)
              for i in range(n)]
     if worlds is not None:

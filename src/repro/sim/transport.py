@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import TransportError
 from repro.sim.core import Environment, SimEvent
 from repro.sim.network import Fabric
-from repro.sim.trace import CounterTrace, TimeSeries
+from repro.runtime.series import CounterTrace, TimeSeries
 from repro.telemetry import TelemetryRegistry
 from repro.tracing.collector import NULL_TRACER
 

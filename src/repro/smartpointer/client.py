@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.sim.node import Node
 from repro.sim.stores import Store
-from repro.sim.trace import CounterTrace, TimeSeries
+from repro.runtime.series import CounterTrace, TimeSeries
 from repro.smartpointer.server import StreamEvent
 
 __all__ = ["SmartPointerClient"]

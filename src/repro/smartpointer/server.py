@@ -19,7 +19,7 @@ from repro.dproc.metrics import MetricId
 from repro.dproc.toolkit import Dproc
 from repro.errors import SimulationError
 from repro.sim.node import Node
-from repro.sim.trace import CounterTrace, TimeSeries
+from repro.runtime.series import CounterTrace, TimeSeries
 from repro.smartpointer.adaptation import (AdaptationPolicy,
                                            ClientCapabilities)
 from repro.smartpointer.data import MDFrameGenerator, StreamProfile

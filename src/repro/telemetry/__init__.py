@@ -25,15 +25,12 @@ from repro.telemetry.instruments import (Counter, Gauge, Histogram,
                                          DEFAULT_LATENCY_BOUNDS)
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.report import (MONITOR_CPU_COUNTERS,
-                                    merge_overhead_summaries,
                                     overhead_summary, render_json,
-                                    render_text,
-                                    zero_overhead_summary)
+                                    render_text)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Span", "SpanLog",
     "DEFAULT_LATENCY_BOUNDS", "TelemetryRegistry",
-    "MONITOR_CPU_COUNTERS", "merge_overhead_summaries",
-    "overhead_summary", "render_json",
-    "render_text", "zero_overhead_summary",
+    "MONITOR_CPU_COUNTERS", "overhead_summary", "render_json",
+    "render_text",
 ]

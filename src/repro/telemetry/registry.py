@@ -107,6 +107,26 @@ class TelemetryRegistry:
             return instrument.value
         return default
 
+    def counters(self) -> dict[str, float]:
+        """Counter name → total: what a shard or pool worker ships home.
+
+        Picklable and small; :meth:`from_counters` on the receiving
+        side turns it back into a registry, so the parent reads remote
+        hosts exactly as it reads local ones.
+        """
+        return {name: inst.value
+                for name, inst in self._instruments.items()
+                if isinstance(inst, Counter)}
+
+    @classmethod
+    def from_counters(cls, scope: str,
+                      values: dict[str, float]) -> "TelemetryRegistry":
+        """A registry holding the totals :meth:`counters` shipped."""
+        registry = cls(scope)
+        for name, value in values.items():
+            registry.counter(name).inc(value)
+        return registry
+
     def names(self, prefix: str = "") -> list[str]:
         """Sorted instrument names, optionally filtered by prefix."""
         return sorted(n for n in self._instruments

@@ -22,7 +22,6 @@ from repro.telemetry.instruments import Counter, Gauge, Histogram, SpanLog
 from repro.telemetry.registry import TelemetryRegistry
 
 __all__ = ["render_text", "render_json", "overhead_summary",
-           "zero_overhead_summary", "merge_overhead_summaries",
            "MONITOR_CPU_COUNTERS"]
 
 #: Registry counters (seconds) that together make up a node's
@@ -89,7 +88,11 @@ def overhead_summary(registries: Mapping[str, TelemetryRegistry],
                      sim_seconds: float) -> dict:
     """Cluster-wide monitoring-overhead section for ``BENCH_*.json``.
 
-    ``registries`` maps node name → that node's telemetry registry;
+    ``registries`` maps node name → that node's telemetry registry —
+    local nodes' own, and for hosts that ran in a shard or pool worker
+    the registry rebuilt from the counters it shipped
+    (:meth:`TelemetryRegistry.from_counters`), so one run has one
+    mapping whatever ran it.  An empty mapping summarises to zeros.
     ``sim_seconds`` is the monitored span, used to express the CPU
     overhead as a fraction of total node time (the paper's
     perturbation framing).
@@ -132,93 +135,4 @@ def overhead_summary(registries: Mapping[str, TelemetryRegistry],
             "wan_backoff_seconds": _total(registries,
                                           "wan.backoff_seconds"),
         },
-    }
-
-
-def zero_overhead_summary(sim_seconds: float = 0.0) -> dict:
-    """A well-formed all-zero summary (no nodes, nothing measured).
-
-    The shape every consumer of :func:`overhead_summary` expects, so
-    empty merges and not-yet-run benchmarks degrade to zeros instead
-    of KeyErrors downstream.
-    """
-    return {
-        "source": "repro.telemetry",
-        "n_nodes": 0,
-        "sim_seconds": sim_seconds,
-        "polls": 0.0,
-        "events_published": 0.0,
-        "records_published": 0.0,
-        "monitor_cpu_seconds": {
-            "total": 0.0,
-            "per_node_mean": 0.0,
-            "busiest_node": None,
-            "busiest_node_seconds": 0.0,
-            "components": {name.split(".", 1)[1]: 0.0
-                           for name in MONITOR_CPU_COUNTERS},
-        },
-        "cpu_fraction_of_node_time": 0.0,
-        "network": {
-            "drops_fault": 0.0,
-            "drops_congestion": 0.0,
-            "retransmissions": 0.0,
-            "wan_retries": 0.0,
-            "wan_backoff_seconds": 0.0,
-        },
-    }
-
-
-def merge_overhead_summaries(summaries) -> dict:
-    """Combine per-shard :func:`overhead_summary` dicts into one.
-
-    The sharded runtime harvests one summary per worker (each covering
-    that shard's nodes over the same simulated span); merging sums the
-    extensive quantities, recomputes the means, and picks the busiest
-    node across all shards.  An empty input merges to
-    :func:`zero_overhead_summary`; mismatched ``sim_seconds`` raise
-    :class:`ValueError`.
-    """
-    summaries = [s for s in summaries if s]
-    if not summaries:
-        return zero_overhead_summary()
-    sim_seconds = summaries[0]["sim_seconds"]
-    for s in summaries[1:]:
-        if s["sim_seconds"] != sim_seconds:
-            raise ValueError(
-                "cannot merge overhead summaries over different "
-                f"spans: {s['sim_seconds']} != {sim_seconds}")
-    n = sum(s["n_nodes"] for s in summaries)
-    components = {
-        key: sum(s["monitor_cpu_seconds"]["components"][key]
-                 for s in summaries)
-        for key in summaries[0]["monitor_cpu_seconds"]["components"]}
-    total_cpu = sum(s["monitor_cpu_seconds"]["total"]
-                    for s in summaries)
-    busiest = max(
-        (s["monitor_cpu_seconds"] for s in summaries
-         if s["monitor_cpu_seconds"]["busiest_node"] is not None),
-        key=lambda m: m["busiest_node_seconds"], default=None)
-    return {
-        "source": "repro.telemetry",
-        "n_nodes": n,
-        "sim_seconds": sim_seconds,
-        "polls": sum(s["polls"] for s in summaries),
-        "events_published": sum(s["events_published"]
-                                for s in summaries),
-        "records_published": sum(s["records_published"]
-                                 for s in summaries),
-        "monitor_cpu_seconds": {
-            "total": total_cpu,
-            "per_node_mean": (total_cpu / n) if n else 0.0,
-            "busiest_node": busiest["busiest_node"]
-            if busiest is not None else None,
-            "busiest_node_seconds": busiest["busiest_node_seconds"]
-            if busiest is not None else 0.0,
-            "components": components,
-        },
-        "cpu_fraction_of_node_time":
-            (total_cpu / (n * sim_seconds)) if n else 0.0,
-        "network": {
-            key: sum(s["network"][key] for s in summaries)
-            for key in summaries[0]["network"]},
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.sim.network import FixedFlowHandle
 from repro.sim.node import Node
-from repro.sim.trace import CounterTrace
+from repro.runtime.series import CounterTrace
 from repro.sim.transport import Protocol
 from repro.units import KB, mbps, to_mbps
 

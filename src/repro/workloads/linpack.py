@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.sim.node import Node
-from repro.sim.trace import CounterTrace
+from repro.runtime.series import CounterTrace
 
 __all__ = ["Linpack"]
 

@@ -13,7 +13,7 @@ from repro.analysis.traces import (dump_result, load_result,
                                    series_from_csv, series_to_csv,
                                    timeseries_to_csv)
 from repro.harness import ExperimentResult, SeriesResult
-from repro.sim.trace import TimeSeries
+from repro.runtime.series import TimeSeries
 
 
 @pytest.fixture

@@ -140,16 +140,18 @@ class TestPollingAndPublication:
         env.run(until=3.0)
         # 40 header + 4 * 12 per record = 88 bytes -> within the
         # paper's 50-100 B band.
-        ep = a._monitor_ep
-        per_event = ep.bytes_out.total / ep.submitted.total
+        reg = cluster3["alan"].telemetry
+        per_event = (reg.value("kecho.dproc.monitor.tx_bytes")
+                     / reg.value("kecho.dproc.monitor.submits"))
         assert 50 <= per_event <= 100
 
     def test_padding_inflates_events(self, env, cluster3):
         config = DMonConfig().with_padding(5000.0)
         a, b = deploy_pair(cluster3, config=config)
         env.run(until=3.0)
-        ep = a._monitor_ep
-        per_event = ep.bytes_out.total / ep.submitted.total
+        reg = cluster3["alan"].telemetry
+        per_event = (reg.value("kecho.dproc.monitor.tx_bytes")
+                     / reg.value("kecho.dproc.monitor.submits"))
         assert per_event > 5000
 
     def test_stop_ends_polling(self, env, cluster3):

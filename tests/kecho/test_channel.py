@@ -258,10 +258,40 @@ class TestCostAccounting:
         eps["etna"].subscribe(lambda e: None)
         eps["alan"].submit("x", size=200)
         env.run()
-        assert eps["alan"].submitted.total == 1
-        assert eps["alan"].bytes_out.total == pytest.approx(400)
-        assert eps["maui"].received.total == 1
-        assert eps["maui"].bytes_in.total == pytest.approx(200)
+        alan = cluster3["alan"].telemetry
+        maui = cluster3["maui"].telemetry
+        assert alan.value("kecho.monitor.submits") == 1
+        assert alan.value("kecho.monitor.tx_bytes") == pytest.approx(400)
+        assert maui.value("kecho.monitor.receives") == 1
+        assert maui.value("kecho.monitor.rx_bytes") == pytest.approx(200)
+
+    def test_retained_state_independent_of_event_count(self, env, bus,
+                                                       cluster3):
+        """An endpoint keeps totals, not a per-event history."""
+        import sys
+
+        def retained(ep) -> int:
+            """Bytes held by the endpoint's own attributes and theirs."""
+            total = 0
+            for key, value in vars(ep).items():
+                if key in ("bus", "node"):
+                    continue
+                inner = getattr(value, "__dict__", None) or {
+                    slot: getattr(value, slot)
+                    for slot in getattr(type(value), "__slots__", ())}
+                total += sys.getsizeof(value) + sum(
+                    sys.getsizeof(v) for v in inner.values())
+            return total
+
+        eps = wire(bus, cluster3)
+        eps["maui"].subscribe(lambda e: None)
+        sizes = []
+        for n in (10, 1000):
+            for _ in range(n):
+                eps["alan"].submit("x", size=100)
+            env.run()
+            sizes.append((retained(eps["alan"]), retained(eps["maui"])))
+        assert sizes[0] == sizes[1]
 
 
 class TestControlMessages:

@@ -1,4 +1,8 @@
-"""The plane end to end: sampling, ingest, passivity, sharded merge."""
+"""The plane end to end: sampling, ingest, sharded merge.
+
+That the plane is passive is pinned with the other instruments in
+``tests/runtime/test_passivity.py``.
+"""
 
 from __future__ import annotations
 
@@ -59,30 +63,6 @@ class TestSampling:
     def test_verdict_on_quiet_run_is_healthy(self, sc):
         assert sc.obs.verdict()["healthy"] is True
         assert sc.obs.transitions == []
-
-
-class TestPassivity:
-    """Obs on vs off: the monitored system must not notice."""
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        return (run_scenario(obs=False, seed=5),
-                run_scenario(obs=True, seed=5))
-
-    def test_stream_bytes_bit_identical(self, pair):
-        off, on = pair
-        assert off.stream.serialize() == on.stream.serialize()
-
-    def test_overhead_summary_identical(self, pair):
-        off, on = pair
-        assert off.overhead() == on.overhead()
-
-    def test_procfs_identical(self, pair):
-        off, on = pair
-        name = off.nodes.names[0]
-        d_off, d_on = off.dprocs[name], on.dprocs[name]
-        path = f"/proc/cluster/{name}/dproc/overhead"
-        assert d_off.read(path) == d_on.read(path)
 
 
 class TestExportDeterminism:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import CPU, Environment, Store
-from repro.sim.trace import EwmaLoad, WindowAverage
+from repro.runtime.series import EwmaLoad, WindowAverage
 
 # Keep the DES property runs snappy.
 FAST = settings(max_examples=60, deadline=None)

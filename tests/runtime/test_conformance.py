@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.dproc import DMonConfig, MODULE_METRICS, MetricId
+from repro.sim.cluster import default_names
 
 POLL = 0.2
 DURATION = 1.5
@@ -136,3 +137,51 @@ class TestFilterBehavior:
         # Published value is half the local reading (small slack: the
         # live loadavg moves between publish and read).
         assert remote <= local * 0.5 + 0.05, (sc.backend, remote, local)
+
+
+# -- one roster rule -------------------------------------------------------
+
+ROSTER_NODES, ROSTER_MONITORED = 6, 4
+
+
+@pytest.fixture(scope="module", params=["sim", "sharded-inline",
+                                        "live-pool"])
+def subset_run(request) -> Scenario:
+    """``monitor_hosts=k < n`` on every way of running a scenario.
+
+    The pool's second process owns hosts 3-5, so one monitored host
+    (index 3) lives outside the parent on the live case.
+    """
+    backend = "live" if request.param == "live-pool" else "sim"
+    sc = Scenario(nodes=ROSTER_NODES, seed=11, backend=backend,
+                  dmon=DMonConfig(poll_interval=POLL), modules=MODULES,
+                  monitor_hosts=ROSTER_MONITORED)
+    if request.param == "sharded-inline":
+        sc.with_workers(2, mode="inline")
+    if request.param == "live-pool":
+        sc.with_node_pool(2)
+    return sc.run(DURATION)
+
+
+class TestRosterRule:
+    """``/proc/cluster`` lists the hosts that run dproc — the same
+    rule unsharded, sharded and pooled."""
+
+    def test_cluster_dir_lists_exactly_the_monitored_hosts(
+            self, subset_run):
+        sc = subset_run
+        monitored = default_names(ROSTER_NODES)[:ROSTER_MONITORED]
+        assert sc.dprocs, "no dproc in the parent process"
+        assert set(sc.dprocs) <= set(monitored)
+        for dproc in sc.dprocs.values():
+            assert dproc.listdir("/proc/cluster") == sorted(monitored)
+            assert list(dproc.hosts()) == sorted(monitored)
+
+    def test_every_listed_host_delivers(self, subset_run):
+        sc = subset_run
+        observer = next(iter(sc.dprocs.values()))
+        silent = [host for host in observer.hosts()
+                  if host != observer.node.name
+                  and math.isnan(observer.metric(host,
+                                                 MetricId.FREEMEM))]
+        assert not silent, f"{sc.backend}: listed but silent {silent}"

@@ -6,7 +6,8 @@ import pytest
 
 from repro.api import Scenario, ScenarioError
 from repro.errors import FaultInjectionError
-from repro.telemetry import merge_overhead_summaries
+from repro.sim.cluster import default_names
+from repro.telemetry import overhead_summary
 
 
 class TestWithWorkersGuards:
@@ -54,7 +55,7 @@ class TestShardedScenarioSurface:
         assert len(sc.nodes) == 10
         assert len(sc.dprocs) == 10
         # Global name order is preserved across the shard interleave.
-        assert sc.nodes.names == sc._global_names()
+        assert sc.nodes.names == default_names(10)
         assert sc.shard_result.n_shards == 3
         assert sc.shard_result.events_processed > 0
         assert sc.overhead()["n_nodes"] == 10
@@ -62,10 +63,10 @@ class TestShardedScenarioSurface:
     def test_monitor_hosts_subset_spans_shards(self):
         sc = Scenario(nodes=10, seed=2, monitor_hosts=4) \
             .with_workers(3, mode="inline").run(3.0)
-        assert sorted(sc.dprocs) == sorted(sc._global_names()[:4])
+        assert sorted(sc.dprocs) == sorted(default_names(10)[:4])
         # Every dproc still sees the full monitored view.
         for dproc in sc.dprocs.values():
-            hosts = {h for h in sc._global_names()[:4]}
+            hosts = set(default_names(10)[:4])
             assert hosts <= set(dproc.hosts())
 
     def test_auto_mode_picks_inline_for_hooked_scenarios(self):
@@ -128,23 +129,39 @@ class TestShardedFaultInjector:
 
 
 class TestMergeOverheadSummaries:
+    """Shards ship per-host counters; one summary reads them all."""
+
     def test_merge_matches_unsharded_accounting(self):
-        sharded = Scenario(nodes=12, seed=6) \
-            .with_workers(3, mode="inline").run(4.0)
-        merged = merge_overhead_summaries(
-            [s.extra["overhead"]
-             for s in sharded.shard_result.shards])
-        direct = sharded.overhead()
-        assert merged["n_nodes"] == direct["n_nodes"] == 12
-        assert merged["polls"] == direct["polls"]
-        total = sum(
-            s.extra["overhead"]["monitor_cpu_seconds"]["total"]
-            for s in sharded.shard_result.shards)
-        assert merged["monitor_cpu_seconds"]["total"] == \
-            pytest.approx(total)
+        def run(mode):
+            return Scenario(nodes=12, seed=6) \
+                .with_workers(3, mode=mode).run(4.0)
+        inline, forked = run("inline"), run("processes")
+        # Forked workers ship counters home; the parent's mapping is
+        # the one an in-process run reads off its own nodes.
+        assert list(forked.registries) == list(inline.registries) \
+            == default_names(12)
+        for host, registry in inline.registries.items():
+            assert forked.registries[host].counters() \
+                == registry.counters()
+        assert forked.overhead() == inline.overhead()
+        assert forked.overhead()["n_nodes"] == 12
+        # Sums run over every shard; the busiest node is the busiest
+        # of all shards, not of the first.
+        per_shard = [
+            overhead_summary({h: forked.registries[h] for h in hosts},
+                             sim_seconds=4.0)
+            for hosts in forked.runtime.plan.shards]
+        merged = forked.overhead()
+        assert merged["polls"] == sum(s["polls"] for s in per_shard)
+        assert merged["monitor_cpu_seconds"]["total"] == pytest.approx(
+            sum(s["monitor_cpu_seconds"]["total"] for s in per_shard))
+        busiest = max((s["monitor_cpu_seconds"] for s in per_shard),
+                      key=lambda m: m["busiest_node_seconds"])
+        assert merged["monitor_cpu_seconds"]["busiest_node"] \
+            == busiest["busiest_node"]
 
     def test_empty_merge_is_zero_summary(self):
-        merged = merge_overhead_summaries([])
+        merged = overhead_summary({}, sim_seconds=2.0)
         assert merged["n_nodes"] == 0
         assert merged["polls"] == 0.0
         assert merged["monitor_cpu_seconds"]["total"] == 0.0
@@ -156,9 +173,3 @@ class TestMergeOverheadSummaries:
         assert set(merged["network"]) == set(real["network"])
         assert set(merged["monitor_cpu_seconds"]) \
             == set(real["monitor_cpu_seconds"])
-
-    def test_mismatched_spans_rejected(self):
-        a = {"sim_seconds": 1.0}
-        b = {"sim_seconds": 2.0}
-        with pytest.raises(ValueError):
-            merge_overhead_summaries([a, b])

@@ -74,10 +74,6 @@ class TestGoldenChaos:
                                              "partition"}
         assert sum(rec.dropped_by_fault.values()) == len(rec.dropped)
 
-    def test_report_trace_identical_with_stream_off(self, report):
-        bare = chaos_recovery(stream=False, **GOLDEN_CHAOS)
-        assert bare.trace == report.trace
-
     def test_per_host_findings_name_metric_files(self, report):
         rec = report.reconciliation
         assert rec.per_host

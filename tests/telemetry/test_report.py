@@ -7,9 +7,7 @@ import json
 import pytest
 
 from repro.telemetry import (MONITOR_CPU_COUNTERS, TelemetryRegistry,
-                             merge_overhead_summaries, overhead_summary,
-                             render_json, render_text,
-                             zero_overhead_summary)
+                             overhead_summary, render_json, render_text)
 
 
 def make_registry(scope: str = "n0") -> TelemetryRegistry:
@@ -141,8 +139,10 @@ class TestOverheadSummary:
 
 
 class TestZeroOverheadSummary:
+    """No hosts (or hosts that shipped nothing) summarise to zeros."""
+
     def test_shape_matches_real_summary(self):
-        zero = zero_overhead_summary()
+        zero = overhead_summary({}, sim_seconds=1.0)
         real = overhead_summary(
             {"n0": TelemetryRegistry(scope="n0")}, sim_seconds=1.0)
         assert set(zero) == set(real)
@@ -153,7 +153,7 @@ class TestZeroOverheadSummary:
             == set(real["monitor_cpu_seconds"]["components"])
 
     def test_all_zero_and_serialisable(self):
-        zero = zero_overhead_summary()
+        zero = overhead_summary({}, sim_seconds=1.0)
         assert zero["n_nodes"] == 0
         assert zero["polls"] == 0.0
         assert zero["monitor_cpu_seconds"]["total"] == 0.0
@@ -162,24 +162,34 @@ class TestZeroOverheadSummary:
         json.dumps(zero)
 
     def test_sim_seconds_passthrough(self):
-        assert zero_overhead_summary(sim_seconds=5.0)["sim_seconds"] \
+        assert overhead_summary({}, sim_seconds=5.0)["sim_seconds"] \
             == 5.0
 
     def test_empty_merge_returns_zero_summary(self):
-        assert merge_overhead_summaries([]) == zero_overhead_summary()
-        # Falsy entries are filtered, not merged.
-        assert merge_overhead_summaries([None, {}]) \
-            == zero_overhead_summary()
+        # A worker that shipped nothing folds to a host of zeros.
+        silent = {"n0": TelemetryRegistry.from_counters("n0", {})}
+        summary = overhead_summary(silent, sim_seconds=1.0)
+        assert summary["n_nodes"] == 1
+        zero = overhead_summary({}, sim_seconds=1.0)
+        for key in ("polls", "events_published", "network"):
+            assert summary[key] == zero[key]
+        assert summary["monitor_cpu_seconds"]["total"] == 0.0
 
     def test_merging_zero_with_real_is_identity(self):
         reg = TelemetryRegistry(scope="n0")
         reg.counter("dmon.polls").inc(3.0)
         reg.counter("dmon.collect_seconds").inc(0.2)
+        reg.gauge("queue.depth").set(4.0)   # gauges stay home
         real = overhead_summary({"n0": reg}, sim_seconds=2.0)
-        merged = merge_overhead_summaries(
-            [real, zero_overhead_summary(sim_seconds=2.0)])
+        shipped = TelemetryRegistry.from_counters("n0", reg.counters())
+        assert shipped.counters() == reg.counters()
+        assert "queue.depth" not in shipped
+        merged = overhead_summary(
+            {"n0": shipped,
+             "n1": TelemetryRegistry.from_counters("n1", {})},
+            sim_seconds=2.0)
         assert merged["polls"] == real["polls"]
-        assert merged["n_nodes"] == real["n_nodes"]
+        assert merged["n_nodes"] == real["n_nodes"] + 1
         assert merged["monitor_cpu_seconds"]["total"] \
             == pytest.approx(real["monitor_cpu_seconds"]["total"])
         assert merged["monitor_cpu_seconds"]["busiest_node"] == "n0"

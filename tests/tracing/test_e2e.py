@@ -1,9 +1,9 @@
 """End-to-end tracing: 20-node scenario, determinism pins, CLI.
 
-The determinism tests are the contract the tentpole rests on: tracing
-is passive (a traced run is bit-identical to an untraced one) and the
-collector itself is reproducible (same seed -> same sampled span
-trees).
+The determinism tests pin that the collector is reproducible (same
+seed -> same sampled span trees); that tracing is passive (a traced
+run is bit-identical to an untraced one) is pinned for every
+instrument at once in ``tests/runtime/test_passivity.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.harness.tracecli import (main as trace_main,
 from repro.tracing import (TraceCollector, adaptation_audit,
                            latency_breakdown, to_chrome_trace)
 
-CHAOS = dict(nodes=50, duration=30.0, seed=11)
+CHAOS = dict(nodes=16, duration=30.0, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +29,11 @@ def scenario20() -> TraceCollector:
 
 
 @pytest.fixture(scope="module")
-def chaos_pair():
-    """The same 50-node chaos run, untraced and traced."""
-    plain = chaos_recovery(**CHAOS)
+def chaos_tracer():
+    """The collector of a traced chaos run."""
     tracer = TraceCollector(seed=CHAOS["seed"], max_traces=16384)
-    traced = chaos_recovery(**CHAOS, tracer=tracer)
-    return plain, traced, tracer
+    chaos_recovery(**CHAOS, tracer=tracer)
+    return tracer
 
 
 class TestScenario:
@@ -79,13 +78,6 @@ class TestScenario:
 
 
 class TestDeterminism:
-    def test_tracing_is_passive(self, chaos_pair):
-        """Seeded 50-node run: identical with tracing on vs off."""
-        plain, traced, _ = chaos_pair
-        assert plain.trace == traced.trace
-        assert plain.recovery_time == traced.recovery_time
-        assert plain.rejoin_time == traced.rejoin_time
-
     def test_same_seed_same_span_trees(self):
         a = run_trace_scenario(nodes=10, seed=5, duration=12.0)
         b = run_trace_scenario(nodes=10, seed=5, duration=12.0)
@@ -103,10 +95,10 @@ class TestDeterminism:
 
 
 class TestDropAccounting:
-    def test_faults_annotate_spans(self, chaos_pair):
+    def test_faults_annotate_spans(self, chaos_tracer):
         """Loss / partition / crash surface as dropped spans carrying
         the fault kind — satellite 2."""
-        _, _, tracer = chaos_pair
+        tracer = chaos_tracer
         dropped = [span for tree in tracer.trees()
                    for span in tree.spans if span.status == "dropped"]
         assert dropped
