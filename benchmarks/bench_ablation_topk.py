@@ -17,36 +17,26 @@ Four variants of the same cluster:
 * ``topk``      — a ``topk_filter(5, "cpu")`` E-code filter scoped to
                   the proc module on every publisher.
 
-The report records per-variant event/record volume and the monitoring
-system's own CPU account; the script exits non-zero unless top-K cuts
-record volume by >= 5x and monitor CPU measurably below the baseline.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_ablation_topk.py \
-        --nodes 1000 --duration 30 --output BENCH_ablation_topk.json
+The test asserts the point of the subsystem: top-K cuts record volume
+by >= 5x and monitor CPU measurably below the baseline, while the
+scalar-only knobs leave the keyed stream untouched.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.dproc import DMonConfig, topk_source  # noqa: E402
-from repro.dproc.params import ChangeThreshold  # noqa: E402
-from repro.dproc.toolkit import Dproc  # noqa: E402
-from repro.kecho import KechoBus  # noqa: E402
-from repro.sim import Environment, build_cluster  # noqa: E402
-from repro.telemetry import overhead_summary  # noqa: E402
+from repro.dproc import DMonConfig, topk_source
+from repro.dproc.params import ChangeThreshold
+from repro.dproc.toolkit import Dproc
+from repro.kecho import KechoBus
+from repro.sim import Environment, build_cluster
+from repro.telemetry import overhead_summary
 
 MODULES = ("cpu", "mem", "proc")
-#: Report format version: 2 added ``schema_version`` and the
-#: per-variant ``health`` SLO section.
-SCHEMA_VERSION = 2
+NODES = 64
+DURATION = 10.0
+POLL = 1.0
+N_PROCS = 24
+WATCHERS = 4
 K = 5
 PERIOD_STRETCH = 4.0
 THRESHOLD_PCT = 15.0
@@ -55,33 +45,32 @@ THRESHOLD_PCT = 15.0
 MIN_VOLUME_REDUCTION = 5.0
 
 
-def build(n: int, poll: float, n_procs: int, watchers: int):
+def build():
     env = Environment()
-    cluster = build_cluster(env, nodes=n, seed=7)
+    cluster = build_cluster(env, nodes=NODES, seed=7)
     bus = KechoBus()
     names = cluster.names
-    watcher_set = set(names[:watchers])
+    watchers = set(names[:WATCHERS])
     dprocs = {}
     for name in names:
-        cfg = DMonConfig(poll_interval=poll,
-                         subscribe_monitoring=name in watcher_set,
+        cfg = DMonConfig(poll_interval=POLL,
+                         subscribe_monitoring=name in watchers,
                          trace_max_samples=1024)
         dprocs[name] = Dproc(cluster[name], bus, cfg, MODULES)
-        dprocs[name].dmon.modules["proc"].configure("nprocs", n_procs)
-    for name in watcher_set:
+        dprocs[name].dmon.modules["proc"].configure("nprocs", N_PROCS)
+    for name in watchers:
         for host in names:
             dprocs[name].add_cluster_node(host)
     return env, cluster, dprocs
 
 
-def run_variant(variant: str, n: int, duration: float, poll: float,
-                n_procs: int, watchers: int) -> dict:
-    env, cluster, dprocs = build(n, poll, n_procs, watchers)
+def run_variant(variant: str) -> dict:
+    env, cluster, dprocs = build()
     for dproc in dprocs.values():
         dmon = dproc.dmon
         if variant == "period":
             for policy in dmon.policies.values():
-                policy.set_period(poll * PERIOD_STRETCH)
+                policy.set_period(POLL * PERIOD_STRETCH)
         elif variant == "threshold":
             for policy in dmon.policies.values():
                 policy.add_threshold(ChangeThreshold(THRESHOLD_PCT))
@@ -89,101 +78,38 @@ def run_variant(variant: str, n: int, duration: float, poll: float,
             dmon.filters.deploy(topk_source(K, "cpu"), scope="proc",
                                 filter_id="topk")
         dproc.start()
-
-    t0 = time.perf_counter()
-    env.run(until=duration)
-    wall = time.perf_counter() - t0
-    for node in (cluster[name] for name in cluster.names):
-        node.cpu.settle()
-
+    env.run(until=DURATION)
+    for name in cluster.names:
+        cluster[name].cpu.settle()
     overhead = overhead_summary(
         {name: cluster[name].telemetry for name in cluster.names},
-        sim_seconds=duration)
-    from repro.obs import health_section_from_overhead
+        sim_seconds=DURATION)
     return {
-        "variant": variant,
-        "wall_seconds": round(wall, 3),
-        "events_published": overhead["events_published"],
-        "records_published": overhead["records_published"],
-        "monitor_cpu_seconds": overhead["monitor_cpu_seconds"]["total"],
-        "health": health_section_from_overhead(overhead),
+        "events": overhead["events_published"],
+        "records": overhead["records_published"],
+        "monitor_cpu": overhead["monitor_cpu_seconds"]["total"],
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--nodes", type=int, default=1000)
-    parser.add_argument("--duration", type=float, default=30.0)
-    parser.add_argument("--poll", type=float, default=1.0)
-    parser.add_argument("--n-procs", type=int, default=24)
-    parser.add_argument("--watchers", type=int, default=4)
-    parser.add_argument("--output", type=Path, default=None)
-    args = parser.parse_args(argv)
+def test_topk_compresses_the_keyed_stream(benchmark):
+    variants = ("full", "period", "threshold", "topk")
+    results = benchmark.pedantic(
+        lambda: {v: run_variant(v) for v in variants},
+        rounds=1, iterations=1)
+    print()
+    print(f"== ablation: top-K source filtering ({NODES} nodes) ==")
+    print(f"  {'variant':<10} {'events':>9} {'records':>10} "
+          f"{'monitor CPU (s)':>15}")
+    for v in variants:
+        r = results[v]
+        print(f"  {v:<10} {r['events']:9.0f} {r['records']:10.0f} "
+              f"{r['monitor_cpu']:15.3f}")
+    full, topk = results["full"], results["topk"]
 
-    variants = []
-    for variant in ("full", "period", "threshold", "topk"):
-        record = run_variant(variant, args.nodes, args.duration,
-                             args.poll, args.n_procs, args.watchers)
-        variants.append(record)
-        print(f"  {variant:10s} events={record['events_published']:>9.0f}"
-              f" records={record['records_published']:>10.0f}"
-              f" monitor_cpu={record['monitor_cpu_seconds']:.3f}s"
-              f" (wall {record['wall_seconds']:.1f}s)")
-
-    by_name = {r["variant"]: r for r in variants}
-    full, topk = by_name["full"], by_name["topk"]
-    volume_reduction = (full["records_published"]
-                        / max(topk["records_published"], 1.0))
-    cpu_reduction = (full["monitor_cpu_seconds"]
-                     - topk["monitor_cpu_seconds"])
-    from repro.harness.benchreport import BenchReport
-    report = BenchReport(
-        "ablation_topk", schema_version=SCHEMA_VERSION,
-        results_key="variants",
-        config={
-            "n_nodes": args.nodes,
-            "sim_seconds": args.duration,
-            "poll_interval": args.poll,
-            "n_procs": args.n_procs,
-            "n_watchers": args.watchers,
-            "modules": list(MODULES),
-            "k": K,
-            "period_stretch": PERIOD_STRETCH,
-            "threshold_pct": THRESHOLD_PCT,
-        })
-    report.extend(variants)
-    report.tail(reduction={
-        "record_volume_factor": round(volume_reduction, 2),
-        "monitor_cpu_seconds_saved": round(cpu_reduction, 4),
-        "monitor_cpu_factor": round(
-            full["monitor_cpu_seconds"]
-            / max(topk["monitor_cpu_seconds"], 1e-12), 3),
-    })
-    print(f"  top-K vs full: {volume_reduction:.1f}x fewer records, "
-          f"{cpu_reduction:.3f}s monitor CPU saved")
-    if args.output:
-        report.write(args.output, indent=1)
-        print(f"  wrote {args.output}")
-
-    # Acceptance gates: the point of the subsystem.
-    if volume_reduction < MIN_VOLUME_REDUCTION:
-        print(f"FAIL: record-volume reduction {volume_reduction:.2f}x "
-              f"< {MIN_VOLUME_REDUCTION}x", file=sys.stderr)
-        return 1
-    if cpu_reduction <= 0:
-        print("FAIL: top-K did not reduce monitor CPU",
-              file=sys.stderr)
-        return 1
+    assert full["records"] / max(topk["records"], 1.0) \
+        >= MIN_VOLUME_REDUCTION
+    assert topk["monitor_cpu"] < full["monitor_cpu"]
     # The scalar-only knobs must leave the keyed stream untouched —
     # the asymmetry that motivates sketch filtering at the source.
     for scalar_knob in ("period", "threshold"):
-        if by_name[scalar_knob]["records_published"] \
-                <= topk["records_published"]:
-            print(f"FAIL: {scalar_knob} unexpectedly beat top-K",
-                  file=sys.stderr)
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        assert results[scalar_knob]["records"] > topk["records"]

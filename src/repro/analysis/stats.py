@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from repro.harness.experiment import ExperimentResult, SeriesResult
+from repro.harness.experiment import FigureResult, SeriesResult
 
 __all__ = ["Summary", "summarize", "replicate", "truncate_warmup",
            "HistogramResult", "histogram"]
@@ -151,12 +151,12 @@ def histogram(samples: Sequence[float], bins: int = 10,
         mean=mean, min=low, max=high)
 
 
-def replicate(experiment: Callable[[int], ExperimentResult],
+def replicate(experiment: Callable[[int], FigureResult],
               seeds: Sequence[int],
-              confidence: float = 0.95) -> ExperimentResult:
+              confidence: float = 0.95) -> FigureResult:
     """Run ``experiment(seed)`` for every seed and aggregate.
 
-    Returns a new :class:`ExperimentResult` whose series carry the
+    Returns a new :class:`FigureResult` whose series carry the
     cross-seed *means*; per-point summaries (with confidence intervals)
     are attached as ``result.summaries[label][x]``.
     """
@@ -169,7 +169,7 @@ def replicate(experiment: Callable[[int], ExperimentResult],
                 [s.label for s in first.series]:
             raise ValueError("replications produced different series")
 
-    aggregated = ExperimentResult(
+    aggregated = FigureResult(
         experiment_id=first.experiment_id,
         title=f"{first.title} (mean of {len(runs)} seeds)",
         xlabel=first.xlabel, ylabel=first.ylabel,

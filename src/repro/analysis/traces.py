@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.harness.experiment import ExperimentResult, SeriesResult
+from repro.harness.experiment import FigureResult, SeriesResult
 from repro.runtime.series import TimeSeries
 
 __all__ = ["dump_result", "load_result", "result_to_json",
@@ -26,7 +26,7 @@ _FORMAT_VERSION = 1
 
 # --- experiment results (JSON) ---------------------------------------------------
 
-def result_to_json(result: ExperimentResult) -> str:
+def result_to_json(result: FigureResult) -> str:
     """Serialise an experiment result to a JSON document."""
     payload = {
         "format_version": _FORMAT_VERSION,
@@ -44,14 +44,14 @@ def result_to_json(result: ExperimentResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def result_from_json(text: str) -> ExperimentResult:
+def result_from_json(text: str) -> FigureResult:
     """Load an experiment result from its JSON form."""
     payload = json.loads(text)
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported result format version {version!r}")
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id=payload["experiment_id"],
         title=payload["title"],
         xlabel=payload["xlabel"],
@@ -63,7 +63,7 @@ def result_from_json(text: str) -> ExperimentResult:
     return result
 
 
-def dump_result(result: ExperimentResult,
+def dump_result(result: FigureResult,
                 path: Union[str, Path]) -> Path:
     """Write a result to ``path`` (created/overwritten); returns it."""
     path = Path(path)
@@ -71,7 +71,7 @@ def dump_result(result: ExperimentResult,
     return path
 
 
-def load_result(path: Union[str, Path]) -> ExperimentResult:
+def load_result(path: Union[str, Path]) -> FigureResult:
     """Read a result previously written by :func:`dump_result`."""
     return result_from_json(Path(path).read_text(encoding="utf-8"))
 

@@ -73,7 +73,7 @@ class ExperimentReport:
                   "decisions", "adaptations", "hosts_reporting")
 
     def to_record(self) -> dict:
-        """Flat BENCH-style record; ``variant`` is the identity key."""
+        """Flat JSON-ready record; ``variant`` is the identity key."""
         return {
             "variant": self.experiment,
             "policy": self.policy,

@@ -1,6 +1,6 @@
 """Benchmark harness: one experiment per evaluation figure."""
 
-from repro.harness.experiment import ExperimentResult, SeriesResult
+from repro.harness.experiment import FigureResult, SeriesResult
 from repro.harness.microbench import (fig4_cpu_perturbation,
                                       fig5_network_perturbation,
                                       fig6_submission_overhead,
@@ -12,18 +12,16 @@ from repro.harness.appbench import (SmartPointerRig,
                                     fig10_latency_vs_network,
                                     fig11_hybrid_monitors)
 from repro.harness.chaos import ChaosReport, chaos_recovery
-from repro.harness.profile import HotspotReport, profile_call
-from repro.harness.reporting import (EXPERIMENTS, ExperimentSpec,
+from repro.harness.reporting import (EXPERIMENTS, FigureSpec,
                                      run_all, run_experiment)
 
 __all__ = [
-    "ExperimentResult", "SeriesResult",
+    "FigureResult", "SeriesResult",
     "fig4_cpu_perturbation", "fig5_network_perturbation",
     "fig6_submission_overhead", "fig7_submission_overhead_large",
     "fig8_receive_overhead",
     "SmartPointerRig", "fig9a_latency_timeline", "fig9b_event_rate",
     "fig10_latency_vs_network", "fig11_hybrid_monitors",
-    "EXPERIMENTS", "ExperimentSpec", "run_all", "run_experiment",
+    "EXPERIMENTS", "FigureSpec", "run_all", "run_experiment",
     "ChaosReport", "chaos_recovery",
-    "HotspotReport", "profile_call",
 ]

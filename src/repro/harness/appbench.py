@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.api import Scenario
 from repro.dproc import DMonConfig
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import FigureResult
 from repro.sim import Environment, NodeConfig
 from repro.smartpointer import (AdaptationPolicy, ClientCapabilities,
                                 DynamicAdaptation, NoAdaptation,
@@ -72,8 +72,7 @@ class SmartPointerRig:
               seed: int = 0,
               shared_segment: bool = False,
               client_logs_to_disk: bool = False,
-              cpu_avg_period: float = 5.0,
-              tracer=None) -> "SmartPointerRig":
+              cpu_avg_period: float = 5.0) -> "SmartPointerRig":
         """Construct the two-node (plus iperf pair) experiment rig.
 
         The server is a quad-CPU machine; the client single-CPU (the
@@ -81,11 +80,6 @@ class SmartPointerRig:
         ``shared_segment`` all four hosts sit behind one 100 Mbps
         segment, reproducing "two different nodes sharing a link
         between the former two".
-
-        ``tracer`` (a :class:`repro.tracing.TraceCollector`) records
-        the rig's monitoring pipeline and adaptation decisions; each
-        rig needs its own collector (trace ids embed node names, which
-        repeat across rigs).
         """
         scenario = Scenario(
             nodes=4, seed=seed,
@@ -100,8 +94,6 @@ class SmartPointerRig:
                 for port in sc.nodes.fabric.hosts.values():
                     port.segment = seg
             scenario.with_cluster_setup(share_segment)
-        if tracer is not None:
-            scenario.with_tracing(tracer)
         scenario.build()
         env = scenario.env
         cluster = scenario.cluster
@@ -143,15 +135,9 @@ def cpu_experiment_policies() -> dict[str, Callable[[], AdaptationPolicy]]:
 def fig9a_latency_timeline(duration: float = 2000.0,
                            thread_interval: float = 200.0,
                            sample_every: float = 20.0,
-                           seed: int = 0,
-                           tracers=None) -> ExperimentResult:
-    """Figure 9(a): latency vs time as linpack threads start.
-
-    ``tracers`` maps policy label -> TraceCollector (one collector per
-    rig: the rigs reuse the same node names).  Missing labels run
-    untraced; the plotted numbers are identical either way.
-    """
-    result = ExperimentResult(
+                           seed: int = 0) -> FigureResult:
+    """Figure 9(a): latency vs time as linpack threads start."""
+    result = FigureResult(
         experiment_id="fig9a",
         title="SmartPointer latency under increasing CPU load",
         xlabel="time (s)", ylabel="propagation + processing time (s)",
@@ -160,8 +146,7 @@ def fig9a_latency_timeline(duration: float = 2000.0,
                     "~flat for the dynamic filter")
     for label, factory in cpu_experiment_policies().items():
         rig = SmartPointerRig.build(factory(), CPU_PROFILE, CPU_RATE,
-                                    seed=seed,
-                                    tracer=(tracers or {}).get(label))
+                                    seed=seed)
         env = rig.env
 
         def loader():
@@ -188,9 +173,9 @@ def fig9a_latency_timeline(duration: float = 2000.0,
 def fig9b_event_rate(threads: Iterable[int] = range(0, 10),
                      settle: float = 40.0,
                      measure: float = 60.0,
-                     seed: int = 0) -> ExperimentResult:
+                     seed: int = 0) -> FigureResult:
     """Figure 9(b): processed events/s vs number of linpack threads."""
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id="fig9b",
         title="SmartPointer event rate under CPU load",
         xlabel="linpack threads", ylabel="events/s",
@@ -227,9 +212,9 @@ def fig10_latency_vs_network(perturbations: Iterable[float] =
                              range(0, 100, 10),
                              settle: float = 30.0,
                              measure: float = 60.0,
-                             seed: int = 0) -> ExperimentResult:
+                             seed: int = 0) -> FigureResult:
     """Figure 10: latency vs Iperf perturbation on a shared link."""
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id="fig10",
         title="SmartPointer latency under network perturbation",
         xlabel="network perturbation (Mbps)", ylabel="latency (s)",
@@ -267,14 +252,14 @@ def hybrid_monitor_policies() -> dict[
 def fig11_hybrid_monitors(steps: Iterable[int] = range(1, 9),
                           settle: float = 30.0,
                           measure: float = 60.0,
-                          seed: int = 0) -> ExperimentResult:
+                          seed: int = 0) -> FigureResult:
     """Figure 11: combined perturbation, single- vs multi-resource.
 
     At step k the client runs k linpack threads and the shared link
     carries 10·k Mbps of Iperf UDP — the paper's x-axis
     "1 linpack, 10 Mbps" ... "8 linpack, 80 Mbps".
     """
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id="fig11",
         title="Latency with combined CPU+network perturbation",
         xlabel="perturbation step (k linpack, 10k Mbps)",

@@ -1,7 +1,7 @@
 """Terminal line charts for experiment results.
 
 The original figures are line plots; this renderer draws an
-:class:`~repro.harness.experiment.ExperimentResult` as a fixed-size
+:class:`~repro.harness.experiment.FigureResult` as a fixed-size
 character canvas so `python -m repro.harness --plot` can show the
 *shape* of each reproduced figure directly in the terminal, no plotting
 stack required.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from repro.harness.experiment import ExperimentResult, SeriesResult
+from repro.harness.experiment import FigureResult, SeriesResult
 
 __all__ = ["render_plot", "sparkline", "SERIES_GLYPHS",
            "SPARK_GLYPHS"]
@@ -83,7 +83,7 @@ def sparkline(values, width: int | None = None) -> str:
     return "".join(out)
 
 
-def render_plot(result: ExperimentResult, width: int = 64,
+def render_plot(result: FigureResult, width: int = 64,
                 height: int = 18, log_y: bool = False) -> str:
     """Render the experiment's series as an ASCII line chart."""
     if not result.series:

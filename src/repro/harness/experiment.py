@@ -1,6 +1,6 @@
 """Experiment result containers and table rendering.
 
-Every figure-reproduction function returns an :class:`ExperimentResult`
+Every figure-reproduction function returns a :class:`FigureResult`
 holding one or more labelled series plus the paper's qualitative
 expectation, and can render itself as the fixed-width table the
 benchmark harness prints (the "same rows/series the paper reports").
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-__all__ = ["SeriesResult", "ExperimentResult"]
+__all__ = ["SeriesResult", "FigureResult"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SeriesResult:
 
 
 @dataclass
-class ExperimentResult:
+class FigureResult:
     """All series of one reproduced figure."""
 
     experiment_id: str          #: e.g. "fig4"

@@ -3,9 +3,9 @@
 Runs the paper's Figs. 12-14 experiment list — baseline, static
 allocation, dynamic threshold adaptation, multi-resource rules — via
 :func:`repro.experiment.run_experiments` on the simulator (optionally
-sharded) or the live socket backend, and writes the results as
-``BENCH_experiment.json`` in the shared BENCH envelope (so
-``benchmarks/bench_diff.py`` can gate it against a baseline).
+sharded) or the live socket backend, and writes the results as one
+JSON document: ``config``, then one ``results`` record per experiment
+(``variant`` is its identity) carrying the SLO ``health`` section.
 
 With ``--ab`` it additionally runs a live batching A/B at a short poll
 interval: the same cluster with and without frame coalescing, at equal
@@ -20,19 +20,11 @@ import sys
 from pathlib import Path
 
 from repro.experiment import run_experiments, standard_experiments
+from repro.obs import health_section_from_overhead
 
 #: Default A/B poll interval: short enough that several monitor frames
 #: head to the same destination within one batch window.
 AB_POLL = 0.25
-
-
-def _health_overhead(record: dict) -> dict:
-    """Just enough of an overhead summary for the SLO checks."""
-    return {
-        "cpu_fraction_of_node_time":
-            record["cpu_fraction_of_node_time"],
-        "events_published": record["events_published"],
-    }
 
 
 def _run_live(nodes: int, duration: float, seed: int, poll: float,
@@ -91,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness experiment",
         description="Run the declarative Experiment/Policy sweep "
-                    "(Figs. 12-14) and write BENCH_experiment.json.")
+                    "(Figs. 12-14) and write experiment.json.")
     parser.add_argument("--backend", choices=("sim", "live"),
                         default="sim",
                         help="where to run the sweep (default sim)")
@@ -124,9 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ab-poll", type=float, default=AB_POLL,
                         help=f"A/B poll interval (default {AB_POLL})")
     parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_experiment.json"),
+                        default=Path("experiment.json"),
                         help="report path "
-                             "(default ./BENCH_experiment.json)")
+                             "(default ./experiment.json)")
     parser.add_argument("--json", action="store_true",
                         help="print the full payload as JSON")
     args = parser.parse_args(argv)
@@ -161,17 +153,20 @@ def main(argv: list[str] | None = None) -> int:
               f"{rep.monitor_receives:>8.0f} "
               f"{rep.monitor_cpu_seconds:>11.4f}")
 
-    from repro.harness.benchreport import BenchReport
-    report = BenchReport(
-        "experiment",
-        config={"backend": args.backend, "n_nodes": args.nodes,
-                "duration": args.duration, "seed": args.seed,
-                "workers": args.workers,
-                "stretch_period": args.stretch,
-                "event_budget": args.event_budget})
-    for rep in reports:
-        record = rep.to_record()
-        report.add(record, overhead=_health_overhead(record))
+    records = [rep.to_record() for rep in reports]
+    for record in records:
+        # A record carries the two overhead fields the SLO checks read.
+        record["health"] = health_section_from_overhead(record)
+    payload = {
+        "benchmark": "experiment",
+        "schema_version": 2,
+        "config": {"backend": args.backend, "n_nodes": args.nodes,
+                   "duration": args.duration, "seed": args.seed,
+                   "workers": args.workers,
+                   "stretch_period": args.stretch,
+                   "event_budget": args.event_budget},
+        "results": records,
+    }
 
     failed = False
     if args.ab:
@@ -179,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{args.ab_poll:g}s, {args.ab_duration:g}s per arm ==")
         ab = batching_ab(args.ab_nodes, args.ab_duration, args.seed,
                          poll=args.ab_poll)
-        report.tail(batching_ab=ab)
+        payload["batching_ab"] = ab
         print(f"  unbatched: {ab['unbatched']['wire_frames']:.0f} "
               f"wire writes for {ab['unbatched']['frames']:.0f} "
               f"frames")
@@ -194,10 +189,11 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             failed = True
 
-    report.write(args.output)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")
     if args.json:
-        print(json.dumps(report.payload(), indent=2))
+        print(json.dumps(payload, indent=2))
     return 1 if failed else 0
 
 

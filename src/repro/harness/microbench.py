@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from repro.api import Scenario
 from repro.dproc import DMonConfig, MetricId
 from repro.dproc.params import ChangeThreshold
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import FigureResult
 from repro.units import KB, to_usec
 from repro.workloads import AmbientActivity, IperfMeasure, Linpack
 
@@ -30,14 +30,14 @@ from repro.workloads import AmbientActivity, IperfMeasure, Linpack
 AMBIENT_INTENSITY = 0.25
 
 __all__ = [
-    "MICROBENCH_METRICS", "CONFIG_LABELS",
+    "MICRO_METRICS", "CONFIG_LABELS",
     "fig4_cpu_perturbation", "fig5_network_perturbation",
     "fig6_submission_overhead", "fig7_submission_overhead_large",
     "fig8_receive_overhead",
 ]
 
 #: The four monitored quantities of the microbenchmarks (≈88 B events).
-MICROBENCH_METRICS = frozenset({
+MICRO_METRICS = frozenset({
     MetricId.LOADAVG, MetricId.FREEMEM, MetricId.DISKUSAGE,
     MetricId.NET_BANDWIDTH,
 })
@@ -66,7 +66,7 @@ def _scenario(monitored: int, mode: str, seed: int,
     scenario = Scenario(
         nodes=max(monitored, min_nodes), seed=seed,
         dmon=DMonConfig(poll_interval=1.0,
-                        metric_subset=MICROBENCH_METRICS,
+                        metric_subset=MICRO_METRICS,
                         payload_padding=padding),
         modules=("cpu", "mem", "disk", "net"),
         monitor_hosts=monitored)
@@ -85,9 +85,9 @@ _MODES = {"update period=1s": "period1",
 
 def fig4_cpu_perturbation(nodes: Iterable[int] = range(0, 9),
                           duration: float = 60.0,
-                          seed: int = 0) -> ExperimentResult:
+                          seed: int = 0) -> FigureResult:
     """Figure 4: linpack MFLOPS on node0 vs number of dproc nodes."""
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id="fig4",
         title="CPU perturbation analysis (linpack)",
         xlabel="nodes", ylabel="available CPU (Mflops)",
@@ -108,9 +108,9 @@ def fig4_cpu_perturbation(nodes: Iterable[int] = range(0, 9),
 
 def fig5_network_perturbation(nodes: Iterable[int] = range(0, 9),
                               duration: float = 60.0,
-                              seed: int = 0) -> ExperimentResult:
+                              seed: int = 0) -> FigureResult:
     """Figure 5: Iperf available bandwidth vs number of dproc nodes."""
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id="fig5",
         title="Network perturbation analysis (Iperf UDP)",
         xlabel="nodes", ylabel="available bandwidth (Mbps)",
@@ -135,8 +135,8 @@ def _submission_overhead(nodes: Sequence[int], duration: float,
                          seed: int, padding: float,
                          experiment_id: str,
                          title: str,
-                         expectation: str) -> ExperimentResult:
-    result = ExperimentResult(
+                         expectation: str) -> FigureResult:
+    result = FigureResult(
         experiment_id=experiment_id, title=title,
         xlabel="nodes", ylabel="submission overhead (usec/iteration)",
         expectation=expectation)
@@ -154,7 +154,7 @@ def _submission_overhead(nodes: Sequence[int], duration: float,
 
 def fig6_submission_overhead(nodes: Iterable[int] = range(1, 9),
                              duration: float = 100.0,
-                             seed: int = 0) -> ExperimentResult:
+                             seed: int = 0) -> FigureResult:
     """Figure 6: event submission overhead per polling iteration.
 
     "The overhead is calculated by timing 100 polling iterations and
@@ -172,7 +172,7 @@ def fig6_submission_overhead(nodes: Iterable[int] = range(1, 9),
 
 def fig7_submission_overhead_large(nodes: Iterable[int] = range(1, 9),
                                    duration: float = 100.0,
-                                   seed: int = 0) -> ExperimentResult:
+                                   seed: int = 0) -> FigureResult:
     """Figure 7: the same with ~5 KB monitoring events."""
     return _submission_overhead(
         list(nodes), duration, seed, padding=KB(5) - 88.0,
@@ -184,9 +184,9 @@ def fig7_submission_overhead_large(nodes: Iterable[int] = range(1, 9),
 
 def fig8_receive_overhead(nodes: Iterable[int] = range(1, 9),
                           duration: float = 100.0,
-                          seed: int = 0) -> ExperimentResult:
+                          seed: int = 0) -> FigureResult:
     """Figure 8: overhead of handling incoming events per iteration."""
-    result = ExperimentResult(
+    result = FigureResult(
         experiment_id="fig8",
         title="Overhead in receiving incoming events",
         xlabel="nodes", ylabel="receive overhead (usec/iteration)",

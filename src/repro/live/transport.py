@@ -41,7 +41,7 @@ from repro.errors import ChannelError, TransportError
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import (FrameDecoder, decode_frame, encode_batch,
                               encode_frame)
-from repro.runtime.series import CounterTrace
+from repro.runtime.series import TRANSPORT_HISTORY, CounterTrace
 
 __all__ = ["LiveStack", "LiveConnection", "LiveCompletion",
            "BatchConfig", "FlowConfig"]
@@ -336,8 +336,10 @@ class LiveStack:
         self.flow_config = flow if flow is not None else FlowConfig()
         self._links: dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self.bytes_in = CounterTrace(f"{host}:rx-bytes")
-        self.bytes_out = CounterTrace(f"{host}:tx-bytes")
+        self.bytes_in = CounterTrace(f"{host}:rx-bytes",
+                                     TRANSPORT_HISTORY)
+        self.bytes_out = CounterTrace(f"{host}:tx-bytes",
+                                      TRANSPORT_HISTORY)
         self._t_tx = telemetry.counter("net.tx_frame_bytes")
         self._t_rx = telemetry.counter("net.rx_frame_bytes")
         self._t_undeliverable = telemetry.counter("net.undeliverable")

@@ -343,12 +343,12 @@ def attribute_transitions(transitions: Iterable[HealthTransition],
 def health_section_from_overhead(overhead: Optional[dict],
                                  cpu_fraction_slo: float = 0.05
                                  ) -> dict:
-    """The ``health`` section every ``BENCH_*.json`` writer embeds.
+    """The ``health`` section a run report embeds.
 
     A compact SLO readout over the run's overhead summary: the
     monitor's CPU burn against the 5 % budget, and the fault-plane
-    drop count for context.  Benchmarks that never produced an
-    overhead summary report an ``unknown`` verdict rather than
+    drop count for context.  A run that never produced an
+    overhead summary reports an ``unknown`` verdict rather than
     guessing.
     """
     if not overhead:

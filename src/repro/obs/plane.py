@@ -146,20 +146,6 @@ class ObservabilityPlane:
                                   planned)
         return scalars, hists
 
-    def prepare(self, nodes) -> int:
-        """Pre-resolve sampling plans for every current instrument.
-
-        Optional — the sampler builds plans on its first tick anyway.
-        Calling it at deploy time (after the monitored processes have
-        registered their instruments) moves series allocation out of
-        the measured run, so the first in-run tick is a pure observe
-        pass; the throughput bench does this at n=1000.  Purely a
-        read of the registries.  Returns the planned instrument
-        count.
-        """
-        return sum(len(scalars) + len(hists) for scalars, hists in
-                   (self._node_plan(node) for node in nodes))
-
     def sample(self, nodes, now: float) -> None:
         """Snapshot every node's registry into the TSDB at ``now``."""
         t_start = time.perf_counter()

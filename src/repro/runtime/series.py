@@ -36,7 +36,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-__all__ = ["TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad"]
+__all__ = ["TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad",
+           "TRANSPORT_HISTORY"]
+
+#: ``max_samples`` of every per-message transport trace (connection
+#: bytes/delays/RTTs, per-stack rx/tx bytes, sim and live).  Their
+#: readers want ``last()``, ``total`` and ``rate(now, window)``, which
+#: stay exact while one window holds fewer messages than this.
+TRANSPORT_HISTORY = 8192
 
 
 class TimeSeries:

@@ -92,10 +92,6 @@ class NodeConfig:
     memory_bytes: float = MB(512)
     disk_rate: float = MB(20)
     costs: KernelCostModel = field(default_factory=KernelCostModel)
-    #: Collect self-telemetry (counters/histograms/spans) on this node.
-    #: Purely observational — event scheduling, RNG draws and kernel
-    #: cost accounting are identical either way.
-    telemetry: bool = True
 
     def with_cpus(self, n_cpus: int) -> "NodeConfig":
         """Convenience for heterogeneous clusters."""
@@ -113,8 +109,7 @@ class Node:
         self.name = name
         self.config = config or NodeConfig()
         self.rng = rng
-        self.telemetry = TelemetryRegistry(
-            scope=name, enabled=self.config.telemetry)
+        self.telemetry = TelemetryRegistry(scope=name)
         self.cpu = CPU(env, n_cpus=self.config.n_cpus,
                        mflops_per_cpu=self.config.mflops_per_cpu)
         self.memory = Memory(env, capacity_bytes=self.config.memory_bytes)

@@ -22,7 +22,8 @@ import numpy as np
 from repro.errors import TransportError
 from repro.sim.core import Environment, SimEvent
 from repro.sim.network import Fabric
-from repro.runtime.series import CounterTrace, TimeSeries
+from repro.runtime.series import (TRANSPORT_HISTORY, CounterTrace,
+                                  TimeSeries)
 from repro.telemetry import TelemetryRegistry
 from repro.tracing.collector import NULL_TRACER
 
@@ -73,12 +74,13 @@ class Connection:
         self.proto = proto
         self.closed = False
         # statistics ----------------------------------------------------
-        self.bytes_sent = CounterTrace(f"{self.src}->{dst}:bytes")
-        self.bytes_delivered = CounterTrace(f"{self.src}->{dst}:delivered")
-        self.retransmissions = CounterTrace(f"{self.src}->{dst}:retx")
-        self.losses = CounterTrace(f"{self.src}->{dst}:loss")
-        self.delays = TimeSeries(f"{self.src}->{dst}:delay")
-        self.rtt = TimeSeries(f"{self.src}->{dst}:rtt")
+        link, bound = f"{self.src}->{dst}", TRANSPORT_HISTORY
+        self.bytes_sent = CounterTrace(f"{link}:bytes", bound)
+        self.bytes_delivered = CounterTrace(f"{link}:delivered", bound)
+        self.retransmissions = CounterTrace(f"{link}:retx", bound)
+        self.losses = CounterTrace(f"{link}:loss", bound)
+        self.delays = TimeSeries(f"{link}:delay", bound)
+        self.rtt = TimeSeries(f"{link}:rtt", bound)
 
     def send(self, payload: Any, size: float) -> SimEvent:
         """Send one message; event succeeds with the delivered Message.
@@ -86,9 +88,7 @@ class Connection:
         For UDP, a dropped message *fails* the event with
         :class:`TransportError` after the would-be delivery time.
         """
-        if self.closed:
-            raise TransportError("send on closed connection")
-        return self.stack._send(self, payload, size)
+        return self.stack.send_many([self], payload, size)[0]
 
     def used_bandwidth(self, window: float = 1.0) -> float:
         """Recent sending rate in bytes/s."""
@@ -120,11 +120,10 @@ class NetStack:
         self.fabric = fabric
         fabric.stacks[host] = self
         self.rng = rng
-        # Self-telemetry (hot path: instruments bound once here).
-        # Explicit None check: a registry with no instruments yet has
-        # len() == 0 and would read as falsy.
+        # Self-telemetry (hot path: instruments bound once here); a
+        # bare stack counts into a registry of its own.
         if telemetry is None:
-            telemetry = TelemetryRegistry(enabled=False)
+            telemetry = TelemetryRegistry(scope=host)
         self._t_in_flight = telemetry.gauge("net.in_flight")
         self._t_delivered = telemetry.counter("net.delivered")
         self._t_drops_fault = telemetry.counter("net.drops_fault")
@@ -140,8 +139,10 @@ class NetStack:
         self.tracer = NULL_TRACER
         self.handlers: dict[str, Callable[[Message], None]] = {}
         self.connections: list[Connection] = []
-        self.bytes_in = CounterTrace(f"{host}:rx-bytes")
-        self.bytes_out = CounterTrace(f"{host}:tx-bytes")
+        self.bytes_in = CounterTrace(f"{host}:rx-bytes",
+                                     TRANSPORT_HISTORY)
+        self.bytes_out = CounterTrace(f"{host}:tx-bytes",
+                                      TRANSPORT_HISTORY)
         #: Off-fabric route provider (a shard conduit).  When set,
         #: ``connect`` falls through to it for hosts the local fabric
         #: does not know — how cross-shard destinations stay reachable
@@ -183,80 +184,14 @@ class NetStack:
 
     # -- data path -----------------------------------------------------------
 
-    def _send(self, conn: Connection, payload: Any,
-              size: float) -> SimEvent:
-        if size <= 0:
-            raise TransportError("message size must be positive")
-        now = self.env.now
-        msg = Message(mid=next(_msg_ids), src=self.host, dst=conn.dst,
-                      tag=conn.tag, payload=payload, size=float(size),
-                      sent_at=now, proto=conn.proto)
-        # Open the causal hop span before any fault check, so dropped
-        # messages leave an annotated failed span behind (duck-typed:
-        # any payload carrying a ``trace`` context gets a hop span).
-        trace = getattr(payload, "trace", None)
-        if trace is not None:
-            msg.span = self.tracer.start_span(
-                trace, name=f"hop:{self.host}->{conn.dst}",
-                stage="transport", node=self.host, start=now,
-                dst=conn.dst, proto=conn.proto, size=float(size))
-        conn.bytes_sent.add(now, size)
-        self.bytes_out.add(now, size)
-
-        # Injected faults are checked before protocol effects: a message
-        # into a partition or onto a lossy link never reaches the wire.
-        faults = self.fabric.faults
-        if faults is not None:
-            if faults.blocked(self.host, conn.dst):
-                self._t_drops_fault.inc()
-                return self._drop(msg, conn, "path blocked",
-                                  fault=faults.blocked_reason(
-                                      self.host, conn.dst))
-            p = faults.loss_probability(
-                self.host, conn.dst, self.fabric.path(self.host, conn.dst))
-            # Draw from the sender's seeded stream only when a loss rule
-            # applies, so fault-free runs stay bit-identical.
-            if p > 0.0 and self.rng.random() < p:
-                self._t_drops_fault.inc()
-                return self._drop(msg, conn, "injected loss")
-
-        congestion = self._path_congestion(conn.dst)
-        if conn.proto == Protocol.UDP:
-            p_loss = min(0.9, max(0.0, congestion - 0.9) * 5.0)
-            if self.rng.random() < p_loss:
-                self._t_drops_congestion.inc()
-                return self._drop(msg, conn, "congestion")
-        else:
-            # TCP: congestion manifests as retransmissions once the
-            # path nears saturation.
-            mean_retx = max(0.0, congestion - 0.9) * 3.0
-            msg.retransmissions = int(self.rng.poisson(mean_retx))
-            if msg.retransmissions:
-                conn.retransmissions.add(now, msg.retransmissions)
-                self._t_retx.inc(msg.retransmissions)
-                if msg.span is not None:
-                    msg.span.annotate(
-                        retransmissions=msg.retransmissions)
-
-        effective = size * (1 + msg.retransmissions)
-        handle = self.fabric.transfer(self.host, conn.dst, effective,
-                                      name=f"{conn.tag}:{msg.mid}")
-        self._t_in_flight.adjust(1)
-        done = self.env.event()
-        handle.done.add_callback(
-            lambda _ev, m=msg, c=conn, d=done: self._delivered(m, c, d))
-        return done
-
     def send_many(self, conns: list, payload: Any,
                   size: float) -> list[SimEvent]:
-        """Fused fan-out: one payload over several connections.
+        """Send one payload over each connection, in order.
 
-        Operation-for-operation equivalent to calling
-        ``conn.send(payload, size)`` on each connection in order —
-        same message ids, RNG draw sequence, statistics arithmetic and
-        congestion probes — with the per-call dispatch and attribute
-        lookups hoisted out of the loop.  This is the KECho submit hot
-        path: at n=64 every poll fans one event out to 63 peers.
+        The only send body: ``Connection.send`` is a fan-out of one.
+        Attribute lookups are hoisted out of the loop because this is
+        the KECho submit hot path — at n=64 every poll fans one event
+        out to 63 peers.
         """
         if size <= 0:
             raise TransportError("message size must be positive")
@@ -293,6 +228,10 @@ class NetStack:
             msg = Message(mid=next(_msg_ids), src=host, dst=dst,
                           tag=conn.tag, payload=payload, size=size,
                           sent_at=now, proto=conn.proto)
+            # Open the causal hop span before any fault check, so
+            # dropped messages leave an annotated failed span behind
+            # (duck-typed: any payload carrying a ``trace`` context
+            # gets a hop span).
             if trace is not None:
                 msg.span = tracer.start_span(
                     trace, name=f"hop:{host}->{dst}",
@@ -300,6 +239,9 @@ class NetStack:
                     dst=dst, proto=conn.proto, size=size)
             conn.bytes_sent.add(now, size)
             bytes_out_add(now, size)
+            # Injected faults are checked before protocol effects: a
+            # message into a partition or onto a lossy link never
+            # reaches the wire.
             if faults is not None:
                 if faults.blocked(host, dst):
                     drops_fault_inc()
@@ -308,6 +250,9 @@ class NetStack:
                         fault=faults.blocked_reason(host, dst)))
                     continue
                 p = faults.loss_probability(host, dst, path(host, dst))
+                # Draw from the sender's seeded stream only when a
+                # loss rule applies, so fault-free runs stay
+                # bit-identical.
                 if p > 0.0 and rng_random() < p:
                     drops_fault_inc()
                     append(self._drop(msg, conn, "injected loss"))
@@ -320,6 +265,8 @@ class NetStack:
                     append(self._drop(msg, conn, "congestion"))
                     continue
             else:
+                # TCP: congestion manifests as retransmissions once
+                # the path nears saturation.
                 mean_retx = max(0.0, congestion - 0.9) * 3.0
                 msg.retransmissions = int(rng_poisson(mean_retx))
                 if msg.retransmissions:

@@ -135,12 +135,10 @@ def verify_stats(broker: StreamBroker, nodes: Iterable,
             check(f"{name} {base}.tx_bytes", txb[key],
                   telemetry.value(f"{base}.tx_bytes"))
             hist = telemetry.histogram(f"{base}.delivery_seconds")
-            count = getattr(hist, "count", None)
-            if count is not None:
-                check(f"{name} {base}.delivery_seconds.count",
-                      lat_n[key], int(count))
-                check(f"{name} {base}.delivery_seconds.total",
-                      lat_t[key], float(getattr(hist, "total", 0.0)))
+            check(f"{name} {base}.delivery_seconds.count",
+                  lat_n[key], hist.count)
+            check(f"{name} {base}.delivery_seconds.total",
+                  lat_t[key], hist.total)
         check(f"{name} dmon.events_published", mon_events[name],
               int(telemetry.value("dmon.events_published")))
         check(f"{name} dmon.records_published", mon_records[name],

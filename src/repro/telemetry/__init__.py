@@ -14,10 +14,8 @@ adaptation decisions.  This package is that introspection layer:
   ``/proc/cluster/<node>/dproc/...`` files and the ``overhead``
   section of the benchmark JSON reports.
 
-Instrumentation is passive (never schedules events, charges CPU, or
-draws randomness) so seeded traces are bit-identical with telemetry on
-or off; a registry created with ``enabled=False`` degenerates to
-shared no-op instruments.
+Instrumentation is passive: it never schedules events, charges CPU, or
+draws randomness.
 """
 
 from repro.telemetry.instruments import (Counter, Gauge, Histogram,

@@ -7,17 +7,11 @@ library, because the *monitoring system being measured is the product*):
   every timestamp is the caller-supplied simulation time.  Two seeded
   runs produce bit-identical snapshots.
 * **Passive.**  Recording never schedules simulator events, charges
-  CPU cost, or touches the network.  Instrumented hot paths behave
-  byte-for-byte the same with telemetry on or off; the telemetry layer
-  only *observes* costs other layers already compute.
+  CPU cost, or touches the network; the telemetry layer only
+  *observes* costs other layers already compute.
 * **Bounded.**  Histograms are fixed-size bucket arrays and span logs
   are bounded deques, so day-long large-cluster runs cannot grow
   telemetry state without bound.
-
-Disabled mode: the ``Null*`` singletons share each instrument's
-interface but drop every record, so a registry created with
-``enabled=False`` costs one attribute lookup and a no-op call per
-instrumentation site.
 """
 
 from __future__ import annotations
@@ -31,8 +25,7 @@ from typing import Optional, Sequence
 from repro.telemetry.ordering import check_interval, freeze_attrs
 
 __all__ = ["Counter", "Gauge", "Histogram", "Span", "SpanLog",
-           "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
-           "NULL_SPANLOG", "DEFAULT_LATENCY_BOUNDS"]
+           "DEFAULT_LATENCY_BOUNDS"]
 
 #: Default histogram bucket upper bounds (seconds): spans microseconds
 #: (kernel costs) through tens of seconds (WAN backoff), log-spaced.
@@ -235,83 +228,3 @@ class SpanLog:
         return {"type": "spans", "recorded": self.recorded,
                 "retained": len(self.spans),
                 "spans": [s.snapshot() for s in self.spans]}
-
-
-class _NullCounter:
-    """Shared no-op counter handed out by disabled registries."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    value = 0.0
-    updates = 0
-    mean = math.nan
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def snapshot(self) -> dict:  # pragma: no cover - never registered
-        return {"type": "counter", "value": 0.0, "updates": 0}
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "<disabled>"
-    value = 0.0
-    high = -math.inf
-    low = math.inf
-    updates = 0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def adjust(self, delta: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:  # pragma: no cover - never registered
-        return {"type": "gauge", "value": 0.0, "high": None,
-                "low": None, "updates": 0}
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "<disabled>"
-    bounds = DEFAULT_LATENCY_BOUNDS
-    count = 0
-    total = 0.0
-    mean = math.nan
-    nan_count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return math.nan
-
-    def snapshot(self) -> dict:  # pragma: no cover - never registered
-        return {"type": "histogram", "count": 0, "total": 0.0,
-                "mean": math.nan, "min": None, "max": None,
-                "nan_count": 0, "bounds": list(self.bounds),
-                "counts": [0] * (len(self.bounds) + 1)}
-
-
-class _NullSpanLog:
-    __slots__ = ()
-    name = "<disabled>"
-    recorded = 0
-
-    def record(self, name: str, start: float, end: float,
-               **attrs: object) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> dict:  # pragma: no cover - never registered
-        return {"type": "spans", "recorded": 0, "retained": 0,
-                "spans": []}
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-NULL_SPANLOG = _NullSpanLog()

@@ -12,10 +12,6 @@ same name always returns the same instrument (asking for a different
 kind under an existing name is a :class:`~repro.errors.TelemetryError`),
 so instrumentation sites can bind eagerly at construction or lazily at
 first use and still share state.
-
-A registry created with ``enabled=False`` hands out shared null
-instruments: every record call is a no-op, nothing is retained, and
-``snapshot()`` is empty — the near-zero-cost off switch.
 """
 
 from __future__ import annotations
@@ -23,9 +19,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.errors import TelemetryError
-from repro.telemetry.instruments import (NULL_COUNTER, NULL_GAUGE,
-                                         NULL_HISTOGRAM, NULL_SPANLOG,
-                                         Counter, Gauge, Histogram,
+from repro.telemetry.instruments import (Counter, Gauge, Histogram,
                                          SpanLog)
 
 __all__ = ["TelemetryRegistry"]
@@ -36,12 +30,10 @@ Instrument = Union[Counter, Gauge, Histogram, SpanLog]
 class TelemetryRegistry:
     """Named instruments for one scope (usually one node)."""
 
-    __slots__ = ("scope", "enabled", "max_spans", "_instruments")
+    __slots__ = ("scope", "max_spans", "_instruments")
 
-    def __init__(self, scope: str = "", enabled: bool = True,
-                 max_spans: int = 256) -> None:
+    def __init__(self, scope: str = "", max_spans: int = 256) -> None:
         self.scope = scope
-        self.enabled = bool(enabled)
         self.max_spans = max_spans
         self._instruments: dict[str, Instrument] = {}
 
@@ -49,14 +41,10 @@ class TelemetryRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter called ``name``."""
-        if not self.enabled:
-            return NULL_COUNTER
         return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge called ``name``."""
-        if not self.enabled:
-            return NULL_GAUGE
         return self._get(name, Gauge)
 
     def histogram(self, name: str,
@@ -66,8 +54,6 @@ class TelemetryRegistry:
         ``bounds`` applies only on first creation; later callers share
         the existing bucket layout.
         """
-        if not self.enabled:
-            return NULL_HISTOGRAM
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, Histogram):
@@ -81,8 +67,6 @@ class TelemetryRegistry:
 
     def spans(self, name: str) -> SpanLog:
         """Get or create the span log called ``name``."""
-        if not self.enabled:
-            return NULL_SPANLOG
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, SpanLog):
@@ -171,6 +155,5 @@ class TelemetryRegistry:
                f"{name}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
-        return (f"<TelemetryRegistry {self.scope or '?'} {state} "
+        return (f"<TelemetryRegistry {self.scope or '?'} "
                 f"{len(self._instruments)} instruments>")

@@ -1,13 +1,13 @@
-"""Telemetry rendering: text for procfs, JSON for benchmark reports.
+"""Telemetry rendering: text for procfs, JSON for run reports.
 
 Two consumers share this module:
 
 * the dproc procfs files (``/proc/cluster/<node>/dproc/...``) render a
   registry (or a prefix of it) as stable ``key: value`` text;
-* the benchmarks render a whole cluster's registries into the
-  ``overhead`` section of their ``BENCH_*.json`` — the paper's
-  monitoring-perturbation measurement, produced by the monitoring
-  system about itself.
+* run reports (``Scenario.overhead()``, the chaos and experiment
+  reports, ``perf/``) render a whole cluster's registries into one
+  ``overhead`` summary — the paper's monitoring-perturbation
+  measurement, produced by the monitoring system about itself.
 
 Everything here is read-only over registry snapshots; rendering a
 report never mutates telemetry state.
@@ -86,7 +86,7 @@ def _total(registries: Mapping[str, TelemetryRegistry],
 
 def overhead_summary(registries: Mapping[str, TelemetryRegistry],
                      sim_seconds: float) -> dict:
-    """Cluster-wide monitoring-overhead section for ``BENCH_*.json``.
+    """Cluster-wide monitoring-overhead summary of one run.
 
     ``registries`` maps node name → that node's telemetry registry —
     local nodes' own, and for hosts that ran in a shard or pool worker

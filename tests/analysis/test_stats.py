@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import histogram, replicate, summarize, \
     truncate_warmup
-from repro.harness import ExperimentResult, SeriesResult
+from repro.harness import FigureResult, SeriesResult
 
 
 class TestSummarize:
@@ -66,9 +66,9 @@ class TestSummarize:
 
 class TestReplicate:
     @staticmethod
-    def fake_experiment(seed: int) -> ExperimentResult:
-        r = ExperimentResult(experiment_id="figF", title="Fake",
-                             xlabel="x", ylabel="y")
+    def fake_experiment(seed: int) -> FigureResult:
+        r = FigureResult(experiment_id="figF", title="Fake",
+                         xlabel="x", ylabel="y")
         r.add_series("s", [1, 2], [10.0 + seed, 20.0 + seed])
         return r
 
@@ -94,8 +94,8 @@ class TestReplicate:
 
     def test_mismatched_series_rejected(self):
         def flaky(seed):
-            r = ExperimentResult(experiment_id="f", title="t",
-                                 xlabel="x", ylabel="y")
+            r = FigureResult(experiment_id="f", title="t",
+                             xlabel="x", ylabel="y")
             r.add_series(f"s{seed}", [1], [1.0])
             return r
 

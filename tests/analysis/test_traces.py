@@ -12,15 +12,15 @@ from repro.analysis.traces import (dump_result, load_result,
                                    result_from_json, result_to_json,
                                    series_from_csv, series_to_csv,
                                    timeseries_to_csv)
-from repro.harness import ExperimentResult, SeriesResult
+from repro.harness import FigureResult, SeriesResult
 from repro.runtime.series import TimeSeries
 
 
 @pytest.fixture
 def result():
-    r = ExperimentResult(experiment_id="figX", title="Round trip",
-                         xlabel="nodes", ylabel="usec",
-                         expectation="grows", notes="test")
+    r = FigureResult(experiment_id="figX", title="Round trip",
+                     xlabel="nodes", ylabel="usec",
+                     expectation="grows", notes="test")
     r.add_series("a", [1, 2, 4], [0.1, 0.2, 0.4])
     r.add_series("b", [1, 2, 4], [1.0, 2.0, 4.0])
     return r
@@ -59,8 +59,8 @@ class TestJsonRoundTrip:
         min_size=1, max_size=20))
     def test_values_survive_exactly(self, points):
         points.sort()
-        r = ExperimentResult(experiment_id="p", title="t",
-                             xlabel="x", ylabel="y")
+        r = FigureResult(experiment_id="p", title="t",
+                         xlabel="x", ylabel="y")
         xs, ys = zip(*points)
         r.add_series("s", xs, ys)
         loaded = result_from_json(result_to_json(r))

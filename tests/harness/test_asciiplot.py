@@ -6,15 +6,15 @@ import pytest
 
 import math
 
-from repro.harness import ExperimentResult
+from repro.harness import FigureResult
 from repro.harness.asciiplot import (SERIES_GLYPHS, SPARK_GLYPHS,
                                      render_plot, sparkline)
 
 
 @pytest.fixture
 def result():
-    r = ExperimentResult(experiment_id="figT", title="Test figure",
-                         xlabel="nodes", ylabel="usec")
+    r = FigureResult(experiment_id="figT", title="Test figure",
+                     xlabel="nodes", ylabel="usec")
     r.add_series("rising", [0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0])
     r.add_series("flat", [0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
     return r
@@ -51,8 +51,8 @@ class TestRenderPlot:
         assert len(rows_with_o) == 1
 
     def test_line_interpolation_fills_gaps(self):
-        r = ExperimentResult(experiment_id="f", title="t",
-                             xlabel="x", ylabel="y")
+        r = FigureResult(experiment_id="f", title="t",
+                         xlabel="x", ylabel="y")
         r.add_series("s", [0, 10], [0.0, 10.0])
         out = render_plot(r, width=30, height=10)
         rows = [line.split("|", 1)[1] for line in out.splitlines()
@@ -65,8 +65,8 @@ class TestRenderPlot:
         assert "[log y]" in out
 
     def test_log_scale_spreads_magnitudes(self):
-        r = ExperimentResult(experiment_id="f", title="t",
-                             xlabel="x", ylabel="y")
+        r = FigureResult(experiment_id="f", title="t",
+                         xlabel="x", ylabel="y")
         r.add_series("s", [0, 1, 2], [0.01, 1.0, 100.0])
         out = render_plot(r, width=30, height=9, log_y=True)
         rows = [line.split("|", 1)[1] for line in out.splitlines()
@@ -78,8 +78,8 @@ class TestRenderPlot:
         assert any(2 <= i <= 6 for i in mid_rows)
 
     def test_empty_result_rejected(self):
-        r = ExperimentResult(experiment_id="f", title="t",
-                             xlabel="x", ylabel="y")
+        r = FigureResult(experiment_id="f", title="t",
+                         xlabel="x", ylabel="y")
         with pytest.raises(ValueError, match="no series"):
             render_plot(r)
 
@@ -89,8 +89,8 @@ class TestRenderPlot:
         assert f"{SERIES_GLYPHS[2]} third" in out
 
     def test_constant_zero_series(self):
-        r = ExperimentResult(experiment_id="f", title="t",
-                             xlabel="x", ylabel="y")
+        r = FigureResult(experiment_id="f", title="t",
+                         xlabel="x", ylabel="y")
         r.add_series("zero", [0, 1], [0.0, 0.0])
         out = render_plot(r)  # must not divide by zero
         assert "zero" in out
@@ -100,8 +100,8 @@ class TestDegenerateRanges:
     """Single-point and constant series must render, not crash."""
 
     def _plot(self, xs, ys, **kw):
-        r = ExperimentResult(experiment_id="f", title="t",
-                             xlabel="x", ylabel="y")
+        r = FigureResult(experiment_id="f", title="t",
+                         xlabel="x", ylabel="y")
         r.add_series("s", xs, ys)
         return render_plot(r, **kw)
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import ExperimentResult, SeriesResult
+from repro.harness import FigureResult, SeriesResult
 
 
 @pytest.fixture
 def result():
-    r = ExperimentResult(experiment_id="figX", title="Demo",
-                         xlabel="nodes", ylabel="usec",
-                         expectation="goes up")
+    r = FigureResult(experiment_id="figX", title="Demo",
+                     xlabel="nodes", ylabel="usec",
+                     expectation="goes up")
     r.add_series("a", [1, 2, 4], [10.0, 20.0, 40.0])
     r.add_series("b", [1, 2, 8], [1.0, 2.0, 8.0])
     return r

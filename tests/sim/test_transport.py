@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TransportError
+from repro.runtime.series import (TRANSPORT_HISTORY, CounterTrace,
+                                  TimeSeries)
 from repro.sim import Protocol, build_cluster
 from repro.units import KB, mbps
 
@@ -155,6 +157,53 @@ class TestStatistics:
         window = env.now + 0.1
         assert conn.used_bandwidth(window=window) \
             == pytest.approx(mbps(10) / window, rel=0.05)
+
+
+class TestBoundedHistories:
+    def test_retained_samples_stop_growing(self, env, pair):
+        """However long a connection lives, its per-message traces and
+        the two stacks' byte traces retain fewer than
+        2 x TRANSPORT_HISTORY samples, and what NET_MON, PMC_MON and
+        the power model read from them (``total``, ``last()``,
+        ``rate(now, window)``) equals an unbounded trace's answer."""
+        src, dst = pair
+        conn = src.stack.connect("maui", tag="t")
+        sent, received, delays = CounterTrace(), CounterTrace(), \
+            TimeSeries()
+
+        def on_message(msg):
+            received.add(env.now, msg.size)
+            delays.record(env.now, env.now - msg.sent_at)
+
+        dst.stack.bind("t", on_message)
+
+        def burst(n):
+            for i in range(n):
+                size = 100.0 + i % 7
+                sent.add(env.now, size)
+                conn.send(None, size=size)
+                yield env.timeout(0.001)
+
+        bounded = (conn.bytes_sent, conn.bytes_delivered, conn.delays,
+                   conn.rtt, src.stack.bytes_out, dst.stack.bytes_in)
+        total = 0
+        for n in (2 * TRANSPORT_HISTORY + 5, TRANSPORT_HISTORY):
+            env.run(env.process(burst(n)))
+            total += n
+            for trace in bounded:
+                assert total - trace.dropped_samples \
+                    < 2 * TRANSPORT_HISTORY, trace.name
+        assert len(delays) == total
+        for trace, unbounded in ((conn.bytes_sent, sent),
+                                 (src.stack.bytes_out, sent),
+                                 (conn.bytes_delivered, received),
+                                 (dst.stack.bytes_in, received)):
+            assert trace.total == unbounded.total
+            assert trace.rate(env.now, 1.0) \
+                == unbounded.rate(env.now, 1.0)
+        assert conn.delays.last() == delays.last()
+        assert conn.used_bandwidth(window=5.0) \
+            == sent.rate(env.now, 5.0)
 
 
 class TestUdp:

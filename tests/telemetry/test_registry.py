@@ -77,7 +77,6 @@ class TestQueries:
         """Regression: `telemetry or fallback` must never silently
         replace a real-but-still-empty registry."""
         assert TelemetryRegistry()
-        assert TelemetryRegistry(enabled=False)
 
     def test_len_and_contains(self):
         reg = TelemetryRegistry()
@@ -96,45 +95,6 @@ class TestQueries:
         json.dumps(snap)  # must be JSON-serialisable as-is
         assert set(snap) == {"c", "g", "s"}
         assert snap["c"]["type"] == "counter"
-
-
-class TestDisabledRegistry:
-    def test_hands_out_shared_nulls(self):
-        reg = TelemetryRegistry(enabled=False)
-        other = TelemetryRegistry(enabled=False)
-        assert reg.counter("a") is other.counter("b")
-        assert reg.gauge("a") is other.gauge("b")
-        assert reg.histogram("a") is other.histogram("b")
-        assert reg.spans("a") is other.spans("b")
-
-    def test_records_are_dropped(self):
-        reg = TelemetryRegistry(enabled=False)
-        reg.counter("c").inc(5.0)
-        reg.gauge("g").adjust(3.0)
-        reg.histogram("h").observe(1.0)
-        reg.spans("s").record("p", 0.0, 1.0)
-        assert reg.counter("c").value == 0.0
-        assert reg.gauge("g").value == 0.0
-        assert reg.histogram("h").count == 0
-        assert len(reg.spans("s")) == 0
-
-    def test_nothing_registered(self):
-        reg = TelemetryRegistry(enabled=False)
-        reg.counter("c").inc()
-        assert len(reg) == 0
-        assert reg.snapshot() == {}
-        assert reg.value("c") == 0.0
-
-    def test_null_instruments_share_the_real_interface(self):
-        """Code instrumented against a real registry must run
-        unchanged against a disabled one."""
-        import math
-
-        reg = TelemetryRegistry(enabled=False)
-        assert math.isnan(reg.counter("c").mean)
-        assert math.isnan(reg.histogram("h").quantile(0.5))
-        assert reg.gauge("g").updates == 0
-        assert reg.spans("s").recorded == 0
 
 
 class TestInstrumentKinds:
