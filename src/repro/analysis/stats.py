@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.harness.experiment import FigureResult, SeriesResult
 
@@ -74,6 +73,7 @@ def summarize(samples: Sequence[float],
         return Summary(n=1, mean=mean, std=0.0,
                        half_width=math.inf, confidence=confidence)
     std = float(np.std(data, ddof=1))
+    from scipy import stats as sps
     t = float(sps.t.ppf(0.5 + confidence / 2.0, df=data.size - 1))
     half = t * std / math.sqrt(data.size)
     return Summary(n=int(data.size), mean=mean, std=std,

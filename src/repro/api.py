@@ -283,8 +283,7 @@ class Scenario:
     def with_node_pool(self, workers: int = 2, *,
                        watchers: Union[int, Sequence[str],
                                        None] = None,
-                       batch=None, flow=None,
-                       uvloop: bool = False) -> "Scenario":
+                       batch=None, flow=None) -> "Scenario":
         """Scale the live backend across worker processes (live only).
 
         The cluster's hosts are partitioned contiguously; this process
@@ -296,11 +295,10 @@ class Scenario:
         200-node pool opens O(nodes x watchers) sockets instead of
         O(nodes^2).  ``batch`` (a
         :class:`~repro.live.transport.BatchConfig`) coalesces frames
-        per destination, ``flow`` (a
+        per destination and ``flow`` (a
         :class:`~repro.live.transport.FlowConfig`) sets the
-        backpressure watermarks, and ``uvloop=True`` installs uvloop
-        when available.  ``workers=1`` keeps everything in-process but
-        still applies batch/flow/watchers.
+        backpressure watermarks.  ``workers=1`` keeps everything
+        in-process but still applies batch/flow/watchers.
         """
         self._check_mutable()
         if self._backend != "live":
@@ -310,7 +308,7 @@ class Scenario:
         if workers < 1:
             raise ScenarioError(f"workers must be >= 1, got {workers}")
         self._pool = {"workers": int(workers), "watchers": watchers,
-                      "batch": batch, "flow": flow, "uvloop": uvloop}
+                      "batch": batch, "flow": flow}
         return self
 
     # -- build and run -----------------------------------------------------
@@ -542,8 +540,7 @@ class Scenario:
             node_config=self._node_config,
             node_configs=(dict(zip(names, self._node_configs))
                           if self._node_configs is not None else None),
-            batch=pool.get("batch"), flow=pool.get("flow"),
-            use_uvloop=pool.get("uvloop", False))
+            batch=pool.get("batch"), flow=pool.get("flow"))
 
     def _make_live_runtime(self, deployment: Deployment):
         """The live runtime over this process's slice of the hosts
@@ -553,8 +550,7 @@ class Scenario:
             (self._pool or {}).get("workers", 1))
         runtime = LiveRuntime(
             nodes=len(slices[0]), seed=self._seed, names=slices[0],
-            batch=deployment.batch, flow=deployment.flow,
-            use_uvloop=deployment.use_uvloop)
+            batch=deployment.batch, flow=deployment.flow)
         if len(slices) > 1:
             # Only a run that forks loads the fork machinery.
             from repro.live.pool import LivePool
@@ -599,7 +595,8 @@ class Scenario:
                            else TraceCollector(**kwargs))
             attach_tracer(runtime.nodes, self.tracer)
         if self._fault_hooks is not None:
-            self.faults = runtime.fault_injector()
+            from repro.sim.faults import FaultInjector
+            self.faults = FaultInjector(*(world.nodes for world in worlds))
             for fn in self._fault_hooks:
                 fn(self)
         for fn in self._setup_hooks:

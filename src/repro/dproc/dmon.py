@@ -153,7 +153,6 @@ class DMon:
         self._t_receive = telemetry.counter("dmon.receive_seconds")
         self._t_events = telemetry.counter("dmon.events_published")
         self._t_records = telemetry.counter("dmon.records_published")
-        self._t_poll_spans = telemetry.spans("dmon.poll")
         #: module name -> its dmon.module.<name>.collect_seconds counter.
         self._t_module_collect: dict[str, object] = {}
         #: Most recent local samples (served for the node's own
@@ -376,10 +375,6 @@ class DMon:
             self.receive_overhead.record(now, rx - self._rx_cost_mark)
             self._t_receive.inc(rx - self._rx_cost_mark)
             self._rx_cost_mark = rx
-        self._t_poll_spans.record(
-            "poll", now, now,
-            cpu=collect_cost + decide_cost + submit_cost,
-            records=n_records)
         if root is not None:
             root.finish(now, published=bool(submit_cost),
                         records=n_records,

@@ -174,17 +174,15 @@ def standard_experiments(*, stretch_period: float = 4.0,
 def run_experiments(experiments: Sequence[Experiment], *,
                     nodes: int = 8, seed: int = 7,
                     duration: float = 10.0, backend: str = "sim",
-                    workers: int = 1, dmon=None,
-                    batch=None, flow=None, watchers=None,
-                    uvloop: bool = False) -> list[ExperimentReport]:
+                    workers: int = 1, dmon=None
+                    ) -> list[ExperimentReport]:
     """Run each experiment on a fresh scenario; return its reports.
 
     The same ``experiments`` list runs unmodified everywhere:
     ``backend="sim"`` with ``workers=1`` is the plain kernel, with
     ``workers>1`` the sharded kernel (inline mode), and
     ``backend="live"`` real sockets — with ``workers>1`` a
-    multi-process node pool (``batch``/``flow``/``watchers``/
-    ``uvloop`` pass through to it).
+    multi-process node pool.
     """
     from repro.api import Scenario
     from repro.dproc.toolkit import DEFAULT_MODULES
@@ -195,12 +193,12 @@ def run_experiments(experiments: Sequence[Experiment], *,
     for exp in experiments:
         scenario = Scenario(nodes=nodes, seed=seed, backend=backend,
                             dmon=dmon, modules=modules)
-        if backend == "sim" and workers > 1:
-            scenario.with_workers(workers, mode="inline")
+        # The mapping ``repro.harness.cli`` holds for the CLIs; this
+        # package must not import the harness.
         if backend == "live":
-            scenario.with_node_pool(workers, watchers=watchers,
-                                    batch=batch, flow=flow,
-                                    uvloop=uvloop)
+            scenario.with_node_pool(workers)
+        else:
+            scenario.with_workers(workers, mode="inline")
         scenario.with_experiment(exp)
         scenario.run(duration)
         reports.extend(scenario.experiment_reports(duration=duration))

@@ -31,7 +31,7 @@ Everything is deterministic: same seed → bit-identical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.api import Scenario
 from repro.dproc import PEER_FRESH, DMonConfig
@@ -68,22 +68,11 @@ class ChaosReport:
     #: Deliberately *not* part of :attr:`trace` — it reports costs, the
     #: trace pins behaviour.
     overhead: Optional[dict] = None
-    #: The durable event stream recorded during the run
-    #: (``stream=True`` only; a :class:`repro.stream.StreamBroker`).
-    #: Not part of :attr:`trace` — recording is passive and the trace
-    #: must be identical with the stream on or off (test-enforced).
-    stream_broker: Optional[object] = None
-    #: Replay-vs-ground-truth validation of the stream
-    #: (``stream=True`` only; a
-    #: :class:`repro.stream.ReconcileReport`).  Also not in
-    #: :attr:`trace`.
-    reconciliation: Optional[object] = None
-    #: The observability plane sampled through the run (``obs=True``
-    #: only; a :class:`repro.obs.ObservabilityPlane`).  Sampling is
-    #: passive, so the trace is identical with it on or off.
-    obs_plane: Optional[object] = None
-    #: The scenario that ran: post-mortem access to every node's
-    #: ``/proc`` tree and telemetry.  Not part of :attr:`trace`.
+    #: The scenario that ran: every node's ``/proc`` tree and
+    #: telemetry, and whatever ``configure`` attached to it
+    #: (``scenario.stream``, ``.obs``, ``.tracer``).  Not part of
+    #: :attr:`trace` — those instruments are passive, so the trace is
+    #: identical with any of them on or off (test-enforced).
     scenario: Optional[Scenario] = None
 
     @property
@@ -94,8 +83,21 @@ class ChaosReport:
                 self.victim_never_silently_fresh,
                 tuple(sorted(self.final_liveness.items())))
 
+    def reconciliation(self):
+        """Replay the recorded stream (``with_stream`` runs) against
+        the d-mon remote caches: crash recovery proven by replay —
+        every missing delivery must be attributed to an injected
+        fault.  A :class:`repro.stream.ReconcileReport`."""
+        from repro.stream import reconcile
+        config = self.scenario.dprocs[self.victim].dmon.config
+        return reconcile(
+            self.scenario.stream, self.scenario.dprocs,
+            until=self.duration,
+            stale_after=config.stale_after_intervals
+            * config.poll_interval)
 
-def chaos_recovery(nodes: Optional[int] = None,
+
+def chaos_recovery(nodes: int = 100,
                    seed: int = 7,
                    loss_probability: float = 0.3,
                    loss_start: float = 5.0,
@@ -106,48 +108,31 @@ def chaos_recovery(nodes: Optional[int] = None,
                    reboot_at: float = 22.0,
                    duration: float = 60.0,
                    poll_interval: float = 1.0,
-                   probe_interval: float = 0.5,
-                   tracer=None, *,
-                   workers: int = 1,
-                   stream: bool = False,
-                   obs: bool = False,
-                   obs_rules=None,
-                   n_nodes: Optional[int] = None) -> ChaosReport:
+                   probe_interval: float = 0.5, *,
+                   configure: Optional[Callable[[Scenario], object]]
+                   = None) -> ChaosReport:
     """Run the chaos scenario on a fresh cluster and report recovery.
 
-    ``tracer`` (a :class:`repro.tracing.TraceCollector`) records causal
-    traces through the run — faulted deliveries show up as dropped
-    spans annotated with the fault kind.  Tracing is passive: the
-    report is bit-identical with or without it (test-enforced).
+    The run is a plain :class:`~repro.api.Scenario` carrying the fault
+    timeline and the recovery observer; ``configure(scenario)`` is
+    called on it before anything is built, so a caller adds
+    instruments and placement with the calls it would write anywhere
+    else::
 
-    ``workers > 1`` shards the simulation (inline mode — all shards in
-    this process so the fault timeline and observer keep their global
-    view).  A sharded chaos run is deterministic for a fixed (seed,
-    workers) but is a different event schedule from ``workers=1``: the
-    observer probes cross-shard d-mon state at window granularity.
+        chaos_recovery(nodes=50, configure=lambda sc: sc
+                       .with_workers(4).with_stream()
+                       .with_tracing(collector))
 
-    ``stream=True`` additionally tees every channel submit, delivery
-    and fault-plane drop into a durable event stream
-    (:class:`repro.stream.StreamBroker`) and replays it against the
-    d-mon remote caches after the run: the resulting
-    :attr:`ChaosReport.reconciliation` proves crash recovery by
-    replay — every missing delivery must be attributed to an injected
-    fault.  Recording is passive, so the report's :attr:`~ChaosReport
-    .trace` is bit-identical with the stream on or off.
-
-    ``obs=True`` attaches the time-series metrics plane
-    (``Scenario.with_observability``): the run's telemetry is sampled
-    each poll interval and the health/SLO engine (``obs_rules``,
-    default :func:`repro.obs.default_rules`) turns the injected fault
-    window into degraded→recovered transitions on
-    :attr:`ChaosReport.obs_plane`.  Also passive.
+    and reads them back from :attr:`ChaosReport.scenario`.  Tracing,
+    the stream tee and the observability plane are passive: the
+    report's :attr:`~ChaosReport.trace` is bit-identical with or
+    without them (test-enforced).  A sharded chaos run is inline —
+    ``with_workers`` picks that by itself for a scenario with hooks —
+    so the fault timeline and observer keep their global view; it is
+    deterministic for a fixed (seed, workers) but is a different event
+    schedule from ``workers=1``: the observer probes cross-shard d-mon
+    state at window granularity.
     """
-    if n_nodes is not None:
-        # The PR 5 alias is gone; fail loudly with the migration.
-        raise TypeError("chaos_recovery() no longer accepts "
-                        "'n_nodes'; pass nodes=... instead")
-    n_nodes = 100 if nodes is None else nodes
-
     config = DMonConfig(poll_interval=poll_interval)
     stale_after = config.stale_after_intervals * poll_interval
 
@@ -229,27 +214,12 @@ def chaos_recovery(nodes: Optional[int] = None,
 
         env.process(observer(), name="chaos-observer")
 
-    scenario = Scenario(nodes=n_nodes, seed=seed, dmon=config) \
+    scenario = Scenario(nodes=nodes, seed=seed, dmon=config) \
         .with_faults(schedule_faults) \
         .with_setup(start_observer)
-    scenario.with_workers(workers, mode="inline")
-    if tracer is not None:
-        scenario.with_tracing(tracer)
-    if stream:
-        scenario.with_stream()
-    if obs:
-        scenario.with_observability(sample_interval=poll_interval,
-                                    rules=obs_rules)
+    if configure is not None:
+        configure(scenario)
     scenario.run(duration)
-
-    reconciliation = None
-    broker = None
-    if stream:
-        from repro.stream import reconcile
-        broker = scenario.stream
-        reconciliation = reconcile(broker, scenario.dprocs,
-                                   until=duration,
-                                   stale_after=stale_after)
 
     names = scenario.nodes.names
     victim = names[-1]
@@ -261,7 +231,7 @@ def chaos_recovery(nodes: Optional[int] = None,
     recovered = state["recovered_at"]
     rejoined = state["rejoined_at"]
     return ChaosReport(
-        n_nodes=n_nodes,
+        n_nodes=nodes,
         seed=seed,
         duration=duration,
         victim=victim,
@@ -274,8 +244,5 @@ def chaos_recovery(nodes: Optional[int] = None,
         events=events,
         final_liveness=final,
         overhead=scenario.overhead(duration),
-        stream_broker=broker,
-        reconciliation=reconciliation,
-        obs_plane=scenario.obs if obs else None,
         scenario=scenario,
     )

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from repro.experiment import run_experiments, standard_experiments
+from repro.harness.cli import add_run_options
 from repro.obs import health_section_from_overhead
 
 #: Default A/B poll interval: short enough that several monitor frames
@@ -84,19 +85,14 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.harness experiment",
         description="Run the declarative Experiment/Policy sweep "
                     "(Figs. 12-14) and write experiment.json.")
-    parser.add_argument("--backend", choices=("sim", "live"),
-                        default="sim",
-                        help="where to run the sweep (default sim)")
-    parser.add_argument("--nodes", type=int, default=8,
-                        help="cluster size (default 8)")
-    parser.add_argument("--duration", type=float, default=10.0,
-                        help="seconds per experiment — simulated on "
-                             "sim, wall-clock on live (default 10)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="master seed (default 7)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="sim: sharded workers; live: node-pool "
-                             "processes (default 1)")
+    add_run_options(
+        parser, nodes=(8, "cluster size (default 8)"),
+        seed=(7, "master seed (default 7)"),
+        duration=(10.0, "seconds per experiment — simulated on sim, "
+                        "wall-clock on live (default 10)"),
+        workers="sim: sharded workers; live: node-pool processes "
+                "(default 1)",
+        backend="where to run the sweep (default sim)")
     parser.add_argument("--policies", nargs="*", default=None,
                         metavar="NAME",
                         help="subset of the standard sweep "
@@ -195,7 +191,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
     return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,6 +17,7 @@ import sys
 
 from repro.api import Scenario
 from repro.dproc import ControlRequest, DMonConfig, FilterCommand, MetricId
+from repro.harness.cli import add_run_options, build_scenario
 
 #: Shipped from node[0] to node[1]: pass the load average through at
 #: half value — visibly an E-code filter in the delivered numbers.
@@ -36,12 +37,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.harness live",
         description="Run dproc/KECho live over asyncio localhost "
                     "sockets.")
-    parser.add_argument("--nodes", type=int, default=4,
-                        help="number of localhost nodes (default 4)")
-    parser.add_argument("--duration", type=float, default=10.0,
-                        help="wall-clock seconds to run (default 10)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="node naming/port seed (default 0)")
+    add_run_options(
+        parser, nodes=(4, "number of localhost nodes (default 4)"),
+        seed=(0, "node naming/port seed (default 0)"),
+        duration=(10.0, "wall-clock seconds to run (default 10)"),
+        workers="node-pool worker processes; this process keeps the "
+                "first host slice (default 1 = single process)")
     parser.add_argument("--poll", type=float, default=1.0,
                         help="d-mon poll interval in seconds "
                              "(default 1.0)")
@@ -52,10 +53,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="serve OpenMetrics /metrics and JSON "
                              "/healthz on this port while running "
                              "(0 picks a free port)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="node-pool worker processes; this "
-                             "process keeps the first host slice "
-                             "(default 1 = single process)")
     parser.add_argument("--watchers", type=int, default=None,
                         metavar="K",
                         help="only the first K hosts subscribe to "
@@ -76,16 +73,11 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SEC",
                         help="batch time watermark in seconds "
                              "(implies --batch)")
-    parser.add_argument("--uvloop", action="store_true",
-                        help="install uvloop when available")
     args = parser.parse_args(argv)
     if args.nodes < 2:
         parser.error("--nodes must be >= 2 (the filter ships from "
                      "node[0] to node[1])")
 
-    scenario = Scenario(nodes=args.nodes, seed=args.seed,
-                        backend="live",
-                        dmon=DMonConfig(poll_interval=args.poll))
     want_batch = (args.batch or args.batch_bytes is not None
                   or args.batch_delay is not None)
     batch = None
@@ -97,9 +89,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.batch_bytes is not None else defaults.max_bytes,
             max_delay=args.batch_delay
             if args.batch_delay is not None else defaults.max_delay)
-    scenario.with_node_pool(max(1, args.workers),
-                            watchers=args.watchers, batch=batch,
-                            uvloop=args.uvloop)
+    scenario = build_scenario(
+        args, backend="live", dmon=DMonConfig(poll_interval=args.poll),
+        pool={"watchers": args.watchers, "batch": batch})
     if args.scrape is not None:
         scenario.with_observability(
             sample_interval=min(1.0, args.poll),
@@ -128,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     scenario.with_setup(deploy_filter)
     batching = "on" if want_batch else "off"
     print(f"live: {args.nodes} nodes over localhost TCP "
-          f"({max(1, args.workers)} process(es), batching {batching}), "
+          f"({args.workers} process(es), batching {batching}), "
           f"{args.duration:.0f}s wall, poll every {args.poll:g}s ...",
           flush=True)
     scenario.run(args.duration)
@@ -211,7 +203,3 @@ def _verdict(delivered: dict) -> int:
     print("\nOK: CPU/MEM/NET events delivered end-to-end "
           "(cpu stream filtered by E-code)")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,6 +23,7 @@ import sys
 from typing import Optional
 
 from repro.harness.asciiplot import sparkline
+from repro.harness.cli import add_run_options, run_scenario
 
 __all__ = ["main", "render_dashboard"]
 
@@ -36,25 +37,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.harness obs",
         description="Time-series metrics plane: dashboard, health, "
                     "OpenMetrics/JSON export, live watch.")
-    parser.add_argument("--nodes", type=int, default=12,
-                        help="cluster size (default 12)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="simulation seed (default 7)")
-    parser.add_argument("--duration", type=float, default=30.0,
-                        help="seconds to run (default 30)")
+    add_run_options(
+        parser, nodes=(12, "cluster size (default 12)"),
+        seed=(7, "simulation seed (default 7)"),
+        duration=(30.0, "seconds to run (default 30)"),
+        workers="shard the simulation across N workers "
+                "(inline; default 1)",
+        backend="simulated virtual time (default) or real asyncio "
+                "localhost nodes",
+        faults="run the chaos timeline so the health engine has "
+               "faults to flag (sim only)")
     parser.add_argument("--interval", type=float, default=1.0,
                         help="sampling interval in seconds "
                              "(default 1.0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard the simulation across N workers "
-                             "(inline; default 1)")
-    parser.add_argument("--backend", choices=("sim", "live"),
-                        default="sim",
-                        help="simulated virtual time (default) or "
-                             "real asyncio localhost nodes")
-    parser.add_argument("--faults", action="store_true",
-                        help="run the chaos timeline so the health "
-                             "engine has faults to flag (sim only)")
     parser.add_argument("--no-stream", action="store_true",
                         help="skip the durable stream tee (loses the "
                              "stream.* panels and fault attribution)")
@@ -77,41 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="--watch polls before exiting "
                              "(default 5)")
     return parser
-
-
-# -- scenario drivers --------------------------------------------------------
-
-
-def _run_scenario(args):
-    """Run per the CLI options; returns the finished Scenario."""
-    from repro.api import Scenario
-    if args.faults:
-        if args.backend != "sim":
-            raise SystemExit("--faults needs the simulator's fault "
-                             "injector; drop --backend live")
-        from repro.harness.chaos import chaos_recovery
-        report = chaos_recovery(
-            nodes=args.nodes, seed=args.seed, duration=args.duration,
-            poll_interval=args.interval, workers=args.workers,
-            stream=not args.no_stream, obs=True)
-        return report
-    scenario = Scenario(nodes=args.nodes, seed=args.seed,
-                        backend=args.backend)
-    scenario.with_observability(sample_interval=args.interval)
-    if not args.no_stream:
-        scenario.with_stream()
-    if args.workers > 1:
-        scenario.with_workers(args.workers, mode="inline")
-    scenario.run(args.duration)
-    return scenario
-
-
-def _plane_and_broker(result, want_stream: bool = False):
-    """(plane, data-plane broker or None) from either driver result."""
-    from repro.harness.chaos import ChaosReport
-    if isinstance(result, ChaosReport):
-        return result.obs_plane, result.stream_broker
-    return result.obs, result.stream if want_stream else None
 
 
 # -- rendering ---------------------------------------------------------------
@@ -213,19 +173,13 @@ def _series_table(plane, grep: Optional[str], width: int) -> list:
 # -- exports and watch -------------------------------------------------------
 
 
-def _export(result, kind: str) -> int:
-    plane, _ = _plane_and_broker(result)
+def _export(scenario, kind: str) -> int:
     if kind == "json":
-        print(plane.export_json())
+        print(scenario.obs.export_json())
         return 0
-    from repro.harness.chaos import ChaosReport
     from repro.obs import render_openmetrics
-    registries = {}
-    if not isinstance(result, ChaosReport):
-        # A chaos report outlives its cluster; health still renders.
-        registries = result.registries
-    print(render_openmetrics(registries, health=plane.verdict()),
-          end="")
+    print(render_openmetrics(scenario.registries,
+                             health=scenario.obs.verdict()), end="")
     return 0
 
 
@@ -269,19 +223,21 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.watch is not None:
         return _watch(args)
-    result = _run_scenario(args)
+
+    def instruments(scenario) -> None:
+        scenario.with_observability(sample_interval=args.interval)
+        if not args.no_stream:
+            scenario.with_stream()
+
+    scenario = run_scenario(args, instruments)
     if args.export is not None:
-        return _export(result, args.export)
-    plane, broker = _plane_and_broker(result, not args.no_stream)
-    from repro.harness.chaos import ChaosReport
-    if isinstance(result, ChaosReport):
-        print(f"chaos run: {result.n_nodes} nodes, seed "
-              f"{result.seed}, victim {result.victim}")
+        return _export(scenario, args.export)
+    if args.faults:
+        # The chaos timeline crashes the last host.
+        print(f"chaos run: {args.nodes} nodes, seed {args.seed}, "
+              f"victim {scenario.nodes.names[-1]}")
         print()
-    print(render_dashboard(plane, broker, grep=args.grep,
-                           width=args.width))
+    print(render_dashboard(
+        scenario.obs, None if args.no_stream else scenario.stream,
+        grep=args.grep, width=args.width))
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,6 +27,9 @@ import json
 import sys
 from typing import Optional
 
+from repro.api import Scenario
+from repro.harness.cli import add_run_options, run_scenario
+
 __all__ = ["main"]
 
 
@@ -38,18 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--nodes", type=int, default=12,
-                       help="cluster size (default 12)")
-        p.add_argument("--seed", type=int, default=7,
-                       help="simulation seed (default 7)")
-        p.add_argument("--duration", type=float, default=20.0,
-                       help="simulated seconds (default 20)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="shard the simulation across N workers "
-                            "(inline; default 1)")
-        p.add_argument("--faults", action="store_true",
-                       help="run the chaos timeline (loss, partition, "
-                            "crash+reboot) instead of a clean run")
+        add_run_options(
+            p, nodes=(12, "cluster size (default 12)"),
+            seed=(7, "simulation seed (default 7)"),
+            duration=(20.0, "simulated seconds (default 20)"),
+            workers="shard the simulation across N workers "
+                    "(inline; default 1)",
+            faults="run the chaos timeline (loss, partition, "
+                   "crash+reboot) instead of a clean run")
         p.add_argument("--load", metavar="DIR", default=None,
                        help="replay a dumped stream from DIR instead "
                             "of running a scenario")
@@ -80,31 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="drop entries older than this many "
                              "seconds (default: ack-state only)")
     return parser
-
-
-def _acquire(args):
-    """Build (broker, scenario, report) per the common options.
-
-    ``scenario`` is None when the stream was loaded from disk or came
-    out of a chaos run (no live cluster to verify against);
-    ``report`` is the :class:`~repro.harness.chaos.ChaosReport` when
-    ``--faults`` ran.
-    """
-    if args.load is not None:
-        from repro.stream import StreamBroker
-        return StreamBroker.load(args.load), None, None
-    if args.faults:
-        from repro.harness.chaos import chaos_recovery
-        report = chaos_recovery(nodes=args.nodes, seed=args.seed,
-                                duration=args.duration,
-                                workers=args.workers, stream=True)
-        return report.stream_broker, None, report
-    from repro.api import Scenario
-    scenario = Scenario(nodes=args.nodes, seed=args.seed) \
-        .with_stream()
-    scenario.with_workers(args.workers, mode="inline")
-    scenario.run(args.duration)
-    return scenario.stream, scenario, None
 
 
 def _entry_line(entry) -> str:
@@ -179,13 +153,15 @@ def _cmd_stats(args, broker, scenario) -> int:
     return 0
 
 
-def _cmd_reconcile(args, broker, scenario, report) -> int:
+def _cmd_reconcile(args, broker, scenario) -> int:
     from repro.stream import reconcile
-    if report is not None and report.reconciliation is not None:
-        result = report.reconciliation
-    else:
-        dprocs = scenario.dprocs if scenario is not None else None
-        result = reconcile(broker, dprocs, until=args.duration)
+    dprocs = stale_after = None
+    if scenario is not None:
+        dprocs = scenario.dprocs
+        config = next(iter(dprocs.values())).dmon.config
+        stale_after = config.stale_after_intervals * config.poll_interval
+    result = reconcile(broker, dprocs, until=args.duration,
+                       stale_after=stale_after)
     if args.json:
         print(json.dumps(result.to_json(), indent=1, sort_keys=True))
     else:
@@ -213,7 +189,13 @@ def _cmd_trim(args, broker) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    broker, scenario, report = _acquire(args)
+    if args.load is not None:
+        # Replayed from disk: no cluster to check the log against.
+        from repro.stream import StreamBroker
+        broker, scenario = StreamBroker.load(args.load), None
+    else:
+        scenario = run_scenario(args, Scenario.with_stream)
+        broker = scenario.stream
     if args.dump is not None:
         broker.dump(args.dump)
         print(f"[dumped {broker.total_entries()} entries to "
@@ -223,9 +205,5 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "stats":
         return _cmd_stats(args, broker, scenario)
     if args.command == "reconcile":
-        return _cmd_reconcile(args, broker, scenario, report)
+        return _cmd_reconcile(args, broker, scenario)
     return _cmd_trim(args, broker)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

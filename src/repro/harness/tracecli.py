@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import Optional
 
-from repro.dproc import DMonConfig, deploy_dproc
+from repro.api import Scenario
+from repro.dproc import DMonConfig
 from repro.harness.appbench import CPU_PROFILE, CPU_RATE
-from repro.sim import Environment, build_cluster
+from repro.harness.cli import add_run_options
 from repro.smartpointer import (ClientCapabilities, DynamicAdaptation,
                                 SmartPointerClient, SmartPointerServer)
 from repro.tracing import (TraceCollector, adaptation_audit,
-                           attach_tracer, latency_breakdown,
-                           render_audit, render_breakdown, render_tree,
+                           latency_breakdown, render_audit,
+                           render_breakdown, render_tree,
                            to_chrome_trace)
 from repro.workloads import Linpack
 
@@ -43,38 +43,38 @@ def run_trace_scenario(nodes: int = 20, seed: int = 1,
     Deterministic: the same (nodes, seed, duration, sample_rate)
     always yields a bit-identical collector snapshot.
     """
-    env = Environment()
-    cluster = build_cluster(env, nodes=nodes, seed=seed)
-    names = list(cluster.names)
-    server_name, client_name = names[0], names[1]
-    dprocs = deploy_dproc(cluster, config=DMonConfig(poll_interval=1.0))
-    collector = TraceCollector(seed=seed, sample_rate=sample_rate)
-    attach_tracer(cluster, collector)
-    # Customize the client's publication policy from the server — a
-    # traced control message, and the rule the audit trail will name.
-    dprocs[server_name].write(f"/proc/cluster/{client_name}/control",
-                              "period cpu 1\nthreshold cpu change 5")
-    client_node = cluster[client_name]
-    SmartPointerClient(client_node).start()
-    server = SmartPointerServer(cluster[server_name],
-                                dproc=dprocs[server_name])
-    server.add_client(
-        client_name, CPU_PROFILE, rate=CPU_RATE,
-        policy=DynamicAdaptation(resources=("cpu",)),
-        caps=ClientCapabilities(
-            mflops=client_node.config.mflops_per_cpu, n_cpus=1,
-            disk_rate=client_node.config.disk_rate))
+    def smartpointer_pair(sc: Scenario) -> None:
+        server_name, client_name = sc.nodes.names[:2]
+        # Customize the client's publication policy from the server — a
+        # traced control message, and the rule the audit trail will name.
+        sc.dprocs[server_name].write(
+            f"/proc/cluster/{client_name}/control",
+            "period cpu 1\nthreshold cpu change 5")
+        client_node = sc.nodes[client_name]
+        SmartPointerClient(client_node).start()
+        server = SmartPointerServer(sc.nodes[server_name],
+                                    dproc=sc.dprocs[server_name])
+        server.add_client(
+            client_name, CPU_PROFILE, rate=CPU_RATE,
+            policy=DynamicAdaptation(resources=("cpu",)),
+            caps=ClientCapabilities(
+                mflops=client_node.config.mflops_per_cpu, n_cpus=1,
+                disk_rate=client_node.config.disk_rate))
 
-    def loader():
-        # Two load steps force at least one mid-run adaptation.
-        yield env.timeout(duration / 3)
-        Linpack(client_node).start()
-        yield env.timeout(duration / 3)
-        Linpack(client_node).start()
+        def loader():
+            # Two load steps force at least one mid-run adaptation.
+            yield sc.env.timeout(duration / 3)
+            Linpack(client_node).start()
+            yield sc.env.timeout(duration / 3)
+            Linpack(client_node).start()
 
-    env.process(loader(), name="trace-loader")
-    env.run(until=duration)
-    return collector
+        sc.env.process(loader(), name="trace-loader")
+
+    return Scenario(nodes=nodes, seed=seed,
+                    dmon=DMonConfig(poll_interval=1.0)) \
+        .with_tracing(seed=seed, sample_rate=sample_rate) \
+        .with_setup(smartpointer_pair) \
+        .run(duration).tracer
 
 
 def pick_showcase_trace(collector: TraceCollector,
@@ -99,12 +99,10 @@ def main(argv: Optional[list] = None) -> int:
         prog="python -m repro.harness trace",
         description="Causal-tracing demo: span trees, critical-path "
                     "latency breakdown, adaptation audit trail.")
-    parser.add_argument("--nodes", type=int, default=20,
-                        help="cluster size (default 20)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="simulation seed (default 1)")
-    parser.add_argument("--duration", type=float, default=30.0,
-                        help="simulated seconds (default 30)")
+    add_run_options(
+        parser, nodes=(20, "cluster size (default 20)"),
+        seed=(1, "simulation seed (default 1)"),
+        duration=(30.0, "simulated seconds (default 30)"))
     parser.add_argument("--sample", type=float, default=1.0,
                         help="head-sampling rate in [0, 1] (default 1)")
     parser.add_argument("--export", choices=("chrome", "text"),
@@ -140,7 +138,3 @@ def main(argv: Optional[list] = None) -> int:
         print(f"\n[wrote {len(document['traceEvents'])} trace events "
               f"to {args.out}]")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -195,18 +195,10 @@ class ChannelEndpoint:
         if targets:
             stack = self.node.stack
             conns = [self._connection_to(host) for host in targets]
-            send_many = getattr(stack, "send_many", None)
             # One reallocation for the whole fan-out instead of one per
             # target flow: everything happens at the same instant.
             with stack.batch():
-                if send_many is not None:
-                    # Simulated stacks fuse the fan-out into one pass
-                    # (operation-for-operation identical to per-target
-                    # sends, minus the per-call dispatch overhead).
-                    deliveries = send_many(conns, event, size)
-                else:
-                    deliveries = [conn.send(event, size)
-                                  for conn in conns]
+                deliveries = stack.send_many(conns, event, size)
             for host, delivery in zip(targets, deliveries):
                 # A delivery killed by an injected fault (partition,
                 # loss, crashed subscriber) is recorded on the

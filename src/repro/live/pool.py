@@ -3,7 +3,7 @@
 Mirrors the shard design for the live backend: the parent
 :class:`~repro.live.runtime.LiveRuntime` owns the registry server and
 the first slice of hosts; each worker process runs its own asyncio
-event loop (optionally uvloop) with a :class:`LiveRuntime` over its
+event loop with a :class:`LiveRuntime` over its
 slice, joined to the cluster through the shared registry, and deploys
 its share of the scenario's picklable
 :class:`~repro.runtime.deployment.Deployment`.  Workers report a
@@ -41,7 +41,7 @@ def _worker_main(names: list[str], deployment: Deployment,
     runtime = LiveRuntime(
         nodes=len(names), seed=deployment.seed, names=names,
         registry=registry_addr, batch=deployment.batch,
-        flow=deployment.flow, use_uvloop=deployment.use_uvloop)
+        flow=deployment.flow)
 
     def deploy(rt: LiveRuntime) -> None:
         deployment.deploy(rt.nodes, rt.bus, rt.module_factory)

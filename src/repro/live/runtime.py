@@ -30,22 +30,7 @@ from repro.live.transport import BatchConfig, FlowConfig
 from repro.sim.cluster import default_names
 from repro.telemetry import TelemetryRegistry
 
-__all__ = ["LiveRuntime", "LiveNodeGroup", "install_uvloop"]
-
-
-def install_uvloop() -> bool:
-    """Install the uvloop event-loop policy when available.
-
-    Optional dependency: returns False (and changes nothing) when
-    uvloop is not importable, so the stock asyncio loop keeps working
-    everywhere.
-    """
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
+__all__ = ["LiveRuntime", "LiveNodeGroup"]
 
 
 class LiveNodeGroup:
@@ -88,8 +73,7 @@ class LiveRuntime:
                  names: Optional[Sequence[str]] = None,
                  registry: Optional[tuple[str, int]] = None,
                  batch: Optional[BatchConfig] = None,
-                 flow: Optional[FlowConfig] = None,
-                 use_uvloop: bool = False) -> None:
+                 flow: Optional[FlowConfig] = None) -> None:
         if nodes < 1:
             raise ValueError("a live cluster needs at least one node")
         self.clock = AsyncClock()
@@ -105,7 +89,6 @@ class LiveRuntime:
             if flow is not None:
                 node.stack.flow_config = flow
         self.nodes = LiveNodeGroup(self._nodes)
-        self._use_uvloop = use_uvloop
         #: A :class:`repro.live.pool.LivePool` when this runtime is
         #: the parent of a multi-process node pool (set by the
         #: scenario facade before :meth:`run`).
@@ -142,8 +125,6 @@ class LiveRuntime:
 
     def run(self, until: float) -> None:
         """Bring the cluster up, run ``until`` wall seconds, tear down."""
-        if self._use_uvloop:
-            install_uvloop()
         asyncio.run(self._main(until))
 
     def registries(self) -> dict[str, TelemetryRegistry]:

@@ -5,7 +5,8 @@ a connection to another host dials that host's server (address found
 through the :class:`~repro.live.registry.RegistryClient` directory) and
 writes length-prefixed codec frames.  The surface mirrors the
 simulator's ``NetStack`` exactly — ``bind``/``unbind`` a tag handler,
-``connect`` for a :class:`LiveConnection`, ``batch`` as a no-op — so
+``connect`` for a :class:`LiveConnection`, ``send_many`` for a
+fan-out, ``batch`` as a no-op — so
 :class:`repro.kecho.channel.ChannelEndpoint` runs on it unchanged.
 
 Scaling machinery (all per-destination, owned by a shared
@@ -292,17 +293,7 @@ class LiveConnection:
 
     def send(self, payload: Any, size: float) -> LiveCompletion:
         """Encode and transmit one :class:`ChannelEvent`."""
-        if not isinstance(payload, ChannelEvent):
-            raise TransportError(
-                "live transport carries ChannelEvent frames only")
-        if self._closed or self._link._dead:
-            return LiveCompletion(ok=False)
-        frame = encode_frame(self.tag, payload)
-        now = self.stack.clock.now
-        self.stack.bytes_out.add(now, float(len(frame)))
-        self.stack._t_tx.inc(len(frame))
-        self.stack._t_frames.inc()
-        return LiveCompletion(ok=self._link.send(frame, payload))
+        return self.stack.send_many([self], payload, size)[0]
 
     def close(self) -> None:
         if not self._closed:
@@ -397,6 +388,36 @@ class LiveStack:
     def batch(self):
         """No-op: real sockets need no bandwidth reallocation."""
         yield self
+
+    def send_many(self, conns: list, payload: Any,
+                  size: float) -> list[LiveCompletion]:
+        """Send one :class:`ChannelEvent` over each connection, in
+        order.
+
+        The only send body (``LiveConnection.send`` is a fan-out of
+        one): the frame is encoded once per distinct tag and handed to
+        every link, instead of once per target.  ``size`` is the
+        simulator's wire model; here the frame's real length counts.
+        """
+        if not isinstance(payload, ChannelEvent):
+            raise TransportError(
+                "live transport carries ChannelEvent frames only")
+        now = self.clock.now
+        frames: dict[str, bytes] = {}
+        results = []
+        for conn in conns:
+            if conn._closed or conn._link._dead:
+                results.append(LiveCompletion(ok=False))
+                continue
+            frame = frames.get(conn.tag)
+            if frame is None:
+                frame = frames[conn.tag] = encode_frame(conn.tag, payload)
+            self.bytes_out.add(now, float(len(frame)))
+            self._t_tx.inc(len(frame))
+            self._t_frames.inc()
+            results.append(LiveCompletion(
+                ok=conn._link.send(frame, payload)))
+        return results
 
     def flush(self) -> None:
         """Force-flush every link's coalescing buffer (tests/teardown)."""

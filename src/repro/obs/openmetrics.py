@@ -25,8 +25,7 @@ import re
 from typing import Mapping, Optional
 
 from repro.obs.tsdb import ObsError
-from repro.telemetry.instruments import (Counter, Gauge, Histogram,
-                                         SpanLog)
+from repro.telemetry.instruments import Counter, Gauge, Histogram
 
 __all__ = ["render_openmetrics", "parse_openmetrics",
            "CONTENT_TYPE", "Sample"]
@@ -116,9 +115,6 @@ def render_openmetrics(registries: Mapping[str, object],
                              instrument.count, "_bucket"))
                 rows.append(({**labels}, instrument.total, "_sum"))
                 rows.append(({**labels}, instrument.count, "_count"))
-            elif isinstance(instrument, SpanLog):
-                fam(base + "_spans_recorded", "counter").append(
-                    ({**labels}, instrument.recorded, "_total"))
     if health is not None:
         rows = fam(f"{prefix}_health_ok", "gauge")
         for check in health.get("rules", []):

@@ -140,8 +140,6 @@ class ObservabilityPlane:
                 hists.append([tsdb.series(
                     name, labels + (("stat", "count"),),
                     kind="counter"), None, None, inst, name, labels])
-            # span logs stay out: bounded but heavy, and the
-            # tracing subsystem already owns span analysis
         self._plans[node.name] = (len(registry), scalars, hists,
                                   planned)
         return scalars, hists

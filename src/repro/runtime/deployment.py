@@ -37,7 +37,6 @@ class Deployment:
     #: Live transport tuning (``BatchConfig`` / ``FlowConfig``).
     batch: Any = None
     flow: Any = None
-    use_uvloop: bool = False
 
     @staticmethod
     def select(names: Sequence[str],

@@ -105,7 +105,10 @@ class Transport(Protocol):
 
     ``bind`` registers a receive handler for a tag (KECho uses
     ``kecho:<channel>``); ``connect`` opens a :class:`Connection` whose
-    sends invoke the remote host's handler for the same tag.
+    sends invoke the remote host's handler for the same tag;
+    ``send_many`` is the one send contract — a fan-out of one payload
+    over this transport's connections (``Connection.send`` is a
+    fan-out of one).
     """
 
     def bind(self, tag: str, handler: Callable[[Any], None]) -> None: ...
@@ -113,6 +116,12 @@ class Transport(Protocol):
     def unbind(self, tag: str) -> None: ...
 
     def connect(self, host: str, tag: str) -> Connection: ...
+
+    def send_many(self, conns: Sequence[Connection], payload: Any,
+                  size: float) -> list[Completion]:
+        """Send ``payload`` over each connection, in order; one
+        completion per connection."""
+        ...
 
     def batch(self) -> Any:
         """Context manager grouping a burst of sends (may be a no-op)."""

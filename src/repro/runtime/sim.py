@@ -28,24 +28,16 @@ class SimRuntime:
 
     def __init__(self, nodes: int = 8, seed: int = 0,
                  config=None, names: Optional[Sequence[str]] = None,
-                 node_configs: Optional[Sequence] = None,
-                 env=None, cluster=None) -> None:
-        """Build a fresh environment + cluster (or adopt existing ones).
-
-        ``env``/``cluster`` let callers that already hand-wired a
-        simulation wrap it as a runtime; everyone else passes the
-        cluster-shape kwargs straight through to
-        :func:`repro.sim.cluster.build_cluster`.
-        """
+                 node_configs: Optional[Sequence] = None) -> None:
+        """Build a fresh environment + cluster; the cluster-shape
+        kwargs pass straight through to
+        :func:`repro.sim.cluster.build_cluster`."""
         from repro.sim.cluster import build_cluster
         from repro.sim.core import Environment
-        self.env = env if env is not None else Environment()
-        if cluster is not None:
-            self.cluster = cluster
-        else:
-            self.cluster = build_cluster(
-                self.env, nodes, config=config, seed=seed, names=names,
-                node_configs=node_configs)
+        self.env = Environment()
+        self.cluster = build_cluster(
+            self.env, nodes, config=config, seed=seed, names=names,
+            node_configs=node_configs)
         self._bus = None
 
     @property
@@ -73,11 +65,6 @@ class SimRuntime:
     def registries(self) -> dict:
         """Host → telemetry registry for every node of the run."""
         return {node.name: node.telemetry for node in self.cluster}
-
-    def fault_injector(self):
-        """The injector driving this runtime's one fault plane."""
-        from repro.sim.faults import FaultInjector
-        return FaultInjector(self.cluster)
 
     def run(self, until: float) -> None:
         """Advance virtual time to ``until`` seconds."""

@@ -69,12 +69,11 @@ def default_names(n: int) -> list[str]:
             else f"node{i}" for i in range(n)]
 
 
-def build_cluster(env: Environment, nodes: Optional[int] = None,
+def build_cluster(env: Environment, nodes: int = 8,
                   config: NodeConfig | None = None,
                   seed: int = 0,
                   names: Optional[Sequence[str]] = None,
-                  node_configs: Optional[Iterable[NodeConfig]] = None,
-                  *, n_nodes: Optional[int] = None,
+                  node_configs: Optional[Iterable[NodeConfig]] = None
                   ) -> Cluster:
     """Build an *n*-node cluster on a fresh 100 Mbps switched fabric.
 
@@ -90,22 +89,17 @@ def build_cluster(env: Environment, nodes: Optional[int] = None,
         Host names; defaults to the paper-style names, extended with
         ``nodeK`` beyond eight.
     """
-    if n_nodes is not None:
-        # The PR 5 alias is gone; fail loudly with the migration.
-        raise TypeError("build_cluster() no longer accepts "
-                        "'n_nodes'; pass nodes=... instead")
-    n_nodes = 8 if nodes is None else nodes
-    if n_nodes < 1:
+    if nodes < 1:
         raise SimulationError("a cluster needs at least one node")
-    names = default_names(n_nodes) if names is None else list(names)
-    if len(names) != n_nodes:
-        raise SimulationError("names/n_nodes mismatch")
+    names = default_names(nodes) if names is None else list(names)
+    if len(names) != nodes:
+        raise SimulationError("names/nodes mismatch")
     fabric = Fabric(env)
     cluster = Cluster(env, fabric, RngHub(seed))
     per_node = list(node_configs) if node_configs is not None \
-        else [config] * n_nodes
-    if len(per_node) != n_nodes:
-        raise SimulationError("node_configs/n_nodes mismatch")
+        else [config] * nodes
+    if len(per_node) != nodes:
+        raise SimulationError("node_configs/nodes mismatch")
     for name, cfg in zip(names, per_node):
         cluster.add_node(name, config=cfg)
     return cluster

@@ -213,13 +213,31 @@ class FaultPlane:
         self.down_hosts.discard(host)
 
 
-class FaultInjector:
-    """Schedules deterministic faults against one cluster.
+def _scope(src: Optional[str], dst: Optional[str]) -> str:
+    """How the fault log names the links a rule covers."""
+    return "all links" if src is None and dst is None \
+        else f"{src}->{dst}"
 
-    Attaches a :class:`FaultPlane` to the cluster's fabric and offers
-    immediate and time-scheduled mutations.  Every executed action is
-    appended to :attr:`log` as ``(sim_time, description)`` — two runs
-    with the same seed produce identical logs.
+
+def _check_window(start: float, end: Optional[float], what: str) -> None:
+    if end is not None and end <= start:
+        raise FaultInjectionError(what)
+
+
+class FaultInjector:
+    """Schedules deterministic faults against one simulation.
+
+    The simulation is one cluster, or the k clusters of an inline
+    sharded run: each cluster's fabric gets its own
+    :class:`FaultPlane`, and a fault mutates *every* plane — a
+    scheduled one when that cluster's own clock reaches the fault
+    time, so shards that run a window apart still see the fault at the
+    same simulated instant (plane rules name hosts, so they read the
+    same everywhere).  A host belongs to the cluster whose
+    ``fabric.hosts`` holds it; crash/reboot handlers run once, in that
+    cluster.  Every executed action is appended once to :attr:`log` as
+    ``(sim_time, description)`` — two runs with the same seed produce
+    identical logs, whatever the number of clusters.
 
     Crash/reboot callbacks let service layers participate: a dproc
     harness registers ``on_crash → dproc.stop()`` and ``on_reboot →
@@ -227,13 +245,18 @@ class FaultInjector:
     simulated hardware.
     """
 
-    def __init__(self, cluster) -> None:
-        """``cluster`` needs ``.env`` and ``.fabric`` (a
+    def __init__(self, *clusters) -> None:
+        """Each cluster needs ``.env`` and ``.fabric`` (a
         :class:`~repro.sim.cluster.Cluster` or compatible)."""
-        self.env = cluster.env
-        self.fabric = cluster.fabric
-        self.plane = FaultPlane()
-        self.fabric.faults = self.plane
+        #: One ``(env, plane)`` per cluster; host → index of its owner.
+        self._worlds: list[tuple] = []
+        self._owner: dict[str, int] = {}
+        for index, cluster in enumerate(clusters):
+            plane = cluster.fabric.faults = FaultPlane()
+            self._worlds.append((cluster.env, plane))
+            self._owner.update(dict.fromkeys(cluster.fabric.hosts, index))
+        #: The clock the log is stamped with (the first cluster's).
+        self.env = clusters[0].env
         #: Executed fault actions: ``(sim_time, description)``.
         self.log: list[tuple[float, str]] = []
         self._crash_handlers: list[CrashHandler] = []
@@ -253,106 +276,138 @@ class FaultInjector:
 
     def set_message_loss(self, p: float, src: Optional[str] = None,
                          dst: Optional[str] = None) -> None:
-        self.plane.set_loss(p, src, dst)
-        scope = "all links" if src is None and dst is None \
-            else f"{src}->{dst}"
-        self._log(f"loss {p:g} on {scope}")
+        self._loss(None, p, src, dst)
 
     def set_link_loss(self, link_name: str, p: float) -> None:
-        self.plane.set_link_loss(link_name, p)
-        self._log(f"loss {p:g} on link {link_name}")
+        self._apply(None, f"loss {p:g} on link {link_name}",
+                    lambda plane: plane.set_link_loss(link_name, p))
 
     def clear_message_loss(self) -> None:
-        self.plane.clear_loss()
-        self._log("loss cleared")
+        self._apply(None, "loss cleared", FaultPlane.clear_loss)
 
     def set_stall(self, seconds: float, src: Optional[str] = None,
                   dst: Optional[str] = None) -> None:
-        self.plane.set_stall(seconds, src, dst)
-        scope = "all links" if src is None and dst is None \
-            else f"{src}->{dst}"
-        self._log(f"stall {seconds:g}s on {scope}")
+        self._apply(None, f"stall {seconds:g}s on {_scope(src, dst)}",
+                    lambda plane: plane.set_stall(seconds, src, dst))
 
     def partition(self, *groups: Iterable[str]) -> None:
         """Partition hosts into the given isolated groups (immediate)."""
-        frozen = [tuple(g) for g in groups]
-        for group in frozen:
-            for host in group:
-                if host not in self.fabric.hosts:
-                    raise FaultInjectionError(
-                        f"unknown host {host!r} in partition group")
-        self.plane.set_partition(frozen)
-        self._log("partition " + " | ".join(
-            ",".join(g) for g in frozen))
+        self._partition(None, groups)
 
     def heal(self) -> None:
-        self.plane.heal_partition()
-        self._log("partition healed")
+        self._heal(None)
 
     def crash(self, host: str) -> None:
         """Crash ``host`` now: it stops sending/receiving and its crash
         handlers run (abrupt — no clean shutdown is implied)."""
-        if host not in self.fabric.hosts:
-            raise FaultInjectionError(f"unknown host {host!r}")
-        self.plane.mark_down(host)
-        self._log(f"crash {host}")
-        for handler in self._crash_handlers:
-            handler(host)
+        self._crash(None, host)
 
     def reboot(self, host: str) -> None:
         """Bring a crashed ``host`` back and run its reboot handlers."""
-        if host not in self.fabric.hosts:
-            raise FaultInjectionError(f"unknown host {host!r}")
-        self.plane.mark_up(host)
-        self._log(f"reboot {host}")
-        for handler in self._reboot_handlers:
-            handler(host)
+        self._reboot(None, host)
 
     # -- scheduled faults ------------------------------------------------------
+    #
+    # Hosts, partition groups and windows are checked here, when the
+    # fault is scheduled, not when its timer fires inside ``run``.
 
     def at(self, when: float, action: Callable[[], None]) -> None:
-        """Run ``action`` at absolute simulated time ``when``."""
-        delay = when - self.env.now
-        if delay < 0:
-            raise FaultInjectionError(
-                f"cannot schedule a fault at {when} (now is "
-                f"{self.env.now})")
-        timer = self.env.timeout(delay)
-        timer.add_callback(lambda _ev: action())
+        """Run ``action`` at absolute simulated time ``when``, on the
+        first cluster's clock.
+
+        For plane mutations use the ``schedule_*`` helpers, which apply
+        in every cluster at that cluster's own clock; a global action
+        reaches the other shards of a sharded run with up to one
+        window of skew.
+        """
+        _timer(self.env, when, action)
 
     def schedule_loss(self, at: float, p: float,
                       src: Optional[str] = None,
                       dst: Optional[str] = None,
                       until: Optional[float] = None) -> None:
         """Enable message loss at ``at``; clear it again at ``until``."""
-        self.at(at, lambda: self.set_message_loss(p, src, dst))
+        _check_window(at, until, "loss end time must be after its start")
+        self._loss(at, p, src, dst)
         if until is not None:
-            if until <= at:
-                raise FaultInjectionError(
-                    "loss end time must be after its start")
-            self.at(until, lambda: self.set_message_loss(0.0, src, dst))
+            self._loss(until, 0.0, src, dst)
 
     def schedule_partition(self, at: float,
                            groups: Sequence[Iterable[str]],
                            heal_at: Optional[float] = None) -> None:
-        frozen = [tuple(g) for g in groups]
-        self.at(at, lambda: self.partition(*frozen))
+        _check_window(at, heal_at,
+                      "heal time must be after the partition time")
+        self._partition(at, groups)
         if heal_at is not None:
-            if heal_at <= at:
-                raise FaultInjectionError(
-                    "heal time must be after the partition time")
-            self.at(heal_at, self.heal)
+            self._heal(heal_at)
 
     def schedule_crash(self, at: float, host: str,
                        reboot_at: Optional[float] = None) -> None:
-        self.at(at, lambda: self.crash(host))
+        _check_window(at, reboot_at,
+                      "reboot time must be after the crash time")
+        self._crash(at, host)
         if reboot_at is not None:
-            if reboot_at <= at:
+            self._reboot(reboot_at, host)
+
+    # -- internals: one body per fault, ``when`` None = now -----------------
+
+    def _loss(self, when, p, src, dst) -> None:
+        self._apply(when, f"loss {p:g} on {_scope(src, dst)}",
+                    lambda plane: plane.set_loss(p, src, dst))
+
+    def _partition(self, when, groups) -> None:
+        frozen = [tuple(g) for g in groups]
+        for group in frozen:
+            self._check_hosts(group, " in partition group")
+        self._apply(when, "partition " + " | ".join(
+                        ",".join(g) for g in frozen),
+                    lambda plane: plane.set_partition(frozen))
+
+    def _heal(self, when) -> None:
+        self._apply(when, "partition healed", FaultPlane.heal_partition)
+
+    def _crash(self, when, host) -> None:
+        self._check_hosts([host])
+        self._apply(when, f"crash {host}",
+                    lambda plane: plane.mark_down(host),
+                    host, self._crash_handlers)
+
+    def _reboot(self, when, host) -> None:
+        self._check_hosts([host])
+        self._apply(when, f"reboot {host}",
+                    lambda plane: plane.mark_up(host),
+                    host, self._reboot_handlers)
+
+    def _check_hosts(self, hosts, where: str = "") -> None:
+        for host in hosts:
+            if host not in self._owner:
                 raise FaultInjectionError(
-                    "reboot time must be after the crash time")
-            self.at(reboot_at, lambda: self.reboot(host))
+                    f"unknown host {host!r}{where}")
 
-    # -- internals ------------------------------------------------------------
+    def _apply(self, when: Optional[float], text: str, mutate,
+               host: Optional[str] = None, handlers=()) -> None:
+        """Carry one fault out in every cluster: ``mutate(plane)`` now
+        (``when`` None) or when that cluster's clock reads ``when``,
+        logged once (by the first cluster), ``handlers`` called once
+        (in the cluster that owns ``host``)."""
+        owner = self._owner.get(host)
+        for index, (env, plane) in enumerate(self._worlds):
+            def act(index=index, plane=plane) -> None:
+                mutate(plane)
+                if index == 0:
+                    self.log.append((self.env.now, text))
+                if index == owner:
+                    for handler in handlers:
+                        handler(host)
+            if when is None:
+                act()
+            else:
+                _timer(env, when, act)
 
-    def _log(self, text: str) -> None:
-        self.log.append((self.env.now, text))
+
+def _timer(env, when: float, action: Callable[[], None]) -> None:
+    delay = when - env.now
+    if delay < 0:
+        raise FaultInjectionError(
+            f"cannot schedule a fault at {when} (now is {env.now})")
+    env.timeout(delay).add_callback(lambda _ev: action())

@@ -4,7 +4,8 @@ The base :class:`~repro.sim.network.Fabric` models the paper's testbed:
 one ideal switch, optional shared segments.  Grids and large clusters
 (the paper's future work) have switch hierarchies; this module provides
 :class:`GraphFabric`, which routes over an arbitrary switch graph
-described with :mod:`networkx`:
+described with :mod:`networkx` (imported on first use of a graph
+topology, so runs on the plain fabric never load it):
 
 * graph nodes are switches; graph edges are trunks, each realised as a
   pair of directed :class:`~repro.sim.link.Link` objects with
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
-
-import networkx as nx
 
 from repro.errors import NetworkError, RoutingError
 from repro.sim.cluster import Cluster
@@ -212,6 +211,7 @@ class GraphFabric(Fabric):
         super().__init__(env, access_capacity=access_capacity,
                          access_latency=access_latency,
                          switch_latency=switch_latency)
+        import networkx as nx
         if graph.number_of_nodes() == 0:
             raise NetworkError("switch graph is empty")
         if not nx.is_connected(graph):
@@ -280,6 +280,7 @@ class GraphFabric(Fabric):
         d_switch = self.switch_of(dst)
         links: list[Link] = [sport.tx]
         if s_switch != d_switch:
+            import networkx as nx
             switches = nx.shortest_path(self.graph, s_switch, d_switch,
                                         weight="latency")
             for u, v in zip(switches, switches[1:]):
@@ -292,6 +293,7 @@ class GraphFabric(Fabric):
 
 def line_topology(n_switches: int) -> nx.Graph:
     """``s0 - s1 - ... - s(n-1)``: the worst-diameter core."""
+    import networkx as nx
     if n_switches < 1:
         raise NetworkError("need at least one switch")
     return nx.path_graph([f"s{i}" for i in range(n_switches)])
@@ -299,6 +301,7 @@ def line_topology(n_switches: int) -> nx.Graph:
 
 def tree_topology(depth: int, fanout: int = 2) -> nx.Graph:
     """Balanced switch tree (datacenter-style aggregation)."""
+    import networkx as nx
     if depth < 0 or fanout < 1:
         raise NetworkError("invalid tree parameters")
     tree = nx.balanced_tree(fanout, depth)

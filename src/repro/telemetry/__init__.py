@@ -6,7 +6,7 @@ d-mon polling, KECho submission, E-code filtering) before trusting its
 adaptation decisions.  This package is that introspection layer:
 
 * :mod:`repro.telemetry.instruments` — deterministic, sim-clock-based
-  counters, gauges, fixed-bucket histograms and span logs;
+  counters, gauges and fixed-bucket histograms;
 * :mod:`repro.telemetry.registry` — the per-node
   :class:`TelemetryRegistry` (``node.telemetry``) from which any module
   get-or-creates named instruments without pipeline changes;
@@ -19,7 +19,6 @@ draws randomness.
 """
 
 from repro.telemetry.instruments import (Counter, Gauge, Histogram,
-                                         Span, SpanLog,
                                          DEFAULT_LATENCY_BOUNDS)
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.report import (MONITOR_CPU_COUNTERS,
@@ -27,8 +26,7 @@ from repro.telemetry.report import (MONITOR_CPU_COUNTERS,
                                     render_text)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Span", "SpanLog",
-    "DEFAULT_LATENCY_BOUNDS", "TelemetryRegistry",
+    "Counter", "Gauge", "Histogram", "DEFAULT_LATENCY_BOUNDS", "TelemetryRegistry",
     "MONITOR_CPU_COUNTERS", "overhead_summary", "render_json",
     "render_text",
 ]

@@ -1,4 +1,4 @@
-"""Telemetry instruments: counters, gauges, histograms, span logs.
+"""Telemetry instruments: counters, gauges, histograms.
 
 Design constraints (they matter more here than in an ordinary metrics
 library, because the *monitoring system being measured is the product*):
@@ -9,23 +9,17 @@ library, because the *monitoring system being measured is the product*):
 * **Passive.**  Recording never schedules simulator events, charges
   CPU cost, or touches the network; the telemetry layer only
   *observes* costs other layers already compute.
-* **Bounded.**  Histograms are fixed-size bucket arrays and span logs
-  are bounded deques, so day-long large-cluster runs cannot grow
-  telemetry state without bound.
+* **Bounded.**  Histograms are fixed-size bucket arrays, so day-long
+  large-cluster runs cannot grow telemetry state without bound.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.telemetry.ordering import check_interval, freeze_attrs
-
-__all__ = ["Counter", "Gauge", "Histogram", "Span", "SpanLog",
-           "DEFAULT_LATENCY_BOUNDS"]
+__all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_LATENCY_BOUNDS"]
 
 #: Default histogram bucket upper bounds (seconds): spans microseconds
 #: (kernel costs) through tens of seconds (WAN backoff), log-spaced.
@@ -176,55 +170,3 @@ class Histogram:
                 "nan_count": self.nan_count,
                 "bounds": list(self.bounds),
                 "counts": list(self.counts)}
-
-
-@dataclass(frozen=True)
-class Span:
-    """One traced interval of simulated time."""
-
-    name: str
-    start: float
-    end: float
-    attrs: tuple[tuple[str, object], ...] = ()
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def snapshot(self) -> dict:
-        return {"name": self.name, "start": self.start,
-                "end": self.end, "attrs": dict(self.attrs)}
-
-
-class SpanLog:
-    """Bounded log of :class:`Span` records (most recent kept)."""
-
-    __slots__ = ("name", "spans", "recorded")
-
-    def __init__(self, name: str, max_spans: int = 256) -> None:
-        if max_spans < 1:
-            raise ValueError("max_spans must be positive")
-        self.name = name
-        self.spans: deque[Span] = deque(maxlen=max_spans)
-        #: Total spans ever recorded (including evicted ones).
-        self.recorded = 0
-
-    def record(self, name: str, start: float, end: float,
-               **attrs: object) -> Span:
-        # Interval validation and attribute normalisation are shared
-        # with the causal-trace collector (repro.telemetry.ordering),
-        # so SpanLog and TraceCollector agree on span semantics.
-        check_interval(name, start, end)
-        span = Span(name=name, start=start, end=end,
-                    attrs=freeze_attrs(attrs))
-        self.spans.append(span)
-        self.recorded += 1
-        return span
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def snapshot(self) -> dict:
-        return {"type": "spans", "recorded": self.recorded,
-                "retained": len(self.spans),
-                "spans": [s.snapshot() for s in self.spans]}

@@ -19,22 +19,20 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.errors import TelemetryError
-from repro.telemetry.instruments import (Counter, Gauge, Histogram,
-                                         SpanLog)
+from repro.telemetry.instruments import Counter, Gauge, Histogram
 
 __all__ = ["TelemetryRegistry"]
 
-Instrument = Union[Counter, Gauge, Histogram, SpanLog]
+Instrument = Union[Counter, Gauge, Histogram]
 
 
 class TelemetryRegistry:
     """Named instruments for one scope (usually one node)."""
 
-    __slots__ = ("scope", "max_spans", "_instruments")
+    __slots__ = ("scope", "_instruments")
 
-    def __init__(self, scope: str = "", max_spans: int = 256) -> None:
+    def __init__(self, scope: str = "") -> None:
         self.scope = scope
-        self.max_spans = max_spans
         self._instruments: dict[str, Instrument] = {}
 
     # -- instrument factories ------------------------------------------------
@@ -54,29 +52,7 @@ class TelemetryRegistry:
         ``bounds`` applies only on first creation; later callers share
         the existing bucket layout.
         """
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise TelemetryError(
-                    f"{self._label(name)} is a "
-                    f"{type(existing).__name__}, not a Histogram")
-            return existing
-        instrument = Histogram(name, bounds=bounds)
-        self._instruments[name] = instrument
-        return instrument
-
-    def spans(self, name: str) -> SpanLog:
-        """Get or create the span log called ``name``."""
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, SpanLog):
-                raise TelemetryError(
-                    f"{self._label(name)} is a "
-                    f"{type(existing).__name__}, not a SpanLog")
-            return existing
-        instrument = SpanLog(name, max_spans=self.max_spans)
-        self._instruments[name] = instrument
-        return instrument
+        return self._get(name, Histogram, bounds=bounds)
 
     # -- queries ---------------------------------------------------------------
 
@@ -138,7 +114,7 @@ class TelemetryRegistry:
 
     # -- internals ------------------------------------------------------------
 
-    def _get(self, name: str, cls) -> Instrument:
+    def _get(self, name: str, cls, **options) -> Instrument:
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -146,7 +122,7 @@ class TelemetryRegistry:
                     f"{self._label(name)} is a "
                     f"{type(existing).__name__}, not a {cls.__name__}")
             return existing
-        instrument = cls(name)
+        instrument = cls(name, **options)
         self._instruments[name] = instrument
         return instrument
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.telemetry.instruments import Counter, Gauge, Histogram, SpanLog
+from repro.telemetry.instruments import Counter, Gauge, Histogram
 from repro.telemetry.registry import TelemetryRegistry
 
 __all__ = ["render_text", "render_json", "overhead_summary",
@@ -67,9 +67,6 @@ def render_text(registry: TelemetryRegistry, prefix: str = "") -> str:
                 f"p50={_fmt(instrument.quantile(0.5))} "
                 f"p99={_fmt(instrument.quantile(0.99))} "
                 f"max={_fmt(instrument.max if instrument.count else math.nan)}")
-        elif isinstance(instrument, SpanLog):
-            lines.append(f"{name}: recorded={instrument.recorded} "
-                         f"retained={len(instrument)}")
     return "".join(f"{line}\n" for line in lines)
 
 

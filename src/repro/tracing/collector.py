@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.errors import TracingError
-from repro.telemetry.ordering import (check_interval, freeze_attrs,
-                                      span_sort_key)
 from repro.tracing.context import TraceContext, trace_hash
+from repro.tracing.ordering import (check_interval, freeze_attrs,
+                                    span_sort_key)
 
 __all__ = ["SpanRecord", "SpanHandle", "SpanTree", "AuditEntry",
            "TraceCollector", "NULL_TRACER", "attach_tracer"]

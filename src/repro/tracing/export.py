@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.telemetry.ordering import freeze_attrs
 from repro.tracing.collector import (SpanRecord, SpanTree,
                                      TraceCollector)
+from repro.tracing.ordering import freeze_attrs
 
 __all__ = ["to_chrome_trace", "render_tree"]
 

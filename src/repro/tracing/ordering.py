@@ -1,22 +1,15 @@
-"""Shared span bookkeeping: interval validation, attrs, ordering.
+"""Span bookkeeping: interval validation, attrs, ordering.
 
-Two subsystems record spans of simulated time: the per-node telemetry
-:class:`~repro.telemetry.instruments.SpanLog` (aggregate
-instrumentation) and the cluster-wide
-:class:`~repro.tracing.TraceCollector` (causal traces).  They must
-agree on what a valid interval is, how attributes are normalised, and
-how spans that share a timestamp are ordered — otherwise the same
-instant can render in two different orders depending on which log you
-read.  This module is that single source of truth; both layers import
-it instead of keeping private copies.
+What the :class:`~repro.tracing.TraceCollector` and its exporters
+agree on: what a valid interval is, how attributes are normalised,
+and how spans that share a timestamp are ordered — so the same instant
+never renders in two different orders.
 
 The ordering contract: spans sort by *(start, end, arrival sequence)*.
 Open spans (``end is None``) sort after every completed span that
 started at the same time — a span still in flight is, by definition,
-the later story.  Ties fall back to arrival order, which both layers
-track as a plain per-log monotonic counter (``SpanLog.recorded``, the
-collector's span-id counter) — deterministic because the simulation
-itself is.
+the later story.  Ties fall back to arrival order, the collector's
+span-id counter — deterministic because the simulation itself is.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ def make_registry(scope: str = "n0") -> TelemetryRegistry:
                          bounds=(0.01, 0.1))
     hist.observe(0.02)
     hist.observe(0.2)
-    reg.spans("dmon.poll").record("poll", 1.0, 1.0, cpu=0.01)
     return reg
 
 
@@ -41,11 +40,6 @@ class TestRender:
         assert ('repro_kecho_monitor_delivery_seconds_count'
                 '{node="n0"} 2') in text
         assert text.endswith("# EOF\n")
-
-    def test_span_logs_become_recorded_counters(self):
-        text = render_openmetrics({"n0": make_registry()})
-        assert ('repro_dmon_poll_spans_recorded_total'
-                '{node="n0"} 1') in text
 
     def test_multi_node_sorted_and_stable(self):
         regs = {"b": make_registry("b"), "a": make_registry("a")}

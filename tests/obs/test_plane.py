@@ -131,15 +131,15 @@ class TestScenarioGuards:
 
     def test_chaos_obs_flag_attaches_plane(self):
         from repro.harness.chaos import chaos_recovery
-        report = chaos_recovery(nodes=10, duration=30.0, seed=7,
-                                obs=True)
-        assert report.obs_plane is not None
-        assert report.obs_plane.samples_taken > 0
+        plane = chaos_recovery(
+            nodes=10, duration=30.0, seed=7,
+            configure=lambda sc: sc.with_observability()).scenario.obs
+        assert plane.samples_taken > 0
         # The paper's loss window must trip drop-burn.
-        assert any(t.rule == "drop-burn"
-                   for t in report.obs_plane.transitions)
+        assert any(t.rule == "drop-burn" for t in plane.transitions)
 
     def test_chaos_without_obs_has_no_plane(self):
         from repro.harness.chaos import chaos_recovery
         report = chaos_recovery(nodes=8, duration=20.0, seed=7)
-        assert report.obs_plane is None
+        with pytest.raises(ScenarioError, match="with_observability"):
+            report.scenario.obs

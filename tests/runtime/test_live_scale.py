@@ -220,6 +220,36 @@ class TestPeerLinkBackpressure:
         assert asyncio.run(run()) is False
 
 
+class TestFanOut:
+    def test_send_many_encodes_one_frame_for_k_links(self, monkeypatch):
+        from repro.live import transport
+        encoded = []
+        monkeypatch.setattr(
+            transport, "encode_frame",
+            lambda tag, event: (encoded.append(tag),
+                                encode_frame(tag, event))[1])
+        peers = ["maui", "etna", "fuji", "hood"]
+
+        async def run():
+            stack = _stack()
+            conns = [stack.connect(dst, tag="t") for dst in peers]
+            for conn in conns:
+                conn._link._opener.cancel()
+                conn._link._writer = _FakeWriter()
+            await asyncio.sleep(0)
+            return stack, conns, stack.send_many(conns, _event(7), 32.0)
+        stack, conns, done = asyncio.run(run())
+        assert encoded == ["t"]
+        assert all(completion._ok for completion in done)
+        assert stack._t_frames.value == len(peers)
+        for conn in conns:
+            (body,) = FrameDecoder().feed(b"".join(
+                conn._link._writer.writes))
+            tag, event = decode_frame(body)
+            assert (tag, event.channel, event.source, event.payload,
+                    event.submitted_at) == ("t", "c", "s", {"i": 7}, 7.0)
+
+
 class TestSlowConsumerLive:
     """Real sockets: a peer that stops reading trips the watermark."""
 

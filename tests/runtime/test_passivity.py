@@ -35,18 +35,25 @@ from repro.tracing import TraceCollector
 
 CHAOS = dict(nodes=12, seed=11, duration=34.0)
 
-INSTRUMENTS = {
-    "tracing": dict(tracing=True),
-    "stream": dict(stream=True),
-    "obs": dict(obs=True),
-    "all": dict(tracing=True, stream=True, obs=True),
+#: Instrument → the ``Scenario`` call that switches it on.
+SWITCH_ON = {
+    "tracing": lambda sc: sc.with_tracing(
+        TraceCollector(seed=CHAOS["seed"])),
+    "stream": lambda sc: sc.with_stream(),
+    "obs": lambda sc: sc.with_observability(),
 }
 
+#: Test id → the instruments that run has on.
+INSTRUMENTS = {**{name: (name,) for name in SWITCH_ON},
+               "all": tuple(SWITCH_ON)}
 
-def run(workers: int, tracing: bool = False, **instruments):
-    tracer = TraceCollector(seed=CHAOS["seed"]) if tracing else None
-    return chaos_recovery(**CHAOS, workers=workers, tracer=tracer,
-                          **instruments)
+
+def run(workers: int, instruments=()):
+    def configure(sc):
+        sc.with_workers(workers, mode="inline")
+        for name in instruments:
+            SWITCH_ON[name](sc)
+    return chaos_recovery(**CHAOS, configure=configure)
 
 
 def cluster_files(report) -> dict:
@@ -74,17 +81,17 @@ def bare(request):
 @pytest.mark.parametrize("instrument", INSTRUMENTS)
 def test_instrument_is_passive(bare, instrument):
     workers, baseline, baseline_files, streams = bare
-    report = run(workers, **INSTRUMENTS[instrument])
+    report = run(workers, INSTRUMENTS[instrument])
     assert report.trace == baseline.trace
     assert report.overhead == baseline.overhead
     files = cluster_files(report)
     assert len(files) > 12 * 12 * 20
     assert files == baseline_files
-    if report.stream_broker is not None:
-        recorded = report.stream_broker.serialize()
+    if "stream" in INSTRUMENTS[instrument]:
+        recorded = report.scenario.stream.serialize()
         assert recorded and streams.setdefault("bytes", recorded) \
             == recorded
-    if instrument in ("obs", "all"):
+    if "obs" in INSTRUMENTS[instrument]:
         # The plane did observe the run it left untouched.
-        assert report.obs_plane.samples_taken > 0
-        assert report.obs_plane.transitions
+        assert report.scenario.obs.samples_taken > 0
+        assert report.scenario.obs.transitions

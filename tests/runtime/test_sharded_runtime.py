@@ -78,54 +78,61 @@ class TestShardedScenarioSurface:
 
 
 class TestShardedFaultInjector:
-    def _scenario(self, configure):
+    """One ``FaultInjector`` class, over one world or one per shard:
+    every assertion holds for both shapes (a loop, not a parameter,
+    so the test ids are stable)."""
+
+    WORKERS = (1, 2)
+
+    def _scenario(self, configure, workers):
         return (Scenario(nodes=8, seed=4)
-                .with_workers(2, mode="inline")
+                .with_workers(workers, mode="inline")
                 .with_faults(configure))
 
     def test_scheduled_faults_log_like_plain_injector(self):
-        sc = self._scenario(lambda s: (
+        plain, sharded = (self._scenario(lambda s: (
             s.faults.schedule_loss(1.0, 0.3, until=2.0),
             s.faults.schedule_partition(
                 1.5, [s.nodes.names[:4], s.nodes.names[4:]],
-                heal_at=2.5))).run(4.0)
-        assert [entry[1] for entry in sc.faults.log] == [
-            "loss 0.3 on all links",
-            "partition " + ",".join(sc.nodes.names[:4]) + " | "
-            + ",".join(sc.nodes.names[4:]),
-            "loss 0 on all links",
-            "partition healed",
-        ]
-        assert [entry[0] for entry in sc.faults.log] == \
+                heal_at=2.5)), workers).run(4.0)
+            for workers in self.WORKERS)
+        assert len(plain.runtime.worlds) == 1
+        assert len(sharded.runtime.worlds) == 2
+        assert sharded.faults.log == plain.faults.log
+        assert [entry[0] for entry in plain.faults.log] == \
             [1.0, 1.5, 2.0, 2.5]
 
     def test_crash_handlers_run_once_in_owning_shard(self):
-        crashes = []
-        def configure(s):
-            s.faults.on_crash(lambda h: crashes.append(h))
-            s.faults.on_reboot(lambda h: crashes.append(("up", h)))
-            s.faults.schedule_crash(1.0, s.nodes.names[0],
-                                    reboot_at=2.0)
-        sc = self._scenario(configure).run(3.0)
-        victim = sc.nodes.names[0]
-        assert crashes == [victim, ("up", victim)]
+        for workers in self.WORKERS:
+            crashes = []
+            def configure(s):
+                s.faults.on_crash(lambda h: crashes.append(h))
+                s.faults.on_reboot(lambda h: crashes.append(("up", h)))
+                s.faults.schedule_crash(1.0, s.nodes.names[0],
+                                        reboot_at=2.0)
+            sc = self._scenario(configure, workers).run(3.0)
+            victim = sc.nodes.names[0]
+            assert crashes == [victim, ("up", victim)], workers
 
     def test_unknown_host_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            self._scenario(
-                lambda s: s.faults.schedule_crash(1.0, "nope")
-            ).run(2.0)
+        for workers in self.WORKERS:
+            with pytest.raises(FaultInjectionError):
+                self._scenario(
+                    lambda s: s.faults.schedule_crash(1.0, "nope"),
+                    workers).run(2.0)
 
     def test_partition_blocks_cross_group_monitoring(self):
-        sc = self._scenario(lambda s: s.faults.schedule_partition(
-            0.5, [s.nodes.names[:4], s.nodes.names[4:]])).run(6.0)
-        a = sc.nodes.names[0]
-        z = sc.nodes.names[-1]
-        # Both sides ended up isolated: each watcher's view of the
-        # other half went stale/dead (state is not "fresh").
         from repro.dproc import PEER_FRESH
-        assert sc.dprocs[a].dmon.peer_state(z) != PEER_FRESH
-        assert sc.dprocs[z].dmon.peer_state(a) != PEER_FRESH
+        for workers in self.WORKERS:
+            sc = self._scenario(lambda s: s.faults.schedule_partition(
+                0.5, [s.nodes.names[:4], s.nodes.names[4:]]),
+                workers).run(6.0)
+            a = sc.nodes.names[0]
+            z = sc.nodes.names[-1]
+            # Both sides ended up isolated: each watcher's view of the
+            # other half went stale/dead (state is not "fresh").
+            assert sc.dprocs[a].dmon.peer_state(z) != PEER_FRESH, workers
+            assert sc.dprocs[z].dmon.peer_state(a) != PEER_FRESH, workers
 
 
 class TestMergeOverheadSummaries:

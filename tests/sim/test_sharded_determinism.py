@@ -80,8 +80,10 @@ class TestShardedSelfIdentity:
         assert self._run() == self._run()
 
     def test_sharded_chaos_identical_across_runs(self):
-        a = chaos_recovery(nodes=12, seed=5, duration=30.0, workers=3)
-        b = chaos_recovery(nodes=12, seed=5, duration=30.0, workers=3)
+        a, b = (chaos_recovery(
+            nodes=12, seed=5, duration=30.0,
+            configure=lambda sc: sc.with_workers(3, mode="inline"))
+            for _ in range(2))
         assert a.trace == b.trace
         assert a.overhead == b.overhead
 

@@ -58,24 +58,25 @@ class TestCleanRun:
 class TestGoldenChaos:
     @pytest.fixture(scope="class")
     def report(self):
-        return chaos_recovery(stream=True, **GOLDEN_CHAOS)
+        return chaos_recovery(
+            **GOLDEN_CHAOS, configure=lambda sc: sc.with_stream())
 
     def test_zero_unexplained_discrepancies(self, report):
-        rec = report.reconciliation
-        assert rec is not None and rec.ok
+        rec = report.reconciliation()
+        assert rec.ok
         assert not rec.missing  # every loss attributed, none silent
         assert not rec.duplicated and not rec.unexpected
         assert not rec.procfs_mismatches
 
     def test_drops_attributed_to_the_fault_plane(self, report):
-        rec = report.reconciliation
+        rec = report.reconciliation()
         assert rec.dropped  # chaos definitely killed deliveries
         assert set(rec.dropped_by_fault) >= {"injected loss",
                                              "partition"}
         assert sum(rec.dropped_by_fault.values()) == len(rec.dropped)
 
     def test_per_host_findings_name_metric_files(self, report):
-        rec = report.reconciliation
+        rec = report.reconciliation()
         assert rec.per_host
         metric_names = {name for metrics in rec.per_host.values()
                         for name in metrics}

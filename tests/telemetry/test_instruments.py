@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.telemetry import (DEFAULT_LATENCY_BOUNDS, Counter, Gauge,
-                             Histogram, SpanLog)
+                             Histogram)
 
 
 class TestCounter:
@@ -119,36 +119,3 @@ class TestHistogram:
         assert snap["count"] == 0
         assert snap["min"] is None and snap["max"] is None
         assert math.isnan(snap["mean"])
-
-
-class TestSpanLog:
-    def test_record_and_duration(self):
-        log = SpanLog("s")
-        span = log.record("poll", 1.0, 1.5, cpu=0.01)
-        assert span.duration == pytest.approx(0.5)
-        assert dict(span.attrs) == {"cpu": 0.01}
-        assert len(log) == 1
-
-    def test_bounded_retention(self):
-        log = SpanLog("s", max_spans=3)
-        for i in range(10):
-            log.record("p", float(i), float(i))
-        assert len(log) == 3
-        assert log.recorded == 10
-        assert [s.start for s in log.spans] == [7.0, 8.0, 9.0]
-
-    def test_rejects_backwards_span(self):
-        with pytest.raises(ValueError, match="before it starts"):
-            SpanLog("s").record("p", 2.0, 1.0)
-
-    def test_attrs_are_deterministically_ordered(self):
-        span = SpanLog("s").record("p", 0.0, 0.0, z=1, a=2)
-        assert span.attrs == (("a", 2), ("z", 1))
-
-    def test_snapshot(self):
-        log = SpanLog("s", max_spans=2)
-        log.record("p", 0.0, 1.0)
-        snap = log.snapshot()
-        assert snap["recorded"] == 1
-        assert snap["spans"][0] == {"name": "p", "start": 0.0,
-                                    "end": 1.0, "attrs": {}}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import (Counter, Gauge, Histogram, SpanLog,
+from repro.telemetry import (Counter, Gauge, Histogram,
                              TelemetryRegistry)
 
 
@@ -15,7 +15,6 @@ class TestGetOrCreate:
         assert reg.counter("a.b") is reg.counter("a.b")
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
-        assert reg.spans("s") is reg.spans("s")
 
     def test_kind_mismatch_rejected(self):
         reg = TelemetryRegistry()
@@ -24,11 +23,9 @@ class TestGetOrCreate:
             reg.gauge("x")
         with pytest.raises(TelemetryError, match="not a Histogram"):
             reg.histogram("x")
-        with pytest.raises(TelemetryError, match="not a SpanLog"):
-            reg.spans("x")
-        reg.spans("s")
+        reg.histogram("h")
         with pytest.raises(TelemetryError, match="not a Counter"):
-            reg.counter("s")
+            reg.counter("h")
 
     def test_mismatch_error_names_the_scope(self):
         reg = TelemetryRegistry(scope="node7")
@@ -41,13 +38,6 @@ class TestGetOrCreate:
         h = reg.histogram("h", bounds=(1.0, 2.0))
         assert reg.histogram("h", bounds=(9.0,)) is h
         assert h.bounds == (1.0, 2.0)
-
-    def test_span_log_inherits_registry_cap(self):
-        reg = TelemetryRegistry(max_spans=2)
-        log = reg.spans("s")
-        for i in range(5):
-            log.record("p", float(i), float(i))
-        assert len(log) == 2
 
 
 class TestQueries:
@@ -90,10 +80,10 @@ class TestQueries:
         reg = TelemetryRegistry()
         reg.counter("c").inc()
         reg.gauge("g").set(1.0)
-        reg.spans("s").record("p", 0.0, 1.0, k="v")
+        reg.histogram("h").observe(0.5)
         snap = reg.snapshot()
         json.dumps(snap)  # must be JSON-serialisable as-is
-        assert set(snap) == {"c", "g", "s"}
+        assert set(snap) == {"c", "g", "h"}
         assert snap["c"]["type"] == "counter"
 
 
@@ -103,4 +93,3 @@ class TestInstrumentKinds:
         assert isinstance(reg.counter("c"), Counter)
         assert isinstance(reg.gauge("g"), Gauge)
         assert isinstance(reg.histogram("h"), Histogram)
-        assert isinstance(reg.spans("s"), SpanLog)

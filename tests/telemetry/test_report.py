@@ -18,7 +18,6 @@ def make_registry(scope: str = "n0") -> TelemetryRegistry:
     reg.gauge("net.in_flight").adjust(2)
     reg.histogram("kecho.health.delivery_seconds", bounds=(0.01, 0.1)) \
         .observe(0.02)
-    reg.spans("dmon.poll").record("poll", 1.0, 1.0, cpu=0.01)
     return reg
 
 
@@ -26,7 +25,7 @@ class TestRenderText:
     def test_one_line_per_instrument(self):
         text = render_text(make_registry())
         lines = text.strip().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 5
         assert text.endswith("\n")
 
     def test_counter_and_gauge_lines(self):
@@ -38,10 +37,6 @@ class TestRenderText:
         text = render_text(make_registry())
         assert ("kecho.health.delivery_seconds: count=1 mean=0.02 "
                 in text)
-
-    def test_span_line_is_a_summary(self):
-        text = render_text(make_registry())
-        assert "dmon.poll: recorded=1 retained=1\n" in text
 
     def test_prefix_slices(self):
         text = render_text(make_registry(), prefix="dmon.")

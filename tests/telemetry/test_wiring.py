@@ -36,14 +36,6 @@ class TestDmonInstrumentation:
         assert "dmon.module.cpu.collect_seconds" in module_names
         assert reg.value("dmon.module.cpu.collect_seconds") > 0
 
-    def test_poll_spans_traced(self, monitored):
-        cluster, _ = monitored
-        log = cluster["alan"].telemetry.spans("dmon.poll")
-        assert log.recorded > 0
-        span = log.spans[-1]
-        assert span.name == "poll"
-        assert dict(span.attrs)["cpu"] > 0
-
     def test_publish_counters(self, monitored):
         cluster, _ = monitored
         total_events = sum(

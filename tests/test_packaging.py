@@ -1,0 +1,43 @@
+"""What installing the package must bring along, and what importing
+it must leave out."""
+
+from __future__ import annotations
+
+import ast
+import os
+import re
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def test_entry_points_load_neither_networkx_nor_scipy():
+    """Only a graph topology needs networkx and only a confidence
+    interval needs scipy; no run should pay for importing them."""
+    code = ("import repro.api, repro.live.runtime, repro.harness, sys; "
+            "assert not {'networkx', 'scipy'} & set(sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", code], capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    declared = {re.split(r"[^A-Za-z0-9_.-]", dep, maxsplit=1)[0].lower()
+                for dep in project["project"]["dependencies"]}
+    imported = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert third_party and third_party <= declared

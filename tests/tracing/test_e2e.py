@@ -32,7 +32,8 @@ def scenario20() -> TraceCollector:
 def chaos_tracer():
     """The collector of a traced chaos run."""
     tracer = TraceCollector(seed=CHAOS["seed"], max_traces=16384)
-    chaos_recovery(**CHAOS, tracer=tracer)
+    chaos_recovery(**CHAOS,
+                   configure=lambda sc: sc.with_tracing(tracer))
     return tracer
 
 
