@@ -70,8 +70,8 @@ def run_configuration(use_filter: bool, duration: float = 100.0):
     node = cluster["alan"]
     node.cpu.settle()
     return {
-        "records": publisher.records_published.total,
-        "events": publisher.events_published.total,
+        "records": node.telemetry.value("dmon.records_published"),
+        "events": node.telemetry.value("dmon.events_published"),
         "cpu_seconds": node.cpu.busy_cpu_seconds,
     }
 

@@ -54,8 +54,7 @@ def build():
     dprocs = {}
     for name in names:
         cfg = DMonConfig(poll_interval=POLL,
-                         subscribe_monitoring=name in watchers,
-                         trace_max_samples=1024)
+                         subscribe_monitoring=name in watchers)
         dprocs[name] = Dproc(cluster[name], bus, cfg, MODULES)
         dprocs[name].dmon.modules["proc"].configure("nprocs", N_PROCS)
     for name in watchers:

@@ -31,7 +31,7 @@ from repro.kecho import (ChannelEvent, ClearParameter, ControlMessage,
                          DeployFilter, RemoveFilter, SetParameter,
                          control_message_size)
 from repro.runtime.protocol import Bus, RuntimeNode
-from repro.runtime.series import CounterTrace, TimeSeries
+from repro.runtime.series import TimeSeries
 from repro.tracing.context import TraceRef
 
 __all__ = ["DMonConfig", "DMon", "RemoteMetric", "RemoteProcs",
@@ -46,6 +46,11 @@ PEER_FRESH = "fresh"
 PEER_STALE = "stale"
 PEER_DEAD = "dead"
 PEER_UNKNOWN = "unknown"
+
+#: ``max_samples`` of the two per-poll overhead series (one sample per
+#: poll): day-long runs stay bounded, and nothing is trimmed within
+#: the horizons of the paper figures that read ``mean(since)``.
+OVERHEAD_HISTORY = 65536
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,6 @@ class DMonConfig:
     metric_subset: Optional[frozenset[MetricId]] = None
     #: Subscribe to the monitoring channel at start (import remote data).
     subscribe_monitoring: bool = True
-    #: Retention bound for per-node instrumentation traces (None =
-    #: unbounded).  The default keeps day-long runs on large clusters
-    #: from growing without bound while never trimming within the
-    #: benchmark horizons used by the paper figures.
-    trace_max_samples: Optional[int] = 65536
     #: A peer unheard for more than this many polling intervals is
     #: reported *stale* ...
     stale_after_intervals: float = 3.0
@@ -132,15 +132,10 @@ class DMon:
         self.peer_last_heard: dict[str, float] = {}
         self.update_hooks: list[UpdateHook] = []
         # instrumentation ---------------------------------------------------
-        bound = self.config.trace_max_samples
-        self.submit_overhead = TimeSeries(f"{node.name}:submit-overhead",
-                                          max_samples=bound)
+        self.submit_overhead = TimeSeries(
+            f"{node.name}:submit-overhead", OVERHEAD_HISTORY)
         self.receive_overhead = TimeSeries(
-            f"{node.name}:receive-overhead", max_samples=bound)
-        self.events_published = CounterTrace(f"{node.name}:published",
-                                             max_samples=bound)
-        self.records_published = CounterTrace(f"{node.name}:records",
-                                              max_samples=bound)
+            f"{node.name}:receive-overhead", OVERHEAD_HISTORY)
         self.polls = 0
         # self-telemetry: named instruments in the node registry, bound
         # once (hot path).  All no-ops when the node disables telemetry.
@@ -358,8 +353,6 @@ class DMon:
                 receipt = self._monitor_ep.submit(payload, size=size,
                                                   trace=ctx)
                 submit_cost = receipt.cpu_seconds
-                self.events_published.add(now, 1.0)
-                self.records_published.add(now, float(n_records))
                 self._t_events.inc()
                 self._t_records.inc(n_records)
                 for metric, value in to_send.items():

@@ -68,24 +68,25 @@ class NetMon(MonitoringModule):
     def collect(self, now: float) -> list[MetricSample]:
         stack = self.node.stack
         w = self.window
-        rtts = [c.rtt.last() for c in stack.connections if len(c.rtt)]
-        mean_rtt = sum(rtts) / len(rtts) if rtts else 0.0
+        rtts = [c.last_rtt for c in stack.connections
+                if c.last_rtt is not None]
+        rtt = sum(rtts) / len(rtts) if rtts else 0.0
         retx = sum(c.retransmissions.rate(now, w)
                    for c in stack.connections)
         lost = sum(c.losses.rate(now, w) for c in stack.connections)
         # End-to-end delay: mean over each connection's most recent
         # delivered-message delay ("the end-to-end delay for both TCP
         # and UDP connections", §2.1).
-        delays = [c.delays.last() for c in stack.connections
-                  if len(c.delays)]
-        mean_delay = sum(delays) / len(delays) if delays else 0.0
+        delays = [c.last_delay for c in stack.connections
+                  if c.last_delay is not None]
+        delay = sum(delays) / len(delays) if delays else 0.0
         return [
             MetricSample(MetricId.NET_BANDWIDTH,
                          self.available_bandwidth(), now),
-            MetricSample(MetricId.NET_RTT, mean_rtt, now),
+            MetricSample(MetricId.NET_RTT, rtt, now),
             MetricSample(MetricId.NET_RETX, retx, now),
             MetricSample(MetricId.NET_LOST, lost, now),
             MetricSample(MetricId.NET_USED,
                          stack.bytes_out.rate(now, w), now),
-            MetricSample(MetricId.NET_DELAY, mean_delay, now),
+            MetricSample(MetricId.NET_DELAY, delay, now),
         ]

@@ -60,7 +60,7 @@ class PmcMon(MonitoringModule):
         cpu = self.node.cpu
         cpu.settle()
         busy = cpu.busy_cpu_seconds
-        rx = self.node.stack.bytes_in.total
+        rx = self.node.stack.bytes_received
         if self._last_time is None or now <= self._last_time:
             mflop_rate = 0.0
             rx_rate = 0.0

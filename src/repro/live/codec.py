@@ -174,7 +174,10 @@ def encode_frame(tag: str, event: ChannelEvent) -> bytes:
 
 
 def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
-    """Decode one frame body (without length prefix) → (tag, event)."""
+    """Decode one frame body (without length prefix) → (tag, event).
+
+    Raises :class:`ChannelError` for every malformed frame.
+    """
     reader = _Reader(frame)
     magic, kind = _HEAD.unpack(reader.take(_HEAD.size))
     if magic != MAGIC:
@@ -183,49 +186,59 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
         raise ChannelError(
             "BATCH super-frames must be unwrapped by FrameDecoder "
             "before decode_frame")
-    tag = reader.string()
-    channel = reader.string()
-    source = reader.string()
-    submitted_at = reader.f64()
-    size = reader.f64()
-    payload: Any
-    if kind == KIND_MONITOR:
-        host = reader.string()
-        count = reader.u16()
-        metrics: dict[MetricId, tuple[float, float]] = {}
-        for _ in range(count):
-            mid, value, ts = _RECORD.unpack(reader.take(_RECORD.size))
-            metrics[MetricId(mid)] = (value, ts)
-        payload = {"host": host, "metrics": metrics}
-        if reader.pos < len(reader.buf):
-            n_top = reader.u16()
-            if n_top:
-                top: dict[int, float] = {}
-                for _ in range(n_top):
-                    pid, weight = _TOP_ROW.unpack(
-                        reader.take(_TOP_ROW.size))
-                    top[pid] = weight
-                payload["proc_top"] = top
-            n_procs = reader.u16()
-            if n_procs:
-                procs: dict[int, tuple[float, float, float]] = {}
-                for _ in range(n_procs):
-                    pid, cpu, mem, io = _PROC_ROW.unpack(
-                        reader.take(_PROC_ROW.size))
-                    procs[pid] = (cpu, mem, io)
-                payload["procs"] = procs
-    elif kind == KIND_CONTROL:
-        raw = reader.take(_U32.unpack(reader.take(4))[0])
-        doc = json.loads(raw.decode("utf-8"))
-        cls = _CONTROL_TYPES.get(doc.pop("type", ""))
-        if cls is None:
-            raise ChannelError("unknown control message type on wire")
-        payload = cls(**doc)
-    elif kind == KIND_JSON:
-        raw = reader.take(_U32.unpack(reader.take(4))[0])
-        payload = json.loads(raw.decode("utf-8"))
-    else:
-        raise ChannelError(f"unknown frame kind {kind}")
+    # A frame is input from outside the program: whatever is wrong
+    # with its body (unknown metric id, bad UTF-8 or JSON, a control
+    # message with a missing or extra field) is a ChannelError to the
+    # caller, never a bare ValueError/TypeError.
+    try:
+        tag = reader.string()
+        channel = reader.string()
+        source = reader.string()
+        submitted_at = reader.f64()
+        size = reader.f64()
+        payload: Any
+        if kind == KIND_MONITOR:
+            host = reader.string()
+            count = reader.u16()
+            metrics: dict[MetricId, tuple[float, float]] = {}
+            for _ in range(count):
+                mid, value, ts = _RECORD.unpack(reader.take(_RECORD.size))
+                metrics[MetricId(mid)] = (value, ts)
+            payload = {"host": host, "metrics": metrics}
+            if reader.pos < len(reader.buf):
+                n_top = reader.u16()
+                if n_top:
+                    top: dict[int, float] = {}
+                    for _ in range(n_top):
+                        pid, weight = _TOP_ROW.unpack(
+                            reader.take(_TOP_ROW.size))
+                        top[pid] = weight
+                    payload["proc_top"] = top
+                n_procs = reader.u16()
+                if n_procs:
+                    procs: dict[int, tuple[float, float, float]] = {}
+                    for _ in range(n_procs):
+                        pid, cpu, mem, io = _PROC_ROW.unpack(
+                            reader.take(_PROC_ROW.size))
+                        procs[pid] = (cpu, mem, io)
+                    payload["procs"] = procs
+        elif kind == KIND_CONTROL:
+            raw = reader.take(_U32.unpack(reader.take(4))[0])
+            doc = json.loads(raw.decode("utf-8"))
+            if not isinstance(doc, dict):
+                raise ChannelError("control message body is not an object")
+            cls = _CONTROL_TYPES.get(doc.pop("type", ""))
+            if cls is None:
+                raise ChannelError("unknown control message type on wire")
+            payload = cls(**doc)
+        elif kind == KIND_JSON:
+            raw = reader.take(_U32.unpack(reader.take(4))[0])
+            payload = json.loads(raw.decode("utf-8"))
+        else:
+            raise ChannelError(f"unknown frame kind {kind}")
+    except (ValueError, TypeError, KeyError, RecursionError,
+            struct.error) as exc:
+        raise ChannelError(f"malformed frame body: {exc}") from exc
     event = ChannelEvent(channel=channel, source=source,
                          payload=payload, size=size,
                          submitted_at=submitted_at)

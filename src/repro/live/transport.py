@@ -42,7 +42,6 @@ from repro.errors import ChannelError, TransportError
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import (FrameDecoder, decode_frame, encode_batch,
                               encode_frame)
-from repro.runtime.series import TRANSPORT_HISTORY, CounterTrace
 
 __all__ = ["LiveStack", "LiveConnection", "LiveCompletion",
            "BatchConfig", "FlowConfig"]
@@ -327,10 +326,6 @@ class LiveStack:
         self.flow_config = flow if flow is not None else FlowConfig()
         self._links: dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self.bytes_in = CounterTrace(f"{host}:rx-bytes",
-                                     TRANSPORT_HISTORY)
-        self.bytes_out = CounterTrace(f"{host}:tx-bytes",
-                                      TRANSPORT_HISTORY)
         self._t_tx = telemetry.counter("net.tx_frame_bytes")
         self._t_rx = telemetry.counter("net.rx_frame_bytes")
         self._t_undeliverable = telemetry.counter("net.undeliverable")
@@ -346,6 +341,7 @@ class LiveStack:
         self._t_pauses = telemetry.counter("net.backpressure_pauses")
         self._t_resumes = telemetry.counter("net.backpressure_resumes")
         self._t_truncated = telemetry.counter("net.rx_truncated")
+        self._t_decode_errors = telemetry.counter("net.rx_decode_errors")
 
     # -- lifecycle --------------------------------------------------------
 
@@ -402,7 +398,6 @@ class LiveStack:
         if not isinstance(payload, ChannelEvent):
             raise TransportError(
                 "live transport carries ChannelEvent frames only")
-        now = self.clock.now
         frames: dict[str, bytes] = {}
         results = []
         for conn in conns:
@@ -412,7 +407,6 @@ class LiveStack:
             frame = frames.get(conn.tag)
             if frame is None:
                 frame = frames[conn.tag] = encode_frame(conn.tag, payload)
-            self.bytes_out.add(now, float(len(frame)))
             self._t_tx.inc(len(frame))
             self._t_frames.inc()
             results.append(LiveCompletion(
@@ -458,11 +452,21 @@ class LiveStack:
                         # the missing delivery.
                         self._t_truncated.inc()
                     break
-                now = self.clock.now
-                self.bytes_in.add(now, float(len(data)))
                 self._t_rx.inc(len(data))
-                for frame in decoder.feed(data):
-                    tag, event = decode_frame(frame)
+                # A malformed frame ends this connection only: after
+                # garbage the peer's framing cannot be trusted, and
+                # the other sockets keep being served.
+                try:
+                    frames = decoder.feed(data)
+                except ChannelError:
+                    self._t_decode_errors.inc()
+                    return
+                for frame in frames:
+                    try:
+                        tag, event = decode_frame(frame)
+                    except ChannelError:
+                        self._t_decode_errors.inc()
+                        return
                     handler = self.handlers.get(tag)
                     if handler is None:
                         self._t_undeliverable.inc()

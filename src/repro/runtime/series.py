@@ -1,12 +1,17 @@
-"""Time-series tracing and windowed statistics (backend-neutral).
+"""Windowed counters and measurement series (backend-neutral).
 
 These classes carry no simulator dependency: timestamps are plain
 floats from whichever :class:`repro.runtime.protocol.Clock` the
 backend provides (simulated seconds or wall-clock seconds since
-start).  The monitoring modules and the benchmark harness both need to
-turn raw activity into rates and averages:
+start).
 
-* :class:`TimeSeries` — (t, value) samples with summary statistics.
+A time-stamped history is kept only where a reader asks for a *window*
+of it: the device counters behind NET_MON's and DISK_MON's
+``rate(now, window)`` and d-mon's two rdtsc-style overhead series
+(``mean(since)``).  A value read only as "the latest" or "the total" is
+a plain float on its owner, not a trace.
+
+* :class:`TimeSeries` — (t, value) samples with windowed statistics.
 * :class:`CounterTrace` — monotonically increasing counters with
   windowed *rate* queries (used by DISK_MON and NET_MON).
 * :class:`WindowAverage` — sliding-window mean of samples (used by
@@ -16,15 +21,15 @@ turn raw activity into rates and averages:
 
 Bounded mode
 ------------
-Long cluster runs (thousands of simulated seconds on hundreds of
-nodes) would otherwise grow every per-node trace without bound.  Both
-:class:`TimeSeries` and :class:`CounterTrace` accept an optional
+Both :class:`TimeSeries` and :class:`CounterTrace` accept an optional
 ``max_samples``: once the sample count exceeds the bound the *oldest*
 samples are discarded in amortised-O(1) chunks, keeping recent-window
 queries (``mean(since=...)``, ``rate(now, window)``) exact while
 capping memory.  Queries that reach back past the retained horizon see
 only the retained samples (for a counter, cumulative totals remain
-correct because the trace stores running totals).
+correct because the trace stores running totals).  Everything on the
+path a monitoring record travels is constructed with a bound
+(:data:`DEVICE_HISTORY` for the kernel devices and transports).
 """
 
 from __future__ import annotations
@@ -37,13 +42,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 __all__ = ["TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad",
-           "TRANSPORT_HISTORY"]
+           "DEVICE_HISTORY"]
 
-#: ``max_samples`` of every per-message transport trace (connection
-#: bytes/delays/RTTs, per-stack rx/tx bytes, sim and live).  Their
-#: readers want ``last()``, ``total`` and ``rate(now, window)``, which
-#: stay exact while one window holds fewer messages than this.
-TRANSPORT_HISTORY = 8192
+#: ``max_samples`` of every windowed device counter (a connection's
+#: sent bytes, retransmissions and losses, a stack's sent bytes, a
+#: disk's operations and sectors).  Their readers want ``total`` and
+#: ``rate(now, window)``, which stay exact while one window holds
+#: fewer updates than this.
+DEVICE_HISTORY = 8192
 
 
 class TimeSeries:
@@ -108,32 +114,6 @@ class TimeSeries:
         if not window:
             raise ValueError("no samples in requested window")
         return float(np.percentile(window, q))
-
-    def time_average(self, t_end: float | None = None) -> float:
-        """Piecewise-constant time average from the first sample to ``t_end``.
-
-        Each sample value is held until the next sample time.
-        """
-        if len(self.times) == 0:
-            raise ValueError("time series is empty")
-        if t_end is None:
-            t_end = self.times[-1]
-        if len(self.times) == 1 or t_end <= self.times[0]:
-            return self.values[0]
-        total = 0.0
-        for i in range(len(self.times) - 1):
-            if self.times[i] >= t_end:
-                break
-            dt = min(self.times[i + 1], t_end) - self.times[i]
-            total += self.values[i] * dt
-        if t_end > self.times[-1]:
-            total += self.values[-1] * (t_end - self.times[-1])
-        span = t_end - self.times[0]
-        return total / span if span > 0 else self.values[0]
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(times, values)`` as NumPy arrays."""
-        return np.asarray(self.times), np.asarray(self.values)
 
 
 class CounterTrace:

@@ -17,32 +17,28 @@ toward the run-queue length seen by CPU_MON; jobs submitted via
 :meth:`kernel_work` consume cycles (they contend for capacity) but do
 not appear in the run queue, mirroring in-kernel softirq/handler work.
 
-Scalability notes: the runnable-job count is maintained incrementally
-(``run_queue_length`` is O(1), not a scan — it is read twice per job
-churn by the load-average and trace bookkeeping), and busy-time is
-checkpointed at every settle so :meth:`utilization` can answer *windowed*
-queries exactly (busy-seconds accrue linearly between checkpoints).
+The device keeps *state*, not history: the runnable-job count is an
+int maintained incrementally (``run_queue_length`` is O(1), read by
+CPU_MON and the load average) and busy time is one float,
+``busy_cpu_seconds``.  A caller that wants utilisation over a window
+calls :meth:`settle` and differences ``busy_cpu_seconds`` at the
+window's two edges, as PMC_MON and the power model do.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
-from repro.runtime.series import EwmaLoad, TimeSeries
+from repro.runtime.series import EwmaLoad
 
 __all__ = ["CPU", "CpuJob"]
 
 #: Relative tolerance for declaring a job's remaining work complete.
 _EPS = 1e-9
-
-#: Busy-time checkpoints retained for windowed utilization queries.
-_BUSY_HISTORY_BOUND = 65536
 
 
 @dataclass
@@ -63,8 +59,7 @@ class CPU:
     """Work-conserving multi-processor with processor-sharing scheduling."""
 
     def __init__(self, env: Environment, n_cpus: int = 4,
-                 mflops_per_cpu: float = 17.4,
-                 track_runqueue: bool = True) -> None:
+                 mflops_per_cpu: float = 17.4) -> None:
         if n_cpus < 1:
             raise SimulationError("need at least one CPU")
         if mflops_per_cpu <= 0:
@@ -80,18 +75,8 @@ class CPU:
         self._timer_generation = 0
         #: Cumulative CPU-seconds actually consumed (all processors).
         self.busy_cpu_seconds = 0.0
-        #: Busy-time checkpoints (time, cumulative busy CPU-seconds);
-        #: busy accrues linearly between entries, so windowed
-        #: utilization interpolates exactly.
-        self._busy_times: list[float] = [env.now]
-        self._busy_marks: list[float] = [0.0]
         #: Classic /proc/loadavg exponential averages, fed on job churn.
         self.loadavg = EwmaLoad()
-        #: Optional full trace of run-queue length transitions.
-        self.runqueue_trace: Optional[TimeSeries] = (
-            TimeSeries("runqueue") if track_runqueue else None)
-        if self.runqueue_trace is not None:
-            self.runqueue_trace.record(env.now, 0)
 
     # -- public interface --------------------------------------------------
 
@@ -154,44 +139,6 @@ class CPU:
         job.done.defused = True
         self._changed()
 
-    def busy_seconds_at(self, t: float) -> float:
-        """Cumulative busy CPU-seconds at time ``t`` (``t`` ≤ now).
-
-        Exact for any ``t`` within the retained checkpoint history
-        (busy-time accrues linearly between checkpoints); times before
-        the retained horizon clamp to the oldest checkpoint.
-        """
-        times, marks = self._busy_times, self._busy_marks
-        last_t = times[-1]
-        if t >= last_t:
-            # Beyond the last checkpoint busy accrues at the current
-            # concurrency level.
-            k = len(self._jobs)
-            return marks[-1] + min(k, self.n_cpus) * (t - last_t)
-        i = bisect_right(times, t)
-        if i == 0:
-            return marks[0]
-        t0, b0 = times[i - 1], marks[i - 1]
-        t1, b1 = times[i], marks[i]
-        if t1 <= t0:
-            return b1
-        return b0 + (b1 - b0) * (t - t0) / (t1 - t0)
-
-    def utilization(self, since: float, now: float | None = None) -> float:
-        """Mean fraction of total capacity used over ``[since, now]``.
-
-        Honors the window: the numerator is the busy CPU-seconds
-        accrued *within* the window (from the checkpointed busy-time
-        history), not the global mean from t=0.  Call :meth:`settle`
-        first for an up-to-the-instant reading.
-        """
-        now = self.env.now if now is None else now
-        span = now - since
-        if span <= 0:
-            raise SimulationError("empty utilization window")
-        busy = self.busy_seconds_at(now) - self.busy_seconds_at(since)
-        return busy / (self.n_cpus * span)
-
     def settle(self) -> None:
         """Bring accounting (remaining work, busy time) up to ``env.now``."""
         self._settle()
@@ -229,19 +176,6 @@ class CPU:
                 job.remaining = rem if rem > 0.0 else 0.0
             self.busy_cpu_seconds += min(k, self.n_cpus) * dt
         self._last_update = now
-        self._checkpoint_busy(now)
-
-    def _checkpoint_busy(self, now: float) -> None:
-        times, marks = self._busy_times, self._busy_marks
-        if times[-1] == now:
-            marks[-1] = self.busy_cpu_seconds
-        else:
-            times.append(now)
-            marks.append(self.busy_cpu_seconds)
-            if len(times) >= 2 * _BUSY_HISTORY_BOUND:
-                cut = len(times) - _BUSY_HISTORY_BOUND
-                del times[:cut]
-                del marks[:cut]
 
     def _changed(self) -> None:
         """Job set changed: complete finished jobs, reschedule the timer."""
@@ -261,10 +195,7 @@ class CPU:
                 if job.runnable:
                     self._n_runnable -= 1
                 job.done.succeed(job)
-        runnable = self._n_runnable
-        self.loadavg.update(now, runnable)
-        if self.runqueue_trace is not None:
-            self.runqueue_trace.record(now, runnable)
+        self.loadavg.update(now, self._n_runnable)
         self._timer_generation += 1
         if not jobs:
             return

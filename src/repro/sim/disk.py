@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
 from repro.sim.stores import Resource
-from repro.runtime.series import CounterTrace
+from repro.runtime.series import DEVICE_HISTORY, CounterTrace
 from repro.units import MB, SECTOR_SIZE, msec
 
 __all__ = ["Disk"]
@@ -21,10 +21,10 @@ class Disk:
     """Single-spindle disk with operation counters.
 
     The counters (``reads``, ``writes``, ``sectors_read``,
-    ``sectors_written``) are :class:`CounterTrace` instances so DISK_MON
-    can ask for windowed rates, exactly matching the paper's "average
-    number of disk writes and reads as well as the average number of
-    sectors written and read for a certain period of time".
+    ``sectors_written``) are bounded :class:`CounterTrace` instances so
+    DISK_MON can ask for windowed rates, exactly matching the paper's
+    "average number of disk writes and reads as well as the average
+    number of sectors written and read for a certain period of time".
     """
 
     def __init__(self, env: Environment,
@@ -38,10 +38,12 @@ class Disk:
         self.transfer_rate = float(transfer_rate)
         self.per_op_latency = float(per_op_latency)
         self._head = Resource(env, capacity=1)
-        self.reads = CounterTrace("disk_reads")
-        self.writes = CounterTrace("disk_writes")
-        self.sectors_read = CounterTrace("sectors_read")
-        self.sectors_written = CounterTrace("sectors_written")
+        self.reads = CounterTrace("disk_reads", DEVICE_HISTORY)
+        self.writes = CounterTrace("disk_writes", DEVICE_HISTORY)
+        self.sectors_read = CounterTrace("sectors_read", DEVICE_HISTORY)
+        self.sectors_written = CounterTrace("sectors_written",
+                                            DEVICE_HISTORY)
+        #: Cumulative seconds the head has spent in service.
         self.busy_seconds = 0.0
 
     # -- public API ---------------------------------------------------------
@@ -63,11 +65,6 @@ class Disk:
     def queue_length(self) -> int:
         """Operations waiting or in service."""
         return self._head.count + len(self._head.queue)
-
-    def utilization(self, now: float | None = None) -> float:
-        """Fraction of time the head has been busy since t=0."""
-        now = self.env.now if now is None else now
-        return self.busy_seconds / now if now > 0 else 0.0
 
     # -- internals ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 The network is modelled with *fluid flows* over capacitated links:
 
 * A :class:`Link` is a unidirectional capacity (bytes/s) with a
-  propagation latency and a carried-bytes counter.
+  propagation latency and two byte totals (carried, dropped).
 * A :class:`Flow` is either **fixed-rate** (open-loop UDP-style traffic
   that does not back off; it is scaled down only when its links cannot
   carry the offered load, the excess being *lost*) or **elastic**
@@ -19,8 +19,8 @@ its cost dominates large-cluster simulations.  :func:`allocate_rates`
 therefore works from a :class:`FlowIndex` — per-link flow maps that a
 caller (the :class:`~repro.sim.network.Fabric`) maintains incrementally
 across calls instead of rebuilding them from scratch on each
-reallocation.  The pre-optimisation implementation is retained verbatim
-as :func:`allocate_rates_reference` and the test suite asserts the two
+reallocation.  ``tests/sim/test_link_allocator_equivalence.py`` holds
+the map-rebuilding allocator this one replaced and asserts the two
 agree on randomized topologies.
 """
 
@@ -33,11 +33,9 @@ from typing import Iterable, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.sim.core import SimEvent
-from repro.runtime.series import CounterTrace
 
 __all__ = ["Link", "Flow", "FlowKind", "FlowIndex", "allocate_rates",
-           "allocate_rates_reference", "settle_flows",
-           "ELASTIC_FLOOR_FRACTION"]
+           "settle_flows", "ELASTIC_FLOOR_FRACTION"]
 
 _link_ids = itertools.count(1)
 _flow_ids = itertools.count(1)
@@ -59,8 +57,7 @@ class Link:
     """One direction of a physical link (or a shared segment)."""
 
     def __init__(self, name: str, capacity: float,
-                 latency: float = 0.0,
-                 trace_max_samples: Optional[int] = None) -> None:
+                 latency: float = 0.0) -> None:
         if capacity <= 0:
             raise NetworkError(f"link {name!r} needs positive capacity")
         if latency < 0:
@@ -69,15 +66,10 @@ class Link:
         self.name = name
         self.capacity = float(capacity)   # bytes per second
         self.latency = float(latency)     # seconds, one-way
-        self.carried = CounterTrace(f"link:{name}:bytes",
-                                    max_samples=trace_max_samples)
+        #: Cumulative bytes carried by every flow crossing this link.
+        self.carried_bytes = 0.0
         #: Bytes offered by fixed flows but not carried (dropped).
-        self.dropped = CounterTrace(f"link:{name}:dropped",
-                                    max_samples=trace_max_samples)
-
-    def utilization(self, now: float, window: float) -> float:
-        """Recent carried load as a fraction of capacity."""
-        return self.carried.rate(now, window) / self.capacity
+        self.dropped_bytes = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} {self.capacity * 8 / 1e6:.0f}Mbps>"
@@ -332,84 +324,6 @@ def allocate_rates(flows: Iterable[Flow],
                 r = residual[lid] - share
                 residual[lid] = r if r > 0.0 else 0.0
                 count[lid] -= 1
-
-
-def allocate_rates_reference(flows: Iterable[Flow]) -> None:
-    """The pre-optimisation allocator, kept as the behavioural oracle.
-
-    This is the original O(iterations × flows × path) implementation;
-    ``tests/sim/test_link_allocator_equivalence.py`` asserts that
-    :func:`allocate_rates` matches it on randomized topologies.
-    """
-    flows = list(flows)
-    fixed = [f for f in flows if f.kind is FlowKind.FIXED]
-    elastic = [f for f in flows if f.kind is FlowKind.ELASTIC]
-
-    # -- stage 1: fixed flows ------------------------------------------------
-    for f in fixed:
-        f.rate = f.demand
-    for _ in range(64):  # iterative proportional scaling
-        load: dict[int, float] = {}
-        by_link: dict[int, list[Flow]] = {}
-        caps: dict[int, float] = {}
-        for f in fixed:
-            for link in f.path:
-                load[link.lid] = load.get(link.lid, 0.0) + f.rate
-                by_link.setdefault(link.lid, []).append(f)
-                caps[link.lid] = link.capacity
-        # Scale the single most-oversubscribed link, then re-derive the
-        # load map — scaling several links in one pass would shrink a
-        # flow once per link it crosses instead of once overall.
-        worst_lid, worst_ratio = None, 1.0 + 1e-12
-        for lid, total in load.items():
-            ratio = total / caps[lid]
-            if ratio > worst_ratio:
-                worst_lid, worst_ratio = lid, ratio
-        if worst_lid is None:
-            break
-        for f in by_link[worst_lid]:
-            f.rate /= worst_ratio
-
-    # -- stage 2: elastic flows on the residual -----------------------------
-    residual: dict[int, float] = {}
-    count: dict[int, int] = {}
-    links: dict[int, Link] = {}
-    for f in flows:
-        for link in f.path:
-            links[link.lid] = link
-            residual.setdefault(link.lid, link.capacity)
-            count.setdefault(link.lid, 0)
-    for f in fixed:
-        for link in f.path:
-            residual[link.lid] = max(0.0, residual[link.lid] - f.rate)
-    for f in elastic:
-        for link in f.path:
-            count[link.lid] += 1
-
-    active = set(f.fid for f in elastic)
-    by_fid = {f.fid: f for f in elastic}
-    while active:
-        # Equal share offered by each link to its remaining elastic flows.
-        shares = {lid: residual[lid] / count[lid]
-                  for lid in residual if count.get(lid, 0) > 0}
-        if not shares:
-            break
-        bottleneck = min(shares, key=lambda lid: shares[lid])
-        share = shares[bottleneck]
-        frozen = [fid for fid in active
-                  if any(l.lid == bottleneck for l in by_fid[fid].path)]
-        if not frozen:  # pragma: no cover - defensive
-            break
-        for fid in frozen:
-            flow = by_fid[fid]
-            floor = ELASTIC_FLOOR_FRACTION * min(
-                l.capacity for l in flow.path)
-            flow.rate = max(share, floor)
-            active.discard(fid)
-            for link in flow.path:
-                residual[link.lid] = max(
-                    0.0, residual[link.lid] - share)
-                count[link.lid] -= 1
 
 
 def settle_flows(flows: Sequence[Flow], dt: float) -> None:

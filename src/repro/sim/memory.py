@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment
-from repro.runtime.series import TimeSeries
 from repro.units import MB, PAGE_SIZE
 
 __all__ = ["Memory", "Allocation"]
@@ -50,8 +49,6 @@ class Memory:
         self._used = float(reserved_bytes)
         self._ids = itertools.count(1)
         self._live: dict[int, Allocation] = {}
-        self.free_trace = TimeSeries("free_bytes")
-        self.free_trace.record(env.now, self.free_bytes)
 
     @property
     def used_bytes(self) -> float:
@@ -77,7 +74,6 @@ class Memory:
                            tag=tag, _memory=self)
         self._used += nbytes
         self._live[alloc.aid] = alloc
-        self.free_trace.record(self.env.now, self.free_bytes)
         return alloc
 
     def _release(self, alloc: Allocation) -> None:
@@ -85,4 +81,3 @@ class Memory:
             raise SimulationError("double free")
         del self._live[alloc.aid]
         self._used -= alloc.nbytes
-        self.free_trace.record(self.env.now, self.free_bytes)

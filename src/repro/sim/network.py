@@ -324,11 +324,11 @@ class Fabric:
             if f.kind is FlowKind.FIXED and f.demand > f.rate:
                 dropped = (f.demand - f.rate) * dt
                 for link in f.path:
-                    link.carried.add(now, carried)
-                    link.dropped.add(now, dropped)
+                    link.carried_bytes += carried
+                    link.dropped_bytes += dropped
             else:
                 for link in f.path:
-                    link.carried.add(now, carried)
+                    link.carried_bytes += carried
         self._last_settle = now
 
     def _reallocate(self) -> None:

@@ -56,7 +56,7 @@ class Battery:
 
     def _radio_bytes(self) -> float:
         stack = self.node.stack
-        return stack.bytes_in.total + stack.bytes_out.total
+        return stack.bytes_received + stack.bytes_out.total
 
     def drained_joules(self) -> float:
         """Total energy consumed since attachment."""

@@ -6,9 +6,10 @@ messages.  TCP-like connections are reliable (elastic flows; congestion
 shows up as *retransmissions* and stretched delivery); UDP-like
 connections sample *loss* from path congestion and drop messages.
 
-Each connection keeps the statistics the paper lists for NET_MON:
-round-trip times, used bandwidth (per connection and per node), TCP
-retransmission counts, UDP loss counts, and end-to-end delays.
+Each connection keeps the statistics the paper lists for NET_MON, in
+the form NET_MON samples them: three bounded counters it asks for a
+windowed rate of (sent bytes, TCP retransmissions, lost messages) and
+the latest round-trip time and end-to-end delay as plain floats.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from repro.errors import TransportError
 from repro.sim.core import Environment, SimEvent
 from repro.sim.network import Fabric
-from repro.runtime.series import (TRANSPORT_HISTORY, CounterTrace,
-                                  TimeSeries)
+from repro.runtime.series import DEVICE_HISTORY, CounterTrace
 from repro.telemetry import TelemetryRegistry
 from repro.tracing.collector import NULL_TRACER
 
@@ -74,13 +74,14 @@ class Connection:
         self.proto = proto
         self.closed = False
         # statistics ----------------------------------------------------
-        link, bound = f"{self.src}->{dst}", TRANSPORT_HISTORY
+        link, bound = f"{self.src}->{dst}", DEVICE_HISTORY
         self.bytes_sent = CounterTrace(f"{link}:bytes", bound)
-        self.bytes_delivered = CounterTrace(f"{link}:delivered", bound)
         self.retransmissions = CounterTrace(f"{link}:retx", bound)
         self.losses = CounterTrace(f"{link}:loss", bound)
-        self.delays = TimeSeries(f"{link}:delay", bound)
-        self.rtt = TimeSeries(f"{link}:rtt", bound)
+        #: End-to-end delay and round-trip time of the most recently
+        #: delivered message (None until the first delivery).
+        self.last_delay: Optional[float] = None
+        self.last_rtt: Optional[float] = None
 
     def send(self, payload: Any, size: float) -> SimEvent:
         """Send one message; event succeeds with the delivered Message.
@@ -93,10 +94,6 @@ class Connection:
     def used_bandwidth(self, window: float = 1.0) -> float:
         """Recent sending rate in bytes/s."""
         return self.bytes_sent.rate(self.stack.env.now, window)
-
-    def mean_rtt(self, since: float = 0.0) -> float:
-        """Mean observed round-trip time (seconds)."""
-        return self.rtt.mean(since)
 
     def close(self) -> None:
         self.closed = True
@@ -139,10 +136,10 @@ class NetStack:
         self.tracer = NULL_TRACER
         self.handlers: dict[str, Callable[[Message], None]] = {}
         self.connections: list[Connection] = []
-        self.bytes_in = CounterTrace(f"{host}:rx-bytes",
-                                     TRANSPORT_HISTORY)
-        self.bytes_out = CounterTrace(f"{host}:tx-bytes",
-                                      TRANSPORT_HISTORY)
+        #: Cumulative bytes received (PMC_MON and the power model
+        #: difference it; nobody asks for a window of it).
+        self.bytes_received = 0.0
+        self.bytes_out = CounterTrace(f"{host}:tx-bytes", DEVICE_HISTORY)
         #: Off-fabric route provider (a shard conduit).  When set,
         #: ``connect`` falls through to it for hosts the local fabric
         #: does not know — how cross-shard destinations stay reachable
@@ -349,12 +346,10 @@ class NetStack:
         msg.delivered_at = now
         if msg.span is not None:
             msg.span.finish(now)
-        delay = now - msg.sent_at
-        conn.bytes_delivered.add(now, msg.size)
-        conn.delays.record(now, delay)
+        conn.last_delay = now - msg.sent_at
         path_lat = sum(l.latency for l in
                        self.fabric.path(msg.src, msg.dst))
-        conn.rtt.record(now, 2 * path_lat + self.fabric.switch_latency)
+        conn.last_rtt = 2 * path_lat + self.fabric.switch_latency
         peer = self.fabric.stacks.get(msg.dst)
         if peer is None:
             raise TransportError(
@@ -363,8 +358,7 @@ class NetStack:
         done.succeed(msg)
 
     def _receive(self, msg: Message) -> None:
-        now = self.env.now
-        self.bytes_in.add(now, msg.size)
+        self.bytes_received += msg.size
         cost = self.receive_cost(msg.size)
         if cost > 0:
             self.kernel_charge(cost)
@@ -384,11 +378,3 @@ class NetStack:
             if c > worst:
                 worst = c
         return worst
-
-    def total_bandwidth(self, window: float = 1.0) -> float:
-        """Total outbound rate across all connections (bytes/s)."""
-        return self.bytes_out.rate(self.env.now, window)
-
-    def total_receive_bandwidth(self, window: float = 1.0) -> float:
-        """Total inbound rate (bytes/s)."""
-        return self.bytes_in.rate(self.env.now, window)

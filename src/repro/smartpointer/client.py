@@ -34,8 +34,6 @@ class SmartPointerClient:
         self.arrivals = CounterTrace(f"{node.name}:arrivals")
         self.processed = CounterTrace(f"{node.name}:processed")
         self.latencies = TimeSeries(f"{node.name}:latency")
-        self.inter_arrival = TimeSeries(f"{node.name}:inter-arrival")
-        self._last_arrival: float | None = None
         node.stack.bind(f"smartptr:{node.name}", self._on_event)
 
     def start(self) -> "SmartPointerClient":
@@ -51,11 +49,7 @@ class SmartPointerClient:
     # -- data path ------------------------------------------------------------
 
     def _on_event(self, msg) -> None:
-        now = self.node.env.now
-        self.arrivals.add(now, 1.0)
-        if self._last_arrival is not None:
-            self.inter_arrival.record(now, now - self._last_arrival)
-        self._last_arrival = now
+        self.arrivals.add(self.node.env.now, 1.0)
         self._queue.put(msg.payload)
 
     def _render_loop(self):

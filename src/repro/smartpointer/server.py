@@ -61,7 +61,6 @@ class ServerStream:
         self._conn = server.node.stack.connect(
             client_name, tag=f"smartptr:{client_name}")
         # statistics ---------------------------------------------------------
-        self.events_sent = CounterTrace(f"stream:{client_name}:sent")
         self.bytes_sent = CounterTrace(f"stream:{client_name}:bytes")
         self.quality = TimeSeries(f"stream:{client_name}:quality")
         #: Transform last applied (None before the first frame) —
@@ -109,7 +108,6 @@ class ServerStream:
                 self.server.node.cpu.execute(server_cost,
                                              name="preprocess")
             self._conn.send(event, size=size)
-            self.events_sent.add(now, 1.0)
             self.bytes_sent.add(now, size)
             self.quality.record(now, transform.quality())
             yield env.timeout(interval)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+from typing import Callable
+
 import pytest
 
 from repro.sim import Environment, build_cluster
@@ -36,6 +40,29 @@ def cluster3(env):
 def cluster8(env):
     """The paper's full 8-node cluster."""
     return build_cluster(env, nodes=8, seed=42)
+
+
+def history_bytes(device: Callable[[], Callable[[int], None]]) -> int:
+    """Bytes 2,000 operations on a device retain beyond what 200 do.
+
+    ``device()`` builds a fresh device and returns its ``churn(n)``.
+    A device that keeps state, not history, retains the same either
+    way; the constant-device-state tests allow 16 KB of noise.
+    """
+    def retained(operations: int) -> int:
+        churn = device()
+        churn(50)  # warm-up: lazily built structures, interned values
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            churn(operations)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    return retained(2000) - retained(200)
 
 
 def run_process(env: Environment, gen, until: float | None = None):

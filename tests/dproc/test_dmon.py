@@ -101,13 +101,13 @@ class TestPollingAndPublication:
         a = make_dmon(cluster3, "alan", config=config)
         a.start()
         env.run(until=5.0)
-        assert a.events_published.total == 0
+        assert a.node.telemetry.value("dmon.events_published") == 0
         assert a.submit_overhead.mean() == 0.0
 
     def test_publication_with_subscriber(self, env, cluster3):
         a, b = deploy_pair(cluster3)
         env.run(until=5.0)
-        assert a.events_published.total >= 4
+        assert a.node.telemetry.value("dmon.events_published") >= 4
         assert a.mean_submit_overhead() > 0
 
     def test_update_hooks_fire(self, env, cluster3):
@@ -172,9 +172,10 @@ class TestParameters:
                                      metric="*", parameter="period",
                                      spec="2"))
         start = env.now
-        records_before = a.records_published.total
+        telemetry = a.node.telemetry
+        records_before = telemetry.value("dmon.records_published")
         env.run(until=start + 20.0)
-        sent = a.records_published.total - records_before
+        sent = telemetry.value("dmon.records_published") - records_before
         # ~10 publication rounds of ~12 metrics at period 2 in 20s.
         full_rate = 20 * len(a.last_samples)
         assert sent == pytest.approx(full_rate / 2, rel=0.2)

@@ -144,7 +144,7 @@ class TestFederation:
         expected = 2 * (20.0 / 2.0) * 160.0
         assert link.bytes_carried.total <= expected * 1.2
         # Meanwhile the intra-site monitoring moved far more data.
-        intra = east.cluster["e0"].stack.bytes_in.total
+        intra = east.cluster["e0"].stack.bytes_received
         assert intra > link.bytes_carried.total
 
     def test_validation(self, env):

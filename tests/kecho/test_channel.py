@@ -154,7 +154,7 @@ class TestPublishSubscribe:
         receipt = eps["alan"].submit("x", size=100)
         env.run()
         assert receipt.remote_targets == []
-        assert cluster3["maui"].stack.bytes_in.total == 0
+        assert cluster3["maui"].stack.bytes_received == 0
 
     def test_fanout_to_all_subscribers(self, env, bus, cluster8):
         eps = wire(bus, cluster8)

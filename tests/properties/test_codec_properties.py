@@ -19,6 +19,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.dproc import MetricId  # noqa: E402
 from repro.errors import ChannelError  # noqa: E402
+from repro.kecho.control import (DeployFilter, RemoveFilter,  # noqa: E402
+                                 SetParameter)
 from repro.kecho.event import ChannelEvent  # noqa: E402
 from repro.live.codec import (FrameDecoder, decode_frame,  # noqa: E402
                               encode_batch, encode_frame)
@@ -61,6 +63,21 @@ def events(draw):
             max_size=5))
     return ChannelEvent(channel=channel, source=source,
                         payload=payload, size=draw(_values),
+                        submitted_at=draw(_values))
+
+
+@st.composite
+def control_events(draw):
+    """Control messages, the way d-mon ships them."""
+    name = st.text(min_size=1, max_size=8)
+    message = draw(st.one_of(
+        st.builds(SetParameter, sender=name, target=st.none() | name,
+                  metric=name, parameter=name, spec=name),
+        st.builds(DeployFilter, sender=name, source=st.text(max_size=24),
+                  filter_id=name),
+        st.builds(RemoveFilter, sender=name, filter_id=name)))
+    return ChannelEvent(channel="dproc.control", source=message.sender,
+                        payload=message, size=draw(_values),
                         submitted_at=draw(_values))
 
 
@@ -136,3 +153,26 @@ class TestCoalescedRoundTrip:
         decoder.feed(wire[:len(wire) - 1])
         with pytest.raises(ChannelError):
             decoder.finish()
+
+
+class TestMalformedFrames:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(events(), control_events()), st.data())
+    def test_corrupt_body_decodes_or_raises_channel_error(self, event,
+                                                          data):
+        """One overwritten byte or a truncation anywhere in a valid
+        frame body: ``decode_frame`` returns an event or raises
+        :class:`ChannelError` — never a bare ValueError/TypeError that
+        would kill the transport's reader task."""
+        body = encode_frame("t", event)[4:]
+        at = data.draw(st.integers(0, len(body) - 1))
+        if data.draw(st.booleans()):
+            body = body[:at]
+        else:
+            body = body[:at] + bytes([data.draw(st.integers(0, 255))]) \
+                + body[at + 1:]
+        try:
+            _, decoded = decode_frame(body)
+        except ChannelError:
+            return
+        assert isinstance(decoded, ChannelEvent)

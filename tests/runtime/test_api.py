@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Scenario, ScenarioError
 from repro.dproc import MetricId
+from repro.runtime.series import CounterTrace, TimeSeries
 from repro.sim import Environment, build_cluster
 
 
@@ -56,6 +57,26 @@ class TestBuildAndRun:
         assert report["n_nodes"] == 2
         assert report["sim_seconds"] == 5.0
         assert report["polls"] > 0
+
+
+class TestBoundedHistories:
+    def test_no_unbounded_history_in_a_deployment(self):
+        """Every time-stamped history on the path a record travels —
+        kernel devices, port links, stack, connections, d-mon — is
+        constructed with a bound."""
+        sc = Scenario(nodes=6, seed=3,
+                      modules=("cpu", "mem", "disk", "net", "pmc"))
+        sc.run(5.0)
+        owners = [dproc.dmon for dproc in sc.dprocs.values()]
+        for node in sc.nodes:
+            owners += [node.cpu, node.memory, node.disk, node.port.tx,
+                       node.port.rx, node.stack, *node.stack.connections]
+        histories = [value for owner in owners
+                     for value in vars(owner).values()
+                     if isinstance(value, (TimeSeries, CounterTrace))]
+        assert histories
+        unbounded = [h.name for h in histories if h.max_samples is None]
+        assert unbounded == []
 
 
 class TestPhaseErrors:

@@ -15,6 +15,19 @@ from repro.live.codec import (FrameDecoder, MAGIC, MAX_FRAME_BYTES,
                               encode_frame)
 
 
+def unknown_metric_frames() -> tuple[bytes, bytes]:
+    """A valid one-record MONITOR frame (length prefix included) and
+    the same frame with the record's u16 metric id overwritten by one
+    no :class:`MetricId` has."""
+    good = encode_frame("t", ChannelEvent(
+        channel="c", source="s", size=32.0, submitted_at=0.0,
+        payload={"host": "s", "metrics": {MetricId.LOADAVG: (1.0, 0.0)}}))
+    # The frame ends with one 18-byte record and two empty u16 keyed
+    # sections.
+    at = len(good) - 22
+    return good, good[:at] + struct.pack(">H", 9999) + good[at + 2:]
+
+
 def _roundtrip(tag: str, event: ChannelEvent):
     frame = encode_frame(tag, event)
     bodies = FrameDecoder().feed(frame)
@@ -170,6 +183,35 @@ class TestBadFrames:
             submitted_at=0.0)))[0]
         with pytest.raises(ChannelError):
             decode_frame(body[:-3])
+
+    @pytest.mark.parametrize("kind, raw", [
+        ("control", b'{"type":"SetParameter","sender":"a","bogus":1}'),
+        ("control", b'{"type":"SetParameter"}'),
+        ("control", b'["SetParameter"]'),
+        ("json", b'{"x":'),
+        ("json", b"\xff\xfe"),
+        ("json", b"[" * 100_000),
+    ], ids=["extra-field", "missing-field", "not-an-object", "bad-json",
+            "bad-utf8", "nested-too-deep"])
+    def test_malformed_body_is_a_channel_error(self, kind, raw):
+        """Whatever is wrong inside the body, the caller sees
+        ChannelError — not the ValueError/TypeError/RecursionError of
+        the library that noticed."""
+        payload = {"x": 1} if kind == "json" else SetParameter(sender="a")
+        body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
+            channel="c", source="s", payload=payload, size=1.0,
+            submitted_at=0.0)))[0]
+        # magic + kind, three 1-character strings, two f64: the JSON
+        # document's u32 length starts at byte 28.
+        corrupt = body[:28] + struct.pack(">I", len(raw)) + raw
+        with pytest.raises(ChannelError):
+            decode_frame(corrupt)
+
+    def test_unknown_metric_id_is_a_channel_error(self):
+        good, bad = unknown_metric_frames()
+        assert decode_frame(good[4:])[0] == "t"
+        with pytest.raises(ChannelError):
+            decode_frame(bad[4:])
 
 
 class TestBatch:

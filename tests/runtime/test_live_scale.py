@@ -12,6 +12,7 @@ silent).
 from __future__ import annotations
 
 import asyncio
+import logging
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.live.codec import FrameDecoder, decode_frame, encode_frame
 from repro.live.transport import (BatchConfig, FlowConfig, LiveStack,
                                   _PeerLink)
 from repro.telemetry import TelemetryRegistry
+from tests.runtime.test_codec import unknown_metric_frames
 
 
 class _FakeTransport:
@@ -291,6 +293,45 @@ class TestSlowConsumerLive:
             server.close()
             await server.wait_closed()
         asyncio.run(run())
+
+
+class TestMalformedFrameLive:
+    """Real sockets: a malformed frame ends its own connection only."""
+
+    def test_decode_error_is_counted_and_contained(self, caplog):
+        good, bad = unknown_metric_frames()
+        received = []
+
+        async def send(address, data: bytes):
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(data)
+            await writer.drain()
+            return reader, writer
+
+        async def run():
+            stack = _stack()
+            stack.bind("t", lambda msg: received.append(msg.payload))
+            address = await stack.start()
+            reader, writer = await send(address, bad + good)
+            # The stack hangs up on the garbage ...
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            behind_bad_frame = len(received)
+            # ... and keeps serving everyone else.
+            reader, writer = await send(address, good)
+            writer.write_eof()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            await stack.stop()
+            return stack, behind_bad_frame
+
+        with caplog.at_level(logging.ERROR):
+            stack, behind_bad_frame = asyncio.run(run())
+        assert behind_bad_frame == 0
+        assert stack._t_decode_errors.value == 1
+        assert len(received) == 1
+        assert [r for r in caplog.records
+                if r.levelno >= logging.ERROR] == []
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import CPU, Environment
+from tests.conftest import history_bytes
 
 
 class TestSingleJob:
@@ -118,13 +119,6 @@ class TestRunQueueAccounting:
         env.run(app)
         assert env.now == pytest.approx(10.0)
 
-    def test_runqueue_trace_records_transitions(self, env):
-        cpu = CPU(env, n_cpus=1, mflops_per_cpu=10.0)
-        cpu.execute(10.0)
-        env.run()
-        values = cpu.runqueue_trace.values
-        assert values[0] == 0 and 1 in values and values[-1] == 0
-
     def test_loadavg_rises_under_load(self, env):
         cpu = CPU(env, n_cpus=1, mflops_per_cpu=1e-3)
 
@@ -195,50 +189,62 @@ class TestCancel:
         env.run()
 
 
+def _busy_fraction(n_cpus: int, jobs: list[float], since: float,
+                   until: float) -> float:
+    """Utilisation over ``[since, until]`` the way PMC_MON and the
+    power model take it: ``settle()`` and read ``busy_cpu_seconds`` at
+    the window's two edges."""
+    env = Environment()
+    cpu = CPU(env, n_cpus=n_cpus, mflops_per_cpu=10.0)
+    for work in jobs:
+        cpu.execute(work)
+    marks = []
+    for edge in (since, until):
+        if edge > env.now:
+            env.run(until=edge)
+        cpu.settle()
+        marks.append(cpu.busy_cpu_seconds)
+    return (marks[1] - marks[0]) / (n_cpus * (until - since))
+
+
 class TestUtilization:
-    def test_windowed_utilization_honors_since(self, env):
-        """Regression: `since` used to be ignored (global mean)."""
-        cpu = CPU(env, n_cpus=1, mflops_per_cpu=10.0)
-        cpu.execute(50.0)           # busy on [0, 5]
-        env.run(until=10.0)         # idle on [5, 10]
-        cpu.settle()
-        assert cpu.utilization(since=0.0) == pytest.approx(0.5)
-        # A window entirely inside the idle span must read zero — the
-        # old implementation returned the global mean here.
-        assert cpu.utilization(since=5.0) == pytest.approx(0.0)
-        assert cpu.utilization(since=6.0, now=9.0) == pytest.approx(0.0)
+    def test_windowed_utilization_honors_since(self):
+        # One CPU, busy on [0, 5], idle on [5, 10].
+        assert _busy_fraction(1, [50.0], 0.0, 10.0) == pytest.approx(0.5)
+        # A window entirely inside the idle span must read zero, not
+        # the global mean.
+        assert _busy_fraction(1, [50.0], 5.0, 10.0) == pytest.approx(0.0)
+        assert _busy_fraction(1, [50.0], 6.0, 9.0) == pytest.approx(0.0)
 
-    def test_window_straddling_transition_interpolates(self, env):
-        cpu = CPU(env, n_cpus=1, mflops_per_cpu=10.0)
-        cpu.execute(50.0)           # busy on [0, 5]
-        env.run(until=10.0)
-        cpu.settle()
+    def test_window_straddling_transition_interpolates(self):
         # [2.5, 7.5]: busy for 2.5 of 5 seconds.
-        assert cpu.utilization(since=2.5, now=7.5) == pytest.approx(0.5)
+        assert _busy_fraction(1, [50.0], 2.5, 7.5) == pytest.approx(0.5)
         # [4, 6]: busy for 1 of 2 seconds.
-        assert cpu.utilization(since=4.0, now=6.0) == pytest.approx(0.5)
+        assert _busy_fraction(1, [50.0], 4.0, 6.0) == pytest.approx(0.5)
 
-    def test_utilization_extrapolates_past_last_checkpoint(self, env):
-        cpu = CPU(env, n_cpus=2, mflops_per_cpu=10.0)
-        cpu.execute(1000.0)         # one long job -> one CPU busy
-        env.run(until=4.0)
-        # No settle: the window end lies beyond the last checkpoint, so
-        # busy time extrapolates at the current concurrency (1 of 2).
-        assert cpu.utilization(since=0.0) == pytest.approx(0.5)
+    def test_multi_cpu_partial_load(self):
+        # 2 of 4 CPUs busy on [0, 5].
+        assert _busy_fraction(4, [50.0, 50.0], 0.0, 5.0) \
+            == pytest.approx(0.5)
+        assert _busy_fraction(4, [50.0, 50.0], 1.0, 3.0) \
+            == pytest.approx(0.5)
 
-    def test_multi_cpu_partial_load(self, env):
-        cpu = CPU(env, n_cpus=4, mflops_per_cpu=10.0)
-        cpu.execute(50.0)
-        cpu.execute(50.0)           # 2 of 4 CPUs busy on [0, 5]
-        env.run(until=5.0)
-        cpu.settle()
-        assert cpu.utilization(since=0.0) == pytest.approx(0.5)
-        assert cpu.utilization(since=1.0, now=3.0) == pytest.approx(0.5)
 
-    def test_empty_window_rejected(self, env):
-        cpu = CPU(env, n_cpus=1)
-        with pytest.raises(SimulationError):
-            cpu.utilization(since=0.0, now=0.0)
+class TestConstantState:
+    def test_job_churn_retains_no_history(self):
+        """The CPU keeps state (an int, a float, the load average),
+        not a log: 2,000 job churns retain what 200 do."""
+        def device():
+            env = Environment()
+            cpu = CPU(env, n_cpus=1)
+
+            def jobs(n: int):
+                for _ in range(n):
+                    yield cpu.kernel_work(0.01)
+
+            return lambda n: env.run(env.process(jobs(n)))
+
+        assert history_bytes(device) < 16 * 1024
 
 
 class TestDeterminism:

@@ -92,7 +92,7 @@ class TestNetworkEdgeCases:
                    for _ in range(300)]
         env.run(env.all_of([h.done for h in handles]))
         fabric.settle()
-        assert fabric.hosts["a"].tx.carried.total \
+        assert fabric.hosts["a"].tx.carried_bytes \
             == pytest.approx(300 * 100.0, rel=0.01)
 
     def test_fixed_flow_churn(self, env):
@@ -144,7 +144,7 @@ class TestDeterminismAcrossSubsystems:
             env.run(until=30.0)
             a = dprocs["alan"].dmon
             return (lp.mflops(),
-                    a.events_published.total,
+                    a.node.telemetry.value("dmon.events_published"),
                     a.submit_overhead.values[-1],
                     cluster["maui"].disk.writes.total)
 

@@ -21,11 +21,6 @@ class TestLink:
         with pytest.raises(NetworkError):
             Link("bad", 10.0, latency=-1)
 
-    def test_utilization_from_counter(self):
-        link = make_link(100)
-        link.carried.add(1.0, mbps(50) * 1.0)
-        assert link.utilization(now=1.0, window=1.0) == pytest.approx(0.5)
-
 
 class TestFlowValidation:
     def test_empty_path_rejected(self):

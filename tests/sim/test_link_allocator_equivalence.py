@@ -2,7 +2,7 @@
 
 ``allocate_rates`` was rewritten for scalability (persistent per-link
 flow index, touched-links-only recomputation).  The original allocator
-is retained as ``allocate_rates_reference``; these tests assert the two
+lives here as ``allocate_rates_reference``; these tests assert the two
 agree — exactly, not approximately — across hundreds of randomized
 topologies and the edge cases that drove the original design (elastic
 floor, multi-bottleneck water-filling, fixed-flow scaling on shared
@@ -12,13 +12,91 @@ oversubscribed links).
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 import pytest
 
 from repro.errors import NetworkError
 from repro.sim.link import (ELASTIC_FLOOR_FRACTION, Flow, FlowIndex,
-                            FlowKind, Link, allocate_rates,
-                            allocate_rates_reference)
+                            FlowKind, Link, allocate_rates)
+
+
+def allocate_rates_reference(flows: Iterable[Flow]) -> None:
+    """The pre-optimisation allocator, kept as the behavioural oracle.
+
+    This is the original O(iterations × flows × path) implementation,
+    verbatim; the tests below assert that :func:`allocate_rates`
+    matches it on randomized topologies.
+    """
+    flows = list(flows)
+    fixed = [f for f in flows if f.kind is FlowKind.FIXED]
+    elastic = [f for f in flows if f.kind is FlowKind.ELASTIC]
+
+    # -- stage 1: fixed flows ------------------------------------------------
+    for f in fixed:
+        f.rate = f.demand
+    for _ in range(64):  # iterative proportional scaling
+        load: dict[int, float] = {}
+        by_link: dict[int, list[Flow]] = {}
+        caps: dict[int, float] = {}
+        for f in fixed:
+            for link in f.path:
+                load[link.lid] = load.get(link.lid, 0.0) + f.rate
+                by_link.setdefault(link.lid, []).append(f)
+                caps[link.lid] = link.capacity
+        # Scale the single most-oversubscribed link, then re-derive the
+        # load map — scaling several links in one pass would shrink a
+        # flow once per link it crosses instead of once overall.
+        worst_lid, worst_ratio = None, 1.0 + 1e-12
+        for lid, total in load.items():
+            ratio = total / caps[lid]
+            if ratio > worst_ratio:
+                worst_lid, worst_ratio = lid, ratio
+        if worst_lid is None:
+            break
+        for f in by_link[worst_lid]:
+            f.rate /= worst_ratio
+
+    # -- stage 2: elastic flows on the residual -----------------------------
+    residual: dict[int, float] = {}
+    count: dict[int, int] = {}
+    links: dict[int, Link] = {}
+    for f in flows:
+        for link in f.path:
+            links[link.lid] = link
+            residual.setdefault(link.lid, link.capacity)
+            count.setdefault(link.lid, 0)
+    for f in fixed:
+        for link in f.path:
+            residual[link.lid] = max(0.0, residual[link.lid] - f.rate)
+    for f in elastic:
+        for link in f.path:
+            count[link.lid] += 1
+
+    active = set(f.fid for f in elastic)
+    by_fid = {f.fid: f for f in elastic}
+    while active:
+        # Equal share offered by each link to its remaining elastic flows.
+        shares = {lid: residual[lid] / count[lid]
+                  for lid in residual if count.get(lid, 0) > 0}
+        if not shares:
+            break
+        bottleneck = min(shares, key=lambda lid: shares[lid])
+        share = shares[bottleneck]
+        frozen = [fid for fid in active
+                  if any(l.lid == bottleneck for l in by_fid[fid].path)]
+        if not frozen:  # pragma: no cover - defensive
+            break
+        for fid in frozen:
+            flow = by_fid[fid]
+            floor = ELASTIC_FLOOR_FRACTION * min(
+                l.capacity for l in flow.path)
+            flow.rate = max(share, floor)
+            active.discard(fid)
+            for link in flow.path:
+                residual[link.lid] = max(
+                    0.0, residual[link.lid] - share)
+                count[link.lid] -= 1
 
 
 def _random_links(rng: random.Random) -> list[Link]:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import NetworkError, RoutingError
 from repro.sim import Environment, Fabric
 from repro.units import mbps, to_mbps
+from tests.conftest import history_bytes
 
 
 @pytest.fixture
@@ -165,13 +166,32 @@ class TestFixedFlows:
         env.run(until=1.0)
         assert handle.loss_fraction == pytest.approx(1 / 3, rel=1e-3)
         assert handle.flow.lost_bytes > 0
+        assert fabric.hosts["a"].tx.dropped_bytes \
+            == pytest.approx(handle.flow.lost_bytes)
 
     def test_link_counters_accumulate(self, env, fabric):
         fabric.open_fixed_flow("a", "b", mbps(50))
         env.run(until=2.0)
         fabric._settle()
         tx = fabric.hosts["a"].tx
-        assert tx.carried.total == pytest.approx(mbps(50) * 2.0, rel=0.01)
+        assert tx.carried_bytes == pytest.approx(mbps(50) * 2.0, rel=0.01)
+
+    def test_transfer_churn_retains_no_history(self):
+        """A link keeps two byte totals, not a sample per settle:
+        2,000 small transfers retain what 200 do."""
+        def device():
+            env = Environment()
+            f = Fabric(env)
+            f.add_host("a")
+            f.add_host("b")
+
+            def transfers(n: int):
+                for _ in range(n):
+                    yield f.transfer("a", "b", 512.0).done
+
+            return lambda n: env.run(env.process(transfers(n)))
+
+        assert history_bytes(device) < 16 * 1024
 
 
 class TestSharedSegmentContention:

@@ -53,23 +53,6 @@ class TestTimeSeries:
         assert ts.percentile(50) == pytest.approx(50.0)
         assert ts.percentile(90) == pytest.approx(90.0)
 
-    def test_time_average_piecewise_constant(self):
-        ts = TimeSeries()
-        ts.record(0.0, 0.0)   # 0 for [0, 10)
-        ts.record(10.0, 4.0)  # 4 for [10, 20)
-        assert ts.time_average(20.0) == pytest.approx(2.0)
-
-    def test_time_average_single_sample(self):
-        ts = TimeSeries()
-        ts.record(0.0, 7.0)
-        assert ts.time_average() == 7.0
-
-    def test_as_arrays(self):
-        ts = TimeSeries()
-        ts.record(0, 1)
-        t, v = ts.as_arrays()
-        assert t.shape == (1,) and v[0] == 1.0
-
 
 class TestCounterTrace:
     def test_total_accumulates(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TransportError
-from repro.runtime.series import (TRANSPORT_HISTORY, CounterTrace,
+from repro.runtime.series import (DEVICE_HISTORY, CounterTrace,
                                   TimeSeries)
 from repro.sim import Protocol, build_cluster
 from repro.units import KB, mbps
@@ -98,9 +98,9 @@ class TestDeliveryTiming:
         def proc():
             yield conn.send("x", size=KB(10))
 
+        assert conn.last_delay is None
         env.run(env.process(proc()))
-        assert len(conn.delays) == 1
-        assert conn.delays.last() > 0
+        assert conn.last_delay > 0
 
 
 class TestStatistics:
@@ -114,8 +114,7 @@ class TestStatistics:
 
         env.run(env.process(proc()))
         assert conn.bytes_sent.total == pytest.approx(KB(500))
-        assert conn.bytes_delivered.total == pytest.approx(KB(500))
-        assert dst.stack.bytes_in.total == pytest.approx(KB(500))
+        assert dst.stack.bytes_received == pytest.approx(KB(500))
         assert src.stack.bytes_out.total == pytest.approx(KB(500))
 
     def test_rtt_samples_recorded(self, env, pair):
@@ -125,8 +124,9 @@ class TestStatistics:
         def proc():
             yield conn.send("x", size=100)
 
+        assert conn.last_rtt is None
         env.run(env.process(proc()))
-        assert conn.mean_rtt() > 0
+        assert conn.last_rtt > 0
 
     def test_receive_charges_kernel_cpu(self, env, pair):
         """Delivery must consume CPU at the receiver — the perturbation
@@ -161,11 +161,11 @@ class TestStatistics:
 
 class TestBoundedHistories:
     def test_retained_samples_stop_growing(self, env, pair):
-        """However long a connection lives, its per-message traces and
-        the two stacks' byte traces retain fewer than
-        2 x TRANSPORT_HISTORY samples, and what NET_MON, PMC_MON and
-        the power model read from them (``total``, ``last()``,
-        ``rate(now, window)``) equals an unbounded trace's answer."""
+        """However long a connection lives, its sent-bytes trace and
+        the sending stack's retain fewer than 2 x DEVICE_HISTORY
+        samples, and what NET_MON, PMC_MON and the power model read
+        (``total``, ``rate(now, window)``, the last delay, the
+        received-byte total) equals an unbounded trace's answer."""
         src, dst = pair
         conn = src.stack.connect("maui", tag="t")
         sent, received, delays = CounterTrace(), CounterTrace(), \
@@ -184,24 +184,19 @@ class TestBoundedHistories:
                 conn.send(None, size=size)
                 yield env.timeout(0.001)
 
-        bounded = (conn.bytes_sent, conn.bytes_delivered, conn.delays,
-                   conn.rtt, src.stack.bytes_out, dst.stack.bytes_in)
         total = 0
-        for n in (2 * TRANSPORT_HISTORY + 5, TRANSPORT_HISTORY):
+        for n in (2 * DEVICE_HISTORY + 5, DEVICE_HISTORY):
             env.run(env.process(burst(n)))
             total += n
-            for trace in bounded:
+            for trace in (conn.bytes_sent, src.stack.bytes_out):
                 assert total - trace.dropped_samples \
-                    < 2 * TRANSPORT_HISTORY, trace.name
+                    < 2 * DEVICE_HISTORY, trace.name
         assert len(delays) == total
-        for trace, unbounded in ((conn.bytes_sent, sent),
-                                 (src.stack.bytes_out, sent),
-                                 (conn.bytes_delivered, received),
-                                 (dst.stack.bytes_in, received)):
-            assert trace.total == unbounded.total
-            assert trace.rate(env.now, 1.0) \
-                == unbounded.rate(env.now, 1.0)
-        assert conn.delays.last() == delays.last()
+        for trace in (conn.bytes_sent, src.stack.bytes_out):
+            assert trace.total == sent.total
+            assert trace.rate(env.now, 1.0) == sent.rate(env.now, 1.0)
+        assert dst.stack.bytes_received == received.total
+        assert conn.last_delay == delays.last()
         assert conn.used_bandwidth(window=5.0) \
             == sent.rate(env.now, 5.0)
 
