@@ -175,7 +175,9 @@ def main(argv: list[str] | None = None) -> int:
     wire_frames = wire.get("net.tx_wire_frames", 0.0)
     if frames:
         saved = 100.0 * (1.0 - wire_frames / frames)
-        print(f"\nwire: {frames:.0f} frames in "
+        wire_bytes = wire.get("net.tx_wire_bytes", 0.0)
+        print(f"\nwire: {frames:.0f} frames, {wire_bytes:.0f} bytes "
+              f"({wire_bytes / frames:.1f} B/frame) in "
               f"{wire_frames:.0f} wire writes "
               f"({saved:.1f}% coalesced; "
               f"{wire.get('net.tx_batches', 0.0):.0f} batches, "

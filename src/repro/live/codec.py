@@ -1,48 +1,79 @@
 """Length-prefixed binary event codec for the live TCP data plane.
 
-A PBIO-style format in the spirit of the paper's ECho heritage: fixed
-binary layout for the hot monitoring stream, self-describing fall-backs
-for everything else.  Every frame on the wire is::
+A PBIO-style format in the spirit of the paper's ECho heritage: a
+packed layout both ends already know for the hot monitoring stream,
+self-describing fall-backs for everything else.  All integers and
+floats are big-endian; ``str`` is a u16 byte length followed by UTF-8
+bytes; ``[x]`` is present only when the named flag is set.
 
-    u32  frame length (big-endian, excluding these 4 bytes)
-    u16  magic (0xEC05)
-    u8   kind
-    str  tag      (transport dispatch tag, e.g. "kecho:dproc.monitor")
-    str  channel
-    str  source
-    f64  submitted_at
-    f64  declared size (bytes, the cost-model size)
-    ...  kind-specific body
+Every frame::
 
-where ``str`` is a u16 byte length followed by UTF-8 bytes.  Kinds:
+    u32   frame length (excluding these 4 bytes)
+    u16   magic (0xEC06)
+    u8    kind
+    u8    flags
+    str   channel
+    [str  tag]           TAG: the transport dispatch tag
+    str   source
+    f64   submitted_at
+    f64   declared size (bytes, the cost-model size)
+    ...   kind-specific body
 
-* ``MONITOR`` — a d-mon metric event: host string then a u16 record
-  count, each record ``(u16 metric id, f64 value, f64 timestamp)``.
-  MetricId values are part of the E-code filter ABI, so the ids on the
-  wire are the ABI ids and decode back to :class:`MetricId`.  Two
-  optional trailing sections carry the keyed per-process stream: a u16
-  count of ``(u32 pid, f64 weight)`` top-K pairs, then a u16 count of
-  ``(u32 pid, f64 cpu, f64 mem, f64 io)`` full rows.  Frames without
-  the sections (older peers) decode as zero rows, and zero-row
-  sections decode to payloads without the keys — round-trip safe in
-  both directions.
+``MONITOR`` body — one d-mon poll, records kept as columns::
+
+    [str  host]          HOST
+    u16   n              record count
+    n×u16 metric ids     (the E-code filter ABI ids, decoded back to
+                          :class:`MetricId`; an unknown id is an error)
+    n×f64 values
+    f64   timestamp      one for the poll; n×f64 when TS is set
+    [u16 k, k×(u32 pid, f64 weight)         top-K pairs
+     u16 m, m×(u32 pid, f64 cpu, mem, io)]  full per-process rows
+
+The keyed per-process sections are written only when one of them has
+a row; absent and zero-count sections both decode to a payload
+without the ``proc_top``/``procs`` keys.  A default 13-record d-mon
+frame is 56 + 10·n = 186 bytes.
+
+The three flags mark what a frame could not leave out.  The encoder
+sets each from the event in hand, per frame, so every payload
+:class:`ChannelEvent` admits round-trips f64-exact in insertion order:
+
+* ``TAG`` (1) — the tag is not ``"kecho:" + channel`` (what every
+  KECho endpoint binds), so it is carried.
+* ``HOST`` (2) — ``payload["host"]`` differs from the event's source
+  (d-mon publishes as its own node), so it is carried.
+* ``TS`` (4) — the records do not all share one timestamp, compared
+  bit for bit on the packed f64 (0.0 and -0.0 differ; a NaN equals
+  itself), so each record carries its own.  A frame with no records
+  has no timestamp to share and sets it too.
+
+There is no per-connection string table: a frame is self-contained,
+so one encoding serves every link of a fan-out, a frame dropped under
+backpressure or a reconnect needs no resync, and the sharded
+simulator's stateless conduit carries the same bytes.  The strings
+left (channel, source) are what such a table could still save — under
+two bytes a record.
+
+Other kinds:
+
 * ``CONTROL`` — one control message (SetParameter, ClearParameter,
-  DeployFilter, RemoveFilter) as a compact JSON object (control
-  traffic is rare; self-describing beats packed here).
-* ``JSON`` — any other JSON-serialisable payload.
+  DeployFilter, RemoveFilter) as a u32 length and a compact JSON
+  object (control traffic is rare; self-describing beats packed here).
+* ``JSON`` — any other JSON-serialisable payload, same body.
 * ``BATCH`` — a super-frame coalescing many MONITOR/CONTROL/JSON
-  frames into one socket write: magic + kind, a u32 member count,
-  then each member as a complete length-prefixed frame.  The decoder
-  unwraps batches transparently (``FrameDecoder.feed`` returns the
-  member frame bodies), so :func:`decode_frame` never sees one;
-  nesting is rejected.
+  frames into one socket write: magic and kind (no flags or event
+  header), a u32 member count, then each member as a complete
+  length-prefixed frame.  The decoder unwraps batches transparently
+  (``FrameDecoder.feed`` returns the member frame bodies), so
+  :func:`decode_frame` never sees one; nesting is rejected.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.dproc.metrics import MetricId
 from repro.errors import ChannelError
@@ -53,14 +84,18 @@ from repro.kecho.event import ChannelEvent
 
 __all__ = ["encode_frame", "decode_frame", "encode_batch",
            "FrameDecoder", "MAGIC", "KIND_MONITOR", "KIND_CONTROL",
-           "KIND_JSON", "KIND_BATCH", "MAX_FRAME_BYTES",
-           "MAX_BATCH_FRAMES"]
+           "KIND_JSON", "KIND_BATCH", "FLAG_TAG", "FLAG_HOST", "FLAG_TS",
+           "MAX_FRAME_BYTES", "MAX_BATCH_FRAMES"]
 
-MAGIC = 0xEC05
+MAGIC = 0xEC06
 KIND_MONITOR = 1
 KIND_CONTROL = 2
 KIND_JSON = 3
 KIND_BATCH = 4
+
+FLAG_TAG = 1
+FLAG_HOST = 2
+FLAG_TS = 4
 
 #: Upper bound on one frame; protects the decoder from a corrupt or
 #: hostile length prefix.  A ``BATCH`` super-frame is bounded like any
@@ -70,15 +105,20 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Upper bound on members per ``BATCH`` super-frame.
 MAX_BATCH_FRAMES = 4096
 
+#: The tag every KECho endpoint binds for a channel.
+_TAG_PREFIX = "kecho:"
+
 _CONTROL_TYPES = {cls.__name__: cls for cls in
                   (SetParameter, ClearParameter, DeployFilter,
                    RemoveFilter)}
+_METRICS = {int(metric): metric for metric in MetricId}
 
-_RECORD = struct.Struct(">Hdd")
 _TOP_ROW = struct.Struct(">Id")
 _PROC_ROW = struct.Struct(">Iddd")
-_HEAD = struct.Struct(">HB")
-_F64 = struct.Struct(">d")
+_HEAD = struct.Struct(">HBB")
+_BATCH_HEAD = struct.Struct(">HBI")
+_BATCH_SNIFF = struct.pack(">HB", MAGIC, KIND_BATCH)
+_TIMES = struct.Struct(">dd")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 
@@ -90,85 +130,89 @@ def _pack_str(text: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-class _Reader:
-    """Cursor over one frame's bytes."""
+def _str_at(buf: bytes, pos: int) -> tuple[str, int]:
+    """The ``str`` at ``pos`` and the offset just past it."""
+    start = pos + 2
+    end = start + _U16.unpack_from(buf, pos)[0]
+    if end > len(buf):
+        raise ChannelError("truncated frame")
+    return str(buf[start:end], "utf-8"), end
 
-    __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
+def _rows_at(buf: bytes, pos: int, row: struct.Struct):
+    """The u16-counted ``row`` section at ``pos`` and the offset past it."""
+    start = pos + 2
+    end = start + _U16.unpack_from(buf, pos)[0] * row.size
+    if end > len(buf):
+        raise ChannelError("truncated frame")
+    return row.iter_unpack(buf[start:end]), end
 
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
-            raise ChannelError("truncated frame")
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
 
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+def _monitor_body(source: str, payload: dict) -> tuple[int, list[bytes]]:
+    """Flags and body parts of one MONITOR payload."""
+    metrics = payload["metrics"]
+    top = payload.get("proc_top") or {}
+    procs = payload.get("procs") or {}
+    n = len(metrics)
+    if n > 0xFFFF or len(top) > 0xFFFF or len(procs) > 0xFFFF:
+        raise ChannelError("too many records for wire format")
+    flags = 0
+    body = []
+    if payload["host"] != source:
+        flags |= FLAG_HOST
+        body.append(_pack_str(payload["host"]))
+    values, stamps = zip(*metrics.values()) if n else ((), ())
+    times = struct.pack(f">{n}d", *stamps)
+    if n and times == times[:8] * n:
+        times = times[:8]
+    else:
+        flags |= FLAG_TS
+    body.append(struct.pack(f">H{n}H{n}d", n, *metrics, *values))
+    body.append(times)
+    if top or procs:
+        body.append(_U16.pack(len(top)))
+        body.extend(_TOP_ROW.pack(pid, top[pid]) for pid in sorted(top))
+        body.append(_U16.pack(len(procs)))
+        body.extend(_PROC_ROW.pack(pid, *procs[pid])
+                    for pid in sorted(procs))
+    return flags, body
 
 
 def encode_frame(tag: str, event: ChannelEvent) -> bytes:
     """Encode one event (with its transport tag) as a complete frame."""
     payload = event.payload
+    channel = event.channel
+    flags = 0 if tag == _TAG_PREFIX + channel else FLAG_TAG
     if (isinstance(payload, dict) and "host" in payload
             and "metrics" in payload):
         kind = KIND_MONITOR
-        metrics = payload["metrics"]
-        body = [_pack_str(payload["host"]),
-                _U16.pack(len(metrics))]
-        for metric, (value, ts) in metrics.items():
-            body.append(_RECORD.pack(int(metric), float(value),
-                                     float(ts)))
-        top = payload.get("proc_top") or {}
-        procs = payload.get("procs") or {}
-        if len(top) > 0xFFFF or len(procs) > 0xFFFF:
-            raise ChannelError("too many keyed rows for wire format")
-        body.append(_U16.pack(len(top)))
-        for pid in sorted(top):
-            body.append(_TOP_ROW.pack(int(pid), float(top[pid])))
-        body.append(_U16.pack(len(procs)))
-        for pid in sorted(procs):
-            cpu, mem, io = procs[pid]
-            body.append(_PROC_ROW.pack(int(pid), float(cpu),
-                                       float(mem), float(io)))
-        body_bytes = b"".join(body)
-    elif isinstance(payload, ControlMessage):
-        kind = KIND_CONTROL
-        doc = {"type": type(payload).__name__, "sender": payload.sender,
-               "target": payload.target}
-        for attr in ("metric", "parameter", "spec", "source",
-                     "filter_id"):
-            if hasattr(payload, attr):
-                doc[attr] = getattr(payload, attr)
-        raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        body_bytes = _U32.pack(len(raw)) + raw
+        monitor_flags, body = _monitor_body(event.source, payload)
+        flags |= monitor_flags
     else:
-        kind = KIND_JSON
+        if isinstance(payload, ControlMessage):
+            kind = KIND_CONTROL
+            doc = {"type": type(payload).__name__,
+                   "sender": payload.sender, "target": payload.target}
+            for attr in ("metric", "parameter", "spec", "source",
+                         "filter_id"):
+                if hasattr(payload, attr):
+                    doc[attr] = getattr(payload, attr)
+        else:
+            kind = KIND_JSON
+            doc = payload
         try:
-            raw = json.dumps(payload,
-                             separators=(",", ":")).encode("utf-8")
+            raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise ChannelError(
                 f"live payload is not wire-encodable: {exc}") from exc
-        body_bytes = _U32.pack(len(raw)) + raw
+        body = [_U32.pack(len(raw)), raw]
     frame = b"".join([
-        _HEAD.pack(MAGIC, kind),
-        _pack_str(tag),
-        _pack_str(event.channel),
+        _HEAD.pack(MAGIC, kind, flags),
+        _pack_str(channel),
+        _pack_str(tag) if flags & FLAG_TAG else b"",
         _pack_str(event.source),
-        _F64.pack(float(event.submitted_at)),
-        _F64.pack(float(event.size)),
-        body_bytes,
+        _TIMES.pack(event.submitted_at, event.size),
+        *body,
     ])
     return _U32.pack(len(frame)) + frame
 
@@ -178,62 +222,71 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
 
     Raises :class:`ChannelError` for every malformed frame.
     """
-    reader = _Reader(frame)
-    magic, kind = _HEAD.unpack(reader.take(_HEAD.size))
-    if magic != MAGIC:
-        raise ChannelError(f"bad frame magic {magic:#x}")
-    if kind == KIND_BATCH:
-        raise ChannelError(
-            "BATCH super-frames must be unwrapped by FrameDecoder "
-            "before decode_frame")
     # A frame is input from outside the program: whatever is wrong
-    # with its body (unknown metric id, bad UTF-8 or JSON, a control
-    # message with a missing or extra field) is a ChannelError to the
-    # caller, never a bare ValueError/TypeError.
+    # with it (a field or column cut short, unknown metric id, bad
+    # UTF-8 or JSON, a control message with a missing or extra field)
+    # is a ChannelError to the caller, never a bare struct.error or
+    # ValueError/TypeError.
     try:
-        tag = reader.string()
-        channel = reader.string()
-        source = reader.string()
-        submitted_at = reader.f64()
-        size = reader.f64()
+        magic, kind, flags = _HEAD.unpack_from(frame)
+        if magic != MAGIC:
+            raise ChannelError(f"bad frame magic {magic:#x}")
+        if kind == KIND_BATCH:
+            raise ChannelError(
+                "BATCH super-frames must be unwrapped by FrameDecoder "
+                "before decode_frame")
+        channel, pos = _str_at(frame, _HEAD.size)
+        if flags & FLAG_TAG:
+            tag, pos = _str_at(frame, pos)
+        else:
+            tag = _TAG_PREFIX + channel
+        source, pos = _str_at(frame, pos)
+        submitted_at, size = _TIMES.unpack_from(frame, pos)
+        pos += _TIMES.size
         payload: Any
         if kind == KIND_MONITOR:
-            host = reader.string()
-            count = reader.u16()
-            metrics: dict[MetricId, tuple[float, float]] = {}
-            for _ in range(count):
-                mid, value, ts = _RECORD.unpack(reader.take(_RECORD.size))
-                metrics[MetricId(mid)] = (value, ts)
-            payload = {"host": host, "metrics": metrics}
-            if reader.pos < len(reader.buf):
-                n_top = reader.u16()
-                if n_top:
-                    top: dict[int, float] = {}
-                    for _ in range(n_top):
-                        pid, weight = _TOP_ROW.unpack(
-                            reader.take(_TOP_ROW.size))
-                        top[pid] = weight
+            if flags & FLAG_HOST:
+                host, pos = _str_at(frame, pos)
+            else:
+                host = source
+            (n,) = _U16.unpack_from(frame, pos)
+            pos += 2
+            if flags & FLAG_TS:
+                cells = struct.unpack_from(f">{n}H{2 * n}d", frame, pos)
+                stamps = cells[2 * n:]
+                pos += 18 * n
+            else:
+                cells = struct.unpack_from(f">{n}H{n}dd", frame, pos)
+                stamps = cells[-1:] * n
+                pos += 10 * n + 8
+            payload = {"host": host, "metrics": dict(zip(
+                map(_METRICS.__getitem__, cells[:n]),
+                zip(cells[n:2 * n], stamps)))}
+            if pos < len(frame):
+                rows, pos = _rows_at(frame, pos, _TOP_ROW)
+                top = dict(rows)
+                if top:
                     payload["proc_top"] = top
-                n_procs = reader.u16()
-                if n_procs:
-                    procs: dict[int, tuple[float, float, float]] = {}
-                    for _ in range(n_procs):
-                        pid, cpu, mem, io = _PROC_ROW.unpack(
-                            reader.take(_PROC_ROW.size))
-                        procs[pid] = (cpu, mem, io)
+                rows, pos = _rows_at(frame, pos, _PROC_ROW)
+                procs = {pid: (cpu, mem, io)
+                         for pid, cpu, mem, io in rows}
+                if procs:
                     payload["procs"] = procs
-        elif kind == KIND_CONTROL:
-            raw = reader.take(_U32.unpack(reader.take(4))[0])
-            doc = json.loads(raw.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise ChannelError("control message body is not an object")
-            cls = _CONTROL_TYPES.get(doc.pop("type", ""))
-            if cls is None:
-                raise ChannelError("unknown control message type on wire")
-            payload = cls(**doc)
-        elif kind == KIND_JSON:
-            raw = reader.take(_U32.unpack(reader.take(4))[0])
-            payload = json.loads(raw.decode("utf-8"))
+        elif kind in (KIND_CONTROL, KIND_JSON):
+            start = pos + 4
+            end = start + _U32.unpack_from(frame, pos)[0]
+            if end > len(frame):
+                raise ChannelError("truncated frame")
+            payload = json.loads(str(frame[start:end], "utf-8"))
+            if kind == KIND_CONTROL:
+                if not isinstance(payload, dict):
+                    raise ChannelError(
+                        "control message body is not an object")
+                cls = _CONTROL_TYPES.get(payload.pop("type", ""))
+                if cls is None:
+                    raise ChannelError(
+                        "unknown control message type on wire")
+                payload = cls(**payload)
         else:
             raise ChannelError(f"unknown frame kind {kind}")
     except (ValueError, TypeError, KeyError, RecursionError,
@@ -258,8 +311,8 @@ def encode_batch(frames: Sequence[bytes]) -> bytes:
         raise ChannelError(
             f"batch of {len(frames)} frames exceeds the "
             f"{MAX_BATCH_FRAMES}-member bound")
-    body = b"".join([_HEAD.pack(MAGIC, KIND_BATCH),
-                     _U32.pack(len(frames))] + list(frames))
+    body = b"".join([_BATCH_HEAD.pack(MAGIC, KIND_BATCH, len(frames)),
+                     *frames])
     if len(body) > MAX_FRAME_BYTES:
         raise ChannelError(
             f"batch of {len(body)} bytes exceeds the "
@@ -286,22 +339,27 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[bytes]:
         """Absorb ``data``; return every now-complete frame body."""
-        self._buf.extend(data)
-        frames: list[bytes] = []
         buf = self._buf
-        while len(buf) >= 4:
-            (length,) = _U32.unpack(bytes(buf[:4]))
-            self._check_length(length)
-            if len(buf) < 4 + length:
-                break
-            body = bytes(buf[4:4 + length])
-            del buf[:4 + length]
-            if (length >= _HEAD.size
-                    and body[2] == KIND_BATCH
-                    and _U16.unpack(body[:2])[0] == MAGIC):
-                frames.extend(self._unwrap_batch(body))
-            else:
-                frames.append(body)
+        buf += data
+        frames: list[bytes] = []
+        pos, have = 0, len(buf)
+        try:
+            while have - pos >= 4:
+                (length,) = _U32.unpack_from(buf, pos)
+                self._check_length(length)
+                end = pos + 4 + length
+                if end > have:
+                    break
+                body = bytes(buf[pos + 4:end])
+                pos = end
+                if body.startswith(_BATCH_SNIFF):
+                    frames.extend(self._unwrap_batch(body))
+                else:
+                    frames.append(body)
+        finally:
+            # Consumed frames leave the buffer once per call, also on
+            # the way out of a protocol error.
+            del buf[:pos]
         return frames
 
     def finish(self) -> None:
@@ -326,9 +384,10 @@ class FrameDecoder:
 
     def _unwrap_batch(self, body: bytes) -> list[bytes]:
         """Split one BATCH super-frame body into member frame bodies."""
-        reader = _Reader(body)
-        reader.take(_HEAD.size)  # magic/kind validated by the caller
-        (count,) = _U32.unpack(reader.take(4))
+        if len(body) < _BATCH_HEAD.size:
+            raise ChannelError("truncated frame")
+        # magic/kind validated by the caller
+        _, _, count = _BATCH_HEAD.unpack_from(body)
         if count == 0:
             raise ChannelError("empty BATCH super-frame")
         if count > MAX_BATCH_FRAMES:
@@ -336,17 +395,21 @@ class FrameDecoder:
                 f"BATCH of {count} members exceeds the "
                 f"{MAX_BATCH_FRAMES}-member bound")
         members: list[bytes] = []
+        pos, have = _BATCH_HEAD.size, len(body)
         for _ in range(count):
-            (length,) = _U32.unpack(reader.take(4))
+            if pos + 4 > have:
+                raise ChannelError("truncated frame")
+            (length,) = _U32.unpack_from(body, pos)
             self._check_length(length)
-            member = reader.take(length)
-            if (length >= _HEAD.size
-                    and member[2] == KIND_BATCH
-                    and _U16.unpack(member[:2])[0] == MAGIC):
+            start, pos = pos + 4, pos + 4 + length
+            if pos > have:
+                raise ChannelError("truncated frame")
+            member = body[start:pos]
+            if member.startswith(_BATCH_SNIFF):
                 raise ChannelError("nested BATCH super-frame")
             members.append(member)
-        if reader.pos != len(body):
+        if pos != have:
             raise ChannelError(
-                f"BATCH has {len(body) - reader.pos} trailing bytes "
+                f"BATCH has {have - pos} trailing bytes "
                 f"after {count} members")
         return members

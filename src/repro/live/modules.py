@@ -35,12 +35,83 @@ __all__ = ["HostCpuMon", "HostMemMon", "HostDiskMon", "HostNetMon",
 NOMINAL_BANDWIDTH = 100e6 / 8.0
 
 
+#: Descriptors held open on the fixed ``/proc`` paths the modules
+#: poll, by path.  A ``/proc`` file regenerates its text on each read
+#: from offset 0 and ``pread`` carries no file position, so one
+#: descriptor serves every poll in the process — and in the forked
+#: pool workers that inherit it.
+_held: dict[str, int] = {}
+
+
 def _read_proc(path: str) -> str:
+    """Text of a fixed ``/proc`` path, through a held descriptor.
+
+    Any ``OSError`` reads as ``""``; the descriptor is then closed and
+    forgotten, so the next poll opens the path again.
+    """
+    try:
+        fd = _held.get(path)
+        if fd is None:
+            fd = _held[path] = os.open(path, os.O_RDONLY)
+        data = b""
+        # To EOF: procfs may return less than asked before the end.
+        while chunk := os.pread(fd, 65536, len(data)):
+            data += chunk
+        return str(data, "utf-8", "replace")
+    except OSError:
+        fd = _held.pop(path, None)
+        if fd is not None:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        return ""
+
+
+def _read_once(path: str) -> str:
+    """Text of a per-PID file: the set is unbounded, so no descriptor
+    is held."""
     try:
         with open(path, "r") as fh:
             return fh.read()
     except OSError:
         return ""
+
+
+def _whole_devices() -> Optional[frozenset[str]]:
+    """Names of the hardware-backed block devices: the ``/sys/block``
+    entries with a ``device`` link (``sda``, ``nvme0n1``, ``mmcblk0``,
+    ``vda``; not ``loop0``, ``dm-0``, ``zram0``, and never a
+    partition).  None when ``/sys/block`` is unreadable."""
+    try:
+        return frozenset(
+            name for name in os.listdir("/sys/block")
+            if os.path.exists(f"/sys/block/{name}/device"))
+    except OSError:
+        return None
+
+
+def _disk_totals(text: str, whole_devices: Optional[frozenset[str]]
+                 ) -> tuple[float, float, float]:
+    """``(sectors, reads, writes)`` summed over the whole-device rows
+    of ``/proc/diskstats`` text; partitions and stacked devices would
+    double-count.  Without a device set, a whole device is a name
+    with no digit in it."""
+    is_whole = (str.isalpha if whole_devices is None
+                else whole_devices.__contains__)
+    reads = writes = sectors = 0.0
+    for line in text.splitlines():
+        fields = line.split()
+        # Field 3 is the device name.
+        if len(fields) < 14 or not is_whole(fields[2]):
+            continue
+        try:
+            reads += float(fields[3])
+            sectors += float(fields[5]) + float(fields[9])
+            writes += float(fields[7])
+        except ValueError:  # pragma: no cover - malformed procfs
+            continue
+    return sectors, reads, writes
 
 
 class _RateTracker:
@@ -119,29 +190,14 @@ class HostDiskMon(MonitoringModule):
         self._sectors = _RateTracker()
         self._reads = _RateTracker()
         self._writes = _RateTracker()
+        self._whole_devices = _whole_devices()
 
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["disk"]
 
-    @staticmethod
-    def _totals() -> tuple[float, float, float]:
-        reads = writes = sectors = 0.0
-        for line in _read_proc("/proc/diskstats").splitlines():
-            fields = line.split()
-            # Whole-device rows only (field 3 is the device name):
-            # loopN and partitions would double-count.
-            if len(fields) < 14 or not fields[2].isalpha():
-                continue
-            try:
-                reads += float(fields[3])
-                sectors += float(fields[5]) + float(fields[9])
-                writes += float(fields[7])
-            except ValueError:  # pragma: no cover - malformed procfs
-                continue
-        return sectors, reads, writes
-
     def collect(self, now: float) -> list[MetricSample]:
-        sectors, reads, writes = self._totals()
+        sectors, reads, writes = _disk_totals(
+            _read_proc("/proc/diskstats"), self._whole_devices)
         return [
             MetricSample(MetricId.DISKUSAGE,
                          self._sectors.rate(now, sectors), now),
@@ -286,7 +342,7 @@ class HostProcMon(MonitoringModule):
         rows: list[KeyedSample] = []
         live: set[int] = set()
         for pid in self._pids()[:self.MAX_PIDS]:
-            stat = _read_proc(f"/proc/{pid}/stat")
+            stat = _read_once(f"/proc/{pid}/stat")
             if not stat:
                 continue  # process exited mid-scan
             # Fields after the parenthesised comm (which may contain
@@ -305,7 +361,7 @@ class HostProcMon(MonitoringModule):
             tracker = self._cpu.setdefault(pid, _RateTracker())
             cpu_share = tracker.rate(now, jiffies / self._hz)
             io_rate = 0.0
-            io_text = _read_proc(f"/proc/{pid}/io")
+            io_text = _read_once(f"/proc/{pid}/io")
             if io_text:
                 total_bytes = 0.0
                 for line in io_text.splitlines():

@@ -10,6 +10,8 @@ content — so this is the property that makes it safe.)
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -64,6 +66,62 @@ def events(draw):
     return ChannelEvent(channel=channel, source=source,
                         payload=payload, size=draw(_values),
                         submitted_at=draw(_values))
+
+
+_any_f64 = st.floats(width=64)  # NaNs, infinities and -0.0 included
+_names = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def monitor_cases(draw):
+    """``(tag, event)`` pairs that land on either side of each flag:
+    KECho's own tag or a foreign one, host equal to the source or not,
+    one timestamp for the poll or one per record, keyed rows or none.
+    """
+    source = draw(_names)
+    channel = draw(_names)
+    mids = draw(st.lists(st.sampled_from(list(MetricId)), max_size=6,
+                         unique=True))
+    if draw(st.booleans()):
+        stamps = [draw(_any_f64)] * len(mids)
+    else:
+        stamps = [draw(_any_f64) for _ in mids]
+    payload = {
+        "host": source if draw(st.booleans()) else draw(_names),
+        "metrics": {mid: (draw(_any_f64), ts)
+                    for mid, ts in zip(mids, stamps)}}
+    if draw(st.booleans()):
+        payload["proc_top"] = draw(st.dictionaries(
+            st.integers(0, 2**32 - 1), _values, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        payload["procs"] = draw(st.dictionaries(
+            st.integers(0, 2**32 - 1), st.tuples(_values, _values, _values),
+            min_size=1, max_size=3))
+    tag = "kecho:" + channel if draw(st.booleans()) else draw(_names)
+    return tag, ChannelEvent(channel=channel, source=source,
+                             payload=payload, size=draw(_values),
+                             submitted_at=draw(_values))
+
+
+def _bits(payload) -> list:
+    """The records in order, each float as its eight wire bytes — so
+    -0.0 is not 0.0 and a NaN equals itself."""
+    return [(metric, struct.pack(">d", value), struct.pack(">d", ts))
+            for metric, (value, ts) in payload["metrics"].items()]
+
+
+def _assert_monitor_roundtrip(tag: str, event: ChannelEvent) -> None:
+    (body,) = FrameDecoder().feed(encode_frame(tag, event))
+    got_tag, decoded = decode_frame(body)
+    assert got_tag == tag
+    assert (decoded.channel, decoded.source, decoded.size,
+            decoded.submitted_at) == (event.channel, event.source,
+                                      event.size, event.submitted_at)
+    assert _bits(decoded.payload) == _bits(event.payload)
+    assert all(isinstance(m, MetricId) for m in decoded.payload["metrics"])
+    rest = {k: v for k, v in event.payload.items() if k != "metrics"}
+    assert {k: v for k, v in decoded.payload.items()
+            if k != "metrics"} == rest
 
 
 @st.composite
@@ -153,6 +211,49 @@ class TestCoalescedRoundTrip:
         decoder.feed(wire[:len(wire) - 1])
         with pytest.raises(ChannelError):
             decoder.finish()
+
+
+class TestMonitorFlags:
+    """Whatever the encoder leaves out of a MONITOR frame, the decoder
+    puts back: bit-exact floats, insertion order, every key."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(monitor_cases())
+    def test_either_side_of_each_flag_roundtrips(self, case):
+        _assert_monitor_roundtrip(*case)
+
+    @pytest.mark.parametrize("stamps", [
+        [0.0, -0.0],
+        [-0.0, -0.0],
+        [float("nan"), float("nan")],
+        [1.0, float("nan"), 1.0],
+        [7.0, 7.0, 7.5],
+        [3.0],
+        [],
+    ], ids=["zero-and-minus-zero", "minus-zero", "nan-twice",
+            "nan-among-equals", "last-differs", "one-record",
+            "zero-records"])
+    @pytest.mark.parametrize("tag", ["kecho:dproc.monitor", "custom"])
+    @pytest.mark.parametrize("host", ["maui", "etna"])
+    def test_named_timestamp_cases(self, stamps, tag, host):
+        metrics = {mid: (float(i), ts) for i, (mid, ts)
+                   in enumerate(zip(reversed(MetricId), stamps))}
+        _assert_monitor_roundtrip(tag, ChannelEvent(
+            channel="dproc.monitor", source="maui", size=64.0,
+            submitted_at=7.0, payload={"host": host, "metrics": metrics}))
+
+    def test_shared_timestamp_is_judged_on_bits_not_equality(self):
+        """0.0 == -0.0, so an encoder comparing with ``==`` would fold
+        the two into one timestamp and lose the sign."""
+        def frame(stamps):
+            return encode_frame("kecho:c", ChannelEvent(
+                channel="c", source="s", size=1.0, submitted_at=0.0,
+                payload={"host": "s", "metrics": {
+                    MetricId.LOADAVG: (1.0, stamps[0]),
+                    MetricId.FREEMEM: (2.0, stamps[1])}}))
+        assert len(frame([0.0, -0.0])) == len(frame([0.0, 0.0])) + 8
+        nan = float("nan")
+        assert len(frame([nan, nan])) == len(frame([0.0, 0.0]))
 
 
 class TestMalformedFrames:

@@ -22,9 +22,10 @@ def unknown_metric_frames() -> tuple[bytes, bytes]:
     good = encode_frame("t", ChannelEvent(
         channel="c", source="s", size=32.0, submitted_at=0.0,
         payload={"host": "s", "metrics": {MetricId.LOADAVG: (1.0, 0.0)}}))
-    # The frame ends with one 18-byte record and two empty u16 keyed
-    # sections.
-    at = len(good) - 22
+    # The frame ends with the record's three columns: one u16 id, one
+    # f64 value and the poll's f64 timestamp.
+    at = len(good) - 18
+    assert good[at:at + 2] == struct.pack(">H", MetricId.LOADAVG)
     return good, good[:at] + struct.pack(">H", 9999) + good[at + 2:]
 
 
@@ -84,6 +85,50 @@ class TestRoundTrip:
             encode_frame("custom:app", event)
 
 
+def _dmon_event(n: int) -> ChannelEvent:
+    """What d-mon publishes for one poll of ``n`` metrics: one
+    timestamp, host = source."""
+    metrics = {metric: (float(i), 12.5)
+               for i, metric in enumerate(list(MetricId)[:n])}
+    assert len(metrics) == n
+    return ChannelEvent(channel="dproc.monitor", source="node3",
+                        payload={"host": "node3", "metrics": metrics},
+                        size=40.0 + 12.0 * n, submitted_at=12.5)
+
+
+class TestWireBudget:
+    """The bytes a d-mon poll costs on the wire, so a format
+    regression fails here and not only in the benchmark."""
+
+    @pytest.mark.parametrize("n, size", [(1, 66), (4, 96), (13, 186),
+                                         (20, 256)])
+    def test_dmon_frame_is_56_plus_10_per_record(self, n, size):
+        """13 records is the default module set: 186 bytes."""
+        frame = encode_frame("kecho:dproc.monitor", _dmon_event(n))
+        assert len(frame) == size == 56 + 10 * n
+        tag, decoded = decode_frame(frame[4:])
+        assert tag == "kecho:dproc.monitor"
+        assert decoded.payload == _dmon_event(n).payload
+
+    def test_each_redundancy_costs_its_bytes_only_when_present(self):
+        event = _dmon_event(13)
+        base = len(encode_frame("kecho:dproc.monitor", event))
+        assert len(encode_frame("custom", event)) == base + 2 + 6
+        event.payload["host"] = "other"
+        assert len(encode_frame("kecho:dproc.monitor",
+                                event)) == base + 2 + 5
+        event = _dmon_event(13)
+        event.payload["metrics"][MetricId.LOADAVG] = (0.0, 13.0)
+        assert len(encode_frame("kecho:dproc.monitor",
+                                event)) == base + 12 * 8
+
+    def test_previous_magic_is_refused(self):
+        body = encode_frame("kecho:dproc.monitor", _dmon_event(1))[4:]
+        assert body[:2] == struct.pack(">H", MAGIC)
+        with pytest.raises(ChannelError, match="magic"):
+            decode_frame(struct.pack(">H", 0xEC05) + body[2:])
+
+
 class TestProcSections:
     """Optional keyed-stream sections on MONITOR frames."""
 
@@ -120,19 +165,34 @@ class TestProcSections:
         assert decoded.payload == payload
 
     def test_legacy_frame_without_sections_decodes(self):
-        """A frame from a peer that predates the keyed sections (body
-        ends right after the metric records) still decodes."""
+        """A body that ends right after the record columns (what the
+        encoder emits when no keyed row exists) and one that spells
+        out two zero-count sections decode to the same payload."""
         payload = {"host": "maui",
                    "metrics": {MetricId.LOADAVG: (1.5, 2.0)}}
         body = FrameDecoder().feed(
             encode_frame("t", self._monitor(payload)))[0]
-        legacy = body[:-4]  # strip the two zero-count u16 sections
-        _, decoded = decode_frame(legacy)
-        assert decoded.payload == payload
+        assert body.endswith(struct.pack(">Hdd", MetricId.LOADAVG,
+                                         1.5, 2.0))
+        for frame in (body, body + struct.pack(">HH", 0, 0)):
+            _, decoded = decode_frame(frame)
+            assert decoded.payload == payload
 
     def test_too_many_rows_rejected(self):
         payload = {"host": "maui", "metrics": {},
                    "proc_top": {pid: 1.0 for pid in range(0x10000)}}
+        with pytest.raises(ChannelError):
+            encode_frame("t", self._monitor(payload))
+
+    @pytest.mark.parametrize("key, rows", [
+        ("procs", {pid: (1.0, 2.0, 3.0) for pid in range(0x10000)}),
+        ("metrics", {mid: (1.0, 2.0) for mid in range(0x10000)}),
+    ], ids=["procs", "metrics"])
+    def test_too_many_of_anything_counted_is_rejected(self, key, rows):
+        """One more than a u16 count can say is a ChannelError for
+        every section — the record count too, which feeds a format
+        string and used to escape as a bare struct.error."""
+        payload = {"host": "maui", "metrics": {}, key: rows}
         with pytest.raises(ChannelError):
             encode_frame("t", self._monitor(payload))
 
@@ -201,9 +261,11 @@ class TestBadFrames:
         body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
             channel="c", source="s", payload=payload, size=1.0,
             submitted_at=0.0)))[0]
-        # magic + kind, three 1-character strings, two f64: the JSON
-        # document's u32 length starts at byte 28.
-        corrupt = body[:28] + struct.pack(">I", len(raw)) + raw
+        # magic, kind, flags; channel, tag and source as three
+        # 1-character strings; two f64: the JSON document's u32 length
+        # starts at byte 29.
+        assert struct.unpack_from(">I", body, 29)[0] == len(body) - 33
+        corrupt = body[:29] + struct.pack(">I", len(raw)) + raw
         with pytest.raises(ChannelError):
             decode_frame(corrupt)
 
