@@ -86,9 +86,6 @@ class Scenario:
         self._names = list(names) if names is not None else None
         self._node_config = node_config
         self._node_configs = node_configs
-        self._workers = 1
-        self._workers_mode = "auto"
-        self._lookahead: Optional[float] = None
         #: ``with_node_pool`` arguments (None = one plain process).
         self._pool: Optional[dict] = None
         self._experiments: list = []
@@ -101,11 +98,11 @@ class Scenario:
         self._stream: Optional[dict] = None
         self._obs: Optional[dict] = None
         self._obs_scrape: Optional[tuple[str, int]] = None
-        #: What the per-world instruments recorded: kind → one part
-        #: per world (``stream``, ``obs``, ``obs_log``), and the one
-        #: result each kind settles to — see :meth:`_result`.
-        self._parts: dict[str, list] = {}
-        self._settled: dict = {}
+        #: What the requested instruments recorded (None until built),
+        #: and whether the stream has been replayed into the plane.
+        self._stream_broker = None
+        self._plane = None
+        self._stream_ingested = False
         #: The live scrape endpoint (``with_observability(scrape_port=...)``).
         self.scrape = None
         #: Populated by :meth:`build`.
@@ -179,8 +176,7 @@ class Scenario:
 
         ``directory`` additionally persists every entry eagerly as
         JSONL segments (the live backend's durable log; works on the
-        unsharded simulator too — a sharded run's per-shard logs are
-        merged in memory only).  ``max_len`` bounds each channel's
+        simulator too).  ``max_len`` bounds each channel's
         retained entries (hard ring bound; use the
         :class:`repro.stream.Janitor` for ack-respecting trims).
         """
@@ -209,10 +205,9 @@ class Scenario:
         ``scrape_port`` (live only) additionally serves OpenMetrics
         ``/metrics`` and JSON ``/healthz`` over HTTP for the cluster
         (port 0 picks a free port; see :attr:`scrape` for the bound
-        address).  After the run, :attr:`obs` is the plane — on
-        sharded runs the per-shard planes merged in global time order;
-        when a stream was recorded it is replayed into per-channel
-        series on first access.
+        address).  After the run, :attr:`obs` is the plane; when a
+        stream was recorded it is replayed into per-channel series on
+        first access.
         """
         self._check_mutable()
         if scrape_port is not None and self._backend != "live":
@@ -226,42 +221,6 @@ class Scenario:
                      "capacity": capacity}
         self._obs_scrape = ((scrape_host, scrape_port)
                             if scrape_port is not None else None)
-        return self
-
-    def with_workers(self, workers: int, *, mode: str = "auto",
-                     lookahead: Optional[float] = None) -> "Scenario":
-        """Shard the simulation across ``workers`` workers (sim only).
-
-        Nodes are partitioned into shards synchronized with
-        conservative lookahead (:mod:`repro.sim.shard`); cross-shard
-        KECho traffic rides a WAN-class conduit.  ``workers=1`` is the
-        plain single-process kernel, bit-identical to not calling this
-        at all.  ``mode`` picks where shards run:
-
-        * ``"processes"`` — one forked worker per shard (parallel);
-          incompatible with hooks/faults/tracing, which close over
-          parent state a fork cannot share back;
-        * ``"inline"`` — all shards in this process, round-robin per
-          window; the full Scenario surface works on a merged view;
-        * ``"auto"`` (default) — inline when any hook, fault or
-          tracing request is present, processes otherwise.
-
-        ``lookahead`` overrides the conduit latency (seconds); the
-        default is the WAN-hop latency the conduit models.  A sharded
-        scenario is one-shot: ``run`` once, no ``build``/``run_until``.
-        """
-        self._check_mutable()
-        if self._backend != "sim":
-            raise ScenarioError(
-                "sharding partitions the simulated cluster; the live "
-                "backend already runs real parallel tasks")
-        if workers < 1:
-            raise ScenarioError(f"workers must be >= 1, got {workers}")
-        if mode not in ("auto", "processes", "inline"):
-            raise ScenarioError(f"unknown workers mode {mode!r}")
-        self._workers = int(workers)
-        self._workers_mode = mode
-        self._lookahead = lookahead
         return self
 
     def with_experiment(self, *experiments) -> "Scenario":
@@ -303,8 +262,8 @@ class Scenario:
         self._check_mutable()
         if self._backend != "live":
             raise ScenarioError(
-                "node pools fork real processes; shard the simulator "
-                "with with_workers() instead")
+                "node pools fork real processes over real sockets; "
+                "the simulator runs one kernel in this process")
         if workers < 1:
             raise ScenarioError(f"workers must be >= 1, got {workers}")
         self._pool = {"workers": int(workers), "watchers": watchers,
@@ -314,15 +273,11 @@ class Scenario:
     # -- build and run -----------------------------------------------------
 
     def build(self) -> "Scenario":
-        """Construct everything now (unsharded simulator only)."""
+        """Construct everything now (simulator only)."""
         if self._backend != "sim":
             raise ScenarioError(
                 "the live backend builds inside its event loop and "
                 "runs wall-clock in one shot; call run() directly")
-        if self._workers > 1:
-            raise ScenarioError(
-                "a sharded scenario builds and runs in one shot; "
-                "call run(duration) directly")
         if self.runtime is None:
             self._construct(
                 SimRuntime(nodes=self._nodes, seed=self._seed,
@@ -339,8 +294,6 @@ class Scenario:
         build/teardown on the live backend (one shot).
         """
         if self._backend == "sim":
-            if self._workers > 1:
-                return self._run_sharded(duration)
             self.build()
             return self.run_until(self.env.now + duration)
         if self.runtime is not None:
@@ -350,14 +303,14 @@ class Scenario:
         runtime.setup(lambda rt: self._construct(rt, deployment))
         self._duration = duration
         runtime.run(duration)
-        for broker in self._parts.get("stream", ()):
+        if self._stream_broker is not None:
             # Flush the live JSONL segments once the loop is down.
-            broker.close()
+            self._stream_broker.close()
         return self
 
     def run_until(self, until: float) -> "Scenario":
-        """Advance the simulator to absolute time ``until`` (unsharded
-        sim only: live and sharded scenarios run in one shot)."""
+        """Advance the simulator to absolute time ``until`` (a live
+        scenario runs in one shot)."""
         self.build()
         self.runtime.run(until)
         self._duration = until
@@ -402,8 +355,8 @@ class Scenario:
         """Host → telemetry registry for every host of the run.
 
         Local nodes contribute their own registry; hosts that ran in a
-        forked shard or a pool worker, the registry rebuilt from the
-        counters that worker shipped home.  Every cluster-wide report
+        live pool worker, the registry rebuilt from the counters that
+        worker shipped home.  Every cluster-wide report
         (:meth:`overhead`, the live ``wire_stats()``, experiment
         reports) is a read of this one mapping.
         """
@@ -420,41 +373,35 @@ class Scenario:
 
     @property
     def stream(self):
-        """The durable stream broker (``with_stream`` scenarios only).
-
-        On sharded runs this is the merged global view of the
-        per-shard brokers, re-sequenced deterministically; it is
-        assembled on first access after the run completes.
-        """
-        from repro.stream import merge_brokers
+        """The durable stream broker (``with_stream`` scenarios only)."""
         self._check_wanted(self._stream, "no stream was recorded; "
                            "call with_stream()")
-        return self._result("stream", merge_brokers)
+        self._check_built()
+        return self._stream_broker
 
     @property
     def obs(self):
         """The observability plane (``with_observability`` scenarios).
 
-        On sharded runs the per-shard planes are merged into one
-        global plane on first access after the run; when the scenario
-        also recorded a durable stream, its entries are replayed into
-        per-channel ``stream.*`` series once, when the plane settles.
+        When the scenario also recorded a durable stream, its entries
+        are replayed into per-channel ``stream.*`` series once, on
+        first access.
         """
-        from repro.obs import merge_planes
         self._check_wanted(self._obs, "no observability plane; "
                            "call with_observability()")
-        return self._result(
-            "obs", merge_planes,
-            settle=(lambda plane: plane.ingest_stream(self.stream))
-            if self._stream is not None else None)
+        self._check_built()
+        if self._stream is not None and not self._stream_ingested:
+            self._stream_ingested = True
+            self._plane.ingest_stream(self._stream_broker)
+        return self._plane
 
     @property
     def obs_log(self):
         """The durable ``obs.health`` transition log (a stream broker)."""
-        from repro.stream import merge_brokers
         self._check_wanted(self._obs, "no observability plane; "
                            "call with_observability()")
-        return self._result("obs_log", merge_brokers)
+        self._check_built()
+        return self._plane.health_log
 
     def experiment_reports(self, *, duration: Optional[float] = None
                            ) -> list:
@@ -466,20 +413,10 @@ class Scenario:
                 "before build()/run()")
         self._check_built()
         from repro.experiment import build_report
-        workers = (self._workers if self._backend == "sim"
-                   else (self._pool or {}).get("workers", 1))
+        workers = (self._pool or {}).get("workers", 1)
         return [build_report(self, engine, workers=workers,
                              duration=duration)
                 for engine in self._engines]
-
-    @property
-    def shard_result(self):
-        """Per-shard execution statistics (sharded runs only)."""
-        self._check_built()
-        result = getattr(self.runtime, "result", None)
-        if result is None or self._workers <= 1:
-            raise ScenarioError("no sharded run has completed")
-        return result
 
     # -- internals ---------------------------------------------------------
 
@@ -497,30 +434,8 @@ class Scenario:
         if requested is None:
             raise ScenarioError(f"{message} before build()/run()")
 
-    def _result(self, kind: str, merge, settle=None):
-        """The run's one ``kind`` result out of its per-world parts.
-
-        One world's part *is* the result; k worlds' parts go through
-        the instrument's own ``merge`` — a fresh view while the run is
-        in progress, settled (``settle(result)`` applied, then cached)
-        once it has finished.
-        """
-        if kind not in self._settled:
-            self._check_built()
-            parts = self._parts.get(kind)
-            if not parts:
-                raise ScenarioError(
-                    f"nothing has recorded {kind!r} in this process yet")
-            result = parts[0] if len(parts) == 1 else merge(parts)
-            if len(parts) > 1 and self.runtime.result is None:
-                return result
-            if settle is not None:
-                settle(result)
-            self._settled[kind] = result
-        return self._settled[kind]
-
     def _deployment(self) -> Deployment:
-        """Freeze the configuration every world of this run deploys."""
+        """Freeze the configuration every process of this run deploys."""
         names = (self._names if self._names is not None
                  else default_names(self._nodes))
         if len(names) != self._nodes:
@@ -537,9 +452,6 @@ class Scenario:
             names=tuple(names),
             monitored=tuple(names) if monitored is None else monitored,
             watchers=Deployment.select(names, pool.get("watchers")),
-            node_config=self._node_config,
-            node_configs=(dict(zip(names, self._node_configs))
-                          if self._node_configs is not None else None),
             batch=pool.get("batch"), flow=pool.get("flow"))
 
     def _make_live_runtime(self, deployment: Deployment):
@@ -559,44 +471,41 @@ class Scenario:
 
     def _construct(self, runtime: Runtime,
                    deployment: Deployment) -> None:
-        """Wire the run on a ready runtime — the one path every
-        backend, sharded or pooled, takes.
+        """Wire the run on a ready runtime — the one path both
+        backends take; the runtime is the world (its nodes, its bus,
+        its clock).
 
-        Per-run instruments (tracer, faults, hooks) attach once, to
-        the runtime's global view; per-world instruments (stream tee,
-        dproc deployment, observability plane) attach to each of
-        ``runtime.worlds`` and leave one part per world in
-        ``_parts``.  Construction order is frozen — cluster hooks,
-        stream tee, dproc deployment, tracer, faults, setup hooks,
-        observability, experiments — because on the simulator it fixes
-        the event/RNG schedule that the golden pins assert.
+        Construction order is frozen — cluster hooks, stream tee,
+        dproc deployment, tracer, faults, setup hooks, observability,
+        experiments — because on the simulator it fixes the event/RNG
+        schedule that the golden pins assert.
         """
         self.runtime = runtime
-        worlds = runtime.worlds
+        nodes = runtime.nodes
         for fn in self._cluster_hooks:
             fn(self)
-        dprocs: dict[str, Dproc] = {}
-        for world in worlds:
-            if self._stream is not None:
-                # Tee before deployment so the very first submits (the
-                # d-mon start-up polls) are already on the record.
-                # Purely passive: no RNG, CPU or event-schedule
-                # interaction.
-                self._parts.setdefault("stream", []).append(
-                    self._tee_stream(world, persist=len(worlds) == 1))
-            dprocs.update(deployment.deploy(world.nodes, world.bus,
-                                            runtime.module_factory))
-        self.dprocs = {name: dprocs[name] for name in deployment.monitored
-                       if name in dprocs}
+        if self._stream is not None:
+            # Tee before deployment so the very first submits (the
+            # d-mon start-up polls) are already on the record.  Purely
+            # passive: no RNG, CPU or event-schedule interaction.
+            from repro.stream import JsonlSink, StreamBroker, attach_stream
+            directory = self._stream["directory"]
+            self._stream_broker = StreamBroker(
+                sink=JsonlSink(directory) if directory is not None
+                else None,
+                max_len=self._stream["max_len"])
+            attach_stream(self._stream_broker, runtime.bus, nodes)
+        self.dprocs = deployment.deploy(nodes, runtime.bus,
+                                        runtime.module_factory)
         if self._tracing is not None:
             from repro.tracing import TraceCollector, attach_tracer
             collector, kwargs = self._tracing
             self.tracer = (collector if collector is not None
                            else TraceCollector(**kwargs))
-            attach_tracer(runtime.nodes, self.tracer)
+            attach_tracer(nodes, self.tracer)
         if self._fault_hooks is not None:
             from repro.sim.faults import FaultInjector
-            self.faults = FaultInjector(*(world.nodes for world in worlds))
+            self.faults = FaultInjector(nodes)
             for fn in self._fault_hooks:
                 fn(self)
         for fn in self._setup_hooks:
@@ -605,13 +514,18 @@ class Scenario:
             # After the frozen order on purpose: a plane only reads,
             # and its sampler is a pure timer process, so the
             # golden-pinned schedule is the same with it on or off.
-            planes = [self._attach_obs(world) for world in worlds]
-            self._parts["obs"] = planes
-            self._parts["obs_log"] = [p.health_log for p in planes]
+            from repro.obs import ObservabilityPlane
+            from repro.stream import StreamBroker
+            self._plane = ObservabilityPlane(health_log=StreamBroker(),
+                                             **self._obs)
+            self._plane.bind(node.name for node in nodes)
+            nodes[nodes.names[0]].spawn(
+                self._plane.sampler(nodes, runtime.clock),
+                name="obs-sampler")
             if self._obs_scrape is not None:
                 from repro.live.scrape import ScrapeServer
                 host, port = self._obs_scrape
-                self.scrape = ScrapeServer(runtime.nodes, planes[0],
+                self.scrape = ScrapeServer(nodes, self._plane,
                                            host=host, port=port)
                 runtime.add_server(self.scrape)
         for exp in self._experiments:
@@ -620,33 +534,10 @@ class Scenario:
             # bit-identical schedule.
             self._attach_experiment(exp, deployment.names)
 
-    def _tee_stream(self, world, persist: bool):
-        """Tee one world's data plane into its own broker."""
-        from repro.stream import JsonlSink, StreamBroker, attach_stream
-        directory = self._stream["directory"]
-        broker = StreamBroker(
-            sink=(JsonlSink(directory)
-                  if persist and directory is not None else None),
-            max_len=self._stream["max_len"])
-        attach_stream(broker, world.bus, world.nodes)
-        return broker
-
-    def _attach_obs(self, world):
-        """Build a plane over one world's nodes and start its sampler."""
-        from repro.obs import ObservabilityPlane
-        from repro.stream import StreamBroker
-        nodes = world.nodes
-        plane = ObservabilityPlane(health_log=StreamBroker(),
-                                   **self._obs)
-        plane.bind(node.name for node in nodes)
-        nodes[nodes.names[0]].spawn(plane.sampler(nodes, world.clock),
-                                    name="obs-sampler")
-        return plane
-
     def _attach_experiment(self, exp, names: Sequence[str]) -> None:
-        """Spawn one experiment engine on its observer node — the
-        engine lives in the observer's world and adapts hosts in other
-        worlds through the control channel."""
+        """Spawn one experiment engine on its observer node; it adapts
+        every host, in this process or not, through the control
+        channel."""
         from repro.experiment import ExperimentEngine
         if not 0 <= exp.observer < len(names):
             raise ScenarioError(
@@ -662,39 +553,3 @@ class Scenario:
         engine = ExperimentEngine(exp, dproc, dproc.node.env)
         self._engines.append(engine)
         dproc.node.spawn(engine.ticker(), name=f"experiment-{exp.name}")
-
-    def _run_sharded(self, duration: float) -> "Scenario":
-        """One-shot sharded run (``with_workers(n > 1)``)."""
-        from repro.runtime.sharded import ShardedRuntime
-        from repro.sim.topology import (DEFAULT_SHARD_LOOKAHEAD,
-                                        partition_nodes)
-        if self.runtime is not None:
-            raise ScenarioError("a sharded scenario runs exactly once")
-        if self._cluster_hooks:
-            raise ScenarioError(
-                "cluster-setup hooks rewire one fabric; a sharded "
-                "run has one fabric per worker")
-        wants_inline = bool(self._setup_hooks or self._experiments) \
-            or any(wanted is not None for wanted in (
-                self._fault_hooks, self._tracing, self._stream,
-                self._obs))
-        mode = self._workers_mode
-        if mode == "auto":
-            mode = "inline" if wants_inline else "processes"
-        elif mode == "processes" and wants_inline:
-            raise ScenarioError(
-                "hooks, faults, tracing and streams close over parent "
-                "state that forked workers cannot share back; use "
-                "with_workers(..., mode='inline')")
-        deployment = self._deployment()
-        plan = partition_nodes(
-            deployment.names, self._workers,
-            lookahead=self._lookahead if self._lookahead is not None
-            else DEFAULT_SHARD_LOOKAHEAD)
-        self._duration = float(duration)
-        self._construct(
-            ShardedRuntime(plan=plan, deployment=deployment,
-                           processes=(mode == "processes")),
-            deployment)
-        self.runtime.run(duration)
-        return self

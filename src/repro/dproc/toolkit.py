@@ -286,7 +286,7 @@ def deploy_dproc(cluster: NodeGroup,
     (e.g. restricting which hosts subscribe to the monitoring channel
     on large live pools).  ``roster`` names the hosts every instance
     shows under /proc/cluster when that is more than the hosts
-    deployed here: the other shards' or pool workers' hosts.
+    deployed here: the other pool workers' hosts.
     """
     bus = bus if bus is not None else KechoBus()
     names = list(hosts) if hosts is not None else cluster.names

@@ -74,10 +74,6 @@ class FaultInjectionError(SimulationError):
     """Invalid fault-injection request (bad probability, unknown host)."""
 
 
-class ShardError(SimulationError):
-    """Sharded-execution failure (worker died, plan/cluster mismatch)."""
-
-
 # --- E-code --------------------------------------------------------------
 
 class EcodeError(ReproError):

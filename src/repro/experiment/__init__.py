@@ -5,8 +5,8 @@ allocations, dynamic threshold adaptation, multi-resource rules (§5,
 Figs. 12-14).  This package makes that sweep a first-class, portable
 object: an :class:`Experiment` (a :class:`Policy` + observer +
 targets) attaches to any :class:`repro.api.Scenario` and runs
-unmodified on the simulator, the sharded simulator and the live
-backend, emitting comparable :class:`ExperimentReport`\\ s.
+unmodified on the simulator and the live backend, emitting comparable
+:class:`ExperimentReport`\\ s.
 
 See ``docs/api.md`` for the guide and ``python -m repro.harness
 experiment`` for the packaged sweep.

@@ -8,8 +8,7 @@ returns :class:`Action`\\ s — typed
 :class:`~repro.dproc.control_api.ControlRequest`\\ s aimed at target
 hosts.  Policies are pure with respect to themselves: per-run mutable
 state (hysteresis latches) lives in the engine-owned ``state`` dict,
-so the *same* policy instances run unmodified on sim, sharded sim and
-live.
+so the *same* policy instances run unmodified on sim and live.
 
 The three shapes mirror the paper's Figs. 12-14 sweep:
 

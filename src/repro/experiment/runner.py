@@ -3,8 +3,8 @@
 An :class:`Experiment` binds a policy to an observer and a target set;
 ``Scenario.with_experiment(exp)`` attaches it to any scenario, and
 :func:`run_experiments` runs a whole list — one fresh scenario per
-experiment so adaptations never bleed across runs — on the simulator,
-the sharded simulator or the live backend, producing field-comparable
+experiment so adaptations never bleed across runs — on the simulator
+or the live backend, producing field-comparable
 :class:`ExperimentReport`\\ s.  :func:`standard_experiments` is the
 paper's Figs. 12-14 sweep: baseline, static allocation, dynamic
 threshold adaptation, and multi-resource rules.
@@ -96,7 +96,7 @@ class ExperimentReport:
         }
 
     def comparable(self) -> dict:
-        """The backend-invariant subset (sim vs sharded vs live)."""
+        """The backend-invariant subset (sim vs live)."""
         return {name: getattr(self, name) for name in self.COMPARABLE}
 
 
@@ -178,14 +178,17 @@ def run_experiments(experiments: Sequence[Experiment], *,
                     ) -> list[ExperimentReport]:
     """Run each experiment on a fresh scenario; return its reports.
 
-    The same ``experiments`` list runs unmodified everywhere:
-    ``backend="sim"`` with ``workers=1`` is the plain kernel, with
-    ``workers>1`` the sharded kernel (inline mode), and
-    ``backend="live"`` real sockets — with ``workers>1`` a
-    multi-process node pool.
+    The same ``experiments`` list runs unmodified on both backends:
+    ``backend="sim"`` is the simulator's one kernel, ``backend="live"``
+    real sockets — with ``workers>1`` a multi-process node pool, which
+    the simulator has no counterpart of (:class:`ScenarioError`).
     """
-    from repro.api import Scenario
+    from repro.api import Scenario, ScenarioError
     from repro.dproc.toolkit import DEFAULT_MODULES
+    if workers != 1 and backend != "live":
+        raise ScenarioError(
+            f"workers={workers} needs backend='live' (a node pool of "
+            f"real processes); the simulator runs one kernel")
     reports: list[ExperimentReport] = []
     # SELF_MON rides along so policies can observe monitoring's own
     # cost (the standard sweep's dynamic trigger).
@@ -193,12 +196,8 @@ def run_experiments(experiments: Sequence[Experiment], *,
     for exp in experiments:
         scenario = Scenario(nodes=nodes, seed=seed, backend=backend,
                             dmon=dmon, modules=modules)
-        # The mapping ``repro.harness.cli`` holds for the CLIs; this
-        # package must not import the harness.
         if backend == "live":
             scenario.with_node_pool(workers)
-        else:
-            scenario.with_workers(workers, mode="inline")
         scenario.with_experiment(exp)
         scenario.run(duration)
         reports.extend(scenario.experiment_reports(duration=duration))

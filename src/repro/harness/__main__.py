@@ -10,8 +10,8 @@ and trims the durable event stream (:mod:`repro.harness.streamcli`);
 plane — health, sparkline dashboards, OpenMetrics/JSON export, live
 watch (:mod:`repro.harness.obscli`);
 ``python -m repro.harness experiment [...]`` runs the declarative
-Experiment/Policy sweep (Figs. 12-14) on the sim, sharded, or live
-backend (:mod:`repro.harness.experimentcli`).
+Experiment/Policy sweep (Figs. 12-14) on the sim or live backend
+(:mod:`repro.harness.experimentcli`).
 """
 
 from __future__ import annotations

@@ -116,22 +116,15 @@ def chaos_recovery(nodes: int = 100,
     The run is a plain :class:`~repro.api.Scenario` carrying the fault
     timeline and the recovery observer; ``configure(scenario)`` is
     called on it before anything is built, so a caller adds
-    instruments and placement with the calls it would write anywhere
-    else::
+    instruments with the calls it would write anywhere else::
 
         chaos_recovery(nodes=50, configure=lambda sc: sc
-                       .with_workers(4).with_stream()
-                       .with_tracing(collector))
+                       .with_stream().with_tracing(collector))
 
     and reads them back from :attr:`ChaosReport.scenario`.  Tracing,
     the stream tee and the observability plane are passive: the
     report's :attr:`~ChaosReport.trace` is bit-identical with or
-    without them (test-enforced).  A sharded chaos run is inline —
-    ``with_workers`` picks that by itself for a scenario with hooks —
-    so the fault timeline and observer keep their global view; it is
-    deterministic for a fixed (seed, workers) but is a different event
-    schedule from ``workers=1``: the observer probes cross-shard d-mon
-    state at window granularity.
+    without them (test-enforced).
     """
     config = DMonConfig(poll_interval=poll_interval)
     stale_after = config.stale_after_intervals * poll_interval

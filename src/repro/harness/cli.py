@@ -51,12 +51,16 @@ def add_run_options(parser: argparse.ArgumentParser, *,
 
 def _place(scenario: Scenario, args, pool: Optional[dict] = None
            ) -> Scenario:
-    """``--workers`` on this scenario's backend: inline shards of the
-    simulator, a node pool (``pool``: its other arguments) live."""
+    """``--workers`` is the live node pool (``pool``: its other
+    arguments); the simulator runs one kernel in this process."""
     workers = getattr(args, "workers", 1)
     if scenario.backend == "live":
         return scenario.with_node_pool(workers, **(pool or {}))
-    return scenario.with_workers(workers, mode="inline")
+    if workers != 1:
+        raise SystemExit(
+            "--workers forks live node-pool processes and the "
+            "simulator runs one kernel: add --backend live")
+    return scenario
 
 
 def build_scenario(args, *, pool: Optional[dict] = None,

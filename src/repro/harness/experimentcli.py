@@ -2,8 +2,8 @@
 
 Runs the paper's Figs. 12-14 experiment list — baseline, static
 allocation, dynamic threshold adaptation, multi-resource rules — via
-:func:`repro.experiment.run_experiments` on the simulator (optionally
-sharded) or the live socket backend, and writes the results as one
+:func:`repro.experiment.run_experiments` on the simulator or the live
+socket backend, and writes the results as one
 JSON document: ``config``, then one ``results`` record per experiment
 (``variant`` is its identity) carrying the SLO ``health`` section.
 
@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.api import ScenarioError
 from repro.experiment import run_experiments, standard_experiments
 from repro.harness.cli import add_run_options
 from repro.obs import health_section_from_overhead
@@ -90,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=(7, "master seed (default 7)"),
         duration=(10.0, "seconds per experiment — simulated on sim, "
                         "wall-clock on live (default 10)"),
-        workers="sim: sharded workers; live: node-pool processes "
+        workers="--backend live: node-pool worker processes "
                 "(default 1)",
         backend="where to run the sweep (default sim)")
     parser.add_argument("--policies", nargs="*", default=None,
@@ -134,10 +135,13 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.nodes} nodes, {args.duration:g}s each on "
           f"{args.backend}"
           + (f" x{args.workers}" if args.workers > 1 else "") + " ==")
-    reports = run_experiments(experiments, nodes=args.nodes,
-                              seed=args.seed, duration=args.duration,
-                              backend=args.backend,
-                              workers=args.workers)
+    try:
+        reports = run_experiments(experiments, nodes=args.nodes,
+                                  seed=args.seed, duration=args.duration,
+                                  backend=args.backend,
+                                  workers=args.workers)
+    except ScenarioError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"  {'experiment':<10} {'policy':<16} {'decide':>6} "
           f"{'adapt':>5} {'fresh':>5} {'events':>8} {'recv':>8} "
           f"{'mon cpu (s)':>11}")

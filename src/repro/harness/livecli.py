@@ -146,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         for f in deployed]
     overhead = scenario.overhead()
     wire = scenario.runtime.wire_stats()
+    missing = list(scenario.runtime.missing_hosts)
     health = None
     if args.scrape is not None:
         health = scenario.obs.verdict()
@@ -153,11 +154,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         doc = {"delivered": delivered, "filters": stats,
-               "overhead": overhead, "wire": wire}
+               "overhead": overhead, "wire": wire, "missing": missing}
         if health is not None:
             doc["health"] = health
         print(json.dumps(doc, indent=2))
-        return _verdict(delivered)
+        return _verdict(delivered, missing)
 
     print(f"\ndelivered metrics as seen from {first}:")
     for label, rows in delivered.items():
@@ -187,19 +188,26 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\noverhead report ({args.duration:.0f}s wall, "
           f"{overhead['n_nodes']} nodes):")
     print(json.dumps(overhead, indent=2))
+    # Hosts whose pool worker died before its harvest: in no number
+    # above.
+    print("missing:", *missing)
     if health is not None:
         verdict = "healthy" if health["healthy"] else "DEGRADED"
         print(f"\nhealth: {verdict} "
               f"({health['transitions']} transitions; scrape hits "
               f"{health['scrape_hits']})")
-    return _verdict(delivered)
+    return _verdict(delivered, missing)
 
 
-def _verdict(delivered: dict) -> int:
-    missing = [label for label, rows in delivered.items()
-               if any(v is None for v in rows.values())]
+def _verdict(delivered: dict, missing: list) -> int:
     if missing:
-        print(f"FAIL: no {', '.join(missing)} events delivered",
+        print(f"FAIL: no harvest from the pool worker(s) of "
+              f"{', '.join(missing)}", file=sys.stderr)
+        return 1
+    silent = [label for label, rows in delivered.items()
+              if any(v is None for v in rows.values())]
+    if silent:
+        print(f"FAIL: no {', '.join(silent)} events delivered",
               file=sys.stderr)
         return 1
     print("\nOK: CPU/MEM/NET events delivered end-to-end "

@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parser, nodes=(12, "cluster size (default 12)"),
         seed=(7, "simulation seed (default 7)"),
         duration=(30.0, "seconds to run (default 30)"),
-        workers="shard the simulation across N workers "
-                "(inline; default 1)",
+        workers="--backend live: node-pool worker processes "
+                "(default 1)",
         backend="simulated virtual time (default) or real asyncio "
                 "localhost nodes",
         faults="run the chaos timeline so the health engine has "

@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p, nodes=(12, "cluster size (default 12)"),
             seed=(7, "simulation seed (default 7)"),
             duration=(20.0, "simulated seconds (default 20)"),
-            workers="shard the simulation across N workers "
-                    "(inline; default 1)",
             faults="run the chaos timeline (loss, partition, "
                    "crash+reboot) instead of a clean run")
         p.add_argument("--load", metavar="DIR", default=None,

@@ -49,11 +49,10 @@ sets each from the event in hand, per frame, so every payload
   has no timestamp to share and sets it too.
 
 There is no per-connection string table: a frame is self-contained,
-so one encoding serves every link of a fan-out, a frame dropped under
-backpressure or a reconnect needs no resync, and the sharded
-simulator's stateless conduit carries the same bytes.  The strings
-left (channel, source) are what such a table could still save — under
-two bytes a record.
+so one encoding serves every link of a fan-out, and a frame dropped
+under backpressure or a reconnect needs no resync.  The strings left
+(channel, source) are what such a table could still save — under two
+bytes a record.
 
 Other kinds:
 

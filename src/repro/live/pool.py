@@ -1,17 +1,17 @@
 """Multi-process live node pools: hundreds of real nodes on one box.
 
-Mirrors the shard design for the live backend: the parent
-:class:`~repro.live.runtime.LiveRuntime` owns the registry server and
-the first slice of hosts; each worker process runs its own asyncio
-event loop with a :class:`LiveRuntime` over its
-slice, joined to the cluster through the shared registry, and deploys
-its share of the scenario's picklable
+The parent :class:`~repro.live.runtime.LiveRuntime` owns the registry
+server and the first slice of hosts; each worker process runs its own
+asyncio event loop with a :class:`LiveRuntime` over its slice, joined
+to the cluster through the shared registry, and deploys its share of
+the scenario's picklable
 :class:`~repro.runtime.deployment.Deployment`.  Workers report a
 ``ready`` handshake once their dprocs run (so parent-side setup hooks
 — control-file writes, experiment engines — never race worker
 startup) and ship a ``harvest`` (every local host's counter totals) at
 teardown, which the parent folds into the run's host → registry
-mapping.
+mapping; a worker that died before its harvest has its hosts reported
+as missing.
 
 Subscription fan-in is bounded by ``deployment.watchers``: only those
 hosts subscribe to the monitoring channel, so a 200-node pool opens
@@ -103,18 +103,21 @@ class LivePool:
             await loop.run_in_executor(None, self._recv, pipe,
                                        "ready", timeout)
 
-    async def collect(self, timeout: float = HARVEST_TIMEOUT) -> dict:
-        """Every worker's harvest as one host → counters mapping, then
-        join the workers."""
+    async def collect(self, timeout: float = HARVEST_TIMEOUT
+                      ) -> tuple[dict, tuple]:
+        """Account for every slice, then join the workers: the
+        harvests as one host → counters mapping, and the hosts of
+        every worker that sent none (it died or hung)."""
         import asyncio
         loop = asyncio.get_event_loop()
         harvest: dict = {}
-        for pipe in self._pipes:
+        missing: list[str] = []
+        for names, pipe in zip(self.slices, self._pipes):
             try:
                 harvest.update(await loop.run_in_executor(
                     None, self._recv, pipe, "harvest", timeout))
             except (TimeoutError, EOFError, OSError):
-                pass    # a dead worker's hosts stay out of the report
+                missing.extend(names)
 
         def _join() -> None:
             for proc in self._procs:
@@ -123,4 +126,4 @@ class LivePool:
                     proc.terminate()
                     proc.join(timeout=5.0)
         await loop.run_in_executor(None, _join)
-        return harvest
+        return harvest, tuple(missing)

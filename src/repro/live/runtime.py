@@ -96,6 +96,9 @@ class LiveRuntime:
         #: Hosts that ran in pool workers → the registry rebuilt from
         #: the counters they shipped at teardown.
         self._remote_registries: dict[str, TelemetryRegistry] = {}
+        #: Hosts whose pool worker died before shipping its harvest:
+        #: absent from :meth:`registries` and every report built on it.
+        self.missing_hosts: tuple = ()
         self._registry_addr = registry
         self._registry_server: Optional[RegistryServer] = None
         self.registry_client = RegistryClient()
@@ -117,11 +120,6 @@ class LiveRuntime:
         return self._bus
 
     bus = property(make_bus)
-
-    @property
-    def worlds(self) -> tuple:
-        """One process, one bus: the runtime is its own only world."""
-        return (self,)
 
     def run(self, until: float) -> None:
         """Bring the cluster up, run ``until`` wall seconds, tear down."""
@@ -195,7 +193,7 @@ class LiveRuntime:
             if self.pool is not None:
                 # Workers harvest at their own teardown; the registry
                 # must stay up until they are gone.
-                harvest = await self.pool.collect()
+                harvest, self.missing_hosts = await self.pool.collect()
                 self._remote_registries = {
                     host: TelemetryRegistry.from_counters(host, counters)
                     for host, counters in harvest.items()}

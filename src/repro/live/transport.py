@@ -48,6 +48,10 @@ __all__ = ["LiveStack", "LiveConnection", "LiveCompletion",
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
 
+#: Seconds :meth:`LiveStack.stop` waits for its accepted connections'
+#: tasks to see the EOF it just gave them (they need two loop turns).
+STOP_TIMEOUT = 5.0
+
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -326,6 +330,9 @@ class LiveStack:
         self.flow_config = flow if flow is not None else FlowConfig()
         self._links: dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Accepted connections: the running ``_serve`` task → its
+        #: writer, so :meth:`stop` can end each one.
+        self._serving: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._t_tx = telemetry.counter("net.tx_frame_bytes")
         self._t_rx = telemetry.counter("net.rx_frame_bytes")
         self._t_undeliverable = telemetry.counter("net.undeliverable")
@@ -361,6 +368,17 @@ class LiveStack:
         self._links.clear()
         if self._server is not None:
             self._server.close()
+            # End the accepted connections' ``_serve`` tasks normally:
+            # closing our side makes their ``read`` return b"".  Left
+            # parked on sockets another process still holds, they
+            # would be cancelled when the loop closes, and Python
+            # 3.11's stream protocol logs a traceback per cancelled
+            # task.
+            for writer in self._serving.values():
+                writer.close()
+            if self._serving:
+                await asyncio.wait(list(self._serving),
+                                   timeout=STOP_TIMEOUT)
             await self._server.wait_closed()
             self._server = None
 
@@ -439,6 +457,8 @@ class LiveStack:
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
         decoder = FrameDecoder()
+        task = asyncio.current_task()
+        self._serving[task] = writer
         try:
             while True:
                 try:
@@ -473,4 +493,5 @@ class LiveStack:
                         continue
                     handler(SimpleNamespace(payload=event, span=None))
         finally:
+            del self._serving[task]
             writer.close()

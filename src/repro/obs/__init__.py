@@ -25,17 +25,16 @@ from repro.obs.health import (DEGRADED, HEALTHY, HealthEngine,
 from repro.obs.openmetrics import (CONTENT_TYPE, Sample, metric_name,
                                    parse_openmetrics,
                                    render_openmetrics)
-from repro.obs.plane import ObservabilityPlane, merge_planes
+from repro.obs.plane import ObservabilityPlane
 from repro.obs.tsdb import (Bucket, ObsError, Series, TimeSeriesDB,
-                            merge_tsdbs, series_key)
+                            series_key)
 
 __all__ = [
-    "ObsError", "Bucket", "Series", "TimeSeriesDB", "merge_tsdbs",
-    "series_key",
+    "ObsError", "Bucket", "Series", "TimeSeriesDB", "series_key",
     "CONTENT_TYPE", "Sample", "metric_name", "parse_openmetrics",
     "render_openmetrics",
     "HEALTHY", "DEGRADED", "HealthRule", "HealthTransition",
     "HealthEngine", "default_rules", "attribute_transitions",
     "health_section_from_overhead",
-    "ObservabilityPlane", "merge_planes",
+    "ObservabilityPlane",
 ]

@@ -1,7 +1,6 @@
 """The observability plane: sampler, stream ingest, health, export.
 
-One :class:`ObservabilityPlane` per running world.  It is fed two
-ways:
+One :class:`ObservabilityPlane` per run.  It is fed two ways:
 
 * **Periodic registry snapshots** — :meth:`sampler` is a process
   generator (``yield clock.timeout(interval)``) that both backends
@@ -30,10 +29,10 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from repro.obs.health import (HealthEngine, HealthRule, default_rules)
-from repro.obs.tsdb import TimeSeriesDB, merge_tsdbs
+from repro.obs.tsdb import TimeSeriesDB
 from repro.telemetry.instruments import (Counter, Gauge, Histogram)
 
-__all__ = ["ObservabilityPlane", "merge_planes"]
+__all__ = ["ObservabilityPlane"]
 
 
 class ObservabilityPlane:
@@ -239,43 +238,3 @@ class ObservabilityPlane:
         """Canonical bytes: same seed ⇒ identical string (test-pinned)."""
         return json.dumps(self.snapshot(), sort_keys=True,
                           separators=(",", ":"))
-
-
-def merge_planes(planes: Sequence[ObservabilityPlane]
-                 ) -> ObservabilityPlane:
-    """Fold per-shard planes into one global plane.
-
-    TSDBs merge via :func:`repro.obs.tsdb.merge_tsdbs`; transitions
-    concatenate in ``(time, rule, subject)`` order; per-subject final
-    verdict states are adopted (node subjects are disjoint across
-    shards — each node lives in exactly one shard).
-    """
-    planes = list(planes)
-    if not planes:
-        return ObservabilityPlane()
-    first = planes[0]
-    merged = ObservabilityPlane(
-        sample_interval=first.sample_interval, rules=first.rules,
-        capacity=first.tsdb.capacity,
-        rollup_factor=first.tsdb.rollup_factor,
-        n_tiers=first.tsdb.n_tiers,
-        health_every=first.health_every)
-    merged.tsdb = merge_tsdbs(p.tsdb for p in planes)
-    nodes = sorted({n for p in planes if p.engine is not None
-                    for n in p.engine.nodes})
-    merged.bind(nodes)
-    assert merged.engine is not None
-    transitions = [t for p in planes for t in p.transitions]
-    transitions.sort(key=lambda t: (t.time, t.rule, t.subject))
-    merged.engine.transitions = transitions
-    for p in planes:
-        if p.engine is None:
-            continue
-        for key, state in sorted(p.engine._states.items()):
-            merged.engine._states.setdefault(key, state)
-        merged.engine.evaluations += p.engine.evaluations
-    merged.samples_taken = sum(p.samples_taken for p in planes)
-    merged.last_sample_at = max(
-        (p.last_sample_at for p in planes
-         if p.last_sample_at is not None), default=None)
-    return merged

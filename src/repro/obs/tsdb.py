@@ -20,23 +20,18 @@ so it must never perturb it:
   ``O(tiers × capacity)`` regardless of run length.
 * **Passive.**  Observing a sample only appends to the store; queries
   are pure reads.
-
-Sharded runs build one TSDB per shard (each node's series lives in
-exactly one shard) and :func:`merge_tsdbs` folds them into one global
-store in deterministic ``(series key, time)`` order — the same pattern
-as :func:`repro.stream.merge_brokers`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.errors import ReproError
 
 __all__ = ["ObsError", "Bucket", "Series", "TimeSeriesDB",
-           "merge_tsdbs", "series_key"]
+           "series_key"]
 
 
 class ObsError(ReproError):
@@ -393,49 +388,3 @@ class TimeSeriesDB:
         """Canonical byte form: same run ⇒ same string (test-pinned)."""
         return json.dumps(self.snapshot(), sort_keys=True,
                           separators=(",", ":"))
-
-
-def merge_tsdbs(tsdbs: Iterable[TimeSeriesDB]) -> TimeSeriesDB:
-    """Fold per-shard stores into one global store.
-
-    Series keys are disjoint across shards for the sampler's per-node
-    series; when a key does appear in several stores (cluster-level
-    series) its samples are replayed in ``(time, shard index)`` order.
-    """
-    tsdbs = list(tsdbs)
-    if not tsdbs:
-        return TimeSeriesDB()
-    first = tsdbs[0]
-    merged = TimeSeriesDB(interval=first.interval,
-                          capacity=first.capacity,
-                          rollup_factor=first.rollup_factor,
-                          n_tiers=first.n_tiers)
-    keys = sorted({k for db in tsdbs for k in db._series})
-    for key in keys:
-        sources = [(i, db._series[key]) for i, db in enumerate(tsdbs)
-                   if key in db._series]
-        template = sources[0][1]
-        out = merged.series(template.name, template.labels,
-                            kind=template.kind)
-        rows: list[tuple[float, int, Bucket]] = []
-        for shard, s in sources:
-            for t, bucket in s.samples():
-                rows.append((t, shard, bucket))
-            out.dropped += s.dropped
-        rows.sort(key=lambda r: (r[0], r[1]))
-        for t, _, bucket in rows:
-            # Replay the aggregate rather than synthetic points so
-            # multi-observation buckets keep exact count/sum/min/max.
-            tier = out.tiers[0]
-            idx = int(math.floor(t / tier.interval + 1e-9))
-            if tier.buckets and tier.buckets[-1].idx == idx:
-                tier.buckets[-1].fold(bucket)
-            else:
-                fresh = Bucket(idx, bucket.last)
-                fresh.count = bucket.count
-                fresh.total = bucket.total
-                fresh.min = bucket.min
-                fresh.max = bucket.max
-                tier.buckets.append(fresh)
-                out._enforce(0)
-    return merged

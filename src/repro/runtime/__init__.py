@@ -10,12 +10,11 @@ from repro.runtime.protocol import (Bus, Clock, Completion, Connection,
                                     Transport)
 from repro.runtime.series import (CounterTrace, EwmaLoad, TimeSeries,
                                   WindowAverage)
-from repro.runtime.sharded import ShardedRuntime
 from repro.runtime.sim import SimRuntime
 
 __all__ = [
     "Clock", "Timer", "Completion", "TaskHandle", "Connection",
     "Transport", "RuntimeNode", "Endpoint", "Bus", "NodeGroup",
-    "Runtime", "SimRuntime", "ShardedRuntime",
+    "Runtime", "SimRuntime",
     "TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad",
 ]

@@ -1,12 +1,11 @@
-"""What one scenario deploys, whichever worlds end up running it.
+"""What one scenario deploys, in whichever process its hosts run.
 
-A *world* is one bus plus the nodes wired to it: the whole cluster on
-the plain simulator or a single live process, one shard of a sharded
-simulation, one worker's slice of a live node pool.  Every world gets
-its dprocs from the same frozen, picklable :class:`Deployment` — it is
-what crosses the fork into shard and pool workers — and
-:meth:`Deployment.deploy` is the one place outside the toolkit that
-calls :func:`repro.dproc.toolkit.deploy_dproc`.
+The whole cluster lives in one process on the simulator and on a plain
+live run; a live node pool gives each worker process a slice of the
+hosts.  Every process gets its dprocs from the same frozen, picklable
+:class:`Deployment` — it is what crosses the fork into pool workers —
+and :meth:`Deployment.deploy` is the one place outside the toolkit
+that calls :func:`repro.dproc.toolkit.deploy_dproc`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ __all__ = ["Deployment"]
 
 @dataclass(frozen=True)
 class Deployment:
-    """The cluster-wide deployment every world takes its share of."""
+    """The cluster-wide deployment every process takes its share of."""
 
     seed: int
     dmon: Any
@@ -30,10 +29,6 @@ class Deployment:
     monitored: tuple
     #: Hosts that subscribe to the monitoring channel (None = all).
     watchers: Optional[tuple] = None
-    #: Simulated hardware: the default config and per-host overrides
-    #: (name → config).  The live backend's hardware is the real host.
-    node_config: Any = None
-    node_configs: Optional[dict] = None
     #: Live transport tuning (``BatchConfig`` / ``FlowConfig``).
     batch: Any = None
     flow: Any = None

@@ -29,7 +29,7 @@ from typing import (Any, Callable, Iterator, Optional, Protocol,
 __all__ = [
     "Completion", "Timer", "Clock", "TaskHandle", "Connection",
     "Transport", "RuntimeNode", "Endpoint", "Bus", "NodeGroup",
-    "World", "Runtime", "EventStream",
+    "Runtime", "EventStream",
 ]
 
 
@@ -207,7 +207,7 @@ class EventStream(Protocol):
     def record_delivery(self, event: Any, dest: str) -> Any: ...
 
     def record_drop(self, event: Any, dest: str, reason: str,
-                    now: float, sender_failed: bool = True) -> Any: ...
+                    now: float) -> Any: ...
 
 
 @runtime_checkable
@@ -242,38 +242,17 @@ class NodeGroup(Protocol):
 
 
 @runtime_checkable
-class World(Protocol):
-    """One bus, the nodes wired to it and the clock they run on.
-
-    The unit a per-world instrument (stream tee, observability plane,
-    experiment engine) attaches to and a
-    :class:`~repro.runtime.deployment.Deployment` deploys into.
-    """
-
-    @property
-    def nodes(self) -> NodeGroup: ...
-
-    @property
-    def bus(self) -> Bus: ...
-
-    @property
-    def clock(self) -> Clock: ...
-
-
-@runtime_checkable
 class Runtime(Protocol):
-    """One backend: a clock plus a group of nodes plus a bus factory.
+    """One backend — and the run's one world: a clock, the group of
+    nodes running on it and the bus that wires them.
 
     ``run`` advances the backend until the clock reads ``until``
     seconds (virtual for the simulator, wall for the live backend);
     ``shutdown`` releases backend resources (sockets, tasks) and is
-    idempotent.  ``worlds`` are the in-process worlds the runtime
-    drives — itself for the plain simulator and a live process, one
-    per shard for the inline sharded simulator, none when the shards
-    run in forked workers.  ``registries()`` maps every host of the
-    run to its telemetry registry: local nodes' own, and for hosts in
-    a shard or pool worker the registry rebuilt from the counters that
-    worker shipped home.
+    idempotent.  ``registries()`` maps every host of the run to its
+    telemetry registry: local nodes' own, and for hosts in a live pool
+    worker the registry rebuilt from the counters that worker shipped
+    home.
     """
 
     @property
@@ -288,7 +267,7 @@ class Runtime(Protocol):
     def nodes(self) -> NodeGroup: ...
 
     @property
-    def worlds(self) -> Sequence[World]: ...
+    def bus(self) -> Bus: ...
 
     def make_bus(self) -> Bus: ...
 

@@ -48,11 +48,6 @@ class SimRuntime:
     def nodes(self) -> NodeGroup:
         return self.cluster
 
-    @property
-    def worlds(self) -> tuple:
-        """One fabric, one bus: the runtime is its own only world."""
-        return (self,)
-
     def make_bus(self) -> Bus:
         """The runtime-wide KECho bus (one per runtime; idempotent)."""
         from repro.kecho import KechoBus

@@ -6,7 +6,7 @@ for the substitution rationale.
 """
 
 from repro.sim.core import (AllOf, AnyOf, Condition, Environment, Process,
-                            SimEvent, Timeout, WindowScheduler)
+                            SimEvent, Timeout)
 from repro.sim.cluster import Cluster, PAPER_NODE_NAMES, build_cluster
 from repro.sim.cpu import CPU, CpuJob
 from repro.sim.disk import Disk
@@ -20,20 +20,15 @@ from repro.sim.power import Battery
 from repro.sim.rng import RngHub
 from repro.sim.stores import Container, PriorityItem, PriorityStore, \
     Resource, Store
-from repro.sim.shard import (ShardedBus, ShardedRunResult,
-                             ShardResult, ShardRouter, ShardSpec,
-                             ShardWorld, run_sharded)
-from repro.sim.topology import (DEFAULT_SHARD_LOOKAHEAD, GraphFabric,
-                                ShardPlan, build_graph_cluster,
-                                line_topology, partition_nodes,
-                                partition_placement, tree_topology)
+from repro.sim.topology import (GraphFabric, build_graph_cluster,
+                                line_topology, tree_topology)
 from repro.sim.transport import Connection, Message, NetStack, Protocol
 from repro.runtime.series import CounterTrace, EwmaLoad, TimeSeries, \
     WindowAverage
 
 __all__ = [
     "AllOf", "AnyOf", "Condition", "Environment", "Process", "SimEvent",
-    "Timeout", "WindowScheduler",
+    "Timeout",
     "Cluster", "PAPER_NODE_NAMES", "build_cluster",
     "CPU", "CpuJob", "Disk", "Memory", "Allocation",
     "FaultInjector", "FaultPlane",
@@ -45,10 +40,6 @@ __all__ = [
     "Container", "PriorityItem", "PriorityStore", "Resource", "Store",
     "GraphFabric", "build_graph_cluster", "line_topology",
     "tree_topology",
-    "DEFAULT_SHARD_LOOKAHEAD", "ShardPlan", "partition_nodes",
-    "partition_placement",
-    "ShardedBus", "ShardedRunResult", "ShardResult", "ShardRouter",
-    "ShardSpec", "ShardWorld", "run_sharded",
     "Connection", "Message", "NetStack", "Protocol",
     "CounterTrace", "EwmaLoad", "TimeSeries", "WindowAverage",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "WindowScheduler",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
 ]
@@ -468,60 +467,3 @@ class Environment:
             step()
         self._now = horizon
         return None
-
-
-class WindowScheduler:
-    """Conservative-lookahead barrier arithmetic for sharded runs.
-
-    Several :class:`Environment` instances (one per shard) advance in
-    lockstep windows.  The invariant that makes a window ``[T, W)``
-    safe to run without mid-window synchronisation is that no
-    cross-shard event sent during the window can *arrive* inside it.
-    Cross-shard hops travel over cut links whose latency is at least
-    ``lookahead`` seconds, and a shard only sends while processing an
-    event, so with ``A`` the earliest activity across all shards (next
-    local event or pending cross-shard arrival), every new arrival
-    lands at or after ``A + lookahead``.  The scheduler therefore
-    advances the barrier to ``min(horizon, max(T + lookahead,
-    A + lookahead))`` — the classic null-message jump: idle stretches
-    are crossed in one window instead of ``lookahead``-sized steps.
-    """
-
-    def __init__(self, lookahead: float, horizon: float) -> None:
-        if lookahead <= 0:
-            raise SchedulingError(
-                f"lookahead must be positive, got {lookahead!r}")
-        if horizon <= 0:
-            raise SchedulingError(
-                f"horizon must be positive, got {horizon!r}")
-        self.lookahead = float(lookahead)
-        self.horizon = float(horizon)
-        self.windows = 0
-
-    def next_barrier(self, now: float,
-                     next_event_times: Iterable[float],
-                     pending_arrivals: Iterable[float] = ()) -> float:
-        """The next safe barrier after ``now``.
-
-        ``next_event_times`` are each shard's next local event time
-        (``Environment.peek()``, ``inf`` when idle);
-        ``pending_arrivals`` are arrival times of cross-shard events
-        already in flight but not yet delivered to their shard.
-        """
-        activity = min(
-            min(next_event_times, default=float("inf")),
-            min(pending_arrivals, default=float("inf")))
-        if activity == float("inf"):
-            barrier = self.horizon
-        else:
-            barrier = min(self.horizon,
-                          max(now, activity) + self.lookahead)
-        if barrier <= now:
-            raise SchedulingError(
-                f"barrier {barrier} does not advance past {now}")
-        self.windows += 1
-        return barrier
-
-    def admissible(self, send_time: float, arrival_time: float) -> bool:
-        """True when a cross-shard event respects the lookahead bound."""
-        return arrival_time >= send_time + self.lookahead

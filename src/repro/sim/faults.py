@@ -225,19 +225,13 @@ def _check_window(start: float, end: Optional[float], what: str) -> None:
 
 
 class FaultInjector:
-    """Schedules deterministic faults against one simulation.
+    """Schedules deterministic faults against one cluster.
 
-    The simulation is one cluster, or the k clusters of an inline
-    sharded run: each cluster's fabric gets its own
-    :class:`FaultPlane`, and a fault mutates *every* plane — a
-    scheduled one when that cluster's own clock reaches the fault
-    time, so shards that run a window apart still see the fault at the
-    same simulated instant (plane rules name hosts, so they read the
-    same everywhere).  A host belongs to the cluster whose
-    ``fabric.hosts`` holds it; crash/reboot handlers run once, in that
-    cluster.  Every executed action is appended once to :attr:`log` as
+    Attaches a :class:`FaultPlane` to the cluster's fabric and mutates
+    it, immediately or when the cluster's clock reaches a scheduled
+    time.  Every executed action is appended to :attr:`log` as
     ``(sim_time, description)`` — two runs with the same seed produce
-    identical logs, whatever the number of clusters.
+    identical logs.
 
     Crash/reboot callbacks let service layers participate: a dproc
     harness registers ``on_crash → dproc.stop()`` and ``on_reboot →
@@ -245,18 +239,12 @@ class FaultInjector:
     simulated hardware.
     """
 
-    def __init__(self, *clusters) -> None:
-        """Each cluster needs ``.env`` and ``.fabric`` (a
+    def __init__(self, cluster) -> None:
+        """``cluster`` needs ``.env`` and ``.fabric`` (a
         :class:`~repro.sim.cluster.Cluster` or compatible)."""
-        #: One ``(env, plane)`` per cluster; host → index of its owner.
-        self._worlds: list[tuple] = []
-        self._owner: dict[str, int] = {}
-        for index, cluster in enumerate(clusters):
-            plane = cluster.fabric.faults = FaultPlane()
-            self._worlds.append((cluster.env, plane))
-            self._owner.update(dict.fromkeys(cluster.fabric.hosts, index))
-        #: The clock the log is stamped with (the first cluster's).
-        self.env = clusters[0].env
+        self.env = cluster.env
+        self.fabric = cluster.fabric
+        self.plane = self.fabric.faults = FaultPlane()
         #: Executed fault actions: ``(sim_time, description)``.
         self.log: list[tuple[float, str]] = []
         self._crash_handlers: list[CrashHandler] = []
@@ -312,14 +300,7 @@ class FaultInjector:
     # fault is scheduled, not when its timer fires inside ``run``.
 
     def at(self, when: float, action: Callable[[], None]) -> None:
-        """Run ``action`` at absolute simulated time ``when``, on the
-        first cluster's clock.
-
-        For plane mutations use the ``schedule_*`` helpers, which apply
-        in every cluster at that cluster's own clock; a global action
-        reaches the other shards of a sharded run with up to one
-        window of skew.
-        """
+        """Run ``action`` at absolute simulated time ``when``."""
         _timer(self.env, when, action)
 
     def schedule_loss(self, at: float, p: float,
@@ -380,29 +361,24 @@ class FaultInjector:
 
     def _check_hosts(self, hosts, where: str = "") -> None:
         for host in hosts:
-            if host not in self._owner:
+            if host not in self.fabric.hosts:
                 raise FaultInjectionError(
                     f"unknown host {host!r}{where}")
 
     def _apply(self, when: Optional[float], text: str, mutate,
                host: Optional[str] = None, handlers=()) -> None:
-        """Carry one fault out in every cluster: ``mutate(plane)`` now
-        (``when`` None) or when that cluster's clock reads ``when``,
-        logged once (by the first cluster), ``handlers`` called once
-        (in the cluster that owns ``host``)."""
-        owner = self._owner.get(host)
-        for index, (env, plane) in enumerate(self._worlds):
-            def act(index=index, plane=plane) -> None:
-                mutate(plane)
-                if index == 0:
-                    self.log.append((self.env.now, text))
-                if index == owner:
-                    for handler in handlers:
-                        handler(host)
-            if when is None:
-                act()
-            else:
-                _timer(env, when, act)
+        """Carry one fault out — ``mutate(plane)``, the log line, then
+        ``handlers(host)`` — now (``when`` None) or on one timer at
+        ``when``."""
+        def act() -> None:
+            mutate(self.plane)
+            self.log.append((self.env.now, text))
+            for handler in handlers:
+                handler(host)
+        if when is None:
+            act()
+        else:
+            _timer(self.env, when, act)
 
 
 def _timer(env, when: float, action: Callable[[], None]) -> None:

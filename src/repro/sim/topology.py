@@ -21,8 +21,7 @@ transport, KECho, dproc — works unchanged on a :class:`GraphFabric`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from repro.errors import NetworkError, RoutingError
 from repro.sim.cluster import Cluster
@@ -31,170 +30,10 @@ from repro.sim.link import Link
 from repro.sim.network import Fabric, HostPort
 from repro.sim.node import NodeConfig
 from repro.sim.rng import RngHub
-from repro.units import mbps, msec, usec
+from repro.units import mbps, usec
 
 __all__ = ["GraphFabric", "build_graph_cluster", "line_topology",
-           "tree_topology", "ShardPlan", "partition_nodes",
-           "partition_placement", "DEFAULT_SHARD_LOOKAHEAD"]
-
-#: Default inter-shard boundary latency: the WAN-link class
-#: (:class:`repro.dproc.federation.WanLink` defaults to 40 ms), which
-#: is what makes the cut links safe lookahead horizons.
-DEFAULT_SHARD_LOOKAHEAD = msec(40)
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A partition of a cluster's hosts into per-worker shards.
-
-    ``shards[i]`` is the ordered tuple of host names owned by worker
-    ``i``; ``lookahead`` is the conservative synchronisation horizon —
-    the minimum latency of any cut (inter-shard) link, so a
-    cross-shard event sent at ``t`` can never arrive before
-    ``t + lookahead``.  ``cut_edges`` lists the switch-graph trunks
-    severed by the partition (empty for flat-fabric partitions, whose
-    boundary is the implicit WAN hop).
-    """
-
-    shards: tuple[tuple[str, ...], ...]
-    lookahead: float = DEFAULT_SHARD_LOOKAHEAD
-    cut_edges: tuple[tuple[str, str], ...] = ()
-    _owner: Mapping[str, int] = field(init=False, repr=False,
-                                      compare=False, hash=False,
-                                      default=None)
-
-    def __post_init__(self) -> None:
-        if not self.shards or not any(self.shards):
-            raise NetworkError("a shard plan needs at least one host")
-        if self.lookahead <= 0:
-            raise NetworkError(
-                f"lookahead must be positive, got {self.lookahead!r}")
-        owner: dict[str, int] = {}
-        for index, hosts in enumerate(self.shards):
-            for host in hosts:
-                if host in owner:
-                    raise NetworkError(
-                        f"host {host!r} appears in shards "
-                        f"{owner[host]} and {index}")
-                owner[host] = index
-        object.__setattr__(self, "_owner", owner)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """All hosts in global order (shard-0 first, round-robin safe
-        callers should keep their own global ordering)."""
-        return tuple(h for shard in self.shards for h in shard)
-
-    def shard_of(self, host: str) -> int:
-        try:
-            return self._owner[host]
-        except KeyError:
-            raise NetworkError(f"host {host!r} is in no shard") from None
-
-    def validate(self, names: Sequence[str]) -> None:
-        """Check the plan covers exactly ``names`` (each once)."""
-        expected = set(names)
-        got = set(self._owner)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise NetworkError(
-                f"shard plan mismatch: missing={missing} extra={extra}")
-        if len(names) != len(expected):
-            raise NetworkError("duplicate host names")
-
-
-def partition_nodes(names: Sequence[str], workers: int,
-                    lookahead: float = DEFAULT_SHARD_LOOKAHEAD
-                    ) -> ShardPlan:
-    """Round-robin partition of a flat cluster into ``workers`` shards.
-
-    Host ``i`` goes to shard ``i % workers``, which spreads the
-    front-end watcher nodes (conventionally the first k hosts) evenly
-    across shards instead of piling them onto shard 0.  The boundary
-    between shards is modelled as a WAN-class hop of ``lookahead``
-    seconds minimum latency.
-    """
-    if workers < 1:
-        raise NetworkError(f"need at least one worker, got {workers}")
-    names = list(names)
-    if len(set(names)) != len(names):
-        raise NetworkError("duplicate host names")
-    workers = min(workers, len(names))
-    shards: list[list[str]] = [[] for _ in range(workers)]
-    for i, name in enumerate(names):
-        shards[i % workers].append(name)
-    return ShardPlan(shards=tuple(tuple(s) for s in shards),
-                     lookahead=lookahead)
-
-
-def partition_placement(graph: nx.Graph, placement: Mapping[str, str],
-                        workers: int,
-                        trunk_latency: float = usec(100),
-                        min_lookahead: float | None = None
-                        ) -> ShardPlan:
-    """Topology-aware partition: keep each switch's hosts together.
-
-    Switches are packed onto workers greedily (heaviest switch first,
-    onto the lightest worker), so intra-switch traffic never crosses a
-    shard boundary.  The plan's lookahead is the minimum latency over
-    the *cut* trunks — the switch-graph edges whose endpoints landed
-    on different workers.  A cut through low-latency datacenter trunks
-    yields a tiny lookahead and therefore tiny windows; callers can
-    assert a floor with ``min_lookahead`` (raising instead of silently
-    thrashing) — this is the "sharding hurts chatty LAN topologies"
-    guard.
-    """
-    if workers < 1:
-        raise NetworkError(f"need at least one worker, got {workers}")
-    if not placement:
-        raise NetworkError("placement is empty")
-    hosts_per_switch: dict[str, list[str]] = {}
-    for host, switch in placement.items():
-        if switch not in graph:
-            raise RoutingError(f"unknown switch {switch!r}")
-        hosts_per_switch.setdefault(switch, []).append(host)
-    workers = min(workers, len(hosts_per_switch))
-    # Greedy balanced bin-packing, deterministic: sort switches by
-    # (host count desc, name) and drop each onto the lightest worker.
-    order = sorted(hosts_per_switch,
-                   key=lambda s: (-len(hosts_per_switch[s]), s))
-    loads = [0] * workers
-    switch_owner: dict[str, int] = {}
-    shards: list[list[str]] = [[] for _ in range(workers)]
-    for switch in order:
-        target = min(range(workers), key=lambda i: (loads[i], i))
-        switch_owner[switch] = target
-        shards[target].extend(hosts_per_switch[switch])
-        loads[target] += len(hosts_per_switch[switch])
-    cut: list[tuple[str, str]] = []
-    lookahead = float("inf")
-    for u, v, attrs in graph.edges(data=True):
-        owner_u = switch_owner.get(u)
-        owner_v = switch_owner.get(v)
-        # Host-less switches carry no simulated traffic: an edge is a
-        # cut only when both sides own hosts on different workers.
-        if owner_u is None or owner_v is None or owner_u == owner_v:
-            continue
-        cut.append((u, v))
-        lookahead = min(lookahead,
-                        float(attrs.get("latency", trunk_latency)))
-    if not cut:
-        # Everything fits on one worker (or the graph has no
-        # cross-worker trunk): the boundary is the WAN default.
-        lookahead = DEFAULT_SHARD_LOOKAHEAD
-    if min_lookahead is not None and lookahead < min_lookahead:
-        raise NetworkError(
-            f"partition cuts a {lookahead:.6g}s-latency trunk, below "
-            f"the {min_lookahead:.6g}s floor; sharding this topology "
-            f"would thrash on synchronisation")
-    return ShardPlan(shards=tuple(tuple(s) for s in shards),
-                     lookahead=lookahead,
-                     cut_edges=tuple(sorted(cut)))
+           "tree_topology"]
 
 
 class GraphFabric(Fabric):

@@ -140,11 +140,6 @@ class NetStack:
         #: difference it; nobody asks for a window of it).
         self.bytes_received = 0.0
         self.bytes_out = CounterTrace(f"{host}:tx-bytes", DEVICE_HISTORY)
-        #: Off-fabric route provider (a shard conduit).  When set,
-        #: ``connect`` falls through to it for hosts the local fabric
-        #: does not know — how cross-shard destinations stay reachable
-        #: without the fabric modelling them.
-        self.router = None
         #: Durable-stream drop recorder, called as
         #: ``drop_hook(payload, dst, reason, now)`` whenever this
         #: stack kills a message (fault plane, injected loss,
@@ -167,9 +162,6 @@ class NetStack:
                 proto: str = Protocol.TCP) -> Connection:
         """Open a logical connection to ``dst``."""
         if dst not in self.fabric.hosts:
-            router = self.router
-            if router is not None and router.routes(dst):
-                return router.connect(self, dst, tag, proto)
             raise TransportError(f"unknown destination host {dst!r}")
         conn = Connection(self, dst, tag, proto)
         self.connections.append(conn)
@@ -213,12 +205,6 @@ class NetStack:
         results: list[SimEvent] = []
         append = results.append
         for conn in conns:
-            if not isinstance(conn, Connection):
-                # Routed (cross-shard conduit) connection: it owns its
-                # own delivery semantics; keep it in fan-out order so
-                # the per-target RNG draw sequence stays deterministic.
-                append(conn.send(payload, size))
-                continue
             if conn.closed:
                 raise TransportError("send on closed connection")
             dst = conn.dst

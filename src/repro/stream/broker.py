@@ -12,10 +12,8 @@ and schedules no simulation events, so enabling the broker leaves the
 event schedule — and therefore every golden trace — bit-identical.
 
 ``attach_stream`` wires a broker onto any :class:`~repro.kecho.channel
-.KechoBus` (the sim bus, the live bus and the sharded per-world buses
-all inherit from it) and onto each node's transport drop hook;
-``merge_brokers`` folds the per-shard brokers of an inline sharded run
-into one global, deterministically ordered view.
+.KechoBus` (the sim bus; the live bus inherits from it) and onto each
+node's transport drop hook.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from repro.stream.entry import (DELIVER, DROP, SUBMIT, StreamEntry,
                                 normalize_payload)
 
 __all__ = ["StreamError", "ChannelStream", "ConsumerGroup",
-           "PendingEntry", "StreamBroker", "attach_stream",
-           "merge_brokers"]
+           "PendingEntry", "StreamBroker", "attach_stream"]
 
 class StreamError(ReproError):
     """Misuse of the stream broker (bad seq, unknown group, ...)."""
@@ -303,8 +300,7 @@ class StreamBroker:
         return entry
 
     def record_drop(self, event: Any, dest: str, reason: str,
-                    now: float, sender_failed: bool = True
-                    ) -> Optional[StreamEntry]:
+                    now: float) -> Optional[StreamEntry]:
         """Tee one transport kill of ``dest``'s copy of ``event``.
 
         Non-KECho payloads (raw transport users) are ignored — the
@@ -317,7 +313,7 @@ class StreamBroker:
         return self._append(
             channel, kind=DROP, source=event.source, dest=dest,
             time=now, submitted_at=submitted_at, size=event.size,
-            fault=reason, sender_failed=sender_failed)
+            fault=reason)
 
     # -- read side ---------------------------------------------------------
 
@@ -384,34 +380,3 @@ def attach_stream(broker: StreamBroker, bus: Any,
         stack = node.stack
         if hasattr(stack, "drop_hook"):
             stack.drop_hook = broker.record_drop
-
-
-def merge_brokers(brokers: list[StreamBroker]) -> StreamBroker:
-    """Fold per-shard brokers into one global broker.
-
-    Entries are re-sequenced in ``(time, shard index, shard seq)``
-    order per channel — deterministic for a fixed (seed, workers,
-    partition), and order-preserving per ``(channel, dest)`` because
-    each host lives in exactly one shard.
-    """
-    merged = StreamBroker()
-    channels = sorted({ch for b in brokers for ch in b.streams})
-    for channel in channels:
-        rows: list[tuple[float, int, int, StreamEntry]] = []
-        for i, b in enumerate(brokers):
-            st = b.streams.get(channel)
-            if st is None:
-                continue
-            for entry in st.entries():
-                rows.append((entry.time, i, entry.seq, entry))
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        out = merged.stream(channel)
-        for _, _, _, entry in rows:
-            out.append(kind=entry.kind, source=entry.source,
-                       dest=entry.dest, time=entry.time,
-                       submitted_at=entry.submitted_at,
-                       size=entry.size, records=entry.records,
-                       summary=entry.summary, targets=entry.targets,
-                       local=entry.local, fault=entry.fault,
-                       sender_failed=entry.sender_failed)
-    return merged

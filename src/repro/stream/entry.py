@@ -13,9 +13,9 @@ in the broker's per-channel log:
 
 Entries are correlated by the *natural key* ``(channel, source,
 submitted_at)`` rather than the in-process event id: delivered copies
-and conduit-decoded events get fresh ``eid`` values, but the natural
-key survives the live binary codec byte-for-byte (f64 round-trips are
-exact), so the same pairing works on sim, sharded and live runs.
+and wire-decoded events get fresh ``eid`` values, but the natural key
+survives the live binary codec byte-for-byte (f64 round-trips are
+exact), so the same pairing works on sim and live runs.
 
 Monitor payloads are normalised to ``(metric-ABI-id, value, timestamp)``
 records — the same triples the live wire format packs — so a replayed
@@ -91,10 +91,6 @@ class StreamEntry:
     #: Drop only: the fault kind ("crash:<host>", "partition",
     #: "injected loss", "congestion", ...).
     fault: str = ""
-    #: Drop only: False when the sender's completion already succeeded
-    #: (a conduit arrival-side kill), so the publisher's
-    #: ``failed_deliveries`` counter never saw it.
-    sender_failed: bool = True
 
     @property
     def key(self) -> tuple[str, str, float]:
@@ -123,8 +119,6 @@ class StreamEntry:
             rec["local"] = True
         if self.fault:
             rec["fault"] = self.fault
-        if not self.sender_failed:
-            rec["sender_failed"] = False
         return rec
 
     @classmethod
@@ -140,5 +134,4 @@ class StreamEntry:
             summary=rec.get("summary", ""),
             targets=tuple(rec.get("targets", ())),
             local=bool(rec.get("local", False)),
-            fault=rec.get("fault", ""),
-            sender_failed=bool(rec.get("sender_failed", True)))
+            fault=rec.get("fault", ""))

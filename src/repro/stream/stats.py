@@ -107,7 +107,7 @@ def verify_stats(broker: StreamBroker, nodes: Iterable,
                 rcv[(e.dest, channel)] += 1
                 lat_n[(e.dest, channel)] += 1
                 lat_t[(e.dest, channel)] += e.latency
-            elif e.kind == DROP and e.sender_failed:
+            elif e.kind == DROP:
                 fail[(e.source, channel)] += 1
 
     def check(label: str, want, got) -> None:

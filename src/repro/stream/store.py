@@ -111,6 +111,5 @@ def load_broker(directory, max_len: Optional[int] = None):
                     submitted_at=entry.submitted_at, size=entry.size,
                     records=entry.records, summary=entry.summary,
                     targets=entry.targets, local=entry.local,
-                    fault=entry.fault,
-                    sender_failed=entry.sender_failed)
+                    fault=entry.fault)
     return broker

@@ -68,7 +68,7 @@ class TelemetryRegistry:
         return default
 
     def counters(self) -> dict[str, float]:
-        """Counter name → total: what a shard or pool worker ships home.
+        """Counter name → total: what a live pool worker ships home.
 
         Picklable and small; :meth:`from_counters` on the receiving
         side turns it back into a registry, so the parent reads remote

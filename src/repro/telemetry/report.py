@@ -86,7 +86,7 @@ def overhead_summary(registries: Mapping[str, TelemetryRegistry],
     """Cluster-wide monitoring-overhead summary of one run.
 
     ``registries`` maps node name → that node's telemetry registry —
-    local nodes' own, and for hosts that ran in a shard or pool worker
+    local nodes' own, and for hosts that ran in a live pool worker
     the registry rebuilt from the counters it shipped
     (:meth:`TelemetryRegistry.from_counters`), so one run has one
     mapping whatever ran it.  An empty mapping summarises to zeros.

@@ -40,3 +40,24 @@ def test_help_and_defaults(command, monkeypatch, capsys):
     (args,) = parsed
     assert (args.nodes, args.seed, args.duration) \
         == (nodes, seed, duration)
+
+
+@pytest.mark.parametrize("argv", [
+    ["obs", "--workers", "2", "--duration", "1"],
+    ["obs", "--workers", "2", "--duration", "1", "--faults"],
+    ["experiment", "--workers", "2", "--duration", "1"],
+], ids=["obs", "obs-faults", "experiment"])
+def test_workers_on_the_simulator_exits_naming_the_live_backend(argv):
+    """``--workers`` is the live node pool; the simulator has one
+    kernel and says so in one sentence instead of a traceback."""
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code not in (0, None)
+    assert "live" in str(done.value.code)
+
+
+def test_stream_takes_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["stream", "stats", "--workers", "2"])
+    assert done.value.code == 2
+    assert "--workers" in capsys.readouterr().err

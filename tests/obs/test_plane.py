@@ -1,4 +1,4 @@
-"""The plane end to end: sampling, ingest, sharded merge.
+"""The plane end to end: sampling and stream ingest.
 
 That the plane is passive is pinned with the other instruments in
 ``tests/runtime/test_passivity.py``.
@@ -9,19 +9,15 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario, ScenarioError
-from repro.obs import ObservabilityPlane, merge_planes
 
 
 def run_scenario(*, obs: bool, nodes: int = 6, seed: int = 3,
-                 duration: float = 8.0, stream: bool = True,
-                 workers: int = 1):
+                 duration: float = 8.0, stream: bool = True):
     sc = Scenario(nodes=nodes, seed=seed)
     if stream:
         sc.with_stream()
     if obs:
         sc.with_observability(sample_interval=1.0)
-    if workers > 1:
-        sc.with_workers(workers, mode="inline")
     return sc.run(duration)
 
 
@@ -59,6 +55,7 @@ class TestSampling:
         # double the ingested points.
         first = sc.obs.export_json()
         assert sc.obs.export_json() == first
+        assert sc.obs is sc.obs
 
     def test_verdict_on_quiet_run_is_healthy(self, sc):
         assert sc.obs.verdict()["healthy"] is True
@@ -75,53 +72,6 @@ class TestExportDeterminism:
         a = run_scenario(obs=True, seed=11).obs.export_json()
         b = run_scenario(obs=True, seed=12).obs.export_json()
         assert a != b
-
-
-class TestShardedObs:
-    def test_sharded_plane_merges_all_nodes(self):
-        sc = run_scenario(obs=True, nodes=9, workers=3,
-                          duration=6.0, stream=False)
-        plane = sc.obs
-        assert len(plane.tsdb.keys("dmon.polls")) == 9
-        # 3 shards x 7 ticks each (t=0 and t=6 inclusive).
-        assert plane.samples_taken == 21
-        assert plane.engine is not None
-        assert len(plane.engine.nodes) == 9
-
-    def test_sharded_export_deterministic(self):
-        a = run_scenario(obs=True, nodes=9, workers=3,
-                         duration=6.0, stream=False)
-        b = run_scenario(obs=True, nodes=9, workers=3,
-                         duration=6.0, stream=False)
-        assert a.obs.export_json() == b.obs.export_json()
-
-    def test_merged_plane_is_cached_after_run(self):
-        sc = run_scenario(obs=True, nodes=9, workers=3,
-                          duration=4.0, stream=False)
-        assert sc.obs is sc.obs
-
-
-class TestMergePlanes:
-    def test_empty_merge(self):
-        plane = merge_planes([])
-        assert plane.samples_taken == 0
-        assert plane.verdict()["healthy"] is True
-
-    def test_merge_carries_transitions_sorted(self):
-        from repro.obs.health import HealthTransition
-        a = ObservabilityPlane(sample_interval=1.0)
-        b = ObservabilityPlane(sample_interval=1.0)
-        a.bind(["n0"])
-        b.bind(["n1"])
-        tr = lambda t, subject: HealthTransition(
-            time=t, rule="drop-burn", subject=subject,
-            from_status="healthy", to_status="degraded", value=2.0,
-            threshold=1.0)
-        a.engine.transitions.append(tr(4.0, "n0"))
-        b.engine.transitions.append(tr(2.0, "n1"))
-        merged = merge_planes([a, b])
-        assert [t.time for t in merged.transitions] == [2.0, 4.0]
-        assert merged.engine.nodes == ("n0", "n1")
 
 
 class TestScenarioGuards:

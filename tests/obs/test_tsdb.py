@@ -1,4 +1,4 @@
-"""The ring-buffer TSDB: tiers, queries, merge, determinism."""
+"""The ring-buffer TSDB: tiers, queries, determinism."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import math
 
 import pytest
 
-from repro.obs import (ObsError, Series, TimeSeriesDB, merge_tsdbs,
-                       series_key)
+from repro.obs import ObsError, Series, TimeSeriesDB, series_key
 
 
 class TestSeriesKey:
@@ -193,41 +192,3 @@ class TestExportDeterminism:
         assert json.dumps(doc, sort_keys=True,
                           separators=(",", ":")) == text
         assert sorted(doc["series"]) == list(doc["series"])
-
-
-class TestMerge:
-    def test_disjoint_keys_union(self):
-        a, b = TimeSeriesDB(), TimeSeriesDB()
-        a.observe("m", (("node", "n0"),), 1.0, 1.0)
-        b.observe("m", (("node", "n1"),), 1.0, 2.0)
-        merged = merge_tsdbs([a, b])
-        assert merged.keys() == ["m{node=n0}", "m{node=n1}"]
-        assert merged.get("m", (("node", "n1"),)).latest == 2.0
-
-    def test_shared_key_interleaves_in_time_order(self):
-        a, b = TimeSeriesDB(), TimeSeriesDB()
-        for t in (0.0, 2.0):
-            a.observe("m", (), t, t)
-        for t in (1.0, 3.0):
-            b.observe("m", (), t, t)
-        merged = merge_tsdbs([a, b])
-        assert [t for t, _ in merged.get("m").samples()] \
-            == [0.0, 1.0, 2.0, 3.0]
-
-    def test_merge_preserves_bucket_aggregates(self):
-        a = TimeSeriesDB()
-        a.observe("m", (), 0.1, 1.0)
-        a.observe("m", (), 0.2, 9.0)
-        merged = merge_tsdbs([a, TimeSeriesDB()])
-        ((_, bucket),) = merged.get("m").samples()
-        assert bucket.count == 2
-        assert bucket.min == 1.0 and bucket.max == 9.0
-
-    def test_merge_empty_and_order_determinism(self):
-        assert len(merge_tsdbs([])) == 0
-        a, b = TimeSeriesDB(), TimeSeriesDB()
-        for t in range(6):
-            a.observe("m", (("node", "x"),), float(t), float(t))
-            b.observe("m", (("node", "y"),), float(t), -float(t))
-        assert merge_tsdbs([a, b]).export_json() \
-            == merge_tsdbs([a, b]).export_json()

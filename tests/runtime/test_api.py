@@ -114,6 +114,13 @@ class TestPhaseErrors:
         with pytest.raises(ScenarioError):
             sc.env
 
+    def test_one_kernel_no_placement_knob(self):
+        """The simulator is one kernel: no ``with_workers`` beside it,
+        and a node pool is a live-only placement."""
+        assert not hasattr(Scenario, "with_workers")
+        with pytest.raises(ScenarioError, match="one kernel"):
+            Scenario(nodes=2).with_node_pool(2)
+
 
 class TestHookOrder:
     def test_cluster_hook_runs_before_deploy(self):

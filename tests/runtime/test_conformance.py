@@ -144,8 +144,7 @@ class TestFilterBehavior:
 ROSTER_NODES, ROSTER_MONITORED = 6, 4
 
 
-@pytest.fixture(scope="module", params=["sim", "sharded-inline",
-                                        "live-pool"])
+@pytest.fixture(scope="module", params=["sim", "live-pool"])
 def subset_run(request) -> Scenario:
     """``monitor_hosts=k < n`` on every way of running a scenario.
 
@@ -156,8 +155,6 @@ def subset_run(request) -> Scenario:
     sc = Scenario(nodes=ROSTER_NODES, seed=11, backend=backend,
                   dmon=DMonConfig(poll_interval=POLL), modules=MODULES,
                   monitor_hosts=ROSTER_MONITORED)
-    if request.param == "sharded-inline":
-        sc.with_workers(2, mode="inline")
     if request.param == "live-pool":
         sc.with_node_pool(2)
     return sc.run(DURATION)
@@ -165,7 +162,7 @@ def subset_run(request) -> Scenario:
 
 class TestRosterRule:
     """``/proc/cluster`` lists the hosts that run dproc — the same
-    rule unsharded, sharded and pooled."""
+    rule in one process and pooled."""
 
     def test_cluster_dir_lists_exactly_the_monitored_hosts(
             self, subset_run):

@@ -3,8 +3,8 @@
 Policies are pure decision functions over a MetricView, so the latch
 behavior is pinned against a fake view with scripted values.  The
 backend-parity tests are the API's headline contract: the same
-experiment list yields identical records on repeated sim runs and
-``comparable()``-equal reports between the plain and sharded kernels.
+experiment list yields identical records on repeated sim runs, and a
+pooled live report covers every host of the run.
 """
 
 from __future__ import annotations
@@ -155,11 +155,10 @@ class TestBackendParity:
         assert (by_name["dynamic"].events_published
                 < by_name["baseline"].events_published)
 
-    def test_sharded_kernel_matches_plain_sim(self):
-        plain = self._sweep()
-        sharded = self._sweep(workers=4)
-        assert [r.comparable() for r in plain] \
-            == [r.comparable() for r in sharded]
+    def test_workers_on_sim_is_an_error(self):
+        from repro.api import ScenarioError
+        with pytest.raises(ScenarioError, match="backend='live'"):
+            self._sweep(workers=2)
 
     def test_live_pool_report_is_cluster_wide(self):
         """Every figure in a pooled live report covers the hosts that

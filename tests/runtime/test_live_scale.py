@@ -368,6 +368,47 @@ class TestLiveEndToEnd:
         assert not missing, f"no delivery from {missing}"
         overhead = sc.overhead()
         assert overhead["n_nodes"] == 8  # both processes merged
+        assert sc.runtime.missing_hosts == ()
+
+    def test_killed_pool_worker_is_reported_missing(self):
+        """SIGKILL one of three workers mid-run: the run still ends on
+        time, the dead worker's slice is named, the rest is reported."""
+        import time
+        from repro.api import Scenario
+        from repro.dproc import DMonConfig
+        duration = 3.0
+        sc = Scenario(nodes=6, seed=1, backend="live",
+                      dmon=DMonConfig(poll_interval=0.25))
+        sc.with_node_pool(3)
+        sc.with_setup(lambda sc: asyncio.get_event_loop().call_later(
+            duration / 2, sc.runtime.pool._procs[0].kill))
+        started = time.monotonic()
+        sc.run(duration)
+        assert time.monotonic() - started < duration + 5.0
+        victims = tuple(sc.runtime.pool.slices[0])
+        assert len(victims) == 2
+        assert sc.runtime.missing_hosts == victims
+        survivors = [name for name in sc._deployment().names
+                     if name not in victims]
+        assert sorted(sc.registries) == sorted(survivors)
+        assert sc.overhead()["n_nodes"] == 4
+
+    def test_pooled_cli_run_is_clean_and_leaves_no_traceback(self):
+        """Every ``_serve`` task ends normally at teardown, including
+        the ones parked on sockets another process still holds."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.harness", "live", "--nodes",
+             "6", "--workers", "3", "--duration", "2", "--poll", "0.5"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "\nmissing:\n" in result.stdout
 
     def test_streamed_live_run_reconciles_clean(self, tmp_path):
         from repro.api import Scenario

@@ -1,9 +1,9 @@
 """Every instrument is passive: the monitored run cannot tell it is on.
 
 One bare chaos run (loss, partition, crash + reboot — every fault path
-the instruments hook) per way of running the simulator, then the same
-run with each instrument attached.  Whatever the instrument, the run
-must be the bare run, bit for bit:
+the instruments hook), then the same run with each instrument
+attached.  Whatever the instrument, the run must be the bare run, bit
+for bit:
 
 * ``report.trace`` — fault log, observed liveness transitions,
   recovery and rejoin times (was ``tests/tracing/test_e2e.py::
@@ -21,9 +21,6 @@ must be the bare run, bit for bit:
   stream with the plane and the tracer on is the stream without (was
   ``TestPassivity::test_stream_bytes_bit_identical`` and the CI
   heredoc's chaos check).
-
-Sharded-inline runs take the same assertions: k worlds, k tees and k
-planes leave the same run as none.
 """
 
 from __future__ import annotations
@@ -48,9 +45,8 @@ INSTRUMENTS = {**{name: (name,) for name in SWITCH_ON},
                "all": tuple(SWITCH_ON)}
 
 
-def run(workers: int, instruments=()):
+def run(instruments=()):
     def configure(sc):
-        sc.with_workers(workers, mode="inline")
         for name in instruments:
             SWITCH_ON[name](sc)
     return chaos_recovery(**CHAOS, configure=configure)
@@ -71,17 +67,19 @@ def cluster_files(report) -> dict:
     return files
 
 
-@pytest.fixture(scope="module", params=[1, 4], ids=["plain", "inline4"])
-def bare(request):
-    """(workers, bare report, its files, stream bytes seen so far)."""
-    report = run(request.param)
-    return request.param, report, cluster_files(report), {}
+@pytest.fixture(scope="module", params=["plain"])
+def bare():
+    """(bare report, its files, stream bytes seen so far).
+
+    The one param keeps the test ids ``plain-<instrument>``."""
+    report = run()
+    return report, cluster_files(report), {}
 
 
 @pytest.mark.parametrize("instrument", INSTRUMENTS)
 def test_instrument_is_passive(bare, instrument):
-    workers, baseline, baseline_files, streams = bare
-    report = run(workers, INSTRUMENTS[instrument])
+    baseline, baseline_files, streams = bare
+    report = run(INSTRUMENTS[instrument])
     assert report.trace == baseline.trace
     assert report.overhead == baseline.overhead
     files = cluster_files(report)

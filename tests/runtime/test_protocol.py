@@ -6,7 +6,7 @@ import pytest
 
 from repro.live.runtime import LiveRuntime
 from repro.runtime.protocol import (Bus, Clock, NodeGroup, Runtime,
-                                    RuntimeNode, Transport, World)
+                                    RuntimeNode, Transport)
 from repro.runtime.sim import SimRuntime
 
 
@@ -44,38 +44,17 @@ class TestProtocolConformance:
         assert runtime.make_bus() is runtime.make_bus()
 
     def test_runtime_is_its_own_only_world(self, runtime):
-        (world,) = runtime.worlds
-        assert isinstance(world, World)
-        assert world.bus is runtime.make_bus()
-        assert world.nodes is runtime.nodes
-        assert world.clock is runtime.clock
+        """What a scenario wires is the runtime itself: one bus, one
+        node group, one clock — no per-world view beside it."""
+        assert not hasattr(runtime, "worlds")
+        assert isinstance(runtime.bus, Bus)
+        assert runtime.bus is runtime.make_bus()
 
     def test_registries_cover_every_node(self, runtime):
         registries = runtime.registries()
         assert list(registries) == runtime.nodes.names
         for node in runtime.nodes:
             assert registries[node.name] is node.telemetry
-
-
-class TestShardWorlds:
-    def test_inline_shards_are_worlds(self):
-        from repro.api import Scenario
-        sc = Scenario(nodes=6, seed=1).with_workers(3, mode="inline")
-        sc.run(1.0)
-        assert len(sc.runtime.worlds) == 3
-        for world in sc.runtime.worlds:
-            assert isinstance(world, World)
-            assert world.clock is world.env
-        assert sorted(n.name for w in sc.runtime.worlds
-                      for n in w.nodes) == sorted(sc.nodes.names)
-
-    def test_forked_shards_leave_no_world_here(self):
-        from repro.api import Scenario
-        sc = Scenario(nodes=6, seed=1).with_workers(3, mode="processes")
-        sc.run(1.0)
-        assert sc.runtime.worlds == ()
-        assert sc.dprocs == {}
-        assert len(sc.registries) == 6
 
 
 class TestBackendTags:

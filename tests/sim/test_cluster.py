@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario
 from repro.errors import SimulationError, TransportError
 from repro.sim import (Environment, NodeConfig, PAPER_NODE_NAMES, RngHub,
                        build_cluster)
-from repro.sim.transport import Connection
 from repro.units import MB
 
 
@@ -55,23 +53,6 @@ class TestBuildCluster:
         stack.connect("bare", "t").send("x", 100)
         with pytest.raises(TransportError, match="no stack registered"):
             env.run()
-
-    def test_each_shard_fabric_has_its_own_directory(self):
-        sc = Scenario(nodes=6, seed=2) \
-            .with_workers(2, mode="inline").run(1.0)
-        fabrics = {id(node.stack.fabric) for node in sc.nodes}
-        assert len(fabrics) == 2
-        for node in sc.nodes:
-            stacks = node.stack.fabric.stacks
-            assert set(stacks) == set(node.stack.fabric.hosts)
-            assert stacks[node.name] is node.stack
-            remote = [n for n in sc.nodes.names if n not in stacks]
-            assert len(remote) == 3
-            # Cross-shard hosts are the router's, not the directory's.
-            for host in remote:
-                assert node.stack.router.routes(host)
-                conn = node.stack.connect(host, "t")
-                assert not isinstance(conn, Connection)
 
     def test_peer_entries_grow_linearly(self, env):
         """Counted, not timed: one directory slot per node, not one

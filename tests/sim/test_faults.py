@@ -166,6 +166,22 @@ class TestInjectorScheduling:
             (3.0, "reboot etna"),
         ]
 
+    def test_one_plane_one_timer_per_scheduled_fault(self, env, cluster3,
+                                                     injector):
+        """One cluster, one plane; a scheduled fault costs the kernel
+        exactly one timer event (the chaos goldens pin the count)."""
+        assert cluster3.fabric.faults is injector.plane
+        with pytest.raises(TypeError):
+            FaultInjector(cluster3, cluster3)
+        before = env.events_processed
+        env.run(until=4.0)
+        idle = env.events_processed - before
+        injector.schedule_loss(5.0, 0.1)
+        injector.schedule_crash(6.0, "maui", reboot_at=7.0)
+        before = env.events_processed
+        env.run(until=8.0)
+        assert env.events_processed - before == idle + 3
+
     def test_past_schedule_rejected(self, env, cluster3, injector):
         env.run(until=2.0)
         with pytest.raises(FaultInjectionError, match="cannot schedule"):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.protocol import EventStream
-from repro.stream import (ChannelStream, StreamBroker, StreamEntry,
-                          merge_brokers)
+from repro.stream import ChannelStream, StreamBroker, StreamEntry
 
 
 def fill(stream: ChannelStream, n: int, t0: float = 0.0) -> None:
@@ -144,7 +143,7 @@ class TestEntryRoundTrip:
             seq=7, kind="drop", channel="c", source="alan",
             dest="maui", time=3.5, submitted_at=3.25, size=512.0,
             records=((0, 1.5, 3.0),), summary="", targets=("maui",),
-            local=True, fault="partition", sender_failed=False)
+            local=True, fault="partition")
         back = StreamEntry.from_record(entry.to_record())
         assert back == entry
 
@@ -162,21 +161,3 @@ class TestEntryRoundTrip:
                             submitted_at=1.5, size=10.0)
         assert entry.key == ("c", "alan", 1.5)
         assert entry.latency == pytest.approx(0.5)
-
-
-class TestMergeBrokers:
-    def test_merge_orders_by_time_then_shard(self):
-        a, b = StreamBroker(), StreamBroker()
-        a.stream("c").append(kind="submit", source="s0", dest="",
-                             time=1.0, submitted_at=1.0, size=1.0)
-        a.stream("c").append(kind="submit", source="s0", dest="",
-                             time=3.0, submitted_at=3.0, size=1.0)
-        b.stream("c").append(kind="submit", source="s1", dest="",
-                             time=1.0, submitted_at=1.0, size=1.0)
-        b.stream("c").append(kind="submit", source="s1", dest="",
-                             time=2.0, submitted_at=2.0, size=1.0)
-        merged = merge_brokers([a, b])
-        got = [(e.seq, e.source, e.time) for e in merged.entries("c")]
-        # Tie at t=1.0 breaks on shard index; seqs are reassigned.
-        assert got == [(1, "s0", 1.0), (2, "s1", 1.0),
-                       (3, "s1", 2.0), (4, "s0", 3.0)]

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.api import Scenario
-from repro.stream import DELIVER, reconcile
+from repro.stream import DELIVER
 
 
 def record_deliveries(scenario: Scenario, log: list) -> None:
@@ -43,35 +41,7 @@ class TestWorkersOne:
                         .stream.serialize() for _ in range(2)]
         assert runs[0] == runs[1]
 
-
-class TestWorkersFour:
-    @pytest.fixture(scope="class")
-    def sharded(self):
-        return Scenario(nodes=12, seed=17) \
-            .with_stream().with_workers(4, mode="inline").run(6.0)
-
-    def test_same_seed_byte_identical_stream(self, sharded):
-        again = Scenario(nodes=12, seed=17) \
-            .with_stream().with_workers(4, mode="inline").run(6.0)
-        assert again.stream.serialize() == sharded.stream.serialize()
-
-    def test_merged_stream_reconciles_clean(self, sharded):
-        report = reconcile(sharded.stream, sharded.dprocs,
-                           until=6.0)
-        assert report.ok
-        assert not report.out_of_order
-
-    def test_per_dest_order_is_preserved_by_the_merge(self, sharded):
-        """Each host lives in exactly one shard, so the merged
-        per-(dest, source) delivery order must be monotone in
-        submission time — the conduit never reorders a flow."""
-        last: dict = {}
-        for entry in sharded.stream.entries("dproc.monitor"):
-            if entry.kind != DELIVER:
-                continue
-            key = (entry.dest, entry.source)
-            assert entry.submitted_at >= last.get(key, -1.0)
-            last[key] = entry.submitted_at
-
-    def test_stream_property_is_cached_after_run(self, sharded):
-        assert sharded.stream is sharded.stream
+    def test_stream_property_is_the_one_broker(self):
+        sc = Scenario(nodes=6, seed=17).with_stream().run(2.0)
+        assert sc.stream is sc.stream
+        assert sc.stream is sc.runtime.bus.stream

@@ -22,7 +22,7 @@ def small_broker() -> StreamBroker:
     broker.stream("dproc.control").append(
         kind="drop", source="maui", dest="alan", time=2.0,
         submitted_at=1.9, size=50.0, fault="partition",
-        sender_failed=False, summary="control:set")
+        summary="control:set")
     return broker
 
 
