@@ -530,30 +530,20 @@ class DMon:
             for metric in payload["metrics"]:
                 self._provenance[(host, metric)] = ref
         hooks = self.update_hooks
-        if hooks:
-            for metric, (value, ts) in payload["metrics"].items():
-                self._store_remote(store, metric, value, ts, now)
-                for hook in hooks:
-                    hook(host, metric, value, ts)
-        else:
-            for metric, (value, ts) in payload["metrics"].items():
-                self._store_remote(store, metric, value, ts, now)
-
-    @staticmethod
-    def _store_remote(store: dict[MetricId, RemoteMetric],
-                      metric: MetricId, value: float, ts: float,
-                      now: float) -> None:
-        # Update the cached record in place: one RemoteMetric per
-        # (host, metric) for the life of the d-mon instead of a fresh
-        # allocation per record per event.
-        rec = store.get(metric)
-        if rec is None:
-            store[metric] = RemoteMetric(value=value, timestamp=ts,
-                                         received_at=now)
-        else:
-            rec.value = value
-            rec.timestamp = ts
-            rec.received_at = now
+        for metric, (value, ts) in payload["metrics"].items():
+            # Update the cached record in place: one RemoteMetric per
+            # (host, metric) for the life of the d-mon instead of a
+            # fresh allocation per record per event.
+            rec = store.get(metric)
+            if rec is None:
+                store[metric] = RemoteMetric(value=value, timestamp=ts,
+                                             received_at=now)
+            else:
+                rec.value = value
+                rec.timestamp = ts
+                rec.received_at = now
+            for hook in hooks:
+                hook(host, metric, value, ts)
 
     def remote_value(self, host: str,
                      metric: MetricId) -> Optional[RemoteMetric]:

@@ -253,7 +253,9 @@ class ChannelEndpoint:
 
         Outstanding subscriptions are deactivated, not orphaned: a
         later ``Subscription.cancel()`` is a no-op rather than a
-        :class:`ChannelError`.
+        :class:`ChannelError`.  The endpoint's transport connections
+        close with it, so a restarted endpoint opens fresh ones instead
+        of leaving one fan-out's worth behind per restart.
         """
         if self.closed:
             return
@@ -261,6 +263,9 @@ class ChannelEndpoint:
         for sub in self.subscriptions:
             sub.active = False
         self.subscriptions.clear()
+        for conn in self._conns.values():
+            conn.close()
+        self._conns.clear()
         self.node.stack.unbind(self._tag)
         self.bus._detach(self)
 

@@ -299,9 +299,12 @@ class LiveConnection:
         return self.stack.send_many([self], payload, size)[0]
 
     def close(self) -> None:
+        """Release the pooled link (idempotent); the stack forgets the
+        connection."""
         if not self._closed:
             self._closed = True
             self._link.release()
+            self.stack.connections.remove(self)
 
 
 class LiveStack:
@@ -360,9 +363,8 @@ class LiveStack:
         return self.address
 
     async def stop(self) -> None:
-        for conn in self.connections:
+        for conn in list(self.connections):
             conn.close()
-        self.connections.clear()
         for link in self._links.values():
             link.close()
         self._links.clear()

@@ -242,17 +242,21 @@ class EwmaLoad:
         The first sample only anchors the clock (averages stay at the
         boot value 0.0, as on a freshly started kernel); subsequent
         samples decay exponentially toward the observed run queue.
+
+        At rest — nothing runnable and every average exactly 0.0 — the
+        update is the identity (``0.0·d + 0·(1 − d) == 0.0``), so the
+        three ``exp`` calls are skipped.
         """
-        if self._last_t is None:
-            pass  # anchor only
-        else:
-            dt = t - self._last_t
+        last = self._last_t
+        if last is not None:
+            dt = t - last
             if dt < 0:
                 raise ValueError("time went backwards")
-            for i, tau in enumerate(self.PERIODS):
-                decay = math.exp(-dt / tau)
-                self.loads[i] = self.loads[i] * decay \
-                    + runnable * (1.0 - decay)
+            loads = self.loads
+            if runnable or loads[0] or loads[1] or loads[2]:
+                for i, tau in enumerate(self.PERIODS):
+                    decay = math.exp(-dt / tau)
+                    loads[i] = loads[i] * decay + runnable * (1.0 - decay)
         self._last_t = t
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -401,10 +401,6 @@ class Environment:
         self._seq = seq + 1
         _heappush(self._queue, (self._now + delay, priority, seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         if not self._queue:

@@ -16,6 +16,8 @@ Jobs submitted via :meth:`execute` are *runnable processes* and count
 toward the run-queue length seen by CPU_MON; jobs submitted via
 :meth:`kernel_work` consume cycles (they contend for capacity) but do
 not appear in the run queue, mirroring in-kernel softirq/handler work.
+A kernel charge is fire-and-forget: nobody awaits it, so its job
+carries no completion event and schedules none.
 
 The device keeps *state*, not history: the runnable-job count is an
 int maintained incrementally (``run_queue_length`` is O(1), read by
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
@@ -41,7 +44,7 @@ __all__ = ["CPU", "CpuJob"]
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class CpuJob:
     """One unit of CPU work executing under processor sharing."""
 
@@ -50,7 +53,8 @@ class CpuJob:
     work: float                      # total Mflop requested
     remaining: float                 # Mflop still to run
     runnable: bool                   # counts in the run queue?
-    done: SimEvent = field(repr=False, default=None)  # type: ignore[assignment]
+    #: Completion event; None for fire-and-forget kernel work.
+    done: Optional[SimEvent] = field(repr=False, default=None)
     started_at: float = 0.0
     cancelled: bool = False
 
@@ -116,10 +120,13 @@ class CPU:
         """Run ``work_mflop`` of application work; yields when finished."""
         return self._submit(work_mflop, name, runnable=True).done
 
-    def kernel_work(self, work_mflop: float,
-                    name: str = "kernel") -> SimEvent:
-        """Run in-kernel work that uses cycles without being 'runnable'."""
-        return self._submit(work_mflop, name, runnable=False).done
+    def kernel_work(self, work_mflop: float, name: str = "kernel") -> None:
+        """Run in-kernel work that uses cycles without being 'runnable'.
+
+        Returns nothing: the work contends for the CPU like any job,
+        but no completion event is created or scheduled for it.
+        """
+        self._submit(work_mflop, name, runnable=False, notify=False)
 
     def submit(self, work_mflop: float, name: str = "job",
                runnable: bool = True) -> CpuJob:
@@ -127,7 +134,8 @@ class CPU:
         return self._submit(work_mflop, name, runnable)
 
     def cancel(self, job: CpuJob) -> None:
-        """Abort a job; its event fails with :class:`SimulationError`."""
+        """Abort a job; its event (if any) fails with
+        :class:`SimulationError`."""
         if job.jid not in self._jobs:
             return
         self._settle()
@@ -135,8 +143,9 @@ class CPU:
         if job.runnable:
             self._n_runnable -= 1
         job.cancelled = True
-        job.done.fail(SimulationError(f"job {job.name!r} cancelled"))
-        job.done.defused = True
+        if job.done is not None:
+            job.done.fail(SimulationError(f"job {job.name!r} cancelled"))
+            job.done.defused = True
         self._changed()
 
     def settle(self) -> None:
@@ -145,15 +154,18 @@ class CPU:
 
     # -- internals -----------------------------------------------------------
 
-    def _submit(self, work: float, name: str, runnable: bool) -> CpuJob:
+    def _submit(self, work: float, name: str, runnable: bool,
+                notify: bool = True) -> CpuJob:
         if work < 0:
             raise SimulationError("work must be non-negative")
         self._settle()
         job = CpuJob(jid=next(self._ids), name=name, work=float(work),
                      remaining=float(work), runnable=runnable,
-                     done=self.env.event(), started_at=self.env.now)
+                     done=self.env.event() if notify else None,
+                     started_at=self.env.now)
         if work == 0.0:
-            job.done.succeed(job)
+            if notify:
+                job.done.succeed(job)
             return job
         self._jobs[job.jid] = job
         if runnable:
@@ -181,32 +193,46 @@ class CPU:
         """Job set changed: complete finished jobs, reschedule the timer."""
         now = self.env.now
         jobs = self._jobs
-        # Complete any job that has (numerically) finished.
-        finished = None
-        for j in jobs.values():
-            if j.remaining <= _EPS * (j.work if j.work > 1.0 else 1.0):
-                if finished is None:
-                    finished = [j]
-                else:
-                    finished.append(j)
-        if finished:
-            for job in finished:
-                del jobs[job.jid]
-                if job.runnable:
-                    self._n_runnable -= 1
-                job.done.succeed(job)
+        if len(jobs) == 1:
+            # The common case, one job alone (a lone kernel charge):
+            # no finished list, no min() over the job set.
+            (job,) = jobs.values()
+            if job.remaining <= _EPS * (job.work if job.work > 1.0
+                                        else 1.0):
+                self._complete(job)
+            next_remaining = job.remaining
+        else:
+            # Complete any job that has (numerically) finished.
+            finished = None
+            for j in jobs.values():
+                if j.remaining <= _EPS * (j.work if j.work > 1.0 else 1.0):
+                    if finished is None:
+                        finished = [j]
+                    else:
+                        finished.append(j)
+            if finished:
+                for job in finished:
+                    self._complete(job)
+            next_remaining = None
         self.loadavg.update(now, self._n_runnable)
         self._timer_generation += 1
         if not jobs:
             return
-        rate = self.per_job_rate()
-        next_remaining = min(j.remaining for j in jobs.values())
-        eta = next_remaining / rate
+        if next_remaining is None:
+            next_remaining = min(j.remaining for j in jobs.values())
+        eta = next_remaining / self.per_job_rate()
         if not math.isfinite(eta):
             raise SimulationError("non-finite completion time")
         generation = self._timer_generation
         timer = self.env.timeout(eta)
         timer.add_callback(lambda _ev: self._on_timer(generation))
+
+    def _complete(self, job: CpuJob) -> None:
+        del self._jobs[job.jid]
+        if job.runnable:
+            self._n_runnable -= 1
+        if job.done is not None:
+            job.done.succeed(job)
 
     def _on_timer(self, generation: int) -> None:
         if generation != self._timer_generation:

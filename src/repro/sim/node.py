@@ -133,17 +133,18 @@ class Node:
     def costs(self) -> KernelCostModel:
         return self.config.costs
 
-    def charge_kernel_seconds(self, seconds: float) -> SimEvent:
+    def charge_kernel_seconds(self, seconds: float) -> None:
         """Consume ``seconds`` of one-CPU kernel time (asynchronously).
 
         The work is submitted to the processor-sharing CPU, so it
         contends with (and perturbs) application jobs — this is the
         mechanism behind the paper's perturbation measurements.
+        Nobody awaits a charge, so it schedules no completion event.
         """
         if seconds < 0:
             raise SimulationError("cannot charge negative time")
-        work = seconds * self.config.mflops_per_cpu
-        return self.cpu.kernel_work(work, name="kernel")
+        self.cpu.kernel_work(seconds * self.config.mflops_per_cpu,
+                             name="kernel")
 
     def spawn(self, generator: Generator[SimEvent, Any, Any],
               name: str | None = None) -> Process:

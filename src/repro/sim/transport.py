@@ -15,7 +15,7 @@ the latest round-trip time and end-to-end delay as plain floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ class Protocol:
     UDP = "udp"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One application message in flight."""
 
@@ -73,6 +73,12 @@ class Connection:
         self.tag = tag
         self.proto = proto
         self.closed = False
+        fabric = stack.fabric
+        #: Round-trip time of the path: a constant of the topology
+        #: (links and paths never change once both hosts exist), so it
+        #: is computed here once instead of on every delivery.
+        self.path_rtt = 2 * sum(l.latency for l in fabric.path(
+            self.src, dst)) + fabric.switch_latency
         # statistics ----------------------------------------------------
         link, bound = f"{self.src}->{dst}", DEVICE_HISTORY
         self.bytes_sent = CounterTrace(f"{link}:bytes", bound)
@@ -96,7 +102,11 @@ class Connection:
         return self.bytes_sent.rate(self.stack.env.now, window)
 
     def close(self) -> None:
-        self.closed = True
+        """Stop sending (idempotent); the stack forgets the connection,
+        so NET_MON no longer averages its frozen statistics."""
+        if not self.closed:
+            self.closed = True
+            self.stack.connections.remove(self)
 
 
 class NetStack:
@@ -178,6 +188,10 @@ class NetStack:
         """Send one payload over each connection, in order.
 
         The only send body: ``Connection.send`` is a fan-out of one.
+        A fan-out of more than one runs inside :meth:`batch`, which is
+        what lets each link's congestion be read once per call: flows
+        added inside a batch carry rate 0.0 until the one reallocation
+        at its exit, so every target would read the same value.
         Attribute lookups are hoisted out of the loop because this is
         the KECho submit hot path — at n=64 every poll fans one event
         out to 63 peers.
@@ -189,8 +203,11 @@ class NetStack:
         size = float(size)
         host = self.host
         fabric = self.fabric
+        if len(conns) > 1 and not fabric._batch_depth:
+            raise TransportError("a fan-out must be sent inside batch()")
         transfer = fabric.transfer
         path = fabric.path
+        link_congestion = fabric.link_congestion
         faults = fabric.faults
         rng_random = self.rng.random
         rng_poisson = self.rng.poisson
@@ -201,7 +218,8 @@ class NetStack:
         drops_congestion_inc = self._t_drops_congestion.inc
         retx_inc = self._t_retx.inc
         in_flight_adjust = self._t_in_flight.adjust
-        congestion_of = self._path_congestion
+        # link -> congestion, read once per fan-out.
+        congestion_on: dict = {}
         results: list[SimEvent] = []
         append = results.append
         for conn in conns:
@@ -222,6 +240,7 @@ class NetStack:
                     dst=dst, proto=conn.proto, size=size)
             conn.bytes_sent.add(now, size)
             bytes_out_add(now, size)
+            links = path(host, dst)
             # Injected faults are checked before protocol effects: a
             # message into a partition or onto a lossy link never
             # reaches the wire.
@@ -232,7 +251,7 @@ class NetStack:
                         msg, conn, "path blocked",
                         fault=faults.blocked_reason(host, dst)))
                     continue
-                p = faults.loss_probability(host, dst, path(host, dst))
+                p = faults.loss_probability(host, dst, links)
                 # Draw from the sender's seeded stream only when a
                 # loss rule applies, so fault-free runs stay
                 # bit-identical.
@@ -240,7 +259,18 @@ class NetStack:
                     drops_fault_inc()
                     append(self._drop(msg, conn, "injected loss"))
                     continue
-            congestion = congestion_of(dst)
+            # Path congestion: the most loaded link along the path.
+            if not congestion_on:
+                # First read of the call: byte accounting to now (a
+                # no-op inside a batch, which settled on entry).
+                fabric._settle()
+            congestion = 0.0
+            for link in links:
+                c = congestion_on.get(link)
+                if c is None:
+                    c = congestion_on[link] = link_congestion(link)
+                if c > congestion:
+                    congestion = c
             if conn.proto == Protocol.UDP:
                 p_loss = min(0.9, max(0.0, congestion - 0.9) * 5.0)
                 if rng_random() < p_loss:
@@ -333,9 +363,7 @@ class NetStack:
         if msg.span is not None:
             msg.span.finish(now)
         conn.last_delay = now - msg.sent_at
-        path_lat = sum(l.latency for l in
-                       self.fabric.path(msg.src, msg.dst))
-        conn.last_rtt = 2 * path_lat + self.fabric.switch_latency
+        conn.last_rtt = conn.path_rtt
         peer = self.fabric.stacks.get(msg.dst)
         if peer is None:
             raise TransportError(
@@ -351,16 +379,3 @@ class NetStack:
         handler = self.handlers.get(msg.tag)
         if handler is not None:
             handler(msg)
-
-    # -- observations ---------------------------------------------------------
-
-    def _path_congestion(self, dst: str) -> float:
-        """Max fractional utilisation along the path to ``dst`` (0..1+)."""
-        fabric = self.fabric
-        fabric._settle()
-        worst = 0.0
-        for link in fabric.path(self.host, dst):
-            c = fabric.link_congestion(link)
-            if c > worst:
-                worst = c
-        return worst

@@ -12,6 +12,7 @@ from repro.dproc.modules.base import MetricSample, MonitoringModule
 from repro.errors import ControlSyntaxError, DprocError
 from repro.kecho import (ClearParameter, DeployFilter, KechoBus,
                          RemoveFilter, SetParameter)
+from repro.sim import build_cluster
 
 
 def make_dmon(cluster, name, bus=None, config=None,
@@ -414,6 +415,35 @@ class TestRestart:
         env.run(until=mark + 5.0)
         remote = b.remote_value("alan", MetricId.LOADAVG)
         assert remote is not None and remote.received_at > mark
+
+    def test_restarts_leave_one_connection_per_peer(self, env):
+        """Each restart used to leave the previous life's fan-out in
+        the stack (3 → 6 → … → 18 connections on 4 nodes), and NET_MON
+        averaged the dead ones' frozen delays and RTTs in."""
+        cluster = build_cluster(env, nodes=4, seed=42)
+        bus = KechoBus()
+        dmons = [make_dmon(cluster, name, bus) for name in cluster.names]
+        for dmon in dmons:
+            dmon.start()
+        first = dmons[0]
+        stack = first.node.stack
+        env.run(until=3.0)
+        for _ in range(5):
+            first.stop()
+            env.run(until=env.now + 1.0)
+            first.start()
+            env.run(until=env.now + 3.0)
+            assert len(stack.connections) == 3
+        live = list(first._monitor_ep._conns.values())
+        assert {id(c) for c in stack.connections} == {id(c) for c in live}
+        assert sorted(c.dst for c in live) == sorted(cluster.names[1:])
+        assert not any(c.closed for c in live)
+        samples = {s.metric: s.value
+                   for s in first.modules["net"].collect(env.now)}
+        delays = [c.last_delay for c in live]
+        assert samples[MetricId.NET_DELAY] == sum(delays) / len(delays)
+        rtts = [c.last_rtt for c in live]
+        assert samples[MetricId.NET_RTT] == sum(rtts) / len(rtts)
 
 
 class TestPeerLiveness:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,3 +154,39 @@ class TestTraceProperties:
             load.update(i * 5.0, s)
         for value in load.as_tuple():
             assert -1e-9 <= value <= max(samples) + 1e-9
+
+    @FAST
+    @given(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+           st.lists(st.one_of(
+               # a sample under load, or at rest
+               st.tuples(st.floats(min_value=0.0, max_value=600.0,
+                                   allow_nan=False),
+                         st.one_of(st.integers(0, 64),
+                                   st.floats(min_value=0.0,
+                                             max_value=64.0))),
+               # a long idle stretch: exp underflows, so the averages
+               # return to exactly 0.0
+               st.just((1e6, 0))),
+               min_size=1, max_size=60),
+           st.integers(0, 200))
+    def test_ewma_equals_unskipped_update(self, start, steps, rest):
+        """Skipping the ``exp`` calls at rest changes no value: the
+        averages equal (``==``, not approx) the plain kernel update
+        applied on every sample, through long runs at 0 and returns to
+        0 after load."""
+        def oracle_update(loads, dt, runnable):
+            for i, tau in enumerate(EwmaLoad.PERIODS):
+                decay = math.exp(-dt / tau)
+                loads[i] = loads[i] * decay + runnable * (1.0 - decay)
+
+        steps = steps + [(1e6, 0)] + [(1.0, 0)] * rest
+        load = EwmaLoad()
+        expected = [0.0, 0.0, 0.0]
+        t = start
+        load.update(t, 0)
+        for dt, runnable in steps:
+            last, t = t, t + dt
+            load.update(t, runnable)
+            oracle_update(expected, t - last, runnable)
+            assert list(load.as_tuple()) == expected
+        assert load.as_tuple() == (0.0, 0.0, 0.0)

@@ -104,6 +104,17 @@ class TestNode:
         node.cpu.settle()
         assert node.cpu.busy_cpu_seconds == pytest.approx(0.5)
 
+    def test_charge_on_idle_node_is_one_event(self, env, cluster3):
+        """Nobody awaits a kernel charge: the CPU timer that retires it
+        is the only event it costs."""
+        node = cluster3["alan"]
+        env.run()
+        before = env.events_processed
+        assert node.charge_kernel_seconds(0.5) is None
+        env.run()
+        assert env.events_processed - before == 1
+        assert env.now == pytest.approx(0.5)
+
     def test_charge_negative_rejected(self, cluster3):
         with pytest.raises(SimulationError):
             cluster3["alan"].charge_kernel_seconds(-1)

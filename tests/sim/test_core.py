@@ -31,13 +31,6 @@ class TestClockAndRun:
         with pytest.raises(SimulationError):
             env.step()
 
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_reports_next_event_time(self, env):
-        env.timeout(3.5)
-        assert env.peek() == 3.5
-
 
 class TestTimeout:
     def test_timeout_fires_at_delay(self, env):

@@ -119,6 +119,27 @@ class TestRunQueueAccounting:
         env.run(app)
         assert env.now == pytest.approx(10.0)
 
+    def test_kernel_work_is_fire_and_forget(self, env):
+        """A kernel charge returns nothing and schedules only the CPU
+        timer that retires it — no completion event."""
+        cpu = CPU(env, n_cpus=1, mflops_per_cpu=10.0)
+        assert cpu.kernel_work(5.0) is None
+        assert cpu.kernel_work(0.0) is None
+        env.run()
+        assert env.events_processed == 1
+        assert env.now == pytest.approx(0.5)
+        assert cpu.active_jobs == 0
+        assert cpu.busy_cpu_seconds == pytest.approx(0.5)
+
+    def test_cancel_kernel_job_without_event(self, env):
+        cpu = CPU(env, n_cpus=1, mflops_per_cpu=10.0)
+        cpu.kernel_work(50.0)
+        (job,) = cpu._jobs.values()
+        assert job.done is None
+        cpu.cancel(job)
+        env.run()
+        assert job.cancelled and cpu.active_jobs == 0
+
     def test_loadavg_rises_under_load(self, env):
         cpu = CPU(env, n_cpus=1, mflops_per_cpu=1e-3)
 
@@ -240,7 +261,7 @@ class TestConstantState:
 
             def jobs(n: int):
                 for _ in range(n):
-                    yield cpu.kernel_work(0.01)
+                    yield cpu.submit(0.01, runnable=False).done
 
             return lambda n: env.run(env.process(jobs(n)))
 

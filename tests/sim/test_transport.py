@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TransportError
 from repro.runtime.series import (DEVICE_HISTORY, CounterTrace,
                                   TimeSeries)
-from repro.sim import Protocol, build_cluster
+from repro.sim import Environment, Protocol, build_cluster
 from repro.units import KB, mbps
 
 
@@ -251,3 +251,92 @@ class TestUdp:
 
         env.run(env.process(proc()))
         assert conn.retransmissions.total > 0
+
+
+class TestPathConstants:
+    """The round-trip time is a constant of the topology, computed once
+    at ``connect``; a delivery reads it, bit for bit."""
+
+    @staticmethod
+    def _rtt_after_one_delivery(env, fabric, src, dst):
+        conn = src.stack.connect(dst.name, tag="t")
+        env.run(conn.send("x", size=100))
+        expected = 2 * sum(l.latency for l in fabric.path(
+            src.name, dst.name)) + fabric.switch_latency
+        return conn.last_rtt, expected
+
+    def test_rtt_on_the_switched_fabric(self, env, pair):
+        src, dst = pair
+        rtt, expected = self._rtt_after_one_delivery(
+            env, src.stack.fabric, src, dst)
+        assert rtt == expected
+
+    def test_rtt_on_a_multi_hop_graph_fabric(self, env):
+        from repro.sim.topology import build_graph_cluster, line_topology
+        graph = line_topology(4)
+        for i, (u, v) in enumerate(graph.edges):
+            graph.edges[u, v]["latency"] = 1e-4 * (i + 1) + 3.3e-7
+        cluster = build_graph_cluster(
+            env, graph, {"alan": "s0", "maui": "s3"}, seed=5)
+        fabric = cluster.fabric
+        assert len(fabric.path("alan", "maui")) == 5  # tx, 3 trunks, rx
+        rtt, expected = self._rtt_after_one_delivery(
+            env, fabric, cluster["alan"], cluster["maui"])
+        assert rtt == expected
+
+
+class TestFanOutCongestion:
+    def test_fan_out_draws_what_single_sends_draw(self):
+        """With the publisher's TX link at 95 % of capacity, a batched
+        fan-out — congestion read once per link — draws the same
+        per-target retransmissions as the same targets sent one at a
+        time, each send alone on the wire."""
+        rounds = 30
+
+        def world():
+            env = Environment()
+            cluster = build_cluster(env, nodes=6, seed=17)
+            names = cluster.names
+            src = cluster[names[0]]
+            # Standing traffic on the publisher's TX link (its sink is
+            # not a target), and more on one target's RX link, so that
+            # target's path is the more congested one.
+            cluster.fabric.open_fixed_flow(names[0], names[-1],
+                                           mbps(95))
+            cluster.fabric.open_fixed_flow(names[-1], names[2],
+                                           mbps(99))
+            conns = [src.stack.connect(dst, tag="t")
+                     for dst in names[1:-1]]
+            return env, src.stack, conns
+
+        env, stack, conns = world()
+        batched = []
+
+        def fan_out():
+            for _ in range(rounds):
+                with stack.batch():
+                    events = stack.send_many(conns, "x", KB(1))
+                msgs = yield env.all_of(events)
+                batched.extend(m.retransmissions for m in msgs.values())
+
+        env.run(env.process(fan_out()))
+
+        env, stack, conns = world()
+        single = []
+
+        def one_at_a_time():
+            for _ in range(rounds):
+                for conn in conns:
+                    msg = yield conn.send("x", KB(1))
+                    single.append(msg.retransmissions)
+
+        env.run(env.process(one_at_a_time()))
+        assert len(batched) == rounds * len(conns)
+        assert batched == single
+        assert any(batched)  # the link really was congested
+
+    def test_fan_out_outside_batch_rejected(self, pair):
+        src, _ = pair
+        conns = [src.stack.connect("maui", tag="t") for _ in range(2)]
+        with pytest.raises(TransportError, match="batch"):
+            src.stack.send_many(conns, "x", 100)
