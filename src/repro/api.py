@@ -488,13 +488,13 @@ class Scenario:
             # Tee before deployment so the very first submits (the
             # d-mon start-up polls) are already on the record.  Purely
             # passive: no RNG, CPU or event-schedule interaction.
-            from repro.stream import JsonlSink, StreamBroker, attach_stream
+            from repro.stream import JsonlSink, StreamBroker
             directory = self._stream["directory"]
             self._stream_broker = StreamBroker(
                 sink=JsonlSink(directory) if directory is not None
                 else None,
                 max_len=self._stream["max_len"])
-            attach_stream(self._stream_broker, runtime.bus, nodes)
+            runtime.bus.stream = self._stream_broker
         self.dprocs = deployment.deploy(nodes, runtime.bus,
                                         runtime.module_factory)
         if self._tracing is not None:

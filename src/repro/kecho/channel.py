@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 from repro.errors import ChannelError
 from repro.kecho.event import ChannelEvent
 from repro.kecho.registry import ChannelInfo, ChannelRegistry
-from repro.runtime.protocol import Completion, RuntimeNode
+from repro.runtime.protocol import RuntimeNode
 
 __all__ = ["KechoBus", "ChannelEndpoint", "Subscription", "SubmitReceipt"]
 
@@ -54,11 +54,11 @@ class SubmitReceipt:
     cpu_seconds: float
     #: Remote subscriber hosts the event was pushed to.
     remote_targets: list[str]
-    #: Per-target delivery completions (for tests / synchronisation).
-    deliveries: list[Completion] = field(default_factory=list)
-    #: Targets whose delivery failed (filled in as the simulation runs:
-    #: a crashed/partitioned subscriber lands here instead of raising
-    #: into the publisher — the submit itself always completes).
+    #: Targets whose copy the transport reported lost, filled in as the
+    #: run goes: a copy dropped at send time is listed when ``submit``
+    #: returns, one killed in flight when it dies.  A crashed or
+    #: partitioned subscriber lands here instead of raising into the
+    #: publisher — the submit itself always completes.
     failed_targets: list[str] = field(default_factory=list)
 
     @property
@@ -190,26 +190,28 @@ class ChannelEndpoint:
                 event, targets,
                 local=(local_ep is self and self.is_subscriber))
 
-        deliveries: list[Completion] = []
         failed: list[str] = []
         if targets:
             stack = self.node.stack
             conns = [self._connection_to(host) for host in targets]
+
+            def on_fail(dst: str, reason: str) -> None:
+                # A copy killed by a fault (partition, loss, crashed
+                # subscriber, backpressure) is recorded on the receipt
+                # and in the durable stream; the publisher's endpoint
+                # state is untouched and later submits proceed
+                # normally.
+                failed.append(dst)
+                self._t_failed.inc()
+                stream = self.bus.stream
+                if stream is not None:
+                    stream.record_drop(event, dst, reason,
+                                       self.node.env.now)
+
             # One reallocation for the whole fan-out instead of one per
             # target flow: everything happens at the same instant.
             with stack.batch():
-                deliveries = stack.send_many(conns, event, size)
-            for host, delivery in zip(targets, deliveries):
-                # A delivery killed by an injected fault (partition,
-                # loss, crashed subscriber) is recorded on the
-                # receipt; the publisher's endpoint state is
-                # untouched and later submits proceed normally.
-                delivery.add_callback(
-                    lambda ev, h=host: (
-                        failed.append(h),
-                        self._t_failed.inc(),
-                        setattr(ev, "defused", True),
-                    ) if not ev._ok else None)
+                stack.send_many(conns, event, size, on_fail)
         # Local subscribers see the event immediately.
         local = self.bus.endpoint(self.name, self.node.name)
         if local is self and self.is_subscriber:
@@ -243,7 +245,6 @@ class ChannelEndpoint:
             tspan.finish(now, cpu_seconds=cpu)
         return SubmitReceipt(event=event, cpu_seconds=cpu,
                              remote_targets=targets,
-                             deliveries=deliveries,
                              failed_targets=failed)
 
     # -- teardown ---------------------------------------------------------------
@@ -337,7 +338,7 @@ class KechoBus:
         self._derivations: dict[str, list] = {}
         #: Durable-stream broker tee (a
         #: :class:`repro.stream.broker.StreamBroker`); None disables
-        #: recording.  Set by ``repro.stream.attach_stream``.
+        #: recording.
         self.stream = None
         #: Bumped whenever any channel's subscriber set may have changed.
         self.subscription_version = 0

@@ -106,7 +106,7 @@ class LiveNode:
         self.costs = costs if costs is not None else KernelCostModel()
         self.telemetry = TelemetryRegistry(scope=name)
         self.tracer = NULL_TRACER
-        self.stack = LiveStack(name, clock, self.telemetry)
+        self.stack = LiveStack(name, self.telemetry)
         self.cpu = HostCpu()
         self.memory = HostMemory()
         self.services: dict[str, Any] = {}

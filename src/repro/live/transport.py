@@ -25,8 +25,8 @@ rides one socket):
   high watermark the link pauses, frames park in a bounded deferral
   queue drained when ``drain()`` reports the buffer back under the
   low watermark; queue overflow *drops* the newest frame and reports
-  it through :attr:`LiveStack.drop_hook`, so the durable stream
-  records the loss and reconciliation stays zero-discrepancy.
+  it to the sender's ``on_fail``, so the durable stream records the
+  loss and reconciliation stays zero-discrepancy.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from repro.errors import ChannelError, TransportError
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import (FrameDecoder, decode_frame, encode_batch,
                               encode_frame)
+from repro.runtime.protocol import OnFail
 
-__all__ = ["LiveStack", "LiveConnection", "LiveCompletion",
-           "BatchConfig", "FlowConfig"]
+__all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
 
@@ -78,26 +78,6 @@ class FlowConfig:
     max_deferred: int = 1024
 
 
-class LiveCompletion:
-    """Synchronous completion handle for one send.
-
-    Satisfies :class:`repro.runtime.protocol.Completion`.  A live
-    socket write either queues successfully (``_ok``) or the
-    connection is known-dead; callbacks fire immediately either way,
-    which is how the sim's same-instant delivery callbacks behave from
-    the publisher's perspective.
-    """
-
-    __slots__ = ("_ok", "defused")
-
-    def __init__(self, ok: bool) -> None:
-        self._ok = ok
-        self.defused = False
-
-    def add_callback(self, fn: Callable[["LiveCompletion"], None]) -> None:
-        fn(self)
-
-
 class _PeerLink:
     """The pooled TCP link to one destination host (lazily dialled).
 
@@ -105,7 +85,7 @@ class _PeerLink:
     every :class:`LiveConnection` to the same host delegates here.
     Frames written before the TCP connect completes are buffered and
     flushed on connection; after a connection error every further send
-    reports a failed completion (the publisher keeps running — delivery
+    reports its frame lost (the publisher keeps running — delivery
     failure must never take d-mon down).
     """
 
@@ -122,7 +102,7 @@ class _PeerLink:
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         # backpressure state
         self.paused = False
-        self._deferred: deque[tuple[bytes, ChannelEvent]] = deque()
+        self._deferred: deque[bytes] = deque()
         self._drainer: Optional[asyncio.Task] = None
         self._opener = asyncio.ensure_future(self._open())
 
@@ -148,21 +128,23 @@ class _PeerLink:
 
     # -- send path ---------------------------------------------------------
 
-    def send(self, frame: bytes, event: ChannelEvent) -> bool:
-        """Queue one encoded frame; False when it is known lost."""
+    def send(self, frame: bytes) -> Optional[str]:
+        """Queue one encoded frame; the reason it is known lost, or
+        None."""
         if self._dead:
-            return False
+            return "link down"
         if self.paused:
             flow = self.stack.flow_config
             if flow is None or len(self._deferred) < flow.max_deferred:
-                self._deferred.append((frame, event))
+                self._deferred.append(frame)
                 self.stack._t_deferred.inc()
-                return True
-            self.stack._record_drop(event, self.dst)
-            return False
-        return self._enqueue(frame)
+                return None
+            self.stack._t_drops.inc()
+            return "backpressure"
+        return None if self._enqueue(frame) else "link down"
 
     def _enqueue(self, frame: bytes) -> bool:
+        """Write or coalesce one frame; False once the link is dead."""
         batch = self.stack.batch_config
         if batch is None:
             self._write_out(frame)
@@ -253,8 +235,7 @@ class _PeerLink:
         self.paused = False
         self.stack._t_resumes.inc()
         while self._deferred and not self.paused and not self._dead:
-            frame, _event = self._deferred.popleft()
-            self._enqueue(frame)
+            self._enqueue(self._deferred.popleft())
 
     # -- teardown ----------------------------------------------------------
 
@@ -273,9 +254,8 @@ class _PeerLink:
         # Best-effort final flush: coalesced and deferred frames go to
         # the kernel buffer before the socket closes.
         if self._writer is not None:
-            while self._deferred:
-                frame, _event = self._deferred.popleft()
-                self._batch.append(frame)
+            self._batch.extend(self._deferred)
+            self._deferred.clear()
             self.paused = False
             self.flush()
             self._writer.close()
@@ -294,9 +274,10 @@ class LiveConnection:
         self._link = stack._link_to(dst)
         self._closed = False
 
-    def send(self, payload: Any, size: float) -> LiveCompletion:
+    def send(self, payload: Any, size: float,
+             on_fail: Optional[OnFail] = None) -> None:
         """Encode and transmit one :class:`ChannelEvent`."""
-        return self.stack.send_many([self], payload, size)[0]
+        self.stack.send_many([self], payload, size, on_fail)
 
     def close(self) -> None:
         """Release the pooled link (idempotent); the stack forgets the
@@ -310,17 +291,10 @@ class LiveConnection:
 class LiveStack:
     """One node's TCP endpoint: server socket + tagged dispatch."""
 
-    #: Wired by ``repro.stream.attach_stream`` to the durable broker's
-    #: ``record_drop``; called as ``drop_hook(event, dest, reason,
-    #: now)`` for every frame the sender gives up on (backpressure
-    #: overflow), so live drops reconcile exactly like sim drops.
-    drop_hook: Optional[Callable] = None
-
-    def __init__(self, host: str, clock, telemetry,
+    def __init__(self, host: str, telemetry,
                  batch: Optional[BatchConfig] = None,
                  flow: Optional[FlowConfig] = None) -> None:
         self.host = host
-        self.clock = clock
         self.handlers: dict[str, Callable] = {}
         self.connections: list[LiveConnection] = []
         self.address: Optional[tuple[str, int]] = None
@@ -405,8 +379,8 @@ class LiveStack:
         """No-op: real sockets need no bandwidth reallocation."""
         yield self
 
-    def send_many(self, conns: list, payload: Any,
-                  size: float) -> list[LiveCompletion]:
+    def send_many(self, conns: list, payload: Any, size: float,
+                  on_fail: Optional[OnFail] = None) -> None:
         """Send one :class:`ChannelEvent` over each connection, in
         order.
 
@@ -414,24 +388,31 @@ class LiveStack:
         one): the frame is encoded once per distinct tag and handed to
         every link, instead of once per target.  ``size`` is the
         simulator's wire model; here the frame's real length counts.
+        A frame known lost — closed connection, dead link, or
+        backpressure overflow — is reported once, as
+        ``on_fail(dst, reason)`` before this call returns; a frame
+        that dies later inside the kernel's socket buffer is the
+        reconciler's to find.
         """
         if not isinstance(payload, ChannelEvent):
             raise TransportError(
                 "live transport carries ChannelEvent frames only")
         frames: dict[str, bytes] = {}
-        results = []
         for conn in conns:
-            if conn._closed or conn._link._dead:
-                results.append(LiveCompletion(ok=False))
-                continue
-            frame = frames.get(conn.tag)
-            if frame is None:
-                frame = frames[conn.tag] = encode_frame(conn.tag, payload)
-            self._t_tx.inc(len(frame))
-            self._t_frames.inc()
-            results.append(LiveCompletion(
-                ok=conn._link.send(frame, payload)))
-        return results
+            if conn._closed:
+                lost = "connection closed"
+            elif conn._link._dead:
+                lost = "link down"
+            else:
+                frame = frames.get(conn.tag)
+                if frame is None:
+                    frame = frames[conn.tag] = encode_frame(conn.tag,
+                                                            payload)
+                self._t_tx.inc(len(frame))
+                self._t_frames.inc()
+                lost = conn._link.send(frame)
+            if lost is not None and on_fail is not None:
+                on_fail(conn.dst, lost)
 
     def flush(self) -> None:
         """Force-flush every link's coalescing buffer (tests/teardown)."""
@@ -447,12 +428,6 @@ class LiveStack:
             self._links[dst] = link
         link.refs += 1
         return link
-
-    def _record_drop(self, event: ChannelEvent, dst: str) -> None:
-        self._t_drops.inc()
-        hook = self.drop_hook
-        if hook is not None:
-            hook(event, dst, "backpressure", self.clock.now)
 
     # -- receive path ------------------------------------------------------
 

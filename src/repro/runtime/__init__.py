@@ -4,8 +4,8 @@ See :mod:`repro.runtime.protocol` for the contract and
 :mod:`repro.runtime.sim` / :mod:`repro.live` for the two backends.
 """
 
-from repro.runtime.protocol import (Bus, Clock, Completion, Connection,
-                                    Endpoint, NodeGroup, Runtime,
+from repro.runtime.protocol import (Bus, Clock, Connection, Endpoint,
+                                    NodeGroup, OnFail, Runtime,
                                     RuntimeNode, TaskHandle, Timer,
                                     Transport)
 from repro.runtime.series import (CounterTrace, EwmaLoad, TimeSeries,
@@ -13,7 +13,7 @@ from repro.runtime.series import (CounterTrace, EwmaLoad, TimeSeries,
 from repro.runtime.sim import SimRuntime
 
 __all__ = [
-    "Clock", "Timer", "Completion", "TaskHandle", "Connection",
+    "Clock", "Timer", "OnFail", "TaskHandle", "Connection",
     "Transport", "RuntimeNode", "Endpoint", "Bus", "NodeGroup",
     "Runtime", "SimRuntime",
     "TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad",

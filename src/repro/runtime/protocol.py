@@ -27,22 +27,13 @@ from typing import (Any, Callable, Iterator, Optional, Protocol,
                     Sequence, runtime_checkable)
 
 __all__ = [
-    "Completion", "Timer", "Clock", "TaskHandle", "Connection",
+    "OnFail", "Timer", "Clock", "TaskHandle", "Connection",
     "Transport", "RuntimeNode", "Endpoint", "Bus", "NodeGroup",
     "Runtime", "EventStream",
 ]
 
-
-@runtime_checkable
-class Completion(Protocol):
-    """Handle for an asynchronous operation (a delivery in flight).
-
-    ``add_callback`` fires when the operation settles; implementations
-    expose ``_ok`` (did it succeed?) the way the simulator's
-    :class:`~repro.sim.core.SimEvent` does.
-    """
-
-    def add_callback(self, fn: Callable[[Any], None]) -> None: ...
+#: A sender's failure callback, called as ``on_fail(dst, reason)``.
+OnFail = Callable[[str, str], None]
 
 
 @runtime_checkable
@@ -94,8 +85,10 @@ class TaskHandle(Protocol):
 class Connection(Protocol):
     """A unidirectional message path to one remote host."""
 
-    def send(self, payload: Any, size: float) -> Completion:
-        """Transmit ``payload`` (``size`` bytes on the wire)."""
+    def send(self, payload: Any, size: float,
+             on_fail: Optional[OnFail] = None) -> None:
+        """Transmit ``payload`` (``size`` bytes on the wire); a fan-out
+        of one through :meth:`Transport.send_many`."""
         ...
 
 
@@ -109,6 +102,13 @@ class Transport(Protocol):
     ``send_many`` is the one send contract — a fan-out of one payload
     over this transport's connections (``Connection.send`` is a
     fan-out of one).
+
+    A send returns nothing and nobody waits on a delivery: the
+    receiver's handler is the delivery.  The one failure path is the
+    sender's ``on_fail(dst, reason)``, called exactly once for each
+    copy the transport gives up on — at the moment it gives up, which
+    for a copy killed in flight is after ``send_many`` has returned —
+    and never for a copy it delivers.
     """
 
     def bind(self, tag: str, handler: Callable[[Any], None]) -> None: ...
@@ -118,9 +118,9 @@ class Transport(Protocol):
     def connect(self, host: str, tag: str) -> Connection: ...
 
     def send_many(self, conns: Sequence[Connection], payload: Any,
-                  size: float) -> list[Completion]:
-        """Send ``payload`` over each connection, in order; one
-        completion per connection."""
+                  size: float, on_fail: Optional[OnFail] = None) -> None:
+        """Send ``payload`` over each connection, in order; report each
+        lost copy through ``on_fail``."""
         ...
 
     def batch(self) -> Any:
@@ -195,8 +195,9 @@ class EventStream(Protocol):
 
     The concrete implementation is
     :class:`repro.stream.broker.StreamBroker`: endpoints call
-    ``record_submit``/``record_delivery`` as events move, transports
-    call ``record_drop`` when they kill a copy.  Recording must be
+    ``record_submit``/``record_delivery`` as events move, and
+    ``record_drop`` when their transport reports a lost copy through
+    ``on_fail``.  Recording must be
     *passive* — no RNG draws, no CPU charges, no scheduled events — so
     attaching a stream never perturbs the run it observes.
     """

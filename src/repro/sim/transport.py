@@ -21,8 +21,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.errors import TransportError
-from repro.sim.core import Environment, SimEvent
+from repro.sim.core import Environment
 from repro.sim.network import Fabric
+from repro.runtime.protocol import OnFail
 from repro.runtime.series import DEVICE_HISTORY, CounterTrace
 from repro.telemetry import TelemetryRegistry
 from repro.tracing.collector import NULL_TRACER
@@ -53,7 +54,6 @@ class Message:
     proto: str = Protocol.TCP
     delivered_at: Optional[float] = None
     retransmissions: int = 0
-    lost: bool = False
     #: Set once an injected stall has been applied to this delivery.
     stalled: bool = False
     #: Open causal-trace hop span (None when the payload is untraced).
@@ -89,13 +89,11 @@ class Connection:
         self.last_delay: Optional[float] = None
         self.last_rtt: Optional[float] = None
 
-    def send(self, payload: Any, size: float) -> SimEvent:
-        """Send one message; event succeeds with the delivered Message.
-
-        For UDP, a dropped message *fails* the event with
-        :class:`TransportError` after the would-be delivery time.
-        """
-        return self.stack.send_many([self], payload, size)[0]
+    def send(self, payload: Any, size: float,
+             on_fail: Optional[OnFail] = None) -> None:
+        """Send one message: a fan-out of one (see
+        :meth:`NetStack.send_many`)."""
+        self.stack.send_many([self], payload, size, on_fail)
 
     def used_bandwidth(self, window: float = 1.0) -> float:
         """Recent sending rate in bytes/s."""
@@ -150,12 +148,6 @@ class NetStack:
         #: difference it; nobody asks for a window of it).
         self.bytes_received = 0.0
         self.bytes_out = CounterTrace(f"{host}:tx-bytes", DEVICE_HISTORY)
-        #: Durable-stream drop recorder, called as
-        #: ``drop_hook(payload, dst, reason, now)`` whenever this
-        #: stack kills a message (fault plane, injected loss,
-        #: congestion).  Passive observation only — set by
-        #: ``repro.stream.attach_stream``, None disables it.
-        self.drop_hook = None
 
     # -- wiring ---------------------------------------------------------------
 
@@ -183,11 +175,18 @@ class NetStack:
 
     # -- data path -----------------------------------------------------------
 
-    def send_many(self, conns: list, payload: Any,
-                  size: float) -> list[SimEvent]:
+    def send_many(self, conns: list, payload: Any, size: float,
+                  on_fail: Optional[OnFail] = None) -> None:
         """Send one payload over each connection, in order.
 
         The only send body: ``Connection.send`` is a fan-out of one.
+        A delivered copy reaches the receiver's handler and nothing
+        else; a copy killed by the fault plane, injected loss or UDP
+        congestion — at send time or in flight — is reported once, as
+        ``on_fail(dst, reason)`` at the instant it dies.  The transport
+        schedules no event of its own for either outcome (an injected
+        stall aside); the fabric's transfer carries the copy.
+
         A fan-out of more than one runs inside :meth:`batch`, which is
         what lets each link's congestion be read once per call: flows
         added inside a batch carry rate 0.0 until the one reallocation
@@ -198,8 +197,7 @@ class NetStack:
         """
         if size <= 0:
             raise TransportError("message size must be positive")
-        env = self.env
-        now = env.now
+        now = self.env.now
         size = float(size)
         host = self.host
         fabric = self.fabric
@@ -220,8 +218,6 @@ class NetStack:
         in_flight_adjust = self._t_in_flight.adjust
         # link -> congestion, read once per fan-out.
         congestion_on: dict = {}
-        results: list[SimEvent] = []
-        append = results.append
         for conn in conns:
             if conn.closed:
                 raise TransportError("send on closed connection")
@@ -247,9 +243,8 @@ class NetStack:
             if faults is not None:
                 if faults.blocked(host, dst):
                     drops_fault_inc()
-                    append(self._drop(
-                        msg, conn, "path blocked",
-                        fault=faults.blocked_reason(host, dst)))
+                    self._drop(msg, conn, faults.blocked_reason(
+                        host, dst) or "path blocked", on_fail)
                     continue
                 p = faults.loss_probability(host, dst, links)
                 # Draw from the sender's seeded stream only when a
@@ -257,7 +252,7 @@ class NetStack:
                 # bit-identical.
                 if p > 0.0 and rng_random() < p:
                     drops_fault_inc()
-                    append(self._drop(msg, conn, "injected loss"))
+                    self._drop(msg, conn, "injected loss", on_fail)
                     continue
             # Path congestion: the most loaded link along the path.
             if not congestion_on:
@@ -275,7 +270,7 @@ class NetStack:
                 p_loss = min(0.9, max(0.0, congestion - 0.9) * 5.0)
                 if rng_random() < p_loss:
                     drops_congestion_inc()
-                    append(self._drop(msg, conn, "congestion"))
+                    self._drop(msg, conn, "congestion", on_fail)
                     continue
             else:
                 # TCP: congestion manifests as retransmissions once
@@ -292,38 +287,25 @@ class NetStack:
             handle = transfer(host, dst, effective,
                               name=f"{conn.tag}:{msg.mid}")
             in_flight_adjust(1)
-            done = env.event()
             handle.done.add_callback(
-                lambda _ev, m=msg, c=conn, d=done:
-                self._delivered(m, c, d))
-            append(done)
-        return results
+                lambda _ev, m=msg, c=conn:
+                self._delivered(m, c, on_fail))
 
-    def _drop(self, msg: Message, conn: Connection,
-              reason: str, fault: str | None = None) -> SimEvent:
-        """Fail a message's delivery event (pre-defused: a dropped
-        message that nobody awaits must not crash the simulation)."""
+    def _drop(self, msg: Message, conn: Connection, reason: str,
+              on_fail: Optional[OnFail], **span_attrs: Any) -> None:
+        """Account one lost copy and report it to its sender."""
         now = self.env.now
-        msg.lost = True
         if msg.span is not None:
             # Trace-aware drop accounting: the hop span survives as an
             # annotated failure naming the fault kind.
-            msg.span.finish(now, status="dropped",
-                            fault=fault or reason)
-        if self.drop_hook is not None:
-            self.drop_hook(msg.payload, msg.dst, fault or reason, now)
+            msg.span.finish(now, status="dropped", fault=reason,
+                            **span_attrs)
+        if on_fail is not None:
+            on_fail(msg.dst, reason)
         conn.losses.add(now, 1.0)
-        done = self.env.event()
-        fail = self.env.timeout(0.0)
-        fail.add_callback(
-            lambda _ev: (done.fail(TransportError(
-                f"message {msg.mid} {msg.src}->{msg.dst} lost "
-                f"({reason})")),
-                setattr(done, "defused", True)))
-        return done
 
     def _delivered(self, msg: Message, conn: Connection,
-                   done: SimEvent) -> None:
+                   on_fail: Optional[OnFail]) -> None:
         # Faults are re-checked on arrival: a partition or crash that
         # landed while the bytes were in flight still kills them.
         faults = self.fabric.faults
@@ -335,26 +317,14 @@ class NetStack:
                     msg.span.annotate(stalled_seconds=stall)
                 timer = self.env.timeout(stall)
                 timer.add_callback(
-                    lambda _ev: self._delivered(msg, conn, done))
+                    lambda _ev: self._delivered(msg, conn, on_fail))
                 return
             if faults.blocked(msg.src, msg.dst):
-                msg.lost = True
-                fault = faults.blocked_reason(msg.src, msg.dst)
-                if msg.span is not None:
-                    msg.span.finish(
-                        self.env.now, status="dropped",
-                        fault=fault, in_flight=True)
-                if self.drop_hook is not None:
-                    self.drop_hook(msg.payload, msg.dst,
-                                   fault or "path blocked",
-                                   self.env.now)
-                conn.losses.add(self.env.now, 1.0)
                 self._t_in_flight.adjust(-1)
                 self._t_drops_fault.inc()
-                done.fail(TransportError(
-                    f"message {msg.mid} {msg.src}->{msg.dst} lost in "
-                    f"flight"))
-                done.defused = True
+                self._drop(msg, conn, faults.blocked_reason(
+                    msg.src, msg.dst) or "path blocked", on_fail,
+                    in_flight=True)
                 return
         now = self.env.now
         self._t_in_flight.adjust(-1)
@@ -369,7 +339,6 @@ class NetStack:
             raise TransportError(
                 f"no stack registered for host {msg.dst!r}")
         peer._receive(msg)
-        done.succeed(msg)
 
     def _receive(self, msg: Message) -> None:
         self.bytes_received += msg.size

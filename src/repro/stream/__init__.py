@@ -12,7 +12,7 @@ backend; file-backed (JSONL segments) on the live backend.
 
 from repro.stream.broker import (ChannelStream, ConsumerGroup,
                                  PendingEntry, StreamBroker,
-                                 StreamError, attach_stream)
+                                 StreamError)
 from repro.stream.entry import (DELIVER, DROP, SUBMIT, StreamEntry,
                                 normalize_payload)
 from repro.stream.janitor import Janitor, TrimReport
@@ -27,7 +27,7 @@ from repro.stream.top import HostRow, StreamTop
 __all__ = [
     "SUBMIT", "DELIVER", "DROP", "StreamEntry", "normalize_payload",
     "ChannelStream", "ConsumerGroup", "PendingEntry", "StreamBroker",
-    "StreamError", "attach_stream",
+    "StreamError",
     "Janitor", "TrimReport",
     "Discrepancy", "ReconcileReport", "reconcile",
     "replay_stats", "verify_stats",

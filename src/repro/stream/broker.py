@@ -11,9 +11,10 @@ The tee is *passive*: recording an entry draws no RNG, charges no CPU
 and schedules no simulation events, so enabling the broker leaves the
 event schedule — and therefore every golden trace — bit-identical.
 
-``attach_stream`` wires a broker onto any :class:`~repro.kecho.channel
-.KechoBus` (the sim bus; the live bus inherits from it) and onto each
-node's transport drop hook.
+Setting ``bus.stream`` on any :class:`~repro.kecho.channel.KechoBus`
+(the sim bus; the live bus inherits from it) attaches a broker: the
+bus's endpoints record what they submit and dispatch, and each copy
+their transport reports lost through ``on_fail``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.stream.entry import (DELIVER, DROP, SUBMIT, StreamEntry,
                                 normalize_payload)
 
 __all__ = ["StreamError", "ChannelStream", "ConsumerGroup",
-           "PendingEntry", "StreamBroker", "attach_stream"]
+           "PendingEntry", "StreamBroker"]
 
 class StreamError(ReproError):
     """Misuse of the stream broker (bad seq, unknown group, ...)."""
@@ -239,8 +240,8 @@ class StreamBroker:
     """The cluster-wide durable event log: one stream per channel.
 
     ``record_submit`` / ``record_delivery`` / ``record_drop`` are the
-    tee entry points the KECho endpoints and transports call (see
-    :func:`attach_stream`); everything else is the read side.  With a
+    tee entry points the KECho endpoints call; everything else is the
+    read side.  With a
     ``sink`` every appended entry is also written eagerly as a JSONL
     row (the live backend's file-backed persistence).
     """
@@ -300,19 +301,12 @@ class StreamBroker:
         return entry
 
     def record_drop(self, event: Any, dest: str, reason: str,
-                    now: float) -> Optional[StreamEntry]:
-        """Tee one transport kill of ``dest``'s copy of ``event``.
-
-        Non-KECho payloads (raw transport users) are ignored — the
-        broker logs the channel data plane only.
-        """
-        channel = getattr(event, "channel", None)
-        submitted_at = getattr(event, "submitted_at", None)
-        if channel is None or submitted_at is None:
-            return None
+                    now: float) -> StreamEntry:
+        """Tee one copy of ``event`` that the publisher's transport
+        reported lost on its way to ``dest``."""
         return self._append(
-            channel, kind=DROP, source=event.source, dest=dest,
-            time=now, submitted_at=submitted_at, size=event.size,
+            event.channel, kind=DROP, source=event.source, dest=dest,
+            time=now, submitted_at=event.submitted_at, size=event.size,
             fault=reason)
 
     # -- read side ---------------------------------------------------------
@@ -364,19 +358,3 @@ class StreamBroker:
         if self.sink is not None:
             self.sink.close()
 
-
-def attach_stream(broker: StreamBroker, bus: Any,
-                  nodes: Iterable[Any]) -> None:
-    """Wire ``broker`` into a bus and its nodes' transports.
-
-    Sets ``bus.stream`` (the KECho endpoints' tee point) and installs
-    the broker's drop recorder as each node transport's ``drop_hook``
-    (transports without one — the live TCP stack — simply never report
-    drops: real sockets fail by disconnect, which the reconciler sees
-    as missing deliveries).
-    """
-    bus.stream = broker
-    for node in nodes:
-        stack = node.stack
-        if hasattr(stack, "drop_hook"):
-            stack.drop_hook = broker.record_drop

@@ -72,3 +72,30 @@ def run_process(env: Environment, gen, until: float | None = None):
         return env.run(proc)
     env.run(until)
     return proc
+
+
+class Inbox:
+    """A receive handler bound on one stack that a process can wait on.
+
+    A send returns nothing, so a test that must wait for a delivery
+    waits on the receiver: ``next()`` is an event that succeeds with
+    the next :class:`~repro.sim.transport.Message` to arrive on ``tag``;
+    ``messages`` keeps every arrival in order.
+    """
+
+    def __init__(self, stack, tag: str = "t") -> None:
+        self.env = stack.env
+        self.messages: list = []
+        self._waiting: list = []
+        stack.bind(tag, self._arrive)
+
+    def _arrive(self, msg) -> None:
+        self.messages.append(msg)
+        waiting, self._waiting = self._waiting, []
+        for event in waiting:
+            event.succeed(msg)
+
+    def next(self):
+        event = self.env.event()
+        self._waiting.append(event)
+        return event

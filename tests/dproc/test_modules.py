@@ -8,6 +8,7 @@ from repro.dproc import (CpuMon, DiskMon, MemMon, MetricId, NetMon,
                          PmcMon)
 from repro.errors import DprocError
 from repro.units import MB, PAGE_SIZE, mbps
+from tests.conftest import Inbox
 
 
 def sample_dict(module, now):
@@ -134,9 +135,11 @@ class TestNetMon:
     def test_used_bandwidth(self, env, cluster3):
         alan = cluster3["alan"]
         conn = alan.stack.connect("maui", tag="t")
+        inbox = Inbox(cluster3["maui"].stack)
 
         def sender():
-            yield conn.send("x", size=mbps(10) * 0.5)
+            conn.send("x", size=mbps(10) * 0.5)
+            yield inbox.next()
             yield env.timeout(0.4)
 
         env.run(env.process(sender()))
@@ -151,9 +154,11 @@ class TestNetMon:
     def test_rtt_after_traffic(self, env, cluster3):
         alan = cluster3["alan"]
         conn = alan.stack.connect("maui", tag="t")
+        inbox = Inbox(cluster3["maui"].stack)
 
         def sender():
-            yield conn.send("x", size=1000)
+            conn.send("x", size=1000)
+            yield inbox.next()
 
         env.run(env.process(sender()))
         mon = NetMon(alan)
@@ -162,9 +167,11 @@ class TestNetMon:
     def test_end_to_end_delay(self, env, cluster3):
         alan = cluster3["alan"]
         conn = alan.stack.connect("maui", tag="t")
+        inbox = Inbox(cluster3["maui"].stack)
 
         def sender():
-            yield conn.send("x", size=mbps(100) * 0.5)  # ~0.5 s
+            conn.send("x", size=mbps(100) * 0.5)  # ~0.5 s
+            yield inbox.next()
 
         env.run(env.process(sender()))
         mon = NetMon(alan)
@@ -200,9 +207,11 @@ class TestPmcMon:
         mon = PmcMon(node)
         mon.collect(env.now)
         conn = cluster3["alan"].stack.connect("maui", tag="t")
+        inbox = Inbox(node.stack)
 
         def sender():
-            yield conn.send("x", size=MB(1))
+            conn.send("x", size=MB(1))
+            yield inbox.next()
 
         env.run(env.process(sender()))
         env.run(until=env.now + 0.5)

@@ -100,6 +100,32 @@ class TestSubmitUnderFaults:
         assert second.failed_targets == []
         assert [e.payload for e in got] == ["after"]
 
+    def test_lost_copy_is_reported_once_everywhere(self, env, bus,
+                                                   cluster3):
+        """A copy dropped at send time is on the receipt when
+        ``submit`` returns; one killed in flight lands when it dies.
+        Each is listed once on the receipt, counted once and recorded
+        once in the stream: one report, three witnesses."""
+        from repro.sim import FaultInjector
+        from repro.stream import DROP, StreamBroker
+        bus.stream = StreamBroker()
+        eps = wire(bus, cluster3)
+        eps["maui"].subscribe(lambda e: None)
+        eps["etna"].subscribe(lambda e: None)
+        injector = FaultInjector(cluster3)
+        injector.partition(["alan"], ["maui"])
+        # 1 MB takes ~0.08 s on the wire; etna crashes under it.
+        receipt = eps["alan"].submit("x", size=1e6)
+        assert receipt.failed_targets == ["maui"]
+        injector.at(0.01, lambda: injector.crash("etna"))
+        env.run()
+        assert receipt.failed_targets == ["maui", "etna"]
+        assert [(e.dest, e.fault) for e in bus.stream.entries("monitor")
+                if e.kind == DROP] == [("maui", "partition"),
+                                       ("etna", "crash:etna")]
+        assert cluster3["alan"].telemetry.value(
+            "kecho.monitor.failed_deliveries") == 2
+
 
 class TestSubmitReceiptAccounting:
     def test_repeated_failed_target_excluded_exactly_once(self):

@@ -59,10 +59,6 @@ class _FakeWriter:
         self.transport.closing = True
 
 
-class _Clock:
-    now = 0.0
-
-
 def _event(i: int = 0) -> ChannelEvent:
     return ChannelEvent(channel="c", source="s", payload={"i": i},
                         size=32.0, submitted_at=float(i))
@@ -73,8 +69,8 @@ def _frame(i: int = 0) -> bytes:
 
 
 def _stack(batch=None, flow=None) -> LiveStack:
-    return LiveStack("alan", _Clock(), TelemetryRegistry("alan"),
-                     batch=batch, flow=flow)
+    return LiveStack("alan", TelemetryRegistry("alan"), batch=batch,
+                     flow=flow)
 
 
 async def _link(stack: LiveStack, writer=None) -> _PeerLink:
@@ -86,6 +82,15 @@ async def _link(stack: LiveStack, writer=None) -> _PeerLink:
     return link
 
 
+async def _conn(stack: LiveStack, writer, dst: str = "maui"):
+    """A connection whose pooled link writes to a fake writer."""
+    conn = stack.connect(dst, tag="t")
+    conn._link._opener.cancel()
+    await asyncio.sleep(0)
+    conn._link._writer = writer
+    return conn
+
+
 class TestPeerLinkBatching:
     def test_flush_on_frame_watermark(self):
         async def run():
@@ -95,7 +100,7 @@ class TestPeerLinkBatching:
             writer = _FakeWriter()
             link = await _link(stack, writer)
             for i in range(3):
-                assert link.send(_frame(i), _event(i))
+                assert link.send(_frame(i)) is None
             return stack, writer
         stack, writer = asyncio.run(run())
         assert len(writer.writes) == 1
@@ -113,9 +118,9 @@ class TestPeerLinkBatching:
                 max_frames=1000))
             writer = _FakeWriter()
             link = await _link(stack, writer)
-            link.send(_frame(0), _event(0))
+            link.send(_frame(0))
             assert writer.writes == []          # still coalescing
-            link.send(_frame(1), _event(1))     # crosses max_bytes
+            link.send(_frame(1))     # crosses max_bytes
             return writer
         writer = asyncio.run(run())
         assert len(writer.writes) == 1
@@ -128,8 +133,8 @@ class TestPeerLinkBatching:
                                              max_frames=1000))
             writer = _FakeWriter()
             link = await _link(stack, writer)
-            link.send(_frame(0), _event(0))
-            link.send(_frame(1), _event(1))
+            link.send(_frame(0))
+            link.send(_frame(1))
             assert writer.writes == []
             await asyncio.sleep(0.05)
             return writer
@@ -142,7 +147,7 @@ class TestPeerLinkBatching:
             stack = _stack(batch=BatchConfig(max_delay=0.01))
             writer = _FakeWriter()
             link = await _link(stack, writer)
-            link.send(_frame(7), _event(7))
+            link.send(_frame(7))
             await asyncio.sleep(0.05)
             return stack, writer
         stack, writer = asyncio.run(run())
@@ -155,8 +160,8 @@ class TestPeerLinkBatching:
         async def run():
             stack = _stack()
             link = await _link(stack, writer=None)
-            link.send(_frame(0), _event(0))
-            link.send(_frame(1), _event(1))
+            link.send(_frame(0))
+            link.send(_frame(1))
             assert stack._t_wire_frames.value == 0  # parked, not sent
             writer = _FakeWriter()
             link._writer = writer
@@ -181,11 +186,11 @@ class TestPeerLinkBackpressure:
             big = encode_frame("t", ChannelEvent(
                 channel="c", source="s", payload={"x": "y" * 200},
                 size=1.0, submitted_at=0.0))
-            link.send(big, _event(0))          # buffer > high: pause
+            link.send(big)          # buffer > high: pause
             assert link.paused
             assert stack._t_pauses.value == 1
-            assert link.send(_frame(1), _event(1))  # deferred
-            assert link.send(_frame(2), _event(2))
+            assert link.send(_frame(1)) is None  # deferred
+            assert link.send(_frame(2)) is None
             assert stack._t_deferred.value == 2
             assert len(writer.writes) == 1     # nothing new on wire
             await asyncio.sleep(0.01)          # drainer runs
@@ -196,18 +201,16 @@ class TestPeerLinkBackpressure:
                 .payload.get("i") for w in writer.writes[1:]] == [1, 2]
 
     def test_overflow_drops_are_recorded_and_attributed(self):
+        """Each frame dropped on overflow reaches the sender's
+        ``on_fail`` exactly once, with its cause."""
         async def run():
             stack = _stack(flow=self.FLOW)
+            conn = await _conn(stack, _FakeWriter())
+            conn._link.paused = True           # as if past high water
             drops = []
-            stack.drop_hook = (
-                lambda event, dst, reason, now:
-                drops.append((event.payload.get("i"), dst, reason)))
-            writer = _FakeWriter()
-            link = await _link(stack, writer)
-            link.paused = True                 # as if past high water
-            assert link.send(_frame(1), _event(1))
-            assert link.send(_frame(2), _event(2))
-            assert not link.send(_frame(3), _event(3))  # queue full
+            for i in (1, 2, 3):                # the third overflows
+                conn.send(_event(i), 32.0, on_fail=lambda dst, reason,
+                          i=i: drops.append((i, dst, reason)))
             return stack, drops
         stack, drops = asyncio.run(run())
         assert stack._t_drops.value == 1
@@ -216,10 +219,15 @@ class TestPeerLinkBackpressure:
     def test_dead_link_fails_sends_without_raising(self):
         async def run():
             stack = _stack()
-            link = await _link(stack, _FakeWriter())
-            link._dead = True
-            return link.send(_frame(0), _event(0))
-        assert asyncio.run(run()) is False
+            conn = await _conn(stack, _FakeWriter())
+            conn._link._dead = True
+            drops = []
+            conn.send(_event(0), 32.0,
+                      on_fail=lambda *lost: drops.append(lost))
+            return conn._link.send(_frame(0)), drops
+        lost, drops = asyncio.run(run())
+        assert lost == "link down"
+        assert drops == [("maui", "link down")]
 
 
 class TestFanOut:
@@ -234,15 +242,15 @@ class TestFanOut:
 
         async def run():
             stack = _stack()
-            conns = [stack.connect(dst, tag="t") for dst in peers]
-            for conn in conns:
-                conn._link._opener.cancel()
-                conn._link._writer = _FakeWriter()
-            await asyncio.sleep(0)
-            return stack, conns, stack.send_many(conns, _event(7), 32.0)
-        stack, conns, done = asyncio.run(run())
+            conns = [await _conn(stack, _FakeWriter(), dst)
+                     for dst in peers]
+            lost = []
+            stack.send_many(conns, _event(7), 32.0,
+                            on_fail=lambda *fail: lost.append(fail))
+            return stack, conns, lost
+        stack, conns, lost = asyncio.run(run())
         assert encoded == ["t"]
-        assert all(completion._ok for completion in done)
+        assert lost == []
         assert stack._t_frames.value == len(peers)
         for conn in conns:
             (body,) = FrameDecoder().feed(b"".join(
@@ -421,3 +429,37 @@ class TestLiveEndToEnd:
         sc.run(2.5)
         report = reconcile(sc.stream, sc.dprocs)
         assert report.ok, report.render()
+
+
+class TestOneFailurePath:
+    def test_dead_link_drop_reaches_the_stream(self):
+        """A KECho copy the live stack knows is lost (the peer never
+        resolves, so its link is dead) is on the receipt, counted in
+        ``failed_deliveries`` and recorded in the stream, once each:
+        the witnesses ``verify_stats`` compares agree."""
+        from repro.kecho import KechoBus
+        from repro.live.clock import AsyncClock
+        from repro.live.node import LiveNode
+        from repro.stream import DROP, StreamBroker, verify_stats
+
+        async def run():
+            clock = AsyncClock()
+            clock.start()
+            nodes = [LiveNode(name, clock, index=i)
+                     for i, name in enumerate(("alan", "maui"))]
+            bus = KechoBus()
+            bus.stream = StreamBroker()
+            eps = {node.name: bus.connect(node, "monitor")
+                   for node in nodes}
+            eps["maui"].subscribe(lambda e: None)
+            eps["alan"].submit({"i": 1}, size=32.0)  # dials the link
+            await asyncio.sleep(0.01)                # no address: dead
+            receipt = eps["alan"].submit({"i": 2}, size=32.0)
+            for node in nodes:
+                await node.stack.stop()
+            return bus.stream, nodes, receipt
+        stream, nodes, receipt = asyncio.run(run())
+        assert receipt.failed_targets == ["maui"]
+        assert [(e.dest, e.fault) for e in stream.entries("monitor")
+                if e.kind == DROP] == [("maui", "link down")]
+        assert verify_stats(stream, nodes, channels=["monitor"]) == []

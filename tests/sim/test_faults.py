@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FaultInjectionError, TransportError
+from repro.errors import FaultInjectionError
 from repro.sim import Environment, FaultInjector, build_cluster
 from repro.sim.faults import FaultPlane
 
@@ -16,17 +16,26 @@ def injector(cluster3):
 
 
 def send(cluster, src, dst, size=1000.0, tag="t"):
-    """Open a connection and send one message; returns its event."""
-    conn = cluster[src].stack.connect(dst, tag=tag)
-    return conn.send({"x": 1}, size)
+    """Open a connection and send one message; returns the probe
+    :func:`outcome` reads: the sender's ``net.delivered`` count before
+    the send, and the list its ``on_fail`` reports land in."""
+    node = cluster[src]
+    before = node.telemetry.value("net.delivered")
+    lost: list[str] = []
+    conn = node.stack.connect(dst, tag=tag)
+    conn.send({"x": 1}, size,
+              on_fail=lambda _dst, reason: lost.append(reason))
+    return node, before, lost
 
 
-def outcome(env, event):
-    """Run to quiescence; returns 'delivered' or 'lost'."""
-    event.defused = True
+def outcome(env, probe):
+    """Run to quiescence; returns 'delivered' or 'lost' — each copy is
+    reported exactly once, one way or the other."""
+    node, before, lost = probe
     env.run()
-    assert event.triggered
-    return "delivered" if event._ok else "lost"
+    delivered = node.telemetry.value("net.delivered") - before
+    assert delivered + len(lost) == 1
+    return "delivered" if delivered else "lost"
 
 
 class TestFaultPlane:
@@ -87,25 +96,25 @@ class TestFaultPlane:
 class TestTransportIntegration:
     def test_partition_drops_message(self, env, cluster3, injector):
         injector.partition(["alan"], ["maui", "etna"])
-        ev = send(cluster3, "alan", "maui")
-        assert outcome(env, ev) == "lost"
+        probe = send(cluster3, "alan", "maui")
+        assert outcome(env, probe) == "lost"
         # Within a group traffic still flows.
-        ev = send(cluster3, "maui", "etna")
-        assert outcome(env, ev) == "delivered"
+        probe = send(cluster3, "maui", "etna")
+        assert outcome(env, probe) == "delivered"
 
     def test_heal_restores_traffic(self, env, cluster3, injector):
         injector.partition(["alan"], ["maui", "etna"])
         injector.heal()
-        ev = send(cluster3, "alan", "maui")
-        assert outcome(env, ev) == "delivered"
+        probe = send(cluster3, "alan", "maui")
+        assert outcome(env, probe) == "delivered"
 
     def test_certain_loss_drops_message(self, env, cluster3, injector):
         injector.set_message_loss(1.0)
-        ev = send(cluster3, "alan", "maui")
-        assert outcome(env, ev) == "lost"
+        probe = send(cluster3, "alan", "maui")
+        assert outcome(env, probe) == "lost"
         injector.clear_message_loss()
-        ev = send(cluster3, "alan", "maui")
-        assert outcome(env, ev) == "delivered"
+        probe = send(cluster3, "alan", "maui")
+        assert outcome(env, probe) == "delivered"
 
     def test_link_loss_hits_only_that_link(self, env, cluster3, injector):
         injector.set_link_loss("alan:tx", 1.0)
@@ -122,35 +131,36 @@ class TestTransportIntegration:
     def test_loss_counted_on_connection(self, env, cluster3, injector):
         injector.set_message_loss(1.0)
         conn = cluster3["alan"].stack.connect("maui", tag="t")
-        ev = conn.send("x", 500.0)
-        ev.defused = True
+        lost = []
+        conn.send("x", 500.0, on_fail=lambda *fail: lost.append(fail))
         env.run()
         assert conn.losses.total == 1.0
+        assert lost == [("maui", "injected loss")]
 
     def test_stall_delays_delivery(self, env, cluster3, injector):
         got = []
         cluster3["maui"].stack.bind("t", lambda m: got.append(env.now))
         injector.set_stall(2.0)
-        ev = send(cluster3, "alan", "maui")
-        env.run()
+        probe = send(cluster3, "alan", "maui")
+        assert outcome(env, probe) == "delivered"
         (t_stalled,) = got
         # Wire time for 1000 bytes is well under 10 ms; the delivery
         # must carry the full 2 s stall on top.
         assert 2.0 < t_stalled < 2.01
-        assert ev._ok
 
     def test_partition_landing_mid_flight_kills_message(
             self, env, cluster3, injector):
         # 1 MB at 100 Mbps takes ~0.08 s; partition lands at 0.01 s.
-        ev = send(cluster3, "alan", "maui", size=1e6)
+        probe = send(cluster3, "alan", "maui", size=1e6)
         injector.at(0.01, lambda: injector.partition(["alan"],
                                                      ["maui"]))
-        assert outcome(env, ev) == "lost"
+        assert outcome(env, probe) == "lost"
+        assert probe[2] == ["partition"]
 
     def test_no_faults_no_interference(self, env, cluster3, injector):
         """An attached but empty plane leaves the data path untouched."""
-        ev = send(cluster3, "alan", "maui")
-        assert outcome(env, ev) == "delivered"
+        probe = send(cluster3, "alan", "maui")
+        assert outcome(env, probe) == "delivered"
 
 
 class TestInjectorScheduling:
@@ -229,12 +239,12 @@ class TestDeterminism:
         delivered: list[int] = []
         conn = cluster["alan"].stack.connect("maui", tag="t")
 
+        cluster["maui"].stack.bind(
+            "t", lambda msg: delivered.append(msg.payload))
+
         def sender():
             for i in range(50):
-                ev = conn.send(i, 200.0)
-                ev.add_callback(
-                    lambda e, i=i: delivered.append(i) if e._ok
-                    else setattr(e, "defused", True))
+                conn.send(i, 200.0)
                 yield env.timeout(0.05)
 
         env.process(sender())
@@ -261,7 +271,7 @@ class TestDeterminism:
                 FaultInjector(cluster)
             conn = cluster["alan"].stack.connect("maui", tag="t")
             for _ in range(5):
-                conn.send("x", 300.0).defused = True
+                conn.send("x", 300.0)
             env.run()
             return [cluster[n].rng.random() for n in cluster.names]
 

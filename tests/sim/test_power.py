@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Battery
 from repro.units import KB
+from tests.conftest import Inbox
 
 
 @pytest.fixture
@@ -42,9 +43,11 @@ class TestBattery:
                           cpu_joules_per_second=0.0,
                           radio_joules_per_byte=1e-3)
         conn = cluster3["alan"].stack.connect("maui", tag="t")
+        inbox = Inbox(node.stack)
 
         def send():
-            yield conn.send("x", size=KB(10))
+            conn.send("x", size=KB(10))
+            yield inbox.next()
 
         env.run(env.process(send()))
         assert battery.drained_joules() \

@@ -9,6 +9,7 @@ from repro.runtime.series import (DEVICE_HISTORY, CounterTrace,
                                   TimeSeries)
 from repro.sim import Environment, Protocol, build_cluster
 from repro.units import KB, mbps
+from tests.conftest import Inbox
 
 
 @pytest.fixture
@@ -23,22 +24,18 @@ class TestConnectionBasics:
         received = []
         dst.stack.bind("test", lambda m: received.append(m.payload))
         conn = src.stack.connect("maui", tag="test")
-
-        def proc():
-            yield conn.send({"hello": 1}, size=KB(1))
-
-        env.run(env.process(proc()))
+        assert conn.send({"hello": 1}, size=KB(1)) is None
+        env.run()
         assert received == [{"hello": 1}]
 
     def test_delivery_event_carries_message(self, env, pair):
-        src, _dst = pair
+        """The receiver's handler gets the delivered Message."""
+        src, dst = pair
+        inbox = Inbox(dst.stack)
         conn = src.stack.connect("maui", tag="t")
-
-        def proc():
-            msg = yield conn.send("x", size=100)
-            return msg
-
-        msg = env.run(env.process(proc()))
+        conn.send("x", size=100)
+        env.run()
+        (msg,) = inbox.messages
         assert msg.src == "alan" and msg.dst == "maui"
         assert msg.delivered_at is not None
         assert msg.delivered_at > msg.sent_at
@@ -81,36 +78,34 @@ class TestConnectionBasics:
 
 class TestDeliveryTiming:
     def test_large_message_serialisation_delay(self, env, pair):
-        src, _ = pair
+        src, dst = pair
+        inbox = Inbox(dst.stack)
         conn = src.stack.connect("maui", tag="t")
         nbytes = mbps(100) * 0.5  # half a second at line rate
-
-        def proc():
-            yield conn.send("big", size=nbytes)
-
-        env.run(env.process(proc()))
-        assert env.now == pytest.approx(0.5, abs=0.01)
+        conn.send("big", size=nbytes)
+        env.run()
+        (msg,) = inbox.messages
+        assert msg.delivered_at == pytest.approx(0.5, abs=0.01)
 
     def test_delay_recorded(self, env, pair):
         src, _ = pair
         conn = src.stack.connect("maui", tag="t")
-
-        def proc():
-            yield conn.send("x", size=KB(10))
-
+        conn.send("x", size=KB(10))
         assert conn.last_delay is None
-        env.run(env.process(proc()))
+        env.run()
         assert conn.last_delay > 0
 
 
 class TestStatistics:
     def test_bandwidth_counters(self, env, pair):
         src, dst = pair
+        inbox = Inbox(dst.stack)
         conn = src.stack.connect("maui", tag="t")
 
         def proc():
             for _ in range(5):
-                yield conn.send("x", size=KB(100))
+                conn.send("x", size=KB(100))
+                yield inbox.next()
 
         env.run(env.process(proc()))
         assert conn.bytes_sent.total == pytest.approx(KB(500))
@@ -120,34 +115,28 @@ class TestStatistics:
     def test_rtt_samples_recorded(self, env, pair):
         src, _ = pair
         conn = src.stack.connect("maui", tag="t")
-
-        def proc():
-            yield conn.send("x", size=100)
-
+        conn.send("x", size=100)
         assert conn.last_rtt is None
-        env.run(env.process(proc()))
+        env.run()
         assert conn.last_rtt > 0
 
     def test_receive_charges_kernel_cpu(self, env, pair):
         """Delivery must consume CPU at the receiver — the perturbation
         mechanism behind Figures 4 and 8."""
         src, dst = pair
-
-        def proc():
-            conn = src.stack.connect("maui", tag="t")
-            yield conn.send("x", size=KB(1))
-            yield env.timeout(1.0)
-
-        env.run(env.process(proc()))
+        src.stack.connect("maui", tag="t").send("x", size=KB(1))
+        env.run(until=1.0)
         dst.cpu.settle()
         assert dst.cpu.busy_cpu_seconds > 0
 
     def test_used_bandwidth_window(self, env, pair):
-        src, _ = pair
+        src, dst = pair
+        inbox = Inbox(dst.stack)
         conn = src.stack.connect("maui", tag="t")
 
         def proc():
-            yield conn.send("x", size=mbps(10))  # 10 Mbit in ~0.1 s
+            conn.send("x", size=mbps(10))  # 10 Mbit in ~0.1 s
+            yield inbox.next()
             yield env.timeout(1.0)
 
         env.run(env.process(proc()))
@@ -204,16 +193,19 @@ class TestBoundedHistories:
 class TestUdp:
     def test_udp_no_loss_on_idle_network(self, env, pair):
         src, dst = pair
-        received = []
-        dst.stack.bind("u", lambda m: received.append(m.mid))
+        inbox = Inbox(dst.stack, "u")
         conn = src.stack.connect("maui", tag="u", proto=Protocol.UDP)
+        lost = []
 
         def proc():
             for _ in range(20):
-                yield conn.send("x", size=KB(1))
+                conn.send("x", size=KB(1),
+                          on_fail=lambda *fail: lost.append(fail))
+                yield inbox.next()
 
         env.run(env.process(proc()))
-        assert len(received) == 20
+        assert len(inbox.messages) == 20
+        assert lost == []
         assert conn.losses.total == 0
 
     def test_udp_loss_under_saturation(self, env):
@@ -221,32 +213,34 @@ class TestUdp:
         alan, maui = cluster["alan"], cluster["maui"]
         # Saturate maui's RX with a fixed flow from etna.
         cluster.fabric.open_fixed_flow("etna", "maui", mbps(100))
+        inbox = Inbox(maui.stack, "u")
         conn = alan.stack.connect("maui", tag="u", proto=Protocol.UDP)
+        lost = []
 
         def proc():
-            ok = 0
             for _ in range(200):
-                try:
-                    yield conn.send("x", size=KB(1))
-                    ok += 1
-                except TransportError:
-                    pass
+                conn.send("x", size=KB(1),
+                          on_fail=lambda dst, reason: lost.append(reason))
                 yield env.timeout(0.01)
-            return ok
 
-        delivered = env.run(env.process(proc()))
-        assert conn.losses.total > 0
-        assert delivered < 200
+        env.run(env.process(proc()))
+        env.run(until=env.now + 1.0)
+        assert conn.losses.total == len(lost) > 0
+        assert set(lost) == {"congestion"}
+        # Every copy is delivered or reported lost, exactly once.
+        assert len(inbox.messages) + len(lost) == 200
 
     def test_tcp_retransmissions_under_congestion(self, env):
         cluster = build_cluster(env, nodes=3, seed=13)
         alan = cluster["alan"]
         cluster.fabric.open_fixed_flow("etna", "maui", mbps(95))
+        inbox = Inbox(cluster["maui"].stack)
         conn = alan.stack.connect("maui", tag="t", proto=Protocol.TCP)
 
         def proc():
             for _ in range(100):
-                yield conn.send("x", size=KB(2))
+                conn.send("x", size=KB(2))
+                yield inbox.next()
                 yield env.timeout(0.02)
 
         env.run(env.process(proc()))
@@ -260,7 +254,8 @@ class TestPathConstants:
     @staticmethod
     def _rtt_after_one_delivery(env, fabric, src, dst):
         conn = src.stack.connect(dst.name, tag="t")
-        env.run(conn.send("x", size=100))
+        conn.send("x", size=100)
+        env.run()
         expected = 2 * sum(l.latency for l in fabric.path(
             src.name, dst.name)) + fabric.switch_latency
         return conn.last_rtt, expected
@@ -307,27 +302,29 @@ class TestFanOutCongestion:
                                            mbps(99))
             conns = [src.stack.connect(dst, tag="t")
                      for dst in names[1:-1]]
-            return env, src.stack, conns
+            inboxes = [Inbox(cluster[dst].stack) for dst in names[1:-1]]
+            return env, src.stack, conns, inboxes
 
-        env, stack, conns = world()
+        env, stack, conns, inboxes = world()
         batched = []
 
         def fan_out():
             for _ in range(rounds):
                 with stack.batch():
-                    events = stack.send_many(conns, "x", KB(1))
-                msgs = yield env.all_of(events)
+                    stack.send_many(conns, "x", KB(1))
+                msgs = yield env.all_of(inbox.next() for inbox in inboxes)
                 batched.extend(m.retransmissions for m in msgs.values())
 
         env.run(env.process(fan_out()))
 
-        env, stack, conns = world()
+        env, stack, conns, inboxes = world()
         single = []
 
         def one_at_a_time():
             for _ in range(rounds):
-                for conn in conns:
-                    msg = yield conn.send("x", KB(1))
+                for conn, inbox in zip(conns, inboxes):
+                    conn.send("x", KB(1))
+                    msg = yield inbox.next()
                     single.append(msg.retransmissions)
 
         env.run(env.process(one_at_a_time()))
@@ -340,3 +337,37 @@ class TestFanOutCongestion:
         conns = [src.stack.connect("maui", tag="t") for _ in range(2)]
         with pytest.raises(TransportError, match="batch"):
             src.stack.send_many(conns, "x", 100)
+
+
+class TestEventBudget:
+    """A send schedules no event of the transport's own: a delivered
+    copy costs the fabric's propagation timer, the transfer's
+    completion and the receiving CPU's timer, and a fan-out shares the
+    fabric's one serialisation timer; a lost copy costs a call to its
+    sender's ``on_fail``."""
+
+    def test_delivery_costs_three_events(self, env, cluster3):
+        targets = ["maui", "etna"]
+        stack = cluster3["alan"].stack
+        conns = [stack.connect(dst, tag="t") for dst in targets]
+        env.run()
+        before = env.events_processed
+        with stack.batch():
+            stack.send_many(conns, "x", 100)
+        env.run()
+        assert [cluster3[dst].stack.bytes_received
+                for dst in targets] == [100, 100]
+        assert env.events_processed - before == 3 * len(targets) + 1
+
+    def test_send_time_drop_costs_no_event(self, env, cluster3):
+        from repro.sim import FaultInjector
+        FaultInjector(cluster3).partition(["alan"], ["maui"])
+        env.run()
+        before = env.events_processed
+        lost = []
+        cluster3["alan"].stack.connect("maui", tag="t").send(
+            "x", size=100, on_fail=lambda *fail: lost.append(fail))
+        assert lost == [("maui", "partition")]
+        env.run()
+        assert env.events_processed == before
+        assert lost == [("maui", "partition")]
