@@ -14,12 +14,11 @@ from repro.sim.faults import FaultInjector, FaultPlane
 from repro.sim.link import Flow, FlowKind, Link
 from repro.sim.memory import Allocation, Memory
 from repro.sim.network import Fabric, FixedFlowHandle, HostPort, \
-    SharedSegment, TransferHandle
+    SharedSegment
 from repro.sim.node import KernelCostModel, Node, NodeConfig
 from repro.sim.power import Battery
 from repro.sim.rng import RngHub
-from repro.sim.stores import Container, PriorityItem, PriorityStore, \
-    Resource, Store
+from repro.sim.stores import Resource, Store
 from repro.sim.topology import (GraphFabric, build_graph_cluster,
                                 line_topology, tree_topology)
 from repro.sim.transport import Connection, Message, NetStack, Protocol
@@ -34,10 +33,9 @@ __all__ = [
     "FaultInjector", "FaultPlane",
     "Flow", "FlowKind", "Link",
     "Fabric", "FixedFlowHandle", "HostPort", "SharedSegment",
-    "TransferHandle",
     "KernelCostModel", "Node", "NodeConfig",
     "Battery", "RngHub",
-    "Container", "PriorityItem", "PriorityStore", "Resource", "Store",
+    "Resource", "Store",
     "GraphFabric", "build_graph_cluster", "line_topology",
     "tree_topology",
     "Connection", "Message", "NetStack", "Protocol",

@@ -40,9 +40,14 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import FaultInjectionError
 
-__all__ = ["FaultPlane", "FaultInjector"]
+__all__ = ["FaultPlane", "FaultInjector", "FAULT_LOG_HISTORY"]
 
 CrashHandler = Callable[[str], None]
+
+#: Entries :attr:`FaultInjector.log` keeps: once it holds twice this
+#: many, the oldest are cut in one chunk (as ``TimeSeries.record``
+#: trims), so a long fault schedule retains fewer than twice the bound.
+FAULT_LOG_HISTORY = 1024
 
 
 def _check_probability(p: float) -> float:
@@ -231,7 +236,8 @@ class FaultInjector:
     it, immediately or when the cluster's clock reaches a scheduled
     time.  Every executed action is appended to :attr:`log` as
     ``(sim_time, description)`` — two runs with the same seed produce
-    identical logs.
+    identical logs.  The log keeps the most recent actions only
+    (:data:`FAULT_LOG_HISTORY`).
 
     Crash/reboot callbacks let service layers participate: a dproc
     harness registers ``on_crash → dproc.stop()`` and ``on_reboot →
@@ -245,7 +251,8 @@ class FaultInjector:
         self.env = cluster.env
         self.fabric = cluster.fabric
         self.plane = self.fabric.faults = FaultPlane()
-        #: Executed fault actions: ``(sim_time, description)``.
+        #: Executed fault actions, oldest first: ``(sim_time,
+        #: description)``, bounded by :data:`FAULT_LOG_HISTORY`.
         self.log: list[tuple[float, str]] = []
         self._crash_handlers: list[CrashHandler] = []
         self._reboot_handlers: list[CrashHandler] = []
@@ -372,7 +379,10 @@ class FaultInjector:
         ``when``."""
         def act() -> None:
             mutate(self.plane)
-            self.log.append((self.env.now, text))
+            log = self.log
+            log.append((self.env.now, text))
+            if len(log) >= 2 * FAULT_LOG_HISTORY:
+                del log[:len(log) - FAULT_LOG_HISTORY]
             for handler in handlers:
                 handler(host)
         if when is None:

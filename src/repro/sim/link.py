@@ -29,10 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import NetworkError
-from repro.sim.core import SimEvent
 
 __all__ = ["Link", "Flow", "FlowKind", "FlowIndex", "allocate_rates",
            "settle_flows", "ELASTIC_FLOOR_FRACTION"]
@@ -86,8 +85,10 @@ class Flow:
     #: Bytes still to move for ELASTIC flows; ignored for FIXED.
     remaining: float = 0.0
     name: str = "flow"
-    #: Completion event (ELASTIC only).
-    done: Optional[SimEvent] = None
+    #: Called with the flow once its last byte has arrived (ELASTIC only).
+    on_done: Optional[Callable[["Flow"], None]] = None
+    #: What the transfer carries, for ``on_done`` to read back.
+    cargo: Any = None
     #: Current allocated rate (bytes/s), set by the allocator.
     rate: float = field(default=0.0, init=False)
     fid: int = field(default_factory=lambda: next(_flow_ids), init=False)

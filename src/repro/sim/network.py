@@ -9,8 +9,11 @@ sharing a link between client and server") is reproduced.
 The fabric is event-driven: whenever the flow set changes it settles
 byte progress, recomputes all rates with the max-min allocator, and
 re-arms a single completion timer for the earliest-finishing elastic
-flow.  Elastic transfers complete their ``done`` event after the path's
-propagation latency.
+flow.  An elastic transfer calls its ``on_done(flow)`` after the path's
+propagation latency.  The flows one reallocation finishes arrive as
+groups, one per arrival instant: each group costs one propagation timer
+and one zero-delay arrival event, whose callback calls every ``on_done``
+of the group in finish order (docs/architecture.md §8).
 
 Scalability: the fabric keeps a :class:`~repro.sim.link.FlowIndex`
 current across flow churn so each reallocation skips the per-call map
@@ -24,16 +27,15 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import NetworkError, RoutingError
-from repro.sim.core import Environment, SimEvent
+from repro.sim.core import Environment
 from repro.sim.link import (Flow, FlowIndex, FlowKind, Link,
                             allocate_rates, settle_flows)
 from repro.units import mbps, usec
 
-__all__ = ["Fabric", "HostPort", "SharedSegment", "FixedFlowHandle",
-           "TransferHandle"]
+__all__ = ["Fabric", "HostPort", "SharedSegment", "FixedFlowHandle"]
 
 
 @dataclass
@@ -106,22 +108,6 @@ class FixedFlowHandle:
         if not self.closed:
             self.closed = True
             self._fabric._remove_flow(self.flow)
-
-
-class TransferHandle:
-    """Handle for an in-flight elastic transfer."""
-
-    def __init__(self, flow: Flow, done: SimEvent) -> None:
-        self.flow = flow
-        self.done = done
-
-    @property
-    def rate(self) -> float:
-        return self.flow.rate
-
-    @property
-    def remaining(self) -> float:
-        return self.flow.remaining
 
 
 class Fabric:
@@ -217,20 +203,23 @@ class Fabric:
     # -- traffic -------------------------------------------------------------
 
     def transfer(self, src: str, dst: str, nbytes: float,
-                 name: str = "xfer") -> TransferHandle:
-        """Start a reliable elastic transfer of ``nbytes``.
+                 on_done: Callable[[Flow], None], name: str = "xfer",
+                 cargo: Any = None) -> Flow:
+        """Start a reliable elastic transfer of ``nbytes``; return its flow.
 
-        Returns a handle whose ``done`` event fires once the last byte
-        has been serialised *and* propagated (path latency + switch).
+        ``on_done(flow)`` is called once the last byte has been
+        serialised *and* propagated (path latency + switch), from the
+        one arrival event of every flow that lands at that instant
+        (``cargo`` rides on the flow for the callback to read).
         """
         if nbytes <= 0:
             raise NetworkError("transfer size must be positive")
         links = self.path(src, dst)
-        done = self.env.event()
         flow = Flow(path=links, kind=FlowKind.ELASTIC,
-                    remaining=float(nbytes), name=name, done=done)
+                    remaining=float(nbytes), name=name, on_done=on_done,
+                    cargo=cargo)
         self._add_flow(flow)
-        return TransferHandle(flow, done)
+        return flow
 
     def open_fixed_flow(self, src: str, dst: str, demand: float,
                         name: str = "udp") -> FixedFlowHandle:
@@ -336,18 +325,26 @@ class Fabric:
         flows = self._flows
         index = self._index
         allocate_rates(flows.values(), index=index)
-        # Finish elastic flows that have drained.
+        # Finish elastic flows that have drained, grouped by arrival
+        # instant (the float each flow's own timer would land on): one
+        # propagation timer per group.
         finished = [f for f in index.elastic.values()
                     if f.remaining <= 1e-6]
-        for f in finished:
-            del flows[f.fid]
-            index.remove(f)
-            latency = f.path_latency + self.switch_latency
-            delivery = self.env.timeout(latency)
-            done = f.done
-            assert done is not None
-            delivery.add_callback(lambda _ev, d=done, fl=f: d.succeed(fl))
         if finished:
+            env = self.env
+            now = env.now
+            arrivals: dict[float, list[Flow]] = {}
+            for f in finished:
+                del flows[f.fid]
+                index.remove(f)
+                latency = f.path_latency + self.switch_latency
+                when = now + latency
+                group = arrivals.get(when)
+                if group is None:
+                    group = arrivals[when] = []
+                    env.timeout(latency).add_callback(
+                        lambda _ev, g=group: self._propagated(g))
+                group.append(f)
             allocate_rates(flows.values(), index=index)
 
         self._timer_generation += 1
@@ -369,3 +366,18 @@ class Fabric:
             return
         self._settle()
         self._reallocate()
+
+    def _propagated(self, group: list[Flow]) -> None:
+        """A group's last bytes have propagated: deliver it through one
+        zero-delay arrival event, so its ``on_done`` calls run behind
+        every event already queued for this instant (not from this
+        timer, which would run them ahead of such events;
+        docs/architecture.md §8)."""
+        arrival = self.env.event()
+        arrival.add_callback(lambda _ev: _arrive(group))
+        arrival.succeed()
+
+
+def _arrive(group: list[Flow]) -> None:
+    for flow in group:
+        flow.on_done(flow)

@@ -4,8 +4,6 @@ Provides the queueing abstractions used by the higher-level models:
 
 * :class:`Store` — unbounded/bounded FIFO of Python objects (message
   queues, event receive queues).
-* :class:`PriorityStore` — like :class:`Store` but ordered by priority.
-* :class:`Container` — continuous level (memory pools, buffers).
 * :class:`Resource` — counted resource with FIFO request queue (disk
   heads, locks).
 
@@ -14,20 +12,12 @@ All operations return events that processes ``yield`` on.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Any, Generic, Optional, TypeVar
+from typing import Any, Generic, TypeVar
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
 
-__all__ = [
-    "Store",
-    "PriorityStore",
-    "PriorityItem",
-    "Container",
-    "Resource",
-]
+__all__ = ["Store", "Resource"]
 
 T = TypeVar("T")
 
@@ -86,140 +76,13 @@ class Store(Generic[T]):
             # Move accepted puts into the buffer.
             while self._putters and len(self.items) < self.capacity:
                 put = self._putters.pop(0)
-                self._accept(put)
+                self.items.append(put.item)
                 put.succeed()
                 progress = True
             # Serve waiting getters from the buffer.
             while self._getters and self.items:
                 get = self._getters.pop(0)
-                get.succeed(self._take())
-                progress = True
-
-    # Hook points for subclasses ------------------------------------------------
-
-    def _accept(self, put: _StorePut) -> None:
-        self.items.append(put.item)
-
-    def _take(self) -> T:
-        return self.items.pop(0)
-
-
-@dataclass(order=True)
-class PriorityItem:
-    """Wrapper giving an arbitrary payload a sort priority.
-
-    Lower ``priority`` values are retrieved first; ties break FIFO via an
-    internal sequence number.
-    """
-
-    priority: float
-    seq: int = field(compare=True, default=0)
-    item: Any = field(compare=False, default=None)
-
-
-class PriorityStore(Store[PriorityItem]):
-    """Store retrieving the lowest-priority :class:`PriorityItem` first."""
-
-    def __init__(self, env: Environment,
-                 capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._seq = 0
-
-    def put(self, item: PriorityItem | Any,
-            priority: float | None = None) -> SimEvent:
-        """Offer an item.
-
-        Accepts either a ready-made :class:`PriorityItem` or any payload
-        plus an explicit ``priority``.
-        """
-        if not isinstance(item, PriorityItem):
-            if priority is None:
-                raise SimulationError(
-                    "PriorityStore.put needs a PriorityItem or a priority")
-            item = PriorityItem(priority=priority, item=item)
-        item.seq = self._seq
-        self._seq += 1
-        return super().put(item)
-
-    def _accept(self, put: _StorePut) -> None:
-        heapq.heappush(self.items, put.item)
-
-    def _take(self) -> PriorityItem:
-        return heapq.heappop(self.items)
-
-
-class _ContainerPut(SimEvent):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class _ContainerGet(SimEvent):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity with blocking put/get.
-
-    Used for byte pools and token buckets.  ``get(x)`` blocks until the
-    level is at least ``x``; ``put(x)`` blocks until there is headroom.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise SimulationError("container capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("initial level outside [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: list[_ContainerPut] = []
-        self._getters: list[_ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """Current stored quantity."""
-        return self._level
-
-    def put(self, amount: float) -> SimEvent:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        event = _ContainerPut(self.env, amount)
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> SimEvent:
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        if amount > self.capacity:
-            raise SimulationError("request exceeds container capacity")
-        event = _ContainerGet(self.env, amount)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and \
-                    self._level + self._putters[0].amount <= self.capacity:
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progress = True
-            if self._getters and self._getters[0].amount <= self._level:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed(get.amount)
+                get.succeed(self.items.pop(0))
                 progress = True
 
 

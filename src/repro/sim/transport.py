@@ -15,13 +15,14 @@ the latest round-trip time and end-to-end delay as plain floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.errors import TransportError
 from repro.sim.core import Environment
+from repro.sim.link import Flow
 from repro.sim.network import Fabric
 from repro.runtime.protocol import OnFail
 from repro.runtime.series import DEVICE_HISTORY, CounterTrace
@@ -58,6 +59,12 @@ class Message:
     stalled: bool = False
     #: Open causal-trace hop span (None when the payload is untraced).
     span: Any = None
+    #: The sending connection and whom to tell if the copy dies in
+    #: flight (read when the fabric hands the copy back).
+    conn: Optional[Connection] = field(default=None, repr=False,
+                                       compare=False)
+    on_fail: Optional[OnFail] = field(default=None, repr=False,
+                                      compare=False)
 
 
 class Connection:
@@ -207,6 +214,7 @@ class NetStack:
         path = fabric.path
         link_congestion = fabric.link_congestion
         faults = fabric.faults
+        delivered = self._delivered
         rng_random = self.rng.random
         rng_poisson = self.rng.poisson
         trace = getattr(payload, "trace", None)
@@ -224,7 +232,8 @@ class NetStack:
             dst = conn.dst
             msg = Message(mid=next(_msg_ids), src=host, dst=dst,
                           tag=conn.tag, payload=payload, size=size,
-                          sent_at=now, proto=conn.proto)
+                          sent_at=now, proto=conn.proto, conn=conn,
+                          on_fail=on_fail)
             # Open the causal hop span before any fault check, so
             # dropped messages leave an annotated failed span behind
             # (duck-typed: any payload carrying a ``trace`` context
@@ -243,8 +252,8 @@ class NetStack:
             if faults is not None:
                 if faults.blocked(host, dst):
                     drops_fault_inc()
-                    self._drop(msg, conn, faults.blocked_reason(
-                        host, dst) or "path blocked", on_fail)
+                    self._drop(msg, faults.blocked_reason(
+                        host, dst) or "path blocked")
                     continue
                 p = faults.loss_probability(host, dst, links)
                 # Draw from the sender's seeded stream only when a
@@ -252,7 +261,7 @@ class NetStack:
                 # bit-identical.
                 if p > 0.0 and rng_random() < p:
                     drops_fault_inc()
-                    self._drop(msg, conn, "injected loss", on_fail)
+                    self._drop(msg, "injected loss")
                     continue
             # Path congestion: the most loaded link along the path.
             if not congestion_on:
@@ -270,13 +279,16 @@ class NetStack:
                 p_loss = min(0.9, max(0.0, congestion - 0.9) * 5.0)
                 if rng_random() < p_loss:
                     drops_congestion_inc()
-                    self._drop(msg, conn, "congestion", on_fail)
+                    self._drop(msg, "congestion")
                     continue
             else:
                 # TCP: congestion manifests as retransmissions once
-                # the path nears saturation.
+                # the path nears saturation.  A zero-mean draw is 0
+                # and leaves the generator untouched, so it is skipped
+                # (tests/properties/test_sim_properties.py pins that).
                 mean_retx = max(0.0, congestion - 0.9) * 3.0
-                msg.retransmissions = int(rng_poisson(mean_retx))
+                if mean_retx:
+                    msg.retransmissions = int(rng_poisson(mean_retx))
                 if msg.retransmissions:
                     conn.retransmissions.add(now, msg.retransmissions)
                     retx_inc(msg.retransmissions)
@@ -284,15 +296,11 @@ class NetStack:
                         msg.span.annotate(
                             retransmissions=msg.retransmissions)
             effective = size * (1 + msg.retransmissions)
-            handle = transfer(host, dst, effective,
-                              name=f"{conn.tag}:{msg.mid}")
+            transfer(host, dst, effective, delivered,
+                     name=f"{conn.tag}:{msg.mid}", cargo=msg)
             in_flight_adjust(1)
-            handle.done.add_callback(
-                lambda _ev, m=msg, c=conn:
-                self._delivered(m, c, on_fail))
 
-    def _drop(self, msg: Message, conn: Connection, reason: str,
-              on_fail: Optional[OnFail], **span_attrs: Any) -> None:
+    def _drop(self, msg: Message, reason: str, **span_attrs: Any) -> None:
         """Account one lost copy and report it to its sender."""
         now = self.env.now
         if msg.span is not None:
@@ -300,12 +308,13 @@ class NetStack:
             # annotated failure naming the fault kind.
             msg.span.finish(now, status="dropped", fault=reason,
                             **span_attrs)
-        if on_fail is not None:
-            on_fail(msg.dst, reason)
-        conn.losses.add(now, 1.0)
+        if msg.on_fail is not None:
+            msg.on_fail(msg.dst, reason)
+        msg.conn.losses.add(now, 1.0)
 
-    def _delivered(self, msg: Message, conn: Connection,
-                   on_fail: Optional[OnFail]) -> None:
+    def _delivered(self, flow: Flow) -> None:
+        """The fabric's ``on_done``: the copy ``flow`` carries arrived."""
+        msg = flow.cargo
         # Faults are re-checked on arrival: a partition or crash that
         # landed while the bytes were in flight still kills them.
         faults = self.fabric.faults
@@ -316,15 +325,13 @@ class NetStack:
                 if msg.span is not None:
                     msg.span.annotate(stalled_seconds=stall)
                 timer = self.env.timeout(stall)
-                timer.add_callback(
-                    lambda _ev: self._delivered(msg, conn, on_fail))
+                timer.add_callback(lambda _ev: self._delivered(flow))
                 return
             if faults.blocked(msg.src, msg.dst):
                 self._t_in_flight.adjust(-1)
                 self._t_drops_fault.inc()
-                self._drop(msg, conn, faults.blocked_reason(
-                    msg.src, msg.dst) or "path blocked", on_fail,
-                    in_flight=True)
+                self._drop(msg, faults.blocked_reason(
+                    msg.src, msg.dst) or "path blocked", in_flight=True)
                 return
         now = self.env.now
         self._t_in_flight.adjust(-1)
@@ -332,6 +339,7 @@ class NetStack:
         msg.delivered_at = now
         if msg.span is not None:
             msg.span.finish(now)
+        conn = msg.conn
         conn.last_delay = now - msg.sent_at
         conn.last_rtt = conn.path_rtt
         peer = self.fabric.stacks.get(msg.dst)

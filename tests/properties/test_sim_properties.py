@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +191,19 @@ class TestTraceProperties:
             oracle_update(expected, t - last, runnable)
             assert list(load.as_tuple()) == expected
         assert load.as_tuple() == (0.0, 0.0, 0.0)
+
+    @FAST
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_zero_mean_poisson_leaves_the_stream_untouched(self, seed,
+                                                           calls):
+        """``NetStack.send_many`` skips the retransmission draw when its
+        mean is 0.0.  That is exact only while a zero-mean ``poisson``
+        returns 0 without consuming generator state: the generator's
+        state and its next draws must equal an untouched twin's."""
+        drawn = np.random.default_rng(seed)
+        skipped = np.random.default_rng(seed)
+        assert all(drawn.poisson(0.0) == 0 for _ in range(calls))
+        assert drawn.bit_generator.state == skipped.bit_generator.state
+        assert drawn.random(4).tolist() == skipped.random(4).tolist()
+        assert drawn.poisson(2.5, 8).tolist() \
+            == skipped.poisson(2.5, 8).tolist()

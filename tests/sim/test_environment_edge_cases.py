@@ -88,9 +88,10 @@ class TestNetworkEdgeCases:
         fabric = Fabric(env)
         fabric.add_host("a")
         fabric.add_host("b")
-        handles = [fabric.transfer("a", "b", 100.0)
-                   for _ in range(300)]
-        env.run(env.all_of([h.done for h in handles]))
+        done = [env.event() for _ in range(300)]
+        for ev in done:
+            fabric.transfer("a", "b", 100.0, on_done=ev.succeed)
+        env.run(env.all_of(done))
         fabric.settle()
         assert fabric.hosts["a"].tx.carried_bytes \
             == pytest.approx(300 * 100.0, rel=0.01)
@@ -101,7 +102,8 @@ class TestNetworkEdgeCases:
         fabric.add_host("a")
         fabric.add_host("b")
         fabric.add_host("c")
-        handle = fabric.transfer("a", "b", mbps(100) * 5.0)
+        done = env.event()
+        fabric.transfer("a", "b", mbps(100) * 5.0, on_done=done.succeed)
 
         def churn():
             for i in range(40):
@@ -111,21 +113,22 @@ class TestNetworkEdgeCases:
                 flow.close()
 
         env.process(churn())
-        env.run(handle.done)
+        env.run(done)
         # With churning contention the 5 line-seconds take >5 s but
         # finish — no stall, no oversubscription blow-up.
         assert 5.0 < env.now < 12.0
 
     def test_transfer_between_every_pair(self, env):
         cluster = build_cluster(env, 6, seed=8)
-        handles = []
+        done = []
         for a in cluster.names:
             for b in cluster.names:
                 if a != b:
-                    handles.append(
-                        cluster.fabric.transfer(a, b, 50_000.0))
-        env.run(env.all_of([h.done for h in handles]))
-        assert all(h.done.ok for h in handles)
+                    done.append(env.event())
+                    cluster.fabric.transfer(a, b, 50_000.0,
+                                            on_done=done[-1].succeed)
+        env.run(env.all_of(done))
+        assert all(ev.ok for ev in done)
 
 
 class TestDeterminismAcrossSubsystems:

@@ -74,40 +74,45 @@ class TestTopology:
 class TestTransfers:
     def test_transfer_time_at_line_rate(self, env, fabric):
         nbytes = mbps(100) * 2.0  # 2 seconds at line rate
-        handle = fabric.transfer("a", "b", nbytes)
-        env.run(handle.done)
+        done = env.event()
+        fabric.transfer("a", "b", nbytes, on_done=done.succeed)
+        env.run(done)
         latency = 2 * fabric.access_latency + fabric.switch_latency
         assert env.now == pytest.approx(2.0 + latency)
 
     def test_zero_size_rejected(self, fabric):
         with pytest.raises(NetworkError):
-            fabric.transfer("a", "b", 0)
+            fabric.transfer("a", "b", 0, on_done=lambda _flow: None)
 
     def test_concurrent_transfers_same_tx_share(self, env, fabric):
         nbytes = mbps(100) * 1.0
-        h1 = fabric.transfer("a", "b", nbytes)
-        h2 = fabric.transfer("a", "c", nbytes)
-        env.run(env.all_of([h1.done, h2.done]))
+        d1, d2 = env.event(), env.event()
+        fabric.transfer("a", "b", nbytes, on_done=d1.succeed)
+        fabric.transfer("a", "c", nbytes, on_done=d2.succeed)
+        env.run(env.all_of([d1, d2]))
         # Both shared a's TX at 50 Mbps -> 2 s (+latency).
         assert env.now == pytest.approx(2.0, abs=0.01)
 
     def test_disjoint_transfers_dont_interact(self, env, fabric):
         nbytes = mbps(100) * 1.0
-        h1 = fabric.transfer("a", "b", nbytes)
-        h2 = fabric.transfer("c", "b", nbytes)
+        d1, d2 = env.event(), env.event()
+        fabric.transfer("a", "b", nbytes, on_done=d1.succeed)
+        fabric.transfer("c", "b", nbytes, on_done=d2.succeed)
         # Shared bottleneck is b's RX -> 2 s, but a TX and c TX alone.
-        env.run(env.all_of([h1.done, h2.done]))
+        env.run(env.all_of([d1, d2]))
         assert env.now == pytest.approx(2.0, abs=0.01)
 
     def test_staggered_transfer_rates(self, env, fabric):
         done_at = {}
-        h1 = fabric.transfer("a", "b", mbps(100) * 2.0)
-        h1.done.add_callback(lambda _e: done_at.setdefault("h1", env.now))
+        d1 = env.event()
+        fabric.transfer("a", "b", mbps(100) * 2.0, on_done=d1.succeed)
+        d1.add_callback(lambda _e: done_at.setdefault("h1", env.now))
 
         def second():
             yield env.timeout(1.0)
-            h2 = fabric.transfer("a", "b", mbps(100) * 0.5)
-            yield h2.done
+            d2 = env.event()
+            fabric.transfer("a", "b", mbps(100) * 0.5, on_done=d2.succeed)
+            yield d2
             done_at["h2"] = env.now
 
         env.process(second())
@@ -130,8 +135,9 @@ class TestFixedFlows:
 
     def test_transfer_squeezed_by_fixed_flow(self, env, fabric):
         fabric.open_fixed_flow("a", "b", mbps(80))
-        h = fabric.transfer("a", "b", mbps(20) * 1.0)
-        env.run(h.done)
+        done = env.event()
+        fabric.transfer("a", "b", mbps(20) * 1.0, on_done=done.succeed)
+        env.run(done)
         assert env.now == pytest.approx(1.0, abs=0.02)
 
     def test_close_restores_capacity(self, env, fabric):
@@ -187,7 +193,9 @@ class TestFixedFlows:
 
             def transfers(n: int):
                 for _ in range(n):
-                    yield f.transfer("a", "b", 512.0).done
+                    done = env.event()
+                    f.transfer("a", "b", 512.0, on_done=done.succeed)
+                    yield done
 
             return lambda n: env.run(env.process(transfers(n)))
 
@@ -203,6 +211,7 @@ class TestSharedSegmentContention:
         for h in ("server", "client", "iperf1", "iperf2"):
             f.add_host(h, segment=seg)
         f.open_fixed_flow("iperf1", "iperf2", mbps(80))
-        h = f.transfer("server", "client", mbps(20) * 1.0)
-        env.run(h.done)
+        done = env.event()
+        f.transfer("server", "client", mbps(20) * 1.0, on_done=done.succeed)
+        env.run(done)
         assert env.now == pytest.approx(1.0, abs=0.02)

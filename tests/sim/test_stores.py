@@ -1,11 +1,11 @@
-"""Unit tests for Store / PriorityStore / Container / Resource."""
+"""Unit tests for Store / Resource."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, PriorityItem, PriorityStore, Resource, Store
+from repro.sim import Resource, Store
 
 
 class TestStore:
@@ -87,108 +87,6 @@ class TestStore:
         env.process(producer())
         env.run()
         assert got == [("first", "x"), ("second", "y")]
-
-
-class TestPriorityStore:
-    def test_lowest_priority_first(self, env):
-        store = PriorityStore(env)
-        store.put("low", priority=10)
-        store.put("high", priority=1)
-        store.put("mid", priority=5)
-
-        def proc():
-            a = yield store.get()
-            b = yield store.get()
-            c = yield store.get()
-            return [a.item, b.item, c.item]
-
-        assert env.run(env.process(proc())) == ["high", "mid", "low"]
-
-    def test_ties_break_fifo(self, env):
-        store = PriorityStore(env)
-        store.put("first", priority=1)
-        store.put("second", priority=1)
-
-        def proc():
-            a = yield store.get()
-            b = yield store.get()
-            return [a.item, b.item]
-
-        assert env.run(env.process(proc())) == ["first", "second"]
-
-    def test_accepts_priority_item(self, env):
-        store = PriorityStore(env)
-        store.put(PriorityItem(priority=2, item="wrapped"))
-
-        def proc():
-            got = yield store.get()
-            return got.item
-
-        assert env.run(env.process(proc())) == "wrapped"
-
-    def test_missing_priority_rejected(self, env):
-        store = PriorityStore(env)
-        with pytest.raises(SimulationError):
-            store.put("bare")
-
-
-class TestContainer:
-    def test_initial_level(self, env):
-        c = Container(env, capacity=100, init=40)
-        assert c.level == 40
-
-    def test_get_blocks_until_enough(self, env):
-        c = Container(env, capacity=100, init=0)
-        log = []
-
-        def taker():
-            yield c.get(30)
-            log.append(env.now)
-
-        def filler():
-            yield env.timeout(1.0)
-            yield c.put(10)
-            yield env.timeout(1.0)
-            yield c.put(25)
-
-        env.process(taker())
-        env.process(filler())
-        env.run()
-        assert log == [2.0]
-        assert c.level == pytest.approx(5.0)
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=10, init=10)
-        log = []
-
-        def putter():
-            yield c.put(5)
-            log.append(env.now)
-
-        def drainer():
-            yield env.timeout(4.0)
-            yield c.get(7)
-
-        env.process(putter())
-        env.process(drainer())
-        env.run()
-        assert log == [4.0]
-
-    def test_negative_amounts_rejected(self, env):
-        c = Container(env, capacity=10)
-        with pytest.raises(SimulationError):
-            c.put(-1)
-        with pytest.raises(SimulationError):
-            c.get(-1)
-
-    def test_get_more_than_capacity_rejected(self, env):
-        c = Container(env, capacity=10)
-        with pytest.raises(SimulationError):
-            c.get(11)
-
-    def test_bad_init_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Container(env, capacity=10, init=11)
 
 
 class TestResource:

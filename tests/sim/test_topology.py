@@ -111,8 +111,9 @@ class TestTrafficOverGraph:
         fabric = GraphFabric(env, g)
         fabric.add_host("a", switch="s0")
         fabric.add_host("b", switch="s1")
-        handle = fabric.transfer("a", "b", mbps(10) * 1.0)
-        env.run(handle.done)
+        done = env.event()
+        fabric.transfer("a", "b", mbps(10) * 1.0, on_done=done.succeed)
+        env.run(done)
         assert env.now == pytest.approx(1.0, abs=0.01)
 
     def test_trunk_shared_by_crossing_flows(self, env):
@@ -123,9 +124,10 @@ class TestTrafficOverGraph:
             fabric.add_host(h, switch="s0")
         for h in ("b", "d"):
             fabric.add_host(h, switch="s1")
-        h1 = fabric.transfer("a", "b", mbps(50) * 1.0)
-        h2 = fabric.transfer("c", "d", mbps(50) * 1.0)
-        env.run(env.all_of([h1.done, h2.done]))
+        d1, d2 = env.event(), env.event()
+        fabric.transfer("a", "b", mbps(50) * 1.0, on_done=d1.succeed)
+        fabric.transfer("c", "d", mbps(50) * 1.0, on_done=d2.succeed)
+        env.run(env.all_of([d1, d2]))
         # Both shared the 100 Mbps trunk at 50 Mbps each -> 1 s.
         assert env.now == pytest.approx(1.0, abs=0.02)
 

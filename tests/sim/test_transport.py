@@ -190,6 +190,24 @@ class TestBoundedHistories:
             == sent.rate(env.now, 5.0)
 
 
+    def test_fault_log_stays_bounded(self, env):
+        """Three times FAULT_LOG_HISTORY executed faults leave fewer
+        than twice the bound in the log, and what is left is the most
+        recent actions, oldest first, still a list."""
+        from repro.sim import FaultInjector
+        from repro.sim.faults import FAULT_LOG_HISTORY
+        injector = FaultInjector(build_cluster(env, nodes=2, seed=7))
+        times = [0.001 * i for i in range(3 * FAULT_LOG_HISTORY)]
+        for when in times:
+            injector.schedule_loss(when, 0.0)
+        env.run()
+        log = injector.log
+        assert isinstance(log, list)
+        assert FAULT_LOG_HISTORY <= len(log) < 2 * FAULT_LOG_HISTORY
+        assert [when for when, _ in log] == times[-len(log):]
+        assert {text for _, text in log} == {"loss 0 on all links"}
+
+
 class TestUdp:
     def test_udp_no_loss_on_idle_network(self, env, pair):
         src, dst = pair
@@ -340,24 +358,57 @@ class TestFanOutCongestion:
 
 
 class TestEventBudget:
-    """A send schedules no event of the transport's own: a delivered
-    copy costs the fabric's propagation timer, the transfer's
-    completion and the receiving CPU's timer, and a fan-out shares the
-    fabric's one serialisation timer; a lost copy costs a call to its
-    sender's ``on_fail``."""
+    """A send schedules no event of the transport's own.  A fan-out of
+    k delivered copies costs k + 3 events: the fabric's serialisation
+    timer, one propagation timer and one arrival event for the copies
+    that land at the same instant, and each receiving CPU's timer.  A
+    lost copy costs a call to its sender's ``on_fail``."""
 
-    def test_delivery_costs_three_events(self, env, cluster3):
-        targets = ["maui", "etna"]
+    def test_fan_out_costs_k_plus_three_events(self, env):
+        cluster = build_cluster(env, nodes=6, seed=42)
+        stack = cluster[cluster.names[0]].stack
+        env.run()
+        for k in (2, 5):
+            targets = cluster.names[1:k + 1]
+            conns = [stack.connect(dst, tag=f"t{k}") for dst in targets]
+            before = env.events_processed
+            received = [cluster[dst].stack.bytes_received
+                        for dst in targets]
+            with stack.batch():
+                stack.send_many(conns, "x", 100)
+            env.run()
+            assert [cluster[dst].stack.bytes_received - r
+                    for dst, r in zip(targets, received)] == [100] * k
+            assert env.events_processed - before == k + 3
+
+    def test_group_arrival_keeps_same_instant_order(self, env, cluster3):
+        """A timeout created after the reallocation that finishes a
+        fan-out, landing on exactly the delivery instant, runs before
+        the receivers' handlers — where it ran when every copy had a
+        completion event of its own — because the group is delivered
+        from a zero-delay arrival event, not from its propagation
+        timer."""
+        fabric = cluster3.fabric
         stack = cluster3["alan"].stack
+        targets = ["maui", "etna"]
+        order = []
+        for dst in targets:
+            cluster3[dst].stack.bind(
+                "t", lambda m: order.append((m.dst, env.now)))
         conns = [stack.connect(dst, tag="t") for dst in targets]
         env.run()
-        before = env.events_processed
         with stack.batch():
             stack.send_many(conns, "x", 100)
+        while fabric.flows_through(fabric.hosts["alan"].tx):
+            env.step()
+        # The fan-out's flows have just finished, at this instant.
+        latency = sum(link.latency for link in fabric.path(
+            "alan", "maui")) + fabric.switch_latency
+        env.timeout(latency).add_callback(
+            lambda _ev: order.append(("timer", env.now)))
         env.run()
-        assert [cluster3[dst].stack.bytes_received
-                for dst in targets] == [100, 100]
-        assert env.events_processed - before == 3 * len(targets) + 1
+        assert [who for who, _ in order] == ["timer", "maui", "etna"]
+        assert len({when for _, when in order}) == 1
 
     def test_send_time_drop_costs_no_event(self, env, cluster3):
         from repro.sim import FaultInjector
