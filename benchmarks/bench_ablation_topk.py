@@ -24,7 +24,7 @@ scalar-only knobs leave the keyed stream untouched.
 
 from __future__ import annotations
 
-from repro.dproc import DMonConfig, topk_source
+from repro.dproc import DMonConfig, Roster, topk_source
 from repro.dproc.params import ChangeThreshold
 from repro.dproc.toolkit import Dproc
 from repro.kecho import KechoBus
@@ -51,15 +51,14 @@ def build():
     bus = KechoBus()
     names = cluster.names
     watchers = set(names[:WATCHERS])
+    roster = Roster(names)
     dprocs = {}
     for name in names:
         cfg = DMonConfig(poll_interval=POLL,
                          subscribe_monitoring=name in watchers)
-        dprocs[name] = Dproc(cluster[name], bus, cfg, MODULES)
+        dprocs[name] = Dproc(cluster[name], bus, cfg, MODULES,
+                             roster=roster)
         dprocs[name].dmon.modules["proc"].configure("nprocs", N_PROCS)
-    for name in watchers:
-        for host in names:
-            dprocs[name].add_cluster_node(host)
     return env, cluster, dprocs
 
 

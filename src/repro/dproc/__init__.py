@@ -35,7 +35,7 @@ from repro.dproc.params import (AboveThreshold, BelowThreshold,
                                 ChangeThreshold, MetricPolicy,
                                 RangeThreshold, ThresholdRule,
                                 parse_threshold_spec)
-from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile
+from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile, Roster
 from repro.dproc.toolkit import Dproc, deploy_dproc
 
 __all__ = [
@@ -56,6 +56,6 @@ __all__ = [
     "MetricSample", "MonitoringModule", "NetMon", "PmcMon", "ProcMon",
     "AboveThreshold", "BelowThreshold", "ChangeThreshold", "MetricPolicy",
     "RangeThreshold", "ThresholdRule", "parse_threshold_spec",
-    "ProcFS", "ProcFile", "DirTemplate",
+    "ProcFS", "ProcFile", "DirTemplate", "Roster",
     "Dproc", "deploy_dproc",
 ]

@@ -9,16 +9,20 @@ The dproc toolkit mounts its tree here::
     /proc/cluster/<node>/freemem
     ...
     /proc/cluster/<node>/control       (parameters + filter deployment)
+
+``/proc/cluster`` is one mount over a :class:`Roster`: the template
+under it answers for every listed node.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.errors import ProcfsError
 
-__all__ = ["ProcFS", "ProcFile", "DirTemplate"]
+__all__ = ["ProcFS", "ProcFile", "DirTemplate", "Roster"]
 
 ReadFn = Callable[..., str]
 WriteFn = Callable[..., None]
@@ -74,22 +78,60 @@ class DirTemplate:
              for key, names in layout._children.items()})
 
 
+class Roster:
+    """A grow-only set of names, listed sorted: the members of one
+    deployment, which every instance's ``/proc/cluster`` shares.
+
+    A name is one path component: not empty, no ``/``, no leading or
+    trailing whitespace.
+    """
+
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        self._members: set[str] = set()
+        self._sorted: list[str] = []
+        self._names: Optional[tuple[str, ...]] = ()
+        for name in names:
+            self.add(name)
+
+    def add(self, name: str) -> None:
+        if not name or "/" in name or name != name.strip():
+            raise ProcfsError(f"bad host name {name!r}")
+        if name in self._members:
+            raise ProcfsError(f"{name!r} already in /proc/cluster")
+        self._members.add(name)
+        insort(self._sorted, name)
+        self._names = None
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every member, sorted; one tuple until the next ``add``."""
+        if self._names is None:
+            self._names = tuple(self._sorted)
+        return self._names
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._members
+
+    def __iter__(self):
+        return iter(self.names)
+
+
 class ProcFS:
     """In-memory pseudo-filesystem with callback-backed files.
 
-    Directory structure is tracked incrementally (per-directory child
-    refcounts), so a mount costs O(path depth) however many mounts
-    exist, and a whole template directory costs one such mount however
-    many files it shows — what keeps a thousand-entry /proc/cluster
-    tree on each of a thousand nodes affordable.
+    Directory structure is tracked incrementally, so a mount costs
+    O(path depth) however many mounts exist.  A template directory
+    mounted over a roster is one entry however many names the roster
+    lists and however many files the template shows.
     """
 
     def __init__(self) -> None:
         self._files: dict[tuple[str, ...], ProcFile] = {}
-        #: Mount point -> (template, context of its files' callbacks).
-        self._dirs: dict[tuple[str, ...], tuple[DirTemplate, tuple]] = {}
-        #: Directory key -> {child name -> number of mounts below it}.
-        self._children: dict[tuple[str, ...], dict[str, int]] = {}
+        #: Mount point -> (template, roster, leading callback context).
+        self._dirs: dict[tuple[str, ...],
+                         tuple[DirTemplate, Roster, tuple]] = {}
+        #: Directory key -> child names; a roster mount's is its roster.
+        self._children: dict[tuple[str, ...], set[str] | Roster] = {}
 
     # -- mounting ------------------------------------------------------------
 
@@ -97,12 +139,15 @@ class ProcFS:
         """Install a file at ``path`` (intermediate dirs are implicit)."""
         self._files[self._claim(path)] = file
 
-    def mount_dir(self, path: str, template: DirTemplate,
+    def mount_dir(self, path: str, template: DirTemplate, roster: Roster,
                   *context) -> None:
-        """Install ``template``'s files below ``path`` as one entry;
-        their callbacks get ``context``.  The directory owns ``path``
-        like a file does: nothing else mounts at or below it."""
-        self._dirs[self._claim(path)] = (template, context)
+        """Serve ``path/<name>`` from ``template`` for every name in
+        ``roster``, now or added later; the files' callbacks get
+        ``(*context, name)``.  The directory owns ``path`` like a file
+        does: nothing else mounts at or below it."""
+        key = self._claim(path)
+        self._dirs[key] = (template, roster, context)
+        self._children[key] = roster
 
     def _claim(self, path: str) -> tuple[str, ...]:
         key = _split(path)
@@ -118,29 +163,8 @@ class ProcFS:
                     f"{path!r} conflicts with existing mount "
                     f"{'/' + '/'.join(key[:i])!r}")
         for i in range(len(key)):
-            parent = key[:i]
-            children = self._children.get(parent)
-            if children is None:
-                children = self._children[parent] = {}
-            name = key[i]
-            children[name] = children.get(name, 0) + 1
+            self._children.setdefault(key[:i], set()).add(key[i])
         return key
-
-    def unmount(self, path: str) -> None:
-        """Remove the file or template directory mounted at ``path``."""
-        key = _split(path)
-        if (self._files.pop(key, None) is None
-                and self._dirs.pop(key, None) is None):
-            raise ProcfsError(f"{path!r} is not mounted")
-        for i in range(len(key)):
-            parent = key[:i]
-            children = self._children[parent]
-            name = key[i]
-            children[name] -= 1
-            if children[name] == 0:
-                del children[name]
-                if not children:
-                    del self._children[parent]
 
     # -- access ---------------------------------------------------------------
 
@@ -179,13 +203,16 @@ class ProcFS:
 
     def _resolve(self, key: tuple[str, ...]):
         """The tables that answer for ``key``: ``(files, children,
-        key within them, callback context)`` — this filesystem's own,
-        or those of the template directory mounted at or above it."""
-        for i in range(len(key), 0, -1):
+        key within them, callback context)`` — those of the template
+        serving a listed name below a roster mount, else this
+        filesystem's own (where nothing lies below a roster mount)."""
+        # Mounts own their paths, so at most one is a prefix of key.
+        for i in range(1, len(key)):
             entry = self._dirs.get(key[:i])
-            if entry is not None:
-                template, context = entry
-                return template.files, template.children, key[i:], context
+            if entry is not None and key[i] in entry[1]:
+                template, _, context = entry
+                return (template.files, template.children, key[i + 1:],
+                        (*context, key[i]))
         return self._files, self._children, key, ()
 
     def _lookup(self, path: str) -> tuple[ProcFile, tuple]:

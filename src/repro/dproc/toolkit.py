@@ -26,8 +26,7 @@ from repro.dproc.control_api import ControlRequest
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import DMon, DMonConfig, register_default_modules
 from repro.dproc.metrics import METRIC_FILES, MetricId
-from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile
-from repro.errors import DprocError
+from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile, Roster
 from repro.kecho import KechoBus
 from repro.runtime.protocol import Bus, NodeGroup, RuntimeNode
 from repro.telemetry import MONITOR_CPU_COUNTERS, render_text
@@ -52,7 +51,8 @@ class Dproc:
     def __init__(self, node: RuntimeNode, bus: Bus,
                  config: DMonConfig | None = None,
                  modules: Sequence[str] = DEFAULT_MODULES,
-                 module_factory: Optional[ModuleFactory] = None) -> None:
+                 module_factory: Optional[ModuleFactory] = None,
+                 roster: Optional[Roster] = None) -> None:
         self.node = node
         self.bus = bus
         self.dmon = DMon(node, bus, config)
@@ -63,10 +63,11 @@ class Dproc:
                 self.dmon.register_service(module_factory(name, node))
         self.procfs = ProcFS()
         self._control_log: dict[str, deque[str]] = {}
-        #: Sorted /proc/cluster listing; None after a host was added.
-        #: ``deploy_dproc`` hands every instance the same tuple.
-        self._hosts: Optional[tuple[str, ...]] = ()
+        #: The hosts under /proc/cluster.  ``deploy_dproc`` hands every
+        #: instance the same roster, so a join shows on all of them.
+        self.roster = Roster() if roster is None else roster
         self._mount_standard()
+        self.procfs.mount_dir("/proc/cluster", HOST_DIR, self.roster, self)
         node.attach_service("dproc", self)
 
     # -- lifecycle ------------------------------------------------------------
@@ -99,18 +100,13 @@ class Dproc:
         return self.procfs.listdir(path)
 
     def add_cluster_node(self, host: str) -> None:
-        """Expose ``/proc/cluster/<host>/`` for a (possibly remote) node."""
-        base = f"/proc/cluster/{host}"
-        if self.procfs.exists(base):
-            raise DprocError(f"{host!r} already in /proc/cluster")
-        self.procfs.mount_dir(base, HOST_DIR, self, host)
-        self._hosts = None
+        """Expose ``/proc/cluster/<host>/`` for a (possibly remote) node
+        on every instance sharing this roster."""
+        self.roster.add(host)
 
     def hosts(self) -> tuple[str, ...]:
         """Nodes visible under /proc/cluster, sorted."""
-        if self._hosts is None:
-            self._hosts = tuple(self.procfs.listdir("/proc/cluster"))
-        return self._hosts
+        return self.roster.names
 
     # -- convenience accessors -----------------------------------------------------
 
@@ -244,7 +240,7 @@ class Dproc:
 
 
 #: The layout of every ``/proc/cluster/<host>/``, built once; its
-#: callbacks take the ``(dproc, host)`` a directory is mounted with.
+#: callbacks take ``(dproc, host)``: the mount's context and the name.
 HOST_DIR = DirTemplate({
     **{fname: ProcFile(lambda dproc, host, metric=metric:
                        f"{dproc.metric(host, metric):.6g}\n")
@@ -286,23 +282,18 @@ def deploy_dproc(cluster: NodeGroup,
     (e.g. restricting which hosts subscribe to the monitoring channel
     on large live pools).  ``roster`` names the hosts every instance
     shows under /proc/cluster when that is more than the hosts
-    deployed here: the other pool workers' hosts.
+    deployed here: the other pool workers' hosts.  The instances share
+    one :class:`~repro.dproc.procfs.Roster`.
     """
     bus = bus if bus is not None else KechoBus()
     names = list(hosts) if hosts is not None else cluster.names
+    shared = Roster(names if roster is None else roster)
     instances: dict[str, Dproc] = {}
     for name in names:
         host_config = config_fn(name) if config_fn is not None \
             else config
-        instances[name] = Dproc(cluster[name], bus, host_config,
-                                modules,
-                                module_factory=module_factory)
-    listing = tuple(sorted(names if roster is None else roster))
-    for dproc in instances.values():
-        for name in listing:
-            dproc.add_cluster_node(name)
-        # One sorted listing for all of them, not a copy each.
-        dproc._hosts = listing
+        instances[name] = Dproc(cluster[name], bus, host_config, modules,
+                                module_factory=module_factory, roster=shared)
     for dproc in instances.values():
         dproc.start()
     return instances

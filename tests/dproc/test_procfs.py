@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import DirTemplate, ProcFS, ProcFile
+from repro.dproc import DirTemplate, ProcFS, ProcFile, Roster
 from repro.errors import ProcfsError
 
 
@@ -34,15 +34,6 @@ class TestMounting:
     def test_directory_cannot_shadow_file(self, fs):
         with pytest.raises(ProcfsError, match="conflicts"):
             fs.mount("/proc/loadavg/sub", ProcFile(lambda: ""))
-
-    def test_unmount(self, fs):
-        fs.unmount("/proc/loadavg")
-        with pytest.raises(ProcfsError):
-            fs.read("/proc/loadavg")
-
-    def test_unmount_unknown_rejected(self, fs):
-        with pytest.raises(ProcfsError):
-            fs.unmount("/proc/ghost")
 
     def test_bad_path_rejected(self, fs):
         with pytest.raises(ProcfsError):
@@ -112,12 +103,16 @@ class TestTemplateDirectories:
         })
 
     def test_one_template_serves_every_mount(self, template):
-        fs = ProcFS()
-        fs.mount_dir("/proc/cluster/maui", template, "a", "maui")
-        fs.mount_dir("/proc/cluster/etna", template, "b", "etna")
+        fs, roster = ProcFS(), Roster(["maui"])
+        fs.mount_dir("/proc/cluster", template, roster, "a")
+        fs.mount_dir("/proc/mirror", template, roster, "b")
+        roster.add("etna")
         assert fs.read("/proc/cluster/maui/load") == "a:maui\n"
-        assert fs.read("/proc/cluster/etna/load") == "b:etna\n"
+        assert fs.read("/proc/cluster/etna/load") == "a:etna\n"
+        assert fs.read("/proc/mirror/etna/load") == "b:etna\n"
         assert fs.listdir("/proc/cluster") == ["etna", "maui"]
+        assert fs.listdir("/proc/mirror") == ["etna", "maui"]
+        assert not fs.exists("/proc/cluster/hood")
         assert fs.listdir("/proc/cluster/maui") == ["load", "sub"]
         assert fs.listdir("/proc/cluster/maui/sub") == ["control"]
         assert fs.is_dir("/proc/cluster/maui/sub")
@@ -126,31 +121,33 @@ class TestTemplateDirectories:
 
     def test_writes_carry_the_mount_context(self, template):
         fs, written = ProcFS(), []
-        fs.mount_dir("/proc/cluster/maui", template, written, "maui")
+        fs.mount_dir("/proc/cluster", template, Roster(["maui"]), written)
         fs.write("/proc/cluster/maui/sub/control", "period cpu 2")
         assert written == [("maui", "period cpu 2")]
         with pytest.raises(ProcfsError, match="read-only"):
             fs.write("/proc/cluster/maui/load", "x")
 
     def test_directory_owns_its_path(self, fs, template):
-        fs.mount_dir("/proc/cluster/etna", template, None, "etna")
+        roster = Roster(["etna"])
+        fs.mount_dir("/proc/hosts", template, roster, None)
         with pytest.raises(ProcfsError, match="already"):
-            fs.mount_dir("/proc/cluster/etna", template, None, "etna")
+            fs.mount_dir("/proc/hosts", template, roster, None)
         with pytest.raises(ProcfsError, match="conflicts"):
-            fs.mount("/proc/cluster/etna/extra", ProcFile(lambda: ""))
+            fs.mount("/proc/hosts/etna/extra", ProcFile(lambda: ""))
         with pytest.raises(ProcfsError, match="conflicts"):
-            fs.mount_dir("/proc/cluster", template, None, "x")
+            fs.mount("/proc/hosts/maui", ProcFile(lambda: ""))
         with pytest.raises(ProcfsError, match="conflicts"):
-            fs.mount_dir("/proc/loadavg/sub", template, None, "x")
+            fs.mount_dir("/proc", template, roster, None)
+        with pytest.raises(ProcfsError, match="conflicts"):
+            fs.mount_dir("/proc/loadavg/sub", template, roster, None)
 
-    def test_unmount_removes_the_whole_directory(self, template):
+    def test_an_empty_roster_mount_is_a_directory(self, template):
         fs = ProcFS()
-        fs.mount_dir("/proc/cluster/maui", template, None, "maui")
-        with pytest.raises(ProcfsError, match="not mounted"):
-            fs.unmount("/proc/cluster/maui/load")
-        fs.unmount("/proc/cluster/maui")
-        assert not fs.exists("/proc")
-        assert fs.listdir("/") == []
+        fs.mount_dir("/proc/cluster", template, Roster(), None)
+        assert fs.is_dir("/proc/cluster")
+        assert fs.listdir("/proc/cluster") == []
+        with pytest.raises(ProcfsError, match="no such file"):
+            fs.read("/proc/cluster/maui/load")
 
     def test_bad_layouts_rejected(self):
         with pytest.raises(ProcfsError):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from repro.dproc import Dproc, MetricId, deploy_dproc
+from repro.dproc import Dproc, MetricId, Roster, deploy_dproc, procfs
 from repro.dproc.toolkit import CONTROL_LOG_LINES
 from repro.kecho import KechoBus
 from repro.errors import ControlSyntaxError, DprocError, ProcfsError
@@ -59,11 +59,26 @@ class TestDeployment:
         # One listing for the deployment, not a copy per instance.
         assert dprocs["alan"].hosts() is dprocs["maui"].hosts()
 
-    def test_hosts_follow_later_additions(self, cluster8):
+    def test_a_join_appears_on_every_instance(self, cluster8):
         dprocs = deploy_dproc(cluster8, hosts=["alan", "maui"])
         dprocs["alan"].add_cluster_node("etna")
-        assert dprocs["alan"].hosts() == ("alan", "etna", "maui")
-        assert dprocs["maui"].hosts() == ("alan", "maui")
+        for dp in dprocs.values():
+            assert dp.hosts() == ("alan", "etna", "maui")
+            assert dp.read("/proc/cluster/etna/status") \
+                == "state: unknown\nage: inf\n"
+        with pytest.raises(DprocError, match="already"):
+            dprocs["maui"].add_cluster_node("etna")
+
+    @pytest.mark.parametrize("name", ["", "rack1/n7", "/", " x ", "x ",
+                                      "\tx"])
+    def test_a_host_name_is_one_path_component(self, cluster3, name):
+        dproc = Dproc(cluster3["alan"], KechoBus())
+        with pytest.raises(ProcfsError, match="bad host name"):
+            dproc.add_cluster_node(name)
+        assert dproc.hosts() == ()
+        assert dproc.listdir("/proc/cluster") == []
+        dproc.add_cluster_node("rack1")
+        assert dproc.hosts() == ("rack1",)
 
 
 class TestScaling:
@@ -84,6 +99,32 @@ class TestScaling:
         assert sum(s.size_diff for s in grown) <= 1024 * len(hosts)
         assert len(dproc.listdir("/proc/cluster/node999")) > 20
         assert dproc.read("/proc/cluster/node999/loadavg") == "nan\n"
+
+    def test_an_instance_cluster_dir_is_o1_in_the_roster(self, cluster8):
+        """Counted, not timed: the /proc tree of an instance over a
+        1,024-host roster allocates what one over a 64-host roster
+        does (give or take a free-list hit), and its /proc/cluster is
+        one mount.  A mount per host added some 500 B a host."""
+        bus = KechoBus()
+        Dproc(cluster8["alan"], bus)   # module-level caches warm up
+        only_procfs = [tracemalloc.Filter(True, procfs.__file__)]
+
+        def tree_bytes(node, hosts):
+            roster = Roster(f"node{i}" for i in range(hosts))
+            assert len(roster.names) == hosts
+            tracemalloc.start()
+            before = tracemalloc.take_snapshot().filter_traces(only_procfs)
+            dproc = Dproc(cluster8[node], bus, roster=roster)
+            after = tracemalloc.take_snapshot().filter_traces(only_procfs)
+            tracemalloc.stop()
+            assert len(dproc.procfs._dirs) == 1
+            assert dproc.hosts() is roster.names
+            return sum(s.size_diff
+                       for s in after.compare_to(before, "filename"))
+
+        small = tree_bytes("maui", 64)
+        assert 0 < small < 4096
+        assert abs(tree_bytes("etna", 1024) - small) <= 512
 
 
 class TestReading:

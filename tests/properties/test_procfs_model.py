@@ -1,9 +1,10 @@
 """ProcFS against an eager reference model.
 
-The real :class:`ProcFS` resolves template directories on lookup; the
-model below installs every file of every mount in one dict and answers
-every question by scanning it.  Random operation sequences over a tiny
-alphabet (so paths overlap constantly) must give identical results and
+The real :class:`ProcFS` resolves roster directories on lookup; the
+model below installs every file of every mount in one dict, again for
+every name that joins a mount's roster, and answers every question by
+scanning it.  Random operation sequences over a tiny alphabet (so
+paths and names overlap constantly) must give identical results and
 identical ``ProcfsError`` messages.
 """
 
@@ -14,7 +15,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dproc import DirTemplate, ProcFS, ProcFile
+from repro.dproc import DirTemplate, ProcFS, ProcFile, Roster
 from repro.errors import ProcfsError
 
 #: Template layouts: relative path -> writable.
@@ -25,12 +26,16 @@ LAYOUTS = (
 )
 
 
-def _template_file(rel: str, writable: bool) -> ProcFile:
-    def read(log, tag):
-        return f"{tag}:{rel}\n"
+#: How many rosters a sequence's mounts choose from.
+ROSTERS = 2
 
-    def write(log, tag, text):
-        log.append((tag, rel, text))
+
+def _template_file(rel: str, writable: bool) -> ProcFile:
+    def read(log, tag, name):
+        return f"{tag}:{name}:{rel}\n"
+
+    def write(log, tag, name, text):
+        log.append((tag, name, rel, text))
     return ProcFile(read, write if writable else None)
 
 
@@ -42,7 +47,7 @@ TEMPLATES = tuple(
 
 def _plain_file(log, tag: str, writable: bool) -> ProcFile:
     def write(text):
-        log.append((tag, "", text))
+        log.append((tag, "", "", text))
     return ProcFile(lambda: f"{tag}\n", write if writable else None)
 
 
@@ -59,18 +64,38 @@ class EagerFS:
     def __init__(self) -> None:
         #: Full key -> (file, callback context).
         self.files: dict[tuple, tuple[ProcFile, tuple]] = {}
-        #: Mount point -> the full keys it installed.
-        self.points: dict[tuple, list[tuple]] = {}
+        #: Every mount point, file or directory.
+        self.points: set[tuple] = set()
+        #: Directory mount point -> (layout, roster index, context).
+        self.dirs: dict[tuple, tuple[dict, int, tuple]] = {}
+        self.rosters: list[set[str]] = [set() for _ in range(ROSTERS)]
 
     def mount(self, path, file):
-        self._install(path, {(): file}, ())
+        self.files[self._claim(path)] = (file, ())
 
-    def mount_dir(self, path, layout, *context):
-        self._install(path, {_key(rel): _template_file(rel, writable)
-                             for rel, writable in layout.items()},
-                      context)
+    def mount_dir(self, path, layout, roster, *context):
+        key = self._claim(path)
+        self.dirs[key] = (layout, roster, context)
+        for name in self.rosters[roster]:
+            self._install(key, name)
 
-    def _install(self, path, files, context):
+    def join(self, roster, name):
+        if not name or "/" in name or name != name.strip():
+            raise ProcfsError(f"bad host name {name!r}")
+        if name in self.rosters[roster]:
+            raise ProcfsError(f"{name!r} already in /proc/cluster")
+        self.rosters[roster].add(name)
+        for key, (_, shared, _) in self.dirs.items():
+            if shared == roster:
+                self._install(key, name)
+
+    def _install(self, key, name):
+        layout, _, context = self.dirs[key]
+        for rel, writable in layout.items():
+            self.files[key + (name,) + _key(rel)] = (
+                _template_file(rel, writable), (*context, name))
+
+    def _claim(self, path):
         key = _key(path)
         if key in self.points:
             raise ProcfsError(f"{path!r} already mounted")
@@ -82,16 +107,8 @@ class EagerFS:
                 raise ProcfsError(
                     f"{path!r} conflicts with existing mount "
                     f"{'/' + '/'.join(key[:i])!r}")
-        self.points[key] = [key + rel for rel in files]
-        for rel, file in files.items():
-            self.files[key + rel] = (file, context)
-
-    def unmount(self, path):
-        installed = self.points.pop(_key(path), None)
-        if installed is None:
-            raise ProcfsError(f"{path!r} is not mounted")
-        for key in installed:
-            del self.files[key]
+        self.points.add(key)
+        return key
 
     def _file(self, path):
         entry = self.files.get(_key(path))
@@ -108,25 +125,29 @@ class EagerFS:
         file.write(text, *context)
 
     def _below(self, key):
-        return {f[len(key)] for f in self.files
+        # A directory mount point is a directory even while its
+        # roster is empty.
+        return {f[len(key)] for f in [*self.files, *self.dirs]
                 if len(f) > len(key) and f[:len(key)] == key}
+
+    def _is_dir(self, key):
+        return key in self.dirs or bool(self._below(key))
 
     def exists(self, path):
         key = _key(path)
-        return key in self.files or bool(self._below(key))
+        return key in self.files or self._is_dir(key)
 
     def is_dir(self, path):
         key = _key(path)
-        return key not in self.files and bool(self._below(key))
+        return key not in self.files and self._is_dir(key)
 
     def listdir(self, path):
         key = _key(path) if path.strip("/") else ()
         if key in self.files:
             raise ProcfsError(f"{path!r} is a file, not a directory")
-        names = self._below(key)
-        if not names and key:
+        if key and not self._is_dir(key):
             raise ProcfsError(f"no such directory {path!r}")
-        return sorted(names)
+        return sorted(self._below(key))
 
 
 paths = st.one_of(
@@ -134,12 +155,16 @@ paths = st.one_of(
         lambda parts: "/" + "/".join(parts)),
     st.sampled_from(["", " /a ", "a//b/", "///"]))
 
+rosters = st.integers(0, ROSTERS - 1)
+
 operations = st.one_of(
     st.tuples(st.just("mount"), paths, st.booleans()),
     st.tuples(st.just("mount_dir"), paths,
-              st.integers(0, len(LAYOUTS) - 1)),
-    st.tuples(st.sampled_from(["unmount", "read", "exists", "is_dir",
-                               "listdir"]), paths),
+              st.integers(0, len(LAYOUTS) - 1), rosters),
+    st.tuples(st.just("join"), rosters,
+              st.sampled_from(["a", "b", "c", "", "a/b", " a"])),
+    st.tuples(st.sampled_from(["read", "exists", "is_dir", "listdir"]),
+              paths),
     st.tuples(st.just("write"), paths, st.sampled_from(["x", "y\n"])),
 )
 
@@ -158,6 +183,7 @@ def _outcome(call, *args):
 @given(st.lists(operations, max_size=40))
 def test_procfs_matches_eager_model(ops):
     real, model = ProcFS(), EagerFS()
+    real_rosters = [Roster() for _ in range(ROSTERS)]
     real_log, model_log = [], []
     for step, (op, path, *rest) in enumerate(ops):
         tag = f"m{step}"
@@ -167,10 +193,15 @@ def test_procfs_matches_eager_model(ops):
             want = _outcome(model.mount, path,
                             _plain_file(model_log, tag, rest[0]))
         elif op == "mount_dir":
-            got = _outcome(real.mount_dir, path, TEMPLATES[rest[0]],
-                           real_log, tag)
-            want = _outcome(model.mount_dir, path, LAYOUTS[rest[0]],
-                            model_log, tag)
+            layout, roster = rest
+            got = _outcome(real.mount_dir, path, TEMPLATES[layout],
+                           real_rosters[roster], real_log, tag)
+            want = _outcome(model.mount_dir, path, LAYOUTS[layout],
+                            roster, model_log, tag)
+        elif op == "join":
+            roster, name = path, rest[0]
+            got = _outcome(real_rosters[roster].add, name)
+            want = _outcome(model.join, roster, name)
         else:
             got = _outcome(getattr(real, op), path, *rest)
             want = _outcome(getattr(model, op), path, *rest)
