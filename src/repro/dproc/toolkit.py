@@ -132,9 +132,7 @@ class Dproc:
     def _mount_standard(self) -> None:
         # The stock /proc/loadavg with 1/5/15-minute averages.
         def read_loadavg() -> str:
-            self.node.cpu.loadavg.update(
-                self.node.env.now, self.node.cpu.run_queue_length)
-            one, five, fifteen = self.node.cpu.loadavg.as_tuple()
+            one, five, fifteen = self.node.cpu.load_averages()
             return f"{one:.2f} {five:.2f} {fifteen:.2f}\n"
 
         self.procfs.mount("/proc/loadavg", ProcFile(read_loadavg))

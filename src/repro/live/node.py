@@ -37,24 +37,16 @@ def _read_proc(path: str) -> str:
         return ""
 
 
-class _HostLoadavg:
-    """Shape-compatible stand-in for the sim's EwmaLoad tracker."""
+class HostCpu:
+    """Real-host CPU view (shape of ``repro.sim.cpu.CPU``)."""
 
-    def update(self, t: float, runnable: float) -> None:
-        """No-op: the host kernel maintains the real load averages."""
-
-    def as_tuple(self) -> tuple[float, float, float]:
+    @staticmethod
+    def load_averages() -> tuple[float, float, float]:
+        """The host kernel's 1/5/15-minute load averages."""
         try:
             return os.getloadavg()
         except OSError:  # pragma: no cover - platform without loadavg
             return (0.0, 0.0, 0.0)
-
-
-class HostCpu:
-    """Real-host CPU view (shape of ``repro.sim.cpu.Cpu``)."""
-
-    def __init__(self) -> None:
-        self.loadavg = _HostLoadavg()
 
     @property
     def run_queue_length(self) -> float:

@@ -237,27 +237,36 @@ class EwmaLoad:
         self._last_t: float | None = None
 
     def update(self, t: float, runnable: float) -> None:
-        """Fold in the instantaneous run-queue length at time ``t``.
+        """Fold in ``runnable``, the run-queue length that held since
+        the previous sample, at time ``t``.
 
         The first sample only anchors the clock (averages stay at the
         boot value 0.0, as on a freshly started kernel); subsequent
         samples decay exponentially toward the observed run queue.
 
         At rest — nothing runnable and every average exactly 0.0 — the
-        update is the identity (``0.0·d + 0·(1 − d) == 0.0``), so the
+        fold is the identity (``0.0·d + 0·(1 − d) == 0.0``), so the
         three ``exp`` calls are skipped.
         """
-        last = self._last_t
-        if last is not None:
-            dt = t - last
-            if dt < 0:
-                raise ValueError("time went backwards")
-            loads = self.loads
-            if runnable or loads[0] or loads[1] or loads[2]:
-                for i, tau in enumerate(self.PERIODS):
-                    decay = math.exp(-dt / tau)
-                    loads[i] = loads[i] * decay + runnable * (1.0 - decay)
+        loads = self.loads
+        if runnable or loads[0] or loads[1] or loads[2]:
+            loads[:] = self.at(t, runnable)
+        elif self._last_t is not None and t < self._last_t:
+            raise ValueError("time went backwards")
         self._last_t = t
+
+    def at(self, t: float, runnable: float) -> tuple[float, float, float]:
+        """The averages :meth:`update` would leave, without storing them."""
+        last = self._last_t
+        if last is None:
+            return tuple(self.loads)  # type: ignore[return-value]
+        dt = t - last
+        if dt < 0:
+            raise ValueError("time went backwards")
+        return tuple(  # type: ignore[return-value]
+            load * decay + runnable * (1.0 - decay)
+            for load, decay in zip(self.loads, (
+                math.exp(-dt / tau) for tau in self.PERIODS)))
 
     def as_tuple(self) -> tuple[float, float, float]:
         """The (1min, 5min, 15min) averages."""

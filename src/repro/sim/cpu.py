@@ -17,14 +17,19 @@ toward the run-queue length seen by CPU_MON; jobs submitted via
 :meth:`kernel_work` consume cycles (they contend for capacity) but do
 not appear in the run queue, mirroring in-kernel softirq/handler work.
 A kernel charge is fire-and-forget: nobody awaits it, so its job
-carries no completion event and schedules none.
+carries no completion event.  While no job in the set is awaited the
+CPU arms no timer either: the next completion is a number, ``_due``,
+and :meth:`catch_up` resolves it the next time anyone looks, with the
+same operations a timer would have run at that instant.
 
 The device keeps *state*, not history: the runnable-job count is an
 int maintained incrementally (``run_queue_length`` is O(1), read by
-CPU_MON and the load average) and busy time is one float,
-``busy_cpu_seconds``.  A caller that wants utilisation over a window
-calls :meth:`settle` and differences ``busy_cpu_seconds`` at the
-window's two edges, as PMC_MON and the power model do.
+CPU_MON) and busy time is one float, ``busy_cpu_seconds``.  A caller
+that wants utilisation over a window calls :meth:`settle` and
+differences ``busy_cpu_seconds`` at the window's two edges, as PMC_MON
+and the power model do.  The 1/5/15-minute load averages fold the
+run-queue length that held over each elapsed interval, and
+:meth:`load_averages` reads them without storing anything.
 """
 
 from __future__ import annotations
@@ -74,13 +79,19 @@ class CPU:
         self._jobs: dict[int, CpuJob] = {}
         #: Incrementally maintained count of runnable jobs (O(1) reads).
         self._n_runnable = 0
+        #: Jobs with a completion event.  While there are none no timer
+        #: is armed and ``_due`` holds the next completion instant.
+        self._n_awaited = 0
+        self._due = math.inf
         self._ids = itertools.count(1)
         self._last_update = env.now
         self._timer_generation = 0
         #: Cumulative CPU-seconds actually consumed (all processors).
         self.busy_cpu_seconds = 0.0
-        #: Classic /proc/loadavg exponential averages, fed on job churn.
+        #: Classic /proc/loadavg exponential averages, folded as time
+        #: advances; read them through :meth:`load_averages`.
         self.loadavg = EwmaLoad()
+        self.loadavg.update(env.now, 0)
 
     # -- public interface --------------------------------------------------
 
@@ -92,6 +103,7 @@ class CPU:
     @property
     def active_jobs(self) -> int:
         """All jobs currently consuming cycles (incl. kernel work)."""
+        self.catch_up(self.env.now)
         return len(self._jobs)
 
     def process_table(self) -> list[tuple[int, str, bool, float]]:
@@ -101,11 +113,22 @@ class CPU:
         order, where ``cpu_share`` is the fraction of one processor
         each job currently receives under processor sharing.
         """
+        self.catch_up(self.env.now)
         if not self._jobs:
             return []
         share = self.per_job_rate() / self.mflops_per_cpu
         return [(j.jid, j.name, j.runnable, share)
                 for j in sorted(self._jobs.values(), key=lambda j: j.jid)]
+
+    def load_averages(self) -> tuple[float, float, float]:
+        """The 1/5/15-minute load averages at ``env.now``.
+
+        A pure read: it resolves the completions already due, then
+        evaluates the averages without storing them, so a reading
+        never changes a later one.
+        """
+        self.catch_up(self.env.now)
+        return self.loadavg.at(self.env.now, self._n_runnable)
 
     def per_job_rate(self) -> float:
         """Current Mflop/s granted to each active job."""
@@ -124,7 +147,11 @@ class CPU:
         """Run in-kernel work that uses cycles without being 'runnable'.
 
         Returns nothing: the work contends for the CPU like any job,
-        but no completion event is created or scheduled for it.
+        but nobody awaits it, so it creates no completion event.  While
+        no awaited job shares the CPU it arms no timer either and
+        completes on the next look (:meth:`catch_up`).  So ``env.run()``
+        without ``until`` does not wait for pending kernel work: that
+        work holds no event.
         """
         self._submit(work_mflop, name, runnable=False, notify=False)
 
@@ -136,21 +163,35 @@ class CPU:
     def cancel(self, job: CpuJob) -> None:
         """Abort a job; its event (if any) fails with
         :class:`SimulationError`."""
+        self.catch_up(self.env.now)
         if job.jid not in self._jobs:
             return
-        self._settle()
+        self._advance(self.env.now)
         del self._jobs[job.jid]
         if job.runnable:
             self._n_runnable -= 1
         job.cancelled = True
         if job.done is not None:
+            self._n_awaited -= 1
             job.done.fail(SimulationError(f"job {job.name!r} cancelled"))
             job.done.defused = True
-        self._changed()
+        self._changed(self.env.now)
 
     def settle(self) -> None:
         """Bring accounting (remaining work, busy time) up to ``env.now``."""
-        self._settle()
+        self.catch_up(self.env.now)
+        self._advance(self.env.now)
+
+    def catch_up(self, now: float) -> None:
+        """Resolve every completion due by ``now`` that no timer was
+        armed for: advance to each due instant and complete there, the
+        operations the timer would have run, so every float comes out
+        bit-identical.  It never advances part of the way to ``now``:
+        that would split one burn in two and move the last bits."""
+        while self._due <= now:
+            due = self._due
+            self._advance(due)
+            self._changed(due)
 
     # -- internals -----------------------------------------------------------
 
@@ -158,7 +199,7 @@ class CPU:
                 notify: bool = True) -> CpuJob:
         if work < 0:
             raise SimulationError("work must be non-negative")
-        self._settle()
+        self.settle()
         job = CpuJob(jid=next(self._ids), name=name, work=float(work),
                      remaining=float(work), runnable=runnable,
                      done=self.env.event() if notify else None,
@@ -170,15 +211,17 @@ class CPU:
         self._jobs[job.jid] = job
         if runnable:
             self._n_runnable += 1
-        self._changed()
+        if notify:
+            self._n_awaited += 1
+        self._changed(self.env.now)
         return job
 
-    def _settle(self) -> None:
-        """Advance every job's remaining work to the current instant."""
-        now = self.env.now
-        dt = now - self._last_update
+    def _advance(self, t: float) -> None:
+        """Burn every job's work, and fold the run-queue length that
+        held into the load averages, over the interval up to ``t``."""
+        dt = t - self._last_update
         if dt <= 0:
-            self._last_update = now
+            self._last_update = t
             return
         k = len(self._jobs)
         if k:
@@ -187,11 +230,12 @@ class CPU:
                 rem = job.remaining - burn
                 job.remaining = rem if rem > 0.0 else 0.0
             self.busy_cpu_seconds += min(k, self.n_cpus) * dt
-        self._last_update = now
+        self.loadavg.update(t, self._n_runnable)
+        self._last_update = t
 
-    def _changed(self) -> None:
-        """Job set changed: complete finished jobs, reschedule the timer."""
-        now = self.env.now
+    def _changed(self, now: float) -> None:
+        """Job set changed: complete finished jobs, schedule the next
+        completion."""
         jobs = self._jobs
         if len(jobs) == 1:
             # The common case, one job alone (a lone kernel charge):
@@ -214,8 +258,7 @@ class CPU:
                 for job in finished:
                     self._complete(job)
             next_remaining = None
-        self.loadavg.update(now, self._n_runnable)
-        self._timer_generation += 1
+        self._due = math.inf
         if not jobs:
             return
         if next_remaining is None:
@@ -223,6 +266,12 @@ class CPU:
         eta = next_remaining / self.per_job_rate()
         if not math.isfinite(eta):
             raise SimulationError("non-finite completion time")
+        if not self._n_awaited:
+            # Nobody awaits a completion: keep it as a number for the
+            # next look (the float ``Environment`` would have queued).
+            self._due = now + eta
+            return
+        self._timer_generation += 1
         generation = self._timer_generation
         timer = self.env.timeout(eta)
         timer.add_callback(lambda _ev: self._on_timer(generation))
@@ -232,10 +281,11 @@ class CPU:
         if job.runnable:
             self._n_runnable -= 1
         if job.done is not None:
+            self._n_awaited -= 1
             job.done.succeed(job)
 
     def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
-            return  # stale timer; the job set changed since it was armed
-        self._settle()
-        self._changed()
+        if generation != self._timer_generation or not self._n_awaited:
+            return  # stale: re-armed since, or nothing awaited is left
+        self.settle()
+        self._changed(self.env.now)

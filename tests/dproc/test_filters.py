@@ -60,7 +60,7 @@ class TestDeployment:
         node = cluster3["alan"]
         manager = FilterManager(node)
         manager.deploy(PASS_LOADAVG, scope="*")
-        env.run()
+        env.run(until=1.0)
         node.cpu.settle()
         assert node.cpu.busy_cpu_seconds \
             == pytest.approx(node.costs.filter_compile)

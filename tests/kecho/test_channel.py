@@ -262,7 +262,7 @@ class TestCostAccounting:
         eps = wire(bus, cluster3)
         eps["maui"].subscribe(lambda e: None)
         receipt = eps["alan"].submit("x", size=KB(5))
-        env.run()
+        env.run(until=1.0)
         alan = cluster3["alan"]
         alan.cpu.settle()
         assert alan.cpu.busy_cpu_seconds \

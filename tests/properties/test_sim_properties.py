@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import CPU, Environment, Store
+from repro.sim.cpu import CpuJob
 from repro.runtime.series import EwmaLoad, WindowAverage
 
 # Keep the DES property runs snappy.
@@ -102,6 +105,173 @@ class TestCpuProperties:
         order = sorted(range(len(works)), key=lambda i: works[i])
         times = [finish[i] for i in order]
         assert all(a <= b + 1e-9 for a, b in zip(times, times[1:]))
+
+
+class TimerCpu:
+    """Oracle: the processor-sharing CPU with a timer per change.
+
+    Every change arms a generation-checked completion timer, for
+    awaited and fire-and-forget jobs alike, and the load averages fold
+    the run-queue length that held in the advance step.  ``CPU`` arms
+    timers only for awaited jobs and must match it bit for bit.
+    """
+
+    def __init__(self, env, n_cpus, mflops_per_cpu):
+        self.env = env
+        self.n_cpus = n_cpus
+        self.mflops_per_cpu = mflops_per_cpu
+        self._jobs = {}
+        self.n_runnable = 0
+        self.ids = itertools.count(1)
+        self.last = env.now
+        self.generation = 0
+        self.busy_cpu_seconds = 0.0
+        self.loadavg = EwmaLoad()
+        self.loadavg.update(env.now, 0)
+
+    @property
+    def active_jobs(self):
+        return len(self._jobs)
+
+    def rate(self):
+        k = len(self._jobs)
+        if k <= self.n_cpus:
+            return self.mflops_per_cpu
+        return self.mflops_per_cpu * (self.n_cpus / k)
+
+    def process_table(self):
+        share = self.rate() / self.mflops_per_cpu
+        return [(j.jid, j.name, j.runnable, share)
+                for j in sorted(self._jobs.values(), key=lambda j: j.jid)]
+
+    def execute(self, work):
+        return self.submit(work).done
+
+    def kernel_work(self, work):
+        self.submit(work, "kernel", runnable=False, notify=False)
+
+    def submit(self, work, name="job", runnable=True, notify=True):
+        self.settle()
+        job = CpuJob(jid=next(self.ids), name=name, work=float(work),
+                     remaining=float(work), runnable=runnable,
+                     done=self.env.event() if notify else None,
+                     started_at=self.env.now)
+        if work == 0.0:
+            if notify:
+                job.done.succeed(job)
+            return job
+        self._jobs[job.jid] = job
+        self.n_runnable += runnable
+        self.changed()
+        return job
+
+    def cancel(self, job):
+        if job.jid not in self._jobs:
+            return
+        self.settle()
+        del self._jobs[job.jid]
+        self.n_runnable -= job.runnable
+        job.cancelled = True
+        if job.done is not None:
+            job.done.fail(SimulationError("cancelled"))
+            job.done.defused = True
+        self.changed()
+
+    def settle(self):
+        now = self.env.now
+        dt = now - self.last
+        if dt > 0:
+            k = len(self._jobs)
+            if k:
+                burn = self.rate() * dt
+                for job in self._jobs.values():
+                    rem = job.remaining - burn
+                    job.remaining = rem if rem > 0.0 else 0.0
+                self.busy_cpu_seconds += min(k, self.n_cpus) * dt
+            self.loadavg.update(now, self.n_runnable)
+        self.last = now
+
+    def changed(self):
+        for job in [j for j in self._jobs.values()
+                    if j.remaining <= 1e-9 * max(j.work, 1.0)]:
+            del self._jobs[job.jid]
+            self.n_runnable -= job.runnable
+            if job.done is not None:
+                job.done.succeed(job)
+        self.generation += 1
+        if self._jobs:
+            eta = min(j.remaining for j in self._jobs.values()) / self.rate()
+            generation = self.generation
+            self.env.timeout(eta).add_callback(
+                lambda _ev: self.on_timer(generation))
+
+    def on_timer(self, generation):
+        if generation == self.generation:
+            self.settle()
+            self.changed()
+
+
+# Small whole numbers make completions land exactly on a run horizon.
+works = st.one_of(st.integers(0, 6).map(float),
+                  st.floats(min_value=0.01, max_value=20.0))
+cpu_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["kernel", "execute", "submit"]), works),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["settle", "read"]), st.just(0.0)),
+    st.tuples(st.just("run"), st.one_of(
+        st.integers(0, 4).map(float),
+        st.floats(min_value=0.0, max_value=8.0)))),
+    max_size=50)
+
+
+class TestCpuNextLookOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(cpu_ops, st.integers(1, 3))
+    def test_next_look_equals_a_timer_per_change(self, ops, n_cpus):
+        """Kernel work that completes on the next look leaves every
+        value equal (``==``) to a CPU that arms a timer per change:
+        busy time, load averages, the job set and process table, and
+        the instant each awaited job completes or is cancelled."""
+        sides = []
+        for make in (CPU, TimerCpu):
+            env = Environment()
+            sides.append((env, make(env, n_cpus=n_cpus,
+                                    mflops_per_cpu=1.0), [], []))
+
+        def apply(env, cpu, handles, ends, op, arg):
+            if op == "kernel":
+                cpu.kernel_work(arg)
+                if arg:
+                    handles.append(cpu._jobs[max(cpu._jobs)])
+            elif op in ("execute", "submit"):
+                if op == "execute":
+                    done = cpu.execute(arg)
+                else:
+                    job = cpu.submit(arg, runnable=False)
+                    handles.append(job)
+                    done = job.done
+                n = len(handles)
+                done.add_callback(
+                    lambda ev: ends.append((n, ev.ok, env.now)))
+            elif op == "cancel":
+                if handles:
+                    cpu.cancel(handles[arg % len(handles)])
+            elif op == "settle":
+                cpu.settle()
+            elif op == "read":
+                return cpu.process_table()
+            else:
+                env.run(until=env.now + arg)
+            return None
+
+        def state(env, cpu, handles, ends):
+            return (env.now, cpu.active_jobs, cpu.busy_cpu_seconds,
+                    list(cpu.loadavg.loads), list(ends))
+
+        for op, arg in ops + [("run", 100.0), ("settle", 0.0)]:
+            new, old = (apply(*side, op, arg) for side in sides)
+            assert new == old
+            assert state(*sides[0]) == state(*sides[1])
 
 
 class TestStoreProperties:

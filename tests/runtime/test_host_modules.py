@@ -130,3 +130,28 @@ class TestDiskRows:
         assert not [name for name in whole
                     if name.startswith(("loop", "dm-", "zram"))]
         assert all(os.path.isdir(f"/sys/block/{name}") for name in whole)
+
+
+class TestHostLoadavg:
+    def test_proc_loadavg_reads_the_host_kernel(self, monkeypatch):
+        """The toolkit's ``/proc/loadavg`` reads a live node's CPU
+        through ``load_averages()``: the host kernel's own figures."""
+        import asyncio
+
+        from repro.dproc import DMonConfig, Dproc
+        from repro.kecho import KechoBus
+        from repro.live.clock import AsyncClock
+        from repro.live.node import LiveNode
+
+        monkeypatch.setattr(os, "getloadavg", lambda: (1.5, 0.25, 0.5))
+
+        async def read():
+            clock = AsyncClock()
+            clock.start()
+            node = LiveNode("alan", clock)
+            text = Dproc(node, KechoBus(), DMonConfig()).read(
+                "/proc/loadavg")
+            await node.stack.stop()
+            return text
+
+        assert asyncio.run(read()) == "1.50 0.25 0.50\n"

@@ -100,20 +100,20 @@ class TestNode:
     def test_charge_kernel_seconds_consumes_cpu(self, env, cluster3):
         node = cluster3["alan"]
         node.charge_kernel_seconds(0.5)
-        env.run()
+        env.run(until=1.0)
         node.cpu.settle()
         assert node.cpu.busy_cpu_seconds == pytest.approx(0.5)
 
-    def test_charge_on_idle_node_is_one_event(self, env, cluster3):
-        """Nobody awaits a kernel charge: the CPU timer that retires it
-        is the only event it costs."""
+    def test_charge_on_idle_node_is_no_event(self, env, cluster3):
+        """Nobody awaits a kernel charge, so it costs no event: the CPU
+        completes it on the next look."""
         node = cluster3["alan"]
         env.run()
         before = env.events_processed
         assert node.charge_kernel_seconds(0.5) is None
-        env.run()
-        assert env.events_processed - before == 1
-        assert env.now == pytest.approx(0.5)
+        env.run(until=env.now + 1.0)
+        assert env.events_processed == before
+        assert node.cpu.active_jobs == 0
 
     def test_charge_negative_rejected(self, cluster3):
         with pytest.raises(SimulationError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -120,15 +122,15 @@ class TestRunQueueAccounting:
         assert env.now == pytest.approx(10.0)
 
     def test_kernel_work_is_fire_and_forget(self, env):
-        """A kernel charge returns nothing and schedules only the CPU
-        timer that retires it — no completion event."""
+        """A kernel charge returns nothing and schedules no event: it
+        completes on the next look."""
         cpu = CPU(env, n_cpus=1, mflops_per_cpu=10.0)
         assert cpu.kernel_work(5.0) is None
         assert cpu.kernel_work(0.0) is None
-        env.run()
-        assert env.events_processed == 1
-        assert env.now == pytest.approx(0.5)
+        env.run(until=1.0)
+        assert env.events_processed == 0
         assert cpu.active_jobs == 0
+        cpu.settle()
         assert cpu.busy_cpu_seconds == pytest.approx(0.5)
 
     def test_cancel_kernel_job_without_event(self, env):
@@ -148,11 +150,50 @@ class TestRunQueueAccounting:
             for _ in range(4):
                 cpu.execute(1e6)
             yield env.timeout(300.0)
-            cpu.loadavg.update(env.now, cpu.run_queue_length)
 
         env.run(env.process(hammer()))
-        one_min = cpu.loadavg.as_tuple()[0]
+        one_min = cpu.load_averages()[0]
         assert one_min > 3.0
+
+
+class TestLoadAverages:
+    @staticmethod
+    def five_jobs(read_at=()):
+        """Five back-to-back 7.3 Mflop jobs on a 1 Mflop/s CPU (busy
+        for 36.5 s), with optional reads, observed at t = 100 s."""
+        env = Environment()
+        cpu = CPU(env, n_cpus=1, mflops_per_cpu=1.0)
+
+        def worker():
+            for _ in range(5):
+                yield cpu.execute(7.3)
+
+        def reader(t):
+            yield env.timeout(t)
+            cpu.load_averages()
+
+        env.process(worker())
+        for t in read_at:
+            env.process(reader(t))
+        env.run(until=100.0)
+        return cpu
+
+    def test_busy_period_folds_the_count_that_held(self):
+        expected = (1 - math.exp(-36.5 / 60)) * math.exp(-63.5 / 60)
+        one_min = self.five_jobs().load_averages()[0]
+        assert one_min == pytest.approx(expected, rel=1e-9)
+
+    def test_reading_never_changes_a_later_reading(self):
+        quiet = self.five_jobs()
+        read = self.five_jobs(read_at=(3.3, 11.1, 20.0))
+        assert read.loadavg.loads == quiet.loadavg.loads
+        assert read.load_averages() == quiet.load_averages()
+
+    def test_idle_cpu_reads_zero(self, env):
+        cpu = CPU(env, n_cpus=1, mflops_per_cpu=1.0)
+        cpu.kernel_work(5.0)
+        env.run(until=10.0)
+        assert cpu.load_averages() == (0.0, 0.0, 0.0)
 
 
 class TestBusyAccounting:
