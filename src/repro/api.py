@@ -50,6 +50,11 @@ __all__ = ["Scenario", "ScenarioError"]
 #: A scenario hook: receives the built scenario, returns nothing.
 Hook = Callable[["Scenario"], None]
 
+#: Entries the ``obs.health`` transition log keeps, oldest dropped
+#: first: far above the flips of any run in ``tests/`` or
+#: ``benchmarks/``, so only a long or flapping run reaches it.
+HEALTH_LOG_MAX_LEN = 10_000
+
 
 class ScenarioError(ReproError):
     """Misuse of the Scenario facade (wrong backend, wrong phase)."""
@@ -88,8 +93,6 @@ class Scenario:
         self._node_configs = node_configs
         #: ``with_node_pool`` arguments (None = one plain process).
         self._pool: Optional[dict] = None
-        self._experiments: list = []
-        self._engines: list = []
         self._cluster_hooks: list[Hook] = []
         self._setup_hooks: list[Hook] = []
         #: Each requested instrument's arguments; None = not requested.
@@ -223,22 +226,6 @@ class Scenario:
                             if scrape_port is not None else None)
         return self
 
-    def with_experiment(self, *experiments) -> "Scenario":
-        """Attach declarative experiments (both backends).
-
-        Each :class:`repro.experiment.Experiment` spawns an engine on
-        its observer node that ticks the policy every
-        ``decide_interval`` seconds (virtual on sim, wall on live) and
-        applies its adaptations through the real control plane.  After
-        the run, :meth:`experiment_reports` returns one comparable
-        :class:`~repro.experiment.ExperimentReport` per experiment.
-        With no experiments attached nothing changes — the sim event
-        schedule (and the goldens pinned to it) is untouched.
-        """
-        self._check_mutable()
-        self._experiments.extend(experiments)
-        return self
-
     def with_node_pool(self, workers: int = 2, *,
                        watchers: Union[int, Sequence[str],
                                        None] = None,
@@ -357,8 +344,8 @@ class Scenario:
         Local nodes contribute their own registry; hosts that ran in a
         live pool worker, the registry rebuilt from the counters that
         worker shipped home.  Every cluster-wide report
-        (:meth:`overhead`, the live ``wire_stats()``, experiment
-        reports) is a read of this one mapping.
+        (:meth:`overhead`, the live ``wire_stats()``) is a read of
+        this one mapping.
         """
         self._check_built()
         return self.runtime.registries()
@@ -397,26 +384,12 @@ class Scenario:
 
     @property
     def obs_log(self):
-        """The durable ``obs.health`` transition log (a stream broker)."""
+        """The durable ``obs.health`` transition log (a stream broker
+        keeping the last :data:`HEALTH_LOG_MAX_LEN` entries)."""
         self._check_wanted(self._obs, "no observability plane; "
                            "call with_observability()")
         self._check_built()
         return self._plane.health_log
-
-    def experiment_reports(self, *, duration: Optional[float] = None
-                           ) -> list:
-        """One :class:`~repro.experiment.ExperimentReport` per
-        attached experiment, in attach order (after the run)."""
-        if not self._experiments:
-            raise ScenarioError(
-                "no experiments attached; call with_experiment() "
-                "before build()/run()")
-        self._check_built()
-        from repro.experiment import build_report
-        workers = (self._pool or {}).get("workers", 1)
-        return [build_report(self, engine, workers=workers,
-                             duration=duration)
-                for engine in self._engines]
 
     # -- internals ---------------------------------------------------------
 
@@ -476,9 +449,9 @@ class Scenario:
         its clock).
 
         Construction order is frozen — cluster hooks, stream tee,
-        dproc deployment, tracer, faults, setup hooks, observability,
-        experiments — because on the simulator it fixes the event/RNG
-        schedule that the golden pins assert.
+        dproc deployment, tracer, faults, setup hooks, observability —
+        because on the simulator it fixes the event/RNG schedule that
+        the golden pins assert.
         """
         self.runtime = runtime
         nodes = runtime.nodes
@@ -516,8 +489,9 @@ class Scenario:
             # golden-pinned schedule is the same with it on or off.
             from repro.obs import ObservabilityPlane
             from repro.stream import StreamBroker
-            self._plane = ObservabilityPlane(health_log=StreamBroker(),
-                                             **self._obs)
+            self._plane = ObservabilityPlane(
+                health_log=StreamBroker(max_len=HEALTH_LOG_MAX_LEN),
+                **self._obs)
             self._plane.bind(node.name for node in nodes)
             nodes[nodes.names[0]].spawn(
                 self._plane.sampler(nodes, runtime.clock),
@@ -528,28 +502,3 @@ class Scenario:
                 self.scrape = ScrapeServer(nodes, self._plane,
                                            host=host, port=port)
                 runtime.add_server(self.scrape)
-        for exp in self._experiments:
-            # Last for the same reason: engines add pure timer
-            # processes, so a scenario with no experiments keeps a
-            # bit-identical schedule.
-            self._attach_experiment(exp, deployment.names)
-
-    def _attach_experiment(self, exp, names: Sequence[str]) -> None:
-        """Spawn one experiment engine on its observer node; it adapts
-        every host, in this process or not, through the control
-        channel."""
-        from repro.experiment import ExperimentEngine
-        if not 0 <= exp.observer < len(names):
-            raise ScenarioError(
-                f"experiment {exp.name!r} observer index "
-                f"{exp.observer} out of range")
-        observer = names[exp.observer]
-        dproc = self.dprocs.get(observer)
-        if dproc is None:
-            raise ScenarioError(
-                f"experiment {exp.name!r} observer {observer!r} "
-                f"runs no dproc in this process (check monitor_hosts; "
-                f"a node pool keeps only its first slice here)")
-        engine = ExperimentEngine(exp, dproc, dproc.node.env)
-        self._engines.append(engine)
-        dproc.node.spawn(engine.ticker(), name=f"experiment-{exp.name}")

@@ -8,10 +8,7 @@ asyncio localhost sockets (:mod:`repro.harness.livecli`);
 and trims the durable event stream (:mod:`repro.harness.streamcli`);
 ``python -m repro.harness obs [...]`` renders the time-series metrics
 plane — health, sparkline dashboards, OpenMetrics/JSON export, live
-watch (:mod:`repro.harness.obscli`);
-``python -m repro.harness experiment [...]`` runs the declarative
-Experiment/Policy sweep (Figs. 12-14) on the sim or live backend
-(:mod:`repro.harness.experimentcli`).
+watch (:mod:`repro.harness.obscli`).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ SUBCOMMANDS = {
     "live": "repro.harness.livecli",
     "stream": "repro.harness.streamcli",
     "obs": "repro.harness.obscli",
-    "experiment": "repro.harness.experimentcli",
 }
 
 

@@ -7,7 +7,7 @@ to the cluster through the shared registry, and deploys its share of
 the scenario's picklable
 :class:`~repro.runtime.deployment.Deployment`.  Workers report a
 ``ready`` handshake once their dprocs run (so parent-side setup hooks
-— control-file writes, experiment engines — never race worker
+— control-file writes, observers — never race worker
 startup) and ship a ``harvest`` (every local host's counter totals) at
 teardown, which the parent folds into the run's host → registry
 mapping; a worker that died before its harvest has its hosts reported

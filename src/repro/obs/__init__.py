@@ -20,8 +20,7 @@ with observability on or off.
 
 from repro.obs.health import (DEGRADED, HEALTHY, HealthEngine,
                               HealthRule, HealthTransition,
-                              attribute_transitions, default_rules,
-                              health_section_from_overhead)
+                              attribute_transitions, default_rules)
 from repro.obs.openmetrics import (CONTENT_TYPE, Sample, metric_name,
                                    parse_openmetrics,
                                    render_openmetrics)
@@ -35,6 +34,5 @@ __all__ = [
     "render_openmetrics",
     "HEALTHY", "DEGRADED", "HealthRule", "HealthTransition",
     "HealthEngine", "default_rules", "attribute_transitions",
-    "health_section_from_overhead",
     "ObservabilityPlane",
 ]

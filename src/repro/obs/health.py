@@ -33,7 +33,7 @@ from repro.obs.tsdb import ObsError, TimeSeriesDB
 
 __all__ = ["HealthRule", "HealthTransition", "HealthEngine",
            "default_rules", "attribute_transitions",
-           "health_section_from_overhead", "HEALTHY", "DEGRADED"]
+           "HEALTHY", "DEGRADED"]
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -338,33 +338,3 @@ def attribute_transitions(transitions: Iterable[HealthTransition],
         window["faults"] = faults
         window["attributed"] = bool(faults)
     return windows
-
-
-def health_section_from_overhead(overhead: Optional[dict],
-                                 cpu_fraction_slo: float = 0.05
-                                 ) -> dict:
-    """The ``health`` section a run report embeds.
-
-    A compact SLO readout over the run's overhead summary: the
-    monitor's CPU burn against the 5 % budget, and the fault-plane
-    drop count for context.  A run that never produced an
-    overhead summary reports an ``unknown`` verdict rather than
-    guessing.
-    """
-    if not overhead:
-        return {"verdict": "unknown", "checks": []}
-    cpu_fraction = overhead.get("cpu_fraction_of_node_time", 0.0)
-    network = overhead.get("network", {})
-    drops = (network.get("drops_fault", 0.0)
-             + network.get("drops_congestion", 0.0))
-    events = overhead.get("events_published", 0.0)
-    drop_ratio = (drops / events) if events else 0.0
-    checks = [
-        {"name": "monitor-cpu-fraction", "value": cpu_fraction,
-         "threshold": cpu_fraction_slo, "op": "<",
-         "ok": cpu_fraction < cpu_fraction_slo},
-        {"name": "fault-drop-ratio", "value": drop_ratio,
-         "threshold": 0.5, "op": "<", "ok": drop_ratio < 0.5},
-    ]
-    verdict = HEALTHY if all(c["ok"] for c in checks) else DEGRADED
-    return {"verdict": verdict, "checks": checks}

@@ -4,8 +4,8 @@ Two consumers share this module:
 
 * the dproc procfs files (``/proc/cluster/<node>/dproc/...``) render a
   registry (or a prefix of it) as stable ``key: value`` text;
-* run reports (``Scenario.overhead()``, the chaos and experiment
-  reports, ``perf/``) render a whole cluster's registries into one
+* run reports (``Scenario.overhead()``, the chaos report,
+  ``perf/``) render a whole cluster's registries into one
   ``overhead`` summary — the paper's monitoring-perturbation
   measurement, produced by the monitoring system about itself.
 

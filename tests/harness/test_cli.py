@@ -12,7 +12,6 @@ DEFAULTS = {
     "stream": (["stream", "tail"], 12, 7, 20.0),
     "obs": (["obs"], 12, 7, 30.0),
     "live": (["live"], 4, 0, 10.0),
-    "experiment": (["experiment"], 8, 7, 10.0),
     "trace": (["trace"], 20, 1, 30.0),
 }
 
@@ -45,8 +44,7 @@ def test_help_and_defaults(command, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["obs", "--workers", "2", "--duration", "1"],
     ["obs", "--workers", "2", "--duration", "1", "--faults"],
-    ["experiment", "--workers", "2", "--duration", "1"],
-], ids=["obs", "obs-faults", "experiment"])
+], ids=["obs", "obs-faults"])
 def test_workers_on_the_simulator_exits_naming_the_live_backend(argv):
     """``--workers`` is the live node pool; the simulator has one
     kernel and says so in one sentence instead of a traceback."""

@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import (DEGRADED, HEALTHY, HealthEngine, HealthRule,
                        ObsError, TimeSeriesDB, attribute_transitions,
-                       default_rules, health_section_from_overhead)
+                       default_rules)
 from repro.stream import StreamBroker
 
 
@@ -207,27 +207,3 @@ class TestDefaultRules:
         assert sorted(r.name for r in rules) == [
             "delivery-latency-p99", "drop-burn", "monitor-cpu-burn"]
         assert all(r.window == 20.0 for r in rules)
-
-
-class TestHealthSectionFromOverhead:
-    def test_missing_overhead_is_unknown(self):
-        assert health_section_from_overhead(None) \
-            == {"verdict": "unknown", "checks": []}
-
-    def test_quiet_run_is_healthy(self):
-        overhead = {"cpu_fraction_of_node_time": 0.01,
-                    "events_published": 100.0,
-                    "network": {"drops_fault": 0.0,
-                                "drops_congestion": 0.0}}
-        section = health_section_from_overhead(overhead)
-        assert section["verdict"] == HEALTHY
-        assert all(c["ok"] for c in section["checks"])
-
-    def test_cpu_burn_degrades(self):
-        overhead = {"cpu_fraction_of_node_time": 0.2,
-                    "events_published": 100.0, "network": {}}
-        section = health_section_from_overhead(overhead)
-        assert section["verdict"] == DEGRADED
-        by_name = {c["name"]: c for c in section["checks"]}
-        assert by_name["monitor-cpu-fraction"]["ok"] is False
-        assert by_name["fault-drop-ratio"]["ok"] is True

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Scenario, ScenarioError
 from repro.dproc import MetricId
+from repro.obs import HealthEngine
 from repro.runtime.series import CounterTrace, TimeSeries
 from repro.sim import Environment, build_cluster
 
@@ -77,6 +78,20 @@ class TestBoundedHistories:
         assert histories
         unbounded = [h.name for h in histories if h.max_samples is None]
         assert unbounded == []
+
+    def test_health_log_is_a_bounded_ring(self):
+        """The ``obs.health`` log a scenario builds for itself keeps at
+        most its bound, however many verdict flips a run appends."""
+        log = Scenario(nodes=2, seed=1).with_observability().build().obs_log
+        assert log.max_len is not None
+        channel = log.stream(HealthEngine.CHANNEL)
+        for i in range(log.max_len + 3):
+            channel.append(kind="health", source="n0", dest="",
+                           time=float(i), submitted_at=float(i),
+                           size=0.0, summary="rule:degraded",
+                           fault="healthy->degraded")
+        assert len(channel) == log.max_len
+        assert channel.trimmed == 3
 
 
 class TestPhaseErrors:

@@ -39,6 +39,15 @@ def _wire(scenario: Scenario) -> Scenario:
                             "period cpu 2")
         sc.dprocs[n0].write(f"/proc/cluster/{n2}/control", HALF_FILTER)
 
+        def timed_write():
+            # One generator on the observer's clock: virtual seconds
+            # on sim, wall seconds on live.
+            yield sc.dprocs[n0].node.env.timeout(DURATION / 2)
+            sc.dprocs[n0].write(f"/proc/cluster/{n1}/control",
+                                "period mem 2")
+
+        sc.dprocs[n0].node.spawn(timed_write(), name="timed-write")
+
     return scenario.with_setup(control_writes)
 
 
@@ -117,6 +126,23 @@ class TestControlSemantics:
         n0, n1 = sc.nodes.names[:2]
         log = sc.dprocs[n0].read(f"/proc/cluster/{n1}/control")
         assert "period cpu 2" in log, sc.backend
+
+
+class TestMidRunControl:
+    """A control write issued halfway through the run, from a process
+    on the observer's clock, lands on both backends."""
+
+    def test_period_applied_at_target(self, each_run):
+        sc = each_run
+        n1 = sc.nodes.names[1]
+        policy = sc.dprocs[n1].dmon.policies[MetricId.FREEMEM]
+        assert policy.period == 2.0, sc.backend
+
+    def test_control_readback_logs_write(self, each_run):
+        sc = each_run
+        n0, n1 = sc.nodes.names[:2]
+        log = sc.dprocs[n0].read(f"/proc/cluster/{n1}/control")
+        assert "period mem 2" in log, sc.backend
 
 
 class TestFilterBehavior:

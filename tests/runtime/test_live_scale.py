@@ -378,6 +378,29 @@ class TestLiveEndToEnd:
         assert overhead["n_nodes"] == 8  # both processes merged
         assert sc.runtime.missing_hosts == ()
 
+    def test_pooled_registries_are_cluster_wide(self):
+        """The hosts a pool worker ran are in ``registries`` and in
+        ``overhead()``, not only this process's slice."""
+        from repro.api import Scenario
+        from repro.dproc import DMonConfig
+        sc = Scenario(nodes=4, seed=13, backend="live",
+                      dmon=DMonConfig(poll_interval=0.25))
+        sc.with_node_pool(2).run(2.0)
+        local_hosts = set(sc.nodes.names)
+        remote_hosts = set(sc.registries) - local_hosts
+        assert len(local_hosts) == len(remote_hosts) == 2
+
+        def total(counter, hosts):
+            return sum(sc.registries[host].value(counter)
+                       for host in hosts)
+
+        receives = "kecho.dproc.monitor.receives"
+        assert total(receives, local_hosts) > 0
+        assert total(receives, remote_hosts) > 0
+        published = "dmon.events_published"
+        assert sc.overhead()["events_published"] == \
+            total(published, local_hosts) + total(published, remote_hosts)
+
     def test_killed_pool_worker_is_reported_missing(self):
         """SIGKILL one of three workers mid-run: the run still ends on
         time, the dead worker's slice is named, the rest is reported."""
