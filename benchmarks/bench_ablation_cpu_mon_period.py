@@ -34,8 +34,8 @@ def run_period(avg_period: float, duration: float = 120.0):
         while "detected" not in detection:
             yield env.timeout(0.5)
             if env.now > step_at:
-                (sample,) = mon.collect(env.now)
-                if sample.value >= 3.0:  # within 25% of the true 4
+                (value,) = mon.collect(env.now)
+                if value >= 3.0:  # within 25% of the true 4
                     detection["detected"] = env.now - step_at
 
     env.process(load_step())

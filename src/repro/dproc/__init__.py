@@ -12,6 +12,7 @@ Public surface:
 """
 
 from repro.dproc.aggregate import ClusterView
+from repro.dproc.batch import RecordBatch
 from repro.dproc.central import CentralCollector, CentralConfig
 from repro.dproc.control_api import (ClearCommand, ControlCommand,
                                      ControlRequest, FilterCommand,
@@ -29,8 +30,8 @@ from repro.dproc.metrics import (METRIC_CONSTANTS, METRIC_FILES,
                                  MODULE_METRICS, MetricId, metric_by_name,
                                  module_of)
 from repro.dproc.modules import (BatteryMon, CpuMon, DiskMon, KeyedSample,
-                                 MemMon, MetricSample, MonitoringModule,
-                                 NetMon, PmcMon, ProcMon)
+                                 MemMon, MonitoringModule, NetMon, PmcMon,
+                                 ProcMon)
 from repro.dproc.params import (AboveThreshold, BelowThreshold,
                                 ChangeThreshold, MetricPolicy,
                                 RangeThreshold, ThresholdRule,
@@ -46,14 +47,14 @@ __all__ = [
     "ControlCommand", "ControlRequest", "PeriodCommand",
     "ThresholdCommand", "ClearCommand", "FilterCommand",
     "UnfilterCommand", "topk_filter", "topk_source",
-    "DMon", "DMonConfig", "RemoteMetric", "RemoteProcs",
+    "DMon", "DMonConfig", "RecordBatch", "RemoteMetric", "RemoteProcs",
     "register_default_modules",
     "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
     "DeployedFilter", "FilterManager",
     "METRIC_CONSTANTS", "METRIC_FILES", "MODULE_METRICS", "MetricId",
     "metric_by_name", "module_of",
     "BatteryMon", "CpuMon", "DiskMon", "KeyedSample", "MemMon",
-    "MetricSample", "MonitoringModule", "NetMon", "PmcMon", "ProcMon",
+    "MonitoringModule", "NetMon", "PmcMon", "ProcMon",
     "AboveThreshold", "BelowThreshold", "ChangeThreshold", "MetricPolicy",
     "RangeThreshold", "ThresholdRule", "parse_threshold_spec",
     "ProcFS", "ProcFile", "DirTemplate", "Roster",

@@ -119,8 +119,7 @@ class CentralCollector:
         costs = agent.node.costs
         for module in agent.modules:
             self._charge(agent, costs.module_poll)
-            for s in module.collect(now):
-                samples[s.metric] = s.value
+            samples.update(zip(module.metrics(), module.collect(now)))
         if self.config.metric_subset is not None:
             samples = {m: v for m, v in samples.items()
                        if m in self.config.metric_subset}

@@ -7,6 +7,11 @@ metrics, publishes the surviving records, and maintains the local cache
 of every *remote* node's metrics (which procfs exposes under
 ``/proc/cluster``).
 
+One poll is one :class:`~repro.dproc.batch.RecordBatch`: the modules'
+value columns side by side under an id column laid out once per module
+set, narrowed by index to what the parameters and filters let through,
+published as it is, and applied record by record at each subscriber.
+
 Instrumentation mirrors the paper's measurements:
 
 * ``submit_overhead`` — kernel CPU seconds spent submitting events, one
@@ -18,13 +23,13 @@ Instrumentation mirrors the paper's measurements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
+from repro.dproc.batch import RecordBatch
 from repro.dproc.filters import FilterManager
 from repro.dproc.metrics import (MODULE_METRICS, MetricId, metric_by_name)
-from repro.dproc.modules.base import (KeyedSample, MetricSample,
-                                      MonitoringModule)
+from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.dproc.params import MetricPolicy, parse_threshold_spec
 from repro.errors import ControlSyntaxError, DprocError, InterruptError
 from repro.kecho import (ChannelEvent, ClearParameter, ControlMessage,
@@ -167,6 +172,16 @@ class DMon:
         self._epoch = 0
         # cached audience check: (bus subscription version, result)
         self._audience_cache: tuple[int, bool] | None = None
+        # The poll layout, rebuilt whenever a module registers ------------
+        #: Published metric ids, in first-registration order.
+        self._ids: tuple[MetricId, ...] = ()
+        #: How many values the modules' ``collect`` return, together.
+        self._width = 0
+        #: Positions of ``_ids``' values among the modules' collected
+        #: values side by side; None when they are those values as is.
+        self._pick: Optional[list[int]] = None
+        #: Per module: it, and the positions in ``_ids`` it decides.
+        self._spans: list[tuple[MonitoringModule, range]] = []
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -185,8 +200,36 @@ class DMon:
             f"dmon.module.{module.name}.collect_seconds")
         for metric in module.metrics():
             self.policies.setdefault(metric, MetricPolicy())
+        self._lay_out()
         if self.running and not module.started:
             module.start()
+
+    def _lay_out(self) -> None:
+        """Lay the modules' value columns out under one id column.
+
+        A metric published by two modules appears once, at its first
+        position, and carries the value collected last; the first
+        module that produces it decides whether it is sent.
+        """
+        subset = self.config.metric_subset
+        slot: dict[MetricId, int] = {}
+        pick: list[int] = []
+        self._spans = []
+        position = 0
+        for module in self.modules.values():
+            first = len(pick)
+            for metric in module.metrics():
+                if subset is None or metric in subset:
+                    if metric in slot:
+                        pick[slot[metric]] = position
+                    else:
+                        slot[metric] = len(pick)
+                        pick.append(position)
+                position += 1
+            self._spans.append((module, range(first, len(pick))))
+        self._ids = tuple(slot)
+        self._width = position
+        self._pick = None if pick == list(range(position)) else pick
 
     def start(self) -> None:
         """Connect channels, start modules, begin the polling loop.
@@ -277,17 +320,17 @@ class DMon:
         ctx = root.context if root is not None else None
 
         # 1. Collect from every registered module ("retrieve monitoring
-        #    information from them at regular intervals").
-        samples: dict[MetricId, float] = {}
+        #    information from them at regular intervals"): one value
+        #    column per module, side by side.
+        collected: list[float] = []
         keyed_by_module: dict[str, list[KeyedSample]] = {}
         collect_cost = 0.0
         module_counters = self._t_module_collect
         for module in self.modules.values():
             collect_cost += costs.module_poll
             module_counters[module.name].inc(costs.module_poll)
-            n_before = len(samples)
-            for sample in module.collect(now):
-                samples[sample.metric] = sample.value
+            n_before = len(collected)
+            collected += module.collect(now)
             if module.provides_keyed:
                 rows = module.keyed_collect(now)
                 if rows:
@@ -300,7 +343,7 @@ class DMon:
                         ctx, name=f"module:{module.name}",
                         stage="module", node=self.node.name,
                         start=now, end=now,
-                        samples=len(samples) - n_before,
+                        samples=len(collected) - n_before,
                         keyed=len(rows),
                         cpu_seconds=costs.module_poll
                         + costs.proc_sample * len(rows))
@@ -308,56 +351,56 @@ class DMon:
                 tracer.record_span(
                     ctx, name=f"module:{module.name}", stage="module",
                     node=self.node.name, start=now, end=now,
-                    samples=len(samples) - n_before,
+                    samples=len(collected) - n_before,
                     cpu_seconds=costs.module_poll)
-        if self.config.metric_subset is not None:
-            samples = {m: v for m, v in samples.items()
-                       if m in self.config.metric_subset}
-        # `samples` is already a fresh dict private to this poll — hand
-        # it over without another copy.
-        self.last_samples = samples
+        if len(collected) != self._width:
+            raise DprocError(
+                f"modules on {self.node.name} returned {len(collected)} "
+                f"values for {self._width} metrics")
+        pick = self._pick
+        values = collected if pick is None \
+            else [collected[i] for i in pick]
+        self.last_samples = dict(zip(self._ids, values))
 
         # 2. Decide what to publish: dynamic filters first, parameters
         #    for every metric not governed by a filter.  Keyed streams
         #    (per-PID tables) go through sketch filters, which compress
         #    them to emitted top-K pairs; unfiltered keyed rows publish
         #    whole.
-        to_send, decide_cost, top_pairs, full_rows = self._decide(
-            samples, now, ctx, keyed_by_module)
+        ids, values, decide_cost, top_pairs, full_rows = self._decide(
+            values, now, ctx, keyed_by_module)
         self.node.charge_kernel_seconds(collect_cost + decide_cost)
 
         # 3. Publish.  A full keyed row carries three values
         #    (cpu/mem/io), a top-K pair one — the record accounting
         #    that the ablation benchmark's event-volume story rests on.
         keyed_records = len(top_pairs) + 3 * len(full_rows)
-        n_records = len(to_send) + keyed_records
+        n_records = len(ids) + keyed_records
         submit_cost = 0.0
         if n_records and self._monitor_ep is not None:
             if self._has_audience():
                 size = (self.config.event_header_bytes
                         + self.config.bytes_per_record * n_records
                         + self.config.payload_padding)
-                payload = {
-                    "host": self.node.name,
-                    "metrics": {m: (v, now) for m, v in to_send.items()},
-                }
+                batch = RecordBatch(self.node.name, ids, values, now)
                 if top_pairs:
-                    payload["proc_top"] = dict(top_pairs)
+                    batch.proc_top = dict(top_pairs)
                     self.last_procs = ("top", dict(top_pairs))
                 if full_rows:
-                    procs = {int(pid): (cpu, mem, io)
-                             for pid, cpu, mem, io in full_rows}
-                    payload["procs"] = procs
+                    batch.procs = {int(pid): (cpu, mem, io)
+                                   for pid, cpu, mem, io in full_rows}
                     if not top_pairs:
-                        self.last_procs = ("full", procs)
-                receipt = self._monitor_ep.submit(payload, size=size,
+                        self.last_procs = ("full", batch.procs)
+                receipt = self._monitor_ep.submit(batch, size=size,
                                                   trace=ctx)
                 submit_cost = receipt.cpu_seconds
                 self._t_events.inc()
                 self._t_records.inc(n_records)
-                for metric, value in to_send.items():
-                    self._last_sent[metric] = value
-                    self._last_sent_at[metric] = now
+                last_sent, last_sent_at = self._last_sent, \
+                    self._last_sent_at
+                for metric, value in zip(ids, values):
+                    last_sent[metric] = value
+                    last_sent_at[metric] = now
 
         # 4. Instrumentation (the paper's rdtsc-style measurements).
         self.submit_overhead.record(now, submit_cost)
@@ -394,25 +437,29 @@ class DMon:
         self._audience_cache = (version, result)
         return result
 
-    def _decide(self, samples: dict[MetricId, float], now: float,
-                trace=None,
+    def _decide(self, values: list[float], now: float, trace=None,
                 keyed: Optional[dict[str, list[KeyedSample]]] = None,
-                ) -> tuple[dict[MetricId, float], float,
+                ) -> tuple[list[MetricId], list[float], float,
                            list[tuple[int, float]], list[KeyedSample]]:
-        """Apply filters/parameters; returns ``(metrics to send, cpu
+        """Apply filters/parameters to this poll's ``values`` (one per
+        id of the layout); returns ``(ids to send, their values, cpu
         cost, emitted top-K pairs, unfiltered keyed rows)``.
 
-        A module's keyed stream is governed by whichever filter governs
-        the module: the filter's ``emit()`` pairs replace the raw table
-        (the sketch-compressed summary); with no filter the whole table
-        publishes.  With ``trace`` (a TraceContext), every filter
-        execution and parameter check records a decision span — the
-        evidence the adaptation audit trail links SmartPointer
-        decisions back to.
+        A parameter keeps or drops a record by its index; a filter's
+        outputs replace the records of the metrics it governs.  A
+        module's keyed stream is governed by whichever
+        filter governs the module: the filter's ``emit()`` pairs
+        replace the raw table (the sketch-compressed summary); with no
+        filter the whole table publishes.  With ``trace`` (a
+        TraceContext), every filter execution and parameter check
+        records a decision span — the evidence the adaptation audit
+        trail links SmartPointer decisions back to.
         """
         costs = self.node.costs
         cost = 0.0
-        to_send: dict[MetricId, float] = {}
+        ids = self._ids
+        send_ids: list[MetricId] = []
+        send_values: list[float] = []
         top_pairs: list[tuple[int, float]] = []
         full_rows: list[KeyedSample] = []
         keyed = keyed or {}
@@ -420,8 +467,8 @@ class DMon:
 
         global_filter = self.filters.global_filter
         if global_filter is not None:
-            records = self.filters.input_array(samples, self._last_sent,
-                                               now)
+            records = self.filters.input_array(self.last_samples,
+                                               self._last_sent, now)
             all_rows = [row for rows in keyed.values() for row in rows]
             result = self.filters.run(global_filter, records,
                                       keyed=all_rows or None)
@@ -429,8 +476,8 @@ class DMon:
             self._t_filter.inc(costs.filter_exec)
             for record in result.outputs:
                 metric = metric_by_name(record.name)
-                if metric in samples:
-                    to_send[metric] = record.value
+                if metric in self.last_samples:
+                    _put(send_ids, send_values, metric, record.value)
             top_pairs = result.emitted
             if tracer is not None:
                 extra = {"emitted": len(top_pairs)} if keyed else {}
@@ -439,28 +486,30 @@ class DMon:
                     stage="dmon.filter", node=self.node.name,
                     start=now, end=now,
                     filter_id=global_filter.filter_id, scope="*",
-                    kept=tuple(sorted(m.name.lower() for m in to_send)),
+                    kept=tuple(sorted(m.name.lower() for m in send_ids)),
                     **extra)
-            return to_send, cost, top_pairs, full_rows
+            return send_ids, send_values, cost, top_pairs, full_rows
 
+        policies = self.policies
+        last_sent, last_sent_at = self._last_sent, self._last_sent_at
         filter_input: Optional[list] = None
-        for module in self.modules.values():
+        for module, span in self._spans:
             rows = keyed.get(module.name)
             scoped = self.filters.filter_for(module.name)
             if scoped is not None:
                 if filter_input is None:
                     filter_input = self.filters.input_array(
-                        samples, self._last_sent, now)
+                        self.last_samples, last_sent, now)
                 result = self.filters.run(scoped, filter_input,
                                           keyed=rows)
                 cost += costs.filter_exec
                 self._t_filter.inc(costs.filter_exec)
-                module_metrics = set(module.metrics())
+                governed = {ids[i] for i in span}
                 kept = []
                 for record in result.outputs:
                     metric = metric_by_name(record.name)
-                    if metric in module_metrics and metric in samples:
-                        to_send[metric] = record.value
+                    if metric in governed:
+                        _put(send_ids, send_values, metric, record.value)
                         kept.append(metric.name.lower())
                 top_pairs.extend(result.emitted)
                 if tracer is not None:
@@ -472,38 +521,35 @@ class DMon:
                         start=now, end=now,
                         filter_id=scoped.filter_id, scope=module.name,
                         kept=tuple(sorted(kept)), **extra)
-            else:
-                if rows:
-                    full_rows.extend(rows)
-                for metric in module.metrics():
-                    if metric not in samples:
-                        continue
-                    cost += costs.param_check
-                    self._t_param.inc(costs.param_check)
-                    policy = self.policies[metric]
-                    send = policy.should_send(
-                        samples[metric], now,
-                        self._last_sent.get(metric),
-                        self._last_sent_at.get(metric))
-                    if send:
-                        to_send[metric] = samples[metric]
-                    if tracer is not None:
-                        tracer.record_span(
-                            trace,
-                            name=f"param:{metric.name.lower()}",
-                            stage="dmon.param", node=self.node.name,
-                            start=now, end=now,
-                            metric=metric.name.lower(),
-                            value=samples[metric],
-                            decision="send" if send else "suppress",
-                            rule=policy.describe())
-        return to_send, cost, top_pairs, full_rows
+                continue
+            if rows:
+                full_rows.extend(rows)
+            for i in span:
+                cost += costs.param_check
+                self._t_param.inc(costs.param_check)
+                metric = ids[i]
+                policy = policies[metric]
+                send = policy.is_default or policy.should_send(
+                    values[i], now, last_sent.get(metric),
+                    last_sent_at.get(metric))
+                if send:
+                    send_ids.append(metric)
+                    send_values.append(values[i])
+                if tracer is not None:
+                    tracer.record_span(
+                        trace, name=f"param:{metric.name.lower()}",
+                        stage="dmon.param", node=self.node.name,
+                        start=now, end=now, metric=metric.name.lower(),
+                        value=values[i],
+                        decision="send" if send else "suppress",
+                        rule=policy.describe())
+        return send_ids, send_values, cost, top_pairs, full_rows
 
     # -- receiving remote monitoring data ------------------------------------------
 
     def _on_monitor_event(self, event: ChannelEvent) -> None:
-        payload = event.payload
-        host = payload["host"]
+        batch: RecordBatch = event.payload
+        host = batch.host
         if host == self.node.name:
             return
         store = self.remote.get(host)
@@ -511,26 +557,23 @@ class DMon:
             store = self.remote[host] = {}
         now = self.node.env.now
         self.peer_last_heard[host] = now
-        top = payload.get("proc_top")
-        if top is not None:
+        if batch.proc_top is not None:
             self.remote_procs[host] = RemoteProcs(
-                kind="top", rows=dict(top), received_at=now)
-        else:
-            full = payload.get("procs")
-            if full is not None:
-                self.remote_procs[host] = RemoteProcs(
-                    kind="full", rows=dict(full), received_at=now)
+                kind="top", rows=dict(batch.proc_top), received_at=now)
+        elif batch.procs is not None:
+            self.remote_procs[host] = RemoteProcs(
+                kind="full", rows=dict(batch.procs), received_at=now)
         if event.trace is not None:
             self.node.tracer.record_span(
                 event.trace, name=f"update:{self.node.name}",
                 stage="update", node=self.node.name, start=now, end=now,
-                source=host, records=len(payload["metrics"]))
+                source=host, records=len(batch))
             ref = TraceRef(trace_id=event.trace.trace_id,
                            received_at=now)
-            for metric in payload["metrics"]:
+            for metric in batch.ids:
                 self._provenance[(host, metric)] = ref
         hooks = self.update_hooks
-        for metric, (value, ts) in payload["metrics"].items():
+        for metric, value, ts in batch.records():
             # Update the cached record in place: one RemoteMetric per
             # (host, metric) for the life of the d-mon instead of a
             # fresh allocation per record per event.
@@ -733,6 +776,17 @@ class DMon:
     def mean_receive_overhead(self, since: float = 0.0) -> float:
         """Average receive overhead per polling iteration (seconds)."""
         return self.receive_overhead.mean(since)
+
+
+def _put(ids: list[MetricId], values: list[float], metric: MetricId,
+         value: float) -> None:
+    """Add a filter's output record; a metric output twice is sent
+    once, at its first position, with its last value."""
+    if metric in ids:
+        values[ids.index(metric)] = value
+    else:
+        ids.append(metric)
+        values.append(value)
 
 
 def register_default_modules(dmon: DMon,

@@ -31,6 +31,11 @@ __all__ = ["DeployedFilter", "FilterManager"]
 
 _filter_seq = itertools.count(1)
 
+#: ``(metric, record name)`` per slot of the dense ``input[]`` array,
+#: in ABI id order.
+_INPUT_SLOTS = tuple((MetricId(i), MetricId(i).name.lower())
+                     for i in range(max(MetricId) + 1))
+
 
 @dataclass
 class DeployedFilter:
@@ -159,13 +164,8 @@ class FilterManager:
         Metrics not collected this round appear as zero-valued records
         so that fixed metric indices always resolve.
         """
-        size = max(int(m) for m in MetricId) + 1
-        array: list[MetricRecord] = []
-        for i in range(size):
-            metric = MetricId(i)
-            value = samples.get(metric, 0.0)
-            array.append(MetricRecord(
-                name=metric.name.lower(), value=float(value),
-                last_value_sent=float(last_sent.get(metric, 0.0)),
-                timestamp=now))
-        return array
+        return [MetricRecord(
+                    name=name, value=float(samples.get(metric, 0.0)),
+                    last_value_sent=float(last_sent.get(metric, 0.0)),
+                    timestamp=now)
+                for metric, name in _INPUT_SLOTS]

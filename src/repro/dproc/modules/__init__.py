@@ -1,7 +1,6 @@
 """dproc monitoring modules (CPU, MEM, DISK, NET, PMC, BATTERY, SELF)."""
 
-from repro.dproc.modules.base import (KeyedSample, MetricSample,
-                                      MonitoringModule)
+from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.dproc.modules.battery_mon import BatteryMon
 from repro.dproc.modules.cpu_mon import CpuMon
 from repro.dproc.modules.disk_mon import DiskMon
@@ -11,7 +10,7 @@ from repro.dproc.modules.pmc_mon import PmcMon
 from repro.dproc.modules.proc_mon import ProcMon
 from repro.dproc.modules.self_mon import SelfMon
 
-__all__ = ["KeyedSample", "MetricSample", "MonitoringModule",
+__all__ = ["KeyedSample", "MonitoringModule",
            "BatteryMon", "CpuMon", "DiskMon", "MemMon", "NetMon",
            "PmcMon", "ProcMon", "SelfMon"]
 

@@ -6,6 +6,12 @@ regular intervals" (paper §2).  A module is registered with
 :meth:`~repro.dproc.dmon.DMon.register_service`; its :meth:`collect`
 callback is invoked once per polling iteration.
 
+``collect(now)`` returns one value per metric, in :meth:`metrics`
+order — a column, not a record per reading.  d-mon lays the columns
+of every module side by side once per layout and builds one
+:class:`~repro.dproc.batch.RecordBatch` per poll from them, so the
+metric ids are never restated per poll.
+
 Modules are dynamically addable: new ones can be registered at run time
 without restarting d-mon (the paper's loadable-kernel-module
 extensibility).
@@ -14,22 +20,13 @@ extensibility).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import Sequence
 
 from repro.dproc.metrics import MetricId
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
 
-__all__ = ["MetricSample", "KeyedSample", "MonitoringModule"]
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """One collected metric reading."""
-
-    metric: MetricId
-    value: float
-    timestamp: float
+__all__ = ["KeyedSample", "MonitoringModule"]
 
 
 #: One keyed record ``(key, cpu, mem, io)`` — the per-PID stream shape
@@ -65,8 +62,9 @@ class MonitoringModule(ABC):
         """The metric ids this module produces."""
 
     @abstractmethod
-    def collect(self, now: float) -> list[MetricSample]:
-        """d-mon's registered callback: sample all metrics now."""
+    def collect(self, now: float) -> Sequence[float]:
+        """d-mon's registered callback: sample all metrics now, one
+        value per metric in :meth:`metrics` order."""
 
     def keyed_collect(self, now: float) -> list[KeyedSample]:
         """Per-key records for this poll (``provides_keyed`` modules)."""

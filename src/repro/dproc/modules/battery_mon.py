@@ -13,7 +13,7 @@ exists to exercise dproc's run-time extensibility
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
 from repro.sim.power import Battery
@@ -39,6 +39,5 @@ class BatteryMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return (MetricId.BATTERY,)
 
-    def collect(self, now: float) -> list[MetricSample]:
-        return [MetricSample(MetricId.BATTERY,
-                             self.battery.level_percent(), now)]
+    def collect(self, now: float) -> list[float]:
+        return [self.battery.level_percent()]

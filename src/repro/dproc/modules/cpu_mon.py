@@ -14,7 +14,7 @@ the ablation benchmark explores.
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
 from repro.runtime.series import WindowAverage
@@ -51,8 +51,8 @@ class CpuMon(MonitoringModule):
     def stop(self) -> None:
         super().stop()
 
-    def collect(self, now: float) -> list[MetricSample]:
-        return [MetricSample(MetricId.LOADAVG, self._window.value, now)]
+    def collect(self, now: float) -> list[float]:
+        return [self._window.value]
 
     def configure(self, key: str, value: float) -> None:
         """``period`` changes the averaging window on the fly."""

@@ -9,7 +9,7 @@ this value to any desired number." (paper §2.1)
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
 
@@ -38,15 +38,10 @@ class DiskMon(MonitoringModule):
             raise DprocError("disk window must be positive")
         self.window = float(value)
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         disk = self.node.disk
         w = self.window
         sectors = (disk.sectors_read.rate(now, w)
                    + disk.sectors_written.rate(now, w))
-        return [
-            MetricSample(MetricId.DISKUSAGE, sectors, now),
-            MetricSample(MetricId.DISK_READS, disk.reads.rate(now, w),
-                         now),
-            MetricSample(MetricId.DISK_WRITES, disk.writes.rate(now, w),
-                         now),
-        ]
+        return [sectors, disk.reads.rate(now, w),
+                disk.writes.rate(now, w)]

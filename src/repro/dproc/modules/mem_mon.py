@@ -10,7 +10,7 @@ naturally.
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.units import PAGE_SIZE
 
 __all__ = ["MemMon"]
@@ -24,6 +24,5 @@ class MemMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return (MetricId.FREEMEM,)
 
-    def collect(self, now: float) -> list[MetricSample]:
-        free_bytes = float(self.node.memory.nr_free_pages() * PAGE_SIZE)
-        return [MetricSample(MetricId.FREEMEM, free_bytes, now)]
+    def collect(self, now: float) -> list[float]:
+        return [float(self.node.memory.nr_free_pages() * PAGE_SIZE)]

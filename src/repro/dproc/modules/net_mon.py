@@ -14,7 +14,7 @@ signal the SmartPointer server adapts to in Figure 10.
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
 
@@ -65,7 +65,7 @@ class NetMon(MonitoringModule):
             best = min(best, max(0.0, link.capacity - used))
         return best
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         stack = self.node.stack
         w = self.window
         rtts = [c.last_rtt for c in stack.connections
@@ -80,13 +80,5 @@ class NetMon(MonitoringModule):
         delays = [c.last_delay for c in stack.connections
                   if c.last_delay is not None]
         delay = sum(delays) / len(delays) if delays else 0.0
-        return [
-            MetricSample(MetricId.NET_BANDWIDTH,
-                         self.available_bandwidth(), now),
-            MetricSample(MetricId.NET_RTT, rtt, now),
-            MetricSample(MetricId.NET_RETX, retx, now),
-            MetricSample(MetricId.NET_LOST, lost, now),
-            MetricSample(MetricId.NET_USED,
-                         stack.bytes_out.rate(now, w), now),
-            MetricSample(MetricId.NET_DELAY, delay, now),
-        ]
+        return [self.available_bandwidth(), rtt, retx, lost,
+                stack.bytes_out.rate(now, w), delay]

@@ -18,7 +18,7 @@ substitution — DESIGN.md §2):
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
 
@@ -56,7 +56,7 @@ class PmcMon(MonitoringModule):
             raise DprocError("pmc window must be positive")
         self.window = float(value)
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         cpu = self.node.cpu
         cpu.settle()
         busy = cpu.busy_cpu_seconds
@@ -73,7 +73,4 @@ class PmcMon(MonitoringModule):
         misses = mflop_rate * MISSES_PER_MFLOP \
             + rx_rate * MISSES_PER_RX_BYTE
         instructions = mflop_rate * 1e6 * INSTRUCTIONS_PER_FLOP
-        return [
-            MetricSample(MetricId.CACHE_MISS, misses, now),
-            MetricSample(MetricId.INSTRUCTIONS, instructions, now),
-        ]
+        return [misses, instructions]

@@ -27,8 +27,7 @@ exactly the overhead the top-K ablation benchmark measures.
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import (KeyedSample, MetricSample,
-                                      MonitoringModule)
+from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.ecode.sketches import mix64
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
@@ -91,14 +90,11 @@ class ProcMon(MonitoringModule):
             super().configure(key, value)
         self._configure_n_procs(value)
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         table = self._sample(now)
-        count = float(len(table))
-        cpu_max = max((row[1] for row in table), default=0.0)
-        rss_max = max((row[2] for row in table), default=0.0)
-        return [MetricSample(MetricId.PROC_COUNT, count, now),
-                MetricSample(MetricId.PROC_CPU_MAX, cpu_max, now),
-                MetricSample(MetricId.PROC_RSS_MAX, rss_max, now)]
+        return [float(len(table)),
+                max((row[1] for row in table), default=0.0),
+                max((row[2] for row in table), default=0.0)]
 
     def keyed_collect(self, now: float) -> list[KeyedSample]:
         return self._sample(now)

@@ -18,7 +18,7 @@ published (and therefore seeded traces), so it is opt-in —
 from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.runtime.protocol import RuntimeNode
 
 __all__ = ["SelfMon"]
@@ -44,7 +44,7 @@ class SelfMon(MonitoringModule):
         return (MetricId.DMON_POLL_COST, MetricId.DMON_RX_COST,
                 MetricId.DMON_EVENT_RATE)
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         reg = self.telemetry
         polls = reg.value("dmon.polls")
         produce = sum(reg.value(name) for name in _POLL_COST_COUNTERS)
@@ -53,8 +53,4 @@ class SelfMon(MonitoringModule):
                    if polls else 0.0)
         event_rate = (reg.value("dmon.events_published") / now
                       if now > 0 else 0.0)
-        return [
-            MetricSample(MetricId.DMON_POLL_COST, poll_cost, now),
-            MetricSample(MetricId.DMON_RX_COST, rx_cost, now),
-            MetricSample(MetricId.DMON_EVENT_RATE, event_rate, now),
-        ]
+        return [poll_cost, rx_cost, event_rate]

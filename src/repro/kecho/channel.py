@@ -285,14 +285,21 @@ class ChannelEndpoint:
         return conn
 
     def _on_message(self, msg) -> None:
-        event: ChannelEvent = msg.payload
-        span = getattr(msg, "span", None)
-        delivered = ChannelEvent(
-            channel=event.channel, source=event.source,
-            payload=event.payload, size=event.size,
-            attributes=dict(event.attributes),
-            submitted_at=event.submitted_at,
-            trace=(span.context if span is not None else event.trace))
+        if isinstance(msg, ChannelEvent):
+            # A decoded copy (live): this delivery owns it.
+            delivered = msg
+        else:
+            # The simulator's message carries the sender's event,
+            # shared by every copy of the fan-out.
+            event: ChannelEvent = msg.payload
+            span = msg.span
+            delivered = ChannelEvent(
+                channel=event.channel, source=event.source,
+                payload=event.payload, size=event.size,
+                attributes=dict(event.attributes),
+                submitted_at=event.submitted_at,
+                trace=(span.context if span is not None
+                       else event.trace))
         delivered.delivered_at = self.node.env.now
         self._dispatch(delivered, charge=True)
 

@@ -19,7 +19,9 @@ Every frame::
     f64   declared size (bytes, the cost-model size)
     ...   kind-specific body
 
-``MONITOR`` body — one d-mon poll, records kept as columns::
+``MONITOR`` body — one d-mon poll, a
+:class:`~repro.dproc.batch.RecordBatch` whose columns are packed as
+they are::
 
     [str  host]          HOST
     u16   n              record count
@@ -31,22 +33,23 @@ Every frame::
      u16 m, m×(u32 pid, f64 cpu, mem, io)]  full per-process rows
 
 The keyed per-process sections are written only when one of them has
-a row; absent and zero-count sections both decode to a payload
-without the ``proc_top``/``procs`` keys.  A default 13-record d-mon
-frame is 56 + 10·n = 186 bytes.
+a row; absent and zero-count sections both decode to a batch whose
+``proc_top``/``procs`` are None.  :func:`decode_frame` returns the
+columns as tuples: ``ts`` is one float, or a tuple when TS is set.
+A default 13-record d-mon frame is 56 + 10·n = 186 bytes.
 
 The three flags mark what a frame could not leave out.  The encoder
-sets each from the event in hand, per frame, so every payload
-:class:`ChannelEvent` admits round-trips f64-exact in insertion order:
+sets each from the event in hand, per frame, so every batch
+round-trips f64-exact in record order:
 
 * ``TAG`` (1) — the tag is not ``"kecho:" + channel`` (what every
   KECho endpoint binds), so it is carried.
-* ``HOST`` (2) — ``payload["host"]`` differs from the event's source
+* ``HOST`` (2) — the batch's host differs from the event's source
   (d-mon publishes as its own node), so it is carried.
-* ``TS`` (4) — the records do not all share one timestamp, compared
-  bit for bit on the packed f64 (0.0 and -0.0 differ; a NaN equals
-  itself), so each record carries its own.  A frame with no records
-  has no timestamp to share and sets it too.
+* ``TS`` (4) — the batch has a timestamp column whose entries are not
+  all equal, compared bit for bit on the packed f64 (0.0 and -0.0
+  differ; a NaN equals itself), so each record carries its own.  A
+  frame with no records has no timestamp to share and sets it too.
 
 There is no per-connection string table: a frame is self-contained,
 so one encoding serves every link of a fan-out, and a frame dropped
@@ -74,6 +77,7 @@ import json
 import struct
 from typing import Any, Sequence
 
+from repro.dproc.batch import RecordBatch
 from repro.dproc.metrics import MetricId
 from repro.errors import ChannelError
 from repro.kecho.control import (ClearParameter, ControlMessage,
@@ -118,6 +122,7 @@ _HEAD = struct.Struct(">HBB")
 _BATCH_HEAD = struct.Struct(">HBI")
 _BATCH_SNIFF = struct.pack(">HB", MAGIC, KIND_BATCH)
 _TIMES = struct.Struct(">dd")
+_F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 
@@ -147,26 +152,31 @@ def _rows_at(buf: bytes, pos: int, row: struct.Struct):
     return row.iter_unpack(buf[start:end]), end
 
 
-def _monitor_body(source: str, payload: dict) -> tuple[int, list[bytes]]:
-    """Flags and body parts of one MONITOR payload."""
-    metrics = payload["metrics"]
-    top = payload.get("proc_top") or {}
-    procs = payload.get("procs") or {}
-    n = len(metrics)
+def _monitor_body(source: str,
+                  batch: RecordBatch) -> tuple[int, list[bytes]]:
+    """Flags and body parts of one MONITOR batch."""
+    ids, ts = batch.ids, batch.ts
+    top = batch.proc_top or {}
+    procs = batch.procs or {}
+    n = len(ids)
     if n > 0xFFFF or len(top) > 0xFFFF or len(procs) > 0xFFFF:
         raise ChannelError("too many records for wire format")
     flags = 0
     body = []
-    if payload["host"] != source:
+    if batch.host != source:
         flags |= FLAG_HOST
-        body.append(_pack_str(payload["host"]))
-    values, stamps = zip(*metrics.values()) if n else ((), ())
-    times = struct.pack(f">{n}d", *stamps)
-    if n and times == times[:8] * n:
-        times = times[:8]
+        body.append(_pack_str(batch.host))
+    if isinstance(ts, (int, float)):
+        times = _F64.pack(ts) if n else b""
+        shared = n > 0
     else:
+        times = struct.pack(f">{n}d", *ts)
+        shared = n > 0 and times == times[:8] * n
+        if shared:
+            times = times[:8]
+    if not shared:
         flags |= FLAG_TS
-    body.append(struct.pack(f">H{n}H{n}d", n, *metrics, *values))
+    body.append(struct.pack(f">H{n}H{n}d", n, *ids, *batch.values))
     body.append(times)
     if top or procs:
         body.append(_U16.pack(len(top)))
@@ -182,8 +192,7 @@ def encode_frame(tag: str, event: ChannelEvent) -> bytes:
     payload = event.payload
     channel = event.channel
     flags = 0 if tag == _TAG_PREFIX + channel else FLAG_TAG
-    if (isinstance(payload, dict) and "host" in payload
-            and "metrics" in payload):
+    if isinstance(payload, RecordBatch):
         kind = KIND_MONITOR
         monitor_flags, body = _monitor_body(event.source, payload)
         flags |= monitor_flags
@@ -252,25 +261,21 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
             pos += 2
             if flags & FLAG_TS:
                 cells = struct.unpack_from(f">{n}H{2 * n}d", frame, pos)
-                stamps = cells[2 * n:]
+                ts = cells[2 * n:]
                 pos += 18 * n
             else:
                 cells = struct.unpack_from(f">{n}H{n}dd", frame, pos)
-                stamps = cells[-1:] * n
+                ts = cells[-1]
                 pos += 10 * n + 8
-            payload = {"host": host, "metrics": dict(zip(
-                map(_METRICS.__getitem__, cells[:n]),
-                zip(cells[n:2 * n], stamps)))}
+            payload = RecordBatch(
+                host, tuple(map(_METRICS.__getitem__, cells[:n])),
+                cells[n:2 * n], ts)
             if pos < len(frame):
                 rows, pos = _rows_at(frame, pos, _TOP_ROW)
-                top = dict(rows)
-                if top:
-                    payload["proc_top"] = top
+                payload.proc_top = dict(rows) or None
                 rows, pos = _rows_at(frame, pos, _PROC_ROW)
-                procs = {pid: (cpu, mem, io)
-                         for pid, cpu, mem, io in rows}
-                if procs:
-                    payload["procs"] = procs
+                payload.procs = {pid: (cpu, mem, io)
+                                 for pid, cpu, mem, io in rows} or None
         elif kind in (KIND_CONTROL, KIND_JSON):
             start = pos + 4
             end = start + _U32.unpack_from(frame, pos)[0]

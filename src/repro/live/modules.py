@@ -20,8 +20,7 @@ import os
 from typing import Optional
 
 from repro.dproc.metrics import MODULE_METRICS, MetricId
-from repro.dproc.modules.base import (KeyedSample, MetricSample,
-                                      MonitoringModule)
+from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.dproc.modules.self_mon import SelfMon
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
@@ -143,12 +142,12 @@ class HostCpuMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["cpu"]
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         try:
             load = os.getloadavg()[0]
         except OSError:  # pragma: no cover - platform without loadavg
             load = 0.0
-        return [MetricSample(MetricId.LOADAVG, float(load), now)]
+        return [float(load)]
 
     def configure(self, key: str, value: float) -> None:
         """Accept the sim module's ``period`` knob (the host kernel's
@@ -168,7 +167,7 @@ class HostMemMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["mem"]
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         free = 0.0
         for line in _read_proc("/proc/meminfo").splitlines():
             if line.startswith("MemFree:"):
@@ -177,7 +176,7 @@ class HostMemMon(MonitoringModule):
                 except (IndexError, ValueError):  # pragma: no cover
                     free = 0.0
                 break
-        return [MetricSample(MetricId.FREEMEM, free, now)]
+        return [free]
 
 
 class HostDiskMon(MonitoringModule):
@@ -195,17 +194,12 @@ class HostDiskMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["disk"]
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         sectors, reads, writes = _disk_totals(
             _read_proc("/proc/diskstats"), self._whole_devices)
-        return [
-            MetricSample(MetricId.DISKUSAGE,
-                         self._sectors.rate(now, sectors), now),
-            MetricSample(MetricId.DISK_READS,
-                         self._reads.rate(now, reads), now),
-            MetricSample(MetricId.DISK_WRITES,
-                         self._writes.rate(now, writes), now),
-        ]
+        return [self._sectors.rate(now, sectors),
+                self._reads.rate(now, reads),
+                self._writes.rate(now, writes)]
 
 
 class HostNetMon(MonitoringModule):
@@ -252,18 +246,11 @@ class HostNetMon(MonitoringModule):
                         return 0.0
         return 0.0
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         used = self._tx.rate(now, self._tx_bytes())
         retx = self._retx.rate(now, self._retransmissions())
         available = max(0.0, NOMINAL_BANDWIDTH - used)
-        return [
-            MetricSample(MetricId.NET_BANDWIDTH, available, now),
-            MetricSample(MetricId.NET_RTT, 0.0, now),
-            MetricSample(MetricId.NET_RETX, retx, now),
-            MetricSample(MetricId.NET_LOST, 0.0, now),
-            MetricSample(MetricId.NET_USED, used, now),
-            MetricSample(MetricId.NET_DELAY, 0.0, now),
-        ]
+        return [available, 0.0, retx, 0.0, used, 0.0]
 
 
 class HostPmcMon(MonitoringModule):
@@ -275,9 +262,8 @@ class HostPmcMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["pmc"]
 
-    def collect(self, now: float) -> list[MetricSample]:
-        return [MetricSample(MetricId.CACHE_MISS, 0.0, now),
-                MetricSample(MetricId.INSTRUCTIONS, 0.0, now)]
+    def collect(self, now: float) -> list[float]:
+        return [0.0, 0.0]
 
 
 class HostProcMon(MonitoringModule):
@@ -313,15 +299,11 @@ class HostProcMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["proc"]
 
-    def collect(self, now: float) -> list[MetricSample]:
+    def collect(self, now: float) -> list[float]:
         table = self._sample(now)
-        return [
-            MetricSample(MetricId.PROC_COUNT, float(len(table)), now),
-            MetricSample(MetricId.PROC_CPU_MAX,
-                         max((r[1] for r in table), default=0.0), now),
-            MetricSample(MetricId.PROC_RSS_MAX,
-                         max((r[2] for r in table), default=0.0), now),
-        ]
+        return [float(len(table)),
+                max((r[1] for r in table), default=0.0),
+                max((r[2] for r in table), default=0.0)]
 
     def keyed_collect(self, now: float) -> list[KeyedSample]:
         return self._sample(now)

@@ -1,7 +1,7 @@
 """LiveRuntime: localhost asyncio node runner behind the Runtime protocol.
 
-Runs N :class:`~repro.live.node.LiveNode` hosts as asyncio tasks in
-one process, each with its own real TCP server socket; a
+Runs N :class:`~repro.live.node.LiveNode` hosts on one asyncio event
+loop in one process, each with its own real TCP server socket; a
 :class:`~repro.live.registry.RegistryServer` (self-hosted by default,
 or an external one via ``registry``) serves the channel directory, so
 additional runner processes can join the same cluster by pointing at
@@ -62,7 +62,7 @@ WIRE_COUNTERS = (
 
 
 class LiveRuntime:
-    """Real-time localhost backend (asyncio tasks + TCP sockets)."""
+    """Real-time localhost backend (one event loop + TCP sockets)."""
 
     backend = "live"
 
@@ -122,8 +122,14 @@ class LiveRuntime:
     bus = property(make_bus)
 
     def run(self, until: float) -> None:
-        """Bring the cluster up, run ``until`` wall seconds, tear down."""
+        """Bring the cluster up, run ``until`` wall seconds, tear down.
+
+        An exception that escaped a spawned task (a d-mon poll loop, a
+        module thread) is raised here once teardown has finished.
+        """
         asyncio.run(self._main(until))
+        if self.clock.error is not None:
+            raise self.clock.error
 
     def registries(self) -> dict[str, TelemetryRegistry]:
         """Host → telemetry registry: this process's nodes, then
@@ -205,14 +211,14 @@ class LiveRuntime:
         for fn in self._teardowns:
             fn(self)
         # Stop any dproc deployed on our nodes (closes endpoints and
-        # interrupts pollers), then hard-cancel remaining tasks.
+        # interrupts pollers), then close the remaining generators.
         for node in self._nodes.values():
             dproc = node.services.get("dproc")
             if dproc is not None:
                 dproc.stop()
-        # One loop turn so interrupt cancellations unwind cleanly.
+        # One loop turn so the interrupts are delivered.
         await asyncio.sleep(0)
-        await self.clock.cancel_all()
+        self.clock.cancel_all()
         for node in self._nodes.values():
             await node.stack.stop()
         await self.registry_client.close()

@@ -9,6 +9,16 @@ simulator's ``NetStack`` exactly — ``bind``/``unbind`` a tag handler,
 fan-out, ``batch`` as a no-op — so
 :class:`repro.kecho.channel.ChannelEndpoint` runs on it unchanged.
 
+Receiving is one :class:`asyncio.Protocol` per accepted connection:
+``data_received`` feeds a :class:`~repro.live.codec.FrameDecoder` and
+hands each decoded :class:`~repro.kecho.event.ChannelEvent` straight
+to the handler bound for its tag — no reader task, no stream buffer
+and no per-delivery wrapper.  A decoded event is that delivery's own
+copy.  A frame that does not decode ends its connection only
+(``net.rx_decode_errors``), EOF inside a frame counts
+``net.rx_truncated`` and a tag nobody bound counts
+``net.undeliverable``.
+
 Scaling machinery (all per-destination, owned by a shared
 :class:`_PeerLink` so every channel endpoint talking to the same host
 rides one socket):
@@ -35,7 +45,6 @@ import asyncio
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from repro.errors import ChannelError, TransportError
@@ -47,11 +56,6 @@ from repro.runtime.protocol import OnFail
 __all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
-
-#: Seconds :meth:`LiveStack.stop` waits for its accepted connections'
-#: tasks to see the EOF it just gave them (they need two loop turns).
-STOP_TIMEOUT = 5.0
-
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -307,9 +311,8 @@ class LiveStack:
         self.flow_config = flow if flow is not None else FlowConfig()
         self._links: dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        #: Accepted connections: the running ``_serve`` task → its
-        #: writer, so :meth:`stop` can end each one.
-        self._serving: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Accepted connections, so :meth:`stop` can end each one.
+        self._inbound: set[_Inbound] = set()
         self._t_tx = telemetry.counter("net.tx_frame_bytes")
         self._t_rx = telemetry.counter("net.rx_frame_bytes")
         self._t_undeliverable = telemetry.counter("net.undeliverable")
@@ -331,8 +334,9 @@ class LiveStack:
 
     async def start(self) -> tuple[str, int]:
         """Open the server socket (port 0 → ephemeral) and return it."""
-        self._server = await asyncio.start_server(
-            self._serve, "127.0.0.1", 0)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Inbound(self), "127.0.0.1", 0)
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
@@ -344,17 +348,9 @@ class LiveStack:
         self._links.clear()
         if self._server is not None:
             self._server.close()
-            # End the accepted connections' ``_serve`` tasks normally:
-            # closing our side makes their ``read`` return b"".  Left
-            # parked on sockets another process still holds, they
-            # would be cancelled when the loop closes, and Python
-            # 3.11's stream protocol logs a traceback per cancelled
-            # task.
-            for writer in self._serving.values():
-                writer.close()
-            if self._serving:
-                await asyncio.wait(list(self._serving),
-                                   timeout=STOP_TIMEOUT)
+            # The accepted connections end with the listening socket.
+            for inbound in list(self._inbound):
+                inbound.transport.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -429,46 +425,56 @@ class LiveStack:
         link.refs += 1
         return link
 
-    # -- receive path ------------------------------------------------------
 
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder()
-        task = asyncio.current_task()
-        self._serving[task] = writer
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: frames decode and dispatch in
+    ``data_received``, with no reader task behind them."""
+
+    def __init__(self, stack: "LiveStack") -> None:
+        self.stack = stack
+        #: None once a decode error has ended the connection.
+        self.decoder: Optional[FrameDecoder] = FrameDecoder()
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.stack._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        decoder = self.decoder
+        if decoder is None:
+            return
+        stack = self.stack
+        stack._t_rx.inc(len(data))
+        # A malformed frame ends this connection only: after garbage
+        # the peer's framing cannot be trusted, and the other sockets
+        # keep being served.
         try:
-            while True:
-                try:
-                    data = await reader.read(65536)
-                except (ConnectionError, OSError):
-                    data = b""
-                if not data:
-                    if decoder.pending_bytes:
-                        # Partial header/body at EOF: the peer died
-                        # mid-frame.  Count it; the reconciler sees
-                        # the missing delivery.
-                        self._t_truncated.inc()
-                    break
-                self._t_rx.inc(len(data))
-                # A malformed frame ends this connection only: after
-                # garbage the peer's framing cannot be trusted, and
-                # the other sockets keep being served.
-                try:
-                    frames = decoder.feed(data)
-                except ChannelError:
-                    self._t_decode_errors.inc()
-                    return
-                for frame in frames:
-                    try:
-                        tag, event = decode_frame(frame)
-                    except ChannelError:
-                        self._t_decode_errors.inc()
-                        return
-                    handler = self.handlers.get(tag)
-                    if handler is None:
-                        self._t_undeliverable.inc()
-                        continue
-                    handler(SimpleNamespace(payload=event, span=None))
-        finally:
-            del self._serving[task]
-            writer.close()
+            frames = decoder.feed(data)
+        except ChannelError:
+            self._refuse()
+            return
+        handlers = stack.handlers
+        for frame in frames:
+            try:
+                tag, event = decode_frame(frame)
+            except ChannelError:
+                self._refuse()
+                return
+            handler = handlers.get(tag)
+            if handler is None:
+                stack._t_undeliverable.inc()
+                continue
+            handler(event)
+
+    def _refuse(self) -> None:
+        self.stack._t_decode_errors.inc()
+        self.decoder = None
+        self.transport.close()
+
+    def connection_lost(self, exc) -> None:
+        self.stack._inbound.discard(self)
+        if self.decoder is not None and self.decoder.pending_bytes:
+            # Partial header/body at EOF: the peer died mid-frame.
+            # Count it; the reconciler sees the missing delivery.
+            self.stack._t_truncated.inc()

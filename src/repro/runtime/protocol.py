@@ -104,7 +104,11 @@ class Transport(Protocol):
     fan-out of one).
 
     A send returns nothing and nobody waits on a delivery: the
-    receiver's handler is the delivery.  The one failure path is the
+    receiver's handler is the delivery.  The simulator hands it a
+    message whose ``payload`` is the sent object, shared by every copy
+    of the fan-out, and whose ``span`` is the hop span; the live
+    transport decodes each copy from the wire and hands the handler
+    the decoded :class:`~repro.kecho.event.ChannelEvent` itself.  The one failure path is the
     sender's ``on_fail(dst, reason)``, called exactly once for each
     copy the transport gives up on — at the moment it gives up, which
     for a copy killed in flight is after ``send_many`` has returned —

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.dproc.batch import RecordBatch
+
 __all__ = ["StreamEntry", "SUBMIT", "DELIVER", "DROP",
            "normalize_payload"]
 
@@ -38,15 +40,14 @@ DROP = "drop"
 def normalize_payload(payload: Any) -> tuple[tuple, str]:
     """Reduce a channel payload to ``(records, summary)``.
 
-    d-mon monitor payloads (``{"host": ..., "metrics": {id: (v, ts)}}``)
+    d-mon monitor payloads (a :class:`~repro.dproc.batch.RecordBatch`)
     become a tuple of ``(int metric-ABI-id, value, timestamp)`` records
     in publication order; anything else keeps an empty record tuple and
     a short type summary (control messages name their command).
     """
-    if isinstance(payload, dict) and "host" in payload \
-            and "metrics" in payload:
+    if isinstance(payload, RecordBatch):
         records = tuple((int(m), float(v), float(ts))
-                        for m, (v, ts) in payload["metrics"].items())
+                        for m, v, ts in payload.records())
         return records, ""
     name = type(payload).__name__
     from repro.kecho.control import ControlMessage

@@ -8,7 +8,7 @@ import pytest
 
 from repro.dproc import (DMon, DMonConfig, MetricId, MetricPolicy,
                          register_default_modules)
-from repro.dproc.modules.base import MetricSample, MonitoringModule
+from repro.dproc.modules.base import MonitoringModule
 from repro.errors import ControlSyntaxError, DprocError
 from repro.kecho import (ClearParameter, DeployFilter, KechoBus,
                          RemoveFilter, SetParameter)
@@ -64,7 +64,7 @@ class TestRegistration:
                 return (MetricId.INSTRUCTIONS,)  # reuse an id for test
 
             def collect(self, now):
-                return [MetricSample(MetricId.INSTRUCTIONS, 42.0, now)]
+                return [42.0]
 
         dmon = make_dmon(cluster3, "alan", modules=("cpu",))
         dmon.start()
@@ -359,7 +359,7 @@ class TestControlValidation:
                 return (MetricId.LOADAVG,)
 
             def collect(self, now):
-                return [MetricSample(MetricId.LOADAVG, 1.0, now)]
+                return [1.0]
 
         a = make_dmon(cluster3, "alan")
         a.register_service(EchoLoad(cluster3["alan"]))
@@ -438,8 +438,8 @@ class TestRestart:
         assert {id(c) for c in stack.connections} == {id(c) for c in live}
         assert sorted(c.dst for c in live) == sorted(cluster.names[1:])
         assert not any(c.closed for c in live)
-        samples = {s.metric: s.value
-                   for s in first.modules["net"].collect(env.now)}
+        net = first.modules["net"]
+        samples = dict(zip(net.metrics(), net.collect(env.now)))
         delays = [c.last_delay for c in live]
         assert samples[MetricId.NET_DELAY] == sum(delays) / len(delays)
         rtts = [c.last_rtt for c in live]

@@ -12,7 +12,7 @@ from tests.conftest import Inbox
 
 
 def sample_dict(module, now):
-    return {s.metric: s.value for s in module.collect(now)}
+    return dict(zip(module.metrics(), module.collect(now)))
 
 
 class TestCpuMon:

@@ -82,7 +82,7 @@ class TestDeterminism:
 class TestAggregates:
     def test_collect_matches_table(self, mon):
         table = mon.keyed_collect(1.0)
-        samples = {s.metric: s.value for s in mon.collect(1.0)}
+        samples = dict(zip(mon.metrics(), mon.collect(1.0)))
         assert samples[MetricId.PROC_COUNT] == len(table)
         assert samples[MetricId.PROC_CPU_MAX] \
             == max(row[1] for row in table)
@@ -91,7 +91,7 @@ class TestAggregates:
 
     def test_empty_table_aggregates_to_zero(self, mon):
         mon.configure("nprocs", 0)
-        samples = {s.metric: s.value for s in mon.collect(1.0)}
+        samples = dict(zip(mon.metrics(), mon.collect(1.0)))
         assert samples[MetricId.PROC_COUNT] == 0.0
         assert samples[MetricId.PROC_CPU_MAX] == 0.0
 

@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.dproc import MetricId  # noqa: E402
+from repro.dproc import MetricId, RecordBatch  # noqa: E402
 from repro.errors import ChannelError  # noqa: E402
 from repro.kecho.control import (DeployFilter, RemoveFilter,  # noqa: E402
                                  SetParameter)
@@ -40,15 +40,16 @@ def events(draw):
     source = draw(st.text(min_size=1, max_size=8))
     channel = draw(st.text(min_size=1, max_size=12))
     if which == 0:
-        metrics = {MetricId(m): (draw(_values), draw(_values))
-                   for m in draw(st.lists(
-                       st.sampled_from([int(m) for m in MetricId]),
-                       max_size=4, unique=True))}
-        payload = {"host": source, "metrics": metrics}
+        ids = [MetricId(m) for m in draw(st.lists(
+            st.sampled_from([int(m) for m in MetricId]),
+            max_size=4, unique=True))]
+        payload = RecordBatch(source, ids,
+                              [draw(_values) for _ in ids],
+                              [draw(_values) for _ in ids])
         if draw(st.booleans()):
-            # Zero-row sections decode to absent keys by design, so
-            # only a non-empty table is expected to round-trip.
-            payload["proc_top"] = {
+            # Zero-row sections decode to absent sections by design,
+            # so only a non-empty table is expected to round-trip.
+            payload.proc_top = {
                 pid: draw(_values)
                 for pid in draw(st.lists(st.integers(0, 2**31),
                                          min_size=1, max_size=3,
@@ -82,19 +83,21 @@ def monitor_cases(draw):
     channel = draw(_names)
     mids = draw(st.lists(st.sampled_from(list(MetricId)), max_size=6,
                          unique=True))
-    if draw(st.booleans()):
-        stamps = [draw(_any_f64)] * len(mids)
+    shape = draw(st.sampled_from(["poll", "equal", "each"]))
+    if shape == "poll":
+        ts = draw(_any_f64)
+    elif shape == "equal":
+        ts = [draw(_any_f64)] * len(mids)
     else:
-        stamps = [draw(_any_f64) for _ in mids]
-    payload = {
-        "host": source if draw(st.booleans()) else draw(_names),
-        "metrics": {mid: (draw(_any_f64), ts)
-                    for mid, ts in zip(mids, stamps)}}
+        ts = [draw(_any_f64) for _ in mids]
+    payload = RecordBatch(
+        source if draw(st.booleans()) else draw(_names), mids,
+        [draw(_any_f64) for _ in mids], ts)
     if draw(st.booleans()):
-        payload["proc_top"] = draw(st.dictionaries(
+        payload.proc_top = draw(st.dictionaries(
             st.integers(0, 2**32 - 1), _values, min_size=1, max_size=3))
     if draw(st.booleans()):
-        payload["procs"] = draw(st.dictionaries(
+        payload.procs = draw(st.dictionaries(
             st.integers(0, 2**32 - 1), st.tuples(_values, _values, _values),
             min_size=1, max_size=3))
     tag = "kecho:" + channel if draw(st.booleans()) else draw(_names)
@@ -103,11 +106,11 @@ def monitor_cases(draw):
                              submitted_at=draw(_values))
 
 
-def _bits(payload) -> list:
+def _bits(batch: RecordBatch) -> list:
     """The records in order, each float as its eight wire bytes — so
     -0.0 is not 0.0 and a NaN equals itself."""
     return [(metric, struct.pack(">d", value), struct.pack(">d", ts))
-            for metric, (value, ts) in payload["metrics"].items()]
+            for metric, value, ts in batch.records()]
 
 
 def _assert_monitor_roundtrip(tag: str, event: ChannelEvent) -> None:
@@ -118,10 +121,11 @@ def _assert_monitor_roundtrip(tag: str, event: ChannelEvent) -> None:
             decoded.submitted_at) == (event.channel, event.source,
                                       event.size, event.submitted_at)
     assert _bits(decoded.payload) == _bits(event.payload)
-    assert all(isinstance(m, MetricId) for m in decoded.payload["metrics"])
-    rest = {k: v for k, v in event.payload.items() if k != "metrics"}
-    assert {k: v for k, v in decoded.payload.items()
-            if k != "metrics"} == rest
+    assert all(isinstance(m, MetricId) for m in decoded.payload.ids)
+    assert (decoded.payload.host, decoded.payload.proc_top,
+            decoded.payload.procs) == (event.payload.host,
+                                       event.payload.proc_top,
+                                       event.payload.procs)
 
 
 @st.composite
@@ -164,7 +168,11 @@ def coalesced_streams(draw):
 
 
 def _normalize(event: ChannelEvent):
-    return (event.channel, event.source, event.payload,
+    payload = event.payload
+    if isinstance(payload, RecordBatch):
+        payload = (payload.host, list(payload.records()),
+                   payload.proc_top, payload.procs)
+    return (event.channel, event.source, payload,
             event.size, event.submitted_at)
 
 
@@ -215,7 +223,7 @@ class TestCoalescedRoundTrip:
 
 class TestMonitorFlags:
     """Whatever the encoder leaves out of a MONITOR frame, the decoder
-    puts back: bit-exact floats, insertion order, every key."""
+    puts back: bit-exact floats, record order, every section."""
 
     @settings(max_examples=200, deadline=None)
     @given(monitor_cases())
@@ -236,11 +244,12 @@ class TestMonitorFlags:
     @pytest.mark.parametrize("tag", ["kecho:dproc.monitor", "custom"])
     @pytest.mark.parametrize("host", ["maui", "etna"])
     def test_named_timestamp_cases(self, stamps, tag, host):
-        metrics = {mid: (float(i), ts) for i, (mid, ts)
-                   in enumerate(zip(reversed(MetricId), stamps))}
+        ids = list(reversed(MetricId))[:len(stamps)]
+        batch = RecordBatch(host, ids, [float(i) for i in range(len(ids))],
+                            stamps)
         _assert_monitor_roundtrip(tag, ChannelEvent(
             channel="dproc.monitor", source="maui", size=64.0,
-            submitted_at=7.0, payload={"host": host, "metrics": metrics}))
+            submitted_at=7.0, payload=batch))
 
     def test_shared_timestamp_is_judged_on_bits_not_equality(self):
         """0.0 == -0.0, so an encoder comparing with ``==`` would fold
@@ -248,9 +257,9 @@ class TestMonitorFlags:
         def frame(stamps):
             return encode_frame("kecho:c", ChannelEvent(
                 channel="c", source="s", size=1.0, submitted_at=0.0,
-                payload={"host": "s", "metrics": {
-                    MetricId.LOADAVG: (1.0, stamps[0]),
-                    MetricId.FREEMEM: (2.0, stamps[1])}}))
+                payload=RecordBatch(
+                    "s", (MetricId.LOADAVG, MetricId.FREEMEM), (1.0, 2.0),
+                    stamps)))
         assert len(frame([0.0, -0.0])) == len(frame([0.0, 0.0])) + 8
         nan = float("nan")
         assert len(frame([nan, nan])) == len(frame([0.0, 0.0]))

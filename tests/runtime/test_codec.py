@@ -6,8 +6,10 @@ import struct
 
 import pytest
 
-from repro.dproc import MetricId
+from repro.dproc import (MODULE_METRICS, DMon, MetricId,
+                         MonitoringModule, RecordBatch)
 from repro.errors import ChannelError
+from repro.kecho import KechoBus
 from repro.kecho.control import DeployFilter, SetParameter
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import (FrameDecoder, MAGIC, MAX_FRAME_BYTES,
@@ -21,7 +23,7 @@ def unknown_metric_frames() -> tuple[bytes, bytes]:
     no :class:`MetricId` has."""
     good = encode_frame("t", ChannelEvent(
         channel="c", source="s", size=32.0, submitted_at=0.0,
-        payload={"host": "s", "metrics": {MetricId.LOADAVG: (1.0, 0.0)}}))
+        payload=RecordBatch("s", (MetricId.LOADAVG,), (1.0,), 0.0)))
     # The frame ends with the record's three columns: one u16 id, one
     # f64 value and the poll's f64 timestamp.
     at = len(good) - 18
@@ -36,22 +38,30 @@ def _roundtrip(tag: str, event: ChannelEvent):
     return decode_frame(bodies[0])
 
 
+def _content(batch: RecordBatch) -> tuple:
+    """Everything a batch says, comparable with ``==``."""
+    return (batch.host, list(batch.records()), batch.proc_top,
+            batch.procs)
+
+
 class TestRoundTrip:
     def test_monitor_event(self):
         event = ChannelEvent(
             channel="dproc.monitor", source="maui",
-            payload={"host": "maui",
-                     "metrics": {MetricId.LOADAVG: (1.5, 2.0),
-                                 MetricId.FREEMEM: (64e6, 2.0)}},
+            payload=RecordBatch("maui",
+                                [MetricId.LOADAVG, MetricId.FREEMEM],
+                                [1.5, 64e6], 2.0),
             size=88.0, submitted_at=2.0)
         tag, decoded = _roundtrip("kecho:dproc.monitor", event)
         assert tag == "kecho:dproc.monitor"
         assert decoded.channel == event.channel
         assert decoded.source == "maui"
-        assert decoded.payload["host"] == "maui"
-        metrics = decoded.payload["metrics"]
-        assert metrics[MetricId.LOADAVG] == (1.5, 2.0)
-        assert isinstance(next(iter(metrics)), MetricId)
+        assert decoded.payload.host == "maui"
+        assert list(decoded.payload.records()) == [
+            (MetricId.LOADAVG, 1.5, 2.0), (MetricId.FREEMEM, 64e6, 2.0)]
+        assert all(isinstance(m, MetricId) for m in decoded.payload.ids)
+        # One timestamp on the wire comes back as one timestamp.
+        assert decoded.payload.ts == 2.0
 
     def test_control_event(self):
         msg = SetParameter(sender="alan", target="maui", metric="cpu",
@@ -88,11 +98,12 @@ class TestRoundTrip:
 def _dmon_event(n: int) -> ChannelEvent:
     """What d-mon publishes for one poll of ``n`` metrics: one
     timestamp, host = source."""
-    metrics = {metric: (float(i), 12.5)
-               for i, metric in enumerate(list(MetricId)[:n])}
-    assert len(metrics) == n
+    ids = list(MetricId)[:n]
+    assert len(ids) == n
     return ChannelEvent(channel="dproc.monitor", source="node3",
-                        payload={"host": "node3", "metrics": metrics},
+                        payload=RecordBatch(
+                            "node3", ids, [float(i) for i in range(n)],
+                            12.5),
                         size=40.0 + 12.0 * n, submitted_at=12.5)
 
 
@@ -108,17 +119,19 @@ class TestWireBudget:
         assert len(frame) == size == 56 + 10 * n
         tag, decoded = decode_frame(frame[4:])
         assert tag == "kecho:dproc.monitor"
-        assert decoded.payload == _dmon_event(n).payload
+        assert _content(decoded.payload) == _content(
+            _dmon_event(n).payload)
 
     def test_each_redundancy_costs_its_bytes_only_when_present(self):
         event = _dmon_event(13)
         base = len(encode_frame("kecho:dproc.monitor", event))
         assert len(encode_frame("custom", event)) == base + 2 + 6
-        event.payload["host"] = "other"
+        event.payload.host = "other"
         assert len(encode_frame("kecho:dproc.monitor",
                                 event)) == base + 2 + 5
         event = _dmon_event(13)
-        event.payload["metrics"][MetricId.LOADAVG] = (0.0, 13.0)
+        event.payload.values[0] = 0.0
+        event.payload.ts = (13.0,) + (12.5,) * 12
         assert len(encode_frame("kecho:dproc.monitor",
                                 event)) == base + 12 * 8
 
@@ -129,72 +142,160 @@ class TestWireBudget:
             decode_frame(struct.pack(">H", 0xEC05) + body[2:])
 
 
+#: The frame a default d-mon poll of 13 records sends from ``alan`` at
+#: t = 12.5 s, record i carrying 0.25 * (i + 1); captured from the
+#: encoder of the ``{metric: (value, ts)}`` payload this batch replaced.
+DEFAULT_POLL_FRAME = (
+    "000000b5ec060100000d6470726f632e6d6f6e69746f720004616c616e4029"
+    "0000000000004068800000000000000d000000010002000600070004000500"
+    "080009000b000d0003000a3fd00000000000003fe00000000000003fe80000"
+    "000000003ff00000000000003ff40000000000003ff80000000000003ffc00"
+    "000000000040000000000000004002000000000000400400000000000040060"
+    "000000000004008000000000000400a0000000000004029000000000000")
+
+#: A frame that sets HOST and TS and carries both keyed sections
+#: (NaN and -0.0 among the values), from the same encoder.
+FLAGGED_FRAME = (
+    "000000a0ec060106000d6470726f632e6d6f6e69746f72000572656c617940"
+    "10000000000000405600000000000000046d61756900030000000100053ff8"
+    "00000000000080000000000000007ff8000000000000400000000000000040"
+    "08000000000000400800000000000000020000006440080000000000000000"
+    "006540040000000000000001000003e83fd0000000000000413e8480000000"
+    "00403e000000000000")
+
+
+class _Fixed(MonitoringModule):
+    """A default module's metrics with fixed values."""
+
+    def __init__(self, node, name: str, first: int) -> None:
+        super().__init__(node)
+        self.name = name
+        self._values = [0.25 * (first + i + 1)
+                        for i in range(len(MODULE_METRICS[name]))]
+
+    def metrics(self):
+        return MODULE_METRICS[self.name]
+
+    def collect(self, now):
+        return self._values
+
+
+class TestWireFence:
+    """Bytes on the wire pinned across the change to the batch."""
+
+    def test_default_poll_frame_is_byte_identical(self, env, cluster3):
+        dmon = DMon(cluster3["alan"], KechoBus())
+        first = 0
+        for name in ("cpu", "mem", "disk", "net", "pmc"):
+            dmon.register_service(_Fixed(dmon.node, name, first))
+            first += len(MODULE_METRICS[name])
+        env.run(until=12.5)
+        dmon.start()
+        sent = []
+        submit = dmon._monitor_ep.submit
+
+        def capture(*args, **kwargs):
+            receipt = submit(*args, **kwargs)
+            sent.append(receipt.event)
+            return receipt
+
+        dmon._monitor_ep.submit = capture
+        dmon.poll_once()
+        (event,) = sent
+        assert len(event.payload) == 13
+        frame = encode_frame("kecho:dproc.monitor", event)
+        assert frame.hex() == DEFAULT_POLL_FRAME
+
+    def test_default_poll_frame_decodes_to_its_records(self):
+        tag, event = decode_frame(bytes.fromhex(DEFAULT_POLL_FRAME)[4:])
+        assert tag == "kecho:dproc.monitor"
+        assert (event.source, event.submitted_at, event.size) == (
+            "alan", 12.5, 196.0)
+        ids = [m for name in ("cpu", "mem", "disk", "net", "pmc")
+               for m in MODULE_METRICS[name]]
+        assert list(event.payload.records()) == [
+            (m, 0.25 * (i + 1), 12.5) for i, m in enumerate(ids)]
+
+    def test_flagged_frame_decodes_to_its_records(self):
+        tag, event = decode_frame(bytes.fromhex(FLAGGED_FRAME)[4:])
+        batch = event.payload
+        assert (tag, event.source, batch.host) == (
+            "kecho:dproc.monitor", "relay", "maui")
+        assert [(m, struct.pack(">d", v), ts)
+                for m, v, ts in batch.records()] == [
+            (MetricId.LOADAVG, struct.pack(">d", 1.5), 2.0),
+            (MetricId.FREEMEM, struct.pack(">d", -0.0), 3.0),
+            (MetricId.NET_RTT, struct.pack(">d", float("nan")), 3.0)]
+        assert batch.proc_top == {100: 3.0, 101: 2.5}
+        assert batch.procs == {1000: (0.25, 2e6, 30.0)}
+        assert encode_frame(tag, event).hex() == FLAGGED_FRAME
+
+
 class TestProcSections:
     """Optional keyed-stream sections on MONITOR frames."""
 
-    def _monitor(self, payload) -> ChannelEvent:
+    def _monitor(self, batch: RecordBatch) -> ChannelEvent:
         return ChannelEvent(channel="dproc.monitor", source="maui",
-                            payload=payload, size=88.0,
+                            payload=batch, size=88.0,
                             submitted_at=2.0)
 
+    @staticmethod
+    def _batch(**sections) -> RecordBatch:
+        return RecordBatch("maui", (MetricId.LOADAVG,), (1.5,), 2.0,
+                           **sections)
+
     def test_top_pairs_roundtrip(self):
-        payload = {"host": "maui",
-                   "metrics": {MetricId.LOADAVG: (1.5, 2.0)},
-                   "proc_top": {101: 2.5, 100: 3.0}}
-        _, decoded = _roundtrip("kecho:dproc.monitor",
-                                self._monitor(payload))
-        assert decoded.payload["proc_top"] == {101: 2.5, 100: 3.0}
+        _, decoded = _roundtrip(
+            "kecho:dproc.monitor",
+            self._monitor(self._batch(proc_top={101: 2.5, 100: 3.0})))
+        assert decoded.payload.proc_top == {101: 2.5, 100: 3.0}
 
     def test_full_rows_roundtrip(self):
-        payload = {"host": "maui",
-                   "metrics": {MetricId.LOADAVG: (1.5, 2.0)},
-                   "procs": {1000: (0.25, 2e6, 30.0),
-                             1001: (0.125, 4e6, 0.0)}}
+        procs = {1000: (0.25, 2e6, 30.0), 1001: (0.125, 4e6, 0.0)}
         _, decoded = _roundtrip("kecho:dproc.monitor",
-                                self._monitor(payload))
-        assert decoded.payload["procs"] == {1000: (0.25, 2e6, 30.0),
-                                            1001: (0.125, 4e6, 0.0)}
+                                self._monitor(self._batch(procs=procs)))
+        assert decoded.payload.procs == procs
 
     def test_absent_sections_stay_absent(self):
-        payload = {"host": "maui",
-                   "metrics": {MetricId.LOADAVG: (1.5, 2.0)}}
+        batch = self._batch()
         _, decoded = _roundtrip("kecho:dproc.monitor",
-                                self._monitor(payload))
-        assert "proc_top" not in decoded.payload
-        assert "procs" not in decoded.payload
-        assert decoded.payload == payload
+                                self._monitor(batch))
+        assert decoded.payload.proc_top is None
+        assert decoded.payload.procs is None
+        assert _content(decoded.payload) == _content(batch)
 
     def test_legacy_frame_without_sections_decodes(self):
         """A body that ends right after the record columns (what the
         encoder emits when no keyed row exists) and one that spells
-        out two zero-count sections decode to the same payload."""
-        payload = {"host": "maui",
-                   "metrics": {MetricId.LOADAVG: (1.5, 2.0)}}
+        out two zero-count sections decode to the same batch."""
+        batch = self._batch()
         body = FrameDecoder().feed(
-            encode_frame("t", self._monitor(payload)))[0]
+            encode_frame("t", self._monitor(batch)))[0]
         assert body.endswith(struct.pack(">Hdd", MetricId.LOADAVG,
                                          1.5, 2.0))
         for frame in (body, body + struct.pack(">HH", 0, 0)):
             _, decoded = decode_frame(frame)
-            assert decoded.payload == payload
+            assert _content(decoded.payload) == _content(batch)
 
     def test_too_many_rows_rejected(self):
-        payload = {"host": "maui", "metrics": {},
-                   "proc_top": {pid: 1.0 for pid in range(0x10000)}}
+        batch = RecordBatch("maui", (), (), 2.0,
+                            proc_top={pid: 1.0 for pid in range(0x10000)})
         with pytest.raises(ChannelError):
-            encode_frame("t", self._monitor(payload))
+            encode_frame("t", self._monitor(batch))
 
-    @pytest.mark.parametrize("key, rows", [
-        ("procs", {pid: (1.0, 2.0, 3.0) for pid in range(0x10000)}),
-        ("metrics", {mid: (1.0, 2.0) for mid in range(0x10000)}),
+    @pytest.mark.parametrize("batch", [
+        RecordBatch("maui", (), (), 2.0,
+                    procs={pid: (1.0, 2.0, 3.0)
+                           for pid in range(0x10000)}),
+        RecordBatch("maui", tuple(range(0x10000)), (1.0,) * 0x10000,
+                    2.0),
     ], ids=["procs", "metrics"])
-    def test_too_many_of_anything_counted_is_rejected(self, key, rows):
+    def test_too_many_of_anything_counted_is_rejected(self, batch):
         """One more than a u16 count can say is a ChannelError for
         every section — the record count too, which feeds a format
         string and used to escape as a bare struct.error."""
-        payload = {"host": "maui", "metrics": {}, key: rows}
         with pytest.raises(ChannelError):
-            encode_frame("t", self._monitor(payload))
+            encode_frame("t", self._monitor(batch))
 
 
 class TestIncrementalDecoder:

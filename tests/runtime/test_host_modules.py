@@ -74,7 +74,7 @@ class TestHeldDescriptors:
         for i in range(1000):
             for mon in mons:
                 samples = mon.collect(float(i))
-                assert [s.metric for s in samples] == list(mon.metrics())
+                assert len(samples) == len(mon.metrics())
         assert _open_fds() <= before + 4
 
 
@@ -118,7 +118,7 @@ class TestDiskRows:
                             lambda path: next(texts))
         mon = HostDiskMon(SimpleNamespace(name="node0"))
         mon.collect(10.0)
-        rates = {s.metric: s.value for s in mon.collect(12.0)}
+        rates = dict(zip(mon.metrics(), mon.collect(12.0)))
         assert rates == {MetricId.DISKUSAGE: 300.0,
                          MetricId.DISK_READS: 30.0,
                          MetricId.DISK_WRITES: 10.0}

@@ -89,9 +89,9 @@ class TestBatteryMon:
         Battery(node, capacity_joules=100.0, base_power=1.0)
         mon = BatteryMon(node)
         env.run(until=25.0)
-        (sample,) = mon.collect(env.now)
-        assert sample.metric is MetricId.BATTERY
-        assert sample.value == pytest.approx(75.0)
+        (value,) = mon.collect(env.now)
+        assert mon.metrics() == (MetricId.BATTERY,)
+        assert value == pytest.approx(75.0)
 
     def test_runtime_deploy_and_remote_visibility(self, env, cluster3):
         """The paper's §1 scenario: battery monitoring added to a live
