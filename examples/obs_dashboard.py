@@ -4,9 +4,8 @@
 Runs a monitored cluster through an injected loss window with the
 observability plane attached, then walks what the plane captured:
 windowed TSDB queries over sampled telemetry, the health engine's
-hysteretic verdicts, the durable ``obs.health`` audit channel, and
-the attribution of each degraded window to the recorded fault that
-caused it.  Finishes with the OpenMetrics exposition the live
+hysteretic verdicts and their transitions, and the attribution of
+each degraded window to the recorded fault that caused it.  Finishes with the OpenMetrics exposition the live
 ``/metrics`` endpoint would serve for the same cluster.
 
 Run:  PYTHONPATH=src python examples/obs_dashboard.py
@@ -62,9 +61,9 @@ def main() -> None:
     print("\n== health ==")
     print(f"  healthy: {verdict['healthy']}  "
           f"transitions: {len(plane.transitions)}")
-    for entry in scenario.obs_log.entries("obs.health")[:5]:
-        print(f"  obs.health seq={entry.seq} t={entry.time:g} "
-              f"{entry.summary} ({entry.fault})")
+    for tr in plane.transitions[:5]:
+        print(f"  t={tr.time:g} {tr.rule} on {tr.subject}: "
+              f"{tr.from_status}->{tr.to_status} (value {tr.value:.3g})")
 
     # 4. Fault attribution: each degraded window names the injected
     #    fault whose recorded drops fall inside it.

@@ -1,14 +1,9 @@
 """Statistical analysis helpers and durable experiment records."""
 
-from repro.analysis.stats import (HistogramResult, Summary, histogram,
-                                  replicate, summarize, truncate_warmup)
+from repro.analysis.stats import Summary, replicate, summarize
 from repro.analysis.traces import (dump_result, load_result,
-                                   result_from_json, result_to_json,
-                                   series_from_csv, series_to_csv,
-                                   timeseries_to_csv)
+                                   result_from_json, result_to_json)
 
-__all__ = ["HistogramResult", "Summary", "histogram",
-           "replicate", "summarize", "truncate_warmup",
+__all__ = ["Summary", "replicate", "summarize",
            "dump_result", "load_result", "result_from_json",
-           "result_to_json", "series_from_csv", "series_to_csv",
-           "timeseries_to_csv"]
+           "result_to_json"]

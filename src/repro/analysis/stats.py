@@ -2,8 +2,8 @@
 
 The paper reports single-run measurements; for a simulation study we
 can do better.  This module provides the classic small-sample tooling:
-mean with Student-t confidence intervals, cross-seed replication of a
-whole experiment, and warm-up truncation for steady-state series.
+mean with Student-t confidence intervals and cross-seed replication
+of a whole experiment.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.harness.experiment import FigureResult, SeriesResult
+from repro.harness.experiment import FigureResult
 
-__all__ = ["Summary", "summarize", "replicate", "truncate_warmup",
-           "HistogramResult", "histogram"]
+__all__ = ["Summary", "summarize", "replicate"]
 
 
 @dataclass(frozen=True)
@@ -80,77 +79,6 @@ def summarize(samples: Sequence[float],
                    half_width=half, confidence=confidence)
 
 
-@dataclass(frozen=True)
-class HistogramResult:
-    """A binned distribution with honest edge-case accounting."""
-
-    #: Per-bin counts (length ``len(edges) - 1``).
-    counts: tuple[int, ...]
-    #: Bin edges (ascending; ``edges[i] <= bin i < edges[i+1]``).
-    edges: tuple[float, ...]
-    #: Number of binned (finite) samples.
-    n: int
-    #: NaN samples seen (never binned, never silently dropped).
-    nan_count: int
-    mean: float
-    min: float
-    max: float
-
-    @property
-    def total(self) -> int:
-        """All samples offered, including NaNs."""
-        return self.n + self.nan_count
-
-
-def histogram(samples: Sequence[float], bins: int = 10,
-              value_range: tuple[float, float] | None = None,
-              nan_policy: str = "omit") -> HistogramResult:
-    """Bin a sample sequence, handling the awkward cases explicitly.
-
-    * **empty input** — zero counts over ``value_range`` (or the unit
-      interval), NaN summary stats; never an exception;
-    * **single sample** (or all-equal samples) — a degenerate range is
-      widened by ±0.5 around the value, as ``np.histogram`` does;
-    * **NaN samples** — cannot be binned: ``"omit"`` (default) counts
-      them in ``nan_count``; ``"propagate"`` additionally poisons the
-      summary stats (mean/min/max become NaN); ``"raise"`` rejects
-      them.  They are *never* silently included or discarded.
-    """
-    if nan_policy not in ("propagate", "omit", "raise"):
-        raise ValueError(f"unknown nan_policy {nan_policy!r}")
-    if bins < 1:
-        raise ValueError("bins must be positive")
-    if value_range is not None and not value_range[0] <= value_range[1]:
-        raise ValueError("value_range must be (lo, hi) with lo <= hi")
-    data = np.asarray(list(samples), dtype=float)
-    nan_mask = np.isnan(data)
-    nan_count = int(np.count_nonzero(nan_mask))
-    if nan_count and nan_policy == "raise":
-        raise ValueError(f"{nan_count} NaN sample(s) in input")
-    finite = data[~nan_mask]
-
-    if finite.size == 0:
-        lo, hi = value_range if value_range is not None else (0.0, 1.0)
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        edges = np.linspace(lo, hi, bins + 1)
-        counts = np.zeros(bins, dtype=int)
-        mean = low = high = math.nan
-    else:
-        counts, edges = np.histogram(finite, bins=bins,
-                                     range=value_range)
-        mean = float(finite.mean())
-        low = float(finite.min())
-        high = float(finite.max())
-    if nan_count and nan_policy == "propagate":
-        mean = low = high = math.nan
-    return HistogramResult(
-        counts=tuple(int(c) for c in counts),
-        edges=tuple(float(e) for e in edges),
-        n=int(finite.size), nan_count=nan_count,
-        mean=mean, min=low, max=high)
-
-
 def replicate(experiment: Callable[[int], FigureResult],
               seeds: Sequence[int],
               confidence: float = 0.95) -> FigureResult:
@@ -190,18 +118,3 @@ def replicate(experiment: Callable[[int], FigureResult],
         summaries[label] = per_point
     aggregated.summaries = summaries  # type: ignore[attr-defined]
     return aggregated
-
-
-def truncate_warmup(series: SeriesResult,
-                    fraction: float = 0.2) -> SeriesResult:
-    """Drop the leading ``fraction`` of a time series (warm-up period)."""
-    if not 0 <= fraction < 1:
-        raise ValueError("fraction must be in [0, 1)")
-    if not series.x:
-        raise ValueError("empty series")
-    cut = series.x[0] + (series.x[-1] - series.x[0]) * fraction
-    keep = [(x, y) for x, y in zip(series.x, series.y) if x >= cut]
-    if not keep:  # pragma: no cover - fraction < 1 guarantees content
-        keep = [(series.x[-1], series.y[-1])]
-    xs, ys = zip(*keep)
-    return SeriesResult(series.label, tuple(xs), tuple(ys))

@@ -50,11 +50,6 @@ __all__ = ["Scenario", "ScenarioError"]
 #: A scenario hook: receives the built scenario, returns nothing.
 Hook = Callable[["Scenario"], None]
 
-#: Entries the ``obs.health`` transition log keeps, oldest dropped
-#: first: far above the flips of any run in ``tests/`` or
-#: ``benchmarks/``, so only a long or flapping run reaches it.
-HEALTH_LOG_MAX_LEN = 10_000
-
 
 class ScenarioError(ReproError):
     """Misuse of the Scenario facade (wrong backend, wrong phase)."""
@@ -189,10 +184,7 @@ class Scenario:
 
     def with_observability(self, *, sample_interval: float = 1.0,
                            rules=None, scrape_port: Optional[int] = None,
-                           scrape_host: str = "127.0.0.1",
-                           health_every: int = 1,
-                           name_prefixes: Optional[Sequence[str]] = None,
-                           capacity: int = 240) -> "Scenario":
+                           scrape_host: str = "127.0.0.1") -> "Scenario":
         """Attach the time-series metrics plane (both backends).
 
         A :class:`repro.obs.ObservabilityPlane` samples every node's
@@ -201,8 +193,8 @@ class Scenario:
         seconds on live) into a bounded ring-buffer TSDB, and a
         health/SLO engine (``rules``, default
         :func:`repro.obs.default_rules`) evaluates windowed queries
-        with hysteresis, logging every verdict flip to a durable
-        ``obs.health`` channel.  The plane is passive: goldens, traces
+        with hysteresis, recording every verdict flip in
+        ``obs.transitions``.  The plane is passive: goldens, traces
         and data-plane stream bytes are identical with it on or off.
 
         ``scrape_port`` (live only) additionally serves OpenMetrics
@@ -218,10 +210,7 @@ class Scenario:
                 "the scrape endpoint serves real HTTP; on the "
                 "simulator export with scenario.obs / harness obs")
         self._obs = {"sample_interval": float(sample_interval),
-                     "rules": tuple(rules) if rules is not None else None,
-                     "health_every": health_every,
-                     "name_prefixes": name_prefixes,
-                     "capacity": capacity}
+                     "rules": tuple(rules) if rules is not None else None}
         self._obs_scrape = ((scrape_host, scrape_port)
                             if scrape_port is not None else None)
         return self
@@ -382,15 +371,6 @@ class Scenario:
             self._plane.ingest_stream(self._stream_broker)
         return self._plane
 
-    @property
-    def obs_log(self):
-        """The durable ``obs.health`` transition log (a stream broker
-        keeping the last :data:`HEALTH_LOG_MAX_LEN` entries)."""
-        self._check_wanted(self._obs, "no observability plane; "
-                           "call with_observability()")
-        self._check_built()
-        return self._plane.health_log
-
     # -- internals ---------------------------------------------------------
 
     def _check_mutable(self) -> None:
@@ -488,10 +468,7 @@ class Scenario:
             # and its sampler is a pure timer process, so the
             # golden-pinned schedule is the same with it on or off.
             from repro.obs import ObservabilityPlane
-            from repro.stream import StreamBroker
-            self._plane = ObservabilityPlane(
-                health_log=StreamBroker(max_len=HEALTH_LOG_MAX_LEN),
-                **self._obs)
+            self._plane = ObservabilityPlane(**self._obs)
             self._plane.bind(node.name for node in nodes)
             nodes[nodes.names[0]].spawn(
                 self._plane.sampler(nodes, runtime.clock),

@@ -129,14 +129,3 @@ class ClusterView:
         """Host with the most fresh free memory."""
         host, _value = self.extreme(MetricId.FREEMEM, largest=True)
         return host
-
-    def placement_candidates(self, min_free_bytes: float = 0.0,
-                             max_loadavg: float = math.inf
-                             ) -> list[str]:
-        """Hosts satisfying both a memory floor and a load ceiling —
-        the scheduler query the paper's §3 example builds up to."""
-        memory_ok = set(self.hosts_where(
-            MetricId.FREEMEM, lambda v: v >= min_free_bytes))
-        load_ok = set(self.hosts_where(
-            MetricId.LOADAVG, lambda v: v <= max_loadavg))
-        return sorted(memory_ok & load_ok)

@@ -10,13 +10,11 @@ from repro.kecho.channel import (ChannelEndpoint, KechoBus, SubmitReceipt,
 from repro.kecho.control import (ClearParameter, ControlMessage,
                                  DeployFilter, RemoveFilter, SetParameter,
                                  control_message_size)
-from repro.kecho.derived import Derivation, ecode_transform
 from repro.kecho.event import ChannelEvent
 from repro.kecho.registry import ChannelInfo, ChannelRegistry
 
 __all__ = [
     "ChannelEndpoint", "KechoBus", "SubmitReceipt", "Subscription",
-    "Derivation", "ecode_transform",
     "ChannelEvent", "ChannelInfo", "ChannelRegistry",
     "ControlMessage", "SetParameter", "ClearParameter", "DeployFilter",
     "RemoveFilter", "control_message_size",

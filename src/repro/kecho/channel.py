@@ -223,24 +223,6 @@ class ChannelEndpoint:
                 trace=event.trace)
             delivered.delivered_at = now
             self._dispatch(delivered, charge=False)
-        # Derived channels: run each derivation at this publisher and
-        # re-submit its output on the derived channel (recursively
-        # handles chains; the bus rejects cycles at registration).
-        for derivation in tuple(self.bus.derivations_of(self.name)):
-            if not self.bus.has_audience(derivation.derived,
-                                         self.node.name):
-                continue
-            self.node.charge_kernel_seconds(costs.filter_exec)
-            result = derivation.apply(event, now)
-            if result is None:
-                continue
-            derived_payload, derived_size = result
-            derived_ep = self.bus.connect(self.node,
-                                          derivation.derived)
-            derived_ep.submit(derived_payload, derived_size,
-                              attributes={"derived_from": self.name},
-                              trace=(tspan.context
-                                     if tspan is not None else None))
         if tspan is not None:
             tspan.finish(now, cpu_seconds=cpu)
         return SubmitReceipt(event=event, cpu_seconds=cpu,
@@ -342,7 +324,6 @@ class KechoBus:
     def __init__(self, registry: Optional[ChannelRegistry] = None) -> None:
         self.registry = registry or ChannelRegistry()
         self._endpoints: dict[tuple[str, str], ChannelEndpoint] = {}
-        self._derivations: dict[str, list] = {}
         #: Durable-stream broker tee (a
         #: :class:`repro.stream.broker.StreamBroker`); None disables
         #: recording.
@@ -397,58 +378,6 @@ class KechoBus:
         """Hosts (other than ``source``) with live subscriptions."""
         subscribers = self._subscribers(name)
         return [host for host in subscribers if host != source]
-
-    def has_audience(self, name: str, source: str) -> bool:
-        """True when anyone (remote or local) subscribes to ``name``."""
-        try:
-            self.registry.lookup(name)
-        except Exception:
-            return False
-        return bool(self._subscribers(name))
-
-    # -- derived channels ---------------------------------------------------------
-
-    def derive(self, source: str, derived: str, transform):
-        """Register ``derived`` as a derivation of ``source``.
-
-        The transform runs at each publisher of ``source``; its output
-        is submitted on ``derived``.  Chains are allowed; cycles are
-        rejected.
-        """
-        from repro.kecho.derived import Derivation
-        if source == derived:
-            raise ChannelError("a channel cannot derive from itself")
-        # Walk the ancestry of `source`: if `derived` appears, the new
-        # edge would close a cycle.
-        parents = {d.derived: d.source
-                   for specs in self._derivations.values()
-                   for d in specs}
-        ancestor = source
-        seen = {source}
-        while ancestor in parents:
-            ancestor = parents[ancestor]
-            if ancestor == derived:
-                raise ChannelError(
-                    f"derivation {derived!r} <- {source!r} would "
-                    f"create a cycle")
-            if ancestor in seen:  # pragma: no cover - defensive
-                break
-            seen.add(ancestor)
-        spec = Derivation(source=source, derived=derived,
-                          transform=transform)
-        self._derivations.setdefault(source, []).append(spec)
-        return spec
-
-    def derivations_of(self, source: str):
-        """Live derivations registered on ``source`` (do not mutate)."""
-        return self._derivations.get(source, ())
-
-    def remove_derivation(self, spec) -> None:
-        specs = self._derivations.get(spec.source, [])
-        try:
-            specs.remove(spec)
-        except ValueError:
-            raise ChannelError("derivation is not registered") from None
 
     def _detach(self, endpoint: ChannelEndpoint) -> None:
         self.registry.leave(endpoint.name, endpoint.node.name)

@@ -95,6 +95,3 @@ class LiveBus(KechoBus):
             if host not in merged and host not in local_hosts:
                 merged.append(host)
         return merged
-
-    def has_audience(self, name: str, source: str) -> bool:
-        return bool(self._subscribers(name))

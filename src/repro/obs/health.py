@@ -11,11 +11,8 @@ is evaluated once per monitored node against that node's series; a
 
 The engine is deterministic and passive: evaluation order is (sorted
 rule name, sorted subject), queries are pure reads, and every state
-flip is recorded as a :class:`HealthTransition` — both on the engine
-and, when a durable log is attached, as an entry on the dedicated
-``obs.health`` channel (the PR 7 stream machinery reused, but a
-*separate* broker: the data-plane stream's bytes stay bit-identical
-with the health engine on or off, which the passivity tests pin).
+flip is recorded as a :class:`HealthTransition` on the engine's
+``transitions``, which keeps the last :data:`HEALTH_LOG_MAX_LEN`.
 
 :func:`attribute_transitions` closes the audit loop: each
 degraded→recovered window is matched against the fault-plane drop
@@ -26,7 +23,8 @@ can name the injected fault that caused it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.obs.tsdb import ObsError, TimeSeriesDB
@@ -37,6 +35,14 @@ __all__ = ["HealthRule", "HealthTransition", "HealthEngine",
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
+
+#: Transitions an engine keeps, oldest dropped first: far above the
+#: flips of any run in ``tests/`` or ``benchmarks/``, so only a long or
+#: flapping run reaches it.
+HEALTH_LOG_MAX_LEN = 10_000
+
+#: ``pNN``: the NN-th percentile over the window, 0 <= NN <= 100.
+_PERCENTILE = re.compile(r"p(\d+(?:\.\d+)?)")
 
 _OPS = {
     "<": lambda v, t: v < t,
@@ -77,6 +83,11 @@ class HealthRule:
                 f"rule {self.name!r}: unknown scope {self.scope!r}")
         if self.window <= 0 or self.for_bad < 1 or self.for_ok < 1:
             raise ObsError(f"rule {self.name!r}: bad window/hysteresis")
+        if self.agg not in ("rate", "avg", "max", "min"):
+            match = _PERCENTILE.fullmatch(self.agg)
+            if match is None or float(match.group(1)) > 100.0:
+                raise ObsError(f"rule {self.name!r}: unknown "
+                               f"aggregation {self.agg!r}")
 
     def labels(self, node: str = "") -> tuple:
         labels = []
@@ -101,17 +112,9 @@ class HealthRule:
         if self.agg == "min":
             return tsdb.min_over_time(self.metric, labels,
                                       window=self.window, now=now)
-        if self.agg.startswith("p"):
-            try:
-                q = float(self.agg[1:]) / 100.0
-            except ValueError:
-                raise ObsError(
-                    f"rule {self.name!r}: bad aggregation "
-                    f"{self.agg!r}")
-            return tsdb.quantile_over_time(
-                q, self.metric, labels, window=self.window, now=now)
-        raise ObsError(f"rule {self.name!r}: unknown aggregation "
-                       f"{self.agg!r}")
+        return tsdb.quantile_over_time(
+            float(self.agg[1:]) / 100.0, self.metric, labels,
+            window=self.window, now=now)
 
     def holds(self, value: float) -> bool:
         if value != value:
@@ -151,22 +154,19 @@ class _RuleState:
 class HealthEngine:
     """Evaluates rules against a TSDB and tracks sticky verdicts."""
 
-    #: Channel the durable transition log writes to.
-    CHANNEL = "obs.health"
-
     def __init__(self, tsdb: TimeSeriesDB,
                  rules: Sequence[HealthRule],
-                 nodes: Sequence[str] = (),
-                 log_broker=None) -> None:
+                 nodes: Sequence[str] = ()) -> None:
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ObsError("duplicate health rule names")
         self.tsdb = tsdb
         self.rules = tuple(sorted(rules, key=lambda r: r.name))
         self.nodes = tuple(sorted(nodes))
+        #: Every verdict flip in order, bounded by
+        #: :data:`HEALTH_LOG_MAX_LEN`.
         self.transitions: list[HealthTransition] = []
         self._states: dict[tuple[str, str], _RuleState] = {}
-        self._log = log_broker
         self.evaluations = 0
 
     def _subjects(self, rule: HealthRule) -> tuple[str, ...]:
@@ -211,14 +211,8 @@ class HealthEngine:
             threshold=rule.threshold)
         st.status = to_status
         self.transitions.append(transition)
-        if self._log is not None:
-            # Durable audit trail: the stream machinery's append path,
-            # on a broker of its own (never the data-plane broker).
-            self._log.stream(self.CHANNEL).append(
-                kind="health", source=subject, dest="",
-                time=now, submitted_at=now, size=0.0,
-                summary=f"{rule.name}:{st.status}",
-                fault=f"{transition.from_status}->{to_status}")
+        if len(self.transitions) > HEALTH_LOG_MAX_LEN:
+            del self.transitions[0]
 
     # -- read side ----------------------------------------------------------
 

@@ -39,28 +39,12 @@ class ObservabilityPlane:
     """TSDB + health engine + the sampling loop that feeds them."""
 
     def __init__(self, *, sample_interval: float = 1.0,
-                 rules: Optional[Sequence[HealthRule]] = None,
-                 capacity: int = 240, rollup_factor: int = 4,
-                 n_tiers: int = 3, health_every: int = 1,
-                 name_prefixes: Optional[Sequence[str]] = None,
-                 health_log=None) -> None:
-        """``name_prefixes`` restricts sampling to instruments whose
-        dotted name starts with one of the prefixes (None = all);
-        ``health_every`` evaluates the rules every k-th sample;
-        ``health_log`` is an optional broker for the durable
-        ``obs.health`` transition channel."""
+                 rules: Optional[Sequence[HealthRule]] = None) -> None:
         self.sample_interval = float(sample_interval)
-        self.tsdb = TimeSeriesDB(interval=self.sample_interval,
-                                 capacity=capacity,
-                                 rollup_factor=rollup_factor,
-                                 n_tiers=n_tiers)
+        self.tsdb = TimeSeriesDB(interval=self.sample_interval)
         self.rules = tuple(rules) if rules is not None \
             else default_rules()
-        self.health_every = max(1, int(health_every))
-        self.name_prefixes = (tuple(name_prefixes)
-                              if name_prefixes is not None else None)
         self.engine: Optional[HealthEngine] = None
-        self.health_log = health_log
         self.samples_taken = 0
         self.last_sample_at: Optional[float] = None
         #: Host CPU-clock seconds spent inside :meth:`sample` — the
@@ -80,8 +64,7 @@ class ObservabilityPlane:
     def bind(self, node_names: Iterable[str]) -> None:
         """Create the health engine over the monitored node set."""
         self.engine = HealthEngine(self.tsdb, self.rules,
-                                   nodes=sorted(node_names),
-                                   log_broker=self.health_log)
+                                   nodes=sorted(node_names))
 
     def sampler(self, nodes, clock):
         """The sampling loop, as a backend-neutral process generator.
@@ -97,11 +80,6 @@ class ObservabilityPlane:
             yield clock.timeout(self.sample_interval)
 
     # -- feeding -------------------------------------------------------------
-
-    def _wanted(self, name: str) -> bool:
-        if self.name_prefixes is None:
-            return True
-        return name.startswith(self.name_prefixes)
 
     def _node_plan(self, node) -> tuple[list, list]:
         """Resolved ``(series, instrument)`` pairs for one node.
@@ -123,7 +101,7 @@ class ObservabilityPlane:
         else:
             scalars, hists, planned = [], [], set()
         for name in registry.names():
-            if name in planned or not self._wanted(name):
+            if name in planned:
                 continue
             planned.add(name)
             inst = registry.get(name)
@@ -166,8 +144,7 @@ class ObservabilityPlane:
                     entry[2].observe_idx(idx, inst.quantile(0.99))
         self.samples_taken += 1
         self.last_sample_at = now
-        if self.engine is not None \
-                and self.samples_taken % self.health_every == 0:
+        if self.engine is not None:
             self.engine.evaluate(now)
         self.sample_cost_seconds += time.perf_counter() - t_start
 

@@ -19,8 +19,6 @@ from repro.sim.node import KernelCostModel, Node, NodeConfig
 from repro.sim.power import Battery
 from repro.sim.rng import RngHub
 from repro.sim.stores import Resource, Store
-from repro.sim.topology import (GraphFabric, build_graph_cluster,
-                                line_topology, tree_topology)
 from repro.sim.transport import Connection, Message, NetStack, Protocol
 from repro.runtime.series import CounterTrace, EwmaLoad, TimeSeries, \
     WindowAverage
@@ -36,8 +34,6 @@ __all__ = [
     "KernelCostModel", "Node", "NodeConfig",
     "Battery", "RngHub",
     "Resource", "Store",
-    "GraphFabric", "build_graph_cluster", "line_topology",
-    "tree_topology",
     "Connection", "Message", "NetStack", "Protocol",
     "CounterTrace", "EwmaLoad", "TimeSeries", "WindowAverage",
 ]

@@ -51,10 +51,6 @@ class Memory:
         self._live: dict[int, Allocation] = {}
 
     @property
-    def used_bytes(self) -> float:
-        return self._used
-
-    @property
     def free_bytes(self) -> float:
         return self.capacity_bytes - self._used
 

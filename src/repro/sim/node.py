@@ -9,7 +9,7 @@ all benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Generator
 
 import numpy as np
@@ -92,10 +92,6 @@ class NodeConfig:
     memory_bytes: float = MB(512)
     disk_rate: float = MB(20)
     costs: KernelCostModel = field(default_factory=KernelCostModel)
-
-    def with_cpus(self, n_cpus: int) -> "NodeConfig":
-        """Convenience for heterogeneous clusters."""
-        return replace(self, n_cpus=n_cpus)
 
 
 class Node:

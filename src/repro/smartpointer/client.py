@@ -79,6 +79,3 @@ class SmartPointerClient:
     def mean_latency(self, since: float = 0.0) -> float:
         """Mean submission-to-processed latency (seconds)."""
         return self.latencies.mean(since)
-
-    def tail_latency(self, q: float = 95.0, since: float = 0.0) -> float:
-        return self.latencies.percentile(q, since)

@@ -98,8 +98,7 @@ class Histogram:
     ``bounds`` are the inclusive upper edges of the finite buckets; one
     overflow bucket catches everything above the last edge.  NaN
     observations are counted separately (never silently dropped, never
-    corrupting the sums — the same policy :func:`repro.analysis.stats.
-    histogram` applies to offline series).
+    corrupting the sums).
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total",

@@ -9,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.traces import (dump_result, load_result,
-                                   result_from_json, result_to_json,
-                                   series_from_csv, series_to_csv,
-                                   timeseries_to_csv)
-from repro.harness import FigureResult, SeriesResult
-from repro.runtime.series import TimeSeries
+                                   result_from_json, result_to_json)
+from repro.harness import FigureResult
 
 
 @pytest.fixture
@@ -66,35 +63,6 @@ class TestJsonRoundTrip:
         loaded = result_from_json(result_to_json(r))
         assert loaded.get("s").x == r.get("s").x
         assert loaded.get("s").y == r.get("s").y
-
-
-class TestCsv:
-    def test_series_round_trip(self):
-        s = SeriesResult("latency", (0.0, 1.5, 3.0), (0.1, 0.2, 0.3))
-        loaded = series_from_csv(series_to_csv(s))
-        assert loaded == s
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="series CSV"):
-            series_from_csv("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            series_from_csv("")
-
-    def test_timeseries_export(self):
-        ts = TimeSeries("queue")
-        ts.record(0.0, 1.0)
-        ts.record(2.5, 3.5)
-        text = timeseries_to_csv(ts)
-        lines = text.strip().splitlines()
-        assert lines[0] == "time,queue"
-        assert lines[1] == "0.0,1.0"
-        assert lines[2] == "2.5,3.5"
-
-    def test_full_precision_floats(self):
-        s = SeriesResult("s", (0.1 + 0.2,), (1e-17,))
-        loaded = series_from_csv(series_to_csv(s))
-        assert loaded.x[0] == s.x[0]
-        assert loaded.y[0] == s.y[0]
 
 
 class TestEndToEnd:

@@ -111,16 +111,6 @@ class TestPlacementQueries:
         env.run(until=10.0)
         assert v.most_free_memory() == "etna"
 
-    def test_placement_candidates(self, env, view):
-        v, _, cluster = view
-        cluster["maui"].memory.allocate(MB(430), tag="hog")  # low mem
-        for _ in range(4):
-            Linpack(cluster["etna"]).start()                 # loaded
-        env.run(until=30.0)
-        candidates = v.placement_candidates(min_free_bytes=MB(100),
-                                            max_loadavg=1.0)
-        assert candidates == ["alan"]
-
 
 class TestLiveness:
     def test_all_fresh_when_running(self, view):

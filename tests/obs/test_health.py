@@ -12,10 +12,9 @@ from repro.obs import (DEGRADED, HEALTHY, HealthEngine, HealthRule,
 from repro.stream import StreamBroker
 
 
-def make_engine(rules, nodes=("n0",), log=None):
+def make_engine(rules, nodes=("n0",)):
     tsdb = TimeSeriesDB(interval=1.0)
-    return tsdb, HealthEngine(tsdb, rules, nodes=nodes,
-                              log_broker=log)
+    return tsdb, HealthEngine(tsdb, rules, nodes=nodes)
 
 
 def gauge_rule(**overrides) -> HealthRule:
@@ -45,11 +44,19 @@ class TestRuleValidation:
         with pytest.raises(ObsError, match="duplicate"):
             HealthEngine(tsdb, [gauge_rule(), gauge_rule()])
 
-    def test_unknown_aggregation_raises_at_query(self):
-        tsdb, engine = make_engine([gauge_rule(agg="median")])
-        feed(tsdb, 0.0, 1.0)
+    @pytest.mark.parametrize("agg", ["median", "p", "pxx", "p150",
+                                     "p-1", "P99", "avg "])
+    def test_unknown_aggregation_rejected_at_construction(self, agg):
         with pytest.raises(ObsError, match="aggregation"):
-            engine.evaluate(1.0)
+            gauge_rule(agg=agg)
+
+    @pytest.mark.parametrize("agg", ["rate", "avg", "max", "min", "p0",
+                                     "p50", "p99", "p99.9", "p100"])
+    def test_known_aggregations_construct_and_evaluate(self, agg):
+        tsdb, engine = make_engine([gauge_rule(agg=agg)])
+        feed(tsdb, 0.0, 1.0)
+        engine.evaluate(1.0)
+        assert engine.evaluations == 1
 
     def test_nan_is_vacuously_healthy(self):
         assert gauge_rule().holds(math.nan)
@@ -120,31 +127,6 @@ class TestVerdictRollup:
         tsdb.observe("m", (), 0.0, 9.0)
         engine.evaluate(0.0)
         assert engine.status("lat", "cluster") == DEGRADED
-
-
-class TestDurableTransitionLog:
-    def test_flips_append_to_obs_health_channel(self):
-        log = StreamBroker()
-        tsdb, engine = make_engine(
-            [gauge_rule(for_bad=1, for_ok=1, window=0.5)], log=log)
-        feed(tsdb, 0.0, 9.0)
-        engine.evaluate(0.0)
-        feed(tsdb, 1.0, 0.1)
-        engine.evaluate(1.0)
-        entries = log.entries(HealthEngine.CHANNEL)
-        assert [e.summary for e in entries] \
-            == ["lat:degraded", "lat:healthy"]
-        assert entries[0].kind == "health"
-        assert entries[0].source == "n0"
-        assert entries[0].fault == "healthy->degraded"
-        assert [e.seq for e in entries] == [1, 2]
-
-    def test_no_log_broker_is_fine(self):
-        tsdb, engine = make_engine(
-            [gauge_rule(for_bad=1, window=0.5)])
-        feed(tsdb, 0.0, 9.0)
-        engine.evaluate(0.0)
-        assert len(engine.transitions) == 1
 
 
 class TestAttribution:

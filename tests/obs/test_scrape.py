@@ -29,6 +29,7 @@ async def _get(host: str, port: int, path: str,
 def scraped():
     """Run a short live cluster and scrape it mid-run."""
     responses: dict[str, tuple[int, str]] = {}
+    tasks = []
     sc = Scenario(nodes=3, seed=9, backend="live",
                   dmon=DMonConfig(poll_interval=0.2)) \
         .with_observability(sample_interval=0.2, scrape_port=0)
@@ -45,7 +46,10 @@ def scraped():
                 responses[path] = await _get(host, port, path)
             responses["POST /metrics"] = await _get(
                 host, port, "/metrics", method="POST")
-        asyncio.get_event_loop().create_task(fetch())
+        # Held: the loop keeps tasks weakly and a client stream reader
+        # is held weakly by its protocol, so a GC pass during the read
+        # would collect the pending fetch.
+        tasks.append(asyncio.get_event_loop().create_task(fetch()))
 
     sc.with_setup(hook)
     sc.run(2.0)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.api import Scenario, ScenarioError
 from repro.dproc import MetricId
-from repro.obs import HealthEngine
+from repro.obs import HealthRule
+from repro.obs.health import HEALTH_LOG_MAX_LEN
 from repro.runtime.series import CounterTrace, TimeSeries
 from repro.sim import Environment, build_cluster
 
@@ -80,18 +81,24 @@ class TestBoundedHistories:
         assert unbounded == []
 
     def test_health_log_is_a_bounded_ring(self):
-        """The ``obs.health`` log a scenario builds for itself keeps at
-        most its bound, however many verdict flips a run appends."""
-        log = Scenario(nodes=2, seed=1).with_observability().build().obs_log
-        assert log.max_len is not None
-        channel = log.stream(HealthEngine.CHANNEL)
-        for i in range(log.max_len + 3):
-            channel.append(kind="health", source="n0", dest="",
-                           time=float(i), submitted_at=float(i),
-                           size=0.0, summary="rule:degraded",
-                           fault="healthy->degraded")
-        assert len(channel) == log.max_len
-        assert channel.trimmed == 3
+        """The health engine a scenario builds keeps at most
+        ``HEALTH_LOG_MAX_LEN`` transitions, oldest dropped first,
+        however many verdict flips a run makes."""
+        rule = HealthRule(name="flap", metric="m", threshold=1.0,
+                          window=0.5, for_bad=1, for_ok=1)
+        plane = Scenario(nodes=2, seed=1).with_observability(
+            rules=[rule]).build().obs
+        labels = (("node", plane.engine.nodes[0]),)
+        flips = HEALTH_LOG_MAX_LEN + 3
+        for t in range(flips):
+            value = 9.0 if t % 2 == 0 else 0.1
+            plane.tsdb.observe("m", labels, float(t), value)
+            plane.engine.evaluate(float(t))
+        transitions = plane.transitions
+        assert len(transitions) == HEALTH_LOG_MAX_LEN
+        assert transitions[0].time == 3.0
+        assert transitions[-1].time == float(flips - 1)
+        assert plane.verdict()["transitions"] == HEALTH_LOG_MAX_LEN
 
 
 class TestPhaseErrors:

@@ -284,19 +284,6 @@ class TestPathConstants:
             env, src.stack.fabric, src, dst)
         assert rtt == expected
 
-    def test_rtt_on_a_multi_hop_graph_fabric(self, env):
-        from repro.sim.topology import build_graph_cluster, line_topology
-        graph = line_topology(4)
-        for i, (u, v) in enumerate(graph.edges):
-            graph.edges[u, v]["latency"] = 1e-4 * (i + 1) + 3.3e-7
-        cluster = build_graph_cluster(
-            env, graph, {"alan": "s0", "maui": "s3"}, seed=5)
-        fabric = cluster.fabric
-        assert len(fabric.path("alan", "maui")) == 5  # tx, 3 trunks, rx
-        rtt, expected = self._rtt_after_one_delivery(
-            env, fabric, cluster["alan"], cluster["maui"])
-        assert rtt == expected
-
 
 class TestFanOutCongestion:
     def test_fan_out_draws_what_single_sends_draw(self):

@@ -16,8 +16,8 @@ SRC = ROOT / "src"
 
 
 def test_entry_points_load_neither_networkx_nor_scipy():
-    """Only a graph topology needs networkx and only a confidence
-    interval needs scipy; no run should pay for importing them."""
+    """networkx is no dependency and only a confidence interval
+    needs scipy; no run should pay for importing them."""
     code = ("import repro.api, repro.live.runtime, repro.harness, sys; "
             "assert not {'networkx', 'scipy'} & set(sys.modules)")
     result = subprocess.run(
@@ -28,6 +28,8 @@ def test_entry_points_load_neither_networkx_nor_scipy():
 
 
 def test_every_third_party_import_is_a_declared_dependency():
+    """Both ways: a declared dependency nothing imports would only
+    make every install pay for it."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())
     declared = {re.split(r"[^A-Za-z0-9_.-]", dep, maxsplit=1)[0].lower()
                 for dep in project["project"]["dependencies"]}
@@ -40,4 +42,4 @@ def test_every_third_party_import_is_a_declared_dependency():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"repro"}
-    assert third_party and third_party <= declared
+    assert third_party and third_party == declared
