@@ -170,8 +170,6 @@ class DMon:
         #: Bumped on every start/stop so a stale polling process from a
         #: previous life exits instead of double-polling after restart.
         self._epoch = 0
-        # cached audience check: (bus subscription version, result)
-        self._audience_cache: tuple[int, bool] | None = None
         # The poll layout, rebuilt whenever a module registers ------------
         #: Published metric ids, in first-registration order.
         self._ids: tuple[MetricId, ...] = ()
@@ -262,10 +260,9 @@ class DMon:
         """Stop polling and detach from the channels.
 
         Every piece of per-life state is reset so a later
-        :meth:`start` begins clean: endpoints, the audience cache, the
-        receive-cost mark (a stale mark would make the first
-        ``receive_overhead`` sample after restart negative) and the
-        polling process.
+        :meth:`start` begins clean: endpoints, the receive-cost mark
+        (a stale mark would make the first ``receive_overhead`` sample
+        after restart negative) and the polling process.
         """
         if not self.running:
             return
@@ -280,7 +277,6 @@ class DMon:
         self._monitor_ep = None
         self._control_ep = None
         self._rx_cost_mark = 0.0
-        self._audience_cache = None
         proc, self._poll_proc = self._poll_proc, None
         if proc is not None and proc.is_alive \
                 and self.node.env.active_process is not proc:
@@ -419,23 +415,16 @@ class DMon:
         return submit_cost
 
     def _has_audience(self) -> bool:
-        """Anyone (remote or local) listening on the monitoring channel?
+        """Anyone (local or remote) listening on the monitoring channel?
 
-        The bus query walks the channel membership, so the answer is
-        cached and invalidated by the bus's subscription version
-        counter instead of being recomputed every polling iteration.
+        The bus owns the answer (and caches its subscriber lists per
+        subscription version); d-mon keeps no copy of it.
         """
-        version = self.bus.subscription_version
-        cached = self._audience_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        result = bool(
-            self.bus.remote_subscribers(
-                self.config.monitor_channel, self.node.name)
-            or (self._monitor_ep is not None
-                and self._monitor_ep.is_subscriber))
-        self._audience_cache = (version, result)
-        return result
+        return bool(
+            (self._monitor_ep is not None
+             and self._monitor_ep.is_subscriber)
+            or self.bus.remote_subscribers(
+                self.config.monitor_channel, self.node.name))
 
     def _decide(self, values: list[float], now: float, trace=None,
                 keyed: Optional[dict[str, list[KeyedSample]]] = None,
@@ -547,7 +536,7 @@ class DMon:
 
     # -- receiving remote monitoring data ------------------------------------------
 
-    def _on_monitor_event(self, event: ChannelEvent) -> None:
+    def _on_monitor_event(self, event: ChannelEvent, trace) -> None:
         batch: RecordBatch = event.payload
         host = batch.host
         if host == self.node.name:
@@ -563,12 +552,12 @@ class DMon:
         elif batch.procs is not None:
             self.remote_procs[host] = RemoteProcs(
                 kind="full", rows=dict(batch.procs), received_at=now)
-        if event.trace is not None:
+        if trace is not None:
             self.node.tracer.record_span(
-                event.trace, name=f"update:{self.node.name}",
+                trace, name=f"update:{self.node.name}",
                 stage="update", node=self.node.name, start=now, end=now,
                 source=host, records=len(batch))
-            ref = TraceRef(trace_id=event.trace.trace_id,
+            ref = TraceRef(trace_id=trace.trace_id,
                            received_at=now)
             for metric in batch.ids:
                 self._provenance[(host, metric)] = ref
@@ -632,11 +621,6 @@ class DMon:
         if age > self.config.stale_after_intervals * interval:
             return PEER_STALE
         return PEER_FRESH
-
-    def peer_states(self) -> dict[str, str]:
-        """Liveness of every peer ever heard from (sorted by host)."""
-        return {host: self.peer_state(host)
-                for host in sorted(self.peer_last_heard)}
 
     # -- local customization API ----------------------------------------------------
 
@@ -751,7 +735,7 @@ class DMon:
         if root is not None:
             root.finish(now)
 
-    def _on_control_event(self, event: ChannelEvent) -> None:
+    def _on_control_event(self, event: ChannelEvent, trace) -> None:
         msg = event.payload
         if not isinstance(msg, ControlMessage):
             raise DprocError(
@@ -759,11 +743,17 @@ class DMon:
         if msg.sender == self.node.name:
             return  # we applied our own message at send time
         if msg.addressed_to(self.node.name):
-            self.apply_control(msg)
-            if event.trace is not None:
+            # A command this node cannot apply is the writer's mistake:
+            # it is counted here, never raised into the delivery.
+            try:
+                self.apply_control(msg)
+            except DprocError:
+                self.node.telemetry.counter("dmon.control_rejected").inc()
+                return
+            if trace is not None:
                 now = self.node.env.now
                 self.node.tracer.record_span(
-                    event.trace, name=f"apply:{self.node.name}",
+                    trace, name=f"apply:{self.node.name}",
                     stage="update", node=self.node.name,
                     start=now, end=now, kind=type(msg).__name__)
 

@@ -5,8 +5,7 @@ dproc on: channels found/created via a user-level registry, direct
 peer-to-peer kernel messaging, and per-submit cost accounting.
 """
 
-from repro.kecho.channel import (ChannelEndpoint, KechoBus, SubmitReceipt,
-                                 Subscription)
+from repro.kecho.channel import ChannelEndpoint, KechoBus, SubmitReceipt
 from repro.kecho.control import (ClearParameter, ControlMessage,
                                  DeployFilter, RemoveFilter, SetParameter,
                                  control_message_size)
@@ -14,7 +13,7 @@ from repro.kecho.event import ChannelEvent
 from repro.kecho.registry import ChannelInfo, ChannelRegistry
 
 __all__ = [
-    "ChannelEndpoint", "KechoBus", "SubmitReceipt", "Subscription",
+    "ChannelEndpoint", "KechoBus", "SubmitReceipt",
     "ChannelEvent", "ChannelInfo", "ChannelRegistry",
     "ControlMessage", "SetParameter", "ClearParameter", "DeployFilter",
     "RemoveFilter", "control_message_size",

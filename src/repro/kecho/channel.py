@@ -14,8 +14,7 @@ spent encoding and pushing the event (the quantity plotted in Figures
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ChannelError
@@ -23,56 +22,26 @@ from repro.kecho.event import ChannelEvent
 from repro.kecho.registry import ChannelInfo, ChannelRegistry
 from repro.runtime.protocol import RuntimeNode
 
-__all__ = ["KechoBus", "ChannelEndpoint", "Subscription", "SubmitReceipt"]
+__all__ = ["KechoBus", "ChannelEndpoint", "SubmitReceipt"]
 
-Handler = Callable[[ChannelEvent], None]
-
-_sub_ids = itertools.count(1)
-
-
-@dataclass
-class Subscription:
-    """Handle for one registered handler on one endpoint."""
-
-    sid: int
-    endpoint: "ChannelEndpoint"
-    handler: Handler
-    active: bool = True
-
-    def cancel(self) -> None:
-        if self.active:
-            self.endpoint._drop_subscription(self)
-            self.active = False
+#: ``handler(event, trace)``: ``event`` is the submitted event, shared
+#: by every delivery (never mutate it); ``trace`` is this delivery's
+#: span context, or None when untraced.
+Handler = Callable[[ChannelEvent, Optional[Any]], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmitReceipt:
-    """Accounting for one submit call (the paper's cycle counts)."""
+    """Accounting for one submit call (the paper's cycle counts).
+
+    A lost copy is reported once, when the transport gives up on it:
+    in ``kecho.<channel>.failed_deliveries`` and as a stream ``DROP``
+    entry.  The submit itself always completes.
+    """
 
     event: ChannelEvent
     #: Kernel CPU seconds spent on this submission (encode + sends).
     cpu_seconds: float
-    #: Remote subscriber hosts the event was pushed to.
-    remote_targets: list[str]
-    #: Targets whose copy the transport reported lost, filled in as the
-    #: run goes: a copy dropped at send time is listed when ``submit``
-    #: returns, one killed in flight when it dies.  A crashed or
-    #: partitioned subscriber lands here instead of raising into the
-    #: publisher — the submit itself always completes.
-    failed_targets: list[str] = field(default_factory=list)
-
-    @property
-    def delivered_targets(self) -> list[str]:
-        """Remote targets not (yet) known to have failed.
-
-        ``failed_targets`` may legitimately list a host more than once
-        (retried submits share a receipt in some harnesses), so
-        membership is checked against a set: O(n + m) instead of an
-        O(n·m) list scan per call on the submit hot path, and a
-        twice-failed target is excluded exactly once.
-        """
-        failed = set(self.failed_targets)
-        return [t for t in self.remote_targets if t not in failed]
 
 
 class ChannelEndpoint:
@@ -83,7 +52,8 @@ class ChannelEndpoint:
         self.bus = bus
         self.node = node
         self.info = info
-        self.subscriptions: list[Subscription] = []
+        #: The one subscriber handler; None until :meth:`subscribe`.
+        self.handler: Optional[Handler] = None
         self.closed = False
         self._tag = f"kecho:{info.name}"
         self._conns: dict[str, Any] = {}
@@ -113,39 +83,31 @@ class ChannelEndpoint:
 
     @property
     def is_subscriber(self) -> bool:
-        return bool(self.subscriptions)
+        return self.handler is not None
 
-    def subscribe(self, handler: Handler) -> Subscription:
-        """Register a handler; the node becomes a sink for this channel.
+    def subscribe(self, handler: Handler) -> None:
+        """Set the endpoint's handler; the node becomes a sink for this
+        channel.
 
         Per the paper, "the exchange of data is triggered only when an
         application registers interest" — publishers push only to nodes
-        with at least one live subscription.
+        with a handler.  An endpoint has at most one.
         """
         self._ensure_open()
-        sub = Subscription(sid=next(_sub_ids), endpoint=self,
-                           handler=handler)
-        self.subscriptions.append(sub)
-        if len(self.subscriptions) == 1:
-            self.bus._subscriptions_changed()
-        return sub
-
-    def _drop_subscription(self, sub: Subscription) -> None:
-        try:
-            self.subscriptions.remove(sub)
-        except ValueError:
-            raise ChannelError("subscription is not active") from None
-        if not self.subscriptions:
-            self.bus._subscriptions_changed()
+        if self.handler is not None:
+            raise ChannelError(
+                f"endpoint {self.node.name}:{self.name} already has a "
+                f"handler")
+        self.handler = handler
+        self.bus._subscriptions_changed()
 
     # -- publication ---------------------------------------------------------------
 
     def submit(self, payload: Any, size: float,
-               attributes: Optional[dict[str, Any]] = None,
                trace: Optional[Any] = None) -> SubmitReceipt:
         """Publish an event to every subscriber on the channel.
 
-        Local subscribers are dispatched synchronously (kernel upcall);
+        A local subscriber is dispatched synchronously (kernel upcall);
         remote subscribers receive the event over the network.  Kernel
         CPU for encoding and per-subscriber pushes is charged to this
         node and reported in the receipt.
@@ -159,10 +121,8 @@ class ChannelEndpoint:
         if size <= 0:
             raise ChannelError("event size must be positive")
         now = self.node.env.now
-        event = ChannelEvent(channel=self.name, source=self.node.name,
-                             payload=payload, size=float(size),
-                             attributes=dict(attributes or {}),
-                             submitted_at=now)
+        event = ChannelEvent(self.name, self.node.name, payload,
+                             float(size), now)
         costs = self.node.costs
         cpu = costs.encode_cost(size)
         targets = self.bus.remote_subscribers(self.name, self.node.name)
@@ -180,28 +140,23 @@ class ChannelEndpoint:
         self._t_submit_seconds.inc(cpu)
         self._t_fanout.observe(len(targets))
         self._t_tx_bytes.inc(size * len(targets))
+        local = self.handler is not None
         # Durable-stream tee (passive: no RNG, no CPU charge, no
         # scheduled events — the event schedule is bit-identical with
         # the broker on or off).
         broker = self.bus.stream
         if broker is not None:
-            local_ep = self.bus.endpoint(self.name, self.node.name)
-            broker.record_submit(
-                event, targets,
-                local=(local_ep is self and self.is_subscriber))
+            broker.record_submit(event, targets, local=local)
 
-        failed: list[str] = []
         if targets:
             stack = self.node.stack
             conns = [self._connection_to(host) for host in targets]
 
             def on_fail(dst: str, reason: str) -> None:
                 # A copy killed by a fault (partition, loss, crashed
-                # subscriber, backpressure) is recorded on the receipt
-                # and in the durable stream; the publisher's endpoint
-                # state is untouched and later submits proceed
-                # normally.
-                failed.append(dst)
+                # subscriber, backpressure) is counted and recorded in
+                # the durable stream; the publisher's endpoint state is
+                # untouched and later submits proceed normally.
                 self._t_failed.inc()
                 stream = self.bus.stream
                 if stream is not None:
@@ -212,40 +167,26 @@ class ChannelEndpoint:
             # target flow: everything happens at the same instant.
             with stack.batch():
                 stack.send_many(conns, event, size, on_fail)
-        # Local subscribers see the event immediately.
-        local = self.bus.endpoint(self.name, self.node.name)
-        if local is self and self.is_subscriber:
-            delivered = ChannelEvent(
-                channel=event.channel, source=event.source,
-                payload=event.payload, size=event.size,
-                attributes=dict(event.attributes),
-                submitted_at=event.submitted_at,
-                trace=event.trace)
-            delivered.delivered_at = now
-            self._dispatch(delivered, charge=False)
+        # The local subscriber sees the event immediately.
+        if local:
+            self._dispatch(event, event.trace, charge=False)
         if tspan is not None:
             tspan.finish(now, cpu_seconds=cpu)
-        return SubmitReceipt(event=event, cpu_seconds=cpu,
-                             remote_targets=targets,
-                             failed_targets=failed)
+        return SubmitReceipt(event, cpu)
 
     # -- teardown ---------------------------------------------------------------
 
     def close(self) -> None:
         """Detach from the channel (idempotent).
 
-        Outstanding subscriptions are deactivated, not orphaned: a
-        later ``Subscription.cancel()`` is a no-op rather than a
-        :class:`ChannelError`.  The endpoint's transport connections
+        The handler is cleared.  The endpoint's transport connections
         close with it, so a restarted endpoint opens fresh ones instead
         of leaving one fan-out's worth behind per restart.
         """
         if self.closed:
             return
         self.closed = True
-        for sub in self.subscriptions:
-            sub.active = False
-        self.subscriptions.clear()
+        self.handler = None
         for conn in self._conns.values():
             conn.close()
         self._conns.clear()
@@ -268,47 +209,42 @@ class ChannelEndpoint:
 
     def _on_message(self, msg) -> None:
         if isinstance(msg, ChannelEvent):
-            # A decoded copy (live): this delivery owns it.
-            delivered = msg
+            # A decoded frame (live): no trace crosses the wire.
+            self._dispatch(msg, None, charge=True)
         else:
-            # The simulator's message carries the sender's event,
-            # shared by every copy of the fan-out.
+            # The simulator's message carries the sender's event, shared
+            # by every copy of the fan-out; the hop span parents this
+            # delivery.
             event: ChannelEvent = msg.payload
             span = msg.span
-            delivered = ChannelEvent(
-                channel=event.channel, source=event.source,
-                payload=event.payload, size=event.size,
-                attributes=dict(event.attributes),
-                submitted_at=event.submitted_at,
-                trace=(span.context if span is not None
-                       else event.trace))
-        delivered.delivered_at = self.node.env.now
-        self._dispatch(delivered, charge=True)
+            self._dispatch(event, span.context if span is not None
+                           else event.trace, charge=True)
 
-    def _dispatch(self, event: ChannelEvent, charge: bool) -> None:
+    def _dispatch(self, event: ChannelEvent, trace: Optional[Any],
+                  charge: bool) -> None:
         now = self.node.env.now
         broker = self.bus.stream
         if broker is not None:
-            broker.record_delivery(event, self.node.name)
+            broker.record_delivery(event, self.node.name, now)
         self._t_receives.inc()
         self._t_rx_bytes.inc(event.size)
         self._t_delivery_seconds.observe(now - event.submitted_at)
-        if event.trace is not None:
+        if trace is not None:
             dspan = self.node.tracer.record_span(
-                event.trace, name=f"deliver:{self.node.name}",
+                trace, name=f"deliver:{self.node.name}",
                 stage="delivery", node=self.node.name, start=now, end=now,
                 channel=self.name, latency=now - event.submitted_at)
             # Handlers (procfs update, SmartPointer streams, ...) parent
             # their own spans under this delivery, not the transport hop.
-            event.trace = dspan.context if dspan is not None else None
+            trace = dspan.context if dspan is not None else None
         if charge:
             # The NetStack already charged the kernel; record it here
             # for the Figure 8 per-channel measurement.
             self.receive_cpu_seconds += \
                 self.node.costs.receive_cost(event.size)
-        for sub in list(self.subscriptions):
-            if sub.active:
-                sub.handler(event)
+        handler = self.handler
+        if handler is not None:
+            handler(event, trace)
 
 
 class KechoBus:
@@ -352,12 +288,6 @@ class KechoBus:
         self._subscriptions_changed()
         return endpoint
 
-    def endpoint(self, name: str, host: str) -> Optional[ChannelEndpoint]:
-        ep = self._endpoints.get((name, host))
-        if ep is not None and ep.closed:
-            return None
-        return ep
-
     def _subscribers(self, name: str) -> list[str]:
         """Ordered hosts with live subscriptions on ``name`` (cached)."""
         version = self.subscription_version
@@ -369,7 +299,7 @@ class KechoBus:
         out = []
         for host in info.members:
             ep = endpoints.get((name, host))
-            if ep is not None and not ep.closed and ep.subscriptions:
+            if ep is not None and ep.handler is not None:
                 out.append(host)
         self._subscriber_cache[name] = (version, out)
         return out

@@ -1,23 +1,24 @@
 """KECho events.
 
-An event is an opaque payload plus attributes, submitted to a channel
-and delivered to every subscriber's handler.  Sizes are explicit
-(bytes): the publisher declares how large the encoded event is, and the
-cost model charges encode/send/receive CPU accordingly.
+An event is an opaque payload submitted to a channel and delivered to
+every subscriber's handler.  Sizes are explicit (bytes): the publisher
+declares how large the encoded event is, and the cost model charges
+encode/send/receive CPU accordingly.
+
+One submit builds one event; every delivery of it hands the handler
+that same object, so handlers must not mutate it.  Per-delivery state
+(the delivery time, the delivery's trace span) travels as arguments.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["ChannelEvent"]
 
-_event_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(slots=True)
 class ChannelEvent:
     """One event flowing through a KECho channel."""
 
@@ -25,19 +26,7 @@ class ChannelEvent:
     source: str                  #: publishing host name
     payload: Any                 #: application data (opaque)
     size: float                  #: encoded size in bytes
-    attributes: dict[str, Any] = field(default_factory=dict)
     submitted_at: float = 0.0    #: simulation time of submission
-    delivered_at: Optional[float] = None
-    eid: int = field(default_factory=lambda: next(_event_ids))
-    #: Causal-trace context (a :class:`repro.tracing.TraceContext`).
-    #: Set at submit to the submit span; on each delivered copy it is
-    #: replaced by that delivery's span, so subscriber handlers parent
-    #: their own spans at the right place.  None when untraced.
+    #: Causal-trace context (a :class:`repro.tracing.TraceContext`) of
+    #: the submit span; None when untraced.
     trace: Optional[Any] = None
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Submission-to-delivery latency, once delivered."""
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.submitted_at

@@ -11,7 +11,7 @@ simulator's code — with the directory synchronised through a
   :meth:`remote_subscribers`, so publishers fan out to every
   subscribed host on the machine, not just the local process;
 * any remote directory change bumps ``subscription_version``, which
-  invalidates d-mon's audience cache exactly like a local subscribe.
+  invalidates the subscriber cache exactly like a local subscribe.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class LiveBus(KechoBus):
             names = set()
             for (name, host), ep in self._endpoints.items():
                 names.add(name)
-                if not ep.closed and ep.subscriptions:
+                if ep.handler is not None:
                     by_channel.setdefault(name, []).append(host)
             for name in sorted(names):
                 subs = by_channel.get(name, [])

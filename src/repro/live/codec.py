@@ -296,10 +296,7 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
     except (ValueError, TypeError, KeyError, RecursionError,
             struct.error) as exc:
         raise ChannelError(f"malformed frame body: {exc}") from exc
-    event = ChannelEvent(channel=channel, source=source,
-                         payload=payload, size=size,
-                         submitted_at=submitted_at)
-    return tag, event
+    return tag, ChannelEvent(channel, source, payload, size, submitted_at)
 
 
 def encode_batch(frames: Sequence[bytes]) -> bytes:

@@ -10,8 +10,8 @@ One :class:`ObservabilityPlane` per run.  It is fed two ways:
   walks every node's :class:`~repro.telemetry.TelemetryRegistry` and
   appends one sample per instrument: counters and gauges by value,
   histograms as ``stat``-labelled count/mean/p99 series.
-* **Stream replay** — :meth:`ingest_stream` converts the PR 7 durable
-  log into per-channel rate and latency series (submits / delivers /
+* **Stream replay** — :meth:`ingest_stream` converts the durable
+  stream log into per-channel rate and latency series (submits / delivers /
   drops per interval, delivery latency distributions), so windowed
   queries run over the exact data plane the broker recorded.
 

@@ -184,10 +184,14 @@ class Endpoint(Protocol):
     @property
     def receive_cpu_seconds(self) -> float: ...
 
-    def subscribe(self, handler: Callable[[Any], None]) -> Any: ...
+    def subscribe(self,
+                  handler: Callable[[Any, Optional[Any]], None]) -> None:
+        """Set the endpoint's one handler, called as
+        ``handler(event, trace)`` for every delivery; a second call
+        raises :class:`~repro.errors.ChannelError`."""
+        ...
 
     def submit(self, payload: Any, size: float,
-               attributes: Optional[dict] = None,
                trace: Optional[Any] = None) -> Any: ...
 
     def close(self) -> None: ...
@@ -209,7 +213,8 @@ class EventStream(Protocol):
     def record_submit(self, event: Any, targets: Any,
                       local: bool) -> Any: ...
 
-    def record_delivery(self, event: Any, dest: str) -> Any: ...
+    def record_delivery(self, event: Any, dest: str,
+                        now: float) -> Any: ...
 
     def record_drop(self, event: Any, dest: str, reason: str,
                     now: float) -> Any: ...
@@ -220,8 +225,8 @@ class Bus(Protocol):
     """Cluster-wide channel wiring (KECho's bus shape).
 
     ``subscription_version`` is bumped whenever any channel's
-    subscriber set may have changed; d-mon keys its audience cache on
-    it.  ``stream`` is the optional :class:`EventStream` tee — every
+    subscriber set may have changed; the bus keys its subscriber cache
+    on it.  ``stream`` is the optional :class:`EventStream` tee — every
     endpoint checks it on submit and dispatch; None disables durable
     recording.
     """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.errors import ReproError
 from repro.stream.entry import (DELIVER, DROP, SUBMIT, StreamEntry,
@@ -278,23 +278,22 @@ class StreamBroker:
             size=event.size, records=records, summary=summary,
             targets=tuple(targets), local=local)
 
-    def record_delivery(self, event: Any, dest: str) -> StreamEntry:
-        """Tee one endpoint dispatch (local or remote) at ``dest``.
+    def record_delivery(self, event: Any, dest: str,
+                        now: float) -> StreamEntry:
+        """Tee one endpoint dispatch (local or remote) at ``dest``,
+        delivered at ``now``.
 
         Deliveries are the hot path (one per receiving host per
         submit), so the entry stays light: no records/summary — the
         replay side joins them from the paired submit entry on the
         natural key.
         """
-        delivered_at = event.delivered_at
-        if delivered_at is None:
-            delivered_at = event.submitted_at
         channel = event.channel
         st = self.streams.get(channel)
         if st is None:
             st = self.stream(channel)
         entry = st.append_entry(StreamEntry(
-            0, DELIVER, channel, event.source, dest, delivered_at,
+            0, DELIVER, channel, event.source, dest, now,
             event.submitted_at, event.size))
         if self.sink is not None:
             self.sink.write(channel, entry.to_record())

@@ -1,7 +1,7 @@
 """Stats-by-replay: recompute telemetry summaries purely from the log.
 
-``replay_stats`` walks a recorded broker and rebuilds the PR 3-style
-per-channel accounting — submits, deliveries, fan-out bytes, record
+``replay_stats`` walks a recorded broker and rebuilds the telemetry
+registries' per-channel accounting — submits, deliveries, fan-out bytes, record
 counts, delivery-latency summaries — from nothing but stream entries.
 
 ``verify_stats`` then asserts that the replayed numbers match the live

@@ -408,7 +408,7 @@ class TestRestart:
         env.run(until=3.0)
         a.stop()
         assert a._monitor_ep is None and a._control_ep is None
-        assert a._audience_cache is None and a._poll_proc is None
+        assert a._poll_proc is None
         a.stop()  # idempotent
         a.start()
         mark = env.now
@@ -480,4 +480,5 @@ class TestPeerLiveness:
         assert a.peer_age("alan") == 0.0
         assert a.peer_state("alan") == "fresh"
         env.run(until=3.0)
-        assert a.peer_states() == {"maui": "fresh"}
+        assert sorted(a.peer_last_heard) == ["maui"]
+        assert a.peer_state("maui") == "fresh"

@@ -50,36 +50,38 @@ class TestEndpointLifecycle:
         ep = bus.connect(cluster3["alan"], "monitor")
         ep.close()
         with pytest.raises(ChannelError):
-            ep.subscribe(lambda e: None)
+            ep.subscribe(lambda e, t: None)
 
     def test_bad_size_rejected(self, bus, cluster3):
         ep = bus.connect(cluster3["alan"], "monitor")
         with pytest.raises(ChannelError):
             ep.submit("x", size=0)
 
-    def test_cancel_after_close_is_noop(self, bus, cluster3):
-        """Closing an endpoint deactivates its subscriptions, so a
-        later cancel() is idempotent instead of a ChannelError."""
-        ep = bus.connect(cluster3["alan"], "monitor")
-        sub = ep.subscribe(lambda e: None)
-        ep.close()
-        assert not sub.active
-        sub.cancel()  # must not raise
-        sub.cancel()
+
+def failed(node) -> float:
+    return node.telemetry.value("kecho.monitor.failed_deliveries")
+
+
+def entries(bus, kind):
+    return [e for e in bus.stream.entries("monitor") if e.kind == kind]
 
 
 class TestSubmitUnderFaults:
     def test_partition_lands_in_failed_targets(self, env, bus, cluster3):
         from repro.sim import FaultInjector
+        from repro.stream import DELIVER, DROP, SUBMIT, StreamBroker
+        bus.stream = StreamBroker()
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
-        eps["etna"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
+        eps["etna"].subscribe(lambda e, t: None)
         FaultInjector(cluster3).partition(["alan", "etna"], ["maui"])
-        receipt = eps["alan"].submit({"loadavg": 1.0}, size=100)
-        assert receipt.remote_targets == ["maui", "etna"]
+        eps["alan"].submit({"loadavg": 1.0}, size=100)
+        [submit] = entries(bus, SUBMIT)
+        assert submit.targets == ("maui", "etna")
         env.run()
-        assert receipt.failed_targets == ["maui"]
-        assert receipt.delivered_targets == ["etna"]
+        assert [e.dest for e in entries(bus, DROP)] == ["maui"]
+        assert [e.dest for e in entries(bus, DELIVER)] == ["etna"]
+        assert failed(cluster3["alan"]) == 1
 
     def test_endpoint_survives_failed_submit(self, env, bus, cluster3):
         """A partition-time submit must not corrupt publisher state:
@@ -87,106 +89,99 @@ class TestSubmitUnderFaults:
         from repro.sim import FaultInjector
         eps = wire(bus, cluster3)
         got = []
-        eps["maui"].subscribe(lambda e: got.append(e))
+        eps["maui"].subscribe(lambda e, t: got.append(e))
         injector = FaultInjector(cluster3)
         injector.partition(["alan"], ["maui", "etna"])
-        first = eps["alan"].submit("during", size=100)
+        eps["alan"].submit("during", size=100)
         env.run()
-        assert first.failed_targets == ["maui"]
+        assert failed(cluster3["alan"]) == 1
         assert not got
         injector.heal()
-        second = eps["alan"].submit("after", size=100)
+        eps["alan"].submit("after", size=100)
         env.run()
-        assert second.failed_targets == []
+        assert failed(cluster3["alan"]) == 1
         assert [e.payload for e in got] == ["after"]
 
     def test_lost_copy_is_reported_once_everywhere(self, env, bus,
                                                    cluster3):
-        """A copy dropped at send time is on the receipt when
-        ``submit`` returns; one killed in flight lands when it dies.
-        Each is listed once on the receipt, counted once and recorded
-        once in the stream: one report, three witnesses."""
+        """A copy dropped at send time is reported before ``submit``
+        returns; one killed in flight when it dies.  Each is counted
+        once and recorded once in the stream."""
         from repro.sim import FaultInjector
         from repro.stream import DROP, StreamBroker
         bus.stream = StreamBroker()
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
-        eps["etna"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
+        eps["etna"].subscribe(lambda e, t: None)
         injector = FaultInjector(cluster3)
         injector.partition(["alan"], ["maui"])
         # 1 MB takes ~0.08 s on the wire; etna crashes under it.
-        receipt = eps["alan"].submit("x", size=1e6)
-        assert receipt.failed_targets == ["maui"]
+        eps["alan"].submit("x", size=1e6)
+        assert failed(cluster3["alan"]) == 1
+        assert [(e.dest, e.fault) for e in entries(bus, DROP)] \
+            == [("maui", "partition")]
         injector.at(0.01, lambda: injector.crash("etna"))
         env.run()
-        assert receipt.failed_targets == ["maui", "etna"]
-        assert [(e.dest, e.fault) for e in bus.stream.entries("monitor")
-                if e.kind == DROP] == [("maui", "partition"),
-                                       ("etna", "crash:etna")]
-        assert cluster3["alan"].telemetry.value(
-            "kecho.monitor.failed_deliveries") == 2
-
-
-class TestSubmitReceiptAccounting:
-    def test_repeated_failed_target_excluded_exactly_once(self):
-        """Regression: ``delivered_targets`` used an O(n·m) list scan
-        that re-counted a target for every time it appeared in
-        ``failed_targets`` — a twice-failed host (retried submits
-        share a receipt in some harnesses) corrupted the delivered
-        list.  Membership is a set check now."""
-        from repro.kecho.channel import SubmitReceipt
-        receipt = SubmitReceipt(
-            event=None, cpu_seconds=0.0,
-            remote_targets=["maui", "etna", "hood"],
-            failed_targets=["maui", "maui", "maui"])
-        assert receipt.delivered_targets == ["etna", "hood"]
-
-    def test_all_failed_means_none_delivered(self):
-        from repro.kecho.channel import SubmitReceipt
-        receipt = SubmitReceipt(
-            event=None, cpu_seconds=0.0,
-            remote_targets=["maui", "etna"],
-            failed_targets=["etna", "maui", "etna"])
-        assert receipt.delivered_targets == []
-
-    def test_duplicate_target_failing_once_drops_both_copies(self):
-        """A host listed twice in ``remote_targets`` that fails is
-        excluded everywhere, not just at its first position."""
-        from repro.kecho.channel import SubmitReceipt
-        receipt = SubmitReceipt(
-            event=None, cpu_seconds=0.0,
-            remote_targets=["maui", "etna", "maui"],
-            failed_targets=["maui"])
-        assert receipt.delivered_targets == ["etna"]
+        assert [(e.dest, e.fault) for e in entries(bus, DROP)] \
+            == [("maui", "partition"), ("etna", "crash:etna")]
+        assert failed(cluster3["alan"]) == 2
 
 
 class TestPublishSubscribe:
     def test_event_reaches_remote_subscriber(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
         got = []
-        eps["maui"].subscribe(lambda e: got.append(e))
-        receipt = eps["alan"].submit({"loadavg": 1.5}, size=100)
+        eps["maui"].subscribe(lambda e, t: got.append((e, env.now)))
+        eps["alan"].submit({"loadavg": 1.5}, size=100)
         env.run()
-        assert receipt.remote_targets == ["maui"]
         assert len(got) == 1
-        ev = got[0]
+        ev, delivered_at = got[0]
         assert ev.source == "alan"
         assert ev.payload == {"loadavg": 1.5}
-        assert ev.delivered_at > ev.submitted_at
-        assert ev.latency > 0
+        assert delivered_at > ev.submitted_at
+
+    def test_a_fan_out_builds_one_event(self, env, bus, cluster8,
+                                        monkeypatch):
+        """Every delivery of a submit, local and simulated, hands its
+        handler the event ``submit`` built."""
+        from repro.kecho import ChannelEvent
+        built = []
+        init = ChannelEvent.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChannelEvent, "__init__", counted)
+        eps = wire(bus, cluster8)
+        got = []
+        for ep in eps.values():
+            ep.subscribe(lambda e, t: got.append(e))
+        receipt = eps["alan"].submit("x", size=100)
+        env.run()
+        assert len(got) == 8
+        assert len(built) == 1
+        assert all(e is receipt.event for e in got)
+
+    def test_second_subscribe_rejected(self, bus, cluster3):
+        ep = bus.connect(cluster3["alan"], "monitor")
+        ep.subscribe(lambda e, t: None)
+        with pytest.raises(ChannelError):
+            ep.subscribe(lambda e, t: None)
 
     def test_no_subscribers_no_traffic(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
-        receipt = eps["alan"].submit("x", size=100)
+        eps["alan"].submit("x", size=100)
         env.run()
-        assert receipt.remote_targets == []
+        assert cluster3["alan"].telemetry.value(
+            "kecho.monitor.tx_bytes") == 0
         assert cluster3["maui"].stack.bytes_received == 0
 
     def test_fanout_to_all_subscribers(self, env, bus, cluster8):
         eps = wire(bus, cluster8)
         counts = {name: [] for name in cluster8.names}
         for name, ep in eps.items():
-            ep.subscribe(lambda e, n=name: counts[n].append(e.eid))
+            ep.subscribe(lambda e, t, n=name: counts[n].append(e))
         eps["alan"].submit("x", size=100)
         env.run()
         for name in cluster8.names:
@@ -195,41 +190,25 @@ class TestPublishSubscribe:
     def test_local_subscriber_immediate(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
         got = []
-        eps["alan"].subscribe(lambda e: got.append(env.now))
+        eps["alan"].subscribe(lambda e, t: got.append(env.now))
         eps["alan"].submit("x", size=100)
         assert got == [env.now]  # synchronous local upcall
-
-    def test_subscription_cancel_stops_delivery(self, env, bus, cluster3):
-        eps = wire(bus, cluster3)
-        got = []
-        sub = eps["maui"].subscribe(lambda e: got.append(e))
-        eps["alan"].submit("first", size=100)
-        env.run()
-        sub.cancel()
-        eps["alan"].submit("second", size=100)
-        env.run()
-        assert len(got) == 1
-
-    def test_cancel_twice_ok(self, bus, cluster3):
-        ep = bus.connect(cluster3["alan"], "monitor")
-        sub = ep.subscribe(lambda e: None)
-        sub.cancel()
-        sub.cancel()
 
     def test_unsubscribed_node_not_pushed_to(self, env, bus, cluster3):
         """Data exchange only for registered interest (paper §2)."""
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
-        receipt = eps["alan"].submit("x", size=100)
+        eps["maui"].subscribe(lambda e, t: None)
+        eps["alan"].submit("x", size=100)
         env.run()
-        assert "etna" not in receipt.remote_targets
+        assert cluster3["maui"].stack.bytes_received > 0
+        assert cluster3["etna"].stack.bytes_received == 0
 
     def test_two_channels_are_isolated(self, env, bus, cluster3):
         mon = wire(bus, cluster3, "monitor")
         ctl = wire(bus, cluster3, "control")
         got_mon, got_ctl = [], []
-        mon["maui"].subscribe(lambda e: got_mon.append(e))
-        ctl["maui"].subscribe(lambda e: got_ctl.append(e))
+        mon["maui"].subscribe(lambda e, t: got_mon.append(e))
+        ctl["maui"].subscribe(lambda e, t: got_ctl.append(e))
         mon["alan"].submit("m", size=50)
         ctl["alan"].submit("c", size=50)
         env.run()
@@ -244,7 +223,7 @@ class TestCostAccounting:
         r0 = eps["alan"].submit("x", size=100)
         for name in cluster8.names:
             if name != "alan":
-                eps[name].subscribe(lambda e: None)
+                eps[name].subscribe(lambda e, t: None)
         r7 = eps["alan"].submit("x", size=100)
         assert r7.cpu_seconds > r0.cpu_seconds
         costs = cluster8["alan"].costs
@@ -253,14 +232,14 @@ class TestCostAccounting:
 
     def test_submit_cost_scales_with_size(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
         small = eps["alan"].submit("x", size=100)
         large = eps["alan"].submit("x", size=KB(5))
         assert large.cpu_seconds > small.cpu_seconds
 
     def test_submit_charges_cpu(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
         receipt = eps["alan"].submit("x", size=KB(5))
         env.run(until=1.0)
         alan = cluster3["alan"]
@@ -270,7 +249,7 @@ class TestCostAccounting:
 
     def test_receive_cost_accumulates(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
         for _ in range(3):
             eps["alan"].submit("x", size=100)
         env.run()
@@ -280,8 +259,8 @@ class TestCostAccounting:
 
     def test_counters(self, env, bus, cluster3):
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
-        eps["etna"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
+        eps["etna"].subscribe(lambda e, t: None)
         eps["alan"].submit("x", size=200)
         env.run()
         alan = cluster3["alan"].telemetry
@@ -310,7 +289,7 @@ class TestCostAccounting:
             return total
 
         eps = wire(bus, cluster3)
-        eps["maui"].subscribe(lambda e: None)
+        eps["maui"].subscribe(lambda e, t: None)
         sizes = []
         for n in (10, 1000):
             for _ in range(n):
@@ -349,7 +328,7 @@ class TestControlMessages:
     def test_control_message_over_channel(self, env, bus, cluster3):
         eps = wire(bus, cluster3, "control")
         got = []
-        eps["maui"].subscribe(lambda e: got.append(e.payload))
+        eps["maui"].subscribe(lambda e, t: got.append(e.payload))
         msg = DeployFilter(sender="alan", target="maui",
                            source="{ return 1; }", filter_id="f1")
         eps["alan"].submit(msg, size=control_message_size(msg))

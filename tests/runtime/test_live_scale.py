@@ -457,7 +457,7 @@ class TestLiveEndToEnd:
 class TestOneFailurePath:
     def test_dead_link_drop_reaches_the_stream(self):
         """A KECho copy the live stack knows is lost (the peer never
-        resolves, so its link is dead) is on the receipt, counted in
+        resolves, so its link is dead) is counted in
         ``failed_deliveries`` and recorded in the stream, once each:
         the witnesses ``verify_stats`` compares agree."""
         from repro.kecho import KechoBus
@@ -474,7 +474,7 @@ class TestOneFailurePath:
             bus.stream = StreamBroker()
             eps = {node.name: bus.connect(node, "monitor")
                    for node in nodes}
-            eps["maui"].subscribe(lambda e: None)
+            eps["maui"].subscribe(lambda e, t: None)
             eps["alan"].submit({"i": 1}, size=32.0)  # dials the link
             await asyncio.sleep(0.01)                # no address: dead
             receipt = eps["alan"].submit({"i": 2}, size=32.0)
@@ -482,7 +482,9 @@ class TestOneFailurePath:
                 await node.stack.stop()
             return bus.stream, nodes, receipt
         stream, nodes, receipt = asyncio.run(run())
-        assert receipt.failed_targets == ["maui"]
-        assert [(e.dest, e.fault) for e in stream.entries("monitor")
-                if e.kind == DROP] == [("maui", "link down")]
+        assert nodes[0].telemetry.value(
+            "kecho.monitor.failed_deliveries") == 1
+        assert [(e.dest, e.fault, e.submitted_at)
+                for e in stream.entries("monitor") if e.kind == DROP] \
+            == [("maui", "link down", receipt.event.submitted_at)]
         assert verify_stats(stream, nodes, channels=["monitor"]) == []

@@ -7,17 +7,21 @@ from repro.stream import DELIVER
 
 
 def record_deliveries(scenario: Scenario, log: list) -> None:
-    """Subscribe a passive recorder on every node's monitor endpoint.
+    """Wrap every node's monitor handler with a passive recorder.
 
-    The d-mon endpoints already subscribe, so adding a handler changes
-    no audience set and stays out of the event schedule.
+    The d-mon endpoints already have their handler, so wrapping it
+    changes no audience set and stays out of the event schedule.
     """
     def hook(sc):
         for node in sc.runtime.nodes:
             endpoint = sc.dprocs[node.name].dmon._monitor_ep
-            endpoint.subscribe(
-                lambda e, dest=node.name:
-                log.append((dest, e.source, e.submitted_at)))
+
+            def recorded(e, trace, dest=node.name,
+                         handler=endpoint.handler):
+                log.append((dest, e.source, e.submitted_at))
+                handler(e, trace)
+
+            endpoint.handler = recorded
 
     scenario.with_setup(hook)
 
