@@ -52,7 +52,6 @@ __all__ = [
     "Environment", "NodeConfig", "build_cluster",
     # toolkit surface (repro.dproc)
     "Dproc", "deploy_dproc", "DMonConfig", "MetricId",
-    "ControlRequest",
 ]
 
 #: Lazy re-exports (PEP 562): importing ``repro`` stays cheap; the
@@ -67,7 +66,6 @@ _EXPORTS = {
     "deploy_dproc": "repro.dproc",
     "DMonConfig": "repro.dproc",
     "MetricId": "repro.dproc",
-    "ControlRequest": "repro.dproc",
 }
 
 

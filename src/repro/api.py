@@ -299,10 +299,6 @@ class Scenario:
         return self._backend
 
     @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
     def nodes(self) -> NodeGroup:
         """The node group (``scenario.nodes["alan"]``, iterable)."""
         self._check_built()

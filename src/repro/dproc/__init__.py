@@ -14,11 +14,8 @@ Public surface:
 from repro.dproc.aggregate import ClusterView
 from repro.dproc.batch import RecordBatch
 from repro.dproc.central import CentralCollector, CentralConfig
-from repro.dproc.control_api import (ClearCommand, ControlCommand,
-                                     ControlRequest, FilterCommand,
-                                     PeriodCommand, ThresholdCommand,
-                                     UnfilterCommand, topk_filter,
-                                     topk_source)
+from repro.dproc.control_api import (ControlRequest, FilterCommand,
+                                     topk_filter, topk_source)
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import (DMon, DMonConfig, PEER_DEAD, PEER_FRESH,
                               PEER_STALE, PEER_UNKNOWN, RemoteMetric,
@@ -44,9 +41,7 @@ __all__ = [
     "CentralCollector", "CentralConfig",
     "GridFederation", "Site", "SiteSummary", "WanLink",
     "parse_control_text",
-    "ControlCommand", "ControlRequest", "PeriodCommand",
-    "ThresholdCommand", "ClearCommand", "FilterCommand",
-    "UnfilterCommand", "topk_filter", "topk_source",
+    "ControlRequest", "FilterCommand", "topk_filter", "topk_source",
     "DMon", "DMonConfig", "RecordBatch", "RemoteMetric", "RemoteProcs",
     "register_default_modules",
     "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",

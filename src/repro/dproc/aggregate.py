@@ -12,9 +12,8 @@ than it can tolerate.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.dproc.dmon import PEER_DEAD, PEER_FRESH
 from repro.dproc.metrics import MetricId
 from repro.dproc.toolkit import Dproc
 from repro.errors import DprocError
@@ -54,16 +53,6 @@ class ClusterView:
             values[host] = remote.value
         return values
 
-    def age(self, host: str, metric: MetricId) -> float:
-        """Seconds since ``host``'s ``metric`` was last received
-        (``inf`` if never; 0 for the local node)."""
-        if host == self.dproc.node.name:
-            return 0.0
-        remote = self.dproc.dmon.remote_value(host, metric)
-        if remote is None:
-            return math.inf
-        return self.dproc.node.env.now - remote.received_at
-
     # -- aggregates ---------------------------------------------------------------
 
     def mean(self, metric: MetricId) -> float:
@@ -87,45 +76,3 @@ class ClusterView:
         pick = max if largest else min
         host = pick(values, key=lambda h: values[h])
         return host, values[host]
-
-    # -- liveness -----------------------------------------------------------------
-
-    def liveness(self) -> dict[str, str]:
-        """Per-host liveness state for every mounted cluster member.
-
-        Hosts whose monitoring data has never arrived are ``unknown``;
-        the rest transition fresh → stale → dead as their d-mon's polls
-        go unheard (see :meth:`repro.dproc.dmon.DMon.peer_state`).
-        """
-        dmon = self.dproc.dmon
-        return {host: dmon.peer_state(host)
-                for host in self.dproc.hosts()}
-
-    def live_hosts(self) -> list[str]:
-        """Hosts currently reported *fresh* (sorted)."""
-        return sorted(h for h, state in self.liveness().items()
-                      if state == PEER_FRESH)
-
-    def dead_hosts(self) -> list[str]:
-        """Hosts currently reported *dead* (sorted)."""
-        return sorted(h for h, state in self.liveness().items()
-                      if state == PEER_DEAD)
-
-    # -- placement-style queries ---------------------------------------------------
-
-    def hosts_where(self, metric: MetricId,
-                    predicate: Callable[[float], bool]) -> list[str]:
-        """Hosts whose fresh reading satisfies ``predicate`` (sorted)."""
-        return sorted(host
-                      for host, value in self.snapshot(metric).items()
-                      if predicate(value))
-
-    def least_loaded(self) -> Optional[str]:
-        """Host with the lowest fresh load average."""
-        host, _value = self.extreme(MetricId.LOADAVG, largest=False)
-        return host
-
-    def most_free_memory(self) -> Optional[str]:
-        """Host with the most fresh free memory."""
-        host, _value = self.extreme(MetricId.FREEMEM, largest=True)
-        return host

@@ -1,103 +1,24 @@
-"""Typed control requests: build control-file writes without string math.
+"""Control-file writes built in code.
 
-The control-file grammar (:mod:`repro.dproc.control_file`) is the wire
-format; applications that construct commands programmatically are
-better served by dataclasses that render to it::
+The control-file grammar (:mod:`repro.dproc.control_file`) is the one
+control API: an application writes text to
+``/proc/cluster/<node>/control``.  :func:`topk_filter` returns such
+text.  :class:`ControlRequest` and :class:`FilterCommand` render a
+filter deployment to the same text; :meth:`repro.dproc.Dproc.write`
+accepts a request in place of the string::
 
-    req = ControlRequest([
-        PeriodCommand(metric="cpu", seconds=2.0),
-        ThresholdCommand(metric="loadavg", kind="above", values=(0.5,)),
-    ])
-    dproc.write("/proc/cluster/maui/control", req)
-
-``ControlRequest.parse`` inverts :meth:`ControlRequest.render`, so a
-request survives a round trip through the text grammar unchanged (see
-``tests/dproc/test_control_api.py``).  Raw string writes remain fully
-supported — a :class:`ControlRequest` is sugar, not a new protocol.
+    dproc.write("/proc/cluster/maui/control", ControlRequest([
+        FilterCommand(metric="cpu", filter_id="half",
+                      source="{ return 1; }")]))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
-from repro.dproc.control_file import parse_control_text
 from repro.errors import ControlSyntaxError
-from repro.kecho.control import (ClearParameter, ControlMessage,
-                                 DeployFilter, RemoveFilter, SetParameter)
 
-__all__ = [
-    "ControlCommand", "ControlRequest", "PeriodCommand",
-    "ThresholdCommand", "ClearCommand", "FilterCommand",
-    "UnfilterCommand", "topk_filter", "topk_source",
-]
-
-#: Threshold kinds and how many numeric arguments each takes.
-_THRESHOLD_ARITY = {"above": 1, "below": 1, "change": 1, "range": 2}
-
-
-def _num(value: float) -> str:
-    """Render a number so ``float()`` recovers it exactly."""
-    return repr(float(value))
-
-
-@dataclass(frozen=True)
-class PeriodCommand:
-    """``period <metric|*> <seconds>``."""
-
-    seconds: float
-    metric: str = "*"
-
-    def __post_init__(self) -> None:
-        if not float(self.seconds) > 0:
-            raise ControlSyntaxError("period must be positive")
-
-    def render(self) -> str:
-        return f"period {self.metric} {_num(self.seconds)}"
-
-
-@dataclass(frozen=True)
-class ThresholdCommand:
-    """``threshold <metric|*> above|below|change|range <values...>``."""
-
-    kind: str
-    values: tuple
-    metric: str = "*"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _THRESHOLD_ARITY:
-            raise ControlSyntaxError(
-                f"unknown threshold kind {self.kind!r}")
-        if len(self.values) != _THRESHOLD_ARITY[self.kind]:
-            raise ControlSyntaxError(
-                f"threshold {self.kind!r} takes "
-                f"{_THRESHOLD_ARITY[self.kind]} value(s)")
-        object.__setattr__(
-            self, "values", tuple(float(v) for v in self.values))
-        # Eager validation with the real spec parser, so a bad command
-        # fails at construction rather than at the remote d-mon.
-        from repro.dproc.params import parse_threshold_spec
-        parse_threshold_spec([self.kind] + [_num(v) for v in self.values])
-
-    def render(self) -> str:
-        spec = " ".join(_num(v) for v in self.values)
-        return f"threshold {self.metric} {self.kind} {spec}"
-
-
-@dataclass(frozen=True)
-class ClearCommand:
-    """``clear <metric|*> period|threshold``."""
-
-    parameter: str
-    metric: str = "*"
-
-    def __post_init__(self) -> None:
-        if self.parameter not in ("period", "threshold"):
-            raise ControlSyntaxError(
-                "clear parameter must be 'period' or 'threshold'")
-
-    def render(self) -> str:
-        return f"clear {self.metric} {self.parameter}"
+__all__ = ["ControlRequest", "FilterCommand", "topk_filter", "topk_source"]
 
 
 @dataclass(frozen=True)
@@ -106,7 +27,8 @@ class FilterCommand:
 
     The grammar lets a filter consume the rest of the write, so a
     request may contain at most one filter command and it must come
-    last (:class:`ControlRequest` enforces this).
+    last (:class:`ControlRequest` enforces this).  The metric and the
+    id are single words: the grammar splits them off at whitespace.
     """
 
     source: str
@@ -116,6 +38,10 @@ class FilterCommand:
     def __post_init__(self) -> None:
         if not self.source.strip():
             raise ControlSyntaxError("empty filter source")
+        if not self.metric or any(c.isspace() for c in self.metric):
+            raise ControlSyntaxError(f"bad filter metric {self.metric!r}")
+        if any(c.isspace() for c in self.filter_id):
+            raise ControlSyntaxError(f"bad filter id {self.filter_id!r}")
         if not self.filter_id and self.source.lstrip().startswith("id="):
             raise ControlSyntaxError(
                 "filter source starting with 'id=' needs an explicit "
@@ -126,24 +52,6 @@ class FilterCommand:
         if self.filter_id:
             head += f" id={self.filter_id}"
         return f"{head} {self.source}"
-
-
-@dataclass(frozen=True)
-class UnfilterCommand:
-    """``unfilter <filter-id>``."""
-
-    filter_id: str
-
-    def __post_init__(self) -> None:
-        if not self.filter_id or any(c.isspace() for c in self.filter_id):
-            raise ControlSyntaxError("bad filter id")
-
-    def render(self) -> str:
-        return f"unfilter {self.filter_id}"
-
-
-ControlCommand = Union[PeriodCommand, ThresholdCommand, ClearCommand,
-                       FilterCommand, UnfilterCommand]
 
 
 @dataclass(frozen=True)
@@ -165,16 +73,6 @@ class ControlRequest:
     def render(self) -> str:
         """Render to the control-file text grammar."""
         return "\n".join(cmd.render() for cmd in self.commands)
-
-    @classmethod
-    def parse(cls, text: str) -> "ControlRequest":
-        """Parse control-file text back into a typed request."""
-        messages = parse_control_text(text, sender="", target="")
-        return cls(tuple(_from_message(m) for m in messages))
-
-    def messages(self, sender: str, target: str) -> list[ControlMessage]:
-        """The control messages a d-mon would emit for this request."""
-        return parse_control_text(self.render(), sender, target)
 
 
 #: Keyed-table column accessors a top-K filter can rank by.
@@ -225,8 +123,8 @@ def topk_source(k: int, by: str = "cpu", *, width: int = 512,
 
 def topk_filter(k: int, by: str = "cpu", *, width: int = 512,
                 depth: int = 4, seed: int = 1, metric: str = "proc",
-                filter_id: str = "topk") -> ControlRequest:
-    """A ready-to-write control request deploying a top-K filter.
+                filter_id: str = "topk") -> str:
+    """Control-file text that deploys a top-K filter.
 
     ``metric`` scopes the filter (``"proc"`` governs just the process
     module's keyed rows; ``"*"`` governs every keyed row on the node)::
@@ -234,26 +132,5 @@ def topk_filter(k: int, by: str = "cpu", *, width: int = 512,
         dproc.write("/proc/cluster/maui/control", topk_filter(5))
     """
     source = topk_source(k, by, width=width, depth=depth, seed=seed)
-    return ControlRequest((FilterCommand(
-        source=source, metric=metric, filter_id=filter_id),))
-
-
-def _from_message(msg: ControlMessage) -> ControlCommand:
-    if isinstance(msg, SetParameter):
-        if msg.parameter == "period":
-            return PeriodCommand(metric=msg.metric,
-                                 seconds=float(msg.spec))
-        words = msg.spec.split()
-        kind = words[0].lower()
-        return ThresholdCommand(
-            metric=msg.metric, kind=kind,
-            values=tuple(float(w.rstrip("%")) for w in words[1:]))
-    if isinstance(msg, ClearParameter):
-        return ClearCommand(metric=msg.metric, parameter=msg.parameter)
-    if isinstance(msg, DeployFilter):
-        return FilterCommand(metric=msg.metric, source=msg.source,
-                             filter_id=msg.filter_id)
-    if isinstance(msg, RemoveFilter):
-        return UnfilterCommand(filter_id=msg.filter_id)
-    raise ControlSyntaxError(
-        f"unmappable control message {type(msg).__name__}")
+    return FilterCommand(
+        source=source, metric=metric, filter_id=filter_id).render()

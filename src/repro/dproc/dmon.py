@@ -23,7 +23,7 @@ Instrumentation mirrors the paper's measurements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.dproc.batch import RecordBatch
@@ -83,10 +83,6 @@ class DMonConfig:
     #: readable (last-known values) but are flagged, never silently
     #: fresh.
     dead_after_intervals: float = 10.0
-
-    def with_padding(self, padding: float) -> "DMonConfig":
-        return replace(self, payload_padding=padding)
-
 
 @dataclass
 class RemoteMetric:

@@ -66,7 +66,7 @@ class WanLink:
     Messages serialise at ``bandwidth`` and arrive after ``latency``;
     both gateways pay the usual kernel messaging costs.
 
-    WAN links fail: while the link is marked down (:meth:`fail_link`)
+    WAN links fail: while the link is marked down (``down``)
     or the destination gateway is down (the ``node_down`` probe, wired
     to the fault plane by :meth:`GridFederation.connect`), deliveries
     are retried with exponential backoff — ``retry_initial`` doubling
@@ -121,14 +121,6 @@ class WanLink:
         self._handlers: dict[str, object] = {}
         for name in self.endpoints:
             env.process(self._pump(name), name=f"wan-pump:{name}")
-
-    def fail_link(self) -> None:
-        """Mark the link down; queued messages stall and back off."""
-        self.down = True
-
-    def restore_link(self) -> None:
-        """Bring the link back; stalled deliveries retry and drain."""
-        self.down = False
 
     def other(self, name: str) -> Node:
         try:

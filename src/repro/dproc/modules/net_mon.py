@@ -37,13 +37,6 @@ class NetMon(MonitoringModule):
                 MetricId.NET_RETX, MetricId.NET_LOST, MetricId.NET_USED,
                 MetricId.NET_DELAY)
 
-    def configure(self, key: str, value: float) -> None:
-        if key != "period":
-            super().configure(key, value)
-        if value <= 0:
-            raise DprocError("net window must be positive")
-        self.window = float(value)
-
     # -- sampling ------------------------------------------------------------
 
     def available_bandwidth(self) -> float:

@@ -49,13 +49,6 @@ class PmcMon(MonitoringModule):
     def metrics(self) -> tuple[MetricId, ...]:
         return (MetricId.CACHE_MISS, MetricId.INSTRUCTIONS)
 
-    def configure(self, key: str, value: float) -> None:
-        if key != "period":
-            super().configure(key, value)
-        if value <= 0:
-            raise DprocError("pmc window must be positive")
-        self.window = float(value)
-
     def collect(self, now: float) -> list[float]:
         cpu = self.node.cpu
         cpu.settle()

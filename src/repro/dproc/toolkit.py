@@ -120,13 +120,6 @@ class Dproc:
     def loadavg(self, host: str) -> float:
         return self.metric(host, MetricId.LOADAVG)
 
-    def freemem(self, host: str) -> float:
-        return self.metric(host, MetricId.FREEMEM)
-
-    def peer_state(self, host: str) -> str:
-        """Liveness of one cluster member (fresh/stale/dead/unknown)."""
-        return self.dmon.peer_state(host)
-
     # -- internals ------------------------------------------------------------
 
     def _mount_standard(self) -> None:

@@ -13,7 +13,7 @@ from repro.harness.appbench import (SmartPointerRig,
                                     fig11_hybrid_monitors)
 from repro.harness.chaos import ChaosReport, chaos_recovery
 from repro.harness.reporting import (EXPERIMENTS, FigureSpec,
-                                     run_all, run_experiment)
+                                     run_experiment)
 
 __all__ = [
     "FigureResult", "SeriesResult",
@@ -22,6 +22,6 @@ __all__ = [
     "fig8_receive_overhead",
     "SmartPointerRig", "fig9a_latency_timeline", "fig9b_event_rate",
     "fig10_latency_vs_network", "fig11_hybrid_monitors",
-    "EXPERIMENTS", "FigureSpec", "run_all", "run_experiment",
+    "EXPERIMENTS", "FigureSpec", "run_experiment",
     "ChaosReport", "chaos_recovery",
 ]

@@ -16,7 +16,7 @@ import math
 import sys
 
 from repro.api import Scenario
-from repro.dproc import ControlRequest, DMonConfig, FilterCommand, MetricId
+from repro.dproc import DMonConfig, MetricId
 from repro.harness.cli import add_run_options, build_scenario
 
 #: Shipped from node[0] to node[1]: pass the load average through at
@@ -114,8 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         first, second = sc.nodes.names[:2]
         sc.dprocs[first].write(
             f"/proc/cluster/{second}/control",
-            ControlRequest([FilterCommand(metric="cpu", filter_id="half",
-                                          source=HALVING_FILTER)]))
+            f"filter cpu id=half {HALVING_FILTER}")
 
     scenario.with_setup(deploy_filter)
     batching = "on" if want_batch else "off"

@@ -13,7 +13,7 @@ from typing import Callable
 from repro.harness import appbench, microbench
 from repro.harness.experiment import FigureResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all", "FigureSpec"]
+__all__ = ["EXPERIMENTS", "run_experiment", "FigureSpec"]
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,3 @@ def run_experiment(experiment_id: str,
             f"unknown experiment {experiment_id!r} (have: {known})") \
             from None
     return (spec.quick if quick else spec.full)()
-
-
-def run_all(quick: bool = True) -> dict[str, FigureResult]:
-    """Run every figure experiment; returns results by id."""
-    return {eid: run_experiment(eid, quick=quick)
-            for eid in EXPERIMENTS}

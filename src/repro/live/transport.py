@@ -410,11 +410,6 @@ class LiveStack:
             if lost is not None and on_fail is not None:
                 on_fail(conn.dst, lost)
 
-    def flush(self) -> None:
-        """Force-flush every link's coalescing buffer (tests/teardown)."""
-        for link in self._links.values():
-            link.flush()
-
     # -- internals ---------------------------------------------------------
 
     def _link_to(self, dst: str) -> _PeerLink:

@@ -143,10 +143,6 @@ class Series:
     def key(self) -> str:
         return series_key(self.name, self.labels)
 
-    @property
-    def interval(self) -> float:
-        return self.tiers[0].interval
-
     def observe(self, t: float, value: float) -> None:
         """Record ``value`` at time ``t`` (NaN samples are ignored)."""
         # + epsilon so exact multiples of the interval land in the

@@ -267,7 +267,3 @@ class EwmaLoad:
             load * decay + runnable * (1.0 - decay)
             for load, decay in zip(self.loads, (
                 math.exp(-dt / tau) for tau in self.PERIODS)))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        """The (1min, 5min, 15min) averages."""
-        return tuple(self.loads)  # type: ignore[return-value]

@@ -5,8 +5,7 @@ Replaces the paper's physical testbed (8 × quad Pentium Pro / switched
 for the substitution rationale.
 """
 
-from repro.sim.core import (AllOf, AnyOf, Condition, Environment, Process,
-                            SimEvent, Timeout)
+from repro.sim.core import AllOf, Environment, Process, SimEvent, Timeout
 from repro.sim.cluster import Cluster, PAPER_NODE_NAMES, build_cluster
 from repro.sim.cpu import CPU, CpuJob
 from repro.sim.disk import Disk
@@ -24,8 +23,7 @@ from repro.runtime.series import CounterTrace, EwmaLoad, TimeSeries, \
     WindowAverage
 
 __all__ = [
-    "AllOf", "AnyOf", "Condition", "Environment", "Process", "SimEvent",
-    "Timeout",
+    "AllOf", "Environment", "Process", "SimEvent", "Timeout",
     "Cluster", "PAPER_NODE_NAMES", "build_cluster",
     "CPU", "CpuJob", "Disk", "Memory", "Allocation",
     "FaultInjector", "FaultPlane",

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 This module provides the event loop (:class:`Environment`), the event
-primitives (:class:`SimEvent`, :class:`Timeout`, :class:`Condition`) and
+primitives (:class:`SimEvent`, :class:`Timeout`, :class:`AllOf`) and
 generator-based processes (:class:`Process`) on which the whole cluster
 simulator is built.
 
@@ -34,9 +34,7 @@ __all__ = [
     "SimEvent",
     "Timeout",
     "Process",
-    "Condition",
     "AllOf",
-    "AnyOf",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
 ]
@@ -287,20 +285,18 @@ class Process(SimEvent):
             return
 
 
-class Condition(SimEvent):
-    """Composite event over several sub-events.
+class AllOf(SimEvent):
+    """Composite event that triggers once *all* sub-events have triggered.
 
-    Triggers when ``evaluate(events, n_done)`` returns True.  Its value is
-    an ordered dict mapping each *triggered* sub-event to that event's
-    value.  If any sub-event fails, the condition fails with the same
-    exception.
+    Its value is an ordered dict mapping each *triggered* sub-event to
+    that event's value.  If any sub-event fails, the condition fails
+    with the same exception.
     """
 
-    def __init__(self, env: "Environment", events: Iterable[SimEvent],
-                 evaluate: Callable[[list[SimEvent], int], bool]) -> None:
+    def __init__(self, env: "Environment",
+                 events: Iterable[SimEvent]) -> None:
         super().__init__(env)
         self.events = list(events)
-        self._evaluate = evaluate
         self._count = 0
         for ev in self.events:
             if ev.env is not env:
@@ -325,24 +321,8 @@ class Condition(SimEvent):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-        elif self._evaluate(self.events, self._count):
+        elif self._count >= len(self.events):
             self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Condition that triggers once *all* sub-events have triggered."""
-
-    def __init__(self, env: "Environment",
-                 events: Iterable[SimEvent]) -> None:
-        super().__init__(env, events, lambda evs, n: n >= len(evs))
-
-
-class AnyOf(Condition):
-    """Condition that triggers once *any* sub-event has triggered."""
-
-    def __init__(self, env: "Environment",
-                 events: Iterable[SimEvent]) -> None:
-        super().__init__(env, events, lambda evs, n: n >= 1)
 
 
 class Environment:
@@ -384,12 +364,8 @@ class Environment:
         return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[SimEvent]) -> AllOf:
-        """Condition satisfied when every event in ``events`` triggered."""
+        """Event that triggers once every event in ``events`` triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[SimEvent]) -> AnyOf:
-        """Condition satisfied when at least one event triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
 

@@ -62,10 +62,6 @@ class Disk:
         """Raw (uncontended) service time for an operation."""
         return self.per_op_latency + nbytes / self.transfer_rate
 
-    def queue_length(self) -> int:
-        """Operations waiting or in service."""
-        return self._head.count + len(self._head.queue)
-
     # -- internals ------------------------------------------------------------
 
     def _operate(self, nbytes: float, is_write: bool):

@@ -269,16 +269,9 @@ class FaultInjector:
 
     # -- immediate faults ------------------------------------------------------
 
-    def set_message_loss(self, p: float, src: Optional[str] = None,
-                         dst: Optional[str] = None) -> None:
-        self._loss(None, p, src, dst)
-
     def set_link_loss(self, link_name: str, p: float) -> None:
         self._apply(None, f"loss {p:g} on link {link_name}",
                     lambda plane: plane.set_link_loss(link_name, p))
-
-    def clear_message_loss(self) -> None:
-        self._apply(None, "loss cleared", FaultPlane.clear_loss)
 
     def set_stall(self, seconds: float, src: Optional[str] = None,
                   dst: Optional[str] = None) -> None:

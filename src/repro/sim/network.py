@@ -81,28 +81,6 @@ class FixedFlowHandle:
         self._fabric._settle()
         return self.flow.loss_fraction
 
-    @property
-    def lost_bytes(self) -> float:
-        """Cumulative bytes offered but dropped."""
-        self._fabric._settle()
-        return self.flow.lost_bytes
-
-    @property
-    def carried_bytes(self) -> float:
-        """Cumulative bytes actually delivered."""
-        self._fabric._settle()
-        return self.flow.carried_bytes
-
-    def set_demand(self, demand: float) -> None:
-        """Change the offered rate without tearing the flow down."""
-        if self.closed:
-            raise NetworkError("flow already closed")
-        if demand <= 0:
-            raise NetworkError("demand must be positive")
-        self._fabric._settle()
-        self.flow.demand = float(demand)
-        self._fabric._reallocate()
-
     def close(self) -> None:
         """Stop offering traffic (idempotent)."""
         if not self.closed:

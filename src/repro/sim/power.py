@@ -80,10 +80,3 @@ class Battery:
     @property
     def empty(self) -> bool:
         return self.level_joules() <= 0.0
-
-    def recharge(self) -> None:
-        """Reset to full (rebases all the drain marks)."""
-        self._attached_at = self.node.env.now
-        self._cpu_mark = self._busy_seconds()
-        self._bytes_mark = self._radio_bytes()
-        self._drained_at_mark = 0.0

@@ -41,10 +41,6 @@ class RngHub:
             self._streams[name] = gen
         return gen
 
-    def fork(self, salt: int) -> "RngHub":
-        """Derive an independent hub (e.g. one per experiment repetition)."""
-        return RngHub(master_seed=(self.master_seed * 1_000_003 + salt))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RngHub(master_seed={self.master_seed}, "
                 f"streams={sorted(self._streams)})")

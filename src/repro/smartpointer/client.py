@@ -75,7 +75,3 @@ class SmartPointerClient:
     def event_rate(self, window: float) -> float:
         """Processed events/s over the trailing window."""
         return self.processed.rate(self.node.env.now, window)
-
-    def mean_latency(self, since: float = 0.0) -> float:
-        """Mean submission-to-processed latency (seconds)."""
-        return self.latencies.mean(since)

@@ -174,12 +174,6 @@ class SmartPointerServer:
             stream.start()
         return stream
 
-    def remove_client(self, client_name: str) -> None:
-        stream = self.streams.pop(client_name, None)
-        if stream is None:
-            raise SimulationError(f"no stream for {client_name!r}")
-        stream.stop()
-
     def observations(self, client_name: str) -> dict[str, float]:
         """Latest dproc view of a client's resources (NaN = unknown)."""
         if self.dproc is None:
@@ -191,8 +185,3 @@ class SmartPointerServer:
             "diskusage": self.dproc.metric(client_name,
                                            MetricId.DISKUSAGE),
         }
-
-    def has_fresh_data(self, client_name: str) -> bool:
-        """True once at least one monitored metric has been received."""
-        obs = self.observations(client_name)
-        return any(not math.isnan(v) for v in obs.values())

@@ -14,10 +14,9 @@ These helpers exist so that call sites read like the paper
 from __future__ import annotations
 
 __all__ = [
-    "usec", "msec", "sec", "minutes",
-    "to_usec", "to_msec",
+    "usec", "msec", "minutes", "to_usec",
     "KB", "MB", "kb", "mb",
-    "mbps", "kbps", "to_mbps",
+    "mbps", "to_mbps",
     "PAGE_SIZE", "SECTOR_SIZE", "ETHERNET_MTU",
 ]
 
@@ -43,11 +42,6 @@ def msec(x: float) -> float:
     return x * 1e-3
 
 
-def sec(x: float) -> float:
-    """Seconds → seconds (identity, for symmetry at call sites)."""
-    return float(x)
-
-
 def minutes(x: float) -> float:
     """Minutes → seconds."""
     return x * 60.0
@@ -56,11 +50,6 @@ def minutes(x: float) -> float:
 def to_usec(t: float) -> float:
     """Seconds → microseconds."""
     return t * 1e6
-
-
-def to_msec(t: float) -> float:
-    """Seconds → milliseconds."""
-    return t * 1e3
 
 
 # --- sizes ---------------------------------------------------------------
@@ -85,11 +74,6 @@ mb = MB
 def mbps(x: float) -> float:
     """Megabits per second → bytes per second (network convention: 10**6)."""
     return x * 1e6 / 8.0
-
-
-def kbps(x: float) -> float:
-    """Kilobits per second → bytes per second."""
-    return x * 1e3 / 8.0
 
 
 def to_mbps(bytes_per_sec: float) -> float:

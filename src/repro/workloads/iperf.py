@@ -117,16 +117,6 @@ class IperfPerturb:
             name=f"iperf-perturb:{self.rate_mbps:g}Mbps")
         return self
 
-    def set_rate(self, rate_mbps: float) -> None:
-        """Adjust the offered rate in place."""
-        if not self.running:
-            raise SimulationError("perturbation not running")
-        if rate_mbps <= 0:
-            raise SimulationError("perturbation rate must be positive")
-        self.rate_mbps = float(rate_mbps)
-        assert self._handle is not None
-        self._handle.set_demand(mbps(rate_mbps))
-
     def stop(self) -> None:
         if self._handle is not None:
             self._handle.close()

@@ -10,7 +10,6 @@ from repro.dproc import MetricId, deploy_dproc
 from repro.dproc.aggregate import ClusterView
 from repro.errors import DprocError
 from repro.units import MB
-from repro.workloads import Linpack
 
 
 @pytest.fixture
@@ -41,15 +40,6 @@ class TestSnapshot:
         snap = v.snapshot(MetricId.FREEMEM)
         assert "maui" not in snap
         assert "etna" in snap
-
-    def test_age(self, env, view):
-        v, dprocs, _ = view
-        assert v.age("alan", MetricId.FREEMEM) == 0.0
-        assert v.age("maui", MetricId.FREEMEM) < 2.0
-        dprocs["maui"].dmon.stop()
-        env.run(until=30.0)
-        assert v.age("maui", MetricId.FREEMEM) > 20.0
-        assert v.age("ghost", MetricId.FREEMEM) == math.inf
 
     def test_staleness_validation(self, view):
         v, dprocs, _ = view
@@ -85,44 +75,3 @@ class TestAggregates:
         assert host == "maui"
         top, top_value = v.extreme(MetricId.FREEMEM, largest=True)
         assert top != "maui" and top_value > value
-
-
-class TestPlacementQueries:
-    def test_hosts_where(self, env, view):
-        v, _, cluster = view
-        cluster["etna"].memory.allocate(MB(400), tag="hog")
-        env.run(until=10.0)
-        roomy = v.hosts_where(MetricId.FREEMEM,
-                              lambda free: free > MB(200))
-        assert "etna" not in roomy
-        assert "alan" in roomy and "maui" in roomy
-
-    def test_least_loaded(self, env, view):
-        v, _, cluster = view
-        for _ in range(3):
-            Linpack(cluster["maui"]).start()
-        env.run(until=30.0)
-        assert v.least_loaded() in ("alan", "etna")
-
-    def test_most_free_memory(self, env, view):
-        v, _, cluster = view
-        cluster["alan"].memory.allocate(MB(200), tag="hog")
-        cluster["maui"].memory.allocate(MB(100), tag="hog")
-        env.run(until=10.0)
-        assert v.most_free_memory() == "etna"
-
-
-class TestLiveness:
-    def test_all_fresh_when_running(self, view):
-        v, _dprocs, cluster = view
-        assert v.liveness() == {h: "fresh" for h in cluster.names}
-        assert v.live_hosts() == sorted(cluster.names)
-        assert v.dead_hosts() == []
-
-    def test_stopped_peer_ages_out(self, env, view):
-        v, dprocs, _ = view
-        dprocs["maui"].dmon.stop()
-        env.run(until=30.0)
-        assert v.liveness()["maui"] == "dead"
-        assert "maui" in v.dead_hosts()
-        assert "maui" not in v.live_hosts()

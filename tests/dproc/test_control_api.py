@@ -1,65 +1,40 @@
-"""Typed ControlRequest API: rendering, parsing, and round-trips."""
+"""ControlRequest and FilterCommand: rendering a filter deployment to the
+control-file text, and the checks that keep that text unambiguous."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dproc import (ClearCommand, ControlRequest, DMonConfig,
-                         FilterCommand, MetricId, PeriodCommand,
-                         ThresholdCommand, UnfilterCommand, deploy_dproc)
+from repro.dproc import (ControlRequest, DMonConfig, FilterCommand,
+                         deploy_dproc, parse_control_text, topk_filter)
 from repro.errors import ControlSyntaxError
-from repro.kecho.control import DeployFilter, SetParameter
+from repro.kecho.control import DeployFilter
 from repro.sim import Environment, build_cluster
 
 
 class TestRender:
-    def test_period(self):
-        assert PeriodCommand(metric="cpu", seconds=2.0).render() == \
-            "period cpu 2.0"
-
-    def test_threshold(self):
-        cmd = ThresholdCommand(metric="loadavg", kind="range",
-                               values=(0.5, 2.0))
-        assert cmd.render() == "threshold loadavg range 0.5 2.0"
-
-    def test_clear(self):
-        assert ClearCommand(metric="*", parameter="period").render() == \
-            "clear * period"
-
     def test_filter_with_id(self):
         cmd = FilterCommand(metric="cpu", filter_id="f1",
                             source="{ output[0] = input[LOADAVG]; }")
         assert cmd.render() == \
             "filter cpu id=f1 { output[0] = input[LOADAVG]; }"
 
-    def test_unfilter(self):
-        assert UnfilterCommand("f1").render() == "unfilter f1"
+    def test_rendered_text_parses_to_the_same_filter(self):
+        cmd = FilterCommand(metric="cpu", filter_id="f1",
+                            source="{ return 1; }")
+        (msg,) = parse_control_text(
+            ControlRequest([cmd]).render(), sender="alan", target="maui")
+        assert isinstance(msg, DeployFilter)
+        assert (msg.metric, msg.filter_id, msg.source) == \
+            ("cpu", "f1", "{ return 1; }")
 
-    def test_request_joins_lines(self):
-        req = ControlRequest([PeriodCommand(seconds=1.0, metric="cpu"),
-                              ClearCommand(parameter="threshold")])
-        assert req.render() == "period cpu 1.0\nclear * threshold"
+    def test_topk_filter_is_control_text(self):
+        text = topk_filter(3, "cpu")
+        assert isinstance(text, str)
+        assert text.startswith("filter proc id=topk {")
 
 
 class TestValidation:
-    def test_bad_period(self):
-        with pytest.raises(ControlSyntaxError):
-            PeriodCommand(seconds=0.0)
-
-    def test_bad_threshold_kind(self):
-        with pytest.raises(ControlSyntaxError):
-            ThresholdCommand(kind="near", values=(1.0,))
-
-    def test_bad_threshold_arity(self):
-        with pytest.raises(ControlSyntaxError):
-            ThresholdCommand(kind="range", values=(1.0,))
-
-    def test_bad_clear_parameter(self):
-        with pytest.raises(ControlSyntaxError):
-            ClearCommand(parameter="filter")
-
     def test_empty_filter_source(self):
         with pytest.raises(ControlSyntaxError):
             FilterCommand(source="   ")
@@ -69,8 +44,22 @@ class TestValidation:
             FilterCommand(source="id=looks-like-an-id { }")
 
     def test_bad_filter_id(self):
-        with pytest.raises(ControlSyntaxError):
-            UnfilterCommand("two words")
+        # "filter cpu id=two words { ... }" would deploy filter "two"
+        # with source "words { ... }".
+        with pytest.raises(ControlSyntaxError, match="filter id"):
+            FilterCommand(source="{ return 1; }", filter_id="two words")
+        with pytest.raises(ControlSyntaxError, match="filter id"):
+            topk_filter(3, filter_id="my top")
+
+    @pytest.mark.parametrize("metric", ["", "cpu mem", "cpu\tmem"])
+    def test_bad_filter_metric(self, metric):
+        with pytest.raises(ControlSyntaxError, match="filter metric"):
+            FilterCommand(source="{ return 1; }", metric=metric)
+
+    def test_empty_filter_id_means_no_id(self):
+        assert FilterCommand(source="{ return 1; }", metric="cpu",
+                             filter_id="").render() == \
+            "filter cpu { return 1; }"
 
     def test_empty_request(self):
         with pytest.raises(ControlSyntaxError):
@@ -79,85 +68,7 @@ class TestValidation:
     def test_filter_must_be_last(self):
         with pytest.raises(ControlSyntaxError):
             ControlRequest([FilterCommand(source="{ }"),
-                            PeriodCommand(seconds=1.0)])
-
-
-class TestParse:
-    def test_parse_mixed(self):
-        req = ControlRequest.parse(
-            "period cpu 2\nthreshold loadavg above 0.5")
-        assert req.commands == (
-            PeriodCommand(metric="cpu", seconds=2.0),
-            ThresholdCommand(metric="loadavg", kind="above",
-                             values=(0.5,)))
-
-    def test_messages_carry_addressing(self):
-        req = ControlRequest([
-            PeriodCommand(metric="cpu", seconds=2.0),
-            FilterCommand(metric="*", filter_id="f", source="{ x; }")])
-        msgs = req.messages(sender="alan", target="maui")
-        assert [type(m) for m in msgs] == [SetParameter, DeployFilter]
-        assert all(m.sender == "alan" and m.target == "maui"
-                   for m in msgs)
-
-
-# -- hypothesis round-trip property -----------------------------------------
-
-_metrics = st.sampled_from(["*", "cpu", "net", "loadavg", "freemem"])
-_seconds = st.floats(min_value=0.001, max_value=1e6,
-                     allow_nan=False, allow_infinity=False)
-_values = st.floats(min_value=-1e9, max_value=1e9,
-                    allow_nan=False, allow_infinity=False)
-_ident = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_",
-                 min_size=1, max_size=12)
-#: E-code-ish source: lines of single-space-separated tokens, so the
-#: word-split/rejoin of the first header line is lossless.
-_token = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789_[]{}();=*+.<>!&|",
-    min_size=1, max_size=10).filter(lambda t: not t.startswith("id="))
-_source = st.lists(
-    st.lists(_token, min_size=1, max_size=6).map(" ".join),
-    min_size=1, max_size=5).map("\n".join)
-
-_command = st.one_of(
-    st.builds(PeriodCommand, metric=_metrics, seconds=_seconds),
-    st.builds(ThresholdCommand, metric=_metrics,
-              kind=st.just("above"), values=st.tuples(_values)),
-    st.builds(ThresholdCommand, metric=_metrics,
-              kind=st.just("below"), values=st.tuples(_values)),
-    st.builds(ThresholdCommand, metric=_metrics, kind=st.just("change"),
-              values=st.tuples(st.floats(min_value=0.001, max_value=1e4,
-                                         allow_nan=False))),
-    st.builds(ThresholdCommand, metric=_metrics, kind=st.just("range"),
-              values=st.tuples(_values, _values).map(
-                  lambda t: tuple(sorted(t)))),
-    st.builds(ClearCommand, metric=_metrics,
-              parameter=st.sampled_from(["period", "threshold"])),
-    st.builds(UnfilterCommand, _ident),
-)
-_filter = st.builds(FilterCommand, metric=_metrics, filter_id=_ident,
-                    source=_source)
-
-
-@st.composite
-def _requests(draw):
-    commands = draw(st.lists(_command, min_size=1, max_size=5))
-    if draw(st.booleans()):
-        commands.append(draw(_filter))
-    return ControlRequest(tuple(commands))
-
-
-class TestRoundTrip:
-    @settings(max_examples=200, deadline=None)
-    @given(_requests())
-    def test_render_parse_round_trip(self, req):
-        assert ControlRequest.parse(req.render()) == req
-
-    @settings(max_examples=50, deadline=None)
-    @given(_requests())
-    def test_render_is_stable(self, req):
-        assert ControlRequest.parse(req.render()).render() == \
-            req.render()
+                            FilterCommand(source="{ }")])
 
 
 class TestDprocWrite:
@@ -169,9 +80,12 @@ class TestDprocWrite:
         env.run(until=2.0)
         dprocs["alan"].write(
             "/proc/cluster/maui/control",
-            ControlRequest([PeriodCommand(metric="cpu", seconds=2.0)]))
+            ControlRequest([FilterCommand(
+                metric="cpu", filter_id="half",
+                source="{ output[0] = input[LOADAVG];"
+                       " output[0].value = input[LOADAVG].value * 0.5; }")]))
         env.run(until=4.0)
-        policy = dprocs["maui"].dmon.policies[MetricId.LOADAVG]
-        assert policy.period == 2.0
+        deployed = dprocs["maui"].dmon.filters.filter_for("cpu")
+        assert deployed is not None and deployed.filter_id == "half"
         log = dprocs["alan"].read("/proc/cluster/maui/control")
-        assert "period cpu 2.0" in log
+        assert "filter cpu id=half" in log

@@ -147,7 +147,7 @@ class TestPollingAndPublication:
         assert 50 <= per_event <= 100
 
     def test_padding_inflates_events(self, env, cluster3):
-        config = DMonConfig().with_padding(5000.0)
+        config = DMonConfig(payload_padding=5000.0)
         a, b = deploy_pair(cluster3, config=config)
         env.run(until=3.0)
         reg = cluster3["alan"].telemetry
@@ -264,6 +264,21 @@ class TestRemoteControl:
                                     filter_id="f1"))
         env.run(until=3.0)
         assert b.filters.global_filter is None
+
+    def test_filter_named_by_metric_governs_its_module(self, env,
+                                                      cluster3):
+        a, b = deploy_pair(cluster3)
+        env.run(until=1.0)
+        a.send_control(DeployFilter(
+            sender="alan", target="maui", metric="loadavg",
+            source="{ output[0] = input[LOADAVG]; }", filter_id="f1"))
+        a.send_control(DeployFilter(
+            sender="alan", target="maui", metric="nosuchmetric",
+            source="{ output[0] = input[LOADAVG]; }", filter_id="f2"))
+        env.run(until=2.0)
+        assert b.filters.filter_for("cpu").filter_id == "f1"
+        assert [f.filter_id for f in b.filters.deployed()] == ["f1"]
+        assert b.node.telemetry.value("dmon.control_rejected") == 1
 
     def test_send_control_requires_started(self, cluster3):
         a = make_dmon(cluster3, "alan")

@@ -174,12 +174,12 @@ class TestWanRetry:
                        retry_initial=0.5, retry_max=8.0)
         got = []
         link.bind("gb", lambda p: got.append((env.now, p)))
-        link.fail_link()
+        link.down = True
         link.send("ga", "queued", size=1250.0)
         env.run(until=5.0)
         assert got == []
         assert link.retries.total >= 1
-        link.restore_link()
+        link.down = False
         env.run(until=20.0)
         assert [p for _t, p in got] == ["queued"]
         assert got[0][0] > 5.0
@@ -189,7 +189,7 @@ class TestWanRetry:
         link = WanLink(env, cluster["ga"], cluster["gb"],
                        bandwidth=mbps(10), latency=0.0,
                        retry_initial=1.0, retry_max=4.0)
-        link.fail_link()
+        link.down = True
         link.send("ga", "x", size=1250.0)
         env.run(until=30.0)
         times = link.retries._times

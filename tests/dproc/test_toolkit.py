@@ -155,7 +155,7 @@ class TestReading:
 
     def test_metric_helpers(self, env, dprocs):
         env.run(until=3.0)
-        assert dprocs["alan"].freemem("maui") > 0
+        assert dprocs["alan"].metric("maui", MetricId.FREEMEM) > 0
         assert dprocs["alan"].loadavg("maui") >= 0
         # A metric for an unknown host is NaN.
         assert math.isnan(dprocs["alan"].metric("vesuvius",
@@ -276,7 +276,7 @@ class TestStatusFiles:
         env.run(until=3.0)
         text = dprocs["alan"].read("/proc/cluster/maui/status")
         assert text.startswith("state: fresh\n")
-        assert dprocs["alan"].peer_state("maui") == "fresh"
+        assert dprocs["alan"].dmon.peer_state("maui") == "fresh"
 
     def test_status_tracks_downed_peer(self, env, dprocs):
         env.run(until=3.0)

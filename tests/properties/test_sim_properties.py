@@ -323,7 +323,7 @@ class TestTraceProperties:
         load = EwmaLoad()
         for i, s in enumerate(samples):
             load.update(i * 5.0, s)
-        for value in load.as_tuple():
+        for value in load.loads:
             assert -1e-9 <= value <= max(samples) + 1e-9
 
     @FAST
@@ -359,8 +359,8 @@ class TestTraceProperties:
             last, t = t, t + dt
             load.update(t, runnable)
             oracle_update(expected, t - last, runnable)
-            assert list(load.as_tuple()) == expected
-        assert load.as_tuple() == (0.0, 0.0, 0.0)
+            assert load.loads == expected
+        assert load.loads == [0.0, 0.0, 0.0]
 
     @FAST
     @given(st.integers(0, 2**32 - 1), st.integers(1, 200))

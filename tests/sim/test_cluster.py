@@ -163,9 +163,3 @@ class TestRngHub:
         a = RngHub(1).stream("x").random(4)
         b = RngHub(2).stream("x").random(4)
         assert not (a == b).all()
-
-    def test_fork_independent(self):
-        hub = RngHub(3)
-        f1 = hub.fork(1).stream("x").random(4)
-        f2 = hub.fork(2).stream("x").random(4)
-        assert not (f1 == f2).all()

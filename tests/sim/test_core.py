@@ -298,17 +298,6 @@ class TestConditions:
         assert env.now == 3.0
         assert result[a] == "a" and result[b] == "b"
 
-    def test_any_of_fires_on_first(self, env):
-        a, b = env.timeout(1.0, "a"), env.timeout(3.0, "b")
-
-        def proc():
-            result = yield env.any_of([a, b])
-            return result
-
-        result = env.run(env.process(proc()))
-        assert env.now == 1.0
-        assert result == {a: "a"}
-
     def test_empty_condition_fires_immediately(self, env):
         def proc():
             result = yield env.all_of([])

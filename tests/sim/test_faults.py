@@ -109,10 +109,10 @@ class TestTransportIntegration:
         assert outcome(env, probe) == "delivered"
 
     def test_certain_loss_drops_message(self, env, cluster3, injector):
-        injector.set_message_loss(1.0)
+        injector.plane.set_loss(1.0)
         probe = send(cluster3, "alan", "maui")
         assert outcome(env, probe) == "lost"
-        injector.clear_message_loss()
+        injector.plane.clear_loss()
         probe = send(cluster3, "alan", "maui")
         assert outcome(env, probe) == "delivered"
 
@@ -129,7 +129,7 @@ class TestTransportIntegration:
         assert outcome(env, send(cluster3, "alan", "maui")) == "delivered"
 
     def test_loss_counted_on_connection(self, env, cluster3, injector):
-        injector.set_message_loss(1.0)
+        injector.plane.set_loss(1.0)
         conn = cluster3["alan"].stack.connect("maui", tag="t")
         lost = []
         conn.send("x", 500.0, on_fail=lambda *fail: lost.append(fail))
@@ -235,7 +235,7 @@ class TestDeterminism:
         env = Environment()
         cluster = build_cluster(env, nodes=3, seed=seed)
         injector = FaultInjector(cluster)
-        injector.set_message_loss(0.3)
+        injector.plane.set_loss(0.3)
         delivered: list[int] = []
         conn = cluster["alan"].stack.connect("maui", tag="t")
 

@@ -103,13 +103,6 @@ class TestDisk:
         env.run(disk.write(10))
         assert disk.sectors_written.total == pytest.approx(1.0)
 
-    def test_queue_length(self, env):
-        disk = Disk(env, transfer_rate=MB(1), per_op_latency=0.0)
-        disk.write(MB(5))
-        disk.write(MB(5))
-        env.run(until=0.1)
-        assert disk.queue_length() == 2
-
     def test_utilization_grows_with_activity(self, env):
         disk = Disk(env, transfer_rate=MB(10), per_op_latency=0.0)
 

@@ -152,21 +152,6 @@ class TestFixedFlows:
         handle.close()
         handle.close()
 
-    def test_set_demand(self, env, fabric):
-        handle = fabric.open_fixed_flow("a", "b", mbps(10))
-        env.run(until=0.5)
-        handle.set_demand(mbps(60))
-        env.run(until=1.0)
-        assert to_mbps(handle.rate) == pytest.approx(60.0)
-        with pytest.raises(NetworkError):
-            handle.set_demand(0)
-
-    def test_set_demand_after_close_rejected(self, env, fabric):
-        handle = fabric.open_fixed_flow("a", "b", mbps(10))
-        handle.close()
-        with pytest.raises(NetworkError):
-            handle.set_demand(mbps(5))
-
     def test_loss_under_overload(self, env, fabric):
         handle = fabric.open_fixed_flow("a", "b", mbps(150))
         env.run(until=1.0)

@@ -59,15 +59,6 @@ class TestBattery:
         assert battery.level_joules() == 0.0
         assert battery.empty
 
-    def test_recharge(self, env, node):
-        battery = Battery(node, capacity_joules=100.0, base_power=1.0)
-        env.run(until=50.0)
-        assert battery.level_percent() == pytest.approx(50.0)
-        battery.recharge()
-        assert battery.level_percent() == 100.0
-        env.run(until=60.0)
-        assert battery.level_percent() == pytest.approx(90.0)
-
     def test_validation(self, node):
         with pytest.raises(SimulationError):
             Battery(node, capacity_joules=0)

@@ -128,15 +128,15 @@ class TestEwmaLoad:
     def test_first_sample_anchors_at_boot_value(self):
         load = EwmaLoad()
         load.update(0.0, 3.0)
-        assert load.as_tuple() == (0.0, 0.0, 0.0)
+        assert load.loads == [0.0, 0.0, 0.0]
         load.update(60.0, 3.0)
-        assert load.as_tuple()[0] > 0.0
+        assert load.loads[0] > 0.0
 
     def test_decay_towards_new_value(self):
         load = EwmaLoad()
         load.update(0.0, 0.0)
         load.update(60.0, 4.0)
-        one, five, fifteen = load.as_tuple()
+        one, five, fifteen = load.loads
         # After one 1-min period, the 1-min average moved most.
         assert one > five > fifteen > 0.0
         expect = 4.0 * (1 - math.exp(-1.0))
@@ -146,7 +146,7 @@ class TestEwmaLoad:
         load = EwmaLoad()
         for i in range(4000):
             load.update(i * 5.0, 2.0)
-        for value in load.as_tuple():
+        for value in load.loads:
             assert value == pytest.approx(2.0, rel=1e-3)
 
     def test_time_backwards_rejected(self):

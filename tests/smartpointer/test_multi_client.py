@@ -90,7 +90,7 @@ class TestHeterogeneousClients:
         env.run(until=80.0)
         # The wall display is untouched by the handheld's overload.
         assert desk.event_rate(20.0) == pytest.approx(5.0, rel=0.15)
-        assert desk.mean_latency(since=60.0) < 0.5
+        assert desk.latencies.mean(since=60.0) < 0.5
         # The handheld's stream degraded gracefully (adapted, alive).
         assert ipaq.event_rate(20.0) == pytest.approx(2.0, rel=0.3)
 
@@ -105,7 +105,7 @@ class TestHeterogeneousClients:
         env.run(until=60.0)
         # full frame: 1.8 Mflop at 2 Mflops = 0.9 s per event > 0.5 s
         assert ipaq.queue_length > 10
-        assert ipaq.mean_latency(since=40.0) > 5.0
+        assert ipaq.latencies.mean(since=40.0) > 5.0
 
     def test_dynamic_policy_fits_weak_client(self, env, zoo):
         cluster, server, profile = zoo
@@ -115,6 +115,6 @@ class TestHeterogeneousClients:
                           caps=ClientCapabilities(mflops=2.0))
         env.run(until=60.0)
         assert ipaq.event_rate(20.0) == pytest.approx(2.0, rel=0.15)
-        assert ipaq.mean_latency(since=40.0) < 1.0
+        assert ipaq.latencies.mean(since=40.0) < 1.0
         # it visibly reduced the stream for the weak device
         assert policy.last_choice.quality() < 1.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.dproc import DMonConfig, deploy_dproc
@@ -52,7 +54,7 @@ class TestPipeline:
         env.run(until=30.0)
         # Queue must be building and latency climbing.
         assert client.queue_length > 10
-        assert client.mean_latency(since=20.0) > 1.0
+        assert client.latencies.mean(since=20.0) > 1.0
 
     def test_duplicate_client_rejected(self, env, profile):
         _, server_node, _ = make_pair(env)
@@ -62,20 +64,6 @@ class TestPipeline:
         with pytest.raises(SimulationError):
             server.add_client("maui", profile, rate=1.0,
                               policy=NoAdaptation())
-
-    def test_remove_client_stops_stream(self, env, profile):
-        _, server_node, client_node = make_pair(env)
-        client = SmartPointerClient(client_node).start()
-        server = SmartPointerServer(server_node)
-        server.add_client("maui", profile, rate=5.0,
-                          policy=NoAdaptation())
-        env.run(until=5.0)
-        server.remove_client("maui")
-        count = client.arrivals.total
-        env.run(until=10.0)
-        assert client.arrivals.total <= count + 1
-        with pytest.raises(SimulationError):
-            server.remove_client("maui")
 
     def test_logging_client_writes_to_disk(self, env, profile):
         _, server_node, client_node = make_pair(env)
@@ -91,7 +79,6 @@ class TestPipeline:
         _, server_node, _ = make_pair(env)
         server = SmartPointerServer(server_node)
         assert server.observations("maui") == {}
-        assert not server.has_fresh_data("maui")
 
     def test_quality_trace_recorded(self, env, profile):
         _, server_node, client_node = make_pair(env)
@@ -128,7 +115,7 @@ class TestDynamicAdaptationEndToEnd:
         # The dynamic stream keeps up: full rate, low latency.
         assert client.event_rate(window=20.0) == pytest.approx(5.0,
                                                                rel=0.1)
-        assert client.mean_latency(since=100.0) < 1.0
+        assert client.latencies.mean(since=100.0) < 1.0
         # And it visibly adapted (reduced client cost).
         assert policy.last_choice.client_cost(profile) \
             < profile.base_client_cost
@@ -141,12 +128,12 @@ class TestDynamicAdaptationEndToEnd:
             Linpack(cluster["maui"]).start()
         env.run(until=120.0)
         assert client.event_rate(window=20.0) < 3.0
-        assert client.mean_latency(since=100.0) > 10.0
+        assert client.latencies.mean(since=100.0) > 10.0
 
     def test_server_reads_fresh_monitoring_data(self, env, profile):
         cluster, server, client = self.make_system(
             env, DynamicAdaptation(), profile)
         env.run(until=10.0)
-        assert server.has_fresh_data("maui")
         obs = server.observations("maui")
+        assert any(not math.isnan(v) for v in obs.values())
         assert obs["net_bandwidth"] > 0

@@ -55,10 +55,6 @@ class TestFrameGenerator:
         assert (frame.positions >= 0).all()
         assert (frame.positions < 10.0).all()
 
-    def test_size_bytes(self, profile):
-        frame = MDFrameGenerator(profile).next_frame(0.0)
-        assert frame.size_bytes == pytest.approx(profile.base_size,
-                                                 rel=0.01)
 
 
 class TestTransformModel:

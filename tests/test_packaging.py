@@ -16,8 +16,8 @@ SRC = ROOT / "src"
 
 
 def test_entry_points_load_neither_networkx_nor_scipy():
-    """networkx is no dependency and only a confidence interval
-    needs scipy; no run should pay for importing them."""
+    """Neither networkx nor scipy is a dependency; no entry point may
+    import them."""
     code = ("import repro.api, repro.live.runtime, repro.harness, sys; "
             "assert not {'networkx', 'scipy'} & set(sys.modules)")
     result = subprocess.run(

@@ -106,21 +106,11 @@ class TestIperfPerturb:
         assert mon_avail == pytest.approx(30e6 / 8, rel=0.01)
         perturb.stop()
 
-    def test_set_rate(self, env, cluster3):
-        perturb = IperfPerturb(cluster3["alan"], cluster3["maui"],
-                               rate_mbps=10).start()
-        env.run(until=0.5)
-        perturb.set_rate(50)
-        env.run(until=1.0)
-        assert perturb.achieved_mbps == pytest.approx(50.0)
-        perturb.stop()
-
     def test_validation(self, env, cluster3):
         with pytest.raises(SimulationError):
             IperfPerturb(cluster3["alan"], cluster3["maui"], 0)
         p = IperfPerturb(cluster3["alan"], cluster3["maui"], 10)
-        with pytest.raises(SimulationError):
-            p.set_rate(10)  # not running yet
+        assert not p.running
         p.start()
         with pytest.raises(SimulationError):
             p.start()
