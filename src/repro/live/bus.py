@@ -5,11 +5,12 @@ subscriptions, telemetry and submit accounting are byte-for-byte the
 simulator's code — with the directory synchronised through a
 :class:`~repro.live.registry.RegistryClient`:
 
-* channel opens/leaves and subscriber sets are pushed to the registry
-  server, so node runners in *other* processes see them;
-* the merged directory (theirs + ours) answers
-  :meth:`remote_subscribers`, so publishers fan out to every
-  subscribed host on the machine, not just the local process;
+* on every local subscription change the bus pushes its whole
+  channel → subscriber hosts mapping, so node runners in *other*
+  processes see it (a channel whose last endpoint closed drops out);
+* the directory answers :meth:`remote_subscribers` for hosts of other
+  processes, so publishers fan out to every subscribed host on the
+  machine, not just the local process;
 * any remote directory change bumps ``subscription_version``, which
   invalidates the subscriber cache exactly like a local subscribe.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.kecho.channel import ChannelEndpoint, KechoBus
+from repro.kecho.channel import KechoBus
 from repro.live.registry import RegistryClient
 
 __all__ = ["LiveBus"]
@@ -30,7 +31,6 @@ class LiveBus(KechoBus):
     def __init__(self) -> None:
         super().__init__()
         self.client: Optional[RegistryClient] = None
-        self._pushing = False
 
     def attach_registry(self, client: RegistryClient) -> None:
         self.client = client
@@ -45,40 +45,12 @@ class LiveBus(KechoBus):
 
     def _subscriptions_changed(self) -> None:
         super()._subscriptions_changed()
-        self._push_subscribers()
-
-    def _push_subscribers(self) -> None:
-        client = self.client
-        if client is None or self._pushing:
-            return
-        self._pushing = True
-        try:
-            by_channel: dict[str, list[str]] = {}
-            names = set()
+        if self.client is not None:
+            subscribers: dict[str, list[str]] = {}
             for (name, host), ep in self._endpoints.items():
-                names.add(name)
                 if ep.handler is not None:
-                    by_channel.setdefault(name, []).append(host)
-            for name in sorted(names):
-                subs = by_channel.get(name, [])
-                if client.subscribers(name) != subs:
-                    client.set_subscribers(name, subs)
-        finally:
-            self._pushing = False
-
-    # -- KechoBus overrides ------------------------------------------------
-
-    def connect(self, node, name: str) -> ChannelEndpoint:
-        endpoint = super().connect(node, name)
-        if self.client is not None:
-            self.client.open_channel(name, node.name)
-        return endpoint
-
-    def _detach(self, endpoint: ChannelEndpoint) -> None:
-        super()._detach(endpoint)
-        if self.client is not None:
-            self.client.leave_channel(endpoint.name,
-                                      endpoint.node.name)
+                    subscribers.setdefault(name, []).append(host)
+            self.client.set_subscribers(subscribers)
 
     def _subscribers(self, name: str) -> list[str]:
         try:

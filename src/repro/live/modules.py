@@ -3,11 +3,12 @@
 Each module has the *same* name and produces the *same*
 :class:`~repro.dproc.metrics.MetricId` set as its simulator
 counterpart (``MODULE_METRICS`` is the shared contract, asserted by
-the cross-backend conformance suite), but samples the real host's
-``/proc`` instead of simulated devices.  Values that the host cannot
-provide without privileged counters (hardware PMCs, per-connection
-RTT) are reported as 0.0 — present in the schema, honest about the
-source.
+the cross-backend conformance suite), but samples the real host
+instead of simulated devices: CPU and memory through the node's
+``cpu``/``memory`` host views, the rest from ``/proc`` directly.
+Values that the host cannot provide without privileged counters
+(hardware PMCs, per-connection RTT) are reported as 0.0 — present in
+the schema, honest about the source.
 
 All ``/proc`` reads are guarded: on a platform without them the
 modules report zeros rather than fail, so the live smoke test runs
@@ -23,6 +24,7 @@ from repro.dproc.metrics import MODULE_METRICS, MetricId
 from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.dproc.modules.self_mon import SelfMon
 from repro.errors import DprocError
+from repro.live.node import _read_proc
 from repro.runtime.protocol import RuntimeNode
 
 __all__ = ["HostCpuMon", "HostMemMon", "HostDiskMon", "HostNetMon",
@@ -32,39 +34,6 @@ __all__ = ["HostCpuMon", "HostMemMon", "HostDiskMon", "HostNetMon",
 #: Nominal NIC capacity for available-bandwidth reporting (100 Mbps,
 #: the paper's fabric) when the host interface speed is unknowable.
 NOMINAL_BANDWIDTH = 100e6 / 8.0
-
-
-#: Descriptors held open on the fixed ``/proc`` paths the modules
-#: poll, by path.  A ``/proc`` file regenerates its text on each read
-#: from offset 0 and ``pread`` carries no file position, so one
-#: descriptor serves every poll in the process — and in the forked
-#: pool workers that inherit it.
-_held: dict[str, int] = {}
-
-
-def _read_proc(path: str) -> str:
-    """Text of a fixed ``/proc`` path, through a held descriptor.
-
-    Any ``OSError`` reads as ``""``; the descriptor is then closed and
-    forgotten, so the next poll opens the path again.
-    """
-    try:
-        fd = _held.get(path)
-        if fd is None:
-            fd = _held[path] = os.open(path, os.O_RDONLY)
-        data = b""
-        # To EOF: procfs may return less than asked before the end.
-        while chunk := os.pread(fd, 65536, len(data)):
-            data += chunk
-        return str(data, "utf-8", "replace")
-    except OSError:
-        fd = _held.pop(path, None)
-        if fd is not None:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        return ""
 
 
 def _read_once(path: str) -> str:
@@ -143,11 +112,7 @@ class HostCpuMon(MonitoringModule):
         return MODULE_METRICS["cpu"]
 
     def collect(self, now: float) -> list[float]:
-        try:
-            load = os.getloadavg()[0]
-        except OSError:  # pragma: no cover - platform without loadavg
-            load = 0.0
-        return [float(load)]
+        return [self.node.cpu.load_averages()[0]]
 
     def configure(self, key: str, value: float) -> None:
         """Accept the sim module's ``period`` knob (the host kernel's
@@ -168,15 +133,7 @@ class HostMemMon(MonitoringModule):
         return MODULE_METRICS["mem"]
 
     def collect(self, now: float) -> list[float]:
-        free = 0.0
-        for line in _read_proc("/proc/meminfo").splitlines():
-            if line.startswith("MemFree:"):
-                try:
-                    free = float(line.split()[1]) * 1024.0
-                except (IndexError, ValueError):  # pragma: no cover
-                    free = 0.0
-                break
-        return [free]
+        return [self.node.memory.free_bytes]
 
 
 class HostDiskMon(MonitoringModule):

@@ -9,7 +9,10 @@ not simulated, so the telemetry/overhead reports stay comparable),
 
 ``cpu`` and ``memory`` expose just enough of the simulated devices'
 shape for the toolkit's standard ``/proc/loadavg`` and
-``/proc/meminfo`` mounts, backed by the real host's ``/proc``.
+``/proc/meminfo`` mounts, backed by the real host's ``/proc``; the
+host modules read them the way the sim modules read sim devices.  All
+fixed ``/proc`` paths are read through one held descriptor each
+(:func:`_read_proc`).
 """
 
 from __future__ import annotations
@@ -29,11 +32,36 @@ from repro.units import PAGE_SIZE
 __all__ = ["LiveNode", "HostCpu", "HostMemory"]
 
 
+#: Descriptors held open on the fixed ``/proc`` paths the host views
+#: and modules poll, by path.  A ``/proc`` file regenerates its text on
+#: each read from offset 0 and ``pread`` carries no file position, so
+#: one descriptor serves every poll in the process — and in the forked
+#: pool workers that inherit it.
+_held: dict[str, int] = {}
+
+
 def _read_proc(path: str) -> str:
+    """Text of a fixed ``/proc`` path, through a held descriptor.
+
+    Any ``OSError`` reads as ``""``; the descriptor is then closed and
+    forgotten, so the next poll opens the path again.
+    """
     try:
-        with open(path, "r") as fh:
-            return fh.read()
+        fd = _held.get(path)
+        if fd is None:
+            fd = _held[path] = os.open(path, os.O_RDONLY)
+        data = b""
+        # To EOF: procfs may return less than asked before the end.
+        while chunk := os.pread(fd, 65536, len(data)):
+            data += chunk
+        return str(data, "utf-8", "replace")
     except OSError:
+        fd = _held.pop(path, None)
+        if fd is not None:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
         return ""
 
 

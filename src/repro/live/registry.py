@@ -1,20 +1,22 @@
 """The live channel registry: a directory server on a real socket.
 
-Mirrors the paper's "user-level channel directory server": d-mon
-modules contact the registry to create/find channels; here they also
-publish their data-plane socket addresses so publishers can dial
-subscribers directly (events never pass through the registry — it is
-control-plane only, exactly like the simulator's in-memory
-:class:`repro.kecho.registry.ChannelRegistry`).
+Mirrors the paper's "user-level channel directory server".  Each
+process creates and finds its channels in its own in-memory
+:class:`repro.kecho.registry.ChannelRegistry`, as the simulator does;
+across processes the server shares what a publisher needs to dial its
+subscribers directly.  Events never pass through the registry — it is
+control-plane only.
 
-Protocol: JSON lines over TCP.  Clients send operations::
+Protocol: JSON lines over TCP, carrying the two facts a process
+reads — where each host listens and who subscribes to each channel.
+Clients send::
 
-    {"op": "sync", "hosts": {name: [ip, port]},
-     "channels": {name: {"members": [...], "subscribers": [...]}}}
+    {"op": "sync", "hosts": {host: [ip, port]},
+     "subscribers": {channel: [host, ...]}}
 
 and the server replies to everyone with the merged directory::
 
-    {"op": "state", "version": N, "hosts": {...}, "channels": {...}}
+    {"op": "state", "hosts": {...}, "subscribers": {...}}
 
 A client's ``sync`` replaces that client's whole contribution; the
 server unions contributions across clients, so multiple node-runner
@@ -33,17 +35,15 @@ __all__ = ["RegistryServer", "RegistryClient"]
 def _merge(contributions: dict) -> tuple[dict, dict]:
     """Union every client's contribution into one directory."""
     hosts: dict[str, list] = {}
-    channels: dict[str, dict] = {}
+    subscribers: dict[str, list[str]] = {}
     for contrib in contributions.values():
         hosts.update(contrib.get("hosts", {}))
-        for name, entry in contrib.get("channels", {}).items():
-            merged = channels.setdefault(
-                name, {"members": [], "subscribers": []})
-            for key in ("members", "subscribers"):
-                for host in entry.get(key, ()):
-                    if host not in merged[key]:
-                        merged[key].append(host)
-    return hosts, channels
+        for name, subs in contrib.get("subscribers", {}).items():
+            merged = subscribers.setdefault(name, [])
+            for host in subs:
+                if host not in merged:
+                    merged.append(host)
+    return hosts, subscribers
 
 
 class RegistryServer:
@@ -54,7 +54,6 @@ class RegistryServer:
         self._port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[tuple[str, int]] = None
-        self.version = 0
         #: client id -> that client's latest sync contribution.
         self._contributions: dict[int, dict] = {}
         self._writers: dict[int, asyncio.StreamWriter] = {}
@@ -118,10 +117,9 @@ class RegistryServer:
             writer.close()
 
     def _broadcast(self) -> None:
-        self.version += 1
-        hosts, channels = _merge(self._contributions)
-        line = (json.dumps({"op": "state", "version": self.version,
-                            "hosts": hosts, "channels": channels},
+        hosts, subscribers = _merge(self._contributions)
+        line = (json.dumps({"op": "state", "hosts": hosts,
+                            "subscribers": subscribers},
                            separators=(",", ":")) + "\n").encode()
         for writer in self._writers.values():
             if writer.is_closing():
@@ -135,23 +133,22 @@ class RegistryServer:
 class RegistryClient:
     """One process's connection to the registry server.
 
-    Keeps a local directory cache that is updated *optimistically* on
-    local operations (so same-process publishers see a subscription the
-    instant it happens, matching the simulator's synchronous registry)
-    and *authoritatively* from server broadcasts (so other processes'
-    hosts and subscriptions appear as they sync).
+    Keeps the merged directory from the server's broadcasts.  The
+    addresses of this process's own hosts are known *optimistically*
+    the moment they register, so a dial inside one process never waits
+    for a broadcast; subscribers of this process's own hosts are the
+    bus's to know, and everything else comes from the server.
     """
 
     def __init__(self) -> None:
         self.hosts: dict[str, tuple[str, int]] = {}
-        self.channels: dict[str, dict] = {}
-        #: Bumped on every directory change, local or remote.
-        self.version = 0
-        self._local: dict = {"hosts": {}, "channels": {}}
+        #: channel -> subscriber hosts, as the server last broadcast.
+        self.directory: dict[str, list[str]] = {}
+        self._local: dict = {"hosts": {}, "subscribers": {}}
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
-        #: Called after every directory change (bus cache invalidation).
+        #: Called after every broadcast (bus cache invalidation).
         self.on_change: Optional[Callable[[], None]] = None
 
     async def connect(self, address: tuple[str, int]) -> None:
@@ -171,43 +168,19 @@ class RegistryClient:
             self._writer.close()
             self._writer = None
 
-    # -- local operations (optimistic + pushed to the server) -------------
+    # -- local operations (pushed to the server) --------------------------
 
     def register_host(self, host: str, address: tuple[str, int]) -> None:
         self._local["hosts"][host] = list(address)
         self.hosts[host] = (address[0], int(address[1]))
-        self._bump()
+        self._sync()
 
-    def open_channel(self, name: str, host: str) -> None:
-        entry = self._local["channels"].setdefault(
-            name, {"members": [], "subscribers": []})
-        if host not in entry["members"]:
-            entry["members"].append(host)
-        cached = self.channels.setdefault(
-            name, {"members": [], "subscribers": []})
-        if host not in cached["members"]:
-            cached["members"].append(host)
-        self._bump()
-
-    def leave_channel(self, name: str, host: str) -> None:
-        entry = self._local["channels"].get(name)
-        if entry is not None and host in entry["members"]:
-            entry["members"].remove(host)
-        cached = self.channels.get(name)
-        if cached is not None and host in cached["members"]:
-            cached["members"].remove(host)
-        self._bump()
-
-    def set_subscribers(self, name: str,
-                        subscribers: list[str]) -> None:
-        """Replace this process's subscriber list for one channel."""
-        entry = self._local["channels"].setdefault(
-            name, {"members": [], "subscribers": []})
-        entry["subscribers"] = list(subscribers)
-        cached = self.channels.setdefault(
-            name, {"members": [], "subscribers": []})
-        cached["subscribers"] = list(subscribers)
-        self._bump()
+    def set_subscribers(self, subscribers: dict[str, list[str]]) -> None:
+        """Replace this process's channel → subscriber hosts mapping;
+        the server hears of it only when it changed."""
+        if subscribers != self._local["subscribers"]:
+            self._local["subscribers"] = subscribers
+            self._sync()
 
     # -- queries ----------------------------------------------------------
 
@@ -215,19 +188,15 @@ class RegistryClient:
         return self.hosts.get(host)
 
     def subscribers(self, name: str) -> list[str]:
-        entry = self.channels.get(name)
-        return list(entry["subscribers"]) if entry else []
+        return self.directory.get(name, [])
 
     # -- internals --------------------------------------------------------
 
-    def _bump(self) -> None:
-        self.version += 1
+    def _sync(self) -> None:
         if self._writer is not None:
             line = (json.dumps({"op": "sync", **self._local},
                                separators=(",", ":")) + "\n").encode()
             self._writer.write(line)
-        if self.on_change is not None:
-            self.on_change()
 
     async def _listen(self) -> None:
         assert self._reader is not None
@@ -241,23 +210,9 @@ class RegistryClient:
                 continue
             if msg.get("op") != "state":
                 continue
-            hosts = {h: (a[0], int(a[1]))
-                     for h, a in msg.get("hosts", {}).items()}
-            channels = msg.get("channels", {})
-            # Merge authoritative state with our optimistic local view
-            # (ours may be ahead of the broadcast in flight).
-            local_hosts = {h: (a[0], int(a[1]))
-                           for h, a in self._local["hosts"].items()}
-            hosts.update(local_hosts)
-            for name, entry in self._local["channels"].items():
-                merged = channels.setdefault(
-                    name, {"members": [], "subscribers": []})
-                for key in ("members", "subscribers"):
-                    for host in entry[key]:
-                        if host not in merged[key]:
-                            merged[key].append(host)
-            self.hosts = hosts
-            self.channels = channels
-            self.version += 1
+            # Our own hosts may be ahead of the broadcast in flight.
+            hosts = {**msg.get("hosts", {}), **self._local["hosts"]}
+            self.hosts = {h: (a[0], int(a[1])) for h, a in hosts.items()}
+            self.directory = msg.get("subscribers", {})
             if self.on_change is not None:
                 self.on_change()

@@ -143,9 +143,6 @@ class LiveRuntime:
         return {name: sum(r.value(name) for r in registries)
                 for name in WIRE_COUNTERS}
 
-    def shutdown(self) -> None:
-        """Everything real is torn down inside :meth:`run`."""
-
     # -- scenario hooks ----------------------------------------------------
 
     def setup(self, fn: Callable[["LiveRuntime"], None]) -> None:
@@ -153,7 +150,7 @@ class LiveRuntime:
         self._setups.append(fn)
 
     def on_teardown(self, fn: Callable[["LiveRuntime"], None]) -> None:
-        """Queue ``fn(runtime)`` to run just before shutdown."""
+        """Queue ``fn(runtime)`` to run just before teardown."""
         self._teardowns.append(fn)
 
     def add_server(self, server) -> None:

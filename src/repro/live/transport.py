@@ -19,24 +19,26 @@ copy.  A frame that does not decode ends its connection only
 ``net.rx_truncated`` and a tag nobody bound counts
 ``net.undeliverable``.
 
-Scaling machinery (all per-destination, owned by a shared
-:class:`_PeerLink` so every channel endpoint talking to the same host
-rides one socket):
+Sending is the mirror image: one :class:`_PeerLink` protocol per
+destination host, so every channel endpoint talking to the same host
+rides one socket.  The link keeps one bounded queue of the frames that
+have not left yet, and asyncio's own flow-control callbacks drive it:
 
 * **connection pooling** — ``connect(dst, tag)`` returns a thin
   :class:`LiveConnection` facade over one pooled TCP link per
   destination host, so a 200-node cluster needs O(nodes × watchers)
   sockets instead of O(nodes × watchers × channels);
-* **frame batching** — with a :class:`BatchConfig`, outgoing frames
-  coalesce into ``BATCH`` super-frames flushed by size watermark
+* **frame batching** — with a :class:`BatchConfig`, queued frames
+  leave as ``BATCH`` super-frames, flushed by size watermark
   (``max_bytes``/``max_frames``) or time watermark (``max_delay``);
-* **sender-side backpressure** — write-buffer high/low watermarks
-  (:class:`FlowConfig`) wired into asyncio flow control: past the
-  high watermark the link pauses, frames park in a bounded deferral
-  queue drained when ``drain()`` reports the buffer back under the
-  low watermark; queue overflow *drops* the newest frame and reports
-  it to the sender's ``on_fail``, so the durable stream records the
-  loss and reconciliation stays zero-discrepancy.
+* **sender-side backpressure** — the transport's write-buffer
+  watermarks (:class:`FlowConfig`) call ``pause_writing`` and
+  ``resume_writing``; a frame that cannot leave yet (dial in flight,
+  or paused) waits in the queue, at most ``max_deferred`` of them,
+  and the queue flushes on connect and on resume.  Past the bound the
+  newest frame is *dropped* and reported to the sender's
+  ``on_fail``, so the durable stream records the loss and
+  reconciliation stays zero-discrepancy.
 """
 
 from __future__ import annotations
@@ -75,39 +77,36 @@ class FlowConfig:
 
     #: Pause the link when the socket write buffer exceeds this.
     high_watermark: int = 256 * 1024
-    #: ``drain()`` resumes the link once the buffer is back below this.
+    #: The transport resumes the link once the buffer is back below this.
     low_watermark: int = 64 * 1024
-    #: Frames parked while paused; overflow drops (and records) the
-    #: newest frame instead of buffering without bound.
+    #: Frames queued while the dial is in flight or the link is paused;
+    #: overflow drops (and records) the newest frame instead of
+    #: buffering without bound.
     max_deferred: int = 1024
 
 
-class _PeerLink:
+class _PeerLink(asyncio.Protocol):
     """The pooled TCP link to one destination host (lazily dialled).
 
-    Owns the writer, the coalescing buffer and the flow-control state;
-    every :class:`LiveConnection` to the same host delegates here.
-    Frames written before the TCP connect completes are buffered and
-    flushed on connection; after a connection error every further send
-    reports its frame lost (the publisher keeps running — delivery
-    failure must never take d-mon down).
+    Every :class:`LiveConnection` to the same host delegates here.  One
+    queue holds every frame that has not left yet: while the dial is
+    in flight, while the kernel buffer is past the high watermark, or
+    while a batch coalesces; :meth:`flush` writes it.  After a
+    connection error every further send reports its frame lost (the
+    publisher keeps running — delivery failure must never take d-mon
+    down).
     """
 
     def __init__(self, stack: "LiveStack", dst: str) -> None:
         self.stack = stack
         self.dst = dst
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: list[bytes] = []
+        self.transport: Optional[asyncio.Transport] = None
+        self.queue: deque[bytes] = deque()
+        self._queued_bytes = 0
         self._dead = False
-        self.refs = 0
-        # batching state
-        self._batch: list[bytes] = []
-        self._batch_bytes = 0
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
-        # backpressure state
         self.paused = False
-        self._deferred: deque[bytes] = deque()
-        self._drainer: Optional[asyncio.Task] = None
+        self.refs = 0
+        self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._opener = asyncio.ensure_future(self._open())
 
     async def _open(self) -> None:
@@ -116,19 +115,33 @@ class _PeerLink:
             self._dead = True
             return
         try:
-            _reader, writer = await asyncio.open_connection(
-                address[0], address[1])
+            await asyncio.get_running_loop().create_connection(
+                lambda: self, address[0], address[1])
         except OSError:
             self._dead = True
-            return
+
+    # -- asyncio flow control ----------------------------------------------
+
+    def connection_made(self, transport) -> None:
         flow = self.stack.flow_config
-        if flow is not None:
-            writer.transport.set_write_buffer_limits(
-                high=flow.high_watermark, low=flow.low_watermark)
-        self._writer = writer
-        pending, self._pending = self._pending, []
-        for data in pending:
-            self._write_out(data)
+        transport.set_write_buffer_limits(high=flow.high_watermark,
+                                          low=flow.low_watermark)
+        self.transport = transport
+        self.flush()
+
+    def pause_writing(self) -> None:
+        if not self._dead:  # a closing link flushes past the watermark
+            self.paused = True
+            self.stack._t_pauses.inc()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.stack._t_resumes.inc()
+        self.flush()
+
+    def connection_lost(self, exc) -> None:
+        self._dead = True
+        self.transport = None
 
     # -- send path ---------------------------------------------------------
 
@@ -137,109 +150,78 @@ class _PeerLink:
         None."""
         if self._dead:
             return "link down"
-        if self.paused:
-            flow = self.stack.flow_config
-            if flow is None or len(self._deferred) < flow.max_deferred:
-                self._deferred.append(frame)
-                self.stack._t_deferred.inc()
-                return None
-            self.stack._t_drops.inc()
-            return "backpressure"
-        return None if self._enqueue(frame) else "link down"
-
-    def _enqueue(self, frame: bytes) -> bool:
-        """Write or coalesce one frame; False once the link is dead."""
-        batch = self.stack.batch_config
-        if batch is None:
-            self._write_out(frame)
-            return not self._dead
-        self._batch.append(frame)
-        self._batch_bytes += len(frame)
-        if (self._batch_bytes >= batch.max_bytes
-                or len(self._batch) >= batch.max_frames):
+        stack = self.stack
+        queue = self.queue
+        if self.transport is None or self.paused:
+            # The frame cannot leave yet: the queue is bounded.
+            if len(queue) >= stack.flow_config.max_deferred:
+                stack._t_drops.inc()
+                return "backpressure"
+            stack._t_deferred.inc()
+        queue.append(frame)
+        self._queued_bytes += len(frame)
+        batch = stack.batch_config
+        if (batch is None or self._queued_bytes >= batch.max_bytes
+                or len(queue) >= batch.max_frames):
             self.flush()
         elif self._flush_handle is None:
-            self._flush_handle = asyncio.get_event_loop().call_later(
-                batch.max_delay, self._flush_timer)
-        return not self._dead
-
-    def _flush_timer(self) -> None:
-        self._flush_handle = None
-        self.flush()
+            self._flush_handle = asyncio.get_running_loop().call_later(
+                batch.max_delay, self.flush)
+        return "link down" if self._dead else None
 
     def flush(self) -> None:
-        """Write out the coalesced frames (one super-frame if > 1)."""
+        """Write the queue until it empties or the link pauses: one
+        frame per write, or batched into super-frames up to the
+        watermarks (a lone frame goes as itself)."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        if not self._batch:
-            return
-        frames, self._batch = self._batch, []
-        self._batch_bytes = 0
-        if len(frames) == 1:
-            self._write_out(frames[0])
-            return
-        try:
-            data = encode_batch(frames)
-        except ChannelError:  # over-large batch: fall back frame-wise
-            for frame in frames:
-                self._write_out(frame)
-            return
-        self.stack._t_batches.inc()
-        self.stack._t_batched_frames.inc(len(frames))
-        self._write_out(data)
+        batch = self.stack.batch_config
+        queue = self.queue
+        while queue and self.transport is not None and not self.paused:
+            if batch is None:
+                frame = queue.popleft()
+                self._queued_bytes -= len(frame)
+                self._write(frame)
+                continue
+            frames: list[bytes] = []
+            size = 0
+            while (queue and size < batch.max_bytes
+                   and len(frames) < batch.max_frames):
+                frames.append(queue.popleft())
+                size += len(frames[-1])
+            self._queued_bytes -= size
+            if len(frames) == 1:
+                self._write(frames[0])
+                continue
+            try:
+                data = encode_batch(frames)
+            except ChannelError:  # over-large batch: fall back frame-wise
+                for frame in frames:
+                    self._write(frame)
+                continue
+            self.stack._t_batches.inc()
+            self.stack._t_batched_frames.inc(len(frames))
+            self._write(data)
 
-    def _write_out(self, data: bytes) -> None:
+    def _write(self, data: bytes) -> None:
         """One wire write (a frame or a super-frame)."""
-        writer = self._writer
-        if writer is None:
-            self._pending.append(data)
+        transport = self.transport
+        if transport is None:
             return
-        if writer.transport.is_closing():
+        if transport.is_closing():
             # The peer hung up (teardown); asyncio would log every
             # further write as "socket.send() raised exception".
-            self._dead = True
+            self.connection_lost(None)
             return
         try:
-            writer.write(data)
+            transport.write(data)
         except Exception:
-            self._dead = True
+            transport.abort()
+            self.connection_lost(None)
             return
-        # Counted only on a real socket write, so frames parked in
-        # ``_pending`` before the connect completes count once.
         self.stack._t_wire_frames.inc()
         self.stack._t_wire_bytes.inc(len(data))
-        self._check_watermark(writer)
-
-    def _check_watermark(self, writer: asyncio.StreamWriter) -> None:
-        flow = self.stack.flow_config
-        if flow is None or self.paused:
-            return
-        try:
-            size = writer.transport.get_write_buffer_size()
-        except Exception:  # pragma: no cover - transport torn down
-            return
-        if size > flow.high_watermark:
-            self.paused = True
-            self.stack._t_pauses.inc()
-            self._drainer = asyncio.ensure_future(self._drain())
-
-    async def _drain(self) -> None:
-        """Wait out the slow consumer, then replay deferred frames."""
-        writer = self._writer
-        if writer is None:  # pragma: no cover - paused before connect
-            self.paused = False
-            return
-        try:
-            await writer.drain()
-        except Exception:
-            self._dead = True
-            self.paused = False
-            return
-        self.paused = False
-        self.stack._t_resumes.inc()
-        while self._deferred and not self.paused and not self._dead:
-            self._enqueue(self._deferred.popleft())
 
     # -- teardown ----------------------------------------------------------
 
@@ -248,23 +230,14 @@ class _PeerLink:
         self.refs = max(0, self.refs - 1)
 
     def close(self) -> None:
+        """Hang up.  Best effort: what is queued goes to the kernel
+        buffer first, past the high watermark too."""
         self._opener.cancel()
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if self._drainer is not None:
-            self._drainer.cancel()
-            self._drainer = None
-        # Best-effort final flush: coalesced and deferred frames go to
-        # the kernel buffer before the socket closes.
-        if self._writer is not None:
-            self._batch.extend(self._deferred)
-            self._deferred.clear()
-            self.paused = False
-            self.flush()
-            self._writer.close()
-            self._writer = None
         self._dead = True
+        self.paused = False
+        self.flush()
+        if self.transport is not None:
+            self.transport.close()
 
 
 class LiveConnection:

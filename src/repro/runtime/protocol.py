@@ -257,9 +257,9 @@ class Runtime(Protocol):
     nodes running on it and the bus that wires them.
 
     ``run`` advances the backend until the clock reads ``until``
-    seconds (virtual for the simulator, wall for the live backend);
-    ``shutdown`` releases backend resources (sockets, tasks) and is
-    idempotent.  ``registries()`` maps every host of the run to its
+    seconds (virtual for the simulator, wall for the live backend;
+    the live backend brings its sockets up and tears them down inside
+    the call).  ``registries()`` maps every host of the run to its
     telemetry registry: local nodes' own, and for hosts in a live pool
     worker the registry rebuilt from the counters that worker shipped
     home.
@@ -284,5 +284,3 @@ class Runtime(Protocol):
     def registries(self) -> dict: ...
 
     def run(self, until: float) -> None: ...
-
-    def shutdown(self) -> None: ...

@@ -64,6 +64,3 @@ class SimRuntime:
     def run(self, until: float) -> None:
         """Advance virtual time to ``until`` seconds."""
         self.env.run(until=until)
-
-    def shutdown(self) -> None:
-        """Nothing to release: the simulator holds no real resources."""

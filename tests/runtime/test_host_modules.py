@@ -8,18 +8,19 @@ from types import SimpleNamespace
 import pytest
 
 from repro.dproc import MetricId
-from repro.live import modules
+from repro.live import modules, node
 from repro.live.modules import (HostCpuMon, HostDiskMon, HostMemMon,
-                                HostNetMon, _disk_totals, _read_proc)
+                                HostNetMon, _disk_totals)
+from repro.live.node import HostCpu, HostMemory, _read_proc
 
 
 @pytest.fixture
 def held():
-    """The module's descriptor table, emptied of what the test held."""
-    before = dict(modules._held)
-    yield modules._held
-    for path in set(modules._held) - set(before):
-        os.close(modules._held.pop(path))
+    """The descriptor table, emptied of what the test held."""
+    before = dict(node._held)
+    yield node._held
+    for path in set(node._held) - set(before):
+        os.close(node._held.pop(path))
 
 
 def _open_fds() -> int:
@@ -67,8 +68,9 @@ class TestHeldDescriptors:
         assert _read_proc(str(path)) == "text\n"
 
     def test_a_thousand_polls_hold_at_most_four_descriptors(self):
-        node = SimpleNamespace(name="node0")
-        mons = [cls(node) for cls in (HostCpuMon, HostMemMon,
+        host = SimpleNamespace(name="node0", cpu=HostCpu(),
+                               memory=HostMemory())
+        mons = [cls(host) for cls in (HostCpuMon, HostMemMon,
                                       HostDiskMon, HostNetMon)]
         before = _open_fds()
         for i in range(1000):

@@ -1,6 +1,6 @@
 """Live-backend scaling machinery: batching, backpressure, node pool.
 
-Unit level: a :class:`_PeerLink` against fake writers pins the
+Unit level: a :class:`_PeerLink` against fake transports pins the
 coalescing watermarks and the pause/defer/drop flow-control ladder.
 End to end: real sockets prove frames coalesce on the wire, a slow
 consumer trips the high watermark and resumes after drain, a
@@ -25,38 +25,39 @@ from tests.runtime.test_codec import unknown_metric_frames
 
 
 class _FakeTransport:
+    """A pretend kernel buffer that calls the protocol's flow control
+    the way asyncio's transports do."""
+
     def __init__(self) -> None:
+        self.protocol = None
         self.buffer = 0
+        self.high = self.low = None
+        self.paused = False
         self.closing = False
-        self.limits = None
+        self.writes: list[bytes] = []
 
     def set_write_buffer_limits(self, high=None, low=None) -> None:
-        self.limits = (high, low)
-
-    def get_write_buffer_size(self) -> int:
-        return self.buffer
+        self.high, self.low = high, low
 
     def is_closing(self) -> bool:
         return self.closing
 
-
-class _FakeWriter:
-    """Counts writes into a pretend kernel buffer that drain() empties."""
-
-    def __init__(self) -> None:
-        self.transport = _FakeTransport()
-        self.writes: list[bytes] = []
-
     def write(self, data: bytes) -> None:
         self.writes.append(data)
-        self.transport.buffer += len(data)
+        self.buffer += len(data)
+        if not self.paused and self.buffer > self.high:
+            self.paused = True
+            self.protocol.pause_writing()
 
-    async def drain(self) -> None:
-        await asyncio.sleep(0)
-        self.transport.buffer = 0
+    def drain(self) -> None:
+        """The peer reads everything: back under the low watermark."""
+        self.buffer = 0
+        if self.paused:
+            self.paused = False
+            self.protocol.resume_writing()
 
     def close(self) -> None:
-        self.transport.closing = True
+        self.closing = True
 
 
 def _event(i: int = 0) -> ChannelEvent:
@@ -73,21 +74,31 @@ def _stack(batch=None, flow=None) -> LiveStack:
                      flow=flow)
 
 
-async def _link(stack: LiveStack, writer=None) -> _PeerLink:
-    """A link with the dial replaced by a fake (or absent) writer."""
+def _complete_dial(link: _PeerLink, transport=None) -> _FakeTransport:
+    """Connect ``link`` to a fake transport, as the dial would."""
+    transport = transport or _FakeTransport()
+    transport.protocol = link
+    link.connection_made(transport)
+    return transport
+
+
+async def _link(stack: LiveStack, transport=None) -> _PeerLink:
+    """A link with the dial cancelled; a fake transport, if given,
+    completes the connect."""
     link = _PeerLink(stack, "maui")
     link._opener.cancel()
     await asyncio.sleep(0)
-    link._writer = writer
+    if transport is not None:
+        _complete_dial(link, transport)
     return link
 
 
-async def _conn(stack: LiveStack, writer, dst: str = "maui"):
-    """A connection whose pooled link writes to a fake writer."""
+async def _conn(stack: LiveStack, transport, dst: str = "maui"):
+    """A connection whose pooled link writes to a fake transport."""
     conn = stack.connect(dst, tag="t")
     conn._link._opener.cancel()
     await asyncio.sleep(0)
-    conn._link._writer = writer
+    _complete_dial(conn._link, transport)
     return conn
 
 
@@ -97,14 +108,14 @@ class TestPeerLinkBatching:
             stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
                                              max_delay=60.0,
                                              max_frames=3))
-            writer = _FakeWriter()
-            link = await _link(stack, writer)
+            transport = _FakeTransport()
+            link = await _link(stack, transport)
             for i in range(3):
                 assert link.send(_frame(i)) is None
-            return stack, writer
-        stack, writer = asyncio.run(run())
-        assert len(writer.writes) == 1
-        bodies = FrameDecoder().feed(writer.writes[0])
+            return stack, transport
+        stack, transport = asyncio.run(run())
+        assert len(transport.writes) == 1
+        bodies = FrameDecoder().feed(transport.writes[0])
         assert [decode_frame(b)[1].payload["i"]
                 for b in bodies] == [0, 1, 2]
         assert stack._t_batches.value == 1
@@ -116,62 +127,92 @@ class TestPeerLinkBatching:
             stack = _stack(batch=BatchConfig(
                 max_bytes=len(_frame(0)) + 1, max_delay=60.0,
                 max_frames=1000))
-            writer = _FakeWriter()
-            link = await _link(stack, writer)
+            transport = _FakeTransport()
+            link = await _link(stack, transport)
             link.send(_frame(0))
-            assert writer.writes == []          # still coalescing
+            assert transport.writes == []          # still coalescing
             link.send(_frame(1))     # crosses max_bytes
-            return writer
-        writer = asyncio.run(run())
-        assert len(writer.writes) == 1
-        assert len(FrameDecoder().feed(writer.writes[0])) == 2
+            return transport
+        transport = asyncio.run(run())
+        assert len(transport.writes) == 1
+        assert len(FrameDecoder().feed(transport.writes[0])) == 2
 
     def test_flush_on_time_watermark(self):
         async def run():
             stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
                                              max_delay=0.01,
                                              max_frames=1000))
-            writer = _FakeWriter()
-            link = await _link(stack, writer)
+            transport = _FakeTransport()
+            link = await _link(stack, transport)
             link.send(_frame(0))
             link.send(_frame(1))
-            assert writer.writes == []
+            assert transport.writes == []
             await asyncio.sleep(0.05)
-            return writer
-        writer = asyncio.run(run())
-        assert len(writer.writes) == 1
-        assert len(FrameDecoder().feed(writer.writes[0])) == 2
+            return transport
+        transport = asyncio.run(run())
+        assert len(transport.writes) == 1
+        assert len(FrameDecoder().feed(transport.writes[0])) == 2
 
     def test_single_frame_flushes_as_itself(self):
         async def run():
             stack = _stack(batch=BatchConfig(max_delay=0.01))
-            writer = _FakeWriter()
-            link = await _link(stack, writer)
+            transport = _FakeTransport()
+            link = await _link(stack, transport)
             link.send(_frame(7))
             await asyncio.sleep(0.05)
-            return stack, writer
-        stack, writer = asyncio.run(run())
-        assert len(writer.writes) == 1
+            return stack, transport
+        stack, transport = asyncio.run(run())
+        assert len(transport.writes) == 1
         # No BATCH wrapper for a lone frame: bytes are the frame.
-        assert writer.writes[0] == _frame(7)
+        assert transport.writes[0] == _frame(7)
         assert stack._t_batches.value == 0
 
     def test_preconnect_frames_counted_once(self):
         async def run():
             stack = _stack()
-            link = await _link(stack, writer=None)
+            link = await _link(stack)
             link.send(_frame(0))
             link.send(_frame(1))
-            assert stack._t_wire_frames.value == 0  # parked, not sent
-            writer = _FakeWriter()
-            link._writer = writer
-            pending, link._pending = link._pending, []
-            for data in pending:        # what _open() does on connect
-                link._write_out(data)
-            return stack, writer
-        stack, writer = asyncio.run(run())
-        assert len(writer.writes) == 2
+            assert stack._t_wire_frames.value == 0  # queued, not sent
+            transport = _complete_dial(link)
+            return stack, transport
+        stack, transport = asyncio.run(run())
+        assert len(transport.writes) == 2
         assert stack._t_wire_frames.value == 2
+
+    def test_batched_preconnect_frames_leave_on_connect(self):
+        """Frames that waited for the dial do not wait for the batch
+        timer as well: the connect flushes them as one super-frame."""
+        async def run():
+            stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
+                                             max_delay=60.0,
+                                             max_frames=1000))
+            link = await _link(stack)
+            link.send(_frame(0))
+            link.send(_frame(1))
+            transport = _complete_dial(link)
+            return transport
+        transport = asyncio.run(run())
+        assert len(transport.writes) == 1
+        assert len(FrameDecoder().feed(transport.writes[0])) == 2
+
+    def test_queued_frames_leave_in_super_frames_of_the_watermark(self):
+        """A long queue (here: one that waited for the dial) flushes
+        in super-frames of at most ``max_frames`` each, in order."""
+        async def run():
+            stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
+                                             max_delay=60.0,
+                                             max_frames=3))
+            link = await _link(stack)
+            for i in range(7):
+                link.send(_frame(i))
+            transport = _complete_dial(link)
+            return transport
+        transport = asyncio.run(run())
+        batches = [[decode_frame(b)[1].payload["i"]
+                    for b in FrameDecoder().feed(w)]
+                   for w in transport.writes]
+        assert batches == [[0, 1, 2], [3, 4, 5], [6]]
 
 
 class TestPeerLinkBackpressure:
@@ -181,8 +222,8 @@ class TestPeerLinkBackpressure:
     def test_pause_defer_resume_preserves_order(self):
         async def run():
             stack = _stack(flow=self.FLOW)
-            writer = _FakeWriter()
-            link = await _link(stack, writer)
+            transport = _FakeTransport()
+            link = await _link(stack, transport)
             big = encode_frame("t", ChannelEvent(
                 channel="c", source="s", payload={"x": "y" * 200},
                 size=1.0, submitted_at=0.0))
@@ -192,20 +233,20 @@ class TestPeerLinkBackpressure:
             assert link.send(_frame(1)) is None  # deferred
             assert link.send(_frame(2)) is None
             assert stack._t_deferred.value == 2
-            assert len(writer.writes) == 1     # nothing new on wire
-            await asyncio.sleep(0.01)          # drainer runs
-            return stack, writer
-        stack, writer = asyncio.run(run())
+            assert len(transport.writes) == 1     # nothing new on wire
+            transport.drain()                  # resume_writing
+            return stack, transport
+        stack, transport = asyncio.run(run())
         assert stack._t_resumes.value == 1
         assert [decode_frame(FrameDecoder().feed(w)[0])[1]
-                .payload.get("i") for w in writer.writes[1:]] == [1, 2]
+                .payload.get("i") for w in transport.writes[1:]] == [1, 2]
 
     def test_overflow_drops_are_recorded_and_attributed(self):
         """Each frame dropped on overflow reaches the sender's
         ``on_fail`` exactly once, with its cause."""
         async def run():
             stack = _stack(flow=self.FLOW)
-            conn = await _conn(stack, _FakeWriter())
+            conn = await _conn(stack, _FakeTransport())
             conn._link.paused = True           # as if past high water
             drops = []
             for i in (1, 2, 3):                # the third overflows
@@ -216,10 +257,30 @@ class TestPeerLinkBackpressure:
         assert stack._t_drops.value == 1
         assert drops == [(3, "maui", "backpressure")]
 
+    def test_frames_waiting_for_the_dial_are_bounded(self):
+        """While the dial is in flight at most ``max_deferred`` frames
+        wait; the rest are dropped and counted."""
+        async def run():
+            stack = _stack(flow=self.FLOW)
+            link = await _link(stack)
+            return stack, [link.send(_frame(i)) for i in range(5)]
+        stack, lost = asyncio.run(run())
+        assert lost == [None, None] + ["backpressure"] * 3
+        assert stack._t_drops.value == 3
+        assert stack._t_deferred.value == 2
+
+    def test_peer_hang_up_marks_the_link_down(self):
+        async def run():
+            stack = _stack()
+            link = await _link(stack, _FakeTransport())
+            link.connection_lost(None)
+            return link.send(_frame(0))
+        assert asyncio.run(run()) == "link down"
+
     def test_dead_link_fails_sends_without_raising(self):
         async def run():
             stack = _stack()
-            conn = await _conn(stack, _FakeWriter())
+            conn = await _conn(stack, _FakeTransport())
             conn._link._dead = True
             drops = []
             conn.send(_event(0), 32.0,
@@ -242,7 +303,7 @@ class TestFanOut:
 
         async def run():
             stack = _stack()
-            conns = [await _conn(stack, _FakeWriter(), dst)
+            conns = [await _conn(stack, _FakeTransport(), dst)
                      for dst in peers]
             lost = []
             stack.send_many(conns, _event(7), 32.0,
@@ -254,7 +315,7 @@ class TestFanOut:
         assert stack._t_frames.value == len(peers)
         for conn in conns:
             (body,) = FrameDecoder().feed(b"".join(
-                conn._link._writer.writes))
+                conn._link.transport.writes))
             tag, event = decode_frame(body)
             assert (tag, event.channel, event.source, event.payload,
                     event.submitted_at) == ("t", "c", "s", {"i": 7}, 7.0)
