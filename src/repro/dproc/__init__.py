@@ -24,8 +24,7 @@ from repro.dproc.federation import (GridFederation, Site, SiteSummary,
                                     WanLink)
 from repro.dproc.filters import DeployedFilter, FilterManager
 from repro.dproc.metrics import (METRIC_CONSTANTS, METRIC_FILES,
-                                 MODULE_METRICS, MetricId, metric_by_name,
-                                 module_of)
+                                 MODULE_METRICS, MetricId, metric_by_name)
 from repro.dproc.modules import (BatteryMon, CpuMon, DiskMon, KeyedSample,
                                  MemMon, MonitoringModule, NetMon, PmcMon,
                                  ProcMon)
@@ -47,7 +46,7 @@ __all__ = [
     "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
     "DeployedFilter", "FilterManager",
     "METRIC_CONSTANTS", "METRIC_FILES", "MODULE_METRICS", "MetricId",
-    "metric_by_name", "module_of",
+    "metric_by_name",
     "BatteryMon", "CpuMon", "DiskMon", "KeyedSample", "MemMon",
     "MonitoringModule", "NetMon", "PmcMon", "ProcMon",
     "AboveThreshold", "BelowThreshold", "ChangeThreshold", "MetricPolicy",

@@ -31,7 +31,7 @@ from repro.dproc.procfs import ProcFile
 from repro.dproc.toolkit import Dproc
 from repro.errors import DprocError, NetworkError
 from repro.sim.cluster import Cluster
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Process
 from repro.sim.node import Node
 from repro.sim.stores import Store
 from repro.runtime.series import CounterTrace
@@ -234,6 +234,7 @@ class GridFederation:
         #: site -> (peer site -> latest summary) as known at that site.
         self.known: dict[str, dict[str, SiteSummary]] = {}
         self.running = False
+        self._loops: dict[str, Process] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -300,9 +301,14 @@ class GridFederation:
             raise DprocError("no sites to federate")
         self.running = True
         for site in self.sites.values():
-            self.env.process(self._gateway_loop(site),
-                             name=f"grid:{site.name}")
-            self._mount_grid_tree(site)
+            # A loop stopped but not yet woken carries on, and a site's
+            # /proc/grid tree is mounted on its first start only.
+            loop = self._loops.get(site.name)
+            if loop is None or not loop.is_alive:
+                self._loops[site.name] = self.env.process(
+                    self._gateway_loop(site), name=f"grid:{site.name}")
+            if loop is None:
+                self._mount_grid_tree(site)
         return self
 
     def stop(self) -> None:

@@ -104,10 +104,6 @@ class FilterManager:
                 f"no deployed filter with id {filter_id!r}")
         self._by_scope.pop(deployed.scope, None)
 
-    def clear(self) -> None:
-        self._by_id.clear()
-        self._by_scope.clear()
-
     def reset_state(self) -> None:
         """Drop every deployed filter's persistent sketch state.
 

@@ -13,7 +13,7 @@ from enum import IntEnum
 from repro.errors import UnknownMetricError
 
 __all__ = ["MetricId", "MODULE_METRICS", "METRIC_CONSTANTS",
-           "METRIC_FILES", "metric_by_name", "module_of"]
+           "METRIC_FILES", "metric_by_name"]
 
 
 class MetricId(IntEnum):
@@ -100,12 +100,3 @@ def metric_by_name(name: str) -> MetricId:
     if metric is None:
         raise UnknownMetricError(f"unknown metric {name!r}")
     return metric
-
-
-def module_of(metric: MetricId) -> str:
-    """Name of the monitoring module that produces ``metric``."""
-    for module, metrics in MODULE_METRICS.items():
-        if metric in metrics:
-            return module
-    raise UnknownMetricError(  # pragma: no cover - table is complete
-        f"metric {metric!r} belongs to no module")

@@ -47,7 +47,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="d-mon poll interval in seconds "
                              "(default 1.0)")
     parser.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
+                        help="print the report as one JSON document "
+                             "and nothing else on stdout")
     parser.add_argument("--scrape", type=int, default=None,
                         metavar="PORT",
                         help="serve OpenMetrics /metrics and JSON "
@@ -60,8 +61,8 @@ def main(argv: list[str] | None = None) -> int:
                              "hosts; essential at --nodes 100+)")
     parser.add_argument("--batch", dest="batch", action="store_true",
                         default=False,
-                        help="coalesce outgoing frames into BATCH "
-                             "super-frames")
+                        help="coalesce outgoing frames into one "
+                             "socket write")
     parser.add_argument("--no-batch", dest="batch",
                         action="store_false",
                         help="disable frame batching (default)")
@@ -117,11 +118,12 @@ def main(argv: list[str] | None = None) -> int:
             f"filter cpu id=half {HALVING_FILTER}")
 
     scenario.with_setup(deploy_filter)
-    batching = "on" if want_batch else "off"
-    print(f"live: {args.nodes} nodes over localhost TCP "
-          f"({args.workers} process(es), batching {batching}), "
-          f"{args.duration:.0f}s wall, poll every {args.poll:g}s ...",
-          flush=True)
+    if not args.json:
+        batching = "on" if want_batch else "off"
+        print(f"live: {args.nodes} nodes over localhost TCP "
+              f"({args.workers} process(es), batching {batching}), "
+              f"{args.duration:.0f}s wall, poll every {args.poll:g}s ...",
+              flush=True)
     scenario.run(args.duration)
 
     first, second = scenario.nodes.names[:2]
@@ -195,10 +197,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nhealth: {verdict} "
               f"({health['transitions']} transitions; scrape hits "
               f"{health['scrape_hits']})")
-    return _verdict(delivered, missing)
+    status = _verdict(delivered, missing)
+    if status == 0:
+        print("\nOK: CPU/MEM/NET events delivered end-to-end "
+              "(cpu stream filtered by E-code)")
+    return status
 
 
 def _verdict(delivered: dict, missing: list) -> int:
+    """0, or 1 after a ``FAIL:`` line on stderr."""
     if missing:
         print(f"FAIL: no harvest from the pool worker(s) of "
               f"{', '.join(missing)}", file=sys.stderr)
@@ -209,6 +216,4 @@ def _verdict(delivered: dict, missing: list) -> int:
         print(f"FAIL: no {', '.join(silent)} events delivered",
               file=sys.stderr)
         return 1
-    print("\nOK: CPU/MEM/NET events delivered end-to-end "
-          "(cpu stream filtered by E-code)")
     return 0

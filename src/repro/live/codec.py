@@ -63,12 +63,10 @@ Other kinds:
   DeployFilter, RemoveFilter) as a u32 length and a compact JSON
   object (control traffic is rare; self-describing beats packed here).
 * ``JSON`` — any other JSON-serialisable payload, same body.
-* ``BATCH`` — a super-frame coalescing many MONITOR/CONTROL/JSON
-  frames into one socket write: magic and kind (no flags or event
-  header), a u32 member count, then each member as a complete
-  length-prefixed frame.  The decoder unwraps batches transparently
-  (``FrameDecoder.feed`` returns the member frame bodies), so
-  :func:`decode_frame` never sees one; nesting is rejected.
+
+Coalescing adds no kind: a batched link writes a run of whole frames
+in one socket write (:func:`encode_batch`), and the length prefixes
+split it again on the far side like any other stretch of the stream.
 """
 
 from __future__ import annotations
@@ -87,26 +85,21 @@ from repro.kecho.event import ChannelEvent
 
 __all__ = ["encode_frame", "decode_frame", "encode_batch",
            "FrameDecoder", "MAGIC", "KIND_MONITOR", "KIND_CONTROL",
-           "KIND_JSON", "KIND_BATCH", "FLAG_TAG", "FLAG_HOST", "FLAG_TS",
-           "MAX_FRAME_BYTES", "MAX_BATCH_FRAMES"]
+           "KIND_JSON", "FLAG_TAG", "FLAG_HOST", "FLAG_TS",
+           "MAX_FRAME_BYTES"]
 
 MAGIC = 0xEC06
 KIND_MONITOR = 1
 KIND_CONTROL = 2
 KIND_JSON = 3
-KIND_BATCH = 4
 
 FLAG_TAG = 1
 FLAG_HOST = 2
 FLAG_TS = 4
 
 #: Upper bound on one frame; protects the decoder from a corrupt or
-#: hostile length prefix.  A ``BATCH`` super-frame is bounded like any
-#: other frame, so a batch can never smuggle more than this through.
+#: hostile length prefix.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-#: Upper bound on members per ``BATCH`` super-frame.
-MAX_BATCH_FRAMES = 4096
 
 #: The tag every KECho endpoint binds for a channel.
 _TAG_PREFIX = "kecho:"
@@ -119,8 +112,6 @@ _METRICS = {int(metric): metric for metric in MetricId}
 _TOP_ROW = struct.Struct(">Id")
 _PROC_ROW = struct.Struct(">Iddd")
 _HEAD = struct.Struct(">HBB")
-_BATCH_HEAD = struct.Struct(">HBI")
-_BATCH_SNIFF = struct.pack(">HB", MAGIC, KIND_BATCH)
 _TIMES = struct.Struct(">dd")
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
@@ -239,10 +230,6 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
         magic, kind, flags = _HEAD.unpack_from(frame)
         if magic != MAGIC:
             raise ChannelError(f"bad frame magic {magic:#x}")
-        if kind == KIND_BATCH:
-            raise ChannelError(
-                "BATCH super-frames must be unwrapped by FrameDecoder "
-                "before decode_frame")
         channel, pos = _str_at(frame, _HEAD.size)
         if flags & FLAG_TAG:
             tag, pos = _str_at(frame, pos)
@@ -300,34 +287,18 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
 
 
 def encode_batch(frames: Sequence[bytes]) -> bytes:
-    """Coalesce complete length-prefixed frames into one super-frame.
+    """One socket write of whole frames, each with its length prefix.
 
-    ``frames`` are outputs of :func:`encode_frame` (length prefix
-    included); they are embedded verbatim, so unwrapping is the same
-    splitting loop the decoder already runs on the outer stream.
+    ``frames`` are outputs of :func:`encode_frame`; their own prefixes
+    are all the receiver needs to split the run again.
     """
-    if not frames:
-        raise ChannelError("cannot encode an empty batch")
-    if len(frames) > MAX_BATCH_FRAMES:
-        raise ChannelError(
-            f"batch of {len(frames)} frames exceeds the "
-            f"{MAX_BATCH_FRAMES}-member bound")
-    body = b"".join([_BATCH_HEAD.pack(MAGIC, KIND_BATCH, len(frames)),
-                     *frames])
-    if len(body) > MAX_FRAME_BYTES:
-        raise ChannelError(
-            f"batch of {len(body)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte bound")
-    return _U32.pack(len(body)) + body
+    return b"".join(frames)
 
 
 class FrameDecoder:
     """Incremental splitter: feed stream chunks, get whole frames.
 
-    ``BATCH`` super-frames are unwrapped transparently: ``feed``
-    returns their member frame bodies in wire order, never the batch
-    itself.  Zero-length frames, oversized frames/batches and nested
-    batches are protocol errors.
+    Zero-length and oversized frames are protocol errors.
     """
 
     def __init__(self) -> None:
@@ -347,16 +318,17 @@ class FrameDecoder:
         try:
             while have - pos >= 4:
                 (length,) = _U32.unpack_from(buf, pos)
-                self._check_length(length)
+                if length == 0:
+                    raise ChannelError("zero-length frame on the wire")
+                if length > MAX_FRAME_BYTES:
+                    raise ChannelError(
+                        f"frame of {length} bytes exceeds the "
+                        f"{MAX_FRAME_BYTES}-byte bound")
                 end = pos + 4 + length
                 if end > have:
                     break
-                body = bytes(buf[pos + 4:end])
+                frames.append(bytes(buf[pos + 4:end]))
                 pos = end
-                if body.startswith(_BATCH_SNIFF):
-                    frames.extend(self._unwrap_batch(body))
-                else:
-                    frames.append(body)
         finally:
             # Consumed frames leave the buffer once per call, also on
             # the way out of a protocol error.
@@ -373,44 +345,3 @@ class FrameDecoder:
             raise ChannelError(
                 f"stream ended mid-frame ({len(self._buf)} trailing "
                 f"bytes buffered)")
-
-    @staticmethod
-    def _check_length(length: int) -> None:
-        if length == 0:
-            raise ChannelError("zero-length frame on the wire")
-        if length > MAX_FRAME_BYTES:
-            raise ChannelError(
-                f"frame of {length} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte bound")
-
-    def _unwrap_batch(self, body: bytes) -> list[bytes]:
-        """Split one BATCH super-frame body into member frame bodies."""
-        if len(body) < _BATCH_HEAD.size:
-            raise ChannelError("truncated frame")
-        # magic/kind validated by the caller
-        _, _, count = _BATCH_HEAD.unpack_from(body)
-        if count == 0:
-            raise ChannelError("empty BATCH super-frame")
-        if count > MAX_BATCH_FRAMES:
-            raise ChannelError(
-                f"BATCH of {count} members exceeds the "
-                f"{MAX_BATCH_FRAMES}-member bound")
-        members: list[bytes] = []
-        pos, have = _BATCH_HEAD.size, len(body)
-        for _ in range(count):
-            if pos + 4 > have:
-                raise ChannelError("truncated frame")
-            (length,) = _U32.unpack_from(body, pos)
-            self._check_length(length)
-            start, pos = pos + 4, pos + 4 + length
-            if pos > have:
-                raise ChannelError("truncated frame")
-            member = body[start:pos]
-            if member.startswith(_BATCH_SNIFF):
-                raise ChannelError("nested BATCH super-frame")
-            members.append(member)
-        if pos != have:
-            raise ChannelError(
-                f"BATCH has {have - pos} trailing bytes "
-                f"after {count} members")
-        return members

@@ -29,8 +29,9 @@ have not left yet, and asyncio's own flow-control callbacks drive it:
   destination host, so a 200-node cluster needs O(nodes × watchers)
   sockets instead of O(nodes × watchers × channels);
 * **frame batching** — with a :class:`BatchConfig`, queued frames
-  leave as ``BATCH`` super-frames, flushed by size watermark
-  (``max_bytes``/``max_frames``) or time watermark (``max_delay``);
+  leave as runs of whole frames, one socket write each, flushed by
+  size watermark (``max_bytes``) or time watermark (``max_delay``);
+  the receiver splits a run by the frames' own length prefixes;
 * **sender-side backpressure** — the transport's write-buffer
   watermarks (:class:`FlowConfig`) call ``pause_writing`` and
   ``resume_writing``; a frame that cannot leave yet (dial in flight,
@@ -67,8 +68,6 @@ class BatchConfig:
     max_bytes: int = 32 * 1024
     #: Flush at most this many seconds after the first queued frame.
     max_delay: float = 0.05
-    #: Flush when this many frames are queued (bounded super-frames).
-    max_frames: int = 256
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class _PeerLink(asyncio.Protocol):
         self._queued_bytes = 0
         self._dead = False
         self.paused = False
-        self.refs = 0
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._opener = asyncio.ensure_future(self._open())
 
@@ -161,8 +159,7 @@ class _PeerLink(asyncio.Protocol):
         queue.append(frame)
         self._queued_bytes += len(frame)
         batch = stack.batch_config
-        if (batch is None or self._queued_bytes >= batch.max_bytes
-                or len(queue) >= batch.max_frames):
+        if batch is None or self._queued_bytes >= batch.max_bytes:
             self.flush()
         elif self._flush_handle is None:
             self._flush_handle = asyncio.get_running_loop().call_later(
@@ -170,42 +167,29 @@ class _PeerLink(asyncio.Protocol):
         return "link down" if self._dead else None
 
     def flush(self) -> None:
-        """Write the queue until it empties or the link pauses: one
-        frame per write, or batched into super-frames up to the
-        watermarks (a lone frame goes as itself)."""
+        """Write the queue until it empties or the link pauses, one run
+        per write: one frame, or batched, whole frames until the run
+        reaches ``max_bytes``."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
         batch = self.stack.batch_config
+        limit = 0 if batch is None else batch.max_bytes
         queue = self.queue
         while queue and self.transport is not None and not self.paused:
-            if batch is None:
-                frame = queue.popleft()
-                self._queued_bytes -= len(frame)
-                self._write(frame)
-                continue
-            frames: list[bytes] = []
-            size = 0
-            while (queue and size < batch.max_bytes
-                   and len(frames) < batch.max_frames):
-                frames.append(queue.popleft())
-                size += len(frames[-1])
+            run = [queue.popleft()]
+            size = len(run[0])
+            while queue and size < limit:
+                run.append(queue.popleft())
+                size += len(run[-1])
             self._queued_bytes -= size
-            if len(frames) == 1:
-                self._write(frames[0])
-                continue
-            try:
-                data = encode_batch(frames)
-            except ChannelError:  # over-large batch: fall back frame-wise
-                for frame in frames:
-                    self._write(frame)
-                continue
-            self.stack._t_batches.inc()
-            self.stack._t_batched_frames.inc(len(frames))
-            self._write(data)
+            if len(run) > 1:
+                self.stack._t_batches.inc()
+                self.stack._t_batched_frames.inc(len(run))
+            self._write(encode_batch(run))
 
     def _write(self, data: bytes) -> None:
-        """One wire write (a frame or a super-frame)."""
+        """One wire write (a run of whole frames)."""
         transport = self.transport
         if transport is None:
             return
@@ -224,10 +208,6 @@ class _PeerLink(asyncio.Protocol):
         self.stack._t_wire_bytes.inc(len(data))
 
     # -- teardown ----------------------------------------------------------
-
-    def release(self) -> None:
-        """Drop one facade's reference (the pool owns the socket)."""
-        self.refs = max(0, self.refs - 1)
 
     def close(self) -> None:
         """Hang up.  Best effort: what is queued goes to the kernel
@@ -257,11 +237,10 @@ class LiveConnection:
         self.stack.send_many([self], payload, size, on_fail)
 
     def close(self) -> None:
-        """Release the pooled link (idempotent); the stack forgets the
-        connection."""
+        """Forget the connection (idempotent); the pooled link stays
+        the stack's."""
         if not self._closed:
             self._closed = True
-            self._link.release()
             self.stack.connections.remove(self)
 
 
@@ -388,9 +367,7 @@ class LiveStack:
     def _link_to(self, dst: str) -> _PeerLink:
         link = self._links.get(dst)
         if link is None:
-            link = _PeerLink(self, dst)
-            self._links[dst] = link
-        link.refs += 1
+            link = self._links[dst] = _PeerLink(self, dst)
         return link
 
 

@@ -17,7 +17,8 @@ from typing import Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.smartpointer.data import StreamProfile
-from repro.smartpointer.transforms import FULL_QUALITY, Transform
+from repro.smartpointer.transforms import (DROP_VELOCITIES_CONTENT,
+                                           FULL_QUALITY, Transform)
 
 __all__ = ["ClientCapabilities", "AdaptationPolicy", "NoAdaptation",
            "StaticAdaptation", "DynamicAdaptation", "Observations"]
@@ -28,7 +29,7 @@ Observations = Mapping[str, float]
 #: Search grid for the dynamic policy.
 _DOWNSAMPLE_GRID = (1.0, 0.85, 0.7, 0.55, 0.4, 0.25, 0.12)
 _PREPROCESS_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-_CONTENT_GRID = (1.0, 0.55)  # full feed vs. velocities dropped
+_CONTENT_GRID = (1.0, DROP_VELOCITIES_CONTENT)  # full feed, positions only
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ time spent queued behind earlier events.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errors import SimulationError
+from repro.sim.core import Process
 from repro.sim.node import Node
 from repro.sim.stores import Store
 from repro.runtime.series import CounterTrace, TimeSeries
@@ -29,6 +32,7 @@ class SmartPointerClient:
         self.node = node
         self.logs_to_disk = logs_to_disk
         self.running = False
+        self._loop: Optional[Process] = None
         self._queue: Store[StreamEvent] = Store(node.env)
         # statistics ----------------------------------------------------------
         self.arrivals = CounterTrace(f"{node.name}:arrivals")
@@ -40,7 +44,11 @@ class SmartPointerClient:
         if self.running:
             raise SimulationError("client already running")
         self.running = True
-        self.node.spawn(self._render_loop(), name="smartptr-client")
+        # A loop stopped while waiting for an event carries on: one
+        # loop takes each event.
+        if self._loop is None or not self._loop.is_alive:
+            self._loop = self.node.spawn(self._render_loop(),
+                                         name="smartptr-client")
         return self
 
     def stop(self) -> None:

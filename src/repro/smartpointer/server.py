@@ -18,6 +18,7 @@ from typing import Optional
 from repro.dproc.metrics import MetricId
 from repro.dproc.toolkit import Dproc
 from repro.errors import SimulationError
+from repro.sim.core import Process
 from repro.sim.node import Node
 from repro.runtime.series import CounterTrace, TimeSeries
 from repro.smartpointer.adaptation import (AdaptationPolicy,
@@ -56,6 +57,7 @@ class ServerStream:
         self.policy = policy
         self.caps = caps
         self.running = False
+        self._loop: Optional[Process] = None
         self.generator = MDFrameGenerator(
             profile, seed=int(server.node.rng.integers(2**31)))
         self._conn = server.node.stack.connect(
@@ -71,8 +73,10 @@ class ServerStream:
         if self.running:
             raise SimulationError("stream already running")
         self.running = True
-        self.server.node.spawn(self._send_loop(),
-                               name=f"stream:{self.client_name}")
+        # A loop stopped but not yet woken carries on: one loop only.
+        if self._loop is None or not self._loop.is_alive:
+            self._loop = self.server.node.spawn(
+                self._send_loop(), name=f"stream:{self.client_name}")
         return self
 
     def stop(self) -> None:

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SimulationError
-from repro.smartpointer.data import MDFrame, StreamProfile
+from repro.smartpointer.data import StreamProfile
 
 __all__ = ["Transform", "FULL_QUALITY", "INTERPOLATION_PENALTY",
            "PREPROCESS_RELIEF", "PREPROCESS_INFLATION",
@@ -96,27 +94,6 @@ class Transform:
         """
         return self.content * self.downsample \
             * (1.0 - 0.25 * self.preprocess)
-
-    # -- data path ------------------------------------------------------------
-
-    def apply(self, frame: MDFrame) -> MDFrame:
-        """Materialise the transform on a frame's sampled atoms."""
-        k = max(1, int(round(len(frame.positions) * self.downsample)))
-        positions = frame.positions[:k]
-        velocities = frame.velocities[:k]
-        if self.content <= DROP_VELOCITIES_CONTENT:
-            velocities = velocities[:0]  # velocities removed
-        if self.preprocess > 0:
-            # Pre-rendering projects positions to the view plane; the
-            # sample keeps only x/y (z flattened toward the camera).
-            positions = positions.copy()
-            positions[:, 2] *= (1.0 - self.preprocess)
-        return MDFrame(seq=frame.seq,
-                       n_atoms=max(1, int(round(
-                           frame.n_atoms * self.downsample))),
-                       positions=positions,
-                       velocities=np.asarray(velocities),
-                       time=frame.time)
 
 
 #: The identity transform: the original, uncustomised stream.

@@ -22,11 +22,9 @@ from repro.telemetry.instruments import (Counter, Gauge, Histogram,
                                          DEFAULT_LATENCY_BOUNDS)
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.report import (MONITOR_CPU_COUNTERS,
-                                    overhead_summary, render_json,
-                                    render_text)
+                                    overhead_summary, render_text)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "DEFAULT_LATENCY_BOUNDS", "TelemetryRegistry",
-    "MONITOR_CPU_COUNTERS", "overhead_summary", "render_json",
-    "render_text",
+    "MONITOR_CPU_COUNTERS", "overhead_summary", "render_text",
 ]

@@ -21,8 +21,7 @@ from typing import Mapping
 from repro.telemetry.instruments import Counter, Gauge, Histogram
 from repro.telemetry.registry import TelemetryRegistry
 
-__all__ = ["render_text", "render_json", "overhead_summary",
-           "MONITOR_CPU_COUNTERS"]
+__all__ = ["render_text", "overhead_summary", "MONITOR_CPU_COUNTERS"]
 
 #: Registry counters (seconds) that together make up a node's
 #: monitoring CPU overhead — the quantity the paper's Figures 4-8
@@ -68,12 +67,6 @@ def render_text(registry: TelemetryRegistry, prefix: str = "") -> str:
                 f"p99={_fmt(instrument.quantile(0.99))} "
                 f"max={_fmt(instrument.max if instrument.count else math.nan)}")
     return "".join(f"{line}\n" for line in lines)
-
-
-def render_json(registry: TelemetryRegistry,
-                prefix: str = "") -> dict[str, dict]:
-    """JSON-serialisable snapshot of a registry slice."""
-    return registry.snapshot(prefix)
 
 
 def _total(registries: Mapping[str, TelemetryRegistry],

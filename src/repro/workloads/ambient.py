@@ -9,6 +9,7 @@ randomness; intensity 0 disables it.
 from __future__ import annotations
 
 from repro.errors import SimulationError
+from repro.sim.core import Process
 from repro.sim.node import Node
 from repro.units import KB, MB
 
@@ -27,6 +28,7 @@ class AmbientActivity:
         self.intensity = float(intensity)
         self.running = False
         self._rng = node.rng
+        self._loops: dict[str, Process] = {}
 
     def start(self) -> "AmbientActivity":
         if self.running:
@@ -34,9 +36,13 @@ class AmbientActivity:
         if self.intensity == 0:
             return self
         self.running = True
-        self.node.spawn(self._cpu_loop(), name="ambient-cpu")
-        self.node.spawn(self._disk_loop(), name="ambient-disk")
-        self.node.spawn(self._memory_loop(), name="ambient-mem")
+        # A loop stopped but not yet woken carries on: one of each.
+        for name, loop in (("ambient-cpu", self._cpu_loop),
+                           ("ambient-disk", self._disk_loop),
+                           ("ambient-mem", self._memory_loop)):
+            proc = self._loops.get(name)
+            if proc is None or not proc.is_alive:
+                self._loops[name] = self.node.spawn(loop(), name=name)
         return self
 
     def stop(self) -> None:

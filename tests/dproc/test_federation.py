@@ -115,6 +115,25 @@ class TestFederation:
         load = float(gw.read("/proc/grid/west/mean_loadavg"))
         assert not math.isnan(load)
 
+    def test_restart_mounts_once_and_runs_one_loop_per_gateway(self):
+        def run_once(restart):
+            env = Environment()
+            federation = GridFederation(env, summary_period=2.0)
+            east = make_site(env, federation, "east", "e")
+            make_site(env, federation, "west", "w")
+            link = federation.connect("east", "west")
+            federation.start()
+            env.run(until=5.0)
+            if restart:
+                federation.stop()
+                federation.start()
+            env.run(until=30.0)
+            return (link.bytes_carried.total,
+                    east.gateway_dproc.read(
+                        "/proc/grid/west/total_free_bytes"))
+
+        assert run_once(restart=True) == run_once(restart=False)
+
     def test_unknown_site_reads_nan_before_data(self, env):
         federation = GridFederation(env, summary_period=2.0)
         east = make_site(env, federation, "east", "e")

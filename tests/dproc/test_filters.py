@@ -75,12 +75,6 @@ class TestDeployment:
         with pytest.raises(FilterDeploymentError):
             manager.remove("ghost")
 
-    def test_clear(self, manager):
-        manager.deploy(PASS_LOADAVG, scope="*")
-        manager.deploy(PASS_LOADAVG, scope="cpu")
-        manager.clear()
-        assert len(manager) == 0
-
 
 class TestExecution:
     def test_run_filters_records(self, env, manager):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dproc import (METRIC_CONSTANTS, METRIC_FILES, MODULE_METRICS,
-                         MetricId, metric_by_name, module_of)
+                         MetricId, metric_by_name)
 from repro.errors import UnknownMetricError
 
 
@@ -54,8 +54,3 @@ class TestLookup:
     def test_unknown_rejected(self):
         with pytest.raises(UnknownMetricError):
             metric_by_name("bogus")
-
-    def test_module_of(self):
-        assert module_of(MetricId.LOADAVG) == "cpu"
-        assert module_of(MetricId.CACHE_MISS) == "pmc"
-        assert module_of(MetricId.NET_RTT) == "net"

@@ -59,3 +59,17 @@ def test_stream_takes_no_workers_flag(capsys):
         main(["stream", "stats", "--workers", "2"])
     assert done.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_live_json_prints_one_json_document(capsys):
+    """``live --json`` prints the report and nothing else on stdout:
+    the exit code and stderr carry the verdict."""
+    import json
+    from repro.harness import livecli
+    status = livecli.main(["--nodes", "2", "--duration", "2",
+                           "--poll", "0.5", "--json"])
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert status == 0, out.err
+    assert doc["missing"] == []
+    assert doc["wire"]["net.tx_frames"] > 0

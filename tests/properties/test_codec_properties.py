@@ -1,7 +1,7 @@
 """Property-based tests for the live wire codec's framing layer.
 
 The invariant under test is the transport's whole correctness story:
-any sequence of events, grouped into BATCH super-frames any way the
+any sequence of events, written back to back in runs any way the
 sender likes and delivered in any chunking the kernel likes, decodes
 to exactly the original events in order.  (The batching/backpressure
 machinery only ever changes *grouping* and *chunking* — never
@@ -145,24 +145,17 @@ def control_events(draw):
 
 @st.composite
 def coalesced_streams(draw):
-    """Events, a random grouping into batches, a random chunking."""
+    """Events written as one run, in a random chunking (a run is the
+    frames back to back, so every grouping writes these bytes)."""
     evs = draw(st.lists(events(), min_size=1, max_size=12))
-    frames = [encode_frame(f"t{i}", ev) for i, ev in enumerate(evs)]
-    wire = bytearray()
-    i = 0
-    while i < len(frames):
-        group = draw(st.integers(1, len(frames) - i))
-        if group == 1 and draw(st.booleans()):
-            wire.extend(frames[i])            # sent as itself
-        else:
-            wire.extend(encode_batch(frames[i:i + group]))
-        i += group
+    wire = encode_batch([encode_frame(f"t{i}", ev)
+                         for i, ev in enumerate(evs)])
     cuts = sorted(draw(st.lists(
         st.integers(1, max(1, len(wire) - 1)), max_size=8)))
     chunks, prev = [], 0
     for cut in cuts + [len(wire)]:
         if cut > prev:
-            chunks.append(bytes(wire[prev:cut]))
+            chunks.append(wire[prev:cut])
             prev = cut
     return evs, chunks
 

@@ -406,33 +406,13 @@ class TestBatch:
         assert len(bodies) == 3
         decoder.finish()
 
-    def test_decode_frame_refuses_batch_body(self):
-        batch = encode_batch(self._frames(2))
-        with pytest.raises(ChannelError, match="unwrapped"):
-            decode_frame(batch[4:])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ChannelError):
-            encode_batch([])
-
-    def test_member_bound_enforced(self):
-        from repro.live.codec import MAX_BATCH_FRAMES
-        frame = self._frames(1)[0]
-        with pytest.raises(ChannelError, match="bound"):
-            encode_batch([frame] * (MAX_BATCH_FRAMES + 1))
-
-    def test_nested_batch_rejected(self):
-        inner = encode_batch(self._frames(2))
-        outer = encode_batch([inner, self._frames(1)[0]])
-        with pytest.raises(ChannelError, match="nested"):
-            FrameDecoder().feed(outer)
-
-    def test_trailing_bytes_rejected(self):
-        batch = bytearray(encode_batch(self._frames(2)))
-        # Claim one member but carry two: trailing bytes after count.
-        struct.pack_into(">I", batch, 4 + 3, 1)
-        with pytest.raises(ChannelError, match="trailing"):
-            FrameDecoder().feed(bytes(batch))
+    def test_kind_4_is_an_unknown_kind(self):
+        """The kind the old BATCH super-frame used is no kind at all:
+        a frame that claims it is refused like any unknown kind."""
+        body = self._frames(1)[0][4:]
+        assert body[2] == 3  # JSON
+        with pytest.raises(ChannelError, match="unknown frame kind 4"):
+            decode_frame(body[:2] + bytes([4]) + body[3:])
 
 
 class TestDecoderHardening:

@@ -41,6 +41,13 @@ def _over_large() -> bytes:
     return struct.pack(">I", MAX_FRAME_BYTES + 1) + b"\x00" * 16
 
 
+def _old_batch() -> bytes:
+    """What a batched link used to write: a kind-4 super-frame (magic,
+    kind, u32 member count) around one good frame."""
+    body = struct.pack(">HBI", MAGIC, 4, 1) + _frame(1)
+    return struct.pack(">I", len(body)) + body
+
+
 def _cut_short() -> bytes:
     frame = _frame(1)
     return frame[:len(frame) // 2]
@@ -52,6 +59,7 @@ CASES = {
     "garbage": (_garbage, "net.rx_decode_errors", True),
     "old_magic": (_old_magic, "net.rx_decode_errors", True),
     "over_large": (_over_large, "net.rx_decode_errors", True),
+    "kind_4": (_old_batch, "net.rx_decode_errors", True),
     "cut_by_eof": (_cut_short, "net.rx_truncated", False),
     "unknown_tag": (lambda: _frame(1, tag="kecho:nobody"),
                     "net.undeliverable", False),

@@ -103,30 +103,29 @@ async def _conn(stack: LiveStack, transport, dst: str = "maui"):
 
 
 class TestPeerLinkBatching:
-    def test_flush_on_frame_watermark(self):
+    def test_a_run_is_its_frames_concatenated(self):
+        """A batched link writes a run as the frames themselves, back
+        to back: no header around them, byte for byte."""
         async def run():
             stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
-                                             max_delay=60.0,
-                                             max_frames=3))
+                                             max_delay=0.01))
             transport = _FakeTransport()
             link = await _link(stack, transport)
             for i in range(3):
                 assert link.send(_frame(i)) is None
+            await asyncio.sleep(0.05)
             return stack, transport
         stack, transport = asyncio.run(run())
-        assert len(transport.writes) == 1
-        bodies = FrameDecoder().feed(transport.writes[0])
-        assert [decode_frame(b)[1].payload["i"]
-                for b in bodies] == [0, 1, 2]
+        assert transport.writes == [b"".join(_frame(i) for i in range(3))]
         assert stack._t_batches.value == 1
+        assert stack._t_batched_frames.value == 3
         assert stack._t_wire_frames.value == 1
         assert stack._t_frames.value == 0  # counted by LiveConnection
 
     def test_flush_on_byte_watermark(self):
         async def run():
             stack = _stack(batch=BatchConfig(
-                max_bytes=len(_frame(0)) + 1, max_delay=60.0,
-                max_frames=1000))
+                max_bytes=len(_frame(0)) + 1, max_delay=60.0))
             transport = _FakeTransport()
             link = await _link(stack, transport)
             link.send(_frame(0))
@@ -140,8 +139,7 @@ class TestPeerLinkBatching:
     def test_flush_on_time_watermark(self):
         async def run():
             stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
-                                             max_delay=0.01,
-                                             max_frames=1000))
+                                             max_delay=0.01))
             transport = _FakeTransport()
             link = await _link(stack, transport)
             link.send(_frame(0))
@@ -163,7 +161,7 @@ class TestPeerLinkBatching:
             return stack, transport
         stack, transport = asyncio.run(run())
         assert len(transport.writes) == 1
-        # No BATCH wrapper for a lone frame: bytes are the frame.
+        # A run of one frame is that frame.
         assert transport.writes[0] == _frame(7)
         assert stack._t_batches.value == 0
 
@@ -182,11 +180,10 @@ class TestPeerLinkBatching:
 
     def test_batched_preconnect_frames_leave_on_connect(self):
         """Frames that waited for the dial do not wait for the batch
-        timer as well: the connect flushes them as one super-frame."""
+        timer as well: the connect flushes them in one write."""
         async def run():
             stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
-                                             max_delay=60.0,
-                                             max_frames=1000))
+                                             max_delay=60.0))
             link = await _link(stack)
             link.send(_frame(0))
             link.send(_frame(1))
@@ -198,11 +195,11 @@ class TestPeerLinkBatching:
 
     def test_queued_frames_leave_in_super_frames_of_the_watermark(self):
         """A long queue (here: one that waited for the dial) flushes
-        in super-frames of at most ``max_frames`` each, in order."""
+        in runs of whole frames that stop once they reach
+        ``max_bytes``, in order."""
         async def run():
-            stack = _stack(batch=BatchConfig(max_bytes=1 << 30,
-                                             max_delay=60.0,
-                                             max_frames=3))
+            stack = _stack(batch=BatchConfig(
+                max_bytes=3 * len(_frame(0)), max_delay=60.0))
             link = await _link(stack)
             for i in range(7):
                 link.send(_frame(i))

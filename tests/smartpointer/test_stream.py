@@ -91,6 +91,45 @@ class TestPipeline:
         assert stream.quality.last() == pytest.approx(0.5)
 
 
+class TestRestart:
+    """``stop()`` then ``start()`` leaves exactly one loop running."""
+
+    @staticmethod
+    def run(profile, restart_stream=False, restart_client=False,
+            pause=0.0):
+        from repro.sim import Environment
+        env = Environment()
+        _, server_node, client_node = make_pair(env)
+        client = SmartPointerClient(client_node).start()
+        # 0.33 s of rendering per event at 5 events/s: the client
+        # queue is never empty, so a second render loop would share
+        # the CPU and change every latency.
+        heavy = StreamProfile(base_size=KB(100), base_client_cost=5.8)
+        stream = SmartPointerServer(server_node).add_client(
+            "maui", heavy, rate=5.0, policy=NoAdaptation())
+        env.run(until=10.0)
+        for part, restart in ((stream, restart_stream),
+                              (client, restart_client)):
+            if restart:
+                part.stop()
+                env.run(until=10.0 + pause)
+                part.start()
+        env.run(until=20.0)
+        return (client.arrivals.total, client.processed.total,
+                list(client.latencies.values))
+
+    def test_restarted_stream_and_client_run_one_loop_each(self,
+                                                           profile):
+        plain = self.run(profile)
+        assert self.run(profile, restart_stream=True) == plain
+        assert self.run(profile, restart_client=True) == plain
+        # A stream whose loop ended while stopped starts a new one,
+        # and misses only the 1 s pause: 5 events.
+        arrivals, _, _ = self.run(profile, restart_stream=True,
+                                  pause=1.0)
+        assert arrivals == pytest.approx(plain[0] - 5, abs=1)
+
+
 class TestDynamicAdaptationEndToEnd:
     def make_system(self, env, policy, profile):
         cluster, server_node, client_node = make_pair(env)

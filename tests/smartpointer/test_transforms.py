@@ -95,16 +95,3 @@ class TestTransformModel:
             Transform(downsample=1.5)
         with pytest.raises(SimulationError):
             Transform(preprocess=-0.1)
-
-    def test_apply_downsample_drops_atoms(self, profile):
-        frame = MDFrameGenerator(profile, seed=1).next_frame(0.0)
-        out = Transform(downsample=0.5).apply(frame)
-        assert out.n_atoms == pytest.approx(frame.n_atoms / 2, abs=1)
-        assert len(out.positions) == pytest.approx(
-            len(frame.positions) / 2, abs=1)
-
-    def test_apply_preprocess_flattens_depth(self, profile):
-        frame = MDFrameGenerator(profile, seed=1).next_frame(0.0)
-        out = Transform(preprocess=1.0).apply(frame)
-        assert (out.positions[:, 2] == 0).all()
-        assert (frame.positions[:, 2] != 0).any()

@@ -148,6 +148,23 @@ class TestAmbient:
 
         assert run_once() == run_once()
 
+    def test_restart_runs_one_loop_of_each_kind(self):
+        def run_once(restart):
+            from repro.sim import Environment
+            env = Environment()
+            node = build_cluster(env, 1, seed=9)["alan"]
+            ambient = AmbientActivity(node, intensity=1.0).start()
+            env.run(until=10.0)
+            if restart:
+                ambient.stop()
+                ambient.start()
+            env.run(until=100.0)
+            node.cpu.settle()
+            return (node.cpu.busy_cpu_seconds, node.disk.writes.total,
+                    node.memory.free_bytes)
+
+        assert run_once(restart=True) == run_once(restart=False)
+
     def test_negative_intensity_rejected(self, cluster3):
         with pytest.raises(SimulationError):
             AmbientActivity(cluster3["alan"], intensity=-1)
