@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.dproc.batch import RecordBatch
-from repro.dproc.filters import FilterManager
+from repro.dproc.filters import FilterManager, InputRecords
 from repro.dproc.metrics import (MODULE_METRICS, MetricId, metric_by_name)
 from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.dproc.params import MetricPolicy, parse_threshold_spec
@@ -477,7 +477,7 @@ class DMon:
 
         policies = self.policies
         last_sent, last_sent_at = self._last_sent, self._last_sent_at
-        filter_input: Optional[list] = None
+        filter_input: Optional[InputRecords] = None
         for module, span in self._spans:
             rows = keyed.get(module.name)
             scoped = self.filters.filter_for(module.name)

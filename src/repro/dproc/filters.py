@@ -18,6 +18,7 @@ which metrics it is responsible for publishing.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +28,7 @@ from repro.ecode import (CompiledFilter, FilterResult, KeyedSample,
 from repro.errors import EcodeError, FilterDeploymentError
 from repro.runtime.protocol import RuntimeNode
 
-__all__ = ["DeployedFilter", "FilterManager"]
+__all__ = ["DeployedFilter", "FilterManager", "InputRecords"]
 
 _filter_seq = itertools.count(1)
 
@@ -152,16 +153,47 @@ class FilterManager:
         deployed.total_emitted += len(result.emitted)
         return result
 
-    def input_array(self, samples: dict[MetricId, float],
-                    last_sent: dict[MetricId, float],
-                    now: float) -> list[MetricRecord]:
-        """Build the dense ``input[]`` record array for filters.
+    def input_array(self, samples: Mapping[MetricId, float],
+                    last_sent: Mapping[MetricId, float],
+                    now: float) -> Sequence[MetricRecord]:
+        """The dense ``input[]`` record array for filters.
 
         Metrics not collected this round appear as zero-valued records
         so that fixed metric indices always resolve.
         """
-        return [MetricRecord(
-                    name=name, value=float(samples.get(metric, 0.0)),
-                    last_value_sent=float(last_sent.get(metric, 0.0)),
-                    timestamp=now)
-                for metric, name in _INPUT_SLOTS]
+        return InputRecords(samples, last_sent, now)
+
+
+class InputRecords(Sequence[MetricRecord]):
+    """One poll's dense, read-only ``input[]`` array.
+
+    A slot's record is built on its first read and kept: a filter
+    reads a few of the slots, and filters never write ``input[]``
+    (the analyzer rejects it), so the filters of one poll share the
+    records.  The array reads ``samples`` and ``last_sent`` when a slot
+    is first built, so it is valid for the poll that made it.
+    """
+
+    __slots__ = ("_samples", "_last_sent", "_now", "_built")
+
+    def __init__(self, samples: Mapping[MetricId, float],
+                 last_sent: Mapping[MetricId, float], now: float) -> None:
+        self._samples = samples
+        self._last_sent = last_sent
+        self._now = now
+        self._built: list[Optional[MetricRecord]] = [None] * len(
+            _INPUT_SLOTS)
+
+    def __len__(self) -> int:
+        return len(_INPUT_SLOTS)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        record = self._built[index]
+        if record is None:
+            metric, name = _INPUT_SLOTS[index]
+            record = self._built[index] = MetricRecord(
+                name, float(self._samples.get(metric, 0.0)),
+                float(self._last_sent.get(metric, 0.0)), self._now)
+        return record

@@ -9,7 +9,7 @@ environment (guarded arithmetic, step limits, builtins).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.ecode.sketches import (SKETCH_BUILTINS, SketchSpace)  # noqa: F401
@@ -68,14 +68,15 @@ class MetricRecord:
     timestamp: float = 0.0
 
     def copy(self) -> "MetricRecord":
-        return replace(self)
+        return MetricRecord(self.name, self.value, self.last_value_sent,
+                            self.timestamp)
 
 
 class InputView:
-    """Read-only indexed view of the input records."""
+    """Read-only indexed view of the input records (not copied)."""
 
     def __init__(self, records: Sequence[MetricRecord]) -> None:
-        self._records = list(records)
+        self._records = records
 
     def __len__(self) -> int:
         return len(self._records)

@@ -29,6 +29,7 @@ HALVING_FILTER = """{
 #: The end-to-end delivery check of the acceptance criteria.
 DELIVERED_METRICS = (("cpu", MetricId.LOADAVG),
                      ("mem", MetricId.FREEMEM),
+                     ("disk", MetricId.DISKUSAGE),
                      ("net", MetricId.NET_USED))
 
 
@@ -199,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{health['scrape_hits']})")
     status = _verdict(delivered, missing)
     if status == 0:
-        print("\nOK: CPU/MEM/NET events delivered end-to-end "
+        print("\nOK: CPU/MEM/DISK/NET events delivered end-to-end "
               "(cpu stream filtered by E-code)")
     return status
 

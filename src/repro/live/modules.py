@@ -4,15 +4,28 @@ Each module has the *same* name and produces the *same*
 :class:`~repro.dproc.metrics.MetricId` set as its simulator
 counterpart (``MODULE_METRICS`` is the shared contract, asserted by
 the cross-backend conformance suite), but samples the real host
-instead of simulated devices: CPU and memory through the node's
-``cpu``/``memory`` host views, the rest from ``/proc`` directly.
-Values that the host cannot provide without privileged counters
-(hardware PMCs, per-connection RTT) are reported as 0.0 — present in
-the schema, honest about the source.
+instead of simulated devices.  Each poll reads only the counters it
+reports, from the cheapest source that gives the same number:
 
-All ``/proc`` reads are guarded: on a platform without them the
-modules report zeros rather than fail, so the live smoke test runs
-anywhere asyncio does.
+* ``cpu``: ``os.getloadavg()`` (through the node's ``cpu`` view);
+* ``mem``: ``sysinfo(2)`` via ``sysconf``'s ``SC_AVPHYS_PAGES``
+  (through the node's ``memory`` view) — ``/proc/meminfo``'s
+  ``MemFree``;
+* ``disk``: ``/sys/block/<dev>/stat`` of each hardware-backed whole
+  device — the counters of its ``/proc/diskstats`` row;
+* ``net``: ``/proc/net/dev`` (transmitted bytes) and
+  ``/proc/net/snmp`` (TCP ``RetransSegs``).
+
+``sysinfo`` and ``/sys/block`` are not what LXCFS virtualises: in a
+container whose ``/proc`` is so virtualised, ``mem`` and ``disk``
+report the host's counters, not the container's.  Values that the
+host cannot provide without privileged counters (hardware PMCs,
+per-connection RTT) are reported as 0.0 — present in the schema,
+honest about the source.
+
+All host reads are guarded: on a platform without them the modules
+report zeros rather than fail, so the live smoke test runs anywhere
+asyncio does.
 """
 
 from __future__ import annotations
@@ -46,40 +59,17 @@ def _read_once(path: str) -> str:
         return ""
 
 
-def _whole_devices() -> Optional[frozenset[str]]:
+def _whole_devices() -> frozenset[str]:
     """Names of the hardware-backed block devices: the ``/sys/block``
     entries with a ``device`` link (``sda``, ``nvme0n1``, ``mmcblk0``,
     ``vda``; not ``loop0``, ``dm-0``, ``zram0``, and never a
-    partition).  None when ``/sys/block`` is unreadable."""
+    partition).  Empty when ``/sys/block`` cannot be listed."""
     try:
         return frozenset(
             name for name in os.listdir("/sys/block")
             if os.path.exists(f"/sys/block/{name}/device"))
     except OSError:
-        return None
-
-
-def _disk_totals(text: str, whole_devices: Optional[frozenset[str]]
-                 ) -> tuple[float, float, float]:
-    """``(sectors, reads, writes)`` summed over the whole-device rows
-    of ``/proc/diskstats`` text; partitions and stacked devices would
-    double-count.  Without a device set, a whole device is a name
-    with no digit in it."""
-    is_whole = (str.isalpha if whole_devices is None
-                else whole_devices.__contains__)
-    reads = writes = sectors = 0.0
-    for line in text.splitlines():
-        fields = line.split()
-        # Field 3 is the device name.
-        if len(fields) < 14 or not is_whole(fields[2]):
-            continue
-        try:
-            reads += float(fields[3])
-            sectors += float(fields[5]) + float(fields[9])
-            writes += float(fields[7])
-        except ValueError:  # pragma: no cover - malformed procfs
-            continue
-    return sectors, reads, writes
+        return frozenset()
 
 
 class _RateTracker:
@@ -125,7 +115,7 @@ class HostCpuMon(MonitoringModule):
 
 
 class HostMemMon(MonitoringModule):
-    """FREEMEM from ``/proc/meminfo``."""
+    """FREEMEM from ``sysinfo(2)``, through the node's memory view."""
 
     name = "mem"
 
@@ -137,7 +127,9 @@ class HostMemMon(MonitoringModule):
 
 
 class HostDiskMon(MonitoringModule):
-    """Sector and op rates from ``/proc/diskstats``."""
+    """Sector and op rates summed over the whole hardware devices'
+    ``/sys/block/<dev>/stat``: partitions and stacked devices would
+    double-count."""
 
     name = "disk"
 
@@ -146,14 +138,37 @@ class HostDiskMon(MonitoringModule):
         self._sectors = _RateTracker()
         self._reads = _RateTracker()
         self._writes = _RateTracker()
-        self._whole_devices = _whole_devices()
+        self._stat_paths = tuple(f"/sys/block/{name}/stat"
+                                 for name in sorted(_whole_devices()))
 
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["disk"]
 
+    def _totals(self) -> tuple[float, float, float]:
+        """``(sectors, reads, writes)`` since boot over the device set.
+
+        Fields 0, 2, 4 and 6 of a stat file are read I/Os, read
+        sectors, write I/Os and written sectors: ``/proc/diskstats``
+        columns 4, 6, 8 and 10 of the same device.  A short or
+        unreadable file counts nothing.
+        """
+        reads = writes = sectors = 0.0
+        for path in self._stat_paths:
+            fields = _read_proc(path).split(None, 7)
+            if len(fields) < 7:
+                continue
+            try:
+                r, r_sect, w, w_sect = (float(fields[0]), float(fields[2]),
+                                        float(fields[4]), float(fields[6]))
+            except ValueError:  # pragma: no cover - malformed sysfs
+                continue
+            reads += r
+            writes += w
+            sectors += r_sect + w_sect
+        return sectors, reads, writes
+
     def collect(self, now: float) -> list[float]:
-        sectors, reads, writes = _disk_totals(
-            _read_proc("/proc/diskstats"), self._whole_devices)
+        sectors, reads, writes = self._totals()
         return [self._sectors.rate(now, sectors),
                 self._reads.rate(now, reads),
                 self._writes.rate(now, writes)]
@@ -174,14 +189,14 @@ class HostNetMon(MonitoringModule):
 
     @staticmethod
     def _tx_bytes() -> float:
+        """Transmitted bytes over every interface but ``lo``: field 8
+        of each ``/proc/net/dev`` row after the two header lines."""
         total = 0.0
-        for line in _read_proc("/proc/net/dev").splitlines():
-            if ":" not in line:
+        for line in _read_proc("/proc/net/dev").splitlines()[2:]:
+            name, colon, rest = line.partition(":")
+            if not colon or name.strip() == "lo":
                 continue
-            name, _, rest = line.partition(":")
-            if name.strip() == "lo":
-                continue
-            fields = rest.split()
+            fields = rest.split(None, 9)
             if len(fields) >= 9:
                 try:
                     total += float(fields[8])
@@ -191,17 +206,22 @@ class HostNetMon(MonitoringModule):
 
     @staticmethod
     def _retransmissions() -> float:
-        lines = _read_proc("/proc/net/snmp").splitlines()
-        for header, values in zip(lines, lines[1:]):
-            if header.startswith("Tcp:") and values.startswith("Tcp:"):
-                keys = header.split()[1:]
-                vals = values.split()[1:]
-                if "RetransSegs" in keys:
-                    try:
-                        return float(vals[keys.index("RetransSegs")])
-                    except (IndexError, ValueError):  # pragma: no cover
-                        return 0.0
-        return 0.0
+        """``RetransSegs`` from the ``Tcp:`` header/value line pair of
+        ``/proc/net/snmp``."""
+        text = _read_proc("/proc/net/snmp")
+        head = text.find("Tcp:")
+        if head < 0:
+            return 0.0
+        body = text.find("\nTcp:", head) + 1
+        if body <= 0:
+            return 0.0
+        end = text.find("\n", body)
+        keys = text[head:body].split()
+        values = text[body:end if end >= 0 else len(text)].split()
+        try:
+            return float(values[keys.index("RetransSegs")])
+        except (IndexError, ValueError):
+            return 0.0
 
     def collect(self, now: float) -> list[float]:
         used = self._tx.rate(now, self._tx_bytes())

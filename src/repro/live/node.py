@@ -9,9 +9,10 @@ not simulated, so the telemetry/overhead reports stay comparable),
 
 ``cpu`` and ``memory`` expose just enough of the simulated devices'
 shape for the toolkit's standard ``/proc/loadavg`` and
-``/proc/meminfo`` mounts, backed by the real host's ``/proc``; the
-host modules read them the way the sim modules read sim devices.  All
-fixed ``/proc`` paths are read through one held descriptor each
+``/proc/meminfo`` mounts, backed by the real host's kernel counters
+(``getloadavg`` and ``sysinfo``, through ``sysconf``); the host modules
+read them the way the sim modules read sim devices.  Every fixed
+``/proc`` or ``/sys`` path is read through one held descriptor
 (:func:`_read_proc`).
 """
 
@@ -32,16 +33,17 @@ from repro.units import PAGE_SIZE
 __all__ = ["LiveNode", "HostCpu", "HostMemory"]
 
 
-#: Descriptors held open on the fixed ``/proc`` paths the host views
-#: and modules poll, by path.  A ``/proc`` file regenerates its text on
-#: each read from offset 0 and ``pread`` carries no file position, so
-#: one descriptor serves every poll in the process — and in the forked
-#: pool workers that inherit it.
+#: Descriptors held open on the fixed ``/proc`` and ``/sys`` paths the
+#: host views and modules poll, by path.  Such a file regenerates its
+#: text on each read from offset 0 and ``pread`` carries no file
+#: position, so one descriptor serves every poll in the process — and
+#: in the forked pool workers that inherit it.
 _held: dict[str, int] = {}
 
 
 def _read_proc(path: str) -> str:
-    """Text of a fixed ``/proc`` path, through a held descriptor.
+    """Text of a fixed ``/proc`` or ``/sys`` path, through a held
+    descriptor.
 
     Any ``OSError`` reads as ``""``; the descriptor is then closed and
     forgotten, so the next poll opens the path again.
@@ -89,26 +91,30 @@ class HostCpu:
         return 0.0
 
 
-class HostMemory:
-    """Real-host memory view (shape of ``repro.sim.memory.Memory``)."""
-
-    @staticmethod
-    def _meminfo(key: str) -> float:
-        for line in _read_proc("/proc/meminfo").splitlines():
-            if line.startswith(key + ":"):
-                try:
-                    return float(line.split()[1]) * 1024.0
-                except (IndexError, ValueError):  # pragma: no cover
-                    return 0.0
+def _sysconf_bytes(pages: str) -> float:
+    """``sysconf(pages)`` in bytes, or 0.0 where the platform has no
+    such name (macOS has no ``SC_AVPHYS_PAGES``)."""
+    try:
+        return float(os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE"))
+    except (ValueError, OSError):
         return 0.0
+
+
+class HostMemory:
+    """Real-host memory view (shape of ``repro.sim.memory.Memory``).
+
+    glibc and musl answer ``SC_PHYS_PAGES``/``SC_AVPHYS_PAGES`` from
+    ``sysinfo(2)``: the kernel counters ``/proc/meminfo`` prints as
+    ``MemTotal`` and ``MemFree``, without formatting the whole file.
+    """
 
     @property
     def capacity_bytes(self) -> float:
-        return self._meminfo("MemTotal")
+        return _sysconf_bytes("SC_PHYS_PAGES")
 
     @property
     def free_bytes(self) -> float:
-        return self._meminfo("MemFree")
+        return _sysconf_bytes("SC_AVPHYS_PAGES")
 
     def nr_free_pages(self) -> float:
         return self.free_bytes / PAGE_SIZE

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import MetricId
+from repro.dproc import MetricId, filters
 from repro.dproc.filters import FilterManager
+from repro.ecode import MetricRecord
 from repro.errors import FilterDeploymentError
+from repro.harness.livecli import HALVING_FILTER
 
 
 PASS_LOADAVG = """
@@ -133,3 +135,42 @@ class TestExecution:
         dropped = manager.input_array({MetricId.FREEMEM: 80.0},
                                       {MetricId.FREEMEM: 100.0}, env.now)
         assert len(manager.run(deployed, dropped).outputs) == 1
+
+    def test_a_filter_builds_only_the_records_it_reads(self, env, manager,
+                                                       monkeypatch):
+        built = []
+
+        class Counted(MetricRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.name)
+
+        monkeypatch.setattr(filters, "MetricRecord", Counted)
+        deployed = manager.deploy(HALVING_FILTER, scope="cpu")
+        records = manager.input_array({MetricId.LOADAVG: 3.0}, {},
+                                      env.now)
+        [out] = manager.run(deployed, records).outputs
+        assert (out.name, out.value) == ("loadavg", 1.5)
+        assert built == ["loadavg"]
+        # A second filter of the same poll reads the same record.
+        manager.run(deployed, records)
+        assert built == ["loadavg"]
+
+    def test_every_slot_is_the_eagerly_built_record(self, env, manager):
+        samples = {MetricId.LOADAVG: 2.5, MetricId.FREEMEM: 7e8,
+                   MetricId.NET_USED: 12.0}
+        last_sent = {MetricId.FREEMEM: 6e8, MetricId.DISKUSAGE: 3.0}
+        eager = [MetricRecord(name=m.name.lower(),
+                              value=float(samples.get(m, 0.0)),
+                              last_value_sent=float(last_sent.get(m, 0.0)),
+                              timestamp=env.now)
+                 for m in map(MetricId, range(max(MetricId) + 1))]
+        records = manager.input_array(samples, last_sent, env.now)
+        assert len(records) == len(eager)
+        assert [records[i] for i in range(len(eager))] == eager
+        assert list(records) == eager
+        assert records[-1] == eager[-1] and records[2:5] == eager[2:5]
+        with pytest.raises(IndexError):
+            records[len(eager)]
+        with pytest.raises(TypeError):
+            records[0] = eager[0]
