@@ -13,8 +13,8 @@ Subpackages
     The E-code dynamic filter language: lexer, parser, type checker and
     code generator (compile-at-the-executing-host).
 ``repro.kecho``
-    KECho kernel-level publish/subscribe event channels with a
-    user-level channel registry.
+    KECho kernel-level publish/subscribe event channels; the bus is
+    the channel directory.
 ``repro.dproc``
     The paper's contribution: the d-mon coordinator, monitoring modules
     (CPU/MEM/DISK/NET/PMC), parameters, dynamic filters, and the

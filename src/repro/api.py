@@ -28,9 +28,10 @@ run + teardown in one call.  Hooks added with :meth:`with_setup` run
 at build time on both backends, which is the portable place for
 control-file writes, workload starts, and observers.
 
-Fault injection and causal tracing are simulator-only instruments
-(they hook the virtual transport); requesting them on the live backend
-raises immediately rather than silently measuring nothing.
+Fault injection is a simulator-only instrument (it hooks the virtual
+transport); requesting it on the live backend raises immediately
+rather than silently measuring nothing.  Causal tracing works on both
+backends: the collector hangs on the run's bus.
 """
 
 from __future__ import annotations
@@ -147,17 +148,16 @@ class Scenario:
         return self
 
     def with_tracing(self, collector=None, **kwargs) -> "Scenario":
-        """Attach a causal-trace collector (sim only).
+        """Attach a causal-trace collector to the run's bus.
 
         With no ``collector`` a fresh
         :class:`repro.tracing.TraceCollector` is created; ``kwargs``
-        (e.g. ``sample_rate``) pass through to its constructor.
+        (e.g. ``sample_rate``) pass through to its constructor.  On the
+        live backend no trace context crosses a socket, so a trace
+        ends at the publisher's own delivery; with a node pool only
+        this process's hosts are traced.
         """
         self._check_mutable()
-        if self._backend != "sim":
-            raise ScenarioError(
-                "causal tracing instruments the simulated pipeline; "
-                "it is not available on the live backend")
         self._tracing = (collector, kwargs)
         return self
 
@@ -447,11 +447,11 @@ class Scenario:
         self.dprocs = deployment.deploy(nodes, runtime.bus,
                                         runtime.module_factory)
         if self._tracing is not None:
-            from repro.tracing import TraceCollector, attach_tracer
+            from repro.tracing import TraceCollector
             collector, kwargs = self._tracing
             self.tracer = (collector if collector is not None
                            else TraceCollector(**kwargs))
-            attach_tracer(nodes, self.tracer)
+            runtime.bus.tracer = self.tracer
         if self._fault_hooks is not None:
             from repro.sim.faults import FaultInjector
             self.faults = FaultInjector(nodes)

@@ -300,9 +300,9 @@ class DMon:
         self.polls += 1
         self._t_polls.inc()
         costs = self.node.costs
-        tracer = self.node.tracer
+        tracer = self.bus.tracer
         root = None
-        if tracer.enabled:
+        if tracer is not None:
             # Poll counts are monotonic across restarts, so the trace
             # id is unique for the node's whole life.
             root = tracer.begin_trace(
@@ -448,7 +448,7 @@ class DMon:
         top_pairs: list[tuple[int, float]] = []
         full_rows: list[KeyedSample] = []
         keyed = keyed or {}
-        tracer = self.node.tracer if trace is not None else None
+        tracer = trace.collector if trace is not None else None
 
         global_filter = self.filters.global_filter
         if global_filter is not None:
@@ -549,7 +549,7 @@ class DMon:
             self.remote_procs[host] = RemoteProcs(
                 kind="full", rows=dict(batch.procs), received_at=now)
         if trace is not None:
-            self.node.tracer.record_span(
+            trace.collector.record_span(
                 trace, name=f"update:{self.node.name}",
                 stage="update", node=self.node.name, start=now, end=now,
                 source=host, records=len(batch))
@@ -708,9 +708,9 @@ class DMon:
         if self._control_ep is None:
             raise DprocError("d-mon not started: no control channel")
         now = self.node.env.now
-        tracer = self.node.tracer
+        tracer = self.bus.tracer
         root = None
-        if tracer.enabled:
+        if tracer is not None:
             self._ctl_seq += 1
             root = tracer.begin_trace(
                 f"{self.node.name}:ctl:{self._ctl_seq}",
@@ -748,7 +748,7 @@ class DMon:
                 return
             if trace is not None:
                 now = self.node.env.now
-                self.node.tracer.record_span(
+                trace.collector.record_span(
                     trace, name=f"apply:{self.node.name}",
                     stage="update", node=self.node.name,
                     start=now, end=now, kind=type(msg).__name__)

@@ -116,8 +116,6 @@ class WanLink:
         }
         self._queues: dict[str, Store] = {a.name: Store(env),
                                           b.name: Store(env)}
-        #: Per-direction send counters (trace ids for WAN transfers).
-        self._seq: dict[str, int] = {a.name: 0, b.name: 0}
         self._handlers: dict[str, object] = {}
         for name in self.endpoints:
             env.process(self._pump(name), name=f"wan-pump:{name}")
@@ -146,28 +144,16 @@ class WanLink:
         node.charge_kernel_seconds(
             node.costs.encode_cost(size) + node.costs.send_cost(size, 1))
         dst = self.other(src).name
-        span = None
-        tracer = node.tracer
-        if tracer.enabled:
-            # The id names both endpoints: one gateway can sit on many
-            # links, and per-direction counters alone would collide.
-            self._seq[src] += 1
-            span = tracer.begin_trace(
-                f"wan:{src}->{dst}:{self._seq[src]}",
-                name=f"wan:{src}->{dst}", stage="wan", node=src,
-                start=self.env.now, dst=dst, size=float(size))
         self._telemetry[dst]["queue"].adjust(1)
-        self._queues[dst].put((payload, size, span))
+        self._queues[dst].put((payload, size))
 
     def _pump(self, dst: str):
         queue = self._queues[dst]
         telemetry = self._telemetry[dst]
         while True:
-            payload, size, span = yield queue.get()
+            payload, size = yield queue.get()
             telemetry["queue"].adjust(-1)
             backoff = self.retry_initial
-            n_retries = 0
-            backoff_seconds = 0.0
             while True:
                 # A retry resends the bytes: the serialisation and
                 # propagation delay is paid again on every attempt.
@@ -178,8 +164,6 @@ class WanLink:
                 self.retries.add(self.env.now, 1.0)
                 telemetry["retries"].inc()
                 telemetry["backoff"].inc(backoff)
-                n_retries += 1
-                backoff_seconds += backoff
                 yield self.env.timeout(backoff)
                 backoff = min(self.retry_max, backoff * 2.0)
             node = self.endpoints[dst]
@@ -187,18 +171,6 @@ class WanLink:
             telemetry["deliveries"].inc()
             now = self.env.now
             self.bytes_carried.add(now, size)
-            if span is not None:
-                if n_retries:
-                    span.annotate(retries=n_retries,
-                                  backoff_seconds=backoff_seconds)
-                # Record via the sender's collector (the one that
-                # began the trace; attach the same collector to both
-                # sites to trace a federation end to end).
-                self.other(dst).tracer.record_span(
-                    span.context, name=f"deliver:{dst}",
-                    stage="delivery", node=dst, start=now, end=now,
-                    latency=now - span.record.start)
-                span.finish(now)
             handler = self._handlers.get(dst)
             if handler is not None:
                 handler(payload)  # type: ignore[operator]

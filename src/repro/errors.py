@@ -20,7 +20,6 @@ __all__ = [
     "EcodeRuntimeError",
     "EcodeLimitError",
     "ChannelError",
-    "RegistryError",
     "DprocError",
     "ProcfsError",
     "ControlSyntaxError",
@@ -112,10 +111,6 @@ class EcodeLimitError(EcodeRuntimeError):
 
 class ChannelError(ReproError):
     """Failure in the KECho event channel layer."""
-
-
-class RegistryError(ChannelError):
-    """Failure in the channel registry (directory server)."""
 
 
 # --- dproc ---------------------------------------------------------------

@@ -4,7 +4,14 @@ The paper's KECho provides direct kernel-kernel communication: every
 node's kernel connects to a channel; ``submit`` pushes an event from
 the publisher's kernel straight to every subscriber's kernel with no
 central collection point.  Here a :class:`KechoBus` wires per-node
-:class:`ChannelEndpoint` objects over the simulated transport.
+:class:`ChannelEndpoint` objects over the node transports.
+
+The bus is KECho's channel directory.  Per the paper, "d-mon modules
+use a channel registry, which is a user-level channel directory server,
+to register new channels and to find existing channels": the bus's
+per-channel endpoint map is that directory.  The first ``connect`` to a
+name creates the channel, later ones join it, and a channel's
+subscribers are its endpoints with a handler, in attach order.
 
 Cost accounting mirrors the paper's ``rdtsc`` measurements: every
 ``submit`` returns a :class:`SubmitReceipt` with the kernel CPU seconds
@@ -19,7 +26,6 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ChannelError
 from repro.kecho.event import ChannelEvent
-from repro.kecho.registry import ChannelInfo, ChannelRegistry
 from repro.runtime.protocol import RuntimeNode
 
 __all__ = ["KechoBus", "ChannelEndpoint", "SubmitReceipt"]
@@ -48,20 +54,20 @@ class ChannelEndpoint:
     """One node's kernel-level attachment to a channel."""
 
     def __init__(self, bus: "KechoBus", node: RuntimeNode,
-                 info: ChannelInfo) -> None:
+                 name: str) -> None:
         self.bus = bus
         self.node = node
-        self.info = info
+        self.name = name
         #: The one subscriber handler; None until :meth:`subscribe`.
         self.handler: Optional[Handler] = None
         self.closed = False
-        self._tag = f"kecho:{info.name}"
+        self._tag = f"kecho:{name}"
         self._conns: dict[str, Any] = {}
         #: Cumulative receive-path kernel CPU seconds (Figure 8 metric).
         self.receive_cpu_seconds = 0.0
         # self-telemetry (bound once; no-ops when the node disables it)
         telemetry = node.telemetry
-        base = f"kecho.{info.name}"
+        base = f"kecho.{name}"
         self._t_submits = telemetry.counter(f"{base}.submits")
         self._t_submit_seconds = telemetry.counter(
             f"{base}.submit_seconds")
@@ -76,10 +82,6 @@ class ChannelEndpoint:
         node.stack.bind(self._tag, self._on_message)
 
     # -- subscription ------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.info.name
 
     @property
     def is_subscriber(self) -> bool:
@@ -129,7 +131,7 @@ class ChannelEndpoint:
         cpu += costs.send_cost(size, len(targets))
         tspan = None
         if trace is not None:
-            tspan = self.node.tracer.start_span(
+            tspan = trace.collector.start_span(
                 trace, name=f"submit:{self.name}", stage="kecho",
                 node=self.node.name, start=now, channel=self.name,
                 size=float(size), fanout=len(targets))
@@ -230,7 +232,7 @@ class ChannelEndpoint:
         self._t_rx_bytes.inc(event.size)
         self._t_delivery_seconds.observe(now - event.submitted_at)
         if trace is not None:
-            dspan = self.node.tracer.record_span(
+            dspan = trace.collector.record_span(
                 trace, name=f"deliver:{self.node.name}",
                 stage="delivery", node=self.node.name, start=now, end=now,
                 channel=self.name, latency=now - event.submitted_at)
@@ -248,22 +250,26 @@ class ChannelEndpoint:
 
 
 class KechoBus:
-    """Cluster-wide channel wiring: registry + endpoint map.
+    """Cluster-wide channel wiring: the channel directory, plus what a
+    run attaches to every channel (``stream``, ``tracer``).
 
     Subscriber lookups are on every publisher's per-poll hot path, so
     the bus caches the ordered subscriber list per channel and
     invalidates it with a version counter bumped on any subscribe,
-    unsubscribe, connect or close — instead of re-walking every
-    member's endpoint on every submit.
+    unsubscribe, connect or close — instead of re-walking the
+    channel's endpoints on every submit.
     """
 
-    def __init__(self, registry: Optional[ChannelRegistry] = None) -> None:
-        self.registry = registry or ChannelRegistry()
-        self._endpoints: dict[tuple[str, str], ChannelEndpoint] = {}
+    def __init__(self) -> None:
+        #: channel name -> host -> endpoint, in attach order.
+        self._channels: dict[str, dict[str, ChannelEndpoint]] = {}
         #: Durable-stream broker tee (a
         #: :class:`repro.stream.broker.StreamBroker`); None disables
         #: recording.
         self.stream = None
+        #: The run's :class:`repro.tracing.TraceCollector`, read by the
+        #: stages that start a trace; None disables tracing.
+        self.tracer = None
         #: Bumped whenever any channel's subscriber set may have changed.
         self.subscription_version = 0
         #: name -> (version, ordered subscriber hosts).
@@ -275,16 +281,17 @@ class KechoBus:
     def connect(self, node: RuntimeNode, name: str) -> ChannelEndpoint:
         """Open (or find) channel ``name`` and attach ``node`` to it.
 
-        Mirrors the paper's flow: contact the registry; the first
-        caller creates the channel, later callers retrieve it.
+        Mirrors the paper's flow: the first caller creates the channel,
+        later callers join it.
         """
-        key = (name, node.name)
-        existing = self._endpoints.get(key)
-        if existing is not None and not existing.closed:
+        if not name:
+            raise ChannelError("channel name cannot be empty")
+        endpoints = self._channels.setdefault(name, {})
+        existing = endpoints.get(node.name)
+        if existing is not None:
             return existing
-        info, _created = self.registry.open(name, node.name)
-        endpoint = ChannelEndpoint(self, node, info)
-        self._endpoints[key] = endpoint
+        endpoint = ChannelEndpoint(self, node, name)
+        endpoints[node.name] = endpoint
         self._subscriptions_changed()
         return endpoint
 
@@ -294,13 +301,8 @@ class KechoBus:
         cached = self._subscriber_cache.get(name)
         if cached is not None and cached[0] == version:
             return cached[1]
-        info = self.registry.lookup(name)
-        endpoints = self._endpoints
-        out = []
-        for host in info.members:
-            ep = endpoints.get((name, host))
-            if ep is not None and ep.handler is not None:
-                out.append(host)
+        out = [host for host, ep in self._channels.get(name, {}).items()
+               if ep.handler is not None]
         self._subscriber_cache[name] = (version, out)
         return out
 
@@ -310,6 +312,5 @@ class KechoBus:
         return [host for host in subscribers if host != source]
 
     def _detach(self, endpoint: ChannelEndpoint) -> None:
-        self.registry.leave(endpoint.name, endpoint.node.name)
-        self._endpoints.pop((endpoint.name, endpoint.node.name), None)
+        del self._channels[endpoint.name][endpoint.node.name]
         self._subscriptions_changed()

@@ -47,20 +47,20 @@ class LiveBus(KechoBus):
         super()._subscriptions_changed()
         if self.client is not None:
             subscribers: dict[str, list[str]] = {}
-            for (name, host), ep in self._endpoints.items():
-                if ep.handler is not None:
-                    subscribers.setdefault(name, []).append(host)
+            for name, endpoints in self._channels.items():
+                hosts = [host for host, ep in endpoints.items()
+                         if ep.handler is not None]
+                if hosts:
+                    subscribers[name] = hosts
             self.client.set_subscribers(subscribers)
 
     def _subscribers(self, name: str) -> list[str]:
-        try:
-            local = super()._subscribers(name)
-        except Exception:
-            local = []
+        local = super()._subscribers(name)
         if self.client is None:
             return local
         merged = list(local)
-        local_hosts = {h for (_n, h) in self._endpoints}
+        local_hosts = {h for endpoints in self._channels.values()
+                       for h in endpoints}
         for host in self.client.subscribers(name):
             # Hosts of this process are authoritative locally; remote
             # processes' hosts come from the directory.

@@ -94,24 +94,11 @@ class HostCpuMon(MonitoringModule):
 
     name = "cpu"
 
-    def __init__(self, node: RuntimeNode) -> None:
-        super().__init__(node)
-        self.avg_period = 60.0
-
     def metrics(self) -> tuple[MetricId, ...]:
         return MODULE_METRICS["cpu"]
 
     def collect(self, now: float) -> list[float]:
         return [self.node.cpu.load_averages()[0]]
-
-    def configure(self, key: str, value: float) -> None:
-        """Accept the sim module's ``period`` knob (the host kernel's
-        averaging window is fixed, so this only records intent)."""
-        if key != "period":
-            super().configure(key, value)
-        if value <= 0:
-            raise DprocError("averaging period must be positive")
-        self.avg_period = float(value)
 
 
 class HostMemMon(MonitoringModule):

@@ -5,7 +5,7 @@ attribute surface d-mon, KECho and the toolkit use: ``env`` (the shared
 :class:`~repro.live.clock.AsyncClock`), ``rng``, ``costs`` (the same
 :class:`~repro.sim.node.KernelCostModel` — live costs are *accounted*,
 not simulated, so the telemetry/overhead reports stay comparable),
-``telemetry``, ``tracer``, ``stack`` and ``spawn``.
+``telemetry``, ``stack`` and ``spawn``.
 
 ``cpu`` and ``memory`` expose just enough of the simulated devices'
 shape for the toolkit's standard ``/proc/loadavg`` and
@@ -27,8 +27,6 @@ from repro.live.clock import AsyncClock, LiveTask
 from repro.live.transport import LiveStack
 from repro.sim.node import KernelCostModel
 from repro.telemetry import TelemetryRegistry
-from repro.tracing import NULL_TRACER
-from repro.units import PAGE_SIZE
 
 __all__ = ["LiveNode", "HostCpu", "HostMemory"]
 
@@ -78,18 +76,6 @@ class HostCpu:
         except OSError:  # pragma: no cover - platform without loadavg
             return (0.0, 0.0, 0.0)
 
-    @property
-    def run_queue_length(self) -> float:
-        """Runnable tasks right now, from ``/proc/loadavg``'s r/t field."""
-        text = _read_proc("/proc/loadavg")
-        fields = text.split()
-        if len(fields) >= 4 and "/" in fields[3]:
-            try:
-                return max(0.0, float(fields[3].split("/")[0]) - 1.0)
-            except ValueError:  # pragma: no cover - malformed procfs
-                pass
-        return 0.0
-
 
 def _sysconf_bytes(pages: str) -> float:
     """``sysconf(pages)`` in bytes, or 0.0 where the platform has no
@@ -116,9 +102,6 @@ class HostMemory:
     def free_bytes(self) -> float:
         return _sysconf_bytes("SC_AVPHYS_PAGES")
 
-    def nr_free_pages(self) -> float:
-        return self.free_bytes / PAGE_SIZE
-
 
 class LiveNode:
     """One live host: clock + RNG + costs + telemetry + TCP stack."""
@@ -131,7 +114,6 @@ class LiveNode:
         self.rng = np.random.default_rng([seed, index])
         self.costs = costs if costs is not None else KernelCostModel()
         self.telemetry = TelemetryRegistry(scope=name)
-        self.tracer = NULL_TRACER
         self.stack = LiveStack(name, self.telemetry)
         self.cpu = HostCpu()
         self.memory = HostMemory()

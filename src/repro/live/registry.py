@@ -1,9 +1,9 @@
 """The live channel registry: a directory server on a real socket.
 
 Mirrors the paper's "user-level channel directory server".  Each
-process creates and finds its channels in its own in-memory
-:class:`repro.kecho.registry.ChannelRegistry`, as the simulator does;
-across processes the server shares what a publisher needs to dial its
+process creates and finds its channels in its own bus's endpoint map
+(:class:`repro.kecho.channel.KechoBus`), as the simulator does; across
+processes the server shares what a publisher needs to dial its
 subscribers directly.  Events never pass through the registry — it is
 control-plane only.
 

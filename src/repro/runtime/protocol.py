@@ -5,7 +5,7 @@ captured by a handful of structural :class:`~typing.Protocol` classes:
 a :class:`Clock` that owns time and timers, a :class:`Transport` that
 moves tagged messages between named hosts, and a :class:`RuntimeNode`
 bundling the per-host services (clock, RNG, cost model, telemetry,
-tracer, transport).  ``dproc.dmon``, ``kecho.channel``,
+transport).  ``dproc.dmon``, ``kecho.channel``,
 ``dproc.toolkit``, ``dproc.procfs`` and the monitoring modules depend
 only on these protocols — never on the simulator — so the same d-mon,
 parameter, and E-code filter logic runs unmodified on either backend:
@@ -145,8 +145,6 @@ class RuntimeNode(Protocol):
     * ``rng`` — a ``numpy.random.Generator``;
     * ``costs`` — a :class:`repro.sim.node.KernelCostModel`;
     * ``telemetry`` — a :class:`repro.telemetry.TelemetryRegistry`;
-    * ``tracer`` — a :class:`repro.tracing.TraceCollector` (or the
-      null tracer);
     * ``stack`` — the node's :class:`Transport`.
     """
 
@@ -228,11 +226,14 @@ class Bus(Protocol):
     subscriber set may have changed; the bus keys its subscriber cache
     on it.  ``stream`` is the optional :class:`EventStream` tee — every
     endpoint checks it on submit and dispatch; None disables durable
-    recording.
+    recording.  ``tracer`` is the run's optional
+    :class:`repro.tracing.TraceCollector`, read by the stages that start
+    a trace; None disables tracing.
     """
 
     subscription_version: int
     stream: Optional[Any]
+    tracer: Optional[Any]
 
     def connect(self, node: RuntimeNode, name: str) -> Endpoint: ...
 

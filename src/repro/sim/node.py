@@ -22,7 +22,6 @@ from repro.sim.memory import Memory
 from repro.sim.network import Fabric
 from repro.sim.transport import NetStack
 from repro.telemetry import TelemetryRegistry
-from repro.tracing.collector import NULL_TRACER
 from repro.units import MB, usec
 
 __all__ = ["KernelCostModel", "NodeConfig", "Node"]
@@ -116,10 +115,6 @@ class Node:
             kernel_charge=self.charge_kernel_seconds,
             receive_cost=self.config.costs.receive_cost,
             telemetry=self.telemetry)
-        #: Causal-trace collector; the disabled singleton until
-        #: :func:`repro.tracing.attach_tracer` replaces it (which also
-        #: updates ``stack.tracer`` — keep the two in sync).
-        self.tracer = NULL_TRACER
         #: Attached subsystems (dproc toolkit, applications) by name.
         self.services: dict[str, Any] = {}
 

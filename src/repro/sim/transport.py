@@ -27,7 +27,6 @@ from repro.sim.network import Fabric
 from repro.runtime.protocol import OnFail
 from repro.runtime.series import DEVICE_HISTORY, CounterTrace
 from repro.telemetry import TelemetryRegistry
-from repro.tracing.collector import NULL_TRACER
 
 __all__ = ["Message", "Connection", "NetStack", "Protocol"]
 
@@ -146,9 +145,6 @@ class NetStack:
         self.kernel_charge = kernel_charge or (lambda seconds: None)
         #: Maps message size -> kernel seconds for the receive path.
         self.receive_cost = receive_cost or (lambda size: 0.0)
-        #: Causal-trace collector; updated by ``attach_tracer`` (the
-        #: stack exists before any collector does).
-        self.tracer = NULL_TRACER
         self.handlers: dict[str, Callable[[Message], None]] = {}
         self.connections: list[Connection] = []
         #: Cumulative bytes received (PMC_MON and the power model
@@ -218,7 +214,6 @@ class NetStack:
         rng_random = self.rng.random
         rng_poisson = self.rng.poisson
         trace = getattr(payload, "trace", None)
-        tracer = self.tracer
         bytes_out_add = self.bytes_out.add
         drops_fault_inc = self._t_drops_fault.inc
         drops_congestion_inc = self._t_drops_congestion.inc
@@ -239,7 +234,7 @@ class NetStack:
             # (duck-typed: any payload carrying a ``trace`` context
             # gets a hop span).
             if trace is not None:
-                msg.span = tracer.start_span(
+                msg.span = trace.collector.start_span(
                     trace, name=f"hop:{host}->{dst}",
                     stage="transport", node=host, start=now,
                     dst=dst, proto=conn.proto, size=size)

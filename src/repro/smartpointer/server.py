@@ -123,28 +123,27 @@ class ServerStream:
         Each dproc-fed observation becomes a trigger naming the metric
         and, when the cache entry came from a traced event, the trace
         id that delivered it (``DMon.provenance``) — the raw material
-        for :func:`repro.tracing.adaptation_audit`.
+        for :func:`repro.tracing.adaptation_audit`.  The collector is
+        the one on the bus of the server's dproc; a server without a
+        dproc has no monitoring evidence to audit.
         """
-        tracer = self.server.node.tracer
-        if not tracer.enabled:
-            return
         dproc = self.server.dproc
+        tracer = dproc.bus.tracer if dproc is not None else None
+        if tracer is None:
+            return
         triggers = []
-        if dproc is not None:
-            for obs_name, metric in (
-                    ("loadavg", MetricId.LOADAVG),
-                    ("net_bandwidth", MetricId.NET_BANDWIDTH),
-                    ("diskusage", MetricId.DISKUSAGE)):
-                ref = dproc.dmon.provenance(self.client_name, metric)
-                triggers.append({
-                    "metric": metric.name.lower(),
-                    "observation": obs_name,
-                    "value": observations.get(obs_name, math.nan),
-                    "trace_id":
-                        ref.trace_id if ref is not None else None,
-                    "received_at":
-                        ref.received_at if ref is not None else None,
-                })
+        for obs_name, metric in (("loadavg", MetricId.LOADAVG),
+                                 ("net_bandwidth", MetricId.NET_BANDWIDTH),
+                                 ("diskusage", MetricId.DISKUSAGE)):
+            ref = dproc.dmon.provenance(self.client_name, metric)
+            triggers.append({
+                "metric": metric.name.lower(),
+                "observation": obs_name,
+                "value": observations.get(obs_name, math.nan),
+                "trace_id": ref.trace_id if ref is not None else None,
+                "received_at":
+                    ref.received_at if ref is not None else None,
+            })
         previous = self._last_transform
         tracer.record_adaptation(
             time=now, node=self.server.node.name,

@@ -2,8 +2,8 @@
 
 Aggregate telemetry (:mod:`repro.telemetry`) answers "how much, on
 average"; this package answers "where did *this one event* spend its
-time, and what did it cause".  A :class:`TraceCollector` attached to a
-cluster (:func:`attach_tracer`) records a span tree per monitoring or
+time, and what did it cause".  A :class:`TraceCollector` on a run's
+bus (``bus.tracer``) records a span tree per monitoring or
 control event — module sample, d-mon parameter/filter evaluation,
 KECho submit, per-subscriber transport hops (with fault annotations),
 delivery, remote-cache/procfs update — and an audit trail linking each
@@ -20,16 +20,16 @@ CRC, never Python's randomised ``hash``).
 from repro.tracing.analysis import (adaptation_audit, critical_path,
                                     latency_breakdown,
                                     render_audit, render_breakdown)
-from repro.tracing.collector import (NULL_TRACER, AuditEntry,
-                                     SpanHandle, SpanRecord, SpanTree,
-                                     TraceCollector, attach_tracer)
+from repro.tracing.collector import (AuditEntry, SpanHandle,
+                                     SpanRecord, SpanTree,
+                                     TraceCollector)
 from repro.tracing.context import TraceContext, TraceRef, trace_hash
 from repro.tracing.export import render_tree, to_chrome_trace
 
 __all__ = [
     "TraceContext", "TraceRef", "trace_hash",
     "TraceCollector", "SpanRecord", "SpanHandle", "SpanTree",
-    "AuditEntry", "NULL_TRACER", "attach_tracer",
+    "AuditEntry",
     "critical_path", "latency_breakdown", "adaptation_audit",
     "render_breakdown", "render_audit",
     "to_chrome_trace", "render_tree",

@@ -31,7 +31,7 @@ TERMINAL_STAGES = frozenset({"delivery", "update"})
 
 #: Canonical stage ordering for reports (unknown stages sort after).
 STAGE_ORDER = ("dmon", "module", "dmon.param", "dmon.filter", "kecho",
-               "transport", "delivery", "update", "wan", "control")
+               "transport", "delivery", "update", "control")
 
 
 def critical_path(tree: SpanTree) -> list[tuple[SpanRecord, float]]:

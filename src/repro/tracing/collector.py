@@ -1,8 +1,10 @@
 """The per-cluster trace collector: spans, trees, the audit log.
 
-One :class:`TraceCollector` is attached to a cluster
-(:func:`attach_tracer`); every node then records spans into it as
-monitoring events move through the pipeline.  The collector is built
+One :class:`TraceCollector` hangs on a run's bus (``bus.tracer``, None
+when tracing is off).  The stages that start a trace — d-mon's poll and
+control roots, SmartPointer's audit — read it there; every later stage
+records into the collector its :class:`TraceContext` names, so neither
+nodes nor transports hold a binding.  The collector is built
 under the same constraints as the telemetry registry — and one more:
 
 * **Passive.**  Recording never schedules simulator events, draws from
@@ -16,10 +18,6 @@ under the same constraints as the telemetry registry — and one more:
   evicted first) and at most ``max_spans_per_trace`` spans per trace
   (later spans counted, not stored); the adaptation audit log is a
   bounded deque.
-
-Disabled mode is the shared :data:`NULL_TRACER` singleton: every
-``node.tracer`` defaults to it, so instrumentation sites pay one
-attribute load and a no-op call when tracing is off.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.tracing.ordering import (check_interval, freeze_attrs,
                                     span_sort_key)
 
 __all__ = ["SpanRecord", "SpanHandle", "SpanTree", "AuditEntry",
-           "TraceCollector", "NULL_TRACER", "attach_tracer"]
+           "TraceCollector"]
 
 #: Span status values.
 STATUS_OPEN = "open"
@@ -93,17 +91,19 @@ class SpanRecord:
 class SpanHandle:
     """Caller-facing handle for one recorded span."""
 
-    __slots__ = ("record",)
+    __slots__ = ("record", "collector")
 
-    def __init__(self, record: SpanRecord) -> None:
+    def __init__(self, record: SpanRecord,
+                 collector: "TraceCollector") -> None:
         self.record = record
+        self.collector = collector
 
     @property
     def context(self) -> TraceContext:
         """Context for child stages of this span."""
         rec = self.record
         return TraceContext(trace_id=rec.trace_id, span_id=rec.span_id,
-                            hop=rec.depth)
+                            collector=self.collector, hop=rec.depth)
 
     def annotate(self, **attrs: Any) -> "SpanHandle":
         """Merge attributes into the span (open or finished)."""
@@ -194,10 +194,6 @@ class _TraceBuf:
 
 class TraceCollector:
     """Bounded, deterministic, head-sampling span store for a cluster."""
-
-    #: Truthiness/enabled marker instrumentation sites test before
-    #: doing any per-event work.
-    enabled = True
 
     def __init__(self, seed: int = 0, sample_rate: float = 1.0,
                  max_traces: int = 4096,
@@ -308,7 +304,7 @@ class TraceCollector:
         self._next_span += 1
         buf.spans.append(record)
         self.spans_recorded += 1
-        return SpanHandle(record)
+        return SpanHandle(record, self)
 
     # -- queries ------------------------------------------------------------
 
@@ -368,45 +364,3 @@ class TraceCollector:
         return (f"<TraceCollector seed={self.seed} "
                 f"rate={self.sample_rate:g} {len(self._traces)} traces "
                 f"{self.spans_recorded} spans>")
-
-
-class _NullTracer:
-    """Tracing disabled: every record call is a no-op returning None."""
-
-    __slots__ = ()
-    enabled = False
-
-    def sampled(self, trace_id: str) -> bool:
-        return False
-
-    def begin_trace(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def start_span(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_span(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def record_adaptation(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<tracing disabled>"
-
-
-NULL_TRACER = _NullTracer()
-
-
-def attach_tracer(nodes: Iterable, collector: TraceCollector) -> None:
-    """Attach ``collector`` to every node (a Cluster iterates nodes).
-
-    Sets both ``node.tracer`` and the transport's ``stack.tracer`` —
-    the NetStack is built before any collector exists, so its binding
-    is updated here rather than at construction.  Node names must be
-    unique across everything attached to one collector (trace ids are
-    derived from them).
-    """
-    for node in nodes:
-        node.tracer = collector
-        node.stack.tracer = collector

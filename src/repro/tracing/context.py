@@ -2,7 +2,10 @@
 
 A :class:`TraceContext` names one position inside one causal trace —
 the trace id, the span under which the next stage should record its
-work, and how many stages deep the event already is.  Contexts are
+work, the collector that holds the trace, and how many stages deep the
+event already is.  A stage handed a context records into
+``ctx.collector``: only the stage that starts a trace needs to know
+where the run's collector lives (``bus.tracer``).  Contexts are
 immutable; each pipeline stage derives a child context from the span
 it opened and hands *that* to the next stage (event field, message
 attribute), exactly like W3C traceparent propagation but in-process.
@@ -16,7 +19,8 @@ every run — traces are bit-identical run-to-run.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 __all__ = ["TraceContext", "TraceRef", "trace_hash"]
 
@@ -41,6 +45,8 @@ class TraceContext:
 
     trace_id: str     #: the trace this event belongs to
     span_id: int      #: parent span for the next recorded stage
+    #: The :class:`~repro.tracing.TraceCollector` holding the trace.
+    collector: Any = field(compare=False, repr=False)
     hop: int = 0      #: pipeline depth of that span (root = 0)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario, ScenarioError
-from repro.dproc import MetricId
+from repro.dproc import DMonConfig, MetricId
 from repro.obs import HealthRule
 from repro.obs.health import HEALTH_LOG_MAX_LEN
 from repro.runtime.series import CounterTrace, TimeSeries
@@ -127,10 +127,6 @@ class TestPhaseErrors:
         with pytest.raises(ScenarioError):
             Scenario(nodes=2, backend="live").with_faults()
 
-    def test_live_rejects_tracing(self):
-        with pytest.raises(ScenarioError):
-            Scenario(nodes=2, backend="live").with_tracing()
-
     def test_sim_has_env_live_does_not(self):
         sc = Scenario(nodes=2, backend="live")
         with pytest.raises(ScenarioError):
@@ -162,6 +158,24 @@ class TestHookOrder:
          .with_faults(lambda s: seen.append(s.faults))
          .build())
         assert seen and seen[0] is not None
+
+
+class TestLiveTracing:
+    def test_live_run_traces_the_pipeline(self):
+        """The collector rides on the bus, so a live run traces with
+        no backend-specific code: each poll is a complete tree from
+        d-mon through the submit to the publisher's own delivery."""
+        sc = (Scenario(nodes=3, backend="live",
+                       dmon=DMonConfig(poll_interval=0.2))
+              .with_node_pool(workers=1)
+              .with_tracing()
+              .run(1.5))
+        trees = sc.tracer.trees()
+        assert trees and all(tree.complete for tree in trees)
+        stages = {span.stage for tree in trees for span in tree.spans}
+        assert {"dmon", "module", "dmon.param", "kecho",
+                "delivery"} <= stages
+        assert {tree.root.node for tree in trees} == set(sc.nodes.names)
 
 
 class TestRemovedAliases:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.dproc import MetricId
+from repro.errors import DprocError
 from repro.live import modules, node
 from repro.live.modules import (HostCpuMon, HostDiskMon, HostMemMon,
                                 HostNetMon)
@@ -280,6 +281,15 @@ class TestNetRows:
         tcp = [line.split() for line in lines if line.startswith("Tcp:")]
         expected = float(tcp[1][tcp[0].index("RetransSegs")])
         assert expected <= HostNetMon._retransmissions()
+
+
+class TestHostCpuMon:
+    def test_period_is_rejected_like_any_unhonoured_option(self):
+        """The host kernel's averaging window is fixed, so the sim
+        module's ``period`` knob is not an option here."""
+        mon = HostCpuMon(SimpleNamespace(name="node0", cpu=HostCpu()))
+        with pytest.raises(DprocError, match="no option 'period'"):
+            mon.configure("period", 5.0)
 
 
 class TestHostLoadavg:

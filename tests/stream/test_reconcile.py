@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Scenario
+from repro.dproc import MetricId
+from repro.dproc.dmon import RemoteMetric
 from repro.harness.chaos import chaos_recovery
-from repro.stream import reconcile
+from repro.stream import StreamBroker, reconcile
+from repro.stream.entry import DELIVER
 
 #: The pinned golden chaos scenario (ISSUE acceptance): 50 nodes
 #: through loss, a partition and a crash+reboot — every missing
@@ -96,3 +101,139 @@ class TestAttribution:
         victim = scenario.nodes.names[0]
         assert any(f.startswith("crash") and victim in f
                    for f in report.dropped_by_fault)
+
+
+MONITOR = "dproc.monitor"
+
+
+def doctored(broker, edit):
+    """A copy of ``broker`` whose monitor log is ``edit(entries)``."""
+    copy = StreamBroker()
+    for channel in broker.channels():
+        entries = [replace(e) for e in broker.entries(channel)]
+        if channel == MONITOR:
+            entries = edit(entries)
+        stream = copy.stream(channel)
+        for entry in entries:
+            stream.append_entry(entry)
+    return copy
+
+
+def remote_deliveries(entries):
+    return [i for i, e in enumerate(entries)
+            if e.kind == DELIVER and e.dest != e.source]
+
+
+class TestDoctoredStream:
+    """Each failure class, from one edit to a clean run's stream."""
+
+    UNTIL = 6.0
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return Scenario(nodes=4, seed=5).with_stream().run(self.UNTIL)
+
+    def audit(self, run, edit, **kwargs):
+        return reconcile(doctored(run.stream, edit), until=self.UNTIL,
+                         **kwargs)
+
+    def test_dropped_delivery_is_missing(self, run):
+        def drop_first(entries):
+            del entries[remote_deliveries(entries)[0]]
+            return entries
+
+        report = self.audit(run, drop_first)
+        assert [d.kind for d in report.missing] == ["missing"]
+        assert "1 of 1 copies unaccounted" in report.missing[0].detail
+        assert not report.ok
+        assert "! missing: dproc.monitor" in report.render()
+        dest = report.missing[0].dest
+        assert report.per_host[dest]["loadavg"] == {"missing": 1}
+
+    def test_copied_delivery_is_duplicated(self, run):
+        def copy_first(entries):
+            i = remote_deliveries(entries)[0]
+            entries.insert(i, replace(entries[i]))
+            return entries
+
+        report = self.audit(run, copy_first)
+        assert len(report.duplicated) == 1 and not report.missing
+        assert "2 deliveries for 1 submits" in \
+            report.duplicated[0].detail
+        assert not report.ok
+        assert "! duplicated:" in report.render()
+
+    def test_orphan_delivery_is_unexpected(self, run):
+        def add_orphan(entries):
+            orphan = replace(entries[remote_deliveries(entries)[-1]],
+                             submitted_at=self.UNTIL + 1.0,
+                             time=self.UNTIL + 1.0)
+            return entries + [orphan]
+
+        report = self.audit(run, add_orphan)
+        assert len(report.unexpected) == 1
+        assert not report.missing and not report.duplicated
+        assert not report.ok
+        assert "! unexpected:" in report.render()
+
+    def test_swapped_deliveries_are_out_of_order(self, run):
+        def swap_pair(entries):
+            first = remote_deliveries(entries)[0]
+            pair = (entries[first].source, entries[first].dest)
+            second = next(i for i in remote_deliveries(entries)[1:]
+                          if (entries[i].source, entries[i].dest) == pair)
+            entries[first], entries[second] = \
+                entries[second], entries[first]
+            return entries
+
+        report = self.audit(run, swap_pair)
+        assert len(report.out_of_order) == 1
+        assert report.ok  # informational: no FIFO promise across sizes
+        assert "out of order:   1" in report.render()
+
+    def test_tiny_bound_makes_remote_deliveries_stale(self, run):
+        report = reconcile(run.stream, until=self.UNTIL,
+                           stale_after=1e-12)
+        remote = len(remote_deliveries(list(run.stream.entries(MONITOR))))
+        assert len(report.stale) >= remote > 0
+        assert report.ok  # staleness is reported, not failed
+        assert any("stale" in kinds for metrics in report.per_host.values()
+                   for kinds in metrics.values())
+
+    def test_bumped_cache_value_is_a_procfs_mismatch(self, run,
+                                                     monkeypatch):
+        host, dproc = next(iter(run.dprocs.items()))
+        source, store = next(iter(dproc.dmon.remote.items()))
+        metric, entry = next(iter(store.items()))
+        monkeypatch.setitem(store, metric,
+                            replace(entry, value=entry.value + 1.0))
+        report = reconcile(run.stream, run.dprocs, until=self.UNTIL)
+        assert [(d.source, d.dest) for d in report.procfs_mismatches] \
+            == [(source, host)]
+        assert "stream says" in report.procfs_mismatches[0].detail
+        assert not report.ok
+        assert "! procfs:" in report.render()
+
+    def test_undelivered_cache_entry_is_a_procfs_mismatch(self, run,
+                                                          monkeypatch):
+        host, dproc = next(iter(run.dprocs.items()))
+        monkeypatch.setitem(dproc.dmon.remote, "ghost", {
+            MetricId.LOADAVG: RemoteMetric(value=1.0, timestamp=0.0,
+                                           received_at=0.0)})
+        report = reconcile(run.stream, run.dprocs, until=self.UNTIL)
+        assert [(d.source, d.dest) for d in report.procfs_mismatches] \
+            == [("ghost", host)]
+        assert "no delivery in the stream" in \
+            report.procfs_mismatches[0].detail
+        assert not report.ok
+
+    def test_render_caps_the_findings_listing(self, run):
+        def drop_all_remote(entries):
+            gone = set(remote_deliveries(entries))
+            return [e for i, e in enumerate(entries) if i not in gone]
+
+        report = self.audit(run, drop_all_remote)
+        assert len(report.missing) > 20
+        text = report.render()
+        assert text.count("! missing:") == 20
+        assert "... (more omitted)" in text

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TracingError
 from repro.tracing.ordering import (check_interval, freeze_attrs,
                                     span_sort_key)
-from repro.tracing import NULL_TRACER, TraceCollector, trace_hash
+from repro.tracing import TraceCollector, trace_hash
 from repro.tracing.context import TraceContext
 
 
@@ -108,7 +108,7 @@ class TestBounds:
         assert collector.trace_ids() == ["t2", "t3"]
         assert collector.traces_evicted == 2
         # Spans for an evicted trace are dropped, not resurrected.
-        ctx = TraceContext(trace_id="t0", span_id=1)
+        ctx = TraceContext(trace_id="t0", span_id=1, collector=collector)
         assert collector.start_span(ctx, name="y", stage="kecho",
                                     node="n", start=5.0) is None
         assert collector.spans_dropped == 1
@@ -206,7 +206,8 @@ class TestAssembly:
         collector = TraceCollector()
         root = collector.begin_trace("t", name="root", stage="dmon",
                                      node="a", start=0.0)
-        ghost = TraceContext(trace_id="t", span_id=9999, hop=3)
+        ghost = TraceContext(trace_id="t", span_id=9999,
+                             collector=collector, hop=3)
         collector.record_span(ghost, name="stray", stage="delivery",
                               node="b", start=1.0, end=1.0)
         tree = collector.tree("t")
@@ -229,16 +230,3 @@ class TestAssembly:
         assert span.status == "dropped"
         assert span.attrs["fault"] == "crash:b"
 
-
-class TestNullTracer:
-    def test_disabled_singleton_is_inert(self):
-        assert not NULL_TRACER.enabled
-        assert NULL_TRACER.begin_trace("t", name="x", stage="dmon",
-                                       node="n", start=0.0) is None
-        assert NULL_TRACER.start_span(None, name="x", stage="kecho",
-                                      node="n", start=0.0) is None
-        assert NULL_TRACER.record_span(None, name="x", stage="kecho",
-                                       node="n", start=0.0,
-                                       end=0.0) is None
-        assert NULL_TRACER.record_adaptation() is None
-        assert not NULL_TRACER.sampled("t")
