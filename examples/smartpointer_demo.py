@@ -52,7 +52,7 @@ def run_scenario(policy, label: str) -> None:
             latency = client.latencies.mean(since=phase_end - window)
         except ValueError:
             latency = float("nan")
-        quality = stream.quality.last()
+        quality = stream.quality
         print(f"{env.now:6.0f} {threads:7d} {rate:7.2f} "
               f"{latency:11.3f} {quality:8.2f}")
         # two more linpack threads per phase

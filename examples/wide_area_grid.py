@@ -69,7 +69,7 @@ def main() -> None:
 
     link = federation._links["atlanta"][0]
     print(f"WAN bytes Atlanta<->OakRidge in 60 s: "
-          f"{link.bytes_carried.total:.0f} B "
+          f"{link.bytes_carried:.0f} B "
           f"(summaries only; raw monitoring stays on-site)")
 
 

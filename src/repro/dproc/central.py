@@ -16,7 +16,7 @@ architectures as the cluster grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.dproc.metrics import MetricId
@@ -25,7 +25,6 @@ from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
-from repro.runtime.series import CounterTrace
 
 __all__ = ["CentralCollector", "CentralConfig"]
 
@@ -57,8 +56,8 @@ class _Agent:
     modules: list[MonitoringModule]
     #: Analytic monitoring CPU seconds consumed on this node.
     cpu_seconds: float = 0.0
-    pushes: CounterTrace = field(default_factory=lambda:
-                                 CounterTrace("pushes"))
+    #: Samples pushed to the collector.
+    pushes: float = 0.0
 
 
 class CentralCollector:
@@ -77,7 +76,7 @@ class CentralCollector:
         self.digest: dict[str, dict[MetricId, float]] = {}
         #: What each node knows after the last broadcast.
         self.node_views: dict[str, dict[str, dict[MetricId, float]]] = {}
-        self.digests_sent = CounterTrace("digests")
+        self.digests_sent = 0.0
         for name in cluster.names:
             node = cluster[name]
             self.agents[name] = _Agent(
@@ -148,7 +147,7 @@ class CentralCollector:
                              + costs.send_cost(size, 1))
                 conn.send({"host": agent.node.name,
                            "metrics": samples}, size=size)
-                agent.pushes.add(env.now, 1.0)
+                agent.pushes += 1.0
             yield env.timeout(self.config.period)
 
     def _on_push(self, msg) -> None:
@@ -184,7 +183,7 @@ class CentralCollector:
                         conns[name] = conn
                     conn.send(snapshot, size=size)
                 self.node_views[self.collector_name] = snapshot
-                self.digests_sent.add(env.now, 1.0)
+                self.digests_sent += 1.0
             yield env.timeout(self.config.period)
 
     def _on_digest(self, host: str, msg) -> None:

@@ -36,7 +36,7 @@ from repro.kecho import (ChannelEvent, ClearParameter, ControlMessage,
                          DeployFilter, RemoveFilter, SetParameter,
                          control_message_size)
 from repro.runtime.protocol import Bus, RuntimeNode
-from repro.runtime.series import TimeSeries
+from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.tracing.context import TraceRef
 
 __all__ = ["DMonConfig", "DMon", "RemoteMetric", "RemoteProcs",
@@ -51,11 +51,6 @@ PEER_FRESH = "fresh"
 PEER_STALE = "stale"
 PEER_DEAD = "dead"
 PEER_UNKNOWN = "unknown"
-
-#: ``max_samples`` of the two per-poll overhead series (one sample per
-#: poll): day-long runs stay bounded, and nothing is trimmed within
-#: the horizons of the paper figures that read ``mean(since)``.
-OVERHEAD_HISTORY = 65536
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,8 @@ class DMon:
         self.peer_last_heard: dict[str, float] = {}
         self.update_hooks: list[UpdateHook] = []
         # instrumentation ---------------------------------------------------
-        self.submit_overhead = TimeSeries(
-            f"{node.name}:submit-overhead", OVERHEAD_HISTORY)
-        self.receive_overhead = TimeSeries(
-            f"{node.name}:receive-overhead", OVERHEAD_HISTORY)
+        self.submit_overhead = CounterTrace(MEASUREMENT_HISTORY)
+        self.receive_overhead = CounterTrace(MEASUREMENT_HISTORY)
         self.polls = 0
         # self-telemetry: named instruments in the node registry, bound
         # once (hot path).  All no-ops when the node disables telemetry.
@@ -395,16 +388,18 @@ class DMon:
                     last_sent_at[metric] = now
 
         # 4. Instrumentation (the paper's rdtsc-style measurements).
-        self.submit_overhead.record(now, submit_cost)
+        self.submit_overhead.add(now, submit_cost)
         self._t_collect.inc(collect_cost)
         self._t_submit.inc(submit_cost)
         if self._monitor_ep is not None:
             rx = self._monitor_ep.receive_cpu_seconds
-            self.receive_overhead.record(now, rx - self._rx_cost_mark)
+            self.receive_overhead.add(now, rx - self._rx_cost_mark)
             self._t_receive.inc(rx - self._rx_cost_mark)
             self._rx_cost_mark = rx
         if root is not None:
-            root.finish(now, published=bool(submit_cost),
+            # Ended at the clock's time, not the poll's start: on a
+            # live node the clock moves while the poll runs.
+            root.finish(self.node.env.now, published=bool(submit_cost),
                         records=n_records,
                         cpu_seconds=collect_cost + decide_cost
                         + submit_cost)
@@ -729,7 +724,7 @@ class DMon:
                     stage="update", node=self.node.name,
                     start=now, end=now, kind=type(msg).__name__)
         if root is not None:
-            root.finish(now)
+            root.finish(self.node.env.now)
 
     def _on_control_event(self, event: ChannelEvent, trace) -> None:
         msg = event.payload

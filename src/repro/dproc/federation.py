@@ -34,7 +34,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.core import Environment, Process
 from repro.sim.node import Node
 from repro.sim.stores import Store
-from repro.runtime.series import CounterTrace
 from repro.units import mbps, msec
 
 __all__ = ["SiteSummary", "WanLink", "Site", "GridFederation"]
@@ -100,8 +99,9 @@ class WanLink:
         self.node_down = node_down or (lambda host: False)
         #: Administratively/fault down: deliveries stall and retry.
         self.down = False
-        self.bytes_carried = CounterTrace(f"wan:{a.name}<->{b.name}")
-        self.retries = CounterTrace(f"wan:{a.name}<->{b.name}:retries")
+        #: Bytes delivered across the link (a retry is counted in the
+        #: endpoints' ``wan.retries`` telemetry, not here).
+        self.bytes_carried = 0.0
         # self-telemetry on each endpoint's node registry: queue depth
         # and retry/backoff activity show up in that node's overhead
         # report (no-ops when the node disables telemetry).
@@ -161,7 +161,6 @@ class WanLink:
                     size / self.bandwidth + self.latency)
                 if not self.down and not self.node_down(dst):
                     break
-                self.retries.add(self.env.now, 1.0)
                 telemetry["retries"].inc()
                 telemetry["backoff"].inc(backoff)
                 yield self.env.timeout(backoff)
@@ -169,8 +168,7 @@ class WanLink:
             node = self.endpoints[dst]
             node.charge_kernel_seconds(node.costs.receive_cost(size))
             telemetry["deliveries"].inc()
-            now = self.env.now
-            self.bytes_carried.add(now, size)
+            self.bytes_carried += size
             handler = self._handlers.get(dst)
             if handler is not None:
                 handler(payload)  # type: ignore[operator]

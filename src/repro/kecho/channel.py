@@ -301,10 +301,15 @@ class KechoBus:
         cached = self._subscriber_cache.get(name)
         if cached is not None and cached[0] == version:
             return cached[1]
-        out = [host for host, ep in self._channels.get(name, {}).items()
-               if ep.handler is not None]
+        out = self._list_subscribers(name)
         self._subscriber_cache[name] = (version, out)
         return out
+
+    def _list_subscribers(self, name: str) -> list[str]:
+        """Ordered hosts with live subscriptions on ``name``, built
+        afresh (the cache's builder)."""
+        return [host for host, ep in self._channels.get(name, {}).items()
+                if ep.handler is not None]
 
     def remote_subscribers(self, name: str, source: str) -> list[str]:
         """Hosts (other than ``source``) with live subscriptions."""

@@ -12,7 +12,8 @@ simulator's code — with the directory synchronised through a
   processes, so publishers fan out to every subscribed host on the
   machine, not just the local process;
 * any remote directory change bumps ``subscription_version``, which
-  invalidates the subscriber cache exactly like a local subscribe.
+  invalidates the subscriber cache exactly like a local subscribe, so
+  the merged list is built once per version, not on every submit.
 """
 
 from __future__ import annotations
@@ -54,11 +55,10 @@ class LiveBus(KechoBus):
                     subscribers[name] = hosts
             self.client.set_subscribers(subscribers)
 
-    def _subscribers(self, name: str) -> list[str]:
-        local = super()._subscribers(name)
+    def _list_subscribers(self, name: str) -> list[str]:
+        merged = super()._list_subscribers(name)
         if self.client is None:
-            return local
-        merged = list(local)
+            return merged
         local_hosts = {h for endpoints in self._channels.values()
                        for h in endpoints}
         for host in self.client.subscribers(name):

@@ -29,6 +29,7 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.runtime.series import nearest_rank
 
 __all__ = ["ObsError", "Bucket", "Series", "TimeSeriesDB",
            "series_key"]
@@ -336,13 +337,7 @@ class TimeSeriesDB:
         if not 0.0 <= q <= 1.0:
             raise ObsError(f"quantile must be in [0, 1], got {q!r}")
         rows = self._window(name, labels, window, now)
-        values = sorted(b.mean for _, b in rows if b.count)
-        if not values:
-            return math.nan
-        if q <= 0.0:
-            return values[0]
-        rank = math.ceil(q * len(values))
-        return values[min(len(values), rank) - 1]
+        return nearest_rank(sorted(b.mean for _, b in rows if b.count), q)
 
     def rate(self, name: str, labels: Sequence = (), *, window: float,
              now: float) -> float:

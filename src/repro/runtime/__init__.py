@@ -8,13 +8,12 @@ from repro.runtime.protocol import (Bus, Clock, Connection, Endpoint,
                                     NodeGroup, OnFail, Runtime,
                                     RuntimeNode, TaskHandle, Timer,
                                     Transport)
-from repro.runtime.series import (CounterTrace, EwmaLoad, TimeSeries,
-                                  WindowAverage)
+from repro.runtime.series import CounterTrace, EwmaLoad, WindowAverage
 from repro.runtime.sim import SimRuntime
 
 __all__ = [
     "Clock", "Timer", "OnFail", "TaskHandle", "Connection",
     "Transport", "RuntimeNode", "Endpoint", "Bus", "NodeGroup",
     "Runtime", "SimRuntime",
-    "TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad",
+    "CounterTrace", "WindowAverage", "EwmaLoad",
 ]

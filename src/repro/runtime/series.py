@@ -1,4 +1,5 @@
-"""Windowed counters and measurement series (backend-neutral).
+"""Windowed counters and statistics (backend-neutral, standard library
+only).
 
 These classes carry no simulator dependency: timestamps are plain
 floats from whichever :class:`repro.runtime.protocol.Clock` the
@@ -6,144 +7,97 @@ backend provides (simulated seconds or wall-clock seconds since
 start).
 
 A time-stamped history is kept only where a reader asks for a *window*
-of it: the device counters behind NET_MON's and DISK_MON's
-``rate(now, window)`` and d-mon's two rdtsc-style overhead series
-(``mean(since)``).  A value read only as "the latest" or "the total" is
-a plain float on its owner, not a trace.
+of it, and then in one class, :class:`CounterTrace`: the device
+counters behind NET_MON's and DISK_MON's ``rate(now, window)``, d-mon's
+two rdtsc-style overhead series and the applications' measurements
+(``mean(since)``, ``count_between``).  A value read only as "the
+latest" or "the total" is a plain float on its owner, not a trace.
 
-* :class:`TimeSeries` — (t, value) samples with windowed statistics.
-* :class:`CounterTrace` — monotonically increasing counters with
-  windowed *rate* queries (used by DISK_MON and NET_MON).
+* :class:`CounterTrace` — non-negative amounts over time, with
+  windowed *rate*, *count* and per-sample *mean* queries.
 * :class:`WindowAverage` — sliding-window mean of samples (used by
   CPU_MON for run-queue averaging over an application-chosen period).
 * :class:`EwmaLoad` — UNIX-style exponentially weighted load average
   (the classic /proc/loadavg 1/5/15-minute figures).
+* :func:`nearest_rank` — the one percentile rule (trace analysis and
+  the TSDB's ``quantile_over_time``).
 
-Bounded mode
-------------
-Both :class:`TimeSeries` and :class:`CounterTrace` accept an optional
-``max_samples``: once the sample count exceeds the bound the *oldest*
-samples are discarded in amortised-O(1) chunks, keeping recent-window
-queries (``mean(since=...)``, ``rate(now, window)``) exact while
-capping memory.  Queries that reach back past the retained horizon see
-only the retained samples (for a counter, cumulative totals remain
-correct because the trace stores running totals).  Everything on the
-path a monitoring record travels is constructed with a bound
-(:data:`DEVICE_HISTORY` for the kernel devices and transports).
+Bounds
+------
+Every :class:`CounterTrace` is built with a sample-count bound, one of
+two constants: :data:`DEVICE_HISTORY` for the kernel devices and
+:data:`MEASUREMENT_HISTORY` for series that gain one sample per poll or
+per measured event.  Once a trace holds twice its bound the *oldest*
+samples go in one chunk (amortised O(1) per ``add``); the running total
+at the cut is kept, so ``total`` and every window that starts inside
+the retained samples stay exact, and a window that reaches past them
+raises ``ValueError`` instead of answering short.  The bound is a
+count, not a time horizon, because readers pick their windows at run
+time (DISK_MON's ``period`` option, a figure's ``since=``): a horizon
+fixed by the owner would cut such a window short without any error.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterator, Sequence
 
-import numpy as np
+__all__ = ["CounterTrace", "WindowAverage", "EwmaLoad", "nearest_rank",
+           "DEVICE_HISTORY", "MEASUREMENT_HISTORY"]
 
-__all__ = ["TimeSeries", "CounterTrace", "WindowAverage", "EwmaLoad",
-           "DEVICE_HISTORY"]
-
-#: ``max_samples`` of every windowed device counter (a connection's
-#: sent bytes, retransmissions and losses, a stack's sent bytes, a
-#: disk's operations and sectors).  Their readers want ``total`` and
+#: Bound of every kernel-device counter (a connection's
+#: retransmissions and losses, a stack's sent bytes, a disk's
+#: operations and sectors).  Their readers want ``total`` and
 #: ``rate(now, window)``, which stay exact while one window holds
 #: fewer updates than this.
 DEVICE_HISTORY = 8192
 
+#: Bound of a series that gains one sample per poll or per measured
+#: event (d-mon's two overhead series, Linpack's and iperf's progress,
+#: a SmartPointer stream's sent bytes and its client's processed
+#: events and latencies): day-long runs stay bounded, and nothing is
+#: trimmed within the horizons of the paper figures that read them.
+MEASUREMENT_HISTORY = 65536
 
-class TimeSeries:
-    """Append-only sequence of time-stamped samples.
 
-    With ``max_samples`` set, only the most recent ``max_samples``
-    samples are retained (trimmed in chunks, amortised O(1) per
-    append).
-    """
-
-    def __init__(self, name: str = "",
-                 max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be positive")
-        self.name = name
-        self.max_samples = max_samples
-        self.times: list[float] = []
-        self.values: list[float] = []
-        #: Number of samples discarded by the retention bound.
-        self.dropped_samples = 0
-
-    def record(self, t: float, value: float) -> None:
-        """Append one sample.  Timestamps must be non-decreasing."""
-        times = self.times
-        if times and t < times[-1]:
-            raise ValueError(
-                f"non-monotonic sample at t={t} (last {times[-1]})")
-        times.append(float(t))
-        self.values.append(float(value))
-        bound = self.max_samples
-        if bound is not None and len(times) >= 2 * bound:
-            # Trim in one chunk so appends stay amortised O(1).
-            cut = len(times) - bound
-            del times[:cut]
-            del self.values[:cut]
-            self.dropped_samples += cut
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self) -> Iterable[tuple[float, float]]:
-        return iter(zip(self.times, self.values))
-
-    def last(self) -> float:
-        """Most recent value."""
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return self.values[-1]
-
-    def mean(self, since: float = -math.inf) -> float:
-        """Arithmetic mean of samples recorded at or after ``since``."""
-        i = bisect_left(self.times, since)
-        window = self.values[i:]
-        if not window:
-            raise ValueError("no samples in requested window")
-        return float(np.mean(window))
-
-    def percentile(self, q: float, since: float = -math.inf) -> float:
-        """q-th percentile (0..100) of samples at or after ``since``."""
-        i = bisect_left(self.times, since)
-        window = self.values[i:]
-        if not window:
-            raise ValueError("no samples in requested window")
-        return float(np.percentile(window, q))
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile (``q`` in [0, 1]) of an already
+    sorted sample; NaN when it is empty."""
+    if not ordered:
+        return math.nan
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 class CounterTrace:
-    """A monotonically increasing event counter with rate queries.
+    """Non-negative amounts added over time, bounded by a sample count.
 
-    The trace stores ``(time, cumulative-total)`` pairs in two parallel
-    lists so windowed queries are a pair of bisects, never a scan.
-    With ``max_samples`` set, the oldest update records are discarded
-    (the running total is preserved, so ``total`` and recent-window
-    queries stay exact; queries reaching past the horizon treat the
-    oldest retained record as the epoch).
+    Two parallel columns — the sample times and the running total after
+    each sample — so every windowed query is a pair of bisects, never a
+    scan.  Iterating yields ``(t, amount)`` per retained sample.
     """
 
-    def __init__(self, name: str = "",
-                 max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples < 1:
+    __slots__ = ("max_samples", "dropped_samples", "_times",
+                 "_cumulative", "_total", "_base", "_horizon")
+
+    def __init__(self, max_samples: int) -> None:
+        if max_samples < 1:
             raise ValueError("max_samples must be positive")
-        self.name = name
         self.max_samples = max_samples
+        #: Number of samples discarded by the bound.
+        self.dropped_samples = 0
         self._times: list[float] = []
         self._cumulative: list[float] = []
         self._total = 0.0
-        #: Cumulative total at the retention horizon (0 when unbounded).
+        #: Running total and time of the last discarded sample.
         self._base = 0.0
-        #: Number of update records discarded by the retention bound.
-        self.dropped_samples = 0
+        self._horizon = -math.inf
 
     @property
     def total(self) -> float:
-        """Cumulative count so far."""
+        """Sum of every amount added so far."""
         return self._total
 
     def add(self, t: float, amount: float = 1.0) -> None:
@@ -156,13 +110,19 @@ class CounterTrace:
         self._total += amount
         times.append(t)
         self._cumulative.append(self._total)
-        bound = self.max_samples
-        if bound is not None and len(times) >= 2 * bound:
-            cut = len(times) - bound
+        if len(times) >= 2 * self.max_samples:
+            cut = len(times) - self.max_samples
             self._base = self._cumulative[cut - 1]
+            self._horizon = times[cut - 1]
             del times[:cut]
             del self._cumulative[:cut]
             self.dropped_samples += cut
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        before = self._base
+        for t, running in zip(self._times, self._cumulative):
+            yield t, running - before
+            before = running
 
     def count_between(self, t0: float, t1: float) -> float:
         """Units accumulated in the half-open window ``(t0, t1]``."""
@@ -176,15 +136,28 @@ class CounterTrace:
             raise ValueError("window must be positive")
         return self.count_between(now - window, now) / window
 
-    def _cumulative_at(self, t: float) -> float:
-        # Index of the first record strictly after t; everything at or
-        # before t has happened.
-        i = bisect_left(self._times, t)
+    def mean(self, since: float = -math.inf) -> float:
+        """Mean amount per sample over the samples at or after
+        ``since``."""
         times = self._times
-        n = len(times)
-        while i < n and times[i] <= t:
-            i += 1
-        return self._cumulative[i - 1] if i > 0 else self._base
+        i = bisect_left(times, since)
+        if not i and self.dropped_samples and since <= self._horizon:
+            raise ValueError("window reaches past the retained samples")
+        n = len(times) - i
+        if not n:
+            raise ValueError("no samples in requested window")
+        cumulative = self._cumulative
+        before = cumulative[i - 1] if i else self._base
+        return (cumulative[-1] - before) / n
+
+    def _cumulative_at(self, t: float) -> float:
+        # Everything at or before t has happened.
+        i = bisect_right(self._times, t)
+        if i:
+            return self._cumulative[i - 1]
+        if t < self._horizon:
+            raise ValueError("window reaches past the retained samples")
+        return self._base
 
 
 class WindowAverage:

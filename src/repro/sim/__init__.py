@@ -19,8 +19,7 @@ from repro.sim.power import Battery
 from repro.sim.rng import RngHub
 from repro.sim.stores import Resource, Store
 from repro.sim.transport import Connection, Message, NetStack, Protocol
-from repro.runtime.series import CounterTrace, EwmaLoad, TimeSeries, \
-    WindowAverage
+from repro.runtime.series import CounterTrace, EwmaLoad, WindowAverage
 
 __all__ = [
     "AllOf", "Environment", "Process", "SimEvent", "Timeout",
@@ -33,5 +32,5 @@ __all__ = [
     "Battery", "RngHub",
     "Resource", "Store",
     "Connection", "Message", "NetStack", "Protocol",
-    "CounterTrace", "EwmaLoad", "TimeSeries", "WindowAverage",
+    "CounterTrace", "EwmaLoad", "WindowAverage",
 ]

@@ -38,11 +38,10 @@ class Disk:
         self.transfer_rate = float(transfer_rate)
         self.per_op_latency = float(per_op_latency)
         self._head = Resource(env, capacity=1)
-        self.reads = CounterTrace("disk_reads", DEVICE_HISTORY)
-        self.writes = CounterTrace("disk_writes", DEVICE_HISTORY)
-        self.sectors_read = CounterTrace("sectors_read", DEVICE_HISTORY)
-        self.sectors_written = CounterTrace("sectors_written",
-                                            DEVICE_HISTORY)
+        self.reads = CounterTrace(DEVICE_HISTORY)
+        self.writes = CounterTrace(DEVICE_HISTORY)
+        self.sectors_read = CounterTrace(DEVICE_HISTORY)
+        self.sectors_written = CounterTrace(DEVICE_HISTORY)
         #: Cumulative seconds the head has spent in service.
         self.busy_seconds = 0.0
 

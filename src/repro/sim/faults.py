@@ -45,7 +45,7 @@ __all__ = ["FaultPlane", "FaultInjector", "FAULT_LOG_HISTORY"]
 CrashHandler = Callable[[str], None]
 
 #: Entries :attr:`FaultInjector.log` keeps: once it holds twice this
-#: many, the oldest are cut in one chunk (as ``TimeSeries.record``
+#: many, the oldest are cut in one chunk (as ``CounterTrace.add``
 #: trims), so a long fault schedule retains fewer than twice the bound.
 FAULT_LOG_HISTORY = 1024
 

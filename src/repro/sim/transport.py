@@ -7,9 +7,11 @@ shows up as *retransmissions* and stretched delivery); UDP-like
 connections sample *loss* from path congestion and drop messages.
 
 Each connection keeps the statistics the paper lists for NET_MON, in
-the form NET_MON samples them: three bounded counters it asks for a
-windowed rate of (sent bytes, TCP retransmissions, lost messages) and
-the latest round-trip time and end-to-end delay as plain floats.
+the form NET_MON samples them: two bounded counters it asks for a
+windowed rate of (TCP retransmissions, lost messages) and the latest
+round-trip time and end-to-end delay as plain floats.  Sent bytes are
+counted once, per stack (``NetStack.bytes_out``, NET_MON's
+``net_used``).
 """
 
 from __future__ import annotations
@@ -86,10 +88,8 @@ class Connection:
         self.path_rtt = 2 * sum(l.latency for l in fabric.path(
             self.src, dst)) + fabric.switch_latency
         # statistics ----------------------------------------------------
-        link, bound = f"{self.src}->{dst}", DEVICE_HISTORY
-        self.bytes_sent = CounterTrace(f"{link}:bytes", bound)
-        self.retransmissions = CounterTrace(f"{link}:retx", bound)
-        self.losses = CounterTrace(f"{link}:loss", bound)
+        self.retransmissions = CounterTrace(DEVICE_HISTORY)
+        self.losses = CounterTrace(DEVICE_HISTORY)
         #: End-to-end delay and round-trip time of the most recently
         #: delivered message (None until the first delivery).
         self.last_delay: Optional[float] = None
@@ -100,10 +100,6 @@ class Connection:
         """Send one message: a fan-out of one (see
         :meth:`NetStack.send_many`)."""
         self.stack.send_many([self], payload, size, on_fail)
-
-    def used_bandwidth(self, window: float = 1.0) -> float:
-        """Recent sending rate in bytes/s."""
-        return self.bytes_sent.rate(self.stack.env.now, window)
 
     def close(self) -> None:
         """Stop sending (idempotent); the stack forgets the connection,
@@ -150,7 +146,8 @@ class NetStack:
         #: Cumulative bytes received (PMC_MON and the power model
         #: difference it; nobody asks for a window of it).
         self.bytes_received = 0.0
-        self.bytes_out = CounterTrace(f"{host}:tx-bytes", DEVICE_HISTORY)
+        #: Bytes handed to the wire, one sample per fan-out.
+        self.bytes_out = CounterTrace(DEVICE_HISTORY)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -188,7 +185,10 @@ class NetStack:
         congestion — at send time or in flight — is reported once, as
         ``on_fail(dst, reason)`` at the instant it dies.  The transport
         schedules no event of its own for either outcome (an injected
-        stall aside); the fabric's transfer carries the copy.
+        stall aside); the fabric's transfer carries the copy.  A
+        fan-out that names a closed connection raises before any copy
+        leaves; otherwise ``bytes_out`` gains one sample for all its
+        copies, whatever becomes of them.
 
         A fan-out of more than one runs inside :meth:`batch`, which is
         what lets each link's congestion be read once per call: flows
@@ -206,6 +206,10 @@ class NetStack:
         fabric = self.fabric
         if len(conns) > 1 and not fabric._batch_depth:
             raise TransportError("a fan-out must be sent inside batch()")
+        for conn in conns:
+            if conn.closed:
+                raise TransportError("send on closed connection")
+        self.bytes_out.add(now, size * len(conns))
         transfer = fabric.transfer
         path = fabric.path
         link_congestion = fabric.link_congestion
@@ -214,7 +218,6 @@ class NetStack:
         rng_random = self.rng.random
         rng_poisson = self.rng.poisson
         trace = getattr(payload, "trace", None)
-        bytes_out_add = self.bytes_out.add
         drops_fault_inc = self._t_drops_fault.inc
         drops_congestion_inc = self._t_drops_congestion.inc
         retx_inc = self._t_retx.inc
@@ -222,8 +225,6 @@ class NetStack:
         # link -> congestion, read once per fan-out.
         congestion_on: dict = {}
         for conn in conns:
-            if conn.closed:
-                raise TransportError("send on closed connection")
             dst = conn.dst
             msg = Message(mid=next(_msg_ids), src=host, dst=dst,
                           tag=conn.tag, payload=payload, size=size,
@@ -238,8 +239,6 @@ class NetStack:
                     trace, name=f"hop:{host}->{dst}",
                     stage="transport", node=host, start=now,
                     dst=dst, proto=conn.proto, size=size)
-            conn.bytes_sent.add(now, size)
-            bytes_out_add(now, size)
             links = path(host, dst)
             # Injected faults are checked before protocol effects: a
             # message into a partition or onto a lossy link never

@@ -19,7 +19,7 @@ from repro.errors import SimulationError
 from repro.sim.core import Process
 from repro.sim.node import Node
 from repro.sim.stores import Store
-from repro.runtime.series import CounterTrace, TimeSeries
+from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.smartpointer.server import StreamEvent
 
 __all__ = ["SmartPointerClient"]
@@ -35,9 +35,10 @@ class SmartPointerClient:
         self._loop: Optional[Process] = None
         self._queue: Store[StreamEvent] = Store(node.env)
         # statistics ----------------------------------------------------------
-        self.arrivals = CounterTrace(f"{node.name}:arrivals")
-        self.processed = CounterTrace(f"{node.name}:processed")
-        self.latencies = TimeSeries(f"{node.name}:latency")
+        #: Events received (rendered or not).
+        self.arrivals = 0.0
+        self.processed = CounterTrace(MEASUREMENT_HISTORY)
+        self.latencies = CounterTrace(MEASUREMENT_HISTORY)
         node.stack.bind(f"smartptr:{node.name}", self._on_event)
 
     def start(self) -> "SmartPointerClient":
@@ -57,7 +58,7 @@ class SmartPointerClient:
     # -- data path ------------------------------------------------------------
 
     def _on_event(self, msg) -> None:
-        self.arrivals.add(self.node.env.now, 1.0)
+        self.arrivals += 1.0
         self._queue.put(msg.payload)
 
     def _render_loop(self):
@@ -71,7 +72,7 @@ class SmartPointerClient:
                 yield self.node.disk.write(event.size)
             now = env.now
             self.processed.add(now, 1.0)
-            self.latencies.record(now, now - event.sent_at)
+            self.latencies.add(now, now - event.sent_at)
 
     # -- results ---------------------------------------------------------------
 

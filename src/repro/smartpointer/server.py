@@ -20,7 +20,7 @@ from repro.dproc.toolkit import Dproc
 from repro.errors import SimulationError
 from repro.sim.core import Process
 from repro.sim.node import Node
-from repro.runtime.series import CounterTrace, TimeSeries
+from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.smartpointer.adaptation import (AdaptationPolicy,
                                            ClientCapabilities)
 from repro.smartpointer.data import MDFrameGenerator, StreamProfile
@@ -63,8 +63,10 @@ class ServerStream:
         self._conn = server.node.stack.connect(
             client_name, tag=f"smartptr:{client_name}")
         # statistics ---------------------------------------------------------
-        self.bytes_sent = CounterTrace(f"stream:{client_name}:bytes")
-        self.quality = TimeSeries(f"stream:{client_name}:quality")
+        self.bytes_sent = CounterTrace(MEASUREMENT_HISTORY)
+        #: Quality of the transform last applied (None before the
+        #: first frame).
+        self.quality: Optional[float] = None
         #: Transform last applied (None before the first frame) —
         #: adaptation decisions are audited when it changes.
         self._last_transform: Optional[Transform] = None
@@ -91,8 +93,8 @@ class ServerStream:
                 self.server.observations(self.client_name))
             # The policy needs to know how much of the (residual)
             # bandwidth this stream itself is consuming.
-            observations["stream_rate"] = self._conn.used_bandwidth(
-                window=max(4.0, 4.0 * interval))
+            observations["stream_rate"] = self.bytes_sent.rate(
+                now, max(4.0, 4.0 * interval))
             transform = self.policy.choose(
                 observations, self.profile, self.rate, self.caps)
             if transform != self._last_transform:
@@ -113,7 +115,7 @@ class ServerStream:
                                              name="preprocess")
             self._conn.send(event, size=size)
             self.bytes_sent.add(now, size)
-            self.quality.record(now, transform.quality())
+            self.quality = transform.quality()
             yield env.timeout(interval)
 
     def _record_adaptation(self, now: float, transform: Transform,

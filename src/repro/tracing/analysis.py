@@ -19,8 +19,9 @@ no RNG, safe to run mid-simulation or after.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
+from repro.runtime.series import nearest_rank
 from repro.tracing.collector import SpanRecord, SpanTree, TraceCollector
 
 __all__ = ["critical_path", "latency_breakdown", "adaptation_audit",
@@ -66,22 +67,14 @@ def critical_path(tree: SpanTree) -> list[tuple[SpanRecord, float]]:
     return segments
 
 
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not ordered:
-        return math.nan
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def _stats(values: list[float]) -> dict:
     ordered = sorted(values)
     total = sum(ordered)
     return {"count": len(ordered),
             "mean": total / len(ordered) if ordered else math.nan,
-            "p50": _percentile(ordered, 0.50),
-            "p95": _percentile(ordered, 0.95),
-            "p99": _percentile(ordered, 0.99),
+            "p50": nearest_rank(ordered, 0.50),
+            "p95": nearest_rank(ordered, 0.95),
+            "p99": nearest_rank(ordered, 0.99),
             "max": ordered[-1] if ordered else math.nan}
 
 

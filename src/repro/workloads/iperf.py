@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.sim.network import FixedFlowHandle
 from repro.sim.node import Node
-from repro.runtime.series import CounterTrace
+from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.sim.transport import Protocol
 from repro.units import KB, mbps, to_mbps
 
@@ -41,8 +41,7 @@ class IperfMeasure:
         self.sender = sender
         self.receiver = receiver
         self.running = False
-        self.received = CounterTrace(
-            f"iperf:{sender.name}->{receiver.name}")
+        self.received = CounterTrace(MEASUREMENT_HISTORY)
         self.started_at: float | None = None
         self._conn = sender.stack.connect(receiver.name,
                                           tag="iperf-data",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.sim.node import Node
-from repro.runtime.series import CounterTrace
+from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 
 __all__ = ["Linpack"]
 
@@ -31,7 +31,7 @@ class Linpack:
         self.node = node
         self.block_mflop = float(block_mflop)
         self.running = False
-        self.completed = CounterTrace(f"{node.name}:linpack-mflop")
+        self.completed = CounterTrace(MEASUREMENT_HISTORY)
         self.started_at: float | None = None
         self.stopped_at: float | None = None
         self._proc = None

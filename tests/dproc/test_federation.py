@@ -14,6 +14,12 @@ from repro.units import mbps, msec
 from repro.workloads import Linpack
 
 
+def _wan(link, name):
+    """A WAN telemetry counter summed over the link's two endpoints."""
+    return sum(node.telemetry.value(name)
+               for node in link.endpoints.values())
+
+
 def make_site(env, federation, site_name, prefix, n_nodes=3):
     names = [f"{prefix}{i}" for i in range(n_nodes)]
     cluster = build_cluster(env, nodes=n_nodes, seed=7, names=names)
@@ -80,7 +86,7 @@ class TestWanLink:
         link = WanLink(env, cluster["ga"], cluster["gb"])
         link.send("ga", "x", size=500.0)
         env.run(until=1.0)
-        assert link.bytes_carried.total == pytest.approx(500.0)
+        assert link.bytes_carried == pytest.approx(500.0)
 
 
 class TestFederation:
@@ -128,7 +134,7 @@ class TestFederation:
                 federation.stop()
                 federation.start()
             env.run(until=30.0)
-            return (link.bytes_carried.total,
+            return (link.bytes_carried,
                     east.gateway_dproc.read(
                         "/proc/grid/west/total_free_bytes"))
 
@@ -161,10 +167,10 @@ class TestFederation:
         link = federation._links["east"][0]
         # ~2 summaries per period (one per direction) of 160 B each.
         expected = 2 * (20.0 / 2.0) * 160.0
-        assert link.bytes_carried.total <= expected * 1.2
+        assert link.bytes_carried <= expected * 1.2
         # Meanwhile the intra-site monitoring moved far more data.
         intra = east.cluster["e0"].stack.bytes_received
-        assert intra > link.bytes_carried.total
+        assert intra > link.bytes_carried
 
     def test_validation(self, env):
         federation = GridFederation(env)
@@ -197,7 +203,7 @@ class TestWanRetry:
         link.send("ga", "queued", size=1250.0)
         env.run(until=5.0)
         assert got == []
-        assert link.retries.total >= 1
+        assert _wan(link, "wan.retries") >= 1
         link.down = False
         env.run(until=20.0)
         assert [p for _t, p in got] == ["queued"]
@@ -210,13 +216,18 @@ class TestWanRetry:
                        retry_initial=1.0, retry_max=4.0)
         link.down = True
         link.send("ga", "x", size=1250.0)
-        env.run(until=30.0)
-        times = link.retries._times
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        # Gap ≈ backoff + retransmit time: 1, 2, 4, 4, 4 ... (capped).
-        assert gaps[0] < gaps[1] < gaps[2]
-        assert gaps[3] == pytest.approx(gaps[2], rel=0.01)
-        assert max(gaps) < 4.5
+        # The backoff each retry waits, read off the endpoints'
+        # telemetry one retry at a time.
+        backoffs, retries, waited = [], 0.0, 0.0
+        for step in range(1, 301):
+            env.run(until=step * 0.1)
+            if _wan(link, "wan.retries") > retries:
+                retries = _wan(link, "wan.retries")
+                backoff = _wan(link, "wan.backoff_seconds")
+                backoffs.append(backoff - waited)
+                waited = backoff
+        assert backoffs[:5] == [1.0, 2.0, 4.0, 4.0, 4.0]
+        assert max(backoffs) == 4.0
 
     def test_node_down_probe_stalls_delivery(self, env):
         cluster = build_cluster(env, 2, names=["ga", "gb"])
@@ -254,7 +265,7 @@ class TestWanRetry:
         injector.schedule_crash(3.0, "w0", reboot_at=12.0)
         env.run(until=10.0)
         link = federation._links["east"][0]
-        assert link.retries.total >= 1
+        assert _wan(link, "wan.retries") >= 1
         stuck = federation.summary("west", "east")
         assert stuck is None or stuck.received_at < 4.0
         env.run(until=25.0)

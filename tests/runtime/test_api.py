@@ -8,8 +8,23 @@ from repro.api import Scenario, ScenarioError
 from repro.dproc import DMonConfig, MetricId
 from repro.obs import HealthRule
 from repro.obs.health import HEALTH_LOG_MAX_LEN
-from repro.runtime.series import CounterTrace, TimeSeries
+from repro.runtime.series import (DEVICE_HISTORY, MEASUREMENT_HISTORY,
+                                  CounterTrace)
 from repro.sim import Environment, build_cluster
+
+
+def _unbounded(owners) -> list[str]:
+    """``Type.attr`` of every history on ``owners`` that is not bounded
+    by one of the two history constants (asserts one history exists,
+    so an empty walk cannot pass)."""
+    histories = [(f"{type(owner).__name__}.{attr}", value)
+                 for owner in owners
+                 for attr, value in vars(owner).items()
+                 if isinstance(value, CounterTrace)]
+    assert histories
+    return [name for name, history in histories
+            if history.max_samples not in (DEVICE_HISTORY,
+                                           MEASUREMENT_HISTORY)]
 
 
 class TestBuildAndRun:
@@ -73,12 +88,29 @@ class TestBoundedHistories:
         for node in sc.nodes:
             owners += [node.cpu, node.memory, node.disk, node.port.tx,
                        node.port.rx, node.stack, *node.stack.connections]
-        histories = [value for owner in owners
-                     for value in vars(owner).values()
-                     if isinstance(value, (TimeSeries, CounterTrace))]
-        assert histories
-        unbounded = [h.name for h in histories if h.max_samples is None]
-        assert unbounded == []
+        assert _unbounded(owners) == []
+
+    def test_no_unbounded_history_in_the_applications(self):
+        """The application series off the record path — SmartPointer's
+        stream and client, a WAN link, Linpack and iperf — are bounded
+        too, after a run that fills each of them."""
+        from repro.dproc.federation import WanLink
+        from repro.harness.appbench import (CPU_PROFILE, CPU_RATE,
+                                            SmartPointerRig)
+        from repro.smartpointer import NoAdaptation
+        from repro.workloads import IperfMeasure, Linpack
+        rig = SmartPointerRig.build(NoAdaptation(), CPU_PROFILE, CPU_RATE)
+        cluster = rig.cluster
+        wan = WanLink(rig.env, cluster["iperf1"], cluster["iperf2"])
+        linpack = Linpack(cluster["server"]).start()
+        iperf = IperfMeasure(cluster["iperf1"], cluster["iperf2"]).start()
+        wan.send("iperf1", "summary")
+        rig.env.run(until=5.0)
+        assert wan.bytes_carried > 0
+        assert rig.client.processed.total > 0
+        owners = [rig.client, wan, linpack, iperf,
+                  *rig.server.streams.values()]
+        assert _unbounded(owners) == []
 
     def test_health_log_is_a_bounded_ring(self):
         """The health engine a scenario builds keeps at most

@@ -121,3 +121,37 @@ class TestLiveBusDirectory:
             await _stop(server, client_a, client_b)
             return before, after
         assert asyncio.run(run()) == (True, [])
+
+
+class _StubDirectory:
+    """A registry client with no socket: counts directory reads."""
+
+    def __init__(self) -> None:
+        self.directory: dict[str, list[str]] = {}
+        self.on_change = None
+        self.reads = 0
+
+    def set_subscribers(self, subscribers: dict[str, list[str]]) -> None:
+        pass
+
+    def subscribers(self, name: str) -> list[str]:
+        self.reads += 1
+        return self.directory.get(name, [])
+
+
+class TestLiveBusSubscriberCache:
+    def test_merged_list_is_built_once_per_version(self):
+        """Submits between two directory changes reuse one merged
+        list; a remote change shows on the very next lookup."""
+        directory = _StubDirectory()
+        bus = LiveBus()
+        bus.attach_registry(directory)
+        directory.directory["x"] = ["maui"]
+        directory.on_change()
+        for _ in range(50):
+            assert bus.remote_subscribers("x", "alan") == ["maui"]
+        assert directory.reads == 1
+        directory.directory["x"] = ["maui", "etna"]
+        directory.on_change()
+        assert bus.remote_subscribers("x", "alan") == ["maui", "etna"]
+        assert directory.reads == 2

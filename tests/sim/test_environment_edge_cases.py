@@ -148,7 +148,7 @@ class TestDeterminismAcrossSubsystems:
             a = dprocs["alan"].dmon
             return (lp.mflops(),
                     a.node.telemetry.value("dmon.events_published"),
-                    a.submit_overhead.values[-1],
+                    list(a.submit_overhead)[-1],
                     cluster["maui"].disk.writes.total)
 
         assert run_once() == run_once()

@@ -6,90 +6,110 @@ import math
 
 import pytest
 
-from repro.sim import CounterTrace, EwmaLoad, TimeSeries, WindowAverage
-
-
-class TestTimeSeries:
-    def test_record_and_iterate(self):
-        ts = TimeSeries("x")
-        ts.record(0.0, 1.0)
-        ts.record(1.0, 2.0)
-        assert list(ts) == [(0.0, 1.0), (1.0, 2.0)]
-        assert len(ts) == 2
-
-    def test_non_monotonic_rejected(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(4.0, 1.0)
-
-    def test_last(self):
-        ts = TimeSeries()
-        ts.record(0, 10)
-        ts.record(1, 20)
-        assert ts.last() == 20
-
-    def test_last_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()
-
-    def test_mean_with_window(self):
-        ts = TimeSeries()
-        for t, v in [(0, 0), (1, 10), (2, 20)]:
-            ts.record(t, v)
-        assert ts.mean() == pytest.approx(10.0)
-        assert ts.mean(since=1.0) == pytest.approx(15.0)
-
-    def test_mean_empty_window_raises(self):
-        ts = TimeSeries()
-        ts.record(0, 1)
-        with pytest.raises(ValueError):
-            ts.mean(since=5.0)
-
-    def test_percentile(self):
-        ts = TimeSeries()
-        for i in range(101):
-            ts.record(i, i)
-        assert ts.percentile(50) == pytest.approx(50.0)
-        assert ts.percentile(90) == pytest.approx(90.0)
+from repro.sim import CounterTrace, EwmaLoad, WindowAverage
 
 
 class TestCounterTrace:
     def test_total_accumulates(self):
-        c = CounterTrace()
+        c = CounterTrace(64)
         c.add(0.0, 2)
         c.add(1.0, 3)
         assert c.total == 5
 
     def test_negative_amount_rejected(self):
-        c = CounterTrace()
+        c = CounterTrace(64)
         with pytest.raises(ValueError):
             c.add(0.0, -1)
 
     def test_non_monotonic_time_rejected(self):
-        c = CounterTrace()
+        c = CounterTrace(64)
         c.add(2.0)
         with pytest.raises(ValueError):
             c.add(1.0)
 
+    def test_rejected_sample_leaves_trace_unchanged(self):
+        c = CounterTrace(64)
+        c.add(5.0, 1.0)
+        with pytest.raises(ValueError):
+            c.add(4.0, 1.0)
+        assert list(c) == [(5.0, 1.0)]
+        assert c.total == 1.0
+        # An equal timestamp is not a step backwards.
+        c.add(5.0, 2.0)
+        assert c.total == 3.0
+
     def test_count_between(self):
-        c = CounterTrace()
+        c = CounterTrace(64)
         for t in range(10):
             c.add(float(t), 1.0)
         assert c.count_between(2.0, 5.0) == pytest.approx(3.0)
 
     def test_rate(self):
-        c = CounterTrace()
+        c = CounterTrace(64)
         for t in range(10):
             c.add(float(t), 2.0)
         assert c.rate(now=9.0, window=3.0) == pytest.approx(2.0)
 
     def test_rate_requires_positive_window(self):
         with pytest.raises(ValueError):
-            CounterTrace().rate(1.0, 0.0)
+            CounterTrace(64).rate(1.0, 0.0)
 
     def test_empty_counter_rate_is_zero(self):
-        assert CounterTrace().rate(10.0, 5.0) == 0.0
+        assert CounterTrace(64).rate(10.0, 5.0) == 0.0
+
+    def test_add_and_iterate(self):
+        c = CounterTrace(64)
+        c.add(0.0, 1.0)
+        c.add(1.0, 2.0)
+        assert list(c) == [(0.0, 1.0), (1.0, 2.0)]
+
+    def test_mean_with_window(self):
+        c = CounterTrace(64)
+        for t, v in [(0, 0), (1, 10), (2, 20)]:
+            c.add(t, v)
+        assert c.mean() == pytest.approx(10.0)
+        assert c.mean(since=1.0) == pytest.approx(15.0)
+
+    def test_mean_empty_window_raises(self):
+        c = CounterTrace(64)
+        c.add(0, 1)
+        with pytest.raises(ValueError):
+            c.mean(since=5.0)
+
+    def test_bound_is_required_and_positive(self):
+        with pytest.raises(TypeError):
+            CounterTrace()  # type: ignore[call-arg]
+        with pytest.raises(ValueError):
+            CounterTrace(0)
+
+    def test_trimmed_trace_keeps_recent_windows_exact(self):
+        """Past twice the bound the oldest samples go in one chunk;
+        the total, iteration, ``mean`` and ``rate`` over what is left
+        equal an untrimmed trace's answers."""
+        bounded, full = CounterTrace(4), CounterTrace(1000)
+        for t in range(9):
+            for trace in (bounded, full):
+                trace.add(float(t), float(t % 3))
+        assert bounded.dropped_samples == 4
+        assert list(bounded) == list(full)[4:]
+        assert bounded.total == full.total
+        assert bounded.mean(since=4.0) == full.mean(since=4.0)
+        assert bounded.rate(8.0, 4.0) == full.rate(8.0, 4.0)
+
+    def test_window_past_the_retained_samples_raises(self):
+        """A window that needs a discarded sample raises instead of
+        answering short; one that starts at the cut does not."""
+        c = CounterTrace(2)
+        for t in range(4):
+            c.add(float(t), 1.0)  # the fourth add discards t=0 and 1
+        assert c.count_between(1.0, 3.0) == 2.0
+        assert c.mean(since=2.0) == 1.0
+        with pytest.raises(ValueError, match="retained"):
+            c.count_between(0.5, 3.0)
+        with pytest.raises(ValueError, match="retained"):
+            c.rate(3.0, 3.0)
+        with pytest.raises(ValueError, match="retained"):
+            c.mean(since=1.0)
 
 
 class TestWindowAverage:

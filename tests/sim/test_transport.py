@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TransportError
-from repro.runtime.series import (DEVICE_HISTORY, CounterTrace,
-                                  TimeSeries)
+from repro.runtime.series import DEVICE_HISTORY, CounterTrace
 from repro.sim import Environment, Protocol, build_cluster
 from repro.units import KB, mbps
 from tests.conftest import Inbox
@@ -51,6 +50,20 @@ class TestConnectionBasics:
         conn.close()
         with pytest.raises(TransportError):
             conn.send("x", 10)
+
+    def test_fan_out_naming_a_closed_connection_sends_nothing(self, env):
+        """The closed connection is checked before any copy leaves, so
+        a refused fan-out neither delivers nor counts a byte."""
+        cluster = build_cluster(env, nodes=3, seed=7)
+        stack = cluster["alan"].stack
+        inboxes = [Inbox(cluster[name].stack) for name in ("maui", "etna")]
+        conns = [stack.connect(name, tag="t") for name in ("maui", "etna")]
+        conns[1].close()
+        with pytest.raises(TransportError), stack.batch():
+            stack.send_many(conns, "x", 100)
+        env.run()
+        assert [inbox.messages for inbox in inboxes] == [[], []]
+        assert stack.bytes_out.total == 0.0
 
     def test_bad_size_rejected(self, env, pair):
         src, _ = pair
@@ -108,7 +121,6 @@ class TestStatistics:
                 yield inbox.next()
 
         env.run(env.process(proc()))
-        assert conn.bytes_sent.total == pytest.approx(KB(500))
         assert dst.stack.bytes_received == pytest.approx(KB(500))
         assert src.stack.bytes_out.total == pytest.approx(KB(500))
 
@@ -129,7 +141,7 @@ class TestStatistics:
         dst.cpu.settle()
         assert dst.cpu.busy_cpu_seconds > 0
 
-    def test_used_bandwidth_window(self, env, pair):
+    def test_bytes_out_rate_window(self, env, pair):
         src, dst = pair
         inbox = Inbox(dst.stack)
         conn = src.stack.connect("maui", tag="t")
@@ -144,25 +156,35 @@ class TestStatistics:
         # t=0, and rate windows are half-open on the left) sees the
         # full 10 Mbit.
         window = env.now + 0.1
-        assert conn.used_bandwidth(window=window) \
+        assert src.stack.bytes_out.rate(env.now, window) \
             == pytest.approx(mbps(10) / window, rel=0.05)
+
+    def test_one_bytes_out_sample_per_fan_out(self, env):
+        cluster = build_cluster(env, nodes=4, seed=7)
+        stack = cluster["alan"].stack
+        conns = [stack.connect(name, tag="t")
+                 for name in cluster.names if name != "alan"]
+        with stack.batch():
+            stack.send_many(conns, "x", 100)
+        assert list(stack.bytes_out) == [(0.0, 300.0)]
 
 
 class TestBoundedHistories:
     def test_retained_samples_stop_growing(self, env, pair):
-        """However long a connection lives, its sent-bytes trace and
-        the sending stack's retain fewer than 2 x DEVICE_HISTORY
-        samples, and what NET_MON, PMC_MON and the power model read
-        (``total``, ``rate(now, window)``, the last delay, the
-        received-byte total) equals an unbounded trace's answer."""
+        """However long a stack sends, its sent-bytes trace retains
+        fewer than 2 x DEVICE_HISTORY samples, and what NET_MON,
+        PMC_MON and the power model read (``total``,
+        ``rate(now, window)``, the last delay, the received-byte total)
+        equals an untrimmed shadow's answer."""
         src, dst = pair
         conn = src.stack.connect("maui", tag="t")
-        sent, received, delays = CounterTrace(), CounterTrace(), \
-            TimeSeries()
+        shadow = 4 * DEVICE_HISTORY
+        sent, received = CounterTrace(shadow), CounterTrace(shadow)
+        delays = []
 
         def on_message(msg):
             received.add(env.now, msg.size)
-            delays.record(env.now, env.now - msg.sent_at)
+            delays.append(env.now - msg.sent_at)
 
         dst.stack.bind("t", on_message)
 
@@ -174,21 +196,18 @@ class TestBoundedHistories:
                 yield env.timeout(0.001)
 
         total = 0
+        bytes_out = src.stack.bytes_out
         for n in (2 * DEVICE_HISTORY + 5, DEVICE_HISTORY):
             env.run(env.process(burst(n)))
             total += n
-            for trace in (conn.bytes_sent, src.stack.bytes_out):
-                assert total - trace.dropped_samples \
-                    < 2 * DEVICE_HISTORY, trace.name
-        assert len(delays) == total
-        for trace in (conn.bytes_sent, src.stack.bytes_out):
-            assert trace.total == sent.total
-            assert trace.rate(env.now, 1.0) == sent.rate(env.now, 1.0)
+            assert total - bytes_out.dropped_samples < 2 * DEVICE_HISTORY
+        assert len(delays) == total and sent.dropped_samples == 0
+        assert bytes_out.total == sent.total
+        for window in (1.0, 5.0):
+            assert bytes_out.rate(env.now, window) \
+                == sent.rate(env.now, window)
         assert dst.stack.bytes_received == received.total
-        assert conn.last_delay == delays.last()
-        assert conn.used_bandwidth(window=5.0) \
-            == sent.rate(env.now, 5.0)
-
+        assert conn.last_delay == delays[-1]
 
     def test_fault_log_stays_bounded(self, env):
         """Three times FAULT_LOG_HISTORY executed faults leave fewer

@@ -88,7 +88,7 @@ class TestPipeline:
             "maui", profile, rate=5.0,
             policy=StaticAdaptation(Transform(downsample=0.5)))
         env.run(until=5.0)
-        assert stream.quality.last() == pytest.approx(0.5)
+        assert stream.quality == pytest.approx(0.5)
 
 
 class TestRestart:
@@ -115,8 +115,8 @@ class TestRestart:
                 env.run(until=10.0 + pause)
                 part.start()
         env.run(until=20.0)
-        return (client.arrivals.total, client.processed.total,
-                list(client.latencies.values))
+        return (client.arrivals, client.processed.total,
+                list(client.latencies))
 
     def test_restarted_stream_and_client_run_one_loop_each(self,
                                                            profile):

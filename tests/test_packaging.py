@@ -27,6 +27,18 @@ def test_entry_points_load_neither_networkx_nor_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_series_module_loads_without_numpy():
+    """The windowed counters are standard library only; a numpy import
+    here would come back on every backend that reads a counter."""
+    code = ("import sys, repro.runtime.series; "
+            "assert 'numpy' not in sys.modules")
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", code], capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """Both ways: a declared dependency nothing imports would only
     make every install pay for it."""

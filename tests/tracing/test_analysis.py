@@ -10,7 +10,8 @@ import pytest
 from repro.tracing import (TraceCollector, adaptation_audit,
                            critical_path, latency_breakdown,
                            render_audit, render_breakdown)
-from repro.tracing.analysis import _percentile, _resolve_trigger
+from repro.runtime.series import nearest_rank
+from repro.tracing.analysis import _resolve_trigger
 
 
 def build_pipeline_trace(collector: TraceCollector, trace_id: str,
@@ -74,12 +75,18 @@ class TestCriticalPath:
 
 class TestPercentiles:
     def test_nearest_rank(self):
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+        assert nearest_rank([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
         values = [float(i) for i in range(1, 101)]
-        assert _percentile(values, 0.95) == 95.0
-        assert _percentile(values, 0.99) == 99.0
-        assert _percentile([7.0], 0.99) == 7.0
-        assert math.isnan(_percentile([], 0.5))
+        assert nearest_rank(values, 0.95) == 95.0
+        assert nearest_rank(values, 0.99) == 99.0
+        assert nearest_rank(values, 0.0) == 1.0
+        assert nearest_rank([7.0], 0.99) == 7.0
+        assert math.isnan(nearest_rank([], 0.5))
+
+    def test_nearest_rank_over_a_ramp(self):
+        values = [float(i) for i in range(101)]
+        assert nearest_rank(values, 0.50) == pytest.approx(50.0)
+        assert nearest_rank(values, 0.90) == pytest.approx(90.0)
 
 
 class TestLatencyBreakdown:

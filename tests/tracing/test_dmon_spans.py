@@ -118,3 +118,48 @@ class TestAuditNamesTheFilter:
         assert resolved
         assert {t["filter_id"] for t in resolved} == {"keep-load"}
         assert all(t["rule"] is None for t in resolved)
+
+
+def _ends_after_its_children(tree) -> bool:
+    children = [s for s in tree.spans if s is not tree.root]
+    assert max(s.start for s in children) > tree.root.start
+    return tree.root.end >= max(s.start for s in children)
+
+
+class TestRootEndsAtTheClock:
+    def test_poll_root_after_a_slow_collect(self):
+        """On a live node the clock moves while modules collect; the
+        poll's root must not end before the submit and hops it parents
+        (they start at the moved clock)."""
+        sc = Scenario(nodes=2, seed=1).with_tracing().run(3.0)
+        dmon = sc.dprocs[sc.nodes.names[0]].dmon
+        module = dmon.modules["cpu"]
+        collect = module.collect
+
+        def slow_collect(now):
+            sc.env._now += 0.25  # a wall clock moving during the read
+            return collect(now)
+
+        module.collect = slow_collect
+        dmon.poll_once()
+        assert _ends_after_its_children(
+            sc.tracer.tree(f"{dmon.node.name}:poll:{dmon.polls}"))
+
+    def test_control_root_after_a_slow_submit(self):
+        """The same for a control message: its root must not end
+        before the hops its submit sends."""
+        sc = Scenario(nodes=2, seed=1).with_tracing().run(3.0)
+        dmon = sc.dprocs[sc.nodes.names[0]].dmon
+        endpoint = dmon._control_ep
+        submit = endpoint.submit
+
+        def slow_submit(*args, **kwargs):
+            sc.env._now += 0.25  # a wall clock moving during encode
+            return submit(*args, **kwargs)
+
+        endpoint.submit = slow_submit
+        sc.dprocs[dmon.node.name].write(
+            f"/proc/cluster/{sc.nodes.names[1]}/control", "period mem 2")
+        (tree,) = [tree for tree in sc.tracer.trees()
+                   if tree.root.stage == "control"]
+        assert _ends_after_its_children(tree)
