@@ -30,11 +30,8 @@ def run_interval(interval: float):
     env.run(until=DURATION)
     dmon = dprocs[cluster.names[0]].dmon
     # Mean staleness of what this node knows about its peers.
-    ages = []
-    for host in cluster.names[1:]:
-        entry = dmon.remote_value(host, MetricId.FREEMEM)
-        if entry is not None:
-            ages.append(env.now - entry.received_at)
+    ages = [dmon.peer_age(host) for host in cluster.names[1:]
+            if dmon.remote_value(host, MetricId.FREEMEM) is not None]
     cpu_per_sec = (dmon.mean_submit_overhead(since=DURATION * 0.2)
                    + dmon.mean_receive_overhead(
                        since=DURATION * 0.2)) / interval

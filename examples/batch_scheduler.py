@@ -8,9 +8,10 @@ to run its process on.  So it will tie the update period of the memory
 information to the load average dropping below the number of CPUs."
 
 A toy scheduler on one node watches every other node through
-/proc/cluster and dispatches queued jobs to nodes whose FREEMEM entry
-is *fresh* — which, thanks to the deployed filter, is exactly the set
-of nodes with a free CPU and enough memory.
+/proc/cluster and dispatches queued jobs to nodes whose FREEMEM reading
+is *fresh* (sampled at the source less than ``FRESHNESS`` seconds
+ago) — which, thanks to the deployed filter, is exactly the set of
+nodes with a free CPU and enough memory.
 
 Run:  python examples/batch_scheduler.py
 """
@@ -72,7 +73,7 @@ def main() -> None:
                     break
                 entry = head.dmon.remote_value(name, MetricId.FREEMEM)
                 fresh = (entry is not None
-                         and env.now - entry.received_at < FRESHNESS)
+                         and env.now - entry.timestamp < FRESHNESS)
                 if not fresh:
                     continue  # no free CPU there (or no data yet)
                 if entry.value < JOB_MEMORY:

@@ -8,7 +8,11 @@ hsm-action-top pattern) instead of polling one node's /proc/cluster
 snapshot — so its rows are exactly what the channel delivered, it
 keeps working across crashes by replay, and every host that ever
 published appears, whatever subset of metrics it reported.  Alarms
-still fire on threshold crossings while it runs.
+still fire on threshold crossings while it runs.  The closing
+placement answers (least-loaded host, most free memory) come from
+alan's ``ClusterView``, which counts only hosts whose
+``/proc/cluster/<host>/status`` reads fresh, so a host that stopped
+reporting is never named.
 
 Run:  python examples/cluster_top.py
 """
@@ -16,7 +20,7 @@ Run:  python examples/cluster_top.py
 from __future__ import annotations
 
 from repro.api import Scenario
-from repro.dproc import MetricId
+from repro.dproc import ClusterView, MetricId
 from repro.dproc.alarms import AlarmManager
 from repro.stream import StreamTop
 from repro.units import MB
@@ -72,8 +76,11 @@ def main() -> None:
     scenario.run_until(90.0)
     draw(top, env, alarm_lines)
 
-    print(f"\nleast loaded node right now: {top.least_loaded()}")
-    print(f"most free memory:            {top.most_free_memory()}")
+    view = ClusterView(dprocs["alan"])
+    idle, _load = view.extreme(MetricId.LOADAVG, largest=False)
+    roomy, _free = view.extreme(MetricId.FREEMEM)
+    print(f"\nleast loaded node right now: {idle}")
+    print(f"most free memory:            {roomy}")
     print(f"stream: {scenario.stream.total_entries()} entries, "
           f"{top.events_consumed} consumed by dtop")
 

@@ -19,7 +19,7 @@ from repro.dproc.control_api import (ControlRequest, FilterCommand,
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import (DMon, DMonConfig, PEER_DEAD, PEER_FRESH,
                               PEER_STALE, PEER_UNKNOWN, RemoteMetric,
-                              RemoteProcs, register_default_modules)
+                              register_default_modules)
 from repro.dproc.federation import (GridFederation, Site, SiteSummary,
                                     WanLink)
 from repro.dproc.filters import DeployedFilter, FilterManager
@@ -41,7 +41,7 @@ __all__ = [
     "GridFederation", "Site", "SiteSummary", "WanLink",
     "parse_control_text",
     "ControlRequest", "FilterCommand", "topk_filter", "topk_source",
-    "DMon", "DMonConfig", "RecordBatch", "RemoteMetric", "RemoteProcs",
+    "DMon", "DMonConfig", "RecordBatch", "RemoteMetric",
     "register_default_modules",
     "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
     "DeployedFilter", "FilterManager",

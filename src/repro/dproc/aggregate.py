@@ -4,9 +4,10 @@ The paper motivates dproc with management activities — load balancing,
 task placement, resource distribution — that need *cluster-wide*
 answers ("which node has a free CPU and the most memory?"), not single
 readings.  :class:`ClusterView` layers those queries over one node's
-dproc instance: it aggregates the local ``/proc/cluster`` cache with
-explicit staleness handling, so a consumer never acts on data older
-than it can tolerate.
+dproc instance: it aggregates the local ``/proc/cluster`` cache over
+the hosts whose ``status`` reads ``fresh``
+(:meth:`~repro.dproc.dmon.DMon.peer_state`), so a consumer never acts
+on a host d-mon itself reports stale or dead.
 """
 
 from __future__ import annotations
@@ -14,30 +15,24 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.dproc.dmon import PEER_FRESH
 from repro.dproc.metrics import MetricId
 from repro.dproc.toolkit import Dproc
-from repro.errors import DprocError
 
 __all__ = ["ClusterView"]
 
 
 class ClusterView:
-    """Aggregated, staleness-aware view of the whole cluster."""
+    """Aggregated view of the hosts d-mon reports fresh."""
 
-    def __init__(self, dproc: Dproc, staleness: float = 5.0) -> None:
-        """``staleness`` — maximum age (seconds) of a remote reading
-        before it is treated as unknown."""
-        if staleness <= 0:
-            raise DprocError("staleness bound must be positive")
+    def __init__(self, dproc: Dproc) -> None:
         self.dproc = dproc
-        self.staleness = float(staleness)
 
     # -- raw snapshots ------------------------------------------------------------
 
     def snapshot(self, metric: MetricId,
                  include_self: bool = True) -> dict[str, float]:
-        """Fresh readings of ``metric`` per host (stale ones omitted)."""
-        now = self.dproc.node.env.now
+        """Readings of ``metric`` per fresh host (others omitted)."""
         dmon = self.dproc.dmon
         values: dict[str, float] = {}
         for host in self.dproc.hosts():
@@ -46,11 +41,8 @@ class ClusterView:
                     values[host] = dmon.last_samples[metric]
                 continue
             remote = dmon.remote_value(host, metric)
-            if remote is None:
-                continue
-            if now - remote.received_at > self.staleness:
-                continue
-            values[host] = remote.value
+            if remote is not None and dmon.peer_state(host) == PEER_FRESH:
+                values[host] = remote.value
         return values
 
     # -- aggregates ---------------------------------------------------------------

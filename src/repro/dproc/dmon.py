@@ -39,9 +39,10 @@ from repro.runtime.protocol import Bus, RuntimeNode
 from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.tracing.context import TraceRef
 
-__all__ = ["DMonConfig", "DMon", "RemoteMetric", "RemoteProcs",
+__all__ = ["DMonConfig", "DMon", "RemoteMetric",
            "register_default_modules",
-           "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN"]
+           "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
+           "STALE_AFTER_INTERVALS", "DEAD_AFTER_INTERVALS"]
 
 UpdateHook = Callable[[str, MetricId, float, float], None]
 
@@ -51,6 +52,13 @@ PEER_FRESH = "fresh"
 PEER_STALE = "stale"
 PEER_DEAD = "dead"
 PEER_UNKNOWN = "unknown"
+
+#: A peer unheard for more than this many polling intervals is
+#: reported *stale* ...
+STALE_AFTER_INTERVALS = 3.0
+#: ... and after this many, *dead*.  Stale/dead entries stay readable
+#: (last-known values) but are flagged, never silently fresh.
+DEAD_AFTER_INTERVALS = 10.0
 
 
 @dataclass(frozen=True)
@@ -71,34 +79,24 @@ class DMonConfig:
     metric_subset: Optional[frozenset[MetricId]] = None
     #: Subscribe to the monitoring channel at start (import remote data).
     subscribe_monitoring: bool = True
-    #: A peer unheard for more than this many polling intervals is
-    #: reported *stale* ...
-    stale_after_intervals: float = 3.0
-    #: ... and after this many, *dead*.  Stale/dead entries stay
-    #: readable (last-known values) but are flagged, never silently
-    #: fresh.
-    dead_after_intervals: float = 10.0
+
+    @property
+    def stale_after(self) -> float:
+        """Seconds unheard after which a peer reads *stale*."""
+        return STALE_AFTER_INTERVALS * self.poll_interval
+
 
 @dataclass
 class RemoteMetric:
-    """Latest known value of one metric at one remote host."""
+    """Latest known value of one metric at one remote host.
+
+    When this node last heard the host is
+    :attr:`DMon.peer_last_heard`; the reading's own age is
+    ``now - timestamp``.
+    """
 
     value: float
     timestamp: float      # when the source sampled it
-    received_at: float    # when this node learned it
-
-
-@dataclass
-class RemoteProcs:
-    """Latest per-process summary received from one remote host.
-
-    ``kind`` is ``"top"`` (sketch-filtered: pid -> ranked weight) or
-    ``"full"`` (unfiltered firehose: pid -> (cpu, mem, io)).
-    """
-
-    kind: str
-    rows: dict[int, object]
-    received_at: float
 
 
 class DMon:
@@ -118,10 +116,12 @@ class DMon:
         self._last_sent_at: dict[MetricId, float] = {}
         # remote cache ------------------------------------------------------
         self.remote: dict[str, dict[MetricId, RemoteMetric]] = {}
-        #: host -> latest per-process summary heard from that host.
-        self.remote_procs: dict[str, RemoteProcs] = {}
-        #: What this node last *published* on the keyed stream (served
-        #: for its own /proc/cluster/<self>/proc_top entry).
+        #: host -> latest per-process summary heard from that host, as
+        #: ``(kind, rows)``: ``"top"`` (sketch-filtered: pid -> ranked
+        #: weight) or ``"full"`` (unfiltered: pid -> (cpu, mem, io)).
+        self.remote_procs: dict[str, tuple[str, dict[int, object]]] = {}
+        #: What this node last *published* on the keyed stream, the same
+        #: way (served for its own /proc/cluster/<self>/proc_top entry).
         self.last_procs: Optional[tuple[str, dict[int, object]]] = None
         #: host -> sim time its monitoring data was last received
         #: (drives the fresh/stale/dead liveness states).
@@ -538,11 +538,9 @@ class DMon:
         now = self.node.env.now
         self.peer_last_heard[host] = now
         if batch.proc_top is not None:
-            self.remote_procs[host] = RemoteProcs(
-                kind="top", rows=dict(batch.proc_top), received_at=now)
+            self.remote_procs[host] = ("top", dict(batch.proc_top))
         elif batch.procs is not None:
-            self.remote_procs[host] = RemoteProcs(
-                kind="full", rows=dict(batch.procs), received_at=now)
+            self.remote_procs[host] = ("full", dict(batch.procs))
         if trace is not None:
             trace.collector.record_span(
                 trace, name=f"update:{self.node.name}",
@@ -559,12 +557,10 @@ class DMon:
             # fresh allocation per record per event.
             rec = store.get(metric)
             if rec is None:
-                store[metric] = RemoteMetric(value=value, timestamp=ts,
-                                             received_at=now)
+                store[metric] = RemoteMetric(value=value, timestamp=ts)
             else:
                 rec.value = value
                 rec.timestamp = ts
-                rec.received_at = now
             for hook in hooks:
                 hook(host, metric, value, ts)
 
@@ -599,17 +595,17 @@ class DMon:
         """Liveness of one peer: fresh, stale, dead or unknown.
 
         Entries transition fresh → stale → dead as polls go unheard;
-        a cached value is therefore never *silently* fresh — consumers
-        (procfs, :class:`~repro.dproc.aggregate.ClusterView`) can see
-        exactly how much to trust it.
+        a cached value is therefore never *silently* fresh.  This is
+        the one freshness rule: the ``status`` file prints it and
+        :class:`~repro.dproc.aggregate.ClusterView` counts only the
+        hosts it calls fresh.
         """
         age = self.peer_age(host)
         if math.isinf(age):
             return PEER_UNKNOWN
-        interval = self.config.poll_interval
-        if age > self.config.dead_after_intervals * interval:
+        if age > DEAD_AFTER_INTERVALS * self.config.poll_interval:
             return PEER_DEAD
-        if age > self.config.stale_after_intervals * interval:
+        if age > self.config.stale_after:
             return PEER_STALE
         return PEER_FRESH
 

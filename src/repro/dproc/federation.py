@@ -7,10 +7,11 @@ simulated WAN links:
 * each *site* is a cluster with its own dproc deployment and a
   designated **gateway** node;
 * gateways periodically condense their site's state into a
-  :class:`SiteSummary` (using the staleness-aware
-  :class:`~repro.dproc.aggregate.ClusterView`) and exchange summaries
-  with peer gateways over :class:`WanLink` connections — FIFO pipes
-  with WAN-scale latency and limited bandwidth;
+  :class:`SiteSummary` (over the hosts the gateway's
+  :class:`~repro.dproc.aggregate.ClusterView` counts fresh) and
+  exchange summaries with peer gateways over :class:`WanLink`
+  connections — FIFO pipes with WAN-scale latency and limited
+  bandwidth;
 * remote sites appear on the gateway's /proc tree under
   ``/proc/grid/<site>/...``, mirroring how remote *nodes* appear under
   ``/proc/cluster``.
@@ -192,13 +193,11 @@ class GridFederation:
     """Gateways exchanging site summaries over WAN links."""
 
     def __init__(self, env: Environment,
-                 summary_period: float = 5.0,
-                 staleness: float = 10.0) -> None:
+                 summary_period: float = 5.0) -> None:
         if summary_period <= 0:
             raise DprocError("summary period must be positive")
         self.env = env
         self.summary_period = float(summary_period)
-        self.staleness = float(staleness)
         self.sites: dict[str, Site] = {}
         self._links: dict[str, list[WanLink]] = {}
         #: site -> (peer site -> latest summary) as known at that site.
@@ -286,8 +285,7 @@ class GridFederation:
 
     def summarize_site(self, site: Site) -> SiteSummary:
         """Condense one site's current state via its gateway's view."""
-        view = ClusterView(site.gateway_dproc,
-                           staleness=self.staleness)
+        view = ClusterView(site.gateway_dproc)
         free = view.total(MetricId.FREEMEM)
         mean_load = view.mean(MetricId.LOADAVG)
         _h, max_disk = view.extreme(MetricId.DISKUSAGE, largest=True)

@@ -161,7 +161,7 @@ class Dproc:
             received = self.dmon.remote_procs.get(host)
             if received is None:
                 return "kind: none\n"
-            kind, rows = received.kind, received.rows
+            kind, rows = received
         lines = [f"kind: {kind}"]
         if kind == "top":
             ranked = sorted(rows.items(), key=lambda p: (-p[1], p[0]))

@@ -92,9 +92,7 @@ class ChaosReport:
         config = self.scenario.dprocs[self.victim].dmon.config
         return reconcile(
             self.scenario.stream, self.scenario.dprocs,
-            until=self.duration,
-            stale_after=config.stale_after_intervals
-            * config.poll_interval)
+            until=self.duration, stale_after=config.stale_after)
 
 
 def chaos_recovery(nodes: int = 100,
@@ -127,7 +125,7 @@ def chaos_recovery(nodes: int = 100,
     without them (test-enforced).
     """
     config = DMonConfig(poll_interval=poll_interval)
-    stale_after = config.stale_after_intervals * poll_interval
+    stale_after = config.stale_after
 
     # Probe state, written by the observer process below.
     observations: list[tuple[float, str]] = []

@@ -156,8 +156,7 @@ def _cmd_reconcile(args, broker, scenario) -> int:
     dprocs = stale_after = None
     if scenario is not None:
         dprocs = scenario.dprocs
-        config = next(iter(dprocs.values())).dmon.config
-        stale_after = config.stale_after_intervals * config.poll_interval
+        stale_after = next(iter(dprocs.values())).dmon.config.stale_after
     result = reconcile(broker, dprocs, until=args.duration,
                        stale_after=stale_after)
     if args.json:

@@ -4,15 +4,13 @@ dproc uses *two* channels (paper, §2): a monitoring channel for data
 and a control channel for customization.  Control messages carry
 parameter changes and dynamic filter strings to remote d-mon modules.
 
-Messages are addressed to one host or broadcast (`target=None`); every
-d-mon subscribes to the control channel and ignores messages not
-addressed to it.
+Every message is addressed to one host; every d-mon subscribes to the
+control channel and ignores messages not addressed to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 __all__ = ["ControlMessage", "SetParameter", "ClearParameter",
            "DeployFilter", "RemoveFilter", "control_message_size"]
@@ -23,13 +21,13 @@ _HEADER_BYTES = 48
 
 @dataclass(frozen=True)
 class ControlMessage:
-    """Base class: ``target`` is a host name or None for broadcast."""
+    """Base class: ``target`` is the one host the message is for."""
 
     sender: str
-    target: Optional[str] = None
+    target: str
 
     def addressed_to(self, host: str) -> bool:
-        return self.target is None or self.target == host
+        return self.target == host
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,9 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
                 if cls is None:
                     raise ChannelError(
                         "unknown control message type on wire")
+                if not isinstance(payload.get("target"), str):
+                    raise ChannelError(
+                        "control message target is not a host name")
                 payload = cls(**payload)
         else:
             raise ChannelError(f"unknown frame kind {kind}")

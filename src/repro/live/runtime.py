@@ -11,7 +11,8 @@ Because socket and task creation are event-loop operations, scenario
 construction is *deferred*: callers queue setup callbacks with
 :meth:`setup` and then call :meth:`run`, which brings the world up,
 executes the callbacks inside the loop, lets wall-clock time pass,
-and tears everything down (d-mon stop, task cancel, socket close).
+and tears everything down (task cancel, a bounded wait for the frames
+already sent between its hosts, d-mon stop, socket close).
 The :class:`repro.api.Scenario` facade hides this asymmetry — the same
 scenario script drives either backend.
 """
@@ -26,7 +27,7 @@ from repro.live.clock import AsyncClock
 from repro.live.modules import host_module_factory
 from repro.live.node import LiveNode
 from repro.live.registry import RegistryClient, RegistryServer
-from repro.live.transport import BatchConfig, FlowConfig
+from repro.live.transport import BatchConfig, FlowConfig, in_flight
 from repro.sim.cluster import default_names
 from repro.telemetry import TelemetryRegistry
 
@@ -52,6 +53,10 @@ class LiveNodeGroup:
     def __len__(self) -> int:
         return len(self._nodes)
 
+
+#: Longest teardown wait, in seconds, for frames already sent between
+#: this process's hosts to be read and dispatched.
+SETTLE_SECONDS = 0.5
 
 #: The transport counters :meth:`LiveRuntime.wire_stats` totals.
 WIRE_COUNTERS = (
@@ -207,14 +212,23 @@ class LiveRuntime:
             await server.stop()
         for fn in self._teardowns:
             fn(self)
-        # Stop any dproc deployed on our nodes (closes endpoints and
-        # interrupts pollers), then close the remaining generators.
+        # Quiesce before anything closes: no poll publishes once the
+        # tasks are cancelled, and a frame already queued or on a
+        # socket between two of our hosts gets a bounded time to be
+        # read and dispatched.  Closing a receiver in the same turn as
+        # its publisher loses the publisher's last frame.
+        self.clock.cancel_all()
+        stacks = [node.stack for node in self._nodes.values()]
+        for stack in stacks:
+            stack.flush()
+        deadline = self.clock.now + SETTLE_SECONDS
+        while in_flight(stacks) and self.clock.now < deadline:
+            await asyncio.sleep(0.001)
         for node in self._nodes.values():
             dproc = node.services.get("dproc")
             if dproc is not None:
                 dproc.stop()
-        # One loop turn so the interrupts are delivered.
-        await asyncio.sleep(0)
+        # Whatever a frame dispatched while settling started.
         self.clock.cancel_all()
         for node in self._nodes.values():
             await node.stack.stop()

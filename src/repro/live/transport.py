@@ -48,7 +48,7 @@ import asyncio
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ChannelError, TransportError
 from repro.kecho.event import ChannelEvent
@@ -56,7 +56,8 @@ from repro.live.codec import (FrameDecoder, decode_frame, encode_batch,
                               encode_frame)
 from repro.runtime.protocol import OnFail
 
-__all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig"]
+__all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig",
+           "in_flight"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
 
@@ -104,6 +105,8 @@ class _PeerLink(asyncio.Protocol):
         self._queued_bytes = 0
         self._dead = False
         self.paused = False
+        #: Bytes handed to the socket so far.
+        self.written = 0
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._opener = asyncio.ensure_future(self._open())
 
@@ -204,6 +207,7 @@ class _PeerLink(asyncio.Protocol):
             transport.abort()
             self.connection_lost(None)
             return
+        self.written += len(data)
         self.stack._t_wire_frames.inc()
         self.stack._t_wire_bytes.inc(len(data))
 
@@ -306,6 +310,11 @@ class LiveStack:
             await self._server.wait_closed()
             self._server = None
 
+    def flush(self) -> None:
+        """Write every queued frame now, ahead of its batch timer."""
+        for link in self._links.values():
+            link.flush()
+
     # -- the Transport protocol -------------------------------------------
 
     def bind(self, tag: str, handler: Callable) -> None:
@@ -380,6 +389,8 @@ class _Inbound(asyncio.Protocol):
         #: None once a decode error has ended the connection.
         self.decoder: Optional[FrameDecoder] = FrameDecoder()
         self.transport: Optional[asyncio.Transport] = None
+        #: Bytes read (and their whole frames dispatched) so far.
+        self.received = 0
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -391,6 +402,7 @@ class _Inbound(asyncio.Protocol):
             return
         stack = self.stack
         stack._t_rx.inc(len(data))
+        self.received += len(data)
         # A malformed frame ends this connection only: after garbage
         # the peer's framing cannot be trusted, and the other sockets
         # keep being served.
@@ -423,3 +435,28 @@ class _Inbound(asyncio.Protocol):
             # Partial header/body at EOF: the peer died mid-frame.
             # Count it; the reconciler sees the missing delivery.
             self.stack._t_truncated.inc()
+
+
+def in_flight(stacks: Iterable[LiveStack]) -> bool:
+    """Whether a frame between two of ``stacks`` is still queued, or
+    written but not yet read and dispatched by its receiver.
+
+    Links to hosts outside ``stacks`` (another process's) and links
+    that are down are not counted: nothing more can arrive from them.
+    """
+    stacks = list(stacks)
+    hosts = {stack.host for stack in stacks}
+    received = {inbound.transport.get_extra_info("peername"):
+                inbound.received
+                for stack in stacks for inbound in stack._inbound}
+    for stack in stacks:
+        for dst, link in stack._links.items():
+            if dst not in hosts or link._dead:
+                continue
+            if link.queue:
+                return True
+            if link.transport is not None and link.written != \
+                    received.get(link.transport.get_extra_info(
+                        "sockname"), 0):
+                return True
+    return False

@@ -8,7 +8,11 @@ the table works on a live run, on a replayed dump, and during a run.
 The row set is the union of *every* host that has ever appeared in the
 stream, whatever subset of metrics it reported — the old snapshot
 printer keyed rows on the load/freemem snapshots only and silently
-dropped hosts that had reported just disk or network data.
+dropped hosts that had reported just disk or network data.  The table
+shows what was heard and how long ago; cluster-wide answers (a mean,
+the least-loaded host) come from
+:class:`~repro.dproc.aggregate.ClusterView`, which counts only the
+hosts d-mon reports fresh.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ from repro.stream.broker import StreamBroker
 from repro.stream.entry import SUBMIT
 
 __all__ = ["StreamTop", "HostRow"]
-
-#: The four table columns (one per snapshot set of the old dtop).
-TABLE_METRICS = (MetricId.LOADAVG, MetricId.FREEMEM,
-                 MetricId.DISKUSAGE, MetricId.NET_BANDWIDTH)
 
 
 @dataclass
@@ -91,31 +91,6 @@ class StreamTop:
         """Every host ever seen, sorted by name — all metric sets."""
         return [self.hosts[h] for h in sorted(self.hosts)]
 
-    def mean(self, metric: MetricId) -> float:
-        values = [row.value(metric) for row in self.hosts.values()]
-        values = [v for v in values if v is not None]
-        return sum(values) / len(values) if values else float("nan")
-
-    def total(self, metric: MetricId) -> float:
-        return sum(row.value(metric) or 0.0
-                   for row in self.hosts.values())
-
-    def least_loaded(self) -> Optional[str]:
-        best = None
-        for row in self.rows():
-            load = row.value(MetricId.LOADAVG)
-            if load is not None and (best is None or load < best[0]):
-                best = (load, row.host)
-        return best[1] if best else None
-
-    def most_free_memory(self) -> Optional[str]:
-        best = None
-        for row in self.rows():
-            free = row.value(MetricId.FREEMEM)
-            if free is not None and (best is None or free > best[0]):
-                best = (free, row.host)
-        return best[1] if best else None
-
     # -- rendering ---------------------------------------------------------
 
     def render(self, now: Optional[float] = None) -> str:
@@ -135,8 +110,6 @@ class StreamTop:
                 f"{(free or 0) / 2**20:8.0f} "
                 f"{disk if disk is not None else float('nan'):10.1f} "
                 f"{(net or 0) * 8 / 1e6:10.1f} {age:>5}")
-        lines.append(f"{'MEAN':>8} {self.mean(MetricId.LOADAVG):6.2f} "
-                     f"{self.total(MetricId.FREEMEM) / 2**20:8.0f}")
         lines.append(f"  [{self.events_consumed} events consumed, "
                      f"{len(self.group.pending_for())} pending, "
                      f"last @{self.last_event_time:.1f}s]")

@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+from repro.api import Scenario
 from repro.dproc import MetricId, deploy_dproc
 from repro.dproc.aggregate import ClusterView
-from repro.errors import DprocError
 from repro.units import MB
+from repro.workloads import Linpack
 
 
 @pytest.fixture
@@ -18,7 +19,14 @@ def view(env, cluster3):
     for dp in dprocs.values():
         dp.dmon.modules["cpu"].configure("period", 4.0)
     env.run(until=5.0)
-    return ClusterView(dprocs["alan"], staleness=5.0), dprocs, cluster3
+    return ClusterView(dprocs["alan"]), dprocs, cluster3
+
+
+def fresh_by_status(dproc) -> set[str]:
+    """The hosts whose ``/proc/cluster/<host>/status`` reads fresh."""
+    return {host for host in dproc.hosts()
+            if dproc.read(f"/proc/cluster/{host}/status")
+            .startswith("state: fresh\n")}
 
 
 class TestSnapshot:
@@ -41,10 +49,23 @@ class TestSnapshot:
         assert "maui" not in snap
         assert "etna" in snap
 
-    def test_staleness_validation(self, view):
-        v, dprocs, _ = view
-        with pytest.raises(DprocError):
-            ClusterView(dprocs["alan"], staleness=0)
+    def test_hosts_are_those_whose_status_reads_fresh(self):
+        """A metric on a slower period than the poll still counts while
+        its host reads fresh, and only then."""
+        sc = Scenario(nodes=4, seed=31).build()
+        writer = sc.nodes.names[0]
+        for host in sc.nodes.names:
+            sc.dprocs[writer].write(f"/proc/cluster/{host}/control",
+                                    "period loadavg 6")
+        views = {host: ClusterView(dp) for host, dp in sc.dprocs.items()}
+        readings = 0
+        for second in range(10, 91):
+            sc.run_until(float(second))
+            for host, dp in sc.dprocs.items():
+                snap = views[host].snapshot(MetricId.LOADAVG)
+                assert set(snap) == fresh_by_status(dp), (second, host)
+                readings += len(snap) - 1
+        assert readings == 4 * 3 * 81
 
 
 class TestAggregates:
@@ -66,6 +87,45 @@ class TestAggregates:
         assert math.isnan(v.total(MetricId.BATTERY))
         host, value = v.extreme(MetricId.BATTERY)
         assert host is None and math.isnan(value)
+
+    def test_placement_queries(self, env, view):
+        """The least-loaded host and the one with the most free memory
+        are ``extreme`` over fresh readings, and a metric no host
+        reports sums to NaN, not 0."""
+        v, _, cluster = view
+        for _ in range(3):
+            Linpack(cluster["maui"]).start()
+        cluster["etna"].memory.allocate(MB(300), tag="hog")
+        env.run(until=30.0)
+        host, load = v.extreme(MetricId.LOADAVG, largest=False)
+        assert host != "maui"
+        assert load < v.snapshot(MetricId.LOADAVG)["maui"]
+        roomy, free = v.extreme(MetricId.FREEMEM)
+        assert roomy != "etna" and free > MB(300)
+        assert math.isnan(v.total(MetricId.BATTERY))
+
+    def test_stopped_host_is_never_the_answer_once_dead(self, env,
+                                                         cluster3):
+        """The idle host is the least loaded until its d-mon stops;
+        from the moment its status reads dead, ``extreme`` never
+        names it."""
+        dprocs = deploy_dproc(cluster3)
+        for name in ("alan", "maui"):
+            for _ in range(2):
+                Linpack(cluster3[name]).start()
+        view = ClusterView(dprocs["alan"])
+        env.run(until=10.0)
+        assert view.extreme(MetricId.LOADAVG, largest=False)[0] == "etna"
+        dprocs["etna"].stop()
+        dead_seen = 0
+        for second in range(11, 61):
+            env.run(until=float(second))
+            status = dprocs["alan"].read("/proc/cluster/etna/status")
+            if status.startswith("state: dead\n"):
+                dead_seen += 1
+                host, _ = view.extreme(MetricId.LOADAVG, largest=False)
+                assert host != "etna", second
+        assert dead_seen > 30
 
     def test_extreme(self, env, view):
         v, _, cluster = view

@@ -57,7 +57,7 @@ class TestCrossResourceConditions:
         env.process(disk_load())
         env.run(until=20.0)
         entry = b.remote_value("alan", MetricId.FREEMEM)
-        assert entry is not None and entry.received_at > 10.0
+        assert entry is not None and entry.timestamp > 10.0
 
     def test_filter_combines_app_level_constant(self, env, pair):
         """Conditions can bake in application-level thresholds

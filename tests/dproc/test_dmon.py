@@ -8,6 +8,7 @@ import pytest
 
 from repro.dproc import (DMon, DMonConfig, MetricId, MetricPolicy,
                          register_default_modules)
+from repro.dproc.dmon import DEAD_AFTER_INTERVALS, STALE_AFTER_INTERVALS
 from repro.dproc.modules.base import MonitoringModule
 from repro.errors import ControlSyntaxError, DprocError
 from repro.kecho import (ClearParameter, DeployFilter, KechoBus,
@@ -95,7 +96,7 @@ class TestPollingAndPublication:
         remote = a.remote_value("maui", MetricId.FREEMEM)
         assert remote is not None
         assert remote.value > 0
-        assert remote.received_at >= remote.timestamp
+        assert a.peer_last_heard["maui"] >= remote.timestamp
 
     def test_no_publication_without_subscribers(self, env, cluster3):
         config = DMonConfig(subscribe_monitoring=False)
@@ -206,10 +207,12 @@ class TestParameters:
     def test_bad_parameter_rejected(self, cluster3):
         a = make_dmon(cluster3, "alan")
         with pytest.raises(ControlSyntaxError):
-            a.apply_control(SetParameter(sender="x", metric="cpu",
+            a.apply_control(SetParameter(sender="x", target="alan",
+                                         metric="cpu",
                                          parameter="period", spec="NaNy"))
         with pytest.raises(ControlSyntaxError):
-            a.apply_control(SetParameter(sender="x", metric="cpu",
+            a.apply_control(SetParameter(sender="x", target="alan",
+                                         metric="cpu",
                                          parameter="frobs", spec="1"))
 
     def test_resolve_metrics(self, cluster3):
@@ -240,16 +243,6 @@ class TestRemoteControl:
         assert b.policies[MetricId.LOADAVG].period == 3.0
         # Not applied to the sender or other nodes:
         assert a.policies[MetricId.LOADAVG].period is None
-
-    def test_broadcast_control(self, env, cluster3):
-        a, b = deploy_pair(cluster3)
-        env.run(until=1.0)
-        a.send_control(SetParameter(sender="alan", target=None,
-                                    metric="mem", parameter="period",
-                                    spec="5"))
-        env.run(until=2.0)
-        assert a.policies[MetricId.FREEMEM].period == 5.0
-        assert b.policies[MetricId.FREEMEM].period == 5.0
 
     def test_remote_filter_deploy_and_remove(self, env, cluster3):
         a, b = deploy_pair(cluster3)
@@ -283,8 +276,9 @@ class TestRemoteControl:
     def test_send_control_requires_started(self, cluster3):
         a = make_dmon(cluster3, "alan")
         with pytest.raises(DprocError, match="not started"):
-            a.send_control(SetParameter(sender="alan", metric="cpu",
-                                        parameter="period", spec="1"))
+            a.send_control(SetParameter(sender="alan", target="maui",
+                                        metric="cpu", parameter="period",
+                                        spec="1"))
 
 
 class TestFiltersInPolling:
@@ -332,7 +326,8 @@ class TestControlValidation:
         a = make_dmon(cluster3, "alan")
         for bad in ("0", "-5", "inf", "nan"):
             with pytest.raises(ControlSyntaxError, match="positive"):
-                a.apply_control(SetParameter(sender="x", metric="cpu",
+                a.apply_control(SetParameter(sender="x", target="alan",
+                                             metric="cpu",
                                              parameter="period",
                                              spec=bad))
 
@@ -342,7 +337,8 @@ class TestControlValidation:
         from repro.kecho import KechoBus as _Bus
         a = DMon(cluster3["alan"], _Bus())  # no modules, no policies
         with pytest.raises(ControlSyntaxError):
-            a.apply_control(SetParameter(sender="x", metric="loadavg",
+            a.apply_control(SetParameter(sender="x", target="alan",
+                                         metric="loadavg",
                                          parameter="period", spec="0"))
         assert a.policies == {}
 
@@ -354,14 +350,16 @@ class TestControlValidation:
         a = DMon(cluster3["alan"], _Bus())
         assert MetricId.LOADAVG not in a.policies
         with pytest.raises(ControlSyntaxError, match="unknown parameter"):
-            a.apply_control(ClearParameter(sender="x", metric="loadavg",
+            a.apply_control(ClearParameter(sender="x", target="alan",
+                                           metric="loadavg",
                                            parameter="frobs"))
 
     def test_set_unknown_parameter_rejected_before_resolution(
             self, cluster3):
         a = make_dmon(cluster3, "alan")
         with pytest.raises(ControlSyntaxError, match="unknown parameter"):
-            a.apply_control(SetParameter(sender="x", metric="*",
+            a.apply_control(SetParameter(sender="x", target="alan",
+                                         metric="*",
                                          parameter="frobs", spec="1"))
 
     def test_resolve_star_has_no_duplicates(self, cluster3):
@@ -427,7 +425,7 @@ class TestRestart:
         mark = env.now
         env.run(until=mark + 5.0)
         remote = b.remote_value("alan", MetricId.LOADAVG)
-        assert remote is not None and remote.received_at > mark
+        assert remote is not None and remote.timestamp > mark
 
     def test_restarts_leave_one_connection_per_peer(self, env):
         """Each restart used to leave the previous life's fan-out in
@@ -467,11 +465,9 @@ class TestPeerLiveness:
         b.stop()
         down = env.now
         interval = a.config.poll_interval
-        env.run(until=down + a.config.stale_after_intervals * interval
-                + 2.0)
+        env.run(until=down + STALE_AFTER_INTERVALS * interval + 2.0)
         assert a.peer_state("maui") == "stale"
-        env.run(until=down + a.config.dead_after_intervals * interval
-                + 2.0)
+        env.run(until=down + DEAD_AFTER_INTERVALS * interval + 2.0)
         assert a.peer_state("maui") == "dead"
         # Stale/dead entries stay readable (last-known values).
         assert a.remote_value("maui", MetricId.LOADAVG) is not None

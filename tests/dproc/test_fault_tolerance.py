@@ -17,7 +17,7 @@ from repro.sim import build_cluster
 
 def freshest(dmon, host, metric=MetricId.FREEMEM):
     entry = dmon.remote_value(host, metric)
-    return None if entry is None else entry.received_at
+    return None if entry is None else entry.timestamp
 
 
 class TestP2PSurvivesNodeLoss:

@@ -258,16 +258,16 @@ class TestScenario:
         # LOADAVG (published before the filter landed) goes stale.
         alan = dprocs["alan"].dmon
         fresh = alan.remote_value("maui", MetricId.FREEMEM)
-        assert fresh is not None and fresh.received_at > 2.0
+        assert fresh is not None and fresh.timestamp > 2.0
         stale = alan.remote_value("maui", MetricId.LOADAVG)
-        assert stale is None or stale.received_at < 2.0
+        assert stale is None or stale.timestamp < 2.0
         # Now saturate maui; FREEMEM updates must stop.
         for _ in range(n_cpus + 2):
             cluster3["maui"].cpu.execute(1e9)
         env.run(until=90.0)
-        before = alan.remote_value("maui", MetricId.FREEMEM).received_at
+        before = alan.remote_value("maui", MetricId.FREEMEM).timestamp
         env.run(until=110.0)
-        after = alan.remote_value("maui", MetricId.FREEMEM).received_at
+        after = alan.remote_value("maui", MetricId.FREEMEM).timestamp
         assert after == before  # no fresh FREEMEM while loaded
 
 

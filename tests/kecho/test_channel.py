@@ -306,21 +306,19 @@ class TestControlMessages:
         assert msg.addressed_to("maui")
         assert not msg.addressed_to("etna")
 
-    def test_broadcast(self):
-        msg = SetParameter(sender="alan", target=None)
-        assert msg.addressed_to("anyone")
-
     def test_sizes_grow_with_body(self):
-        small = DeployFilter(sender="a", source="return 1;")
-        big = DeployFilter(sender="a", source="return 1;" * 100)
+        small = DeployFilter(sender="a", target="b", source="return 1;")
+        big = DeployFilter(sender="a", target="b",
+                           source="return 1;" * 100)
         assert control_message_size(big) > control_message_size(small)
 
     def test_all_kinds_have_sizes(self):
         msgs = [
-            SetParameter(sender="a", metric="cpu", spec="2"),
-            ClearParameter(sender="a", metric="cpu"),
-            DeployFilter(sender="a", source="{}", filter_id="f1"),
-            RemoveFilter(sender="a", filter_id="f1"),
+            SetParameter(sender="a", target="b", metric="cpu", spec="2"),
+            ClearParameter(sender="a", target="b", metric="cpu"),
+            DeployFilter(sender="a", target="b", source="{}",
+                         filter_id="f1"),
+            RemoveFilter(sender="a", target="b", filter_id="f1"),
         ]
         for m in msgs:
             assert control_message_size(m) >= 48

@@ -349,16 +349,21 @@ class TestBadFrames:
         ("control", b'{"type":"SetParameter","sender":"a","bogus":1}'),
         ("control", b'{"type":"SetParameter"}'),
         ("control", b'["SetParameter"]'),
+        ("control", b'{"type":"SetParameter","sender":"a","target":null}'),
+        ("control", b'{"type":"SetParameter","sender":"a","target":7}'),
+        ("control", b'{"type":"RemoveFilter","sender":"a"}'),
         ("json", b'{"x":'),
         ("json", b"\xff\xfe"),
         ("json", b"[" * 100_000),
-    ], ids=["extra-field", "missing-field", "not-an-object", "bad-json",
+    ], ids=["extra-field", "missing-field", "not-an-object",
+            "null-target", "number-target", "no-target", "bad-json",
             "bad-utf8", "nested-too-deep"])
     def test_malformed_body_is_a_channel_error(self, kind, raw):
         """Whatever is wrong inside the body, the caller sees
         ChannelError — not the ValueError/TypeError/RecursionError of
         the library that noticed."""
-        payload = {"x": 1} if kind == "json" else SetParameter(sender="a")
+        payload = {"x": 1} if kind == "json" \
+            else SetParameter(sender="a", target="b")
         body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
             channel="c", source="s", payload=payload, size=1.0,
             submitted_at=0.0)))[0]

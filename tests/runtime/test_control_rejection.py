@@ -43,7 +43,7 @@ def test_rejected_remote_command_is_counted_not_raised(backend):
     dmon = sc.dprocs[target].dmon
     assert dmon.node.telemetry.value("dmon.control_rejected") == 3
     assert dmon.peer_state(writer) == "fresh"
-    heard = dmon.remote_value(writer, MetricId.LOADAVG).received_at
+    heard = dmon.remote_value(writer, MetricId.LOADAVG).timestamp
     assert heard > WRITE_AT + 2 * POLL
 
 

@@ -19,7 +19,7 @@ import pytest
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import FrameDecoder, decode_frame, encode_frame
 from repro.live.transport import (BatchConfig, FlowConfig, LiveStack,
-                                  _PeerLink)
+                                  _PeerLink, in_flight)
 from repro.telemetry import TelemetryRegistry
 from tests.runtime.test_codec import unknown_metric_frames
 
@@ -358,6 +358,35 @@ class TestSlowConsumerLive:
             await stack.stop()
             server.close()
             await server.wait_closed()
+        asyncio.run(run())
+
+
+class TestInFlightLive:
+    """Real sockets: what teardown waits for before it closes."""
+
+    def test_a_frame_is_in_flight_until_its_receiver_dispatched_it(self):
+        async def run():
+            sender = _stack(batch=BatchConfig(max_delay=60.0))
+            receiver = LiveStack("maui", TelemetryRegistry("maui"))
+            got = []
+            receiver.bind("t", lambda event: got.append(event.payload))
+            address = await receiver.start()
+            sender.resolve = lambda host: address
+            sender.connect("maui", "t").send(_event(1), size=1.0)
+            # Queued behind the batch timer, then written and unread.
+            assert in_flight([sender, receiver])
+            sender.flush()
+            for _ in range(200):
+                if not in_flight([sender, receiver]):
+                    break
+                await asyncio.sleep(0.005)
+            assert got == [{"i": 1}]
+            assert not in_flight([sender, receiver])
+            # A frame for another process's host is not waited for.
+            sender.connect("etna", "t").send(_event(2), size=1.0)
+            assert not in_flight([sender, receiver])
+            await sender.stop()
+            await receiver.stop()
         asyncio.run(run())
 
 

@@ -218,8 +218,7 @@ class TestDoctoredStream:
                                                           monkeypatch):
         host, dproc = next(iter(run.dprocs.items()))
         monkeypatch.setitem(dproc.dmon.remote, "ghost", {
-            MetricId.LOADAVG: RemoteMetric(value=1.0, timestamp=0.0,
-                                           received_at=0.0)})
+            MetricId.LOADAVG: RemoteMetric(value=1.0, timestamp=0.0)})
         report = reconcile(run.stream, run.dprocs, until=self.UNTIL)
         assert [(d.source, d.dest) for d in report.procfs_mismatches] \
             == [("ghost", host)]

@@ -89,16 +89,3 @@ class TestFeeding:
         row = top.rows()[0]
         assert row.value(MetricId.FREEMEM) == 200.0
         assert row.last_seen == 5.0
-
-    def test_aggregates(self):
-        broker = StreamBroker()
-        submit(broker, "a", 1.0, [(int(MetricId.LOADAVG), 1.0, 1.0),
-                                  (int(MetricId.FREEMEM), 10.0, 1.0)])
-        submit(broker, "b", 1.0, [(int(MetricId.LOADAVG), 3.0, 1.0),
-                                  (int(MetricId.FREEMEM), 30.0, 1.0)])
-        top = StreamTop(broker)
-        top.feed()
-        assert top.mean(MetricId.LOADAVG) == 2.0
-        assert top.total(MetricId.FREEMEM) == 40.0
-        assert top.least_loaded() == "a"
-        assert top.most_free_memory() == "b"
