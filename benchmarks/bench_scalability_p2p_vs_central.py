@@ -17,7 +17,7 @@ concentrates on one machine.
 from __future__ import annotations
 
 from repro.dproc import DMonConfig, MetricId, deploy_dproc
-from repro.dproc.central import CentralCollector, CentralConfig
+from repro.dproc.central import CentralCollector
 from repro.sim import Environment, build_cluster
 
 SIZES = (8, 16, 32, 48)
@@ -49,7 +49,7 @@ def run_central(n: int) -> float:
     cluster = build_cluster(env, nodes=n, seed=1)
     central = CentralCollector(
         cluster, collector=cluster.names[0],
-        config=CentralConfig(metric_subset=METRICS)).start()
+        metrics=METRICS).start()
     env.run(until=DURATION)
     _host, cpu_seconds = central.hottest_node()
     return cpu_seconds / DURATION
@@ -88,7 +88,7 @@ def test_central_baseline_is_functionally_complete():
     cluster = build_cluster(env, nodes=4, seed=2)
     central = CentralCollector(
         cluster, collector=cluster.names[0],
-        config=CentralConfig(metric_subset=METRICS)).start()
+        metrics=METRICS).start()
     env.run(until=10.0)
     last = cluster.names[-1]
     # The last node has learned the first node's free memory via the

@@ -32,7 +32,7 @@ def main() -> None:
     #    Add one custom SLO next to the stock rules: publishers must
     #    sustain at least half an event per second.
     from repro.obs import default_rules
-    rules = list(default_rules(poll_interval=1.0)) + [
+    rules = list(default_rules()) + [
         HealthRule(name="publish-rate",
                    metric="dmon.events_published", agg="rate",
                    window=10.0, op=">=", threshold=0.5,

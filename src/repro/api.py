@@ -65,16 +65,14 @@ class Scenario:
                  modules: Sequence[str] = DEFAULT_MODULES,
                  monitor_hosts: Union[int, Sequence[str], None] = None,
                  names: Optional[Sequence[str]] = None,
-                 node_config=None,
                  node_configs: Optional[Sequence] = None) -> None:
         """Describe the deployment; nothing is built yet.
 
         ``monitor_hosts`` restricts which nodes run dproc: an int
         means "the first k hosts", a sequence names them, None (the
-        default) deploys everywhere.  ``node_config`` /
-        ``node_configs`` are the simulator's hardware descriptions
-        (ignored by the live backend, whose hardware is the real
-        host).
+        default) deploys everywhere.  ``node_configs`` is the
+        simulator's hardware description, one per node (ignored by the
+        live backend, whose hardware is the real host).
         """
         if backend not in ("sim", "live"):
             raise ScenarioError(f"unknown backend {backend!r}")
@@ -85,7 +83,6 @@ class Scenario:
         self._modules = tuple(modules)
         self._monitor_hosts = monitor_hosts
         self._names = list(names) if names is not None else None
-        self._node_config = node_config
         self._node_configs = node_configs
         #: ``with_node_pool`` arguments (None = one plain process).
         self._pool: Optional[dict] = None
@@ -94,9 +91,10 @@ class Scenario:
         #: Each requested instrument's arguments; None = not requested.
         self._fault_hooks: Optional[list[Hook]] = None
         self._tracing: Optional[tuple] = None
-        self._stream: Optional[dict] = None
         self._obs: Optional[dict] = None
         self._obs_scrape: Optional[tuple[str, int]] = None
+        #: Whether ``with_stream`` was requested (it takes no arguments).
+        self._stream = False
         #: What the requested instruments recorded (None until built),
         #: and whether the stream has been replayed into the plane.
         self._stream_broker = None
@@ -161,8 +159,7 @@ class Scenario:
         self._tracing = (collector, kwargs)
         return self
 
-    def with_stream(self, directory=None, *,
-                    max_len: Optional[int] = None) -> "Scenario":
+    def with_stream(self) -> "Scenario":
         """Tee the channel data plane into a durable stream broker.
 
         Every KECho submit, delivery and transport drop is appended to
@@ -170,16 +167,11 @@ class Scenario:
         available as :attr:`stream` after the run) that the replay
         toolkit — reconciler, stats-by-replay, stream-fed top — reads.
         Recording is passive: the sim event schedule is bit-identical
-        with the stream on or off.
-
-        ``directory`` additionally persists every entry eagerly as
-        JSONL segments (the live backend's durable log; works on the
-        simulator too).  ``max_len`` bounds each channel's
-        retained entries (hard ring bound; use the
-        :class:`repro.stream.Janitor` for ack-respecting trims).
+        with the stream on or off.  ``stream.dump(directory)`` writes
+        it to disk as JSONL segments after the run.
         """
         self._check_mutable()
-        self._stream = {"directory": directory, "max_len": max_len}
+        self._stream = True
         return self
 
     def with_observability(self, *, sample_interval: float = 1.0,
@@ -218,7 +210,7 @@ class Scenario:
     def with_node_pool(self, workers: int = 2, *,
                        watchers: Union[int, Sequence[str],
                                        None] = None,
-                       batch=None, flow=None) -> "Scenario":
+                       batch=None) -> "Scenario":
         """Scale the live backend across worker processes (live only).
 
         The cluster's hosts are partitioned contiguously; this process
@@ -230,10 +222,8 @@ class Scenario:
         200-node pool opens O(nodes x watchers) sockets instead of
         O(nodes^2).  ``batch`` (a
         :class:`~repro.live.transport.BatchConfig`) coalesces frames
-        per destination and ``flow`` (a
-        :class:`~repro.live.transport.FlowConfig`) sets the
-        backpressure watermarks.  ``workers=1`` keeps everything
-        in-process but still applies batch/flow/watchers.
+        per destination.  ``workers=1`` keeps everything in-process
+        but still applies batch/watchers.
         """
         self._check_mutable()
         if self._backend != "live":
@@ -243,7 +233,7 @@ class Scenario:
         if workers < 1:
             raise ScenarioError(f"workers must be >= 1, got {workers}")
         self._pool = {"workers": int(workers), "watchers": watchers,
-                      "batch": batch, "flow": flow}
+                      "batch": batch}
         return self
 
     # -- build and run -----------------------------------------------------
@@ -257,7 +247,7 @@ class Scenario:
         if self.runtime is None:
             self._construct(
                 SimRuntime(nodes=self._nodes, seed=self._seed,
-                           config=self._node_config, names=self._names,
+                           names=self._names,
                            node_configs=self._node_configs),
                 self._deployment())
         return self
@@ -279,9 +269,6 @@ class Scenario:
         runtime.setup(lambda rt: self._construct(rt, deployment))
         self._duration = duration
         runtime.run(duration)
-        if self._stream_broker is not None:
-            # Flush the live JSONL segments once the loop is down.
-            self._stream_broker.close()
         return self
 
     def run_until(self, until: float) -> "Scenario":
@@ -303,11 +290,6 @@ class Scenario:
         """The node group (``scenario.nodes["alan"]``, iterable)."""
         self._check_built()
         return self.runtime.nodes
-
-    @property
-    def cluster(self):
-        """Alias for :attr:`nodes` (the simulator's Cluster object)."""
-        return self.nodes
 
     @property
     def env(self):
@@ -362,7 +344,7 @@ class Scenario:
         self._check_wanted(self._obs, "no observability plane; "
                            "call with_observability()")
         self._check_built()
-        if self._stream is not None and not self._stream_ingested:
+        if self._stream and not self._stream_ingested:
             self._stream_ingested = True
             self._plane.ingest_stream(self._stream_broker)
         return self._plane
@@ -380,7 +362,7 @@ class Scenario:
                                 "or run() first")
 
     def _check_wanted(self, requested, message: str) -> None:
-        if requested is None:
+        if not requested:
             raise ScenarioError(f"{message} before build()/run()")
 
     def _deployment(self) -> Deployment:
@@ -401,7 +383,7 @@ class Scenario:
             names=tuple(names),
             monitored=tuple(names) if monitored is None else monitored,
             watchers=Deployment.select(names, pool.get("watchers")),
-            batch=pool.get("batch"), flow=pool.get("flow"))
+            batch=pool.get("batch"))
 
     def _make_live_runtime(self, deployment: Deployment):
         """The live runtime over this process's slice of the hosts
@@ -411,7 +393,7 @@ class Scenario:
             (self._pool or {}).get("workers", 1))
         runtime = LiveRuntime(
             nodes=len(slices[0]), seed=self._seed, names=slices[0],
-            batch=deployment.batch, flow=deployment.flow)
+            batch=deployment.batch)
         if len(slices) > 1:
             # Only a run that forks loads the fork machinery.
             from repro.live.pool import LivePool
@@ -433,16 +415,12 @@ class Scenario:
         nodes = runtime.nodes
         for fn in self._cluster_hooks:
             fn(self)
-        if self._stream is not None:
+        if self._stream:
             # Tee before deployment so the very first submits (the
             # d-mon start-up polls) are already on the record.  Purely
             # passive: no RNG, CPU or event-schedule interaction.
-            from repro.stream import JsonlSink, StreamBroker
-            directory = self._stream["directory"]
-            self._stream_broker = StreamBroker(
-                sink=JsonlSink(directory) if directory is not None
-                else None,
-                max_len=self._stream["max_len"])
+            from repro.stream import StreamBroker
+            self._stream_broker = StreamBroker()
             runtime.bus.stream = self._stream_broker
         self.dprocs = deployment.deploy(nodes, runtime.bus,
                                         runtime.module_factory)

@@ -13,7 +13,7 @@ Public surface:
 
 from repro.dproc.aggregate import ClusterView
 from repro.dproc.batch import RecordBatch
-from repro.dproc.central import CentralCollector, CentralConfig
+from repro.dproc.central import CentralCollector
 from repro.dproc.control_api import (ControlRequest, FilterCommand,
                                      topk_filter, topk_source)
 from repro.dproc.control_file import parse_control_text
@@ -37,7 +37,7 @@ from repro.dproc.toolkit import Dproc, deploy_dproc
 
 __all__ = [
     "ClusterView",
-    "CentralCollector", "CentralConfig",
+    "CentralCollector",
     "GridFederation", "Site", "SiteSummary", "WanLink",
     "parse_control_text",
     "ControlRequest", "FilterCommand", "topk_filter", "topk_source",

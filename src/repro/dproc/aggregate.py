@@ -23,25 +23,38 @@ __all__ = ["ClusterView"]
 
 
 class ClusterView:
-    """Aggregated view of the hosts d-mon reports fresh."""
+    """Aggregated view of the hosts d-mon reports fresh.
+
+    Fresh means *heard* within the stale bound, not *up*: a healthy
+    host whose parameters or filter keep nothing publishes nothing,
+    reads stale and then dead, and drops out of every aggregate here
+    (Fig 6's differential filter does this to most of a quiet
+    cluster; EXPERIMENTS.md, "Known divergences", entry 4).
+    """
 
     def __init__(self, dproc: Dproc) -> None:
         self.dproc = dproc
 
     # -- raw snapshots ------------------------------------------------------------
 
-    def snapshot(self, metric: MetricId,
-                 include_self: bool = True) -> dict[str, float]:
-        """Readings of ``metric`` per fresh host (others omitted)."""
+    def snapshot(self, metric: MetricId) -> dict[str, float]:
+        """Readings of ``metric`` per fresh host (others omitted).
+
+        The local host is a host like any other: its own last sample
+        counts while its d-mon polls, and not once it has stopped.
+        """
         dmon = self.dproc.dmon
+        me = self.dproc.node.name
         values: dict[str, float] = {}
         for host in self.dproc.hosts():
-            if host == self.dproc.node.name:
-                if include_self and metric in dmon.last_samples:
+            if dmon.peer_state(host) != PEER_FRESH:
+                continue
+            if host == me:
+                if metric in dmon.last_samples:
                     values[host] = dmon.last_samples[metric]
                 continue
             remote = dmon.remote_value(host, metric)
-            if remote is not None and dmon.peer_state(host) == PEER_FRESH:
+            if remote is not None:
                 values[host] = remote.value
         return values
 

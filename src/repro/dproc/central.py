@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.dproc.dmon import BYTES_PER_RECORD, EVENT_HEADER_BYTES
 from repro.dproc.metrics import MetricId
 from repro.dproc.modules import default_modules
 from repro.dproc.modules.base import MonitoringModule
@@ -26,26 +27,17 @@ from repro.errors import DprocError
 from repro.sim.cluster import Cluster
 from repro.sim.node import Node
 
-__all__ = ["CentralCollector", "CentralConfig"]
+__all__ = ["CentralCollector", "PERIOD", "DAEMON_CROSSING_COST"]
 
 
-@dataclass(frozen=True)
-class CentralConfig:
-    """Configuration of the centralized baseline."""
-
-    period: float = 1.0
-    event_header_bytes: float = 40.0
-    bytes_per_record: float = 12.0
-    metric_subset: Optional[frozenset[MetricId]] = None
-    #: Re-broadcast the assembled digest to all nodes (parity with
-    #: dproc, where every node sees every node).
-    broadcast_digest: bool = True
-    #: Per-message user/kernel boundary cost at the collector daemon.
-    #: Supermon/MAGNeT-style collectors are user-space processes: every
-    #: message handled costs a socket syscall, a wakeup and a copy —
-    #: the crossings dproc's "strictly kernel-kernel messaging" avoids
-    #: (paper §1).  ~100 µs on the 200 MHz testbed CPUs.
-    daemon_crossing_cost: float = 100e-6
+#: Seconds between an agent's pushes and between digest broadcasts.
+PERIOD = 1.0
+#: Per-message user/kernel boundary cost at the collector daemon.
+#: Supermon/MAGNeT-style collectors are user-space processes: every
+#: message handled costs a socket syscall, a wakeup and a copy — the
+#: crossings dproc's "strictly kernel-kernel messaging" avoids (paper
+#: §1).  ~100 µs on the 200 MHz testbed CPUs.
+DAEMON_CROSSING_COST = 100e-6
 
 
 @dataclass
@@ -64,12 +56,14 @@ class CentralCollector:
     """The whole centralized monitoring system on one cluster."""
 
     def __init__(self, cluster: Cluster, collector: str,
-                 config: CentralConfig | None = None) -> None:
+                 metrics: Optional[frozenset[MetricId]] = None) -> None:
+        """``metrics`` restricts what the agents push (None = every
+        metric of the standard modules)."""
         if collector not in cluster.names:
             raise DprocError(f"no node named {collector!r}")
         self.cluster = cluster
         self.collector_name = collector
-        self.config = config or CentralConfig()
+        self.metrics = metrics
         self.running = False
         self.agents: dict[str, _Agent] = {}
         #: Latest digest: host -> {metric: value} as known cluster-wide.
@@ -94,8 +88,7 @@ class CentralCollector:
         for name, agent in self.agents.items():
             for module in agent.modules:
                 module.start()
-            if self.config.broadcast_digest \
-                    and name != self.collector_name:
+            if name != self.collector_name:
                 agent.node.stack.bind(
                     "central:digest",
                     lambda msg, n=name: self._on_digest(n, msg))
@@ -119,19 +112,18 @@ class CentralCollector:
         for module in agent.modules:
             self._charge(agent, costs.module_poll)
             samples.update(zip(module.metrics(), module.collect(now)))
-        if self.config.metric_subset is not None:
+        if self.metrics is not None:
             samples = {m: v for m, v in samples.items()
-                       if m in self.config.metric_subset}
+                       if m in self.metrics}
         return samples
 
     def _event_size(self, n_records: int) -> float:
-        return (self.config.event_header_bytes
-                + self.config.bytes_per_record * n_records)
+        return EVENT_HEADER_BYTES + BYTES_PER_RECORD * n_records
 
     def _agent_loop(self, agent: _Agent):
         env = agent.node.env
         yield env.timeout(float(
-            agent.node.rng.uniform(0, self.config.period)))
+            agent.node.rng.uniform(0, PERIOD)))
         conn = None
         if agent.node.name != self.collector_name:
             conn = agent.node.stack.connect(self.collector_name,
@@ -148,22 +140,22 @@ class CentralCollector:
                 conn.send({"host": agent.node.name,
                            "metrics": samples}, size=size)
                 agent.pushes += 1.0
-            yield env.timeout(self.config.period)
+            yield env.timeout(PERIOD)
 
     def _on_push(self, msg) -> None:
         collector = self.agents[self.collector_name]
         self._charge(collector,
                      collector.node.costs.receive_cost(msg.size)
-                     + self.config.daemon_crossing_cost)
+                     + DAEMON_CROSSING_COST)
         self.digest[msg.payload["host"]] = dict(msg.payload["metrics"])
 
     def _broadcast_loop(self):
         collector = self.agents[self.collector_name]
         env = collector.node.env
         conns = {}
-        yield env.timeout(self.config.period)
+        yield env.timeout(PERIOD)
         while self.running:
-            if self.config.broadcast_digest and self.digest:
+            if self.digest:
                 n_records = sum(len(m) for m in self.digest.values())
                 size = self._event_size(n_records)
                 costs = collector.node.costs
@@ -172,8 +164,7 @@ class CentralCollector:
                 self._charge(collector,
                              costs.encode_cost(size)
                              + costs.send_cost(size, len(targets))
-                             + self.config.daemon_crossing_cost
-                             * len(targets))
+                             + DAEMON_CROSSING_COST * len(targets))
                 snapshot = {h: dict(m) for h, m in self.digest.items()}
                 for name in targets:
                     conn = conns.get(name)
@@ -184,7 +175,7 @@ class CentralCollector:
                     conn.send(snapshot, size=size)
                 self.node_views[self.collector_name] = snapshot
                 self.digests_sent += 1.0
-            yield env.timeout(self.config.period)
+            yield env.timeout(PERIOD)
 
     def _on_digest(self, host: str, msg) -> None:
         agent = self.agents[host]

@@ -42,7 +42,9 @@ from repro.tracing.context import TraceRef
 __all__ = ["DMonConfig", "DMon", "RemoteMetric",
            "register_default_modules",
            "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
-           "STALE_AFTER_INTERVALS", "DEAD_AFTER_INTERVALS"]
+           "STALE_AFTER_INTERVALS", "DEAD_AFTER_INTERVALS",
+           "MONITOR_CHANNEL", "CONTROL_CHANNEL",
+           "EVENT_HEADER_BYTES", "BYTES_PER_RECORD"]
 
 UpdateHook = Callable[[str, MetricId, float, float], None]
 
@@ -60,6 +62,15 @@ STALE_AFTER_INTERVALS = 3.0
 #: (last-known values) but are flagged, never silently fresh.
 DEAD_AFTER_INTERVALS = 10.0
 
+#: The KECho channels every d-mon joins: monitoring data and control.
+MONITOR_CHANNEL = "dproc.monitor"
+CONTROL_CHANNEL = "dproc.control"
+
+#: The encoded event-size model (framing bytes per event, bytes per
+#: metric record), shared with the centralized baseline.
+EVENT_HEADER_BYTES = 40.0
+BYTES_PER_RECORD = 12.0
+
 
 @dataclass(frozen=True)
 class DMonConfig:
@@ -67,12 +78,6 @@ class DMonConfig:
 
     #: Seconds between polling iterations ("every second, d-mon polls").
     poll_interval: float = 1.0
-    monitor_channel: str = "dproc.monitor"
-    control_channel: str = "dproc.control"
-    #: Encoded event framing bytes.
-    event_header_bytes: float = 40.0
-    #: Encoded bytes per metric record.
-    bytes_per_record: float = 12.0
     #: Extra payload bytes per event (the Figure 7 "5 KB events" knob).
     payload_padding: float = 0.0
     #: Restrict publication to these metrics (None = all registered).
@@ -123,8 +128,9 @@ class DMon:
         #: What this node last *published* on the keyed stream, the same
         #: way (served for its own /proc/cluster/<self>/proc_top entry).
         self.last_procs: Optional[tuple[str, dict[int, object]]] = None
-        #: host -> sim time its monitoring data was last received
-        #: (drives the fresh/stale/dead liveness states).
+        #: host -> sim time its monitoring data was last received, or
+        #: for this node its last poll (drives the fresh/stale/dead
+        #: liveness states).
         self.peer_last_heard: dict[str, float] = {}
         self.update_hooks: list[UpdateHook] = []
         # instrumentation ---------------------------------------------------
@@ -233,10 +239,8 @@ class DMon:
         # carry counters across a crash/reboot — every epoch starts
         # with empty sketch state.
         self.filters.reset_state()
-        self._monitor_ep = self.bus.connect(
-            self.node, self.config.monitor_channel)
-        self._control_ep = self.bus.connect(
-            self.node, self.config.control_channel)
+        self._monitor_ep = self.bus.connect(self.node, MONITOR_CHANNEL)
+        self._control_ep = self.bus.connect(self.node, CONTROL_CHANNEL)
         self._control_ep.subscribe(self._on_control_event)
         if self.config.subscribe_monitoring:
             self._monitor_ep.subscribe(self._on_monitor_event)
@@ -292,6 +296,9 @@ class DMon:
         now = self.node.env.now
         self.polls += 1
         self._t_polls.inc()
+        # A running d-mon hears itself once per poll; a stopped one
+        # ages like any silent peer.
+        self.peer_last_heard[self.node.name] = now
         costs = self.node.costs
         tracer = self.bus.tracer
         root = None
@@ -364,8 +371,8 @@ class DMon:
         submit_cost = 0.0
         if n_records and self._monitor_ep is not None:
             if self._has_audience():
-                size = (self.config.event_header_bytes
-                        + self.config.bytes_per_record * n_records
+                size = (EVENT_HEADER_BYTES
+                        + BYTES_PER_RECORD * n_records
                         + self.config.payload_padding)
                 batch = RecordBatch(self.node.name, ids, values, now)
                 if top_pairs:
@@ -415,7 +422,7 @@ class DMon:
             (self._monitor_ep is not None
              and self._monitor_ep.is_subscriber)
             or self.bus.remote_subscribers(
-                self.config.monitor_channel, self.node.name))
+                MONITOR_CHANNEL, self.node.name))
 
     def _decide(self, values: list[float], now: float, trace=None,
                 keyed: Optional[dict[str, list[KeyedSample]]] = None,
@@ -583,9 +590,7 @@ class DMon:
 
     def peer_age(self, host: str) -> float:
         """Seconds since ``host``'s monitoring data was last heard
-        (``inf`` if never; 0 for the local node)."""
-        if host == self.node.name:
-            return 0.0
+        (``inf`` if never); the local node is heard at each poll."""
         heard = self.peer_last_heard.get(host)
         if heard is None:
             return math.inf

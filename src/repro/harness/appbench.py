@@ -54,6 +54,9 @@ HYBRID_PROFILE = StreamProfile(base_size=MB(3), base_client_cost=2.4,
                                server_preprocess_cost=2.0)
 HYBRID_RATE = 1.25
 
+#: The CPU module's load-averaging window (s) on the rig's hosts.
+CPU_AVG_PERIOD = 5.0
+
 
 @dataclass
 class SmartPointerRig:
@@ -71,8 +74,7 @@ class SmartPointerRig:
               profile: StreamProfile, rate: float,
               seed: int = 0,
               shared_segment: bool = False,
-              client_logs_to_disk: bool = False,
-              cpu_avg_period: float = 5.0) -> "SmartPointerRig":
+              client_logs_to_disk: bool = False) -> "SmartPointerRig":
         """Construct the two-node (plus iperf pair) experiment rig.
 
         The server is a quad-CPU machine; the client single-CPU (the
@@ -96,14 +98,14 @@ class SmartPointerRig:
             scenario.with_cluster_setup(share_segment)
         scenario.build()
         env = scenario.env
-        cluster = scenario.cluster
+        cluster = scenario.nodes
         dprocs = scenario.dprocs
         # Responsive CPU averaging, as an adaptive application would
         # configure via the control file.
         dprocs["server"].write("/proc/cluster/client/control",
                                "period cpu 1")
         for dp in dprocs.values():
-            dp.dmon.modules["cpu"].configure("period", cpu_avg_period)
+            dp.dmon.modules["cpu"].configure("period", CPU_AVG_PERIOD)
         client = SmartPointerClient(
             cluster["client"], logs_to_disk=client_logs_to_disk).start()
         server = SmartPointerServer(cluster["server"],

@@ -40,8 +40,7 @@ def _worker_main(names: list[str], deployment: Deployment,
 
     runtime = LiveRuntime(
         nodes=len(names), seed=deployment.seed, names=names,
-        registry=registry_addr, batch=deployment.batch,
-        flow=deployment.flow)
+        registry=registry_addr, batch=deployment.batch)
 
     def deploy(rt: LiveRuntime) -> None:
         deployment.deploy(rt.nodes, rt.bus, rt.module_factory)

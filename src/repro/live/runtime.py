@@ -27,7 +27,7 @@ from repro.live.clock import AsyncClock
 from repro.live.modules import host_module_factory
 from repro.live.node import LiveNode
 from repro.live.registry import RegistryClient, RegistryServer
-from repro.live.transport import BatchConfig, FlowConfig, in_flight
+from repro.live.transport import BatchConfig, in_flight
 from repro.sim.cluster import default_names
 from repro.telemetry import TelemetryRegistry
 
@@ -77,8 +77,7 @@ class LiveRuntime:
     def __init__(self, nodes: int = 4, seed: int = 0,
                  names: Optional[Sequence[str]] = None,
                  registry: Optional[tuple[str, int]] = None,
-                 batch: Optional[BatchConfig] = None,
-                 flow: Optional[FlowConfig] = None) -> None:
+                 batch: Optional[BatchConfig] = None) -> None:
         if nodes < 1:
             raise ValueError("a live cluster needs at least one node")
         self.clock = AsyncClock()
@@ -91,8 +90,6 @@ class LiveRuntime:
             for i, name in enumerate(host_names)}
         for node in self._nodes.values():
             node.stack.batch_config = batch
-            if flow is not None:
-                node.stack.flow_config = flow
         self.nodes = LiveNodeGroup(self._nodes)
         #: A :class:`repro.live.pool.LivePool` when this runtime is
         #: the parent of a multi-process node pool (set by the

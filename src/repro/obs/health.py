@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.dproc.dmon import MONITOR_CHANNEL
 from repro.obs.tsdb import ObsError, TimeSeriesDB
 
 __all__ = ["HealthRule", "HealthTransition", "HealthEngine",
@@ -264,21 +265,19 @@ class HealthEngine:
         }
 
 
-def default_rules(poll_interval: float = 1.0,
-                  monitor_channel: str = "dproc.monitor"
-                  ) -> tuple[HealthRule, ...]:
+def default_rules() -> tuple[HealthRule, ...]:
     """The stock SLO set the harness and benchmarks evaluate.
 
     * ``delivery-latency-p99`` — p99 of the monitoring channel's
       sampled delivery-latency p99 series stays under 250 ms;
     * ``drop-burn`` — the fault-plane drop counter burns less than
-      one drop per node-second over a 10-poll window (the paper's
-      loss windows trip this);
+      one drop per node-second over a 10 s window (ten of the paper's
+      1 s polls; its loss windows trip this);
     * ``monitor-cpu-burn`` — the monitor's own collect+submit CPU
       burns below 5% of a core per node.
     """
-    window = 10.0 * poll_interval
-    metric = f"kecho.{monitor_channel}.delivery_seconds"
+    window = 10.0
+    metric = f"kecho.{MONITOR_CHANNEL}.delivery_seconds"
     return (
         HealthRule(name="delivery-latency-p99", metric=metric,
                    stat="p99", agg="p99", window=window,

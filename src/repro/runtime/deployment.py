@@ -29,9 +29,8 @@ class Deployment:
     monitored: tuple
     #: Hosts that subscribe to the monitoring channel (None = all).
     watchers: Optional[tuple] = None
-    #: Live transport tuning (``BatchConfig`` / ``FlowConfig``).
+    #: Live frame coalescing (a ``BatchConfig``; None = unbatched).
     batch: Any = None
-    flow: Any = None
 
     @staticmethod
     def select(names: Sequence[str],

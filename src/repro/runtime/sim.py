@@ -27,7 +27,7 @@ class SimRuntime:
     module_factory = None
 
     def __init__(self, nodes: int = 8, seed: int = 0,
-                 config=None, names: Optional[Sequence[str]] = None,
+                 names: Optional[Sequence[str]] = None,
                  node_configs: Optional[Sequence] = None) -> None:
         """Build a fresh environment + cluster; the cluster-shape
         kwargs pass straight through to
@@ -36,7 +36,7 @@ class SimRuntime:
         from repro.sim.core import Environment
         self.env = Environment()
         self.cluster = build_cluster(
-            self.env, nodes, config=config, seed=seed, names=names,
+            self.env, nodes, seed=seed, names=names,
             node_configs=node_configs)
         self._bus = None
 

@@ -69,8 +69,7 @@ def default_names(n: int) -> list[str]:
             else f"node{i}" for i in range(n)]
 
 
-def build_cluster(env: Environment, nodes: int = 8,
-                  config: NodeConfig | None = None,
+def build_cluster(env: Environment, nodes: int = 8, *,
                   seed: int = 0,
                   names: Optional[Sequence[str]] = None,
                   node_configs: Optional[Iterable[NodeConfig]] = None
@@ -81,10 +80,9 @@ def build_cluster(env: Environment, nodes: int = 8,
     ----------
     nodes:
         Cluster size (default 8, the paper's testbed).
-    config:
-        Default hardware config for every node.
     node_configs:
-        Optional per-node overrides (iterable aligned with names).
+        Per-node hardware (iterable aligned with names); None gives
+        every node the default :class:`NodeConfig`.
     names:
         Host names; defaults to the paper-style names, extended with
         ``nodeK`` beyond eight.
@@ -97,7 +95,7 @@ def build_cluster(env: Environment, nodes: int = 8,
     fabric = Fabric(env)
     cluster = Cluster(env, fabric, RngHub(seed))
     per_node = list(node_configs) if node_configs is not None \
-        else [config] * nodes
+        else [None] * nodes
     if len(per_node) != nodes:
         raise SimulationError("node_configs/nodes mismatch")
     for name, cfg in zip(names, per_node):

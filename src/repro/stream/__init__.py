@@ -6,8 +6,8 @@ per-channel streams with monotone ids, consumer groups track ack/
 pending state, a janitor trims by age and acked state, and the replay
 toolkit audits a recorded run — a reconciler against procfs ground
 truth, stats-by-replay against the telemetry registry, and a
-stream-fed cluster top.  In-memory and deterministic on the sim
-backend; file-backed (JSONL segments) on the live backend.
+stream-fed cluster top.  In-memory on both backends (deterministic on
+the sim); ``dump``/``load`` persist it as JSONL segments.
 """
 
 from repro.stream.broker import (ChannelStream, ConsumerGroup,
@@ -19,9 +19,8 @@ from repro.stream.janitor import Janitor, TrimReport
 from repro.stream.reconcile import (Discrepancy, ReconcileReport,
                                     reconcile)
 from repro.stream.stats import replay_stats, verify_stats
-from repro.stream.store import (JsonlSink, channel_of_segment,
-                                dump_broker, load_broker,
-                                segment_name)
+from repro.stream.store import (channel_of_segment, dump_broker,
+                                load_broker, segment_name)
 from repro.stream.top import HostRow, StreamTop
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
     "Janitor", "TrimReport",
     "Discrepancy", "ReconcileReport", "reconcile",
     "replay_stats", "verify_stats",
-    "JsonlSink", "dump_broker", "load_broker", "segment_name",
+    "dump_broker", "load_broker", "segment_name",
     "channel_of_segment",
     "HostRow", "StreamTop",
 ]

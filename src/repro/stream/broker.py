@@ -241,15 +241,11 @@ class StreamBroker:
 
     ``record_submit`` / ``record_delivery`` / ``record_drop`` are the
     tee entry points the KECho endpoints call; everything else is the
-    read side.  With a
-    ``sink`` every appended entry is also written eagerly as a JSONL
-    row (the live backend's file-backed persistence).
+    read side.  :meth:`dump` and :meth:`load` persist it as JSONL
+    segments.
     """
 
-    def __init__(self, sink: Optional[Any] = None,
-                 max_len: Optional[int] = None) -> None:
-        self.sink = sink
-        self.max_len = max_len
+    def __init__(self) -> None:
         self.streams: dict[str, ChannelStream] = {}
 
     # -- write side (the tee) ---------------------------------------------
@@ -258,22 +254,15 @@ class StreamBroker:
         """Get or create the stream for ``channel``."""
         st = self.streams.get(channel)
         if st is None:
-            st = self.streams[channel] = ChannelStream(
-                channel, max_len=self.max_len)
+            st = self.streams[channel] = ChannelStream(channel)
         return st
-
-    def _append(self, channel: str, **fields: Any) -> StreamEntry:
-        entry = self.stream(channel).append(**fields)
-        if self.sink is not None:
-            self.sink.write(channel, entry.to_record())
-        return entry
 
     def record_submit(self, event: Any, targets: Iterable[str],
                       local: bool) -> StreamEntry:
         """Tee one publisher submit (before any send settles)."""
         records, summary = normalize_payload(event.payload)
-        return self._append(
-            event.channel, kind=SUBMIT, source=event.source, dest="",
+        return self.stream(event.channel).append(
+            kind=SUBMIT, source=event.source, dest="",
             time=event.submitted_at, submitted_at=event.submitted_at,
             size=event.size, records=records, summary=summary,
             targets=tuple(targets), local=local)
@@ -292,19 +281,16 @@ class StreamBroker:
         st = self.streams.get(channel)
         if st is None:
             st = self.stream(channel)
-        entry = st.append_entry(StreamEntry(
+        return st.append_entry(StreamEntry(
             0, DELIVER, channel, event.source, dest, now,
             event.submitted_at, event.size))
-        if self.sink is not None:
-            self.sink.write(channel, entry.to_record())
-        return entry
 
     def record_drop(self, event: Any, dest: str, reason: str,
                     now: float) -> StreamEntry:
         """Tee one copy of ``event`` that the publisher's transport
         reported lost on its way to ``dest``."""
-        return self._append(
-            event.channel, kind=DROP, source=event.source, dest=dest,
+        return self.stream(event.channel).append(
+            kind=DROP, source=event.source, dest=dest,
             time=now, submitted_at=event.submitted_at, size=event.size,
             fault=reason)
 
@@ -351,9 +337,4 @@ class StreamBroker:
         """Rebuild a broker from :meth:`dump` output."""
         from repro.stream.store import load_broker
         return load_broker(directory)
-
-    def close(self) -> None:
-        """Flush and close the sink (no-op for in-memory brokers)."""
-        if self.sink is not None:
-            self.sink.close()
 

@@ -36,6 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.dproc.dmon import MONITOR_CHANNEL
 from repro.stream.broker import StreamBroker
 from repro.stream.entry import DELIVER, DROP, SUBMIT
 
@@ -187,8 +188,7 @@ def _metric_names(records: tuple) -> list[str]:
 def reconcile(broker: StreamBroker, dprocs: Optional[dict] = None, *,
               until: Optional[float] = None,
               open_window: float = 1.0,
-              stale_after: Optional[float] = None,
-              monitor_channel: str = "dproc.monitor"
+              stale_after: Optional[float] = None
               ) -> ReconcileReport:
     """Audit ``broker`` against itself and (optionally) procfs truth.
 
@@ -305,13 +305,12 @@ def reconcile(broker: StreamBroker, dprocs: Optional[dict] = None, *,
                 detail=f"{extra} deliveries with no recorded submit"))
 
     if dprocs:
-        _check_procfs(broker, dprocs, report, monitor_channel)
+        _check_procfs(broker, dprocs, report)
     return report
 
 
 def _check_procfs(broker: StreamBroker, dprocs: dict,
-                  report: ReconcileReport, monitor_channel: str
-                  ) -> None:
+                  report: ReconcileReport) -> None:
     """Replay the monitor stream into last-value caches and compare
     them — both directions — with each d-mon's remote cache."""
     from repro.dproc.metrics import MetricId
@@ -319,7 +318,7 @@ def _check_procfs(broker: StreamBroker, dprocs: dict,
     # joined from the paired submit on the natural key.
     sub_records: dict[tuple, tuple] = {}
     replayed: dict[str, dict[tuple, tuple]] = defaultdict(dict)
-    for e in broker.entries(monitor_channel):
+    for e in broker.entries(MONITOR_CHANNEL):
         if e.kind == SUBMIT:
             sub_records.setdefault(e.key, e.records)
             continue
@@ -342,13 +341,13 @@ def _check_procfs(broker: StreamBroker, dprocs: dict,
             actual = dmon.remote_value(source, metric)
             if actual is None:
                 report.procfs_mismatches.append(Discrepancy(
-                    kind="procfs", channel=monitor_channel,
+                    kind="procfs", channel=MONITOR_CHANNEL,
                     source=source, dest=host, submitted_at=ts,
                     detail=f"{metric.name}: stream delivered "
                            f"{value!r} but procfs has no entry"))
             elif actual.value != value or actual.timestamp != ts:
                 report.procfs_mismatches.append(Discrepancy(
-                    kind="procfs", channel=monitor_channel,
+                    kind="procfs", channel=MONITOR_CHANNEL,
                     source=source, dest=host, submitted_at=ts,
                     detail=f"{metric.name}: stream says "
                            f"({value!r}, {ts!r}), procfs says "
@@ -360,7 +359,7 @@ def _check_procfs(broker: StreamBroker, dprocs: dict,
                 if (source, int(metric)) not in stream_cache:
                     report.procfs_checked += 1
                     report.procfs_mismatches.append(Discrepancy(
-                        kind="procfs", channel=monitor_channel,
+                        kind="procfs", channel=MONITOR_CHANNEL,
                         source=source, dest=host, submitted_at=0.0,
                         detail=f"{metric.name}: procfs entry with no "
                                f"delivery in the stream"))

@@ -20,6 +20,7 @@ import math
 from collections import defaultdict
 from typing import Iterable, Optional
 
+from repro.dproc.dmon import MONITOR_CHANNEL
 from repro.stream.broker import StreamBroker
 from repro.stream.entry import DELIVER, DROP, SUBMIT
 
@@ -100,7 +101,7 @@ def verify_stats(broker: StreamBroker, nodes: Iterable,
             if e.kind == SUBMIT:
                 sub[(e.source, channel)] += 1
                 txb[(e.source, channel)] += e.size * len(e.targets)
-                if channel == "dproc.monitor":
+                if channel == MONITOR_CHANNEL:
                     mon_events[e.source] += 1
                     mon_records[e.source] += len(e.records)
             elif e.kind == DELIVER:

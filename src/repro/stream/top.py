@@ -20,11 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.dproc.dmon import MONITOR_CHANNEL
 from repro.dproc.metrics import MetricId
 from repro.stream.broker import StreamBroker
 from repro.stream.entry import SUBMIT
 
 __all__ = ["StreamTop", "HostRow"]
+
+#: The consumer group, and the consumer in it, that the table reads as.
+GROUP = "dtop"
+CONSUMER = "top"
 
 
 @dataclass
@@ -45,13 +50,9 @@ class HostRow:
 class StreamTop:
     """Consumer-group-fed cluster table over the monitor stream."""
 
-    def __init__(self, broker: StreamBroker,
-                 channel: str = "dproc.monitor",
-                 group: str = "dtop", consumer: str = "top") -> None:
+    def __init__(self, broker: StreamBroker) -> None:
         self.broker = broker
-        self.channel = channel
-        self.consumer = consumer
-        self.group = broker.group(channel, group)
+        self.group = broker.group(MONITOR_CHANNEL, GROUP)
         self.hosts: dict[str, HostRow] = {}
         self.events_consumed = 0
         self.last_event_time = 0.0
@@ -65,7 +66,7 @@ class StreamTop:
         double-counts.  Only submit entries mutate the table — one per
         published event, independent of fan-out.
         """
-        entries = self.group.read(self.consumer, count=count, now=now)
+        entries = self.group.read(CONSUMER, count=count, now=now)
         applied = 0
         for entry in entries:
             if entry.kind == SUBMIT and entry.records:

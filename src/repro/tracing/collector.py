@@ -39,6 +39,9 @@ STATUS_OPEN = "open"
 STATUS_OK = "ok"
 STATUS_DROPPED = "dropped"
 
+#: Adaptation decisions the audit log keeps; older ones are evicted.
+MAX_AUDIT = 4096
+
 
 class SpanRecord:
     """One recorded pipeline stage inside one trace (mutable while
@@ -197,8 +200,7 @@ class TraceCollector:
 
     def __init__(self, seed: int = 0, sample_rate: float = 1.0,
                  max_traces: int = 4096,
-                 max_spans_per_trace: int = 512,
-                 max_audit: int = 4096) -> None:
+                 max_spans_per_trace: int = 512) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise TracingError(
                 f"sample_rate must be in [0, 1], got {sample_rate!r}")
@@ -210,8 +212,8 @@ class TraceCollector:
         self.max_spans_per_trace = int(max_spans_per_trace)
         self._traces: dict[str, _TraceBuf] = {}
         self._next_span = 1
-        #: Adaptation decisions, oldest evicted beyond ``max_audit``.
-        self.audit: deque[AuditEntry] = deque(maxlen=max_audit)
+        #: Adaptation decisions, oldest evicted beyond ``MAX_AUDIT``.
+        self.audit: deque[AuditEntry] = deque(maxlen=MAX_AUDIT)
         # accounting -------------------------------------------------------
         self.traces_started = 0
         self.traces_sampled_out = 0

@@ -13,8 +13,6 @@ look the CLI prints.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.tracing.collector import (SpanRecord, SpanTree,
                                      TraceCollector)
 from repro.tracing.ordering import freeze_attrs
@@ -25,17 +23,14 @@ __all__ = ["to_chrome_trace", "render_tree"]
 _US = 1e6
 
 
-def to_chrome_trace(collector: TraceCollector,
-                    trace_ids: Optional[Iterable[str]] = None) -> dict:
-    """Export retained traces as a Chrome trace-event JSON object.
+def to_chrome_trace(collector: TraceCollector) -> dict:
+    """Export every retained trace as a Chrome trace-event JSON object.
 
     Only finished spans become slices (an open span has no duration to
     draw); every slice carries the full span identity in ``args`` so
     Perfetto's query view can join parents to children.
     """
-    trees = ([collector.tree(tid) for tid in trace_ids]
-             if trace_ids is not None else collector.trees())
-    trees = [t for t in trees if t is not None]
+    trees = collector.trees()
 
     # Stable pid/tid assignment: nodes sorted by name, traces in
     # collector insertion order.

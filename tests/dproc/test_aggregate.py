@@ -36,11 +36,6 @@ class TestSnapshot:
         assert set(snap) == set(cluster.names)
         assert all(value > 0 for value in snap.values())
 
-    def test_exclude_self(self, view):
-        v, _, _ = view
-        snap = v.snapshot(MetricId.FREEMEM, include_self=False)
-        assert "alan" not in snap
-
     def test_stale_entries_dropped(self, env, view):
         v, dprocs, _ = view
         dprocs["maui"].dmon.stop()
@@ -48,6 +43,23 @@ class TestSnapshot:
         snap = v.snapshot(MetricId.FREEMEM)
         assert "maui" not in snap
         assert "etna" in snap
+
+    def test_stopped_host_reads_itself_dead(self):
+        """A host whose d-mon stopped ages in its own view as in its
+        peers': its status of itself reads dead and its own last
+        sample leaves the aggregate."""
+        sc = Scenario(nodes=3, seed=1).build()
+        sc.run_until(5.0)
+        sc.dprocs["alan"].stop()
+        sc.run_until(60.0)
+        own = sc.dprocs["alan"].read("/proc/cluster/alan/status")
+        peer = sc.dprocs["maui"].read("/proc/cluster/alan/status")
+        assert own.startswith("state: dead\n"), own
+        assert peer.startswith("state: dead\n"), peer
+        assert "alan" not in ClusterView(
+            sc.dprocs["alan"]).snapshot(MetricId.FREEMEM)
+        assert "alan" not in ClusterView(
+            sc.dprocs["maui"]).snapshot(MetricId.FREEMEM)
 
     def test_hosts_are_those_whose_status_reads_fresh(self):
         """A metric on a slower period than the poll still counts while

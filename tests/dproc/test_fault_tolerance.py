@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import (CentralCollector, CentralConfig, MetricId,
-                         deploy_dproc)
+from repro.dproc import CentralCollector, MetricId, deploy_dproc
 from repro.sim import build_cluster
 
 
@@ -71,8 +70,7 @@ class TestCentralCollectorIsAFaultDomain:
                                                      cluster3):
         central = CentralCollector(
             cluster3, collector="alan",
-            config=CentralConfig(metric_subset=frozenset(
-                {MetricId.FREEMEM}))).start()
+            metrics=frozenset({MetricId.FREEMEM})).start()
         env.run(until=6.0)
         # Everyone knows everyone while the collector lives.
         assert central.view("maui", "etna", MetricId.FREEMEM) \

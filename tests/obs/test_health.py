@@ -185,7 +185,8 @@ class TestAttribution:
 
 class TestDefaultRules:
     def test_stock_set_names_and_window_scaling(self):
-        rules = default_rules(poll_interval=2.0)
+        rules = default_rules()
         assert sorted(r.name for r in rules) == [
             "delivery-latency-p99", "drop-burn", "monitor-cpu-burn"]
-        assert all(r.window == 20.0 for r in rules)
+        # Ten of the paper's 1 s polls.
+        assert all(r.window == 10.0 for r in rules)

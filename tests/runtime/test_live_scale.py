@@ -528,14 +528,14 @@ class TestLiveEndToEnd:
         assert "Traceback" not in result.stderr, result.stderr
         assert "\nmissing:\n" in result.stdout
 
-    def test_streamed_live_run_reconciles_clean(self, tmp_path):
+    def test_streamed_live_run_reconciles_clean(self):
         from repro.api import Scenario
         from repro.dproc import DMonConfig
         from repro.stream import reconcile
         sc = Scenario(nodes=3, seed=9, backend="live",
                       dmon=DMonConfig(poll_interval=0.25))
         sc.with_node_pool(1, batch=BatchConfig(max_delay=0.3))
-        sc.with_stream(str(tmp_path / "stream"))
+        sc.with_stream()
         sc.run(2.5)
         report = reconcile(sc.stream, sc.dprocs)
         assert report.ok, report.render()

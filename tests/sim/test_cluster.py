@@ -68,7 +68,7 @@ class TestBuildCluster:
 
     def test_custom_config_applies(self, env):
         cfg = NodeConfig(n_cpus=4, memory_bytes=MB(256))
-        c = build_cluster(env, nodes=2, config=cfg)
+        c = build_cluster(env, nodes=2, node_configs=[cfg, cfg])
         assert c["alan"].cpu.n_cpus == 4
         assert c["alan"].memory.capacity_bytes == MB(256)
 

@@ -130,12 +130,6 @@ class TestStreamBroker:
         assert a.serialize().index('"channel":"a"') \
             < a.serialize().index('"channel":"z"')
 
-    def test_max_len_applies_per_channel(self):
-        broker = StreamBroker(max_len=3)
-        fill(broker.stream("c"), 8)
-        assert len(broker.stream("c")) == 3
-        assert broker.total_entries() == 3
-
 
 class TestEntryRoundTrip:
     def test_record_round_trip_preserves_everything(self):

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.api import Scenario
-from repro.stream import (JsonlSink, StreamBroker, channel_of_segment,
-                          dump_broker, load_broker, segment_name)
+from repro.stream import (StreamBroker, channel_of_segment, dump_broker,
+                          load_broker, segment_name)
 
 
 def small_broker() -> StreamBroker:
@@ -59,29 +57,6 @@ class TestDumpLoad:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_broker(tmp_path / "nope")
-
-
-class TestJsonlSink:
-    def test_sink_writes_rows_eagerly(self, tmp_path):
-        sink = JsonlSink(tmp_path)
-        broker = StreamBroker(sink=sink)
-        broker.stream("c")  # creating a stream writes nothing
-        broker._append("c", kind="submit", source="s", dest="",
-                       time=0.5, submitted_at=0.5, size=1.0)
-        assert sink.rows_written == 1
-        sink.close()
-        sink.close()  # idempotent
-        rows = [json.loads(line) for line in
-                (tmp_path / segment_name("c")).read_text().splitlines()]
-        assert rows[0]["source"] == "s"
-        back = load_broker(tmp_path)
-        assert back.total_entries() == 1
-
-    def test_closed_sink_ignores_writes(self, tmp_path):
-        sink = JsonlSink(tmp_path)
-        sink.close()
-        sink.write("c", {"seq": 1})
-        assert sink.rows_written == 0
 
 
 class TestScenarioDump:

@@ -55,3 +55,45 @@ def test_every_third_party_import_is_a_declared_dependency():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"repro"}
     assert third_party and third_party == declared
+
+
+#: Every settable value of the deployment-facing configuration.  A new
+#: field or parameter fails here until it is added to this list, so the
+#: diff that adds it shows the list growing; one that nothing sets
+#: belongs in a module constant instead.
+KNOBS = {
+    "DMonConfig": ["poll_interval", "payload_padding", "metric_subset",
+                   "subscribe_monitoring"],
+    "NodeConfig": ["n_cpus", "mflops_per_cpu", "memory_bytes",
+                   "disk_rate", "costs"],
+    "BatchConfig": ["max_bytes", "max_delay"],
+    "FlowConfig": ["high_watermark", "low_watermark", "max_deferred"],
+    "Scenario.__init__": ["nodes", "seed", "backend", "dmon", "modules",
+                          "monitor_hosts", "names", "node_configs"],
+    "Scenario.with_cluster_setup": ["fn"],
+    "Scenario.with_faults": ["configure"],
+    "Scenario.with_node_pool": ["workers", "watchers", "batch"],
+    "Scenario.with_observability": ["sample_interval", "rules",
+                                    "scrape_port", "scrape_host"],
+    "Scenario.with_setup": ["fn"],
+    "Scenario.with_stream": [],
+    "Scenario.with_tracing": ["collector", "kwargs"],
+}
+
+
+def test_settable_values_are_the_written_list():
+    import dataclasses
+    import inspect
+
+    from repro.api import Scenario
+    from repro.dproc.dmon import DMonConfig
+    from repro.live.transport import BatchConfig, FlowConfig
+    from repro.sim.node import NodeConfig
+
+    found = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+             for cls in (DMonConfig, NodeConfig, BatchConfig, FlowConfig)}
+    for name in vars(Scenario):
+        if name == "__init__" or name.startswith("with_"):
+            params = inspect.signature(getattr(Scenario, name)).parameters
+            found[f"Scenario.{name}"] = list(params)[1:]
+    assert found == KNOBS

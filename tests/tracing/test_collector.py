@@ -8,6 +8,7 @@ from repro.errors import TracingError
 from repro.tracing.ordering import (check_interval, freeze_attrs,
                                     span_sort_key)
 from repro.tracing import TraceCollector, trace_hash
+from repro.tracing.collector import MAX_AUDIT
 from repro.tracing.context import TraceContext
 
 
@@ -136,13 +137,15 @@ class TestBounds:
             span.finish(2.0)
 
     def test_audit_log_bounded(self):
-        collector = TraceCollector(max_audit=2)
-        for i in range(4):
+        collector = TraceCollector()
+        for i in range(MAX_AUDIT + 1):
             collector.record_adaptation(
                 time=float(i), node="s", client="c", policy="p",
                 previous=None, chosen=f"t{i}", observations={},
                 triggers=())
-        assert [e.chosen for e in collector.audit] == ["t2", "t3"]
+        assert len(collector.audit) == MAX_AUDIT
+        assert collector.audit[0].chosen == "t1"
+        assert collector.audit[-1].chosen == f"t{MAX_AUDIT}"
 
 
 class TestAssembly:

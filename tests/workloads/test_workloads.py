@@ -38,7 +38,8 @@ class TestLinpack:
         assert b.mflops() == pytest.approx(8.7, rel=0.05)
 
     def test_quad_cpu_runs_four_threads_full_speed(self, env):
-        cluster = build_cluster(env, 1, config=NodeConfig(n_cpus=4))
+        cluster = build_cluster(env, 1,
+                                node_configs=[NodeConfig(n_cpus=4)])
         threads = [Linpack(cluster["alan"]).start() for _ in range(4)]
         env.run(until=20.0)
         for t in threads:
