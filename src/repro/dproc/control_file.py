@@ -16,100 +16,135 @@ the write so multi-line E-code sources pass through verbatim)::
     unfilter  <filter-id>
 
 Lines starting with ``#`` and blank lines are ignored.
+
+This module is the only place that knows the grammar.  The writer
+parses a write here, before anything is sent, and ships each command
+as its normalized text (:attr:`ControlCommand.text`); the target d-mon
+parses that text here again and applies the result.  What only the
+target can check — which metrics its modules produce, whether a filter
+compiles, which filter ids it holds — is checked there.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.dproc.params import ThresholdRule, parse_threshold_spec
 from repro.errors import ControlSyntaxError
-from repro.kecho.control import (ClearParameter, ControlMessage,
-                                 DeployFilter, RemoveFilter, SetParameter)
 
-__all__ = ["parse_control_text"]
+__all__ = ["ControlCommand", "parse_control_text", "parse_command"]
 
 
-def parse_control_text(text: str, sender: str,
-                       target: str) -> list[ControlMessage]:
-    """Parse a control-file write into control messages.
+@dataclass(frozen=True)
+class ControlCommand:
+    """One parsed control-file command.
 
-    ``sender`` is the writing host, ``target`` the host whose d-mon the
-    commands address (the node the control file belongs to).
+    ``value`` is already checked: the period in seconds (finite,
+    positive) for ``period``, a :class:`ThresholdRule` for
+    ``threshold``, the parameter to clear (``"period"`` or
+    ``"threshold"``) for ``clear``, the E-code source for ``filter``
+    and None for ``unfilter``.  ``metric`` is the metric spec as
+    written (``""`` for ``unfilter``); ``filter_id`` is the id a
+    ``filter`` gave with ``id=`` or the id to ``unfilter``.  ``text``
+    is the command's normalized text: its header words joined by
+    single spaces, then a filter's source.  It parses back to an equal
+    command.
     """
-    messages: list[ControlMessage] = []
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line or line.startswith("#"):
-            continue
-        words = line.split()
-        cmd = words[0].lower()
 
-        if cmd == "period":
-            if len(words) != 3:
-                raise ControlSyntaxError(
-                    "usage: period <metric|*> <seconds>")
-            _require_number(words[2], "period")
-            messages.append(SetParameter(
-                sender=sender, target=target, metric=words[1],
-                parameter="period", spec=words[2]))
-        elif cmd == "threshold":
-            if len(words) < 3:
-                raise ControlSyntaxError(
-                    "usage: threshold <metric|*> <spec...>")
-            # Validate eagerly so bad writes fail at the writer.
-            from repro.dproc.params import parse_threshold_spec
-            parse_threshold_spec(words[2:])
-            messages.append(SetParameter(
-                sender=sender, target=target, metric=words[1],
-                parameter="threshold", spec=" ".join(words[2:])))
-        elif cmd == "clear":
-            if len(words) != 3 or words[2] not in ("period", "threshold"):
-                raise ControlSyntaxError(
-                    "usage: clear <metric|*> period|threshold")
-            messages.append(ClearParameter(
-                sender=sender, target=target, metric=words[1],
-                parameter=words[2]))
-        elif cmd == "filter":
-            if len(words) < 2:
-                raise ControlSyntaxError(
-                    "usage: filter <metric|*> [id=<id>] <source>")
-            metric = words[1]
-            rest = words[2:]
-            filter_id = ""
-            if rest and rest[0].startswith("id="):
-                filter_id = rest[0][3:]
-                if not filter_id:
-                    raise ControlSyntaxError("empty filter id")
-                rest = rest[1:]
+    verb: str
+    metric: str
+    value: Optional[float | ThresholdRule | str]
+    text: str
+    filter_id: str = ""
+
+
+def parse_control_text(text: str) -> list[ControlCommand]:
+    """Parse a control-file write into its commands, in order.
+
+    Raises :class:`ControlSyntaxError` for the first command the
+    grammar rejects, so a bad write sends nothing.
+    """
+    commands: list[ControlCommand] = []
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        words = line.split()
+        if not words or words[0].startswith("#"):
+            continue
+        verb = words[0].lower()
+        if verb == "filter":
             # The filter source is everything after the header on this
             # line plus all remaining lines of the write.
-            source = " ".join(rest)
-            if i < len(lines):
-                source = source + "\n" + "\n".join(lines[i:])
-                i = len(lines)
-            if not source.strip():
-                raise ControlSyntaxError("empty filter source")
-            messages.append(DeployFilter(
-                sender=sender, target=target, metric=metric,
-                source=source, filter_id=filter_id))
-        elif cmd == "unfilter":
-            if len(words) != 2:
-                raise ControlSyntaxError("usage: unfilter <filter-id>")
-            messages.append(RemoveFilter(
-                sender=sender, target=target, filter_id=words[1]))
-        else:
-            raise ControlSyntaxError(f"unknown control command {cmd!r}")
-    if not messages:
+            commands.append(_filter(words, lines[i + 1:]))
+            break
+        commands.append(_command(verb, words))
+    if not commands:
         raise ControlSyntaxError("empty control write")
-    return messages
+    return commands
 
 
-def _require_number(text: str, what: str) -> float:
+def parse_command(text: str) -> ControlCommand:
+    """Parse one control message's text, which holds one command."""
+    commands = parse_control_text(text)
+    if len(commands) != 1:
+        raise ControlSyntaxError(
+            f"a control message carries one command, not {len(commands)}")
+    return commands[0]
+
+
+def _command(verb: str, words: list[str]) -> ControlCommand:
+    text = " ".join([verb, *words[1:]])
+    if verb == "period":
+        if len(words) != 3:
+            raise ControlSyntaxError("usage: period <metric|*> <seconds>")
+        return ControlCommand(verb, words[1], _period(words[2]), text)
+    if verb == "threshold":
+        if len(words) < 3:
+            raise ControlSyntaxError(
+                "usage: threshold <metric|*> <spec...>")
+        return ControlCommand(verb, words[1],
+                              parse_threshold_spec(words[2:]), text)
+    if verb == "clear":
+        if len(words) != 3:
+            raise ControlSyntaxError(
+                "usage: clear <metric|*> period|threshold")
+        if words[2] not in ("period", "threshold"):
+            raise ControlSyntaxError(f"unknown parameter {words[2]!r}")
+        return ControlCommand(verb, words[1], words[2], text)
+    if verb == "unfilter":
+        if len(words) != 2:
+            raise ControlSyntaxError("usage: unfilter <filter-id>")
+        return ControlCommand(verb, "", None, text, filter_id=words[1])
+    raise ControlSyntaxError(f"unknown control command {verb!r}")
+
+
+def _filter(words: list[str], more: list[str]) -> ControlCommand:
+    if len(words) < 2:
+        raise ControlSyntaxError(
+            "usage: filter <metric|*> [id=<id>] <source>")
+    header, rest = ["filter", words[1]], words[2:]
+    filter_id = ""
+    if rest and rest[0].startswith("id="):
+        filter_id = rest[0][3:]
+        if not filter_id:
+            raise ControlSyntaxError("empty filter id")
+        header.append(rest.pop(0))
+    source = "\n".join([" ".join(rest), *more]) if more \
+        else " ".join(rest)
+    if not source.strip():
+        raise ControlSyntaxError("empty filter source")
+    return ControlCommand("filter", words[1], source,
+                          " ".join(header) + " " + source,
+                          filter_id=filter_id)
+
+
+def _period(word: str) -> float:
     try:
-        value = float(text)
+        seconds = float(word)
     except ValueError:
-        raise ControlSyntaxError(f"bad {what} {text!r}") from None
-    if value <= 0:
-        raise ControlSyntaxError(f"{what} must be positive")
-    return value
+        raise ControlSyntaxError(f"bad period {word!r}") from None
+    if not seconds > 0 or not math.isfinite(seconds):
+        raise ControlSyntaxError(
+            f"update period must be positive, got {word!r}")
+    return seconds

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.dproc.batch import RecordBatch
+from repro.dproc.control_file import ControlCommand, parse_command
 from repro.dproc.filters import FilterManager, InputRecords
 from repro.dproc.metrics import (MODULE_METRICS, MetricId, metric_by_name)
 from repro.dproc.modules.base import KeyedSample, MonitoringModule
-from repro.dproc.params import MetricPolicy, parse_threshold_spec
-from repro.errors import ControlSyntaxError, DprocError, InterruptError
-from repro.kecho import (ChannelEvent, ClearParameter, ControlMessage,
-                         DeployFilter, RemoveFilter, SetParameter,
-                         control_message_size)
+from repro.dproc.params import MetricPolicy
+from repro.errors import DprocError, InterruptError
+from repro.kecho import ChannelEvent, ControlMessage, control_message_size
 from repro.runtime.protocol import Bus, RuntimeNode
 from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.tracing.context import TraceRef
@@ -173,8 +172,9 @@ class DMon:
         #: Positions of ``_ids``' values among the modules' collected
         #: values side by side; None when they are those values as is.
         self._pick: Optional[list[int]] = None
-        #: Per module: it, and the positions in ``_ids`` it decides.
-        self._spans: list[tuple[MonitoringModule, range]] = []
+        #: Per module: its name, and the positions in ``_ids`` it
+        #: decides.
+        self._spans: list[tuple[str, range]] = []
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -219,7 +219,7 @@ class DMon:
                         slot[metric] = len(pick)
                         pick.append(position)
                 position += 1
-            self._spans.append((module, range(first, len(pick))))
+            self._spans.append((module.name, range(first, len(pick))))
         self._ids = tuple(slot)
         self._width = position
         self._pick = None if pick == list(range(position)) else pick
@@ -451,53 +451,35 @@ class DMon:
         full_rows: list[KeyedSample] = []
         keyed = keyed or {}
         tracer = trace.collector if trace is not None else None
-
-        global_filter = self.filters.global_filter
-        if global_filter is not None:
-            records = self.filters.input_array(self.last_samples,
-                                               self._last_sent, now)
-            all_rows = [row for rows in keyed.values() for row in rows]
-            result = self.filters.run(global_filter, records,
-                                      keyed=all_rows or None)
-            cost += costs.filter_exec
-            self._t_filter.inc(costs.filter_exec)
-            for record in result.outputs:
-                metric = metric_by_name(record.name)
-                if metric in self.last_samples:
-                    _put(send_ids, send_values, metric, record.value)
-            top_pairs = result.emitted
-            if tracer is not None:
-                extra = {"emitted": len(top_pairs)} if keyed else {}
-                tracer.record_span(
-                    trace, name=f"filter:{global_filter.filter_id}",
-                    stage="dmon.filter", node=self.node.name,
-                    start=now, end=now,
-                    filter_id=global_filter.filter_id, scope="*",
-                    kept=tuple(sorted(m.name.lower() for m in send_ids)),
-                    **extra)
-            return send_ids, send_values, cost, top_pairs, full_rows
-
         policies = self.policies
         last_sent, last_sent_at = self._last_sent, self._last_sent_at
         filter_input: Optional[InputRecords] = None
-        for module, span in self._spans:
-            rows = keyed.get(module.name)
-            scoped = self.filters.filter_for(module.name)
+        units = self._spans
+        if self.filters.global_filter is not None:
+            # A '*' filter is one unit: it governs every metric and
+            # all keyed rows together, in place of each module's own.
+            units = (("*", None),)
+            keyed = {"*": [row for rows in keyed.values() for row in rows]}
+        for scope, span in units:
+            rows = keyed.get(scope)
+            scoped = self.filters.filter_for(scope)
             if scoped is not None:
                 if filter_input is None:
                     filter_input = self.filters.input_array(
                         self.last_samples, last_sent, now)
                 result = self.filters.run(scoped, filter_input,
-                                          keyed=rows)
+                                          keyed=rows or None)
                 cost += costs.filter_exec
                 self._t_filter.inc(costs.filter_exec)
-                governed = {ids[i] for i in span}
-                kept = []
+                governed = self.last_samples if span is None \
+                    else {ids[i] for i in span}
+                # Units govern disjoint metrics, so what this one puts
+                # is the tail of ``send_ids`` from here.
+                start = len(send_ids)
                 for record in result.outputs:
                     metric = metric_by_name(record.name)
                     if metric in governed:
                         _put(send_ids, send_values, metric, record.value)
-                        kept.append(metric.name.lower())
                 top_pairs.extend(result.emitted)
                 if tracer is not None:
                     extra = ({"emitted": len(result.emitted)}
@@ -506,8 +488,10 @@ class DMon:
                         trace, name=f"filter:{scoped.filter_id}",
                         stage="dmon.filter", node=self.node.name,
                         start=now, end=now,
-                        filter_id=scoped.filter_id, scope=module.name,
-                        kept=tuple(sorted(kept)), **extra)
+                        filter_id=scoped.filter_id, scope=scope,
+                        kept=tuple(sorted(m.name.lower()
+                                          for m in send_ids[start:])),
+                        **extra)
                 continue
             if rows:
                 full_rows.extend(rows)
@@ -635,57 +619,39 @@ class DMon:
             return list(MODULE_METRICS[spec])
         return [metric_by_name(spec)]
 
-    def apply_control(self, msg: ControlMessage) -> None:
-        """Apply a control message to this d-mon (local or remote origin)."""
-        if isinstance(msg, SetParameter):
-            # Validate the whole message before touching any policy, so
-            # a rejected control write leaves no partial state behind.
-            if msg.parameter not in ("period", "threshold"):
-                raise ControlSyntaxError(
-                    f"unknown parameter {msg.parameter!r}")
-            metrics = self.resolve_metrics(msg.metric)
-            if msg.parameter == "period":
-                try:
-                    seconds = float(msg.spec)
-                except ValueError:
-                    raise ControlSyntaxError(
-                        f"bad period {msg.spec!r}") from None
-                if not seconds > 0 or not math.isfinite(seconds):
-                    raise ControlSyntaxError(
-                        f"update period must be positive, got "
-                        f"{msg.spec!r}")
-                for metric in metrics:
-                    self.policies.setdefault(
-                        metric, MetricPolicy()).set_period(seconds)
-            else:
-                rule = parse_threshold_spec(msg.spec.split())
-                for metric in metrics:
-                    self.policies.setdefault(
-                        metric, MetricPolicy()).add_threshold(rule)
-        elif isinstance(msg, ClearParameter):
-            # The parameter name is validated even when no policy exists
-            # yet for any resolved metric.
-            if msg.parameter not in ("period", "threshold"):
-                raise ControlSyntaxError(
-                    f"unknown parameter {msg.parameter!r}")
-            for metric in self.resolve_metrics(msg.metric):
+    def apply_control(self, command: ControlCommand) -> None:
+        """Apply one parsed control command to this d-mon.
+
+        The grammar has checked the command's value; what only this
+        node can check — the metrics its modules produce, whether a
+        filter compiles, which filter ids it holds — raises a
+        :class:`DprocError` here, before any state changes.
+        """
+        verb = command.verb
+        if verb == "unfilter":
+            self.filters.remove(command.filter_id)
+        elif verb == "filter":
+            spec = command.metric
+            scope = spec if spec in ("*", *self.modules) \
+                else self._scope_of(spec)
+            self.filters.deploy(command.value, scope=scope,
+                                filter_id=command.filter_id or None)
+        elif verb == "clear":
+            for metric in self.resolve_metrics(command.metric):
                 policy = self.policies.get(metric)
                 if policy is None:
                     continue
-                if msg.parameter == "period":
+                if command.value == "period":
                     policy.clear_period()
                 else:
                     policy.clear_thresholds()
-        elif isinstance(msg, DeployFilter):
-            scope = msg.metric if msg.metric in ("*", *self.modules) \
-                else self._scope_of(msg.metric)
-            self.filters.deploy(msg.source, scope=scope,
-                                filter_id=msg.filter_id or None)
-        elif isinstance(msg, RemoveFilter):
-            self.filters.remove(msg.filter_id)
         else:
-            raise DprocError(
-                f"unsupported control message {type(msg).__name__}")
+            for metric in self.resolve_metrics(command.metric):
+                policy = self.policies.setdefault(metric, MetricPolicy())
+                if verb == "period":
+                    policy.set_period(command.value)
+                else:
+                    policy.add_threshold(command.value)
 
     def _scope_of(self, metric_spec: str) -> str:
         metric = metric_by_name(metric_spec)
@@ -699,10 +665,13 @@ class DMon:
     def send_control(self, msg: ControlMessage) -> None:
         """Distribute a control message over the control channel.
 
-        Messages addressed to this host are also applied locally.
+        Its command is parsed first, so text the grammar rejects is
+        never sent.  A message addressed to this host is also applied
+        here, and what this d-mon cannot apply raises to the caller.
         """
         if self._control_ep is None:
             raise DprocError("d-mon not started: no control channel")
+        command = parse_command(msg.command)
         now = self.node.env.now
         tracer = self.bus.tracer
         root = None
@@ -710,44 +679,44 @@ class DMon:
             self._ctl_seq += 1
             root = tracer.begin_trace(
                 f"{self.node.name}:ctl:{self._ctl_seq}",
-                name=f"control:{type(msg).__name__}", stage="control",
-                node=self.node.name, start=now,
-                kind=type(msg).__name__,
-                target=getattr(msg, "metric", ""))
+                name=f"control:{command.verb}", stage="control",
+                node=self.node.name, start=now, kind=command.verb,
+                target=command.metric)
         self._control_ep.submit(
             msg, size=control_message_size(msg),
             trace=root.context if root is not None else None)
         if msg.addressed_to(self.node.name):
-            self.apply_control(msg)
+            self.apply_control(command)
             if root is not None:
                 tracer.record_span(
                     root.context, name=f"apply:{self.node.name}",
                     stage="update", node=self.node.name,
-                    start=now, end=now, kind=type(msg).__name__)
+                    start=now, end=now, kind=command.verb)
         if root is not None:
             root.finish(self.node.env.now)
 
     def _on_control_event(self, event: ChannelEvent, trace) -> None:
         msg = event.payload
-        if not isinstance(msg, ControlMessage):
-            raise DprocError(
-                f"non-control payload on control channel: {msg!r}")
-        if msg.sender == self.node.name:
-            return  # we applied our own message at send time
-        if msg.addressed_to(self.node.name):
-            # A command this node cannot apply is the writer's mistake:
-            # it is counted here, never raised into the delivery.
+        if isinstance(msg, ControlMessage):
+            if msg.sender == self.node.name \
+                    or not msg.addressed_to(self.node.name):
+                return  # not ours, or applied at send time
             try:
-                self.apply_control(msg)
+                command = parse_command(msg.command)
+                self.apply_control(command)
             except DprocError:
-                self.node.telemetry.counter("dmon.control_rejected").inc()
+                pass
+            else:
+                if trace is not None:
+                    now = self.node.env.now
+                    trace.collector.record_span(
+                        trace, name=f"apply:{self.node.name}",
+                        stage="update", node=self.node.name,
+                        start=now, end=now, kind=command.verb)
                 return
-            if trace is not None:
-                now = self.node.env.now
-                trace.collector.record_span(
-                    trace, name=f"apply:{self.node.name}",
-                    stage="update", node=self.node.name,
-                    start=now, end=now, kind=type(msg).__name__)
+        # A payload this node cannot parse or apply is the sender's
+        # mistake: it is counted here, never raised into the delivery.
+        self.node.telemetry.counter("dmon.control_rejected").inc()
 
     # -- instrumentation helpers ----------------------------------------------------
 

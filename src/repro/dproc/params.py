@@ -174,10 +174,12 @@ def parse_threshold_spec(words: list[str]) -> ThresholdRule:
 
     def number(text: str) -> float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            raise ControlSyntaxError(
-                f"bad number {text!r} in threshold") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ControlSyntaxError(f"bad number {text!r} in threshold")
+        return value
 
     if kind == "above":
         if len(args) != 1:

@@ -27,7 +27,7 @@ from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import DMon, DMonConfig, register_default_modules
 from repro.dproc.metrics import METRIC_FILES, MetricId
 from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile, Roster
-from repro.kecho import KechoBus
+from repro.kecho import ControlMessage, KechoBus
 from repro.runtime.protocol import Bus, NodeGroup, RuntimeNode
 from repro.telemetry import MONITOR_CPU_COUNTERS, render_text
 
@@ -219,11 +219,11 @@ class Dproc:
         return "".join(f"{line}\n" for line in log)
 
     def _control_write(self, host: str, text: str) -> None:
-        """Parse commands and distribute them via the control channel."""
-        messages = parse_control_text(text, sender=self.node.name,
-                                      target=host)
-        for msg in messages:
-            self.dmon.send_control(msg)
+        """Parse commands and distribute them via the control channel:
+        one message per command, carrying its normalized text."""
+        for command in parse_control_text(text):
+            self.dmon.send_control(
+                ControlMessage(self.node.name, host, command.text))
         log = self._control_log.get(host)
         if log is None:
             log = self._control_log[host] = deque(maxlen=CONTROL_LOG_LINES)

@@ -30,7 +30,7 @@ from repro.ecode.runtime import (BUILTINS, ExecEnv, FilterResult,
                                  InputView, KEYED_BUILTINS, KeyedSample,
                                  MetricRecord, OutputArray,
                                  SKETCH_BUILTINS, SketchSpace)
-from repro.errors import EcodeError, EcodeRuntimeError
+from repro.errors import EcodeError, EcodeRuntimeError, EcodeSyntaxError
 
 __all__ = ["CompiledFilter", "compile_filter", "DEFAULT_MAX_STEPS"]
 
@@ -424,7 +424,13 @@ def compile_filter(source: str,
     program = parse(source)
     analysis = analyze(program, constants)
     module = _Generator(analysis).build_module()
-    code = compile(module, filename="<ecode>", mode="exec")
+    try:
+        code = compile(module, filename="<ecode>", mode="exec")
+    except SyntaxError as exc:
+        # CPython's fixed static limits, such as 20 nested loops: the
+        # same source fails the same way wherever it is compiled.
+        raise EcodeSyntaxError(
+            f"filter exceeds a compiler limit: {exc.msg}") from None
     namespace: dict[str, object] = {
         "__builtins__": {"float": float, "int": int},
         "__trunc__": lambda x: int(x) if x >= 0 else -int(-x),

@@ -18,6 +18,15 @@ Grammar (statements)::
 
 Expressions use standard C precedence:
 ``|| < && < ==,!= < <,<=,>,>= < +,- < *,/,% < unary < postfix``.
+
+Nesting is bounded by :data:`MAX_NESTING`, counting statements,
+blocks, parenthesised and operand expressions, prefix operators and
+each link of an operator, postfix or ``else if`` chain together: the
+parser, the analyzer and the code generator all recurse on it, and a
+filter arrives from a peer.  Past the bound a source is an
+:class:`EcodeSyntaxError` with the position where it went too deep —
+the same answer wherever it is compiled, which the interpreter's own
+recursion limit (it depends on the caller's stack) would not give.
 """
 
 from __future__ import annotations
@@ -29,7 +38,10 @@ from repro.ecode.lexer import tokenize
 from repro.ecode.tokens import Token, TokenType as T
 from repro.errors import EcodeSyntaxError
 
-__all__ = ["parse"]
+__all__ = ["parse", "MAX_NESTING"]
+
+#: How deep a source may nest (see the module docstring).
+MAX_NESTING = 64
 
 _ASSIGN_OPS = {
     T.ASSIGN: "=", T.PLUS_ASSIGN: "+=", T.MINUS_ASSIGN: "-=",
@@ -40,6 +52,8 @@ _TYPE_KEYWORDS = {
     T.KW_INT: "int", T.KW_LONG: "long",
     T.KW_DOUBLE: "double", T.KW_FLOAT: "float",
 }
+
+_UNARY_OPS = {T.MINUS: "-", T.PLUS: "+", T.NOT: "!"}
 
 # (token types, operator text) by descending binding level
 _BINARY_LEVELS: list[dict[T, str]] = [
@@ -56,6 +70,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        #: Nesting levels open at the current token.
+        self.depth = 0
 
     # -- token plumbing --------------------------------------------------------
 
@@ -85,6 +101,13 @@ class _Parser:
     def error(self, message: str) -> EcodeSyntaxError:
         cur = self.current
         return EcodeSyntaxError(message, cur.line, cur.column)
+
+    def deeper(self) -> None:
+        """Open one more nesting level (its caller closes it)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(
+                f"nested deeper than {MAX_NESTING} levels")
 
     # -- program ---------------------------------------------------------------
 
@@ -125,6 +148,12 @@ class _Parser:
     # -- statements -----------------------------------------------------------
 
     def parse_statement(self) -> A.Stmt:
+        self.deeper()
+        stmt = self._statement()
+        self.depth -= 1
+        return stmt
+
+    def _statement(self) -> A.Stmt:
         tok = self.current
         if tok.type in _TYPE_KEYWORDS:
             decl = self.parse_declaration()
@@ -204,7 +233,9 @@ class _Parser:
         else_body = None
         if self.accept(T.KW_ELSE):
             if self.check(T.KW_IF):
+                self.deeper()
                 chained = self.parse_if()
+                self.depth -= 1
                 else_body = A.Block(statements=[chained],
                                     line=chained.line,
                                     column=chained.column)
@@ -246,39 +277,48 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self, level: int = 0) -> A.Expr:
+    def parse_expr(self) -> A.Expr:
+        self.deeper()
+        expr = self._binary(0)
+        self.depth -= 1
+        return expr
+
+    def _binary(self, level: int) -> A.Expr:
         if level >= len(_BINARY_LEVELS):
             return self.parse_unary()
         ops = _BINARY_LEVELS[level]
-        left = self.parse_expr(level + 1)
+        depth = self.depth
+        left = self._binary(level + 1)
         while self.current.type in ops:
+            # Each link of a chain nests the tree one level deeper.
+            self.deeper()
             tok = self.current
             self.pos += 1
-            right = self.parse_expr(level + 1)
+            right = self._binary(level + 1)
             left = A.Binary(op=ops[tok.type], left=left, right=right,
                             line=tok.line, column=tok.column)
+        self.depth = depth
         return left
 
     def parse_unary(self) -> A.Expr:
         tok = self.current
-        if tok.type is T.MINUS:
-            self.pos += 1
-            return A.Unary(op="-", operand=self.parse_unary(),
-                           line=tok.line, column=tok.column)
-        if tok.type is T.PLUS:
-            self.pos += 1
-            return A.Unary(op="+", operand=self.parse_unary(),
-                           line=tok.line, column=tok.column)
-        if tok.type is T.NOT:
-            self.pos += 1
-            return A.Unary(op="!", operand=self.parse_unary(),
-                           line=tok.line, column=tok.column)
-        return self.parse_postfix()
+        op = _UNARY_OPS.get(tok.type)
+        if op is None:
+            return self.parse_postfix()
+        self.deeper()
+        self.pos += 1
+        operand = self.parse_unary()
+        self.depth -= 1
+        return A.Unary(op=op, operand=operand,
+                       line=tok.line, column=tok.column)
 
     def parse_postfix(self) -> A.Expr:
         expr = self.parse_primary()
+        depth = self.depth
         while True:
             tok = self.current
+            if tok.type in (T.LBRACKET, T.DOT):
+                self.deeper()
             if tok.type is T.LBRACKET:
                 self.pos += 1
                 index = self.parse_expr()
@@ -291,6 +331,7 @@ class _Parser:
                 expr = A.Attribute(base=expr, name=name.text,
                                    line=tok.line, column=tok.column)
             else:
+                self.depth = depth
                 return expr
 
     def parse_primary(self) -> A.Expr:

@@ -6,14 +6,11 @@ peer-to-peer kernel messaging, and per-submit cost accounting.
 """
 
 from repro.kecho.channel import ChannelEndpoint, KechoBus, SubmitReceipt
-from repro.kecho.control import (ClearParameter, ControlMessage,
-                                 DeployFilter, RemoveFilter, SetParameter,
-                                 control_message_size)
+from repro.kecho.control import ControlMessage, control_message_size
 from repro.kecho.event import ChannelEvent
 
 __all__ = [
     "ChannelEndpoint", "KechoBus", "SubmitReceipt",
     "ChannelEvent",
-    "ControlMessage", "SetParameter", "ClearParameter", "DeployFilter",
-    "RemoveFilter", "control_message_size",
+    "ControlMessage", "control_message_size",
 ]

@@ -165,10 +165,7 @@ class ChannelEndpoint:
                     stream.record_drop(event, dst, reason,
                                        self.node.env.now)
 
-            # One reallocation for the whole fan-out instead of one per
-            # target flow: everything happens at the same instant.
-            with stack.batch():
-                stack.send_many(conns, event, size, on_fail)
+            stack.send_many(conns, event, size, on_fail)
         # The local subscriber sees the event immediately.
         if local:
             self._dispatch(event, event.trace, charge=False)

@@ -2,7 +2,7 @@
 
 A PBIO-style format in the spirit of the paper's ECho heritage: a
 packed layout both ends already know for the hot monitoring stream,
-self-describing fall-backs for everything else.  All integers and
+a self-describing body for the rare control message.  All integers and
 floats are big-endian; ``str`` is a u16 byte length followed by UTF-8
 bytes; ``[x]`` is present only when the named flag is set.
 
@@ -57,12 +57,14 @@ under backpressure or a reconnect needs no resync.  The strings left
 (channel, source) are what such a table could still save — under two
 bytes a record.
 
-Other kinds:
-
-* ``CONTROL`` — one control message (SetParameter, ClearParameter,
-  DeployFilter, RemoveFilter) as a u32 length and a compact JSON
-  object (control traffic is rare; self-describing beats packed here).
-* ``JSON`` — any other JSON-serialisable payload, same body.
+The other kind, ``CONTROL`` — one
+:class:`~repro.kecho.control.ControlMessage` as a u32 length and a
+compact JSON object of exactly three strings, ``sender``, ``target``
+and ``command`` (one command's control-file text; control traffic is
+rare, self-describing beats packed here).  It is a frame of the
+control channel's own tag only — channel ``dproc.control``, no TAG
+flag — on both ends, so no other channel's handler is handed a
+control message.  Any other payload is not wire-encodable.
 
 Coalescing adds no kind: a batched link writes a run of whole frames
 in one socket write (:func:`encode_batch`), and the length prefixes
@@ -76,22 +78,20 @@ import struct
 from typing import Any, Sequence
 
 from repro.dproc.batch import RecordBatch
+from repro.dproc.dmon import CONTROL_CHANNEL
 from repro.dproc.metrics import MetricId
 from repro.errors import ChannelError
-from repro.kecho.control import (ClearParameter, ControlMessage,
-                                 DeployFilter, RemoveFilter,
-                                 SetParameter)
+from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
 
 __all__ = ["encode_frame", "decode_frame", "encode_batch",
            "FrameDecoder", "MAGIC", "KIND_MONITOR", "KIND_CONTROL",
-           "KIND_JSON", "FLAG_TAG", "FLAG_HOST", "FLAG_TS",
+           "FLAG_TAG", "FLAG_HOST", "FLAG_TS",
            "MAX_FRAME_BYTES"]
 
 MAGIC = 0xEC06
 KIND_MONITOR = 1
 KIND_CONTROL = 2
-KIND_JSON = 3
 
 FLAG_TAG = 1
 FLAG_HOST = 2
@@ -104,9 +104,8 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: The tag every KECho endpoint binds for a channel.
 _TAG_PREFIX = "kecho:"
 
-_CONTROL_TYPES = {cls.__name__: cls for cls in
-                  (SetParameter, ClearParameter, DeployFilter,
-                   RemoveFilter)}
+#: The JSON fields of a CONTROL body, in the order written.
+_CONTROL_FIELDS = ("sender", "target", "command")
 _METRICS = {int(metric): metric for metric in MetricId}
 
 _TOP_ROW = struct.Struct(">Id")
@@ -187,24 +186,18 @@ def encode_frame(tag: str, event: ChannelEvent) -> bytes:
         kind = KIND_MONITOR
         monitor_flags, body = _monitor_body(event.source, payload)
         flags |= monitor_flags
-    else:
-        if isinstance(payload, ControlMessage):
-            kind = KIND_CONTROL
-            doc = {"type": type(payload).__name__,
-                   "sender": payload.sender, "target": payload.target}
-            for attr in ("metric", "parameter", "spec", "source",
-                         "filter_id"):
-                if hasattr(payload, attr):
-                    doc[attr] = getattr(payload, attr)
-        else:
-            kind = KIND_JSON
-            doc = payload
-        try:
-            raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise ChannelError(
-                f"live payload is not wire-encodable: {exc}") from exc
+    elif isinstance(payload, ControlMessage) and not flags \
+            and channel == CONTROL_CHANNEL:
+        kind = KIND_CONTROL
+        doc = {name: getattr(payload, name) for name in _CONTROL_FIELDS}
+        if not all(type(value) is str for value in doc.values()):
+            raise ChannelError("control message fields must be strings")
+        raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         body = [_U32.pack(len(raw)), raw]
+    else:
+        raise ChannelError(
+            f"live payload is not wire-encodable: "
+            f"{type(payload).__name__} on {tag!r}")
     frame = b"".join([
         _HEAD.pack(MAGIC, kind, flags),
         _pack_str(channel),
@@ -223,9 +216,9 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
     """
     # A frame is input from outside the program: whatever is wrong
     # with it (a field or column cut short, unknown metric id, bad
-    # UTF-8 or JSON, a control message with a missing or extra field)
-    # is a ChannelError to the caller, never a bare struct.error or
-    # ValueError/TypeError.
+    # UTF-8 or JSON, a control message off the control tag or with a
+    # missing, extra or non-string field) is a ChannelError to the
+    # caller, never a bare struct.error or ValueError/TypeError.
     try:
         magic, kind, flags = _HEAD.unpack_from(frame)
         if magic != MAGIC:
@@ -263,24 +256,21 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
                 rows, pos = _rows_at(frame, pos, _PROC_ROW)
                 payload.procs = {pid: (cpu, mem, io)
                                  for pid, cpu, mem, io in rows} or None
-        elif kind in (KIND_CONTROL, KIND_JSON):
+        elif kind == KIND_CONTROL:
+            if flags or channel != CONTROL_CHANNEL:
+                raise ChannelError(
+                    f"control message off the control tag: {tag!r}")
             start = pos + 4
             end = start + _U32.unpack_from(frame, pos)[0]
             if end > len(frame):
                 raise ChannelError("truncated frame")
-            payload = json.loads(str(frame[start:end], "utf-8"))
-            if kind == KIND_CONTROL:
-                if not isinstance(payload, dict):
-                    raise ChannelError(
-                        "control message body is not an object")
-                cls = _CONTROL_TYPES.get(payload.pop("type", ""))
-                if cls is None:
-                    raise ChannelError(
-                        "unknown control message type on wire")
-                if not isinstance(payload.get("target"), str):
-                    raise ChannelError(
-                        "control message target is not a host name")
-                payload = cls(**payload)
+            doc = json.loads(str(frame[start:end], "utf-8"))
+            if type(doc) is not dict or doc.keys() != set(_CONTROL_FIELDS) \
+                    or not all(type(v) is str for v in doc.values()):
+                raise ChannelError(
+                    "control message body is not three strings: "
+                    "sender, target, command")
+            payload = ControlMessage(**doc)
         else:
             raise ChannelError(f"unknown frame kind {kind}")
     except (ValueError, TypeError, KeyError, RecursionError,

@@ -6,18 +6,20 @@ through the :class:`~repro.live.registry.RegistryClient` directory) and
 writes length-prefixed codec frames.  The surface mirrors the
 simulator's ``NetStack`` exactly — ``bind``/``unbind`` a tag handler,
 ``connect`` for a :class:`LiveConnection`, ``send_many`` for a
-fan-out, ``batch`` as a no-op — so
-:class:`repro.kecho.channel.ChannelEndpoint` runs on it unchanged.
+fan-out — so :class:`repro.kecho.channel.ChannelEndpoint` runs on it
+unchanged.
 
 Receiving is one :class:`asyncio.Protocol` per accepted connection:
 ``data_received`` feeds a :class:`~repro.live.codec.FrameDecoder` and
 hands each decoded :class:`~repro.kecho.event.ChannelEvent` straight
 to the handler bound for its tag — no reader task, no stream buffer
 and no per-delivery wrapper.  A decoded event is that delivery's own
-copy.  A frame that does not decode ends its connection only
-(``net.rx_decode_errors``), EOF inside a frame counts
-``net.rx_truncated`` and a tag nobody bound counts
-``net.undeliverable``.
+copy.  A frame that does not decode counts ``net.rx_decode_errors``:
+one that carries the codec's magic is skipped, since its length prefix
+delimited it and the frames behind it are whole, while a length the
+splitter refuses or a frame without the magic ends its connection
+only.  EOF inside a frame counts ``net.rx_truncated`` and a tag nobody
+bound counts ``net.undeliverable``.
 
 Sending is the mirror image: one :class:`_PeerLink` protocol per
 destination host, so every channel endpoint talking to the same host
@@ -46,20 +48,23 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ChannelError, TransportError
 from repro.kecho.event import ChannelEvent
-from repro.live.codec import (FrameDecoder, decode_frame, encode_batch,
-                              encode_frame)
+from repro.live.codec import (MAGIC, FrameDecoder, decode_frame,
+                              encode_batch, encode_frame)
 from repro.runtime.protocol import OnFail
 
 __all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig",
            "in_flight"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
+
+#: The first two bytes of every frame body of this codec.
+_MAGIC = MAGIC.to_bytes(2, "big")
+
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -331,11 +336,6 @@ class LiveStack:
         self.connections.append(conn)
         return conn
 
-    @contextmanager
-    def batch(self):
-        """No-op: real sockets need no bandwidth reallocation."""
-        yield self
-
     def send_many(self, conns: list, payload: Any, size: float,
                   on_fail: Optional[OnFail] = None) -> None:
         """Send one :class:`ChannelEvent` over each connection, in
@@ -403,9 +403,9 @@ class _Inbound(asyncio.Protocol):
         stack = self.stack
         stack._t_rx.inc(len(data))
         self.received += len(data)
-        # A malformed frame ends this connection only: after garbage
-        # the peer's framing cannot be trusted, and the other sockets
-        # keep being served.
+        # A stream that does not split into frames of ours ends this
+        # connection only: after garbage the peer's framing cannot be
+        # trusted, and the other sockets keep being served.
         try:
             frames = decoder.feed(data)
         except ChannelError:
@@ -416,8 +416,12 @@ class _Inbound(asyncio.Protocol):
             try:
                 tag, event = decode_frame(frame)
             except ChannelError:
-                self._refuse()
-                return
+                if frame[:2] != _MAGIC:
+                    self._refuse()
+                    return
+                # A frame of ours with a bad body: counted and skipped.
+                stack._t_decode_errors.inc()
+                continue
             handler = handlers.get(tag)
             if handler is None:
                 stack._t_undeliverable.inc()

@@ -127,10 +127,6 @@ class Transport(Protocol):
         lost copy through ``on_fail``."""
         ...
 
-    def batch(self) -> Any:
-        """Context manager grouping a burst of sends (may be a no-op)."""
-        ...
-
 
 @runtime_checkable
 class RuntimeNode(Protocol):

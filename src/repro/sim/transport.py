@@ -169,10 +169,6 @@ class NetStack:
         self.connections.append(conn)
         return conn
 
-    def batch(self):
-        """Group several sends into one fabric bandwidth reallocation."""
-        return self.fabric.batch()
-
     # -- data path -----------------------------------------------------------
 
     def send_many(self, conns: list, payload: Any, size: float,
@@ -190,22 +186,24 @@ class NetStack:
         leaves; otherwise ``bytes_out`` gains one sample for all its
         copies, whatever becomes of them.
 
-        A fan-out of more than one runs inside :meth:`batch`, which is
-        what lets each link's congestion be read once per call: flows
-        added inside a batch carry rate 0.0 until the one reallocation
-        at its exit, so every target would read the same value.
-        Attribute lookups are hoisted out of the loop because this is
-        the KECho submit hot path — at n=64 every poll fans one event
-        out to 63 peers.
+        A fan-out of more than one runs inside one
+        :meth:`Fabric.batch`: one bandwidth reallocation for all its
+        flows instead of one per copy, and each link's congestion read
+        once per call — flows added inside a batch carry rate 0.0
+        until the reallocation at its exit, so every target reads the
+        same value.  Attribute lookups are hoisted out of the loop
+        because this is the KECho submit hot path — at n=64 every poll
+        fans one event out to 63 peers.
         """
+        fabric = self.fabric
+        if len(conns) > 1 and not fabric._batch_depth:
+            with fabric.batch():
+                return self.send_many(conns, payload, size, on_fail)
         if size <= 0:
             raise TransportError("message size must be positive")
         now = self.env.now
         size = float(size)
         host = self.host
-        fabric = self.fabric
-        if len(conns) > 1 and not fabric._batch_depth:
-            raise TransportError("a fan-out must be sent inside batch()")
         for conn in conns:
             if conn.closed:
                 raise TransportError("send on closed connection")

@@ -43,17 +43,16 @@ def normalize_payload(payload: Any) -> tuple[tuple, str]:
     d-mon monitor payloads (a :class:`~repro.dproc.batch.RecordBatch`)
     become a tuple of ``(int metric-ABI-id, value, timestamp)`` records
     in publication order; anything else keeps an empty record tuple and
-    a short type summary (control messages name their command).
+    a short type summary (control messages name their verb).
     """
     if isinstance(payload, RecordBatch):
         records = tuple((int(m), float(v), float(ts))
                         for m, v, ts in payload.records())
         return records, ""
-    name = type(payload).__name__
     from repro.kecho.control import ControlMessage
     if isinstance(payload, ControlMessage):
-        return (), f"control:{name}"
-    return (), name
+        return (), f"control:{payload.command.partition(' ')[0]}"
+    return (), type(payload).__name__
 
 
 @dataclass(slots=True)

@@ -8,7 +8,6 @@ import pytest
 from repro.dproc import (ControlRequest, DMonConfig, FilterCommand,
                          deploy_dproc, parse_control_text, topk_filter)
 from repro.errors import ControlSyntaxError
-from repro.kecho.control import DeployFilter
 from repro.sim import Environment, build_cluster
 
 
@@ -22,11 +21,9 @@ class TestRender:
     def test_rendered_text_parses_to_the_same_filter(self):
         cmd = FilterCommand(metric="cpu", filter_id="f1",
                             source="{ return 1; }")
-        (msg,) = parse_control_text(
-            ControlRequest([cmd]).render(), sender="alan", target="maui")
-        assert isinstance(msg, DeployFilter)
-        assert (msg.metric, msg.filter_id, msg.source) == \
-            ("cpu", "f1", "{ return 1; }")
+        (msg,) = parse_control_text(ControlRequest([cmd]).render())
+        assert (msg.verb, msg.metric, msg.filter_id, msg.value) == \
+            ("filter", "cpu", "f1", "{ return 1; }")
 
     def test_topk_filter_is_control_text(self):
         text = topk_filter(3, "cpu")

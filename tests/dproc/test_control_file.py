@@ -4,23 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import parse_control_text
+from repro.dproc import AboveThreshold, RangeThreshold, parse_control_text
+from repro.dproc.control_file import parse_command
 from repro.errors import ControlSyntaxError
-from repro.kecho import (ClearParameter, DeployFilter, RemoveFilter,
-                         SetParameter)
 
 
 def parse(text):
-    return parse_control_text(text, sender="alan", target="maui")
+    return parse_control_text(text)
 
 
 class TestPeriod:
     def test_simple(self):
         (msg,) = parse("period cpu 2")
-        assert isinstance(msg, SetParameter)
-        assert msg.metric == "cpu" and msg.parameter == "period"
-        assert msg.spec == "2"
-        assert msg.sender == "alan" and msg.target == "maui"
+        assert msg.verb == "period"
+        assert msg.metric == "cpu" and msg.value == 2.0
+        assert msg.text == "period cpu 2"
 
     def test_wildcard_metric(self):
         (msg,) = parse("period * 0.5")
@@ -34,49 +32,60 @@ class TestPeriod:
         with pytest.raises(ControlSyntaxError):
             parse("period cpu")
 
+    def test_nonfinite_period_fails_at_writer(self):
+        """``period cpu inf`` used to pass the writer and be rejected
+        only at the target: one grammar now refuses it at both."""
+        for bad in ("inf", "nan", "1e400", "-inf"):
+            with pytest.raises(ControlSyntaxError, match="positive"):
+                parse(f"period cpu {bad}")
+
 
 class TestThreshold:
     def test_above(self):
         (msg,) = parse("threshold loadavg above 0.8")
-        assert msg.parameter == "threshold"
-        assert msg.spec == "above 0.8"
+        assert msg.verb == "threshold"
+        assert msg.value == AboveThreshold(0.8)
+        assert msg.text == "threshold loadavg above 0.8"
 
     def test_range(self):
         (msg,) = parse("threshold freemem range 1e6 5e7")
-        assert msg.spec == "range 1e6 5e7"
+        assert msg.value == RangeThreshold(1e6, 5e7)
+        assert msg.text == "threshold freemem range 1e6 5e7"
 
     def test_change(self):
         (msg,) = parse("threshold * change 15")
-        assert msg.spec == "change 15"
+        assert msg.value.spec() == "change 15"
 
     def test_invalid_spec_fails_at_writer(self):
         with pytest.raises(ControlSyntaxError):
             parse("threshold cpu sideways 5")
         with pytest.raises(ControlSyntaxError):
             parse("threshold cpu")
+        with pytest.raises(ControlSyntaxError, match="bad number"):
+            parse("threshold cpu above nan")
 
 
 class TestClear:
     def test_clear_period(self):
         (msg,) = parse("clear cpu period")
-        assert isinstance(msg, ClearParameter)
-        assert msg.parameter == "period"
+        assert msg.verb == "clear"
+        assert msg.value == "period"
 
     def test_clear_threshold(self):
         (msg,) = parse("clear * threshold")
-        assert msg.parameter == "threshold"
+        assert msg.value == "threshold"
 
     def test_bad_clear(self):
-        with pytest.raises(ControlSyntaxError):
+        with pytest.raises(ControlSyntaxError, match="unknown parameter"):
             parse("clear cpu everything")
 
 
 class TestFilter:
     def test_single_line_filter(self):
         (msg,) = parse("filter * { output[0] = input[LOADAVG]; }")
-        assert isinstance(msg, DeployFilter)
+        assert msg.verb == "filter"
         assert msg.metric == "*"
-        assert "output[0]" in msg.source
+        assert "output[0]" in msg.value
 
     def test_multiline_filter_consumes_rest(self):
         text = """filter cpu id=f9
@@ -89,8 +98,9 @@ class TestFilter:
         (msg,) = parse(text)
         assert msg.filter_id == "f9"
         assert msg.metric == "cpu"
-        assert "int i = 0;" in msg.source
-        assert msg.source.count("{") == msg.source.count("}")
+        assert "int i = 0;" in msg.value
+        assert msg.value.count("{") == msg.value.count("}")
+        assert msg.text == "filter cpu id=f9 " + msg.value
 
     def test_filter_id_optional(self):
         (msg,) = parse("filter mem { output[0] = input[FREEMEM]; }")
@@ -108,7 +118,7 @@ class TestFilter:
 
     def test_unfilter(self):
         (msg,) = parse("unfilter f9")
-        assert isinstance(msg, RemoveFilter)
+        assert msg.verb == "unfilter"
         assert msg.filter_id == "f9"
 
     def test_unfilter_needs_id(self):
@@ -139,45 +149,41 @@ class TestGeneral:
         # Everything after `filter` is E-code, even things that look
         # like commands.
         (msg,) = parse("filter *\nperiod cpu 2")
-        assert isinstance(msg, DeployFilter)
-        assert "period cpu 2" in msg.source
+        assert msg.verb == "filter"
+        assert "period cpu 2" in msg.value
+
+    def test_a_message_carries_one_command(self):
+        assert parse_command(" period  cpu 2 ").text == "period cpu 2"
+        with pytest.raises(ControlSyntaxError, match="one command"):
+            parse_command("period cpu 2\nperiod mem 3")
 
 
 class TestRoundTrip:
-    """Control text -> messages -> text -> identical messages."""
+    """Control text -> commands -> text -> identical commands."""
 
     def test_threshold_specs_survive_the_grammar(self):
         from repro.dproc import parse_threshold_spec
         for spec in ("above 0.8", "below 1e-06", "change 15",
                      "range 0 1", "range -10 10"):
             (msg,) = parse(f"threshold cpu {spec}")
-            assert isinstance(msg, SetParameter)
-            # The spec the message carries parses to the same rule the
-            # original text described.
-            assert parse_threshold_spec(msg.spec.split()) \
+            assert msg.verb == "threshold"
+            # The command's text parses to the same rule the original
+            # text described.
+            assert parse_command(msg.text).value \
                 == parse_threshold_spec(spec.split())
 
     def test_period_value_survives(self):
         (msg,) = parse("period mem 2.5")
-        assert float(msg.spec) == 2.5
+        assert parse_command(msg.text).value == 2.5
 
     def test_messages_rerender_to_equal_messages(self):
-        """Render parsed commands back to text; reparse; compare."""
+        """Join the parsed commands' texts; reparse; compare."""
         text = ("period cpu 2\n"
                 "threshold cpu above 0.8\n"
                 "threshold mem range 0 1e9\n"
                 "clear disk threshold\n")
         first = parse(text)
-
-        def render(msg):
-            if isinstance(msg, SetParameter):
-                if msg.parameter == "period":
-                    return f"period {msg.metric} {msg.spec}"
-                return f"threshold {msg.metric} {msg.spec}"
-            assert isinstance(msg, ClearParameter)
-            return f"clear {msg.metric} {msg.parameter}"
-
-        second = parse("\n".join(render(m) for m in first))
+        second = parse("\n".join(m.text for m in first))
         assert second == first
 
     def test_comments_and_spacing_do_not_change_messages(self):
@@ -191,9 +197,7 @@ class TestRoundTrip:
     def test_filter_source_passes_through_verbatim(self):
         source = "{ if (input[0].value > 2) { output[0] = input[0]; } }"
         (msg,) = parse(f"filter cpu id=f1 {source}")
-        assert isinstance(msg, DeployFilter)
-        assert msg.source == source
-        # Re-render and reparse: still the same deployment.
-        (again,) = parse(f"filter {msg.metric} id={msg.filter_id} "
-                         f"{msg.source}")
-        assert again == msg
+        assert msg.verb == "filter"
+        assert msg.value == source
+        # Reparse the command's text: still the same deployment.
+        assert parse_command(msg.text) == msg

@@ -11,8 +11,8 @@ from repro.dproc import (DMon, DMonConfig, MetricId, MetricPolicy,
 from repro.dproc.dmon import DEAD_AFTER_INTERVALS, STALE_AFTER_INTERVALS
 from repro.dproc.modules.base import MonitoringModule
 from repro.errors import ControlSyntaxError, DprocError
-from repro.kecho import (ClearParameter, DeployFilter, KechoBus,
-                         RemoveFilter, SetParameter)
+from repro.dproc.control_file import parse_command
+from repro.kecho import ControlMessage, KechoBus
 from repro.sim import build_cluster
 
 
@@ -170,9 +170,7 @@ class TestParameters:
     def test_period_halves_publications(self, env, cluster3):
         a, b = deploy_pair(cluster3)
         env.run(until=2.0)
-        a.apply_control(SetParameter(sender="x", target="alan",
-                                     metric="*", parameter="period",
-                                     spec="2"))
+        a.apply_control(parse_command("period * 2"))
         start = env.now
         telemetry = a.node.telemetry
         records_before = telemetry.value("dmon.records_published")
@@ -184,36 +182,24 @@ class TestParameters:
 
     def test_threshold_blocks_metrics(self, env, cluster3):
         a, b = deploy_pair(cluster3)
-        a.apply_control(SetParameter(sender="x", target="alan",
-                                     metric="loadavg",
-                                     parameter="threshold",
-                                     spec="above 100"))
+        a.apply_control(parse_command("threshold loadavg above 100"))
         env.run(until=5.0)
         assert b.remote_value("alan", MetricId.LOADAVG) is None
         assert b.remote_value("alan", MetricId.FREEMEM) is not None
 
     def test_clear_parameter(self, env, cluster3):
         a, b = deploy_pair(cluster3)
-        a.apply_control(SetParameter(sender="x", target="alan",
-                                     metric="loadavg",
-                                     parameter="threshold",
-                                     spec="above 100"))
-        a.apply_control(ClearParameter(sender="x", target="alan",
-                                       metric="loadavg",
-                                       parameter="threshold"))
+        a.apply_control(parse_command("threshold loadavg above 100"))
+        a.apply_control(parse_command("clear loadavg threshold"))
         env.run(until=5.0)
         assert b.remote_value("alan", MetricId.LOADAVG) is not None
 
     def test_bad_parameter_rejected(self, cluster3):
         a = make_dmon(cluster3, "alan")
         with pytest.raises(ControlSyntaxError):
-            a.apply_control(SetParameter(sender="x", target="alan",
-                                         metric="cpu",
-                                         parameter="period", spec="NaNy"))
+            a.apply_control(parse_command("period cpu NaNy"))
         with pytest.raises(ControlSyntaxError):
-            a.apply_control(SetParameter(sender="x", target="alan",
-                                         metric="cpu",
-                                         parameter="frobs", spec="1"))
+            a.apply_control(parse_command("frobs cpu 1"))
 
     def test_resolve_metrics(self, cluster3):
         a = make_dmon(cluster3, "alan")
@@ -236,9 +222,7 @@ class TestRemoteControl:
     def test_control_message_reaches_remote_dmon(self, env, cluster3):
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
-        a.send_control(SetParameter(sender="alan", target="maui",
-                                    metric="cpu", parameter="period",
-                                    spec="3"))
+        a.send_control(ControlMessage("alan", "maui", "period cpu 3"))
         env.run(until=2.0)
         assert b.policies[MetricId.LOADAVG].period == 3.0
         # Not applied to the sender or other nodes:
@@ -247,14 +231,12 @@ class TestRemoteControl:
     def test_remote_filter_deploy_and_remove(self, env, cluster3):
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
-        a.send_control(DeployFilter(
-            sender="alan", target="maui", metric="*",
-            source="{ output[0] = input[LOADAVG]; }", filter_id="f1"))
+        a.send_control(ControlMessage(
+            "alan", "maui", "filter * id=f1 { output[0] = input[LOADAVG]; }"))
         env.run(until=2.0)
         assert b.filters.global_filter is not None
         assert b.filters.global_filter.filter_id == "f1"
-        a.send_control(RemoveFilter(sender="alan", target="maui",
-                                    filter_id="f1"))
+        a.send_control(ControlMessage("alan", "maui", "unfilter f1"))
         env.run(until=3.0)
         assert b.filters.global_filter is None
 
@@ -262,12 +244,12 @@ class TestRemoteControl:
                                                       cluster3):
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
-        a.send_control(DeployFilter(
-            sender="alan", target="maui", metric="loadavg",
-            source="{ output[0] = input[LOADAVG]; }", filter_id="f1"))
-        a.send_control(DeployFilter(
-            sender="alan", target="maui", metric="nosuchmetric",
-            source="{ output[0] = input[LOADAVG]; }", filter_id="f2"))
+        a.send_control(ControlMessage(
+            "alan", "maui",
+            "filter loadavg id=f1 { output[0] = input[LOADAVG]; }"))
+        a.send_control(ControlMessage(
+            "alan", "maui",
+            "filter nosuchmetric id=f2 { output[0] = input[LOADAVG]; }"))
         env.run(until=2.0)
         assert b.filters.filter_for("cpu").filter_id == "f1"
         assert [f.filter_id for f in b.filters.deployed()] == ["f1"]
@@ -276,9 +258,7 @@ class TestRemoteControl:
     def test_send_control_requires_started(self, cluster3):
         a = make_dmon(cluster3, "alan")
         with pytest.raises(DprocError, match="not started"):
-            a.send_control(SetParameter(sender="alan", target="maui",
-                                        metric="cpu", parameter="period",
-                                        spec="1"))
+            a.send_control(ControlMessage("alan", "maui", "period cpu 1"))
 
 
 class TestFiltersInPolling:
@@ -320,47 +300,39 @@ class TestFiltersInPolling:
 
 
 class TestControlValidation:
-    """Regressions: apply_control must validate before mutating."""
+    """Regressions: a control command is checked before anything
+    changes, by the grammar at the writer and the target alike."""
 
     def test_nonpositive_period_rejected(self, cluster3):
         a = make_dmon(cluster3, "alan")
         for bad in ("0", "-5", "inf", "nan"):
             with pytest.raises(ControlSyntaxError, match="positive"):
-                a.apply_control(SetParameter(sender="x", target="alan",
-                                             metric="cpu",
-                                             parameter="period",
-                                             spec=bad))
+                a.apply_control(parse_command(f"period cpu {bad}"))
 
     def test_rejected_set_leaves_no_partial_state(self, cluster3):
-        """A failed SetParameter must not create policy entries as a
-        side effect of resolving its metrics."""
+        """A rejected period must not create policy entries as a side
+        effect of resolving its metrics."""
         from repro.kecho import KechoBus as _Bus
         a = DMon(cluster3["alan"], _Bus())  # no modules, no policies
         with pytest.raises(ControlSyntaxError):
-            a.apply_control(SetParameter(sender="x", target="alan",
-                                         metric="loadavg",
-                                         parameter="period", spec="0"))
+            a.apply_control(parse_command("period loadavg 0"))
         assert a.policies == {}
 
     def test_clear_unknown_parameter_always_rejected(self, cluster3):
-        """ClearParameter with a bad parameter name must raise even
-        when no policy exists for the metric (the old code skipped
-        validation via ``continue``)."""
+        """A clear with a bad parameter name must raise even when no
+        policy exists for the metric (the old code skipped validation
+        via ``continue``)."""
         from repro.kecho import KechoBus as _Bus
         a = DMon(cluster3["alan"], _Bus())
         assert MetricId.LOADAVG not in a.policies
         with pytest.raises(ControlSyntaxError, match="unknown parameter"):
-            a.apply_control(ClearParameter(sender="x", target="alan",
-                                           metric="loadavg",
-                                           parameter="frobs"))
+            a.apply_control(parse_command("clear loadavg frobs"))
 
     def test_set_unknown_parameter_rejected_before_resolution(
             self, cluster3):
         a = make_dmon(cluster3, "alan")
-        with pytest.raises(ControlSyntaxError, match="unknown parameter"):
-            a.apply_control(SetParameter(sender="x", target="alan",
-                                         metric="*",
-                                         parameter="frobs", spec="1"))
+        with pytest.raises(ControlSyntaxError, match="unknown control"):
+            a.apply_control(parse_command("frobs * 1"))
 
     def test_resolve_star_has_no_duplicates(self, cluster3):
         """Modules sharing a metric id must not yield duplicate ids."""

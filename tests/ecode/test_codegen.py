@@ -6,7 +6,7 @@ import pytest
 
 from repro.ecode import MetricRecord, compile_filter
 from repro.errors import (EcodeLimitError, EcodeRuntimeError,
-                          EcodeTypeError)
+                          EcodeSyntaxError, EcodeTypeError)
 
 CONSTS = {"LOADAVG": 0, "DISKUSAGE": 1, "FREEMEM": 2, "CACHE_MISS": 3}
 
@@ -180,6 +180,19 @@ class TestControlFlow:
     def test_budget_counts_all_loops(self):
         result = run("for (int i = 0; i < 10; i++) { }")
         assert result.steps == 10
+
+
+class TestCompilerLimits:
+    def test_loops_nested_past_cpython_limit_are_a_syntax_error(self):
+        """CPython compiles at most 20 statically nested blocks; a
+        filter past that is an E-code error, not Python's SyntaxError
+        escaping whoever compiles it (a remote d-mon among them)."""
+        def nested(k):
+            return ("int i = 0; " + "while (i < 1) { " * k + "i = i + 1; "
+                    + "}" * k + " return i;")
+        assert returned(nested(20)) == 1
+        with pytest.raises(EcodeSyntaxError, match="compiler limit"):
+            compile_filter(nested(21), constants=CONSTS)
 
 
 class TestRecordsAndOutput:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.ecode import parse
 from repro.ecode import ast_nodes as A
+from repro.ecode.parser import MAX_NESTING
 from repro.errors import EcodeSyntaxError
 
 
@@ -237,3 +238,35 @@ class TestPaperExample:
         """
         prog = parse(src)
         assert len(prog.body.statements) == 4  # decl + three ifs
+
+
+class TestNesting:
+    """A source nests at most MAX_NESTING levels, whatever does the
+    nesting; past it the answer is a positioned syntax error, never
+    the interpreter's RecursionError."""
+
+    DEEP = {
+        "parentheses": "return " + "(" * 100 + "1" + ")" * 100 + ";",
+        "ifs": "if (1) " * 400 + "return 1;",
+        "else_ifs": "if (1) return 1; " + "else if (1) return 1; " * 100,
+        "blocks": "{" * 100 + "}" * 100,
+        "operator_chain": "return " + " + ".join(["1"] * 2000) + ";",
+        "prefix_operators": "return " + "- " * 100 + "1;",
+        "postfix_chain": "return input" + "[0]" * 100 + ";",
+        "call_arguments": "return " + "abs(" * 100 + "1" + ")" * 100
+                          + ";",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_past_the_bound_is_a_syntax_error(self, shape):
+        with pytest.raises(EcodeSyntaxError, match="nested deeper") as err:
+            parse(self.DEEP[shape])
+        assert err.value.line == 1 and err.value.column is not None
+
+    def test_just_inside_the_bound_parses(self):
+        # One statement and one expression level around the parentheses.
+        depth = MAX_NESTING - 2
+        parse("return " + "(" * depth + "1" + ")" * depth + ";")
+        with pytest.raises(EcodeSyntaxError):
+            parse("return " + "(" * (depth + 1) + "1"
+                  + ")" * (depth + 1) + ";")

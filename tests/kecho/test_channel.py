@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import ChannelError
 from repro.kecho import KechoBus, control_message_size
-from repro.kecho.control import (ClearParameter, DeployFilter,
-                                 RemoveFilter, SetParameter)
+from repro.kecho.control import ControlMessage
 from repro.units import KB
 
 
@@ -301,34 +300,31 @@ class TestCostAccounting:
 
 class TestControlMessages:
     def test_addressing(self):
-        msg = SetParameter(sender="alan", target="maui", metric="cpu",
-                           parameter="period", spec="2")
+        msg = ControlMessage("alan", "maui", "period cpu 2")
         assert msg.addressed_to("maui")
         assert not msg.addressed_to("etna")
 
     def test_sizes_grow_with_body(self):
-        small = DeployFilter(sender="a", target="b", source="return 1;")
-        big = DeployFilter(sender="a", target="b",
-                           source="return 1;" * 100)
+        small = ControlMessage("a", "b", "filter * return 1;")
+        big = ControlMessage("a", "b", "filter * " + "return 1;" * 100)
         assert control_message_size(big) > control_message_size(small)
 
     def test_all_kinds_have_sizes(self):
-        msgs = [
-            SetParameter(sender="a", target="b", metric="cpu", spec="2"),
-            ClearParameter(sender="a", target="b", metric="cpu"),
-            DeployFilter(sender="a", target="b", source="{}",
-                         filter_id="f1"),
-            RemoveFilter(sender="a", target="b", filter_id="f1"),
-        ]
-        for m in msgs:
-            assert control_message_size(m) >= 48
+        """48 framing bytes plus the command's UTF-8 bytes: a period
+        or threshold costs what its words cost in any order."""
+        sizes = {text: control_message_size(ControlMessage("a", "b", text))
+                 for text in ("period cpu 2", "threshold cpu above 0.8",
+                              "clear cpu period", "filter * id=f1 {}",
+                              "unfilter f1", "filter * { # ü }")}
+        assert sizes == {text: 48.0 + len(text.encode())
+                         for text in sizes}
+        assert sizes["period cpu 2"] == 48 + len("cpu period 2")
 
     def test_control_message_over_channel(self, env, bus, cluster3):
         eps = wire(bus, cluster3, "control")
         got = []
         eps["maui"].subscribe(lambda e, t: got.append(e.payload))
-        msg = DeployFilter(sender="alan", target="maui",
-                           source="{ return 1; }", filter_id="f1")
+        msg = ControlMessage("alan", "maui", "filter * id=f1 { return 1; }")
         eps["alan"].submit(msg, size=control_message_size(msg))
         env.run()
         assert got == [msg]

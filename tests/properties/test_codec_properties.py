@@ -10,6 +10,7 @@ content — so this is the property that makes it safe.)
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
@@ -19,13 +20,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.api import Scenario  # noqa: E402
 from repro.dproc import MetricId, RecordBatch  # noqa: E402
-from repro.errors import ChannelError  # noqa: E402
-from repro.kecho.control import (DeployFilter, RemoveFilter,  # noqa: E402
-                                 SetParameter)
+from repro.dproc.control_file import parse_command  # noqa: E402
+from repro.dproc.dmon import CONTROL_CHANNEL  # noqa: E402
+from repro.errors import ChannelError, ControlSyntaxError  # noqa: E402
+from repro.kecho.control import ControlMessage  # noqa: E402
 from repro.kecho.event import ChannelEvent  # noqa: E402
-from repro.live.codec import (FrameDecoder, decode_frame,  # noqa: E402
-                              encode_batch, encode_frame)
+from repro.live.codec import (KIND_CONTROL, MAGIC,  # noqa: E402
+                              FrameDecoder, decode_frame, encode_batch,
+                              encode_frame)
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -33,37 +37,37 @@ _values = st.floats(min_value=-1e12, max_value=1e12,
                     allow_nan=False, width=64)
 
 
+#: The tag every control message travels on.
+CONTROL_TAG = "kecho:" + CONTROL_CHANNEL
+
+
+def _tag(i: int, event: ChannelEvent) -> str:
+    """Frame ``i``'s tag: control messages have one tag of their own."""
+    return CONTROL_TAG if isinstance(event.payload, ControlMessage) \
+        else f"t{i}"
+
+
 @st.composite
 def events(draw):
-    """Monitor, control-ish JSON, or arbitrary JSON payload events."""
-    which = draw(st.integers(0, 2))
+    """Monitor or control events."""
+    if draw(st.booleans()):
+        return draw(control_events())
     source = draw(st.text(min_size=1, max_size=8))
     channel = draw(st.text(min_size=1, max_size=12))
-    if which == 0:
-        ids = [MetricId(m) for m in draw(st.lists(
-            st.sampled_from([int(m) for m in MetricId]),
-            max_size=4, unique=True))]
-        payload = RecordBatch(source, ids,
-                              [draw(_values) for _ in ids],
-                              [draw(_values) for _ in ids])
-        if draw(st.booleans()):
-            # Zero-row sections decode to absent sections by design,
-            # so only a non-empty table is expected to round-trip.
-            payload.proc_top = {
-                pid: draw(_values)
-                for pid in draw(st.lists(st.integers(0, 2**31),
-                                         min_size=1, max_size=3,
-                                         unique=True))}
-    elif which == 1:
-        payload = draw(st.dictionaries(
-            st.text(max_size=6),
-            st.one_of(st.integers(-2**31, 2**31), st.text(max_size=8),
-                      st.booleans(), st.none()),
-            max_size=4))
-    else:
-        payload = draw(st.lists(
-            st.one_of(st.integers(-100, 100), st.text(max_size=4)),
-            max_size=5))
+    ids = [MetricId(m) for m in draw(st.lists(
+        st.sampled_from([int(m) for m in MetricId]),
+        max_size=4, unique=True))]
+    payload = RecordBatch(source, ids,
+                          [draw(_values) for _ in ids],
+                          [draw(_values) for _ in ids])
+    if draw(st.booleans()):
+        # Zero-row sections decode to absent sections by design,
+        # so only a non-empty table is expected to round-trip.
+        payload.proc_top = {
+            pid: draw(_values)
+            for pid in draw(st.lists(st.integers(0, 2**31),
+                                     min_size=1, max_size=3,
+                                     unique=True))}
     return ChannelEvent(channel=channel, source=source,
                         payload=payload, size=draw(_values),
                         submitted_at=draw(_values))
@@ -132,13 +136,9 @@ def _assert_monitor_roundtrip(tag: str, event: ChannelEvent) -> None:
 def control_events(draw):
     """Control messages, the way d-mon ships them."""
     name = st.text(min_size=1, max_size=8)
-    message = draw(st.one_of(
-        st.builds(SetParameter, sender=name, target=st.none() | name,
-                  metric=name, parameter=name, spec=name),
-        st.builds(DeployFilter, sender=name, source=st.text(max_size=24),
-                  filter_id=name),
-        st.builds(RemoveFilter, sender=name, filter_id=name)))
-    return ChannelEvent(channel="dproc.control", source=message.sender,
+    message = draw(st.builds(ControlMessage, sender=name, target=name,
+                             command=st.text(max_size=24)))
+    return ChannelEvent(channel=CONTROL_CHANNEL, source=message.sender,
                         payload=message, size=draw(_values),
                         submitted_at=draw(_values))
 
@@ -148,7 +148,7 @@ def coalesced_streams(draw):
     """Events written as one run, in a random chunking (a run is the
     frames back to back, so every grouping writes these bytes)."""
     evs = draw(st.lists(events(), min_size=1, max_size=12))
-    wire = encode_batch([encode_frame(f"t{i}", ev)
+    wire = encode_batch([encode_frame(_tag(i, ev), ev)
                          for i, ev in enumerate(evs)])
     cuts = sorted(draw(st.lists(
         st.integers(1, max(1, len(wire) - 1)), max_size=8)))
@@ -182,7 +182,7 @@ class TestCoalescedRoundTrip:
         assert len(bodies) == len(evs)
         for i, (body, original) in enumerate(zip(bodies, evs)):
             tag, decoded = decode_frame(body)
-            assert tag == f"t{i}"
+            assert tag == _tag(i, original)
             assert _normalize(decoded) == _normalize(original)
 
     @FAST
@@ -267,7 +267,7 @@ class TestMalformedFrames:
         frame body: ``decode_frame`` returns an event or raises
         :class:`ChannelError` — never a bare ValueError/TypeError that
         would kill the transport's reader task."""
-        body = encode_frame("t", event)[4:]
+        body = encode_frame(_tag(0, event), event)[4:]
         at = data.draw(st.integers(0, len(body) - 1))
         if data.draw(st.booleans()):
             body = body[:at]
@@ -279,3 +279,67 @@ class TestMalformedFrames:
         except ChannelError:
             return
         assert isinstance(decoded, ChannelEvent)
+
+
+def _control_target():
+    """A fresh d-mon: a two-node simulated cluster's second node."""
+    sc = Scenario(nodes=2, seed=1)
+    sc.build()
+    return sc.dprocs[sc.nodes.names[1]].dmon
+
+
+def _control_frame(doc: dict) -> bytes:
+    """A CONTROL frame body on the control tag around any JSON."""
+    raw = json.dumps(doc).encode()
+    name = CONTROL_CHANNEL.encode()
+    return (struct.pack(">HBBH", MAGIC, KIND_CONTROL, 0, len(name))
+            + name + struct.pack(">H5sdd", 5, b"rogue", 0.0, 64.0)
+            + struct.pack(">I", len(raw)) + raw)
+
+
+_json_values = st.one_of(
+    st.sampled_from(["alan", "maui", "period cpu 2", "period cpu inf",
+                     "threshold * change 15", "clear mem period",
+                     "filter cpu { return 1; }", "unfilter f1",
+                     "filter cpu { int i = ; }", "period nosuch 1"]),
+    st.text(max_size=12), st.integers(), st.none(), st.booleans(),
+    st.lists(st.text(max_size=3), max_size=2))
+
+
+class TestControlBodies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"sender": _json_values, "target": _json_values,
+         "command": _json_values},
+        optional={"type": st.just("SetParameter"), "spec": _json_values,
+                  "metric": _json_values}),
+        st.sampled_from(["sender", "target", "command", None]))
+    def test_any_json_object_is_refused_applied_or_counted(self, doc,
+                                                           drop):
+        """Whatever JSON object a peer puts in a CONTROL body, the
+        decoder raises ChannelError, or d-mon applies the message or
+        counts it in ``dmon.control_rejected`` — nothing raises out of
+        d-mon."""
+        dmon = _control_target()  # maui; alan is the other node
+        doc.pop(drop, None)
+        try:
+            _tag, event = decode_frame(_control_frame(doc))
+        except ChannelError:
+            assert doc.keys() != {"sender", "target", "command"} \
+                or not all(type(v) is str for v in doc.values())
+            return
+        msg = event.payload
+        assert msg == ControlMessage(**doc)
+        telemetry = dmon.node.telemetry
+        before = telemetry.value("dmon.control_rejected")
+        dmon._on_control_event(event, None)
+        counted = telemetry.value("dmon.control_rejected") - before
+        if msg.target != dmon.node.name or msg.sender == dmon.node.name:
+            assert counted == 0  # not this node's message
+            return
+        try:
+            parse_command(msg.command)
+        except ControlSyntaxError:
+            assert counted == 1
+        else:
+            assert counted in (0, 1)  # applied, or rejected at apply

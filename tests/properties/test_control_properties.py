@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.dproc import (MetricId, METRIC_FILES, parse_control_text,
                          ProcFS, ProcFile)
-from repro.dproc.params import MetricPolicy, parse_threshold_spec
+from repro.dproc.control_file import parse_command
+from repro.dproc.params import MetricPolicy
 from repro.errors import ControlSyntaxError, ProcfsError
 import pytest
 
@@ -24,9 +25,9 @@ class TestControlFileProperties:
            st.floats(min_value=0.01, max_value=1e4))
     def test_period_command_round_trip(self, metric, seconds):
         text = f"period {metric} {seconds:g}"
-        (msg,) = parse_control_text(text, sender="a", target="b")
+        (msg,) = parse_control_text(text)
         assert msg.metric == metric
-        assert float(msg.spec) == pytest.approx(float(f"{seconds:g}"))
+        assert msg.value == pytest.approx(float(f"{seconds:g}"))
 
     @FAST
     @given(metric_names,
@@ -35,8 +36,8 @@ class TestControlFileProperties:
                      allow_nan=False))
     def test_bound_threshold_round_trip(self, metric, kind, bound):
         text = f"threshold {metric} {kind} {bound:g}"
-        (msg,) = parse_control_text(text, sender="a", target="b")
-        rule = parse_threshold_spec(msg.spec.split())
+        (msg,) = parse_control_text(text)
+        rule = msg.value
         # The parsed rule behaves per its definition at the boundary's
         # two sides.
         b = float(f"{bound:g}")
@@ -59,9 +60,9 @@ class TestControlFileProperties:
                 if ln and not ln.startswith("#")]
         if not real:
             with pytest.raises(ControlSyntaxError):
-                parse_control_text(text, "a", "b")
+                parse_control_text(text)
         else:
-            msgs = parse_control_text(text, "a", "b")
+            msgs = parse_control_text(text)
             assert len(msgs) == len(real)
 
     @FAST
@@ -71,9 +72,57 @@ class TestControlFileProperties:
         """Arbitrary input either parses or raises ControlSyntaxError —
         never any other exception."""
         try:
-            parse_control_text(text, "a", "b")
+            parse_control_text(text)
         except ControlSyntaxError:
             pass
+
+    #: Control-file writes built from the grammar's own words, with
+    #: any whitespace between them and any line break between lines:
+    #: many parse, the rest fail in every way the grammar can.
+    _gap = st.sampled_from([" ", "  ", "\t", " \x1f "])
+    _metric = st.sampled_from(["*", "cpu", "loadavg", "MEM"])
+    _number = st.sampled_from(["2", "0.5", "1e9", "15%", "-1", "inf"]) \
+        | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    _line = st.one_of(
+        st.tuples(st.sampled_from(["period", "PERIOD"]), _metric,
+                  _number),
+        st.tuples(st.just("threshold"), _metric,
+                  st.sampled_from(["above", "below", "change"]),
+                  _number),
+        st.tuples(st.just("threshold"), _metric, st.just("range"),
+                  _number, _number),
+        st.tuples(st.just("clear"), _metric,
+                  st.sampled_from(["period", "threshold"])),
+        st.tuples(st.just("unfilter"), st.sampled_from(["f1", "x"])),
+        st.tuples(st.just("#"), _metric),
+    ).map(list)
+    _filter = st.tuples(
+        st.sampled_from(["*", "cpu"]),
+        st.sampled_from([[], ["id=f1"], ["id="]]),
+        st.text(max_size=30),
+    ).map(lambda t: ["filter", t[0], *t[1], t[2]])
+    writes = st.tuples(
+        st.lists(st.tuples(_line, st.lists(_gap, min_size=5,
+                                           max_size=5)), max_size=4),
+        st.none() | st.tuples(_filter, st.lists(_gap, min_size=5,
+                                                max_size=5)),
+        st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\n\n"]),
+    ).map(lambda t: t[2].join(
+        "".join(w + g for w, g in zip(words, gaps))
+        for words, gaps in t[0] + ([t[1]] if t[1] else [])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(writes | st.text(max_size=40))
+    def test_normalized_text_parses_to_the_same_command(self, text):
+        """For any write the grammar accepts, each command's
+        normalized text (what crosses the wire) parses back to that
+        very command — at the target d-mon as at the writer."""
+        try:
+            commands = parse_control_text(text)
+        except ControlSyntaxError:
+            return
+        for command in commands:
+            assert parse_command(command.text) == command
 
 
 class TestThresholdProperties:

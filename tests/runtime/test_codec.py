@@ -10,7 +10,7 @@ from repro.dproc import (MODULE_METRICS, DMon, MetricId,
                          MonitoringModule, RecordBatch)
 from repro.errors import ChannelError
 from repro.kecho import KechoBus
-from repro.kecho.control import DeployFilter, SetParameter
+from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import (FrameDecoder, MAGIC, MAX_FRAME_BYTES,
                               decode_frame, encode_batch,
@@ -29,6 +29,17 @@ def unknown_metric_frames() -> tuple[bytes, bytes]:
     at = len(good) - 18
     assert good[at:at + 2] == struct.pack(">H", MetricId.LOADAVG)
     return good, good[:at] + struct.pack(">H", 9999) + good[at + 2:]
+
+
+def _numbered(i: int) -> ChannelEvent:
+    """A one-record frame's event whose value is ``i``."""
+    return ChannelEvent(
+        channel="c", source="s", size=1.0, submitted_at=float(i),
+        payload=RecordBatch("s", (MetricId.LOADAVG,), (float(i),), 0.0))
+
+
+def _number(body: bytes) -> int:
+    return int(decode_frame(body)[1].payload.values[0])
 
 
 def _roundtrip(tag: str, event: ChannelEvent):
@@ -64,35 +75,57 @@ class TestRoundTrip:
         assert decoded.payload.ts == 2.0
 
     def test_control_event(self):
-        msg = SetParameter(sender="alan", target="maui", metric="cpu",
-                           parameter="period", spec="2")
+        msg = ControlMessage("alan", "maui", "period cpu 2")
         event = ChannelEvent(channel="dproc.control", source="alan",
                              payload=msg, size=32.0, submitted_at=0.5)
         _, decoded = _roundtrip("kecho:dproc.control", event)
         assert decoded.payload == msg
 
     def test_filter_deploy_event(self):
-        msg = DeployFilter(sender="alan", target="maui", metric="*",
-                           source="{ output[0] = input[LOADAVG]; }",
-                           filter_id="f1")
+        msg = ControlMessage(
+            "alan", "maui",
+            "filter * id=f1 { output[0] = input[LOADAVG]; }\n# ü\n")
         event = ChannelEvent(channel="dproc.control", source="alan",
                              payload=msg, size=64.0, submitted_at=1.0)
         _, decoded = _roundtrip("kecho:dproc.control", event)
         assert decoded.payload == msg
 
-    def test_json_event(self):
-        event = ChannelEvent(channel="app", source="alan",
-                             payload={"k": [1, 2, {"v": "x"}]},
-                             size=10.0, submitted_at=3.25)
-        _, decoded = _roundtrip("custom:app", event)
-        assert decoded.payload == {"k": [1, 2, {"v": "x"}]}
-
     def test_unencodable_payload_rejected(self):
-        event = ChannelEvent(channel="app", source="alan",
-                             payload=object(), size=1.0,
-                             submitted_at=0.0)
-        with pytest.raises(ChannelError):
-            encode_frame("custom:app", event)
+        """A live payload is a record batch or a control message: a
+        dict or any other object is refused, and so is a control
+        message anywhere but the control channel's own tag."""
+        msg = ControlMessage("alan", "maui", "unfilter f1")
+        for payload, channel, tag in [
+                (object(), "app", "custom:app"),
+                ({"k": [1, 2]}, "app", "kecho:app"),
+                (msg, "app", "kecho:app"),
+                (msg, "dproc.control", "custom:dproc.control"),
+                (ControlMessage("alan", "maui", None),
+                 "dproc.control", "kecho:dproc.control")]:
+            event = ChannelEvent(channel=channel, source="alan",
+                                 payload=payload, size=1.0,
+                                 submitted_at=0.0)
+            with pytest.raises(ChannelError):
+                encode_frame(tag, event)
+
+    def test_control_frame_off_its_tag_is_refused(self):
+        """A CONTROL frame decodes on the control channel's own tag
+        only, so no other handler is handed a control message."""
+        body = FrameDecoder().feed(encode_frame(
+            "kecho:dproc.control", ChannelEvent(
+                channel="dproc.control", source="alan", size=1.0,
+                submitted_at=0.0,
+                payload=ControlMessage("alan", "maui", "unfilter f1"))))[0]
+        channel = struct.pack(">H", 13) + b"dproc.control"
+        assert body[4:19] == channel
+        for head in (struct.pack(">H", 13) + b"dproc.monitor",
+                     struct.pack(">H", 3) + b"app"):
+            with pytest.raises(ChannelError, match="control tag"):
+                decode_frame(body[:4] + head + body[19:])
+        tagged = body[:3] + bytes([1]) + channel + struct.pack(
+            ">H", 3) + b"tag" + body[19:]
+        with pytest.raises(ChannelError, match="control tag"):
+            decode_frame(tagged)
 
 
 def _dmon_event(n: int) -> ChannelEvent:
@@ -300,9 +333,7 @@ class TestProcSections:
 
 class TestIncrementalDecoder:
     def _frames(self, n: int) -> list[bytes]:
-        return [encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={"i": i}, size=1.0,
-            submitted_at=float(i))) for i in range(n)]
+        return [encode_frame("t", _numbered(i)) for i in range(n)]
 
     def test_byte_at_a_time(self):
         stream = b"".join(self._frames(3))
@@ -310,8 +341,7 @@ class TestIncrementalDecoder:
         bodies = []
         for i in range(len(stream)):
             bodies.extend(decoder.feed(stream[i:i + 1]))
-        assert [decode_frame(b)[1].payload["i"]
-                for b in bodies] == [0, 1, 2]
+        assert [_number(b) for b in bodies] == [0, 1, 2]
 
     def test_multiple_frames_in_one_chunk(self):
         stream = b"".join(self._frames(4))
@@ -331,47 +361,43 @@ class TestIncrementalDecoder:
 
 class TestBadFrames:
     def test_bad_magic(self):
-        body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={}, size=1.0,
-            submitted_at=0.0)))[0]
+        body = FrameDecoder().feed(encode_frame("t", _numbered(0)))[0]
         corrupt = struct.pack(">H", MAGIC ^ 0xFFFF) + body[2:]
         with pytest.raises(ChannelError):
             decode_frame(corrupt)
 
     def test_truncated_body(self):
-        body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={}, size=1.0,
-            submitted_at=0.0)))[0]
+        body = FrameDecoder().feed(encode_frame("t", _numbered(0)))[0]
         with pytest.raises(ChannelError):
             decode_frame(body[:-3])
 
-    @pytest.mark.parametrize("kind, raw", [
-        ("control", b'{"type":"SetParameter","sender":"a","bogus":1}'),
-        ("control", b'{"type":"SetParameter"}'),
-        ("control", b'["SetParameter"]'),
-        ("control", b'{"type":"SetParameter","sender":"a","target":null}'),
-        ("control", b'{"type":"SetParameter","sender":"a","target":7}'),
-        ("control", b'{"type":"RemoveFilter","sender":"a"}'),
-        ("json", b'{"x":'),
-        ("json", b"\xff\xfe"),
-        ("json", b"[" * 100_000),
+    @pytest.mark.parametrize("raw", [
+        b'{"sender":"a","target":"b","command":"x","bogus":1}',
+        b'{"sender":"a","target":"b"}',
+        b'["a","b","x"]',
+        b'{"sender":"a","target":null,"command":"x"}',
+        b'{"sender":"a","target":7,"command":"x"}',
+        b'{"sender":"a","command":"x"}',
+        b'{"x":',
+        b"\xff\xfe",
+        b"[" * 100_000,
     ], ids=["extra-field", "missing-field", "not-an-object",
             "null-target", "number-target", "no-target", "bad-json",
             "bad-utf8", "nested-too-deep"])
-    def test_malformed_body_is_a_channel_error(self, kind, raw):
+    def test_malformed_body_is_a_channel_error(self, raw):
         """Whatever is wrong inside the body, the caller sees
         ChannelError — not the ValueError/TypeError/RecursionError of
         the library that noticed."""
-        payload = {"x": 1} if kind == "json" \
-            else SetParameter(sender="a", target="b")
-        body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload=payload, size=1.0,
-            submitted_at=0.0)))[0]
-        # magic, kind, flags; channel, tag and source as three
-        # 1-character strings; two f64: the JSON document's u32 length
-        # starts at byte 29.
-        assert struct.unpack_from(">I", body, 29)[0] == len(body) - 33
-        corrupt = body[:29] + struct.pack(">I", len(raw)) + raw
+        body = FrameDecoder().feed(encode_frame(
+            "kecho:dproc.control", ChannelEvent(
+                channel="dproc.control", source="s", size=1.0,
+                submitted_at=0.0,
+                payload=ControlMessage("a", "b", "x"))))[0]
+        # magic, kind, flags; the channel's 13 characters and the
+        # source's one as two strings; two f64: the JSON document's
+        # u32 length starts at byte 38.
+        assert struct.unpack_from(">I", body, 38)[0] == len(body) - 42
+        corrupt = body[:38] + struct.pack(">I", len(raw)) + raw
         with pytest.raises(ChannelError):
             decode_frame(corrupt)
 
@@ -384,23 +410,19 @@ class TestBadFrames:
 
 class TestBatch:
     def _frames(self, n: int) -> list[bytes]:
-        return [encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={"i": i}, size=1.0,
-            submitted_at=float(i))) for i in range(n)]
+        return [encode_frame("t", _numbered(i)) for i in range(n)]
 
     def test_batch_unwraps_in_order(self):
         batch = encode_batch(self._frames(5))
         bodies = FrameDecoder().feed(batch)
-        assert [decode_frame(b)[1].payload["i"]
-                for b in bodies] == [0, 1, 2, 3, 4]
+        assert [_number(b) for b in bodies] == [0, 1, 2, 3, 4]
 
     def test_mixed_stream_of_batches_and_singles(self):
         frames = self._frames(6)
         stream = (frames[0] + encode_batch(frames[1:4]) + frames[4]
                   + encode_batch(frames[5:]))
         bodies = FrameDecoder().feed(stream)
-        assert [decode_frame(b)[1].payload["i"]
-                for b in bodies] == [0, 1, 2, 3, 4, 5]
+        assert [_number(b) for b in bodies] == [0, 1, 2, 3, 4, 5]
 
     def test_batch_byte_at_a_time(self):
         batch = encode_batch(self._frames(3))
@@ -415,7 +437,7 @@ class TestBatch:
         """The kind the old BATCH super-frame used is no kind at all:
         a frame that claims it is refused like any unknown kind."""
         body = self._frames(1)[0][4:]
-        assert body[2] == 3  # JSON
+        assert body[2] == 1  # MONITOR
         with pytest.raises(ChannelError, match="unknown frame kind 4"):
             decode_frame(body[:2] + bytes([4]) + body[3:])
 
@@ -426,9 +448,7 @@ class TestDecoderHardening:
             FrameDecoder().feed(struct.pack(">I", 0))
 
     def test_finish_clean_at_frame_boundary(self):
-        frame = encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={}, size=1.0,
-            submitted_at=0.0))
+        frame = encode_frame("t", _numbered(0))
         decoder = FrameDecoder()
         decoder.feed(frame)
         decoder.finish()  # no residue -> no error
@@ -440,18 +460,14 @@ class TestDecoderHardening:
             decoder.finish()
 
     def test_finish_raises_on_partial_body(self):
-        frame = encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={}, size=1.0,
-            submitted_at=0.0))
+        frame = encode_frame("t", _numbered(0))
         decoder = FrameDecoder()
         decoder.feed(frame[:-1])
         with pytest.raises(ChannelError, match="mid-frame"):
             decoder.finish()
 
     def test_pending_bytes_tracks_buffer(self):
-        frame = encode_frame("t", ChannelEvent(
-            channel="c", source="s", payload={}, size=1.0,
-            submitted_at=0.0))
+        frame = encode_frame("t", _numbered(0))
         decoder = FrameDecoder()
         decoder.feed(frame[:10])
         assert decoder.pending_bytes == 10

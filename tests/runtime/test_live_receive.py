@@ -2,7 +2,9 @@
 
 A raw socket sends a real :class:`LiveStack` each kind of bad input;
 the stack counts it under the right counter, and a second,
-well-behaved connection keeps delivering.
+well-behaved connection keeps delivering.  A stream that is not
+frames of this codec ends its connection; a frame of the codec that
+does not decode is skipped, and the frame behind it is delivered.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import struct
 
 import pytest
 
+from repro.dproc import MetricId, RecordBatch
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import MAGIC, MAX_FRAME_BYTES, encode_frame
 from repro.live.transport import LiveStack
@@ -21,8 +24,10 @@ TAG = "kecho:app"
 
 
 def _frame(i: int, tag: str = TAG) -> bytes:
+    batch = RecordBatch("maui", (MetricId.LOADAVG,), (float(i),),
+                        float(i))
     return encode_frame(tag, ChannelEvent(
-        channel="app", source="maui", payload={"i": i}, size=16.0,
+        channel="app", source="maui", payload=batch, size=16.0,
         submitted_at=float(i)))
 
 
@@ -48,6 +53,17 @@ def _old_batch() -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
+def _bad_metric() -> bytes:
+    """A whole frame of this codec whose one record names a metric id
+    nobody defines."""
+    frame = bytearray(_frame(1))
+    # prefix, head, "app", "maui", two f64, the record count
+    at = 4 + 4 + 5 + 6 + 16 + 2
+    assert frame[at:at + 2] == struct.pack(">H", int(MetricId.LOADAVG))
+    frame[at:at + 2] = struct.pack(">H", 0xFFFF)
+    return bytes(frame)
+
+
 def _cut_short() -> bytes:
     frame = _frame(1)
     return frame[:len(frame) // 2]
@@ -59,7 +75,8 @@ CASES = {
     "garbage": (_garbage, "net.rx_decode_errors", True),
     "old_magic": (_old_magic, "net.rx_decode_errors", True),
     "over_large": (_over_large, "net.rx_decode_errors", True),
-    "kind_4": (_old_batch, "net.rx_decode_errors", True),
+    "kind_4": (_old_batch, "net.rx_decode_errors", False),
+    "bad_metric": (_bad_metric, "net.rx_decode_errors", False),
     "cut_by_eof": (_cut_short, "net.rx_truncated", False),
     "unknown_tag": (lambda: _frame(1, tag="kecho:nobody"),
                     "net.undeliverable", False),
@@ -98,9 +115,9 @@ def test_rogue_input_is_counted_and_contained(case):
                                           5.0) == b""
         else:
             await asyncio.sleep(0.05)
-            # The stack keeps the connection: a good frame behind the
-            # unknown tag is still delivered.
-            if case == "unknown_tag":
+            # The stack keeps the connection: a good frame behind a
+            # whole frame it could not deliver is still delivered.
+            if case != "cut_by_eof":
                 rogue.write(_frame(2))
                 await _until(lambda: len(received) == 2)
             rogue.write_eof()

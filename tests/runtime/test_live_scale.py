@@ -16,6 +16,7 @@ import logging
 
 import pytest
 
+from repro.dproc import MetricId, RecordBatch
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import FrameDecoder, decode_frame, encode_frame
 from repro.live.transport import (BatchConfig, FlowConfig, LiveStack,
@@ -60,9 +61,28 @@ class _FakeTransport:
         self.closing = True
 
 
+def _batch(i: int = 0) -> RecordBatch:
+    """A one-record batch whose value is ``i``."""
+    return RecordBatch("s", (MetricId.LOADAVG,), (float(i),), 0.0)
+
+
 def _event(i: int = 0) -> ChannelEvent:
-    return ChannelEvent(channel="c", source="s", payload={"i": i},
+    return ChannelEvent(channel="c", source="s", payload=_batch(i),
                         size=32.0, submitted_at=float(i))
+
+
+def _number(body: bytes) -> int:
+    """The value of the one record in a frame body."""
+    return int(decode_frame(body)[1].payload.values[0])
+
+
+def _big(nbytes: int) -> ChannelEvent:
+    """An event whose frame is over ``nbytes`` long: a top-K table of
+    12-byte rows."""
+    batch = _batch()
+    batch.proc_top = {pid: 1.0 for pid in range(nbytes // 12 + 1)}
+    return ChannelEvent(channel="c", source="s", payload=batch,
+                        size=1.0, submitted_at=0.0)
 
 
 def _frame(i: int = 0) -> bytes:
@@ -206,8 +226,7 @@ class TestPeerLinkBatching:
             transport = _complete_dial(link)
             return transport
         transport = asyncio.run(run())
-        batches = [[decode_frame(b)[1].payload["i"]
-                    for b in FrameDecoder().feed(w)]
+        batches = [[_number(b) for b in FrameDecoder().feed(w)]
                    for w in transport.writes]
         assert batches == [[0, 1, 2], [3, 4, 5], [6]]
 
@@ -221,9 +240,7 @@ class TestPeerLinkBackpressure:
             stack = _stack(flow=self.FLOW)
             transport = _FakeTransport()
             link = await _link(stack, transport)
-            big = encode_frame("t", ChannelEvent(
-                channel="c", source="s", payload={"x": "y" * 200},
-                size=1.0, submitted_at=0.0))
+            big = encode_frame("t", _big(200))
             link.send(big)          # buffer > high: pause
             assert link.paused
             assert stack._t_pauses.value == 1
@@ -235,8 +252,8 @@ class TestPeerLinkBackpressure:
             return stack, transport
         stack, transport = asyncio.run(run())
         assert stack._t_resumes.value == 1
-        assert [decode_frame(FrameDecoder().feed(w)[0])[1]
-                .payload.get("i") for w in transport.writes[1:]] == [1, 2]
+        assert [_number(FrameDecoder().feed(w)[0])
+                for w in transport.writes[1:]] == [1, 2]
 
     def test_overflow_drops_are_recorded_and_attributed(self):
         """Each frame dropped on overflow reaches the sender's
@@ -314,8 +331,9 @@ class TestFanOut:
             (body,) = FrameDecoder().feed(b"".join(
                 conn._link.transport.writes))
             tag, event = decode_frame(body)
-            assert (tag, event.channel, event.source, event.payload,
-                    event.submitted_at) == ("t", "c", "s", {"i": 7}, 7.0)
+            assert (tag, event.channel, event.source,
+                    event.payload.values, event.submitted_at) \
+                == ("t", "c", "s", (7.0,), 7.0)
 
 
 class TestSlowConsumerLive:
@@ -338,9 +356,7 @@ class TestSlowConsumerLive:
             address = server.sockets[0].getsockname()[:2]
             stack.resolve = lambda host: address
             conn = stack.connect("maui", "t")
-            big = ChannelEvent(channel="c", source="s",
-                               payload={"x": "y" * 65536}, size=1.0,
-                               submitted_at=0.0)
+            big = _big(65536)
             for _ in range(200):               # ~13 MB at the peer
                 conn.send(big, size=1.0)
                 await asyncio.sleep(0)
@@ -380,7 +396,7 @@ class TestInFlightLive:
                 if not in_flight([sender, receiver]):
                     break
                 await asyncio.sleep(0.005)
-            assert got == [{"i": 1}]
+            assert [batch.values for batch in got] == [(1.0,)]
             assert not in_flight([sender, receiver])
             # A frame for another process's host is not waited for.
             sender.connect("etna", "t").send(_event(2), size=1.0)
@@ -391,7 +407,8 @@ class TestInFlightLive:
 
 
 class TestMalformedFrameLive:
-    """Real sockets: a malformed frame ends its own connection only."""
+    """Real sockets: a whole frame that does not decode is counted and
+    skipped; its connection and every other keep delivering."""
 
     def test_decode_error_is_counted_and_contained(self, caplog):
         good, bad = unknown_metric_frames()
@@ -408,11 +425,16 @@ class TestMalformedFrameLive:
             stack.bind("t", lambda msg: received.append(msg.payload))
             address = await stack.start()
             reader, writer = await send(address, bad + good)
-            # The stack hangs up on the garbage ...
+            # The frame behind the bad one is delivered ...
+            for _ in range(500):
+                if received:
+                    break
+                await asyncio.sleep(0.01)
+            behind_bad_frame = len(received)
+            writer.write_eof()
             assert await asyncio.wait_for(reader.read(), 5.0) == b""
             writer.close()
-            behind_bad_frame = len(received)
-            # ... and keeps serving everyone else.
+            # ... and the stack keeps serving everyone else.
             reader, writer = await send(address, good)
             writer.write_eof()
             assert await asyncio.wait_for(reader.read(), 5.0) == b""
@@ -422,9 +444,9 @@ class TestMalformedFrameLive:
 
         with caplog.at_level(logging.ERROR):
             stack, behind_bad_frame = asyncio.run(run())
-        assert behind_bad_frame == 0
+        assert behind_bad_frame == 1
         assert stack._t_decode_errors.value == 1
-        assert len(received) == 1
+        assert len(received) == 2
         assert [r for r in caplog.records
                 if r.levelno >= logging.ERROR] == []
 
@@ -562,9 +584,9 @@ class TestOneFailurePath:
             eps = {node.name: bus.connect(node, "monitor")
                    for node in nodes}
             eps["maui"].subscribe(lambda e, t: None)
-            eps["alan"].submit({"i": 1}, size=32.0)  # dials the link
+            eps["alan"].submit(_batch(1), size=32.0)  # dials the link
             await asyncio.sleep(0.01)                # no address: dead
-            receipt = eps["alan"].submit({"i": 2}, size=32.0)
+            receipt = eps["alan"].submit(_batch(2), size=32.0)
             for node in nodes:
                 await node.stack.stop()
             return bus.stream, nodes, receipt

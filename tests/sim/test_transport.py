@@ -59,7 +59,7 @@ class TestConnectionBasics:
         inboxes = [Inbox(cluster[name].stack) for name in ("maui", "etna")]
         conns = [stack.connect(name, tag="t") for name in ("maui", "etna")]
         conns[1].close()
-        with pytest.raises(TransportError), stack.batch():
+        with pytest.raises(TransportError):
             stack.send_many(conns, "x", 100)
         env.run()
         assert [inbox.messages for inbox in inboxes] == [[], []]
@@ -164,8 +164,7 @@ class TestStatistics:
         stack = cluster["alan"].stack
         conns = [stack.connect(name, tag="t")
                  for name in cluster.names if name != "alan"]
-        with stack.batch():
-            stack.send_many(conns, "x", 100)
+        stack.send_many(conns, "x", 100)
         assert list(stack.bytes_out) == [(0.0, 300.0)]
 
 
@@ -334,8 +333,7 @@ class TestFanOutCongestion:
 
         def fan_out():
             for _ in range(rounds):
-                with stack.batch():
-                    stack.send_many(conns, "x", KB(1))
+                stack.send_many(conns, "x", KB(1))
                 msgs = yield env.all_of(inbox.next() for inbox in inboxes)
                 batched.extend(m.retransmissions for m in msgs.values())
 
@@ -356,12 +354,6 @@ class TestFanOutCongestion:
         assert batched == single
         assert any(batched)  # the link really was congested
 
-    def test_fan_out_outside_batch_rejected(self, pair):
-        src, _ = pair
-        conns = [src.stack.connect("maui", tag="t") for _ in range(2)]
-        with pytest.raises(TransportError, match="batch"):
-            src.stack.send_many(conns, "x", 100)
-
 
 class TestEventBudget:
     """A send schedules no event of the transport's own.  A fan-out of
@@ -380,8 +372,7 @@ class TestEventBudget:
             before = env.events_processed
             received = [cluster[dst].stack.bytes_received
                         for dst in targets]
-            with stack.batch():
-                stack.send_many(conns, "x", 100)
+            stack.send_many(conns, "x", 100)
             env.run()
             assert [cluster[dst].stack.bytes_received - r
                     for dst, r in zip(targets, received)] == [100] * k
@@ -403,8 +394,7 @@ class TestEventBudget:
                 "t", lambda m: order.append((m.dst, env.now)))
         conns = [stack.connect(dst, tag="t") for dst in targets]
         env.run()
-        with stack.batch():
-            stack.send_many(conns, "x", 100)
+        stack.send_many(conns, "x", 100)
         while fabric.flows_through(fabric.hosts["alan"].tx):
             env.step()
         # The fan-out's flows have just finished, at this instant.

@@ -106,7 +106,7 @@ class TestDecisionSpans:
         assert len(roots) == 1
         applied = [s for s in roots[0].spans if s.stage == "update"]
         assert [(s.name, s.node, s.attrs["kind"]) for s in applied] == \
-            [(f"apply:{server}", server, "SetParameter")]
+            [(f"apply:{server}", server, "period")]
 
 
 class TestAuditNamesTheFilter:
