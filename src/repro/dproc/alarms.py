@@ -12,6 +12,7 @@ around the bound does not flap.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +20,11 @@ from repro.dproc.dmon import DMon
 from repro.dproc.metrics import MetricId
 from repro.errors import DprocError
 
-__all__ = ["Alarm", "AlarmManager"]
+__all__ = ["Alarm", "AlarmManager", "ALARM_LOG_LINES"]
+
+#: Firings an :class:`AlarmManager` keeps in its log, oldest dropped
+#: first; :attr:`Alarm.firings` still counts all of them.
+ALARM_LOG_LINES = 256
 
 AlarmCallback = Callable[["Alarm", str, float, float], None]
 
@@ -71,8 +76,9 @@ class AlarmManager:
     def __init__(self, dmon: DMon) -> None:
         self.dmon = dmon
         self.alarms: list[Alarm] = []
-        #: (alarm_id, host, value, time) history of all firings.
-        self.log: list[tuple[int, str, float, float]] = []
+        #: (alarm_id, host, value, time) of the last firings.
+        self.log: deque[tuple[int, str, float, float]] = deque(
+            maxlen=ALARM_LOG_LINES)
         dmon.update_hooks.append(self._on_update)
 
     def watch(self, metric: MetricId,

@@ -666,8 +666,9 @@ class DMon:
         """Distribute a control message over the control channel.
 
         Its command is parsed first, so text the grammar rejects is
-        never sent.  A message addressed to this host is also applied
-        here, and what this d-mon cannot apply raises to the caller.
+        never sent.  A message addressed to this host is applied here
+        instead of sent, and what this d-mon cannot apply raises to
+        the caller.
         """
         if self._control_ep is None:
             raise DprocError("d-mon not started: no control channel")
@@ -682,9 +683,6 @@ class DMon:
                 name=f"control:{command.verb}", stage="control",
                 node=self.node.name, start=now, kind=command.verb,
                 target=command.metric)
-        self._control_ep.submit(
-            msg, size=control_message_size(msg),
-            trace=root.context if root is not None else None)
         if msg.addressed_to(self.node.name):
             self.apply_control(command)
             if root is not None:
@@ -692,15 +690,18 @@ class DMon:
                     root.context, name=f"apply:{self.node.name}",
                     stage="update", node=self.node.name,
                     start=now, end=now, kind=command.verb)
+        else:
+            self._control_ep.submit(
+                msg, size=control_message_size(msg),
+                trace=root.context if root is not None else None)
         if root is not None:
             root.finish(self.node.env.now)
 
     def _on_control_event(self, event: ChannelEvent, trace) -> None:
         msg = event.payload
         if isinstance(msg, ControlMessage):
-            if msg.sender == self.node.name \
-                    or not msg.addressed_to(self.node.name):
-                return  # not ours, or applied at send time
+            if not msg.addressed_to(self.node.name):
+                return
             try:
                 command = parse_command(msg.command)
                 self.apply_control(command)

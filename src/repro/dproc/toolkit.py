@@ -220,14 +220,17 @@ class Dproc:
 
     def _control_write(self, host: str, text: str) -> None:
         """Parse commands and distribute them via the control channel:
-        one message per command, carrying its normalized text."""
-        for command in parse_control_text(text):
-            self.dmon.send_control(
-                ControlMessage(self.node.name, host, command.text))
+        one message per command, carrying its normalized text.  Each
+        command is logged once it is sent, so after a command this
+        host refuses the log holds exactly the ones that went out."""
         log = self._control_log.get(host)
         if log is None:
             log = self._control_log[host] = deque(maxlen=CONTROL_LOG_LINES)
-        log.extend(line for line in text.splitlines() if line.strip())
+        for command in parse_control_text(text):
+            self.dmon.send_control(
+                ControlMessage(self.node.name, host, command.text))
+            log.extend(line for line in command.text.splitlines()
+                       if line.strip())
 
 
 #: The layout of every ``/proc/cluster/<host>/``, built once; its

@@ -220,7 +220,8 @@ def _watch(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.watch is not None:
         return _watch(args)
 
@@ -229,7 +230,11 @@ def main(argv: Optional[list] = None) -> int:
         if not args.no_stream:
             scenario.with_stream()
 
-    scenario = run_scenario(args, instruments)
+    from repro.obs import ObsError
+    try:
+        scenario = run_scenario(args, instruments)
+    except ObsError as exc:  # e.g. an --interval too short for a rule
+        parser.error(str(exc))
     if args.export is not None:
         return _export(scenario, args.export)
     if args.faults:

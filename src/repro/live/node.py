@@ -3,7 +3,7 @@
 Satisfies :class:`repro.runtime.protocol.RuntimeNode` with the exact
 attribute surface d-mon, KECho and the toolkit use: ``env`` (the shared
 :class:`~repro.live.clock.AsyncClock`), ``rng``, ``costs`` (the same
-:class:`~repro.sim.node.KernelCostModel` — live costs are *accounted*,
+:data:`~repro.sim.node.KERNEL_COSTS` — live costs are *accounted*,
 not simulated, so the telemetry/overhead reports stay comparable),
 ``telemetry``, ``stack`` and ``spawn``.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.live.clock import AsyncClock, LiveTask
 from repro.live.transport import LiveStack
-from repro.sim.node import KernelCostModel
+from repro.sim.node import KERNEL_COSTS
 from repro.telemetry import TelemetryRegistry
 
 __all__ = ["LiveNode", "HostCpu", "HostMemory"]
@@ -107,12 +107,11 @@ class LiveNode:
     """One live host: clock + RNG + costs + telemetry + TCP stack."""
 
     def __init__(self, name: str, clock: AsyncClock,
-                 seed: int = 0, index: int = 0,
-                 costs: KernelCostModel | None = None) -> None:
+                 seed: int = 0, index: int = 0) -> None:
         self.name = name
         self.env = clock
         self.rng = np.random.default_rng([seed, index])
-        self.costs = costs if costs is not None else KernelCostModel()
+        self.costs = KERNEL_COSTS
         self.telemetry = TelemetryRegistry(scope=name)
         self.stack = LiveStack(name, self.telemetry)
         self.cpu = HostCpu()

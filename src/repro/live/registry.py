@@ -29,6 +29,8 @@ import asyncio
 import json
 from typing import Callable, Optional
 
+from repro.live.transport import CLOSE_TIMEOUT, DIAL_TIMEOUT
+
 __all__ = ["RegistryServer", "RegistryClient"]
 
 
@@ -70,7 +72,8 @@ class RegistryServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+            await asyncio.wait_for(self._server.wait_closed(),
+                                   CLOSE_TIMEOUT)
             self._server = None
         # Closing the writers EOFs each client loop, so the serve
         # tasks exit on their own rather than being cancelled (a
@@ -78,8 +81,9 @@ class RegistryServer:
         for writer in list(self._writers.values()):
             writer.close()
         if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks,
-                                 return_exceptions=True)
+            await asyncio.wait_for(
+                asyncio.gather(*self._serve_tasks, return_exceptions=True),
+                CLOSE_TIMEOUT)
             self._serve_tasks.clear()
         self._writers.clear()
 
@@ -152,8 +156,8 @@ class RegistryClient:
         self.on_change: Optional[Callable[[], None]] = None
 
     async def connect(self, address: tuple[str, int]) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            address[0], address[1])
+        self._reader, self._writer = await asyncio.wait_for(
+            asyncio.open_connection(address[0], address[1]), DIAL_TIMEOUT)
         self._reader_task = asyncio.ensure_future(self._listen())
 
     async def close(self) -> None:

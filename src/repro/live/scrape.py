@@ -22,9 +22,14 @@ import asyncio
 import json
 from typing import Optional
 
+from repro.live.transport import CLOSE_TIMEOUT
+
 __all__ = ["ScrapeServer"]
 
 _MAX_REQUEST_BYTES = 16384
+#: Longest wait, in seconds, for a client to send its request or to
+#: take the response.
+REQUEST_TIMEOUT = 10.0
 
 
 class ScrapeServer:
@@ -61,7 +66,8 @@ class ScrapeServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+            await asyncio.wait_for(self._server.wait_closed(),
+                                   CLOSE_TIMEOUT)
             self._server = None
 
     # -- request handling ---------------------------------------------------
@@ -69,8 +75,10 @@ class ScrapeServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            request = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), REQUEST_TIMEOUT)
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
+                asyncio.TimeoutError):
             writer.close()
             return
         if len(request) > _MAX_REQUEST_BYTES:
@@ -118,6 +126,8 @@ class ScrapeServer:
                 f"Connection: close\r\n\r\n")
         writer.write(head.encode("latin-1") + payload)
         try:
-            await writer.drain()
+            await asyncio.wait_for(writer.drain(), REQUEST_TIMEOUT)
+        except asyncio.TimeoutError:
+            pass  # a client that stops reading loses its response
         finally:
             writer.close()

@@ -58,12 +58,18 @@ from repro.live.codec import (MAGIC, FrameDecoder, decode_frame,
 from repro.runtime.protocol import OnFail
 
 __all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig",
-           "in_flight"]
+           "in_flight", "DIAL_TIMEOUT", "CLOSE_TIMEOUT"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
 
 #: The first two bytes of every frame body of this codec.
 _MAGIC = MAGIC.to_bytes(2, "big")
+
+#: Longest wait, in seconds, for a localhost dial to connect.
+DIAL_TIMEOUT = 5.0
+#: Longest wait, in seconds, for a closed listener or connection to
+#: finish closing.
+CLOSE_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,11 @@ class _PeerLink(asyncio.Protocol):
             self._dead = True
             return
         try:
-            await asyncio.get_running_loop().create_connection(
-                lambda: self, address[0], address[1])
-        except OSError:
+            await asyncio.wait_for(
+                asyncio.get_running_loop().create_connection(
+                    lambda: self, address[0], address[1]),
+                DIAL_TIMEOUT)
+        except (OSError, asyncio.TimeoutError):
             self._dead = True
 
     # -- asyncio flow control ----------------------------------------------
@@ -312,7 +320,8 @@ class LiveStack:
             # The accepted connections end with the listening socket.
             for inbound in list(self._inbound):
                 inbound.transport.close()
-            await self._server.wait_closed()
+            await asyncio.wait_for(self._server.wait_closed(),
+                                   CLOSE_TIMEOUT)
             self._server = None
 
     def flush(self) -> None:

@@ -1,8 +1,9 @@
 """The time-series metrics plane: TSDB, exposition, health, export.
 
 Everything the dproc stack retains *about itself over time* lives
-here: a deterministic ring-buffer TSDB with rollup tiers and windowed
-queries (:mod:`repro.obs.tsdb`), an OpenMetrics text renderer and
+here: a deterministic TSDB of one bounded ring per series, whose
+windowed queries refuse a window the ring no longer holds
+(:mod:`repro.obs.tsdb`), an OpenMetrics text renderer and
 validating mini-parser (:mod:`repro.obs.openmetrics`), a declarative
 health/SLO engine with hysteresis and fault attribution
 (:mod:`repro.obs.health`), and the :class:`ObservabilityPlane` that
@@ -25,11 +26,12 @@ from repro.obs.openmetrics import (CONTENT_TYPE, Sample, metric_name,
                                    parse_openmetrics,
                                    render_openmetrics)
 from repro.obs.plane import ObservabilityPlane
-from repro.obs.tsdb import (Bucket, ObsError, Series, TimeSeriesDB,
-                            series_key)
+from repro.obs.tsdb import (SERIES_CAPACITY, Bucket, ObsError, Series,
+                            TimeSeriesDB, series_key)
 
 __all__ = [
     "ObsError", "Bucket", "Series", "TimeSeriesDB", "series_key",
+    "SERIES_CAPACITY",
     "CONTENT_TYPE", "Sample", "metric_name", "parse_openmetrics",
     "render_openmetrics",
     "HEALTHY", "DEGRADED", "HealthRule", "HealthTransition",

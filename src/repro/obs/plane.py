@@ -29,7 +29,7 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from repro.obs.health import (HealthEngine, HealthRule, default_rules)
-from repro.obs.tsdb import TimeSeriesDB
+from repro.obs.tsdb import SERIES_CAPACITY, ObsError, TimeSeriesDB
 from repro.telemetry.instruments import (Counter, Gauge, Histogram)
 
 __all__ = ["ObservabilityPlane"]
@@ -44,6 +44,13 @@ class ObservabilityPlane:
         self.tsdb = TimeSeriesDB(interval=self.sample_interval)
         self.rules = tuple(rules) if rules is not None \
             else default_rules()
+        longest = (SERIES_CAPACITY - 1) * self.sample_interval
+        for rule in self.rules:
+            if rule.window > longest:
+                raise ObsError(
+                    f"rule {rule.name!r}: window {rule.window:g} s is "
+                    f"longer than the {longest:g} s a series holds at "
+                    f"{self.sample_interval:g} s samples")
         self.engine: Optional[HealthEngine] = None
         self.samples_taken = 0
         self.last_sample_at: Optional[float] = None
@@ -202,7 +209,7 @@ class ObservabilityPlane:
     def snapshot(self) -> dict:
         """JSON document of the whole plane (sorted, reproducible)."""
         return {
-            "schema": "repro.obs/1",
+            "schema": "repro.obs/2",
             "sample_interval": self.sample_interval,
             "samples_taken": self.samples_taken,
             "last_sample_at": self.last_sample_at,

@@ -1,7 +1,7 @@
 """A deterministic, bounded, in-memory time-series store.
 
 The metrics plane's substrate: fixed-interval ring series with labels,
-multi-tier min/max/mean/last rollups, and windowed queries
+per-bucket count/sum/min/max/last, and windowed queries
 (:meth:`TimeSeriesDB.rate`, :meth:`~TimeSeriesDB.avg_over_time`,
 :meth:`~TimeSeriesDB.quantile_over_time`).  Design constraints mirror
 :mod:`repro.telemetry.instruments` — the store observes the monitor,
@@ -12,12 +12,12 @@ so it must never perturb it:
   integers (``floor(t / interval)``), and every export walks keys in
   sorted order.  Two seeded runs produce byte-identical
   :meth:`TimeSeriesDB.export_json` documents.
-* **Bounded.**  Each series is a pyramid of ring tiers: the base tier
-  holds per-interval buckets; when a bucket falls off a tier's ring it
-  is folded into the next, coarser tier (interval × ``rollup_factor``)
-  as a min/max/mean/last aggregate; the last tier drops (counted in
-  :attr:`Series.dropped`).  Memory per series is
-  ``O(tiers × capacity)`` regardless of run length.
+* **Bounded.**  Each series is one ring of at most
+  :data:`SERIES_CAPACITY` per-interval buckets; the oldest falls off
+  (counted in :attr:`Series.dropped`), so memory per series does not
+  grow with run length.  A windowed query that reaches a dropped
+  bucket raises :class:`ObsError` rather than answering short, and
+  the plane refuses a health rule whose window the ring cannot hold.
 * **Passive.**  Observing a sample only appends to the store; queries
   are pure reads.
 """
@@ -26,13 +26,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.runtime.series import nearest_rank
 
 __all__ = ["ObsError", "Bucket", "Series", "TimeSeriesDB",
-           "series_key"]
+           "series_key", "SERIES_CAPACITY"]
+
+#: Buckets one series keeps.  A window of ``w`` seconds reads the
+#: ``w / interval + 1`` buckets in ``[now - w, now]``, so a full ring
+#: answers windows up to ``(SERIES_CAPACITY - 1) * interval``.
+SERIES_CAPACITY = 240
 
 
 class ObsError(ReproError):
@@ -55,8 +61,8 @@ def series_key(name: str, labels: Mapping[str, str] | Sequence = ()
 class Bucket:
     """One fixed-interval aggregate: count/sum/min/max/last.
 
-    ``idx`` is the integer bucket index (``floor(t / interval)`` of the
-    tier it lives in); the bucket's nominal time is ``idx * interval``.
+    ``idx`` is the integer bucket index (``floor(t / interval)``); the
+    bucket's nominal time is ``idx * interval``.
     """
 
     __slots__ = ("idx", "count", "total", "min", "max", "last")
@@ -78,20 +84,6 @@ class Bucket:
             self.max = value
         self.last = value
 
-    def fold(self, other: "Bucket") -> None:
-        """Absorb a finer bucket that rolls up into this one.
-
-        ``other`` is always *newer* than anything previously folded
-        (tiers evict oldest-first), so ``last`` takes its value.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.last = other.last
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else math.nan
@@ -102,43 +94,34 @@ class Bucket:
                 self.min, self.max, self.last]
 
 
-class _Tier:
-    """One ring of buckets at a fixed interval."""
-
-    __slots__ = ("interval", "capacity", "buckets")
-
-    def __init__(self, interval: float, capacity: int) -> None:
-        self.interval = interval
-        self.capacity = capacity
-        self.buckets: list[Bucket] = []
-
-
 class Series:
-    """One labelled series: a pyramid of ring tiers.
+    """One labelled series: a ring of at most ``capacity`` buckets.
 
     ``kind`` is advisory ("counter" for sampled cumulative values,
     "gauge" for point-in-time values) — it picks the natural reading
     in reports but does not change storage.
     """
 
-    __slots__ = ("name", "labels", "kind", "tiers", "dropped")
+    __slots__ = ("name", "labels", "kind", "interval", "buckets",
+                 "dropped", "_horizon")
 
     def __init__(self, name: str, labels: Sequence = (), *,
                  kind: str = "gauge", interval: float = 1.0,
-                 capacity: int = 240, rollup_factor: int = 4,
-                 n_tiers: int = 3) -> None:
+                 capacity: int = SERIES_CAPACITY) -> None:
         if interval <= 0:
             raise ObsError(f"series {name!r}: interval must be positive")
-        if capacity < 1 or n_tiers < 1 or rollup_factor < 2:
-            raise ObsError(f"series {name!r}: bad ring geometry")
+        if capacity < 1:
+            raise ObsError(f"series {name!r}: capacity must be positive")
         self.name = name
         self.labels = tuple(sorted(tuple(pair) for pair in labels))
         self.kind = kind
-        self.tiers = [
-            _Tier(interval * rollup_factor ** i, capacity)
-            for i in range(n_tiers)]
-        #: Buckets that fell off the coarsest tier.
+        self.interval = interval
+        self.buckets: deque[Bucket] = deque(maxlen=capacity)
+        #: Buckets that fell off the ring.
         self.dropped = 0
+        # Index of the newest dropped bucket: a window reaching it
+        # would be answered short.
+        self._horizon = 0
 
     @property
     def key(self) -> str:
@@ -148,21 +131,18 @@ class Series:
         """Record ``value`` at time ``t`` (NaN samples are ignored)."""
         # + epsilon so exact multiples of the interval land in the
         # bucket they open rather than flapping on float error.
-        self.observe_idx(
-            int(math.floor(t / self.tiers[0].interval + 1e-9)), value)
+        self.observe_idx(int(math.floor(t / self.interval + 1e-9)), value)
 
     def observe_idx(self, idx: int, value: float) -> None:
-        """:meth:`observe` with the base bucket index precomputed.
+        """:meth:`observe` with the bucket index precomputed.
 
         The sampler's hot path: one tick lands tens of thousands of
         observations at the same instant, so the caller computes the
-        bucket index once and every series skips the float math; the
-        fold check only runs when the ring actually overflows.
+        bucket index once and every series skips the float math.
         """
         if value != value:
             return
-        tier = self.tiers[0]
-        buckets = tier.buckets
+        buckets = self.buckets
         if buckets:
             last = buckets[-1]
             if last.idx == idx:
@@ -172,52 +152,28 @@ class Series:
                 raise ObsError(
                     f"series {self.key!r}: time went backwards "
                     f"(bucket {idx} after {last.idx})")
-        buckets.append(Bucket(idx, value))
-        if len(buckets) > tier.capacity:
-            self._enforce(0)
-
-    def _enforce(self, level: int) -> None:
-        """Fold a tier's overflow into the next tier (recursively)."""
-        tier = self.tiers[level]
-        while len(tier.buckets) > tier.capacity:
-            oldest = tier.buckets.pop(0)
-            if level + 1 >= len(self.tiers):
+            if len(buckets) == buckets.maxlen:
+                self._horizon = buckets[0].idx
                 self.dropped += 1
-                continue
-            nxt = self.tiers[level + 1]
-            # Index of the finer bucket re-expressed at the coarser
-            # interval; both intervals share t=0 so integer division
-            # by the factor is exact.
-            factor = round(nxt.interval / tier.interval)
-            idx = oldest.idx // factor
-            if nxt.buckets and nxt.buckets[-1].idx == idx:
-                nxt.buckets[-1].fold(oldest)
-            else:
-                fresh = Bucket(idx, oldest.last)
-                fresh.count = oldest.count
-                fresh.total = oldest.total
-                fresh.min = oldest.min
-                fresh.max = oldest.max
-                nxt.buckets.append(fresh)
-                self._enforce(level + 1)
+        buckets.append(Bucket(idx, value))
+
+    def check_window(self, start: float) -> None:
+        """Raise :class:`ObsError` if ``[start, ...]`` reaches a bucket
+        this ring dropped."""
+        if self.dropped and start <= self._horizon * self.interval:
+            raise ObsError(
+                f"series {self.key!r}: window from t={start:g} reaches "
+                f"a dropped bucket; the ring keeps the last "
+                f"{self.buckets.maxlen} of {self.interval:g} s")
 
     # -- reads -------------------------------------------------------------
 
     def samples(self, start: float = -math.inf,
                 end: float = math.inf) -> list[tuple[float, Bucket]]:
-        """``(t, bucket)`` pairs in [start, end], oldest first.
-
-        Walks coarse → fine so older rolled-up history precedes the
-        recent full-resolution window; tiers never overlap in time
-        (folding removes from the finer tier).
-        """
-        out: list[tuple[float, Bucket]] = []
-        for tier in reversed(self.tiers):
-            for bucket in tier.buckets:
-                t = bucket.idx * tier.interval
-                if start <= t <= end:
-                    out.append((t, bucket))
-        return out
+        """``(t, bucket)`` pairs in [start, end], oldest first."""
+        interval = self.interval
+        return [(t, b) for b in self.buckets
+                if start <= (t := b.idx * interval) <= end]
 
     def points(self, start: float = -math.inf,
                end: float = math.inf) -> list[tuple[float, float]]:
@@ -229,12 +185,7 @@ class Series:
     @property
     def latest(self) -> Optional[float]:
         """The most recent observed value (None when empty)."""
-        # The base tier always holds the newest bucket (folding only
-        # evicts oldest-first), so the first non-empty tier is enough.
-        for tier in self.tiers:
-            if tier.buckets:
-                return tier.buckets[-1].last
-        return None
+        return self.buckets[-1].last if self.buckets else None
 
     def to_json(self) -> dict:
         return {
@@ -242,23 +193,15 @@ class Series:
             "labels": {k: v for k, v in self.labels},
             "kind": self.kind,
             "dropped": self.dropped,
-            "tiers": [
-                {"interval": tier.interval,
-                 "samples": [b.to_row(tier.interval)
-                             for b in tier.buckets]}
-                for tier in self.tiers],
+            "samples": [b.to_row(self.interval) for b in self.buckets],
         }
 
 
 class TimeSeriesDB:
-    """Labelled ring series with rollups and windowed queries."""
+    """Labelled ring series with windowed queries."""
 
-    def __init__(self, interval: float = 1.0, capacity: int = 240,
-                 rollup_factor: int = 4, n_tiers: int = 3) -> None:
+    def __init__(self, interval: float = 1.0) -> None:
         self.interval = interval
-        self.capacity = capacity
-        self.rollup_factor = rollup_factor
-        self.n_tiers = n_tiers
         self._series: dict[str, Series] = {}
 
     def __len__(self) -> int:
@@ -273,10 +216,7 @@ class TimeSeriesDB:
         key = series_key(name, labels)
         s = self._series.get(key)
         if s is None:
-            s = Series(name, labels, kind=kind,
-                       interval=self.interval, capacity=self.capacity,
-                       rollup_factor=self.rollup_factor,
-                       n_tiers=self.n_tiers)
+            s = Series(name, labels, kind=kind, interval=self.interval)
             self._series[key] = s
         return s
 
@@ -299,11 +239,15 @@ class TimeSeriesDB:
 
     def _window(self, name: str, labels: Sequence, window: float,
                 now: float) -> list[tuple[float, Bucket]]:
+        """The buckets in ``[now - window, now]``; raises
+        :class:`ObsError` rather than answer from a ring that dropped
+        part of the window."""
         if window <= 0:
             raise ObsError(f"window must be positive, got {window!r}")
         s = self.get(name, labels)
         if s is None:
             return []
+        s.check_window(now - window)
         return s.samples(now - window, now)
 
     def avg_over_time(self, name: str, labels: Sequence = (), *,
@@ -368,9 +312,6 @@ class TimeSeriesDB:
         """JSON-serialisable document of every series, sorted keys."""
         return {
             "interval": self.interval,
-            "capacity": self.capacity,
-            "rollup_factor": self.rollup_factor,
-            "n_tiers": self.n_tiers,
             "series": {key: self._series[key].to_json()
                        for key in sorted(self._series)},
         }

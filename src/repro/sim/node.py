@@ -9,7 +9,7 @@ all benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.sim.transport import NetStack
 from repro.telemetry import TelemetryRegistry
 from repro.units import MB, usec
 
-__all__ = ["KernelCostModel", "NodeConfig", "Node"]
+__all__ = ["KernelCostModel", "KERNEL_COSTS", "NodeConfig", "Node"]
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,10 @@ class KernelCostModel:
         return self.receive_base + self.receive_per_byte * size
 
 
+#: The one cost model every node, simulated or live, charges by.
+KERNEL_COSTS = KernelCostModel()
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """Static hardware description of a node.
@@ -90,7 +94,6 @@ class NodeConfig:
     mflops_per_cpu: float = 17.4
     memory_bytes: float = MB(512)
     disk_rate: float = MB(20)
-    costs: KernelCostModel = field(default_factory=KernelCostModel)
 
 
 class Node:
@@ -113,7 +116,7 @@ class Node:
         self.stack = NetStack(
             env, name, fabric, rng,
             kernel_charge=self.charge_kernel_seconds,
-            receive_cost=self.config.costs.receive_cost,
+            receive_cost=KERNEL_COSTS.receive_cost,
             telemetry=self.telemetry)
         #: Attached subsystems (dproc toolkit, applications) by name.
         self.services: dict[str, Any] = {}
@@ -122,7 +125,7 @@ class Node:
 
     @property
     def costs(self) -> KernelCostModel:
-        return self.config.costs
+        return KERNEL_COSTS
 
     def charge_kernel_seconds(self, seconds: float) -> None:
         """Consume ``seconds`` of one-CPU kernel time (asynchronously).

@@ -13,6 +13,7 @@ from repro.dproc.modules.base import MonitoringModule
 from repro.errors import ControlSyntaxError, DprocError
 from repro.dproc.control_file import parse_command
 from repro.kecho import ControlMessage, KechoBus
+from repro.kecho.control import control_message_size
 from repro.sim import build_cluster
 
 
@@ -253,6 +254,28 @@ class TestRemoteControl:
         env.run(until=2.0)
         assert b.filters.filter_for("cpu").filter_id == "f1"
         assert [f.filter_id for f in b.filters.deployed()] == ["f1"]
+        assert b.node.telemetry.value("dmon.control_rejected") == 1
+
+    def test_control_to_self_is_applied_not_sent(self, env, cluster3):
+        a, b = deploy_pair(cluster3)
+        env.run(until=1.0)
+        submits = "kecho.dproc.control.submits"
+        before = a.node.telemetry.value(submits)
+        a.send_control(ControlMessage("alan", "alan", "period cpu 3"))
+        assert a.policies[MetricId.LOADAVG].period == 3.0
+        assert a.node.telemetry.value(submits) == before
+
+    def test_peer_message_naming_the_target_as_sender_is_handled(
+            self, env, cluster3):
+        """A message whose sender is the receiving host's own name is
+        applied, or counted when it cannot be: never dropped unseen."""
+        a, b = deploy_pair(cluster3)
+        env.run(until=1.0)
+        for command in ("period cpu 3", "period nosuch 1"):
+            msg = ControlMessage("maui", "maui", command)
+            a._control_ep.submit(msg, size=control_message_size(msg))
+        env.run(until=2.0)
+        assert b.policies[MetricId.LOADAVG].period == 3.0
         assert b.node.telemetry.value("dmon.control_rejected") == 1
 
     def test_send_control_requires_started(self, cluster3):

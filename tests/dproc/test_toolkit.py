@@ -10,7 +10,8 @@ import pytest
 from repro.dproc import Dproc, MetricId, Roster, deploy_dproc, procfs
 from repro.dproc.toolkit import CONTROL_LOG_LINES
 from repro.kecho import KechoBus
-from repro.errors import ControlSyntaxError, DprocError, ProcfsError
+from repro.errors import (ControlSyntaxError, DprocError, ProcfsError,
+                          UnknownMetricError)
 
 
 @pytest.fixture
@@ -227,6 +228,19 @@ class TestControlWrites:
         assert len(lines) == CONTROL_LOG_LINES
         assert lines[0] == f"period cpu {extra + 1}"
         assert lines[-1] == f"period cpu {CONTROL_LOG_LINES + extra}"
+
+    def test_refused_command_leaves_the_applied_ones_in_the_log(
+            self, env, dprocs):
+        """A local write applies its commands in order; when one is
+        refused, the control file reads back exactly the ones that
+        took effect."""
+        env.run(until=1.0)
+        alan = dprocs["alan"]
+        with pytest.raises(UnknownMetricError):
+            alan.write("/proc/cluster/alan/control",
+                       "period  mem 3\nthreshold nosuchmetric above 1")
+        assert alan.dmon.policies[MetricId.FREEMEM].period == 3.0
+        assert alan.read("/proc/cluster/alan/control") == "period mem 3\n"
 
     def test_bad_command_rejected_locally(self, dprocs):
         with pytest.raises(ControlSyntaxError):

@@ -40,6 +40,13 @@ class TestDashboard:
         assert "dmon.polls" in out
         assert "kecho." not in out
 
+    def test_interval_too_short_for_a_rule_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--nodes", "3", "--duration", "1", "--interval", "0.01"])
+        assert exit_info.value.code == 2
+        assert "longer than the 2.39 s a series holds" \
+            in capsys.readouterr().err
+
     def test_no_match_grep_says_so(self, capsys):
         assert main(ARGS + ["--grep", "zzz-nothing"]) == 0
         assert "(no series matched)" in capsys.readouterr().out
@@ -62,7 +69,7 @@ class TestExports:
         assert main(ARGS + ["--export", "json"]) == 0
         first = capsys.readouterr().out
         doc = json.loads(first)
-        assert doc["schema"] == "repro.obs/1"
+        assert doc["schema"] == "repro.obs/2"
         assert doc["samples_taken"] == 9
         assert main(ARGS + ["--export", "json"]) == 0
         assert capsys.readouterr().out == first

@@ -9,6 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario, ScenarioError
+from repro.obs import (SERIES_CAPACITY, HealthRule, ObservabilityPlane,
+                       ObsError)
 
 
 def run_scenario(*, obs: bool, nodes: int = 6, seed: int = 3,
@@ -78,6 +80,21 @@ class TestScenarioGuards:
     def test_scrape_port_rejected_on_sim(self):
         with pytest.raises(ScenarioError):
             Scenario(nodes=4).with_observability(scrape_port=0)
+
+    def test_rule_window_longer_than_the_ring_is_refused(self):
+        """A series keeps SERIES_CAPACITY samples, so a rule reading
+        further back would be answered short; the plane refuses it."""
+        longest = (SERIES_CAPACITY - 1) * 0.5
+        ObservabilityPlane(sample_interval=0.5, rules=[
+            HealthRule(name="r", metric="m", threshold=1.0,
+                       window=longest)])
+        with pytest.raises(ObsError, match="longer than"):
+            ObservabilityPlane(sample_interval=0.5, rules=[
+                HealthRule(name="r", metric="m", threshold=1.0,
+                           window=longest + 0.5)])
+        # The stock rules read 10 s windows.
+        with pytest.raises(ObsError, match="longer than"):
+            ObservabilityPlane(sample_interval=0.01)
 
     def test_chaos_obs_flag_attaches_plane(self):
         from repro.harness.chaos import chaos_recovery

@@ -1,4 +1,4 @@
-"""The ring-buffer TSDB: tiers, queries, determinism."""
+"""The ring-buffer TSDB: one ring per series, queries, determinism."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from repro.obs import ObsError, Series, TimeSeriesDB, series_key
+from repro.obs import (SERIES_CAPACITY, ObsError, Series,
+                       TimeSeriesDB, series_key)
 
 
 class TestSeriesKey:
@@ -51,48 +52,36 @@ class TestSeriesRings:
         assert s.samples() == []
         assert s.latest is None
 
-    def test_overflow_folds_into_coarser_tier(self):
-        s = Series("m", interval=1.0, capacity=4, rollup_factor=4,
-                   n_tiers=2)
-        for t in range(8):
+    def test_full_ring_drops_oldest_and_counts(self):
+        s = Series("m", interval=1.0, capacity=4)
+        for t in range(6):
             s.observe(float(t), float(t))
-        base, coarse = s.tiers[0], s.tiers[1]
-        assert len(base.buckets) == 4
-        assert len(coarse.buckets) == 1
-        folded = coarse.buckets[0]
-        # t=0..3 rolled up into one 4s bucket.
-        assert folded.count == 4
-        assert folded.min == 0.0 and folded.max == 3.0
-        assert folded.last == 3.0
-        assert s.dropped == 0
-
-    def test_coarsest_tier_drops_and_counts(self):
-        s = Series("m", interval=1.0, capacity=2, rollup_factor=2,
-                   n_tiers=2)
-        for t in range(20):
-            s.observe(float(t), 1.0)
-        assert s.dropped > 0
-        total_buckets = sum(len(t.buckets) for t in s.tiers)
-        assert total_buckets <= 4  # 2 tiers x capacity 2
+        assert [t for t, _ in s.samples()] == [2.0, 3.0, 4.0, 5.0]
+        assert s.dropped == 2
 
     def test_memory_is_bounded_regardless_of_run_length(self):
-        s = Series("m", interval=1.0, capacity=8, rollup_factor=4,
-                   n_tiers=3)
+        s = Series("m", interval=1.0, capacity=8)
         for t in range(5000):
             s.observe(float(t), float(t))
-        assert sum(len(t.buckets) for t in s.tiers) <= 24
+        assert len(s.buckets) == 8
+        assert s.dropped == 5000 - 8
 
-    def test_samples_ordered_oldest_first_across_tiers(self):
-        s = Series("m", interval=1.0, capacity=4, rollup_factor=4,
-                   n_tiers=2)
+    def test_default_capacity_is_the_module_constant(self):
+        s = Series("m", interval=1.0)
+        for t in range(SERIES_CAPACITY + 5):
+            s.observe(float(t), 1.0)
+        assert len(s.samples()) == SERIES_CAPACITY
+        assert s.dropped == 5
+
+    def test_samples_ordered_oldest_first(self):
+        s = Series("m", interval=1.0, capacity=4)
         for t in range(12):
             s.observe(float(t), float(t))
         times = [t for t, _ in s.samples()]
         assert times == sorted(times)
 
-    def test_latest_survives_folding(self):
-        s = Series("m", interval=1.0, capacity=2, rollup_factor=2,
-                   n_tiers=3)
+    def test_latest_survives_dropping(self):
+        s = Series("m", interval=1.0, capacity=2)
         for t in range(30):
             s.observe(float(t), float(t) * 10)
         assert s.latest == 290.0
@@ -102,8 +91,6 @@ class TestSeriesRings:
             Series("m", interval=0.0)
         with pytest.raises(ObsError):
             Series("m", capacity=0)
-        with pytest.raises(ObsError):
-            Series("m", rollup_factor=1)
 
 
 class TestQueries:
@@ -166,6 +153,29 @@ class TestQueries:
             db.quantile_over_time(1.5, "gauge", (), window=1.0,
                                   now=1.0)
 
+    @pytest.mark.parametrize("query", [
+        lambda db, w: db.rate("m", (), window=w, now=299.0),
+        lambda db, w: db.avg_over_time("m", (), window=w, now=299.0),
+        lambda db, w: db.min_over_time("m", (), window=w, now=299.0),
+        lambda db, w: db.max_over_time("m", (), window=w, now=299.0),
+        lambda db, w: db.quantile_over_time(0.5, "m", (), window=w,
+                                            now=299.0),
+    ], ids=["rate", "avg", "min", "max", "quantile"])
+    def test_window_past_a_full_ring_is_refused(self, query):
+        """Once the ring has dropped buckets, a window that reaches one
+        raises instead of answering from the buckets left."""
+        db = TimeSeriesDB(interval=1.0)
+        for t in range(300):
+            db.observe("m", (), float(t), float(t), kind="counter")
+        # The ring holds t = 60..299; t = 59 was the last dropped.
+        assert not math.isnan(query(db, SERIES_CAPACITY - 1.0))
+        with pytest.raises(ObsError, match="dropped bucket"):
+            query(db, float(SERIES_CAPACITY))
+
+    def test_a_ring_that_never_dropped_answers_any_window(self, db):
+        assert db.avg_over_time("gauge", (("node", "n0"),),
+                                window=1e6, now=9.0) == pytest.approx(4.5)
+
     def test_keys_filter_and_sorted(self, db):
         assert db.keys() == ["cum{node=n0}", "gauge{node=n0}"]
         assert db.keys("gauge") == ["gauge{node=n0}"]
@@ -175,8 +185,8 @@ class TestQueries:
 
 class TestExportDeterminism:
     def _build(self):
-        db = TimeSeriesDB(interval=0.5, capacity=8)
-        for t in range(40):
+        db = TimeSeriesDB(interval=0.5)
+        for t in range(SERIES_CAPACITY + 40):
             for node in ("b", "a"):
                 db.observe("m", (("node", node),), t * 0.5,
                            float(t))
@@ -192,3 +202,11 @@ class TestExportDeterminism:
         assert json.dumps(doc, sort_keys=True,
                           separators=(",", ":")) == text
         assert sorted(doc["series"]) == list(doc["series"])
+
+    def test_a_run_longer_than_the_ring_exports_its_last_samples(self):
+        doc = json.loads(self._build().export_json())
+        assert set(doc) == {"interval", "series"}
+        series = doc["series"]["m{node=a}"]
+        assert series["dropped"] == 40
+        assert len(series["samples"]) == SERIES_CAPACITY
+        assert series["samples"][0][0] == 40 * 0.5

@@ -334,7 +334,7 @@ class TestControlBodies:
         before = telemetry.value("dmon.control_rejected")
         dmon._on_control_event(event, None)
         counted = telemetry.value("dmon.control_rejected") - before
-        if msg.target != dmon.node.name or msg.sender == dmon.node.name:
+        if msg.target != dmon.node.name:
             assert counted == 0  # not this node's message
             return
         try:
@@ -343,3 +343,15 @@ class TestControlBodies:
             assert counted == 1
         else:
             assert counted in (0, 1)  # applied, or rejected at apply
+
+    def test_body_naming_the_target_as_its_sender_is_handled(self):
+        """A peer that puts the target's own name in ``sender`` has its
+        command applied, or counted when it cannot be applied."""
+        dmon = _control_target()
+        telemetry = dmon.node.telemetry
+        for command in ("period cpu 2", "period nosuch 1"):
+            _tag, event = decode_frame(_control_frame(
+                {"sender": "maui", "target": "maui", "command": command}))
+            dmon._on_control_event(event, None)
+        assert dmon.policies[MetricId.LOADAVG].period == 2.0
+        assert telemetry.value("dmon.control_rejected") == 1

@@ -65,7 +65,7 @@ KNOBS = {
     "DMonConfig": ["poll_interval", "payload_padding", "metric_subset",
                    "subscribe_monitoring"],
     "NodeConfig": ["n_cpus", "mflops_per_cpu", "memory_bytes",
-                   "disk_rate", "costs"],
+                   "disk_rate"],
     "BatchConfig": ["max_bytes", "max_delay"],
     "FlowConfig": ["high_watermark", "low_watermark", "max_deferred"],
     "Scenario.__init__": ["nodes", "seed", "backend", "dmon", "modules",
