@@ -41,10 +41,9 @@ from typing import Callable, Optional, Sequence, Union
 from repro.dproc.dmon import DMonConfig
 from repro.dproc.toolkit import DEFAULT_MODULES, Dproc
 from repro.errors import ReproError
-from repro.runtime.deployment import Deployment
+from repro.runtime.deployment import Deployment, default_names
 from repro.runtime.protocol import NodeGroup, Runtime
 from repro.runtime.sim import SimRuntime
-from repro.sim.cluster import default_names
 
 __all__ = ["Scenario", "ScenarioError"]
 

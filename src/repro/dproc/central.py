@@ -17,15 +17,17 @@ architectures as the cluster grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.dproc.dmon import BYTES_PER_RECORD, EVENT_HEADER_BYTES
 from repro.dproc.metrics import MetricId
 from repro.dproc.modules import default_modules
 from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
-from repro.sim.cluster import Cluster
-from repro.sim.node import Node
+
+if TYPE_CHECKING:
+    from repro.sim.cluster import Cluster
+    from repro.sim.node import Node
 
 __all__ = ["CentralCollector", "PERIOD", "DAEMON_CROSSING_COST"]
 

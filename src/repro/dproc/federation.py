@@ -24,18 +24,19 @@ design at grid scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.dproc.aggregate import ClusterView
 from repro.dproc.metrics import MetricId
 from repro.dproc.procfs import ProcFile
 from repro.dproc.toolkit import Dproc
 from repro.errors import DprocError, NetworkError
-from repro.sim.cluster import Cluster
-from repro.sim.core import Environment, Process
-from repro.sim.node import Node
-from repro.sim.stores import Store
 from repro.units import mbps, msec
+
+if TYPE_CHECKING:
+    from repro.sim.cluster import Cluster
+    from repro.sim.core import Environment, Process
+    from repro.sim.node import Node
 
 __all__ = ["SiteSummary", "WanLink", "Site", "GridFederation"]
 
@@ -115,8 +116,8 @@ class WanLink:
             }
             for name, n in self.endpoints.items()
         }
-        self._queues: dict[str, Store] = {a.name: Store(env),
-                                          b.name: Store(env)}
+        from repro.sim.stores import Store
+        self._queues = {a.name: Store(env), b.name: Store(env)}
         self._handlers: dict[str, object] = {}
         for name in self.endpoints:
             env.process(self._pump(name), name=f"wan-pump:{name}")

@@ -12,11 +12,15 @@ exists to exercise dproc's run-time extensibility
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.dproc.metrics import MetricId
 from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 from repro.runtime.protocol import RuntimeNode
-from repro.sim.power import Battery
+
+if TYPE_CHECKING:
+    from repro.sim.power import Battery
 
 __all__ = ["BatteryMon"]
 

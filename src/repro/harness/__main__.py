@@ -18,8 +18,6 @@ import importlib
 import sys
 import time
 
-from repro.harness.reporting import EXPERIMENTS, run_experiment
-
 #: First argument → the module whose ``main(argv)`` takes the rest.
 SUBCOMMANDS = {
     "trace": "repro.harness.tracecli",
@@ -35,6 +33,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         module = importlib.import_module(SUBCOMMANDS[argv[0]])
         return module.main(argv[1:])
+    # The figure registry loads the simulator: only figure runs pay.
+    from repro.harness.reporting import EXPERIMENTS, run_experiment
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the dproc paper's evaluation figures.")

@@ -16,7 +16,6 @@ import argparse
 from typing import Callable, Optional
 
 from repro.api import Scenario
-from repro.harness.chaos import chaos_recovery
 
 __all__ = ["add_run_options", "build_scenario", "run_scenario"]
 
@@ -83,6 +82,7 @@ def run_scenario(args, configure: Callable[[Scenario], object],
         if getattr(args, "backend", "sim") != "sim":
             raise SystemExit("--faults needs the simulator's fault "
                              "injector; drop --backend live")
+        from repro.harness.chaos import chaos_recovery
         return chaos_recovery(
             nodes=args.nodes, seed=args.seed, duration=args.duration,
             configure=lambda sc: configure(_place(sc, args))).scenario

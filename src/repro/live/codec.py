@@ -279,6 +279,19 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
     return tag, ChannelEvent(channel, source, payload, size, submitted_at)
 
 
+def _frame_length(buf, pos: int) -> int:
+    """The length prefix at ``pos``, refused when zero or past
+    :data:`MAX_FRAME_BYTES`."""
+    (length,) = _U32.unpack_from(buf, pos)
+    if length == 0:
+        raise ChannelError("zero-length frame on the wire")
+    if length > MAX_FRAME_BYTES:
+        raise ChannelError(
+            f"frame of {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte bound")
+    return length
+
+
 def encode_batch(frames: Sequence[bytes]) -> bytes:
     """One socket write of whole frames, each with its length prefix.
 
@@ -291,10 +304,15 @@ def encode_batch(frames: Sequence[bytes]) -> bytes:
 class FrameDecoder:
     """Incremental splitter: feed stream chunks, get whole frames.
 
-    Zero-length and oversized frames are protocol errors.
+    A chunk may be a view of a buffer the caller reuses for the next
+    read: each whole frame's body is copied straight out of it, once,
+    and only a trailing partial frame is kept, until the chunks behind
+    it complete it.  Zero-length and oversized frames are protocol
+    errors.
     """
 
     def __init__(self) -> None:
+        #: The partial frame (length prefix included) awaiting more.
         self._buf = bytearray()
 
     @property
@@ -302,30 +320,36 @@ class FrameDecoder:
         """Bytes buffered waiting for the rest of a frame."""
         return len(self._buf)
 
-    def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; return every now-complete frame body."""
+    def feed(self, data) -> list[bytes]:
+        """Absorb ``data`` (any bytes-like); return every now-complete
+        frame body."""
+        view = memoryview(data)
+        have = len(view)
         buf = self._buf
-        buf += data
         frames: list[bytes] = []
-        pos, have = 0, len(buf)
-        try:
-            while have - pos >= 4:
-                (length,) = _U32.unpack_from(buf, pos)
-                if length == 0:
-                    raise ChannelError("zero-length frame on the wire")
-                if length > MAX_FRAME_BYTES:
-                    raise ChannelError(
-                        f"frame of {length} bytes exceeds the "
-                        f"{MAX_FRAME_BYTES}-byte bound")
-                end = pos + 4 + length
-                if end > have:
-                    break
-                frames.append(bytes(buf[pos + 4:end]))
-                pos = end
-        finally:
-            # Consumed frames leave the buffer once per call, also on
-            # the way out of a protocol error.
-            del buf[:pos]
+        pos = 0
+        if buf:
+            # Complete the held frame first: its prefix, then its body.
+            if len(buf) < 4:
+                pos = min(4 - len(buf), have)
+                buf += view[:pos]
+                if len(buf) < 4:
+                    return frames
+            end = 4 + _frame_length(buf, 0)
+            take = min(end - len(buf), have - pos)
+            buf += view[pos:pos + take]
+            pos += take
+            if len(buf) < end:
+                return frames
+            frames.append(bytes(buf[4:]))
+            buf.clear()
+        while have - pos >= 4:
+            end = pos + 4 + _frame_length(view, pos)
+            if end > have:
+                break
+            frames.append(bytes(view[pos + 4:end]))
+            pos = end
+        buf += view[pos:]
         return frames
 
     def finish(self) -> None:

@@ -2,10 +2,12 @@
 
 Satisfies :class:`repro.runtime.protocol.RuntimeNode` with the exact
 attribute surface d-mon, KECho and the toolkit use: ``env`` (the shared
-:class:`~repro.live.clock.AsyncClock`), ``rng``, ``costs`` (the same
-:data:`~repro.sim.node.KERNEL_COSTS` — live costs are *accounted*,
-not simulated, so the telemetry/overhead reports stay comparable),
-``telemetry``, ``stack`` and ``spawn``.
+:class:`~repro.live.clock.AsyncClock`), ``rng`` (a
+:class:`~repro.live.rng.HostRng`: numpy's draws, without numpy),
+``costs`` (the same :data:`~repro.runtime.costs.KERNEL_COSTS` the
+simulator charges — live costs are *accounted*, not simulated, so the
+telemetry/overhead reports stay comparable), ``telemetry``, ``stack``
+and ``spawn``.
 
 ``cpu`` and ``memory`` expose just enough of the simulated devices'
 shape for the toolkit's standard ``/proc/loadavg`` and
@@ -21,11 +23,10 @@ from __future__ import annotations
 import os
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.live.clock import AsyncClock, LiveTask
+from repro.live.rng import HostRng
 from repro.live.transport import LiveStack
-from repro.sim.node import KERNEL_COSTS
+from repro.runtime.costs import KERNEL_COSTS
 from repro.telemetry import TelemetryRegistry
 
 __all__ = ["LiveNode", "HostCpu", "HostMemory"]
@@ -110,7 +111,7 @@ class LiveNode:
                  seed: int = 0, index: int = 0) -> None:
         self.name = name
         self.env = clock
-        self.rng = np.random.default_rng([seed, index])
+        self.rng = HostRng(seed, index)
         self.costs = KERNEL_COSTS
         self.telemetry = TelemetryRegistry(scope=name)
         self.stack = LiveStack(name, self.telemetry)

@@ -28,7 +28,7 @@ from repro.live.modules import host_module_factory
 from repro.live.node import LiveNode
 from repro.live.registry import RegistryClient, RegistryServer
 from repro.live.transport import BatchConfig, in_flight
-from repro.sim.cluster import default_names
+from repro.runtime.deployment import default_names
 from repro.telemetry import TelemetryRegistry
 
 __all__ = ["LiveRuntime", "LiveNodeGroup"]

@@ -9,13 +9,19 @@ simulator's ``NetStack`` exactly — ``bind``/``unbind`` a tag handler,
 fan-out — so :class:`repro.kecho.channel.ChannelEndpoint` runs on it
 unchanged.
 
-Receiving is one :class:`asyncio.Protocol` per accepted connection:
-``data_received`` feeds a :class:`~repro.live.codec.FrameDecoder` and
-hands each decoded :class:`~repro.kecho.event.ChannelEvent` straight
-to the handler bound for its tag — no reader task, no stream buffer
-and no per-delivery wrapper.  A decoded event is that delivery's own
-copy.  A frame that does not decode counts ``net.rx_decode_errors``:
-one that carries the codec's magic is skipped, since its length prefix
+Receiving is one :class:`asyncio.BufferedProtocol` per accepted
+connection.  Every socket of a stack is read into the stack's one
+receive buffer of :data:`RX_BUFFER_BYTES` — held for the stack's life,
+so a read allocates nothing — and ``buffer_updated`` splits what
+arrived by the frames' length prefixes: each whole frame's body is
+copied out of the buffer once, and only a partial frame's tail is kept,
+in the connection's :class:`~repro.live.codec.FrameDecoder`, until the
+reads behind it complete it.  Each decoded
+:class:`~repro.kecho.event.ChannelEvent` goes straight to the handler
+bound for its tag — no reader task, no stream buffer and no
+per-delivery wrapper.  A decoded event is that delivery's own copy.
+A frame that does not decode counts ``net.rx_decode_errors``: one
+that carries the codec's magic is skipped, since its length prefix
 delimited it and the frames behind it are whole, while a length the
 splitter refuses or a frame without the magic ends its connection
 only.  EOF inside a frame counts ``net.rx_truncated`` and a tag nobody
@@ -58,12 +64,16 @@ from repro.live.codec import (MAGIC, FrameDecoder, decode_frame,
 from repro.runtime.protocol import OnFail
 
 __all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig",
-           "in_flight", "DIAL_TIMEOUT", "CLOSE_TIMEOUT"]
+           "in_flight", "DIAL_TIMEOUT", "CLOSE_TIMEOUT",
+           "RX_BUFFER_BYTES"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
 
 #: The first two bytes of every frame body of this codec.
 _MAGIC = MAGIC.to_bytes(2, "big")
+
+#: Bytes of the one buffer each stack reads every accepted socket into.
+RX_BUFFER_BYTES = 64 * 1024
 
 #: Longest wait, in seconds, for a localhost dial to connect.
 DIAL_TIMEOUT = 5.0
@@ -282,6 +292,8 @@ class LiveStack:
         self._server: Optional[asyncio.AbstractServer] = None
         #: Accepted connections, so :meth:`stop` can end each one.
         self._inbound: set[_Inbound] = set()
+        #: The one receive buffer every accepted socket is read into.
+        self.rx_buffer = memoryview(bytearray(RX_BUFFER_BYTES))
         self._t_tx = telemetry.counter("net.tx_frame_bytes")
         self._t_rx = telemetry.counter("net.rx_frame_bytes")
         self._t_undeliverable = telemetry.counter("net.undeliverable")
@@ -389,9 +401,10 @@ class LiveStack:
         return link
 
 
-class _Inbound(asyncio.Protocol):
-    """One accepted connection: frames decode and dispatch in
-    ``data_received``, with no reader task behind them."""
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection: the socket is read into the stack's
+    receive buffer, and frames decode and dispatch in
+    ``buffer_updated``, with no reader task behind them."""
 
     def __init__(self, stack: "LiveStack") -> None:
         self.stack = stack
@@ -405,18 +418,23 @@ class _Inbound(asyncio.Protocol):
         self.transport = transport
         self.stack._inbound.add(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.stack.rx_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         decoder = self.decoder
         if decoder is None:
             return
         stack = self.stack
-        stack._t_rx.inc(len(data))
-        self.received += len(data)
+        stack._t_rx.inc(nbytes)
+        self.received += nbytes
         # A stream that does not split into frames of ours ends this
         # connection only: after garbage the peer's framing cannot be
-        # trusted, and the other sockets keep being served.
+        # trusted, and the other sockets keep being served.  The
+        # decoder copies each frame out of the shared buffer before
+        # the next read reuses it.
         try:
-            frames = decoder.feed(data)
+            frames = decoder.feed(stack.rx_buffer[:nbytes])
         except ChannelError:
             self._refuse()
             return

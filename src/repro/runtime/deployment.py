@@ -5,7 +5,8 @@ live run; a live node pool gives each worker process a slice of the
 hosts.  Every process gets its dprocs from the same frozen, picklable
 :class:`Deployment` — it is what crosses the fork into pool workers —
 and :meth:`Deployment.deploy` is the one place outside the toolkit
-that calls :func:`repro.dproc.toolkit.deploy_dproc`.
+that calls :func:`repro.dproc.toolkit.deploy_dproc`.  The hosts of a
+scenario that names none are :func:`default_names`, on both backends.
 """
 
 from __future__ import annotations
@@ -13,7 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence, Union
 
-__all__ = ["Deployment"]
+__all__ = ["Deployment", "PAPER_NODE_NAMES", "default_names"]
+
+#: Host names in the style of the paper's examples (alan, maui, etna).
+PAPER_NODE_NAMES: tuple[str, ...] = (
+    "alan", "maui", "etna", "kilauea", "fuji", "rainier", "hekla", "hood",
+)
+
+
+def default_names(n: int) -> list[str]:
+    """The paper's eight host names, extended with ``nodeK`` beyond."""
+    return [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
+            else f"node{i}" for i in range(n)]
 
 
 @dataclass(frozen=True)

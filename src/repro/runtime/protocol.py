@@ -138,8 +138,10 @@ class RuntimeNode(Protocol):
 
     * ``name`` — unique host name;
     * ``env`` — the node's :class:`Clock`;
-    * ``rng`` — a ``numpy.random.Generator``;
-    * ``costs`` — a :class:`repro.sim.node.KernelCostModel`;
+    * ``rng`` — a random stream: a ``numpy.random.Generator`` on the
+      simulator; on live a :class:`repro.live.rng.HostRng`, which
+      offers ``uniform`` only (the d-mon's first-poll stagger);
+    * ``costs`` — the :class:`repro.runtime.costs.KernelCostModel`;
     * ``telemetry`` — a :class:`repro.telemetry.TelemetryRegistry`;
     * ``stack`` — the node's :class:`Transport`.
     """

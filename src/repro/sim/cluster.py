@@ -11,18 +11,13 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.runtime.deployment import default_names
 from repro.sim.core import Environment
 from repro.sim.network import Fabric, SharedSegment
 from repro.sim.node import Node, NodeConfig
 from repro.sim.rng import RngHub
 
-__all__ = ["Cluster", "PAPER_NODE_NAMES", "build_cluster",
-           "default_names"]
-
-#: Host names in the style of the paper's examples (alan, maui, etna).
-PAPER_NODE_NAMES: tuple[str, ...] = (
-    "alan", "maui", "etna", "kilauea", "fuji", "rainier", "hekla", "hood",
-)
+__all__ = ["Cluster", "build_cluster"]
 
 
 class Cluster:
@@ -61,12 +56,6 @@ class Cluster:
     @property
     def names(self) -> list[str]:
         return list(self.nodes)
-
-
-def default_names(n: int) -> list[str]:
-    """The paper's eight host names, extended with ``nodeK`` beyond."""
-    return [PAPER_NODE_NAMES[i] if i < len(PAPER_NODE_NAMES)
-            else f"node{i}" for i in range(n)]
 
 
 def build_cluster(env: Environment, nodes: int = 8, *,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError, TransportError
-from repro.sim import (Environment, NodeConfig, PAPER_NODE_NAMES, RngHub,
-                       build_cluster)
+from repro.runtime.deployment import PAPER_NODE_NAMES
+from repro.sim import Environment, NodeConfig, RngHub, build_cluster
 from repro.units import MB
 
 

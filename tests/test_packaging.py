@@ -39,6 +39,28 @@ def test_series_module_loads_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_live_entry_points_load_neither_numpy_nor_the_simulator():
+    """A live process simulates nothing: importing the facade, the
+    toolkit, the live runtime and the ``live`` command, then running a
+    live cluster, loads neither numpy nor any ``repro.sim`` module."""
+    code = "\n".join([
+        "import sys",
+        "import repro.api, repro.dproc, repro.live.runtime",
+        "import repro.harness.livecli",
+        "from repro.api import Scenario",
+        "Scenario(nodes=2, seed=0, backend='live').run(0.3)",
+        "loaded = sorted(m for m in sys.modules",
+        "                if m.split('.')[0] == 'numpy'",
+        "                or m == 'repro.sim' or m.startswith('repro.sim.'))",
+        "assert not loaded, loaded",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", code], capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """Both ways: a declared dependency nothing imports would only
     make every install pay for it."""
