@@ -20,8 +20,6 @@ from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import (DMon, DMonConfig, PEER_DEAD, PEER_FRESH,
                               PEER_STALE, PEER_UNKNOWN, RemoteMetric,
                               register_default_modules)
-from repro.dproc.federation import (GridFederation, Site, SiteSummary,
-                                    WanLink)
 from repro.dproc.filters import DeployedFilter, FilterManager
 from repro.dproc.metrics import (METRIC_CONSTANTS, METRIC_FILES,
                                  MODULE_METRICS, MetricId, metric_by_name)
@@ -38,7 +36,6 @@ from repro.dproc.toolkit import Dproc, deploy_dproc
 __all__ = [
     "ClusterView",
     "CentralCollector",
-    "GridFederation", "Site", "SiteSummary", "WanLink",
     "parse_control_text",
     "ControlRequest", "FilterCommand", "topk_filter", "topk_source",
     "DMon", "DMonConfig", "RecordBatch", "RemoteMetric",

@@ -60,18 +60,6 @@ class ClusterView:
 
     # -- aggregates ---------------------------------------------------------------
 
-    def mean(self, metric: MetricId) -> float:
-        """Mean over fresh readings (NaN when nothing is fresh)."""
-        values = self.snapshot(metric)
-        if not values:
-            return math.nan
-        return sum(values.values()) / len(values)
-
-    def total(self, metric: MetricId) -> float:
-        """Sum over fresh readings (NaN when nothing is fresh)."""
-        values = self.snapshot(metric)
-        return sum(values.values()) if values else math.nan
-
     def extreme(self, metric: MetricId,
                 largest: bool = True) -> tuple[Optional[str], float]:
         """(host, value) with the largest/smallest fresh reading."""

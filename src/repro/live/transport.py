@@ -10,9 +10,9 @@ fan-out — so :class:`repro.kecho.channel.ChannelEndpoint` runs on it
 unchanged.
 
 Receiving is one :class:`asyncio.BufferedProtocol` per accepted
-connection.  Every socket of a stack is read into the stack's one
-receive buffer of :data:`RX_BUFFER_BYTES` — held for the stack's life,
-so a read allocates nothing — and ``buffer_updated`` splits what
+connection.  Every socket of every stack in the process is read into
+one receive buffer of :data:`RX_BUFFER_BYTES` — held for the process's
+life, so a read allocates nothing — and ``buffer_updated`` splits what
 arrived by the frames' length prefixes: each whole frame's body is
 copied out of the buffer once, and only a partial frame's tail is kept,
 in the connection's :class:`~repro.live.codec.FrameDecoder`, until the
@@ -72,8 +72,15 @@ Resolver = Callable[[str], Optional[tuple[str, int]]]
 #: The first two bytes of every frame body of this codec.
 _MAGIC = MAGIC.to_bytes(2, "big")
 
-#: Bytes of the one buffer each stack reads every accepted socket into.
+#: Bytes of the one buffer every accepted socket is read into.
 RX_BUFFER_BYTES = 64 * 1024
+
+# One buffer serves every stack of the process.  That holds because a
+# process runs its stacks on one event loop: each read is split, and
+# every whole frame copied out, in ``buffer_updated`` before the loop
+# makes the next read.  A second loop on another thread would need a
+# buffer of its own.
+_RX_BUFFER = memoryview(bytearray(RX_BUFFER_BYTES))
 
 #: Longest wait, in seconds, for a localhost dial to connect.
 DIAL_TIMEOUT = 5.0
@@ -292,8 +299,6 @@ class LiveStack:
         self._server: Optional[asyncio.AbstractServer] = None
         #: Accepted connections, so :meth:`stop` can end each one.
         self._inbound: set[_Inbound] = set()
-        #: The one receive buffer every accepted socket is read into.
-        self.rx_buffer = memoryview(bytearray(RX_BUFFER_BYTES))
         self._t_tx = telemetry.counter("net.tx_frame_bytes")
         self._t_rx = telemetry.counter("net.rx_frame_bytes")
         self._t_undeliverable = telemetry.counter("net.undeliverable")
@@ -402,7 +407,7 @@ class LiveStack:
 
 
 class _Inbound(asyncio.BufferedProtocol):
-    """One accepted connection: the socket is read into the stack's
+    """One accepted connection: the socket is read into the process's
     receive buffer, and frames decode and dispatch in
     ``buffer_updated``, with no reader task behind them."""
 
@@ -419,7 +424,7 @@ class _Inbound(asyncio.BufferedProtocol):
         self.stack._inbound.add(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self.stack.rx_buffer
+        return _RX_BUFFER
 
     def buffer_updated(self, nbytes: int) -> None:
         decoder = self.decoder
@@ -434,7 +439,7 @@ class _Inbound(asyncio.BufferedProtocol):
         # decoder copies each frame out of the shared buffer before
         # the next read reuses it.
         try:
-            frames = decoder.feed(stack.rx_buffer[:nbytes])
+            frames = decoder.feed(_RX_BUFFER[:nbytes])
         except ChannelError:
             self._refuse()
             return

@@ -88,9 +88,6 @@ class FaultPlane:
                     or self._link_loss or self._default_stall
                     or self._pair_stall)
 
-    def node_down(self, host: str) -> bool:
-        return host in self.down_hosts
-
     def partitioned(self, src: str, dst: str) -> bool:
         """True when an active partition separates the two hosts.
 

@@ -2,17 +2,18 @@
 
 Provides the queueing abstractions used by the higher-level models:
 
-* :class:`Store` — unbounded/bounded FIFO of Python objects (message
-  queues, event receive queues).
+* :class:`Store` — unbounded FIFO of Python objects (a client's
+  event receive queue).
 * :class:`Resource` — counted resource with FIFO request queue (disk
   heads, locks).
 
-All operations return events that processes ``yield`` on.
+Every wait returns an event that processes ``yield`` on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generic, TypeVar
+from collections import deque
+from typing import Generic, TypeVar
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, SimEvent
@@ -22,68 +23,37 @@ __all__ = ["Store", "Resource"]
 T = TypeVar("T")
 
 
-class _StorePut(SimEvent):
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any) -> None:
-        super().__init__(env)
-        self.item = item
-
-
-class _StoreGet(SimEvent):
-    __slots__ = ()
-
-
 class Store(Generic[T]):
-    """FIFO store of items with optional capacity.
+    """Unbounded FIFO store of items.
 
-    ``put(item)`` returns an event that succeeds once the item has been
-    accepted (immediately unless the store is full).  ``get()`` returns
-    an event that succeeds with the oldest item once one is available.
+    ``put(item)`` hands the item to the oldest waiting getter, or
+    buffers it.  ``get()`` returns an event that succeeds with the
+    oldest item once one is available.
     """
 
-    def __init__(self, env: Environment,
-                 capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
-        self.items: list[T] = []
-        self._putters: list[_StorePut] = []
-        self._getters: list[_StoreGet] = []
+        self.items: deque[T] = deque()
+        self._getters: deque[SimEvent] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: T) -> SimEvent:
-        """Offer ``item``; the returned event succeeds on acceptance."""
-        event = _StorePut(self.env, item)
-        self._putters.append(event)
-        self._dispatch()
-        return event
+    def put(self, item: T) -> None:
+        """Hand ``item`` to the oldest waiting getter, or buffer it."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> SimEvent:
         """Request the oldest item; event value is the item."""
-        event = _StoreGet(self.env)
-        self._getters.append(event)
-        self._dispatch()
+        event = SimEvent(self.env)
+        if self.items:
+            event.succeed(self.items.popleft())
+        else:
+            self._getters.append(event)
         return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Move accepted puts into the buffer.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Serve waiting getters from the buffer.
-            while self._getters and self.items:
-                get = self._getters.pop(0)
-                get.succeed(self.items.pop(0))
-                progress = True
 
 
 class _ResourceRequest(SimEvent):

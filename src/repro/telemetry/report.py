@@ -121,8 +121,5 @@ def overhead_summary(registries: Mapping[str, TelemetryRegistry],
                                        "net.drops_congestion"),
             "retransmissions": _total(registries,
                                       "net.retransmissions"),
-            "wan_retries": _total(registries, "wan.retries"),
-            "wan_backoff_seconds": _total(registries,
-                                          "wan.backoff_seconds"),
         },
     }

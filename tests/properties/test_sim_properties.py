@@ -284,7 +284,8 @@ class TestStoreProperties:
 
         def producer():
             for item in items:
-                yield store.put(item)
+                store.put(item)
+                yield env.timeout(0)
 
         def consumer():
             for _ in items:

@@ -92,23 +92,19 @@ class TestBoundedHistories:
 
     def test_no_unbounded_history_in_the_applications(self):
         """The application series off the record path — SmartPointer's
-        stream and client, a WAN link, Linpack and iperf — are bounded
-        too, after a run that fills each of them."""
-        from repro.dproc.federation import WanLink
+        stream and client, Linpack and iperf — are bounded too, after a
+        run that fills each of them."""
         from repro.harness.appbench import (CPU_PROFILE, CPU_RATE,
                                             SmartPointerRig)
         from repro.smartpointer import NoAdaptation
         from repro.workloads import IperfMeasure, Linpack
         rig = SmartPointerRig.build(NoAdaptation(), CPU_PROFILE, CPU_RATE)
         cluster = rig.cluster
-        wan = WanLink(rig.env, cluster["iperf1"], cluster["iperf2"])
         linpack = Linpack(cluster["server"]).start()
         iperf = IperfMeasure(cluster["iperf1"], cluster["iperf2"]).start()
-        wan.send("iperf1", "summary")
         rig.env.run(until=5.0)
-        assert wan.bytes_carried > 0
         assert rig.client.processed.total > 0
-        owners = [rig.client, wan, linpack, iperf,
+        owners = [rig.client, linpack, iperf,
                   *rig.server.streams.values()]
         assert _unbounded(owners) == []
 

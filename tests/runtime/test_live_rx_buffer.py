@@ -1,9 +1,9 @@
-"""The live receive buffer: one per stack, bounded, reused, and no
+"""The live receive buffer: one per process, bounded, reused, and no
 allocation per read.
 
-Every accepted socket of a :class:`LiveStack` is read into the stack's
-one buffer of :data:`RX_BUFFER_BYTES`; ``buffer_updated`` copies each
-whole frame out of it and keeps only a partial frame's tail.
+Every accepted socket of every :class:`LiveStack` in a process is read
+into one buffer of :data:`RX_BUFFER_BYTES`; ``buffer_updated`` copies
+each whole frame out of it and keeps only a partial frame's tail.
 """
 
 from __future__ import annotations
@@ -122,14 +122,32 @@ def test_a_frame_longer_than_the_buffer_arrives_over_a_socket():
 
 
 def test_every_read_of_a_stack_lands_in_its_one_buffer():
+    """Every connection of every stack in the process, whatever size
+    it asks for, reads into the same buffer of ``RX_BUFFER_BYTES``."""
     stack, first, _, _ = _receiver()
     second = _Inbound(stack)
     _, third, _, _ = _receiver()
     views = [first.get_buffer(-1), second.get_buffer(100),
-             first.get_buffer(10 * RX_BUFFER_BYTES)]
+             first.get_buffer(10 * RX_BUFFER_BYTES),
+             third.get_buffer(-1)]
     assert {id(view.obj) for view in views} == {id(views[0].obj)}
     assert all(len(view) == RX_BUFFER_BYTES for view in views)
-    assert third.get_buffer(-1).obj is not views[0].obj
+
+
+def test_two_stacks_sharing_the_buffer_each_get_their_frames():
+    """Interleaved reads of two stacks through the one buffer: each
+    frame is copied out before the next read overwrites it."""
+    _, alan, to_alan, _ = _receiver()
+    _, maui, to_maui, _ = _receiver()
+    frames = [_frame(i) for i in range(4)]
+    for i, frame in enumerate(frames):
+        half = len(frame) // 2
+        _read(alan, frame[:half])
+        _read(maui, frames[-1 - i][:half])
+        _read(alan, frame[half:])
+        _read(maui, frames[-1 - i][half:])
+    assert [event.submitted_at for event in to_alan] == [0.0, 1.0, 2.0, 3.0]
+    assert [event.submitted_at for event in to_maui] == [3.0, 2.0, 1.0, 0.0]
 
 
 def test_a_live_window_allocates_no_read_buffer():

@@ -13,8 +13,8 @@ class TestStore:
         store = Store(env)
 
         def proc():
-            yield store.put("a")
-            yield store.put("b")
+            store.put("a")
+            store.put("b")
             first = yield store.get()
             second = yield store.get()
             return (first, second)
@@ -31,31 +31,12 @@ class TestStore:
 
         def producer():
             yield env.timeout(5.0)
-            yield store.put("late")
+            store.put("late")
 
         env.process(consumer())
         env.process(producer())
         env.run()
         assert log == [(5.0, "late")]
-
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put(1)
-            log.append(("put1", env.now))
-            yield store.put(2)
-            log.append(("put2", env.now))
-
-        def consumer():
-            yield env.timeout(3.0)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert log == [("put1", 0.0), ("put2", 3.0)]
 
     def test_len_counts_buffered_items(self, env):
         store = Store(env)
@@ -63,10 +44,6 @@ class TestStore:
         store.put("y")
         env.run()
         assert len(store) == 2
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
 
     def test_multiple_getters_served_in_order(self, env):
         store = Store(env)
@@ -81,8 +58,8 @@ class TestStore:
 
         def producer():
             yield env.timeout(1.0)
-            yield store.put("x")
-            yield store.put("y")
+            store.put("x")
+            store.put("y")
 
         env.process(producer())
         env.run()

@@ -85,8 +85,9 @@ class TestOverheadSummary:
 
     def test_network_section(self):
         summary = overhead_summary(self.make_cluster(), sim_seconds=1.0)
-        assert summary["network"]["drops_fault"] == 2.0
-        assert summary["network"]["wan_retries"] == 0.0
+        assert summary["network"] == {
+            "drops_fault": 2.0, "drops_congestion": 0.0,
+            "retransmissions": 0.0}
 
     def test_empty_cluster(self):
         summary = overhead_summary({}, sim_seconds=1.0)

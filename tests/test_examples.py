@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.dproc.federation import SUMMARY_BYTES
-
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
@@ -117,19 +115,6 @@ def check_smartpointer_demo(out: str) -> None:
         assert float(latency) < 1.0
 
 
-def check_wide_area_grid(out: str) -> None:
-    # The scheduler avoids the saturated site, and only summaries
-    # cross the WAN: at most one per period each way over 60 s.
-    sites = re.findall(r"^ +(\w+) +\d+ +([\d.]+) +[\d.]+$", out,
-                       re.MULTILINE)
-    assert {site for site, _load in sites} == \
-        {"atlanta", "chicago", "oakridge"}
-    target = re.search(r"place new work on: (\w+)", out).group(1)
-    assert target in ("atlanta", "chicago")
-    wan = number(r"Atlanta<->OakRidge in 60 s: (\d+) B", out)
-    assert 0 < wan <= 2 * (60 / 5 + 1) * SUMMARY_BYTES
-
-
 CHECKS = {
     "quickstart": check_quickstart,
     "custom_filter": check_custom_filter,
@@ -138,7 +123,6 @@ CHECKS = {
     "cluster_top": check_cluster_top,
     "obs_dashboard": check_obs_dashboard,
     "smartpointer_demo": check_smartpointer_demo,
-    "wide_area_grid": check_wide_area_grid,
 }
 
 

@@ -4,6 +4,7 @@ it must leave out."""
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -59,6 +60,56 @@ def test_live_entry_points_load_neither_numpy_nor_the_simulator():
         text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     assert result.returncode == 0, result.stderr
+
+
+def _sim_imports_outside_type_checking(tree: ast.AST,
+                                       package: str) -> list[int]:
+    """Line numbers of ``repro.sim`` imports not under ``if
+    TYPE_CHECKING:`` (``package`` resolves relative imports)."""
+    found = []
+
+    def walk(node: ast.AST, guarded: bool) -> None:
+        if isinstance(node, ast.If):
+            test = node.test
+            name = getattr(test, "id", getattr(test, "attr", None))
+            for child in node.body:
+                walk(child, guarded or name == "TYPE_CHECKING")
+            for child in node.orelse:
+                walk(child, guarded)
+            return
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package)]
+        else:
+            modules = []
+        if not guarded and any(m == "repro.sim"
+                               or m.startswith("repro.sim.")
+                               for m in modules):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            walk(child, guarded)
+
+    walk(tree, False)
+    return found
+
+
+def test_dproc_imports_the_simulator_only_for_type_checking():
+    """The toolkit runs on both backends, so every ``repro.sim`` import
+    under ``repro/dproc``, at module level or inside a function, sits
+    under ``if TYPE_CHECKING:`` and no run of the toolkit needs the
+    simulator."""
+    offenders = {}
+    for path in sorted((SRC / "repro" / "dproc").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        package = module if path.name == "__init__.py" \
+            else module.rpartition(".")[0]
+        lines = _sim_imports_outside_type_checking(
+            ast.parse(path.read_text()), package)
+        if lines:
+            offenders[str(path.relative_to(SRC))] = lines
+    assert offenders == {}
 
 
 def test_every_third_party_import_is_a_declared_dependency():
