@@ -3,11 +3,11 @@
 
 The classic consumer of a monitoring system: a live, whole-cluster
 resource table.  This version tails the broker's ``dproc.monitor``
-stream through a consumer group (read → apply → ack, the
-hsm-action-top pattern) instead of polling one node's /proc/cluster
-snapshot — so its rows are exactly what the channel delivered, it
-keeps working across crashes by replay, and every host that ever
-published appears, whatever subset of metrics it reported.  Alarms
+stream past its own cursor (read → apply, the hsm-action-top
+pattern) instead of polling one node's /proc/cluster snapshot — so
+its rows are exactly what the channel delivered, it keeps working
+across crashes by replay, and every host that ever published
+appears, whatever subset of metrics it reported.  Alarms
 still fire on threshold crossings while it runs.  The closing
 placement answers (least-loaded host, most free memory) come from
 alan's ``ClusterView``, which counts only hosts whose
@@ -28,7 +28,7 @@ from repro.workloads import AmbientActivity, Linpack
 
 
 def draw(top: StreamTop, env, alarms) -> None:
-    applied = top.feed(now=env.now)
+    applied = top.feed()
     print(f"\n--- dtop @ t={env.now:.0f}s "
           f"(+{applied} events from the stream) ---")
     print(top.render(now=env.now))

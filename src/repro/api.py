@@ -338,14 +338,15 @@ class Scenario:
 
         When the scenario also recorded a durable stream, its entries
         are replayed into per-channel ``stream.*`` series once, on
-        first access.
+        first access; a stream whose ring dropped entries raises
+        :class:`~repro.stream.StreamError` instead.
         """
         self._check_wanted(self._obs, "no observability plane; "
                            "call with_observability()")
         self._check_built()
         if self._stream and not self._stream_ingested:
-            self._stream_ingested = True
             self._plane.ingest_stream(self._stream_broker)
+            self._stream_ingested = True
         return self._plane
 
     # -- internals ---------------------------------------------------------

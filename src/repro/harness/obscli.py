@@ -231,9 +231,13 @@ def main(argv: Optional[list] = None) -> int:
             scenario.with_stream()
 
     from repro.obs import ObsError
+    from repro.stream import StreamError
     try:
         scenario = run_scenario(args, instruments)
-    except ObsError as exc:  # e.g. an --interval too short for a rule
+        plane = scenario.obs  # replays the stream into its series
+    except (ObsError, StreamError) as exc:
+        # An --interval too short for a rule, or a stream whose ring
+        # dropped entries the replay needs.
         parser.error(str(exc))
     if args.export is not None:
         return _export(scenario, args.export)
@@ -243,6 +247,6 @@ def main(argv: Optional[list] = None) -> int:
               f"victim {scenario.nodes.names[-1]}")
         print()
     print(render_dashboard(
-        scenario.obs, None if args.no_stream else scenario.stream,
+        plane, None if args.no_stream else scenario.stream,
         grep=args.grep, width=args.width))
     return 0

@@ -1,6 +1,6 @@
 """``python -m repro.harness stream`` — the durable event stream CLI.
 
-Four subcommands over the append-only channel log
+Three subcommands over the append-only channel log
 (:mod:`repro.stream`):
 
 * ``tail`` — run a scenario (or load a dumped stream) and print the
@@ -10,9 +10,11 @@ Four subcommands over the append-only channel log
   the live telemetry registry;
 * ``reconcile`` — replay the stream against d-mon ground truth and
   report missing / duplicated / unexpected / stale entries; exits
-  non-zero when the log and the cluster disagree;
-* ``trim`` — apply the janitor's age/ack retention policy and report
-  what it removed.
+  non-zero when the log and the cluster disagree.
+
+``stats`` and ``reconcile`` replay the whole log, so a stream whose
+ring has dropped entries is a usage error (exit 2); ``tail`` prints
+what the ring holds.
 
 ``--faults`` runs the chaos timeline (loss + partition + crash) so
 every reported drop must be attributed to the fault plane; ``--dump``
@@ -37,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness stream",
         description="Durable event stream: tail, replay-stats, "
-                    "reconcile, trim.")
+                    "reconcile.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -69,13 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconcile",
         help="replay the stream against d-mon ground truth")
     common(p_rec)
-
-    p_trim = sub.add_parser(
-        "trim", help="apply the janitor retention policy")
-    common(p_trim)
-    p_trim.add_argument("--max-age", type=float, default=None,
-                        help="drop entries older than this many "
-                             "seconds (default: ack-state only)")
     return parser
 
 
@@ -108,7 +103,7 @@ def _cmd_tail(args, broker) -> int:
         return 0
     for channel in broker.channels():
         stream = broker.stream(channel)
-        print(f"{channel}  ({len(stream.entries())} entries, "
+        print(f"{channel}  ({len(stream)} entries, "
               f"seq {stream.first_seq}..{stream.last_seq}, "
               f"{stream.trimmed} trimmed)")
         for entry in stream.tail(args.count):
@@ -166,41 +161,25 @@ def _cmd_reconcile(args, broker, scenario) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_trim(args, broker) -> int:
-    from repro.stream import Janitor
-    before = broker.total_entries()
-    janitor = Janitor(broker, max_age=args.max_age)
-    trim = janitor.run(now=args.duration)
-    doc = {"before": before, "after": broker.total_entries(),
-           "removed": dict(trim.removed), "floor": dict(trim.floor)}
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-        return 0
-    print(f"trimmed {trim.total} of {before} entries "
-          f"(max_age={args.max_age})")
-    for channel in sorted(trim.removed):
-        print(f"  {channel}: removed {trim.removed[channel]}, "
-              f"floor seq {trim.floor[channel]}")
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.load is not None:
-        # Replayed from disk: no cluster to check the log against.
-        from repro.stream import StreamBroker
-        broker, scenario = StreamBroker.load(args.load), None
-    else:
-        scenario = run_scenario(args, Scenario.with_stream)
-        broker = scenario.stream
-    if args.dump is not None:
-        broker.dump(args.dump)
-        print(f"[dumped {broker.total_entries()} entries to "
-              f"{args.dump}]", file=sys.stderr)
-    if args.command == "tail":
-        return _cmd_tail(args, broker)
-    if args.command == "stats":
-        return _cmd_stats(args, broker, scenario)
-    if args.command == "reconcile":
+    from repro.stream import StreamBroker, StreamError
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.load is not None:
+            # Replayed from disk: no cluster to check the log against.
+            broker, scenario = StreamBroker.load(args.load), None
+        else:
+            scenario = run_scenario(args, Scenario.with_stream)
+            broker = scenario.stream
+        if args.dump is not None:
+            broker.dump(args.dump)
+            print(f"[dumped {broker.total_entries()} entries to "
+                  f"{args.dump}]", file=sys.stderr)
+        if args.command == "tail":
+            return _cmd_tail(args, broker)
+        if args.command == "stats":
+            return _cmd_stats(args, broker, scenario)
         return _cmd_reconcile(args, broker, scenario)
-    return _cmd_trim(args, broker)
+    except StreamError as exc:  # a replay past a ring, a bad dump
+        parser.error(str(exc))

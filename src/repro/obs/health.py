@@ -299,6 +299,8 @@ def attribute_transitions(transitions: Iterable[HealthTransition],
     strings of the durable stream's DROP entries inside the window
     (``broker`` is the data-plane :class:`repro.stream.StreamBroker`).
     A window with at least one overlapping drop is ``attributed``.
+    A stream whose ring dropped entries raises
+    :class:`~repro.stream.StreamError`.
     """
     from repro.stream import DROP
     windows: list[dict] = []

@@ -163,19 +163,23 @@ class ObservabilityPlane:
         ``stream.deliver_latency`` (per-delivery latency
         distribution).  Returns the number of entries ingested.
         Deterministic: channels sorted, entries in seq order, series
-        points applied in time order.
+        points applied in time order.  A stream whose ring dropped
+        entries raises :class:`~repro.stream.StreamError` before any
+        series is written.
         """
         from repro.stream import DELIVER, DROP, SUBMIT
         interval = self.sample_interval
         kind_series = {SUBMIT: "stream.submits",
                        DELIVER: "stream.delivers",
                        DROP: "stream.drops"}
+        logs = [(channel, broker.entries(channel))
+                for channel in broker.channels()]
         ingested = 0
-        for channel in broker.channels():
+        for channel, entries in logs:
             labels = (("channel", channel),)
             counts: dict[tuple[str, int], int] = {}
             latencies: list[tuple[float, float]] = []
-            for entry in broker.entries(channel):
+            for entry in entries:
                 series = kind_series.get(entry.kind)
                 if series is None:  # pragma: no cover - future kinds
                     continue

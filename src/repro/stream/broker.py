@@ -1,11 +1,14 @@
-"""The append-only stream broker: a Redis-Streams-style durable log.
+"""The append-only stream broker: one bounded log per channel.
 
 One :class:`StreamBroker` tees the whole KECho data plane — submits,
 deliveries and transport drops — into per-channel
-:class:`ChannelStream` logs with monotone entry ids.  Consumers read
-through :class:`ConsumerGroup` cursors with Redis-style ack/pending
-tracking (XREADGROUP / XACK / XPENDING / XCLAIM analogues), and the
-:class:`~repro.stream.janitor.Janitor` trims by age and acked state.
+:class:`ChannelStream` logs with monotone entry ids.  Each log is a
+ring of at most :data:`STREAM_CAPACITY` entries: the oldest falls off
+and is counted in ``trimmed``.  A read that needs a dropped entry —
+the whole-log :meth:`ChannelStream.entries` behind every replay, or a
+:meth:`ChannelStream.read_after` cursor the ring has passed — raises
+:class:`StreamError` rather than answer short; ``tail``,
+``serialize`` and ``dump`` serve what the ring holds.
 
 The tee is *passive*: recording an entry draws no RNG, charges no CPU
 and schedules no simulation events, so enabling the broker leaves the
@@ -20,164 +23,73 @@ their transport reports lost through ``on_fail``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from collections import deque
+from itertools import islice
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import ReproError
 from repro.stream.entry import (DELIVER, DROP, SUBMIT, StreamEntry,
                                 normalize_payload)
 
-__all__ = ["StreamError", "ChannelStream", "ConsumerGroup",
-           "PendingEntry", "StreamBroker"]
+__all__ = ["STREAM_CAPACITY", "StreamError", "ChannelStream",
+           "StreamBroker", "segment_name"]
+
+#: Entries each channel's log keeps: the smallest power of two at
+#: least twice the largest stream a documented run records (153,000
+#: on ``dproc.monitor`` for 50 nodes over 60 s).
+STREAM_CAPACITY = 2 ** 19
+
 
 class StreamError(ReproError):
-    """Misuse of the stream broker (bad seq, unknown group, ...)."""
+    """A read the stream cannot answer whole, or a malformed dump."""
 
 
-@dataclass
-class PendingEntry:
-    """One read-but-unacked entry in a consumer group (XPENDING row)."""
-
-    consumer: str
-    #: Broker time of the last read/claim that handed it out.
-    last_delivered: float
-    #: How many times it has been handed out (reads + claims).
-    delivery_count: int
-
-
-class ConsumerGroup:
-    """A named cursor over one channel stream with ack/pending state.
-
-    ``read`` hands out entries past the group's cursor and parks them
-    in the pending map until ``ack``; ``claim`` reassigns stuck pending
-    entries to another consumer (the crash-recovery path).  The
-    ``acked_floor`` — the highest seq such that every entry at or
-    below it has been read *and* acked — is what the janitor respects.
-    """
-
-    def __init__(self, stream: "ChannelStream", name: str,
-                 start: int = 0) -> None:
-        self.stream = stream
-        self.name = name
-        #: Highest seq handed out so far.
-        self.cursor = int(start)
-        self.pending: dict[int, PendingEntry] = {}
-
-    def read(self, consumer: str, count: Optional[int] = None,
-             now: float = 0.0) -> list[StreamEntry]:
-        """Next unread entries (XREADGROUP ``>``); parked as pending."""
-        out = self.stream.read_after(self.cursor, count)
-        for entry in out:
-            self.pending[entry.seq] = PendingEntry(
-                consumer=consumer, last_delivered=now, delivery_count=1)
-        if out:
-            self.cursor = out[-1].seq
-        return out
-
-    def ack(self, *seqs: int) -> int:
-        """Acknowledge entries by seq; returns how many were pending."""
-        acked = 0
-        for seq in seqs:
-            if self.pending.pop(int(seq), None) is not None:
-                acked += 1
-        return acked
-
-    def pending_for(self, consumer: Optional[str] = None
-                    ) -> dict[int, PendingEntry]:
-        """Pending entries (XPENDING), optionally for one consumer."""
-        if consumer is None:
-            return dict(self.pending)
-        return {seq: p for seq, p in self.pending.items()
-                if p.consumer == consumer}
-
-    def claim(self, consumer: str, seqs: Iterable[int],
-              now: float = 0.0) -> list[StreamEntry]:
-        """Reassign pending entries to ``consumer`` (XCLAIM)."""
-        claimed: list[StreamEntry] = []
-        for seq in seqs:
-            info = self.pending.get(int(seq))
-            if info is None:
-                continue
-            info.consumer = consumer
-            info.last_delivered = now
-            info.delivery_count += 1
-            entry = self.stream.get(int(seq))
-            if entry is not None:
-                claimed.append(entry)
-        return claimed
-
-    @property
-    def acked_floor(self) -> int:
-        """Highest seq with everything at/below it read and acked."""
-        if self.pending:
-            return min(self.pending) - 1
-        return self.cursor
+def segment_name(channel: str) -> str:
+    """Segment file name for ``channel`` (slashes made path-safe)."""
+    return f"segment-{channel.replace('/', '_')}.jsonl"
 
 
 class ChannelStream:
-    """One channel's append-only log with monotone ids.
+    """One channel's log: a ring of the newest ``max_len`` entries.
 
-    Entries are contiguous by ``seq``; trimming drops a prefix, never
-    a middle slice, so ``get`` stays O(1).  ``max_len`` is a hard ring
-    bound (Redis ``XADD MAXLEN``): oldest entries fall off regardless
-    of ack state — use it for bounded-memory benches, and the janitor
-    for policy-driven trims.
-
-    Head drops are lazy: trimmed entries stay in the backing list as a
-    dead prefix (``_head``) until the prefix outgrows the live part,
-    then one compaction pays them all off.  A naive ``del [:1]`` per
-    append is an O(max_len) memmove — at bench fan-outs that one line
-    dominated the whole tee.
+    Seqs are 1-based and contiguous; ``last_seq`` counts every entry
+    ever appended and ``trimmed`` those the ring has dropped.
     """
 
     def __init__(self, channel: str,
-                 max_len: Optional[int] = None) -> None:
+                 max_len: int = STREAM_CAPACITY) -> None:
         self.channel = channel
         self.max_len = max_len
-        self._entries: list[StreamEntry] = []
-        #: Dead-prefix length of ``_entries`` (lazily compacted).
-        self._head = 0
-        self._next_seq = 1
-        #: Entries dropped from the head (by janitor or max_len).
-        self.trimmed = 0
-        self.groups: dict[str, ConsumerGroup] = {}
+        self._entries: deque[StreamEntry] = deque(maxlen=max_len)
+        #: Seq of the newest entry ever appended (0 when none).
+        self.last_seq = 0
 
     def __len__(self) -> int:
-        return len(self._entries) - self._head
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[StreamEntry]:
+        """The entries the ring holds, oldest first."""
+        return iter(self._entries)
 
     @property
     def first_seq(self) -> int:
         """Seq of the oldest retained entry (0 when empty)."""
-        if self._head >= len(self._entries):
-            return 0
-        return self._entries[self._head].seq
+        return self._entries[0].seq if self._entries else 0
 
     @property
-    def last_seq(self) -> int:
-        """Seq of the newest entry ever appended (0 when none)."""
-        return self._next_seq - 1
-
-    def _drop_head(self, n: int) -> None:
-        """Retire ``n`` oldest entries; amortized O(1) per entry."""
-        self._head += n
-        self.trimmed += n
-        if self._head * 2 >= len(self._entries):
-            del self._entries[:self._head]
-            self._head = 0
+    def trimmed(self) -> int:
+        """Entries the ring has dropped from its head."""
+        return self.last_seq - len(self._entries)
 
     def append_entry(self, entry: StreamEntry) -> StreamEntry:
         """Append ``entry`` in place, assigning the next monotone seq.
 
         The tee's hot path: the caller constructs the entry (any seq)
-        and this stamps the id and applies the ``max_len`` ring.
+        and this stamps the id; a full ring drops its oldest entry.
         """
-        entry.seq = self._next_seq
-        self._next_seq += 1
-        entries = self._entries
-        entries.append(entry)
-        if self.max_len is not None \
-                and len(entries) - self._head > self.max_len:
-            self._drop_head(len(entries) - self._head - self.max_len)
+        self.last_seq = entry.seq = self.last_seq + 1
+        self._entries.append(entry)
         return entry
 
     def append(self, **fields: Any) -> StreamEntry:
@@ -185,55 +97,36 @@ class ChannelStream:
         return self.append_entry(
             StreamEntry(seq=0, channel=self.channel, **fields))
 
-    def entries(self) -> tuple[StreamEntry, ...]:
-        """Every retained entry, oldest first."""
-        return tuple(self._entries[self._head:])
-
-    def get(self, seq: int) -> Optional[StreamEntry]:
-        """The entry with ``seq`` (None if trimmed away or unwritten)."""
-        head = self._head
-        if head >= len(self._entries):
-            return None
-        idx = head + (seq - self._entries[head].seq)
-        if idx < head or idx >= len(self._entries):
-            return None
-        return self._entries[idx]
-
     def read_after(self, seq: int,
                    count: Optional[int] = None) -> list[StreamEntry]:
-        """Entries with seq strictly greater than ``seq``, in order."""
-        head = self._head
-        if head >= len(self._entries):
-            return []
-        idx = max(head, head + seq + 1 - self._entries[head].seq)
-        out = self._entries[idx:]
-        if count is not None:
-            out = out[:count]
-        return list(out)
+        """Entries with seq strictly greater than ``seq``, in order.
+
+        Raises :class:`StreamError` when the ring has dropped one.
+        """
+        start = seq - self.trimmed
+        if start < 0:
+            raise StreamError(
+                f"stream {self.channel!r}: entries {seq + 1}.."
+                f"{self.trimmed} fell off its ring of {self.max_len}")
+        if count is None:
+            return self.tail(len(self._entries) - start)
+        return list(islice(self._entries, start, start + count))
+
+    def entries(self) -> tuple[StreamEntry, ...]:
+        """Every entry the channel recorded, oldest first.
+
+        Raises :class:`StreamError` once the ring has dropped any.
+        """
+        return tuple(self.read_after(0))
 
     def tail(self, n: int) -> list[StreamEntry]:
-        """The newest ``n`` retained entries, oldest first."""
-        if n <= 0:
-            return []
-        start = max(self._head, len(self._entries) - n)
-        return list(self._entries[start:])
+        """The newest ``n`` retained entries, oldest first.
 
-    def trim_to(self, seq: int) -> int:
-        """Drop every entry with seq <= ``seq``; returns the count."""
-        first = self.first_seq
-        if not len(self) or seq < first:
-            return 0
-        drop = min(seq - first + 1, len(self))
-        self._drop_head(drop)
-        return drop
-
-    def group(self, name: str, start: int = 0) -> ConsumerGroup:
-        """Get or create the consumer group ``name``."""
-        grp = self.groups.get(name)
-        if grp is None:
-            grp = self.groups[name] = ConsumerGroup(self, name,
-                                                    start=start)
-        return grp
+        Walked from the newest end, so it costs ``n``, not the ring.
+        """
+        out = list(islice(reversed(self._entries), max(n, 0)))
+        out.reverse()
+        return out
 
 
 class StreamBroker:
@@ -297,21 +190,18 @@ class StreamBroker:
     # -- read side ---------------------------------------------------------
 
     def channels(self) -> list[str]:
-        """Sorted channel names with at least one recorded entry."""
+        """Sorted channel names."""
         return sorted(self.streams)
 
     def entries(self, channel: str) -> tuple[StreamEntry, ...]:
+        """Every entry ``channel`` recorded (the replays' one read);
+        raises :class:`StreamError` once its ring has dropped any."""
         st = self.streams.get(channel)
         return st.entries() if st is not None else ()
 
     def total_entries(self) -> int:
         """Retained entries across all channels."""
         return sum(len(st) for st in self.streams.values())
-
-    def group(self, channel: str, name: str,
-              start: int = 0) -> ConsumerGroup:
-        """Get or create consumer group ``name`` on ``channel``."""
-        return self.stream(channel).group(name, start=start)
 
     def serialize(self) -> str:
         """Canonical textual form: JSONL, channels sorted, seq order.
@@ -321,20 +211,60 @@ class StreamBroker:
         """
         lines = []
         for channel in self.channels():
-            for entry in self.streams[channel].entries():
+            for entry in self.streams[channel]:
                 lines.append(json.dumps(entry.to_record(),
                                         sort_keys=True,
                                         separators=(",", ":")))
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def dump(self, directory) -> list:
-        """Write one JSONL segment per channel into ``directory``."""
-        from repro.stream.store import dump_broker
-        return dump_broker(self, directory)
+    # -- persistence -------------------------------------------------------
+
+    def dump(self, directory) -> list[Path]:
+        """Write each channel's retained entries, one JSON row each,
+        into ``directory/segment-<channel>.jsonl``."""
+        out = Path(directory)
+        out.mkdir(parents=True, exist_ok=True)
+        written: list[Path] = []
+        for channel in self.channels():
+            path = out / segment_name(channel)
+            with path.open("w", encoding="utf-8") as fh:
+                for entry in self.streams[channel]:
+                    fh.write(json.dumps(entry.to_record(),
+                                        separators=(",", ":")) + "\n")
+            written.append(path)
+        return written
 
     @classmethod
     def load(cls, directory) -> "StreamBroker":
-        """Rebuild a broker from :meth:`dump` output."""
-        from repro.stream.store import load_broker
-        return load_broker(directory)
+        """Rebuild a broker from :meth:`dump` output.
 
+        Each row keeps its recorded seq, so a stream dumped after its
+        ring dropped entries reloads with the same ``trimmed`` count.
+        A row that does not parse, or whose seq does not follow the
+        row before it, raises :class:`StreamError`.
+        """
+        root = Path(directory)
+        if not root.is_dir():
+            raise FileNotFoundError(f"no stream directory {root}")
+        broker = cls()
+        for path in sorted(root.glob("segment-*.jsonl")):
+            with path.open("r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    where = f"{path.name}:{lineno}"
+                    try:
+                        entry = StreamEntry.from_record(json.loads(line))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise StreamError(
+                            f"{where}: not a stream row ({exc!r})"
+                        ) from None
+                    st = broker.stream(entry.channel)
+                    if entry.seq < 1 or (len(st) and
+                                         entry.seq != st.last_seq + 1):
+                        raise StreamError(
+                            f"{where}: seq {entry.seq} does not "
+                            f"follow {st.last_seq}")
+                    st.last_seq = entry.seq - 1
+                    st.append_entry(entry)
+        return broker

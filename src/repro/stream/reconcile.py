@@ -196,6 +196,8 @@ def reconcile(broker: StreamBroker, dprocs: Optional[dict] = None, *,
     newest entry time); submits within ``open_window`` of it whose
     copies have not landed are reported in-flight, not missing.
     ``dprocs`` (host → Dproc) enables the procfs ground-truth pass.
+    A stream whose ring dropped entries raises
+    :class:`~repro.stream.StreamError`.
     """
     report = ReconcileReport(channels=broker.channels())
     if until is None:

@@ -12,6 +12,10 @@ count/total.  The tee and the instruments observe the same dispatches
 in the same order, so equality is exact (floats included — sums
 accumulate in identical order); any divergence means an accounting bug
 on one side.  Returns the list of mismatches (empty = verified).
+
+Both replay the whole log, so both raise
+:class:`~repro.stream.StreamError` for a stream whose ring dropped
+entries.
 """
 
 from __future__ import annotations

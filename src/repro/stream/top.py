@@ -1,9 +1,9 @@
 """``dtop``, stream-fed: an hsm-action-top-style live cluster table.
 
-:class:`StreamTop` consumes the monitor channel through a broker
-consumer group — read, render, ack — instead of polling one node's
-procfs snapshot.  Its state is exactly what the stream delivered, so
-the table works on a live run, on a replayed dump, and during a run.
+:class:`StreamTop` reads the monitor channel's log past its own
+cursor instead of polling one node's procfs snapshot.  Its state is
+exactly what the stream delivered, so the table works on a live run,
+on a replayed dump, and during a run.
 
 The row set is the union of *every* host that has ever appeared in the
 stream, whatever subset of metrics it reported — the old snapshot
@@ -27,10 +27,6 @@ from repro.stream.entry import SUBMIT
 
 __all__ = ["StreamTop", "HostRow"]
 
-#: The consumer group, and the consumer in it, that the table reads as.
-GROUP = "dtop"
-CONSUMER = "top"
-
 
 @dataclass
 class HostRow:
@@ -48,25 +44,26 @@ class HostRow:
 
 
 class StreamTop:
-    """Consumer-group-fed cluster table over the monitor stream."""
+    """Cluster table fed from the monitor stream past a cursor."""
 
     def __init__(self, broker: StreamBroker) -> None:
-        self.broker = broker
-        self.group = broker.group(MONITOR_CHANNEL, GROUP)
+        self.stream = broker.stream(MONITOR_CHANNEL)
+        #: Seq of the last entry read.
+        self.cursor = 0
         self.hosts: dict[str, HostRow] = {}
         self.events_consumed = 0
         self.last_event_time = 0.0
 
-    def feed(self, now: float = 0.0,
-             count: Optional[int] = None) -> int:
+    def feed(self, count: Optional[int] = None) -> int:
         """Consume new stream entries; returns how many were applied.
 
-        Entries are read through the consumer group and acked once
-        applied, so a janitor can reclaim them and a second feed never
-        double-counts.  Only submit entries mutate the table — one per
-        published event, independent of fan-out.
+        Entries are read past the cursor, which then moves to the last
+        one read, so a second feed never double-counts; a cursor the
+        ring has passed raises :class:`~repro.stream.StreamError`.
+        Only submit entries mutate the table — one per published
+        event, independent of fan-out.
         """
-        entries = self.group.read(CONSUMER, count=count, now=now)
+        entries = self.stream.read_after(self.cursor, count)
         applied = 0
         for entry in entries:
             if entry.kind == SUBMIT and entry.records:
@@ -83,7 +80,8 @@ class StreamTop:
             self.events_consumed += 1
             if entry.time > self.last_event_time:
                 self.last_event_time = entry.time
-        self.group.ack(*(e.seq for e in entries))
+        if entries:
+            self.cursor = entries[-1].seq
         return applied
 
     # -- queries -----------------------------------------------------------
@@ -95,7 +93,7 @@ class StreamTop:
     # -- rendering ---------------------------------------------------------
 
     def render(self, now: Optional[float] = None) -> str:
-        """The dtop table plus a consumer-group footer."""
+        """The dtop table plus a footer of what was consumed."""
         lines = [f"{'node':>8} {'load':>6} {'free MiB':>8} "
                  f"{'disk sec/s':>10} {'avail Mbps':>10} {'age':>5}"]
         for row in self.rows():
@@ -112,6 +110,5 @@ class StreamTop:
                 f"{disk if disk is not None else float('nan'):10.1f} "
                 f"{(net or 0) * 8 / 1e6:10.1f} {age:>5}")
         lines.append(f"  [{self.events_consumed} events consumed, "
-                     f"{len(self.group.pending_for())} pending, "
                      f"last @{self.last_event_time:.1f}s]")
         return "\n".join(lines)

@@ -146,6 +146,16 @@ class TestBoundedHistories:
         assert transitions[-1].time == float(flips - 1)
         assert plane.verdict()["transitions"] == HEALTH_LOG_MAX_LEN
 
+    def test_stream_is_a_bounded_ring(self):
+        """Every channel log a ``with_stream()`` run records keeps at
+        most ``STREAM_CAPACITY`` entries."""
+        from repro.stream import STREAM_CAPACITY
+        sc = Scenario(nodes=3, seed=1).with_stream().run(3.0)
+        streams = sc.stream.streams.values()
+        assert streams
+        assert [st.max_len for st in streams] \
+            == [STREAM_CAPACITY] * len(streams)
+
 
 class TestPhaseErrors:
     def test_unknown_backend(self):

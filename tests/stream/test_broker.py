@@ -1,11 +1,14 @@
-"""Broker semantics: monotone ids, consumer groups, ring bound."""
+"""Broker semantics: monotone ids, the ring bound and its refusals."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario
 from repro.runtime.protocol import EventStream
-from repro.stream import ChannelStream, StreamBroker, StreamEntry
+from repro.stream import (STREAM_CAPACITY, ChannelStream, StreamBroker,
+                          StreamEntry, StreamError, reconcile,
+                          replay_stats, verify_stats)
 
 
 def fill(stream: ChannelStream, n: int, t0: float = 0.0) -> None:
@@ -20,15 +23,7 @@ class TestChannelStream:
         fill(st, 5)
         assert [e.seq for e in st.entries()] == [1, 2, 3, 4, 5]
         assert st.first_seq == 1 and st.last_seq == 5
-
-    def test_get_is_offset_addressed(self):
-        st = ChannelStream("c")
-        fill(st, 10)
-        st.trim_to(4)
-        assert st.get(4) is None
-        assert st.get(5).seq == 5
-        assert st.get(11) is None
-        assert st.first_seq == 5 and st.trimmed == 4
+        assert st.max_len == STREAM_CAPACITY
 
     def test_read_after_and_tail(self):
         st = ChannelStream("c")
@@ -53,62 +48,49 @@ class TestChannelStream:
         assert st.last_seq == 6
 
 
-class TestConsumerGroup:
-    def test_read_parks_pending_and_advances_cursor(self):
-        st = ChannelStream("c")
-        fill(st, 4)
-        grp = st.group("g")
-        got = grp.read("alice", count=3, now=1.0)
-        assert [e.seq for e in got] == [1, 2, 3]
-        assert grp.cursor == 3
-        assert sorted(grp.pending_for("alice")) == [1, 2, 3]
-        # A second read never re-hands-out unacked entries.
-        again = grp.read("alice")
-        assert [e.seq for e in again] == [4]
+def trimmed_broker() -> StreamBroker:
+    """A monitor stream of 10 submits whose ring keeps the last 4."""
+    broker = StreamBroker()
+    broker.streams["dproc.monitor"] = st = ChannelStream(
+        "dproc.monitor", max_len=4)
+    fill(st, 10)
+    return broker
 
-    def test_ack_clears_pending(self):
-        st = ChannelStream("c")
-        fill(st, 3)
-        grp = st.group("g")
-        grp.read("alice")
-        assert grp.ack(1, 2) == 2
-        assert grp.ack(1) == 0  # double-ack is a no-op
-        assert sorted(grp.pending) == [3]
 
-    def test_acked_floor_tracks_lowest_unacked(self):
-        st = ChannelStream("c")
-        fill(st, 5)
-        grp = st.group("g")
-        grp.read("alice")
-        assert grp.acked_floor == 0
-        grp.ack(1, 2, 4)  # 3 still pending
-        assert grp.acked_floor == 2
-        grp.ack(3)
-        assert grp.acked_floor == 4
-        grp.ack(5)
-        assert grp.acked_floor == 5 == grp.cursor
+def _ingest(broker: StreamBroker) -> None:
+    plane = Scenario(nodes=2, seed=1).with_observability().build().obs
+    plane.ingest_stream(broker)
 
-    def test_claim_reassigns_stuck_entries(self):
-        st = ChannelStream("c")
-        fill(st, 3)
-        grp = st.group("g")
-        grp.read("alice", now=1.0)
-        claimed = grp.claim("bob", [2, 3, 99], now=7.0)
-        assert [e.seq for e in claimed] == [2, 3]
-        assert set(grp.pending_for("bob")) == {2, 3}
-        assert set(grp.pending_for("alice")) == {1}
-        info = grp.pending[2]
-        assert info.delivery_count == 2
-        assert info.last_delivered == 7.0
 
-    def test_groups_are_named_and_independent(self):
-        st = ChannelStream("c")
-        fill(st, 2)
-        a = st.group("a")
-        assert st.group("a") is a
-        b = st.group("b")
-        a.read("x")
-        assert b.cursor == 0 and not b.pending
+def _attribute(broker: StreamBroker) -> None:
+    from repro.obs import attribute_transitions
+    attribute_transitions([], broker)
+
+
+class TestRingRefusals:
+    @pytest.mark.parametrize("read", [
+        lambda b: reconcile(b, until=10.0),
+        replay_stats,
+        lambda b: verify_stats(b, []),
+        _ingest,
+        _attribute,
+    ], ids=["reconcile", "replay_stats", "verify_stats",
+            "ingest_stream", "attribute_transitions"])
+    def test_whole_log_readers_refuse_a_trimmed_stream(self, read):
+        with pytest.raises(StreamError, match="fell off"):
+            read(trimmed_broker())
+
+    def test_read_after_refuses_a_cursor_the_ring_has_passed(self):
+        st = trimmed_broker().stream("dproc.monitor")
+        with pytest.raises(StreamError):
+            st.read_after(5)
+        assert [e.seq for e in st.read_after(6)] == [7, 8, 9, 10]
+
+    def test_what_the_ring_holds_is_still_served(self):
+        broker = trimmed_broker()
+        st = broker.stream("dproc.monitor")
+        assert [e.seq for e in st.tail(10)] == [7, 8, 9, 10]
+        assert broker.serialize().count("\n") == 4
 
 
 class TestStreamBroker:

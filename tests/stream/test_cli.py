@@ -54,10 +54,6 @@ class TestReconcile:
 
 
 class TestTrimAndDumpLoad:
-    def test_trim_reports_removed(self, capsys):
-        assert main(["trim", *FAST, "--max-age", "1"]) == 0
-        assert "trimmed" in capsys.readouterr().out
-
     def test_dump_then_load_round_trips(self, tmp_path, capsys):
         target = str(tmp_path / "dump")
         assert main(["tail", *FAST, "--dump", target]) == 0
@@ -73,6 +69,24 @@ class TestTrimAndDumpLoad:
         capsys.readouterr()
         assert main(["reconcile", "--load", target,
                      "--duration", "4"]) == 0
+
+    def test_reconcile_refuses_a_trimmed_dump(self, tmp_path, capsys):
+        from repro.stream import ChannelStream, StreamBroker
+        broker = StreamBroker()
+        broker.streams["dproc.monitor"] = st = ChannelStream(
+            "dproc.monitor", max_len=4)
+        for i in range(10):
+            st.append(kind="submit", source="alan", dest="",
+                      time=float(i), submitted_at=float(i), size=1.0)
+        broker.dump(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["reconcile", "--load", str(tmp_path),
+                  "--duration", "10"])
+        assert exit_.value.code == 2
+        assert "fell off" in capsys.readouterr().err
+        assert main(["tail", "--load", str(tmp_path)]) == 0
+        assert "4 entries, seq 7..10, 6 trimmed" \
+            in capsys.readouterr().out
 
 
 class TestArgs:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario
-from repro.stream import (StreamBroker, channel_of_segment, dump_broker,
-                          load_broker, segment_name)
+from repro.stream import (ChannelStream, StreamBroker, StreamError,
+                          reconcile, segment_name)
 
 
 def small_broker() -> StreamBroker:
@@ -28,8 +28,6 @@ class TestSegmentNames:
     def test_round_trip(self):
         name = segment_name("dproc.monitor")
         assert name == "segment-dproc.monitor.jsonl"
-        assert channel_of_segment(
-            __import__("pathlib").Path(name)) == "dproc.monitor"
 
     def test_slashes_made_path_safe(self):
         assert "/" not in segment_name("a/b")
@@ -38,25 +36,49 @@ class TestSegmentNames:
 class TestDumpLoad:
     def test_round_trip_preserves_entries(self, tmp_path):
         broker = small_broker()
-        paths = dump_broker(broker, tmp_path)
+        paths = broker.dump(tmp_path)
         assert sorted(p.name for p in paths) == [
             "segment-dproc.control.jsonl",
             "segment-dproc.monitor.jsonl"]
-        back = load_broker(tmp_path)
+        back = StreamBroker.load(tmp_path)
         assert back.serialize() == broker.serialize()
 
-    def test_load_regenerates_seqs_after_trim(self, tmp_path):
-        broker = small_broker()
-        broker.stream("dproc.monitor").trim_to(1)
+    def test_load_keeps_the_recorded_seqs(self, tmp_path):
+        """A stream dumped after its ring dropped entries reloads with
+        the same seqs and ``trimmed`` count, so a replay refuses it as
+        it refuses the original."""
+        broker = StreamBroker()
+        broker.streams["c"] = st = ChannelStream("c", max_len=4)
+        for i in range(10):
+            st.append(kind="submit", source="alan", dest="",
+                      time=float(i), submitted_at=float(i), size=1.0)
         broker.dump(tmp_path)
         back = StreamBroker.load(tmp_path)
-        st = back.stream("dproc.monitor")
-        assert st.first_seq == 1 and len(st) == 1
-        assert st.entries()[0].kind == "deliver"
+        again = back.stream("c")
+        assert (again.first_seq, again.last_seq, again.trimmed) \
+            == (st.first_seq, st.last_seq, st.trimmed) == (7, 10, 6)
+        assert back.serialize() == broker.serialize()
+        for copy in (broker, back):
+            with pytest.raises(StreamError):
+                reconcile(copy, until=10.0)
+
+    @pytest.mark.parametrize("doctor, match", [
+        (lambda rows: [rows[1], rows[0]], "does not follow"),
+        (lambda rows: [rows[0][:-1]], "not a stream row"),
+        (lambda rows: ['{"seq": 1}'], "not a stream row"),
+    ], ids=["seqs-out-of-order", "truncated-json", "missing-fields"])
+    def test_a_malformed_segment_is_refused(self, tmp_path, doctor,
+                                            match):
+        small_broker().dump(tmp_path)
+        path = tmp_path / segment_name("dproc.monitor")
+        rows = doctor(path.read_text().splitlines())
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(StreamError, match=match):
+            StreamBroker.load(tmp_path)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_broker(tmp_path / "nope")
+            StreamBroker.load(tmp_path / "nope")
 
 
 class TestScenarioDump:

@@ -1,9 +1,11 @@
-"""Stream-fed dtop: consumer-group feeding and the row-union fix."""
+"""Stream-fed dtop: cursor feeding and the row-union fix."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.dproc import MetricId
-from repro.stream import StreamBroker, StreamTop
+from repro.stream import ChannelStream, StreamBroker, StreamError, StreamTop
 
 
 def submit(broker, source, t, records):
@@ -34,7 +36,7 @@ class TestRowUnion:
         submit(broker, "netty", 1.3,
                [(int(MetricId.NET_BANDWIDTH), 1e7, 1.3)])
         top = StreamTop(broker)
-        top.feed(now=2.0)
+        top.feed()
         assert [r.host for r in top.rows()] \
             == ["alan", "disko", "etna", "netty"]
         table = top.render(now=2.0)
@@ -60,9 +62,9 @@ class TestFeeding:
                [(int(MetricId.LOADAVG), 0.5, 1.0)])
         deliver(broker, "alan", "maui", 1.01)
         top = StreamTop(broker)
-        assert top.feed(now=2.0) == 1  # only the submit applies
+        assert top.feed() == 1  # only the submit applies
         assert top.events_consumed == 2  # but both were consumed
-        assert top.group.pending_for() == {}  # and acked
+        assert top.cursor == 2
 
     def test_second_feed_never_double_counts(self):
         broker = StreamBroker()
@@ -85,7 +87,19 @@ class TestFeeding:
         submit(broker, "alan", 5.0,
                [(int(MetricId.FREEMEM), 200.0, 5.0)])
         top = StreamTop(broker)
-        top.feed(now=6.0)
+        top.feed()
         row = top.rows()[0]
         assert row.value(MetricId.FREEMEM) == 200.0
         assert row.last_seen == 5.0
+
+    def test_a_cursor_the_ring_has_passed_is_refused(self):
+        broker = StreamBroker()
+        broker.streams["dproc.monitor"] = ChannelStream(
+            "dproc.monitor", max_len=2)
+        top = StreamTop(broker)
+        for t in (1.0, 2.0, 3.0):
+            submit(broker, "alan", t,
+                   [(int(MetricId.LOADAVG), t, t)])
+        with pytest.raises(StreamError):
+            top.feed()
+        assert top.events_consumed == 0
