@@ -84,6 +84,16 @@ class DMonConfig:
     #: Subscribe to the monitoring channel at start (import remote data).
     subscribe_monitoring: bool = True
 
+    def __post_init__(self) -> None:
+        # Zero busy-polls, a negative value fails in the clock, and
+        # inf/nan would make the first-poll stagger inf/nan: refuse
+        # them here, the same way on both backends.
+        if not (math.isfinite(self.poll_interval)
+                and self.poll_interval > 0):
+            raise DprocError(
+                "poll_interval must be a finite number of seconds > 0, "
+                f"not {self.poll_interval!r}")
+
     @property
     def stale_after(self) -> float:
         """Seconds unheard after which a peer reads *stale*."""

@@ -17,6 +17,7 @@ import sys
 
 from repro.api import Scenario
 from repro.dproc import DMonConfig, MetricId
+from repro.errors import DprocError
 from repro.harness.cli import add_run_options, build_scenario
 
 #: Shipped from node[0] to node[1]: pass the load average through at
@@ -80,6 +81,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--nodes must be >= 2 (the filter ships from "
                      "node[0] to node[1])")
 
+    try:
+        dmon = DMonConfig(poll_interval=args.poll)
+    except DprocError as exc:
+        parser.error(f"--poll: {exc}")
+
     want_batch = (args.batch or args.batch_bytes is not None
                   or args.batch_delay is not None)
     batch = None
@@ -92,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             max_delay=args.batch_delay
             if args.batch_delay is not None else defaults.max_delay)
     scenario = build_scenario(
-        args, backend="live", dmon=DMonConfig(poll_interval=args.poll),
+        args, backend="live", dmon=dmon,
         pool={"watchers": args.watchers, "batch": batch})
     if args.scrape is not None:
         scenario.with_observability(

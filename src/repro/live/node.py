@@ -3,7 +3,7 @@
 Satisfies :class:`repro.runtime.protocol.RuntimeNode` with the exact
 attribute surface d-mon, KECho and the toolkit use: ``env`` (the shared
 :class:`~repro.live.clock.AsyncClock`), ``rng`` (a
-:class:`~repro.live.rng.HostRng`: numpy's draws, without numpy),
+:class:`~repro.runtime.rng.Pcg64Stream`: numpy's draws, without numpy),
 ``costs`` (the same :data:`~repro.runtime.costs.KERNEL_COSTS` the
 simulator charges — live costs are *accounted*, not simulated, so the
 telemetry/overhead reports stay comparable), ``telemetry``, ``stack``
@@ -24,9 +24,9 @@ import os
 from typing import Any, Generator
 
 from repro.live.clock import AsyncClock, LiveTask
-from repro.live.rng import HostRng
 from repro.live.transport import LiveStack
 from repro.runtime.costs import KERNEL_COSTS
+from repro.runtime.rng import Pcg64Stream
 from repro.telemetry import TelemetryRegistry
 
 __all__ = ["LiveNode", "HostCpu", "HostMemory"]
@@ -111,7 +111,7 @@ class LiveNode:
                  seed: int = 0, index: int = 0) -> None:
         self.name = name
         self.env = clock
-        self.rng = HostRng(seed, index)
+        self.rng = Pcg64Stream(seed, index)
         self.costs = KERNEL_COSTS
         self.telemetry = TelemetryRegistry(scope=name)
         self.stack = LiveStack(name, self.telemetry)

@@ -138,9 +138,10 @@ class RuntimeNode(Protocol):
 
     * ``name`` — unique host name;
     * ``env`` — the node's :class:`Clock`;
-    * ``rng`` — a random stream: a ``numpy.random.Generator`` on the
-      simulator; on live a :class:`repro.live.rng.HostRng`, which
-      offers ``uniform`` only (the d-mon's first-poll stagger);
+    * ``rng`` — a :class:`repro.runtime.rng.Pcg64Stream` on both
+      backends: numpy's ``PCG64`` stream, with ``random``/``uniform``
+      in Python and ``exponential``/``poisson``/``integers`` drawn by
+      numpy on first use;
     * ``costs`` — the :class:`repro.runtime.costs.KernelCostModel`;
     * ``telemetry`` — a :class:`repro.telemetry.TelemetryRegistry`;
     * ``stack`` — the node's :class:`Transport`.

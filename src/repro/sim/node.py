@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.runtime.costs import KERNEL_COSTS, KernelCostModel
+from repro.runtime.rng import Pcg64Stream
 from repro.sim.core import Environment, Process, SimEvent
 from repro.sim.cpu import CPU
 from repro.sim.disk import Disk
@@ -46,7 +45,7 @@ class Node:
     """A simulated cluster machine."""
 
     def __init__(self, env: Environment, name: str, fabric: Fabric,
-                 rng: np.random.Generator,
+                 rng: Pcg64Stream,
                  config: NodeConfig | None = None,
                  segment: Any = None) -> None:
         self.env = env

@@ -6,28 +6,30 @@ arrivals, loss sampling, ...) draws from its own named stream so that
 * two runs with the same master seed are bit-identical, and
 * adding a new consumer of randomness does not perturb existing streams.
 
-Streams are derived from the master seed with :class:`numpy.random.SeedSequence`
-spawned by a stable hash of the stream name.
+The stream for a name is numpy's ``default_rng(SeedSequence([seed,
+crc32(name)]))``, held as a :class:`repro.runtime.rng.Pcg64Stream`: its
+``random``/``uniform`` draws run in Python, so building and running a
+cluster loads no numpy unless a draw only numpy's C code defines is made.
 """
 
 from __future__ import annotations
 
 import zlib
 
-import numpy as np
+from repro.runtime.rng import Pcg64Stream
 
 __all__ = ["RngHub"]
 
 
 class RngHub:
-    """Factory of named, deterministic :class:`numpy.random.Generator` streams."""
+    """Factory of named, deterministic :class:`Pcg64Stream` streams."""
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = int(master_seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, Pcg64Stream] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use.
+    def stream(self, name: str) -> Pcg64Stream:
+        """Return the stream for ``name``, creating it on first use.
 
         The same name always maps to the same stream object, so state
         advances across calls — callers share one logical sequence per
@@ -35,9 +37,8 @@ class RngHub:
         """
         gen = self._streams.get(name)
         if gen is None:
-            tag = zlib.crc32(name.encode("utf-8"))
-            seq = np.random.SeedSequence([self.master_seed, tag])
-            gen = np.random.default_rng(seq)
+            gen = Pcg64Stream(self.master_seed,
+                              zlib.crc32(name.encode("utf-8")))
             self._streams[name] = gen
         return gen
 

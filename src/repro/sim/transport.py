@@ -20,13 +20,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.errors import TransportError
 from repro.sim.core import Environment
 from repro.sim.link import Flow
 from repro.sim.network import Fabric
 from repro.runtime.protocol import OnFail
+from repro.runtime.rng import Pcg64Stream
 from repro.runtime.series import DEVICE_HISTORY, CounterTrace
 from repro.telemetry import TelemetryRegistry
 
@@ -118,7 +117,7 @@ class NetStack:
     """
 
     def __init__(self, env: Environment, host: str, fabric: Fabric,
-                 rng: np.random.Generator,
+                 rng: Pcg64Stream,
                  kernel_charge: Callable[[float], Any] | None = None,
                  receive_cost: Callable[[float], float] | None = None,
                  telemetry: TelemetryRegistry | None = None) -> None:

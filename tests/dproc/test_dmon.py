@@ -83,6 +83,21 @@ class TestRegistration:
             dmon.start()
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("poll", [
+        0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_poll_interval_must_be_finite_and_positive(self, poll):
+        """Zero busy-polls, a negative interval fails in the clock, and
+        inf/nan make the first-poll stagger inf/nan on either backend:
+        the configuration refuses all of them."""
+        with pytest.raises(DprocError, match="poll_interval"):
+            DMonConfig(poll_interval=poll)
+
+    @pytest.mark.parametrize("poll", [1e-6, 0.25, 1, 3600.0])
+    def test_a_finite_positive_poll_interval_is_kept(self, poll):
+        assert DMonConfig(poll_interval=poll).poll_interval == poll
+
+
 class TestPollingAndPublication:
     def test_polls_happen_once_per_interval(self, env, cluster3):
         dmon = make_dmon(cluster3, "alan",

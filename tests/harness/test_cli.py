@@ -61,6 +61,17 @@ def test_stream_takes_no_workers_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("poll", ["0", "-1", "inf", "nan"])
+def test_live_refuses_a_poll_interval_that_never_polls(poll, capsys):
+    """A zero, negative or non-finite ``--poll`` is a usage error
+    (exit 2) before any socket opens, not a busy loop or a run that
+    never polls."""
+    with pytest.raises(SystemExit) as done:
+        main(["live", "--nodes", "2", "--duration", "1", "--poll", poll])
+    assert done.value.code == 2
+    assert "--poll" in capsys.readouterr().err
+
+
 def test_live_json_prints_one_json_document(capsys):
     """``live --json`` prints the report and nothing else on stdout:
     the exit code and stderr carry the verdict."""

@@ -5,12 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import CPU, Environment, Store
+from repro.sim import CPU, Environment, RngHub, Store
 from repro.sim.cpu import CpuJob
 from repro.runtime.series import EwmaLoad, WindowAverage
 
@@ -369,12 +368,15 @@ class TestTraceProperties:
                                                            calls):
         """``NetStack.send_many`` skips the retransmission draw when its
         mean is 0.0.  That is exact only while a zero-mean ``poisson``
-        returns 0 without consuming generator state: the generator's
-        state and its next draws must equal an untouched twin's."""
-        drawn = np.random.default_rng(seed)
-        skipped = np.random.default_rng(seed)
+        returns 0 without consuming stream state: on the node stream
+        the transport draws from, the state and the next draws must
+        equal an untouched twin's."""
+        drawn = RngHub(seed).stream("node:alan")
+        skipped = RngHub(seed).stream("node:alan")
         assert all(drawn.poisson(0.0) == 0 for _ in range(calls))
-        assert drawn.bit_generator.state == skipped.bit_generator.state
-        assert drawn.random(4).tolist() == skipped.random(4).tolist()
-        assert drawn.poisson(2.5, 8).tolist() \
-            == skipped.poisson(2.5, 8).tolist()
+        assert [getattr(drawn, slot) for slot in drawn.__slots__] \
+            == [getattr(skipped, slot) for slot in skipped.__slots__]
+        assert [drawn.random() for _ in range(4)] \
+            == [skipped.random() for _ in range(4)]
+        assert [drawn.poisson(2.5) for _ in range(8)] \
+            == [skipped.poisson(2.5) for _ in range(8)]

@@ -1,9 +1,10 @@
 """A live host's random stream is numpy's, drawn without numpy.
 
-``LiveNode.rng`` places each d-mon's first poll.  It reproduces
-``np.random.default_rng([seed, index])`` bit for bit, so a live
-cluster's poll phases are those numpy gave it; numpy is only this
-test's oracle.
+``LiveNode.rng`` places each d-mon's first poll.  It is the
+:class:`~repro.runtime.rng.Pcg64Stream` of ``np.random.default_rng([seed,
+index])``, so a live cluster's poll phases are those numpy gave it;
+numpy is only this test's oracle.  The stream itself is tested in
+``test_rng.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.api import Scenario
 from repro.dproc import DMonConfig
 from repro.live.clock import AsyncClock
 from repro.live.node import LiveNode
-from repro.live.rng import HostRng
 
 SEEDS = (0, 1, 7, 2**40 + 5)
 SPANS = (1.0, 0.01, 0.5, 3.7, 1e9)
@@ -29,22 +29,6 @@ def test_stagger_draws_equal_numpys(seed):
         oracle = np.random.default_rng([seed, index])
         for span in SPANS:
             assert rng.uniform(0, span) == oracle.uniform(0, span)
-
-
-def test_uniform_keeps_numpys_bounds_and_type():
-    rng, oracle = HostRng(3, 9), np.random.default_rng([3, 9])
-    for _ in range(100):
-        value = rng.uniform(-2.5, 4.0)
-        assert type(value) is float
-        assert value == oracle.uniform(-2.5, 4.0)
-        assert -2.5 <= value < 4.0
-
-
-def test_negative_entropy_is_refused_as_numpy_refuses_it():
-    with pytest.raises(ValueError):
-        np.random.default_rng([-1, 0])
-    with pytest.raises(ValueError):
-        HostRng(-1, 0)
 
 
 def test_live_dmon_first_poll_waits_numpys_offset(monkeypatch):

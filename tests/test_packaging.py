@@ -62,6 +62,39 @@ def test_live_entry_points_load_neither_numpy_nor_the_simulator():
     assert result.returncode == 0, result.stderr
 
 
+def test_sim_path_loads_neither_numpy_nor_asyncio():
+    """A simulation draws its node streams in Python: building and
+    running a sim ``Scenario``, and the ``build_cluster`` + ``Dproc`` +
+    ``KechoBus`` path the benchmark drives, loads no numpy, no asyncio
+    and no ``repro.live`` module."""
+    code = "\n".join([
+        "import sys",
+        "from repro.api import Scenario",
+        "Scenario(nodes=8, seed=1).run(5.0)",
+        "import repro.sim as sim",
+        "from repro.dproc import Dproc",
+        "from repro.kecho import KechoBus",
+        "env = sim.Environment()",
+        "cluster = sim.build_cluster(env, nodes=8, seed=1)",
+        "bus = KechoBus()",
+        "dprocs = [Dproc(node, bus) for node in cluster]",
+        "for dproc in dprocs:",
+        "    dproc.add_cluster_node(cluster.names[0])",
+        "    dproc.start()",
+        "env.run(until=5.0)",
+        "assert dprocs[1].dmon.polls > 0",
+        "loaded = sorted(m for m in sys.modules",
+        "                if m.split('.')[0] in ('numpy', 'asyncio')",
+        "                or m == 'repro.live' or m.startswith('repro.live.'))",
+        "assert not loaded, loaded",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", code], capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+
+
 def _sim_imports_outside_type_checking(tree: ast.AST,
                                        package: str) -> list[int]:
     """Line numbers of ``repro.sim`` imports not under ``if
