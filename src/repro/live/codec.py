@@ -9,10 +9,10 @@ bytes; ``[x]`` is present only when the named flag is set.
 Every frame::
 
     u32   frame length (excluding these 4 bytes)
-    u16   magic (0xEC06)
+    u16   magic (0xEC07)
     u8    kind
     u8    flags
-    str   channel
+    [str  channel]       CHANNEL: the channel is not the kind's own
     [str  tag]           TAG: the transport dispatch tag
     str   source
     f64   submitted_at
@@ -20,25 +20,33 @@ Every frame::
     ...   kind-specific body
 
 ``MONITOR`` body — one d-mon poll, a
-:class:`~repro.dproc.batch.RecordBatch` whose columns are packed as
-they are::
+:class:`~repro.dproc.batch.RecordBatch` whose value column travels
+sparse::
 
     [str  host]          HOST
     u16   n              record count
-    n×u16 metric ids     (the E-code filter ABI ids, decoded back to
+    n×u8  metric ids     (the E-code filter ABI ids, decoded back to
                           :class:`MetricId`; an unknown id is an error)
-    n×f64 values
+    ⌈n/8⌉ zero bitmap    bit i % 8 of byte i // 8 (least significant
+                          first) set: value i is +0.0 bit for bit and
+                          is not carried; no bit past n may be set
+    k×f64 values         the other k values, in record order
     f64   timestamp      one for the poll; n×f64 when TS is set
     [u16 k, k×(u32 pid, f64 weight)         top-K pairs
      u16 m, m×(u32 pid, f64 cpu, mem, io)]  full per-process rows
 
-The keyed per-process sections are written only when one of them has
-a row; absent and zero-count sections both decode to a batch whose
-``proc_top``/``procs`` are None.  :func:`decode_frame` returns the
-columns as tuples: ``ts`` is one float, or a tuple when TS is set.
-A default 13-record d-mon frame is 56 + 10·n = 186 bytes.
+A -0.0 or a NaN is carried as it is.  The keyed per-process sections
+are written only when one of them has a row; absent and zero-count
+sections both decode to a batch whose ``proc_top``/``procs`` are None.
+A frame ends at its last field: a byte past it is an error.
+:func:`decode_frame` returns the columns as tuples: ``ts`` is one
+float, or a tuple when TS is set.  The frame a d-mon poll of n
+records publishes, from a source of s bytes with k non-zero values,
+is 36 + s + n + ⌈n/8⌉ + 8·k bytes: at most 162 B for the default 13
+records and a 7-character name, 79 B from ``alan`` when ten of the
+13 cells are zero.
 
-The three flags mark what a frame could not leave out.  The encoder
+The four flags mark what a frame could not leave out.  The encoder
 sets each from the event in hand, per frame, so every batch
 round-trips f64-exact in record order:
 
@@ -50,21 +58,29 @@ round-trips f64-exact in record order:
   all equal, compared bit for bit on the packed f64 (0.0 and -0.0
   differ; a NaN equals itself), so each record carries its own.  A
   frame with no records has no timestamp to share and sets it too.
+* ``CHANNEL`` (8) — the channel is not the kind's own
+  (``dproc.monitor`` for MONITOR), so it is carried.
 
 There is no per-connection string table: a frame is self-contained,
 so one encoding serves every link of a fan-out, and a frame dropped
-under backpressure or a reconnect needs no resync.  The strings left
-(channel, source) are what such a table could still save — under two
-bytes a record.
+under backpressure or a reconnect needs no resync.  The one string a
+default frame still carries is its source — what such a table could
+save, under half a byte a record for a short host name.  The
+receiver keeps only caches of what bytes it has seen stand for: the
+:class:`MetricId` tuple of each id column and the unpack format and
+scatter of each ``(n, bitmap)``, for frames of at most
+:data:`_CACHED_RECORDS` records whose value column is all there.
+Each holds at most :data:`_CACHE_ENTRIES` and is emptied when full,
+so whatever a peer sends they stay under about 2 MB together.
 
 The other kind, ``CONTROL`` — one
 :class:`~repro.kecho.control.ControlMessage` as a u32 length and a
 compact JSON object of exactly three strings, ``sender``, ``target``
 and ``command`` (one command's control-file text; control traffic is
 rare, self-describing beats packed here).  It is a frame of the
-control channel's own tag only — channel ``dproc.control``, no TAG
-flag — on both ends, so no other channel's handler is handed a
-control message.  Any other payload is not wire-encodable.
+control channel's own tag only — channel ``dproc.control``, implied,
+and no flag set — on both ends, so no other channel's handler is
+handed a control message.  Any other payload is not wire-encodable.
 
 Coalescing adds no kind: a batched link writes a run of whole frames
 in one socket write (:func:`encode_batch`), and the length prefixes
@@ -75,10 +91,12 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Sequence
+from math import copysign
+from operator import itemgetter
+from typing import Any, Callable, Optional, Sequence
 
 from repro.dproc.batch import RecordBatch
-from repro.dproc.dmon import CONTROL_CHANNEL
+from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
 from repro.dproc.metrics import MetricId
 from repro.errors import ChannelError
 from repro.kecho.control import ControlMessage
@@ -86,16 +104,17 @@ from repro.kecho.event import ChannelEvent
 
 __all__ = ["encode_frame", "decode_frame", "encode_batch",
            "FrameDecoder", "MAGIC", "KIND_MONITOR", "KIND_CONTROL",
-           "FLAG_TAG", "FLAG_HOST", "FLAG_TS",
+           "FLAG_TAG", "FLAG_HOST", "FLAG_TS", "FLAG_CHANNEL",
            "MAX_FRAME_BYTES"]
 
-MAGIC = 0xEC06
+MAGIC = 0xEC07
 KIND_MONITOR = 1
 KIND_CONTROL = 2
 
 FLAG_TAG = 1
 FLAG_HOST = 2
 FLAG_TS = 4
+FLAG_CHANNEL = 8
 
 #: Upper bound on one frame; protects the decoder from a corrupt or
 #: hostile length prefix.
@@ -104,9 +123,19 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: The tag every KECho endpoint binds for a channel.
 _TAG_PREFIX = "kecho:"
 
+#: The channel a frame of each kind names when it carries none.
+_KIND_CHANNELS = {KIND_MONITOR: MONITOR_CHANNEL,
+                  KIND_CONTROL: CONTROL_CHANNEL}
+
 #: The JSON fields of a CONTROL body, in the order written.
 _CONTROL_FIELDS = ("sender", "target", "command")
 _METRICS = {int(metric): metric for metric in MetricId}
+
+#: Most entries each of the decode caches holds before it is emptied.
+_CACHE_ENTRIES = 1024
+#: Largest record count whose id column and layout are cached: every
+#: d-mon poll fits (a batch has one record per metric, 20 at most).
+_CACHED_RECORDS = 64
 
 _TOP_ROW = struct.Struct(">Id")
 _PROC_ROW = struct.Struct(">Iddd")
@@ -115,6 +144,16 @@ _TIMES = struct.Struct(">dd")
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
+
+#: A +0.0 to scatter into the zero cells: the last item of the tuple
+#: a layout's scatter reads.
+_ZERO = (0.0,)
+
+#: id column bytes -> its MetricId tuple
+_id_columns: dict[bytes, tuple[MetricId, ...]] = {}
+#: (n, bitmap) -> (k, the shared-timestamp Struct, the scatter or None)
+_layouts: dict[tuple[int, bytes],
+               tuple[int, struct.Struct, Optional[Callable]]] = {}
 
 
 def _pack_str(text: str) -> bytes:
@@ -142,6 +181,55 @@ def _rows_at(buf: bytes, pos: int, row: struct.Struct):
     return row.iter_unpack(buf[start:end]), end
 
 
+def _cache(cache: dict, key, value):
+    """Keep ``value`` under ``key``, emptying a full cache first."""
+    if len(cache) >= _CACHE_ENTRIES:
+        cache.clear()
+    cache[key] = value
+
+
+def _ids(column: bytes) -> tuple[MetricId, ...]:
+    """The MetricIds an id column names; an unknown id is refused."""
+    try:
+        ids = tuple(map(_METRICS.__getitem__, column))
+    except KeyError as exc:
+        raise ChannelError(f"unknown metric id {exc}") from None
+    if len(column) <= _CACHED_RECORDS:
+        _cache(_id_columns, column, ids)
+    return ids
+
+
+def _layout(n: int, bitmap: bytes, room: int):
+    """How the values of an ``n``-record frame with ``bitmap`` unpack,
+    given the ``room`` bytes the frame has for them: the carried count
+    k, a Struct of k values and the shared timestamp, and the scatter
+    that puts +0.0 back into the marked cells (None when no cell is
+    marked)."""
+    mask = int.from_bytes(bitmap, "little")
+    if mask >> n:
+        raise ChannelError("zero bitmap marks a cell past the records")
+    k = n - mask.bit_count()
+    if 8 * k > room:
+        raise ChannelError("truncated frame")
+    index, carried = [], 0
+    for i in range(n):
+        if mask >> i & 1:
+            index.append(-1)
+        else:
+            index.append(carried)
+            carried += 1
+    if k == n:
+        scatter = None
+    elif n == 1:
+        scatter = itemgetter(slice(-1, None))
+    else:
+        scatter = itemgetter(*index)
+    layout = (k, struct.Struct(f">{k + 1}d"), scatter)
+    if n <= _CACHED_RECORDS:
+        _cache(_layouts, (n, bitmap), layout)
+    return layout
+
+
 def _monitor_body(source: str,
                   batch: RecordBatch) -> tuple[int, list[bytes]]:
     """Flags and body parts of one MONITOR batch."""
@@ -151,6 +239,10 @@ def _monitor_body(source: str,
     n = len(ids)
     if n > 0xFFFF or len(top) > 0xFFFF or len(procs) > 0xFFFF:
         raise ChannelError("too many records for wire format")
+    try:
+        id_column = bytes(ids)
+    except (ValueError, TypeError) as exc:
+        raise ChannelError(f"metric id does not fit a u8: {exc}") from exc
     flags = 0
     body = []
     if batch.host != source:
@@ -166,8 +258,20 @@ def _monitor_body(source: str,
             times = times[:8]
     if not shared:
         flags |= FLAG_TS
-    body.append(struct.pack(f">H{n}H{n}d", n, *ids, *batch.values))
-    body.append(times)
+    values = batch.values
+    mask = 0
+    if 0.0 in values:
+        kept = []
+        bit = 1
+        for value in values:
+            if value or copysign(1.0, value) < 0:
+                kept.append(value)
+            else:
+                mask |= bit
+            bit <<= 1
+        values = kept
+    body += (_U16.pack(n), id_column, mask.to_bytes((n + 7) >> 3, "little"),
+             struct.pack(f">{len(values)}d", *values), times)
     if top or procs:
         body.append(_U16.pack(len(top)))
         body.extend(_TOP_ROW.pack(pid, top[pid]) for pid in sorted(top))
@@ -184,6 +288,8 @@ def encode_frame(tag: str, event: ChannelEvent) -> bytes:
     flags = 0 if tag == _TAG_PREFIX + channel else FLAG_TAG
     if isinstance(payload, RecordBatch):
         kind = KIND_MONITOR
+        if channel != MONITOR_CHANNEL:
+            flags |= FLAG_CHANNEL
         monitor_flags, body = _monitor_body(event.source, payload)
         flags |= monitor_flags
     elif isinstance(payload, ControlMessage) and not flags \
@@ -200,7 +306,7 @@ def encode_frame(tag: str, event: ChannelEvent) -> bytes:
             f"{type(payload).__name__} on {tag!r}")
     frame = b"".join([
         _HEAD.pack(MAGIC, kind, flags),
-        _pack_str(channel),
+        _pack_str(channel) if flags & FLAG_CHANNEL else b"",
         _pack_str(tag) if flags & FLAG_TAG else b"",
         _pack_str(event.source),
         _TIMES.pack(event.submitted_at, event.size),
@@ -215,15 +321,25 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
     Raises :class:`ChannelError` for every malformed frame.
     """
     # A frame is input from outside the program: whatever is wrong
-    # with it (a field or column cut short, unknown metric id, bad
-    # UTF-8 or JSON, a control message off the control tag or with a
+    # with it (a field or column cut short, bytes past its last field,
+    # an unknown metric id, a zero bitmap past the records, bad UTF-8
+    # or JSON, a control message off the control tag or with a
     # missing, extra or non-string field) is a ChannelError to the
     # caller, never a bare struct.error or ValueError/TypeError.
     try:
         magic, kind, flags = _HEAD.unpack_from(frame)
         if magic != MAGIC:
             raise ChannelError(f"bad frame magic {magic:#x}")
-        channel, pos = _str_at(frame, _HEAD.size)
+        if kind not in _KIND_CHANNELS:
+            raise ChannelError(f"unknown frame kind {kind}")
+        if kind == KIND_CONTROL and flags:
+            raise ChannelError(
+                "control message off the control tag: flags "
+                f"{flags:#x} on a CONTROL frame")
+        if flags & FLAG_CHANNEL:
+            channel, pos = _str_at(frame, _HEAD.size)
+        else:
+            channel, pos = _KIND_CHANNELS[kind], _HEAD.size
         if flags & FLAG_TAG:
             tag, pos = _str_at(frame, pos)
         else:
@@ -238,41 +354,48 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
             else:
                 host = source
             (n,) = _U16.unpack_from(frame, pos)
-            pos += 2
+            at_bitmap = pos + 2 + n
+            pos = at_bitmap + ((n + 7) >> 3)
+            if pos > len(frame):
+                raise ChannelError("truncated frame")
+            bitmap = frame[at_bitmap:pos]
+            k, shared, scatter = _layouts.get((n, bitmap)) or _layout(
+                n, bitmap,
+                len(frame) - pos - 8 * (n if flags & FLAG_TS else 1))
             if flags & FLAG_TS:
-                cells = struct.unpack_from(f">{n}H{2 * n}d", frame, pos)
-                ts = cells[2 * n:]
-                pos += 18 * n
+                cells = struct.unpack_from(f">{k + n}d", frame, pos)
+                ts = cells[k:]
+                pos += 8 * (k + n)
             else:
-                cells = struct.unpack_from(f">{n}H{n}dd", frame, pos)
-                ts = cells[-1]
-                pos += 10 * n + 8
-            payload = RecordBatch(
-                host, tuple(map(_METRICS.__getitem__, cells[:n])),
-                cells[n:2 * n], ts)
+                cells = shared.unpack_from(frame, pos)
+                ts = cells[k]
+                pos += shared.size
+            values = cells[:k] if scatter is None \
+                else scatter(cells + _ZERO)
+            column = frame[at_bitmap - n:at_bitmap]
+            ids = _id_columns.get(column) or _ids(column)
+            payload = RecordBatch(host, ids, values, ts)
             if pos < len(frame):
                 rows, pos = _rows_at(frame, pos, _TOP_ROW)
                 payload.proc_top = dict(rows) or None
                 rows, pos = _rows_at(frame, pos, _PROC_ROW)
                 payload.procs = {pid: (cpu, mem, io)
                                  for pid, cpu, mem, io in rows} or None
-        elif kind == KIND_CONTROL:
-            if flags or channel != CONTROL_CHANNEL:
-                raise ChannelError(
-                    f"control message off the control tag: {tag!r}")
+        else:
             start = pos + 4
-            end = start + _U32.unpack_from(frame, pos)[0]
-            if end > len(frame):
+            pos = start + _U32.unpack_from(frame, pos)[0]
+            if pos > len(frame):
                 raise ChannelError("truncated frame")
-            doc = json.loads(str(frame[start:end], "utf-8"))
+            doc = json.loads(str(frame[start:pos], "utf-8"))
             if type(doc) is not dict or doc.keys() != set(_CONTROL_FIELDS) \
                     or not all(type(v) is str for v in doc.values()):
                 raise ChannelError(
                     "control message body is not three strings: "
                     "sender, target, command")
             payload = ControlMessage(**doc)
-        else:
-            raise ChannelError(f"unknown frame kind {kind}")
+        if pos != len(frame):
+            raise ChannelError(
+                f"{len(frame) - pos} bytes past the frame's last field")
     except (ValueError, TypeError, KeyError, RecursionError,
             struct.error) as exc:
         raise ChannelError(f"malformed frame body: {exc}") from exc

@@ -258,6 +258,85 @@ class TestMonitorFlags:
         assert len(frame([nan, nan])) == len(frame([0.0, 0.0]))
 
 
+#: A value cell: the +0.0 the bitmap leaves out, and what it must not
+#: (-0.0, NaNs — one with a payload — subnormals, infinities), among
+#: any other double.
+_cells = st.one_of(
+    st.just(0.0), st.just(-0.0), st.just(float("nan")),
+    st.just(struct.unpack(">d", bytes.fromhex("7ff0000000000123"))[0]),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308 / 3]),
+    st.just(float("inf")), st.just(float("-inf")), st.floats(width=64))
+
+
+def _str_bytes(text: str) -> int:
+    return 2 + len(text.encode())
+
+
+@st.composite
+def sparse_cases(draw):
+    """``(tag, event)`` of any size and mix of cells, on d-mon's own
+    channel or another, with or without each flag and section."""
+    n = draw(st.integers(0, 300))
+    mids = draw(st.lists(st.sampled_from(list(MetricId)), min_size=n,
+                         max_size=n))
+    values = draw(st.lists(_cells, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        ts = draw(_any_f64)
+    else:
+        ts = draw(st.lists(_any_f64, min_size=n, max_size=n))
+    source = draw(_names)
+    host = source if draw(st.booleans()) else draw(_names)
+    payload = RecordBatch(host, mids, values, ts)
+    if draw(st.booleans()):
+        payload.proc_top = draw(st.dictionaries(
+            st.integers(0, 2**32 - 1), _values, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        payload.procs = draw(st.dictionaries(
+            st.integers(0, 2**32 - 1), st.tuples(_values, _values, _values),
+            min_size=1, max_size=4))
+    channel = "dproc.monitor" if draw(st.booleans()) else draw(_names)
+    tag = "kecho:" + channel if draw(st.booleans()) else draw(_names)
+    return tag, ChannelEvent(channel=channel, source=source,
+                             payload=payload, size=draw(_values),
+                             submitted_at=draw(_values))
+
+
+def _sparse_size(tag: str, event: ChannelEvent) -> int:
+    """The frame's length from what it says, by the codec's layout."""
+    batch = event.payload
+    n = len(batch.ids)
+    zeros = sum(struct.pack(">d", v) == bytes(8) for v in batch.values)
+    if isinstance(batch.ts, float):
+        stamps = 1 if n else 0
+    else:
+        shared = n and len({struct.pack(">d", t) for t in batch.ts}) == 1
+        stamps = 1 if shared else n
+    size = 4 + 4 + _str_bytes(event.source) + 16 + 2 + n \
+        + (n + 7) // 8 + 8 * (n - zeros) + 8 * stamps
+    if event.channel != "dproc.monitor":
+        size += _str_bytes(event.channel)
+    if tag != "kecho:" + event.channel:
+        size += _str_bytes(tag)
+    if batch.host != event.source:
+        size += _str_bytes(batch.host)
+    if batch.proc_top or batch.procs:
+        size += 2 + 12 * len(batch.proc_top or {}) \
+            + 2 + 28 * len(batch.procs or {})
+    return size
+
+
+class TestSparseLayout:
+    """Any batch comes back f64-exact, every +0.0 cell costs its bitmap
+    bit only, and the frame is exactly as long as the layout says."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_cases())
+    def test_any_batch_roundtrips_at_the_formula_size(self, case):
+        tag, event = case
+        assert len(encode_frame(tag, event)) == _sparse_size(tag, event)
+        _assert_monitor_roundtrip(tag, event)
+
+
 class TestMalformedFrames:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(events(), control_events()), st.data())
@@ -289,11 +368,11 @@ def _control_target():
 
 
 def _control_frame(doc: dict) -> bytes:
-    """A CONTROL frame body on the control tag around any JSON."""
+    """A CONTROL frame body on the control tag (implied: no channel,
+    no flag) around any JSON."""
     raw = json.dumps(doc).encode()
-    name = CONTROL_CHANNEL.encode()
-    return (struct.pack(">HBBH", MAGIC, KIND_CONTROL, 0, len(name))
-            + name + struct.pack(">H5sdd", 5, b"rogue", 0.0, 64.0)
+    return (struct.pack(">HBB", MAGIC, KIND_CONTROL, 0)
+            + struct.pack(">H5sdd", 5, b"rogue", 0.0, 64.0)
             + struct.pack(">I", len(raw)) + raw)
 
 

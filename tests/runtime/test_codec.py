@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -12,23 +15,28 @@ from repro.errors import ChannelError
 from repro.kecho import KechoBus
 from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
-from repro.live.codec import (FrameDecoder, MAGIC, MAX_FRAME_BYTES,
+from repro.live import codec
+from repro.live.codec import (FLAG_CHANNEL, FLAG_TAG, FrameDecoder,
+                              KIND_CONTROL, MAGIC, MAX_FRAME_BYTES,
                               decode_frame, encode_batch,
                               encode_frame)
+
+#: The magics of the layouts before this one: each is refused.
+OLD_MAGICS = (0xEC05, 0xEC06)
 
 
 def unknown_metric_frames() -> tuple[bytes, bytes]:
     """A valid one-record MONITOR frame (length prefix included) and
-    the same frame with the record's u16 metric id overwritten by one
-    no :class:`MetricId` has."""
+    the same frame with the record's u8 metric id overwritten by the
+    first one no :class:`MetricId` has."""
     good = encode_frame("t", ChannelEvent(
         channel="c", source="s", size=32.0, submitted_at=0.0,
         payload=RecordBatch("s", (MetricId.LOADAVG,), (1.0,), 0.0)))
-    # The frame ends with the record's three columns: one u16 id, one
-    # f64 value and the poll's f64 timestamp.
+    # The frame ends with the record's columns: one u8 id, a one-byte
+    # zero bitmap, one f64 value and the poll's f64 timestamp.
     at = len(good) - 18
-    assert good[at:at + 2] == struct.pack(">H", MetricId.LOADAVG)
-    return good, good[:at] + struct.pack(">H", 9999) + good[at + 2:]
+    assert good[at:at + 2] == bytes([MetricId.LOADAVG, 0])
+    return good, good[:at] + bytes([len(MetricId)]) + good[at + 1:]
 
 
 def _numbered(i: int) -> ChannelEvent:
@@ -110,22 +118,26 @@ class TestRoundTrip:
 
     def test_control_frame_off_its_tag_is_refused(self):
         """A CONTROL frame decodes on the control channel's own tag
-        only, so no other handler is handed a control message."""
+        only, so no other handler is handed a control message: it
+        never carries a channel or a tag, and one that sets either
+        flag is refused."""
         body = FrameDecoder().feed(encode_frame(
             "kecho:dproc.control", ChannelEvent(
                 channel="dproc.control", source="alan", size=1.0,
                 submitted_at=0.0,
                 payload=ControlMessage("alan", "maui", "unfilter f1"))))[0]
-        channel = struct.pack(">H", 13) + b"dproc.control"
-        assert body[4:19] == channel
-        for head in (struct.pack(">H", 13) + b"dproc.monitor",
-                     struct.pack(">H", 3) + b"app"):
+        # magic, kind, no flags, then the source: no channel.
+        assert body[:4] == struct.pack(">HBB", MAGIC, KIND_CONTROL, 0)
+        assert body[4:10] == struct.pack(">H", 4) + b"alan"
+        assert decode_frame(body)[0] == "kecho:dproc.control"
+        for name in ("dproc.control", "dproc.monitor", "app"):
+            carried = struct.pack(">H", len(name)) + name.encode()
             with pytest.raises(ChannelError, match="control tag"):
-                decode_frame(body[:4] + head + body[19:])
-        tagged = body[:3] + bytes([1]) + channel + struct.pack(
-            ">H", 3) + b"tag" + body[19:]
+                decode_frame(body[:3] + bytes([FLAG_CHANNEL]) + carried
+                             + body[4:])
+        tag = struct.pack(">H", 3) + b"tag"
         with pytest.raises(ChannelError, match="control tag"):
-            decode_frame(tagged)
+            decode_frame(body[:3] + bytes([FLAG_TAG]) + tag + body[4:])
 
 
 def _dmon_event(n: int) -> ChannelEvent:
@@ -140,25 +152,50 @@ def _dmon_event(n: int) -> ChannelEvent:
                         size=40.0 + 12.0 * n, submitted_at=12.5)
 
 
+def _sparse_size(source: str, n: int, zeros: int) -> int:
+    """The bytes of a d-mon poll's frame: n records from ``source``,
+    ``zeros`` of them +0.0."""
+    return 36 + len(source) + n + (n + 7) // 8 + 8 * (n - zeros)
+
+
 class TestWireBudget:
     """The bytes a d-mon poll costs on the wire, so a format
     regression fails here and not only in the benchmark."""
 
-    @pytest.mark.parametrize("n, size", [(1, 66), (4, 96), (13, 186),
-                                         (20, 256)])
-    def test_dmon_frame_is_56_plus_10_per_record(self, n, size):
-        """13 records is the default module set: 186 bytes."""
-        frame = encode_frame("kecho:dproc.monitor", _dmon_event(n))
-        assert len(frame) == size == 56 + 10 * n
+    @pytest.mark.parametrize("n, zeros, size", [
+        (1, 0, 51), (1, 1, 43), (4, 1, 70), (13, 0, 160), (13, 1, 152),
+        (13, 5, 120), (13, 10, 80), (13, 13, 56), (20, 1, 216)])
+    def test_dmon_frame_size_counts_carried_values(self, n, zeros, size):
+        """36 + len(source) + n + ⌈n/8⌉ + 8 per value that is not
+        +0.0: 13 records is the default module set, 160 bytes from
+        ``node3`` with every cell carried."""
+        event = _dmon_event(n)
+        event.payload.values = [0.0 if i < zeros else i + 1.0
+                                for i in range(n)]
+        frame = encode_frame("kecho:dproc.monitor", event)
+        assert len(frame) == size == _sparse_size("node3", n, zeros)
         tag, decoded = decode_frame(frame[4:])
         assert tag == "kecho:dproc.monitor"
-        assert _content(decoded.payload) == _content(
-            _dmon_event(n).payload)
+        assert _content(decoded.payload) == _content(event.payload)
+
+    def test_the_largest_default_frame_stays_under_the_ci_bound(self):
+        """Every cell carried and a 7-character name: 162 B, under the
+        165 B per frame CI's node-pool smoke asserts, where the
+        previous layout's smallest default frame was 185 B."""
+        event = _dmon_event(13)
+        event.source = event.payload.host = "node999"
+        event.payload.values = [float(i + 1) for i in range(13)]
+        frame = encode_frame("kecho:dproc.monitor", event)
+        assert len(frame) == _sparse_size("node999", 13, 0) == 162
 
     def test_each_redundancy_costs_its_bytes_only_when_present(self):
         event = _dmon_event(13)
         base = len(encode_frame("kecho:dproc.monitor", event))
         assert len(encode_frame("custom", event)) == base + 2 + 6
+        event.channel = "app"
+        assert len(encode_frame("kecho:app", event)) == base + 2 + 3
+        assert len(encode_frame("custom", event)) == base + 2 + 3 + 2 + 6
+        event = _dmon_event(13)
         event.payload.host = "other"
         assert len(encode_frame("kecho:dproc.monitor",
                                 event)) == base + 2 + 5
@@ -171,30 +208,41 @@ class TestWireBudget:
     def test_previous_magic_is_refused(self):
         body = encode_frame("kecho:dproc.monitor", _dmon_event(1))[4:]
         assert body[:2] == struct.pack(">H", MAGIC)
-        with pytest.raises(ChannelError, match="magic"):
-            decode_frame(struct.pack(">H", 0xEC05) + body[2:])
+        for old in OLD_MAGICS:
+            with pytest.raises(ChannelError, match="magic"):
+                decode_frame(struct.pack(">H", old) + body[2:])
 
+    def test_every_metric_id_fits_a_u8(self):
+        assert max(MetricId) < 0x100
+        assert len(MetricId) == max(MetricId) + 1
+
+
+#: What the live host modules cannot measure: +0.0 on any host.
+UNMEASURED = {MetricId.NET_RTT, MetricId.NET_LOST, MetricId.NET_DELAY,
+              MetricId.CACHE_MISS, MetricId.INSTRUCTIONS}
 
 #: The frame a default d-mon poll of 13 records sends from ``alan`` at
-#: t = 12.5 s, record i carrying 0.25 * (i + 1); captured from the
-#: encoder of the ``{metric: (value, ts)}`` payload this batch replaced.
+#: t = 12.5 s, record i carrying 0.25 * (i + 1), or +0.0 for the five
+#: metrics in :data:`UNMEASURED`: 119 B, eight values carried.
 DEFAULT_POLL_FRAME = (
-    "000000b5ec060100000d6470726f632e6d6f6e69746f720004616c616e4029"
-    "0000000000004068800000000000000d000000010002000600070004000500"
-    "080009000b000d0003000a3fd00000000000003fe00000000000003fe80000"
-    "000000003ff00000000000003ff40000000000003ff80000000000003ffc00"
-    "000000000040000000000000004002000000000000400400000000000040060"
-    "000000000004008000000000000400a0000000000004029000000000000")
+    "00000073ec0701000004616c616e4029000000000000406880000000000000"
+    "0d0001020607040508090b0d030a401d3fd00000000000003fe00000000000"
+    "003fe80000000000003ff00000000000003ff40000000000003ff800000000"
+    "0000400000000000000040040000000000004029000000000000")
 
 #: A frame that sets HOST and TS and carries both keyed sections
-#: (NaN and -0.0 among the values), from the same encoder.
+#: (NaN and -0.0 among the values, both carried as they are).
 FLAGGED_FRAME = (
-    "000000a0ec060106000d6470726f632e6d6f6e69746f72000572656c617940"
-    "10000000000000405600000000000000046d61756900030000000100053ff8"
-    "00000000000080000000000000007ff8000000000000400000000000000040"
-    "08000000000000400800000000000000020000006440080000000000000000"
-    "006540040000000000000001000003e83fd0000000000000413e8480000000"
-    "00403e000000000000")
+    "0000008fec070106000572656c617940100000000000004056000000000000"
+    "00046d6175690003000105003ff800000000000080000000000000007ff800"
+    "00000000004000000000000000400800000000000040080000000000000002"
+    "0000006440080000000000000000006540040000000000000001000003e83f"
+    "d0000000000000413e848000000000403e000000000000")
+
+
+def _fixed_value(metric: MetricId, i: int) -> float:
+    """Record ``i`` of the default poll: 0.25 * (i + 1), or +0.0."""
+    return 0.0 if metric in UNMEASURED else 0.25 * (i + 1)
 
 
 class _Fixed(MonitoringModule):
@@ -203,8 +251,8 @@ class _Fixed(MonitoringModule):
     def __init__(self, node, name: str, first: int) -> None:
         super().__init__(node)
         self.name = name
-        self._values = [0.25 * (first + i + 1)
-                        for i in range(len(MODULE_METRICS[name]))]
+        self._values = [_fixed_value(metric, first + i) for i, metric
+                        in enumerate(MODULE_METRICS[name])]
 
     def metrics(self):
         return MODULE_METRICS[self.name]
@@ -214,7 +262,8 @@ class _Fixed(MonitoringModule):
 
 
 class TestWireFence:
-    """Bytes on the wire pinned across the change to the batch."""
+    """Bytes on the wire pinned: a layout change re-pins them on
+    purpose."""
 
     def test_default_poll_frame_is_byte_identical(self, env, cluster3):
         dmon = DMon(cluster3["alan"], KechoBus())
@@ -246,8 +295,9 @@ class TestWireFence:
             "alan", 12.5, 196.0)
         ids = [m for name in ("cpu", "mem", "disk", "net", "pmc")
                for m in MODULE_METRICS[name]]
+        assert len(bytes.fromhex(DEFAULT_POLL_FRAME)) == 119
         assert list(event.payload.records()) == [
-            (m, 0.25 * (i + 1), 12.5) for i, m in enumerate(ids)]
+            (m, _fixed_value(m, i), 12.5) for i, m in enumerate(ids)]
 
     def test_flagged_frame_decodes_to_its_records(self):
         tag, event = decode_frame(bytes.fromhex(FLAGGED_FRAME)[4:])
@@ -304,7 +354,8 @@ class TestProcSections:
         batch = self._batch()
         body = FrameDecoder().feed(
             encode_frame("t", self._monitor(batch)))[0]
-        assert body.endswith(struct.pack(">Hdd", MetricId.LOADAVG,
+        # The id, a bitmap marking no zero, the value, the timestamp.
+        assert body.endswith(struct.pack(">BBdd", MetricId.LOADAVG, 0,
                                          1.5, 2.0))
         for frame in (body, body + struct.pack(">HH", 0, 0)):
             _, decoded = decode_frame(frame)
@@ -393,11 +444,11 @@ class TestBadFrames:
                 channel="dproc.control", source="s", size=1.0,
                 submitted_at=0.0,
                 payload=ControlMessage("a", "b", "x"))))[0]
-        # magic, kind, flags; the channel's 13 characters and the
-        # source's one as two strings; two f64: the JSON document's
-        # u32 length starts at byte 38.
-        assert struct.unpack_from(">I", body, 38)[0] == len(body) - 42
-        corrupt = body[:38] + struct.pack(">I", len(raw)) + raw
+        # magic, kind, flags; the source's one character as a string
+        # (the channel is implied); two f64: the JSON document's u32
+        # length starts at byte 23.
+        assert struct.unpack_from(">I", body, 23)[0] == len(body) - 27
+        corrupt = body[:23] + struct.pack(">I", len(raw)) + raw
         with pytest.raises(ChannelError):
             decode_frame(corrupt)
 
@@ -406,6 +457,161 @@ class TestBadFrames:
         assert decode_frame(good[4:])[0] == "t"
         with pytest.raises(ChannelError):
             decode_frame(bad[4:])
+
+
+class TestSparseRefusals:
+    """A frame of the sparse layout is refused whole when its bytes
+    disagree with what its count and bitmap say."""
+
+    @staticmethod
+    def _body(values, **sections) -> bytes:
+        """A MONITOR body of LOADAVG.. records on d-mon's own tag."""
+        ids = list(MetricId)[:len(values)]
+        return encode_frame("kecho:dproc.monitor", ChannelEvent(
+            "dproc.monitor", "maui", RecordBatch(
+                "maui", ids, values, 2.0, **sections), 64.0, 2.0))[4:]
+
+    #: The fixed part of ``_body``: head, "maui", two f64, count.
+    AT_IDS = 4 + 6 + 16 + 2
+
+    def test_the_fixed_part_is_where_the_tests_cut(self):
+        body = self._body([0.0, 1.0, 0.0])
+        at = self.AT_IDS
+        assert struct.unpack_from(">H", body, at - 2)[0] == 3
+        assert body[at:at + 4] == bytes([0, 1, 2, 0b101])
+        assert len(body) == at + 4 + 8 + 8
+
+    @pytest.mark.parametrize("n, bit", [(3, 3), (3, 7), (9, 9), (9, 15)])
+    def test_a_bit_past_the_records_is_refused(self, n, bit):
+        body = bytearray(self._body([1.0] * n))
+        body[self.AT_IDS + n + bit // 8] |= 1 << bit % 8
+        with pytest.raises(ChannelError):
+            decode_frame(bytes(body))
+
+    def test_a_value_column_shorter_than_the_clear_bits_is_refused(self):
+        body = self._body([1.0, 2.0, 3.0])
+        at = self.AT_IDS + 3 + 1
+        # Drop the third value: the bitmap still says three are carried.
+        with pytest.raises(ChannelError, match="malformed|truncated"):
+            decode_frame(body[:at + 16] + body[at + 24:])
+        # Clear bits over +0.0 cells the encoder would have left out:
+        # the frame is shorter than the bitmap says.
+        zeros = bytearray(self._body([0.0, 0.0, 3.0]))
+        zeros[self.AT_IDS + 3] = 0
+        with pytest.raises(ChannelError):
+            decode_frame(bytes(zeros))
+
+    @pytest.mark.parametrize("metric", [len(MetricId), 0xFF])
+    def test_an_id_past_the_last_metric_is_refused(self, metric):
+        body = bytearray(self._body([1.0, 0.0]))
+        body[self.AT_IDS + 1] = metric
+        with pytest.raises(ChannelError):
+            decode_frame(bytes(body))
+
+    def test_a_carried_zero_and_an_unset_bitmap_still_decode(self):
+        """The encoder leaves every +0.0 out, but a frame that carries
+        one under a clear bit says the same batch."""
+        body = self._body([0.0, 2.0])
+        at = self.AT_IDS + 2
+        assert body[at] == 0b01
+        carried = body[:at] + b"\x00" + struct.pack(">d", 0.0) \
+            + body[at + 1:]
+        _, decoded = decode_frame(carried)
+        assert decoded.payload.values == (0.0, 2.0)
+
+
+class TestDecodeCaches:
+    """The receiver caches what an id column and a ``(n, bitmap)``
+    stand for, but only for frames of d-mon's size, a bounded number
+    of them, and only once the values are there to unpack."""
+
+    @staticmethod
+    def _frame(rng: random.Random, n: int, zeros: float) -> bytes:
+        """A MONITOR body of ``n`` random ids, about ``zeros`` of its
+        values +0.0."""
+        ids = [rng.choice(list(MetricId)) for _ in range(n)]
+        values = [0.0 if rng.random() < zeros else 1.0 for _ in range(n)]
+        return encode_frame("kecho:dproc.monitor", ChannelEvent(
+            "dproc.monitor", "maui", RecordBatch("maui", ids, values, 2.0),
+            64.0, 2.0))[4:]
+
+    @staticmethod
+    def _retained(bodies) -> int:
+        """Bytes still allocated after decoding ``bodies`` with empty
+        caches, each frame dropped as it is decoded."""
+        codec._id_columns.clear()
+        codec._layouts.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for body in bodies:
+                decode_frame(body)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_frames_past_dmons_size_leave_nothing_cached(self):
+        rng = random.Random(5)
+        bodies = (self._frame(rng, 3000, 0.9) for _ in range(40))
+        assert self._retained(bodies) < 64 * 1024
+        assert not codec._layouts and not codec._id_columns
+
+    def test_ever_new_small_frames_keep_the_caches_bounded(self):
+        rng = random.Random(6)
+        bodies = (self._frame(rng, codec._CACHED_RECORDS, 0.5)
+                  for _ in range(3 * codec._CACHE_ENTRIES))
+        assert self._retained(bodies) < 3 * 1024 * 1024
+        assert len(codec._layouts) <= codec._CACHE_ENTRIES
+        assert len(codec._id_columns) <= codec._CACHE_ENTRIES
+
+    @pytest.mark.parametrize("ts", [2.0, [1.0, 2.0, 3.0]],
+                             ids=["one-timestamp", "ts-column"])
+    def test_a_refused_short_value_column_caches_nothing(self, ts):
+        body = encode_frame("kecho:dproc.monitor", ChannelEvent(
+            "dproc.monitor", "maui", RecordBatch(
+                "maui", list(MetricId)[:3], [1.0, 0.0, 3.0], ts),
+            64.0, 2.0))[4:]
+        assert decode_frame(body)[1].payload.values == (1.0, 0.0, 3.0)
+        codec._id_columns.clear()
+        codec._layouts.clear()
+        with pytest.raises(ChannelError, match="truncated"):
+            decode_frame(body[:-8])
+        assert not codec._layouts and not codec._id_columns
+
+
+class TestTrailingBytes:
+    """A frame ends at its last field: bytes past it are refused."""
+
+    @pytest.mark.parametrize("extra", [b"\x00" * 4 + b"\x07",
+                                       b"\x00" * 6],
+                             ids=["sections-then-a-byte",
+                                  "sections-then-two-zeros"])
+    def test_bytes_after_a_monitor_frame_are_refused(self, extra):
+        """Two empty keyed sections and then more."""
+        body = FrameDecoder().feed(encode_frame("t", _numbered(3)))[0]
+        assert _number(body) == 3
+        with pytest.raises(ChannelError, match="past the frame"):
+            decode_frame(body + extra)
+
+    def test_bytes_after_the_keyed_sections_are_refused(self):
+        body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
+            "c", "s", RecordBatch("s", (MetricId.LOADAVG,), (1.0,), 0.0,
+                                  proc_top={7: 1.0}), 1.0, 0.0)))[0]
+        assert decode_frame(body)[1].payload.proc_top == {7: 1.0}
+        with pytest.raises(ChannelError, match="past the frame"):
+            decode_frame(body + b"\x00")
+
+    def test_bytes_after_a_control_document_are_refused(self):
+        body = FrameDecoder().feed(encode_frame(
+            "kecho:dproc.control", ChannelEvent(
+                "dproc.control", "alan",
+                ControlMessage("alan", "maui", "unfilter f1"), 1.0,
+                0.0)))[0]
+        assert decode_frame(body)[1].payload.command == "unfilter f1"
+        with pytest.raises(ChannelError, match="past the frame"):
+            decode_frame(body + b"xyz")
 
 
 class TestBatch:

@@ -5,6 +5,8 @@ frame, in one write, to a running d-mon's server.  Each hostile frame
 is either refused by the decoder (``net.rx_decode_errors``) or handed
 to a handler that counts it (``dmon.control_rejected``); the valid
 frame behind it is delivered, and nothing reaches stderr or the log.
+A frame without the codec's magic ends its connection, so the valid
+frame behind it goes on a second one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from repro.api import Scenario
 from repro.dproc import DMonConfig, MetricId, RecordBatch
 from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
 from repro.kecho.event import ChannelEvent
-from repro.live.codec import (FLAG_TAG, KIND_CONTROL, MAGIC, encode_frame)
+from repro.live.codec import (FLAG_CHANNEL, FLAG_TAG, KIND_CONTROL,
+                              KIND_MONITOR, MAGIC, encode_frame)
 
 CONTROL_TAG = "kecho:" + CONTROL_CHANNEL
 MONITOR_TAG = "kecho:" + MONITOR_CHANNEL
@@ -30,13 +33,28 @@ def _str(text: str) -> bytes:
     return struct.pack(">H", len(raw)) + raw
 
 
-def _raw(kind: int, channel: str, body: bytes, tag: str = "") -> bytes:
+#: The channel a frame of each kind names without carrying it.
+OWN_CHANNELS = {KIND_MONITOR: MONITOR_CHANNEL, KIND_CONTROL: CONTROL_CHANNEL}
+
+
+def _prefixed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+def _raw(kind: int, channel: str, body: bytes, tag: str = "",
+         carry_channel: bool = False) -> bytes:
     """A frame built by hand, as a peer that ignores the encoder
-    could send it."""
-    frame = (struct.pack(">HBB", MAGIC, kind, FLAG_TAG if tag else 0)
-             + _str(channel) + (_str(tag) if tag else b"")
-             + _str("rogue") + struct.pack(">dd", 0.0, 64.0) + body)
-    return struct.pack(">I", len(frame)) + frame
+    could send it: the channel is carried when it is not the kind's
+    own, or when asked."""
+    if channel != OWN_CHANNELS.get(kind):
+        carry_channel = True
+    flags = (FLAG_TAG if tag else 0) | (FLAG_CHANNEL if carry_channel
+                                        else 0)
+    return _prefixed(
+        struct.pack(">HBB", MAGIC, kind, flags)
+        + (_str(channel) if carry_channel else b"")
+        + (_str(tag) if tag else b"")
+        + _str("rogue") + struct.pack(">dd", 0.0, 64.0) + body)
 
 
 def _json(doc) -> bytes:
@@ -53,6 +71,27 @@ def _monitor(tag: str, channel: str, host: str, value: float) -> bytes:
     batch = RecordBatch(host, (MetricId.LOADAVG,), (value,), 0.25)
     return encode_frame(tag, ChannelEvent(channel, host, batch, 64.0,
                                           0.25))
+
+
+def _monitor_body() -> bytes:
+    """A valid two-record MONITOR frame from ``rogue`` without its
+    length prefix."""
+    batch = RecordBatch("rogue", (MetricId.LOADAVG, MetricId.FREEMEM),
+                        (1.0, 2.0), 0.25)
+    return encode_frame(MONITOR_TAG, ChannelEvent(
+        MONITOR_CHANNEL, "rogue", batch, 64.0, 0.25))[4:]
+
+
+#: Where ``_monitor_body``'s id column starts: head, "rogue", two f64
+#: and the record count.
+AT_IDS = 4 + 7 + 16 + 2
+
+
+def _edited(at: int, data: bytes, cut: int = 0) -> bytes:
+    """``_monitor_body`` with ``data`` written at ``at`` over ``cut``
+    bytes, length prefix recomputed."""
+    body = _monitor_body()
+    return _prefixed(body[:at] + data + body[at + cut:])
 
 
 #: name -> (hostile frame for a target host, the counter it moves)
@@ -83,6 +122,26 @@ HOSTILE = {
         KIND_CONTROL, CONTROL_CHANNEL,
         _json({"sender": "rogue", "target": t, "command": "unfilter x"}),
         tag=MONITOR_TAG), "net.rx_decode_errors"),
+    # Sparse MONITOR frames whose bytes disagree with their count and
+    # bitmap, frames with bytes past their last field, and a frame of
+    # the previous layout (refused as bad magic: it ends its
+    # connection).
+    "bitmap_past_the_records": (lambda t: _edited(AT_IDS + 2, b"\x04", 1),
+                                "net.rx_decode_errors"),
+    "value_column_short": (lambda t: _edited(AT_IDS + 3 + 8, b"", 8),
+                           "net.rx_decode_errors"),
+    "metric_id_20": (lambda t: _edited(AT_IDS + 1, bytes([20]), 1),
+                     "net.rx_decode_errors"),
+    "monitor_trailing_bytes": (lambda t: _prefixed(
+        _monitor_body() + b"\x00" * 4 + b"\x07"), "net.rx_decode_errors"),
+    "control_trailing_bytes": (lambda t: _prefixed(
+        _control(t, "period cpu 1")[4:] + b"xyz"), "net.rx_decode_errors"),
+    "channel_on_control": (lambda t: _raw(
+        KIND_CONTROL, CONTROL_CHANNEL,
+        _json({"sender": "rogue", "target": t, "command": "period cpu 1"}),
+        carry_channel=True), "net.rx_decode_errors"),
+    "previous_magic": (lambda t: _edited(0, struct.pack(">H", 0xEC06), 2),
+                       "net.rx_decode_errors"),
     # Frames that decode and reach d-mon, which counts them.
     "monitor_on_control_tag": (lambda t: _monitor(
         CONTROL_TAG, CONTROL_CHANNEL, "rogue", 1.0),
@@ -101,6 +160,9 @@ HOSTILE = {
 
 COUNTERS = ("net.rx_decode_errors", "dmon.control_rejected")
 
+#: Hostile frames after which the stack hangs up on the sender.
+HANGS_UP = {"previous_magic"}
+
 
 def test_hostile_frames_are_counted_and_the_next_frame_delivered(
         capfd, caplog):
@@ -115,11 +177,18 @@ def test_hostile_frames_are_counted_and_the_next_frame_delivered(
             host = target.node.name
             for i, name in enumerate(names):
                 frame, _counter = HOSTILE[name]
+                good = _monitor(MONITOR_TAG, MONITOR_CHANNEL,
+                                f"rogue-{name}", float(i))
                 sock = socket.create_connection(target.node.stack.address)
-                sock.sendall(frame(host) + _monitor(
-                    MONITOR_TAG, MONITOR_CHANNEL, f"rogue-{name}",
-                    float(i)))
                 sockets.append(sock)
+                if name in HANGS_UP:
+                    sock.sendall(frame(host))
+                    sock = socket.create_connection(
+                        target.node.stack.address)
+                    sockets.append(sock)
+                    sock.sendall(good)
+                else:
+                    sock.sendall(frame(host) + good)
 
         target.node.spawn(attack(), name="rogue")
 

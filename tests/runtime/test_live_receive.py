@@ -39,7 +39,7 @@ def _garbage() -> bytes:
 def _old_magic() -> bytes:
     frame = _frame(1)
     assert frame[4:6] == struct.pack(">H", MAGIC)
-    return frame[:4] + struct.pack(">H", 0xEC05) + frame[6:]
+    return frame[:4] + struct.pack(">H", 0xEC06) + frame[6:]
 
 
 def _over_large() -> bytes:
@@ -59,8 +59,8 @@ def _bad_metric() -> bytes:
     frame = bytearray(_frame(1))
     # prefix, head, "app", "maui", two f64, the record count
     at = 4 + 4 + 5 + 6 + 16 + 2
-    assert frame[at:at + 2] == struct.pack(">H", int(MetricId.LOADAVG))
-    frame[at:at + 2] = struct.pack(">H", 0xFFFF)
+    assert frame[at] == MetricId.LOADAVG
+    frame[at] = 0xFF
     return bytes(frame)
 
 
