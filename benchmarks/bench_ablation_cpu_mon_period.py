@@ -10,15 +10,26 @@ sampling kernel thread more often.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.api import Scenario
 from repro.dproc import CpuMon
-from repro.sim import Environment, build_cluster
+
+#: The table this bench printed before it was built through ``Scenario``,
+#: its seconds and CPU fractions to 1e-9 relative.  A change that moves a
+#: simulated value moves a row; restate it on purpose.
+EXPECTED = {  # period: (detection seconds, sampler CPU fraction)
+    1.0: (1.0, 0.00039999999999999996),
+    5.0: (4.0, 7.999999999999999e-05),
+    30.0: (24.0, 1.3333333333333332e-05),
+}
 
 
 def run_period(avg_period: float, duration: float = 120.0):
     """Measure detection delay of a load step and sampler CPU cost."""
-    env = Environment()
-    cluster = build_cluster(env, 1, seed=3)
-    node = cluster["alan"]
+    # No dproc: the module is measured on its own.
+    sc = Scenario(nodes=1, seed=3, monitor_hosts=0).build()
+    env, node = sc.env, sc.nodes["alan"]
     mon = CpuMon(node, avg_period=avg_period)
     mon.start()
     step_at = duration / 2
@@ -40,7 +51,7 @@ def run_period(avg_period: float, duration: float = 120.0):
 
     env.process(load_step())
     env.process(probe())
-    env.run(until=duration)
+    sc.run_until(duration)
     node.cpu.settle()
     # Sampler cost: tasklist walks at the configured wake-up rate.
     walks_per_sec = 1.0 / mon.sample_interval
@@ -64,6 +75,8 @@ def test_cpu_mon_period_tradeoff(benchmark):
         r = results[p]
         print(f"  {p:10g} {r['detect_seconds']:11.2f} "
               f"{r['sampler_cpu_fraction'] * 100:11.4f}%")
+        assert (r["detect_seconds"], r["sampler_cpu_fraction"]) \
+            == pytest.approx(EXPECTED[p], rel=1e-9)
 
     detects = [results[p]["detect_seconds"] for p in periods]
     costs = [results[p]["sampler_cpu_fraction"] for p in periods]

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import DMonConfig, MetricId, deploy_dproc
+from repro.api import Scenario
+from repro.dproc import DMonConfig, MetricId
 from repro.dproc.params import ChangeThreshold
-from repro.sim import Environment, build_cluster
 
 METRICS = frozenset({MetricId.LOADAVG, MetricId.FREEMEM,
                      MetricId.DISKUSAGE, MetricId.NET_BANDWIDTH})
@@ -52,22 +52,27 @@ DIFFERENTIAL_FILTER = """
 }
 """
 
+#: The table this bench printed before it was built through ``Scenario``:
+#: counts exact, CPU seconds to 1e-9 relative.  A change that moves a
+#: simulated value moves a row; restate it on purpose.
+EXPECTED = {  # configuration: (records, events, publisher CPU seconds)
+    "parameters": (4, 1, 0.04185729839969178),
+    "filter": (2, 1, 0.04435383519989729),
+}
+
 
 def run_configuration(use_filter: bool, duration: float = 100.0):
     """Run a 2-node cluster with the differential rule one way."""
-    env = Environment()
-    cluster = build_cluster(env, 2, seed=5)
-    dprocs = deploy_dproc(cluster,
-                          config=DMonConfig(metric_subset=METRICS),
-                          modules=("cpu", "mem", "disk", "net"))
-    publisher = dprocs["alan"].dmon
+    sc = Scenario(nodes=2, seed=5, dmon=DMonConfig(metric_subset=METRICS),
+                  modules=("cpu", "mem", "disk", "net")).build()
+    publisher = sc.dprocs["alan"].dmon
     if use_filter:
         publisher.filters.deploy(DIFFERENTIAL_FILTER, scope="*")
     else:
         for policy in publisher.policies.values():
             policy.add_threshold(ChangeThreshold(15.0))
-    env.run(until=duration)
-    node = cluster["alan"]
+    sc.run_until(duration)
+    node = sc.nodes["alan"]
     node.cpu.settle()
     return {
         "records": node.telemetry.value("dmon.records_published"),
@@ -88,6 +93,9 @@ def test_params_cheaper_than_equivalent_filter(benchmark):
     for label, r in (("parameters", params), ("filter", filt)):
         print(f"  {label:14s} {r['records']:8.0f} {r['events']:7.0f} "
               f"{r['cpu_seconds'] * 1e3:9.2f}")
+        records, events, cpu_seconds = EXPECTED[label]
+        assert (r["records"], r["events"]) == (records, events)
+        assert r["cpu_seconds"] == pytest.approx(cpu_seconds, rel=1e-9)
 
     # Behavioural equivalence: both publish the same records.
     assert filt["records"] == pytest.approx(params["records"], abs=4)

@@ -10,27 +10,37 @@ putting applications (not the toolkit) in charge of rates.
 
 from __future__ import annotations
 
-from repro.dproc import DMonConfig, MetricId, deploy_dproc
-from repro.sim import Environment, build_cluster
+import pytest
+
+from repro.api import Scenario
+from repro.dproc import DMonConfig, MetricId
 
 INTERVALS = (0.25, 0.5, 1.0, 2.0, 4.0)
 DURATION = 60.0
 METRICS = frozenset({MetricId.LOADAVG, MetricId.FREEMEM,
                      MetricId.DISKUSAGE, MetricId.NET_BANDWIDTH})
 
+#: The table this bench printed before it was built through ``Scenario``,
+#: its seconds and CPU fractions to 1e-9 relative.  A change that moves a
+#: simulated value moves a row; restate it on purpose.
+EXPECTED = {  # interval: (staleness seconds, monitor CPU fraction)
+    0.25: (0.1132387364814728, 0.006663772799999949),
+    0.5: (0.22660859296294453, 0.003331886399999983),
+    1.0: (0.453348305925888, 0.0016659432000000031),
+    2.0: (0.9068277318517749, 0.0008329716),
+    4.0: (1.8137865837035463, 0.0004164857999999997),
+}
+
 
 def run_interval(interval: float):
-    env = Environment()
-    cluster = build_cluster(env, nodes=4, seed=3)
-    dprocs = deploy_dproc(
-        cluster,
-        config=DMonConfig(poll_interval=interval,
-                          metric_subset=METRICS),
-        modules=("cpu", "mem", "disk", "net"))
-    env.run(until=DURATION)
-    dmon = dprocs[cluster.names[0]].dmon
+    sc = Scenario(nodes=4, seed=3,
+                  dmon=DMonConfig(poll_interval=interval,
+                                  metric_subset=METRICS),
+                  modules=("cpu", "mem", "disk", "net")).run_until(DURATION)
+    names = sc.nodes.names
+    dmon = sc.dprocs[names[0]].dmon
     # Mean staleness of what this node knows about its peers.
-    ages = [dmon.peer_age(host) for host in cluster.names[1:]
+    ages = [dmon.peer_age(host) for host in names[1:]
             if dmon.remote_value(host, MetricId.FREEMEM) is not None]
     cpu_per_sec = (dmon.mean_submit_overhead(since=DURATION * 0.2)
                    + dmon.mean_receive_overhead(
@@ -53,6 +63,8 @@ def test_poll_interval_tradeoff(benchmark):
         r = results[i]
         print(f"  {i:12g} {r['staleness']:13.2f} "
               f"{r['cpu_fraction'] * 100:10.4f}%")
+        assert (r["staleness"], r["cpu_fraction"]) \
+            == pytest.approx(EXPECTED[i], rel=1e-9)
 
     staleness = [results[i]["staleness"] for i in INTERVALS]
     cpu = [results[i]["cpu_fraction"] for i in INTERVALS]

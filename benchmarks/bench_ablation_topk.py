@@ -24,12 +24,11 @@ scalar-only knobs leave the keyed stream untouched.
 
 from __future__ import annotations
 
-from repro.dproc import DMonConfig, Roster, topk_source
+import pytest
+
+from repro.api import Scenario
+from repro.dproc import DMonConfig, topk_source
 from repro.dproc.params import ChangeThreshold
-from repro.dproc.toolkit import Dproc
-from repro.kecho import KechoBus
-from repro.sim import Environment, build_cluster
-from repro.telemetry import overhead_summary
 
 MODULES = ("cpu", "mem", "proc")
 NODES = 64
@@ -44,28 +43,22 @@ THRESHOLD_PCT = 15.0
 #: The acceptance gate: top-K must cut record volume at least this much.
 MIN_VOLUME_REDUCTION = 5.0
 
-
-def build():
-    env = Environment()
-    cluster = build_cluster(env, nodes=NODES, seed=7)
-    bus = KechoBus()
-    names = cluster.names
-    watchers = set(names[:WATCHERS])
-    roster = Roster(names)
-    dprocs = {}
-    for name in names:
-        cfg = DMonConfig(poll_interval=POLL,
-                         subscribe_monitoring=name in watchers)
-        dprocs[name] = Dproc(cluster[name], bus, cfg, MODULES,
-                             roster=roster)
-        dprocs[name].dmon.modules["proc"].configure("nprocs", N_PROCS)
-    return env, cluster, dprocs
+#: The table this bench printed before it was built through ``Scenario``:
+#: counts exact, CPU seconds to 1e-9 relative.  A change that moves a
+#: simulated value moves a row; restate it on purpose.
+EXPECTED = {  # variant: (events, records, monitor CPU seconds)
+    "full": (640, 49280, 1.657220608000008),
+    "period": (640, 47040, 1.6462892560000024),
+    "threshold": (640, 46816, 1.6451724940000034),
+    "topk": (640, 4480, 1.4457681279999963),
+}
 
 
-def run_variant(variant: str) -> dict:
-    env, cluster, dprocs = build()
-    for dproc in dprocs.values():
+def configure(sc: Scenario, variant: str) -> None:
+    """On every d-mon: size the process table, apply the variant's knob."""
+    for dproc in sc.dprocs.values():
         dmon = dproc.dmon
+        dmon.modules["proc"].configure("nprocs", N_PROCS)
         if variant == "period":
             for policy in dmon.policies.values():
                 policy.set_period(POLL * PERIOD_STRETCH)
@@ -75,13 +68,17 @@ def run_variant(variant: str) -> dict:
         elif variant == "topk":
             dmon.filters.deploy(topk_source(K, "cpu"), scope="proc",
                                 filter_id="topk")
-        dproc.start()
-    env.run(until=DURATION)
-    for name in cluster.names:
-        cluster[name].cpu.settle()
-    overhead = overhead_summary(
-        {name: cluster[name].telemetry for name in cluster.names},
-        sim_seconds=DURATION)
+
+
+def run_variant(variant: str) -> dict:
+    sc = (Scenario(nodes=NODES, seed=7,
+                   dmon=DMonConfig(poll_interval=POLL), modules=MODULES,
+                   watchers=WATCHERS)
+          .with_setup(lambda sc: configure(sc, variant))
+          .run_until(DURATION))
+    for node in sc.nodes:
+        node.cpu.settle()
+    overhead = sc.overhead()
     return {
         "events": overhead["events_published"],
         "records": overhead["records_published"],
@@ -102,6 +99,11 @@ def test_topk_compresses_the_keyed_stream(benchmark):
         r = results[v]
         print(f"  {v:<10} {r['events']:9.0f} {r['records']:10.0f} "
               f"{r['monitor_cpu']:15.3f}")
+    for v in variants:
+        r = results[v]
+        events, records, monitor_cpu = EXPECTED[v]
+        assert (r["events"], r["records"]) == (events, records)
+        assert r["monitor_cpu"] == pytest.approx(monitor_cpu, rel=1e-9)
     full, topk = results["full"], results["topk"]
 
     assert full["records"] / max(topk["records"], 1.0) \

@@ -16,26 +16,34 @@ concentrates on one machine.
 
 from __future__ import annotations
 
-from repro.dproc import DMonConfig, MetricId, deploy_dproc
+import pytest
+
+from repro.api import Scenario
+from repro.dproc import DMonConfig, MetricId
 from repro.dproc.central import CentralCollector
-from repro.sim import Environment, build_cluster
 
 SIZES = (8, 16, 32, 48)
 DURATION = 40.0
 METRICS = frozenset({MetricId.LOADAVG, MetricId.FREEMEM,
                      MetricId.DISKUSAGE, MetricId.NET_BANDWIDTH})
 
+#: The table this bench printed before it was built through ``Scenario``,
+#: its CPU fractions to 1e-9 relative.  A change that moves a simulated
+#: value moves a row; restate it on purpose.
+EXPECTED = {  # nodes: (p2p hottest CPU fraction, central's)
+    8: (0.0038523207999999905, 0.005575594400000008),
+    16: (0.008225075999999935, 0.012202916000000083),
+    32: (0.016970586400000168, 0.026827056799999666),
+    48: (0.025716096800000296, 0.04327719440000073),
+}
+
 
 def run_p2p(n: int) -> float:
     """Max per-node monitoring CPU fraction under dproc."""
-    env = Environment()
-    cluster = build_cluster(env, nodes=n, seed=1)
-    dprocs = deploy_dproc(cluster,
-                          config=DMonConfig(metric_subset=METRICS),
-                          modules=("cpu", "mem", "disk", "net"))
-    env.run(until=DURATION)
+    sc = Scenario(nodes=n, seed=1, dmon=DMonConfig(metric_subset=METRICS),
+                  modules=("cpu", "mem", "disk", "net")).run_until(DURATION)
     worst = 0.0
-    for dproc in dprocs.values():
+    for dproc in sc.dprocs.values():
         dmon = dproc.dmon
         per_poll = (dmon.mean_submit_overhead(since=DURATION * 0.2)
                     + dmon.mean_receive_overhead(since=DURATION * 0.2))
@@ -45,12 +53,11 @@ def run_p2p(n: int) -> float:
 
 def run_central(n: int) -> float:
     """Max per-node monitoring CPU fraction under a central collector."""
-    env = Environment()
-    cluster = build_cluster(env, nodes=n, seed=1)
+    sc = Scenario(nodes=n, seed=1, monitor_hosts=0).build()
     central = CentralCollector(
-        cluster, collector=cluster.names[0],
+        sc.nodes, collector=sc.nodes.names[0],
         metrics=METRICS).start()
-    env.run(until=DURATION)
+    sc.run_until(DURATION)
     _host, cpu_seconds = central.hottest_node()
     return cpu_seconds / DURATION
 
@@ -67,6 +74,7 @@ def test_p2p_load_stays_flatter_than_central(benchmark):
         p2p, central = results[n]
         ratio = central / p2p if p2p else float("inf")
         print(f"  {n:5d} {p2p:12.5f} {central:12.5f} {ratio:11.2f}")
+        assert results[n] == pytest.approx(EXPECTED[n], rel=1e-9)
 
     # Both grow with cluster size...
     p2p_curve = [results[n][0] for n in SIZES]
@@ -84,14 +92,12 @@ def test_p2p_load_stays_flatter_than_central(benchmark):
 
 def test_central_baseline_is_functionally_complete():
     """Sanity: the baseline actually disseminates everyone's data."""
-    env = Environment()
-    cluster = build_cluster(env, nodes=4, seed=2)
+    sc = Scenario(nodes=4, seed=2, monitor_hosts=0).build()
+    names = sc.nodes.names
     central = CentralCollector(
-        cluster, collector=cluster.names[0],
-        metrics=METRICS).start()
-    env.run(until=10.0)
-    last = cluster.names[-1]
+        sc.nodes, collector=names[0], metrics=METRICS).start()
+    sc.run_until(10.0)
     # The last node has learned the first node's free memory via the
     # collector's digest.
-    value = central.view(last, cluster.names[0], MetricId.FREEMEM)
+    value = central.view(names[-1], names[0], MetricId.FREEMEM)
     assert value is not None and value > 0

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 
-from repro.dproc import MetricId, deploy_dproc
-from repro.sim import Environment, build_cluster
+from repro.api import Scenario
+from repro.dproc import MetricId
 from repro.units import MB
 from repro.workloads import Linpack
 
@@ -43,9 +43,8 @@ def scheduler_filter(n_cpus: int) -> str:
 
 
 def main() -> None:
-    env = Environment()
-    cluster = build_cluster(env, nodes=4, seed=23)
-    dprocs = deploy_dproc(cluster)
+    sc = Scenario(nodes=4, seed=23).build()
+    env, cluster, dprocs = sc.env, sc.nodes, sc.dprocs
     head = dprocs["alan"]
     workers = [n for n in cluster.names if n != "alan"]
 
@@ -55,7 +54,7 @@ def main() -> None:
         dprocs[name].dmon.modules["cpu"].configure("period", 4.0)
         head.write(f"/proc/cluster/{name}/control",
                    scheduler_filter(cluster[name].cpu.n_cpus))
-    env.run(until=5.0)
+    sc.run_until(5.0)
 
     # Pre-load etna so it has no free CPU: the scheduler should skip it.
     for _ in range(2):
@@ -86,7 +85,7 @@ def main() -> None:
                 done.add_callback(lambda _ev, m=mem: m.free())
 
     env.process(scheduler())
-    env.run(until=120.0)
+    sc.run_until(120.0)
 
     print("batch scheduler results after 120 s:")
     for name in workers:

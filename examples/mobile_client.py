@@ -18,8 +18,9 @@ Run:  python examples/mobile_client.py
 
 from __future__ import annotations
 
-from repro.dproc import BatteryMon, MetricId, deploy_dproc
-from repro.sim import Battery, Environment, NodeConfig, build_cluster
+from repro.api import Scenario
+from repro.dproc import BatteryMon, MetricId
+from repro.sim import Battery, NodeConfig
 from repro.smartpointer import (ClientCapabilities, DynamicAdaptation,
                                 SmartPointerClient, SmartPointerServer,
                                 StreamProfile, Transform)
@@ -27,16 +28,20 @@ from repro.units import KB
 
 
 def main() -> None:
-    env = Environment()
-    cluster = build_cluster(
-        env, 2, seed=99, names=["server", "ipaq"],
-        node_configs=[NodeConfig(n_cpus=4),
-                      NodeConfig(n_cpus=1, mflops_per_cpu=4.0)])
-    ipaq = cluster["ipaq"]
-    battery = Battery(ipaq, capacity_joules=4000.0)  # small handheld
+    batteries = {}
 
-    dprocs = deploy_dproc(cluster)
-    env.run(until=3.0)
+    def fit_battery(sc: Scenario) -> None:
+        # The battery exists before d-mon starts, as on a real device.
+        batteries["ipaq"] = Battery(sc.nodes["ipaq"],
+                                    capacity_joules=4000.0)  # handheld
+
+    sc = (Scenario(2, seed=99, names=["server", "ipaq"],
+                   node_configs=[NodeConfig(n_cpus=4),
+                                 NodeConfig(n_cpus=1, mflops_per_cpu=4.0)])
+          .with_cluster_setup(fit_battery)
+          .run_until(3.0))
+    env, cluster, dprocs = sc.env, sc.nodes, sc.dprocs
+    ipaq, battery = cluster["ipaq"], batteries["ipaq"]
 
     # --- run-time module deployment -----------------------------------
     print("modules before:", sorted(dprocs["ipaq"].dmon.modules))
@@ -81,7 +86,7 @@ def main() -> None:
           f"{'reported?':>9} {'events rx':>9}")
     last_drain, last_t = battery.drained_joules(), env.now
     for checkpoint in range(200, 2001, 300):
-        env.run(until=checkpoint)
+        sc.run_until(checkpoint)
         drained = battery.drained_joules()
         watts = (drained - last_drain) / (env.now - last_t)
         last_drain, last_t = drained, env.now

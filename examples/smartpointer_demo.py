@@ -11,8 +11,9 @@ Run:  python examples/smartpointer_demo.py
 
 from __future__ import annotations
 
-from repro.dproc import DMonConfig, deploy_dproc
-from repro.sim import Environment, NodeConfig, build_cluster
+from repro.api import Scenario
+from repro.dproc import DMonConfig
+from repro.sim import NodeConfig
 from repro.smartpointer import (ClientCapabilities, DynamicAdaptation,
                                 NoAdaptation, SmartPointerClient,
                                 SmartPointerServer, StreamProfile)
@@ -25,11 +26,11 @@ RATE = 5.0  # events per second
 
 
 def run_scenario(policy, label: str) -> None:
-    env = Environment()
-    cluster = build_cluster(
-        env, 2, seed=11, names=["server", "client"],
-        node_configs=[NodeConfig(n_cpus=4), NodeConfig(n_cpus=1)])
-    dprocs = deploy_dproc(cluster, config=DMonConfig(poll_interval=1.0))
+    sc = Scenario(
+        2, seed=11, names=["server", "client"],
+        node_configs=[NodeConfig(n_cpus=4), NodeConfig(n_cpus=1)],
+        dmon=DMonConfig(poll_interval=1.0)).build()
+    cluster, dprocs = sc.nodes, sc.dprocs
     for dp in dprocs.values():
         dp.dmon.modules["cpu"].configure("period", 5.0)
 
@@ -45,7 +46,7 @@ def run_scenario(policy, label: str) -> None:
           f"{'latency (s)':>11} {'quality':>8}")
     threads = 0
     for phase_end in (60, 120, 180, 240):
-        env.run(until=phase_end)
+        sc.run_until(phase_end)
         window = 30.0
         rate = client.event_rate(window)
         try:
@@ -53,7 +54,7 @@ def run_scenario(policy, label: str) -> None:
         except ValueError:
             latency = float("nan")
         quality = stream.quality
-        print(f"{env.now:6.0f} {threads:7d} {rate:7.2f} "
+        print(f"{sc.env.now:6.0f} {threads:7d} {rate:7.2f} "
               f"{latency:11.3f} {quality:8.2f}")
         # two more linpack threads per phase
         for _ in range(2):

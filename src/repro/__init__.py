@@ -48,10 +48,11 @@ __all__ = [
     "__version__",
     # facade (repro.api)
     "Scenario", "ScenarioError",
-    # simulator backbone (repro.sim)
-    "Environment", "NodeConfig", "build_cluster",
+    # simulator (repro.sim): the clock a sim run exposes as
+    # ``scenario.env`` and the per-node hardware description
+    "Environment", "NodeConfig",
     # toolkit surface (repro.dproc)
-    "Dproc", "deploy_dproc", "DMonConfig", "MetricId",
+    "Dproc", "DMonConfig", "MetricId",
 ]
 
 #: Lazy re-exports (PEP 562): importing ``repro`` stays cheap; the
@@ -61,9 +62,7 @@ _EXPORTS = {
     "ScenarioError": "repro.api",
     "Environment": "repro.sim",
     "NodeConfig": "repro.sim",
-    "build_cluster": "repro.sim",
     "Dproc": "repro.dproc",
-    "deploy_dproc": "repro.dproc",
     "DMonConfig": "repro.dproc",
     "MetricId": "repro.dproc",
 }

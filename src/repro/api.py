@@ -1,11 +1,11 @@
 """The stable scenario API: one object that wires a whole deployment.
 
-Before this facade every harness and example hand-wired
-``Environment`` + ``build_cluster`` + ``deploy_dproc`` + fault
-injector + tracer in slightly different ways.  :class:`Scenario` owns
-that wiring behind one fluent builder and — because it talks to the
-backend only through :class:`repro.runtime.protocol.Runtime` — the
-same scenario script drives either backend::
+:class:`Scenario` is the one way to build a run: every harness,
+benchmark and example builds through it.  It owns the wiring (nodes,
+bus, dproc deployment, fault injector, tracer) behind one fluent
+builder and — because it talks to the backend only through
+:class:`repro.runtime.protocol.Runtime` — the same scenario script
+drives either backend::
 
     from repro.api import Scenario
 
@@ -50,6 +50,9 @@ __all__ = ["Scenario", "ScenarioError"]
 #: A scenario hook: receives the built scenario, returns nothing.
 Hook = Callable[["Scenario"], None]
 
+#: A host selector: the first k hosts, the named hosts, or None (all).
+Selector = Union[int, Sequence[str], None]
+
 
 class ScenarioError(ReproError):
     """Misuse of the Scenario facade (wrong backend, wrong phase)."""
@@ -62,16 +65,23 @@ class Scenario:
                  backend: str = "sim",
                  dmon: Optional[DMonConfig] = None,
                  modules: Sequence[str] = DEFAULT_MODULES,
-                 monitor_hosts: Union[int, Sequence[str], None] = None,
+                 monitor_hosts: Selector = None,
+                 watchers: Selector = None,
                  names: Optional[Sequence[str]] = None,
                  node_configs: Optional[Sequence] = None) -> None:
         """Describe the deployment; nothing is built yet.
 
         ``monitor_hosts`` restricts which nodes run dproc: an int
         means "the first k hosts", a sequence names them, None (the
-        default) deploys everywhere.  ``node_configs`` is the
-        simulator's hardware description, one per node (ignored by the
-        live backend, whose hardware is the real host).
+        default) deploys everywhere.  ``watchers``, the same kind of
+        selector, restricts which of them subscribe to the monitoring
+        channel (None: all), so n hosts open O(n x watchers) channel
+        links instead of O(n^2).  Either selector is checked when the
+        run is built, before any node exists: a count outside
+        ``0..nodes``, a bool, any other number, or a duplicate or
+        unknown name raises :class:`ScenarioError`.  ``node_configs``
+        is the simulator's hardware description, one per node (ignored
+        by the live backend, whose hardware is the real host).
         """
         if backend not in ("sim", "live"):
             raise ScenarioError(f"unknown backend {backend!r}")
@@ -81,6 +91,7 @@ class Scenario:
         self._dmon = dmon
         self._modules = tuple(modules)
         self._monitor_hosts = monitor_hosts
+        self._watchers = watchers
         self._names = list(names) if names is not None else None
         self._node_configs = node_configs
         #: ``with_node_pool`` arguments (None = one plain process).
@@ -207,19 +218,15 @@ class Scenario:
         return self
 
     def with_node_pool(self, workers: int = 2, *,
-                       watchers: Union[int, Sequence[str],
-                                       None] = None,
+                       watchers: Selector = None,
                        batch=None) -> "Scenario":
         """Scale the live backend across worker processes (live only).
 
         The cluster's hosts are partitioned contiguously; this process
         keeps slice 0 (plus the registry server), each extra worker
         forks with its own event loop over one slice
-        (:mod:`repro.live.pool`).  ``watchers`` bounds subscription
-        fan-in — an int means "the first k hosts", a sequence names
-        them; only those subscribe to the monitoring channel, so a
-        200-node pool opens O(nodes x watchers) sockets instead of
-        O(nodes^2).  ``batch`` (a
+        (:mod:`repro.live.pool`).  ``watchers``, when given, sets the
+        constructor's ``watchers``.  ``batch`` (a
         :class:`~repro.live.transport.BatchConfig`) coalesces frames
         per destination.  ``workers=1`` keeps everything in-process
         but still applies batch/watchers.
@@ -231,8 +238,9 @@ class Scenario:
                 "the simulator runs one kernel in this process")
         if workers < 1:
             raise ScenarioError(f"workers must be >= 1, got {workers}")
-        self._pool = {"workers": int(workers), "watchers": watchers,
-                      "batch": batch}
+        self._pool = {"workers": int(workers), "batch": batch}
+        if watchers is not None:
+            self._watchers = watchers
         return self
 
     # -- build and run -----------------------------------------------------
@@ -244,11 +252,12 @@ class Scenario:
                 "the live backend builds inside its event loop and "
                 "runs wall-clock in one shot; call run() directly")
         if self.runtime is None:
+            deployment = self._deployment()
             self._construct(
                 SimRuntime(nodes=self._nodes, seed=self._seed,
                            names=self._names,
                            node_configs=self._node_configs),
-                self._deployment())
+                deployment)
         return self
 
     def run(self, duration: float) -> "Scenario":
@@ -372,18 +381,13 @@ class Scenario:
         if len(names) != self._nodes:
             raise ScenarioError(
                 f"{len(names)} names for {self._nodes} nodes")
-        monitored = Deployment.select(names, self._monitor_hosts)
-        if monitored is not None and not set(monitored) <= set(names):
-            raise ScenarioError(
-                f"monitor_hosts names unknown hosts: "
-                f"{sorted(set(monitored) - set(names))}")
-        pool = self._pool or {}
+        monitored = _select(names, self._monitor_hosts, "monitor_hosts")
         return Deployment(
             seed=self._seed, dmon=self._dmon, modules=self._modules,
             names=tuple(names),
             monitored=tuple(names) if monitored is None else monitored,
-            watchers=Deployment.select(names, pool.get("watchers")),
-            batch=pool.get("batch"))
+            watchers=_select(names, self._watchers, "watchers"),
+            batch=(self._pool or {}).get("batch"))
 
     def _make_live_runtime(self, deployment: Deployment):
         """The live runtime over this process's slice of the hosts
@@ -453,3 +457,31 @@ class Scenario:
                 self.scrape = ScrapeServer(nodes, self._plane,
                                            host=host, port=port)
                 runtime.add_server(self.scrape)
+
+
+def _select(names: Sequence[str], spec: Selector,
+            knob: str) -> Optional[tuple]:
+    """Resolve a host selector to a tuple of names (None stays None).
+
+    An int counts the first hosts; a list or tuple names distinct
+    hosts.  Anything else — a bool, another number, a string — is
+    refused, as is a count outside ``0..len(names)``.
+    """
+    if spec is None:
+        return None
+    if isinstance(spec, int) and not isinstance(spec, bool):
+        if not 0 <= spec <= len(names):
+            raise ScenarioError(
+                f"{knob}={spec} is not a count of 0..{len(names)} hosts")
+        return tuple(names[:spec])
+    if not (isinstance(spec, (list, tuple))
+            and all(isinstance(name, str) for name in spec)):
+        raise ScenarioError(
+            f"{knob} is a host count or a list of host names, "
+            f"not {spec!r}")
+    unknown = sorted(set(spec) - set(names))
+    if unknown:
+        raise ScenarioError(f"{knob} names unknown hosts: {unknown}")
+    if len(set(spec)) != len(spec):
+        raise ScenarioError(f"{knob} names a host twice: {list(spec)}")
+    return tuple(spec)

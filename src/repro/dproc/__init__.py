@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :func:`deploy_dproc` / :class:`Dproc` — per-node toolkit with the
-  ``/proc/cluster`` interface;
+* :class:`Dproc` — per-node toolkit with the ``/proc/cluster``
+  interface (a run's instances are built by :class:`repro.api.Scenario`);
 * :class:`DMon` — the coordinator (register modules, parameters,
   dynamic filters, channels);
 * :class:`MetricId` and the metric namespace;
@@ -31,7 +31,7 @@ from repro.dproc.params import (AboveThreshold, BelowThreshold,
                                 RangeThreshold, ThresholdRule,
                                 parse_threshold_spec)
 from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile, Roster
-from repro.dproc.toolkit import Dproc, deploy_dproc
+from repro.dproc.toolkit import Dproc
 
 __all__ = [
     "ClusterView",
@@ -49,5 +49,5 @@ __all__ = [
     "AboveThreshold", "BelowThreshold", "ChangeThreshold", "MetricPolicy",
     "RangeThreshold", "ThresholdRule", "parse_threshold_spec",
     "ProcFS", "ProcFile", "DirTemplate", "Roster",
-    "Dproc", "deploy_dproc",
+    "Dproc",
 ]

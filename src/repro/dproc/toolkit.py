@@ -1,37 +1,34 @@
 """The Dproc toolkit facade: one object per node, /proc included.
 
-This is the user-visible surface of the reproduction: deploy dproc on a
-cluster, then read remote resource data through the familiar /proc
-hierarchy and customize monitoring by writing to control files —
-exactly the workflow of the paper's §2.
+This is the user-visible surface of the reproduction: read remote
+resource data through the familiar /proc hierarchy and customize
+monitoring by writing to control files — exactly the workflow of the
+paper's §2.  A run's instances are built by
+:class:`repro.api.Scenario` (through
+:meth:`repro.runtime.deployment.Deployment.deploy`)::
 
-Example::
-
-    env = Environment()
-    cluster = build_cluster(env, nodes=3)
-    dprocs = deploy_dproc(cluster)
-    env.run(until=5.0)
-    loadavg = dprocs["alan"].read("/proc/cluster/maui/loadavg")
-    dprocs["alan"].write("/proc/cluster/maui/control",
-                         "period cpu 2\\nthreshold cpu above 0.8")
+    sc = Scenario(nodes=3).run(5.0)
+    loadavg = sc.dprocs["alan"].read("/proc/cluster/maui/loadavg")
+    sc.dprocs["alan"].write("/proc/cluster/maui/control",
+                            "period cpu 2\\nthreshold cpu above 0.8")
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.dproc.control_api import ControlRequest
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import DMon, DMonConfig, register_default_modules
 from repro.dproc.metrics import METRIC_FILES, MetricId
 from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile, Roster
-from repro.kecho import ControlMessage, KechoBus
-from repro.runtime.protocol import Bus, NodeGroup, RuntimeNode
+from repro.kecho import ControlMessage
+from repro.runtime.protocol import Bus, RuntimeNode
 from repro.telemetry import MONITOR_CPU_COUNTERS, render_text
 
-__all__ = ["Dproc", "deploy_dproc"]
+__all__ = ["Dproc"]
 
 DEFAULT_MODULES = ("cpu", "mem", "disk", "net", "pmc")
 
@@ -63,8 +60,8 @@ class Dproc:
                 self.dmon.register_service(module_factory(name, node))
         self.procfs = ProcFS()
         self._control_log: dict[str, deque[str]] = {}
-        #: The hosts under /proc/cluster.  ``deploy_dproc`` hands every
-        #: instance the same roster, so a join shows on all of them.
+        #: The hosts under /proc/cluster.  ``Deployment.deploy`` hands
+        #: every instance the same roster, so a join shows on all.
         self.roster = Roster() if roster is None else roster
         self._mount_standard()
         self.procfs.mount_dir("/proc/cluster", HOST_DIR, self.roster, self)
@@ -254,40 +251,3 @@ HOST_DIR = DirTemplate({
         lambda dproc, host: dproc._telemetry_read(host, "dmon.")),
 })
 
-
-def deploy_dproc(cluster: NodeGroup,
-                 config: DMonConfig | None = None,
-                 modules: Sequence[str] = DEFAULT_MODULES,
-                 bus: Optional[Bus] = None,
-                 hosts: Optional[Iterable[str]] = None,
-                 module_factory: Optional[ModuleFactory] = None,
-                 config_fn: Optional[Callable[[str],
-                                              DMonConfig]] = None,
-                 roster: Optional[Iterable[str]] = None,
-                 ) -> dict[str, Dproc]:
-    """Deploy dproc on every node (or a subset) of a cluster.
-
-    All instances share one KECho bus/registry; each node's /proc tree
-    shows every participating host, as in the paper's Figure 1.
-    ``cluster`` is any :class:`~repro.runtime.protocol.NodeGroup` —
-    a simulated :class:`~repro.sim.cluster.Cluster` or the live
-    backend's node group (which supplies its own ``bus`` and
-    ``module_factory``).  ``config_fn`` overrides ``config`` per host
-    (e.g. restricting which hosts subscribe to the monitoring channel
-    on large live pools).  ``roster`` names the hosts every instance
-    shows under /proc/cluster when that is more than the hosts
-    deployed here: the other pool workers' hosts.  The instances share
-    one :class:`~repro.dproc.procfs.Roster`.
-    """
-    bus = bus if bus is not None else KechoBus()
-    names = list(hosts) if hosts is not None else cluster.names
-    shared = Roster(names if roster is None else roster)
-    instances: dict[str, Dproc] = {}
-    for name in names:
-        host_config = config_fn(name) if config_fn is not None \
-            else config
-        instances[name] = Dproc(cluster[name], bus, host_config, modules,
-                                module_factory=module_factory, roster=shared)
-    for dproc in instances.values():
-        dproc.start()
-    return instances

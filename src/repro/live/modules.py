@@ -342,7 +342,8 @@ HOST_MODULES = {
 
 
 def host_module_factory(name: str, node: RuntimeNode):
-    """The live backend's ``module_factory`` for ``deploy_dproc``."""
+    """The live backend's ``module_factory`` for ``Dproc``: one host
+    module by its standard name."""
     try:
         cls = HOST_MODULES[name]
     except KeyError:

@@ -71,7 +71,8 @@ class LiveRuntime:
 
     backend = "live"
 
-    #: The live analogue of ``deploy_dproc``'s default module set.
+    #: The live analogue of the simulator's standard module set, which
+    #: ``Deployment.deploy`` hands every ``Dproc`` it builds here.
     module_factory = staticmethod(host_module_factory)
 
     def __init__(self, nodes: int = 4, seed: int = 0,

@@ -4,15 +4,15 @@ The whole cluster lives in one process on the simulator and on a plain
 live run; a live node pool gives each worker process a slice of the
 hosts.  Every process gets its dprocs from the same frozen, picklable
 :class:`Deployment` — it is what crosses the fork into pool workers —
-and :meth:`Deployment.deploy` is the one place outside the toolkit
-that calls :func:`repro.dproc.toolkit.deploy_dproc`.  The hosts of a
+and :meth:`Deployment.deploy` is the one place that builds and starts
+a run's :class:`~repro.dproc.toolkit.Dproc` instances.  The hosts of a
 scenario that names none are :func:`default_names`, on both backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional
 
 __all__ = ["Deployment", "PAPER_NODE_NAMES", "default_names"]
 
@@ -44,16 +44,6 @@ class Deployment:
     #: Live frame coalescing (a ``BatchConfig``; None = unbatched).
     batch: Any = None
 
-    @staticmethod
-    def select(names: Sequence[str],
-               spec: Union[int, Sequence[str], None]) -> Optional[tuple]:
-        """Resolve a host selector: the first k, the named, or None."""
-        if spec is None:
-            return None
-        if isinstance(spec, int):
-            return tuple(names[:spec])
-        return tuple(spec)
-
     def host_slices(self, processes: int) -> list[list[str]]:
         """Contiguous host slices, one per live process (the parent
         runs slice 0).
@@ -71,22 +61,30 @@ class Deployment:
         return slices
 
     def deploy(self, nodes, bus, module_factory=None) -> dict:
-        """Deploy and start dproc on the monitored hosts in ``nodes``.
+        """Build and start dproc on the monitored hosts in ``nodes``.
 
         Every instance shows the same ``/proc/cluster``: one directory
-        per monitored host of the whole deployment, wherever it runs.
+        per monitored host of the whole deployment, wherever it runs,
+        from one shared :class:`~repro.dproc.procfs.Roster`.  A host
+        outside ``watchers`` (when set) does not subscribe to the
+        monitoring channel.  All instances are built before any
+        starts.
         """
         from repro.dproc.dmon import DMonConfig
-        from repro.dproc.toolkit import deploy_dproc
+        from repro.dproc.procfs import Roster
+        from repro.dproc.toolkit import Dproc
+        config = self.dmon if self.dmon is not None else DMonConfig()
+        quiet = replace(config, subscribe_monitoring=False)
+        watching = frozenset(self.names if self.watchers is None
+                             else self.watchers)
+        roster = Roster(self.monitored)
         local = set(nodes.names)
-        config_fn = None
-        if self.watchers is not None:
-            base = self.dmon if self.dmon is not None else DMonConfig()
-            quiet = replace(base, subscribe_monitoring=False)
-            watching = frozenset(self.watchers)
-            config_fn = lambda host: base if host in watching else quiet
-        return deploy_dproc(
-            nodes, config=self.dmon, modules=self.modules, bus=bus,
-            hosts=[name for name in self.monitored if name in local],
-            module_factory=module_factory, config_fn=config_fn,
-            roster=self.monitored)
+        dprocs = {
+            name: Dproc(nodes[name], bus,
+                        config if name in watching else quiet,
+                        self.modules, module_factory=module_factory,
+                        roster=roster)
+            for name in self.monitored if name in local}
+        for dproc in dprocs.values():
+            dproc.start()
+        return dprocs

@@ -8,6 +8,7 @@ from typing import Callable
 
 import pytest
 
+from repro.api import Scenario
 from repro.sim import Environment, build_cluster
 
 
@@ -34,6 +35,12 @@ def env() -> Environment:
 def cluster3(env):
     """A small 3-node cluster (alan/maui/etna, as in the paper)."""
     return build_cluster(env, nodes=3, seed=42)
+
+
+@pytest.fixture
+def sc3() -> Scenario:
+    """``cluster3`` as a built sim ``Scenario``: dproc on every node."""
+    return Scenario(nodes=3, seed=42).build()
 
 
 @pytest.fixture

@@ -7,19 +7,18 @@ import math
 import pytest
 
 from repro.api import Scenario
-from repro.dproc import MetricId, deploy_dproc
+from repro.dproc import MetricId
 from repro.dproc.aggregate import ClusterView
 from repro.units import MB
 from repro.workloads import Linpack
 
 
 @pytest.fixture
-def view(env, cluster3):
-    dprocs = deploy_dproc(cluster3)
-    for dp in dprocs.values():
+def view(sc3):
+    for dp in sc3.dprocs.values():
         dp.dmon.modules["cpu"].configure("period", 4.0)
-    env.run(until=5.0)
-    return ClusterView(dprocs["alan"]), dprocs, cluster3
+    sc3.run_until(5.0)
+    return ClusterView(sc3.dprocs["alan"]), sc3.dprocs, sc3.nodes
 
 
 def fresh_by_status(dproc) -> set[str]:
@@ -36,10 +35,10 @@ class TestSnapshot:
         assert set(snap) == set(cluster.names)
         assert all(value > 0 for value in snap.values())
 
-    def test_stale_entries_dropped(self, env, view):
+    def test_stale_entries_dropped(self, sc3, view):
         v, dprocs, _ = view
         dprocs["maui"].dmon.stop()
-        env.run(until=20.0)
+        sc3.run_until(20.0)
         snap = v.snapshot(MetricId.FREEMEM)
         assert "maui" not in snap
         assert "etna" in snap
@@ -89,18 +88,18 @@ class TestAggregates:
         assert len(snap) == len(cluster)
         assert total / len(snap) > MB(100)
 
-    def test_empty_aggregates_are_nan(self, env, view):
+    def test_empty_aggregates_are_nan(self, sc3, view):
         v, dprocs, _ = view
         for dp in dprocs.values():
             dp.dmon.stop()
-        env.run(until=30.0)
+        sc3.run_until(30.0)
         # Even local samples linger in last_samples; use a metric that
         # was never collected.
         assert v.snapshot(MetricId.BATTERY) == {}
         host, value = v.extreme(MetricId.BATTERY)
         assert host is None and math.isnan(value)
 
-    def test_placement_queries(self, env, view):
+    def test_placement_queries(self, sc3, view):
         """The least-loaded host and the one with the most free memory
         are ``extreme`` over fresh readings, and a metric no host
         reports has no extreme host."""
@@ -108,7 +107,7 @@ class TestAggregates:
         for _ in range(3):
             Linpack(cluster["maui"]).start()
         cluster["etna"].memory.allocate(MB(300), tag="hog")
-        env.run(until=30.0)
+        sc3.run_until(30.0)
         host, load = v.extreme(MetricId.LOADAVG, largest=False)
         assert host != "maui"
         assert load < v.snapshot(MetricId.LOADAVG)["maui"]
@@ -116,22 +115,21 @@ class TestAggregates:
         assert roomy != "etna" and free > MB(300)
         assert v.extreme(MetricId.BATTERY)[0] is None
 
-    def test_stopped_host_is_never_the_answer_once_dead(self, env,
-                                                         cluster3):
+    def test_stopped_host_is_never_the_answer_once_dead(self, sc3):
         """The idle host is the least loaded until its d-mon stops;
         from the moment its status reads dead, ``extreme`` never
         names it."""
-        dprocs = deploy_dproc(cluster3)
+        dprocs = sc3.dprocs
         for name in ("alan", "maui"):
             for _ in range(2):
-                Linpack(cluster3[name]).start()
+                Linpack(sc3.nodes[name]).start()
         view = ClusterView(dprocs["alan"])
-        env.run(until=10.0)
+        sc3.run_until(10.0)
         assert view.extreme(MetricId.LOADAVG, largest=False)[0] == "etna"
         dprocs["etna"].stop()
         dead_seen = 0
         for second in range(11, 61):
-            env.run(until=float(second))
+            sc3.run_until(float(second))
             status = dprocs["alan"].read("/proc/cluster/etna/status")
             if status.startswith("state: dead\n"):
                 dead_seen += 1
@@ -139,10 +137,10 @@ class TestAggregates:
                 assert host != "etna", second
         assert dead_seen > 30
 
-    def test_extreme(self, env, view):
+    def test_extreme(self, sc3, view):
         v, _, cluster = view
         cluster["maui"].memory.allocate(MB(300), tag="hog")
-        env.run(until=10.0)
+        sc3.run_until(10.0)
         host, value = v.extreme(MetricId.FREEMEM, largest=False)
         assert host == "maui"
         top, top_value = v.extreme(MetricId.FREEMEM, largest=True)

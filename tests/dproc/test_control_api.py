@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario
 from repro.dproc import (ControlRequest, DMonConfig, FilterCommand,
-                         deploy_dproc, parse_control_text, topk_filter)
+                         parse_control_text, topk_filter)
 from repro.errors import ControlSyntaxError
-from repro.sim import Environment, build_cluster
 
 
 class TestRender:
@@ -70,18 +70,16 @@ class TestValidation:
 
 class TestDprocWrite:
     def test_write_accepts_request(self):
-        env = Environment()
-        cluster = build_cluster(env, nodes=2, seed=3)
-        dprocs = deploy_dproc(cluster,
-                              config=DMonConfig(poll_interval=1.0))
-        env.run(until=2.0)
+        sc = Scenario(nodes=2, seed=3,
+                      dmon=DMonConfig(poll_interval=1.0)).run_until(2.0)
+        dprocs = sc.dprocs
         dprocs["alan"].write(
             "/proc/cluster/maui/control",
             ControlRequest([FilterCommand(
                 metric="cpu", filter_id="half",
                 source="{ output[0] = input[LOADAVG];"
                        " output[0].value = input[LOADAVG].value * 0.5; }")]))
-        env.run(until=4.0)
+        sc.run_until(4.0)
         deployed = dprocs["maui"].dmon.filters.filter_for("cpu")
         assert deployed is not None and deployed.filter_id == "half"
         log = dprocs["alan"].read("/proc/cluster/maui/control")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import deploy_dproc, topk_filter
+from repro.api import Scenario
+from repro.dproc import topk_filter
 from repro.dproc.dmon import DMonConfig
 
 MODULES = ("cpu", "proc")
@@ -21,10 +22,14 @@ POLL = 0.5
 
 
 @pytest.fixture
-def pair(env, cluster3):
-    dprocs = deploy_dproc(cluster3, DMonConfig(poll_interval=POLL),
-                          modules=MODULES)
-    names = cluster3.names
+def sc():
+    return Scenario(nodes=3, seed=42, dmon=DMonConfig(poll_interval=POLL),
+                    modules=MODULES).build()
+
+
+@pytest.fixture
+def pair(sc):
+    dprocs, names = sc.dprocs, sc.nodes.names
     observer, victim = dprocs[names[0]], dprocs[names[1]]
     observer.write(f"/proc/cluster/{names[1]}/control",
                    topk_filter(3, "cpu"))
@@ -38,31 +43,31 @@ def _sketch_state(dproc) -> bytes:
 
 
 class TestEpochReset:
-    def test_crash_mid_stream_clears_sketch_state(self, env, pair):
+    def test_crash_mid_stream_clears_sketch_state(self, sc, pair):
         observer, victim = pair
-        env.run(until=3.0)
+        sc.run_until(3.0)
         assert _sketch_state(victim) != b"", \
             "filter should have accumulated sketch state before crash"
         victim.stop()
-        env.run(until=4.0)
+        sc.run_until(4.0)
         victim.start()
         # Immediately after reboot — before the first post-reboot
         # poll — the sketch space must be empty.
         assert _sketch_state(victim) == b""
 
-    def test_post_reboot_topk_starts_from_scratch(self, env, pair):
+    def test_post_reboot_topk_starts_from_scratch(self, sc, pair):
         observer, victim = pair
-        env.run(until=3.0)
+        sc.run_until(3.0)
         kind, rows = victim.dmon.last_procs
         assert kind == "top" and rows
         before = dict(rows)
         victim.stop()
-        env.run(until=4.0)
+        sc.run_until(4.0)
         victim.start()
         # One poll after reboot the published weights are single-epoch
         # accumulations: strictly below the pre-crash cumulative
         # weight of the same pid (which had ~6 polls of history).
-        env.run(until=4.0 + 2 * POLL)
+        sc.run_until(4.0 + 2 * POLL)
         kind, rows = victim.dmon.last_procs
         assert kind == "top" and rows
         for pid, weight in rows.items():
@@ -70,26 +75,26 @@ class TestEpochReset:
                 assert weight < before[pid], \
                     (pid, weight, before[pid])
 
-    def test_filters_stay_deployed_across_reboot(self, env, pair):
+    def test_filters_stay_deployed_across_reboot(self, sc, pair):
         """The reset drops *state*, not the filters themselves — a
         rebooted node resumes the customization it was given."""
         observer, victim = pair
-        env.run(until=3.0)
+        sc.run_until(3.0)
         deployed = victim.dmon.filters.filter_for("proc")
         invocations_before = deployed.invocations
         victim.stop()
         victim.start()
-        env.run(until=3.0 + 2 * POLL)
+        sc.run_until(3.0 + 2 * POLL)
         again = victim.dmon.filters.filter_for("proc")
         assert again is deployed
         assert again.invocations > invocations_before
         assert again.errors == 0
 
-    def test_stop_alone_does_not_clear_state(self, env, pair):
+    def test_stop_alone_does_not_clear_state(self, sc, pair):
         """State is cleared on the epoch *transition* (start), so a
         stopped node's state is still inspectable post-mortem."""
         observer, victim = pair
-        env.run(until=3.0)
+        sc.run_until(3.0)
         state = _sketch_state(victim)
         assert state != b""
         victim.stop()

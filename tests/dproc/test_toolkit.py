@@ -7,21 +7,23 @@ import tracemalloc
 
 import pytest
 
-from repro.dproc import Dproc, MetricId, Roster, deploy_dproc, procfs
-from repro.dproc.toolkit import CONTROL_LOG_LINES
+from repro.api import Scenario
+from repro.dproc import Dproc, MetricId, Roster, procfs
+from repro.dproc.toolkit import CONTROL_LOG_LINES, DEFAULT_MODULES
 from repro.kecho import KechoBus
+from repro.runtime.deployment import Deployment, default_names
 from repro.errors import (ControlSyntaxError, DprocError, ProcfsError,
                           UnknownMetricError)
 
 
 @pytest.fixture
-def dprocs(env, cluster3):
-    return deploy_dproc(cluster3)
+def dprocs(sc3):
+    return sc3.dprocs
 
 
 class TestDeployment:
-    def test_every_node_gets_instance(self, dprocs, cluster3):
-        assert set(dprocs) == set(cluster3.names)
+    def test_every_node_gets_instance(self, sc3, dprocs):
+        assert set(dprocs) == set(sc3.nodes.names)
         for name, dp in dprocs.items():
             assert dp.node.name == name
             assert dp.dmon.running
@@ -37,8 +39,9 @@ class TestDeployment:
                          "net_bandwidth", "cache_miss"):
             assert expected in files
 
-    def test_subset_deployment(self, env, cluster8):
-        dprocs = deploy_dproc(cluster8, hosts=["alan", "maui"])
+    def test_subset_deployment(self):
+        dprocs = Scenario(nodes=8, seed=42,
+                          monitor_hosts=["alan", "maui"]).build().dprocs
         assert set(dprocs) == {"alan", "maui"}
         assert dprocs["alan"].listdir("/proc/cluster") == ["alan", "maui"]
 
@@ -46,22 +49,29 @@ class TestDeployment:
         with pytest.raises(DprocError):
             dprocs["alan"].add_cluster_node("maui")
 
-    def test_service_attached_to_node(self, dprocs, cluster3):
-        assert cluster3["alan"].services["dproc"] is dprocs["alan"]
+    def test_service_attached_to_node(self, sc3, dprocs):
+        assert sc3.nodes["alan"].services["dproc"] is dprocs["alan"]
 
-    def test_roster_shows_hosts_deployed_elsewhere(self, cluster8):
-        dprocs = deploy_dproc(cluster8, hosts=["alan", "maui"],
-                              roster=cluster8.names)
+    def test_roster_shows_hosts_deployed_elsewhere(self):
+        """A process that runs a slice of the hosts (a live pool
+        worker) deploys only those, and each instance still lists the
+        whole deployment."""
+        local = Scenario(nodes=2, seed=42, monitor_hosts=0).build()
+        names = tuple(default_names(8))
+        dprocs = Deployment(
+            seed=42, dmon=None, modules=DEFAULT_MODULES, names=names,
+            monitored=names).deploy(local.nodes, local.runtime.bus)
         assert set(dprocs) == {"alan", "maui"}
         for dp in dprocs.values():
-            assert dp.hosts() == tuple(sorted(cluster8.names))
-            assert dp.listdir("/proc/cluster") == sorted(cluster8.names)
+            assert dp.hosts() == tuple(sorted(names))
+            assert dp.listdir("/proc/cluster") == sorted(names)
             assert dp.read("/proc/cluster/hood/loadavg") == "nan\n"
         # One listing for the deployment, not a copy per instance.
         assert dprocs["alan"].hosts() is dprocs["maui"].hosts()
 
-    def test_a_join_appears_on_every_instance(self, cluster8):
-        dprocs = deploy_dproc(cluster8, hosts=["alan", "maui"])
+    def test_a_join_appears_on_every_instance(self):
+        dprocs = Scenario(nodes=8, seed=42,
+                          monitor_hosts=["alan", "maui"]).build().dprocs
         dprocs["alan"].add_cluster_node("etna")
         for dp in dprocs.values():
             assert dp.hosts() == ("alan", "etna", "maui")
@@ -129,24 +139,24 @@ class TestScaling:
 
 
 class TestReading:
-    def test_remote_metric_via_procfs(self, env, dprocs):
-        env.run(until=3.0)
+    def test_remote_metric_via_procfs(self, sc3, dprocs):
+        sc3.run_until(3.0)
         text = dprocs["alan"].read("/proc/cluster/maui/freemem")
         assert float(text) > 0
 
-    def test_own_metrics_served_locally(self, env, dprocs):
-        env.run(until=3.0)
+    def test_own_metrics_served_locally(self, sc3, dprocs):
+        sc3.run_until(3.0)
         text = dprocs["alan"].read("/proc/cluster/alan/freemem")
         assert float(text) > 0
 
-    def test_unknown_value_reads_nan(self, env, dprocs):
+    def test_unknown_value_reads_nan(self, sc3, dprocs):
         # before any polling happened
         text = dprocs["alan"].read("/proc/cluster/maui/loadavg")
         assert math.isnan(float(text))
 
-    def test_standard_proc_loadavg(self, env, dprocs, cluster3):
-        cluster3["alan"].cpu.execute(1e9)
-        env.run(until=60.0)
+    def test_standard_proc_loadavg(self, sc3, dprocs):
+        sc3.nodes["alan"].cpu.execute(1e9)
+        sc3.run_until(60.0)
         one, five, fifteen = dprocs["alan"].read("/proc/loadavg").split()
         assert float(one) > float(fifteen) > 0
 
@@ -154,8 +164,8 @@ class TestReading:
         text = dprocs["alan"].read("/proc/meminfo")
         assert "MemTotal" in text and "MemFree" in text
 
-    def test_metric_helpers(self, env, dprocs):
-        env.run(until=3.0)
+    def test_metric_helpers(self, sc3, dprocs):
+        sc3.run_until(3.0)
         assert dprocs["alan"].metric("maui", MetricId.FREEMEM) > 0
         assert dprocs["alan"].loadavg("maui") >= 0
         # A metric for an unknown host is NaN.
@@ -168,26 +178,26 @@ class TestReading:
 
 
 class TestControlWrites:
-    def test_period_command_reaches_remote(self, env, dprocs):
-        env.run(until=1.0)
+    def test_period_command_reaches_remote(self, sc3, dprocs):
+        sc3.run_until(1.0)
         dprocs["alan"].write("/proc/cluster/maui/control",
                              "period cpu 2")
-        env.run(until=2.0)
+        sc3.run_until(2.0)
         maui = dprocs["maui"].dmon
         assert maui.policies[MetricId.LOADAVG].period == 2.0
 
-    def test_combined_commands(self, env, dprocs):
-        env.run(until=1.0)
+    def test_combined_commands(self, sc3, dprocs):
+        sc3.run_until(1.0)
         dprocs["alan"].write(
             "/proc/cluster/etna/control",
             "period cpu 2\nthreshold loadavg above 0.8")
-        env.run(until=2.0)
+        sc3.run_until(2.0)
         policy = dprocs["etna"].dmon.policies[MetricId.LOADAVG]
         assert policy.period == 2.0
         assert len(policy.thresholds) == 1
 
-    def test_filter_deploy_via_control_file(self, env, dprocs):
-        env.run(until=1.0)
+    def test_filter_deploy_via_control_file(self, sc3, dprocs):
+        sc3.run_until(1.0)
         dprocs["alan"].write("/proc/cluster/maui/control", """filter * id=f1
 {
     int i = 0;
@@ -196,29 +206,29 @@ class TestControlWrites:
         i = i + 1;
     }
 }""")
-        env.run(until=2.0)
+        sc3.run_until(2.0)
         deployed = dprocs["maui"].dmon.filters.global_filter
         assert deployed is not None and deployed.filter_id == "f1"
         dprocs["alan"].write("/proc/cluster/maui/control", "unfilter f1")
-        env.run(until=3.0)
+        sc3.run_until(3.0)
         assert dprocs["maui"].dmon.filters.global_filter is None
 
-    def test_self_control_applies_locally(self, env, dprocs):
-        env.run(until=1.0)
+    def test_self_control_applies_locally(self, sc3, dprocs):
+        sc3.run_until(1.0)
         dprocs["alan"].write("/proc/cluster/alan/control",
                              "period mem 4")
         assert dprocs["alan"].dmon.policies[MetricId.FREEMEM].period \
             == 4.0
 
-    def test_control_read_returns_log(self, env, dprocs):
-        env.run(until=1.0)
+    def test_control_read_returns_log(self, sc3, dprocs):
+        sc3.run_until(1.0)
         dprocs["alan"].write("/proc/cluster/maui/control",
                              "period cpu 2")
         assert "period cpu 2" in \
             dprocs["alan"].read("/proc/cluster/maui/control")
 
-    def test_control_log_is_bounded(self, env, dprocs):
-        env.run(until=1.0)
+    def test_control_log_is_bounded(self, sc3, dprocs):
+        sc3.run_until(1.0)
         extra = 10
         for i in range(CONTROL_LOG_LINES + extra):
             dprocs["alan"].write("/proc/cluster/maui/control",
@@ -230,11 +240,11 @@ class TestControlWrites:
         assert lines[-1] == f"period cpu {CONTROL_LOG_LINES + extra}"
 
     def test_refused_command_leaves_the_applied_ones_in_the_log(
-            self, env, dprocs):
+            self, sc3, dprocs):
         """A local write applies its commands in order; when one is
         refused, the control file reads back exactly the ones that
         took effect."""
-        env.run(until=1.0)
+        sc3.run_until(1.0)
         alan = dprocs["alan"]
         with pytest.raises(UnknownMetricError):
             alan.write("/proc/cluster/alan/control",
@@ -253,12 +263,11 @@ class TestControlWrites:
 
 
 class TestScenario:
-    def test_batch_scheduler_scenario(self, env, cluster3):
+    def test_batch_scheduler_scenario(self, sc3, dprocs):
         """The paper's batch-queue scheduler: free-memory updates only
         while the load average is below the CPU count."""
-        dprocs = deploy_dproc(cluster3)
-        env.run(until=1.0)
-        n_cpus = cluster3["maui"].cpu.n_cpus
+        sc3.run_until(1.0)
+        n_cpus = sc3.nodes["maui"].cpu.n_cpus
         dprocs["alan"].write("/proc/cluster/maui/control", f"""filter * id=sched
 {{
     int i = 0;
@@ -267,7 +276,7 @@ class TestScenario:
         i = i + 1;
     }}
 }}""")
-        env.run(until=6.0)
+        sc3.run_until(6.0)
         # maui idle -> loadavg < n_cpus -> FREEMEM keeps flowing while
         # LOADAVG (published before the filter landed) goes stale.
         alan = dprocs["alan"].dmon
@@ -277,25 +286,25 @@ class TestScenario:
         assert stale is None or stale.timestamp < 2.0
         # Now saturate maui; FREEMEM updates must stop.
         for _ in range(n_cpus + 2):
-            cluster3["maui"].cpu.execute(1e9)
-        env.run(until=90.0)
+            sc3.nodes["maui"].cpu.execute(1e9)
+        sc3.run_until(90.0)
         before = alan.remote_value("maui", MetricId.FREEMEM).timestamp
-        env.run(until=110.0)
+        sc3.run_until(110.0)
         after = alan.remote_value("maui", MetricId.FREEMEM).timestamp
         assert after == before  # no fresh FREEMEM while loaded
 
 
 class TestStatusFiles:
-    def test_status_reports_fresh_peer(self, env, dprocs):
-        env.run(until=3.0)
+    def test_status_reports_fresh_peer(self, sc3, dprocs):
+        sc3.run_until(3.0)
         text = dprocs["alan"].read("/proc/cluster/maui/status")
         assert text.startswith("state: fresh\n")
         assert dprocs["alan"].dmon.peer_state("maui") == "fresh"
 
-    def test_status_tracks_downed_peer(self, env, dprocs):
-        env.run(until=3.0)
+    def test_status_tracks_downed_peer(self, sc3, dprocs):
+        sc3.run_until(3.0)
         dprocs["maui"].stop()
-        env.run(until=30.0)
+        sc3.run_until(30.0)
         text = dprocs["alan"].read("/proc/cluster/maui/status")
         assert text.startswith("state: dead\n")
         age = float(text.splitlines()[1].split()[1])

@@ -24,7 +24,7 @@ from repro.api import Scenario  # noqa: E402
 from repro.dproc import MetricId, RecordBatch  # noqa: E402
 from repro.dproc.control_file import parse_command  # noqa: E402
 from repro.dproc.dmon import CONTROL_CHANNEL  # noqa: E402
-from repro.errors import ChannelError, ControlSyntaxError  # noqa: E402
+from repro.errors import ChannelError, DprocError  # noqa: E402
 from repro.kecho.control import ControlMessage  # noqa: E402
 from repro.kecho.event import ChannelEvent  # noqa: E402
 from repro.live.codec import (KIND_CONTROL, MAGIC,  # noqa: E402
@@ -384,44 +384,87 @@ _json_values = st.one_of(
     st.text(max_size=12), st.integers(), st.none(), st.booleans(),
     st.lists(st.text(max_size=3), max_size=2))
 
+#: Strings a CONTROL body's fields mean something as: the two hosts,
+#: and commands that apply, fail to parse or fail to apply.
+_hosts = st.sampled_from(["alan", "maui"])
+_commands = st.sampled_from([
+    "period cpu 2", "period cpu inf", "threshold * change 15",
+    "threshold loadavg above 0.8", "clear mem period",
+    "filter cpu { return 1; }", "filter * id=f1 { return 1; }",
+    "unfilter f1", "filter cpu { int i = ; }", "period nosuch 1",
+    "warp cpu 9", "period cpu 2\nperiod mem 3"])
+_strings = st.one_of(_hosts, _commands, st.text(max_size=12))
+
+#: How a body is spoiled, if at all: most bodies are three strings,
+#: so most examples reach d-mon.
+_FIELDS = ("sender", "target", "command")
+_spoils = st.sampled_from(
+    [None] * 12 + [("drop", f) for f in _FIELDS]
+    + [("junk", f) for f in (*_FIELDS, "type")])
+
+
+def _control_state(dmon) -> tuple:
+    """What a control command can change on a d-mon."""
+    return ({metric: (policy.period, len(policy.thresholds))
+             for metric, policy in dmon.policies.items()},
+            sorted((f.scope, f.source) for f in dmon.filters.deployed()))
+
 
 class TestControlBodies:
-    @settings(max_examples=200, deadline=None)
-    @given(st.fixed_dictionaries(
-        {"sender": _json_values, "target": _json_values,
-         "command": _json_values},
-        optional={"type": st.just("SetParameter"), "spec": _json_values,
-                  "metric": _json_values}),
-        st.sampled_from(["sender", "target", "command", None]))
-    def test_any_json_object_is_refused_applied_or_counted(self, doc,
-                                                           drop):
+    def test_any_json_object_is_refused_applied_or_counted(self):
         """Whatever JSON object a peer puts in a CONTROL body, the
-        decoder raises ChannelError, or d-mon applies the message or
+        decoder raises ChannelError, or d-mon applies the message (its
+        state then equals a twin's that applied the same command) or
         counts it in ``dmon.control_rejected`` — nothing raises out of
-        d-mon."""
-        dmon = _control_target()  # maui; alan is the other node
-        doc.pop(drop, None)
-        try:
-            _tag, event = decode_frame(_control_frame(doc))
-        except ChannelError:
-            assert doc.keys() != {"sender", "target", "command"} \
-                or not all(type(v) is str for v in doc.values())
-            return
-        msg = event.payload
-        assert msg == ControlMessage(**doc)
-        telemetry = dmon.node.telemetry
-        before = telemetry.value("dmon.control_rejected")
-        dmon._on_control_event(event, None)
-        counted = telemetry.value("dmon.control_rejected") - before
-        if msg.target != dmon.node.name:
-            assert counted == 0  # not this node's message
-            return
-        try:
-            parse_command(msg.command)
-        except ControlSyntaxError:
-            assert counted == 1
-        else:
-            assert counted in (0, 1)  # applied, or rejected at apply
+        d-mon.  At least half of the examples decode, so the d-mon half
+        of the property is exercised."""
+        seen = {"examples": 0, "decoded": 0, "applied": 0, "counted": 0}
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(st.fixed_dictionaries(
+            {"sender": _strings, "target": st.one_of(st.just("maui"),
+                                                     _strings),
+             "command": st.one_of(_commands, _strings)}),
+            _spoils, _json_values)
+        def check(doc, spoil, junk):
+            seen["examples"] += 1
+            dmon = _control_target()  # maui; alan is the other node
+            if spoil is not None:
+                how, field = spoil
+                if how == "drop":
+                    del doc[field]
+                else:
+                    doc[field] = junk
+            try:
+                _tag, event = decode_frame(_control_frame(doc))
+            except ChannelError:
+                assert doc.keys() != set(_FIELDS) \
+                    or not all(type(v) is str for v in doc.values())
+                return
+            seen["decoded"] += 1
+            msg = event.payload
+            assert msg == ControlMessage(**doc)
+            telemetry = dmon.node.telemetry
+            before = telemetry.value("dmon.control_rejected")
+            dmon._on_control_event(event, None)
+            counted = telemetry.value("dmon.control_rejected") - before
+            if msg.target != dmon.node.name:
+                assert counted == 0  # not this node's message
+                return
+            twin = _control_target()
+            try:
+                twin.apply_control(parse_command(msg.command))
+            except DprocError:
+                assert counted == 1
+                seen["counted"] += 1
+            else:
+                assert counted == 0
+                assert _control_state(dmon) == _control_state(twin)
+                seen["applied"] += 1
+
+        check()
+        assert seen["decoded"] * 2 >= seen["examples"], seen
+        assert seen["applied"] and seen["counted"], seen
 
     def test_body_naming_the_target_as_its_sender_is_handled(self):
         """A peer that puts the target's own name in ``sender`` has its

@@ -196,6 +196,60 @@ class TestPhaseErrors:
             Scenario(nodes=2).with_node_pool(2)
 
 
+class TestHostSelectors:
+    """``monitor_hosts`` and ``watchers`` take a count of the first
+    hosts or a list of distinct names; anything else is refused before
+    a node exists."""
+
+    NONSENSE = [-1, 4, 100, True, False, 2.5, "alan", ["alan", "alan"],
+                ["alan", "zed"], [1], ("maui", "maui")]
+
+    @pytest.mark.parametrize("knob", ["monitor_hosts", "watchers"])
+    @pytest.mark.parametrize("spec", NONSENSE)
+    def test_sim_refuses_before_building_a_node(self, monkeypatch, knob,
+                                                spec):
+        built = []
+        monkeypatch.setattr("repro.api.SimRuntime",
+                            lambda **kw: built.append(kw))
+        sc = Scenario(nodes=3, seed=0, **{knob: spec})
+        with pytest.raises(ScenarioError, match=knob):
+            sc.build()
+        assert built == [] and sc.runtime is None
+
+    @pytest.mark.parametrize("knob", ["monitor_hosts", "watchers"])
+    def test_live_refuses_before_building_a_node(self, monkeypatch, knob):
+        monkeypatch.setattr("repro.api.Scenario._make_live_runtime",
+                            lambda *args: pytest.fail("built a runtime"))
+        with pytest.raises(ScenarioError, match=knob):
+            Scenario(nodes=3, backend="live", **{knob: -1}).run(0.1)
+
+    def test_pool_watchers_are_the_constructor_knob(self):
+        """``with_node_pool(watchers=)`` sets the same value, and is
+        checked the same way."""
+        sc = Scenario(nodes=3, backend="live").with_node_pool(
+            1, watchers=2)
+        assert sc._deployment().watchers == ("alan", "maui")
+        sc = Scenario(nodes=3, backend="live").with_node_pool(
+            1, watchers=["etna", "etna"])
+        with pytest.raises(ScenarioError, match="twice"):
+            sc._deployment()
+
+    @pytest.mark.parametrize("spec", [0, 3, ["etna", "alan"]])
+    def test_bounds_and_names_are_accepted(self, spec):
+        sc = Scenario(nodes=3, seed=0, monitor_hosts=spec).build()
+        want = list(spec) if isinstance(spec, list) \
+            else sc.nodes.names[:spec]
+        assert list(sc.dprocs) == want
+
+    def test_only_watchers_subscribe_on_the_simulator(self):
+        sc = Scenario(nodes=4, seed=0, watchers=["maui"]).run(5.0)
+        for name, dproc in sc.dprocs.items():
+            watching = dproc.dmon.config.subscribe_monitoring
+            heard = dproc.dmon.remote_value("etna", MetricId.FREEMEM)
+            assert watching == (name == "maui")
+            assert (heard is not None) == watching
+
+
 class TestHookOrder:
     def test_cluster_hook_runs_before_deploy(self):
         order = []

@@ -136,16 +136,15 @@ class TestDeterminismAcrossSubsystems:
         """A dproc+workload scenario is bit-identical across runs."""
 
         def run_once():
-            from repro.dproc import deploy_dproc
+            from repro.api import Scenario
             from repro.workloads import AmbientActivity, Linpack
-            env = Environment()
-            cluster = build_cluster(env, 4, seed=77)
-            dprocs = deploy_dproc(cluster)
+            sc = Scenario(nodes=4, seed=77).build()
+            cluster = sc.nodes
             for node in cluster:
                 AmbientActivity(node, intensity=0.6).start()
             lp = Linpack(cluster["alan"]).start()
-            env.run(until=30.0)
-            a = dprocs["alan"].dmon
+            sc.run_until(30.0)
+            a = sc.dprocs["alan"].dmon
             return (lp.mflops(),
                     a.node.telemetry.value("dmon.events_published"),
                     list(a.submit_overhead)[-1],

@@ -84,18 +84,22 @@ class TestBatteryMon:
         assert mon.metrics() == (MetricId.BATTERY,)
         assert value == pytest.approx(75.0)
 
-    def test_runtime_deploy_and_remote_visibility(self, env, cluster3):
+    def test_runtime_deploy_and_remote_visibility(self):
         """The paper's §1 scenario: battery monitoring added to a live
         d-mon and visible cluster-wide."""
-        from repro.dproc import BatteryMon, MetricId, deploy_dproc
-        node = cluster3["maui"]
-        battery = Battery(node, capacity_joules=1000.0, base_power=1.0)
-        dprocs = deploy_dproc(cluster3)
-        env.run(until=3.0)
+        from repro.api import Scenario
+        from repro.dproc import BatteryMon, MetricId
+        batteries = []
+        sc = (Scenario(nodes=3, seed=42)
+              .with_cluster_setup(lambda sc: batteries.append(Battery(
+                  sc.nodes["maui"], capacity_joules=1000.0,
+                  base_power=1.0)))
+              .run_until(3.0))
+        node, (battery,), dprocs = sc.nodes["maui"], batteries, sc.dprocs
         assert dprocs["alan"].dmon.remote_value(
             "maui", MetricId.BATTERY) is None
         dprocs["maui"].dmon.register_service(BatteryMon(node, battery))
-        env.run(until=6.0)
+        sc.run_until(6.0)
         seen = dprocs["alan"].dmon.remote_value("maui",
                                                 MetricId.BATTERY)
         assert seen is not None

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro.dproc import DMonConfig, deploy_dproc
+from repro.api import Scenario
+from repro.dproc import DMonConfig
 from repro.errors import SimulationError
 from repro.sim import NodeConfig, build_cluster
 from repro.smartpointer import (ClientCapabilities, DynamicAdaptation,
@@ -131,26 +132,28 @@ class TestRestart:
 
 
 class TestDynamicAdaptationEndToEnd:
-    def make_system(self, env, policy, profile):
-        cluster, server_node, client_node = make_pair(env)
-        dprocs = deploy_dproc(cluster,
-                              config=DMonConfig(poll_interval=1.0))
-        for dp in dprocs.values():
+    def make_system(self, policy, profile):
+        """``make_pair``'s two nodes with dproc on both."""
+        sc = Scenario(2, seed=7, dmon=DMonConfig(poll_interval=1.0),
+                      node_configs=[NodeConfig(n_cpus=4),
+                                    NodeConfig(n_cpus=1)]).build()
+        for dp in sc.dprocs.values():
             dp.dmon.modules["cpu"].configure("period", 5.0)
-        client = SmartPointerClient(client_node).start()
-        server = SmartPointerServer(server_node, dproc=dprocs["alan"])
+        client = SmartPointerClient(sc.nodes["maui"]).start()
+        server = SmartPointerServer(sc.nodes["alan"],
+                                    dproc=sc.dprocs["alan"])
         server.add_client("maui", profile, rate=5.0, policy=policy,
                           caps=ClientCapabilities(mflops=17.4, n_cpus=1))
-        return cluster, server, client
+        return sc, server, client
 
-    def test_figure9_shape(self, env, profile):
+    def test_figure9_shape(self, profile):
         """CPU-loaded client: dynamic beats static beats no-filter."""
         policy = DynamicAdaptation(resources=("cpu",))
-        cluster, server, client = self.make_system(env, policy, profile)
-        env.run(until=30.0)
+        sc, server, client = self.make_system(policy, profile)
+        sc.run_until(30.0)
         for _ in range(4):
-            Linpack(cluster["maui"]).start()
-        env.run(until=120.0)
+            Linpack(sc.nodes["maui"]).start()
+        sc.run_until(120.0)
         # The dynamic stream keeps up: full rate, low latency.
         assert client.event_rate(window=20.0) == pytest.approx(5.0,
                                                                rel=0.1)
@@ -159,20 +162,19 @@ class TestDynamicAdaptationEndToEnd:
         assert policy.last_choice.client_cost(profile) \
             < profile.base_client_cost
 
-    def test_no_filter_collapses_under_load(self, env, profile):
-        cluster, server, client = self.make_system(
-            env, NoAdaptation(), profile)
-        env.run(until=30.0)
+    def test_no_filter_collapses_under_load(self, profile):
+        sc, server, client = self.make_system(NoAdaptation(), profile)
+        sc.run_until(30.0)
         for _ in range(4):
-            Linpack(cluster["maui"]).start()
-        env.run(until=120.0)
+            Linpack(sc.nodes["maui"]).start()
+        sc.run_until(120.0)
         assert client.event_rate(window=20.0) < 3.0
         assert client.latencies.mean(since=100.0) > 10.0
 
-    def test_server_reads_fresh_monitoring_data(self, env, profile):
-        cluster, server, client = self.make_system(
-            env, DynamicAdaptation(), profile)
-        env.run(until=10.0)
+    def test_server_reads_fresh_monitoring_data(self, profile):
+        sc, server, client = self.make_system(DynamicAdaptation(),
+                                              profile)
+        sc.run_until(10.0)
         obs = server.observations("maui")
         assert any(not math.isnan(v) for v in obs.values())
         assert obs["net_bandwidth"] > 0

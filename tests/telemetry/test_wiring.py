@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import MetricId, deploy_dproc
-from repro.sim import build_cluster
+from repro.api import Scenario
+from repro.dproc import MetricId
 
 
 @pytest.fixture
-def monitored(env, cluster3):
-    dprocs = deploy_dproc(cluster3)
-    env.run(until=10.0)
-    return cluster3, dprocs
+def monitored(sc3):
+    sc3.run_until(10.0)
+    return sc3.nodes, sc3.dprocs
 
 
 class TestDmonInstrumentation:
@@ -89,29 +88,23 @@ class TestTransportInstrumentation:
 
 
 class TestSelfMonModule:
-    def test_dproc_metrics_published(self, env):
-        cluster = build_cluster(env, nodes=2, seed=7)
-        dprocs = deploy_dproc(
-            cluster, modules=("cpu", "mem", "dproc"))
-        env.run(until=10.0)
+    def test_dproc_metrics_published(self):
+        dprocs = Scenario(nodes=2, seed=7, modules=("cpu", "mem", "dproc")
+                          ).run_until(10.0).dprocs
         value = dprocs["alan"].metric("maui",
                                       MetricId.DMON_POLL_COST)
         assert value == value  # published, not NaN
         assert value > 0
 
-    def test_overhead_procfs_file(self, env):
-        cluster = build_cluster(env, nodes=2, seed=7)
-        dprocs = deploy_dproc(cluster)
-        env.run(until=10.0)
+    def test_overhead_procfs_file(self):
+        dprocs = Scenario(nodes=2, seed=7).run_until(10.0).dprocs
         text = dprocs["alan"].read(
             "/proc/cluster/alan/dproc/overhead")
         assert "polls:" in text
         assert "monitor_cpu_seconds:" in text
 
-    def test_channels_and_dmon_procfs_files(self, env):
-        cluster = build_cluster(env, nodes=2, seed=7)
-        dprocs = deploy_dproc(cluster)
-        env.run(until=10.0)
+    def test_channels_and_dmon_procfs_files(self):
+        dprocs = Scenario(nodes=2, seed=7).run_until(10.0).dprocs
         channels = dprocs["alan"].read(
             "/proc/cluster/alan/dproc/channels")
         assert "kecho." in channels

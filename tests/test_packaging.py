@@ -175,7 +175,8 @@ KNOBS = {
     "BatchConfig": ["max_bytes", "max_delay"],
     "FlowConfig": ["high_watermark", "low_watermark", "max_deferred"],
     "Scenario.__init__": ["nodes", "seed", "backend", "dmon", "modules",
-                          "monitor_hosts", "names", "node_configs"],
+                          "monitor_hosts", "watchers", "names",
+                          "node_configs"],
     "Scenario.with_cluster_setup": ["fn"],
     "Scenario.with_faults": ["configure"],
     "Scenario.with_node_pool": ["workers", "watchers", "batch"],
@@ -203,3 +204,32 @@ def test_settable_values_are_the_written_list():
             params = inspect.signature(getattr(Scenario, name)).parameters
             found[f"Scenario.{name}"] = list(params)[1:]
     assert found == KNOBS
+
+
+#: What builds a run by hand.  A run is built by ``Scenario`` alone, so
+#: no benchmark or example calls these.
+HAND_WIRING = {"build_cluster", "deploy_dproc", "Dproc", "KechoBus"}
+
+
+def test_benchmarks_and_examples_build_runs_through_scenario():
+    calls = {}
+    for folder in ("benchmarks", "examples"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in HAND_WIRING:
+                    calls.setdefault(str(path.relative_to(ROOT)),
+                                     []).append(node.lineno)
+    assert calls == {}
+
+
+def test_the_package_exports_no_hand_wiring():
+    import repro
+    import repro.dproc
+
+    assert not {"build_cluster", "deploy_dproc"} & set(repro.__all__)
+    assert "deploy_dproc" not in repro.dproc.__all__
+    assert not hasattr(repro.dproc, "deploy_dproc")
