@@ -15,14 +15,23 @@ import pytest
 from repro.api import Scenario
 from repro.dproc import CpuMon
 
-#: The table this bench printed before it was built through ``Scenario``,
-#: its seconds and CPU fractions to 1e-9 relative.  A change that moves a
-#: simulated value moves a row; restate it on purpose.
+#: The table this bench printed when the sampler's CPU became a
+#: measurement, its seconds and CPU fractions to 1e-9 relative.  A change
+#: that moves a simulated value moves a row; restate it on purpose.
 EXPECTED = {  # period: (detection seconds, sampler CPU fraction)
-    1.0: (1.0, 0.00039999999999999996),
-    5.0: (4.0, 7.999999999999999e-05),
-    30.0: (24.0, 1.3333333333333332e-05),
+    1.0: (1.0, 0.00039999999998939587),
+    5.0: (4.0, 7.99999999978737e-05),
+    30.0: (24.0, 1.333333333299443e-05),
 }
+
+
+def busy_before(sc: Scenario, step_at: float) -> float:
+    """The one node's busy CPU seconds over the quiet window before the
+    load step."""
+    sc.run_until(step_at)
+    node = sc.nodes["alan"]
+    node.cpu.settle()
+    return node.cpu.busy_cpu_seconds
 
 
 def run_period(avg_period: float, duration: float = 120.0):
@@ -51,14 +60,15 @@ def run_period(avg_period: float, duration: float = 120.0):
 
     env.process(load_step())
     env.process(probe())
+    # Sampler cost: the node's busy CPU before the step, less that of
+    # a twin run without CpuMon over the same window.
+    busy = busy_before(sc, step_at)
+    twin = busy_before(Scenario(nodes=1, seed=3, monitor_hosts=0).build(),
+                       step_at)
     sc.run_until(duration)
-    node.cpu.settle()
-    # Sampler cost: tasklist walks at the configured wake-up rate.
-    walks_per_sec = 1.0 / mon.sample_interval
-    cost_per_sec = walks_per_sec * node.costs.tasklist_walk
     return {
         "detect_seconds": detection.get("detected", float("inf")),
-        "sampler_cpu_fraction": cost_per_sec,
+        "sampler_cpu_fraction": (busy - twin) / step_at,
     }
 
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.harness.experiment import FigureResult
 
 __all__ = ["replicate"]
@@ -39,7 +37,9 @@ def replicate(experiment: Callable[[int], FigureResult],
         notes=f"seeds={list(seeds)}")
     for series in first.series:
         label = series.label
-        means = [float(np.mean([run.get(label).y_at(x) for run in runs]))
-                 for x in series.x]
+        means = []
+        for x in series.x:
+            values = [run.get(label).y_at(x) for run in runs]
+            means.append(sum(values) / len(values))
         aggregated.add_series(label, series.x, means)
     return aggregated

@@ -12,7 +12,7 @@ __all__ = [
 ]
 
 #: Lazy re-exports (PEP 562): a run subcommand such as ``live`` loads
-#: neither the simulator nor numpy through this package; the figure
+#: no simulator module through this package; the figure
 #: experiments load on first attribute access.
 _EXPORTS = {
     "FigureResult": "repro.harness.experiment",

@@ -3,7 +3,7 @@
 Satisfies :class:`repro.runtime.protocol.RuntimeNode` with the exact
 attribute surface d-mon, KECho and the toolkit use: ``env`` (the shared
 :class:`~repro.live.clock.AsyncClock`), ``rng`` (a
-:class:`~repro.runtime.rng.Pcg64Stream`: numpy's draws, without numpy),
+:class:`~repro.runtime.rng.Pcg64Stream`: numpy's stream, drawn in Python),
 ``costs`` (the same :data:`~repro.runtime.costs.KERNEL_COSTS` the
 simulator charges — live costs are *accounted*, not simulated, so the
 telemetry/overhead reports stay comparable), ``telemetry``, ``stack``

@@ -139,9 +139,7 @@ class RuntimeNode(Protocol):
     * ``name`` — unique host name;
     * ``env`` — the node's :class:`Clock`;
     * ``rng`` — a :class:`repro.runtime.rng.Pcg64Stream` on both
-      backends: numpy's ``PCG64`` stream, with ``random``/``uniform``
-      in Python and ``exponential``/``poisson``/``integers`` drawn by
-      numpy on first use;
+      backends: numpy's ``PCG64`` stream, every draw made in Python;
     * ``costs`` — the :class:`repro.runtime.costs.KernelCostModel`;
     * ``telemetry`` — a :class:`repro.telemetry.TelemetryRegistry`;
     * ``stack`` — the node's :class:`Transport`.

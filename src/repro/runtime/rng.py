@@ -4,28 +4,31 @@
 ``SeedSequence`` — the generator ``np.random.default_rng([seed, tag])``
 builds — held as Python integers: the 128-bit LCG state and increment,
 plus the ``has_uint32``/``uinteger`` pair PCG64 buffers half a 64-bit
-output in.  ``random`` and ``uniform`` are one 64-bit output each and
-run in Python, so the simulator's node streams and a live host's
-stream draw exactly what numpy draws without loading numpy.
+output in.  Every draw runs in Python on that state, so the simulator's
+node streams and a live host's stream need no numpy:
 
-``exponential``, ``poisson`` and ``integers`` are defined by numpy's C
-code (a ziggurat, PTRS, Lemire's bounded integers).  For those the
-stream imports numpy on first use, copies its state into one
-process-wide ``Generator(PCG64())``, draws, and reads the state back:
-the stream's integers stay the only owner of the state, so draws of
-all five methods interleave exactly as on one numpy generator.
+* ``random``, ``uniform``, ``integers`` and ``poisson`` draw exactly
+  what numpy's ``Generator`` draws, value for value and state for state
+  (``integers`` is numpy's Lemire bounded draw, ``poisson`` its
+  multiplication method below λ = 10 and PTRS above);
+* ``exponential`` is the inversion ``-scale * log1p(-random())``, not
+  numpy's ziggurat, whose 256-entry tables are compiled into numpy.
+
+Each draw refuses what numpy refuses, with numpy's exception type, and
+a refused draw leaves the stream untouched.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Callable
 
 __all__ = ["Pcg64Stream"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK128 = (1 << 128) - 1
+_INT64_MAX = (1 << 63) - 1
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -92,18 +95,37 @@ def _seed_state(entropy: list[int], n_words: int) -> list[int]:
             for i in range(0, len(halves), 2)]
 
 
-#: The process-wide numpy generator the C-defined draws run on; built
-#: on the first such draw, so a process that makes none never imports
-#: numpy.
-_numpy_generator: Any = None
+#: numpy's ``POISSON_LAM_MAX``: the largest λ ``poisson`` accepts.
+_POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
+
+#: Stirling-series coefficients of numpy's ``random_loggam``.
+_LOGGAM_COEFFS = (8.333333333333333e-02, -2.777777777777778e-03,
+                  7.936507936507937e-04, -5.952380952380952e-04,
+                  8.417508417508418e-04, -1.917526917526918e-03,
+                  6.410256410256410e-03, -2.955065359477124e-02,
+                  1.796443723688307e-01, -1.39243221690590e+00)
+
+#: log(2π), as numpy's ``random_loggam`` spells it.
+_LOG_2PI = 1.8378770664093453
 
 
-def _generator() -> Any:
-    global _numpy_generator
-    if _numpy_generator is None:
-        import numpy as np
-        _numpy_generator = np.random.Generator(np.random.PCG64())
-    return _numpy_generator
+def _loggam(x: float) -> float:
+    """numpy's ``random_loggam``: log Γ(x) by Stirling's series, with
+    x below 7 shifted up to 7 and shifted back."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    series = _LOGGAM_COEFFS[9]
+    for coeff in reversed(_LOGGAM_COEFFS[:9]):
+        series = series * x2 + coeff
+    result = (series / x0 + 0.5 * _LOG_2PI + (x0 - 0.5) * math.log(x0)
+              - x0)
+    for _ in range(n):
+        result -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return result
 
 
 class Pcg64Stream:
@@ -148,29 +170,105 @@ class Pcg64Stream:
         return low + span * self.random()
 
     def exponential(self, scale: float = 1.0) -> float:
-        """numpy's ``exponential(scale)`` from this stream."""
-        return float(self._numpy_draw("exponential", scale))
+        """An exponential draw of mean ``scale``: the inversion of the
+        next ``random()``.  A negative ``scale`` is refused as numpy
+        refuses it (a NaN one is not)."""
+        if not math.isnan(scale) and math.copysign(1.0, scale) < 0:
+            raise ValueError("scale < 0")
+        return -scale * math.log1p(-self.random())
 
     def poisson(self, lam: float = 1.0) -> int:
         """numpy's ``poisson(lam)`` from this stream."""
-        return int(self._numpy_draw("poisson", lam))
+        lam = float(lam)
+        if not lam >= 0:
+            raise ValueError("lam < 0 or lam is NaN")
+        if not lam <= _POISSON_LAM_MAX:
+            raise ValueError("lam value too large")
+        if lam >= 10:
+            return self._poisson_ptrs(lam)
+        if lam == 0:
+            return 0
+        # Multiplication method: count uniforms until their product
+        # falls to exp(-lam).
+        floor = math.exp(-lam)
+        count, product = 0, self.random()
+        while product > floor:
+            count += 1
+            product *= self.random()
+        return count
+
+    def _poisson_ptrs(self, lam: float) -> int:
+        """Hörmann's transformed rejection with squeeze, as numpy's
+        ``random_poisson_ptrs`` draws it."""
+        slam = math.sqrt(lam)
+        loglam = math.log(lam)
+        b = 0.931 + 2.53 * slam
+        a = -0.059 + 0.02483 * b
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        vr = 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = self.random() - 0.5
+            v = self.random()
+            us = 0.5 - abs(u)
+            if us == 0.0:
+                # random() drew 0.0: numpy's k is then -inf cast to an
+                # int64, negative, so the pair is rejected.
+                continue
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            # numpy's log(0.0) is -inf, which always accepts.
+            if v == 0.0 or (
+                    math.log(v) + math.log(invalpha)
+                    - math.log(a / (us * us) + b)
+                    <= -lam + k * loglam - _loggam(float(k + 1))):
+                return k
 
     def integers(self, low: int, high: int | None = None) -> int:
-        """numpy's ``integers(low, high)`` from this stream."""
-        return int(self._numpy_draw("integers", low, high))
+        """numpy's ``integers(low, high)`` from this stream: an int64
+        drawn from ``[low, high)``, or ``[0, low)`` without ``high``."""
+        if high is None:
+            low, high = 0, low
+        low, high = int(low), int(high) - 1
+        if low < -_INT64_MAX - 1:
+            raise ValueError("low is out of bounds for int64")
+        if high > _INT64_MAX:
+            raise ValueError("high is out of bounds for int64")
+        if low > high:
+            raise ValueError("high <= 0" if low == 0 else "low >= high")
+        span = high - low
+        if span == 0:
+            return low
+        # Ranges up to 2**32 draw buffered 32-bit halves.
+        if span <= _MASK32:
+            return low + self._lemire(span, self._next32, 32)
+        return low + self._lemire(span, self._next64, 64)
 
-    def _numpy_draw(self, method: str, *args: Any) -> Any:
-        """One draw of numpy's ``method`` from this stream's state."""
-        gen = _generator()
-        bit_generator = gen.bit_generator
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": self._state, "inc": self._inc},
-            "has_uint32": self.has_uint32, "uinteger": self.uinteger}
-        try:
-            return getattr(gen, method)(*args)
-        finally:
-            state = bit_generator.state
-            self._state = state["state"]["state"]
-            self.has_uint32 = state["has_uint32"]
-            self.uinteger = state["uinteger"]
+    def _next32(self) -> int:
+        """PCG64's buffered 32-bit output: the low half of a fresh
+        64-bit output, then its high half."""
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        value = self._next64()
+        self.has_uint32 = 1
+        self.uinteger = value >> 32
+        return value & _MASK32
+
+    @staticmethod
+    def _lemire(span: int, draw: Callable[[], int], bits: int) -> int:
+        """Lemire's unbiased ``[0, span]`` from ``bits``-bit outputs.
+
+        A full range (``span`` of all ones) is one raw output here, as
+        numpy special-cases it: its ``bound`` does not wrap to 0 in
+        Python's integers, so the first draw is never rejected."""
+        bound = span + 1
+        mask = (1 << bits) - 1
+        scaled = draw() * bound
+        if (scaled & mask) < bound:
+            threshold = (mask - span) % bound
+            while (scaled & mask) < threshold:
+                scaled = draw() * bound
+        return scaled >> bits

@@ -7,9 +7,8 @@ arrivals, loss sampling, ...) draws from its own named stream so that
 * adding a new consumer of randomness does not perturb existing streams.
 
 The stream for a name is numpy's ``default_rng(SeedSequence([seed,
-crc32(name)]))``, held as a :class:`repro.runtime.rng.Pcg64Stream`: its
-``random``/``uniform`` draws run in Python, so building and running a
-cluster loads no numpy unless a draw only numpy's C code defines is made.
+crc32(name)]))``, held as a :class:`repro.runtime.rng.Pcg64Stream`,
+which makes every draw in Python.
 """
 
 from __future__ import annotations

@@ -279,7 +279,7 @@ class NetStack:
                 # (tests/properties/test_sim_properties.py pins that).
                 mean_retx = max(0.0, congestion - 0.9) * 3.0
                 if mean_retx:
-                    msg.retransmissions = int(rng_poisson(mean_retx))
+                    msg.retransmissions = rng_poisson(mean_retx)
                 if msg.retransmissions:
                     conn.retransmissions.add(now, msg.retransmissions)
                     retx_inc(msg.retransmissions)

@@ -23,7 +23,7 @@ from repro.sim.node import Node
 from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.smartpointer.adaptation import (AdaptationPolicy,
                                            ClientCapabilities)
-from repro.smartpointer.data import MDFrameGenerator, StreamProfile
+from repro.smartpointer.data import StreamProfile
 from repro.smartpointer.transforms import Transform
 
 __all__ = ["StreamEvent", "ServerStream", "SmartPointerServer"]
@@ -38,7 +38,6 @@ class StreamEvent:
     size: float               #: bytes on the wire
     client_cost: float        #: Mflop the client must spend to render
     transform: Transform
-    frame_time: float
 
 
 class ServerStream:
@@ -58,8 +57,8 @@ class ServerStream:
         self.caps = caps
         self.running = False
         self._loop: Optional[Process] = None
-        self.generator = MDFrameGenerator(
-            profile, seed=int(server.node.rng.integers(2**31)))
+        #: Sequence number of the last frame sent (0 before the first).
+        self.seq = 0
         self._conn = server.node.stack.connect(
             client_name, tag=f"smartptr:{client_name}")
         # statistics ---------------------------------------------------------
@@ -100,12 +99,12 @@ class ServerStream:
             if transform != self._last_transform:
                 self._record_adaptation(now, transform, observations)
                 self._last_transform = transform
-            frame = self.generator.next_frame(now)
+            self.seq += 1
             size = transform.wire_size(self.profile)
             event = StreamEvent(
-                seq=frame.seq, sent_at=now, size=size,
+                seq=self.seq, sent_at=now, size=size,
                 client_cost=transform.client_cost(self.profile),
-                transform=transform, frame_time=frame.time)
+                transform=transform)
             # Server-side preprocessing consumes server CPU, but the
             # send pipeline stays non-blocking: the server emits at a
             # constant rate regardless of downstream congestion.

@@ -51,29 +51,29 @@ class AmbientActivity:
     def _cpu_loop(self):
         env = self.node.env
         while self.running:
-            gap = float(self._rng.exponential(4.0 / self.intensity))
+            gap = self._rng.exponential(4.0 / self.intensity)
             yield env.timeout(max(0.05, gap))
-            burst = float(self._rng.uniform(0.05, 0.4)) * self.intensity
+            burst = self._rng.uniform(0.05, 0.4) * self.intensity
             yield self.node.cpu.execute(burst, name="ambient")
 
     def _disk_loop(self):
         env = self.node.env
         while self.running:
-            gap = float(self._rng.exponential(6.0 / self.intensity))
+            gap = self._rng.exponential(6.0 / self.intensity)
             yield env.timeout(max(0.1, gap))
-            size = float(self._rng.uniform(KB(4), KB(64)))
+            size = self._rng.uniform(KB(4), KB(64))
             yield self.node.disk.write(size * self.intensity)
 
     def _memory_loop(self):
         env = self.node.env
         live = []
         while self.running:
-            gap = float(self._rng.exponential(8.0 / self.intensity))
+            gap = self._rng.exponential(8.0 / self.intensity)
             yield env.timeout(max(0.1, gap))
             if live and self._rng.random() < 0.5:
-                live.pop(int(self._rng.integers(len(live)))).free()
+                live.pop(self._rng.integers(len(live))).free()
             else:
-                size = float(self._rng.uniform(MB(0.5), MB(4)))
+                size = self._rng.uniform(MB(0.5), MB(4))
                 size *= self.intensity
                 if size < self.node.memory.free_bytes * 0.5:
                     live.append(self.node.memory.allocate(

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis import replicate
 from repro.harness import FigureResult
+from repro.runtime.rng import Pcg64Stream
 
 
 class TestReplicate:
@@ -20,6 +22,25 @@ class TestReplicate:
         agg = replicate(self.fake_experiment, seeds=[0, 2, 4])
         assert agg.get("s").y_at(1) == pytest.approx(12.0)
         assert agg.get("s").y_at(2) == pytest.approx(22.0)
+
+    @pytest.mark.parametrize("n_seeds", range(2, 8))
+    def test_means_equal_numpys_bit_for_bit(self, n_seeds):
+        """Below 8 values numpy's pairwise mean is a left-to-right sum
+        over the count, so the mean of 2-7 seeds is numpy's exactly."""
+        xs = list(range(50))
+
+        def noisy(seed):
+            rng = Pcg64Stream(seed, n_seeds)
+            r = FigureResult(experiment_id="figF", title="Fake",
+                             xlabel="x", ylabel="y")
+            r.add_series("s", xs, [rng.uniform(-1e3, 1e6) for _ in xs])
+            return r
+
+        seeds = list(range(n_seeds))
+        agg = replicate(noisy, seeds=seeds)
+        runs = [noisy(seed).get("s").y for seed in seeds]
+        assert list(agg.get("s").y) == [float(np.mean(column))
+                                        for column in zip(*runs)]
 
     def test_title_and_notes_mention_seeds(self):
         agg = replicate(self.fake_experiment, seeds=[1, 2])

@@ -57,6 +57,27 @@ class TestPipeline:
         assert client.queue_length > 10
         assert client.latencies.mean(since=20.0) > 1.0
 
+    def test_sequential_frames(self, env, profile):
+        """The stream numbers its frames from 1, one per send."""
+        _, server_node, client_node = make_pair(env)
+        SmartPointerClient(client_node).start()
+        stream = SmartPointerServer(server_node).add_client(
+            "maui", profile, rate=2.0, policy=NoAdaptation(),
+            start=False)
+        sent = []
+        send = stream._conn.send
+
+        def spy(event, size):
+            sent.append((event.seq, event.sent_at))
+            return send(event, size=size)
+
+        stream._conn.send = spy
+        stream.start()
+        env.run(until=2.9)
+        assert sent == [(1, 0.0), (2, 0.5), (3, 1.0), (4, 1.5),
+                        (5, 2.0), (6, 2.5)]
+        assert stream.seq == 6
+
     def test_duplicate_client_rejected(self, env, profile):
         _, server_node, _ = make_pair(env)
         server = SmartPointerServer(server_node)

@@ -1,4 +1,4 @@
-"""Unit tests for stream data and transforms."""
+"""Unit tests for the stream profile and transforms."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.smartpointer import (BYTES_PER_ATOM, FULL_QUALITY,
-                                MDFrameGenerator, StreamProfile,
-                                Transform)
+                                StreamProfile, Transform)
 from repro.units import KB
 
 
@@ -26,35 +25,6 @@ class TestStreamProfile:
             StreamProfile(base_size=0, base_client_cost=1)
         with pytest.raises(SimulationError):
             StreamProfile(base_size=1, base_client_cost=-1)
-
-
-class TestFrameGenerator:
-    def test_sequential_frames(self, profile):
-        gen = MDFrameGenerator(profile, seed=1)
-        f1 = gen.next_frame(0.0)
-        f2 = gen.next_frame(1.0)
-        assert (f1.seq, f2.seq) == (1, 2)
-        assert f1.n_atoms == profile.n_atoms
-        assert f1.positions.shape[1] == 3
-
-    def test_deterministic(self, profile):
-        a = MDFrameGenerator(profile, seed=5).next_frame(0.0)
-        b = MDFrameGenerator(profile, seed=5).next_frame(0.0)
-        assert (a.positions == b.positions).all()
-
-    def test_dynamics_move_atoms(self, profile):
-        gen = MDFrameGenerator(profile, seed=1)
-        f1 = gen.next_frame(0.0)
-        f2 = gen.next_frame(1.0)
-        assert not (f1.positions == f2.positions).all()
-
-    def test_positions_stay_in_box(self, profile):
-        gen = MDFrameGenerator(profile, seed=2, box=10.0)
-        for _ in range(100):
-            frame = gen.next_frame(0.0)
-        assert (frame.positions >= 0).all()
-        assert (frame.positions < 10.0).all()
-
 
 
 class TestTransformModel:

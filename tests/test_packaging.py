@@ -145,22 +145,44 @@ def test_dproc_imports_the_simulator_only_for_type_checking():
     assert offenders == {}
 
 
+def _imported_packages() -> dict[str, list[str]]:
+    """Each top-level package a module under ``src/`` imports, at
+    module level or inside a function, with the modules importing it."""
+    imported: dict[str, list[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], []).append(
+                    str(path.relative_to(SRC)))
+    return imported
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """Both ways: a declared dependency nothing imports would only
     make every install pay for it."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())
     declared = {re.split(r"[^A-Za-z0-9_.-]", dep, maxsplit=1)[0].lower()
                 for dep in project["project"]["dependencies"]}
-    imported = set()
-    for path in SRC.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0]
-                                for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    imported = set(_imported_packages())
+    # The scan sees the standard library the package does use.
+    assert {"math", "asyncio", "struct"} <= imported
     third_party = imported - set(sys.stdlib_module_names) - {"repro"}
-    assert third_party and third_party == declared
+    assert third_party == declared
+
+
+def test_the_package_depends_on_nothing_and_imports_no_numpy():
+    """numpy is the tests' oracle only: installing the package brings
+    nothing along, and no module under ``src/`` imports numpy."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert project["project"]["dependencies"] == []
+    assert "numpy" in project["project"]["optional-dependencies"]["test"]
+    assert _imported_packages().get("numpy", []) == []
 
 
 #: Every settable value of the deployment-facing configuration.  A new
