@@ -8,7 +8,9 @@ pattern) instead of polling one node's /proc/cluster snapshot — so
 its rows are exactly what the channel delivered, it keeps working
 across crashes by replay, and every host that ever published
 appears, whatever subset of metrics it reported.  Alarms
-still fire on threshold crossings while it runs.  The closing
+still fire on threshold crossings while it runs: one hook on alan's
+d-mon sees every remote value as it lands, fires on a rising edge and
+re-arms once the value has cleared the bound by 10 %.  The closing
 placement answers (least-loaded host, most free memory) come from
 alan's ``ClusterView``, which counts only hosts whose
 ``/proc/cluster/<host>/status`` reads fresh, so a host that stopped
@@ -21,10 +23,39 @@ from __future__ import annotations
 
 from repro.api import Scenario
 from repro.dproc import ClusterView, MetricId
-from repro.dproc.alarms import AlarmManager
 from repro.stream import StreamTop
 from repro.units import MB
 from repro.workloads import AmbientActivity, Linpack
+
+
+def watch_alarms(dmon, lines: list[str]) -> None:
+    """Append an ALARM line to ``lines`` when a host's load average
+    rises above 2.0 or its free memory falls under 150 MB.  A host
+    that fired re-arms once its value has cleared the bound by 10 %."""
+    fired: set[tuple[MetricId, str]] = set()
+
+    def on_update(host: str, metric: MetricId, value: float,
+                  _ts: float) -> None:
+        if metric is MetricId.LOADAVG:
+            firing, cleared = value > 2.0, value * 1.1 <= 2.0
+        elif metric is MetricId.FREEMEM:
+            firing, cleared = value < MB(150), value / 1.1 >= MB(150)
+        else:
+            return
+        key = (metric, host)
+        if key in fired:
+            if cleared:
+                fired.discard(key)
+        elif firing:
+            fired.add(key)
+            lines.append(
+                f"ALARM {host}: loadavg {value:.2f} > 2.0 at "
+                f"t={dmon.node.env.now:.0f}s"
+                if metric is MetricId.LOADAVG else
+                f"ALARM {host}: free memory down to "
+                f"{value / 2**20:.0f} MiB")
+
+    dmon.update_hooks.append(on_update)
 
 
 def draw(top: StreamTop, env, alarms) -> None:
@@ -50,15 +81,7 @@ def main() -> None:
 
     top = StreamTop(scenario.stream)
     alarm_lines: list[str] = []
-    manager = AlarmManager(dprocs["alan"].dmon)
-    manager.watch_above(
-        MetricId.LOADAVG, 2.0,
-        lambda a, h, v, t: alarm_lines.append(
-            f"ALARM {h}: loadavg {v:.2f} > 2.0 at t={t:.0f}s"))
-    manager.watch_below(
-        MetricId.FREEMEM, MB(150),
-        lambda a, h, v, t: alarm_lines.append(
-            f"ALARM {h}: free memory down to {v / 2**20:.0f} MiB"))
+    watch_alarms(dprocs["alan"].dmon, alarm_lines)
 
     # Phase 1: quiet cluster.
     scenario.run_until(10.0)

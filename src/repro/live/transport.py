@@ -41,13 +41,13 @@ have not left yet, and asyncio's own flow-control callbacks drive it:
   size watermark (``max_bytes``) or time watermark (``max_delay``);
   the receiver splits a run by the frames' own length prefixes;
 * **sender-side backpressure** — the transport's write-buffer
-  watermarks (:class:`FlowConfig`) call ``pause_writing`` and
-  ``resume_writing``; a frame that cannot leave yet (dial in flight,
-  or paused) waits in the queue, at most ``max_deferred`` of them,
-  and the queue flushes on connect and on resume.  Past the bound the
-  newest frame is *dropped* and reported to the sender's
-  ``on_fail``, so the durable stream records the loss and
-  reconciliation stays zero-discrepancy.
+  watermarks (:data:`HIGH_WATERMARK`, :data:`LOW_WATERMARK`) call
+  ``pause_writing`` and ``resume_writing``; a frame that cannot leave
+  yet (dial in flight, or paused) waits in the queue, at most
+  :data:`MAX_DEFERRED` of them, and the queue flushes on connect and
+  on resume.  Past the bound the newest frame is *dropped* and
+  reported to the sender's ``on_fail``, so the durable stream records
+  the loss and reconciliation stays zero-discrepancy.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ from repro.live.codec import (MAGIC, FrameDecoder, decode_frame,
                               encode_batch, encode_frame)
 from repro.runtime.protocol import OnFail
 
-__all__ = ["LiveStack", "LiveConnection", "BatchConfig", "FlowConfig",
-           "in_flight", "DIAL_TIMEOUT", "CLOSE_TIMEOUT",
-           "RX_BUFFER_BYTES"]
+__all__ = ["LiveStack", "LiveConnection", "BatchConfig", "in_flight",
+           "DIAL_TIMEOUT", "CLOSE_TIMEOUT", "RX_BUFFER_BYTES",
+           "HIGH_WATERMARK", "LOW_WATERMARK", "MAX_DEFERRED"]
 
 Resolver = Callable[[str], Optional[tuple[str, int]]]
 
@@ -88,6 +88,16 @@ DIAL_TIMEOUT = 5.0
 #: finish closing.
 CLOSE_TIMEOUT = 5.0
 
+#: Sender-side backpressure, per link: pause the link when the socket
+#: write buffer exceeds :data:`HIGH_WATERMARK` bytes; the transport
+#: resumes it once the buffer is back below :data:`LOW_WATERMARK`.
+HIGH_WATERMARK = 256 * 1024
+LOW_WATERMARK = 64 * 1024
+#: Frames queued while the dial is in flight or the link is paused;
+#: overflow drops (and records) the newest frame instead of buffering
+#: without bound.
+MAX_DEFERRED = 1024
+
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -97,20 +107,6 @@ class BatchConfig:
     max_bytes: int = 32 * 1024
     #: Flush at most this many seconds after the first queued frame.
     max_delay: float = 0.05
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Sender-side backpressure watermarks for one stack's links."""
-
-    #: Pause the link when the socket write buffer exceeds this.
-    high_watermark: int = 256 * 1024
-    #: The transport resumes the link once the buffer is back below this.
-    low_watermark: int = 64 * 1024
-    #: Frames queued while the dial is in flight or the link is paused;
-    #: overflow drops (and records) the newest frame instead of
-    #: buffering without bound.
-    max_deferred: int = 1024
 
 
 class _PeerLink(asyncio.Protocol):
@@ -154,9 +150,8 @@ class _PeerLink(asyncio.Protocol):
     # -- asyncio flow control ----------------------------------------------
 
     def connection_made(self, transport) -> None:
-        flow = self.stack.flow_config
-        transport.set_write_buffer_limits(high=flow.high_watermark,
-                                          low=flow.low_watermark)
+        transport.set_write_buffer_limits(high=HIGH_WATERMARK,
+                                          low=LOW_WATERMARK)
         self.transport = transport
         self.flush()
 
@@ -185,7 +180,7 @@ class _PeerLink(asyncio.Protocol):
         queue = self.queue
         if self.transport is None or self.paused:
             # The frame cannot leave yet: the queue is bounded.
-            if len(queue) >= stack.flow_config.max_deferred:
+            if len(queue) >= MAX_DEFERRED:
                 stack._t_drops.inc()
                 return "backpressure"
             stack._t_deferred.inc()
@@ -282,8 +277,7 @@ class LiveStack:
     """One node's TCP endpoint: server socket + tagged dispatch."""
 
     def __init__(self, host: str, telemetry,
-                 batch: Optional[BatchConfig] = None,
-                 flow: Optional[FlowConfig] = None) -> None:
+                 batch: Optional[BatchConfig] = None) -> None:
         self.host = host
         self.handlers: dict[str, Callable] = {}
         self.connections: list[LiveConnection] = []
@@ -291,10 +285,9 @@ class LiveStack:
         #: Host-name → (ip, port) lookup; wired to the registry client
         #: by the runtime before any connection is made.
         self.resolve: Resolver = lambda host: None
-        #: Outgoing transport tuning; set before the first ``connect``
-        #: (the runtime configures these from the scenario).
+        #: Outgoing frame batching; set before the first ``connect``
+        #: (the runtime configures it from the scenario).
         self.batch_config = batch
-        self.flow_config = flow if flow is not None else FlowConfig()
         self._links: dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         #: Accepted connections, so :meth:`stop` can end each one.

@@ -11,7 +11,7 @@ from repro.smartpointer.adaptation import (AdaptationPolicy,
                                            NoAdaptation,
                                            StaticAdaptation)
 from repro.smartpointer.client import SmartPointerClient
-from repro.smartpointer.data import BYTES_PER_ATOM, StreamProfile
+from repro.smartpointer.data import StreamProfile
 from repro.smartpointer.server import (ServerStream, SmartPointerServer,
                                        StreamEvent)
 from repro.smartpointer.transforms import (FULL_QUALITY,
@@ -23,7 +23,7 @@ __all__ = [
     "AdaptationPolicy", "ClientCapabilities", "DynamicAdaptation",
     "NoAdaptation", "StaticAdaptation",
     "SmartPointerClient",
-    "BYTES_PER_ATOM", "StreamProfile",
+    "StreamProfile",
     "ServerStream", "SmartPointerServer", "StreamEvent",
     "FULL_QUALITY", "INTERPOLATION_PENALTY", "PREPROCESS_INFLATION",
     "PREPROCESS_RELIEF", "Transform",

@@ -108,24 +108,6 @@ class TestBoundedHistories:
                   *rig.server.streams.values()]
         assert _unbounded(owners) == []
 
-    def test_alarm_log_is_a_bounded_ring(self):
-        """An alarm that keeps re-firing leaves at most
-        ``ALARM_LOG_LINES`` firings in its manager's log, oldest dropped
-        first, while ``firings`` counts every one."""
-        from repro.dproc.alarms import ALARM_LOG_LINES, AlarmManager
-        dmon = Scenario(nodes=2, seed=1).build().dprocs["alan"].dmon
-        manager = AlarmManager(dmon)
-        alarm = manager.watch_above(MetricId.LOADAVG, 1.0,
-                                    lambda *args: None)
-        fires = ALARM_LOG_LINES + 3
-        for i in range(fires):
-            manager._on_update("maui", MetricId.LOADAVG, 9.0 + i, 0.0)
-            manager._on_update("maui", MetricId.LOADAVG, 0.0, 0.0)
-        assert alarm.firings == fires
-        assert len(manager.log) == ALARM_LOG_LINES
-        assert manager.log[0][2] == 9.0 + 3
-        assert manager.log[-1][2] == 9.0 + fires - 1
-
     def test_health_log_is_a_bounded_ring(self):
         """The health engine a scenario builds keeps at most
         ``HEALTH_LOG_MAX_LEN`` transitions, oldest dropped first,

@@ -18,9 +18,10 @@ import pytest
 
 from repro.dproc import MetricId, RecordBatch
 from repro.kecho.event import ChannelEvent
+from repro.live import transport as live_transport
 from repro.live.codec import FrameDecoder, decode_frame, encode_frame
-from repro.live.transport import (BatchConfig, FlowConfig, LiveStack,
-                                  _PeerLink, in_flight)
+from repro.live.transport import (BatchConfig, LiveStack, _PeerLink,
+                                  in_flight)
 from repro.telemetry import TelemetryRegistry
 from tests.runtime.test_codec import unknown_metric_frames
 
@@ -89,9 +90,15 @@ def _frame(i: int = 0) -> bytes:
     return encode_frame("t", _event(i))
 
 
-def _stack(batch=None, flow=None) -> LiveStack:
-    return LiveStack("alan", TelemetryRegistry("alan"), batch=batch,
-                     flow=flow)
+def _stack(batch=None) -> LiveStack:
+    return LiveStack("alan", TelemetryRegistry("alan"), batch=batch)
+
+
+def _set_flow(monkeypatch, high: int, low: int, deferred: int) -> None:
+    """Tighten the transport's backpressure bounds for one test."""
+    monkeypatch.setattr(live_transport, "HIGH_WATERMARK", high)
+    monkeypatch.setattr(live_transport, "LOW_WATERMARK", low)
+    monkeypatch.setattr(live_transport, "MAX_DEFERRED", deferred)
 
 
 def _complete_dial(link: _PeerLink, transport=None) -> _FakeTransport:
@@ -232,12 +239,13 @@ class TestPeerLinkBatching:
 
 
 class TestPeerLinkBackpressure:
-    FLOW = FlowConfig(high_watermark=100, low_watermark=10,
-                      max_deferred=2)
+    @pytest.fixture(autouse=True)
+    def tight_flow(self, monkeypatch):
+        _set_flow(monkeypatch, high=100, low=10, deferred=2)
 
     def test_pause_defer_resume_preserves_order(self):
         async def run():
-            stack = _stack(flow=self.FLOW)
+            stack = _stack()
             transport = _FakeTransport()
             link = await _link(stack, transport)
             big = encode_frame("t", _big(200))
@@ -259,7 +267,7 @@ class TestPeerLinkBackpressure:
         """Each frame dropped on overflow reaches the sender's
         ``on_fail`` exactly once, with its cause."""
         async def run():
-            stack = _stack(flow=self.FLOW)
+            stack = _stack()
             conn = await _conn(stack, _FakeTransport())
             conn._link.paused = True           # as if past high water
             drops = []
@@ -272,10 +280,10 @@ class TestPeerLinkBackpressure:
         assert drops == [(3, "maui", "backpressure")]
 
     def test_frames_waiting_for_the_dial_are_bounded(self):
-        """While the dial is in flight at most ``max_deferred`` frames
+        """While the dial is in flight at most ``MAX_DEFERRED`` frames
         wait; the rest are dropped and counted."""
         async def run():
-            stack = _stack(flow=self.FLOW)
+            stack = _stack()
             link = await _link(stack)
             return stack, [link.send(_frame(i)) for i in range(5)]
         stack, lost = asyncio.run(run())
@@ -339,11 +347,11 @@ class TestFanOut:
 class TestSlowConsumerLive:
     """Real sockets: a peer that stops reading trips the watermark."""
 
-    def test_watermark_pause_and_resume(self):
+    def test_watermark_pause_and_resume(self, monkeypatch):
+        _set_flow(monkeypatch, high=16 * 1024, low=4 * 1024, deferred=8)
+
         async def run():
-            stack = _stack(flow=FlowConfig(high_watermark=16 * 1024,
-                                           low_watermark=4 * 1024,
-                                           max_deferred=8))
+            stack = _stack()
             gate = asyncio.Event()
 
             async def slow_peer(reader, writer):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.smartpointer import (BYTES_PER_ATOM, FULL_QUALITY,
-                                StreamProfile, Transform)
+from repro.smartpointer import FULL_QUALITY, StreamProfile, Transform
 from repro.units import KB
 
 
@@ -17,9 +16,6 @@ def profile():
 
 
 class TestStreamProfile:
-    def test_atom_count_from_size(self, profile):
-        assert profile.n_atoms == int(KB(200) / BYTES_PER_ATOM)
-
     def test_validation(self):
         with pytest.raises(SimulationError):
             StreamProfile(base_size=0, base_client_cost=1)

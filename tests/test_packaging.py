@@ -195,7 +195,6 @@ KNOBS = {
     "NodeConfig": ["n_cpus", "mflops_per_cpu", "memory_bytes",
                    "disk_rate"],
     "BatchConfig": ["max_bytes", "max_delay"],
-    "FlowConfig": ["high_watermark", "low_watermark", "max_deferred"],
     "Scenario.__init__": ["nodes", "seed", "backend", "dmon", "modules",
                           "monitor_hosts", "watchers", "names",
                           "node_configs"],
@@ -216,11 +215,11 @@ def test_settable_values_are_the_written_list():
 
     from repro.api import Scenario
     from repro.dproc.dmon import DMonConfig
-    from repro.live.transport import BatchConfig, FlowConfig
+    from repro.live.transport import BatchConfig
     from repro.sim.node import NodeConfig
 
     found = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-             for cls in (DMonConfig, NodeConfig, BatchConfig, FlowConfig)}
+             for cls in (DMonConfig, NodeConfig, BatchConfig)}
     for name in vars(Scenario):
         if name == "__init__" or name.startswith("with_"):
             params = inspect.signature(getattr(Scenario, name)).parameters
