@@ -18,8 +18,7 @@ from repro.dproc.control_api import (ControlRequest, FilterCommand,
                                      topk_filter, topk_source)
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import (DMon, DMonConfig, PEER_DEAD, PEER_FRESH,
-                              PEER_STALE, PEER_UNKNOWN, RemoteMetric,
-                              register_default_modules)
+                              PEER_STALE, PEER_UNKNOWN, RemoteMetric)
 from repro.dproc.filters import DeployedFilter, FilterManager
 from repro.dproc.metrics import (METRIC_CONSTANTS, METRIC_FILES,
                                  MODULE_METRICS, MetricId, metric_by_name)
@@ -39,7 +38,6 @@ __all__ = [
     "parse_control_text",
     "ControlRequest", "FilterCommand", "topk_filter", "topk_source",
     "DMon", "DMonConfig", "RecordBatch", "RemoteMetric",
-    "register_default_modules",
     "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
     "DeployedFilter", "FilterManager",
     "METRIC_CONSTANTS", "METRIC_FILES", "MODULE_METRICS", "MetricId",

@@ -5,15 +5,15 @@ cache.  d-mon builds one batch per poll from the value columns its
 modules return, its parameters and filters narrow it by index, the
 live codec packs the columns as they are (``MONITOR`` frames) and
 decodes them back into a batch, and the subscribing d-mon applies it
-record by record.  A simulated fan-out shares one batch by reference
-across every delivery.
+record by record to the host the event came from.  A simulated
+fan-out shares one batch by reference across every delivery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from repro.dproc.metrics import MetricId
 
@@ -22,17 +22,15 @@ __all__ = ["RecordBatch"]
 
 @dataclass(slots=True, eq=False)
 class RecordBatch:
-    """``(ids, values, ts)`` columns for one host, plus the optional
-    keyed per-process sections."""
+    """``(ids, values)`` columns sampled at one time, plus the
+    optional keyed per-process sections."""
 
-    #: The host whose metrics these are.
-    host: str
     #: Metric ids, in publication order.
     ids: Sequence[MetricId]
     #: One value per id.
     values: Sequence[float]
-    #: The poll's one timestamp, or one timestamp per record.
-    ts: Union[float, Sequence[float]]
+    #: When the poll sampled them.
+    ts: float
     #: Sketch-filtered top-K pairs: pid -> ranked weight.
     proc_top: Optional[dict[int, float]] = None
     #: Unfiltered per-process rows: pid -> (cpu, mem, io).
@@ -43,7 +41,4 @@ class RecordBatch:
 
     def records(self) -> Iterator[tuple[MetricId, float, float]]:
         """``(id, value, ts)`` per record, in publication order."""
-        ts = self.ts
-        if isinstance(ts, (int, float)):
-            ts = repeat(ts, len(self.ids))
-        return zip(self.ids, self.values, ts)
+        return zip(self.ids, self.values, repeat(self.ts))

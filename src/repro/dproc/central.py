@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.dproc.dmon import BYTES_PER_RECORD, EVENT_HEADER_BYTES
 from repro.dproc.metrics import MetricId
-from repro.dproc.modules import default_modules
+from repro.dproc.modules import DEFAULT_MODULES, sim_module_factory
 from repro.dproc.modules.base import MonitoringModule
 from repro.errors import DprocError
 
@@ -76,7 +76,8 @@ class CentralCollector:
         for name in cluster.names:
             node = cluster[name]
             self.agents[name] = _Agent(
-                node=node, modules=default_modules(node))
+                node=node, modules=[sim_module_factory(module, node)
+                                    for module in DEFAULT_MODULES])
             self.node_views[name] = {}
 
     # -- lifecycle ------------------------------------------------------------

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.dproc.batch import RecordBatch
 from repro.dproc.control_file import ControlCommand, parse_command
 from repro.dproc.filters import FilterManager, InputRecords
-from repro.dproc.metrics import (MODULE_METRICS, MetricId, metric_by_name)
+from repro.dproc.metrics import MetricId, metric_by_name
 from repro.dproc.modules.base import KeyedSample, MonitoringModule
 from repro.dproc.params import MetricPolicy
 from repro.errors import DprocError, InterruptError
@@ -39,7 +39,6 @@ from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
 from repro.tracing.context import TraceRef
 
 __all__ = ["DMonConfig", "DMon", "RemoteMetric",
-           "register_default_modules",
            "PEER_FRESH", "PEER_STALE", "PEER_DEAD", "PEER_UNKNOWN",
            "STALE_AFTER_INTERVALS", "DEAD_AFTER_INTERVALS",
            "MONITOR_CHANNEL", "CONTROL_CHANNEL",
@@ -384,7 +383,7 @@ class DMon:
                 size = (EVENT_HEADER_BYTES
                         + BYTES_PER_RECORD * n_records
                         + self.config.payload_padding)
-                batch = RecordBatch(self.node.name, ids, values, now)
+                batch = RecordBatch(ids, values, now)
                 if top_pairs:
                     batch.proc_top = dict(top_pairs)
                     self.last_procs = ("top", dict(top_pairs))
@@ -530,7 +529,7 @@ class DMon:
 
     def _on_monitor_event(self, event: ChannelEvent, trace) -> None:
         batch: RecordBatch = event.payload
-        host = batch.host
+        host = event.source
         if host == self.node.name:
             return
         store = self.remote.get(host)
@@ -552,7 +551,8 @@ class DMon:
             for metric in batch.ids:
                 self._provenance[(host, metric)] = ref
         hooks = self.update_hooks
-        for metric, value, ts in batch.records():
+        ts = batch.ts
+        for metric, value in zip(batch.ids, batch.values):
             # Update the cached record in place: one RemoteMetric per
             # (host, metric) for the life of the d-mon instead of a
             # fresh allocation per record per event.
@@ -613,8 +613,9 @@ class DMon:
     def resolve_metrics(self, spec: str) -> list[MetricId]:
         """Resolve a control-file metric spec to concrete metric ids.
 
-        ``spec`` may be '*' (all resources), a module name ('cpu'),
-        or one metric name ('loadavg').
+        ``spec`` may be '*' (all resources), a registered module's
+        name ('cpu'), or one metric name ('loadavg') a registered
+        module produces; anything else raises :class:`DprocError`.
         """
         spec = spec.strip().lower()
         if spec == "*":
@@ -625,8 +626,7 @@ class DMon:
                 for m in module.metrics()))
         if spec in self.modules:
             return list(self.modules[spec].metrics())
-        if spec in MODULE_METRICS:
-            return list(MODULE_METRICS[spec])
+        self._scope_of(spec)  # raises unless a module produces it
         return [metric_by_name(spec)]
 
     def apply_control(self, command: ControlCommand) -> None:
@@ -648,16 +648,14 @@ class DMon:
                                 filter_id=command.filter_id or None)
         elif verb == "clear":
             for metric in self.resolve_metrics(command.metric):
-                policy = self.policies.get(metric)
-                if policy is None:
-                    continue
+                policy = self.policies[metric]
                 if command.value == "period":
                     policy.clear_period()
                 else:
                     policy.clear_thresholds()
         else:
             for metric in self.resolve_metrics(command.metric):
-                policy = self.policies.setdefault(metric, MetricPolicy())
+                policy = self.policies[metric]
                 if verb == "period":
                     policy.set_period(command.value)
                 else:
@@ -693,7 +691,7 @@ class DMon:
                 name=f"control:{command.verb}", stage="control",
                 node=self.node.name, start=now, kind=command.verb,
                 target=command.metric)
-        if msg.addressed_to(self.node.name):
+        if msg.target == self.node.name:
             self.apply_control(command)
             if root is not None:
                 tracer.record_span(
@@ -710,7 +708,7 @@ class DMon:
     def _on_control_event(self, event: ChannelEvent, trace) -> None:
         msg = event.payload
         if isinstance(msg, ControlMessage):
-            if not msg.addressed_to(self.node.name):
+            if msg.target != self.node.name:
                 return
             try:
                 command = parse_command(msg.command)
@@ -750,21 +748,3 @@ def _put(ids: list[MetricId], values: list[float], metric: MetricId,
         ids.append(metric)
         values.append(value)
 
-
-def register_default_modules(dmon: DMon,
-                             names: Iterable[str] = ("cpu", "mem",
-                                                     "disk", "net",
-                                                     "pmc")) -> None:
-    """Attach the standard module set (or a named subset) to a d-mon."""
-    from repro.dproc.modules import (CpuMon, DiskMon, MemMon, NetMon,
-                                     PmcMon, ProcMon, SelfMon)
-    factory = {"cpu": CpuMon, "mem": MemMon, "disk": DiskMon,
-               "net": NetMon, "pmc": PmcMon, "proc": ProcMon,
-               "dproc": SelfMon}
-    for name in names:
-        try:
-            cls = factory[name]
-        except KeyError:
-            raise DprocError(f"no standard module named {name!r}") \
-                from None
-        dmon.register_service(cls(dmon.node))

@@ -11,7 +11,7 @@ system it is measuring.
 Like :class:`~repro.dproc.modules.battery_mon.BatteryMon`, SELF_MON is
 *not* part of the default module set: registering it changes what gets
 published (and therefore seeded traces), so it is opt-in —
-``register_default_modules(dmon, names=(..., "dproc"))`` or an explicit
+``Scenario(modules=(..., "dproc"))`` or an explicit
 ``dmon.register_service(SelfMon(node))``.
 """
 

@@ -21,8 +21,9 @@ from typing import Callable, Optional, Sequence
 
 from repro.dproc.control_api import ControlRequest
 from repro.dproc.control_file import parse_control_text
-from repro.dproc.dmon import DMon, DMonConfig, register_default_modules
+from repro.dproc.dmon import DMon, DMonConfig
 from repro.dproc.metrics import METRIC_FILES, MetricId
+from repro.dproc.modules import DEFAULT_MODULES, sim_module_factory
 from repro.dproc.procfs import DirTemplate, ProcFS, ProcFile, Roster
 from repro.kecho import ControlMessage
 from repro.runtime.protocol import Bus, RuntimeNode
@@ -30,15 +31,12 @@ from repro.telemetry import MONITOR_CPU_COUNTERS, render_text
 
 __all__ = ["Dproc"]
 
-DEFAULT_MODULES = ("cpu", "mem", "disk", "net", "pmc")
-
 #: Accepted command lines a ``control`` file reads back, per host; a
 #: policy that rewrites ``control`` every tick drops the oldest.
 CONTROL_LOG_LINES = 256
 
-#: Builds one monitoring module for (module name, node).  Backends with
-#: their own collectors (the live backend's host modules) pass one of
-#: these; None selects the standard simulator module set.
+#: Builds one monitoring module for (module name, node): each runtime
+#: has one, the simulator's is the default.
 ModuleFactory = Callable[[str, RuntimeNode], object]
 
 
@@ -48,16 +46,13 @@ class Dproc:
     def __init__(self, node: RuntimeNode, bus: Bus,
                  config: DMonConfig | None = None,
                  modules: Sequence[str] = DEFAULT_MODULES,
-                 module_factory: Optional[ModuleFactory] = None,
+                 module_factory: ModuleFactory = sim_module_factory,
                  roster: Optional[Roster] = None) -> None:
         self.node = node
         self.bus = bus
         self.dmon = DMon(node, bus, config)
-        if module_factory is None:
-            register_default_modules(self.dmon, modules)
-        else:
-            for name in modules:
-                self.dmon.register_service(module_factory(name, node))
+        for name in modules:
+            self.dmon.register_service(module_factory(name, node))
         self.procfs = ProcFS()
         self._control_log: dict[str, deque[str]] = {}
         #: The hosts under /proc/cluster.  ``Deployment.deploy`` hands
@@ -224,8 +219,7 @@ class Dproc:
         if log is None:
             log = self._control_log[host] = deque(maxlen=CONTROL_LOG_LINES)
         for command in parse_control_text(text):
-            self.dmon.send_control(
-                ControlMessage(self.node.name, host, command.text))
+            self.dmon.send_control(ControlMessage(host, command.text))
             log.extend(line for line in command.text.splitlines()
                        if line.strip())
 

@@ -5,7 +5,8 @@ and a control channel for customization.  A control message carries
 one command of the control-file grammar as text — a parameter setting
 or an E-code filter source — to the one d-mon it addresses, which
 parses and applies it (:mod:`repro.dproc.control_file`).  KECho
-carries the text without reading it.
+carries the text without reading it; the message's sender is the
+source of the event that carries it.
 
 Every d-mon subscribes to the control channel and ignores messages not
 addressed to it.
@@ -23,18 +24,14 @@ _HEADER_BYTES = 48
 
 @dataclass(frozen=True)
 class ControlMessage:
-    """One control command from ``sender`` for ``target``'s d-mon.
+    """One control command for ``target``'s d-mon.
 
     ``command`` is the command's normalized control-file text, e.g.
     ``"period cpu 2"`` or ``"filter * id=f1 { ... }"``.
     """
 
-    sender: str
     target: str
     command: str
-
-    def addressed_to(self, host: str) -> bool:
-        return self.target == host
 
 
 def control_message_size(msg: ControlMessage) -> float:

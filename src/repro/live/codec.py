@@ -1,29 +1,32 @@
 """Length-prefixed binary event codec for the live TCP data plane.
 
-A PBIO-style format in the spirit of the paper's ECho heritage: a
-packed layout both ends already know for the hot monitoring stream,
-a self-describing body for the rare control message.  All integers and
-floats are big-endian; ``str`` is a u16 byte length followed by UTF-8
-bytes; ``[x]`` is present only when the named flag is set.
+A PBIO-style format in the spirit of the paper's ECho heritage: each
+frame kind has one packed layout that both ends already know, and a
+frame carries only what its receiver cannot work out.  All integers
+and floats are big-endian; ``str`` is a u16 byte length followed by
+UTF-8 bytes.
 
 Every frame::
 
     u32   frame length (excluding these 4 bytes)
-    u16   magic (0xEC07)
+    u16   magic (0xEC08)
     u8    kind
-    u8    flags
-    [str  channel]       CHANNEL: the channel is not the kind's own
-    [str  tag]           TAG: the transport dispatch tag
     str   source
     f64   submitted_at
     f64   declared size (bytes, the cost-model size)
     ...   kind-specific body
 
-``MONITOR`` body — one d-mon poll, a
+d-mon speaks on two KECho channels, and the kind names the one a
+frame belongs to: a ``MONITOR`` frame is an event of ``dproc.monitor``
+on the tag ``kecho:dproc.monitor``, a ``CONTROL`` frame one of
+``dproc.control`` on ``kecho:dproc.control``.  Neither the channel nor
+the tag travels, so :func:`encode_frame` refuses a payload off its
+kind's channel or tag, as it refuses a payload of neither kind.
+
+``MONITOR`` body — one d-mon poll of the source's metrics, a
 :class:`~repro.dproc.batch.RecordBatch` whose value column travels
 sparse::
 
-    [str  host]          HOST
     u16   n              record count
     n×u8  metric ids     (the E-code filter ABI ids, decoded back to
                           :class:`MetricId`; an unknown id is an error)
@@ -31,56 +34,38 @@ sparse::
                           first) set: value i is +0.0 bit for bit and
                           is not carried; no bit past n may be set
     k×f64 values         the other k values, in record order
-    f64   timestamp      one for the poll; n×f64 when TS is set
+    f64   timestamp      the poll's
     [u16 k, k×(u32 pid, f64 weight)         top-K pairs
      u16 m, m×(u32 pid, f64 cpu, mem, io)]  full per-process rows
 
 A -0.0 or a NaN is carried as it is.  The keyed per-process sections
 are written only when one of them has a row; absent and zero-count
 sections both decode to a batch whose ``proc_top``/``procs`` are None.
+:func:`decode_frame` returns the columns as tuples.  The frame a d-mon
+poll of n records publishes, from a source of s bytes with k non-zero
+values, is 35 + s + n + ⌈n/8⌉ + 8·k bytes: at most 161 B for the
+default 13 records and a 7-character name, 78 B from ``alan`` when
+ten of the 13 cells are zero.
+
+``CONTROL`` body — one :class:`~repro.kecho.control.ControlMessage`,
+sent by the frame's source::
+
+    str   target         the host whose d-mon applies it
+    str   command        one command's control-file text
+
 A frame ends at its last field: a byte past it is an error.
-:func:`decode_frame` returns the columns as tuples: ``ts`` is one
-float, or a tuple when TS is set.  The frame a d-mon poll of n
-records publishes, from a source of s bytes with k non-zero values,
-is 36 + s + n + ⌈n/8⌉ + 8·k bytes: at most 162 B for the default 13
-records and a 7-character name, 79 B from ``alan`` when ten of the
-13 cells are zero.
-
-The four flags mark what a frame could not leave out.  The encoder
-sets each from the event in hand, per frame, so every batch
-round-trips f64-exact in record order:
-
-* ``TAG`` (1) — the tag is not ``"kecho:" + channel`` (what every
-  KECho endpoint binds), so it is carried.
-* ``HOST`` (2) — the batch's host differs from the event's source
-  (d-mon publishes as its own node), so it is carried.
-* ``TS`` (4) — the batch has a timestamp column whose entries are not
-  all equal, compared bit for bit on the packed f64 (0.0 and -0.0
-  differ; a NaN equals itself), so each record carries its own.  A
-  frame with no records has no timestamp to share and sets it too.
-* ``CHANNEL`` (8) — the channel is not the kind's own
-  (``dproc.monitor`` for MONITOR), so it is carried.
 
 There is no per-connection string table: a frame is self-contained,
 so one encoding serves every link of a fan-out, and a frame dropped
 under backpressure or a reconnect needs no resync.  The one string a
-default frame still carries is its source — what such a table could
-save, under half a byte a record for a short host name.  The
-receiver keeps only caches of what bytes it has seen stand for: the
+default frame carries is its source — what such a table could save,
+under half a byte a record for a short host name.  The receiver keeps
+only caches of what bytes it has seen stand for: the
 :class:`MetricId` tuple of each id column and the unpack format and
 scatter of each ``(n, bitmap)``, for frames of at most
 :data:`_CACHED_RECORDS` records whose value column is all there.
 Each holds at most :data:`_CACHE_ENTRIES` and is emptied when full,
 so whatever a peer sends they stay under about 2 MB together.
-
-The other kind, ``CONTROL`` — one
-:class:`~repro.kecho.control.ControlMessage` as a u32 length and a
-compact JSON object of exactly three strings, ``sender``, ``target``
-and ``command`` (one command's control-file text; control traffic is
-rare, self-describing beats packed here).  It is a frame of the
-control channel's own tag only — channel ``dproc.control``, implied,
-and no flag set — on both ends, so no other channel's handler is
-handed a control message.  Any other payload is not wire-encodable.
 
 Coalescing adds no kind: a batched link writes a run of whole frames
 in one socket write (:func:`encode_batch`), and the length prefixes
@@ -89,11 +74,10 @@ split it again on the far side like any other stretch of the stream.
 
 from __future__ import annotations
 
-import json
 import struct
 from math import copysign
 from operator import itemgetter
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.dproc.batch import RecordBatch
 from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
@@ -104,31 +88,22 @@ from repro.kecho.event import ChannelEvent
 
 __all__ = ["encode_frame", "decode_frame", "encode_batch",
            "FrameDecoder", "MAGIC", "KIND_MONITOR", "KIND_CONTROL",
-           "FLAG_TAG", "FLAG_HOST", "FLAG_TS", "FLAG_CHANNEL",
            "MAX_FRAME_BYTES"]
 
-MAGIC = 0xEC07
+MAGIC = 0xEC08
 KIND_MONITOR = 1
 KIND_CONTROL = 2
-
-FLAG_TAG = 1
-FLAG_HOST = 2
-FLAG_TS = 4
-FLAG_CHANNEL = 8
 
 #: Upper bound on one frame; protects the decoder from a corrupt or
 #: hostile length prefix.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: The tag every KECho endpoint binds for a channel.
-_TAG_PREFIX = "kecho:"
+#: kind -> the (channel, tag) of its every frame: a d-mon channel and
+#: the tag every KECho endpoint binds for it.
+_ROUTES = {kind: (channel, "kecho:" + channel)
+           for kind, channel in ((KIND_MONITOR, MONITOR_CHANNEL),
+                                 (KIND_CONTROL, CONTROL_CHANNEL))}
 
-#: The channel a frame of each kind names when it carries none.
-_KIND_CHANNELS = {KIND_MONITOR: MONITOR_CHANNEL,
-                  KIND_CONTROL: CONTROL_CHANNEL}
-
-#: The JSON fields of a CONTROL body, in the order written.
-_CONTROL_FIELDS = ("sender", "target", "command")
 _METRICS = {int(metric): metric for metric in MetricId}
 
 #: Most entries each of the decode caches holds before it is emptied.
@@ -139,7 +114,7 @@ _CACHED_RECORDS = 64
 
 _TOP_ROW = struct.Struct(">Id")
 _PROC_ROW = struct.Struct(">Iddd")
-_HEAD = struct.Struct(">HBB")
+_HEAD = struct.Struct(">HB")
 _TIMES = struct.Struct(">dd")
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
@@ -151,13 +126,17 @@ _ZERO = (0.0,)
 
 #: id column bytes -> its MetricId tuple
 _id_columns: dict[bytes, tuple[MetricId, ...]] = {}
-#: (n, bitmap) -> (k, the shared-timestamp Struct, the scatter or None)
+#: (n, bitmap) -> (k, the Struct of k values and the timestamp, the
+#: scatter or None)
 _layouts: dict[tuple[int, bytes],
                tuple[int, struct.Struct, Optional[Callable]]] = {}
 
 
 def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
+    try:
+        raw = text.encode("utf-8")
+    except AttributeError:
+        raise ChannelError(f"not a string: {text!r}") from None
     if len(raw) > 0xFFFF:
         raise ChannelError("string too long for wire format")
     return _U16.pack(len(raw)) + raw
@@ -202,8 +181,8 @@ def _ids(column: bytes) -> tuple[MetricId, ...]:
 def _layout(n: int, bitmap: bytes, room: int):
     """How the values of an ``n``-record frame with ``bitmap`` unpack,
     given the ``room`` bytes the frame has for them: the carried count
-    k, a Struct of k values and the shared timestamp, and the scatter
-    that puts +0.0 back into the marked cells (None when no cell is
+    k, a Struct of k values and the timestamp, and the scatter that
+    puts +0.0 back into the marked cells (None when no cell is
     marked)."""
     mask = int.from_bytes(bitmap, "little")
     if mask >> n:
@@ -230,10 +209,9 @@ def _layout(n: int, bitmap: bytes, room: int):
     return layout
 
 
-def _monitor_body(source: str,
-                  batch: RecordBatch) -> tuple[int, list[bytes]]:
-    """Flags and body parts of one MONITOR batch."""
-    ids, ts = batch.ids, batch.ts
+def _monitor_body(batch: RecordBatch) -> list[bytes]:
+    """The body parts of one MONITOR batch."""
+    ids = batch.ids
     top = batch.proc_top or {}
     procs = batch.procs or {}
     n = len(ids)
@@ -243,21 +221,6 @@ def _monitor_body(source: str,
         id_column = bytes(ids)
     except (ValueError, TypeError) as exc:
         raise ChannelError(f"metric id does not fit a u8: {exc}") from exc
-    flags = 0
-    body = []
-    if batch.host != source:
-        flags |= FLAG_HOST
-        body.append(_pack_str(batch.host))
-    if isinstance(ts, (int, float)):
-        times = _F64.pack(ts) if n else b""
-        shared = n > 0
-    else:
-        times = struct.pack(f">{n}d", *ts)
-        shared = n > 0 and times == times[:8] * n
-        if shared:
-            times = times[:8]
-    if not shared:
-        flags |= FLAG_TS
     values = batch.values
     mask = 0
     if 0.0 in values:
@@ -270,44 +233,37 @@ def _monitor_body(source: str,
                 mask |= bit
             bit <<= 1
         values = kept
-    body += (_U16.pack(n), id_column, mask.to_bytes((n + 7) >> 3, "little"),
-             struct.pack(f">{len(values)}d", *values), times)
+    body = [_U16.pack(n), id_column, mask.to_bytes((n + 7) >> 3, "little"),
+            struct.pack(f">{len(values)}d", *values), _F64.pack(batch.ts)]
     if top or procs:
         body.append(_U16.pack(len(top)))
         body.extend(_TOP_ROW.pack(pid, top[pid]) for pid in sorted(top))
         body.append(_U16.pack(len(procs)))
         body.extend(_PROC_ROW.pack(pid, *procs[pid])
                     for pid in sorted(procs))
-    return flags, body
+    return body
 
 
 def encode_frame(tag: str, event: ChannelEvent) -> bytes:
-    """Encode one event (with its transport tag) as a complete frame."""
+    """Encode one event, which travels on the transport tag ``tag``,
+    as a complete frame."""
     payload = event.payload
-    channel = event.channel
-    flags = 0 if tag == _TAG_PREFIX + channel else FLAG_TAG
     if isinstance(payload, RecordBatch):
         kind = KIND_MONITOR
-        if channel != MONITOR_CHANNEL:
-            flags |= FLAG_CHANNEL
-        monitor_flags, body = _monitor_body(event.source, payload)
-        flags |= monitor_flags
-    elif isinstance(payload, ControlMessage) and not flags \
-            and channel == CONTROL_CHANNEL:
+    elif isinstance(payload, ControlMessage):
         kind = KIND_CONTROL
-        doc = {name: getattr(payload, name) for name in _CONTROL_FIELDS}
-        if not all(type(value) is str for value in doc.values()):
-            raise ChannelError("control message fields must be strings")
-        raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        body = [_U32.pack(len(raw)), raw]
     else:
+        kind = None
+    if kind is None or _ROUTES[kind] != (event.channel, tag):
         raise ChannelError(
             f"live payload is not wire-encodable: "
-            f"{type(payload).__name__} on {tag!r}")
+            f"{type(payload).__name__} on {event.channel!r}, {tag!r}")
+    if kind == KIND_MONITOR:
+        body = _monitor_body(payload)
+    else:
+        body = [_pack_str(payload.target), _pack_str(payload.command)]
     frame = b"".join([
-        _HEAD.pack(MAGIC, kind, flags),
-        _pack_str(channel) if flags & FLAG_CHANNEL else b"",
-        _pack_str(tag) if flags & FLAG_TAG else b"",
+        _HEAD.pack(MAGIC, kind),
         _pack_str(event.source),
         _TIMES.pack(event.submitted_at, event.size),
         *body,
@@ -322,59 +278,36 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
     """
     # A frame is input from outside the program: whatever is wrong
     # with it (a field or column cut short, bytes past its last field,
-    # an unknown metric id, a zero bitmap past the records, bad UTF-8
-    # or JSON, a control message off the control tag or with a
-    # missing, extra or non-string field) is a ChannelError to the
-    # caller, never a bare struct.error or ValueError/TypeError.
+    # an unknown metric id, a zero bitmap past the records, bad UTF-8)
+    # is a ChannelError to the caller, never a bare struct.error or
+    # ValueError.
     try:
-        magic, kind, flags = _HEAD.unpack_from(frame)
+        magic, kind = _HEAD.unpack_from(frame)
         if magic != MAGIC:
             raise ChannelError(f"bad frame magic {magic:#x}")
-        if kind not in _KIND_CHANNELS:
+        route = _ROUTES.get(kind)
+        if route is None:
             raise ChannelError(f"unknown frame kind {kind}")
-        if kind == KIND_CONTROL and flags:
-            raise ChannelError(
-                "control message off the control tag: flags "
-                f"{flags:#x} on a CONTROL frame")
-        if flags & FLAG_CHANNEL:
-            channel, pos = _str_at(frame, _HEAD.size)
-        else:
-            channel, pos = _KIND_CHANNELS[kind], _HEAD.size
-        if flags & FLAG_TAG:
-            tag, pos = _str_at(frame, pos)
-        else:
-            tag = _TAG_PREFIX + channel
-        source, pos = _str_at(frame, pos)
+        source, pos = _str_at(frame, _HEAD.size)
         submitted_at, size = _TIMES.unpack_from(frame, pos)
         pos += _TIMES.size
-        payload: Any
+        payload: RecordBatch | ControlMessage
         if kind == KIND_MONITOR:
-            if flags & FLAG_HOST:
-                host, pos = _str_at(frame, pos)
-            else:
-                host = source
             (n,) = _U16.unpack_from(frame, pos)
             at_bitmap = pos + 2 + n
             pos = at_bitmap + ((n + 7) >> 3)
             if pos > len(frame):
                 raise ChannelError("truncated frame")
             bitmap = frame[at_bitmap:pos]
-            k, shared, scatter = _layouts.get((n, bitmap)) or _layout(
-                n, bitmap,
-                len(frame) - pos - 8 * (n if flags & FLAG_TS else 1))
-            if flags & FLAG_TS:
-                cells = struct.unpack_from(f">{k + n}d", frame, pos)
-                ts = cells[k:]
-                pos += 8 * (k + n)
-            else:
-                cells = shared.unpack_from(frame, pos)
-                ts = cells[k]
-                pos += shared.size
+            k, layout, scatter = _layouts.get((n, bitmap)) or _layout(
+                n, bitmap, len(frame) - pos - 8)
+            cells = layout.unpack_from(frame, pos)
+            pos += layout.size
             values = cells[:k] if scatter is None \
                 else scatter(cells + _ZERO)
             column = frame[at_bitmap - n:at_bitmap]
             ids = _id_columns.get(column) or _ids(column)
-            payload = RecordBatch(host, ids, values, ts)
+            payload = RecordBatch(ids, values, cells[k])
             if pos < len(frame):
                 rows, pos = _rows_at(frame, pos, _TOP_ROW)
                 payload.proc_top = dict(rows) or None
@@ -382,23 +315,15 @@ def decode_frame(frame: bytes) -> tuple[str, ChannelEvent]:
                 payload.procs = {pid: (cpu, mem, io)
                                  for pid, cpu, mem, io in rows} or None
         else:
-            start = pos + 4
-            pos = start + _U32.unpack_from(frame, pos)[0]
-            if pos > len(frame):
-                raise ChannelError("truncated frame")
-            doc = json.loads(str(frame[start:pos], "utf-8"))
-            if type(doc) is not dict or doc.keys() != set(_CONTROL_FIELDS) \
-                    or not all(type(v) is str for v in doc.values()):
-                raise ChannelError(
-                    "control message body is not three strings: "
-                    "sender, target, command")
-            payload = ControlMessage(**doc)
+            target, pos = _str_at(frame, pos)
+            command, pos = _str_at(frame, pos)
+            payload = ControlMessage(target, command)
         if pos != len(frame):
             raise ChannelError(
                 f"{len(frame) - pos} bytes past the frame's last field")
-    except (ValueError, TypeError, KeyError, RecursionError,
-            struct.error) as exc:
+    except (ValueError, TypeError, struct.error) as exc:
         raise ChannelError(f"malformed frame body: {exc}") from exc
+    channel, tag = route
     return tag, ChannelEvent(channel, source, payload, size, submitted_at)
 
 

@@ -63,7 +63,8 @@ WIRE_COUNTERS = (
     "net.tx_frames", "net.tx_wire_frames", "net.tx_batches",
     "net.tx_batched_frames", "net.tx_wire_bytes",
     "net.backpressure_deferred", "net.backpressure_drops",
-    "net.backpressure_pauses", "net.backpressure_resumes")
+    "net.backpressure_pauses", "net.backpressure_resumes",
+    "net.rx_decode_errors")
 
 
 class LiveRuntime:
@@ -115,14 +116,13 @@ class LiveRuntime:
 
     # -- the Runtime protocol ----------------------------------------------
 
-    def make_bus(self) -> LiveBus:
+    @property
+    def bus(self) -> LiveBus:
         """The process-wide bus (one per runtime; idempotent)."""
         if self._bus is None:
             self._bus = LiveBus()
             self._bus.attach_registry(self.registry_client)
         return self._bus
-
-    bus = property(make_bus)
 
     def run(self, until: float) -> None:
         """Bring the cluster up, run ``until`` wall seconds, tear down.
@@ -186,7 +186,6 @@ class LiveRuntime:
                 # (control writes must never race worker startup).
                 self.pool.start(registry_addr, until)
                 await self.pool.wait_ready()
-            self.make_bus()
             for fn in self._setups:
                 fn(self)
             for server in self.aux_servers:

@@ -60,7 +60,7 @@ class Deployment:
             start += size
         return slices
 
-    def deploy(self, nodes, bus, module_factory=None) -> dict:
+    def deploy(self, nodes, bus, module_factory) -> dict:
         """Build and start dproc on the monitored hosts in ``nodes``.
 
         Every instance shows the same ``/proc/cluster``: one directory

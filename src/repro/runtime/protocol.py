@@ -277,8 +277,6 @@ class Runtime(Protocol):
     @property
     def bus(self) -> Bus: ...
 
-    def make_bus(self) -> Bus: ...
-
     def registries(self) -> dict: ...
 
     def run(self, until: float) -> None: ...

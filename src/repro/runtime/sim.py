@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.dproc.modules import sim_module_factory
 from repro.runtime.protocol import Bus, Clock, NodeGroup
 
 __all__ = ["SimRuntime"]
@@ -23,8 +24,9 @@ class SimRuntime:
 
     backend = "sim"
 
-    #: The simulator uses the standard module set (no factory needed).
-    module_factory = None
+    #: The standard module set, which ``Deployment.deploy`` hands
+    #: every ``Dproc`` it builds here.
+    module_factory = staticmethod(sim_module_factory)
 
     def __init__(self, nodes: int = 8, seed: int = 0,
                  names: Optional[Sequence[str]] = None,
@@ -48,14 +50,13 @@ class SimRuntime:
     def nodes(self) -> NodeGroup:
         return self.cluster
 
-    def make_bus(self) -> Bus:
+    @property
+    def bus(self) -> Bus:
         """The runtime-wide KECho bus (one per runtime; idempotent)."""
         from repro.kecho import KechoBus
         if self._bus is None:
             self._bus = KechoBus()
         return self._bus
-
-    bus = property(make_bus)
 
     def registries(self) -> dict:
         """Host → telemetry registry for every node of the run."""

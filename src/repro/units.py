@@ -15,7 +15,7 @@ from __future__ import annotations
 
 __all__ = [
     "usec", "msec", "minutes", "to_usec",
-    "KB", "MB", "kb", "mb",
+    "KB", "MB",
     "mbps", "to_mbps",
     "PAGE_SIZE", "SECTOR_SIZE", "ETHERNET_MTU",
 ]
@@ -62,11 +62,6 @@ def KB(x: float) -> float:
 def MB(x: float) -> float:
     """Megabytes (2**20) → bytes."""
     return x * 1024.0 * 1024.0
-
-
-# lowercase aliases matching the paper's "KB"/"MB" usage in prose
-kb = KB
-mb = MB
 
 
 # --- bandwidth ------------------------------------------------------------

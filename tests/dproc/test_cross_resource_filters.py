@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import DMon, DMonConfig, MetricId, \
-    register_default_modules
+from repro.dproc import DMon, DMonConfig, MetricId
+from repro.dproc.modules import DEFAULT_MODULES, sim_module_factory
 from repro.kecho import KechoBus
 from repro.units import MB
 
@@ -23,8 +23,9 @@ def pair(env, cluster3):
     bus = KechoBus()
     a = DMon(cluster3["alan"], bus, DMonConfig(poll_interval=1.0))
     b = DMon(cluster3["maui"], bus, DMonConfig(poll_interval=1.0))
-    register_default_modules(a)
-    register_default_modules(b)
+    for dmon in (a, b):
+        for name in DEFAULT_MODULES:
+            dmon.register_service(sim_module_factory(name, dmon.node))
     a.start()
     b.start()
     return a, b

@@ -6,21 +6,24 @@ import math
 
 import pytest
 
-from repro.dproc import (DMon, DMonConfig, MetricId, MetricPolicy,
-                         register_default_modules)
-from repro.dproc.dmon import DEAD_AFTER_INTERVALS, STALE_AFTER_INTERVALS
+from repro.dproc import DMon, DMonConfig, MetricId, MetricPolicy
+from repro.dproc.dmon import (CONTROL_CHANNEL, DEAD_AFTER_INTERVALS,
+                              STALE_AFTER_INTERVALS)
+from repro.dproc.modules import sim_module_factory
 from repro.dproc.modules.base import MonitoringModule
 from repro.errors import ControlSyntaxError, DprocError
 from repro.dproc.control_file import parse_command
 from repro.kecho import ControlMessage, KechoBus
 from repro.kecho.control import control_message_size
+from repro.kecho.event import ChannelEvent
 from repro.sim import build_cluster
 
 
 def make_dmon(cluster, name, bus=None, config=None,
               modules=("cpu", "mem", "disk", "net", "pmc")):
     dmon = DMon(cluster[name], bus or KechoBus(), config)
-    register_default_modules(dmon, modules)
+    for module in modules:
+        dmon.register_service(sim_module_factory(module, dmon.node))
     return dmon
 
 
@@ -49,12 +52,11 @@ class TestRegistration:
     def test_duplicate_module_rejected(self, cluster3):
         dmon = make_dmon(cluster3, "alan")
         with pytest.raises(DprocError, match="already registered"):
-            register_default_modules(dmon, ("cpu",))
+            dmon.register_service(sim_module_factory("cpu", dmon.node))
 
     def test_unknown_module_name_rejected(self, cluster3):
-        dmon = DMon(cluster3["alan"], KechoBus())
-        with pytest.raises(DprocError):
-            register_default_modules(dmon, ("gpu",))
+        with pytest.raises(DprocError, match="no standard module"):
+            sim_module_factory("gpu", cluster3["alan"])
 
     def test_runtime_module_registration(self, env, cluster3):
         """Modules can be added while d-mon runs (extensibility)."""
@@ -238,7 +240,7 @@ class TestRemoteControl:
     def test_control_message_reaches_remote_dmon(self, env, cluster3):
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
-        a.send_control(ControlMessage("alan", "maui", "period cpu 3"))
+        a.send_control(ControlMessage("maui", "period cpu 3"))
         env.run(until=2.0)
         assert b.policies[MetricId.LOADAVG].period == 3.0
         # Not applied to the sender or other nodes:
@@ -248,11 +250,11 @@ class TestRemoteControl:
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
         a.send_control(ControlMessage(
-            "alan", "maui", "filter * id=f1 { output[0] = input[LOADAVG]; }"))
+            "maui", "filter * id=f1 { output[0] = input[LOADAVG]; }"))
         env.run(until=2.0)
         assert b.filters.global_filter is not None
         assert b.filters.global_filter.filter_id == "f1"
-        a.send_control(ControlMessage("alan", "maui", "unfilter f1"))
+        a.send_control(ControlMessage("maui", "unfilter f1"))
         env.run(until=3.0)
         assert b.filters.global_filter is None
 
@@ -261,10 +263,10 @@ class TestRemoteControl:
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
         a.send_control(ControlMessage(
-            "alan", "maui",
+            "maui",
             "filter loadavg id=f1 { output[0] = input[LOADAVG]; }"))
         a.send_control(ControlMessage(
-            "alan", "maui",
+            "maui",
             "filter nosuchmetric id=f2 { output[0] = input[LOADAVG]; }"))
         env.run(until=2.0)
         assert b.filters.filter_for("cpu").filter_id == "f1"
@@ -276,27 +278,29 @@ class TestRemoteControl:
         env.run(until=1.0)
         submits = "kecho.dproc.control.submits"
         before = a.node.telemetry.value(submits)
-        a.send_control(ControlMessage("alan", "alan", "period cpu 3"))
+        a.send_control(ControlMessage("alan", "period cpu 3"))
         assert a.policies[MetricId.LOADAVG].period == 3.0
         assert a.node.telemetry.value(submits) == before
 
     def test_peer_message_naming_the_target_as_sender_is_handled(
             self, env, cluster3):
-        """A message whose sender is the receiving host's own name is
-        applied, or counted when it cannot be: never dropped unseen."""
+        """A message whose sender, the event's source, is the receiving
+        host's own name is applied, or counted when it cannot be: never
+        dropped unseen."""
         a, b = deploy_pair(cluster3)
         env.run(until=1.0)
         for command in ("period cpu 3", "period nosuch 1"):
-            msg = ControlMessage("maui", "maui", command)
-            a._control_ep.submit(msg, size=control_message_size(msg))
-        env.run(until=2.0)
+            msg = ControlMessage("maui", command)
+            b._on_control_event(ChannelEvent(
+                CONTROL_CHANNEL, "maui", msg, control_message_size(msg),
+                env.now), None)
         assert b.policies[MetricId.LOADAVG].period == 3.0
         assert b.node.telemetry.value("dmon.control_rejected") == 1
 
     def test_send_control_requires_started(self, cluster3):
         a = make_dmon(cluster3, "alan")
         with pytest.raises(DprocError, match="not started"):
-            a.send_control(ControlMessage("alan", "maui", "period cpu 1"))
+            a.send_control(ControlMessage("maui", "period cpu 1"))
 
 
 class TestFiltersInPolling:

@@ -49,14 +49,16 @@ class TestP2PSurvivesNodeLoss:
         assert freshest(maui, "etna") > t_kill
 
     def test_dead_node_can_rejoin(self, sc3):
-        from repro.dproc import DMon, register_default_modules
+        from repro.dproc import DMon
+        from repro.dproc.modules import DEFAULT_MODULES, sim_module_factory
         dprocs = sc3.dprocs
         sc3.run_until(5.0)
         dprocs["maui"].stop()
         sc3.run_until(10.0)
         # Fresh d-mon on the same node, same bus (reboot).
         reborn = DMon(sc3.nodes["maui"], dprocs["maui"].bus)
-        register_default_modules(reborn)
+        for name in DEFAULT_MODULES:
+            reborn.register_service(sim_module_factory(name, reborn.node))
         reborn.start()
         sc3.run_until(20.0)
         assert freshest(dprocs["alan"].dmon, "maui") > 10.0

@@ -60,7 +60,8 @@ class TestDeployment:
         names = tuple(default_names(8))
         dprocs = Deployment(
             seed=42, dmon=None, modules=DEFAULT_MODULES, names=names,
-            monitored=names).deploy(local.nodes, local.runtime.bus)
+            monitored=names).deploy(local.nodes, local.runtime.bus,
+                                   local.runtime.module_factory)
         assert set(dprocs) == {"alan", "maui"}
         for dp in dprocs.values():
             assert dp.hosts() == tuple(sorted(names))

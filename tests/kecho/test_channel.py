@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ChannelError
@@ -300,19 +302,20 @@ class TestCostAccounting:
 
 class TestControlMessages:
     def test_addressing(self):
-        msg = ControlMessage("alan", "maui", "period cpu 2")
-        assert msg.addressed_to("maui")
-        assert not msg.addressed_to("etna")
+        """A message names its target only: the sender is the source
+        of the event that carries it."""
+        assert [f.name for f in fields(ControlMessage)] == ["target",
+                                                            "command"]
 
     def test_sizes_grow_with_body(self):
-        small = ControlMessage("a", "b", "filter * return 1;")
-        big = ControlMessage("a", "b", "filter * " + "return 1;" * 100)
+        small = ControlMessage("b", "filter * return 1;")
+        big = ControlMessage("b", "filter * " + "return 1;" * 100)
         assert control_message_size(big) > control_message_size(small)
 
     def test_all_kinds_have_sizes(self):
         """48 framing bytes plus the command's UTF-8 bytes: a period
         or threshold costs what its words cost in any order."""
-        sizes = {text: control_message_size(ControlMessage("a", "b", text))
+        sizes = {text: control_message_size(ControlMessage("b", text))
                  for text in ("period cpu 2", "threshold cpu above 0.8",
                               "clear cpu period", "filter * id=f1 {}",
                               "unfilter f1", "filter * { # ü }")}
@@ -324,7 +327,7 @@ class TestControlMessages:
         eps = wire(bus, cluster3, "control")
         got = []
         eps["maui"].subscribe(lambda e, t: got.append(e.payload))
-        msg = ControlMessage("alan", "maui", "filter * id=f1 { return 1; }")
+        msg = ControlMessage("maui", "filter * id=f1 { return 1; }")
         eps["alan"].submit(msg, size=control_message_size(msg))
         env.run()
         assert got == [msg]

@@ -11,27 +11,43 @@ import pytest
 
 from repro.dproc import (MODULE_METRICS, DMon, MetricId,
                          MonitoringModule, RecordBatch)
+from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
 from repro.errors import ChannelError
 from repro.kecho import KechoBus
 from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
 from repro.live import codec
-from repro.live.codec import (FLAG_CHANNEL, FLAG_TAG, FrameDecoder,
-                              KIND_CONTROL, MAGIC, MAX_FRAME_BYTES,
-                              decode_frame, encode_batch,
-                              encode_frame)
+from repro.live.codec import (FrameDecoder, KIND_CONTROL, MAGIC,
+                              MAX_FRAME_BYTES, decode_frame,
+                              encode_batch, encode_frame)
 
 #: The magics of the layouts before this one: each is refused.
-OLD_MAGICS = (0xEC05, 0xEC06)
+OLD_MAGICS = (0xEC05, 0xEC06, 0xEC07)
+
+#: The tags every KECho endpoint binds for d-mon's two channels.
+MONITOR_TAG = "kecho:" + MONITOR_CHANNEL
+CONTROL_TAG = "kecho:" + CONTROL_CHANNEL
+
+
+def _monitor(source: str, batch: RecordBatch, size: float = 1.0,
+             submitted_at: float = 0.0) -> bytes:
+    """A whole MONITOR frame of ``batch`` from ``source``."""
+    return encode_frame(MONITOR_TAG, ChannelEvent(
+        MONITOR_CHANNEL, source, batch, size, submitted_at))
+
+
+def _control(source: str, msg: ControlMessage) -> bytes:
+    """A whole CONTROL frame of ``msg`` from ``source``."""
+    return encode_frame(CONTROL_TAG, ChannelEvent(
+        CONTROL_CHANNEL, source, msg, 1.0, 0.0))
 
 
 def unknown_metric_frames() -> tuple[bytes, bytes]:
     """A valid one-record MONITOR frame (length prefix included) and
     the same frame with the record's u8 metric id overwritten by the
     first one no :class:`MetricId` has."""
-    good = encode_frame("t", ChannelEvent(
-        channel="c", source="s", size=32.0, submitted_at=0.0,
-        payload=RecordBatch("s", (MetricId.LOADAVG,), (1.0,), 0.0)))
+    good = _monitor("s", RecordBatch((MetricId.LOADAVG,), (1.0,), 0.0),
+                    size=32.0)
     # The frame ends with the record's columns: one u8 id, a one-byte
     # zero bitmap, one f64 value and the poll's f64 timestamp.
     at = len(good) - 18
@@ -42,8 +58,9 @@ def unknown_metric_frames() -> tuple[bytes, bytes]:
 def _numbered(i: int) -> ChannelEvent:
     """A one-record frame's event whose value is ``i``."""
     return ChannelEvent(
-        channel="c", source="s", size=1.0, submitted_at=float(i),
-        payload=RecordBatch("s", (MetricId.LOADAVG,), (float(i),), 0.0))
+        channel=MONITOR_CHANNEL, source="s", size=1.0,
+        submitted_at=float(i),
+        payload=RecordBatch((MetricId.LOADAVG,), (float(i),), 0.0))
 
 
 def _number(body: bytes) -> int:
@@ -59,57 +76,66 @@ def _roundtrip(tag: str, event: ChannelEvent):
 
 def _content(batch: RecordBatch) -> tuple:
     """Everything a batch says, comparable with ``==``."""
-    return (batch.host, list(batch.records()), batch.proc_top,
-            batch.procs)
+    return (list(batch.records()), batch.proc_top, batch.procs)
 
 
 class TestRoundTrip:
     def test_monitor_event(self):
         event = ChannelEvent(
             channel="dproc.monitor", source="maui",
-            payload=RecordBatch("maui",
-                                [MetricId.LOADAVG, MetricId.FREEMEM],
+            payload=RecordBatch([MetricId.LOADAVG, MetricId.FREEMEM],
                                 [1.5, 64e6], 2.0),
             size=88.0, submitted_at=2.0)
-        tag, decoded = _roundtrip("kecho:dproc.monitor", event)
-        assert tag == "kecho:dproc.monitor"
+        tag, decoded = _roundtrip(MONITOR_TAG, event)
+        assert tag == MONITOR_TAG
         assert decoded.channel == event.channel
+        # The source is the host whose metrics these are.
         assert decoded.source == "maui"
-        assert decoded.payload.host == "maui"
         assert list(decoded.payload.records()) == [
             (MetricId.LOADAVG, 1.5, 2.0), (MetricId.FREEMEM, 64e6, 2.0)]
         assert all(isinstance(m, MetricId) for m in decoded.payload.ids)
-        # One timestamp on the wire comes back as one timestamp.
         assert decoded.payload.ts == 2.0
 
     def test_control_event(self):
-        msg = ControlMessage("alan", "maui", "period cpu 2")
+        msg = ControlMessage("maui", "period cpu 2")
         event = ChannelEvent(channel="dproc.control", source="alan",
                              payload=msg, size=32.0, submitted_at=0.5)
-        _, decoded = _roundtrip("kecho:dproc.control", event)
-        assert decoded.payload == msg
+        tag, decoded = _roundtrip(CONTROL_TAG, event)
+        assert tag == CONTROL_TAG
+        # The sender is the frame's source.
+        assert (decoded.source, decoded.payload) == ("alan", msg)
 
     def test_filter_deploy_event(self):
         msg = ControlMessage(
-            "alan", "maui",
-            "filter * id=f1 { output[0] = input[LOADAVG]; }\n# ü\n")
+            "maui", "filter * id=f1 { output[0] = input[LOADAVG]; }\n# ü\n")
         event = ChannelEvent(channel="dproc.control", source="alan",
                              payload=msg, size=64.0, submitted_at=1.0)
-        _, decoded = _roundtrip("kecho:dproc.control", event)
+        _, decoded = _roundtrip(CONTROL_TAG, event)
         assert decoded.payload == msg
 
     def test_unencodable_payload_rejected(self):
-        """A live payload is a record batch or a control message: a
-        dict or any other object is refused, and so is a control
-        message anywhere but the control channel's own tag."""
-        msg = ControlMessage("alan", "maui", "unfilter f1")
+        """A live payload is a record batch on the monitoring channel's
+        own tag or a control message on the control channel's: a dict
+        or any other object is refused, and so is either payload off
+        its kind's channel or tag, and a control message whose fields
+        are not strings or whose command is longer than a ``str``'s
+        65,535 bytes."""
+        msg = ControlMessage("maui", "unfilter f1")
+        batch = RecordBatch((MetricId.LOADAVG,), (1.0,), 0.0)
         for payload, channel, tag in [
                 (object(), "app", "custom:app"),
                 ({"k": [1, 2]}, "app", "kecho:app"),
                 (msg, "app", "kecho:app"),
                 (msg, "dproc.control", "custom:dproc.control"),
-                (ControlMessage("alan", "maui", None),
-                 "dproc.control", "kecho:dproc.control")]:
+                (msg, "dproc.monitor", MONITOR_TAG),
+                (batch, "app", "kecho:app"),
+                (batch, "dproc.monitor", "custom"),
+                (batch, "dproc.control", CONTROL_TAG),
+                (ControlMessage("maui", None), "dproc.control",
+                 CONTROL_TAG),
+                (ControlMessage(7, "x"), "dproc.control", CONTROL_TAG),
+                (ControlMessage("maui", "#" * 0x10000), "dproc.control",
+                 CONTROL_TAG)]:
             event = ChannelEvent(channel=channel, source="alan",
                                  payload=payload, size=1.0,
                                  submitted_at=0.0)
@@ -118,44 +144,38 @@ class TestRoundTrip:
 
     def test_control_frame_off_its_tag_is_refused(self):
         """A CONTROL frame decodes on the control channel's own tag
-        only, so no other handler is handed a control message: it
-        never carries a channel or a tag, and one that sets either
-        flag is refused."""
-        body = FrameDecoder().feed(encode_frame(
-            "kecho:dproc.control", ChannelEvent(
-                channel="dproc.control", source="alan", size=1.0,
-                submitted_at=0.0,
-                payload=ControlMessage("alan", "maui", "unfilter f1"))))[0]
-        # magic, kind, no flags, then the source: no channel.
-        assert body[:4] == struct.pack(">HBB", MAGIC, KIND_CONTROL, 0)
-        assert body[4:10] == struct.pack(">H", 4) + b"alan"
-        assert decode_frame(body)[0] == "kecho:dproc.control"
-        for name in ("dproc.control", "dproc.monitor", "app"):
+        only, so no other handler is handed a control message: the
+        kind names the tag, nothing on the wire can name another, and
+        a frame that carries a channel or a tag behind a flags byte,
+        as the previous layout did, is refused."""
+        body = FrameDecoder().feed(_control(
+            "alan", ControlMessage("maui", "unfilter f1")))[0]
+        # magic, kind, then the source: no flags, no channel, no tag.
+        assert body[:3] == struct.pack(">HB", MAGIC, KIND_CONTROL)
+        assert body[3:9] == struct.pack(">H", 4) + b"alan"
+        assert decode_frame(body)[0] == CONTROL_TAG
+        for flags, name in ((8, "dproc.monitor"), (1, MONITOR_TAG),
+                            (8, "dproc.control"), (1, "app")):
             carried = struct.pack(">H", len(name)) + name.encode()
-            with pytest.raises(ChannelError, match="control tag"):
-                decode_frame(body[:3] + bytes([FLAG_CHANNEL]) + carried
-                             + body[4:])
-        tag = struct.pack(">H", 3) + b"tag"
-        with pytest.raises(ChannelError, match="control tag"):
-            decode_frame(body[:3] + bytes([FLAG_TAG]) + tag + body[4:])
+            with pytest.raises(ChannelError):
+                decode_frame(body[:3] + bytes([flags]) + carried
+                             + body[3:])
 
 
 def _dmon_event(n: int) -> ChannelEvent:
-    """What d-mon publishes for one poll of ``n`` metrics: one
-    timestamp, host = source."""
+    """What d-mon publishes for one poll of ``n`` metrics."""
     ids = list(MetricId)[:n]
     assert len(ids) == n
     return ChannelEvent(channel="dproc.monitor", source="node3",
                         payload=RecordBatch(
-                            "node3", ids, [float(i) for i in range(n)],
-                            12.5),
+                            ids, [float(i) for i in range(n)], 12.5),
                         size=40.0 + 12.0 * n, submitted_at=12.5)
 
 
 def _sparse_size(source: str, n: int, zeros: int) -> int:
     """The bytes of a d-mon poll's frame: n records from ``source``,
     ``zeros`` of them +0.0."""
-    return 36 + len(source) + n + (n + 7) // 8 + 8 * (n - zeros)
+    return 35 + len(source) + n + (n + 7) // 8 + 8 * (n - zeros)
 
 
 class TestWireBudget:
@@ -163,50 +183,35 @@ class TestWireBudget:
     regression fails here and not only in the benchmark."""
 
     @pytest.mark.parametrize("n, zeros, size", [
-        (1, 0, 51), (1, 1, 43), (4, 1, 70), (13, 0, 160), (13, 1, 152),
-        (13, 5, 120), (13, 10, 80), (13, 13, 56), (20, 1, 216)])
+        (1, 0, 50), (1, 1, 42), (4, 1, 69), (13, 0, 159), (13, 1, 151),
+        (13, 5, 119), (13, 10, 79), (13, 13, 55), (20, 1, 215)])
     def test_dmon_frame_size_counts_carried_values(self, n, zeros, size):
-        """36 + len(source) + n + ⌈n/8⌉ + 8 per value that is not
-        +0.0: 13 records is the default module set, 160 bytes from
+        """35 + len(source) + n + ⌈n/8⌉ + 8 per value that is not
+        +0.0: 13 records is the default module set, 159 bytes from
         ``node3`` with every cell carried."""
         event = _dmon_event(n)
         event.payload.values = [0.0 if i < zeros else i + 1.0
                                 for i in range(n)]
-        frame = encode_frame("kecho:dproc.monitor", event)
+        frame = encode_frame(MONITOR_TAG, event)
         assert len(frame) == size == _sparse_size("node3", n, zeros)
         tag, decoded = decode_frame(frame[4:])
-        assert tag == "kecho:dproc.monitor"
+        assert tag == MONITOR_TAG
         assert _content(decoded.payload) == _content(event.payload)
 
     def test_the_largest_default_frame_stays_under_the_ci_bound(self):
-        """Every cell carried and a 7-character name: 162 B, under the
+        """Every cell carried and a 7-character name: 161 B, under the
         165 B per frame CI's node-pool smoke asserts, where the
-        previous layout's smallest default frame was 185 B."""
+        columnar layout's smallest default frame was 185 B."""
         event = _dmon_event(13)
-        event.source = event.payload.host = "node999"
+        event.source = "node999"
         event.payload.values = [float(i + 1) for i in range(13)]
-        frame = encode_frame("kecho:dproc.monitor", event)
-        assert len(frame) == _sparse_size("node999", 13, 0) == 162
-
-    def test_each_redundancy_costs_its_bytes_only_when_present(self):
-        event = _dmon_event(13)
-        base = len(encode_frame("kecho:dproc.monitor", event))
-        assert len(encode_frame("custom", event)) == base + 2 + 6
-        event.channel = "app"
-        assert len(encode_frame("kecho:app", event)) == base + 2 + 3
-        assert len(encode_frame("custom", event)) == base + 2 + 3 + 2 + 6
-        event = _dmon_event(13)
-        event.payload.host = "other"
-        assert len(encode_frame("kecho:dproc.monitor",
-                                event)) == base + 2 + 5
-        event = _dmon_event(13)
-        event.payload.values[0] = 0.0
-        event.payload.ts = (13.0,) + (12.5,) * 12
-        assert len(encode_frame("kecho:dproc.monitor",
-                                event)) == base + 12 * 8
+        frame = encode_frame(MONITOR_TAG, event)
+        assert len(frame) == _sparse_size("node999", 13, 0) == 161
 
     def test_previous_magic_is_refused(self):
-        body = encode_frame("kecho:dproc.monitor", _dmon_event(1))[4:]
+        """0xEC07 is the layout with a flags byte: its frames are
+        refused whole, with no second decoder kept for them."""
+        body = encode_frame(MONITOR_TAG, _dmon_event(1))[4:]
         assert body[:2] == struct.pack(">H", MAGIC)
         for old in OLD_MAGICS:
             with pytest.raises(ChannelError, match="magic"):
@@ -223,21 +228,20 @@ UNMEASURED = {MetricId.NET_RTT, MetricId.NET_LOST, MetricId.NET_DELAY,
 
 #: The frame a default d-mon poll of 13 records sends from ``alan`` at
 #: t = 12.5 s, record i carrying 0.25 * (i + 1), or +0.0 for the five
-#: metrics in :data:`UNMEASURED`: 119 B, eight values carried.
+#: metrics in :data:`UNMEASURED`: 118 B, eight values carried.
 DEFAULT_POLL_FRAME = (
-    "00000073ec0701000004616c616e4029000000000000406880000000000000"
-    "0d0001020607040508090b0d030a401d3fd00000000000003fe00000000000"
-    "003fe80000000000003ff00000000000003ff40000000000003ff800000000"
-    "0000400000000000000040040000000000004029000000000000")
+    "00000072ec08010004616c616e40290000000000004068800000000000000d"
+    "0001020607040508090b0d030a401d3fd00000000000003fe0000000000000"
+    "3fe80000000000003ff00000000000003ff40000000000003ff80000000000"
+    "00400000000000000040040000000000004029000000000000")
 
-#: A frame that sets HOST and TS and carries both keyed sections
-#: (NaN and -0.0 among the values, both carried as they are).
-FLAGGED_FRAME = (
-    "0000008fec070106000572656c617940100000000000004056000000000000"
-    "00046d6175690003000105003ff800000000000080000000000000007ff800"
-    "00000000004000000000000000400800000000000040080000000000000002"
-    "0000006440080000000000000000006540040000000000000001000003e83f"
-    "d0000000000000413e848000000000403e000000000000")
+#: A frame that carries both keyed sections (NaN and -0.0 among the
+#: values, both carried as they are).
+KEYED_FRAME = (
+    "00000077ec080100046d617569401000000000000040560000000000000003"
+    "000105003ff800000000000080000000000000007ff8000000000000400000"
+    "00000000000002000000644008000000000000000000654004000000000000"
+    "0001000003e83fd0000000000000413e848000000000403e000000000000")
 
 
 def _fixed_value(metric: MetricId, i: int) -> float:
@@ -285,33 +289,33 @@ class TestWireFence:
         dmon.poll_once()
         (event,) = sent
         assert len(event.payload) == 13
-        frame = encode_frame("kecho:dproc.monitor", event)
+        frame = encode_frame(MONITOR_TAG, event)
         assert frame.hex() == DEFAULT_POLL_FRAME
 
     def test_default_poll_frame_decodes_to_its_records(self):
         tag, event = decode_frame(bytes.fromhex(DEFAULT_POLL_FRAME)[4:])
-        assert tag == "kecho:dproc.monitor"
+        assert tag == MONITOR_TAG
         assert (event.source, event.submitted_at, event.size) == (
             "alan", 12.5, 196.0)
         ids = [m for name in ("cpu", "mem", "disk", "net", "pmc")
                for m in MODULE_METRICS[name]]
-        assert len(bytes.fromhex(DEFAULT_POLL_FRAME)) == 119
+        assert len(bytes.fromhex(DEFAULT_POLL_FRAME)) == 118
         assert list(event.payload.records()) == [
             (m, _fixed_value(m, i), 12.5) for i, m in enumerate(ids)]
 
-    def test_flagged_frame_decodes_to_its_records(self):
-        tag, event = decode_frame(bytes.fromhex(FLAGGED_FRAME)[4:])
+    def test_keyed_frame_decodes_to_its_records(self):
+        tag, event = decode_frame(bytes.fromhex(KEYED_FRAME)[4:])
         batch = event.payload
-        assert (tag, event.source, batch.host) == (
-            "kecho:dproc.monitor", "relay", "maui")
+        assert (tag, event.source, event.submitted_at, event.size) == (
+            MONITOR_TAG, "maui", 4.0, 88.0)
         assert [(m, struct.pack(">d", v), ts)
                 for m, v, ts in batch.records()] == [
             (MetricId.LOADAVG, struct.pack(">d", 1.5), 2.0),
-            (MetricId.FREEMEM, struct.pack(">d", -0.0), 3.0),
-            (MetricId.NET_RTT, struct.pack(">d", float("nan")), 3.0)]
+            (MetricId.FREEMEM, struct.pack(">d", -0.0), 2.0),
+            (MetricId.NET_RTT, struct.pack(">d", float("nan")), 2.0)]
         assert batch.proc_top == {100: 3.0, 101: 2.5}
         assert batch.procs == {1000: (0.25, 2e6, 30.0)}
-        assert encode_frame(tag, event).hex() == FLAGGED_FRAME
+        assert encode_frame(tag, event).hex() == KEYED_FRAME
 
 
 class TestProcSections:
@@ -324,24 +328,24 @@ class TestProcSections:
 
     @staticmethod
     def _batch(**sections) -> RecordBatch:
-        return RecordBatch("maui", (MetricId.LOADAVG,), (1.5,), 2.0,
+        return RecordBatch((MetricId.LOADAVG,), (1.5,), 2.0,
                            **sections)
 
     def test_top_pairs_roundtrip(self):
         _, decoded = _roundtrip(
-            "kecho:dproc.monitor",
+            MONITOR_TAG,
             self._monitor(self._batch(proc_top={101: 2.5, 100: 3.0})))
         assert decoded.payload.proc_top == {101: 2.5, 100: 3.0}
 
     def test_full_rows_roundtrip(self):
         procs = {1000: (0.25, 2e6, 30.0), 1001: (0.125, 4e6, 0.0)}
-        _, decoded = _roundtrip("kecho:dproc.monitor",
+        _, decoded = _roundtrip(MONITOR_TAG,
                                 self._monitor(self._batch(procs=procs)))
         assert decoded.payload.procs == procs
 
     def test_absent_sections_stay_absent(self):
         batch = self._batch()
-        _, decoded = _roundtrip("kecho:dproc.monitor",
+        _, decoded = _roundtrip(MONITOR_TAG,
                                 self._monitor(batch))
         assert decoded.payload.proc_top is None
         assert decoded.payload.procs is None
@@ -353,7 +357,7 @@ class TestProcSections:
         out two zero-count sections decode to the same batch."""
         batch = self._batch()
         body = FrameDecoder().feed(
-            encode_frame("t", self._monitor(batch)))[0]
+            encode_frame(MONITOR_TAG, self._monitor(batch)))[0]
         # The id, a bitmap marking no zero, the value, the timestamp.
         assert body.endswith(struct.pack(">BBdd", MetricId.LOADAVG, 0,
                                          1.5, 2.0))
@@ -362,16 +366,16 @@ class TestProcSections:
             assert _content(decoded.payload) == _content(batch)
 
     def test_too_many_rows_rejected(self):
-        batch = RecordBatch("maui", (), (), 2.0,
+        batch = RecordBatch((), (), 2.0,
                             proc_top={pid: 1.0 for pid in range(0x10000)})
         with pytest.raises(ChannelError):
-            encode_frame("t", self._monitor(batch))
+            encode_frame(MONITOR_TAG, self._monitor(batch))
 
     @pytest.mark.parametrize("batch", [
-        RecordBatch("maui", (), (), 2.0,
+        RecordBatch((), (), 2.0,
                     procs={pid: (1.0, 2.0, 3.0)
                            for pid in range(0x10000)}),
-        RecordBatch("maui", tuple(range(0x10000)), (1.0,) * 0x10000,
+        RecordBatch(tuple(range(0x10000)), (1.0,) * 0x10000,
                     2.0),
     ], ids=["procs", "metrics"])
     def test_too_many_of_anything_counted_is_rejected(self, batch):
@@ -379,12 +383,12 @@ class TestProcSections:
         every section — the record count too, which feeds a format
         string and used to escape as a bare struct.error."""
         with pytest.raises(ChannelError):
-            encode_frame("t", self._monitor(batch))
+            encode_frame(MONITOR_TAG, self._monitor(batch))
 
 
 class TestIncrementalDecoder:
     def _frames(self, n: int) -> list[bytes]:
-        return [encode_frame("t", _numbered(i)) for i in range(n)]
+        return [encode_frame(MONITOR_TAG, _numbered(i)) for i in range(n)]
 
     def test_byte_at_a_time(self):
         stream = b"".join(self._frames(3))
@@ -412,49 +416,43 @@ class TestIncrementalDecoder:
 
 class TestBadFrames:
     def test_bad_magic(self):
-        body = FrameDecoder().feed(encode_frame("t", _numbered(0)))[0]
+        body = FrameDecoder().feed(encode_frame(MONITOR_TAG, _numbered(0)))[0]
         corrupt = struct.pack(">H", MAGIC ^ 0xFFFF) + body[2:]
         with pytest.raises(ChannelError):
             decode_frame(corrupt)
 
     def test_truncated_body(self):
-        body = FrameDecoder().feed(encode_frame("t", _numbered(0)))[0]
+        body = FrameDecoder().feed(encode_frame(MONITOR_TAG, _numbered(0)))[0]
         with pytest.raises(ChannelError):
             decode_frame(body[:-3])
 
     @pytest.mark.parametrize("raw", [
-        b'{"sender":"a","target":"b","command":"x","bogus":1}',
-        b'{"sender":"a","target":"b"}',
-        b'["a","b","x"]',
-        b'{"sender":"a","target":null,"command":"x"}',
-        b'{"sender":"a","target":7,"command":"x"}',
-        b'{"sender":"a","command":"x"}',
-        b'{"x":',
-        b"\xff\xfe",
-        b"[" * 100_000,
-    ], ids=["extra-field", "missing-field", "not-an-object",
-            "null-target", "number-target", "no-target", "bad-json",
-            "bad-utf8", "nested-too-deep"])
+        b"\x00\x01b\x00\x01x\x00\x05bogus",
+        b"\x00\x01b",
+        b"",
+        b"\x00\x02\xff\xfe\x00\x01x",
+        b"\x00\x01b\x00\x01\xc3",
+        b"\x00\x05ab",
+        b"\x00\x01b\x00\x0cperiod",
+        b"\x00",
+    ], ids=["extra-field", "missing-field", "no-target", "bad-utf8",
+            "command-cut-inside-a-character", "cut-inside-a-string",
+            "command-cut-short", "half-a-length"])
     def test_malformed_body_is_a_channel_error(self, raw):
         """Whatever is wrong inside the body, the caller sees
-        ChannelError — not the ValueError/TypeError/RecursionError of
+        ChannelError — not the struct.error or UnicodeDecodeError of
         the library that noticed."""
-        body = FrameDecoder().feed(encode_frame(
-            "kecho:dproc.control", ChannelEvent(
-                channel="dproc.control", source="s", size=1.0,
-                submitted_at=0.0,
-                payload=ControlMessage("a", "b", "x"))))[0]
-        # magic, kind, flags; the source's one character as a string
-        # (the channel is implied); two f64: the JSON document's u32
-        # length starts at byte 23.
-        assert struct.unpack_from(">I", body, 23)[0] == len(body) - 27
-        corrupt = body[:23] + struct.pack(">I", len(raw)) + raw
+        body = FrameDecoder().feed(_control(
+            "s", ControlMessage("b", "x")))[0]
+        # magic, kind; the source's one character as a string; two
+        # f64: the target and the command start at byte 22.
+        assert body[22:] == b"\x00\x01b\x00\x01x"
         with pytest.raises(ChannelError):
-            decode_frame(corrupt)
+            decode_frame(body[:22] + raw)
 
     def test_unknown_metric_id_is_a_channel_error(self):
         good, bad = unknown_metric_frames()
-        assert decode_frame(good[4:])[0] == "t"
+        assert decode_frame(good[4:])[0] == MONITOR_TAG
         with pytest.raises(ChannelError):
             decode_frame(bad[4:])
 
@@ -467,12 +465,11 @@ class TestSparseRefusals:
     def _body(values, **sections) -> bytes:
         """A MONITOR body of LOADAVG.. records on d-mon's own tag."""
         ids = list(MetricId)[:len(values)]
-        return encode_frame("kecho:dproc.monitor", ChannelEvent(
-            "dproc.monitor", "maui", RecordBatch(
-                "maui", ids, values, 2.0, **sections), 64.0, 2.0))[4:]
+        return _monitor("maui", RecordBatch(ids, values, 2.0, **sections),
+                        64.0, 2.0)[4:]
 
     #: The fixed part of ``_body``: head, "maui", two f64, count.
-    AT_IDS = 4 + 6 + 16 + 2
+    AT_IDS = 3 + 6 + 16 + 2
 
     def test_the_fixed_part_is_where_the_tests_cut(self):
         body = self._body([0.0, 1.0, 0.0])
@@ -531,8 +528,8 @@ class TestDecodeCaches:
         values +0.0."""
         ids = [rng.choice(list(MetricId)) for _ in range(n)]
         values = [0.0 if rng.random() < zeros else 1.0 for _ in range(n)]
-        return encode_frame("kecho:dproc.monitor", ChannelEvent(
-            "dproc.monitor", "maui", RecordBatch("maui", ids, values, 2.0),
+        return encode_frame(MONITOR_TAG, ChannelEvent(
+            "dproc.monitor", "maui", RecordBatch(ids, values, 2.0),
             64.0, 2.0))[4:]
 
     @staticmethod
@@ -566,13 +563,11 @@ class TestDecodeCaches:
         assert len(codec._layouts) <= codec._CACHE_ENTRIES
         assert len(codec._id_columns) <= codec._CACHE_ENTRIES
 
-    @pytest.mark.parametrize("ts", [2.0, [1.0, 2.0, 3.0]],
-                             ids=["one-timestamp", "ts-column"])
+    @pytest.mark.parametrize("ts", [2.0, float("nan")],
+                             ids=["one-timestamp", "nan-timestamp"])
     def test_a_refused_short_value_column_caches_nothing(self, ts):
-        body = encode_frame("kecho:dproc.monitor", ChannelEvent(
-            "dproc.monitor", "maui", RecordBatch(
-                "maui", list(MetricId)[:3], [1.0, 0.0, 3.0], ts),
-            64.0, 2.0))[4:]
+        body = _monitor("maui", RecordBatch(
+            list(MetricId)[:3], [1.0, 0.0, 3.0], ts), 64.0, 2.0)[4:]
         assert decode_frame(body)[1].payload.values == (1.0, 0.0, 3.0)
         codec._id_columns.clear()
         codec._layouts.clear()
@@ -590,25 +585,21 @@ class TestTrailingBytes:
                                   "sections-then-two-zeros"])
     def test_bytes_after_a_monitor_frame_are_refused(self, extra):
         """Two empty keyed sections and then more."""
-        body = FrameDecoder().feed(encode_frame("t", _numbered(3)))[0]
+        body = FrameDecoder().feed(encode_frame(MONITOR_TAG, _numbered(3)))[0]
         assert _number(body) == 3
         with pytest.raises(ChannelError, match="past the frame"):
             decode_frame(body + extra)
 
     def test_bytes_after_the_keyed_sections_are_refused(self):
-        body = FrameDecoder().feed(encode_frame("t", ChannelEvent(
-            "c", "s", RecordBatch("s", (MetricId.LOADAVG,), (1.0,), 0.0,
-                                  proc_top={7: 1.0}), 1.0, 0.0)))[0]
+        body = FrameDecoder().feed(_monitor("s", RecordBatch(
+            (MetricId.LOADAVG,), (1.0,), 0.0, proc_top={7: 1.0})))[0]
         assert decode_frame(body)[1].payload.proc_top == {7: 1.0}
         with pytest.raises(ChannelError, match="past the frame"):
             decode_frame(body + b"\x00")
 
     def test_bytes_after_a_control_document_are_refused(self):
-        body = FrameDecoder().feed(encode_frame(
-            "kecho:dproc.control", ChannelEvent(
-                "dproc.control", "alan",
-                ControlMessage("alan", "maui", "unfilter f1"), 1.0,
-                0.0)))[0]
+        body = FrameDecoder().feed(_control(
+            "alan", ControlMessage("maui", "unfilter f1")))[0]
         assert decode_frame(body)[1].payload.command == "unfilter f1"
         with pytest.raises(ChannelError, match="past the frame"):
             decode_frame(body + b"xyz")
@@ -616,7 +607,7 @@ class TestTrailingBytes:
 
 class TestBatch:
     def _frames(self, n: int) -> list[bytes]:
-        return [encode_frame("t", _numbered(i)) for i in range(n)]
+        return [encode_frame(MONITOR_TAG, _numbered(i)) for i in range(n)]
 
     def test_batch_unwraps_in_order(self):
         batch = encode_batch(self._frames(5))
@@ -654,7 +645,7 @@ class TestDecoderHardening:
             FrameDecoder().feed(struct.pack(">I", 0))
 
     def test_finish_clean_at_frame_boundary(self):
-        frame = encode_frame("t", _numbered(0))
+        frame = encode_frame(MONITOR_TAG, _numbered(0))
         decoder = FrameDecoder()
         decoder.feed(frame)
         decoder.finish()  # no residue -> no error
@@ -666,14 +657,14 @@ class TestDecoderHardening:
             decoder.finish()
 
     def test_finish_raises_on_partial_body(self):
-        frame = encode_frame("t", _numbered(0))
+        frame = encode_frame(MONITOR_TAG, _numbered(0))
         decoder = FrameDecoder()
         decoder.feed(frame[:-1])
         with pytest.raises(ChannelError, match="mid-frame"):
             decoder.finish()
 
     def test_pending_bytes_tracks_buffer(self):
-        frame = encode_frame("t", _numbered(0))
+        frame = encode_frame(MONITOR_TAG, _numbered(0))
         decoder = FrameDecoder()
         decoder.feed(frame[:10])
         assert decoder.pending_bytes == 10

@@ -76,3 +76,35 @@ def test_write_the_grammar_rejects_raises_and_sends_nothing():
     assert sc.dprocs[target].node.telemetry.value(
         "dmon.control_rejected") == 0
     assert sc.dprocs[target].dmon.policies[MetricId.LOADAVG].period is None
+
+
+#: Commands naming a module or metric no registered module of a
+#: ``("cpu", "mem")`` d-mon produces.
+UNPRODUCED = ("period cache_miss 1", "threshold pmc above 5",
+              "clear net period")
+
+
+@pytest.mark.parametrize("text", UNPRODUCED)
+def test_command_for_an_unregistered_module_is_refused_locally(text):
+    """Refused like ``filter cache_miss {...}``: no policy appears for
+    the metrics and the control file does not read the command back."""
+    sc = Scenario(nodes=2, seed=1, modules=("cpu", "mem")).build()
+    dproc = sc.dprocs[sc.nodes.names[0]]
+    path = f"/proc/cluster/{dproc.node.name}/control"
+    with pytest.raises(DprocError):
+        dproc.write(path, text)
+    assert not {MetricId.CACHE_MISS, MetricId.INSTRUCTIONS,
+                MetricId.NET_BANDWIDTH} & set(dproc.dmon.policies)
+    assert dproc.read(path) == ""
+
+
+def test_command_for_an_unregistered_module_is_counted_remotely():
+    sc = Scenario(nodes=3, seed=1).build()
+    writer, target = sc.nodes.names[:2]
+    sc.run(1.0)
+    sc.dprocs[writer].write(f"/proc/cluster/{target}/control",
+                            "period battery 2")
+    sc.run(2.0)
+    dmon = sc.dprocs[target].dmon
+    assert dmon.node.telemetry.value("dmon.control_rejected") == 1
+    assert MetricId.BATTERY not in dmon.policies

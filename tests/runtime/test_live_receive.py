@@ -15,20 +15,29 @@ import struct
 import pytest
 
 from repro.dproc import MetricId, RecordBatch
+from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
+from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
 from repro.live.codec import MAGIC, MAX_FRAME_BYTES, encode_frame
 from repro.live.transport import LiveStack
 from repro.telemetry import TelemetryRegistry
 
-TAG = "kecho:app"
+TAG = "kecho:" + MONITOR_CHANNEL
 
 
-def _frame(i: int, tag: str = TAG) -> bytes:
-    batch = RecordBatch("maui", (MetricId.LOADAVG,), (float(i),),
-                        float(i))
-    return encode_frame(tag, ChannelEvent(
-        channel="app", source="maui", payload=batch, size=16.0,
+def _frame(i: int) -> bytes:
+    batch = RecordBatch((MetricId.LOADAVG,), (float(i),), float(i))
+    return encode_frame(TAG, ChannelEvent(
+        channel=MONITOR_CHANNEL, source="maui", payload=batch, size=16.0,
         submitted_at=float(i)))
+
+
+def _control() -> bytes:
+    """A CONTROL frame: its tag, the control channel's, is one this
+    stack has not bound."""
+    return encode_frame("kecho:" + CONTROL_CHANNEL, ChannelEvent(
+        CONTROL_CHANNEL, "maui", ControlMessage("alan", "period cpu 1"),
+        16.0, 1.0))
 
 
 def _garbage() -> bytes:
@@ -39,7 +48,7 @@ def _garbage() -> bytes:
 def _old_magic() -> bytes:
     frame = _frame(1)
     assert frame[4:6] == struct.pack(">H", MAGIC)
-    return frame[:4] + struct.pack(">H", 0xEC06) + frame[6:]
+    return frame[:4] + struct.pack(">H", 0xEC07) + frame[6:]
 
 
 def _over_large() -> bytes:
@@ -57,8 +66,8 @@ def _bad_metric() -> bytes:
     """A whole frame of this codec whose one record names a metric id
     nobody defines."""
     frame = bytearray(_frame(1))
-    # prefix, head, "app", "maui", two f64, the record count
-    at = 4 + 4 + 5 + 6 + 16 + 2
+    # prefix, head, "maui", two f64, the record count
+    at = 4 + 3 + 6 + 16 + 2
     assert frame[at] == MetricId.LOADAVG
     frame[at] = 0xFF
     return bytes(frame)
@@ -78,8 +87,7 @@ CASES = {
     "kind_4": (_old_batch, "net.rx_decode_errors", False),
     "bad_metric": (_bad_metric, "net.rx_decode_errors", False),
     "cut_by_eof": (_cut_short, "net.rx_truncated", False),
-    "unknown_tag": (lambda: _frame(1, tag="kecho:nobody"),
-                    "net.undeliverable", False),
+    "unknown_tag": (_control, "net.undeliverable", False),
 }
 
 COUNTERS = ("net.rx_decode_errors", "net.rx_truncated",

@@ -9,7 +9,9 @@ each whole frame out of it and keeps only a partial frame's tail.
 from __future__ import annotations
 
 import asyncio
+import struct
 import tracemalloc
+from typing import Optional
 
 import pytest
 
@@ -18,32 +20,38 @@ from repro.dproc import DMonConfig, MetricId, RecordBatch
 from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
 from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
-from repro.live.codec import MAX_FRAME_BYTES, encode_frame
+from repro.live.codec import (KIND_CONTROL, MAGIC, MAX_FRAME_BYTES,
+                              encode_frame)
 from repro.live.transport import RX_BUFFER_BYTES, LiveStack, _Inbound
 from repro.telemetry import TelemetryRegistry
 
-TAG = "kecho:app"
+TAG = "kecho:" + MONITOR_CHANNEL
 #: MONITOR frames a node's d-mon has received.
 RECEIVES = f"kecho.{MONITOR_CHANNEL}.receives"
 CONTROL_TAG = "kecho:" + CONTROL_CHANNEL
 
 
 def _frame(i: int, records: int = 1) -> bytes:
-    batch = RecordBatch("maui", (MetricId.LOADAVG,) * records,
+    batch = RecordBatch((MetricId.LOADAVG,) * records,
                         (float(i),) * records, float(i))
     return encode_frame(TAG, ChannelEvent(
-        channel="app", source="maui", payload=batch, size=16.0,
+        channel=MONITOR_CHANNEL, source="maui", payload=batch, size=16.0,
         submitted_at=float(i)))
 
 
-def _control_frame(length: int) -> tuple[bytes, int]:
+def _control_frame(length: int) -> tuple[bytes, Optional[int]]:
     """A control frame whose length prefix reads exactly ``length``,
-    and the length of its command."""
+    and the length of its command; or, when no command is that long (a
+    ``str`` holds at most 65,535 bytes), the codec's magic, the CONTROL
+    kind and filler, and None."""
     def frame(command: str) -> bytes:
         return encode_frame(CONTROL_TAG, ChannelEvent(
-            CONTROL_CHANNEL, "maui", ControlMessage("maui", "alan",
-                                                    command), 1.0, 0.0))
+            CONTROL_CHANNEL, "maui", ControlMessage("alan", command),
+            1.0, 0.0))
     pad = length - (len(frame("")) - 4)
+    if pad > 0xFFFF:
+        return struct.pack(">IHB", length, MAGIC, KIND_CONTROL) \
+            + b"x" * (length - 3), None
     data = frame("x" * pad)
     assert int.from_bytes(data[:4], "big") == length
     return data, pad
@@ -89,12 +97,19 @@ def test_frames_byte_at_a_time_and_many_per_read():
 
 @pytest.mark.parametrize("length", [RX_BUFFER_BYTES + 1, MAX_FRAME_BYTES])
 def test_a_frame_longer_than_the_buffer_arrives(length):
+    """Put together across reads and handed on whole, once: delivered,
+    or, at the most bytes the splitter takes, longer than any frame
+    kind can be, refused by the decoder as one bad frame."""
     data, pad = _control_frame(length)
     _, inbound, received, telemetry = _receiver(CONTROL_TAG)
     for start in range(0, len(data), RX_BUFFER_BYTES):
         _read(inbound, data[start:start + RX_BUFFER_BYTES])
-    (event,) = received
-    assert event.payload.command == "x" * pad
+    if pad is None:
+        assert received == []
+        assert telemetry.value("net.rx_decode_errors") == 1
+    else:
+        (event,) = received
+        assert event.payload.command == "x" * pad
     assert inbound.decoder.pending_bytes == 0
     assert telemetry.value("net.rx_frame_bytes") == len(data)
 

@@ -17,6 +17,8 @@ import logging
 import pytest
 
 from repro.dproc import MetricId, RecordBatch
+from repro.dproc.dmon import CONTROL_CHANNEL, MONITOR_CHANNEL
+from repro.kecho.control import ControlMessage
 from repro.kecho.event import ChannelEvent
 from repro.live import transport as live_transport
 from repro.live.codec import FrameDecoder, decode_frame, encode_frame
@@ -62,13 +64,18 @@ class _FakeTransport:
         self.closing = True
 
 
+#: The tag every MONITOR frame travels on.
+TAG = "kecho:" + MONITOR_CHANNEL
+
+
 def _batch(i: int = 0) -> RecordBatch:
     """A one-record batch whose value is ``i``."""
-    return RecordBatch("s", (MetricId.LOADAVG,), (float(i),), 0.0)
+    return RecordBatch((MetricId.LOADAVG,), (float(i),), 0.0)
 
 
 def _event(i: int = 0) -> ChannelEvent:
-    return ChannelEvent(channel="c", source="s", payload=_batch(i),
+    return ChannelEvent(channel=MONITOR_CHANNEL, source="s",
+                        payload=_batch(i),
                         size=32.0, submitted_at=float(i))
 
 
@@ -82,12 +89,12 @@ def _big(nbytes: int) -> ChannelEvent:
     12-byte rows."""
     batch = _batch()
     batch.proc_top = {pid: 1.0 for pid in range(nbytes // 12 + 1)}
-    return ChannelEvent(channel="c", source="s", payload=batch,
-                        size=1.0, submitted_at=0.0)
+    return ChannelEvent(channel=MONITOR_CHANNEL, source="s",
+                        payload=batch, size=1.0, submitted_at=0.0)
 
 
 def _frame(i: int = 0) -> bytes:
-    return encode_frame("t", _event(i))
+    return encode_frame(TAG, _event(i))
 
 
 def _stack(batch=None) -> LiveStack:
@@ -122,7 +129,7 @@ async def _link(stack: LiveStack, transport=None) -> _PeerLink:
 
 async def _conn(stack: LiveStack, transport, dst: str = "maui"):
     """A connection whose pooled link writes to a fake transport."""
-    conn = stack.connect(dst, tag="t")
+    conn = stack.connect(dst, tag=TAG)
     conn._link._opener.cancel()
     await asyncio.sleep(0)
     _complete_dial(conn._link, transport)
@@ -248,7 +255,7 @@ class TestPeerLinkBackpressure:
             stack = _stack()
             transport = _FakeTransport()
             link = await _link(stack, transport)
-            big = encode_frame("t", _big(200))
+            big = encode_frame(TAG, _big(200))
             link.send(big)          # buffer > high: pause
             assert link.paused
             assert stack._t_pauses.value == 1
@@ -332,7 +339,7 @@ class TestFanOut:
                             on_fail=lambda *fail: lost.append(fail))
             return stack, conns, lost
         stack, conns, lost = asyncio.run(run())
-        assert encoded == ["t"]
+        assert encoded == [TAG]
         assert lost == []
         assert stack._t_frames.value == len(peers)
         for conn in conns:
@@ -341,7 +348,7 @@ class TestFanOut:
             tag, event = decode_frame(body)
             assert (tag, event.channel, event.source,
                     event.payload.values, event.submitted_at) \
-                == ("t", "c", "s", (7.0,), 7.0)
+                == (TAG, MONITOR_CHANNEL, "s", (7.0,), 7.0)
 
 
 class TestSlowConsumerLive:
@@ -363,7 +370,7 @@ class TestSlowConsumerLive:
                 slow_peer, "127.0.0.1", 0)
             address = server.sockets[0].getsockname()[:2]
             stack.resolve = lambda host: address
-            conn = stack.connect("maui", "t")
+            conn = stack.connect("maui", TAG)
             big = _big(65536)
             for _ in range(200):               # ~13 MB at the peer
                 conn.send(big, size=1.0)
@@ -393,10 +400,10 @@ class TestInFlightLive:
             sender = _stack(batch=BatchConfig(max_delay=60.0))
             receiver = LiveStack("maui", TelemetryRegistry("maui"))
             got = []
-            receiver.bind("t", lambda event: got.append(event.payload))
+            receiver.bind(TAG, lambda event: got.append(event.payload))
             address = await receiver.start()
             sender.resolve = lambda host: address
-            sender.connect("maui", "t").send(_event(1), size=1.0)
+            sender.connect("maui", TAG).send(_event(1), size=1.0)
             # Queued behind the batch timer, then written and unread.
             assert in_flight([sender, receiver])
             sender.flush()
@@ -407,7 +414,7 @@ class TestInFlightLive:
             assert [batch.values for batch in got] == [(1.0,)]
             assert not in_flight([sender, receiver])
             # A frame for another process's host is not waited for.
-            sender.connect("etna", "t").send(_event(2), size=1.0)
+            sender.connect("etna", TAG).send(_event(2), size=1.0)
             assert not in_flight([sender, receiver])
             await sender.stop()
             await receiver.stop()
@@ -430,7 +437,7 @@ class TestMalformedFrameLive:
 
         async def run():
             stack = _stack()
-            stack.bind("t", lambda msg: received.append(msg.payload))
+            stack.bind(TAG, lambda msg: received.append(msg.payload))
             address = await stack.start()
             reader, writer = await send(address, bad + good)
             # The frame behind the bad one is delivered ...
@@ -589,19 +596,22 @@ class TestOneFailurePath:
                      for i, name in enumerate(("alan", "maui"))]
             bus = KechoBus()
             bus.stream = StreamBroker()
-            eps = {node.name: bus.connect(node, "monitor")
+            eps = {node.name: bus.connect(node, CONTROL_CHANNEL)
                    for node in nodes}
             eps["maui"].subscribe(lambda e, t: None)
-            eps["alan"].submit(_batch(1), size=32.0)  # dials the link
-            await asyncio.sleep(0.01)                # no address: dead
-            receipt = eps["alan"].submit(_batch(2), size=32.0)
+            msg = ControlMessage("maui", "unfilter f1")
+            eps["alan"].submit(msg, size=32.0)      # dials the link
+            await asyncio.sleep(0.01)               # no address: dead
+            receipt = eps["alan"].submit(msg, size=32.0)
             for node in nodes:
                 await node.stack.stop()
             return bus.stream, nodes, receipt
         stream, nodes, receipt = asyncio.run(run())
         assert nodes[0].telemetry.value(
-            "kecho.monitor.failed_deliveries") == 1
+            f"kecho.{CONTROL_CHANNEL}.failed_deliveries") == 1
         assert [(e.dest, e.fault, e.submitted_at)
-                for e in stream.entries("monitor") if e.kind == DROP] \
+                for e in stream.entries(CONTROL_CHANNEL)
+                if e.kind == DROP] \
             == [("maui", "link down", receipt.event.submitted_at)]
-        assert verify_stats(stream, nodes, channels=["monitor"]) == []
+        assert verify_stats(stream, nodes,
+                            channels=[CONTROL_CHANNEL]) == []

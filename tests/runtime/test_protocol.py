@@ -38,17 +38,17 @@ class TestProtocolConformance:
             assert isinstance(node.stack, Transport)
 
     def test_bus(self, runtime):
-        assert isinstance(runtime.make_bus(), Bus)
+        assert isinstance(runtime.bus, Bus)
+        assert not hasattr(runtime, "make_bus")
 
     def test_bus_is_idempotent(self, runtime):
-        assert runtime.make_bus() is runtime.make_bus()
+        assert runtime.bus is runtime.bus
 
     def test_runtime_is_its_own_only_world(self, runtime):
         """What a scenario wires is the runtime itself: one bus, one
         node group, one clock — no per-world view beside it."""
         assert not hasattr(runtime, "worlds")
         assert isinstance(runtime.bus, Bus)
-        assert runtime.bus is runtime.make_bus()
 
     def test_registries_cover_every_node(self, runtime):
         registries = runtime.registries()
