@@ -99,7 +99,7 @@ class DMonConfig:
         return STALE_AFTER_INTERVALS * self.poll_interval
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteMetric:
     """Latest known value of one metric at one remote host.
 

@@ -53,7 +53,11 @@ sent by the frame's source::
     str   target         the host whose d-mon applies it
     str   command        one command's control-file text
 
-A frame ends at its last field: a byte past it is an error.
+A frame ends at its last field: a byte past it is an error.  No
+frame is longer than :data:`MAX_FRAME_BYTES`, the power of two above
+the longest one the layouts allow (≈ 3.3 MB, a MONITOR frame with
+every count at its u16 maximum); a longer length prefix is refused
+before its body is read.
 
 There is no per-connection string table: a frame is self-contained,
 so one encoding serves every link of a fan-out, and a frame dropped
@@ -94,10 +98,6 @@ MAGIC = 0xEC08
 KIND_MONITOR = 1
 KIND_CONTROL = 2
 
-#: Upper bound on one frame; protects the decoder from a corrupt or
-#: hostile length prefix.
-MAX_FRAME_BYTES = 16 * 1024 * 1024
-
 #: kind -> the (channel, tag) of its every frame: a d-mon channel and
 #: the tag every KECho endpoint binds for it.
 _ROUTES = {kind: (channel, "kecho:" + channel)
@@ -119,6 +119,21 @@ _TIMES = struct.Struct(">dd")
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
+
+#: The longest frame (length prefix excluded) each kind can have: a
+#: 65,535-byte source, and a MONITOR body of 65,535 records, all
+#: carried, with 65,535 top-K and 65,535 per-process rows, or a CONTROL
+#: body of two 65,535-byte strings.
+_LONGEST_FRAME = _HEAD.size + (2 + 0xFFFF) + _TIMES.size + max(
+    2 + 0xFFFF * (1 + _F64.size) + (0xFFFF + 7) // 8 + _F64.size
+    + 2 + 0xFFFF * _TOP_ROW.size + 2 + 0xFFFF * _PROC_ROW.size,
+    2 * (2 + 0xFFFF))
+
+#: Upper bound on one frame, the power of two above the longest frame
+#: (4 MiB): a length prefix past it is refused before any of its body
+#: is buffered, so a corrupt or hostile prefix cannot make a receiver
+#: hold more than a frame can be.
+MAX_FRAME_BYTES = 1 << _LONGEST_FRAME.bit_length()
 
 #: A +0.0 to scatter into the zero cells: the last item of the tuple
 #: a layout's scatter reads.

@@ -21,7 +21,7 @@ a refused draw leaves the stream untouched.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = ["Pcg64Stream"]
 
@@ -58,37 +58,59 @@ def _words(value: int) -> list[int]:
     return words
 
 
+def _consts(first: int, mult: int, count: int,
+            known: Sequence[int] = ()) -> Sequence[int]:
+    """The first ``count + 1`` of ``first``, ``first·mult``,
+    ``first·mult²``, … (mod 2³²): ``known`` when it is that long, else
+    ``known`` extended in a new list."""
+    if len(known) > count:
+        return known
+    table = list(known) or [first]
+    while len(table) <= count:
+        table.append((table[-1] * mult) & _MASK32)
+    return table
+
+
+#: SeedSequence's hash constants in the order it draws them: the k-th
+#: hashed word is xored with entry k and multiplied by entry k + 1.
+#: They depend on nothing but the count, so they are drawn once, enough
+#: for entropy of up to eight words (a seed and a tag of up to 128
+#: bits each); a longer entropy extends a copy.
+_HASH_CONSTS = _consts(_INIT_A, _MULT_A, _POOL_SIZE * 8)
+#: The same for the output words, enough for eight u64 words.
+_OUT_CONSTS = _consts(_INIT_B, _MULT_B, 16)
+
+
 def _seed_state(entropy: list[int], n_words: int) -> list[int]:
     """``SeedSequence(entropy).generate_state(n_words, uint64)``."""
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
+    extra = entropy[_POOL_SIZE:]
+    consts = _consts(_INIT_A, _MULT_A,
+                     _POOL_SIZE * (_POOL_SIZE + len(extra)), _HASH_CONSTS)
+    pool = []
+    for k in range(_POOL_SIZE):
+        value = ((entropy[k] if k < len(entropy) else 0) ^ consts[k]) \
+            * consts[k + 1] & _MASK32
+        pool.append(value ^ (value >> 16))
+    # Each pool word, then each entropy word past the pool, is hashed
+    # and mixed into every other pool word.
+    k = _POOL_SIZE
+    for src, word in [*enumerate(pool), *((None, w) for w in extra)]:
         for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(value))
+            if dst == src:
+                continue
+            if src is not None:
+                word = pool[src]
+            value = (word ^ consts[k]) * consts[k + 1] & _MASK32
+            k += 1
+            value = (_MIX_MULT_L * pool[dst]
+                     - _MIX_MULT_R * (value ^ (value >> 16))) & _MASK32
+            pool[dst] = value ^ (value >> 16)
 
-    out_const = _INIT_B
+    consts = _consts(_INIT_B, _MULT_B, 2 * n_words, _OUT_CONSTS)
     halves = []
     for i in range(2 * n_words):
-        value = pool[i % _POOL_SIZE] ^ out_const
-        out_const = (out_const * _MULT_B) & _MASK32
-        value = (value * out_const) & _MASK32
+        value = (pool[i % _POOL_SIZE] ^ consts[i]) * consts[i + 1] \
+            & _MASK32
         halves.append(value ^ (value >> 16))
     # Two u32 words make one u64, low word first.
     return [halves[i] | halves[i + 1] << 32

@@ -35,6 +35,11 @@ raises ``ValueError`` instead of answering short.  The bound is a
 count, not a time horizon, because readers pick their windows at run
 time (DISK_MON's ``period`` option, a figure's ``since=``): a horizon
 fixed by the owner would cut such a window short without any error.
+
+Sample storage appears on the first ``add``: until then both columns
+are the one shared empty tuple, and every query answers as on an
+empty trace.  The traces no run writes (a fault-free connection's
+retransmissions and losses) cost only the trace itself.
 """
 
 from __future__ import annotations
@@ -88,8 +93,10 @@ class CounterTrace:
         self.max_samples = max_samples
         #: Number of samples discarded by the bound.
         self.dropped_samples = 0
-        self._times: list[float] = []
-        self._cumulative: list[float] = []
+        #: The two columns: one shared empty tuple until the first
+        #: :meth:`add` makes them lists.
+        self._times: Sequence[float] = ()
+        self._cumulative: Sequence[float] = ()
         self._total = 0.0
         #: Running total and time of the last discarded sample.
         self._base = 0.0
@@ -105,7 +112,11 @@ class CounterTrace:
         if amount < 0:
             raise ValueError("counters only increase")
         times = self._times
-        if times and t < times[-1]:
+        if not times:
+            # First sample (a trimmed trace still holds max_samples).
+            times = self._times = []
+            self._cumulative = []
+        elif t < times[-1]:
             raise ValueError("non-monotonic counter update")
         self._total += amount
         times.append(t)

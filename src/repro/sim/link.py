@@ -74,7 +74,7 @@ class Link:
         return f"<Link {self.name} {self.capacity * 8 / 1e6:.0f}Mbps>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """A unidirectional traffic flow across a path of links."""
 

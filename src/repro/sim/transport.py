@@ -70,6 +70,10 @@ class Message:
 class Connection:
     """A unidirectional logical message stream between two hosts."""
 
+    __slots__ = ("stack", "src", "dst", "tag", "proto", "closed",
+                 "path_rtt", "retransmissions", "losses", "last_delay",
+                 "last_rtt")
+
     def __init__(self, stack: "NetStack", dst: str, tag: str,
                  proto: str = Protocol.TCP) -> None:
         if proto not in (Protocol.TCP, Protocol.UDP):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_LATENCY_BOUNDS"]
@@ -92,6 +93,19 @@ class Gauge:
                 "updates": self.updates}
 
 
+@lru_cache(maxsize=64)
+def _edges(bounds: tuple) -> tuple[float, ...]:
+    """``bounds`` as float bucket edges, checked once per distinct
+    tuple: every histogram built with the same bounds shares the one
+    (immutable) edges tuple."""
+    edges = tuple(float(b) for b in bounds)
+    if not edges:
+        raise ValueError("needs at least one bound")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError("bounds must strictly increase")
+    return edges
+
+
 class Histogram:
     """Fixed-bucket distribution of observed values.
 
@@ -106,15 +120,11 @@ class Histogram:
 
     def __init__(self, name: str,
                  bounds: Optional[Sequence[float]] = None) -> None:
-        edges = tuple(float(b) for b in
-                      (DEFAULT_LATENCY_BOUNDS if bounds is None
-                       else bounds))
-        if not edges:
-            raise ValueError(
-                f"histogram {name!r} needs at least one bound")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(
-                f"histogram {name!r} bounds must strictly increase")
+        try:
+            edges = _edges(DEFAULT_LATENCY_BOUNDS if bounds is None
+                           else tuple(bounds))
+        except ValueError as exc:
+            raise ValueError(f"histogram {name!r} {exc}") from None
         self.name = name
         self.bounds = edges
         self.counts = [0] * (len(edges) + 1)   # + overflow bucket

@@ -39,7 +39,14 @@ class TelemetryRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter called ``name``."""
-        return self._get(name, Counter)
+        # The most-built instrument (26 per simulated node): no options
+        # to forward, so no trip through :meth:`_get`.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = Counter(name)
+        elif not isinstance(instrument, Counter):
+            raise self._kind_error(name, instrument, Counter)
+        return instrument
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge called ``name``."""
@@ -118,13 +125,17 @@ class TelemetryRegistry:
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
-                raise TelemetryError(
-                    f"{self._label(name)} is a "
-                    f"{type(existing).__name__}, not a {cls.__name__}")
+                raise self._kind_error(name, existing, cls)
             return existing
         instrument = cls(name, **options)
         self._instruments[name] = instrument
         return instrument
+
+    def _kind_error(self, name: str, existing: Instrument,
+                    cls) -> TelemetryError:
+        return TelemetryError(
+            f"{self._label(name)} is a "
+            f"{type(existing).__name__}, not a {cls.__name__}")
 
     def _label(self, name: str) -> str:
         return f"instrument {self.scope + ':' if self.scope else ''}" \

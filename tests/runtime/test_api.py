@@ -13,13 +13,25 @@ from repro.runtime.series import (DEVICE_HISTORY, MEASUREMENT_HISTORY,
 from repro.sim import Environment, build_cluster
 
 
+def _fields(owner) -> dict:
+    """Attribute name -> value of ``owner``: its instance dict and every
+    slot its classes declare (an unset slot is left out)."""
+    fields = dict(getattr(owner, "__dict__", {}))
+    for cls in type(owner).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for attr in (slots,) if isinstance(slots, str) else slots:
+            if hasattr(owner, attr):
+                fields[attr] = getattr(owner, attr)
+    return fields
+
+
 def _unbounded(owners) -> list[str]:
     """``Type.attr`` of every history on ``owners`` that is not bounded
     by one of the two history constants (asserts one history exists,
     so an empty walk cannot pass)."""
     histories = [(f"{type(owner).__name__}.{attr}", value)
                  for owner in owners
-                 for attr, value in vars(owner).items()
+                 for attr, value in _fields(owner).items()
                  if isinstance(value, CounterTrace)]
     assert histories
     return [name for name, history in histories

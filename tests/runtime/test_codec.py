@@ -663,6 +663,41 @@ class TestDecoderHardening:
         with pytest.raises(ChannelError, match="mid-frame"):
             decoder.finish()
 
+    def test_the_longest_frame_decodes_under_the_bound(self):
+        """Every count at its u16 maximum: the frame is the longest the
+        layouts allow (one more record is refused), it splits and
+        decodes whole, and the bound is the power of two above it."""
+        n = 0xFFFF
+        ids = [list(MetricId)[i % len(MetricId)] for i in range(n)]
+        batch = RecordBatch(ids, [1.0 + i for i in range(n)], 7.0,
+                            proc_top={pid: 0.5 for pid in range(n)},
+                            procs={pid: (1.0, 2.0, 3.0)
+                                   for pid in range(n)})
+        frame = _monitor("s" * 0xFFFF, batch)
+        assert MAX_FRAME_BYTES // 2 < len(frame) - 4 <= MAX_FRAME_BYTES
+        decoder = FrameDecoder()
+        bodies = [body for at in range(0, len(frame), 1 << 16)
+                  for body in decoder.feed(frame[at:at + (1 << 16)])]
+        assert len(bodies) == 1 and decoder.pending_bytes == 0
+        _, event = decode_frame(bodies[0])
+        assert event.source == "s" * 0xFFFF
+        assert _content(event.payload) == _content(batch)
+        with pytest.raises(ChannelError, match="too many records"):
+            _monitor("s", RecordBatch(ids + ids[:1], [1.0] * (n + 1), 0.0))
+
+    @pytest.mark.parametrize("split", [0, 2])
+    def test_a_prefix_past_the_bound_is_refused_before_its_body(self,
+                                                                split):
+        """Whether the prefix comes whole or cut in two, the decoder
+        refuses it holding at most the prefix, none of the body."""
+        data = struct.pack(">I", MAX_FRAME_BYTES + 1) + b"\x00" * 64
+        decoder = FrameDecoder()
+        if split:
+            assert decoder.feed(data[:split]) == []
+        with pytest.raises(ChannelError, match="exceeds"):
+            decoder.feed(data[split:])
+        assert decoder.pending_bytes <= 4
+
     def test_pending_bytes_tracks_buffer(self):
         frame = encode_frame(MONITOR_TAG, _numbered(0))
         decoder = FrameDecoder()

@@ -10,6 +10,7 @@ from repro.api import Scenario
 from repro.dproc import DMonConfig
 from repro.errors import SimulationError
 from repro.sim import NodeConfig, build_cluster
+from repro.sim.transport import Connection
 from repro.smartpointer import (ClientCapabilities, DynamicAdaptation,
                                 NoAdaptation, SmartPointerClient,
                                 SmartPointerServer, StaticAdaptation,
@@ -57,7 +58,7 @@ class TestPipeline:
         assert client.queue_length > 10
         assert client.latencies.mean(since=20.0) > 1.0
 
-    def test_sequential_frames(self, env, profile):
+    def test_sequential_frames(self, env, profile, monkeypatch):
         """The stream numbers its frames from 1, one per send."""
         _, server_node, client_node = make_pair(env)
         SmartPointerClient(client_node).start()
@@ -65,13 +66,14 @@ class TestPipeline:
             "maui", profile, rate=2.0, policy=NoAdaptation(),
             start=False)
         sent = []
-        send = stream._conn.send
+        send = Connection.send
 
-        def spy(event, size):
-            sent.append((event.seq, event.sent_at))
-            return send(event, size=size)
+        def spy(conn, event, size):
+            if conn is stream._conn:
+                sent.append((event.seq, event.sent_at))
+            return send(conn, event, size=size)
 
-        stream._conn.send = spy
+        monkeypatch.setattr(Connection, "send", spy)
         stream.start()
         env.run(until=2.9)
         assert sent == [(1, 0.0), (2, 0.5), (3, 1.0), (4, 1.5),

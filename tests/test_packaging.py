@@ -95,6 +95,51 @@ def test_sim_path_loads_neither_numpy_nor_asyncio():
     assert result.returncode == 0, result.stderr
 
 
+#: Imports each named module in a child forked from an interpreter that
+#: has loaded nothing of the package (cheaper than starting a fresh
+#: interpreter per module), two children at a time, and names the
+#: modules that failed.
+_IMPORT_EACH_FIRST = """
+import importlib, os, sys, traceback
+assert not [m for m in sys.modules if m.split('.')[0] == 'repro']
+todo, running, failed = sys.argv[:0:-1], {}, []
+while todo or running:
+    if todo and len(running) < 2:
+        name = todo.pop()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                importlib.import_module(name)
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+        running[pid] = name
+        continue
+    pid, status = os.wait()
+    if status:
+        failed.append(running[pid])
+    del running[pid]
+print(sorted(failed))
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_every_module_imports_first():
+    """Any module of the package can be the first one a program
+    imports: no import cycle only works when entered from one side."""
+    modules = sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts[
+            :-1 if path.name == "__init__.py" else None])
+        for path in (SRC / "repro").rglob("*.py"))
+    assert "repro.kecho.event" in modules and "repro" in modules
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EACH_FIRST, *modules],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stdout + result.stderr[-4000:]
+
+
 def _sim_imports_outside_type_checking(tree: ast.AST,
                                        package: str) -> list[int]:
     """Line numbers of ``repro.sim`` imports not under ``if
