@@ -36,6 +36,7 @@ from repro.errors import DprocError, InterruptError
 from repro.kecho import ChannelEvent, ControlMessage, control_message_size
 from repro.runtime.protocol import Bus, RuntimeNode
 from repro.runtime.series import MEASUREMENT_HISTORY, CounterTrace
+from repro.telemetry.instruments import Counter
 from repro.tracing.context import TraceRef
 
 __all__ = ["DMonConfig", "DMon", "RemoteMetric",
@@ -115,6 +116,16 @@ class RemoteMetric:
 class DMon:
     """The per-node distributed monitor."""
 
+    #: Its instruments, under ``dmon.``; each module's
+    #: ``dmon.module.<name>.collect_seconds`` is named as it registers.
+    TELEMETRY = dict.fromkeys(
+        ("polls", "collect_seconds", "param_seconds", "submit_seconds",
+         "receive_seconds", "events_published", "records_published",
+         "filter_seconds"), Counter)
+    # The first handle of each group (the rest are bound with it) by
+    # the first poll and the first filter run.
+    _t_polls = _t_filter = None
+
     def __init__(self, node: RuntimeNode, bus: Bus,
                  config: DMonConfig | None = None) -> None:
         self.node = node
@@ -145,17 +156,7 @@ class DMon:
         self.submit_overhead = CounterTrace(MEASUREMENT_HISTORY)
         self.receive_overhead = CounterTrace(MEASUREMENT_HISTORY)
         self.polls = 0
-        # self-telemetry: named instruments in the node registry, bound
-        # once (hot path).  All no-ops when the node disables telemetry.
-        telemetry = node.telemetry
-        self._t_polls = telemetry.counter("dmon.polls")
-        self._t_collect = telemetry.counter("dmon.collect_seconds")
-        self._t_filter = telemetry.counter("dmon.filter_seconds")
-        self._t_param = telemetry.counter("dmon.param_seconds")
-        self._t_submit = telemetry.counter("dmon.submit_seconds")
-        self._t_receive = telemetry.counter("dmon.receive_seconds")
-        self._t_events = telemetry.counter("dmon.events_published")
-        self._t_records = telemetry.counter("dmon.records_published")
+        node.telemetry.declare("dmon.", self.TELEMETRY)
         #: module name -> its dmon.module.<name>.collect_seconds counter.
         self._t_module_collect: dict[str, object] = {}
         #: Most recent local samples (served for the node's own
@@ -304,6 +305,13 @@ class DMon:
         """One polling iteration; returns its submission overhead (s)."""
         now = self.node.env.now
         self.polls += 1
+        if self._t_polls is None:
+            (self._t_polls, self._t_collect, self._t_param,
+             self._t_submit, self._t_receive, self._t_events,
+             self._t_records) = self.node.telemetry.bind(
+                "dmon.", "polls", "collect_seconds", "param_seconds",
+                "submit_seconds", "receive_seconds", "events_published",
+                "records_published")
         self._t_polls.inc()
         # A running d-mon hears itself once per poll; a stopped one
         # ages like any silent peer.
@@ -479,6 +487,9 @@ class DMon:
                 result = self.filters.run(scoped, filter_input,
                                           keyed=rows or None)
                 cost += costs.filter_exec
+                if self._t_filter is None:
+                    self._t_filter, = self.node.telemetry.bind(
+                        "dmon.", "filter_seconds")
                 self._t_filter.inc(costs.filter_exec)
                 governed = self.last_samples if span is None \
                     else {ids[i] for i in span}

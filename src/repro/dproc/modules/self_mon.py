@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from repro.dproc.metrics import MetricId
 from repro.dproc.modules.base import MonitoringModule
-from repro.runtime.protocol import RuntimeNode
+from repro.telemetry.report import MONITOR_CPU_COUNTERS
 
 __all__ = ["SelfMon"]
 
 #: Telemetry counters summed into DMON_POLL_COST (CPU seconds the
 #: monitoring pipeline spent *producing* data, excluding receive).
-_POLL_COST_COUNTERS = ("dmon.collect_seconds", "dmon.filter_seconds",
-                       "dmon.param_seconds", "dmon.submit_seconds")
+_POLL_COST_COUNTERS = MONITOR_CPU_COUNTERS[:-1]
 
 
 class SelfMon(MonitoringModule):
@@ -34,18 +33,12 @@ class SelfMon(MonitoringModule):
 
     name = "dproc"
 
-    def __init__(self, node: RuntimeNode) -> None:
-        super().__init__(node)
-        # Registrable even with node telemetry disabled: a disabled
-        # registry returns 0.0 for every counter, so samples are zero.
-        self.telemetry = node.telemetry
-
     def metrics(self) -> tuple[MetricId, ...]:
         return (MetricId.DMON_POLL_COST, MetricId.DMON_RX_COST,
                 MetricId.DMON_EVENT_RATE)
 
     def collect(self, now: float) -> list[float]:
-        reg = self.telemetry
+        reg = self.node.telemetry
         polls = reg.value("dmon.polls")
         produce = sum(reg.value(name) for name in _POLL_COST_COUNTERS)
         poll_cost = produce / polls if polls else 0.0

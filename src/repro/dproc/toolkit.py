@@ -177,26 +177,18 @@ class Dproc:
             components = {name.split(".", 1)[1]: reg.value(name)
                           for name in MONITOR_CPU_COUNTERS}
             total = sum(components.values())
-            lines = [f"polls: {polls:.6g}",
-                     f"monitor_cpu_seconds: {total:.6g}"]
-            lines += [f"{key}: {value:.6g}"
-                      for key, value in components.items()]
-            mean_cost = total / polls if polls else 0.0
-            lines += [
-                f"mean_poll_cost: {mean_cost:.6g}",
-                f"events_published: "
-                f"{reg.value('dmon.events_published'):.6g}",
-                f"records_published: "
-                f"{reg.value('dmon.records_published'):.6g}",
-            ]
-            return "".join(f"{line}\n" for line in lines)
-        return (
-            f"poll_cost: "
-            f"{self.metric(host, MetricId.DMON_POLL_COST):.6g}\n"
-            f"rx_cost: "
-            f"{self.metric(host, MetricId.DMON_RX_COST):.6g}\n"
-            f"event_rate: "
-            f"{self.metric(host, MetricId.DMON_EVENT_RATE):.6g}\n")
+            rows = {"polls": polls, "monitor_cpu_seconds": total,
+                    **components,
+                    "mean_poll_cost": total / polls if polls else 0.0,
+                    **{name: reg.value(f"dmon.{name}") for name in
+                       ("events_published", "records_published")}}
+        else:
+            rows = {key: self.metric(host, metric) for key, metric in (
+                ("poll_cost", MetricId.DMON_POLL_COST),
+                ("rx_cost", MetricId.DMON_RX_COST),
+                ("event_rate", MetricId.DMON_EVENT_RATE))}
+        return "".join(f"{key}: {value:.6g}\n"
+                       for key, value in rows.items())
 
     def _telemetry_read(self, host: str, prefix: str) -> str:
         """Raw telemetry dump for one name prefix (local host only)."""

@@ -27,6 +27,7 @@ from typing import Any, Callable, Optional
 from repro.errors import ChannelError
 from repro.kecho.event import ChannelEvent
 from repro.runtime.protocol import RuntimeNode
+from repro.telemetry.instruments import Counter, Histogram
 
 __all__ = ["KechoBus", "ChannelEndpoint", "SubmitReceipt"]
 
@@ -53,6 +54,16 @@ class SubmitReceipt:
 class ChannelEndpoint:
     """One node's kernel-level attachment to a channel."""
 
+    #: Its instruments, under ``kecho.<channel>.``.
+    TELEMETRY = {
+        "submits": Counter, "submit_seconds": Counter,
+        "fanout": (Histogram, (1, 2, 4, 8, 16, 32, 64, 128, 256)),
+        "tx_bytes": Counter, "receives": Counter, "rx_bytes": Counter,
+        "delivery_seconds": Histogram, "failed_deliveries": Counter}
+    # The first handle of each group (the rest are bound with it) by
+    # the first submit, delivery and lost copy.
+    _t_submits = _t_receives = _t_failed = None
+
     def __init__(self, bus: "KechoBus", node: RuntimeNode,
                  name: str) -> None:
         self.bus = bus
@@ -65,20 +76,7 @@ class ChannelEndpoint:
         self._conns: dict[str, Any] = {}
         #: Cumulative receive-path kernel CPU seconds (Figure 8 metric).
         self.receive_cpu_seconds = 0.0
-        # self-telemetry (bound once; no-ops when the node disables it)
-        telemetry = node.telemetry
-        base = f"kecho.{name}"
-        self._t_submits = telemetry.counter(f"{base}.submits")
-        self._t_submit_seconds = telemetry.counter(
-            f"{base}.submit_seconds")
-        self._t_fanout = telemetry.histogram(
-            f"{base}.fanout", bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256))
-        self._t_delivery_seconds = telemetry.histogram(
-            f"{base}.delivery_seconds")
-        self._t_receives = telemetry.counter(f"{base}.receives")
-        self._t_failed = telemetry.counter(f"{base}.failed_deliveries")
-        self._t_tx_bytes = telemetry.counter(f"{base}.tx_bytes")
-        self._t_rx_bytes = telemetry.counter(f"{base}.rx_bytes")
+        node.telemetry.declare(f"kecho.{name}.", self.TELEMETRY)
         node.stack.bind(self._tag, self._on_message)
 
     # -- subscription ------------------------------------------------------------
@@ -138,6 +136,10 @@ class ChannelEndpoint:
             if tspan is not None:
                 event.trace = tspan.context
         self.node.charge_kernel_seconds(cpu)
+        if self._t_submits is None:
+            (self._t_submits, self._t_submit_seconds, self._t_fanout,
+             self._t_tx_bytes) = self._bind(
+                "submits", "submit_seconds", "fanout", "tx_bytes")
         self._t_submits.inc()
         self._t_submit_seconds.inc(cpu)
         self._t_fanout.observe(len(targets))
@@ -151,21 +153,9 @@ class ChannelEndpoint:
             broker.record_submit(event, targets, local=local)
 
         if targets:
-            stack = self.node.stack
-            conns = [self._connection_to(host) for host in targets]
-
-            def on_fail(dst: str, reason: str) -> None:
-                # A copy killed by a fault (partition, loss, crashed
-                # subscriber, backpressure) is counted and recorded in
-                # the durable stream; the publisher's endpoint state is
-                # untouched and later submits proceed normally.
-                self._t_failed.inc()
-                stream = self.bus.stream
-                if stream is not None:
-                    stream.record_drop(event, dst, reason,
-                                       self.node.env.now)
-
-            stack.send_many(conns, event, size, on_fail)
+            self.node.stack.send_many(
+                [self._connection_to(host) for host in targets], event,
+                size, self._on_lost)
         # The local subscriber sees the event immediately.
         if local:
             self._dispatch(event, event.trace, charge=False)
@@ -193,6 +183,22 @@ class ChannelEndpoint:
         self.bus._detach(self)
 
     # -- internals ------------------------------------------------------------
+
+    def _on_lost(self, event: ChannelEvent, dst: str,
+                 reason: str) -> None:
+        """The transport's report of a copy of ``event`` that a fault
+        killed (partition, loss, crashed subscriber, backpressure): it
+        is counted and recorded in the durable stream; the endpoint's
+        state is untouched and later submits proceed normally."""
+        if self._t_failed is None:
+            self._t_failed, = self._bind("failed_deliveries")
+        self._t_failed.inc()
+        stream = self.bus.stream
+        if stream is not None:
+            stream.record_drop(event, dst, reason, self.node.env.now)
+
+    def _bind(self, *suffixes: str) -> tuple:
+        return self.node.telemetry.bind(f"kecho.{self.name}.", *suffixes)
 
     def _ensure_open(self) -> None:
         if self.closed:
@@ -225,6 +231,10 @@ class ChannelEndpoint:
         broker = self.bus.stream
         if broker is not None:
             broker.record_delivery(event, self.node.name, now)
+        if self._t_receives is None:
+            (self._t_receives, self._t_rx_bytes,
+             self._t_delivery_seconds) = self._bind(
+                "receives", "rx_bytes", "delivery_seconds")
         self._t_receives.inc()
         self._t_rx_bytes.inc(event.size)
         self._t_delivery_seconds.observe(now - event.submitted_at)

@@ -27,7 +27,7 @@ from repro.live.clock import AsyncClock
 from repro.live.modules import host_module_factory
 from repro.live.node import LiveNode
 from repro.live.registry import RegistryClient, RegistryServer
-from repro.live.transport import BatchConfig, in_flight
+from repro.live.transport import BatchConfig, LiveStack, in_flight
 from repro.runtime.deployment import default_names
 from repro.telemetry import TelemetryRegistry
 
@@ -57,14 +57,6 @@ class LiveNodeGroup:
 #: Longest teardown wait, in seconds, for frames already sent between
 #: this process's hosts to be read and dispatched.
 SETTLE_SECONDS = 0.5
-
-#: The transport counters :meth:`LiveRuntime.wire_stats` totals.
-WIRE_COUNTERS = (
-    "net.tx_frames", "net.tx_wire_frames", "net.tx_batches",
-    "net.tx_batched_frames", "net.tx_wire_bytes",
-    "net.backpressure_deferred", "net.backpressure_drops",
-    "net.backpressure_pauses", "net.backpressure_resumes",
-    "net.rx_decode_errors")
 
 
 class LiveRuntime:
@@ -141,10 +133,13 @@ class LiveRuntime:
         return {**local, **self._remote_registries}
 
     def wire_stats(self) -> dict:
-        """Pool-wide transport counters (frames, batches, drops)."""
+        """Pool-wide totals of every transport counter
+        (:attr:`LiveStack.TELEMETRY`: frames, batches, drops, refused
+        frames)."""
         registries = self.registries().values()
-        return {name: sum(r.value(name) for r in registries)
-                for name in WIRE_COUNTERS}
+        return {f"net.{name}": sum(r.value(f"net.{name}")
+                                   for r in registries)
+                for name in LiveStack.TELEMETRY}
 
     # -- scenario hooks ----------------------------------------------------
 

@@ -62,6 +62,7 @@ from repro.kecho.event import ChannelEvent
 from repro.live.codec import (MAGIC, FrameDecoder, decode_frame,
                               encode_batch, encode_frame)
 from repro.runtime.protocol import OnFail
+from repro.telemetry.instruments import Counter
 
 __all__ = ["LiveStack", "LiveConnection", "BatchConfig", "in_flight",
            "DIAL_TIMEOUT", "CLOSE_TIMEOUT", "RX_BUFFER_BYTES",
@@ -133,6 +134,12 @@ class _PeerLink(asyncio.Protocol):
         self.written = 0
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._opener = asyncio.ensure_future(self._open())
+        if stack._t_tx is None:
+            # Every frame sent and every write goes through a link.
+            (stack._t_tx, stack._t_frames, stack._t_wire_frames,
+             stack._t_wire_bytes) = stack.telemetry.bind(
+                "net.", "tx_frame_bytes", "tx_frames", "tx_wire_frames",
+                "tx_wire_bytes")
 
     async def _open(self) -> None:
         address = self.stack.resolve(self.dst)
@@ -158,11 +165,11 @@ class _PeerLink(asyncio.Protocol):
     def pause_writing(self) -> None:
         if not self._dead:  # a closing link flushes past the watermark
             self.paused = True
-            self.stack._t_pauses.inc()
+            self.stack._count("backpressure_pauses")
 
     def resume_writing(self) -> None:
         self.paused = False
-        self.stack._t_resumes.inc()
+        self.stack._count("backpressure_resumes")
         self.flush()
 
     def connection_lost(self, exc) -> None:
@@ -181,9 +188,9 @@ class _PeerLink(asyncio.Protocol):
         if self.transport is None or self.paused:
             # The frame cannot leave yet: the queue is bounded.
             if len(queue) >= MAX_DEFERRED:
-                stack._t_drops.inc()
+                stack._count("backpressure_drops")
                 return "backpressure"
-            stack._t_deferred.inc()
+            stack._count("backpressure_deferred")
         queue.append(frame)
         self._queued_bytes += len(frame)
         batch = stack.batch_config
@@ -201,7 +208,8 @@ class _PeerLink(asyncio.Protocol):
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        batch = self.stack.batch_config
+        stack = self.stack
+        batch = stack.batch_config
         limit = 0 if batch is None else batch.max_bytes
         queue = self.queue
         while queue and self.transport is not None and not self.paused:
@@ -212,8 +220,8 @@ class _PeerLink(asyncio.Protocol):
                 size += len(run[-1])
             self._queued_bytes -= size
             if len(run) > 1:
-                self.stack._t_batches.inc()
-                self.stack._t_batched_frames.inc(len(run))
+                stack._count("tx_batches")
+                stack._count("tx_batched_frames", len(run))
             self._write(encode_batch(run))
 
     def _write(self, data: bytes) -> None:
@@ -276,6 +284,18 @@ class LiveConnection:
 class LiveStack:
     """One node's TCP endpoint: server socket + tagged dispatch."""
 
+    #: Its instruments, under ``net.``.
+    TELEMETRY = dict.fromkeys(
+        ("tx_frames", "tx_wire_frames", "tx_batches", "tx_batched_frames",
+         "tx_wire_bytes", "backpressure_deferred", "backpressure_drops",
+         "backpressure_pauses", "backpressure_resumes",
+         "rx_decode_errors", "tx_frame_bytes", "rx_frame_bytes",
+         "undeliverable", "rx_truncated"), Counter)
+    # The first handle of each group (the rest are bound with it) by
+    # the first link and the first read; what counts once per batch or
+    # more rarely goes through :meth:`_count`.
+    _t_tx = _t_rx = None
+
     def __init__(self, host: str, telemetry,
                  batch: Optional[BatchConfig] = None) -> None:
         self.host = host
@@ -292,22 +312,8 @@ class LiveStack:
         self._server: Optional[asyncio.AbstractServer] = None
         #: Accepted connections, so :meth:`stop` can end each one.
         self._inbound: set[_Inbound] = set()
-        self._t_tx = telemetry.counter("net.tx_frame_bytes")
-        self._t_rx = telemetry.counter("net.rx_frame_bytes")
-        self._t_undeliverable = telemetry.counter("net.undeliverable")
-        self._t_frames = telemetry.counter("net.tx_frames")
-        self._t_wire_frames = telemetry.counter("net.tx_wire_frames")
-        self._t_wire_bytes = telemetry.counter("net.tx_wire_bytes")
-        self._t_batches = telemetry.counter("net.tx_batches")
-        self._t_batched_frames = telemetry.counter(
-            "net.tx_batched_frames")
-        self._t_deferred = telemetry.counter(
-            "net.backpressure_deferred")
-        self._t_drops = telemetry.counter("net.backpressure_drops")
-        self._t_pauses = telemetry.counter("net.backpressure_pauses")
-        self._t_resumes = telemetry.counter("net.backpressure_resumes")
-        self._t_truncated = telemetry.counter("net.rx_truncated")
-        self._t_decode_errors = telemetry.counter("net.rx_decode_errors")
+        self.telemetry = telemetry
+        telemetry.declare("net.", self.TELEMETRY)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -339,6 +345,10 @@ class LiveStack:
         for link in self._links.values():
             link.flush()
 
+    def _count(self, suffix: str, amount: float = 1.0) -> None:
+        """Count into ``net.<suffix>`` without keeping its handle."""
+        self.telemetry.bind("net.", suffix)[0].inc(amount)
+
     # -- the Transport protocol -------------------------------------------
 
     def bind(self, tag: str, handler: Callable) -> None:
@@ -366,8 +376,8 @@ class LiveStack:
         simulator's wire model; here the frame's real length counts.
         A frame known lost — closed connection, dead link, or
         backpressure overflow — is reported once, as
-        ``on_fail(dst, reason)`` before this call returns; a frame
-        that dies later inside the kernel's socket buffer is the
+        ``on_fail(payload, dst, reason)`` before this call returns; a
+        frame that dies later inside the kernel's socket buffer is the
         reconciler's to find.
         """
         if not isinstance(payload, ChannelEvent):
@@ -388,7 +398,7 @@ class LiveStack:
                 self._t_frames.inc()
                 lost = conn._link.send(frame)
             if lost is not None and on_fail is not None:
-                on_fail(conn.dst, lost)
+                on_fail(payload, conn.dst, lost)
 
     # -- internals ---------------------------------------------------------
 
@@ -424,6 +434,8 @@ class _Inbound(asyncio.BufferedProtocol):
         if decoder is None:
             return
         stack = self.stack
+        if stack._t_rx is None:
+            stack._t_rx, = stack.telemetry.bind("net.", "rx_frame_bytes")
         stack._t_rx.inc(nbytes)
         self.received += nbytes
         # A stream that does not split into frames of ours ends this
@@ -445,16 +457,16 @@ class _Inbound(asyncio.BufferedProtocol):
                     self._refuse()
                     return
                 # A frame of ours with a bad body: counted and skipped.
-                stack._t_decode_errors.inc()
+                stack._count("rx_decode_errors")
                 continue
             handler = handlers.get(tag)
             if handler is None:
-                stack._t_undeliverable.inc()
+                stack._count("undeliverable")
                 continue
             handler(event)
 
     def _refuse(self) -> None:
-        self.stack._t_decode_errors.inc()
+        self.stack._count("rx_decode_errors")
         self.decoder = None
         self.transport.close()
 
@@ -463,7 +475,7 @@ class _Inbound(asyncio.BufferedProtocol):
         if self.decoder is not None and self.decoder.pending_bytes:
             # Partial header/body at EOF: the peer died mid-frame.
             # Count it; the reconciler sees the missing delivery.
-            self.stack._t_truncated.inc()
+            self.stack._count("rx_truncated")
 
 
 def in_flight(stacks: Iterable[LiveStack]) -> bool:

@@ -62,9 +62,9 @@ class ObservabilityPlane:
         self.sample_cost_seconds = 0.0
         # Per-node sampling plans: resolved Series handles so repeat
         # ticks skip key construction and dict lookups entirely.
-        # Keyed by node name; extended in place when the registry
-        # grows (instruments are never removed).
-        self._plans: dict[str, tuple[int, list, list, set]] = {}
+        # Keyed by node name; re-resolved when the registry's version
+        # moves (a name declared, an instrument built).
+        self._plans: dict[str, tuple[int, list, list]] = {}
 
     # -- wiring --------------------------------------------------------------
 
@@ -91,26 +91,21 @@ class ObservabilityPlane:
     def _node_plan(self, node) -> tuple[list, list]:
         """Resolved ``(series, instrument)`` pairs for one node.
 
-        Built on the first tick (``len(registry)`` is the version
-        stamp) and extended in place when the registry gains
-        instruments; every later tick reuses the handles, which is
-        what keeps the sampler inside the bench overhead budget at
-        n=1000.
+        Built on the first tick and again whenever the registry's
+        ``version`` moves: an instrument not built yet is planned as
+        its zero, and re-resolved once its first write builds it.
+        Every other tick reuses the handles, which is what keeps the
+        sampler inside the bench overhead budget at n=1000.
         """
         registry = node.telemetry
+        version = registry.version
         cached = self._plans.get(node.name)
-        if cached is not None and cached[0] == len(registry):
+        if cached is not None and cached[0] == version:
             return cached[1], cached[2]
         tsdb = self.tsdb
         labels = (("node", node.name),)
-        if cached is not None:
-            _, scalars, hists, planned = cached
-        else:
-            scalars, hists, planned = [], [], set()
+        scalars, hists = [], []
         for name in registry.names():
-            if name in planned:
-                continue
-            planned.add(name)
             inst = registry.get(name)
             if isinstance(inst, Counter):
                 scalars.append((tsdb.series(name, labels,
@@ -124,8 +119,7 @@ class ObservabilityPlane:
                 hists.append([tsdb.series(
                     name, labels + (("stat", "count"),),
                     kind="counter"), None, None, inst, name, labels])
-        self._plans[node.name] = (len(registry), scalars, hists,
-                                  planned)
+        self._plans[node.name] = (version, scalars, hists)
         return scalars, hists
 
     def sample(self, nodes, now: float) -> None:

@@ -32,8 +32,10 @@ __all__ = [
     "Runtime", "EventStream",
 ]
 
-#: A sender's failure callback, called as ``on_fail(dst, reason)``.
-OnFail = Callable[[str, str], None]
+#: A sender's failure callback, called as ``on_fail(payload, dst,
+#: reason)`` with the payload it sent, so one bound method of the
+#: sender serves every send.
+OnFail = Callable[[Any, str, str], None]
 
 
 @runtime_checkable
@@ -109,8 +111,8 @@ class Transport(Protocol):
     of the fan-out, and whose ``span`` is the hop span; the live
     transport decodes each copy from the wire and hands the handler
     the decoded :class:`~repro.kecho.event.ChannelEvent` itself.  The one failure path is the
-    sender's ``on_fail(dst, reason)``, called exactly once for each
-    copy the transport gives up on — at the moment it gives up, which
+    sender's ``on_fail(payload, dst, reason)``, called exactly once for
+    each copy the transport gives up on — at the moment it gives up, which
     for a copy killed in flight is after ``send_many`` has returned —
     and never for a copy it delivers.
     """

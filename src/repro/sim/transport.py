@@ -27,7 +27,7 @@ from repro.sim.network import Fabric
 from repro.runtime.protocol import OnFail
 from repro.runtime.rng import Pcg64Stream
 from repro.runtime.series import DEVICE_HISTORY, CounterTrace
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry import Counter, Gauge, TelemetryRegistry
 
 __all__ = ["Message", "Connection", "NetStack", "Protocol"]
 
@@ -120,30 +120,30 @@ class NetStack:
     this is how network activity perturbs co-located computation.
     """
 
+    #: Its instruments, under ``net.``.
+    TELEMETRY = {"in_flight": Gauge, "delivered": Counter,
+                 "drops_fault": Counter, "drops_congestion": Counter,
+                 "retransmissions": Counter}
+    # The first handle of each group (the rest are bound with it) by
+    # the first fan-out, lost copy and retransmission.
+    _t_in_flight = _t_drops_fault = _t_retx = None
+
     def __init__(self, env: Environment, host: str, fabric: Fabric,
-                 rng: Pcg64Stream,
-                 kernel_charge: Callable[[float], Any] | None = None,
-                 receive_cost: Callable[[float], float] | None = None,
-                 telemetry: TelemetryRegistry | None = None) -> None:
+                 rng: Pcg64Stream, kernel_charge: Callable[[float], Any],
+                 receive_cost: Callable[[float], float],
+                 telemetry: TelemetryRegistry) -> None:
         self.env = env
         self.host = host
         self.fabric = fabric
         fabric.stacks[host] = self
         self.rng = rng
-        # Self-telemetry (hot path: instruments bound once here); a
-        # bare stack counts into a registry of its own.
-        if telemetry is None:
-            telemetry = TelemetryRegistry(scope=host)
-        self._t_in_flight = telemetry.gauge("net.in_flight")
-        self._t_delivered = telemetry.counter("net.delivered")
-        self._t_drops_fault = telemetry.counter("net.drops_fault")
-        self._t_drops_congestion = telemetry.counter(
-            "net.drops_congestion")
-        self._t_retx = telemetry.counter("net.retransmissions")
-        #: Charges ``seconds`` of kernel CPU time (set by Node).
-        self.kernel_charge = kernel_charge or (lambda seconds: None)
+        #: The node's registry.
+        self.telemetry = telemetry
+        telemetry.declare("net.", self.TELEMETRY)
+        #: Charges ``seconds`` of kernel CPU time (the node's).
+        self.kernel_charge = kernel_charge
         #: Maps message size -> kernel seconds for the receive path.
-        self.receive_cost = receive_cost or (lambda size: 0.0)
+        self.receive_cost = receive_cost
         self.handlers: dict[str, Callable[[Message], None]] = {}
         self.connections: list[Connection] = []
         #: Cumulative bytes received (PMC_MON and the power model
@@ -182,9 +182,9 @@ class NetStack:
         A delivered copy reaches the receiver's handler and nothing
         else; a copy killed by the fault plane, injected loss or UDP
         congestion — at send time or in flight — is reported once, as
-        ``on_fail(dst, reason)`` at the instant it dies.  The transport
-        schedules no event of its own for either outcome (an injected
-        stall aside); the fabric's transfer carries the copy.  A
+        ``on_fail(payload, dst, reason)`` at the instant it dies.  The
+        transport schedules no event of its own for either outcome (an
+        injected stall aside); the fabric's transfer carries the copy.  A
         fan-out that names a closed connection raises before any copy
         leaves; otherwise ``bytes_out`` gains one sample for all its
         copies, whatever becomes of them.
@@ -219,9 +219,10 @@ class NetStack:
         rng_random = self.rng.random
         rng_poisson = self.rng.poisson
         trace = getattr(payload, "trace", None)
-        drops_fault_inc = self._t_drops_fault.inc
-        drops_congestion_inc = self._t_drops_congestion.inc
-        retx_inc = self._t_retx.inc
+        if self._t_in_flight is None:
+            # Nearly every copy sent is delivered: one group.
+            self._t_in_flight, self._t_delivered = self.telemetry.bind(
+                "net.", "in_flight", "delivered")
         in_flight_adjust = self._t_in_flight.adjust
         # link -> congestion, read once per fan-out.
         congestion_on: dict = {}
@@ -246,7 +247,6 @@ class NetStack:
             # reaches the wire.
             if faults is not None:
                 if faults.blocked(host, dst):
-                    drops_fault_inc()
                     self._drop(msg, faults.blocked_reason(
                         host, dst) or "path blocked")
                     continue
@@ -255,7 +255,6 @@ class NetStack:
                 # loss rule applies, so fault-free runs stay
                 # bit-identical.
                 if p > 0.0 and rng_random() < p:
-                    drops_fault_inc()
                     self._drop(msg, "injected loss")
                     continue
             # Path congestion: the most loaded link along the path.
@@ -273,8 +272,7 @@ class NetStack:
             if conn.proto == Protocol.UDP:
                 p_loss = min(0.9, max(0.0, congestion - 0.9) * 5.0)
                 if rng_random() < p_loss:
-                    drops_congestion_inc()
-                    self._drop(msg, "congestion")
+                    self._drop(msg, "congestion", congested=True)
                     continue
             else:
                 # TCP: congestion manifests as retransmissions once
@@ -286,7 +284,10 @@ class NetStack:
                     msg.retransmissions = rng_poisson(mean_retx)
                 if msg.retransmissions:
                     conn.retransmissions.add(now, msg.retransmissions)
-                    retx_inc(msg.retransmissions)
+                    if self._t_retx is None:
+                        self._t_retx, = self.telemetry.bind(
+                            "net.", "retransmissions")
+                    self._t_retx.inc(msg.retransmissions)
                     if msg.span is not None:
                         msg.span.annotate(
                             retransmissions=msg.retransmissions)
@@ -295,8 +296,16 @@ class NetStack:
                      name=f"{conn.tag}:{msg.mid}", cargo=msg)
             in_flight_adjust(1)
 
-    def _drop(self, msg: Message, reason: str, **span_attrs: Any) -> None:
-        """Account one lost copy and report it to its sender."""
+    def _drop(self, msg: Message, reason: str, congested: bool = False,
+              **span_attrs: Any) -> None:
+        """Count one lost copy as a fault or a congestion drop, and
+        report it to its sender."""
+        if self._t_drops_fault is None:
+            self._t_drops_fault, self._t_drops_congestion = \
+                self.telemetry.bind("net.", "drops_fault",
+                                    "drops_congestion")
+        (self._t_drops_congestion if congested
+         else self._t_drops_fault).inc()
         now = self.env.now
         if msg.span is not None:
             # Trace-aware drop accounting: the hop span survives as an
@@ -304,7 +313,7 @@ class NetStack:
             msg.span.finish(now, status="dropped", fault=reason,
                             **span_attrs)
         if msg.on_fail is not None:
-            msg.on_fail(msg.dst, reason)
+            msg.on_fail(msg.payload, msg.dst, reason)
         msg.conn.losses.add(now, 1.0)
 
     def _delivered(self, flow: Flow) -> None:
@@ -324,7 +333,6 @@ class NetStack:
                 return
             if faults.blocked(msg.src, msg.dst):
                 self._t_in_flight.adjust(-1)
-                self._t_drops_fault.inc()
                 self._drop(msg, faults.blocked_reason(
                     msg.src, msg.dst) or "path blocked", in_flight=True)
                 return

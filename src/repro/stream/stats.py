@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 from repro.dproc.dmon import MONITOR_CHANNEL
 from repro.stream.broker import StreamBroker
 from repro.stream.entry import DELIVER, DROP, SUBMIT
+from repro.telemetry.instruments import Histogram
 
 __all__ = ["replay_stats", "verify_stats"]
 
@@ -139,7 +140,9 @@ def verify_stats(broker: StreamBroker, nodes: Iterable,
                   int(telemetry.value(f"{base}.failed_deliveries")))
             check(f"{name} {base}.tx_bytes", txb[key],
                   telemetry.value(f"{base}.tx_bytes"))
-            hist = telemetry.histogram(f"{base}.delivery_seconds")
+            # A read: an endpoint's unwritten histogram is its zero,
+            # and a node without the endpoint has none.
+            hist = telemetry.get(f"{base}.delivery_seconds") or Histogram(base)
             check(f"{name} {base}.delivery_seconds.count",
                   lat_n[key], hist.count)
             check(f"{name} {base}.delivery_seconds.total",

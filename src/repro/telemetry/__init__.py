@@ -8,8 +8,11 @@ adaptation decisions.  This package is that introspection layer:
 * :mod:`repro.telemetry.instruments` — deterministic, sim-clock-based
   counters, gauges and fixed-bucket histograms;
 * :mod:`repro.telemetry.registry` — the per-node
-  :class:`TelemetryRegistry` (``node.telemetry``) from which any module
-  get-or-creates named instruments without pipeline changes;
+  :class:`TelemetryRegistry` (``node.telemetry``).  One rule attaches
+  an instrument: its owner declares it in a class-level schema, and
+  the registry builds it on its first write; until then every reader
+  sees it as its zero, so an instrument a node never writes costs the
+  node nothing;
 * :mod:`repro.telemetry.report` — text rendering for the dogfooded
   ``/proc/cluster/<node>/dproc/...`` files and the ``overhead``
   section of the benchmark JSON reports.

@@ -1,22 +1,33 @@
 """The per-node telemetry registry.
 
-One :class:`TelemetryRegistry` lives on every simulated node
-(``node.telemetry``).  Subsystems get-or-create named instruments from
-it — a new module needs no pipeline changes to gain metrics, just::
+One :class:`TelemetryRegistry` lives on every node
+(``node.telemetry``).  An instrument is built by its first write, so
+one a node never writes costs it nothing.  An owner names its
+instruments once, in a class-level *schema* that every instance
+shares (suffix → instrument class, or ``(Histogram, bounds)``), and
+declares it under its prefix at construction, which builds nothing;
+each hot site binds the group of instruments it writes together on
+its first call, behind one ``is None`` check, and keeps the handles::
 
-    polls = node.telemetry.counter("mymod.polls")
-    cost = node.telemetry.histogram("mymod.cost_seconds")
+    TELEMETRY = {"polls": Counter, "cost_seconds": Histogram}
 
-Names are dotted paths; reports group on the first component.  The
-same name always returns the same instrument (asking for a different
-kind under an existing name is a :class:`~repro.errors.TelemetryError`),
-so instrumentation sites can bind eagerly at construction or lazily at
-first use and still share state.
+    node.telemetry.declare("mymod.", TELEMETRY)        # __init__
+    if self._t_polls is None:                          # the hot site
+        self._t_polls, self._t_cost = node.telemetry.bind(
+            "mymod.", "polls", "cost_seconds")
+
+Every reader — :meth:`names`, :meth:`get`, :meth:`value`,
+:meth:`snapshot`, :meth:`counters`, ``len`` and ``in`` — sees a
+declared instrument no one has written as its zero.  Names known only
+at run time (one counter per registered module) get-or-create through
+:meth:`counter`, :meth:`gauge` and :meth:`histogram`.  A name always
+resolves to the same instrument, and asking for another kind under it
+is a :class:`~repro.errors.TelemetryError`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.instruments import Counter, Gauge, Histogram
@@ -25,54 +36,75 @@ __all__ = ["TelemetryRegistry"]
 
 Instrument = Union[Counter, Gauge, Histogram]
 
+#: Suffix → the instrument class, or ``(Histogram, bounds)`` for a
+#: histogram with bucket edges of its own.
+Schema = Mapping[str, Union[type, tuple]]
+
+
+def _build(name: str, spec) -> Instrument:
+    return spec[0](name, spec[1]) if isinstance(spec, tuple) \
+        else spec(name)
+
 
 class TelemetryRegistry:
     """Named instruments for one scope (usually one node)."""
 
-    __slots__ = ("scope", "_instruments")
+    __slots__ = ("scope", "_instruments", "_schemas")
 
     def __init__(self, scope: str = "") -> None:
         self.scope = scope
+        #: Every instrument built so far, by name.
         self._instruments: dict[str, Instrument] = {}
+        #: Prefix → the schema declared under it.
+        self._schemas: dict[str, Schema] = {}
 
-    # -- instrument factories ------------------------------------------------
+    def declare(self, prefix: str, schema: Schema) -> None:
+        """Name ``prefix + suffix`` for every suffix of ``schema``,
+        building none of them.  Declaring the same schema again (a
+        restarted owner) changes nothing."""
+        if self._schemas.setdefault(prefix, schema) is not schema:
+            raise TelemetryError(
+                f"{self.scope}:{prefix}* is declared by another schema")
+
+    def bind(self, prefix: str, *suffixes: str) -> tuple:
+        """The declared instruments ``prefix + suffix``, in order,
+        built on this first write."""
+        schema, built = self._schemas[prefix], self._instruments
+        for suffix in suffixes:
+            if prefix + suffix not in built:
+                built[prefix + suffix] = _build(prefix + suffix,
+                                                schema[suffix])
+        return tuple(built[prefix + suffix] for suffix in suffixes)
 
     def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        # The most-built instrument (26 per simulated node): no options
-        # to forward, so no trip through :meth:`_get`.
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = self._instruments[name] = Counter(name)
-        elif not isinstance(instrument, Counter):
-            raise self._kind_error(name, instrument, Counter)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str,
-                  bounds: Optional[Sequence[float]] = None) -> Histogram:
-        """Get or create the histogram called ``name``.
-
-        ``bounds`` applies only on first creation; later callers share
-        the existing bucket layout.
-        """
-        return self._get(name, Histogram, bounds=bounds)
+        """Get or create the counter called ``name``: for names known
+        only at run time, and for tests that tamper with one."""
+        instrument = self.get(name) or Counter(name)
+        if not isinstance(instrument, Counter):
+            raise TelemetryError(
+                f"instrument {self.scope + ':' if self.scope else ''}"
+                f"{name} is a {type(instrument).__name__}, not a Counter")
+        return self._instruments.setdefault(name, instrument)
 
     # -- queries ---------------------------------------------------------------
 
     def get(self, name: str) -> Optional[Instrument]:
-        """The instrument called ``name``, or None."""
-        return self._instruments.get(name)
+        """The instrument called ``name``, or None.  A declared one
+        not built yet reads as a fresh zero instrument that the
+        registry does not keep."""
+        if name in self._instruments:
+            return self._instruments[name]
+        for prefix, schema in self._schemas.items():
+            suffix = name[len(prefix):]
+            if name.startswith(prefix) and suffix in schema:
+                return _build(name, schema[suffix])
+        return None
 
     def value(self, name: str, default: float = 0.0) -> float:
         """Current value of a counter/gauge (``default`` if absent)."""
-        instrument = self._instruments.get(name)
-        if isinstance(instrument, (Counter, Gauge)):
-            return instrument.value
-        return default
+        instrument = self.get(name)
+        return instrument.value \
+            if isinstance(instrument, (Counter, Gauge)) else default
 
     def counters(self) -> dict[str, float]:
         """Counter name → total: what a live pool worker ships home.
@@ -81,9 +113,8 @@ class TelemetryRegistry:
         side turns it back into a registry, so the parent reads remote
         hosts exactly as it reads local ones.
         """
-        return {name: inst.value
-                for name, inst in self._instruments.items()
-                if isinstance(inst, Counter)}
+        return {name: instrument.value for name in self.names()
+                if isinstance(instrument := self.get(name), Counter)}
 
     @classmethod
     def from_counters(cls, scope: str,
@@ -95,9 +126,12 @@ class TelemetryRegistry:
         return registry
 
     def names(self, prefix: str = "") -> list[str]:
-        """Sorted instrument names, optionally filtered by prefix."""
-        return sorted(n for n in self._instruments
-                      if n.startswith(prefix))
+        """Sorted instrument names, built or declared, optionally
+        filtered by prefix."""
+        names = set(self._instruments)
+        for base, schema in self._schemas.items():
+            names.update(base + suffix for suffix in schema)
+        return sorted(n for n in names if n.startswith(prefix))
 
     def snapshot(self, prefix: str = "") -> dict[str, dict]:
         """Name → instrument snapshot, sorted, optionally filtered.
@@ -105,11 +139,17 @@ class TelemetryRegistry:
         The result is plain JSON-serialisable data — this is what the
         golden-trace test pins and what the report renderers consume.
         """
-        return {name: self._instruments[name].snapshot()
+        return {name: self.get(name).snapshot()
                 for name in self.names(prefix)}
 
+    @property
+    def version(self) -> int:
+        """Grows whenever a name is declared or an instrument built:
+        a reader that keeps handles re-resolves them when it moves."""
+        return len(self._instruments) + len(self._schemas)
+
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self.names())
 
     def __bool__(self) -> bool:
         """Always truthy: an *empty* registry is still a registry
@@ -117,30 +157,4 @@ class TelemetryRegistry:
         return True
 
     def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    # -- internals ------------------------------------------------------------
-
-    def _get(self, name: str, cls, **options) -> Instrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise self._kind_error(name, existing, cls)
-            return existing
-        instrument = cls(name, **options)
-        self._instruments[name] = instrument
-        return instrument
-
-    def _kind_error(self, name: str, existing: Instrument,
-                    cls) -> TelemetryError:
-        return TelemetryError(
-            f"{self._label(name)} is a "
-            f"{type(existing).__name__}, not a {cls.__name__}")
-
-    def _label(self, name: str) -> str:
-        return f"instrument {self.scope + ':' if self.scope else ''}" \
-               f"{name}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TelemetryRegistry {self.scope or '?'} "
-                f"{len(self._instruments)} instruments>")
+        return self.get(name) is not None

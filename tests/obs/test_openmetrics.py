@@ -7,15 +7,17 @@ import pytest
 from repro.obs import (ObsError, parse_openmetrics,
                        render_openmetrics)
 from repro.obs.openmetrics import CONTENT_TYPE, metric_name
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry import Gauge, Histogram, TelemetryRegistry
 
 
 def make_registry(scope: str = "n0") -> TelemetryRegistry:
     reg = TelemetryRegistry(scope=scope)
     reg.counter("dmon.polls").inc(4.0)
-    reg.gauge("net.in_flight").adjust(3)
-    hist = reg.histogram("kecho.monitor.delivery_seconds",
-                         bounds=(0.01, 0.1))
+    reg.declare("net.", {"in_flight": Gauge})
+    reg.bind("net.", "in_flight")[0].adjust(3)
+    reg.declare("kecho.monitor.",
+                {"delivery_seconds": (Histogram, (0.01, 0.1))})
+    hist, = reg.bind("kecho.monitor.", "delivery_seconds")
     hist.observe(0.02)
     hist.observe(0.2)
     return reg
@@ -125,6 +127,6 @@ class TestParserRejections:
         reg_a = TelemetryRegistry(scope="a")
         reg_a.counter("same.name")
         reg_b = TelemetryRegistry(scope="b")
-        reg_b.gauge("same.name")
+        reg_b.declare("same.", {"name": Gauge})
         with pytest.raises(ObsError, match="both"):
             render_openmetrics({"a": reg_a, "b": reg_b})

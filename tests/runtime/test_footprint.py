@@ -12,10 +12,11 @@ from repro.runtime.series import CounterTrace
 from repro.sim.link import Flow, FlowKind, Link
 
 #: GC-tracked objects per node that a 200-node fan-in deployment (8
-#: watchers, ``cpu`` + ``mem``) holds once built.  It measures 118.1;
-#: it measured 132.1 while each of a node's 7 traces built its two
-#: sample columns at construction.
-TRACKED_PER_NODE = 122
+#: watchers, ``cpu`` + ``mem``) holds once built.  It measures 86.1;
+#: it measured 118.1 while every telemetry instrument was built with
+#: its owner, and 132.1 while each of a node's 7 traces also built its
+#: two sample columns at construction.
+TRACKED_PER_NODE = 90
 
 
 def _containers(obj) -> list:
@@ -86,3 +87,25 @@ def test_a_built_fan_in_node_holds_a_bounded_number_of_objects():
     gc.collect()
     per_node = (len(gc.get_objects()) - before) / nodes
     assert per_node <= TRACKED_PER_NODE
+
+
+def test_a_fault_free_fan_in_builds_only_the_instruments_it_writes():
+    """30 s of a fault-free 200-node fan-in: a host that watches no one
+    sends no control message, retransmits and drops nothing and hears
+    no monitoring event, so it has built none of those instruments,
+    while every reader still lists them."""
+    scenario = Scenario(nodes=200, seed=1, modules=("cpu", "mem"),
+                        watchers=8).run(30.0)
+    unwritten = {
+        *(f"kecho.dproc.control.{suffix}" for suffix in
+          ("submits", "submit_seconds", "fanout", "tx_bytes")),
+        *(f"kecho.dproc.monitor.{suffix}" for suffix in
+          ("receives", "rx_bytes", "delivery_seconds")),
+        "net.retransmissions", "net.drops_fault", "net.drops_congestion"}
+    quiet = [dproc.node for dproc in scenario.dprocs.values()
+             if not dproc.dmon.config.subscribe_monitoring]
+    assert len(quiet) == 192
+    for node in quiet:
+        registry = node.telemetry
+        assert not unwritten & set(registry._instruments), node.name
+        assert unwritten <= set(registry.names())

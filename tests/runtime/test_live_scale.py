@@ -101,6 +101,11 @@ def _stack(batch=None) -> LiveStack:
     return LiveStack("alan", TelemetryRegistry("alan"), batch=batch)
 
 
+def _net(stack: LiveStack, name: str) -> float:
+    """The stack's ``net.<name>`` counter."""
+    return stack.telemetry.value(f"net.{name}")
+
+
 def _set_flow(monkeypatch, high: int, low: int, deferred: int) -> None:
     """Tighten the transport's backpressure bounds for one test."""
     monkeypatch.setattr(live_transport, "HIGH_WATERMARK", high)
@@ -151,10 +156,10 @@ class TestPeerLinkBatching:
             return stack, transport
         stack, transport = asyncio.run(run())
         assert transport.writes == [b"".join(_frame(i) for i in range(3))]
-        assert stack._t_batches.value == 1
-        assert stack._t_batched_frames.value == 3
-        assert stack._t_wire_frames.value == 1
-        assert stack._t_frames.value == 0  # counted by LiveConnection
+        assert _net(stack, "tx_batches") == 1
+        assert _net(stack, "tx_batched_frames") == 3
+        assert _net(stack, "tx_wire_frames") == 1
+        assert _net(stack, "tx_frames") == 0  # counted by LiveConnection
 
     def test_flush_on_byte_watermark(self):
         async def run():
@@ -197,7 +202,7 @@ class TestPeerLinkBatching:
         assert len(transport.writes) == 1
         # A run of one frame is that frame.
         assert transport.writes[0] == _frame(7)
-        assert stack._t_batches.value == 0
+        assert _net(stack, "tx_batches") == 0
 
     def test_preconnect_frames_counted_once(self):
         async def run():
@@ -205,12 +210,12 @@ class TestPeerLinkBatching:
             link = await _link(stack)
             link.send(_frame(0))
             link.send(_frame(1))
-            assert stack._t_wire_frames.value == 0  # queued, not sent
+            assert _net(stack, "tx_wire_frames") == 0  # queued, not sent
             transport = _complete_dial(link)
             return stack, transport
         stack, transport = asyncio.run(run())
         assert len(transport.writes) == 2
-        assert stack._t_wire_frames.value == 2
+        assert _net(stack, "tx_wire_frames") == 2
 
     def test_batched_preconnect_frames_leave_on_connect(self):
         """Frames that waited for the dial do not wait for the batch
@@ -258,15 +263,15 @@ class TestPeerLinkBackpressure:
             big = encode_frame(TAG, _big(200))
             link.send(big)          # buffer > high: pause
             assert link.paused
-            assert stack._t_pauses.value == 1
+            assert _net(stack, "backpressure_pauses") == 1
             assert link.send(_frame(1)) is None  # deferred
             assert link.send(_frame(2)) is None
-            assert stack._t_deferred.value == 2
+            assert _net(stack, "backpressure_deferred") == 2
             assert len(transport.writes) == 1     # nothing new on wire
             transport.drain()                  # resume_writing
             return stack, transport
         stack, transport = asyncio.run(run())
-        assert stack._t_resumes.value == 1
+        assert _net(stack, "backpressure_resumes") == 1
         assert [_number(FrameDecoder().feed(w)[0])
                 for w in transport.writes[1:]] == [1, 2]
 
@@ -279,11 +284,11 @@ class TestPeerLinkBackpressure:
             conn._link.paused = True           # as if past high water
             drops = []
             for i in (1, 2, 3):                # the third overflows
-                conn.send(_event(i), 32.0, on_fail=lambda dst, reason,
-                          i=i: drops.append((i, dst, reason)))
+                conn.send(_event(i), 32.0, on_fail=lambda _payload, dst,
+                          reason, i=i: drops.append((i, dst, reason)))
             return stack, drops
         stack, drops = asyncio.run(run())
-        assert stack._t_drops.value == 1
+        assert _net(stack, "backpressure_drops") == 1
         assert drops == [(3, "maui", "backpressure")]
 
     def test_frames_waiting_for_the_dial_are_bounded(self):
@@ -295,8 +300,8 @@ class TestPeerLinkBackpressure:
             return stack, [link.send(_frame(i)) for i in range(5)]
         stack, lost = asyncio.run(run())
         assert lost == [None, None] + ["backpressure"] * 3
-        assert stack._t_drops.value == 3
-        assert stack._t_deferred.value == 2
+        assert _net(stack, "backpressure_drops") == 3
+        assert _net(stack, "backpressure_deferred") == 2
 
     def test_peer_hang_up_marks_the_link_down(self):
         async def run():
@@ -313,7 +318,7 @@ class TestPeerLinkBackpressure:
             conn._link._dead = True
             drops = []
             conn.send(_event(0), 32.0,
-                      on_fail=lambda *lost: drops.append(lost))
+                      on_fail=lambda _payload, *lost: drops.append(lost))
             return conn._link.send(_frame(0)), drops
         lost, drops = asyncio.run(run())
         assert lost == "link down"
@@ -336,12 +341,12 @@ class TestFanOut:
                      for dst in peers]
             lost = []
             stack.send_many(conns, _event(7), 32.0,
-                            on_fail=lambda *fail: lost.append(fail))
+                            on_fail=lambda _payload, *fail: lost.append(fail))
             return stack, conns, lost
         stack, conns, lost = asyncio.run(run())
         assert encoded == [TAG]
         assert lost == []
-        assert stack._t_frames.value == len(peers)
+        assert _net(stack, "tx_frames") == len(peers)
         for conn in conns:
             (body,) = FrameDecoder().feed(b"".join(
                 conn._link.transport.writes))
@@ -375,16 +380,16 @@ class TestSlowConsumerLive:
             for _ in range(200):               # ~13 MB at the peer
                 conn.send(big, size=1.0)
                 await asyncio.sleep(0)
-                if stack._t_pauses.value:
+                if _net(stack, "backpressure_pauses"):
                     break
-            assert stack._t_pauses.value >= 1, \
+            assert _net(stack, "backpressure_pauses") >= 1, \
                 "slow consumer never tripped the high watermark"
             gate.set()                         # peer starts reading
             for _ in range(200):
                 await asyncio.sleep(0.02)
-                if stack._t_resumes.value:
+                if _net(stack, "backpressure_resumes"):
                     break
-            assert stack._t_resumes.value >= 1, \
+            assert _net(stack, "backpressure_resumes") >= 1, \
                 "drain never resumed the link"
             await stack.stop()
             server.close()
@@ -460,7 +465,7 @@ class TestMalformedFrameLive:
         with caplog.at_level(logging.ERROR):
             stack, behind_bad_frame = asyncio.run(run())
         assert behind_bad_frame == 1
-        assert stack._t_decode_errors.value == 1
+        assert _net(stack, "rx_decode_errors") == 1
         assert len(received) == 2
         assert [r for r in caplog.records
                 if r.levelno >= logging.ERROR] == []

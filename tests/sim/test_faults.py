@@ -24,7 +24,8 @@ def send(cluster, src, dst, size=1000.0, tag="t"):
     lost: list[str] = []
     conn = node.stack.connect(dst, tag=tag)
     conn.send({"x": 1}, size,
-              on_fail=lambda _dst, reason: lost.append(reason))
+              on_fail=lambda _payload, _dst, reason:
+              lost.append(reason))
     return node, before, lost
 
 
@@ -132,7 +133,8 @@ class TestTransportIntegration:
         injector.plane.set_loss(1.0)
         conn = cluster3["alan"].stack.connect("maui", tag="t")
         lost = []
-        conn.send("x", 500.0, on_fail=lambda *fail: lost.append(fail))
+        conn.send("x", 500.0,
+                  on_fail=lambda _payload, *fail: lost.append(fail))
         env.run()
         assert conn.losses.total == 1.0
         assert lost == [("maui", "injected loss")]

@@ -236,7 +236,7 @@ class TestUdp:
         def proc():
             for _ in range(20):
                 conn.send("x", size=KB(1),
-                          on_fail=lambda *fail: lost.append(fail))
+                          on_fail=lambda _payload, *fail: lost.append(fail))
                 yield inbox.next()
 
         env.run(env.process(proc()))
@@ -256,7 +256,8 @@ class TestUdp:
         def proc():
             for _ in range(200):
                 conn.send("x", size=KB(1),
-                          on_fail=lambda dst, reason: lost.append(reason))
+                          on_fail=lambda _payload, dst, reason:
+                          lost.append(reason))
                 yield env.timeout(0.01)
 
         env.run(env.process(proc()))
@@ -413,7 +414,8 @@ class TestEventBudget:
         before = env.events_processed
         lost = []
         cluster3["alan"].stack.connect("maui", tag="t").send(
-            "x", size=100, on_fail=lambda *fail: lost.append(fail))
+            "x", size=100,
+            on_fail=lambda _payload, *fail: lost.append(fail))
         assert lost == [("maui", "partition")]
         env.run()
         assert env.events_processed == before

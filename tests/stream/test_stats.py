@@ -44,6 +44,23 @@ class TestVerifyStats:
         assert verify_stats(scenario.stream,
                             scenario.runtime.nodes) == []
 
+    def test_verifying_builds_no_instrument(self):
+        """A verify pass is a read: a watcher-less host's unwritten
+        delivery histogram reads as its zero and stays unbuilt."""
+        scenario = Scenario(nodes=6, seed=13, watchers=2) \
+            .with_stream().run(8.0)
+        nodes = scenario.runtime.nodes
+
+        def built() -> dict:
+            return {node.name: set(node.telemetry._instruments)
+                    for node in nodes}
+
+        before = built()
+        assert any("kecho.dproc.monitor.delivery_seconds" not in names
+                   for names in before.values())
+        assert verify_stats(scenario.stream, nodes) == []
+        assert built() == before
+
     def test_tampered_counter_is_detected(self):
         scenario = Scenario(nodes=3, seed=2).with_stream().run(4.0)
         node = next(iter(scenario.runtime.nodes))

@@ -9,52 +9,114 @@ from repro.telemetry import (Counter, Gauge, Histogram,
                              TelemetryRegistry)
 
 
+#: A schema as an owner declares it: one of each kind.
+SCHEMA = {"c": Counter, "g": Gauge, "h": Histogram,
+          "small": (Histogram, (1.0, 2.0))}
+
+
 class TestGetOrCreate:
     def test_same_name_same_instrument(self):
         reg = TelemetryRegistry(scope="n0")
         assert reg.counter("a.b") is reg.counter("a.b")
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
+        reg.declare("x.", SCHEMA)
+        first = reg.bind("x.", "c", "g", "h")
+        assert all(a is b for a, b in zip(first, reg.bind(
+            "x.", "c", "g", "h")))
+        assert reg.counter("x.c") is first[0]
 
     def test_kind_mismatch_rejected(self):
         reg = TelemetryRegistry()
-        reg.counter("x")
-        with pytest.raises(TelemetryError, match="not a Gauge"):
-            reg.gauge("x")
-        with pytest.raises(TelemetryError, match="not a Histogram"):
-            reg.histogram("x")
-        reg.histogram("h")
-        with pytest.raises(TelemetryError, match="not a Counter"):
-            reg.counter("h")
+        reg.declare("x.", SCHEMA)
+        with pytest.raises(TelemetryError, match="Gauge, not a Counter"):
+            reg.counter("x.g")
+        reg.bind("x.", "h")
+        with pytest.raises(TelemetryError,
+                           match="Histogram, not a Counter"):
+            reg.counter("x.h")
+        with pytest.raises(TelemetryError, match="another schema"):
+            reg.declare("x.", {"c": Counter})
+        assert reg.version == 2  # a refusal builds nothing
 
     def test_mismatch_error_names_the_scope(self):
         reg = TelemetryRegistry(scope="node7")
-        reg.counter("x")
-        with pytest.raises(TelemetryError, match="node7:x"):
-            reg.gauge("x")
+        reg.declare("x.", SCHEMA)
+        with pytest.raises(TelemetryError, match="node7:x.g"):
+            reg.counter("x.g")
 
     def test_histogram_bounds_apply_on_first_creation_only(self):
+        """A histogram's bounds are its schema's, whoever builds it."""
         reg = TelemetryRegistry()
-        h = reg.histogram("h", bounds=(1.0, 2.0))
-        assert reg.histogram("h", bounds=(9.0,)) is h
+        reg.declare("x.", SCHEMA)
+        assert reg.get("x.small").bounds == (1.0, 2.0)
+        h, = reg.bind("x.", "small")
         assert h.bounds == (1.0, 2.0)
+        assert reg.bind("x.", "small")[0] is h
+
+
+class TestDeclared:
+    """A declared instrument is built by its first write; until then
+    every reader sees its zero."""
+
+    def test_declaring_builds_nothing(self):
+        reg = TelemetryRegistry()
+        reg.declare("x.", SCHEMA)
+        assert reg.version == 1
+        assert reg.names() == ["x.c", "x.g", "x.h", "x.small"]
+        assert len(reg) == 4 and "x.h" in reg and "x.d" not in reg
+        assert reg.value("x.c", default=-1.0) == 0.0
+        assert reg.value("x.h", default=-1.0) == -1.0
+        assert reg.counters() == {"x.c": 0.0}
+        assert reg.snapshot() == {
+            "x.c": Counter("x.c").snapshot(),
+            "x.g": Gauge("x.g").snapshot(),
+            "x.h": Histogram("x.h").snapshot(),
+            "x.small": Histogram("x.small", (1.0, 2.0)).snapshot()}
+        assert reg.version == 1
+
+    def test_a_zero_view_is_not_kept(self):
+        reg = TelemetryRegistry()
+        reg.declare("x.", SCHEMA)
+        reg.get("x.c").inc(5.0)
+        assert reg.value("x.c") == 0.0
+        assert reg.get("x.c") is not reg.get("x.c")
+
+    def test_binding_builds_and_moves_the_version(self):
+        reg = TelemetryRegistry()
+        reg.declare("x.", SCHEMA)
+        counter, gauge = reg.bind("x.", "c", "g")
+        assert reg.version == 3
+        counter.inc(2.0)
+        gauge.set(7.0)
+        assert reg.get("x.c") is counter
+        assert reg.value("x.c") == 2.0 and reg.value("x.g") == 7.0
+        assert len(reg) == 4
+
+    def test_a_restarted_owner_shares_its_instruments(self):
+        reg = TelemetryRegistry()
+        reg.declare("x.", SCHEMA)
+        counter, = reg.bind("x.", "c")
+        reg.declare("x.", SCHEMA)
+        assert reg.bind("x.", "c")[0] is counter
+        assert reg.version == 2
 
 
 class TestQueries:
     def test_value_and_get(self):
         reg = TelemetryRegistry()
         reg.counter("c").inc(3.0)
-        reg.gauge("g").set(7.0)
+        reg.declare("x.", SCHEMA)
+        reg.bind("x.", "g")[0].set(7.0)
         assert reg.value("c") == 3.0
-        assert reg.value("g") == 7.0
+        assert reg.value("x.g") == 7.0
         assert reg.value("missing") == 0.0
         assert reg.value("missing", default=-1.0) == -1.0
         assert reg.get("missing") is None
 
     def test_value_of_non_scalar_is_default(self):
         reg = TelemetryRegistry()
-        reg.histogram("h").observe(1.0)
-        assert reg.value("h", default=-1.0) == -1.0
+        reg.declare("x.", SCHEMA)
+        reg.bind("x.", "h")[0].observe(1.0)
+        assert reg.value("x.h", default=-1.0) == -1.0
 
     def test_names_sorted_and_filtered(self):
         reg = TelemetryRegistry()
@@ -79,11 +141,13 @@ class TestQueries:
 
         reg = TelemetryRegistry()
         reg.counter("c").inc()
-        reg.gauge("g").set(1.0)
-        reg.histogram("h").observe(0.5)
+        reg.declare("x.", SCHEMA)
+        gauge, hist = reg.bind("x.", "g", "h")
+        gauge.set(1.0)
+        hist.observe(0.5)
         snap = reg.snapshot()
         json.dumps(snap)  # must be JSON-serialisable as-is
-        assert set(snap) == {"c", "g", "h"}
+        assert set(snap) == {"c", "x.c", "x.g", "x.h", "x.small"}
         assert snap["c"]["type"] == "counter"
 
 
@@ -91,5 +155,6 @@ class TestInstrumentKinds:
     def test_factories_return_expected_types(self):
         reg = TelemetryRegistry()
         assert isinstance(reg.counter("c"), Counter)
-        assert isinstance(reg.gauge("g"), Gauge)
-        assert isinstance(reg.histogram("h"), Histogram)
+        reg.declare("x.", SCHEMA)
+        assert [type(i) for i in reg.bind("x.", *SCHEMA)] \
+            == [Counter, Gauge, Histogram, Histogram]

@@ -6,8 +6,20 @@ import json
 
 import pytest
 
-from repro.telemetry import (MONITOR_CPU_COUNTERS, TelemetryRegistry,
-                             overhead_summary, render_text)
+from repro.telemetry import (MONITOR_CPU_COUNTERS, Gauge, Histogram,
+                             TelemetryRegistry, overhead_summary,
+                             render_text)
+
+#: A histogram with two finite buckets.
+SMALL = (Histogram, (0.01, 0.1))
+
+
+def declare(reg: TelemetryRegistry, name: str, spec):
+    """Declare ``name`` alone under its dotted prefix; returns the
+    bound instrument."""
+    prefix, suffix = name.rsplit(".", 1)
+    reg.declare(f"{prefix}.", {suffix: spec})
+    return reg.bind(f"{prefix}.", suffix)[0]
 
 
 def make_registry(scope: str = "n0") -> TelemetryRegistry:
@@ -15,9 +27,8 @@ def make_registry(scope: str = "n0") -> TelemetryRegistry:
     reg.counter("dmon.polls").inc(10.0)
     reg.counter("dmon.collect_seconds").inc(0.25)
     reg.counter("dmon.submit_seconds").inc(0.05)
-    reg.gauge("net.in_flight").adjust(2)
-    reg.histogram("kecho.health.delivery_seconds", bounds=(0.01, 0.1)) \
-        .observe(0.02)
+    declare(reg, "net.in_flight", Gauge).adjust(2)
+    declare(reg, "kecho.health.delivery_seconds", SMALL).observe(0.02)
     return reg
 
 
@@ -165,7 +176,7 @@ class TestZeroOverheadSummary:
         reg = TelemetryRegistry(scope="n0")
         reg.counter("dmon.polls").inc(3.0)
         reg.counter("dmon.collect_seconds").inc(0.2)
-        reg.gauge("queue.depth").set(4.0)   # gauges stay home
+        declare(reg, "queue.depth", Gauge).set(4.0)  # stays home
         real = overhead_summary({"n0": reg}, sim_seconds=2.0)
         shipped = TelemetryRegistry.from_counters("n0", reg.counters())
         assert shipped.counters() == reg.counters()
@@ -186,15 +197,14 @@ class TestDegenerateHistograms:
 
     def test_empty_histogram_text(self):
         reg = TelemetryRegistry(scope="n0")
-        reg.histogram("h.empty", bounds=(0.01, 0.1))
+        reg.declare("h.", {"empty": SMALL})  # unbuilt: its zero
         text = render_text(reg)
         assert "h.empty: count=0" in text
         assert "inf" not in text  # quantiles of nothing are NaN, not inf
 
     def test_nan_only_histogram_text(self):
         reg = TelemetryRegistry(scope="n0")
-        hist = reg.histogram("h.nan", bounds=(0.01, 0.1))
-        hist.observe(float("nan"))
+        declare(reg, "h.nan", SMALL).observe(float("nan"))
         text = render_text(reg)
         # Must render a line without raising; one line per instrument.
         assert text.count("\n") == 1
@@ -202,12 +212,12 @@ class TestDegenerateHistograms:
 
     def test_empty_histogram_json_serialisable(self):
         reg = TelemetryRegistry(scope="n0")
-        reg.histogram("h.empty", bounds=(0.01, 0.1))
+        declare(reg, "h.empty", SMALL)
         json.dumps(reg.snapshot(), allow_nan=True)
 
     def test_render_does_not_mutate_empty_histogram(self):
         reg = TelemetryRegistry(scope="n0")
-        reg.histogram("h.empty", bounds=(0.01, 0.1))
+        declare(reg, "h.empty", SMALL)
         before = reg.snapshot()
         render_text(reg)
         assert reg.snapshot() == before
