@@ -122,9 +122,6 @@ class DMon:
         ("polls", "collect_seconds", "param_seconds", "submit_seconds",
          "receive_seconds", "events_published", "records_published",
          "filter_seconds"), Counter)
-    # The first handle of each group (the rest are bound with it) by
-    # the first poll and the first filter run.
-    _t_polls = _t_filter = None
 
     def __init__(self, node: RuntimeNode, bus: Bus,
                  config: DMonConfig | None = None) -> None:
@@ -157,6 +154,10 @@ class DMon:
         self.receive_overhead = CounterTrace(MEASUREMENT_HISTORY)
         self.polls = 0
         node.telemetry.declare("dmon.", self.TELEMETRY)
+        # Handles, bound by the first poll and the first filter run.
+        self._t_polls = self._t_collect = self._t_param = \
+            self._t_submit = self._t_receive = self._t_events = \
+            self._t_records = self._t_filter = None
         #: module name -> its dmon.module.<name>.collect_seconds counter.
         self._t_module_collect: dict[str, object] = {}
         #: Most recent local samples (served for the node's own

@@ -23,10 +23,6 @@ from repro.telemetry.report import MONITOR_CPU_COUNTERS
 
 __all__ = ["SelfMon"]
 
-#: Telemetry counters summed into DMON_POLL_COST (CPU seconds the
-#: monitoring pipeline spent *producing* data, excluding receive).
-_POLL_COST_COUNTERS = MONITOR_CPU_COUNTERS[:-1]
-
 
 class SelfMon(MonitoringModule):
     """Samples the node's own monitoring-overhead telemetry."""
@@ -40,7 +36,9 @@ class SelfMon(MonitoringModule):
     def collect(self, now: float) -> list[float]:
         reg = self.node.telemetry
         polls = reg.value("dmon.polls")
-        produce = sum(reg.value(name) for name in _POLL_COST_COUNTERS)
+        # DMON_POLL_COST: CPU seconds the monitoring pipeline spent
+        # *producing* data (every monitor CPU counter but receive).
+        produce = sum(reg.value(name) for name in MONITOR_CPU_COUNTERS[:-1])
         poll_cost = produce / polls if polls else 0.0
         rx_cost = (reg.value("dmon.receive_seconds") / polls
                    if polls else 0.0)

@@ -60,9 +60,6 @@ class ChannelEndpoint:
         "fanout": (Histogram, (1, 2, 4, 8, 16, 32, 64, 128, 256)),
         "tx_bytes": Counter, "receives": Counter, "rx_bytes": Counter,
         "delivery_seconds": Histogram, "failed_deliveries": Counter}
-    # The first handle of each group (the rest are bound with it) by
-    # the first submit, delivery and lost copy.
-    _t_submits = _t_receives = _t_failed = None
 
     def __init__(self, bus: "KechoBus", node: RuntimeNode,
                  name: str) -> None:
@@ -77,6 +74,11 @@ class ChannelEndpoint:
         #: Cumulative receive-path kernel CPU seconds (Figure 8 metric).
         self.receive_cpu_seconds = 0.0
         node.telemetry.declare(f"kecho.{name}.", self.TELEMETRY)
+        # Handles, bound by the first submit, delivery and lost copy.
+        # Every slot is made here, so every endpoint keeps one layout.
+        self._t_submits = self._t_submit_seconds = self._t_fanout = \
+            self._t_tx_bytes = self._t_receives = self._t_rx_bytes = \
+            self._t_delivery_seconds = self._t_failed = None
         node.stack.bind(self._tag, self._on_message)
 
     # -- subscription ------------------------------------------------------------

@@ -208,8 +208,7 @@ class _PeerLink(asyncio.Protocol):
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        stack = self.stack
-        batch = stack.batch_config
+        batch = self.stack.batch_config
         limit = 0 if batch is None else batch.max_bytes
         queue = self.queue
         while queue and self.transport is not None and not self.paused:
@@ -220,8 +219,8 @@ class _PeerLink(asyncio.Protocol):
                 size += len(run[-1])
             self._queued_bytes -= size
             if len(run) > 1:
-                stack._count("tx_batches")
-                stack._count("tx_batched_frames", len(run))
+                self.stack._count("tx_batches")
+                self.stack._count("tx_batched_frames", len(run))
             self._write(encode_batch(run))
 
     def _write(self, data: bytes) -> None:
@@ -291,10 +290,6 @@ class LiveStack:
          "backpressure_pauses", "backpressure_resumes",
          "rx_decode_errors", "tx_frame_bytes", "rx_frame_bytes",
          "undeliverable", "rx_truncated"), Counter)
-    # The first handle of each group (the rest are bound with it) by
-    # the first link and the first read; what counts once per batch or
-    # more rarely goes through :meth:`_count`.
-    _t_tx = _t_rx = None
 
     def __init__(self, host: str, telemetry,
                  batch: Optional[BatchConfig] = None) -> None:
@@ -314,6 +309,11 @@ class LiveStack:
         self._inbound: set[_Inbound] = set()
         self.telemetry = telemetry
         telemetry.declare("net.", self.TELEMETRY)
+        # Handles, bound by the first link and the first read (every
+        # slot made here: one layout); what counts once per batch or
+        # more rarely goes through :meth:`_count`.
+        self._t_tx = self._t_frames = self._t_wire_frames = \
+            self._t_wire_bytes = self._t_rx = None
 
     # -- lifecycle --------------------------------------------------------
 

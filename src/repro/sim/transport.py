@@ -124,9 +124,6 @@ class NetStack:
     TELEMETRY = {"in_flight": Gauge, "delivered": Counter,
                  "drops_fault": Counter, "drops_congestion": Counter,
                  "retransmissions": Counter}
-    # The first handle of each group (the rest are bound with it) by
-    # the first fan-out, lost copy and retransmission.
-    _t_in_flight = _t_drops_fault = _t_retx = None
 
     def __init__(self, env: Environment, host: str, fabric: Fabric,
                  rng: Pcg64Stream, kernel_charge: Callable[[float], Any],
@@ -140,6 +137,10 @@ class NetStack:
         #: The node's registry.
         self.telemetry = telemetry
         telemetry.declare("net.", self.TELEMETRY)
+        # Handles, bound by the first fan-out, lost copy and
+        # retransmission; every slot is made here (one layout).
+        self._t_in_flight = self._t_delivered = self._t_drops_fault = \
+            self._t_drops_congestion = self._t_retx = None
         #: Charges ``seconds`` of kernel CPU time (the node's).
         self.kernel_charge = kernel_charge
         #: Maps message size -> kernel seconds for the receive path.
@@ -302,8 +303,7 @@ class NetStack:
         report it to its sender."""
         if self._t_drops_fault is None:
             self._t_drops_fault, self._t_drops_congestion = \
-                self.telemetry.bind("net.", "drops_fault",
-                                    "drops_congestion")
+                self.telemetry.bind("net.", "drops_fault", "drops_congestion")
         (self._t_drops_congestion if congested
          else self._t_drops_fault).inc()
         now = self.env.now

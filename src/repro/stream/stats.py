@@ -27,7 +27,6 @@ from typing import Iterable, Optional
 from repro.dproc.dmon import MONITOR_CHANNEL
 from repro.stream.broker import StreamBroker
 from repro.stream.entry import DELIVER, DROP, SUBMIT
-from repro.telemetry.instruments import Histogram
 
 __all__ = ["replay_stats", "verify_stats"]
 
@@ -142,11 +141,11 @@ def verify_stats(broker: StreamBroker, nodes: Iterable,
                   telemetry.value(f"{base}.tx_bytes"))
             # A read: an endpoint's unwritten histogram is its zero,
             # and a node without the endpoint has none.
-            hist = telemetry.get(f"{base}.delivery_seconds") or Histogram(base)
+            hist = telemetry.get(f"{base}.delivery_seconds")
             check(f"{name} {base}.delivery_seconds.count",
-                  lat_n[key], hist.count)
+                  lat_n[key], hist.count if hist else 0)
             check(f"{name} {base}.delivery_seconds.total",
-                  lat_t[key], hist.total)
+                  lat_t[key], hist.total if hist else 0.0)
         check(f"{name} dmon.events_published", mon_events[name],
               int(telemetry.value("dmon.events_published")))
         check(f"{name} dmon.records_published", mon_records[name],

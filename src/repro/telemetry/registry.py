@@ -27,7 +27,7 @@ is a :class:`~repro.errors.TelemetryError`.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.instruments import Counter, Gauge, Histogram
@@ -35,10 +35,6 @@ from repro.telemetry.instruments import Counter, Gauge, Histogram
 __all__ = ["TelemetryRegistry"]
 
 Instrument = Union[Counter, Gauge, Histogram]
-
-#: Suffix → the instrument class, or ``(Histogram, bounds)`` for a
-#: histogram with bucket edges of its own.
-Schema = Mapping[str, Union[type, tuple]]
 
 
 def _build(name: str, spec) -> Instrument:
@@ -56,15 +52,17 @@ class TelemetryRegistry:
         #: Every instrument built so far, by name.
         self._instruments: dict[str, Instrument] = {}
         #: Prefix → the schema declared under it.
-        self._schemas: dict[str, Schema] = {}
+        self._schemas: dict[str, Mapping] = {}
 
-    def declare(self, prefix: str, schema: Schema) -> None:
+    def declare(self, prefix: str, schema: Mapping) -> None:
         """Name ``prefix + suffix`` for every suffix of ``schema``,
-        building none of them.  Declaring the same schema again (a
-        restarted owner) changes nothing."""
+        building none of them.  ``schema`` maps a suffix to the
+        instrument class, or to ``(Histogram, bounds)`` for a histogram
+        with bucket edges of its own; every owner of a class shares
+        one.  Declaring the same schema again (a restarted owner)
+        changes nothing."""
         if self._schemas.setdefault(prefix, schema) is not schema:
-            raise TelemetryError(
-                f"{self.scope}:{prefix}* is declared by another schema")
+            raise TelemetryError(f"{self.scope}:{prefix}* has another schema")
 
     def bind(self, prefix: str, *suffixes: str) -> tuple:
         """The declared instruments ``prefix + suffix``, in order,
