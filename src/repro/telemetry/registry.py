@@ -12,17 +12,18 @@ its first call, behind one ``is None`` check, and keeps the handles::
     TELEMETRY = {"polls": Counter, "cost_seconds": Histogram}
 
     node.telemetry.declare("mymod.", TELEMETRY)        # __init__
+    self._t_polls = self._t_cost = None                # __init__
     if self._t_polls is None:                          # the hot site
         self._t_polls, self._t_cost = node.telemetry.bind(
             "mymod.", "polls", "cost_seconds")
 
 Every reader — :meth:`names`, :meth:`get`, :meth:`value`,
 :meth:`snapshot`, :meth:`counters`, ``len`` and ``in`` — sees a
-declared instrument no one has written as its zero.  Names known only
-at run time (one counter per registered module) get-or-create through
-:meth:`counter`, :meth:`gauge` and :meth:`histogram`.  A name always
-resolves to the same instrument, and asking for another kind under it
-is a :class:`~repro.errors.TelemetryError`.
+declared instrument no one has written as its zero.  Counters named
+only at run time (one per registered module) get-or-create through
+:meth:`counter`.  A name always resolves to the same instrument, and
+asking for another kind under it is a
+:class:`~repro.errors.TelemetryError`.
 """
 
 from __future__ import annotations
